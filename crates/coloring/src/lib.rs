@@ -32,4 +32,4 @@ pub use dist::{
 };
 pub use dist2::{assemble_d2, D2Msg, D2Snap, DistColoring2};
 pub use jp::{assemble_jp, JonesPlassmann, JpSnap, JpSnapshot};
-pub use repair::{invalidate_colors, repair_frontier_colors, ColorRetained};
+pub use repair::{invalidate_colors, repair_frontier_colors, ColorFrontier, ColorRetained};

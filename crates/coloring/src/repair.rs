@@ -11,18 +11,28 @@
 //! now-monochrome inserted edge; we uncolor the endpoint that loses the
 //! pre-assigned random tie-break `r(v)` — the same rule the framework's
 //! conflict detection applies (§4, Algorithm 4.1) — so repair *is* one
-//! more round of the paper's own iterative recoloring, seeded externally.
+//! more round of the paper's own iterative recoloring (Sarıyüce et al.,
+//! arXiv:1407.6745), seeded externally.
 //!
-//! Repair then reruns the ordinary engine over warm programs
+//! [`ColorFrontier`] is the one copy of that invalidation and of the
+//! first-fit recolor loop. It works **in place** on the caller's color
+//! slice and keeps the dirty set as a list, so a batch costs
+//! O(batch + dirty · degree) and, once its scratch has grown, allocates
+//! nothing. cmg-serve keeps one resident; the functional
+//! [`invalidate_colors`] / [`repair_frontier_colors`] pair (copy in, run
+//! the kernel, copy out: O(n) per call) serves the distributed warm path
+//! and external replays.
+//!
+//! The distributed finish reruns the ordinary engine over warm programs
 //! ([`DistColoring::warm`] via the [`WarmStart`](cmg_runtime::WarmStart)
 //! impl): clean vertices keep their colors verbatim; dirty vertices are
 //! speculatively recolored and conflict-checked through the usual
-//! phase protocol. The result is a proper coloring of the new graph, but
-//! the *palette size* may differ from a cold run — first-fit over a
-//! mostly-fixed coloring has less freedom than first-fit from scratch.
-//! That is the documented serve-layer relaxation (DESIGN.md §13): the
-//! oracle is propriety plus stability of clean colors, not bit-identity
-//! with a cold run.
+//! phase protocol. Either way the result is a proper coloring of the new
+//! graph, but the *palette size* may differ from a cold run — first-fit
+//! over a mostly-fixed coloring has less freedom than first-fit from
+//! scratch. That is the documented serve-layer relaxation (DESIGN.md
+//! §13): the oracle is propriety plus stability of clean colors, not
+//! bit-identity with a cold run.
 
 use crate::coloring::UNCOLORED;
 use crate::dist::DistColoring;
@@ -40,8 +50,7 @@ pub struct ColorRetained {
 }
 
 impl ColorRetained {
-    /// Number of vertices the warm run re-colors (the coloring half of
-    /// the serve dirtiness metric).
+    /// Number of vertices the warm run re-colors.
     pub fn dirty_count(&self) -> usize {
         self.color.iter().filter(|&&c| c == UNCOLORED).count()
     }
@@ -53,90 +62,134 @@ impl ColorRetained {
     }
 }
 
-/// Computes the coloring invalidation set of `batch` against the *new*
-/// graph `g_new` (mutations already applied) and the old color vector.
-/// `seed` must be the [`ColoringConfig::seed`](crate::ColoringConfig)
-/// the warm run will use, so the uncolored endpoint is the one the
-/// framework's own conflict detection would pick.
+/// The in-place repair kernel and its reusable scratch: the dirty
+/// vertices of the last [`ColorFrontier::invalidate`] as a list (their
+/// [`UNCOLORED`] entry in the color slice is the membership mark) and
+/// the recolor loop's neighborhood buffer.
+#[derive(Clone, Debug, Default)]
+pub struct ColorFrontier {
+    dirty: Vec<VertexId>,
+    taken: Vec<u32>,
+}
+
+impl ColorFrontier {
+    /// The vertices the last [`invalidate`](Self::invalidate) uncolored,
+    /// each once (the coloring half of the serve dirtiness metric is
+    /// its length).
+    pub fn vertices(&self) -> &[VertexId] {
+        &self.dirty
+    }
+
+    /// Uncolors, directly in `color`, one endpoint per edge `batch` made
+    /// monochrome in the *new* graph `g_new` (mutations already
+    /// applied), and replaces the previous dirty list with them. `seed`
+    /// must be the [`ColoringConfig::seed`](crate::ColoringConfig) in
+    /// use, so the uncolored endpoint is the one the framework's own
+    /// conflict detection would pick.
+    pub fn invalidate(
+        &mut self,
+        g_new: &(impl NeighborView + ?Sized),
+        color: &mut [u32],
+        batch: &MutationBatch,
+        seed: u64,
+    ) {
+        debug_assert_eq!(g_new.num_vertices(), color.len());
+        self.dirty.clear();
+        for op in &batch.ops {
+            // Deletes are coloring no-ops; see module docs. Reweights are
+            // treated as inserts because reweighting an absent edge
+            // *inserts* it (`MutableGraph`'s documented degenerate case) —
+            // for an edge that already existed the endpoints are already
+            // bichromatic and the monochrome check below never fires.
+            if let Mutation::Insert { u, v, .. } | Mutation::Reweight { u, v, .. } = *op {
+                if !g_new.has_edge(u, v) {
+                    continue; // superseded by a later delete in the batch
+                }
+                let (cu, cv) = (color[u as usize], color[v as usize]);
+                if cu != UNCOLORED && cu == cv {
+                    // Monochrome insert: re-color the endpoint with the
+                    // smaller (r(v), id) — the conflict-detection loser.
+                    let loser = if (vertex_priority(u as u64, seed), u)
+                        < (vertex_priority(v as u64, seed), v)
+                    {
+                        u
+                    } else {
+                        v
+                    };
+                    color[loser as usize] = UNCOLORED;
+                    self.dirty.push(loser);
+                }
+            }
+        }
+    }
+
+    /// Finishes a coloring repair **sequentially**: dirty vertices are
+    /// recolored greedily in descending `(r(v), id)` priority, each
+    /// taking the smallest color absent from its neighborhood —
+    /// O(dirty · degree), written into `color`.
+    ///
+    /// The serving layer's hot path. Recoloring order matches the
+    /// priority the distributed phases use, and clean vertices are never
+    /// touched, so the result is proper by construction and clean colors
+    /// are stable — the same contract as the engine warm run. Palette
+    /// identity with the distributed run is *not* promised (the
+    /// documented DESIGN.md §13 relaxation; first-fit order differs
+    /// between one sequential scan and the engine's speculative rounds).
+    pub fn repair(&mut self, g: &(impl NeighborView + ?Sized), color: &mut [u32], seed: u64) {
+        let ColorFrontier { dirty, taken } = self;
+        dirty.sort_unstable_by_key(|&v| std::cmp::Reverse((vertex_priority(v as u64, seed), v)));
+        for &v in dirty.iter() {
+            taken.clear();
+            g.for_each_neighbor(v, &mut |u, _| {
+                let c = color[u as usize];
+                if c != UNCOLORED {
+                    taken.push(c);
+                }
+            });
+            taken.sort_unstable();
+            let mut pick = 0u32;
+            for &c in taken.iter() {
+                if c == pick {
+                    pick += 1;
+                } else if c > pick {
+                    break;
+                }
+            }
+            color[v as usize] = pick;
+        }
+    }
+}
+
+/// Functional form of [`ColorFrontier::invalidate`]: copies `old_color`,
+/// runs the kernel on the copy, and returns the retained state a warm
+/// run seeds from.
 pub fn invalidate_colors(
     g_new: &(impl NeighborView + ?Sized),
     old_color: &[u32],
     batch: &MutationBatch,
     seed: u64,
 ) -> ColorRetained {
-    debug_assert_eq!(g_new.num_vertices(), old_color.len());
     let mut color = old_color.to_vec();
-    for op in &batch.ops {
-        // Deletes are coloring no-ops; see module docs. Reweights are
-        // treated as inserts because reweighting an absent edge
-        // *inserts* it (`MutableGraph`'s documented degenerate case) —
-        // for an edge that already existed the endpoints are already
-        // bichromatic and the monochrome check below never fires.
-        if let Mutation::Insert { u, v, .. } | Mutation::Reweight { u, v, .. } = *op {
-            if !g_new.has_edge(u, v) {
-                continue; // superseded by a later delete in the batch
-            }
-            let (cu, cv) = (color[u as usize], color[v as usize]);
-            if cu != UNCOLORED && cu == cv {
-                // Monochrome insert: re-color the endpoint with the
-                // smaller (r(v), id) — the conflict-detection loser.
-                let loser = if (vertex_priority(u as u64, seed), u)
-                    < (vertex_priority(v as u64, seed), v)
-                {
-                    u
-                } else {
-                    v
-                };
-                color[loser as usize] = UNCOLORED;
-            }
-        }
-    }
+    ColorFrontier::default().invalidate(g_new, &mut color, batch, seed);
     ColorRetained { color }
 }
 
-/// Finishes a coloring repair **sequentially**: dirty vertices are
-/// recolored greedily in descending `(r(v), id)` priority, each taking
-/// the smallest color absent from its neighborhood — O(dirty · degree).
-///
-/// The serving layer's hot path. Recoloring order matches the priority
-/// the distributed phases use, and clean vertices are never touched, so
-/// the result is proper by construction and clean colors are stable —
-/// the same contract as the engine warm run. Palette identity with the
-/// distributed run is *not* promised (the documented DESIGN.md §13
-/// relaxation; first-fit order differs between one sequential scan and
-/// the engine's speculative rounds).
-///
-/// Returns the completed global color vector.
+/// Functional form of [`ColorFrontier::repair`] over a retained state:
+/// returns the completed global color vector.
 pub fn repair_frontier_colors(
     g: &(impl NeighborView + ?Sized),
     retained: &ColorRetained,
     seed: u64,
 ) -> Vec<u32> {
     let mut color = retained.color.clone();
-    let mut dirty: Vec<VertexId> = (0..color.len() as VertexId)
-        .filter(|&v| retained.is_dirty(v))
-        .collect();
-    dirty.sort_unstable_by_key(|&v| std::cmp::Reverse((vertex_priority(v as u64, seed), v)));
-    let mut taken: Vec<u32> = Vec::new();
-    for v in dirty {
-        taken.clear();
-        g.for_each_neighbor(v, &mut |u, _| {
-            let c = color[u as usize];
-            if c != UNCOLORED {
-                taken.push(c);
-            }
-        });
-        taken.sort_unstable();
-        let mut pick = 0u32;
-        for &c in &taken {
-            if c == pick {
-                pick += 1;
-            } else if c > pick {
-                break;
-            }
-        }
-        color[v as usize] = pick;
-    }
+    let mut frontier = ColorFrontier {
+        dirty: (0..)
+            .zip(&color)
+            .filter_map(|(v, &c)| (c == UNCOLORED).then_some(v))
+            .collect(),
+        taken: Vec::new(),
+    };
+    frontier.repair(g, &mut color, seed);
     color
 }
 

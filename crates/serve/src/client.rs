@@ -12,6 +12,7 @@ use cmg_net::frame::{read_frame, write_frame};
 use cmg_net::{connect_with_backoff, Ctrl, Frame, NetError};
 use cmg_runtime::message::decode_all;
 use cmg_runtime::WireMessage;
+use std::io::BufReader;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::Duration;
@@ -39,7 +40,9 @@ pub struct ServiceSummary {
 
 /// A connected serve client.
 pub struct ServeClient {
-    stream: UnixStream,
+    /// Reads are buffered (a reply's length and body arrive in one
+    /// `read(2)`); requests are written straight to the socket.
+    stream: BufReader<UnixStream>,
     seq: u64,
     next_batch: u64,
     next_query: u64,
@@ -56,7 +59,7 @@ impl ServeClient {
             total,
         )?;
         Ok(ServeClient {
-            stream,
+            stream: BufReader::new(stream),
             seq: 0,
             next_batch: 0,
             next_query: 0,
@@ -219,7 +222,7 @@ impl ServeClient {
 
     fn send(&mut self, ctrl: Ctrl, payload: Bytes) -> Result<(), NetError> {
         write_frame(
-            &mut self.stream,
+            self.stream.get_mut(),
             self.seq,
             &Frame::with_payload(ctrl, payload),
         )?;

@@ -23,6 +23,7 @@ use cmg_obs::metrics::LogHistogram;
 use cmg_obs::Json;
 use cmg_runtime::message::decode_all;
 use cmg_runtime::WireMessage;
+use std::io::BufReader;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -164,7 +165,11 @@ impl Server {
 
     /// One client session. Returns `true` when the client asked the
     /// whole server to shut down.
-    fn session(&mut self, mut stream: UnixStream) -> Result<bool, NetError> {
+    fn session(&mut self, stream: UnixStream) -> Result<bool, NetError> {
+        // Buffered reads: a frame's length and body arrive in one
+        // `read(2)`. Replies go straight to the socket through
+        // `get_mut`, one `write_all` each.
+        let mut stream = BufReader::new(stream);
         let mut seq = 0u64;
         loop {
             let frame = match read_frame(&mut stream)? {
@@ -183,7 +188,7 @@ impl Server {
                         PendingAck::Rejected { code } => RepairAck::Rejected { code },
                     };
                     reply(
-                        &mut stream,
+                        stream.get_mut(),
                         &mut seq,
                         Ctrl::MutateAck { batch_id },
                         encode_one(&ack),
@@ -194,7 +199,12 @@ impl Server {
                     let answer = self.answer(&frame.payload)?;
                     self.query_micros
                         .record(started.elapsed().as_micros() as u64);
-                    reply(&mut stream, &mut seq, Ctrl::QueryReply { query_id }, answer)?;
+                    reply(
+                        stream.get_mut(),
+                        &mut seq,
+                        Ctrl::QueryReply { query_id },
+                        answer,
+                    )?;
                 }
                 Ctrl::SessionEnd => return Ok(false),
                 Ctrl::Shutdown => return Ok(true),
@@ -228,7 +238,14 @@ impl Server {
                 queries.len()
             )));
         };
-        let mut buf = BytesMut::new();
+        // A full-vector reply is n fixed-width records: size it once
+        // rather than doubling the buffer up to ~9n bytes.
+        let n = self.state.num_vertices();
+        let mut buf = BytesMut::with_capacity(match query {
+            ServeQuery::Matching => n * ServeReply::Mate { v: 0, mate: 0 }.encoded_len(),
+            ServeQuery::Coloring => n * ServeReply::Color { v: 0, color: 0 }.encoded_len(),
+            _ => 0,
+        });
         match query {
             ServeQuery::MateOf { v } => {
                 self.check_vertex(v)?;
@@ -247,7 +264,7 @@ impl Server {
                 .encode(&mut buf);
             }
             ServeQuery::Matching => {
-                for v in 0..self.state.num_vertices() as u32 {
+                for v in 0..n as u32 {
                     ServeReply::Mate {
                         v,
                         mate: self.state.mate_of(v),
@@ -256,7 +273,7 @@ impl Server {
                 }
             }
             ServeQuery::Coloring => {
-                for v in 0..self.state.num_vertices() as u32 {
+                for v in 0..n as u32 {
                     ServeReply::Color {
                         v,
                         color: self.state.color_of(v),
@@ -265,15 +282,15 @@ impl Server {
                 }
             }
             ServeQuery::Summary => {
-                // All mg-backed accessors: a summary of a repair-only
-                // stream must not trigger a CSR repack.
-                let matching = self.state.matching();
+                // All read from the resident state in place: a summary
+                // of a repair-only stream must not trigger a CSR repack
+                // or copy a vector.
                 ServeReply::Summary {
                     n: self.state.num_vertices() as u64,
                     m: self.state.num_edges() as u64,
-                    matched: matching.cardinality() as u64,
+                    matched: self.state.matched_pairs() as u64,
                     weight: self.state.matched_weight(),
-                    colors: self.state.coloring().num_colors() as u32,
+                    colors: self.state.num_colors() as u32,
                     batches: self.state.batches,
                     repairs: self.state.repairs,
                     recomputes: self.state.recomputes,

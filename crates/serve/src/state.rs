@@ -9,20 +9,29 @@
 //!    index, O(batch). No CSR is packed: the repair kernels read the
 //!    mutable graph directly through
 //!    [`NeighborView`](cmg_graph::NeighborView).
-//! 2. **Invalidate** — [`invalidate`] (matching) and
-//!    [`invalidate_colors`] (coloring) compute the retained state:
-//!    which decisions the mutations can possibly have broken, and
-//!    nothing more.
-//! 3. **Repair** — the sequential frontier finishers
-//!    ([`cmg_matching::repair_frontier`],
-//!    [`cmg_coloring::repair_frontier_colors`]) re-decide exactly the
-//!    dirty frontier, O(frontier). Clean decisions are never
-//!    revisited, and nothing on this path is O(V + E) — that is what
-//!    buys the order-of-magnitude repair-vs-recompute gap the serve
-//!    bench demands. (The equivalent *distributed* warm path — each
-//!    rank reseeded via its [`WarmStart`](cmg_runtime::WarmStart)
-//!    impl, engine rerun over the frontier — remains the multi-rank
-//!    story and computes the same matching fixpoint.)
+//! 2. **Invalidate** — [`MatchFrontier::invalidate`] and
+//!    [`ColorFrontier::invalidate`] undo, directly in the resident
+//!    `mate` / `colors` vectors, exactly the decisions the mutations
+//!    can possibly have broken, and leave the vertices that must
+//!    re-decide as a list in scratch this state owns.
+//! 3. **Repair** — [`MatchFrontier::repair`] and
+//!    [`ColorFrontier::repair`] re-decide that list in place,
+//!    O(frontier · degree). Clean decisions are never revisited, no
+//!    n-vector is copied, scanned or allocated — steps 2–3 allocate
+//!    nothing once the scratch has grown to the largest frontier seen —
+//!    and that is what buys the order-of-magnitude repair-vs-recompute
+//!    gap the serve bench demands, at any graph size. (The equivalent
+//!    *distributed* warm path — each rank reseeded via its
+//!    [`WarmStart`](cmg_runtime::WarmStart) impl, engine rerun over
+//!    the frontier — remains the multi-rank story and computes the
+//!    same matching fixpoint through the same kernels' functional
+//!    wrappers.)
+//!
+//! No undo log is needed for the in-place steps: the only fallible
+//! step, [`MutableGraph::apply`], validates the whole batch and runs
+//! first, so a rejected batch returns before anything resident is
+//! touched; and when invalidation lands past the dirtiness threshold,
+//! the recompute that follows overwrites both vectors wholesale.
 //!
 //! Past a configurable dirtiness threshold the warm start stops
 //! paying (the frontier *is* the graph) and the batch falls through
@@ -42,13 +51,9 @@
 //! across the repair/recompute boundary is explicitly relaxed.
 
 use crate::protocol::RepairAck;
-use cmg_coloring::{
-    assemble_coloring, invalidate_colors, repair_frontier_colors, Coloring, ColoringConfig,
-    DistColoring,
-};
+use cmg_coloring::{assemble_coloring, ColorFrontier, Coloring, ColoringConfig, DistColoring};
 use cmg_graph::{ApplyOutcome, CsrGraph, MutableGraph, MutationBatch, VertexId, NO_VERTEX};
-use cmg_matching::repair::{invalidate, repair_frontier};
-use cmg_matching::{assemble_matching, DistMatching, Matching};
+use cmg_matching::{assemble_matching, DistMatching, MatchFrontier, Matching};
 use cmg_net::{NetConfig, NetError, NetSession, NetTask};
 use cmg_partition::simple::block_partition;
 use cmg_partition::{DistGraph, Partition};
@@ -138,6 +143,10 @@ pub struct ServeState {
     part: Partition,
     mate: Vec<VertexId>,
     colors: Vec<u32>,
+    /// The repair kernels' reusable scratch; after a batch they hold
+    /// the frontier it re-decided.
+    match_frontier: MatchFrontier,
+    color_frontier: ColorFrontier,
     /// Resident worker fleet for cold passes (net mode only).
     session: Option<NetSession>,
     /// Lifetime counters, served by the Summary query.
@@ -169,6 +178,8 @@ impl ServeState {
             part,
             mate: Vec::new(),
             colors: Vec::new(),
+            match_frontier: MatchFrontier::new(g0.num_vertices()),
+            color_frontier: ColorFrontier::default(),
             session,
             cfg,
             batches: 0,
@@ -213,6 +224,16 @@ impl ServeState {
         total
     }
 
+    /// Matched pairs in the served matching.
+    pub fn matched_pairs(&self) -> usize {
+        self.mate.iter().filter(|&&m| m != NO_VERTEX).count() / 2
+    }
+
+    /// Colors in use by the served coloring (which is always complete).
+    pub fn num_colors(&self) -> usize {
+        self.colors.iter().max().map_or(0, |&c| c as usize + 1)
+    }
+
     /// The matching currently served.
     pub fn matching(&self) -> Matching {
         Matching::from_mates(self.mate.clone())
@@ -247,16 +268,21 @@ impl ServeState {
         self.csr = None; // packed cache is stale from here
         self.batches += 1;
 
-        // Invalidation reads the mutable adjacency directly — no CSR
-        // repack anywhere on the warm path.
-        let retained_m = invalidate(&self.mg, &self.mate, batch);
-        let retained_c = invalidate_colors(&self.mg, &self.colors, batch, self.cfg.coloring.seed);
-        let dirty_matching = retained_m.active_count();
-        let dirty_coloring = retained_c.dirty_count();
+        // The kernels read the mutable adjacency directly and write the
+        // resident vectors in place — no CSR repack, no n-vector copy.
+        let seed = self.cfg.coloring.seed;
+        // hot-path: begin (warm invalidate — in place, recycled scratch)
+        self.match_frontier
+            .invalidate(&self.mg, &mut self.mate, batch);
+        self.color_frontier
+            .invalidate(&self.mg, &mut self.colors, batch, seed);
+        let dirty_matching = self.match_frontier.vertices().len();
+        let dirty_coloring = self.color_frontier.vertices().len();
+        // hot-path: end (warm invalidate)
         let n = self.mg.num_vertices().max(1);
         let dirtiness = dirty_matching.max(dirty_coloring) as f64 / n as f64;
 
-        if dirtiness > self.cfg.recompute_threshold {
+        let mode = if dirtiness > self.cfg.recompute_threshold {
             self.recomputes += 1;
             // A fleet failure mid-serve degrades, it does not wedge:
             // the in-process fallback restores consistency, the typed
@@ -267,25 +293,18 @@ impl ServeState {
                 self.last_net_error = Some(e);
                 self.recompute_local();
             }
-            return Ok(RepairReport {
-                mode: RepairMode::Recompute,
-                applied,
-                dirty_matching,
-                dirty_coloring,
-                match_rounds: 0,
-                color_rounds: 0,
-            });
-        }
-
-        self.repairs += 1;
-        // Sequential frontier finishers: O(frontier) work total, same
-        // matching fixpoint as the distributed warm run (see the
-        // kernels' equivalence notes and tests).
-        self.mate = repair_frontier(&self.mg, &retained_m);
-        self.colors = repair_frontier_colors(&self.mg, &retained_c, self.cfg.coloring.seed);
+            RepairMode::Recompute
+        } else {
+            self.repairs += 1;
+            // hot-path: begin (warm repair — in place, recycled scratch)
+            self.match_frontier.repair(&self.mg, &mut self.mate);
+            self.color_frontier.repair(&self.mg, &mut self.colors, seed);
+            // hot-path: end (warm repair)
+            RepairMode::Repair
+        };
 
         Ok(RepairReport {
-            mode: RepairMode::Repair,
+            mode,
             applied,
             dirty_matching,
             dirty_coloring,
@@ -301,8 +320,10 @@ impl ServeState {
             self.recompute_local();
             return Ok(());
         }
-        let g = self.graph().clone();
-        let parts = DistGraph::build_all(&g, &self.part);
+        // Field-level borrows (not `self.graph()`), so the packed cache
+        // is read where it lives instead of being cloned.
+        let g = self.csr.get_or_insert_with(|| self.mg.rebuild());
+        let parts = DistGraph::build_all(g, &self.part);
         if let Some(session) = self.session.as_mut() {
             session.set_parts(parts)?;
             self.mate = session.submit_matching(NetTask::Matching)?.mates().to_vec();
@@ -317,8 +338,8 @@ impl ServeState {
     /// In-process from-scratch pass (also the net mode's fallback when
     /// a fleet pass fails unrecoverably).
     fn recompute_local(&mut self) {
-        let g = self.graph().clone();
-        let parts = DistGraph::build_all(&g, &self.part);
+        let g = self.csr.get_or_insert_with(|| self.mg.rebuild());
+        let parts = DistGraph::build_all(g, &self.part);
         let programs: Vec<DistMatching> = parts.iter().cloned().map(DistMatching::new).collect();
         let result = SimEngine::new(programs, Self::engine_cfg()).run();
         self.mate = assemble_matching(&result.programs, g.num_vertices())

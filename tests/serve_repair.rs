@@ -3,7 +3,7 @@
 //! with from-scratch on the final graph, and — on the distributed warm
 //! path — be invariant to adversarial message delivery schedules.
 //!
-//! Three layers of assurance:
+//! Four layers of assurance:
 //!
 //! 1. **Streamed oracles.** A [`ServeState`] absorbs a long random
 //!    stream (inserts, deletes, reweights) and after each batch the
@@ -22,15 +22,23 @@
 //!    and that matching must equal the sequential frontier kernel the
 //!    serving layer runs in-process. Per-source FIFO is preserved by
 //!    every policy (the MPI non-overtaking guarantee).
+//! 4. **One kernel, three callers.** The in-place frontier kernels the
+//!    service runs on its resident vectors, their functional wrappers,
+//!    and a cold sequential run must agree after every batch of a random
+//!    stream (matching: bit for bit; coloring: proper, clean colors
+//!    stable) — including batches that name an edge twice — and a
+//!    rejected batch or a batch that crosses the recompute threshold
+//!    *after* invalidation already rewrote the resident vectors must
+//!    leave the state as if it had not happened / oracle-clean.
 
 use cmg_check::oracles::{half_approx_certificate, proper_coloring, valid_matching};
-use cmg_coloring::Coloring;
+use cmg_coloring::{invalidate_colors, repair_frontier_colors, ColorFrontier, Coloring};
 use cmg_graph::generators::erdos_renyi;
 use cmg_graph::weights::{assign_weights, WeightScheme};
-use cmg_graph::{CsrGraph, MutableGraph, MutationBatch, VertexId};
+use cmg_graph::{CsrGraph, MutableGraph, Mutation, MutationBatch, VertexId, NO_VERTEX};
 use cmg_matching::dist::assemble_matching;
 use cmg_matching::repair::{invalidate, repair_frontier};
-use cmg_matching::{DistMatching, Matching};
+use cmg_matching::{DistMatching, MatchFrontier, Matching};
 use cmg_partition::simple::hash_partition;
 use cmg_partition::DistGraph;
 use cmg_runtime::{CostModel, DeliveryPolicy, EngineConfig, SimEngine, WarmStart};
@@ -230,5 +238,138 @@ fn distributed_warm_repair_is_delivery_schedule_invariant() {
             );
         }
         mate = sequential;
+    }
+}
+
+/// The in-place kernels on long-lived vectors and scratch, their
+/// functional wrappers, and a cold greedy run agree after every batch —
+/// and a frontier vertex is listed once however often a batch names it.
+#[test]
+fn in_place_kernels_agree_with_wrappers_and_cold_runs() {
+    const SEED: u64 = 7; // coloring priority seed
+    for seed in 0..4u64 {
+        let g0 = base_graph(seed + 20);
+        let mut mg = MutableGraph::from_csr(&g0);
+        let mut mate = cmg_matching::seq::greedy(&g0).mates().to_vec();
+        let mut colors = cmg_coloring::seq::greedy(&g0, cmg_coloring::seq::Ordering::Natural)
+            .colors()
+            .to_vec();
+        let mut match_frontier = MatchFrontier::new(g0.num_vertices());
+        let mut color_frontier = ColorFrontier::default();
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x1F_ACE);
+        for step in 0..30 {
+            let mut batch = random_batch(&mut rng);
+            // Name the first edge again, endpoints swapped, so that one
+            // batch reaches the same vertices twice.
+            if let Some(&first) = batch.ops.first() {
+                let (u, v) = first.endpoints();
+                match first {
+                    Mutation::Delete { .. } => batch.delete(v, u),
+                    _ => batch.insert(v, u, rng.random::<f64>() + 0.1),
+                };
+            }
+            mg.apply(&batch).expect("valid batch");
+            let ctx = format!("seed {seed} step {step}");
+
+            let retained_m = invalidate(&mg, &mate, &batch);
+            let wrapped_m = repair_frontier(&mg, &retained_m);
+            let retained_c = invalidate_colors(&mg, &colors, &batch, SEED);
+            let wrapped_c = repair_frontier_colors(&mg, &retained_c, SEED);
+
+            let before_c = colors.clone();
+            match_frontier.invalidate(&mg, &mut mate, &batch);
+            assert_eq!(mate, retained_m.mate, "{ctx}: invalidated mates");
+            color_frontier.invalidate(&mg, &mut colors, &batch, SEED);
+            assert_eq!(colors, retained_c.color, "{ctx}: invalidated colors");
+            let mut active = match_frontier.vertices().to_vec();
+            active.sort_unstable();
+            let expected: Vec<VertexId> =
+                (0..N).filter(|&v| retained_m.active[v as usize]).collect();
+            assert_eq!(active, expected, "{ctx}: frontier list != active set");
+            let mut dirty = color_frontier.vertices().to_vec();
+            dirty.sort_unstable();
+            let expected: Vec<VertexId> = (0..N).filter(|&v| retained_c.is_dirty(v)).collect();
+            assert_eq!(dirty, expected, "{ctx}: dirty list != dirty set");
+            match_frontier.repair(&mg, &mut mate);
+            color_frontier.repair(&mg, &mut colors, SEED);
+
+            let g = mg.rebuild();
+            assert_eq!(mate, wrapped_m, "{ctx}: in-place != wrappers (matching)");
+            assert_eq!(
+                mate,
+                cmg_matching::seq::greedy(&g).mates(),
+                "{ctx}: in-place != cold greedy"
+            );
+            assert_eq!(colors, wrapped_c, "{ctx}: in-place != wrappers (coloring)");
+            check_oracles(&g, &mate, &colors, &ctx);
+            for v in 0..N {
+                if !dirty.contains(&v) {
+                    assert_eq!(
+                        colors[v as usize], before_c[v as usize],
+                        "{ctx}: clean vertex {v} was recolored"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A rejected batch is invisible — served vectors untouched and the
+/// next batch absorbed exactly as by a twin that never saw it — and a
+/// batch whose in-place invalidation rewrote the resident vectors before
+/// the dirtiness check sent it to recompute still ends oracle-clean.
+#[test]
+fn rejected_and_threshold_crossing_batches_leave_clean_state() {
+    let g0 = base_graph(11);
+    // 2 dirty vertices of 70 is past 2 %: freeing one pair recomputes.
+    let cfg = || ServeConfig {
+        recompute_threshold: 0.02,
+        ..Default::default()
+    };
+    let mut state = ServeState::new(&g0, cfg()).expect("initial load");
+    let mut twin = ServeState::new(&g0, cfg()).expect("initial load");
+    let mut mirror = MutableGraph::from_csr(&g0);
+    let mut rng = SmallRng::seed_from_u64(0xBAD_BA7C);
+    for step in 0..20 {
+        // Valid ops first, so a kernel that ran before validation
+        // would have rewritten state by the time the bad op is seen.
+        let (mate, colors) = (state.matching(), state.coloring());
+        let mut bad = random_batch(&mut rng);
+        bad.insert(3, N + 5, 1.0);
+        assert!(
+            state.apply(&bad).is_err(),
+            "step {step}: bad batch absorbed"
+        );
+        assert_eq!(
+            state.matching(),
+            mate,
+            "step {step}: rejection moved a mate"
+        );
+        assert_eq!(
+            state.coloring(),
+            colors,
+            "step {step}: rejection moved a color"
+        );
+
+        // Free a matched pair: the kernel unmatches it in place, then
+        // the threshold check falls through to recompute.
+        let mut batch = random_batch(&mut rng);
+        if let Some(u) = (0..N).find(|&u| state.mate_of(u) != NO_VERTEX) {
+            batch.delete(u, state.mate_of(u));
+        }
+        let report = state.apply(&batch).expect("valid batch absorbs");
+        assert_eq!(
+            twin.apply(&batch).expect("twin absorbs"),
+            report,
+            "step {step}: the rejected batch left a trace in the scratch"
+        );
+        assert_eq!(report.mode, RepairMode::Recompute, "step {step}");
+        mirror.apply(&batch).expect("mirror applies");
+        let g = mirror.rebuild();
+        let (mate, colors) = (state.matching(), state.coloring());
+        check_oracles(&g, mate.mates(), colors.colors(), &format!("step {step}"));
+        assert_eq!(mate.mates(), cmg_matching::seq::greedy(&g).mates());
+        assert_eq!(twin.matching(), mate);
+        assert_eq!(twin.coloring(), colors);
     }
 }
