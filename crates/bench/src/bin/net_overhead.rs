@@ -13,10 +13,6 @@
 //! transport work optimizes. The spawn-inclusive ratio is kept as
 //! `wall_overhead_ratio`.
 //!
-//! Every rank count is measured twice: on the default **event-driven**
-//! path (poll reactor, coalesced vectored writes, round-done wave) and
-//! on the **legacy** path (thread-per-link readers, per-frame writes,
-//! on-the-wire tree barrier) — the A/B that prices the event loop.
 //! Each row also reports the wire-efficiency counters the coalescing
 //! work moves: write syscalls per round and frames packed into
 //! multi-frame batches.
@@ -27,7 +23,7 @@
 //! the comparison needs rounds long enough to resolve that above
 //! scheduler jitter) and one observed run whose merged trace yields
 //! the per-round phase breakdown
-//! (serialize / wire wait / barrier / wave / compute / delivery) — the
+//! (serialize / wire wait / wave / compute / delivery) — the
 //! per-phase decomposition of the round critical path.
 //!
 //! Usage: `cargo run --release -p cmg-bench --bin net_overhead
@@ -58,14 +54,12 @@ fn net_once(
     part: &Partition,
     expect: &Matching,
     telemetry: bool,
-    event_loop: bool,
 ) -> cmg_net::NetMatchingRun {
     let parts = DistGraph::build_all(g, part);
     let out = cmg_net::run_matching(
         parts,
         &NetConfig {
             telemetry,
-            event_loop,
             ..Default::default()
         },
     )
@@ -84,7 +78,6 @@ fn net_reps(
     part: &Partition,
     expect: &Matching,
     telemetry: bool,
-    event_loop: bool,
     reps: usize,
 ) -> (f64, f64, cmg_net::NetMatchingRun) {
     let mut best_s = f64::INFINITY;
@@ -92,7 +85,7 @@ fn net_reps(
     let mut last = None;
     for _ in 0..reps {
         let t = Instant::now();
-        let out = net_once(g, part, expect, telemetry, event_loop);
+        let out = net_once(g, part, expect, telemetry);
         best_s = best_s.min(t.elapsed().as_secs_f64());
         round_walls.push(out.round_wall_time);
         last = Some(out);
@@ -128,8 +121,8 @@ fn telemetry_ab(g: &CsrGraph, part: &Partition, expect: &Matching, reps: usize) 
     let (mut cpu_on, mut cpu_off) = (0.0, 0.0);
     let mut last = None;
     for _ in 0..reps {
-        let on = net_once(g, part, expect, true, true);
-        let off = net_once(g, part, expect, false, true);
+        let on = net_once(g, part, expect, true);
+        let off = net_once(g, part, expect, false);
         cpu_on += on.round_cpu_time;
         cpu_off += off.round_cpu_time;
         on_walls.push(on.round_wall_time);
@@ -201,9 +194,8 @@ fn main() {
     );
 
     println!(
-        "{:>3} {:>7} {:>7} {:>10} {:>10} {:>9} {:>11} {:>11} {:>9} {:>9} {:>10}",
+        "{:>3} {:>7} {:>10} {:>10} {:>9} {:>11} {:>11} {:>9} {:>9} {:>10}",
         "p",
-        "mode",
         "rounds",
         "thr ms",
         "net ms",
@@ -223,14 +215,10 @@ fn main() {
 
         // Total net wall time is dominated by process spawn + mesh
         // connect, which carries ±15% scheduling noise run to run, so
-        // the headline columns take the best of REPS runs. The legacy
-        // side is a reference point, not the headline — fewer reps.
+        // the headline columns take the best of REPS runs.
         const REPS: usize = 10;
-        const LEGACY_REPS: usize = 5;
-        let (net_s, net_rounds_s, net) = net_reps(&g, &part, &thr.matching, true, true, REPS);
+        let (net_s, net_rounds_s, net) = net_reps(&g, &part, &thr.matching, true, REPS);
         net.stats.assert_conservation();
-        let (leg_s, leg_rounds_s, leg) =
-            net_reps(&g, &part, &thr.matching, true, false, LEGACY_REPS);
 
         // Telemetry off vs on: the piggybacked heartbeat counters must
         // cost nothing measurable (< 5%). Measured on the larger
@@ -261,51 +249,33 @@ fn main() {
 
         let rounds = net.rounds;
         let thr_round_ms = thr_s * 1e3 / rounds as f64;
-        let mode_row = |mode: &str,
-                        wall_s: f64,
-                        round_wall_s: f64,
-                        out: &cmg_net::NetMatchingRun| {
-            let frames = out.links.total.frames_sent;
-            let frames_per_s = frames as f64 / wall_s;
-            let net_round_ms = round_wall_s * 1e3 / out.rounds as f64;
-            let syscalls_per_round = out.links.total.syscalls as f64 / out.rounds as f64;
-            let overhead_ratio = round_wall_s / thr_s;
-            println!(
-                "{:>3} {:>7} {:>7} {:>10.3} {:>10.3} {:>8.1}x {:>11.3} {:>11.3} {:>9.1} {:>9} {:>10.0}",
-                p,
-                mode,
-                out.rounds,
-                thr_s * 1e3,
-                wall_s * 1e3,
-                overhead_ratio,
-                thr_round_ms,
-                net_round_ms,
-                syscalls_per_round,
-                out.links.total.frames_coalesced,
-                frames_per_s,
-            );
-            (
-                overhead_ratio,
-                net_round_ms,
-                frames_per_s,
-                syscalls_per_round,
-            )
-        };
-        let (ratio_ev, net_round_ms, frames_per_s, sys_ev) =
-            mode_row("event", net_s, net_rounds_s, &net);
-        let (ratio_leg, leg_round_ms, leg_frames_per_s, sys_leg) =
-            mode_row("legacy", leg_s, leg_rounds_s, &leg);
+        let frames_per_s = net.links.total.frames_sent as f64 / net_s;
+        let net_round_ms = net_rounds_s * 1e3 / rounds as f64;
+        let syscalls_per_round = net.links.total.syscalls as f64 / rounds as f64;
+        let overhead_ratio = net_rounds_s / thr_s;
+        println!(
+            "{:>3} {:>7} {:>10.3} {:>10.3} {:>8.1}x {:>11.3} {:>11.3} {:>9.1} {:>9} {:>10.0}",
+            p,
+            rounds,
+            thr_s * 1e3,
+            net_s * 1e3,
+            overhead_ratio,
+            thr_round_ms,
+            net_round_ms,
+            syscalls_per_round,
+            net.links.total.frames_coalesced,
+            frames_per_s,
+        );
 
         // Round latency for the telemetry comparison: big fixture,
         // spawn excluded.
         let on_round_ms = ab.on_wall_s * 1e3 / ab.last.rounds as f64;
         let off_round_ms = ab.off_wall_s * 1e3 / ab.last.rounds as f64;
         println!(
-            "    per round: serialize {:.3} wire {:.3} barrier {:.3} wave {:.3} compute {:.3} \
+            "    per round: serialize {:.3} wire {:.3} wave {:.3} compute {:.3} \
              delivery {:.3} ms; 128x128 telemetry on {:.3} off {:.3} ms/rnd (cpu {:+.1}%)",
             split.serialize_s * 1e3 / traced_rounds,
             split.wire_wait_s * 1e3 / traced_rounds,
-            split.barrier_wait_s * 1e3 / traced_rounds,
             split.done_wave_s * 1e3 / traced_rounds,
             split.compute_s * 1e3 / traced_rounds,
             split.delivery_s * 1e3 / traced_rounds,
@@ -315,11 +285,10 @@ fn main() {
         );
         report.row(Json::obj(vec![
             ("ranks", Json::UInt(p as u64)),
-            ("mode", Json::Str("event".into())),
             ("rounds", Json::UInt(rounds)),
             ("threaded_wall_s", Json::Float(thr_s)),
             ("net_wall_s", Json::Float(net_s)),
-            ("overhead_ratio", Json::Float(ratio_ev)),
+            ("overhead_ratio", Json::Float(overhead_ratio)),
             ("wall_overhead_ratio", Json::Float(net_s / thr_s)),
             ("threaded_round_latency_ms", Json::Float(thr_round_ms)),
             ("net_round_latency_ms", Json::Float(net_round_ms)),
@@ -329,7 +298,7 @@ fn main() {
                 Json::UInt(net.links.total.frames_coalesced),
             ),
             ("syscalls", Json::UInt(net.links.total.syscalls)),
-            ("syscalls_per_round", Json::Float(sys_ev)),
+            ("syscalls_per_round", Json::Float(syscalls_per_round)),
             ("frames_per_s", Json::Float(frames_per_s)),
             ("wire_bytes", Json::UInt(net.links.total.bytes_sent)),
             ("net_round_wall_s", Json::Float(net_rounds_s)),
@@ -350,10 +319,6 @@ fn main() {
                 Json::Float(split.reseq_hold_s * 1e3 / traced_rounds),
             ),
             (
-                "barrier_wait_ms_per_round",
-                Json::Float(split.barrier_wait_s * 1e3 / traced_rounds),
-            ),
-            (
                 "done_wave_ms_per_round",
                 Json::Float(split.done_wave_s * 1e3 / traced_rounds),
             ),
@@ -367,29 +332,8 @@ fn main() {
             ),
             ("phase_coverage_min", Json::Float(breakdown.min_coverage())),
         ]));
-        report.row(Json::obj(vec![
-            ("ranks", Json::UInt(p as u64)),
-            ("mode", Json::Str("legacy".into())),
-            ("rounds", Json::UInt(leg.rounds)),
-            ("threaded_wall_s", Json::Float(thr_s)),
-            ("net_wall_s", Json::Float(leg_s)),
-            ("overhead_ratio", Json::Float(ratio_leg)),
-            ("wall_overhead_ratio", Json::Float(leg_s / thr_s)),
-            ("threaded_round_latency_ms", Json::Float(thr_round_ms)),
-            ("net_round_latency_ms", Json::Float(leg_round_ms)),
-            ("frames_sent", Json::UInt(leg.links.total.frames_sent)),
-            (
-                "frames_coalesced",
-                Json::UInt(leg.links.total.frames_coalesced),
-            ),
-            ("syscalls", Json::UInt(leg.links.total.syscalls)),
-            ("syscalls_per_round", Json::Float(sys_leg)),
-            ("frames_per_s", Json::Float(leg_frames_per_s)),
-            ("wire_bytes", Json::UInt(leg.links.total.bytes_sent)),
-            ("net_round_wall_s", Json::Float(leg_rounds_s)),
-        ]));
     }
-    println!("\nresults bit-identical across engines and transport modes at every rank count");
+    println!("\nresults bit-identical across engines at every rank count");
     match report.write() {
         Ok(path) => println!("bench report: {}", path.display()),
         Err(e) => eprintln!("could not write bench report: {e}"),

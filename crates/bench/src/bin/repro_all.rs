@@ -28,7 +28,6 @@ fn main() {
         "ablation_weight_dist",
         "ablation_sync",
         "ext_distance2",
-        "future_hybrid",
         "quality_vs_p",
         "engine_overhead",
         "net_overhead",

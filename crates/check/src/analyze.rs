@@ -193,6 +193,7 @@ pub const WIRE_BASELINES: &[(u64, u64)] = &[
     (3, 0xec5d_285e_8cd8_0aa1),
     (4, 0x4956_cc56_edbc_cd90),
     (5, 0x1f0f_d877_76a1_24b0),
+    (6, 0x051c_a52c_8206_83e1),
 ];
 
 /// The analysis result for one workspace.

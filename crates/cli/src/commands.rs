@@ -385,12 +385,15 @@ pub fn trace(argv: &[String]) -> i32 {
             std::fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
         // A Chrome trace is one JSON object with a `traceEvents` array;
         // an event stream is one JSON object per line. Try the trace
-        // shape first — a JSONL file never parses as a single object.
-        let events = cmg_obs::trace::events_from_chrome_trace(&text)
-            .or_else(|| cmg_obs::sink::events_from_jsonl(&text))
-            .ok_or_else(|| {
-                format!("{input} is neither a Chrome trace nor an event JSONL stream")
-            })?;
+        // shape first; a file that has it is never re-read as JSONL, so
+        // an unreadable entry is reported as what it is.
+        let events = match cmg_obs::trace::events_from_chrome_trace(&text) {
+            Ok(Some(events)) => Ok(events),
+            Ok(None) => cmg_obs::sink::events_from_jsonl(&text)
+                .map_err(|e| format!("not a Chrome trace; as an event JSONL stream, {e}")),
+            Err(e) => Err(e),
+        }
+        .map_err(|e| format!("cannot read {input}: {e}"))?;
         let report = cmg_obs::TraceReport::from_events(&events);
         if report.rounds.is_empty() {
             return Err(format!(

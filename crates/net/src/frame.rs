@@ -23,8 +23,7 @@ use std::io::{Read, Write};
 /// misparsing each other. v2 added the trace context: send timestamps
 /// on `RoundBundle` and `Heartbeat`, and the `HeartbeatAck` reply used
 /// for cross-process clock-offset estimation. v3 added the event-driven
-/// data plane: the rank-to-rank [`Ctrl::RoundDone`] wave that replaces
-/// the per-round tree allreduce, the `event_loop` run option, and the
+/// data plane: the rank-to-rank [`Ctrl::RoundDone`] wave and the
 /// coalescing counters in the shipped link stats. v4 added the
 /// checkpoint plane: the [`Ctrl::Checkpoint`] control word workers ship
 /// at round edges, the `checkpoint_every` run option, and the resume
@@ -34,8 +33,12 @@ use std::io::{Read, Write};
 /// [`Ctrl::MutateAck`] mutation stream, the [`Ctrl::Query`] /
 /// [`Ctrl::QueryReply`] request pair, and [`Ctrl::SessionEnd`] —
 /// plus the persistent-fleet worker mode where `Done` loops back to
-/// "await the next `Assignment`" instead of exiting.
-pub const PROTO_VERSION: u32 = 5;
+/// "await the next `Assignment`" instead of exiting. v6 made the
+/// event-driven data plane the only one: the tree-allreduce control
+/// words (tags 5 and 6, retired — never reuse them) and the run option
+/// that selected them are gone, as are their checkpoint tables and the
+/// always-zero wire-wait telemetry counter.
+pub const PROTO_VERSION: u32 = 6;
 
 /// Upper bound on a frame's encoded size (64 MiB). A length prefix
 /// beyond this is treated as corruption rather than honored with a
@@ -45,10 +48,8 @@ pub const MAX_FRAME_LEN: u32 = 64 << 20;
 wire_codec! {
     /// The control vocabulary of the transport. Grouped by plane:
     /// handshake (`Hello`/`Assignment`/`Ready`/`Start`), the
-    /// bulk-synchronous data plane (`RoundBundle` plus either the
-    /// `BarrierUp`/`BarrierDown` allreduce legs on the legacy path or
-    /// the rank-to-rank `RoundDone` wave on the event-loop path),
-    /// liveness (`Heartbeat`/`FaultPoint`), and the results plane
+    /// bulk-synchronous data plane (`RoundBundle` plus the rank-to-rank
+    /// `RoundDone` wave), liveness (`Heartbeat`/`FaultPoint`), and the results plane
     /// (`Stats`/`Outcome`/`Events`/`Done`/`Shutdown`/`Fatal`).
     #[derive(Clone, Copy, Debug, PartialEq)]
     pub enum Ctrl {
@@ -74,16 +75,15 @@ wire_codec! {
         },
         /// Supervisor -> worker: every rank is ready, begin round 0.
         3 => Start,
-        /// One rank's bundled sends to one peer for one round. Exactly
-        /// one per (round, ordered link) — an empty bundle doubles as
-        /// the "no more data this round" marker the receiver's
-        /// `DoneWave` counts.
+        /// One rank's bundled sends to one peer for one round. At most
+        /// one per (round, ordered link): a rank with nothing for a
+        /// peer sends no bundle, only the round's `RoundDone`.
         4 => RoundBundle {
             /// The round these sends belong to.
             round: u64,
             /// The sending rank.
             src: u32,
-            /// Wire packets in the payload (0 = pure marker).
+            /// Wire packets in the payload.
             npackets: u32,
             /// Trace context: the sender's monotonic clock at send,
             /// microseconds since its `Start`. Together with `round`
@@ -92,22 +92,6 @@ wire_codec! {
             /// rank's timeline. `u64::MAX` when the sender has no
             /// epoch yet.
             sent_micros: u64,
-        },
-        /// Termination-allreduce leg toward the tree root: "my subtree
-        /// had this much activity in `round`".
-        5 => BarrierUp {
-            /// The round being summarized.
-            round: u64,
-            /// 1 if any rank in the subtree was active or sent.
-            active: u8,
-        },
-        /// Termination-allreduce leg away from the root: the global
-        /// keep-going decision for `round`.
-        6 => BarrierDown {
-            /// The round being decided.
-            round: u64,
-            /// 1 = another round follows, 0 = quiesce.
-            keep: u8,
         },
         /// Worker -> supervisor liveness beacon, carrying round
         /// progress so the supervisor can tell "alive and working"
@@ -189,7 +173,7 @@ wire_codec! {
         /// ordered link), sent right after that round's sends. Because
         /// links are FIFO (resequenced), receiving this frame proves
         /// the sender's round bundle (if any — empty bundles are
-        /// elided on the event-loop path) has already been delivered,
+        /// never sent) has already been delivered,
         /// so counting `RoundDone`s with the substrate's `DoneWave` is
         /// simultaneously the bundle-completeness test and the
         /// termination vote: each rank ORs the `active` bits of all
@@ -286,6 +270,21 @@ impl Frame {
     }
 }
 
+/// Validates the first frame on a link — a [`Ctrl::Hello`] speaking
+/// this build's [`PROTO_VERSION`] — and returns the dialing rank. `who`
+/// names the dialer's role ("worker", "peer") in the refusal.
+pub(crate) fn hello_rank(hello: &Frame, who: &str) -> Result<u32, NetError> {
+    match hello.ctrl {
+        Ctrl::Hello { rank, proto } if proto == PROTO_VERSION => Ok(rank),
+        Ctrl::Hello { rank, proto } => Err(NetError::protocol(format!(
+            "{who} {rank} speaks protocol {proto}, expected {PROTO_VERSION}"
+        ))),
+        other => Err(NetError::protocol(format!(
+            "expected a {who} Hello, got {other:?}"
+        ))),
+    }
+}
+
 /// Serializes `(seq, frame)` into a length-prefixed byte vector ready
 /// for a single `write_all`.
 pub fn encode_frame(seq: u64, frame: &Frame) -> Vec<u8> {
@@ -327,24 +326,27 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u64, Frame)>, NetError> {
     let mut body = vec![0u8; len as usize];
     r.read_exact(&mut body)
         .map_err(|e| NetError::io("reading frame body", e))?;
-    let mut cursor: &[u8] = &body;
+    decode_body(&body).map(Some)
+}
+
+/// Decodes everything after the length prefix: `[u64 seq][ctrl][payload]`
+/// (`body` is at least 9 bytes — both callers checked the length).
+fn decode_body(body: &[u8]) -> Result<(u64, Frame), NetError> {
     let seq = u64::from_le_bytes([
         body[0], body[1], body[2], body[3], body[4], body[5], body[6], body[7],
     ]);
-    cursor = &cursor[8..];
-    let before = cursor.len();
+    let mut cursor: &[u8] = &body[8..];
     let ctrl = match Ctrl::decode(&mut cursor) {
         Some(c) => c,
         None => {
             return Err(NetError::protocol(format!(
                 "unparseable control word (first byte {})",
-                body.get(8).copied().unwrap_or(0)
+                body[8]
             )))
         }
     };
-    let consumed = before - cursor.len();
-    let payload = Bytes::from(&body[8 + consumed..]);
-    Ok(Some((seq, Frame { ctrl, payload })))
+    let payload = Bytes::from(cursor);
+    Ok((seq, Frame { ctrl, payload }))
 }
 
 /// Incremental frame decoder for non-blocking byte streams.
@@ -404,23 +406,7 @@ impl FrameAssembler {
         if avail.len() < total {
             return Ok(None);
         }
-        let body = &avail[4..total];
-        let seq = u64::from_le_bytes([
-            body[0], body[1], body[2], body[3], body[4], body[5], body[6], body[7],
-        ]);
-        let mut cursor: &[u8] = &body[8..];
-        let before = cursor.len();
-        let ctrl = match Ctrl::decode(&mut cursor) {
-            Some(c) => c,
-            None => {
-                return Err(NetError::protocol(format!(
-                    "unparseable control word (first byte {})",
-                    body.get(8).copied().unwrap_or(0)
-                )))
-            }
-        };
-        let consumed = before - cursor.len();
-        let payload = Bytes::from(&body[8 + consumed..]);
+        let decoded = decode_body(&avail[4..total])?;
         self.start += total;
         // Compact once the dead prefix dominates, bounding memory while
         // keeping amortized cost O(bytes).
@@ -428,7 +414,7 @@ impl FrameAssembler {
             self.buf.drain(..self.start);
             self.start = 0;
         }
-        Ok(Some((seq, Frame { ctrl, payload })))
+        Ok(Some(decoded))
         // nonblocking: end
     }
 }
@@ -502,7 +488,7 @@ mod tests {
     }
 
     #[test]
-    fn truncated_and_oversized_frames_are_rejected() {
+    fn truncated_oversized_and_stale_version_frames_are_rejected() {
         let wire = encode_frame(
             0,
             &Frame::with_payload(Ctrl::Start, Bytes::from(vec![9u8; 16])),
@@ -522,6 +508,17 @@ mod tests {
             Err(NetError::Protocol { detail }) => assert!(detail.contains("frame length")),
             other => {
                 panic!("expected protocol error, got {other:?}");
+            }
+        }
+        // A v5 dialer is refused by the supervisor ("worker") and by
+        // the peer acceptor ("peer") alike: both admit through here.
+        let v5_hello = Frame::bare(Ctrl::Hello { rank: 2, proto: 5 });
+        for who in ["worker", "peer"] {
+            match hello_rank(&v5_hello, who) {
+                Err(NetError::Protocol { detail }) => {
+                    assert_eq!(detail, format!("{who} 2 speaks protocol 5, expected 6"));
+                }
+                other => panic!("expected a refusal, got {other:?}"),
             }
         }
     }

@@ -35,20 +35,16 @@
 //!
 //! The round protocol on the wire is the bulk-synchronous contract
 //! shared by all engines — messages sent in round *t* are delivered in
-//! round *t + 1*. On the default **event-driven** path ([`reactor`]) a
-//! single poll-based thread multiplexes every peer link, writers
-//! coalesce a round's frames into vectored batches, and each round ends
-//! with a rank-to-rank [`Ctrl::RoundDone`] wave (a
+//! round *t + 1*. The data plane is event-driven: a single poll-based
+//! thread ([`reactor`]) multiplexes every peer link, writers coalesce a
+//! round's frames into vectored batches, and each round ends with a
+//! rank-to-rank [`Ctrl::RoundDone`] wave (a
 //! [`DoneWave`](cmg_runtime::collectives::DoneWave)-counted
-//! neighborhood barrier carrying the termination vote) instead of a
-//! global allreduce, so ranks pipeline instead of synchronizing through
-//! a tree root every round. The legacy path — thread-per-link blocking
-//! readers, per-frame writes, and a binary
-//! [`TreeAllreduce`](cmg_runtime::TreeAllreduce) whose up/down legs
-//! travel as [`Ctrl::BarrierUp`]/[`Ctrl::BarrierDown`] frames — is kept
-//! behind `RunOptions::event_loop = false` as the A/B baseline. Under
-//! the synchronous bundled configuration both paths produce per-rank
-//! results and merged statistics bit-identical to the other engines'.
+//! neighborhood barrier carrying the termination vote) — no global
+//! collective per round, so ranks pipeline instead of synchronizing
+//! through a root. Under the synchronous bundled configuration it
+//! produces per-rank results and merged statistics bit-identical to the
+//! other engines'.
 
 pub mod error;
 pub mod frame;

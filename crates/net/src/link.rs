@@ -13,12 +13,11 @@
 //! drop instead of waiting forever — this transport never retransmits.
 //!
 //! Fault injection only ever touches data-plane frames
-//! ([`Ctrl::RoundBundle`]/[`Ctrl::BarrierUp`]/[`Ctrl::BarrierDown`]/
-//! [`Ctrl::RoundDone`]); handshake and results frames always go through
+//! ([`Ctrl::RoundBundle`]/[`Ctrl::RoundDone`]); handshake and results frames always go through
 //! verbatim, so a fault plan perturbs the *round protocol* without
 //! making setup flaky.
 //!
-//! On the event-loop path the writer additionally *coalesces*: encoded
+//! On peer links the writer additionally *coalesces*: encoded
 //! data-plane frames accumulate in a batch and go out as one vectored
 //! `writev` submission when the batch crosses a size threshold, when a
 //! control-plane frame needs the wire, or when the owner flushes before
@@ -245,7 +244,7 @@ pub struct LinkWriter<W: Write> {
     /// when the countdown hits zero or on [`LinkWriter::flush_held`].
     held: Vec<(u64, Vec<u8>, u32)>,
     /// Coalescing threshold in encoded bytes; 0 = coalescing off
-    /// (every frame is its own write submission, the legacy path).
+    /// (every frame is its own write submission — the supervisor link).
     coalesce_bytes: usize,
     /// Encoded frames awaiting one vectored submission, and their total
     /// size. Only populated when `coalesce_bytes > 0`.
@@ -317,10 +316,7 @@ impl<W: Write> LinkWriter<W> {
         self.next_seq += 1;
         let data_plane = matches!(
             frame.ctrl,
-            Ctrl::RoundBundle { .. }
-                | Ctrl::BarrierUp { .. }
-                | Ctrl::BarrierDown { .. }
-                | Ctrl::RoundDone { .. }
+            Ctrl::RoundBundle { .. } | Ctrl::RoundDone { .. }
         );
         let action = match (&mut self.fault, data_plane) {
             (Some(hook), true) => hook.on_frame(seq),
@@ -824,7 +820,7 @@ mod tests {
         assert_eq!(
             plain.stats().syscalls,
             6,
-            "legacy path: one write per frame"
+            "uncoalesced: one write per frame"
         );
         assert_eq!(plain.stats().frames_coalesced, 0);
     }
@@ -855,8 +851,8 @@ mod tests {
 
     #[test]
     fn round_done_is_data_plane_and_coalesces_with_the_bundle() {
-        // The per-round frame pair on the event-loop path: one bundle +
-        // one done marker, one syscall.
+        // The per-round frame pair on a peer link: one bundle + one done
+        // marker, one syscall.
         let mut w = LinkWriter::new(Vec::new());
         w.set_coalescing(1 << 20);
         w.send(&data_frame(3)).unwrap();

@@ -70,6 +70,18 @@ fn take_len(buf: &mut impl Buf, elem_size: usize, what: &str) -> Result<usize, N
     Ok(n)
 }
 
+/// Rejects bytes left over after the last field: a payload from a build
+/// with a different layout must fail, not be silently half-read.
+fn no_trailing(buf: &impl Buf, what: &str) -> Result<(), NetError> {
+    if buf.has_remaining() {
+        return Err(NetError::protocol(format!(
+            "{} trailing bytes after the {what} payload",
+            buf.remaining()
+        )));
+    }
+    Ok(())
+}
+
 fn put_u32s(out: &mut impl BufMut, xs: &[u32]) {
     out.put_u64_le(xs.len() as u64);
     for &x in xs {
@@ -159,12 +171,6 @@ pub struct RunOptions {
     /// them on heartbeats (cheap, on by default; off for overhead
     /// A/B runs).
     pub telemetry: bool,
-    /// Event-driven data plane (on by default): one poll-based reactor
-    /// thread instead of a reader thread per link, coalesced vectored
-    /// frame writes, and the rank-to-rank `RoundDone` wave in place of
-    /// the per-round tree allreduce. Off = the legacy path, kept alive
-    /// for A/B attribution and fault coverage.
-    pub event_loop: bool,
     /// Ship a [`Ctrl::Checkpoint`](crate::frame::Ctrl::Checkpoint)
     /// every this many rounds (at round edges where `completed % k ==
     /// 0`, matching the in-process engines' oracle cadence). 0 = off;
@@ -185,7 +191,6 @@ impl Default for RunOptions {
             die_at_round: NEVER,
             run_id: 0,
             telemetry: true,
-            event_loop: true,
             checkpoint_every: 0,
         }
     }
@@ -278,7 +283,6 @@ fn encode_options(out: &mut impl BufMut, opts: &RunOptions) {
     out.put_u64_le(opts.die_at_round);
     out.put_u64_le(opts.run_id);
     out.put_u8(u8::from(opts.telemetry));
-    out.put_u8(u8::from(opts.event_loop));
     out.put_u64_le(opts.checkpoint_every);
 }
 
@@ -299,7 +303,6 @@ fn decode_options(buf: &mut impl Buf) -> Result<RunOptions, NetError> {
         die_at_round: take_u64(buf, "die_at_round")?,
         run_id: take_u64(buf, "run_id")?,
         telemetry: take_u8(buf, "telemetry flag")? != 0,
-        event_loop: take_u8(buf, "event_loop flag")? != 0,
         checkpoint_every: take_u64(buf, "checkpoint_every")?,
     })
 }
@@ -382,6 +385,7 @@ pub fn decode_assignment(mut buf: &[u8]) -> Result<Assignment, NetError> {
         }
         t => return Err(NetError::protocol(format!("unknown resume flag {t}"))),
     };
+    no_trailing(buf, "assignment")?;
 
     if xadj.len() != n_local + 1 {
         return Err(NetError::protocol(format!(
@@ -442,7 +446,7 @@ pub struct ClockReport {
 }
 
 /// The rank's own measurement of its round loop (`Start` receipt to
-/// the final barrier), shipped with the `Stats` frame so benches can
+/// the final round edge), shipped with the `Stats` frame so benches can
 /// measure round cost without spawn, handshake, or result-shipping
 /// noise.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -552,21 +556,11 @@ pub struct TransportSnapshot {
     /// Restored so gap re-sends the rank already consumed before the
     /// crash are dup-discarded instead of double-delivered.
     pub reseq_next: Vec<u64>,
-    /// In-flight tree-allreduce accumulators: `(phase, count, value)`
-    /// (legacy barrier path).
-    pub tree_in_flight: Vec<(u32, u64, u64)>,
-    /// In-flight done-wave counters: `(phase, count)` (event-loop
-    /// path).
+    /// In-flight done-wave counters: `(phase, count)`.
     pub wave_in_flight: Vec<(u32, u64)>,
     /// Per-round OR of peer activity bits not yet consumed by the wave:
     /// `(round, active)`.
     pub peer_active: Vec<(u64, u8)>,
-    /// Per-round count of round bundles received but not yet delivered:
-    /// `(round, count)`.
-    pub bundles: Vec<(u64, u32)>,
-    /// Barrier keep-going decisions received early: `(round, keep)`
-    /// (legacy path).
-    pub barrier_down: Vec<(u64, u8)>,
     /// Buffered round packets awaiting delivery, keyed by the round
     /// they were sent in: `(round, [(src, logical_bytes, payload)])`.
     pub pending: Vec<(u64, Vec<PendingPacket>)>,
@@ -623,18 +617,15 @@ pub fn encode_checkpoint_into(
     program_len_hint: usize,
     write_program: impl FnOnce(&mut Vec<u8>),
 ) {
-    // Exact sizes of every section below: round + stats + 9 length
+    // Exact sizes of every section below: round + stats + 6 length
     // words, plus the per-element widths the decoder assumes.
     let cap = 8
         + 72
-        + 9 * 8
+        + 6 * 8
         + program_len_hint
         + 8 * (t.writer_next_seq.len() + t.reseq_next.len())
-        + 20 * t.tree_in_flight.len()
         + 12 * t.wave_in_flight.len()
         + 9 * t.peer_active.len()
-        + 12 * t.bundles.len()
-        + 9 * t.barrier_down.len()
         + t.pending
             .iter()
             .map(|(_, ps)| 16 + ps.iter().map(|(_, _, p)| 16 + p.len()).sum::<usize>())
@@ -657,12 +648,6 @@ pub fn encode_checkpoint_into(
     for &s in &t.reseq_next {
         out.put_u64_le(s);
     }
-    out.put_u64_le(t.tree_in_flight.len() as u64);
-    for &(phase, count, value) in &t.tree_in_flight {
-        out.put_u32_le(phase);
-        out.put_u64_le(count);
-        out.put_u64_le(value);
-    }
     out.put_u64_le(t.wave_in_flight.len() as u64);
     for &(phase, count) in &t.wave_in_flight {
         out.put_u32_le(phase);
@@ -672,16 +657,6 @@ pub fn encode_checkpoint_into(
     for &(round, active) in &t.peer_active {
         out.put_u64_le(round);
         out.put_u8(active);
-    }
-    out.put_u64_le(t.bundles.len() as u64);
-    for &(round, count) in &t.bundles {
-        out.put_u64_le(round);
-        out.put_u32_le(count);
-    }
-    out.put_u64_le(t.barrier_down.len() as u64);
-    for &(round, keep) in &t.barrier_down {
-        out.put_u64_le(round);
-        out.put_u8(keep);
     }
     out.put_u64_le(t.pending.len() as u64);
     for (round, packets) in &t.pending {
@@ -714,11 +689,6 @@ pub fn decode_checkpoint(mut buf: &[u8]) -> Result<CheckpointState, NetError> {
     for _ in 0..n {
         t.reseq_next.push(buf.get_u64_le());
     }
-    let n = take_len(buf, 20, "tree in-flight")?;
-    for _ in 0..n {
-        t.tree_in_flight
-            .push((buf.get_u32_le(), buf.get_u64_le(), buf.get_u64_le()));
-    }
     let n = take_len(buf, 12, "wave in-flight")?;
     for _ in 0..n {
         t.wave_in_flight.push((buf.get_u32_le(), buf.get_u64_le()));
@@ -726,14 +696,6 @@ pub fn decode_checkpoint(mut buf: &[u8]) -> Result<CheckpointState, NetError> {
     let n = take_len(buf, 9, "peer_active")?;
     for _ in 0..n {
         t.peer_active.push((buf.get_u64_le(), buf.get_u8()));
-    }
-    let n = take_len(buf, 12, "bundle counts")?;
-    for _ in 0..n {
-        t.bundles.push((buf.get_u64_le(), buf.get_u32_le()));
-    }
-    let n = take_len(buf, 9, "barrier_down")?;
-    for _ in 0..n {
-        t.barrier_down.push((buf.get_u64_le(), buf.get_u8()));
     }
     let n = take_len(buf, 16, "pending rounds")?;
     for _ in 0..n {
@@ -750,6 +712,7 @@ pub fn decode_checkpoint(mut buf: &[u8]) -> Result<CheckpointState, NetError> {
         }
         t.pending.push((r, packets));
     }
+    no_trailing(buf, "checkpoint")?;
     Ok(CheckpointState {
         round,
         stats,
@@ -761,14 +724,13 @@ pub fn decode_checkpoint(mut buf: &[u8]) -> Result<CheckpointState, NetError> {
 /// Serializes the cumulative telemetry block a worker piggybacks on a
 /// `Heartbeat` frame's payload (see [`cmg_obs::RankTelemetry`]).
 pub fn encode_telemetry(t: &cmg_obs::RankTelemetry) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 11 * 8);
+    let mut out = Vec::with_capacity(4 + 10 * 8);
     out.put_u32_le(t.rank);
     out.put_u64_le(t.round);
-    out.put_u64_le(t.wire_wait_ns);
     out.put_u64_le(t.delivery_ns);
     out.put_u64_le(t.compute_ns);
     out.put_u64_le(t.serialize_ns);
-    out.put_u64_le(t.barrier_wait_ns);
+    out.put_u64_le(t.edge_wait_ns);
     out.put_u64_le(t.reseq_hold_ns);
     out.put_u64_le(t.frames_sent);
     out.put_u64_le(t.bytes_sent);
@@ -783,11 +745,10 @@ pub fn decode_telemetry(mut buf: &[u8]) -> Result<cmg_obs::RankTelemetry, NetErr
     Ok(cmg_obs::RankTelemetry {
         rank: take_u32(buf, "telemetry rank")?,
         round: take_u64(buf, "telemetry round")?,
-        wire_wait_ns: take_u64(buf, "wire_wait_ns")?,
         delivery_ns: take_u64(buf, "delivery_ns")?,
         compute_ns: take_u64(buf, "compute_ns")?,
         serialize_ns: take_u64(buf, "serialize_ns")?,
-        barrier_wait_ns: take_u64(buf, "barrier_wait_ns")?,
+        edge_wait_ns: take_u64(buf, "edge_wait_ns")?,
         reseq_hold_ns: take_u64(buf, "reseq_hold_ns")?,
         frames_sent: take_u64(buf, "telemetry frames_sent")?,
         bytes_sent: take_u64(buf, "telemetry bytes_sent")?,
@@ -907,7 +868,6 @@ mod tests {
                     die_at_round: 12,
                     run_id: 0xDEAD_BEEF_0042,
                     telemetry: false,
-                    event_loop: false,
                     checkpoint_every: 3,
                 },
                 resume: None,
@@ -916,6 +876,12 @@ mod tests {
             let back = decode_assignment(&bytes).unwrap();
             assert_eq!(back, a);
             assert_eq!(back.dg.global_to_local, a.dg.global_to_local);
+            // The v5 layout carried one more flag byte (the transport
+            // selector) ahead of `checkpoint_every` + the resume flag.
+            let mut v5 = bytes.clone();
+            v5.insert(bytes.len() - 9, 1);
+            let err = decode_assignment(&v5).unwrap_err().to_string();
+            assert!(err.contains("trailing bytes"), "{err}");
 
             // Same assignment with a resume section attached.
             let resumed = Assignment {
@@ -1008,11 +974,10 @@ mod tests {
         let t = cmg_obs::RankTelemetry {
             rank: 3,
             round: 17,
-            wire_wait_ns: 1,
             delivery_ns: 2,
             compute_ns: 3,
             serialize_ns: 4,
-            barrier_wait_ns: 5,
+            edge_wait_ns: 5,
             reseq_hold_ns: 6,
             frames_sent: 7,
             bytes_sent: 8,
@@ -1043,11 +1008,8 @@ mod tests {
             transport: TransportSnapshot {
                 writer_next_seq: vec![0, 14, 15],
                 reseq_next: vec![0, 13, 16],
-                tree_in_flight: vec![(13, 1, 1)],
                 wave_in_flight: vec![(13, 2)],
                 peer_active: vec![(13, 1)],
-                bundles: vec![(12, 2), (13, 1)],
-                barrier_down: vec![(13, 1)],
                 pending: vec![
                     (12, vec![(1, 40, vec![1, 2, 3]), (2, 8, vec![])]),
                     (13, vec![(2, 16, vec![4, 5])]),
@@ -1064,6 +1026,27 @@ mod tests {
         let empty = CheckpointState::default();
         let bytes = encode_checkpoint(&empty);
         assert_eq!(decode_checkpoint(&bytes).unwrap(), empty);
+        // The v5 layout had three more tables (tree accumulators after
+        // the reseq floors; bundle counts and barrier verdicts after
+        // `peer_active`). Empty, they are three extra length words…
+        let mut v5 = bytes.clone();
+        v5.extend_from_slice(&[0u8; 24]);
+        let err = decode_checkpoint(&v5).unwrap_err().to_string();
+        assert!(err.contains("trailing bytes"), "{err}");
+        // …populated, the first one shifts every later table: one tree
+        // entry `(phase 13, count 1, value u64::MAX)` where v6 expects
+        // the wave table makes the next length word absurd, which is
+        // refused before anything is allocated for it.
+        let at = 8 + 72 + 8 + 8 + 8;
+        let mut v5 = bytes[..at].to_vec();
+        v5.put_u64_le(1);
+        v5.put_u32_le(13);
+        v5.put_u64_le(1);
+        v5.put_u64_le(u64::MAX);
+        v5.extend_from_slice(&bytes[at..]);
+        v5.extend_from_slice(&[0u8; 16]);
+        let err = decode_checkpoint(&v5).unwrap_err().to_string();
+        assert!(err.contains("length prefix"), "{err}");
     }
 
     #[test]

@@ -1,25 +1,23 @@
-//! The event-driven receive path: one poll-based reactor thread per
-//! worker, replacing the legacy thread-per-link blocking readers.
+//! The peer-link receive path: one poll-based reactor thread per
+//! worker.
 //!
-//! The legacy path spawns `p - 1` OS threads per rank, each parked in a
-//! blocking `read_frame` loop — at `p = 8` that is 56 reader threads
-//! across the mesh whose wakeup/context-switch cost lands squarely on
-//! the round critical path. The reactor collapses them into a single
-//! thread that multiplexes every peer link over an epoll readiness
-//! queue: sockets are switched to non-blocking mode, registered with a
-//! [`mio::Poll`], and drained on readiness through a per-link streaming
-//! [`FrameAssembler`] that re-frames whatever byte chunks the kernel
-//! hands back (coalesced batches from the sender's vectored writes
-//! arrive as one readable burst and decode into their constituent
-//! frames with no extra syscalls).
+//! A reader thread per link would park `p - 1` OS threads per rank in
+//! blocking reads — at `p = 8` that is 56 threads across the mesh whose
+//! wakeup/context-switch cost lands squarely on the round critical
+//! path. The reactor is instead a single thread that multiplexes every
+//! peer link over an epoll readiness queue: sockets are switched to
+//! non-blocking mode, registered with a [`mio::Poll`], and drained on
+//! readiness through a per-link streaming [`FrameAssembler`] that
+//! re-frames whatever byte chunks the kernel hands back (coalesced
+//! batches from the sender's vectored writes arrive as one readable
+//! burst and decode into their constituent frames with no extra
+//! syscalls).
 //!
-//! Decoded frames feed the worker's existing [`Incoming`] channel, so
-//! the main loop — resequencing, delivery, fault diagnosis — is
-//! identical between the two receive paths; only the thread and syscall
-//! structure differs. EOF, read errors, and malformed frames all
-//! collapse to [`Incoming::PeerGone`], exactly like the legacy readers:
-//! the supervisor diagnoses *why* a peer vanished, the worker only
-//! observes that it did.
+//! Decoded frames feed the worker's [`Incoming`] channel, where the
+//! main loop does the resequencing, delivery, and fault diagnosis. EOF,
+//! read errors, and malformed frames all collapse to
+//! [`Incoming::PeerGone`]: the supervisor diagnoses *why* a peer
+//! vanished, the worker only observes that it did.
 //!
 //! This module is the reactor the `no-blocking-io-in-reactor` lint
 //! guards: every kernel entry here goes through the `mio` shim (the

@@ -33,7 +33,7 @@
 //! configured recorder so `--trace-out`/`--report-out` work unchanged.
 
 use crate::error::NetError;
-use crate::frame::{read_frame, Ctrl, Frame, PROTO_VERSION};
+use crate::frame::{hello_rank, read_frame, Ctrl, Frame};
 use crate::link::{FaultPlan, LinkStats, LinkWriter};
 use crate::proto::{
     decode_outcome, decode_stats, decode_telemetry, encode_assignment, Assignment, ClockReport,
@@ -160,12 +160,6 @@ pub struct NetConfig {
     pub telemetry: bool,
     /// Explicit worker binary path; `None` = locate or build it.
     pub worker_binary: Option<PathBuf>,
-    /// Whether workers run the event-driven data plane: a single
-    /// poll-based reactor instead of per-link reader threads, coalesced
-    /// vectored writes, and the rank-to-rank [`Ctrl::RoundDone`] wave in
-    /// place of the on-the-wire tree barrier. `false` selects the legacy
-    /// thread-per-link path (kept as the A/B baseline for benches).
-    pub event_loop: bool,
 }
 
 impl Default for NetConfig {
@@ -183,7 +177,6 @@ impl Default for NetConfig {
             recorder: RecorderHandle::noop(),
             telemetry: true,
             worker_binary: None,
-            event_loop: true,
         }
     }
 }
@@ -211,7 +204,7 @@ pub struct NetOutcome {
     /// Wall-clock seconds, spawn to last exit.
     pub wall_time: f64,
     /// Wall-clock seconds of the round protocol alone: the slowest
-    /// rank's own `Start`-receipt-to-final-barrier loop clock.
+    /// rank's own `Start`-receipt-to-final-edge loop clock.
     /// Excludes process spawn, mesh connect, handshake, and result
     /// shipping — the number to compare when the transport itself is
     /// being measured.
@@ -803,7 +796,6 @@ impl LaunchPlan<'_> {
                 die_at_round: self.kill.die_at_round(rank),
                 run_id: self.run_id,
                 telemetry: self.cfg.telemetry,
-                event_loop: self.cfg.event_loop,
                 checkpoint_every: self.cfg.checkpoint_every,
             },
             resume: self.resume.map(|(round, payloads)| ResumeFrom {
@@ -965,21 +957,7 @@ fn admit(
         Some(pair) => pair,
         None => return Err(NetError::protocol("worker closed during its hello")),
     };
-    let rank = match hello.ctrl {
-        Ctrl::Hello { rank, proto } => {
-            if proto != PROTO_VERSION {
-                return Err(NetError::protocol(format!(
-                    "worker {rank} speaks protocol {proto}, expected {PROTO_VERSION}"
-                )));
-            }
-            rank
-        }
-        other => {
-            return Err(NetError::protocol(format!(
-                "expected a worker Hello, got {other:?}"
-            )))
-        }
-    };
+    let rank = hello_rank(&hello, "worker")?;
     let slot = match writers.get_mut(rank as usize) {
         Some(slot) => slot,
         None => {
@@ -1666,16 +1644,16 @@ impl Run {
                 .filter(|c| c.valid)
                 .map_or(0.0, |c| c.offset_micros as f64 / 1e6);
             match cmg_obs::sink::events_from_jsonl(text) {
-                Some(events) => merged.extend(events.into_iter().map(|mut e| {
+                Ok(events) => merged.extend(events.into_iter().map(|mut e| {
                     e.time += offset_s;
                     if let Event::Phase { start, .. } = &mut e.event {
                         *start += offset_s;
                     }
                     e
                 })),
-                None => {
+                Err(why) => {
                     return Err(NetError::protocol(format!(
-                        "rank {r} shipped malformed event JSONL"
+                        "rank {r} shipped malformed event JSONL: {why}"
                     )))
                 }
             }

@@ -11,10 +11,10 @@
 //!    dialer so the acceptor learns who called);
 //! 3. report `Ready`, wait for `Start`;
 //! 4. run the bulk-synchronous round protocol: deliver last round's
-//!    bundles, step the algorithm, send exactly one `RoundBundle` per
-//!    peer per round (an empty bundle is the "nothing for you" marker
-//!    the receiver still counts), then resolve the round's termination
-//!    allreduce over `BarrierUp`/`BarrierDown` frames;
+//!    bundles, step the algorithm, send one `RoundBundle` to each peer
+//!    that has mail, announce `RoundDone` (with the activity bit) to
+//!    every peer, then wait for every peer's `RoundDone` — the wave
+//!    that is both the bundle-arrival proof and the termination vote;
 //! 5. ship stats, outcome, buffered obs events, and `Done` home; wait
 //!    for `Shutdown`.
 //!
@@ -28,7 +28,7 @@
 //! can diagnose the run instead of timing out.
 
 use crate::error::NetError;
-use crate::frame::{read_frame, Ctrl, Frame, PROTO_VERSION};
+use crate::frame::{hello_rank, read_frame, Ctrl, Frame, PROTO_VERSION};
 use crate::link::{connect_with_backoff, FaultPlan, LinkStats, LinkWriter, Resequencer};
 use crate::proto::{
     decode_assignment, decode_checkpoint, encode_checkpoint_into, encode_outcome, encode_stats,
@@ -40,7 +40,7 @@ use cmg_coloring::{DistColoring, JonesPlassmann};
 use cmg_matching::DistMatching;
 use cmg_obs::{CollectingRecorder, Event, PhaseName, RankTelemetry, RecorderHandle, ENGINE_RANK};
 use cmg_runtime::bundle::Packet;
-use cmg_runtime::collectives::{DoneWave, ReduceOutcome, TreeAllreduce};
+use cmg_runtime::collectives::DoneWave;
 use cmg_runtime::message::decode_all_into;
 use cmg_runtime::{ProgramSnapshot, RankCtx, RankProgram, RankStats, Status};
 use std::collections::BTreeMap;
@@ -127,17 +127,13 @@ impl ClockSync {
 /// The cumulative telemetry counters the round loop publishes and the
 /// heartbeat thread snapshots onto beacons. Plain relaxed atomics:
 /// single writer (the main loop), one reader, no ordering required.
-/// On the event-driven path `barrier_wait_ns` carries the done-wave
-/// wait (that path's round edge) and `wire_wait_ns` stays zero — the
-/// wave wait subsumes the bundle wait.
 #[derive(Default)]
 struct TelemetryCells {
     round: AtomicU64,
-    wire_wait_ns: AtomicU64,
     delivery_ns: AtomicU64,
     compute_ns: AtomicU64,
     serialize_ns: AtomicU64,
-    barrier_wait_ns: AtomicU64,
+    edge_wait_ns: AtomicU64,
     reseq_hold_ns: AtomicU64,
     frames_sent: AtomicU64,
     bytes_sent: AtomicU64,
@@ -150,11 +146,10 @@ impl TelemetryCells {
         RankTelemetry {
             rank,
             round: self.round.load(Ordering::Relaxed),
-            wire_wait_ns: self.wire_wait_ns.load(Ordering::Relaxed),
             delivery_ns: self.delivery_ns.load(Ordering::Relaxed),
             compute_ns: self.compute_ns.load(Ordering::Relaxed),
             serialize_ns: self.serialize_ns.load(Ordering::Relaxed),
-            barrier_wait_ns: self.barrier_wait_ns.load(Ordering::Relaxed),
+            edge_wait_ns: self.edge_wait_ns.load(Ordering::Relaxed),
             reseq_hold_ns: self.reseq_hold_ns.load(Ordering::Relaxed),
             frames_sent: self.frames_sent.load(Ordering::Relaxed),
             bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
@@ -184,9 +179,7 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(20);
 const SHUTDOWN_WAIT: Duration = Duration::from_secs(30);
 /// Event-pump tick: bounds how stale gap/held-frame checks can get.
 const PUMP_TICK: Duration = Duration::from_millis(20);
-/// Arity of the termination-allreduce tree (legacy barrier path).
-const BARRIER_ARITY: u32 = 2;
-/// Coalescing flush threshold on the event-driven path: frames queued
+/// Coalescing flush threshold on peer links: frames queued
 /// for the same link within a round pack into one vectored write until
 /// the batch reaches this many bytes (the round edge flushes whatever
 /// remains, so this is a ceiling, not a latency floor).
@@ -201,11 +194,11 @@ fn lock(m: &Mutex<LinkWriter<UnixStream>>) -> MutexGuard<'_, LinkWriter<UnixStre
     }
 }
 
-/// Everything a reader thread (or the reactor) can hand the worker's
-/// main loop.
+/// Everything the reactor and the supervisor-link reader can hand the
+/// worker's main loop.
 pub(crate) enum Incoming {
     /// A frame from peer `from`, with its link sequence number. `gen`
-    /// is the session generation the reader was spawned for: in a
+    /// is the session generation the reactor was spawned for: in a
     /// persistent-fleet session the channel outlives individual tasks,
     /// and a previous task's stragglers (final-round markers read after
     /// the next assignment landed) must not be fed to the new task's
@@ -242,19 +235,12 @@ struct Transport {
     /// Packets awaiting delivery, keyed by the round they were *sent*
     /// in (delivered one round later). Self-sends land here directly.
     pending: BTreeMap<u64, Vec<(u32, Bytes, u32)>>,
-    /// `RoundBundle` frames received per send-round (markers included);
-    /// a round is deliverable once every peer's bundle arrived.
-    bundles: BTreeMap<u64, u32>,
-    /// Keep-going decisions received (or decided, at the root), keyed
-    /// by round.
-    barrier_down: BTreeMap<u64, bool>,
-    tree: TreeAllreduce<u64>,
-    /// Event-path round edge: counts peers' [`Ctrl::RoundDone`]
-    /// announcements per round (phase = round).
+    /// The round edge: counts peers' [`Ctrl::RoundDone`] announcements
+    /// per round (phase = round).
     wave: DoneWave,
     /// OR of the peers' activity bits carried on their `RoundDone`s,
-    /// keyed by round; combined with our own bit this reproduces the
-    /// tree allreduce's keep-going verdict without the tree.
+    /// keyed by round; combined with our own bit this is the global
+    /// keep-going verdict, computed locally.
     peer_active: BTreeMap<u64, bool>,
     /// Set when `Start` arrives; also fixes the event-time epoch.
     started: bool,
@@ -319,7 +305,7 @@ impl Transport {
             Ok(ev) => self.dispatch(ev)?,
             Err(RecvTimeoutError::Timeout) => return Ok(()),
             Err(RecvTimeoutError::Disconnected) => {
-                return Err(NetError::protocol("every link reader thread exited"))
+                return Err(NetError::protocol("every link reader exited"))
             }
         }
         loop {
@@ -340,7 +326,7 @@ impl Transport {
             } => {
                 if gen != self.gen {
                     // A straggler from the previous task of this
-                    // session (its reader thread outlives the task).
+                    // session (its reactor outlives the task).
                     return Ok(());
                 }
                 let mut ready = Vec::new();
@@ -403,7 +389,6 @@ impl Transport {
                 for (payload, logical) in packets {
                     slot.push((src, payload, logical));
                 }
-                *self.bundles.entry(round).or_insert(0) += 1;
                 Ok(())
             }
             Ctrl::RoundDone { round, src, active } => {
@@ -417,14 +402,6 @@ impl Transport {
                 // before it — counting the wave is counting bundles.
                 self.wave.record(round as u32);
                 *self.peer_active.entry(round).or_insert(false) |= active != 0;
-                Ok(())
-            }
-            Ctrl::BarrierUp { round, active } => {
-                self.tree.absorb_child(round as u32, u64::from(active));
-                Ok(())
-            }
-            Ctrl::BarrierDown { round, keep } => {
-                self.barrier_down.insert(round, keep != 0);
                 Ok(())
             }
             other => Err(NetError::protocol(format!(
@@ -486,31 +463,25 @@ impl Transport {
         Ok(())
     }
 
-    /// Blocks until every peer's bundle for `send_round` has arrived.
-    fn wait_bundles(&mut self, send_round: u64) -> Result<(), NetError> {
-        let expected = self.num_ranks - 1;
-        while self.bundles.get(&send_round).copied().unwrap_or(0) < expected {
-            self.flush_all()?;
-            self.pump(PUMP_TICK)?;
-            self.check_gaps()?;
-        }
-        Ok(())
-    }
-
-    /// The event-path round edge: blocks until every peer's
-    /// [`Ctrl::RoundDone`] for `round` has arrived, then returns the OR
-    /// of their activity bits. Because links are FIFO and each peer
-    /// announces *after* its sends, a complete wave also proves every
-    /// peer bundle for `round` has been dispatched — this one wait
-    /// subsumes both the legacy barrier and the next round's bundle
-    /// wait, and unlike the tree allreduce it completes rank-locally:
-    /// a rank proceeds the moment it has heard from everyone, without
-    /// a decision round-tripping through a root, so neighbor ranks
-    /// pipeline up to one round apart.
+    /// The round edge: blocks until every peer's [`Ctrl::RoundDone`]
+    /// for `round` has arrived, then returns the OR of their activity
+    /// bits. Because links are FIFO and each peer announces *after* its
+    /// sends, a complete wave also proves every peer bundle for `round`
+    /// has been dispatched — this one wait is both the termination
+    /// vote and the next round's bundle wait, and it completes
+    /// rank-locally: a rank proceeds the moment it has heard from
+    /// everyone, with no decision round-tripping through a root, so
+    /// neighbor ranks pipeline up to one round apart.
     fn wait_wave(&mut self, round: u64) -> Result<bool, NetError> {
         let expected = (self.num_ranks - 1) as usize;
-        while !self.wave.ready(round as u32, expected) {
+        loop {
+            // Flush before looking: even when every peer's announcement
+            // is already here, ours must leave now — the peers are
+            // waiting on it, and this rank may not block again soon.
             self.flush_all()?;
+            if self.wave.ready(round as u32, expected) {
+                break;
+            }
             self.pump(PUMP_TICK)?;
             self.check_gaps()?;
         }
@@ -518,8 +489,8 @@ impl Transport {
         Ok(self.peer_active.remove(&round).unwrap_or(false))
     }
 
-    /// Sends this round's packets: per-peer `RoundBundle`s (empty ones
-    /// as markers), self-sends looped into next round's pending queue.
+    /// Sends this round's packets: one `RoundBundle` per peer with mail,
+    /// self-sends looped into next round's pending queue.
     /// Statistics and events are counted per packet, exactly like the
     /// threaded engine's send phase.
     fn send_round(
@@ -565,10 +536,10 @@ impl Transport {
                 }
                 continue;
             }
-            if group.is_empty() && self.opts.event_loop {
-                // On the event path the round-done announcement is the
-                // "nothing more this round" marker, so empty bundles
-                // would only be frames for the receiver to discard.
+            if group.is_empty() {
+                // The round-done announcement is the "nothing more this
+                // round" marker, so an empty bundle would only be a
+                // frame for the receiver to discard.
                 continue;
             }
             let mut payload = Vec::new();
@@ -617,51 +588,6 @@ impl Transport {
         Ok(())
     }
 
-    /// Resolves the termination allreduce for `round`: contributes
-    /// `active` up the tree once every child reported, waits for the
-    /// decision to come back down, forwards it on, and returns the
-    /// global keep-going verdict.
-    fn resolve_barrier(&mut self, round: u64, active: bool) -> Result<bool, NetError> {
-        let mut contributed = false;
-        loop {
-            if !contributed {
-                if let Some(outcome) = self.tree.try_complete(round as u32, u64::from(active)) {
-                    match outcome {
-                        ReduceOutcome::ToParent { parent, value } => {
-                            self.send_peer(
-                                parent,
-                                &Frame::bare(Ctrl::BarrierUp {
-                                    round,
-                                    active: u8::from(value > 0),
-                                }),
-                            )?;
-                        }
-                        ReduceOutcome::Root { value } => {
-                            self.barrier_down.insert(round, value > 0);
-                        }
-                    }
-                    contributed = true;
-                }
-            }
-            if let Some(keep) = self.barrier_down.remove(&round) {
-                let kids: Vec<u32> = self.tree.children().to_vec();
-                for c in kids {
-                    self.send_peer(
-                        c,
-                        &Frame::bare(Ctrl::BarrierDown {
-                            round,
-                            keep: u8::from(keep),
-                        }),
-                    )?;
-                }
-                return Ok(keep);
-            }
-            self.flush_all()?;
-            self.pump(PUMP_TICK)?;
-            self.check_gaps()?;
-        }
-    }
-
     /// Aggregated link counters across every peer link of this rank.
     fn link_totals(&self) -> LinkStats {
         let mut total = LinkStats::default();
@@ -676,8 +602,8 @@ impl Transport {
     }
 
     /// Captures the transport tables at a round edge for a checkpoint.
-    /// Safe to call between pumps: the reader threads only enqueue, so
-    /// nothing here mutates concurrently.
+    /// Safe to call between pumps: the reactor only enqueues, so nothing
+    /// here mutates concurrently.
     fn snapshot_tables(&self) -> TransportSnapshot {
         let n = self.num_ranks as usize;
         let mut writer_next_seq = vec![0u64; n];
@@ -689,12 +615,6 @@ impl Transport {
         TransportSnapshot {
             writer_next_seq,
             reseq_next: self.reseq.iter().map(Resequencer::next_expected).collect(),
-            tree_in_flight: self
-                .tree
-                .in_flight()
-                .iter()
-                .map(|&(phase, count, value)| (phase, count as u64, value))
-                .collect(),
             wave_in_flight: self
                 .wave
                 .in_flight()
@@ -705,12 +625,6 @@ impl Transport {
                 .peer_active
                 .iter()
                 .map(|(&round, &active)| (round, u8::from(active)))
-                .collect(),
-            bundles: self.bundles.iter().map(|(&r, &c)| (r, c)).collect(),
-            barrier_down: self
-                .barrier_down
-                .iter()
-                .map(|(&r, &keep)| (r, u8::from(keep)))
                 .collect(),
             pending: self
                 .pending
@@ -752,12 +666,6 @@ impl Transport {
         for (i, r) in self.reseq.iter_mut().enumerate() {
             *r = Resequencer::starting_at(ts.reseq_next[i]);
         }
-        self.tree.restore_in_flight(
-            ts.tree_in_flight
-                .iter()
-                .map(|&(phase, count, value)| (phase, count as usize, value))
-                .collect(),
-        );
         self.wave.restore_in_flight(
             ts.wave_in_flight
                 .iter()
@@ -768,12 +676,6 @@ impl Transport {
             .peer_active
             .iter()
             .map(|&(round, active)| (round, active != 0))
-            .collect();
-        self.bundles = ts.bundles.iter().copied().collect();
-        self.barrier_down = ts
-            .barrier_down
-            .iter()
-            .map(|&(round, keep)| (round, keep != 0))
             .collect();
         self.pending = ts
             .pending
@@ -1094,23 +996,14 @@ fn run_assigned(
     };
     let (mut writers, read_halves, reseq) =
         build_mesh(rank, num_ranks, listener, &sock_dir, &opts.fault)?;
-    if opts.event_loop {
-        for w in writers.iter_mut().flatten() {
-            w.set_coalescing(COALESCE_BYTES);
-        }
+    for w in writers.iter_mut().flatten() {
+        w.set_coalescing(COALESCE_BYTES);
     }
 
     let telemetry = opts.telemetry.then(|| Arc::new(TelemetryCells::default()));
 
-    if opts.event_loop {
-        crate::reactor::spawn_reactor(read_halves, tx.clone(), generation)
-            .map_err(|e| NetError::io("starting the peer-link reactor", e))?;
-    } else {
-        for (from, stream) in read_halves {
-            spawn_peer_reader(from, stream, tx.clone(), generation);
-        }
-    }
-    drop(tx);
+    crate::reactor::spawn_reactor(read_halves, tx, generation)
+        .map_err(|e| NetError::io("starting the peer-link reactor", e))?;
 
     lock(&sup).send(&Frame::bare(Ctrl::Ready { rank }))?;
 
@@ -1145,9 +1038,6 @@ fn run_assigned(
         rx,
         sup: Arc::clone(&sup),
         pending: BTreeMap::new(),
-        bundles: BTreeMap::new(),
-        barrier_down: BTreeMap::new(),
-        tree: TreeAllreduce::new(rank, num_ranks, BARRIER_ARITY),
         wave: DoneWave::new(),
         peer_active: BTreeMap::new(),
         started: false,
@@ -1168,7 +1058,7 @@ fn run_assigned(
     }
 
     // The round loop's own wall and CPU clocks (Start receipt to last
-    // barrier): shipped home with the stats so benches can compare
+    // round edge): shipped home with the stats so benches can compare
     // round cost without spawn, handshake, or result-shipping noise.
     let loop_started = Instant::now();
     let cpu_started = process_cpu_micros();
@@ -1233,8 +1123,8 @@ fn run_assigned(
         }))?;
     }
 
-    // Absorb stragglers (late duplicates, other ranks' final barrier
-    // frames) until the supervisor says everyone has reported — with
+    // Absorb stragglers (late duplicates, other ranks' final
+    // `RoundDone`s) until the supervisor says everyone has reported — with
     // either a `Shutdown` (session over, exit) or the next task's
     // `Assignment` (persistent fleet, loop back in `worker_main`).
     let waited = Instant::now();
@@ -1248,8 +1138,8 @@ fn run_assigned(
         }
     }
     // Dropping the rest of the transport closes our peer write halves,
-    // letting the peers' reader threads (and ours, once they do the
-    // same) wind down between tasks.
+    // letting the peers' reactors (and ours, once they do the same)
+    // wind down between tasks.
     let Transport {
         rx,
         next_assignment,
@@ -1281,7 +1171,7 @@ fn run_task_rounds<P: RankProgram + NetOutcomeSource>(
 /// The bulk-synchronous round loop, mirroring the threaded engine's
 /// `run_rank` step for step (same statistics, same delivery order, same
 /// event emission) with channels replaced by socket links and the
-/// activity flags replaced by the wire allreduce.
+/// activity flags replaced by the `RoundDone` wave.
 fn run_rounds<P: RankProgram>(
     program: &mut P,
     t: &mut Transport,
@@ -1290,7 +1180,6 @@ fn run_rounds<P: RankProgram>(
     start: Option<(u64, RankStats)>,
 ) -> Result<(RankStats, u64, bool), NetError> {
     let observed = recorder.enabled();
-    let event = t.opts.event_loop;
     let rank = t.rank;
     let num_ranks = t.num_ranks;
     let mut ctx: RankCtx<P::Msg> = RankCtx::new(rank, num_ranks, t.opts.bundling, recorder.clone());
@@ -1313,11 +1202,10 @@ fn run_rounds<P: RankProgram>(
 
     // Cumulative per-phase time, published to the telemetry cells once
     // per round (plain locals keep the loop free of atomic traffic).
-    let mut tel_wire_ns: u64 = 0;
     let mut tel_delivery_ns: u64 = 0;
     let mut tel_compute_ns: u64 = 0;
     let mut tel_serialize_ns: u64 = 0;
-    let mut tel_barrier_ns: u64 = 0;
+    let mut tel_edge_ns: u64 = 0;
     let mut last_hold_ns: u64 = 0;
 
     loop {
@@ -1327,45 +1215,6 @@ fn run_rounds<P: RankProgram>(
             // supervisor kills us or declares the rank stalled.
             let _ = lock(&t.sup).send(&Frame::bare(Ctrl::FaultPoint { rank, round }));
             wedge();
-        }
-        // On the event path there is no top-of-round wire wait: last
-        // round's done wave already certified (by link FIFO order) that
-        // every peer bundle for `round - 1` has been dispatched.
-        if round > 0 && !event {
-            let wire_start = t.now();
-            t.wait_bundles(round - 1)?;
-            let wire_end = t.now();
-            tel_wire_ns += secs_to_ns(wire_end - wire_start);
-            if observed {
-                recorder.emit(
-                    rank,
-                    wire_end,
-                    Event::Phase {
-                        name: PhaseName::WireWait,
-                        start: wire_start,
-                        dur: wire_end - wire_start,
-                    },
-                );
-            }
-            // Resequencer hold time banked since the last check: how
-            // long newer frames sat behind a sequence gap. Zero on a
-            // fault-free run, so the span never appears in the golden
-            // trace; under delay faults it shows where reordering bit.
-            let hold_total: u64 = t.reseq.iter().map(|r| r.hold_ns).sum();
-            let held = hold_total.saturating_sub(last_hold_ns);
-            last_hold_ns = hold_total;
-            if observed && held > 0 {
-                let dur = held as f64 / 1e9;
-                recorder.emit(
-                    rank,
-                    wire_end,
-                    Event::Phase {
-                        name: PhaseName::ReseqHold,
-                        start: (wire_end - dur).max(wire_start),
-                        dur,
-                    },
-                );
-            }
         }
         if observed && rank == 0 {
             recorder.emit(
@@ -1384,8 +1233,10 @@ fn run_rounds<P: RankProgram>(
             ctx.set_now(delivery_start);
             program.on_start(&mut ctx)
         } else {
+            // Last round's done wave already certified (by link FIFO
+            // order) that every peer bundle for `round - 1` has been
+            // dispatched, so delivery never waits on the wire.
             let mut arrivals = t.pending.remove(&(round - 1)).unwrap_or_default();
-            t.bundles.remove(&(round - 1));
             // Stable by source: within a source, arrival order is link
             // sequence order, so this reproduces the threaded engine's
             // `(src, seq)` sort.
@@ -1459,16 +1310,14 @@ fn run_rounds<P: RankProgram>(
         let sent_any = !packet_buf.is_empty();
         let active = status == Status::Active || sent_any;
         t.send_round(round, &mut packet_buf, &mut stats, recorder, observed)?;
-        if event {
-            // The wave announcement rides in the same coalesced batch
-            // as the bundles it certifies.
-            t.send_round_done(round, active)?;
-        }
+        // The wave announcement rides in the same coalesced batch as the
+        // bundles it certifies.
+        t.send_round_done(round, active)?;
         let send_end = t.now();
         tel_serialize_ns += secs_to_ns(send_end - send_start);
         // Unconditional when observed: even a round with no payload
-        // writes p − 1 empty marker bundles, and that wire time must
-        // land in a span or the analyzer sees a coverage hole.
+        // enqueues p − 1 `RoundDone` frames, and that time must land in
+        // a span or the analyzer sees a coverage hole.
         if observed {
             recorder.emit(
                 rank,
@@ -1481,55 +1330,39 @@ fn run_rounds<P: RankProgram>(
             );
         }
 
-        // 3. Round edge. Event path: the rank-to-rank done wave — one
-        // blocking wait that doubles as next round's bundle wait, with
-        // the termination vote (OR of activity bits) computed locally
-        // from the announcements instead of round-tripping a tree.
-        // Legacy path: the termination allreduce (the two barriers of
-        // the threaded engine, collapsed into one tree round-trip on
-        // the wire). Either way the beacon ticks in half-rounds — odd
-        // after our sends are out, even once the edge resolves — so a
-        // rank that wedged before sending reports strictly less
-        // progress than the peers it blocks, and the supervisor blames
-        // the right rank.
+        // 3. Round edge: the rank-to-rank done wave — one blocking wait
+        // that doubles as next round's bundle wait, with the termination
+        // vote (OR of activity bits) computed locally from the
+        // announcements. The beacon ticks in half-rounds — odd after our
+        // sends are out, even once the edge resolves — so a rank that
+        // wedged before sending reports strictly less progress than the
+        // peers it blocks, and the supervisor blames the right rank.
         round_beacon.store(2 * round + 1, Ordering::Relaxed);
         let edge_start = t.now();
-        let keep = if event {
-            let peers_active = t.wait_wave(round)?;
-            active || peers_active
-        } else {
-            t.resolve_barrier(round, active)?
-        };
+        let keep = t.wait_wave(round)? || active;
         let edge_end = t.now();
-        tel_barrier_ns += secs_to_ns(edge_end - edge_start);
+        tel_edge_ns += secs_to_ns(edge_end - edge_start);
+        // Reseq hold banked across the wave — the loop's only blocking
+        // wait. Zero on a fault-free run (the span never appears in the
+        // golden trace); under delay faults it shows where reordering
+        // bit.
+        let hold_total: u64 = t.reseq.iter().map(|r| r.hold_ns).sum();
+        let held = hold_total.saturating_sub(last_hold_ns);
+        last_hold_ns = hold_total;
         if observed {
-            // Exactly one edge span per round per rank — `DoneWave` on
-            // the event path, `BarrierWait` on the legacy path. The
-            // trace analyzer counts these to segment a rank's stream
-            // into rounds, so the emit is unconditional when observed.
+            // Exactly one `DoneWave` span per round per rank: the trace
+            // analyzer counts these to segment a rank's stream into
+            // rounds, so the emit is unconditional when observed.
             recorder.emit(
                 rank,
                 edge_end,
                 Event::Phase {
-                    name: if event {
-                        PhaseName::DoneWave
-                    } else {
-                        PhaseName::BarrierWait
-                    },
+                    name: PhaseName::DoneWave,
                     start: edge_start,
                     dur: edge_end - edge_start,
                 },
             );
-        }
-        if event {
-            // Reseq hold banked across the wave — the event path's only
-            // blocking wait. Zero on a fault-free run (the span never
-            // appears in the golden trace); under delay faults it shows
-            // where reordering bit.
-            let hold_total: u64 = t.reseq.iter().map(|r| r.hold_ns).sum();
-            let held = hold_total.saturating_sub(last_hold_ns);
-            last_hold_ns = hold_total;
-            if observed && held > 0 {
+            if held > 0 {
                 let dur = held as f64 / 1e9;
                 recorder.emit(
                     rank,
@@ -1556,15 +1389,12 @@ fn run_rounds<P: RankProgram>(
 
         if let Some(cells) = &t.telemetry {
             cells.round.store(round, Ordering::Relaxed);
-            cells.wire_wait_ns.store(tel_wire_ns, Ordering::Relaxed);
             cells.delivery_ns.store(tel_delivery_ns, Ordering::Relaxed);
             cells.compute_ns.store(tel_compute_ns, Ordering::Relaxed);
             cells
                 .serialize_ns
                 .store(tel_serialize_ns, Ordering::Relaxed);
-            cells
-                .barrier_wait_ns
-                .store(tel_barrier_ns, Ordering::Relaxed);
+            cells.edge_wait_ns.store(tel_edge_ns, Ordering::Relaxed);
             cells.reseq_hold_ns.store(last_hold_ns, Ordering::Relaxed);
             let link = t.link_totals();
             cells.frames_sent.store(link.frames_sent, Ordering::Relaxed);
@@ -1576,17 +1406,11 @@ fn run_rounds<P: RankProgram>(
         // Checkpoint plane: at every k-th round edge (counting rounds
         // completed, the same cadence as the in-process engines'
         // equivalence oracle), ship a consistent snapshot home. Only
-        // mid-run — a final edge has nothing left to recover.
+        // mid-run — a final edge has nothing left to recover. The done
+        // wave already proved every bundle of `round` arrived, so the
+        // edge is a consistent cut with no further wait.
         let ck = t.opts.checkpoint_every;
         if keep && ck > 0 && (round + 1).is_multiple_of(ck) {
-            if !event {
-                // The legacy barrier certifies votes, not bundles — a
-                // round's bundles may trail the allreduce. A snapshot
-                // missing a bundle nobody will re-send is inconsistent,
-                // so a checkpoint edge additionally waits for them
-                // (the event path's done wave already proves arrival).
-                t.wait_bundles(round)?;
-            }
             t.ship_checkpoint(program, &stats, round)?;
         }
 
@@ -1600,11 +1424,8 @@ fn run_rounds<P: RankProgram>(
             break;
         }
     }
-    // Release any frames the fault plan is still holding back: the loop
-    // only flushes when *this* rank blocks, so a delayed frame from the
-    // final round (e.g. a held `BarrierDown`) would otherwise never
-    // leave and deadlock a peer still waiting on it.
-    t.flush_all()?;
+    // Nothing is left to flush: every round's sends, held
+    // (delay-faulted) frames included, left at that round's wave.
     Ok((stats, round, cap))
 }
 
@@ -1641,7 +1462,7 @@ fn make_writer(
 
 /// Establishes the full peer mesh: dial lower ranks, accept higher
 /// ranks, one duplex stream per unordered pair. Returns the send
-/// halves, the read halves (for reader threads), and each link's
+/// halves, the read halves (for the reactor), and each link's
 /// resequencer primed past any handshake frames already consumed.
 #[allow(clippy::type_complexity)]
 fn build_mesh(
@@ -1711,21 +1532,7 @@ fn build_mesh(
                     Some(pair) => pair,
                     None => return Err(NetError::protocol("peer closed during handshake")),
                 };
-                let peer = match hello.ctrl {
-                    Ctrl::Hello { rank: peer, proto } => {
-                        if proto != PROTO_VERSION {
-                            return Err(NetError::protocol(format!(
-                                "peer {peer} speaks protocol {proto}, expected {PROTO_VERSION}"
-                            )));
-                        }
-                        peer
-                    }
-                    other => {
-                        return Err(NetError::protocol(format!(
-                            "expected a peer Hello, got {other:?}"
-                        )))
-                    }
-                };
+                let peer = hello_rank(&hello, "peer")?;
                 if peer <= rank || peer >= num_ranks {
                     return Err(NetError::protocol(format!(
                         "unexpected dial from rank {peer} (we are rank {rank})"
@@ -1758,36 +1565,6 @@ fn build_mesh(
         }
     }
     Ok((writers, read_halves, reseq))
-}
-
-/// Reader thread: blocking `read_frame` loop feeding the main loop.
-/// `gen` tags every frame with the session generation the link belongs
-/// to, so a persistent-session transport can drop stragglers from a
-/// finished task.
-fn spawn_peer_reader(from: u32, mut stream: UnixStream, tx: Sender<Incoming>, gen: u64) {
-    let _ = std::thread::spawn(move || loop {
-        match read_frame(&mut stream) {
-            Ok(Some((seq, frame))) => {
-                if tx
-                    .send(Incoming::Peer {
-                        from,
-                        seq,
-                        frame,
-                        gen,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            // EOF and read errors collapse to "gone": either way the
-            // link is dead and the supervisor diagnoses the cause.
-            Ok(None) | Err(_) => {
-                let _ = tx.send(Incoming::PeerGone);
-                return;
-            }
-        }
-    });
 }
 
 /// Reader thread for the supervisor link. `HeartbeatAck` replies are

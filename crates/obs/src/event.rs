@@ -65,15 +65,14 @@ pub enum PhaseName {
     Compute,
     /// Encoding, bundling, and enqueueing outbound packets.
     Send,
-    /// Blocked on the socket waiting for the previous round's bundles
-    /// (net engine only).
+    /// Blocked on the socket waiting for the previous round's bundles.
+    /// No engine emits it any more (the net engine's done wave proves
+    /// bundle arrival); kept only because the frozen `ledger/` harness
+    /// reads [`PhaseSplit::wire_wait_s`](crate::trace::PhaseSplit).
     WireWait,
-    /// Blocked inside the end-of-round allreduce barrier (net engine
-    /// only, legacy thread-per-link path).
-    BarrierWait,
-    /// Blocked in the rank-to-rank round-done wave — the event-driven
-    /// net path's round edge, which subsumes both the bundle wait and
-    /// the termination barrier (net engine only).
+    /// Blocked in the rank-to-rank round-done wave — the net engine's
+    /// round edge, which is both the bundle wait and the termination
+    /// vote (net engine only).
     DoneWave,
     /// Time in-order delivery was stalled by the resequencer holding
     /// out-of-order frames (net engine only; absent when no frame was
@@ -89,22 +88,22 @@ impl PhaseName {
             PhaseName::Compute => "compute",
             PhaseName::Send => "send",
             PhaseName::WireWait => "wire_wait",
-            PhaseName::BarrierWait => "barrier_wait",
             PhaseName::DoneWave => "done_wave",
             PhaseName::ReseqHold => "reseq_hold",
         }
     }
 
-    pub(crate) fn parse(s: &str) -> Option<Self> {
+    /// Inverse of [`PhaseName::as_str`]; the error names the rejected
+    /// identifier (e.g. a phase only an older build emitted).
+    pub(crate) fn parse(s: &str) -> Result<Self, String> {
         match s {
-            "delivery" => Some(PhaseName::Delivery),
-            "compute" => Some(PhaseName::Compute),
-            "send" => Some(PhaseName::Send),
-            "wire_wait" => Some(PhaseName::WireWait),
-            "barrier_wait" => Some(PhaseName::BarrierWait),
-            "done_wave" => Some(PhaseName::DoneWave),
-            "reseq_hold" => Some(PhaseName::ReseqHold),
-            _ => None,
+            "delivery" => Ok(PhaseName::Delivery),
+            "compute" => Ok(PhaseName::Compute),
+            "send" => Ok(PhaseName::Send),
+            "wire_wait" => Ok(PhaseName::WireWait),
+            "done_wave" => Ok(PhaseName::DoneWave),
+            "reseq_hold" => Ok(PhaseName::ReseqHold),
+            other => Err(format!("unknown phase {other:?}")),
         }
     }
 }
@@ -199,47 +198,61 @@ impl Event {
         Json::obj(pairs)
     }
 
-    /// Inverse of [`Event::to_json`].
-    pub fn from_json(v: &Json) -> Option<Event> {
-        let u32_of = |key: &str| v.get(key).and_then(Json::as_u64).map(|n| n as u32);
-        let u64_of = |key: &str| v.get(key).and_then(Json::as_u64);
-        match v.get("kind")?.as_str()? {
-            "round_start" => Some(Event::RoundStart {
+    /// Inverse of [`Event::to_json`]; the error says which field or
+    /// name was not understood.
+    pub fn from_json(v: &Json) -> Result<Event, String> {
+        let u64_of = |key: &str| field(v, key, Json::as_u64);
+        let u32_of = |key: &str| u64_of(key).map(|n| n as u32);
+        match field(v, "kind", Json::as_str)? {
+            "round_start" => Ok(Event::RoundStart {
                 round: u32_of("round")?,
             }),
-            "round_end" => Some(Event::RoundEnd {
+            "round_end" => Ok(Event::RoundEnd {
                 round: u32_of("round")?,
                 active_ranks: u32_of("active_ranks")?,
             }),
-            "phase" => Some(Event::Phase {
-                name: PhaseName::parse(v.get("name")?.as_str()?)?,
-                start: v.get("start")?.as_f64()?,
-                dur: v.get("dur")?.as_f64()?,
+            "phase" => Ok(Event::Phase {
+                name: PhaseName::parse(field(v, "name", Json::as_str)?)?,
+                start: field(v, "start", Json::as_f64)?,
+                dur: field(v, "dur", Json::as_f64)?,
             }),
-            "packet_sent" => Some(Event::PacketSent {
+            "packet_sent" => Ok(Event::PacketSent {
                 dst: u32_of("dst")?,
                 bytes: u64_of("bytes")?,
                 logical: u32_of("logical")?,
             }),
-            "packet_recv" => Some(Event::PacketRecv {
+            "packet_recv" => Ok(Event::PacketRecv {
                 src: u32_of("src")?,
                 bytes: u64_of("bytes")?,
                 logical: u32_of("logical")?,
             }),
-            "match_round" => Some(Event::MatchRound {
+            "match_round" => Ok(Event::MatchRound {
                 round: u32_of("round")?,
                 requests: u64_of("requests")?,
                 succeeded: u64_of("succeeded")?,
                 failed: u64_of("failed")?,
             }),
-            "coloring_round" => Some(Event::ColoringRound {
+            "coloring_round" => Ok(Event::ColoringRound {
                 phase: u32_of("phase")?,
                 conflicts: u64_of("conflicts")?,
                 colors_used: u64_of("colors_used")?,
             }),
-            _ => None,
+            other => Err(format!("unknown event kind {other:?}")),
         }
     }
+}
+
+/// Reads `key` of a recorded JSON object through `get` (one of the
+/// `Json::as_*` accessors), naming the key when it is absent or has the
+/// wrong type.
+pub(crate) fn field<'a, T>(
+    v: &'a Json,
+    key: &str,
+    get: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<T, String> {
+    v.get(key)
+        .and_then(get)
+        .ok_or_else(|| format!("missing or mistyped field {key:?}"))
 }
 
 impl TimedEvent {
@@ -258,11 +271,11 @@ impl TimedEvent {
     }
 
     /// Inverse of [`TimedEvent::to_json`].
-    pub fn from_json(v: &Json) -> Option<TimedEvent> {
-        Some(TimedEvent {
-            rank: v.get("rank")?.as_u64()? as u32,
-            time: v.get("time")?.as_f64()?,
-            seq: v.get("seq")?.as_u64()?,
+    pub fn from_json(v: &Json) -> Result<TimedEvent, String> {
+        Ok(TimedEvent {
+            rank: field(v, "rank", Json::as_u64)? as u32,
+            time: field(v, "time", Json::as_f64)?,
+            seq: field(v, "seq", Json::as_u64)?,
             event: Event::from_json(v)?,
         })
     }

@@ -21,10 +21,17 @@ pub fn events_to_jsonl(events: &[TimedEvent]) -> String {
 }
 
 /// Parses a JSONL event stream back (inverse of [`events_to_jsonl`]).
-pub fn events_from_jsonl(text: &str) -> Option<Vec<TimedEvent>> {
+/// The error names the 1-based line and what was wrong with it.
+pub fn events_from_jsonl(text: &str) -> Result<Vec<TimedEvent>, String> {
     text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|line| TimedEvent::from_json(&Json::parse(line).ok()?))
+        .enumerate()
+        .filter(|(_, l)| !l.trim().is_empty())
+        .map(|(i, line)| {
+            Json::parse(line)
+                .map_err(|_| "not a JSON object".to_string())
+                .and_then(|v| TimedEvent::from_json(&v))
+                .map_err(|e| format!("line {}: {e}", i + 1))
+        })
         .collect()
 }
 

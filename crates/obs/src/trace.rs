@@ -14,18 +14,15 @@
 //!   clock-aligned [`TimedEvent`] stream (every rank's phase spans on
 //!   one timeline) and produces a per-round critical-path breakdown:
 //!   the straggler rank and how its round decomposed into
-//!   serialization, socket wait, resequencer hold, barrier wait,
-//!   delivery, and compute.
+//!   serialization, resequencer hold, done-wave wait, delivery, and
+//!   compute.
 //!
 //! Round attribution needs no explicit round ids on spans: the net
-//! worker closes every round with exactly one edge span —
-//! [`PhaseName::DoneWave`] on the event-driven path,
-//! [`PhaseName::BarrierWait`] on the legacy thread-per-link path — so a
-//! span's round is the number of edge spans its rank has already
-//! emitted. This keeps the hot-path event unchanged, and pre-v3 traces
-//! (which only ever contain `barrier_wait`) segment exactly as before.
+//! worker closes every round with exactly one [`PhaseName::DoneWave`]
+//! span, so a span's round is the number of `DoneWave` spans its rank
+//! has already emitted. This keeps the hot-path event unchanged.
 
-use crate::event::{Event, PhaseName, TimedEvent, ENGINE_RANK};
+use crate::event::{field, Event, PhaseName, TimedEvent, ENGINE_RANK};
 use crate::json::Json;
 
 /// Cumulative per-rank counters a worker ships on every heartbeat.
@@ -40,16 +37,15 @@ pub struct RankTelemetry {
     pub rank: u32,
     /// Highest round the rank has entered.
     pub round: u64,
-    /// Time blocked on sockets waiting for the previous round's bundles.
-    pub wire_wait_ns: u64,
     /// Time decoding and delivering inbound bundles.
     pub delivery_ns: u64,
     /// Time in the rank program.
     pub compute_ns: u64,
     /// Time encoding and writing outbound bundles ("serialize").
     pub serialize_ns: u64,
-    /// Time blocked in the end-of-round allreduce barrier.
-    pub barrier_wait_ns: u64,
+    /// Time blocked at the round edge waiting for every peer's
+    /// `RoundDone` — the loop's only wait on peers.
+    pub edge_wait_ns: u64,
     /// Time in-order delivery was stalled by the resequencer.
     pub reseq_hold_ns: u64,
     /// Data-plane frames sent across all links.
@@ -63,13 +59,9 @@ pub struct RankTelemetry {
 }
 
 impl RankTelemetry {
-    /// Total accounted time: waits plus work, nanoseconds.
+    /// Total accounted time: wait plus work, nanoseconds.
     pub fn total_ns(&self) -> u64 {
-        self.wire_wait_ns
-            .saturating_add(self.delivery_ns)
-            .saturating_add(self.compute_ns)
-            .saturating_add(self.serialize_ns)
-            .saturating_add(self.barrier_wait_ns)
+        self.busy_ns().saturating_add(self.edge_wait_ns)
     }
 
     /// Time doing work (delivery + compute + serialize), nanoseconds.
@@ -79,21 +71,15 @@ impl RankTelemetry {
             .saturating_add(self.serialize_ns)
     }
 
-    /// Time waiting on peers (socket + barrier), nanoseconds.
-    pub fn wait_ns(&self) -> u64 {
-        self.wire_wait_ns.saturating_add(self.barrier_wait_ns)
-    }
-
     /// JSON object with every counter, stable key order.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("rank", Json::UInt(self.rank.into())),
             ("round", Json::UInt(self.round)),
-            ("wire_wait_ns", Json::UInt(self.wire_wait_ns)),
             ("delivery_ns", Json::UInt(self.delivery_ns)),
             ("compute_ns", Json::UInt(self.compute_ns)),
             ("serialize_ns", Json::UInt(self.serialize_ns)),
-            ("barrier_wait_ns", Json::UInt(self.barrier_wait_ns)),
+            ("edge_wait_ns", Json::UInt(self.edge_wait_ns)),
             ("reseq_hold_ns", Json::UInt(self.reseq_hold_ns)),
             ("frames_sent", Json::UInt(self.frames_sent)),
             ("bytes_sent", Json::UInt(self.bytes_sent)),
@@ -185,7 +171,7 @@ impl RunHealth {
         self.ranks
             .iter()
             .flatten()
-            .min_by_key(|t| (t.round, t.wait_ns()))
+            .min_by_key(|t| (t.round, t.edge_wait_ns))
             .map(|t| t.rank)
     }
 
@@ -194,14 +180,14 @@ impl RunHealth {
         self.ranks.iter().flatten().map(|t| t.reseq_pending).sum()
     }
 
-    /// Fraction of accounted time spent waiting (socket + barrier)
-    /// across all reporting ranks; `None` before any beacon.
+    /// Fraction of accounted time spent waiting at round edges across
+    /// all reporting ranks; `None` before any beacon.
     pub fn wait_fraction(&self) -> Option<f64> {
         let total: u64 = self.ranks.iter().flatten().map(|t| t.total_ns()).sum();
         if total == 0 {
             return None;
         }
-        let wait: u64 = self.ranks.iter().flatten().map(|t| t.wait_ns()).sum();
+        let wait: u64 = self.ranks.iter().flatten().map(|t| t.edge_wait_ns).sum();
         Some(wait as f64 / total as f64)
     }
 
@@ -245,7 +231,6 @@ pub struct PhaseSplit {
     pub delivery_s: f64,
     pub compute_s: f64,
     pub serialize_s: f64,
-    pub barrier_wait_s: f64,
     pub done_wave_s: f64,
     pub reseq_hold_s: f64,
 }
@@ -257,7 +242,6 @@ impl PhaseSplit {
             PhaseName::Delivery => self.delivery_s += dur,
             PhaseName::Compute => self.compute_s += dur,
             PhaseName::Send => self.serialize_s += dur,
-            PhaseName::BarrierWait => self.barrier_wait_s += dur,
             PhaseName::DoneWave => self.done_wave_s += dur,
             PhaseName::ReseqHold => self.reseq_hold_s += dur,
         }
@@ -272,7 +256,7 @@ impl PhaseSplit {
     /// resequencer hold (which overlaps the blocking wait rather than
     /// adding to it).
     pub fn accounted_s(&self) -> f64 {
-        self.wire_wait_s + self.busy_s() + self.barrier_wait_s + self.done_wave_s
+        self.wire_wait_s + self.busy_s() + self.done_wave_s
     }
 
     fn merge(&mut self, other: &PhaseSplit) {
@@ -280,7 +264,6 @@ impl PhaseSplit {
         self.delivery_s += other.delivery_s;
         self.compute_s += other.compute_s;
         self.serialize_s += other.serialize_s;
-        self.barrier_wait_s += other.barrier_wait_s;
         self.done_wave_s += other.done_wave_s;
         self.reseq_hold_s += other.reseq_hold_s;
     }
@@ -290,7 +273,6 @@ impl PhaseSplit {
             ("serialize_s", Json::Float(self.serialize_s)),
             ("wire_wait_s", Json::Float(self.wire_wait_s)),
             ("reseq_hold_s", Json::Float(self.reseq_hold_s)),
-            ("barrier_wait_s", Json::Float(self.barrier_wait_s)),
             ("done_wave_s", Json::Float(self.done_wave_s)),
             ("compute_s", Json::Float(self.compute_s)),
             ("delivery_s", Json::Float(self.delivery_s)),
@@ -305,7 +287,7 @@ pub struct RoundBreakdown {
     pub round: u64,
     /// Wall-clock extent of the round: the widest single rank's
     /// first-span-start to last-span-end. Every rank's extent spans
-    /// the same barrier-to-barrier interval, so this measures the
+    /// the same edge-to-edge interval, so this measures the
     /// round without absorbing residual cross-rank clock skew.
     pub wall_s: f64,
     /// The rank on the round's critical path: most work (delivery +
@@ -360,8 +342,7 @@ impl TraceReport {
     /// time-sorted stream from the recorder/sinks qualifies): a span's
     /// round is the number of round-edge spans its rank emitted before
     /// it, because the net worker closes every round with exactly one
-    /// edge span — `done_wave` on the event-driven path, `barrier_wait`
-    /// on the legacy path (and in pre-v3 traces).
+    /// `done_wave` span.
     pub fn from_events(events: &[TimedEvent]) -> TraceReport {
         // rank -> (current round, per-round accumulators)
         let mut per_rank: std::collections::BTreeMap<u32, (usize, Vec<RankRound>)> =
@@ -389,7 +370,7 @@ impl TraceReport {
                 slot.start = slot.start.min(start);
                 slot.end = slot.end.max(end);
             }
-            if name == PhaseName::BarrierWait || name == PhaseName::DoneWave {
+            if name == PhaseName::DoneWave {
                 *round += 1;
             }
         }
@@ -404,7 +385,7 @@ impl TraceReport {
         for r in 0..max_rounds {
             // The round's wall time is the widest single rank's extent,
             // not the cross-rank min-start..max-end window: every
-            // rank's extent spans the same barrier-to-barrier physical
+            // rank's extent spans the same edge-to-edge physical
             // interval, so the max extent measures the round while the
             // cross-rank window would also absorb any residual
             // per-rank clock-alignment error.
@@ -525,14 +506,13 @@ impl TraceReport {
         );
         let _ = writeln!(
             out,
-            "{:>5} {:>9} {:>9} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>9} {:>5}",
+            "{:>5} {:>9} {:>9} {:>10} {:>10} {:>10} {:>10} {:>10} {:>9} {:>5}",
             "round",
             "wall_ms",
             "straggler",
             "serialize",
             "wire_wait",
             "reseq",
-            "barrier",
             "wave",
             "compute",
             "delivery",
@@ -541,14 +521,13 @@ impl TraceReport {
         for r in &self.rounds {
             let _ = writeln!(
                 out,
-                "{:>5} {:>9.3} {:>9} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>9.3} {:>5.1}",
+                "{:>5} {:>9.3} {:>9} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>9.3} {:>5.1}",
                 r.round,
                 r.wall_s * 1e3,
                 r.straggler,
                 r.split.serialize_s * 1e3,
                 r.split.wire_wait_s * 1e3,
                 r.split.reseq_hold_s * 1e3,
-                r.split.barrier_wait_s * 1e3,
                 r.split.done_wave_s * 1e3,
                 r.split.compute_s * 1e3,
                 r.split.delivery_s * 1e3,
@@ -559,11 +538,10 @@ impl TraceReport {
         let _ = writeln!(
             out,
             "totals (critical path): serialize {:.3} ms, wire wait {:.3} ms, reseq hold {:.3} ms, \
-             barrier wait {:.3} ms, done wave {:.3} ms, compute {:.3} ms, delivery {:.3} ms",
+             done wave {:.3} ms, compute {:.3} ms, delivery {:.3} ms",
             total.serialize_s * 1e3,
             total.wire_wait_s * 1e3,
             total.reseq_hold_s * 1e3,
-            total.barrier_wait_s * 1e3,
             total.done_wave_s * 1e3,
             total.compute_s * 1e3,
             total.delivery_s * 1e3,
@@ -586,46 +564,24 @@ impl TraceReport {
 /// [`crate::sink::chrome_trace`] back into a [`TimedEvent`] stream —
 /// so `cmg trace` can ingest either the JSONL event stream or the
 /// `--trace-out` file. Metadata records are skipped; per-rank sequence
-/// numbers are re-assigned in file order.
-pub fn events_from_chrome_trace(text: &str) -> Option<Vec<TimedEvent>> {
-    let v = Json::parse(text).ok()?;
-    let entries = v.get("traceEvents")?.as_arr()?;
+/// numbers are re-assigned in file order. `Ok(None)` means `text` is
+/// not a Chrome trace at all (not one JSON object with a `traceEvents`
+/// array); an entry this build cannot read — such as a phase only an
+/// older build emitted — is an error naming the entry and the reason.
+pub fn events_from_chrome_trace(text: &str) -> Result<Option<Vec<TimedEvent>>, String> {
+    let Ok(v) = Json::parse(text) else {
+        return Ok(None);
+    };
+    let Some(entries) = v.get("traceEvents").and_then(Json::as_arr) else {
+        return Ok(None);
+    };
     let mut seqs: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
     let mut out = Vec::new();
-    for e in entries {
-        let ph = e.get("ph")?.as_str()?;
-        if ph == "M" {
+    for (i, e) in entries.iter().enumerate() {
+        let entry = chrome_entry(e).map_err(|why| format!("traceEvents[{i}]: {why}"))?;
+        let Some((rank, time, event)) = entry else {
             continue;
-        }
-        let tid = e.get("tid")?.as_u64()? as u32;
-        let rank = if tid == 0 { ENGINE_RANK } else { tid - 1 };
-        let ts = e.get("ts")?.as_f64()? / 1e6;
-        let event = match ph {
-            "X" => {
-                let name = PhaseName::parse(e.get("name")?.as_str()?)?;
-                let dur = e.get("dur")?.as_f64()? / 1e6;
-                Some((
-                    Event::Phase {
-                        name,
-                        start: ts,
-                        dur,
-                    },
-                    ts + dur,
-                ))
-            }
-            "i" => {
-                let mut pairs = vec![(
-                    "kind".to_string(),
-                    Json::Str(e.get("name")?.as_str()?.into()),
-                )];
-                if let Some(Json::Obj(args)) = e.get("args") {
-                    pairs.extend(args.iter().cloned());
-                }
-                Event::from_json(&Json::Obj(pairs)).map(|ev| (ev, ts))
-            }
-            _ => None,
         };
-        let (event, time) = event?;
         let seq = seqs.entry(rank).or_insert(0);
         out.push(TimedEvent {
             rank,
@@ -635,7 +591,40 @@ pub fn events_from_chrome_trace(text: &str) -> Option<Vec<TimedEvent>> {
         });
         *seq += 1;
     }
-    Some(out)
+    Ok(Some(out))
+}
+
+/// One `traceEvents` entry as `(rank, time, event)`; `None` for a
+/// metadata record.
+fn chrome_entry(e: &Json) -> Result<Option<(u32, f64, Event)>, String> {
+    let ph = field(e, "ph", Json::as_str)?;
+    if ph == "M" {
+        return Ok(None);
+    }
+    let tid = field(e, "tid", Json::as_u64)? as u32;
+    let rank = if tid == 0 { ENGINE_RANK } else { tid - 1 };
+    let ts = field(e, "ts", Json::as_f64)? / 1e6;
+    let name = field(e, "name", Json::as_str)?;
+    match ph {
+        "X" => {
+            let name = PhaseName::parse(name)?;
+            let dur = field(e, "dur", Json::as_f64)? / 1e6;
+            let span = Event::Phase {
+                name,
+                start: ts,
+                dur,
+            };
+            Ok(Some((rank, ts + dur, span)))
+        }
+        "i" => {
+            let mut pairs = vec![("kind".to_string(), Json::Str(name.into()))];
+            if let Some(Json::Obj(args)) = e.get("args") {
+                pairs.extend(args.iter().cloned());
+            }
+            Ok(Some((rank, ts, Event::from_json(&Json::Obj(pairs))?)))
+        }
+        other => Err(format!("unknown record type {other:?}")),
+    }
 }
 
 #[cfg(test)]
@@ -651,77 +640,41 @@ mod tests {
         }
     }
 
-    /// Two ranks, two rounds. Rank 1 computes 3× longer in round 0 and
-    /// is the straggler; rank 0 waits for it in the barrier.
+    /// Two ranks, two rounds, each closed by one `done_wave` span. Rank
+    /// 1 computes 3× longer in round 0 and is the straggler; rank 0
+    /// waits for it in the wave.
     fn two_round_events() -> Vec<TimedEvent> {
         vec![
-            // round 0, rank 0: compute 1ms, send 0.5ms, barrier-wait 2.5ms
+            // round 0, rank 0: compute 1ms, send 0.5ms, wave 2.5ms
             span(0, 0, PhaseName::Compute, 0.000, 0.001),
             span(0, 1, PhaseName::Send, 0.001, 0.0005),
-            span(0, 2, PhaseName::BarrierWait, 0.0015, 0.0025),
-            // round 0, rank 1: compute 3ms, send 0.5ms, barrier-wait 0.5ms
+            span(0, 2, PhaseName::DoneWave, 0.0015, 0.0025),
+            // round 0, rank 1: compute 3ms, send 0.5ms, wave 0.5ms
             span(1, 0, PhaseName::Compute, 0.000, 0.003),
             span(1, 1, PhaseName::Send, 0.003, 0.0005),
-            span(1, 2, PhaseName::BarrierWait, 0.0035, 0.0005),
-            // round 1, rank 0: wire-wait 0.2ms, compute 2ms, barrier 0.3ms
-            span(0, 3, PhaseName::WireWait, 0.004, 0.0002),
+            span(1, 2, PhaseName::DoneWave, 0.0035, 0.0005),
+            // round 1, rank 0: delivery 0.2ms, compute 2ms, wave 0.3ms
+            span(0, 3, PhaseName::Delivery, 0.004, 0.0002),
             span(0, 4, PhaseName::Compute, 0.0042, 0.002),
-            span(0, 5, PhaseName::BarrierWait, 0.0062, 0.0003),
-            // round 1, rank 1: wire-wait 0.2ms, compute 1ms, barrier 1.3ms
-            span(1, 3, PhaseName::WireWait, 0.004, 0.0002),
+            span(0, 5, PhaseName::DoneWave, 0.0062, 0.0003),
+            // round 1, rank 1: delivery 0.2ms, compute 1ms, wave 1.3ms
+            span(1, 3, PhaseName::Delivery, 0.004, 0.0002),
             span(1, 4, PhaseName::Compute, 0.0042, 0.001),
-            span(1, 5, PhaseName::BarrierWait, 0.0052, 0.0013),
+            span(1, 5, PhaseName::DoneWave, 0.0052, 0.0013),
         ]
     }
 
     #[test]
-    fn rounds_are_attributed_by_barrier_count() {
+    fn rounds_are_attributed_by_done_wave_count() {
         let report = TraceReport::from_events(&two_round_events());
         assert_eq!(report.ranks, vec![0, 1]);
         assert_eq!(report.rounds.len(), 2);
         assert_eq!(report.rounds[0].round, 0);
         assert_eq!(report.rounds[1].round, 1);
-    }
-
-    /// Two ranks, two rounds on the event-driven path: no barrier-wait
-    /// spans at all — each round closes with a `done_wave` span and the
-    /// wave wait subsumes the wire wait.
-    fn two_round_wave_events() -> Vec<TimedEvent> {
-        vec![
-            span(0, 0, PhaseName::Compute, 0.000, 0.001),
-            span(0, 1, PhaseName::Send, 0.001, 0.0005),
-            span(0, 2, PhaseName::DoneWave, 0.0015, 0.0025),
-            span(1, 0, PhaseName::Compute, 0.000, 0.003),
-            span(1, 1, PhaseName::Send, 0.003, 0.0005),
-            span(1, 2, PhaseName::DoneWave, 0.0035, 0.0005),
-            span(0, 3, PhaseName::Compute, 0.004, 0.002),
-            span(0, 4, PhaseName::DoneWave, 0.006, 0.0003),
-            span(1, 3, PhaseName::Compute, 0.004, 0.001),
-            span(1, 4, PhaseName::DoneWave, 0.005, 0.0013),
-        ]
-    }
-
-    #[test]
-    fn rounds_are_attributed_by_done_wave_count_when_the_barrier_is_absent() {
-        let report = TraceReport::from_events(&two_round_wave_events());
-        assert_eq!(report.ranks, vec![0, 1]);
-        assert_eq!(report.rounds.len(), 2);
         for r in &report.rounds {
             assert!(r.split.done_wave_s > 0.0, "round {}", r.round);
-            assert_eq!(r.split.barrier_wait_s, 0.0);
-            assert!(
-                r.coverage > 0.95,
-                "round {} coverage {}",
-                r.round,
-                r.coverage
-            );
         }
-        assert_eq!(report.rounds[0].straggler, 1);
-        let j = report.to_json();
-        let rounds = j.get("rounds").and_then(Json::as_arr).unwrap();
-        assert!(rounds[0].get("done_wave_s").is_some());
-        let text = report.to_text();
-        assert!(text.contains("wave"));
+        assert!(report.to_text().contains("wave"));
     }
 
     #[test]
@@ -786,7 +739,7 @@ mod tests {
             "serialize_s",
             "wire_wait_s",
             "reseq_hold_s",
-            "barrier_wait_s",
+            "done_wave_s",
             "compute_s",
             "delivery_s",
         ] {
@@ -800,11 +753,41 @@ mod tests {
     fn chrome_trace_round_trips_into_the_analyzer() {
         let events = two_round_events();
         let trace = crate::sink::chrome_trace(&events);
-        let back = events_from_chrome_trace(&trace).unwrap();
+        let back = events_from_chrome_trace(&trace).unwrap().unwrap();
         assert_eq!(back.len(), events.len());
         let a = TraceReport::from_events(&events);
         let b = TraceReport::from_events(&back);
         assert_eq!(a.rounds, b.rounds);
+    }
+
+    #[test]
+    fn a_phase_this_build_does_not_know_is_named_with_its_entry() {
+        // What a trace recorded before the tree barrier was removed
+        // looks like: same shape, one retired phase name.
+        let events = two_round_events();
+        let old = crate::sink::chrome_trace(&events).replacen("done_wave", "barrier_wait", 1);
+        let index = Json::parse(&old)
+            .unwrap()
+            .get("traceEvents")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .position(|e| e.get("name").and_then(Json::as_str) == Some("barrier_wait"))
+            .unwrap();
+        assert_eq!(
+            events_from_chrome_trace(&old),
+            Err(format!(
+                "traceEvents[{index}]: unknown phase \"barrier_wait\""
+            ))
+        );
+        let old = crate::sink::events_to_jsonl(&events).replacen("done_wave", "barrier_wait", 1);
+        assert_eq!(
+            crate::sink::events_from_jsonl(&old),
+            Err("line 3: unknown phase \"barrier_wait\"".to_string())
+        );
+        // Not a trace at all is a different answer from a bad entry.
+        assert_eq!(events_from_chrome_trace("{\"rows\": []}"), Ok(None));
+        assert_eq!(events_from_chrome_trace(&old), Ok(None));
     }
 
     #[test]
@@ -815,21 +798,21 @@ mod tests {
         health.observe(RankTelemetry {
             rank: 0,
             round: 5,
-            wire_wait_ns: 100,
+            edge_wait_ns: 100,
             compute_ns: 900,
             ..Default::default()
         });
         health.observe(RankTelemetry {
             rank: 1,
             round: 4,
-            wire_wait_ns: 10,
+            edge_wait_ns: 10,
             compute_ns: 990,
             ..Default::default()
         });
         health.observe(RankTelemetry {
             rank: 2,
             round: 5,
-            wire_wait_ns: 400,
+            edge_wait_ns: 400,
             compute_ns: 600,
             ..Default::default()
         });
@@ -844,7 +827,7 @@ mod tests {
         health.observe(RankTelemetry {
             rank: 1,
             round: 5,
-            wire_wait_ns: 10,
+            edge_wait_ns: 10,
             compute_ns: 1990,
             ..Default::default()
         });
@@ -859,20 +842,18 @@ mod tests {
         let t = RankTelemetry {
             rank: 2,
             round: 9,
-            wire_wait_ns: 1,
             delivery_ns: 2,
             compute_ns: 3,
             serialize_ns: 4,
-            barrier_wait_ns: 5,
+            edge_wait_ns: 5,
             reseq_hold_ns: 6,
             frames_sent: 7,
             bytes_sent: 8,
             reseq_pending: 9,
             max_bundle_lag_micros: 10,
         };
-        assert_eq!(t.total_ns(), 1 + 2 + 3 + 4 + 5);
+        assert_eq!(t.total_ns(), 2 + 3 + 4 + 5);
         assert_eq!(t.busy_ns(), 2 + 3 + 4);
-        assert_eq!(t.wait_ns(), 6);
         let j = t.to_json();
         assert_eq!(j.get("reseq_pending").and_then(Json::as_u64), Some(9));
         assert_eq!(j.get("round").and_then(Json::as_u64), Some(9));

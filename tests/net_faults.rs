@@ -234,28 +234,41 @@ fn killed_worker_recovers_from_checkpoint_bit_identically() {
     );
 }
 
-/// The same recovery on the legacy (thread-per-link, tree-barrier)
-/// path, whose barrier certifies votes but not bundle arrival — the
-/// checkpoint edge performs an explicit bundle wait there.
+/// Recovery while the links reorder and duplicate: a checkpoint edge
+/// is a consistent cut only because "link FIFO + `RoundDone` after the
+/// sends" makes the done wave prove bundle arrival, and the
+/// resequencer is what keeps links FIFO under delay faults. A held
+/// bundle that slipped past a checkpoint, or a duplicate that survived
+/// the restored floors, would change the result or the counters.
 #[test]
-fn legacy_path_recovers_from_checkpoint_bit_identically() {
+fn killed_worker_recovers_under_dup_delay_faults_bit_identically() {
     let g = weighted_grid();
-    let base = NetConfig {
-        event_loop: false,
-        ..Default::default()
-    };
-    let clean = run_task(parts(&g, 4), RECOVERY_TASK, &base).expect("clean legacy run");
+    let clean = run_task(parts(&g, 4), RECOVERY_TASK, &NetConfig::default()).expect("clean run");
     let cfg = NetConfig {
+        fault: FaultPlan {
+            seed: 0xc0de,
+            drop_per_mille: 0,
+            dup_per_mille: 150,
+            delay_per_mille: 150,
+            delay_depth: 3,
+        },
         kill: KillSpec::KillAtRound { rank: 2, round: 5 },
         checkpoint_every: 2,
         heartbeat: Duration::from_millis(50),
-        event_loop: false,
         ..Default::default()
     };
-    let recovered =
-        run_task(parts(&g, 4), RECOVERY_TASK, &cfg).expect("legacy path must recover too");
+    let recovered = run_task(parts(&g, 4), RECOVERY_TASK, &cfg)
+        .expect("a killed rank must recover on faulty links too");
     assert_eq!(recovered.health.recoveries(), 1);
+    let t = &recovered.links.total;
+    assert!(
+        t.duplicated_by_fault > 0 && t.delayed_by_fault > 0,
+        "the fault plan must actually have fired (dup={}, delay={})",
+        t.duplicated_by_fault,
+        t.delayed_by_fault
+    );
     assert_eq!(clean.outcomes, recovered.outcomes);
+    assert_eq!(clean.rounds, recovered.rounds);
     assert_eq!(clean.stats.per_rank, recovered.stats.per_rank);
 }
 
@@ -350,16 +363,15 @@ fn checkpointing_off_leaves_death_diagnosis_unchanged() {
 }
 
 // ---------------------------------------------------------------------------
-// Coalesced-batch faults (event-driven path). Fault decisions are fixed
+// Coalesced-batch faults. Fault decisions are fixed
 // per frame at enqueue time, so a batch is just the syscall envelope —
 // these tests pin down that faults hitting batched frames behave exactly
 // like faults hitting per-frame writes.
 // ---------------------------------------------------------------------------
 
-/// Dup/delay faults under the default event-driven path, where frames
-/// ride in coalesced vectored batches: results must stay bit-identical
-/// and duplicate batches must be discarded by the resequencer, exactly
-/// as on the per-frame path.
+/// Dup/delay faults where frames ride in coalesced vectored batches:
+/// results must stay bit-identical to the clean run and duplicate
+/// batches must be discarded by the resequencer.
 #[test]
 fn coalesced_batches_survive_dup_delay_faults_bit_identically() {
     let g = weighted_grid();
@@ -371,30 +383,20 @@ fn coalesced_batches_survive_dup_delay_faults_bit_identically() {
         delay_depth: 3,
     };
     let clean = run_matching(parts(&g, 4), &NetConfig::default()).expect("clean run");
-    let event = run_matching(
+    let faulty = run_matching(
         parts(&g, 4),
         &NetConfig {
             fault,
             ..Default::default()
         },
     )
-    .expect("faulty event-loop run terminates");
-    let legacy = run_matching(
-        parts(&g, 4),
-        &NetConfig {
-            fault,
-            event_loop: false,
-            ..Default::default()
-        },
-    )
-    .expect("faulty legacy run terminates");
-    assert_eq!(clean.matching, event.matching);
-    assert_eq!(event.matching, legacy.matching);
-    assert_eq!(event.rounds, legacy.rounds);
-    let t = &event.links.total;
+    .expect("faulty run terminates");
+    assert_eq!(clean.matching, faulty.matching);
+    assert_eq!(clean.rounds, faulty.rounds);
+    let t = &faulty.links.total;
     assert!(
         t.frames_coalesced > 0,
-        "the event path must actually have batched frames"
+        "peer links must actually have batched frames"
     );
     assert!(
         t.duplicated_by_fault > 0 && t.delayed_by_fault > 0,

@@ -90,9 +90,9 @@ fn normalized_net_traces_are_identical_across_runs() {
 }
 
 /// The analyzer's round segmentation is keyed off the one-per-round
-/// edge span — `done_wave` on the default event-driven path — so the
-/// report must see exactly the engine's round count, blame a real rank,
-/// and account a positive fraction of every round's wall time.
+/// `done_wave` edge span, so the report must see exactly the engine's
+/// round count, blame a real rank, and account a positive fraction of
+/// every round's wall time.
 #[test]
 fn critical_path_report_segments_the_net_trace_into_rounds() {
     let (events, run) = recorded_net_run(true);
@@ -112,40 +112,13 @@ fn critical_path_report_segments_the_net_trace_into_rounds() {
             "round {} lost its done-wave span",
             r.round
         );
-        // The event path has no tree barrier and no top-of-round wire
-        // wait: the wave subsumes both.
-        assert_eq!(r.split.barrier_wait_s, 0.0, "round {}", r.round);
+        // There is no top-of-round wire wait: the wave subsumes it.
         assert_eq!(r.split.wire_wait_s, 0.0, "round {}", r.round);
     }
     assert!(report.overall_straggler().is_some());
     // Fault-free run: nothing ever waited behind a sequence gap.
     let held: f64 = report.rounds.iter().map(|r| r.split.reseq_hold_s).sum();
     assert_eq!(held, 0.0);
-}
-
-/// Legacy traces (thread-per-link path) still segment by their
-/// barrier-wait spans — the analyzer handles both delimiters.
-#[test]
-fn critical_path_report_segments_legacy_barrier_traces_too() {
-    let g = golden_graph();
-    let parts = DistGraph::build_all(&g, &block_partition(g.num_vertices(), 2));
-    let (recorder, handle) = CollectingRecorder::shared();
-    let cfg = NetConfig {
-        event_loop: false,
-        recorder: handle,
-        ..Default::default()
-    };
-    let out = run_task(parts, NetTask::Matching, &cfg).expect("legacy net run");
-    let report = TraceReport::from_events(&recorder.take());
-    assert_eq!(report.rounds.len() as u64, out.rounds);
-    for r in &report.rounds {
-        assert!(
-            r.split.barrier_wait_s > 0.0,
-            "round {} lost its barrier span",
-            r.round
-        );
-        assert_eq!(r.split.done_wave_s, 0.0, "round {}", r.round);
-    }
 }
 
 /// Telemetry rides on heartbeats only: turning it off must change
@@ -177,10 +150,7 @@ fn sim_traces_never_contain_wire_phases() {
             assert!(
                 !matches!(
                     name,
-                    PhaseName::WireWait
-                        | PhaseName::BarrierWait
-                        | PhaseName::DoneWave
-                        | PhaseName::ReseqHold
+                    PhaseName::WireWait | PhaseName::DoneWave | PhaseName::ReseqHold
                 ),
                 "sim engine emitted net-only phase {name:?}"
             );

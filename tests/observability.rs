@@ -74,7 +74,7 @@ fn run_events_round_trip_through_jsonl() {
         assert!(kinds.contains(expected), "no {expected} event recorded");
     }
     let text = events_to_jsonl(&events);
-    assert_eq!(events_from_jsonl(&text).as_deref(), Some(&events[..]));
+    assert_eq!(events_from_jsonl(&text).as_deref(), Ok(&events[..]));
 }
 
 /// The metrics folded from the event stream must agree with the
@@ -159,7 +159,7 @@ fn phase_of(i: u32) -> PhaseName {
         1 => PhaseName::Compute,
         2 => PhaseName::Send,
         3 => PhaseName::WireWait,
-        4 => PhaseName::BarrierWait,
+        4 => PhaseName::DoneWave,
         _ => PhaseName::ReseqHold,
     }
 }
@@ -227,7 +227,7 @@ proptest! {
         events in proptest::collection::vec(arb_timed_event(), 0..60),
     ) {
         let text = events_to_jsonl(&events);
-        prop_assert_eq!(events_from_jsonl(&text), Some(events));
+        prop_assert_eq!(events_from_jsonl(&text), Ok(events));
     }
 
     /// Every metric JSONL line parses back to the registry's value.

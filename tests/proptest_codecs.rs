@@ -188,10 +188,42 @@ proptest! {
     #[test]
     fn garbage_is_rejected_or_partial(bytes in proptest::collection::vec(any::<u8>(), 1..64)) {
         // Must not panic; Option result is fine either way.
-        let buf = bytes::Bytes::from(bytes);
+        let buf = bytes::Bytes::from(bytes.clone());
         let _ = decode_all::<MatchMsg>(buf.clone());
         let _ = decode_all::<ColorMsg>(buf.clone());
         let _ = decode_all::<D2Msg>(buf.clone());
         let _ = decode_all::<ExtMsg>(buf);
+        // The net supervisor-plane payloads are checked decoders too:
+        // < 64 bytes cannot hold a checkpoint or an assignment, and no
+        // length prefix in them may drive an allocation.
+        prop_assert!(cmg_net::decode_checkpoint(&bytes).is_err());
+        prop_assert!(cmg_net::proto::decode_assignment(&bytes).is_err());
+    }
+
+    /// The retired v5 control tags (5, 6: the tree-allreduce legs,
+    /// `round: u64` + a flag byte) never decode, whatever follows them
+    /// — a stale peer's frame is a protocol error on both frame
+    /// decoders, never a misparse as a live variant.
+    #[test]
+    fn retired_ctrl_tags_never_decode(
+        tag in 5u8..=6,
+        rest in proptest::collection::vec(any::<u8>(), 0..32),
+    ) {
+        let mut word = vec![tag];
+        word.extend_from_slice(&rest);
+        prop_assert!(cmg_net::Ctrl::decode(&mut &word[..]).is_none());
+        let mut wire = ((8 + word.len()) as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&[0u8; 8]);
+        wire.extend_from_slice(&word);
+        let mut asm = cmg_net::FrameAssembler::new();
+        asm.extend(&wire);
+        for got in [cmg_net::frame::read_frame(&mut &wire[..]), asm.next_frame()] {
+            match got {
+                Err(cmg_net::NetError::Protocol { detail }) => {
+                    prop_assert!(detail.contains(&format!("first byte {tag}")), "{}", detail);
+                }
+                other => prop_assert!(false, "tag {}: {:?}", tag, other),
+            }
+        }
     }
 }
