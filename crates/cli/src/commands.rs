@@ -10,7 +10,7 @@ use cmg_partition::simple as psimple;
 use cmg_partition::{multilevel_partition, Partition};
 use cmg_runtime::EngineConfig;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufWriter;
 use std::sync::Arc;
 
 /// Runs `f`, mapping an error message to exit code 1.
@@ -25,8 +25,8 @@ fn run(f: impl FnOnce() -> Result<(), String>) -> i32 {
 }
 
 fn load_graph(path: &str) -> Result<CsrGraph, String> {
-    let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    let reader = BufReader::new(file);
+    // The readers pull blocks from the file themselves.
+    let reader = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     if path.ends_with(".mtx") {
         let m = io::read_matrix_market(reader).map_err(|e| e.to_string())?;
         if m.rows != m.cols {

@@ -1,4 +1,12 @@
 //! Edge-list accumulator that produces a canonical [`CsrGraph`].
+//!
+//! Building is a counting sort by row — count, prefix sum, scatter, over
+//! two passes of the edges — which leaves every row in the order its
+//! edges arrived. Input ordered by (min, max) endpoint, as generators and
+//! written-out graphs produce it, therefore yields sorted rows directly;
+//! only a row that is not strictly ascending (unordered input, a
+//! duplicate) is sorted and has its duplicates collapsed. DESIGN.md §16
+//! has the argument.
 
 use crate::{CsrGraph, VertexId, Weight, NO_VERTEX};
 
@@ -21,7 +29,7 @@ use crate::{CsrGraph, VertexId, Weight, NO_VERTEX};
 #[derive(Clone, Debug)]
 pub struct GraphBuilder {
     n: usize,
-    /// Canonicalized (min, max, w) triples.
+    /// `(u, v, w)` as added, self-loops left out.
     edges: Vec<(VertexId, VertexId, Weight)>,
     weighted: bool,
 }
@@ -57,30 +65,31 @@ impl GraphBuilder {
     /// # Panics
     /// Panics if `u` or `v` is out of range.
     pub fn add_edge(&mut self, u: VertexId, v: VertexId, w: Weight) {
-        assert!(
-            (u as usize) < self.n && (v as usize) < self.n,
-            "vertex out of range"
-        );
-        if u == v {
-            return;
-        }
-        self.weighted = true;
-        let (a, b) = if u < v { (u, v) } else { (v, u) };
-        self.edges.push((a, b, w));
+        self.weighted |= u != v;
+        self.push(u, v, w);
     }
 
     /// Adds an unweighted undirected edge (weight `1.0` if the graph ends up
     /// weighted because other edges carry weights).
     pub fn add_edge_unweighted(&mut self, u: VertexId, v: VertexId) {
+        self.push(u, v, 1.0);
+    }
+
+    fn push(&mut self, u: VertexId, v: VertexId, w: Weight) {
         assert!(
             (u as usize) < self.n && (v as usize) < self.n,
             "vertex out of range"
         );
-        if u == v {
-            return;
+        if u != v {
+            self.edges.push((u, v, w));
         }
-        let (a, b) = if u < v { (u, v) } else { (v, u) };
-        self.edges.push((a, b, 1.0));
+    }
+
+    /// Raises the vertex count to at least `n`, for a reader that learns
+    /// it only as the edges arrive.
+    pub(crate) fn grow_to(&mut self, n: usize) {
+        assert!(n < NO_VERTEX as usize, "too many vertices");
+        self.n = self.n.max(n);
     }
 
     /// Number of edges currently buffered (duplicates not yet collapsed).
@@ -90,70 +99,81 @@ impl GraphBuilder {
 
     /// Builds the canonical CSR graph: sorted adjacency, duplicates
     /// collapsed to max weight, no self-loops.
-    pub fn build(mut self) -> CsrGraph {
-        // Canonical order, then collapse duplicates keeping max weight.
-        self.edges
-            .sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(a.2.total_cmp(&b.2)));
-        self.edges.dedup_by(|next, kept| {
-            if next.0 == kept.0 && next.1 == kept.1 {
-                // `next` has the >= weight thanks to the sort above; keep it.
-                kept.2 = next.2;
-                true
-            } else {
-                false
-            }
-        });
-
-        let n = self.n;
-        let mut xadj = vec![0usize; n + 1];
-        for &(u, v, _) in &self.edges {
-            xadj[u as usize + 1] += 1;
-            xadj[v as usize + 1] += 1;
-        }
-        for i in 0..n {
-            xadj[i + 1] += xadj[i];
-        }
-        let mut adj = vec![0 as VertexId; self.edges.len() * 2];
-        let mut weights = if self.weighted {
-            vec![0.0; self.edges.len() * 2]
-        } else {
-            Vec::new()
-        };
-        let mut cursor = xadj.clone();
-        for &(u, v, w) in &self.edges {
-            let iu = cursor[u as usize];
-            adj[iu] = v;
-            cursor[u as usize] += 1;
-            let iv = cursor[v as usize];
-            adj[iv] = u;
-            cursor[v as usize] += 1;
-            if self.weighted {
-                weights[iu] = w;
-                weights[iv] = w;
-            }
-        }
-        // Each row was filled in ascending (u, v) edge order; rows of the
-        // lower endpoint get neighbors in mixed order, so sort per row.
-        for v in 0..n {
-            let lo = xadj[v];
-            let hi = xadj[v + 1];
-            if self.weighted {
-                let mut row: Vec<(VertexId, Weight)> = adj[lo..hi]
-                    .iter()
-                    .copied()
-                    .zip(weights[lo..hi].iter().copied())
-                    .collect();
-                row.sort_unstable_by_key(|&(nbr, _)| nbr);
-                for (i, (nbr, w)) in row.into_iter().enumerate() {
-                    adj[lo + i] = nbr;
-                    weights[lo + i] = w;
-                }
-            } else {
-                adj[lo..hi].sort_unstable();
-            }
-        }
-        CsrGraph::from_raw(xadj, adj, weights)
+    pub fn build(self) -> CsrGraph {
+        csr_from_edges(self.n, self.weighted, || self.edges.iter().copied())
     }
+}
+
+/// The canonical CSR graph of the edges `edges()` yields — the same
+/// in-range, loop-free sequence on each of its two calls.
+pub(crate) fn csr_from_edges<I>(n: usize, weighted: bool, edges: impl Fn() -> I) -> CsrGraph
+where
+    I: Iterator<Item = (VertexId, VertexId, Weight)>,
+{
+    // Degrees are counted two slots up: after the prefix sum
+    // `xadj[v + 1]` is the start of row `v` and serves as its write
+    // cursor, and after the scatter it is the row's end.
+    let mut xadj = vec![0usize; n + 2];
+    for (u, v, _) in edges() {
+        xadj[u as usize + 2] += 1;
+        xadj[v as usize + 2] += 1;
+    }
+    for i in 2..n + 2 {
+        xadj[i] += xadj[i - 1];
+    }
+    let mut adj = vec![0 as VertexId; xadj[n + 1]];
+    let mut weights = vec![0.0; if weighted { adj.len() } else { 0 }];
+    for (u, v, w) in edges() {
+        for (from, to) in [(u, v), (v, u)] {
+            let at = &mut xadj[from as usize + 1];
+            adj[*at] = to;
+            if weighted {
+                weights[*at] = w;
+            }
+            *at += 1;
+        }
+    }
+    xadj.truncate(n + 1);
+
+    // Keep a strictly ascending row as it lies; sort any other by
+    // (neighbor, weight) and keep the last, heaviest entry of each
+    // neighbor. Rows move towards the front as earlier ones shrink.
+    let mut scratch: Vec<(VertexId, Weight)> = Vec::new();
+    let (mut out, mut lo) = (0, 0);
+    for v in 0..n {
+        let hi = xadj[v + 1];
+        if adj[lo..hi].windows(2).all(|w| w[0] < w[1]) {
+            if out < lo {
+                adj.copy_within(lo..hi, out);
+                if weighted {
+                    weights.copy_within(lo..hi, out);
+                }
+            }
+            out += hi - lo;
+        } else {
+            scratch.clear();
+            let weight = |i: usize| if weighted { weights[i] } else { 1.0 };
+            scratch.extend((lo..hi).map(|i| (adj[i], weight(i))));
+            scratch.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+            for (i, &(nbr, w)) in scratch.iter().enumerate() {
+                if scratch.get(i + 1).is_some_and(|next| next.0 == nbr) {
+                    continue;
+                }
+                adj[out] = nbr;
+                if weighted {
+                    weights[out] = w;
+                }
+                out += 1;
+            }
+        }
+        xadj[v + 1] = out;
+        lo = hi;
+    }
+    adj.truncate(out);
+    adj.shrink_to_fit();
+    weights.truncate(out);
+    weights.shrink_to_fit();
+    CsrGraph::from_raw(xadj, adj, weights)
 }
 
 #[cfg(test)]

@@ -6,85 +6,63 @@
 //! vertex `i` (1-based), each followed by its weight when weighted.
 //! Comment lines start with `%`.
 
-use crate::io::IoError;
-use crate::{CsrGraph, GraphBuilder, VertexId, Weight};
-use std::io::{BufRead, BufReader, Read, Write};
-
-fn parse_err(msg: impl Into<String>) -> IoError {
-    IoError::Parse(msg.into())
-}
+use crate::io::{bad, parse_err, parse_tok, parse_usize};
+use crate::io::{IoError, Lines, Tokens, MAX_RESERVE};
+use crate::{CsrGraph, GraphBuilder, VertexId, Weight, NO_VERTEX};
+use std::io::{Read, Write};
 
 /// Reads a METIS graph file.
 pub fn read_metis(reader: impl Read) -> Result<CsrGraph, IoError> {
     // Blank lines are meaningful (isolated vertices); only comments are
     // skipped. The header is the first non-comment, non-blank line.
-    let mut lines = BufReader::new(reader)
-        .lines()
-        .collect::<Result<Vec<_>, _>>()?
-        .into_iter()
-        .filter(|l| !l.trim_start().starts_with('%'));
-    let header = loop {
-        match lines.next() {
-            Some(l) if l.trim().is_empty() => continue,
-            Some(l) => break l,
-            None => return Err(parse_err("empty file")),
-        }
+    let mut lines = Lines::new(reader);
+    let header = lines
+        .next_data_line(b'%')?
+        .ok_or_else(|| parse_err("empty file"))?;
+    let mut fields = Tokens(header);
+    let (Some(n), Some(m)) = (fields.next(), fields.next()) else {
+        return Err(bad("bad header", header));
     };
-    let fields: Vec<&str> = header.split_whitespace().collect();
-    if fields.len() < 2 {
-        return Err(parse_err(format!("bad header: {header}")));
-    }
-    let n: usize = fields[0]
-        .parse()
-        .map_err(|_| parse_err(format!("bad vertex count: {}", fields[0])))?;
-    let m: usize = fields[1]
-        .parse()
-        .map_err(|_| parse_err(format!("bad edge count: {}", fields[1])))?;
-    let fmt = fields.get(2).copied().unwrap_or("0");
-    let weighted = fmt.ends_with('1');
-    if fmt.len() > 3
-        || fmt.chars().any(|c| c != '0' && c != '1')
-        || fmt.starts_with("1") && fmt.len() == 3
-    {
-        // Vertex weights/sizes (fmt 10x/1xx) are not supported here.
-        if fmt != "1" && fmt != "001" && fmt != "0" && fmt != "000" {
-            return Err(parse_err(format!("unsupported fmt field: {fmt}")));
-        }
+    let n = parse_usize(n)
+        .filter(|&n| n < NO_VERTEX as usize)
+        .ok_or_else(|| bad("bad vertex count", n))?;
+    let m = parse_usize(m).ok_or_else(|| bad("bad edge count", m))?;
+    let fmt = fields.next().unwrap_or(b"0");
+    let weighted = fmt.ends_with(b"1");
+    // Vertex weights/sizes (fmt 1xx) are not supported here.
+    if fmt.len() > 3 || fmt.iter().any(|b| !b"01".contains(b)) || fmt.len() == 3 && fmt[0] == b'1' {
+        return Err(bad("unsupported fmt field", fmt));
     }
 
-    let mut b = GraphBuilder::with_capacity(n, m);
-    let mut row = 0 as VertexId;
-    for line in lines {
-        if row as usize >= n {
+    let mut b = GraphBuilder::with_capacity(n, m.min(MAX_RESERVE));
+    let mut row = 0usize;
+    while let Some(line) = lines.next_line()? {
+        let mut toks = Tokens(line).peekable();
+        if toks.peek().is_some_and(|t| t[0] == b'%') {
+            continue;
+        }
+        if row >= n {
             return Err(parse_err("more adjacency lines than vertices"));
         }
-        let mut toks = line.split_whitespace();
         while let Some(t) = toks.next() {
-            let u: usize = t
-                .parse()
-                .map_err(|_| parse_err(format!("bad neighbor: {t}")))?;
+            let u = parse_usize(t).ok_or_else(|| bad("bad neighbor", t))?;
             if u == 0 || u > n {
                 return Err(parse_err(format!("neighbor {u} out of range")));
             }
-            let w: Weight = if weighted {
+            let (v, u) = (row as VertexId, (u - 1) as VertexId);
+            if weighted {
                 let wt = toks
                     .next()
                     .ok_or_else(|| parse_err("missing edge weight"))?;
-                wt.parse()
-                    .map_err(|_| parse_err(format!("bad weight: {wt}")))?
+                let w: Weight = parse_tok(wt).ok_or_else(|| bad("bad weight", wt))?;
+                b.add_edge(v, u, w);
             } else {
-                1.0
-            };
-            let u = (u - 1) as VertexId;
-            if weighted {
-                b.add_edge(row, u, w);
-            } else {
-                b.add_edge_unweighted(row, u);
+                b.add_edge_unweighted(v, u);
             }
         }
         row += 1;
     }
-    if (row as usize) != n {
+    if row != n {
         return Err(parse_err(format!(
             "expected {n} adjacency lines, found {row}"
         )));

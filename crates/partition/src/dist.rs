@@ -9,6 +9,12 @@
 //! Local index layout on each rank: owned vertices occupy `0..n_local`,
 //! ghosts occupy `n_local..n_local + n_ghost`. Only owned vertices carry an
 //! adjacency row.
+//!
+//! Construction is one pass per rank over its owned rows. An owned
+//! neighbor's local index is its position in the owner's vertex list,
+//! which [`DistGraph::build_all`] computes once for all ranks as a dense
+//! array; only a cut edge probes a hash map, to number its ghost the
+//! first time it is met (DESIGN.md §16).
 
 use crate::Partition;
 use cmg_graph::util::FxHashMap;
@@ -56,14 +62,19 @@ impl DistGraph {
         assert_eq!(g.num_vertices(), partition.num_vertices());
         let p = partition.num_parts();
 
-        // Owned vertices per rank, in global-id order (deterministic).
+        // Owned vertices per rank, in global-id order (deterministic),
+        // and each vertex's position in its owner's list: the local index
+        // it has on that rank, shared by all `p` builds.
         let mut owned: Vec<Vec<VertexId>> = vec![Vec::new(); p as usize];
+        let mut local: Vec<u32> = Vec::with_capacity(g.num_vertices());
         for v in 0..g.num_vertices() as VertexId {
-            owned[partition.owner(v) as usize].push(v);
+            let list = &mut owned[partition.owner(v) as usize];
+            local.push(list.len() as u32);
+            list.push(v);
         }
 
         (0..p)
-            .map(|rank| Self::build_one(g, partition, rank, &owned[rank as usize]))
+            .map(|rank| Self::build_one(g, partition, rank, &owned[rank as usize], &local))
             .collect()
     }
 
@@ -77,54 +88,60 @@ impl DistGraph {
     /// Panics if graph and partition disagree on the vertex count.
     pub fn build_for_rank(g: &CsrGraph, partition: &Partition, rank: Rank) -> DistGraph {
         assert_eq!(g.num_vertices(), partition.num_vertices());
-        let owned: Vec<VertexId> = (0..g.num_vertices() as VertexId)
-            .filter(|&v| partition.owner(v) == rank)
-            .collect();
-        Self::build_one(g, partition, rank, &owned)
+        let mut owned: Vec<VertexId> = Vec::new();
+        let mut local = vec![0u32; g.num_vertices()];
+        for v in 0..g.num_vertices() as VertexId {
+            if partition.owner(v) == rank {
+                local[v as usize] = owned.len() as u32;
+                owned.push(v);
+            }
+        }
+        Self::build_one(g, partition, rank, &owned, &local)
     }
 
-    fn build_one(g: &CsrGraph, partition: &Partition, rank: Rank, owned: &[VertexId]) -> DistGraph {
+    /// `local[u]` must be the position of `u` in `owned` for every `u`
+    /// this rank owns; other entries are not read.
+    fn build_one(
+        g: &CsrGraph,
+        partition: &Partition,
+        rank: Rank,
+        owned: &[VertexId],
+        local: &[u32],
+    ) -> DistGraph {
         let n_local = owned.len();
+        let nnz: usize = owned.iter().map(|&v| g.degree(v)).sum();
         let mut global_ids: Vec<VertexId> = owned.to_vec();
-        let mut global_to_local: FxHashMap<VertexId, u32> = FxHashMap::default();
-        for (i, &v) in owned.iter().enumerate() {
-            global_to_local.insert(v, i as u32);
-        }
-
-        // Discover ghosts in deterministic order (scan owned adjacency).
         let mut ghost_owner: Vec<Rank> = Vec::new();
-        for &v in owned {
-            for &u in g.neighbors(v) {
-                let o = partition.owner(u);
-                if o != rank && !global_to_local.contains_key(&u) {
-                    let idx = (n_local + ghost_owner.len()) as u32;
-                    global_to_local.insert(u, idx);
-                    global_ids.push(u);
-                    ghost_owner.push(o);
-                }
-            }
-        }
+        // Holds the ghosts alone during the pass below, so that only a
+        // cut edge pays for a probe, into a table the size of the halo.
+        let mut global_to_local: FxHashMap<VertexId, u32> = FxHashMap::default();
 
-        // Local CSR over owned vertices.
+        // One pass over the owned adjacency: owned neighbors translate
+        // by index, ghosts are numbered in the order they are first met.
         let mut xadj = Vec::with_capacity(n_local + 1);
         xadj.push(0usize);
-        let mut adj = Vec::new();
-        let mut weights = Vec::new();
-        let weighted = g.is_weighted();
+        let mut adj = Vec::with_capacity(nnz);
+        let mut weights = Vec::with_capacity(if g.is_weighted() { nnz } else { 0 });
         let mut is_boundary = vec![false; n_local];
         for (i, &v) in owned.iter().enumerate() {
-            for (u, w) in g.neighbors_weighted(v) {
-                let lu = global_to_local[&u];
-                adj.push(lu);
-                if weighted {
-                    weights.push(w);
-                }
-                if lu as usize >= n_local {
+            for &u in g.neighbors(v) {
+                let o = partition.owner(u);
+                adj.push(if o == rank {
+                    local[u as usize]
+                } else {
                     is_boundary[i] = true;
-                }
+                    *global_to_local.entry(u).or_insert_with(|| {
+                        global_ids.push(u);
+                        ghost_owner.push(o);
+                        (global_ids.len() - 1) as u32
+                    })
+                });
             }
+            weights.extend_from_slice(g.neighbor_weights(v));
             xadj.push(adj.len());
         }
+        global_to_local.reserve(n_local);
+        global_to_local.extend(owned.iter().zip(0u32..).map(|(&v, i)| (v, i)));
 
         let mut neighbor_ranks: Vec<Rank> = ghost_owner.clone();
         neighbor_ranks.sort_unstable();
@@ -265,7 +282,7 @@ pub fn validate_distribution(g: &CsrGraph, parts: &[DistGraph]) -> Result<(), St
 mod tests {
     use super::*;
     use crate::simple::{block_partition, grid2d_partition, hash_partition};
-    use cmg_graph::generators::grid2d;
+    use cmg_graph::generators::{grid2d, rmat};
     use cmg_graph::weights::{assign_weights, WeightScheme};
 
     #[test]
@@ -297,35 +314,64 @@ mod tests {
         }
     }
 
-    #[test]
-    fn weights_survive_distribution() {
-        let g = assign_weights(&grid2d(5, 5), WeightScheme::Uniform { lo: 0.0, hi: 1.0 }, 3);
-        let p = block_partition(25, 3);
-        let parts = DistGraph::build_all(&g, &p);
-        validate_distribution(&g, &parts).unwrap();
+    /// Rebuilds every field of every rank's slice from its definition
+    /// and checks `build_all` and `build_for_rank` against it.
+    fn assert_slices_follow_the_definition(g: &CsrGraph, p: &Partition) {
+        let parts = DistGraph::build_all(g, p);
+        assert_eq!(parts.len(), p.num_parts() as usize);
+        validate_distribution(g, &parts).unwrap();
         for dg in &parts {
-            for vl in 0..dg.n_local as u32 {
-                let vg = dg.global_ids[vl as usize];
-                for (ul, w) in dg.neighbors_weighted(vl) {
-                    let ug = dg.global_ids[ul as usize];
-                    assert_eq!(g.edge_weight(vg, ug), Some(w));
+            assert_eq!(*dg, DistGraph::build_for_rank(g, p, dg.rank));
+            let mine = |v: &VertexId| p.owner(*v) == dg.rank;
+            // Owned vertices ascending, then ghosts as a scan of the
+            // owned rows first meets them.
+            let mut ids: Vec<VertexId> = (0..g.num_vertices() as VertexId).filter(mine).collect();
+            assert_eq!(dg.n_local, ids.len());
+            for v in ids.clone() {
+                for u in g.neighbors(v) {
+                    if !mine(u) && !ids[dg.n_local..].contains(u) {
+                        ids.push(*u);
+                    }
                 }
+            }
+            assert_eq!(dg.global_ids, ids);
+            let owners: Vec<Rank> = ids[dg.n_local..].iter().map(|&u| p.owner(u)).collect();
+            assert_eq!(dg.ghost_owner, owners);
+            let ranks: std::collections::BTreeSet<Rank> = owners.into_iter().collect();
+            assert_eq!(dg.neighbor_ranks, ranks.into_iter().collect::<Vec<_>>());
+            assert_eq!(dg.global_to_local.len(), ids.len());
+            for (l, v) in ids.iter().enumerate() {
+                assert_eq!(dg.global_to_local[v], l as u32);
+            }
+            // Rows keep the global graph's neighbor order and weights.
+            for (l, &v) in ids[..dg.n_local].iter().enumerate() {
+                let row: Vec<VertexId> = dg
+                    .neighbors(l as u32)
+                    .iter()
+                    .map(|&u| ids[u as usize])
+                    .collect();
+                assert_eq!(row, g.neighbors(v));
+                assert_eq!(dg.neighbor_weights(l as u32), g.neighbor_weights(v));
+                assert_eq!(dg.is_boundary[l], !g.neighbors(v).iter().all(mine));
             }
         }
     }
 
     #[test]
-    fn ghost_maps_are_inverse() {
-        let g = grid2d(8, 8);
-        let p = hash_partition(64, 4, 9);
-        let parts = DistGraph::build_all(&g, &p);
-        validate_distribution(&g, &parts).unwrap();
-        for dg in &parts {
-            for (gid, &lid) in &dg.global_to_local {
-                assert_eq!(dg.global_ids[lid as usize], *gid);
-            }
-            assert_eq!(dg.global_to_local.len(), dg.n_total());
-        }
+    fn every_slice_follows_the_definition() {
+        let grid = assign_weights(
+            &grid2d(12, 10),
+            WeightScheme::Uniform { lo: 0.0, hi: 1.0 },
+            5,
+        );
+        assert_slices_follow_the_definition(&grid, &grid2d_partition(12, 10, 2, 2));
+        let rmat = rmat(8, 8, (0.57, 0.19, 0.19, 0.05), 11);
+        assert_slices_follow_the_definition(&rmat, &hash_partition(rmat.num_vertices(), 4, 3));
+        let weighted = assign_weights(&rmat, WeightScheme::Integer { max: 9 }, 2);
+        assert_slices_follow_the_definition(&weighted, &hash_partition(rmat.num_vertices(), 5, 8));
+        // 3 vertices on 4 ranks: one rank owns nothing.
+        assert_slices_follow_the_definition(&grid2d(1, 3), &block_partition(3, 4));
+        assert_slices_follow_the_definition(&grid, &Partition::single(120));
     }
 
     #[test]
