@@ -1,35 +1,16 @@
 //! # cmg-bench
 //!
-//! Workload construction and scaling presets shared by the experiment
-//! binaries (`src/bin/*`) and the Criterion benches (`benches/*`).
+//! The paper's evaluation as one table of experiments ([`EXPERIMENTS`])
+//! and one binary, `repro`, that prints and checks them; DESIGN.md §4
+//! indexes them and EXPERIMENTS.md sets the output beside the paper's.
 //!
-//! Every paper table/figure has a binary that regenerates it as text rows;
-//! see DESIGN.md §4 for the experiment index. Because the original inputs
-//! run to a billion vertices on 16,384 Blue Gene/P processors, each
-//! experiment has three size presets (`small`/`medium`/`large`) that keep
-//! the rank counts and per-rank regimes of the paper while scaling the
-//! absolute graph sizes to a single host; the *shape* of every curve is
-//! preserved (see EXPERIMENTS.md).
+//! The original inputs run to a billion vertices on 16,384 Blue Gene/P
+//! processors, so each experiment has three size presets ([`Scale`]) that
+//! keep the paper's rank counts and per-rank regimes while scaling the
+//! graphs to a single host; the *shape* of every curve is preserved.
 
+pub mod experiments;
 pub mod setup;
 
-pub use setup::{Scale, Table1Instance};
-
-/// Parses a `--scale {small|medium|large}` argument (default `small`).
-pub fn scale_from_args() -> Scale {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--scale" {
-            match args.next().as_deref() {
-                Some("small") => return Scale::Small,
-                Some("medium") => return Scale::Medium,
-                Some("large") => return Scale::Large,
-                other => {
-                    eprintln!("unknown --scale {other:?}; using small");
-                    return Scale::Small;
-                }
-            }
-        }
-    }
-    Scale::Small
-}
+pub use experiments::{Experiment, EXPERIMENTS};
+pub use setup::Scale;

@@ -15,65 +15,49 @@ pub enum Scale {
     Large,
 }
 
+impl Scale {
+    /// This preset's value of a size that has one per preset.
+    pub fn pick<T>(self, small: T, medium: T, large: T) -> T {
+        match self {
+            Scale::Small => small,
+            Scale::Medium => medium,
+            Scale::Large => large,
+        }
+    }
+}
+
 /// Uniform random edge weights, as in the paper's matching experiments.
 pub fn uniform_weights(g: &CsrGraph, seed: u64) -> CsrGraph {
     assign_weights(g, WeightScheme::Uniform { lo: 0.0, hi: 1.0 }, seed)
 }
 
-// ---------------------------------------------------------------- Table 1.1
-
-/// One Table 1.1 instance: a synthetic stand-in for a UF matrix.
-pub struct Table1Instance {
-    /// Name of the original UF matrix this instance stands in for.
-    pub name: &'static str,
-    /// The bipartite graph.
-    pub graph: BipartiteGraph,
-}
-
-/// The six Table 1.1 stand-ins, scaled to `scale`.
+/// The six Table 1.1 stand-ins, scaled to `scale`: the UF matrix each
+/// stands in for, and the bipartite graph.
 ///
 /// The originals range from 1.4 M to 77 M edges; exact optima at that size
 /// are out of reach on one host, so the stand-ins reproduce each matrix's
 /// *shape class* (random sparse / banded structural) at solver-friendly
 /// sizes. The measured quality ratio is the paper's metric.
-pub fn table1_instances(scale: Scale) -> Vec<Table1Instance> {
-    let f = match scale {
-        Scale::Small => 1usize,
-        Scale::Medium => 3,
-        Scale::Large => 8,
-    };
+pub fn table1_instances(scale: Scale) -> Vec<(&'static str, BipartiteGraph)> {
+    let f = scale.pick(1usize, 3, 8);
     // All six UF originals are (near-)diagonally dominant circuit or FEM
     // matrices; the diagonal dominance is what yields the ≥99 % ratios.
     // Hamrle3 (99.36 % in the paper) is the least dominant → lowest ratio.
-    vec![
-        Table1Instance {
-            name: "ASIC_680k-like",
-            graph: generators::diag_dominant_bipartite(600 * f, 2, 2.0, 1),
-        },
-        Table1Instance {
-            name: "Hamrle3-like",
-            graph: generators::diag_dominant_bipartite(900 * f, 1, 0.8, 2),
-        },
-        Table1Instance {
-            name: "rajat31-like",
-            graph: generators::diag_dominant_bipartite(1000 * f, 1, 2.0, 3),
-        },
-        Table1Instance {
-            name: "cage14-like",
-            graph: generators::diag_dominant_bipartite(700 * f, 8, 2.0, 4),
-        },
-        Table1Instance {
-            name: "ldoor-like",
-            graph: generators::diag_dominant_bipartite(800 * f, 23, 3.0, 5),
-        },
-        Table1Instance {
-            name: "audikw_1-like",
-            graph: generators::diag_dominant_bipartite(600 * f, 40, 3.0, 6),
-        },
-    ]
+    // (name, rows at small scale, off-diagonals per row, dominance); seeds 1–6.
+    let shapes = [
+        ("ASIC_680k-like", 600, 2, 2.0),
+        ("Hamrle3-like", 900, 1, 0.8),
+        ("rajat31-like", 1000, 1, 2.0),
+        ("cage14-like", 700, 8, 2.0),
+        ("ldoor-like", 800, 23, 3.0),
+        ("audikw_1-like", 600, 40, 3.0),
+    ];
+    let build = |((name, n, offdiag, dominance), seed)| {
+        let graph = generators::diag_dominant_bipartite(n * f, offdiag, dominance, seed);
+        (name, graph)
+    };
+    shapes.into_iter().zip(1u64..).map(build).collect()
 }
-
-// ------------------------------------------------------- Grid experiments
 
 /// Weak-scaling series (Figure 5.1): fixed per-rank subgrid, growing grid
 /// and rank count together. Returns `(subgrid_side, Vec<(k, p)>)` — each
@@ -81,19 +65,9 @@ pub fn table1_instances(scale: Scale) -> Vec<Table1Instance> {
 pub fn weak_scaling_series(scale: Scale) -> (usize, Vec<(usize, u32)>) {
     // The paper: 8,000² on 1,024 ranks → 16,000² on 4,096 → 32,000² on
     // 16,384 (250² per rank). Same rank counts, smaller subgrids here.
-    let b = match scale {
-        Scale::Small => 16usize,
-        Scale::Medium => 32,
-        Scale::Large => 64,
-    };
-    let series = [1024u32, 4096, 16384]
-        .into_iter()
-        .map(|p| {
-            let side = (p as f64).sqrt() as usize;
-            (b * side, p)
-        })
-        .collect();
-    (b, series)
+    let b = scale.pick(16usize, 32, 64);
+    let entry = |p: u32| (b * (p as f64).sqrt() as usize, p);
+    (b, [1024, 4096, 16384].into_iter().map(entry).collect())
 }
 
 /// Strong-scaling grid series (Figure 5.2): one `k × k` grid, growing rank
@@ -103,53 +77,29 @@ pub fn weak_scaling_series(scale: Scale) -> (usize, Vec<(usize, u32)>) {
 /// ranks; these presets keep a comparable per-rank regime at host-feasible
 /// graph sizes by shifting the rank window instead of inflating the graph.
 pub fn strong_scaling_grid_series(scale: Scale) -> (usize, Vec<u32>) {
-    let (k, p0) = match scale {
-        Scale::Small => (2048usize, 32u32),
-        Scale::Medium => (4096, 128),
-        Scale::Large => (8192, 512),
-    };
+    let (k, p0) = scale.pick((2048usize, 32u32), (4096, 128), (8192, 512));
     (k, (0..6).map(|i| p0 << i).collect())
 }
-
-// ------------------------------------------------ Circuit-graph experiments
 
 /// The circuit-simulation stand-in for Figure 5.3's bipartite graph
 /// (original: 3.2 M vertices, 7.7 M edges). Returned as a general graph
 /// (the matching code operates on general graphs).
 pub fn circuit_matching_graph(scale: Scale) -> CsrGraph {
-    let n = match scale {
-        Scale::Small => 100_000usize,
-        Scale::Medium => 400_000,
-        Scale::Large => 1_600_000,
-    };
+    let n = scale.pick(100_000usize, 400_000, 1_600_000);
     uniform_weights(&generators::circuit_like(n, 42), 7)
 }
 
 /// The circuit-simulation stand-in for Figure 5.4's adjacency graph
 /// (original: 1.5 M vertices, 3 M edges, degrees 2–6).
 pub fn circuit_coloring_graph(scale: Scale) -> CsrGraph {
-    let n = match scale {
-        Scale::Small => 75_000usize,
-        Scale::Medium => 300_000,
-        Scale::Large => 1_200_000,
-    };
+    let n = scale.pick(75_000usize, 300_000, 1_200_000);
     generators::circuit_like(n, 43)
 }
 
 /// Rank counts for the circuit strong-scaling figures (paper: 2 → 4,096).
 pub fn circuit_rank_series(scale: Scale) -> Vec<u32> {
-    let max = match scale {
-        Scale::Small => 1024u32,
-        Scale::Medium => 2048,
-        Scale::Large => 4096,
-    };
-    let mut p = 2u32;
-    let mut out = Vec::new();
-    while p <= max {
-        out.push(p);
-        p *= 2;
-    }
-    out
+    let doublings = scale.pick(10, 11, 12);
+    (1..=doublings).map(|i| 1u32 << i).collect()
 }
 
 #[cfg(test)]
@@ -160,8 +110,8 @@ mod tests {
     fn table1_instances_have_expected_shapes() {
         let insts = table1_instances(Scale::Small);
         assert_eq!(insts.len(), 6);
-        for inst in &insts {
-            assert!(inst.graph.num_edges() > 0, "{}", inst.name);
+        for (name, graph) in &insts {
+            assert!(graph.num_edges() > 0, "{name}");
         }
     }
 
@@ -184,10 +134,7 @@ mod tests {
 
     #[test]
     fn rank_series_doubles() {
-        let s = circuit_rank_series(Scale::Small);
-        assert_eq!(s.first(), Some(&2));
-        for w in s.windows(2) {
-            assert_eq!(w[1], w[0] * 2);
-        }
+        let ranks = circuit_rank_series(Scale::Small);
+        assert_eq!(ranks, [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]);
     }
 }

@@ -13,7 +13,6 @@ const SWITCHES: &[&str] = &[
     "--no-bundling",
     "--verbose",
     "--verify",
-    "--emit-bench",
     "--summary",
     "--shutdown",
 ];

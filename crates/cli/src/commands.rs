@@ -5,7 +5,7 @@ use cmg_coloring::{ColoringConfig, CommVariant};
 use cmg_core::{run_coloring, run_matching, Engine};
 use cmg_graph::weights::{assign_weights, WeightScheme};
 use cmg_graph::{generators, io, CsrGraph, GraphStats};
-use cmg_obs::{CollectingRecorder, MetricsRegistry, RecorderHandle, RunReport};
+use cmg_obs::{CollectingRecorder, Json, MetricsRegistry, RecorderHandle, RunReport};
 use cmg_partition::simple as psimple;
 use cmg_partition::{multilevel_partition, Partition};
 use cmg_runtime::EngineConfig;
@@ -22,6 +22,16 @@ fn run(f: impl FnOnce() -> Result<(), String>) -> i32 {
             1
         }
     }
+}
+
+/// `--json FILE`, if given: writes `json()` there and says so.
+fn write_json_arg(args: &Args, what: &str, json: impl FnOnce() -> Json) -> Result<(), String> {
+    if let Some(p) = args.get("json") {
+        std::fs::write(p, json().to_string_pretty() + "\n")
+            .map_err(|e| format!("cannot write {p}: {e}"))?;
+        println!("json {what} written to {p}");
+    }
+    Ok(())
 }
 
 fn load_graph(path: &str) -> Result<CsrGraph, String> {
@@ -402,33 +412,7 @@ pub fn trace(argv: &[String]) -> i32 {
             ));
         }
         print!("{}", report.to_text());
-        if let Some(p) = args.get("json") {
-            std::fs::write(p, report.to_json().to_string_pretty() + "\n")
-                .map_err(|e| format!("cannot write {p}: {e}"))?;
-            println!("json report written to {p}");
-        }
-        if args.has_switch("--emit-bench") {
-            let mut bench = cmg_obs::bench::BenchReport::new("net_breakdown");
-            bench
-                .fact("ranks", cmg_obs::Json::UInt(report.ranks.len() as u64))
-                .fact(
-                    "num_rounds",
-                    cmg_obs::Json::UInt(report.rounds.len() as u64),
-                )
-                .fact("total_wall_s", cmg_obs::Json::Float(report.total_wall_s()))
-                .fact("min_coverage", cmg_obs::Json::Float(report.min_coverage()));
-            if let Some(s) = report.overall_straggler() {
-                bench.fact("overall_straggler", cmg_obs::Json::UInt(s.into()));
-            }
-            for r in &report.rounds {
-                bench.row(r.to_json());
-            }
-            let path = bench
-                .write()
-                .map_err(|e| format!("cannot write bench report: {e}"))?;
-            println!("bench report written to {}", path.display());
-        }
-        Ok(())
+        write_json_arg(&args, "report", || report.to_json())
     })
 }
 
@@ -537,11 +521,7 @@ fn analyze_inner(argv: &[String]) -> Result<i32, String> {
     let root = args.get_or("repo", ".");
     let allow = cmg_check::AnalyzeAllowlist::workspace();
     let report = cmg_check::analyze_tree(std::path::Path::new(root), &allow)?;
-    if let Some(p) = args.get("json") {
-        std::fs::write(p, report.to_json().to_string_pretty() + "\n")
-            .map_err(|e| format!("cannot write {p}: {e}"))?;
-        println!("json report written to {p}");
-    }
+    write_json_arg(&args, "report", || report.to_json())?;
     if report.violations.is_empty() {
         println!(
             "cmg-analyze: clean ({} files, {} fns, {} edges, {} allowlisted)",
@@ -609,14 +589,7 @@ pub fn serve(argv: &[String]) -> i32 {
         println!("ready");
         let summary = server.run().map_err(|e| e.to_string())?;
         println!("{}", summary.render());
-        if args.has_switch("--emit-bench") {
-            let mut report = cmg_obs::bench::BenchReport::new("serve");
-            report.fact("source", cmg_obs::Json::Str("cmg serve".into()));
-            report.row(summary.to_json());
-            let path = report.write().map_err(|e| e.to_string())?;
-            println!("bench report written to {}", path.display());
-        }
-        Ok(())
+        write_json_arg(&args, "summary", || summary.to_json())
     })
 }
 

@@ -72,10 +72,11 @@ COMMANDS
              partition once, then absorb mutation batches by warm-start
              repair and answer queries over a Unix socket
              --socket PATH [--input FILE | --rows R --cols C --seed S]
-             [--ranks N] [--threshold F] [--engine sim|net] [--emit-bench]
+             [--ranks N] [--threshold F] [--engine sim|net] [--json FILE]
              (--engine net keeps a resident multi-process worker fleet
              for cold passes; warm repairs always run in-process;
-             --emit-bench writes BENCH_serve.json at shutdown)
+             --json writes the shutdown summary — counts and p50/p99
+             latencies — as JSON)
   client     drive a running cmg serve
              --socket PATH [--mutations FILE] [--mate V] [--color V]
              [--summary] [--shutdown]
@@ -83,11 +84,9 @@ COMMANDS
              `reweight U V W` per line, blank lines separate batches;
              --shutdown stops the server after this session)
   trace      analyze a recorded trace: per-round critical path
-             trace report --input FILE [--json FILE] [--emit-bench]
+             trace report --input FILE [--json FILE]
              (FILE is a --trace-out Chrome trace or an --events-out
-             JSONL stream; --json writes the machine-readable report;
-             --emit-bench writes BENCH_net_breakdown.json into
-             $CMG_BENCH_DIR or the current directory)
+             JSONL stream; --json writes the machine-readable report)
   analyze    whole-workspace interprocedural static analysis over
              crates/*/src: blocking-reachability from reactor entry
              points, wire-protocol drift, lock-order deadlock cycles,

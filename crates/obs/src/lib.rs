@@ -22,10 +22,8 @@
 //! files.
 //!
 //! The crate is dependency-free; [`json`] is a small self-contained
-//! JSON value type shared by every sink and by the bench-report
-//! machinery ([`bench::BenchReport`]).
+//! JSON value type shared by every sink.
 
-pub mod bench;
 pub mod event;
 pub mod json;
 pub mod metrics;

@@ -301,7 +301,7 @@ pub struct RoundBreakdown {
 }
 
 impl RoundBreakdown {
-    /// JSON row for `BENCH_net_breakdown.json` and `cmg trace --json`.
+    /// One round's row of `cmg trace report --json`.
     pub fn to_json(&self) -> Json {
         let mut pairs = vec![
             ("round", Json::UInt(self.round)),
@@ -471,8 +471,7 @@ impl TraceReport {
             .map(|(rank, _)| rank)
     }
 
-    /// Machine-readable report (the payload of
-    /// `BENCH_net_breakdown.json`).
+    /// Machine-readable report (what `cmg trace report --json` writes).
     pub fn to_json(&self) -> Json {
         let rounds: Vec<Json> = self.rounds.iter().map(RoundBreakdown::to_json).collect();
         let total = self.total_split();

@@ -11,7 +11,7 @@
 //! Latency accounting: every `MutateBatch` is timed around the whole
 //! absorb (decode through repair) and recorded in a log-scaled
 //! histogram, likewise every `Query`; the summary reports p50/p99 in
-//! microseconds and feeds `BENCH_serve.json`.
+//! microseconds (`cmg serve --json` writes it out).
 
 use crate::protocol::{batch_of, RepairAck, ServeOp, ServeQuery, ServeReply};
 use crate::state::{RepairReport, ServeConfig, ServeState};
@@ -83,7 +83,7 @@ impl ServeSummary {
         )
     }
 
-    /// The summary as a `BENCH_serve.json`-shaped row.
+    /// The summary as JSON (what `cmg serve --json` writes).
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("sessions".into(), Json::UInt(self.sessions)),

@@ -46,7 +46,7 @@ fn two_rank_trace_matches_golden_file() {
     );
 }
 
-/// Acceptance criterion: the same seed and config under the simulated
+/// Acceptance: the same seed and config under the simulated
 /// engine must produce byte-identical traces run over run.
 #[test]
 fn simulated_traces_are_byte_identical_across_runs() {
@@ -123,7 +123,7 @@ fn coloring_run_emits_coloring_events() {
     assert_eq!(colors_seen, Some(run.coloring.num_colors() as u64));
 }
 
-/// Acceptance criterion: the no-op recorder path adds no events and no
+/// Acceptance: the no-op recorder path adds no events and no
 /// counters, and an uninstrumented run produces the exact same results
 /// and statistics as an instrumented one.
 #[test]

@@ -3,7 +3,8 @@
 //! with from-scratch on the final graph, and — on the distributed warm
 //! path — be invariant to adversarial message delivery schedules.
 //!
-//! Four layers of assurance:
+//! Four layers of assurance, and one timing gate (warm repair ≥ 10×
+//! cheaper than a cold pass — the last test):
 //!
 //! 1. **Streamed oracles.** A [`ServeState`] absorbs a long random
 //!    stream (inserts, deletes, reweights) and after each batch the
@@ -372,4 +373,55 @@ fn rejected_and_threshold_crossing_batches_leave_clean_state() {
         assert_eq!(twin.matching(), mate);
         assert_eq!(twin.coloring(), colors);
     }
+}
+
+/// The point of the serving layer, as one timing gate: on a 64×64 grid
+/// the median small batch is absorbed by warm repair at least 10× faster
+/// than the median cold pass (a from-scratch `ServeState` on the same
+/// grid). The margin is three orders of magnitude; a ratio back under 10
+/// means an O(n) term has returned to `ServeState::apply`.
+#[test]
+fn warm_repair_is_at_least_10x_cheaper_than_a_cold_pass() {
+    const SIDE: u32 = 64;
+    let g0 = assign_weights(
+        &cmg_graph::generators::grid2d(SIDE as usize, SIDE as usize),
+        WeightScheme::Uniform { lo: 0.0, hi: 1.0 },
+        7,
+    );
+    let median = |mut secs: Vec<f64>| {
+        secs.sort_by(f64::total_cmp);
+        secs[secs.len() / 2]
+    };
+    let timed_load = || {
+        let started = std::time::Instant::now();
+        let state = ServeState::new(&g0, ServeConfig::default()).expect("cold pass");
+        (started.elapsed().as_secs_f64(), state)
+    };
+    let cold = median((0..15).map(|_| timed_load().0).collect());
+
+    let mut state = timed_load().1;
+    let mut rng = SmallRng::seed_from_u64(0x5E12E);
+    let mut warm = Vec::new();
+    for _ in 0..301 {
+        // 1–3 ops on grid edges and short diagonals, fresh distinct weights.
+        let mut batch = MutationBatch::new();
+        for _ in 0..rng.random_range(1usize..4) {
+            let (r, c) = (rng.random_range(0..SIDE - 1), rng.random_range(0..SIDE - 1));
+            let v = r * SIDE + c;
+            match rng.random_range(0u32..3) {
+                0 => batch.insert(v, v + SIDE + 1, rng.random::<f64>()),
+                1 => batch.delete(v, v + 1),
+                _ => batch.reweight(v, v + SIDE, rng.random::<f64>()),
+            };
+        }
+        let started = std::time::Instant::now();
+        let report = state.apply(&batch).expect("valid batch absorbs");
+        warm.push(started.elapsed().as_secs_f64());
+        assert_eq!(report.mode, RepairMode::Repair, "{report:?}");
+    }
+    let warm = median(warm);
+    assert!(
+        cold >= 10.0 * warm,
+        "median warm repair {warm:.2e} s vs median cold pass {cold:.2e} s: under 10x"
+    );
 }
