@@ -6,7 +6,7 @@ use cmg_graph::CsrGraph;
 use cmg_matching::dist::assemble_matching;
 use cmg_matching::{DistMatching, Matching};
 use cmg_partition::{DistGraph, Partition};
-use cmg_runtime::{EngineConfig, RunStats, SimEngine, ThreadedEngine};
+use cmg_runtime::{EngineConfig, RankProgram, RunStats, SimEngine, ThreadedEngine};
 use std::time::Duration;
 
 /// Which execution engine to use.
@@ -44,7 +44,8 @@ impl Engine {
     }
 
     /// Multi-process socket engine with the given configuration (only
-    /// `max_rounds` and `recorder` apply; see [`Engine::Net`]).
+    /// `max_rounds`, `recorder`, `net_telemetry` and `checkpoint_every`
+    /// apply; see [`Engine::Net`]).
     pub fn net(cfg: EngineConfig) -> Self {
         Engine::Net(cfg)
     }
@@ -79,6 +80,35 @@ fn net_ok<T>(result: Result<T, cmg_net::NetError>, what: &str) -> T {
             unreachable!()
         }
     }
+}
+
+/// Runs `programs` to quiescence on an in-process engine and returns the
+/// final programs, the statistics, the simulated completion time (0 on
+/// the threaded engine) and the wall time (threaded engine only).
+///
+/// # Panics
+/// Panics if the run (`what`, for the message) hits the engine's round
+/// cap. The net engine has its own runners: callers peel it off first.
+fn run_local<P: RankProgram>(
+    programs: Vec<P>,
+    engine: &Engine,
+    what: &str,
+) -> (Vec<P>, RunStats, f64, Option<Duration>) {
+    let (programs, stats, hit_round_cap, wall_time) = match engine {
+        Engine::Simulated(cfg) => {
+            let r = SimEngine::new(programs, cfg.clone()).run();
+            (r.programs, r.stats, r.hit_round_cap, None)
+        }
+        Engine::Threaded(cfg) => {
+            let r = ThreadedEngine::new(programs, cfg.clone()).run();
+            (r.programs, r.stats, r.hit_round_cap, Some(r.wall_time))
+        }
+        Engine::Net(_) => unreachable!("net runs do not step programs in this process"),
+    };
+    assert!(!hit_round_cap, "{what} hit the round cap");
+    // Per-rank virtual times are all 0 on the threaded engine.
+    let simulated_time = stats.makespan();
+    (programs, stats, simulated_time, wall_time)
 }
 
 /// Outcome of a distributed matching run.
@@ -126,29 +156,12 @@ pub fn run_matching(g: &CsrGraph, partition: &Partition, engine: &Engine) -> Mat
         };
     }
     let programs: Vec<DistMatching> = parts.into_iter().map(DistMatching::new).collect();
-    let n = g.num_vertices();
-    match engine {
-        Engine::Simulated(cfg) => {
-            let result = SimEngine::new(programs, cfg.clone()).run();
-            assert!(!result.hit_round_cap, "matching hit the round cap");
-            MatchingRun {
-                matching: assemble_matching(&result.programs, n),
-                simulated_time: result.stats.makespan(),
-                stats: result.stats,
-                wall_time: None,
-            }
-        }
-        Engine::Threaded(cfg) => {
-            let result = ThreadedEngine::new(programs, cfg.clone()).run();
-            assert!(!result.hit_round_cap, "matching hit the round cap");
-            MatchingRun {
-                matching: assemble_matching(&result.programs, n),
-                simulated_time: 0.0,
-                stats: result.stats,
-                wall_time: Some(result.wall_time),
-            }
-        }
-        Engine::Net(_) => unreachable!(),
+    let (programs, stats, simulated_time, wall_time) = run_local(programs, engine, "matching");
+    MatchingRun {
+        matching: assemble_matching(&programs, g.num_vertices()),
+        stats,
+        simulated_time,
+        wall_time,
     }
 }
 
@@ -164,60 +177,45 @@ pub fn run_coloring(
 ) -> ColoringRun {
     let parts = DistGraph::build_all(g, partition);
     if let Engine::Net(cfg) = engine {
-        let run = net_ok(
-            cmg_net::run_coloring(parts, config, &net_config(cfg)),
-            "coloring",
-        );
-        return ColoringRun {
-            coloring: run.coloring,
-            stats: run.stats,
-            simulated_time: 0.0,
-            wall_time: Some(Duration::from_secs_f64(run.wall_time)),
-            phases: run.phases,
-        };
+        let run = cmg_net::run_coloring(parts, config, &net_config(cfg));
+        return net_coloring_run(run, "coloring");
     }
     let programs: Vec<DistColoring> = parts
         .into_iter()
         .map(|dg| DistColoring::new(dg, config))
         .collect();
-    let n = g.num_vertices();
-    match engine {
-        Engine::Simulated(cfg) => {
-            let result = SimEngine::new(programs, cfg.clone()).run();
-            assert!(!result.hit_round_cap, "coloring hit the round cap");
-            let phases = result
-                .programs
-                .iter()
-                .map(|p| p.phases_executed)
-                .max()
-                .unwrap_or(0);
-            ColoringRun {
-                coloring: assemble_coloring(&result.programs, n),
-                simulated_time: result.stats.makespan(),
-                stats: result.stats,
-                wall_time: None,
-                phases,
-            }
-        }
-        Engine::Threaded(cfg) => {
-            let result = ThreadedEngine::new(programs, cfg.clone()).run();
-            assert!(!result.hit_round_cap, "coloring hit the round cap");
-            let phases = result
-                .programs
-                .iter()
-                .map(|p| p.phases_executed)
-                .max()
-                .unwrap_or(0);
-            ColoringRun {
-                coloring: assemble_coloring(&result.programs, n),
-                simulated_time: 0.0,
-                stats: result.stats,
-                wall_time: Some(result.wall_time),
-                phases,
-            }
-        }
-        Engine::Net(_) => unreachable!(),
+    let (programs, stats, simulated_time, wall_time) = run_local(programs, engine, "coloring");
+    ColoringRun {
+        coloring: assemble_coloring(&programs, g.num_vertices()),
+        phases: max_phases(&programs),
+        stats,
+        simulated_time,
+        wall_time,
     }
+}
+
+/// A net-engine coloring result in the runners' shape.
+fn net_coloring_run(
+    result: Result<cmg_net::NetColoringRun, cmg_net::NetError>,
+    what: &str,
+) -> ColoringRun {
+    let run = net_ok(result, what);
+    ColoringRun {
+        coloring: run.coloring,
+        stats: run.stats,
+        simulated_time: 0.0,
+        wall_time: Some(Duration::from_secs_f64(run.wall_time)),
+        phases: run.phases,
+    }
+}
+
+/// Speculative phases executed: the slowest rank's count.
+fn max_phases(programs: &[DistColoring]) -> u32 {
+    programs
+        .iter()
+        .map(|p| p.phases_executed)
+        .max()
+        .unwrap_or(0)
 }
 
 /// Runs the Jones–Plassmann baseline coloring of `g` under `partition`.
@@ -229,49 +227,20 @@ pub fn run_jones_plassmann(
 ) -> ColoringRun {
     let parts = DistGraph::build_all(g, partition);
     if let Engine::Net(cfg) = engine {
-        let run = net_ok(
-            cmg_net::run_jones_plassmann(parts, seed, &net_config(cfg)),
-            "Jones-Plassmann",
-        );
-        return ColoringRun {
-            coloring: run.coloring,
-            stats: run.stats,
-            simulated_time: 0.0,
-            wall_time: Some(Duration::from_secs_f64(run.wall_time)),
-            phases: run.phases,
-        };
+        let run = cmg_net::run_jones_plassmann(parts, seed, &net_config(cfg));
+        return net_coloring_run(run, "Jones-Plassmann");
     }
     let programs: Vec<JonesPlassmann> = parts
         .into_iter()
         .map(|dg| JonesPlassmann::new(dg, seed))
         .collect();
-    let n = g.num_vertices();
-    match engine {
-        Engine::Simulated(cfg) => {
-            let result = SimEngine::new(programs, cfg.clone()).run();
-            assert!(!result.hit_round_cap, "JP hit the round cap");
-            let rounds = result.stats.rounds as u32;
-            ColoringRun {
-                coloring: jp::assemble_jp(&result.programs, n),
-                simulated_time: result.stats.makespan(),
-                stats: result.stats,
-                wall_time: None,
-                phases: rounds,
-            }
-        }
-        Engine::Threaded(cfg) => {
-            let result = ThreadedEngine::new(programs, cfg.clone()).run();
-            assert!(!result.hit_round_cap, "JP hit the round cap");
-            let rounds = result.stats.rounds as u32;
-            ColoringRun {
-                coloring: jp::assemble_jp(&result.programs, n),
-                simulated_time: 0.0,
-                stats: result.stats,
-                wall_time: Some(result.wall_time),
-                phases: rounds,
-            }
-        }
-        Engine::Net(_) => unreachable!(),
+    let (programs, stats, simulated_time, wall_time) = run_local(programs, engine, "JP");
+    ColoringRun {
+        coloring: jp::assemble_jp(&programs, g.num_vertices()),
+        phases: stats.rounds as u32,
+        stats,
+        simulated_time,
+        wall_time,
     }
 }
 
@@ -318,20 +287,7 @@ pub fn run_matching_parts(parts: Vec<DistGraph>, engine: &Engine) -> PartsMatchi
         return net_matching_parts(parts, cfg);
     }
     let programs: Vec<DistMatching> = parts.into_iter().map(DistMatching::new).collect();
-    let (programs, stats, simulated_time, wall_time) = match engine {
-        Engine::Simulated(cfg) => {
-            let r = SimEngine::new(programs, cfg.clone()).run();
-            assert!(!r.hit_round_cap, "matching hit the round cap");
-            let t = r.stats.makespan();
-            (r.programs, r.stats, t, None)
-        }
-        Engine::Threaded(cfg) => {
-            let r = ThreadedEngine::new(programs, cfg.clone()).run();
-            assert!(!r.hit_round_cap, "matching hit the round cap");
-            (r.programs, r.stats, 0.0, Some(r.wall_time))
-        }
-        Engine::Net(_) => unreachable!(),
-    };
+    let (programs, stats, simulated_time, wall_time) = run_local(programs, engine, "matching");
     PartsMatchingRun {
         weight: programs.iter().map(|p| p.local_matched_weight()).sum(),
         cardinality: programs.iter().map(|p| p.local_matched_edges()).sum(),
@@ -355,20 +311,7 @@ pub fn run_coloring_parts(
         .into_iter()
         .map(|dg| DistColoring::new(dg, config))
         .collect();
-    let (programs, stats, simulated_time, wall_time) = match engine {
-        Engine::Simulated(cfg) => {
-            let r = SimEngine::new(programs, cfg.clone()).run();
-            assert!(!r.hit_round_cap, "coloring hit the round cap");
-            let t = r.stats.makespan();
-            (r.programs, r.stats, t, None)
-        }
-        Engine::Threaded(cfg) => {
-            let r = ThreadedEngine::new(programs, cfg.clone()).run();
-            assert!(!r.hit_round_cap, "coloring hit the round cap");
-            (r.programs, r.stats, 0.0, Some(r.wall_time))
-        }
-        Engine::Net(_) => unreachable!(),
-    };
+    let (programs, stats, simulated_time, wall_time) = run_local(programs, engine, "coloring");
     PartsColoringRun {
         num_colors: programs
             .iter()
@@ -376,11 +319,7 @@ pub fn run_coloring_parts(
             .max()
             .map_or(0, |c| c as usize + 1),
         conflicts: programs.iter().map(|p| p.local_conflict_count()).sum(),
-        phases: programs
-            .iter()
-            .map(|p| p.phases_executed)
-            .max()
-            .unwrap_or(0),
+        phases: max_phases(&programs),
         stats,
         simulated_time,
         wall_time,

@@ -54,6 +54,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Event-loop tick: bounds how stale death/stall checks can get.
@@ -201,7 +202,9 @@ pub struct NetOutcome {
     pub links: LinkTotals,
     /// Rounds the run executed (max over ranks).
     pub rounds: u64,
-    /// Wall-clock seconds, spawn to last exit.
+    /// Wall-clock seconds: spawn to last worker exit from
+    /// [`run_task`], submit to assembled results from a resident
+    /// [`NetSession`].
     pub wall_time: f64,
     /// Wall-clock seconds of the round protocol alone: the slowest
     /// rank's own `Start`-receipt-to-final-edge loop clock.
@@ -262,32 +265,21 @@ pub struct NetColoringRun {
 }
 
 /// Runs `task` over `parts` (one [`DistGraph`] per rank) as a
-/// multi-process run, returning the raw per-rank outcomes.
+/// multi-process run, returning the raw per-rank outcomes: a
+/// [`NetSession`] that lives for one task.
 pub fn run_task(
     parts: Vec<DistGraph>,
     task: NetTask,
     cfg: &NetConfig,
 ) -> Result<NetOutcome, NetError> {
     let started = Instant::now();
-    let mut run = Run::launch(parts, task, cfg)?;
-    let (outcomes, stats, links, rounds) = run.drive()?;
-    let round_wall_time = run.max_loop_micros as f64 / 1e6;
-    let round_cpu_time = run.sum_cpu_micros as f64 / 1e6;
-    if cfg.recorder.enabled() {
-        run.replay_events(&cfg.recorder)?;
-    }
-    let clocks = run.clocks.iter().map(|c| c.unwrap_or_default()).collect();
-    Ok(NetOutcome {
-        outcomes,
-        stats,
-        links,
-        rounds,
-        wall_time: started.elapsed().as_secs_f64(),
-        round_wall_time,
-        round_cpu_time,
-        health: run.health.clone(),
-        clocks,
-    })
+    let mut session = NetSession::open(parts, cfg.clone());
+    let mut out = session.submit(task)?;
+    session.close()?;
+    // A one-shot run pays for its fleet's whole life: launch to last
+    // worker exit, not just submit to results.
+    out.wall_time = started.elapsed().as_secs_f64();
+    Ok(out)
 }
 
 /// Runs the distributed matching over `parts` and assembles the global
@@ -368,7 +360,8 @@ pub fn run_jones_plassmann(
 /// Every task in a session shares one `run_id`: traces and telemetry
 /// from the whole session merge into a single timeline.
 pub struct NetSession {
-    parts: Vec<DistGraph>,
+    /// Shared with the resident [`Run`], which keeps them for recovery.
+    parts: Arc<Vec<DistGraph>>,
     cfg: NetConfig,
     run: Option<Run>,
 }
@@ -379,7 +372,7 @@ impl NetSession {
     /// handshake, so there is nothing to start until one exists).
     pub fn open(parts: Vec<DistGraph>, cfg: NetConfig) -> NetSession {
         NetSession {
-            parts,
+            parts: Arc::new(parts),
             cfg,
             run: None,
         }
@@ -423,22 +416,11 @@ impl NetSession {
                 ),
             });
         }
-        for (i, p) in parts.iter().enumerate() {
-            if p.rank != i as u32 || p.num_ranks != parts.len() as u32 {
-                return Err(NetError::Inconsistent {
-                    detail: format!(
-                        "partition {i} labeled rank {}/{} in a {}-rank session",
-                        p.rank,
-                        p.num_ranks,
-                        parts.len()
-                    ),
-                });
-            }
-        }
+        check_labels(&parts)?;
+        self.parts = Arc::new(parts);
         if let Some(run) = self.run.as_mut() {
-            run.parts = parts.clone();
+            run.parts = Arc::clone(&self.parts);
         }
-        self.parts = parts;
         Ok(())
     }
 
@@ -465,28 +447,16 @@ impl NetSession {
                 run
             }
             None => {
-                let run = Run::launch(self.parts.clone(), task, &self.cfg)?;
+                let run = Run::launch(Arc::clone(&self.parts), task, &self.cfg)?;
                 self.run.insert(run)
             }
         };
-        let (outcomes, stats, links, rounds) = run.drive_session()?;
-        let round_wall_time = run.max_loop_micros as f64 / 1e6;
-        let round_cpu_time = run.sum_cpu_micros as f64 / 1e6;
+        let mut out = run.drive()?;
         if self.cfg.recorder.enabled() {
             run.replay_events(&self.cfg.recorder)?;
         }
-        let clocks = run.clocks.iter().map(|c| c.unwrap_or_default()).collect();
-        Ok(NetOutcome {
-            outcomes,
-            stats,
-            links,
-            rounds,
-            wall_time: started.elapsed().as_secs_f64(),
-            round_wall_time,
-            round_cpu_time,
-            health: run.health.clone(),
-            clocks,
-        })
+        out.wall_time = started.elapsed().as_secs_f64();
+        Ok(out)
     }
 
     /// [`submit`](Self::submit) a matching task and assemble the
@@ -515,6 +485,22 @@ impl NetSession {
             None => Ok(()),
         }
     }
+}
+
+/// Every partition must be labeled with its index and the fleet size.
+fn check_labels(parts: &[DistGraph]) -> Result<(), NetError> {
+    let num_ranks = parts.len() as u32;
+    for (i, p) in parts.iter().enumerate() {
+        if p.rank != i as u32 || p.num_ranks != num_ranks {
+            return Err(NetError::Inconsistent {
+                detail: format!(
+                    "partition {i} labeled rank {}/{} in a {num_ranks}-rank run",
+                    p.rank, p.num_ranks
+                ),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Merges per-rank `(vertex, mate)` reports into one global mate
@@ -811,7 +797,7 @@ impl LaunchPlan<'_> {
 struct Run {
     num_ranks: u32,
     // Retained inputs, so a checkpoint recovery can relaunch the fleet.
-    parts: Vec<DistGraph>,
+    parts: Arc<Vec<DistGraph>>,
     task: NetTask,
     cfg: NetConfig,
     observed: bool,
@@ -1000,23 +986,14 @@ fn admit(
 impl Run {
     /// Spawns the fleet, runs the hello handshake, and ships every rank
     /// its assignment.
-    fn launch(parts: Vec<DistGraph>, task: NetTask, cfg: &NetConfig) -> Result<Run, NetError> {
+    fn launch(parts: Arc<Vec<DistGraph>>, task: NetTask, cfg: &NetConfig) -> Result<Run, NetError> {
         let num_ranks = parts.len() as u32;
         if num_ranks == 0 {
             return Err(NetError::Inconsistent {
                 detail: "a run needs at least one partition".into(),
             });
         }
-        for (i, p) in parts.iter().enumerate() {
-            if p.rank != i as u32 || p.num_ranks != num_ranks {
-                return Err(NetError::Inconsistent {
-                    detail: format!(
-                        "partition {i} labeled rank {}/{} in a {num_ranks}-rank run",
-                        p.rank, p.num_ranks
-                    ),
-                });
-            }
-        }
+        check_labels(&parts)?;
 
         let observed = cfg.recorder.enabled();
         // A compact run identity carried in every assignment, so traces
@@ -1074,33 +1051,14 @@ impl Run {
         })
     }
 
-    /// The event loop: drives the run to completion (all ranks `Done`)
-    /// or to a diagnosed failure, then shuts the fleet down and
-    /// assembles the merged results. With checkpointing enabled, a
-    /// worker death is not final: the fleet relaunches from the last
-    /// complete snapshot set (bounded by [`MAX_RECOVERIES`]) and the
-    /// loop re-enters.
-    #[allow(clippy::type_complexity)]
-    fn drive(&mut self) -> Result<(Vec<WorkerOutcome>, RunStats, LinkTotals, u64), NetError> {
-        loop {
-            match self.drive_to_done() {
-                Ok(()) => break,
-                Err(e) if self.recoverable(&e) => self.recover()?,
-                Err(e) => return Err(e),
-            }
-        }
-        self.shutdown_fleet()?;
-        self.assemble()
-    }
-
-    /// [`drive`](Self::drive) without the shutdown: the fleet stays
-    /// resident after the results are assembled, ready for a
-    /// [`retask`](Self::retask). Checkpoint recovery works unchanged —
-    /// a relaunched fleet's workers enter the same session loop.
-    #[allow(clippy::type_complexity)]
-    fn drive_session(
-        &mut self,
-    ) -> Result<(Vec<WorkerOutcome>, RunStats, LinkTotals, u64), NetError> {
+    /// The event loop: drives the task to completion (all ranks `Done`)
+    /// or to a diagnosed failure, then assembles the merged results.
+    /// The fleet stays resident, ready for a [`retask`](Self::retask) or
+    /// a shutdown. With checkpointing enabled, a worker death is not
+    /// final: the fleet relaunches from the last complete snapshot set
+    /// (bounded by [`MAX_RECOVERIES`]) — its workers enter the same
+    /// session loop — and the loop re-enters.
+    fn drive(&mut self) -> Result<NetOutcome, NetError> {
         loop {
             match self.drive_to_done() {
                 Ok(()) => break,
@@ -1586,9 +1544,9 @@ impl Run {
         }
     }
 
-    /// Merges the collected per-rank reports into the run result.
-    #[allow(clippy::type_complexity)]
-    fn assemble(&mut self) -> Result<(Vec<WorkerOutcome>, RunStats, LinkTotals, u64), NetError> {
+    /// Merges the collected per-rank reports into the run result (its
+    /// `wall_time` is the caller's to stamp).
+    fn assemble(&mut self) -> Result<NetOutcome, NetError> {
         let mut rounds = 0;
         for (r, d) in self.done.iter().enumerate() {
             let (worker_rounds, cap) = d.ok_or_else(|| NetError::Inconsistent {
@@ -1623,7 +1581,17 @@ impl Run {
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok((outcomes, RunStats { per_rank, rounds }, links, rounds))
+        Ok(NetOutcome {
+            outcomes,
+            stats: RunStats { per_rank, rounds },
+            links,
+            rounds,
+            wall_time: 0.0,
+            round_wall_time: self.max_loop_micros as f64 / 1e6,
+            round_cpu_time: self.sum_cpu_micros as f64 / 1e6,
+            health: self.health.clone(),
+            clocks: self.clocks.iter().map(|c| c.unwrap_or_default()).collect(),
+        })
     }
 
     /// Replays every rank's shipped obs events, merged in time order,

@@ -18,10 +18,13 @@
 //! 5. ship stats, outcome, buffered obs events, and `Done` home; wait
 //!    for `Shutdown`.
 //!
-//! The round protocol — delivery order, per-packet statistics, event
-//! emission — mirrors the threaded engine line for line, which is what
-//! makes net-engine results and merged stats bit-identical to the other
-//! engines under the synchronous bundled configuration.
+//! The step inside a round — delivery grouping, per-packet statistics,
+//! event emission — is not written here: it is the
+//! [`RankStep`](cmg_runtime::RankStep) the sim and threaded engines run,
+//! on the same wall clock as the threaded engine, which is what makes
+//! net-engine results and merged stats bit-identical to the other
+//! engines under the synchronous bundled configuration. This file owns
+//! how bundles travel and how a round ends.
 //!
 //! Nothing here panics: every failure is a [`NetError`], and the worker
 //! reports it home as a `Fatal` frame before exiting so the supervisor
@@ -39,10 +42,9 @@ use bytes::{BufMut, Bytes};
 use cmg_coloring::{DistColoring, JonesPlassmann};
 use cmg_matching::DistMatching;
 use cmg_obs::{CollectingRecorder, Event, PhaseName, RankTelemetry, RecorderHandle, ENGINE_RANK};
-use cmg_runtime::bundle::Packet;
 use cmg_runtime::collectives::DoneWave;
-use cmg_runtime::message::decode_all_into;
-use cmg_runtime::{ProgramSnapshot, RankCtx, RankProgram, RankStats, Status};
+use cmg_runtime::snapshot::restore_encoded;
+use cmg_runtime::{RankCtx, RankProgram, RankStats, RankStep, Status, StepClock, WallClock};
 use std::collections::BTreeMap;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
@@ -265,12 +267,6 @@ struct Transport {
 }
 
 impl Transport {
-    /// Seconds since `Start` — the event timestamp, mirroring the
-    /// threaded engine's wall-seconds-since-run-start epoch.
-    fn now(&self) -> f64 {
-        self.epoch.map_or(0.0, |e| e.elapsed().as_secs_f64())
-    }
-
     /// Microseconds since `Start` for wire stamps ([`NO_STAMP`] before).
     fn wire_micros(&self) -> u64 {
         self.epoch
@@ -489,61 +485,36 @@ impl Transport {
         Ok(self.peer_active.remove(&round).unwrap_or(false))
     }
 
-    /// Sends this round's packets: one `RoundBundle` per peer with mail,
-    /// self-sends looped into next round's pending queue.
-    /// Statistics and events are counted per packet, exactly like the
-    /// threaded engine's send phase.
-    fn send_round(
+    /// Sends this round's packets as the step hands them over: one
+    /// `RoundBundle` per peer with mail, self-sends looped into next
+    /// round's pending queue.
+    fn send_round<P: RankProgram>(
         &mut self,
         round: u64,
-        packet_buf: &mut Vec<Packet>,
-        stats: &mut RankStats,
-        recorder: &RecorderHandle,
-        observed: bool,
+        step: &mut RankStep<P>,
+        clock: &mut WallClock,
     ) -> Result<(), NetError> {
         let rank = self.rank;
-        let packets = std::mem::take(packet_buf);
-        // `finish_into` sorted by destination, so one forward sweep
-        // visits each destination's group in order.
-        let mut idx = 0;
-        for dst in 0..self.num_ranks {
-            let begin = idx;
-            while idx < packets.len() && packets[idx].dst == dst {
-                idx += 1;
-            }
-            let group = &packets[begin..idx];
-            for p in group {
-                stats.packets_sent += 1;
-                stats.messages_sent += u64::from(p.logical);
-                stats.bytes_sent += p.payload.len() as u64;
-                if observed {
-                    recorder.emit(
-                        rank,
-                        self.now(),
-                        Event::PacketSent {
-                            dst: p.dst,
-                            bytes: p.payload.len() as u64,
-                            logical: p.logical,
-                        },
-                    );
-                }
-            }
+        // `finish_into` sorted by destination, so each destination's
+        // packets are one consecutive group. A peer with no group gets no
+        // bundle: the round-done announcement is the "nothing more this
+        // round" marker, so an empty one would only be a frame for the
+        // receiver to discard.
+        let mut packets = step.drain(clock).map(|(p, ())| p).peekable();
+        while let Some(first) = packets.next() {
+            let dst = first.dst;
+            let group = std::iter::once(first)
+                .chain(std::iter::from_fn(|| packets.next_if(|p| p.dst == dst)));
             if dst == rank {
                 // Self-sends never touch the wire: deliver next round.
                 let slot = self.pending.entry(round).or_default();
-                for p in group {
-                    slot.push((rank, p.payload.clone(), p.logical));
-                }
-                continue;
-            }
-            if group.is_empty() {
-                // The round-done announcement is the "nothing more this
-                // round" marker, so an empty bundle would only be a
-                // frame for the receiver to discard.
+                slot.extend(group.map(|p| (rank, p.payload, p.logical)));
                 continue;
             }
             let mut payload = Vec::new();
+            let mut npackets = 0;
             for p in group {
+                npackets += 1;
                 payload.put_u32_le(p.logical);
                 payload.put_u32_le(p.payload.len() as u32);
                 payload.put_slice(&p.payload);
@@ -555,15 +526,13 @@ impl Transport {
                     Ctrl::RoundBundle {
                         round,
                         src: rank,
-                        npackets: group.len() as u32,
+                        npackets,
                         sent_micros,
                     },
                     Bytes::from(payload),
                 ),
             )?;
         }
-        *packet_buf = packets;
-        packet_buf.clear();
         Ok(())
     }
 
@@ -1062,32 +1031,23 @@ fn run_assigned(
     // round cost without spawn, handshake, or result-shipping noise.
     let loop_started = Instant::now();
     let cpu_started = process_cpu_micros();
-    // On resume, re-enter the round loop at the edge after the
-    // checkpoint, with the stats accumulated through it.
-    let start = resume_ck
-        .as_ref()
-        .map(|ck| (ck.round + 1, ck.stats.clone()));
+    let resume = resume_ck.as_ref();
     let (outcome, stats, rounds, cap) = match task {
-        NetTask::Matching => {
-            let program = match &resume_ck {
-                Some(ck) => restore_program::<DistMatching>(dg, &ck.program)?,
-                None => DistMatching::new(dg),
-            };
-            run_task_rounds(program, &mut t, &recorder, &round_beacon, start)?
-        }
+        NetTask::Matching => run_rounds(
+            dg,
+            DistMatching::new,
+            resume,
+            &mut t,
+            &recorder,
+            &round_beacon,
+        )?,
         NetTask::Coloring(cfg) => {
-            let program = match &resume_ck {
-                Some(ck) => restore_program::<DistColoring>((dg, cfg), &ck.program)?,
-                None => DistColoring::new(dg, cfg),
-            };
-            run_task_rounds(program, &mut t, &recorder, &round_beacon, start)?
+            let fresh = |(dg, cfg)| DistColoring::new(dg, cfg);
+            run_rounds((dg, cfg), fresh, resume, &mut t, &recorder, &round_beacon)?
         }
         NetTask::JonesPlassmann { seed } => {
-            let program = match &resume_ck {
-                Some(ck) => restore_program::<JonesPlassmann>((dg, seed), &ck.program)?,
-                None => JonesPlassmann::new(dg, seed),
-            };
-            run_task_rounds(program, &mut t, &recorder, &round_beacon, start)?
+            let fresh = |(dg, seed)| JonesPlassmann::new(dg, seed);
+            run_rounds((dg, seed), fresh, resume, &mut t, &recorder, &round_beacon)?
         }
     };
     let loop_clock = LoopClock {
@@ -1148,56 +1108,52 @@ fn run_assigned(
     Ok((next_assignment, rx))
 }
 
-/// Rebuilds a rank program from its checkpointed snapshot bytes.
-fn restore_program<P: RankProgram>(meta: P::Meta, bytes: &[u8]) -> Result<P, NetError> {
-    let snap = <P::Snapshot as ProgramSnapshot>::decode_bytes(Bytes::from(bytes.to_vec()))
-        .ok_or_else(|| NetError::protocol("undecodable program snapshot in checkpoint"))?;
-    Ok(P::restore(meta, snap))
-}
-
-/// Runs one task's round loop and extracts its outcome. `start` is
-/// `Some((round, stats))` when resuming from a checkpoint.
-fn run_task_rounds<P: RankProgram + NetOutcomeSource>(
-    mut program: P,
+/// The bulk-synchronous round loop: the threaded engine's `run_rank`
+/// with channels replaced by socket links and the activity flags
+/// replaced by the `RoundDone` wave. Both drive the same [`RankStep`],
+/// hence the same statistics, delivery grouping and event emission.
+/// The program is built `fresh` from `meta`, or — when this process is a
+/// relaunch — restored from the `resume` checkpoint. Returns the rank's
+/// outcome, counters, round count and cap flag.
+fn run_rounds<P: RankProgram + NetOutcomeSource>(
+    meta: P::Meta,
+    fresh: impl FnOnce(P::Meta) -> P,
+    resume: Option<&CheckpointState>,
     t: &mut Transport,
     recorder: &RecorderHandle,
     round_beacon: &AtomicU64,
-    start: Option<(u64, RankStats)>,
 ) -> Result<(WorkerOutcome, RankStats, u64, bool), NetError> {
-    let (stats, rounds, cap) = run_rounds(&mut program, t, recorder, round_beacon, start)?;
-    Ok((program.net_outcome(), stats, rounds, cap))
-}
-
-/// The bulk-synchronous round loop, mirroring the threaded engine's
-/// `run_rank` step for step (same statistics, same delivery order, same
-/// event emission) with channels replaced by socket links and the
-/// activity flags replaced by the `RoundDone` wave.
-fn run_rounds<P: RankProgram>(
-    program: &mut P,
-    t: &mut Transport,
-    recorder: &RecorderHandle,
-    round_beacon: &AtomicU64,
-    start: Option<(u64, RankStats)>,
-) -> Result<(RankStats, u64, bool), NetError> {
+    let mut program = match resume {
+        Some(ck) => restore_encoded(meta, Bytes::from(ck.program.clone()))
+            .ok_or_else(|| NetError::protocol("undecodable program snapshot in checkpoint"))?,
+        None => fresh(meta),
+    };
     let observed = recorder.enabled();
     let rank = t.rank;
     let num_ranks = t.num_ranks;
-    let mut ctx: RankCtx<P::Msg> = RankCtx::new(rank, num_ranks, t.opts.bundling, recorder.clone());
-    let mut stats = RankStats::default();
-    let mut inbox: Vec<(u32, Vec<P::Msg>)> = Vec::new();
-    let mut packet_buf: Vec<Packet> = Vec::new();
+    // Event timestamps: seconds since `Start`, the threaded engine's
+    // wall-seconds-since-run-start epoch.
+    let Some(epoch) = t.epoch else {
+        return Err(NetError::protocol("round loop entered before Start"));
+    };
+    let mut clock = WallClock::since(epoch);
+    let mut step: RankStep<P> = RankStep::new(RankCtx::new(
+        rank,
+        num_ranks,
+        t.opts.bundling,
+        recorder.clone(),
+    ));
     let mut round: u64 = 0;
     let mut cap = false;
-    if let Some((resume_round, restored_stats)) = start {
-        // Resuming from a checkpoint taken at edge `resume_round - 1`:
-        // the program, stats, and transport tables already hold that
-        // state, so the loop re-enters exactly where the uninterrupted
-        // run would have been (the `round > 0` arm delivers the
-        // buffered bundles the checkpoint captured).
-        round = resume_round;
-        stats = restored_stats;
-        ctx.resume_at(resume_round);
-        round_beacon.store(2 * resume_round, Ordering::Relaxed);
+    if let Some(ck) = resume {
+        // Resuming from a checkpoint taken at edge `ck.round`: the
+        // program, stats, and transport tables already hold that state,
+        // so the loop re-enters exactly where the uninterrupted run
+        // would have been (delivering the buffered bundles the
+        // checkpoint captured).
+        round = ck.round + 1;
+        step.resume(round, ck.stats.clone());
+        round_beacon.store(2 * round, Ordering::Relaxed);
     }
 
     // Cumulative per-phase time, published to the telemetry cells once
@@ -1219,116 +1175,46 @@ fn run_rounds<P: RankProgram>(
         if observed && rank == 0 {
             recorder.emit(
                 ENGINE_RANK,
-                t.now(),
+                clock.now(),
                 Event::RoundStart {
                     round: round as u32,
                 },
             );
         }
 
-        // 1. Step.
-        let delivery_start = t.now();
-        let mut compute_begin = delivery_start;
-        let status = if round == 0 {
-            ctx.set_now(delivery_start);
-            program.on_start(&mut ctx)
-        } else {
-            // Last round's done wave already certified (by link FIFO
-            // order) that every peer bundle for `round - 1` has been
-            // dispatched, so delivery never waits on the wire.
-            let mut arrivals = t.pending.remove(&(round - 1)).unwrap_or_default();
-            // Stable by source: within a source, arrival order is link
-            // sequence order, so this reproduces the threaded engine's
-            // `(src, seq)` sort.
-            arrivals.sort_by_key(|&(src, _, _)| src);
-            let had_mail = !arrivals.is_empty();
-            for (src, payload, logical) in arrivals {
-                stats.packets_received += 1;
-                stats.bytes_received += payload.len() as u64;
-                stats.messages_received += u64::from(logical);
-                if observed {
-                    recorder.emit(
-                        rank,
-                        t.now(),
-                        Event::PacketRecv {
-                            src,
-                            bytes: payload.len() as u64,
-                            logical,
-                        },
-                    );
-                }
-                if inbox.last().is_none_or(|(s, _)| *s != src) {
-                    inbox.push((src, Vec::new()));
-                }
-                let Some((_, list)) = inbox.last_mut() else {
-                    return Err(NetError::protocol("inbox grouping invariant broken"));
-                };
-                if decode_all_into(payload, list).is_none() {
-                    return Err(NetError::protocol(format!(
-                        "malformed round bundle from rank {src}"
-                    )));
-                }
-            }
-            if observed && had_mail {
-                let now = t.now();
-                recorder.emit(
-                    rank,
-                    now,
-                    Event::Phase {
-                        name: PhaseName::Delivery,
-                        start: delivery_start,
-                        dur: now - delivery_start,
-                    },
-                );
-            }
-            compute_begin = t.now();
-            ctx.set_now(compute_begin);
-            let status = program.on_round(&mut inbox, &mut ctx);
-            inbox.clear();
-            status
-        };
-        let compute_end = t.now();
-        let work = ctx.end_round_into(&mut packet_buf);
-        if observed {
-            recorder.emit(
-                rank,
-                compute_end,
-                Event::Phase {
-                    name: PhaseName::Compute,
-                    start: compute_begin,
-                    dur: compute_end - compute_begin,
-                },
-            );
+        // 1. Step. Last round's done wave already certified (by link
+        // FIFO order) that every peer bundle for `round - 1` has been
+        // dispatched, so delivery never waits on the wire.
+        let delivery_start = clock.now();
+        let mut arrivals = round
+            .checked_sub(1)
+            .and_then(|sent_in| t.pending.remove(&sent_in))
+            .unwrap_or_default();
+        // Stable by source: within a source, arrival order is link
+        // sequence order, so this reproduces the threaded engine's
+        // `(src, seq)` sort.
+        arrivals.sort_by_key(|&(src, _, _)| src);
+        for (src, payload, logical) in arrivals {
+            step.deliver(&mut clock, src, (), payload, logical)
+                .map_err(|e| NetError::protocol(e.to_string()))?;
         }
-        stats.rounds_active += 1;
-        stats.work += work;
-        tel_delivery_ns += secs_to_ns(compute_begin - delivery_start);
-        tel_compute_ns += secs_to_ns(compute_end - compute_begin);
+        let compute_start = clock.now();
+        let status = step.compute(&mut clock, &mut program);
+        let send_start = clock.now();
+        tel_delivery_ns += secs_to_ns(compute_start - delivery_start);
+        tel_compute_ns += secs_to_ns(send_start - compute_start);
 
-        // 2. Send.
-        let send_start = t.now();
-        let sent_any = !packet_buf.is_empty();
-        let active = status == Status::Active || sent_any;
-        t.send_round(round, &mut packet_buf, &mut stats, recorder, observed)?;
-        // The wave announcement rides in the same coalesced batch as the
-        // bundles it certifies.
+        // 2. Send. The wave announcement rides in the same coalesced
+        // batch as the bundles it certifies.
+        let active = status == Status::Active || step.produced() > 0;
+        t.send_round(round, &mut step, &mut clock)?;
         t.send_round_done(round, active)?;
-        let send_end = t.now();
-        tel_serialize_ns += secs_to_ns(send_end - send_start);
-        // Unconditional when observed: even a round with no payload
-        // enqueues p − 1 `RoundDone` frames, and that time must land in
-        // a span or the analyzer sees a coverage hole.
-        if observed {
-            recorder.emit(
-                rank,
-                send_end,
-                Event::Phase {
-                    name: PhaseName::Send,
-                    start: send_start,
-                    dur: send_end - send_start,
-                },
-            );
-        }
+        let edge_start = clock.now();
+        tel_serialize_ns += secs_to_ns(edge_start - send_start);
+        // Unconditional: even a round with no payload enqueues p − 1
+        // `RoundDone` frames, and that time must land in a span or the
+        // analyzer sees a coverage hole.
+        step.span(&clock, PhaseName::Send, send_start);
 
         // 3. Round edge: the rank-to-rank done wave — one blocking wait
         // that doubles as next round's bundle wait, with the termination
@@ -1338,9 +1224,8 @@ fn run_rounds<P: RankProgram>(
         // wedged before sending reports strictly less progress than the
         // peers it blocks, and the supervisor blames the right rank.
         round_beacon.store(2 * round + 1, Ordering::Relaxed);
-        let edge_start = t.now();
         let keep = t.wait_wave(round)? || active;
-        let edge_end = t.now();
+        let edge_end = clock.now();
         tel_edge_ns += secs_to_ns(edge_end - edge_start);
         // Reseq hold banked across the wave — the loop's only blocking
         // wait. Zero on a fault-free run (the span never appears in the
@@ -1349,37 +1234,26 @@ fn run_rounds<P: RankProgram>(
         let hold_total: u64 = t.reseq.iter().map(|r| r.hold_ns).sum();
         let held = hold_total.saturating_sub(last_hold_ns);
         last_hold_ns = hold_total;
-        if observed {
-            // Exactly one `DoneWave` span per round per rank: the trace
-            // analyzer counts these to segment a rank's stream into
-            // rounds, so the emit is unconditional when observed.
+        // Exactly one `DoneWave` span per round per rank: the trace
+        // analyzer counts these to segment a rank's stream into rounds.
+        step.span(&clock, PhaseName::DoneWave, edge_start);
+        if observed && held > 0 {
+            let dur = held as f64 / 1e9;
             recorder.emit(
                 rank,
-                edge_end,
+                clock.now(),
                 Event::Phase {
-                    name: PhaseName::DoneWave,
-                    start: edge_start,
-                    dur: edge_end - edge_start,
+                    name: PhaseName::ReseqHold,
+                    start: (edge_end - dur).max(edge_start),
+                    dur,
                 },
             );
-            if held > 0 {
-                let dur = held as f64 / 1e9;
-                recorder.emit(
-                    rank,
-                    edge_end,
-                    Event::Phase {
-                        name: PhaseName::ReseqHold,
-                        start: (edge_end - dur).max(edge_start),
-                        dur,
-                    },
-                );
-            }
         }
 
         if observed && rank == 0 {
             recorder.emit(
                 ENGINE_RANK,
-                t.now(),
+                clock.now(),
                 Event::RoundEnd {
                     round: round as u32,
                     active_ranks: num_ranks,
@@ -1411,7 +1285,7 @@ fn run_rounds<P: RankProgram>(
         // edge is a consistent cut with no further wait.
         let ck = t.opts.checkpoint_every;
         if keep && ck > 0 && (round + 1).is_multiple_of(ck) {
-            t.ship_checkpoint(program, &stats, round)?;
+            t.ship_checkpoint(&program, step.stats(), round)?;
         }
 
         round += 1;
@@ -1426,7 +1300,7 @@ fn run_rounds<P: RankProgram>(
     }
     // Nothing is left to flush: every round's sends, held
     // (delay-faulted) frames included, left at that round's wave.
-    Ok((stats, round, cap))
+    Ok((program.net_outcome(), step.into_stats(), round, cap))
 }
 
 /// Event-time seconds to telemetry nanoseconds.

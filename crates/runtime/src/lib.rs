@@ -36,6 +36,7 @@ pub mod program;
 pub mod sim;
 pub mod snapshot;
 pub mod stats;
+pub mod step;
 pub mod threaded;
 
 pub use bundle::OutBox;
@@ -51,6 +52,7 @@ pub use program::{Rank, RankCtx, RankProgram, Status, WarmStart};
 pub use sim::{RoundTrace, SimEngine, SimResult};
 pub use snapshot::ProgramSnapshot;
 pub use stats::{RankStats, RunStats};
+pub use step::{MalformedBundle, RankStep, StepClock, VirtualClock, WallClock};
 pub use threaded::{ThreadedEngine, ThreadedResult};
 
 /// Run-wide engine configuration shared by both engines.

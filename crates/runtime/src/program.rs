@@ -45,8 +45,8 @@ impl<M: WireMessage> RankCtx<M> {
     /// This is the engine SPI: algorithm code receives a ready-made
     /// context, but engine implementations (the in-crate [`SimEngine`]/
     /// [`ThreadedEngine`](crate::ThreadedEngine) and out-of-crate
-    /// transports such as `cmg-net`) construct one per rank and drive
-    /// it with [`RankCtx::set_now`]/[`RankCtx::end_round_into`].
+    /// transports such as `cmg-net`) construct one per rank and hand it
+    /// to a [`RankStep`](crate::RankStep), which drives it.
     ///
     /// [`SimEngine`]: crate::SimEngine
     pub fn new(
@@ -132,6 +132,13 @@ impl<M: WireMessage> RankCtx<M> {
     #[inline]
     pub fn emit(&self, event: cmg_obs::Event) {
         self.recorder.emit(self.rank, self.now, event);
+    }
+
+    /// Engine-side twin of [`RankCtx::emit`]: stamps the event with `at`
+    /// (a packet's arrival, a phase's end) instead of the compute time.
+    #[inline]
+    pub(crate) fn emit_at(&self, at: f64, event: cmg_obs::Event) {
+        self.recorder.emit(self.rank, at, event);
     }
 
     /// Engine SPI: updates the timestamp used for emitted events.

@@ -15,6 +15,10 @@
 //! 4. optionally (sync mode) a barrier max-synchronizes all clocks and adds
 //!    `α·⌈log₂ p⌉`.
 //!
+//! Steps 1–3 are the [`RankStep`] every engine runs, here on a
+//! [`VirtualClock`]; this module owns what is the simulation's alone —
+//! mailbox order, the delivery policy, routing, and step 4.
+//!
 //! # Scheduling
 //!
 //! The round loop is event-driven: the engine keeps an explicit **worklist**
@@ -34,12 +38,14 @@
 
 use crate::bundle::Packet;
 use crate::delivery::{payload_fingerprint, DeliveryKey, DeliveryPolicy};
-use crate::message::{decode_all, decode_all_into};
+use crate::message::decode_all;
 use crate::program::{Rank, RankCtx, RankProgram, Status};
+use crate::snapshot::{restore_encoded, ProgramSnapshot};
 use crate::stats::{RankStats, RunStats};
+use crate::step::{RankStep, StepClock, VirtualClock};
 use crate::{CostModel, EngineConfig};
 use bytes::Bytes;
-use cmg_obs::{Event, PhaseName, RecorderHandle, SchedStats, ENGINE_RANK};
+use cmg_obs::{Event, PhaseName, SchedStats, ENGINE_RANK};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
@@ -55,7 +61,19 @@ struct InFlight {
     seq: u32,
 }
 
-/// Per-rank simulation state.
+impl InFlight {
+    /// The canonical delivery order: by source, then arrival, then
+    /// mailbox insertion.
+    fn delivery_order(a: &InFlight, b: &InFlight) -> std::cmp::Ordering {
+        (a.src.cmp(&b.src))
+            .then(a.arrival.total_cmp(&b.arrival))
+            .then(a.seq.cmp(&b.seq))
+    }
+}
+
+/// Per-rank simulation state as [`SimEngine::new`] builds it and the
+/// dense reference steps it: context and counters as plain fields, no
+/// [`RankStep`] (the reference shares no step code with what it checks).
 struct Slot<P: RankProgram> {
     program: P,
     ctx: RankCtx<P::Msg>,
@@ -67,14 +85,35 @@ struct Slot<P: RankProgram> {
     /// the round at which they become deliverable. Always empty under the
     /// default policy.
     withheld: Vec<(u64, InFlight)>,
-    /// Recycled per-source inbox handed to `on_round` (outer vector
-    /// reused across rounds; cleared after each step).
-    inbox: Vec<(Rank, Vec<<P as RankProgram>::Msg>)>,
-    /// Recycled buffer the outbox drains into each round.
-    packet_buf: Vec<Packet>,
     /// Packets produced this round with their arrival timestamps, drained
     /// by the (serial, deterministic) routing pass.
     produced: Vec<(Packet, f64)>,
+}
+
+/// Per-rank state of the scheduled loop: a [`Slot`] whose context and
+/// counters have moved into the shared [`RankStep`].
+struct Sched<P: RankProgram> {
+    program: P,
+    step: RankStep<P>,
+    status: Status,
+    vtime: f64,
+    mailbox: Vec<InFlight>,
+    withheld: Vec<(u64, InFlight)>,
+    produced: Vec<(Packet, f64)>,
+}
+
+impl<P: RankProgram> From<Slot<P>> for Sched<P> {
+    fn from(slot: Slot<P>) -> Self {
+        Sched {
+            program: slot.program,
+            step: RankStep::new(slot.ctx),
+            status: slot.status,
+            vtime: slot.vtime,
+            mailbox: slot.mailbox,
+            withheld: slot.withheld,
+            produced: slot.produced,
+        }
+    }
 }
 
 /// Aggregate counters of one simulation round (recorded when
@@ -160,12 +199,7 @@ fn apply_delivery_policy(
     // Canonical baseline order. Merged withheld + fresh packets may carry
     // colliding `seq` values (each round restarts the counter), so a
     // stable sort resolves ties by the deterministic merge order above.
-    mailbox.sort_by(|a, b| {
-        a.src
-            .cmp(&b.src)
-            .then(a.arrival.total_cmp(&b.arrival))
-            .then(a.seq.cmp(&b.seq))
-    });
+    mailbox.sort_by(InFlight::delivery_order);
     let hash_payloads = policy.wants_payload_hash();
     let keys: Vec<DeliveryKey> = mailbox
         .iter()
@@ -200,162 +234,49 @@ fn apply_delivery_policy(
     }
 }
 
-/// Steps one rank: deliver its mailbox, run the program, timestamp the
-/// produced packets. Pure per-slot work — both the serial scheduler and
-/// the worker pool funnel through this.
+/// Steps one rank: order its mailbox, run the shared [`RankStep`] on a
+/// virtual clock, keep the produced packets for routing. Pure per-slot
+/// work — both the serial scheduler and the worker pool funnel through
+/// this.
 ///
 /// `floor` is the synchronized-clock lower bound (the previous round's
 /// barrier time under `sync_rounds`, 0 otherwise): a slot that skipped
 /// rounds while the barrier advanced catches its clock up lazily here.
 fn step_slot<P: RankProgram>(
-    slot: &mut Slot<P>,
+    slot: &mut Sched<P>,
+    rank: Rank,
     cost: CostModel,
-    recorder: &RecorderHandle,
     policy: &DeliveryPolicy,
     round: u64,
-    first: bool,
     floor: f64,
 ) {
-    if floor > slot.vtime {
-        slot.vtime = floor;
-    }
-    let rank = slot.ctx.rank();
-    let observed = recorder.enabled();
-    if !policy.is_default() && (!slot.mailbox.is_empty() || !slot.withheld.is_empty()) {
-        apply_delivery_policy(policy, rank, round, &mut slot.mailbox, &mut slot.withheld);
-    }
-    // Deliver: jump the clock to the latest consumed arrival.
-    let delivery_start = slot.vtime;
-    let had_mail = !slot.mailbox.is_empty();
-    if had_mail {
-        // hot-path: begin (delivery — recycled buffers, no allocation)
+    let mut clock = VirtualClock::new(slot.vtime.max(floor), cost);
+    if !policy.is_default() {
+        if !slot.mailbox.is_empty() || !slot.withheld.is_empty() {
+            apply_delivery_policy(policy, rank, round, &mut slot.mailbox, &mut slot.withheld);
+        }
+    } else if slot.mailbox.len() > 1 {
         // 0/1-packet mailboxes (the common case on interior-heavy
         // rounds) skip the sort; larger ones use an unstable sort on
         // the total (src, arrival, seq) key — see [`InFlight::seq`].
-        // Non-default policies already left the mailbox in delivery
-        // order above.
-        if policy.is_default() && slot.mailbox.len() > 1 {
-            slot.mailbox.sort_unstable_by(|a, b| {
-                a.src
-                    .cmp(&b.src)
-                    .then(a.arrival.total_cmp(&b.arrival))
-                    .then(a.seq.cmp(&b.seq))
-            });
-        }
-        let Slot {
-            mailbox,
-            stats,
-            vtime,
-            inbox,
-            ..
-        } = slot;
-        for m in mailbox.iter() {
-            *vtime = vtime.max(m.arrival);
-        }
-        for m in mailbox.drain(..) {
-            stats.packets_received += 1;
-            stats.bytes_received += m.payload.len() as u64;
-            stats.messages_received += m.logical as u64;
-            if observed {
-                recorder.emit(
-                    rank,
-                    m.arrival,
-                    Event::PacketRecv {
-                        src: m.src,
-                        bytes: m.payload.len() as u64,
-                        logical: m.logical,
-                    },
-                );
-            }
-            // Decode straight into the per-source message list (no
-            // per-packet temporary vector).
-            let list = match inbox.last_mut() {
-                Some((src, list)) if *src == m.src => list,
-                _ => {
-                    inbox.push((m.src, Vec::new()));
-                    &mut inbox.last_mut().expect("just pushed").1
-                }
-            };
-            decode_all_into(m.payload, list)
-                .expect("malformed bundle: WireMessage encode/decode mismatch");
-        }
-        // hot-path: end (delivery)
-        if observed {
-            recorder.emit(
-                rank,
-                slot.vtime,
-                Event::Phase {
-                    name: PhaseName::Delivery,
-                    start: delivery_start,
-                    dur: slot.vtime - delivery_start,
-                },
-            );
-        }
+        slot.mailbox.sort_unstable_by(InFlight::delivery_order);
     }
-    // Compute.
-    let compute_start = slot.vtime;
-    slot.ctx.set_now(compute_start);
-    slot.status = if first {
-        slot.program.on_start(&mut slot.ctx)
-    } else {
-        slot.program.on_round(&mut slot.inbox, &mut slot.ctx)
-    };
-    slot.inbox.clear();
-    let work = slot.ctx.end_round_into(&mut slot.packet_buf);
-    slot.stats.rounds_active += 1;
-    slot.stats.work += work;
-    slot.vtime += cost.compute_time(work);
-    if observed {
-        recorder.emit(
-            rank,
-            slot.vtime,
-            Event::Phase {
-                name: PhaseName::Compute,
-                start: compute_start,
-                dur: slot.vtime - compute_start,
-            },
-        );
+    for m in slot.mailbox.drain(..) {
+        slot.step
+            .deliver(&mut clock, m.src, m.arrival, m.payload, m.logical)
+            .expect("malformed bundle: WireMessage encode/decode mismatch");
     }
-    // Send: overhead advances the sender; transfer delays arrival.
-    let send_start = slot.vtime;
-    let Slot {
-        packet_buf,
-        produced,
-        stats,
-        vtime,
-        ..
-    } = slot;
-    debug_assert!(produced.is_empty(), "unrouted packets from a prior round");
-    for packet in packet_buf.drain(..) {
-        stats.packets_sent += 1;
-        stats.messages_sent += packet.logical as u64;
-        stats.bytes_sent += packet.payload.len() as u64;
-        *vtime += cost.send_overhead;
-        if observed {
-            recorder.emit(
-                rank,
-                *vtime,
-                Event::PacketSent {
-                    dst: packet.dst,
-                    bytes: packet.payload.len() as u64,
-                    logical: packet.logical,
-                },
-            );
-        }
-        let arrival = *vtime + cost.transfer_time(packet.payload.len());
-        produced.push((packet, arrival));
+    slot.status = slot.step.compute(&mut clock, &mut slot.program);
+    let send_start = clock.now();
+    debug_assert!(
+        slot.produced.is_empty(),
+        "unrouted packets from a prior round"
+    );
+    slot.produced.extend(slot.step.drain(&mut clock));
+    if !slot.produced.is_empty() {
+        slot.step.span(&clock, PhaseName::Send, send_start);
     }
-    if observed && !slot.produced.is_empty() {
-        recorder.emit(
-            rank,
-            slot.vtime,
-            Event::Phase {
-                name: PhaseName::Send,
-                start: send_start,
-                dur: slot.vtime - send_start,
-            },
-        );
-    }
+    slot.vtime = clock.now();
 }
 
 /// Checkpoint equivalence oracle: round-trips a program through
@@ -364,13 +285,9 @@ fn step_slot<P: RankProgram>(
 /// to an uninterrupted one, any algorithm state missing from the
 /// snapshot (or mangled by its codec) surfaces as a test divergence
 /// instead of a production deadlock.
-fn checkpoint_roundtrip<P: RankProgram>(program: &mut P) {
-    use crate::snapshot::ProgramSnapshot;
-    let meta = program.meta();
-    let bytes = program.snapshot().encode_bytes();
-    let snap = <P::Snapshot as ProgramSnapshot>::decode_bytes(bytes)
+pub(crate) fn checkpoint_roundtrip<P: RankProgram>(program: &mut P) {
+    *program = restore_encoded(program.meta(), program.snapshot().encode_bytes())
         .expect("snapshot did not round-trip through its wire encoding");
-    *program = P::restore(meta, snap);
 }
 
 /// One round's worth of work published to the worker pool. Raw pointers
@@ -379,12 +296,11 @@ fn checkpoint_roundtrip<P: RankProgram>(program: &mut P) {
 struct PoolJob<P: RankProgram> {
     generation: u64,
     shutdown: bool,
-    slots: *mut Slot<P>,
+    slots: *mut Sched<P>,
     worklist: *const Rank,
     len: usize,
     chunk: usize,
     round: u64,
-    first: bool,
     floor: f64,
 }
 
@@ -424,7 +340,6 @@ impl<P: RankProgram> WorkerPool<P> {
                 len: 0,
                 chunk: 1,
                 round: 0,
-                first: false,
                 floor: 0.0,
             }),
             start: Condvar::new(),
@@ -439,7 +354,7 @@ impl<P: RankProgram> WorkerPool<P> {
     /// Worker body: park until a new generation (or shutdown) is
     /// published, then claim and step worklist chunks until the cursor
     /// runs off the end.
-    fn worker_loop(&self, cost: CostModel, recorder: RecorderHandle, policy: DeliveryPolicy) {
+    fn worker_loop(&self, cost: CostModel, policy: DeliveryPolicy) {
         let mut seen = 0u64;
         loop {
             let job = {
@@ -469,14 +384,13 @@ impl<P: RankProgram> WorkerPool<P> {
                     // generation and does not touch the slots until every
                     // worker has signalled completion.
                     unsafe {
-                        let rank = *job.worklist.add(i) as usize;
+                        let rank = *job.worklist.add(i);
                         step_slot(
-                            &mut *job.slots.add(rank),
+                            &mut *job.slots.add(rank as usize),
+                            rank,
                             cost,
-                            &recorder,
                             &policy,
                             job.round,
-                            job.first,
                             job.floor,
                         );
                     }
@@ -495,14 +409,7 @@ impl<P: RankProgram> WorkerPool<P> {
 
     /// Runs one round's worklist on the pool and blocks until every
     /// worker is parked again.
-    fn dispatch(
-        &self,
-        slots: *mut Slot<P>,
-        worklist: &[Rank],
-        round: u64,
-        first: bool,
-        floor: f64,
-    ) {
+    fn dispatch(&self, slots: *mut Sched<P>, worklist: &[Rank], round: u64, floor: f64) {
         self.cursor.store(0, Ordering::Relaxed);
         *self.running.lock().expect("pool poisoned") = self.workers;
         {
@@ -513,7 +420,6 @@ impl<P: RankProgram> WorkerPool<P> {
             guard.len = worklist.len();
             guard.chunk = (worklist.len() / (self.workers * 4)).clamp(1, 256);
             guard.round = round;
-            guard.first = first;
             guard.floor = floor;
         }
         self.start.notify_all();
@@ -544,8 +450,6 @@ impl<P: RankProgram> SimEngine<P> {
                 stats: RankStats::default(),
                 mailbox: Vec::new(),
                 withheld: Vec::new(),
-                inbox: Vec::new(),
-                packet_buf: Vec::new(),
                 produced: Vec::new(),
             })
             .collect();
@@ -574,14 +478,12 @@ impl<P: RankProgram> SimEngine<P> {
     fn run_with_pool(self, workers: usize) -> SimResult<P> {
         let pool: WorkerPool<P> = WorkerPool::new(workers);
         let cost = self.config.cost;
-        let recorder = self.config.recorder.clone();
         let policy = self.config.delivery.clone();
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 let pool = &pool;
-                let recorder = recorder.clone();
                 let policy = policy.clone();
-                scope.spawn(move || pool.worker_loop(cost, recorder, policy));
+                scope.spawn(move || pool.worker_loop(cost, policy));
             }
             let result = self.run_scheduled(Some(&pool));
             pool.shutdown();
@@ -591,8 +493,9 @@ impl<P: RankProgram> SimEngine<P> {
 
     /// The active-set round loop (see the module docs). `pool` is the
     /// persistent worker pool, or `None` to step on this thread.
-    fn run_scheduled(mut self, pool: Option<&WorkerPool<P>>) -> SimResult<P> {
-        let p = self.slots.len();
+    fn run_scheduled(self, pool: Option<&WorkerPool<P>>) -> SimResult<P> {
+        let mut slots: Vec<Sched<P>> = self.slots.into_iter().map(Sched::from).collect();
+        let p = slots.len();
         let mut rounds: u64 = 0;
         let mut hit_round_cap = false;
         let mut trace: Vec<RoundTrace> = Vec::new();
@@ -627,7 +530,7 @@ impl<P: RankProgram> SimEngine<P> {
                 let first = rounds == 0;
                 if let Some(k) = self.config.checkpoint_every.filter(|&k| k > 0) {
                     if !first && rounds.is_multiple_of(k) {
-                        for slot in &mut self.slots {
+                        for slot in &mut slots {
                             checkpoint_roundtrip(&mut slot.program);
                         }
                     }
@@ -649,28 +552,20 @@ impl<P: RankProgram> SimEngine<P> {
                 match pool {
                     Some(pl) if worklist.len() >= 4 => {
                         sched.pool_parallel_rounds += 1;
-                        pl.dispatch(self.slots.as_mut_ptr(), &worklist, rounds, first, floor);
+                        pl.dispatch(slots.as_mut_ptr(), &worklist, rounds, floor);
                     }
                     _ => {
                         if pool.is_some() {
                             sched.pool_serial_rounds += 1;
                         }
                         for &r in &worklist {
-                            step_slot(
-                                &mut self.slots[r as usize],
-                                cost,
-                                &recorder,
-                                &policy,
-                                rounds,
-                                first,
-                                floor,
-                            );
+                            step_slot(&mut slots[r as usize], r, cost, &policy, rounds, floor);
                         }
                     }
                 }
                 let stepped = worklist.len() as u64;
                 for &r in &worklist {
-                    let v = self.slots[r as usize].vtime;
+                    let v = slots[r as usize].vtime;
                     if v > max_vtime {
                         max_vtime = v;
                     }
@@ -684,7 +579,7 @@ impl<P: RankProgram> SimEngine<P> {
                 let (mut pkts, mut msgs, mut bytes) = (0u64, 0u64, 0u64);
                 debug_assert!(next_worklist.is_empty());
                 for &r in &worklist {
-                    let src_slot = &mut self.slots[r as usize];
+                    let src_slot = &mut slots[r as usize];
                     // A rank stays runnable while it is `Active` or a
                     // delaying policy still withholds mail for it.
                     if (src_slot.status == Status::Active || !src_slot.withheld.is_empty())
@@ -706,7 +601,7 @@ impl<P: RankProgram> SimEngine<P> {
                             enqueued[dst] = stamp;
                             next_worklist.push(packet.dst);
                         }
-                        let mailbox = &mut self.slots[dst].mailbox;
+                        let mailbox = &mut slots[dst].mailbox;
                         let seq = mailbox.len() as u32;
                         mailbox.push(InFlight {
                             src: r,
@@ -716,7 +611,7 @@ impl<P: RankProgram> SimEngine<P> {
                             seq,
                         });
                     }
-                    std::mem::swap(&mut produced_scratch, &mut self.slots[r as usize].produced);
+                    std::mem::swap(&mut produced_scratch, &mut slots[r as usize].produced);
                 }
                 // hot-path: end (routing)
 
@@ -769,11 +664,12 @@ impl<P: RankProgram> SimEngine<P> {
 
         let mut per_rank = Vec::with_capacity(p);
         let mut programs = Vec::with_capacity(p);
-        for mut s in self.slots {
+        for s in slots {
+            let mut stats = s.step.into_stats();
             // Ranks that skipped the last rounds catch up to the final
             // barrier time here (no-op when `sync_rounds` is off).
-            s.stats.virtual_time = if floor > s.vtime { floor } else { s.vtime };
-            per_rank.push(s.stats);
+            stats.virtual_time = s.vtime.max(floor);
+            per_rank.push(stats);
             programs.push(s.program);
         }
         let stats = RunStats { per_rank, rounds };
@@ -796,9 +692,10 @@ impl<P: RankProgram> SimEngine<P> {
     /// The pre-scheduler dense round loop, kept verbatim as the reference
     /// implementation: every round folds over all `p` slots and respawns
     /// scoped threads. `tests/scheduler_equivalence.rs` asserts
-    /// [`SimEngine::run`] reproduces its results bit-for-bit, and the
-    /// `engine_overhead` bench measures the speedup against it. Not part
-    /// of the supported API.
+    /// [`SimEngine::run`] reproduces its results bit-for-bit. It writes
+    /// its own deliver → compute → send body instead of driving a
+    /// [`RankStep`] — a reference that called the code under test would
+    /// check nothing. Not part of the supported API.
     #[doc(hidden)]
     pub fn run_dense_reference(mut self) -> SimResult<P> {
         let p = self.slots.len();

@@ -31,6 +31,7 @@
 //! oracle) and the cmg-net checkpoint/respawn path.
 
 use crate::message::{decode_all_into, WireMessage};
+use crate::program::RankProgram;
 use bytes::Bytes;
 
 /// A serializable program snapshot: a stream of fixed-width wire records.
@@ -81,6 +82,14 @@ pub trait ProgramSnapshot: Sized + Send {
         decode_all_into(buf, &mut records)?;
         Self::from_records(records)
     }
+}
+
+/// Rebuilds a program from its construction context and its encoded
+/// snapshot — the receiving half of every checkpoint, whether a net worker
+/// was shipped it or an in-process engine just took it (the
+/// `checkpoint_every` oracle). `None` if `bytes` is not a snapshot of `P`.
+pub fn restore_encoded<P: RankProgram>(meta: P::Meta, bytes: Bytes) -> Option<P> {
+    P::Snapshot::decode_bytes(bytes).map(|snap| P::restore(meta, snap))
 }
 
 /// The canonical snapshot shape: a record stream is a snapshot of

@@ -7,9 +7,10 @@
 //! *t* are delivered in round *t + 1*, rounds are separated by barriers —
 //! so both engines produce identical algorithm results.
 
-use crate::message::decode_all_into;
 use crate::program::{Rank, RankCtx, RankProgram, Status};
+use crate::sim::checkpoint_roundtrip;
 use crate::stats::{RankStats, RunStats};
+use crate::step::{RankStep, StepClock, WallClock};
 use crate::EngineConfig;
 use bytes::Bytes;
 use cmg_obs::{Event, PhaseName, ENGINE_RANK};
@@ -131,7 +132,8 @@ impl<P: RankProgram> ThreadedEngine<P> {
 /// The per-thread round loop.
 ///
 /// Protocol per round `r`:
-/// 1. step the program with the inbox drained at the end of round `r − 1`;
+/// 1. step the rank ([`RankStep`]) on the inbox drained at the end of
+///    round `r − 1`;
 /// 2. send produced packets; publish activity into `activity[r % 2]`,
 ///    clear `activity[(r + 1) % 2]` for the next round;
 /// 3. barrier — all sends are now visible;
@@ -154,15 +156,14 @@ fn run_rank<P: RankProgram>(
     let observed = recorder.enabled();
     // Event timestamps: wall seconds since the run started (shared
     // epoch across ranks, so the trace tracks line up).
-    let now = move || start.elapsed().as_secs_f64();
-    let mut ctx: RankCtx<P::Msg> = RankCtx::new(rank, num_ranks, config.bundling, recorder.clone());
-    let mut stats = RankStats::default();
+    let mut clock = WallClock::since(start);
+    let mut step: RankStep<P> = RankStep::new(RankCtx::new(
+        rank,
+        num_ranks,
+        config.bundling,
+        recorder.clone(),
+    ));
     let mut inbox_raw: Vec<WirePacket> = Vec::new();
-    // Recycled across rounds: the grouped inbox handed to `on_round`
-    // (outer vec only — message lists move into it each round) and the
-    // packet buffer the outbox drains into.
-    let mut inbox: Vec<(Rank, Vec<P::Msg>)> = Vec::new();
-    let mut packet_buf: Vec<crate::bundle::Packet> = Vec::new();
     let mut seq: u64 = 0;
     let mut round: u64 = 0;
 
@@ -170,122 +171,34 @@ fn run_rank<P: RankProgram>(
         if observed && rank == 0 {
             recorder.emit(
                 ENGINE_RANK,
-                now(),
+                clock.now(),
                 Event::RoundStart {
                     round: round as u32,
                 },
             );
         }
-        // 1. Step.
-        let delivery_start = now();
-        let mut compute_begin = delivery_start;
-        let status = if round == 0 {
-            ctx.set_now(delivery_start);
-            program.on_start(&mut ctx)
-        } else {
-            // hot-path: begin (delivery — recycled buffers, no allocation)
-            // 0/1-packet inboxes skip the sort; the `(src, seq)` key is
-            // unique, so an unstable sort is deterministic.
-            if inbox_raw.len() > 1 {
-                inbox_raw.sort_unstable_by_key(|&(src, sq, _, _)| (src, sq));
-            }
-            let had_mail = !inbox_raw.is_empty();
-            for (src, _, payload, logical) in inbox_raw.drain(..) {
-                stats.packets_received += 1;
-                stats.bytes_received += payload.len() as u64;
-                stats.messages_received += logical as u64;
-                if observed {
-                    recorder.emit(
-                        rank,
-                        now(),
-                        Event::PacketRecv {
-                            src,
-                            bytes: payload.len() as u64,
-                            logical,
-                        },
-                    );
-                }
-                // Decode straight into the per-source list (no per-packet
-                // temporary vector).
-                let list = match inbox.last_mut() {
-                    Some((s, list)) if *s == src => list,
-                    _ => {
-                        inbox.push((src, Vec::new()));
-                        &mut inbox.last_mut().expect("just pushed").1
-                    }
-                };
-                decode_all_into(payload, list)
-                    .expect("malformed bundle: WireMessage encode/decode mismatch");
-            }
-            // hot-path: end (delivery)
-            if observed && had_mail {
-                let t = now();
-                recorder.emit(
-                    rank,
-                    t,
-                    Event::Phase {
-                        name: PhaseName::Delivery,
-                        start: delivery_start,
-                        dur: t - delivery_start,
-                    },
-                );
-            }
-            compute_begin = now();
-            ctx.set_now(compute_begin);
-            let status = program.on_round(&mut inbox, &mut ctx);
-            inbox.clear();
-            status
-        };
-        let compute_end = now();
-        let work = ctx.end_round_into(&mut packet_buf);
-        if observed {
-            recorder.emit(
-                rank,
-                compute_end,
-                Event::Phase {
-                    name: PhaseName::Compute,
-                    start: compute_begin,
-                    dur: compute_end - compute_begin,
-                },
-            );
+        // 1. Step. 0/1-packet inboxes skip the sort; the `(src, seq)` key
+        // is unique, so an unstable sort is deterministic.
+        if inbox_raw.len() > 1 {
+            inbox_raw.sort_unstable_by_key(|&(src, sq, _, _)| (src, sq));
         }
-        stats.rounds_active += 1;
-        stats.work += work;
+        for (src, _, payload, logical) in inbox_raw.drain(..) {
+            step.deliver(&mut clock, src, (), payload, logical)
+                .expect("malformed bundle: WireMessage encode/decode mismatch");
+        }
+        let status = step.compute(&mut clock, &mut program);
 
         // 2. Send.
-        let send_start = now();
-        let sent_any = !packet_buf.is_empty();
-        for packet in packet_buf.drain(..) {
-            stats.packets_sent += 1;
-            stats.messages_sent += packet.logical as u64;
-            stats.bytes_sent += packet.payload.len() as u64;
-            if observed {
-                recorder.emit(
-                    rank,
-                    now(),
-                    Event::PacketSent {
-                        dst: packet.dst,
-                        bytes: packet.payload.len() as u64,
-                        logical: packet.logical,
-                    },
-                );
-            }
+        let send_start = clock.now();
+        let sent_any = step.produced() > 0;
+        for (packet, ()) in step.drain(&mut clock) {
             seq += 1;
             senders[packet.dst as usize]
                 .send((rank, seq, packet.payload, packet.logical))
                 .expect("receiver dropped");
         }
-        if observed && sent_any {
-            let t = now();
-            recorder.emit(
-                rank,
-                t,
-                Event::Phase {
-                    name: PhaseName::Send,
-                    start: send_start,
-                    dur: t - send_start,
-                },
-            );
+        if sent_any {
+            step.span(&clock, PhaseName::Send, send_start);
         }
         let parity = (round % 2) as usize;
         if status == Status::Active || sent_any {
@@ -311,7 +224,7 @@ fn run_rank<P: RankProgram>(
             // count as active.
             recorder.emit(
                 ENGINE_RANK,
-                now(),
+                clock.now(),
                 Event::RoundEnd {
                     round: round as u32,
                     active_ranks: num_ranks,
@@ -327,12 +240,7 @@ fn run_rank<P: RankProgram>(
         // bit-identical to an uninterrupted one.
         if let Some(k) = config.checkpoint_every.filter(|&k| k > 0) {
             if round.is_multiple_of(k) {
-                use crate::snapshot::ProgramSnapshot;
-                let meta = program.meta();
-                let bytes = program.snapshot().encode_bytes();
-                let snap = <P::Snapshot as ProgramSnapshot>::decode_bytes(bytes)
-                    .expect("snapshot did not round-trip through its wire encoding");
-                program = P::restore(meta, snap);
+                checkpoint_roundtrip(&mut program);
             }
         }
         if !keep_going {
@@ -343,7 +251,7 @@ fn run_rank<P: RankProgram>(
             break;
         }
     }
-    (program, stats, round)
+    (program, step.into_stats(), round)
 }
 
 #[cfg(test)]

@@ -5,7 +5,8 @@
 //!
 //! Under the synchronous bundled configuration (every engine's default)
 //! the three engines execute the identical round protocol, so results —
-//! and the protocol-level message/byte totals — must agree bit for bit.
+//! and every rank's packet/message/byte counters — must agree bit for
+//! bit.
 
 use cmg::prelude::*;
 use cmg_graph::generators;
@@ -48,6 +49,23 @@ fn partitions(n: usize, ranks: u32) -> Vec<(&'static str, Partition)> {
     ]
 }
 
+/// Each rank's traffic counters, sent and received (`rounds_active` and
+/// virtual time legitimately differ: only the sim skips quiet ranks and
+/// only the sim has a virtual clock).
+fn per_rank_traffic(stats: &RunStats) -> Vec<[u64; 6]> {
+    let row = |r: &cmg_runtime::RankStats| {
+        [
+            r.packets_sent,
+            r.messages_sent,
+            r.bytes_sent,
+            r.packets_received,
+            r.messages_received,
+            r.bytes_received,
+        ]
+    };
+    stats.per_rank.iter().map(row).collect()
+}
+
 #[test]
 fn matching_identical_across_all_three_engines() {
     for (gname, g) in &graphs() {
@@ -73,6 +91,13 @@ fn matching_identical_across_all_three_engines() {
                     "protocol byte totals: {ctx}"
                 );
                 assert_eq!(sim.stats.rounds, net.stats.rounds, "round counts: {ctx}");
+                for (engine, stats) in [("threaded", &thr.stats), ("net", &net.stats)] {
+                    assert_eq!(
+                        per_rank_traffic(stats),
+                        per_rank_traffic(&sim.stats),
+                        "per-rank traffic, {engine} vs sim: {ctx}"
+                    );
+                }
             }
         }
     }
@@ -100,6 +125,13 @@ fn coloring_identical_across_all_three_engines() {
                     "protocol message totals: {ctx}"
                 );
                 assert_eq!(sim.stats.rounds, net.stats.rounds, "round counts: {ctx}");
+                for (engine, stats) in [("threaded", &thr.stats), ("net", &net.stats)] {
+                    assert_eq!(
+                        per_rank_traffic(stats),
+                        per_rank_traffic(&sim.stats),
+                        "per-rank traffic, {engine} vs sim: {ctx}"
+                    );
+                }
             }
         }
     }
