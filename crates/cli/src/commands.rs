@@ -61,8 +61,17 @@ fn save_graph(g: &CsrGraph, path: &str) -> Result<(), String> {
     }
 }
 
+/// `--parts` / `--ranks`: every partitioner's contract is at least one
+/// part, and a 0 from the command line must not reach their `assert!`s.
+fn count_arg(args: &Args, key: &str, default: u32) -> Result<u32, String> {
+    match args.num(key, default)? {
+        0 => Err(format!("--{key} must be at least 1")),
+        n => Ok(n),
+    }
+}
+
 fn build_partition(g: &CsrGraph, args: &Args) -> Result<Partition, String> {
-    let parts: u32 = args.num("parts", 1)?;
+    let parts = count_arg(args, "parts", 1)?;
     let seed: u64 = args.num("seed", 0)?;
     let method = args.get_or("method", "multilevel");
     Ok(match method {
@@ -423,7 +432,7 @@ pub fn trace(argv: &[String]) -> i32 {
 pub fn run_demo(argv: &[String]) -> i32 {
     run(|| {
         let args = Args::parse(argv)?;
-        let ranks: u32 = args.num("ranks", 4)?;
+        let ranks = count_arg(&args, "ranks", 4)?;
         let rows: usize = args.num("rows", 32)?;
         let cols: usize = args.num("cols", 32)?;
         let seed: u64 = args.num("seed", 7)?;
@@ -549,7 +558,7 @@ pub fn serve(argv: &[String]) -> i32 {
     run(|| {
         let args = Args::parse(argv)?;
         let socket = args.required("socket")?.to_string();
-        let ranks: u32 = args.num("ranks", 4)?;
+        let ranks = count_arg(&args, "ranks", 4)?;
         let rows: usize = args.num("rows", 32)?;
         let cols: usize = args.num("cols", 32)?;
         let seed: u64 = args.num("seed", 7)?;
