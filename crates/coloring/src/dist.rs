@@ -624,7 +624,7 @@ impl DistColoring {
         match msg {
             ColorMsg::Color { v, color } => {
                 // Under FIAB the vertex may be unknown here; ignore then.
-                if let Some(&local) = self.dg.global_to_local.get(&v) {
+                if let Some(local) = self.dg.local(v) {
                     self.color[local as usize] = color;
                 }
             }

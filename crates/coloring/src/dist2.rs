@@ -556,7 +556,11 @@ impl DistColoring2 {
         ctx.charge(1);
         match msg {
             D2Msg::Color { v, color } => {
-                let local = self.dg.global_to_local[&v];
+                // Known in a valid run; drop a message naming a vertex
+                // this rank does not hold.
+                let Some(local) = self.dg.local(v) else {
+                    return;
+                };
                 self.color[local as usize] = color;
                 self.dirty_ghosts.push(local);
             }
@@ -569,7 +573,9 @@ impl DistColoring2 {
                 self.try_finish_detection(ctx);
             }
             D2Msg::Recolor { v, banned } => {
-                let local = self.dg.global_to_local[&v];
+                let Some(local) = self.dg.local(v) else {
+                    return;
+                };
                 debug_assert!(!self.dg.is_ghost(local));
                 self.mark_loser(local, banned);
             }

@@ -359,7 +359,7 @@ impl RankProgram for JonesPlassmann {
             for m in msgs {
                 ctx.charge(1);
                 if let ColorMsg::Color { v, color } = m {
-                    if let Some(&local) = self.dg.global_to_local.get(&v) {
+                    if let Some(local) = self.dg.local(v) {
                         self.color[local as usize] = color;
                     }
                 }

@@ -351,7 +351,7 @@ fn net_matching_parts(parts: Vec<DistGraph>, cfg: &EngineConfig) -> PartsMatchin
                 continue;
             }
             cardinality += 1;
-            if let Some(&lv) = dg.global_to_local.get(&v) {
+            if let Some(lv) = dg.local(v) {
                 let lv = lv as usize;
                 for e in dg.xadj[lv]..dg.xadj[lv + 1] {
                     if dg.global_ids[dg.adj[e] as usize] == m {

@@ -31,13 +31,14 @@ pub enum WeightScheme {
 /// on iteration order, so distributed and sequential constructions of the
 /// same graph agree on every weight.
 pub fn assign_weights(g: &CsrGraph, scheme: WeightScheme, seed: u64) -> CsrGraph {
+    let draw = EdgeUnitRandom::new(seed);
     match scheme {
         WeightScheme::Uniform { lo, hi } => g.with_weights(|u, v| {
-            let r = edge_unit_random(u, v, seed);
+            let r = draw.of(u, v);
             lo + (hi - lo) * r
         }),
         WeightScheme::Integer { max } => g.with_weights(|u, v| {
-            let r = edge_unit_random(u, v, seed);
+            let r = draw.of(u, v);
             1.0 + (r * max as Weight).floor().min(max as Weight - 1.0)
         }),
         WeightScheme::Equal(w) => g.with_weights(|_, _| w),
@@ -45,15 +46,27 @@ pub fn assign_weights(g: &CsrGraph, scheme: WeightScheme, seed: u64) -> CsrGraph
     }
 }
 
-/// A deterministic pseudo-random value in `[0, 1)` for edge `{u, v}`
-/// (`u < v` canonical orientation). Public so distributed constructions
-/// can reproduce exactly the weights of [`assign_weights`] without the
-/// global graph.
-pub fn edge_unit_random(u: VertexId, v: VertexId, seed: u64) -> Weight {
-    let key = ((u as u64) << 32) | v as u64;
-    let h = crate::util::splitmix64(key ^ crate::util::splitmix64(seed));
-    // 53 high bits -> f64 in [0, 1).
-    (h >> 11) as f64 / (1u64 << 53) as f64
+/// Deterministic pseudo-random values in `[0, 1)` per edge under one
+/// seed, the seed hashed once. Public so distributed constructions can
+/// reproduce exactly the weights of [`assign_weights`] without the global
+/// graph.
+#[derive(Clone, Copy, Debug)]
+pub struct EdgeUnitRandom(u64);
+
+impl EdgeUnitRandom {
+    /// Draws under `seed`.
+    pub fn new(seed: u64) -> Self {
+        EdgeUnitRandom(crate::util::splitmix64(seed))
+    }
+
+    /// The value of edge `{u, v}` in its `u < v` canonical orientation.
+    #[inline]
+    pub fn of(self, u: VertexId, v: VertexId) -> Weight {
+        let key = ((u as u64) << 32) | v as u64;
+        let h = crate::util::splitmix64(key ^ self.0);
+        // 53 high bits -> f64 in [0, 1).
+        (h >> 11) as f64 / (1u64 << 53) as f64
+    }
 }
 
 /// Convenience: a seeded RNG for callers that need ad-hoc randomness tied
@@ -120,7 +133,7 @@ mod tests {
 
     #[test]
     fn weights_independent_of_orientation() {
-        // edge_unit_random is keyed on (min, max) via with_weights' u < v
+        // EdgeUnitRandom is keyed on (min, max) via with_weights' u < v
         // convention; symmetry is verified by validate().
         let g = grid2d(8, 8);
         let wg = assign_weights(&g, WeightScheme::Uniform { lo: 0.0, hi: 1.0 }, 4);

@@ -159,7 +159,9 @@ pub struct DistMatching {
     mate: Vec<VertexId>,
     /// Candidate mate (local index) per owned vertex; `NONE` if exhausted.
     candidate: Vec<u32>,
-    /// Pending remote proposals per owned vertex (requester local idxs).
+    /// Pending remote proposals (requester local idxs) per *boundary*
+    /// vertex, parallel to `halo.boundary`: a REQUEST crosses a cut edge,
+    /// so only a boundary vertex can receive one.
     r_set: Vec<Vec<u32>>,
     /// Halo structure: the ghost reverse cross-adjacency lives here.
     halo: HaloView,
@@ -179,7 +181,7 @@ impl DistMatching {
         // every rank orders shared edges identically) and the ghost
         // reverse cross-adjacency both come precomputed from the
         // partition layer.
-        let (sxadj, sadj, _) = weight_sorted_csr(&dg);
+        let (sxadj, sadj) = weight_sorted_csr(&dg);
         let halo = HaloView::build(&dg);
 
         DistMatching {
@@ -189,7 +191,7 @@ impl DistMatching {
             state: vec![VState::Free; n_total],
             mate: vec![NO_VERTEX; n_local],
             candidate: vec![NONE; n_local],
-            r_set: vec![Vec::new(); n_local],
+            r_set: vec![Vec::new(); halo.boundary.len()],
             halo,
             queue: VecDeque::new(),
             counts: RoundCounts::default(),
@@ -267,14 +269,11 @@ impl DistMatching {
             let m = self.mate[v as usize];
             let vg = self.dg.global_ids[v as usize];
             if m != NO_VERTEX && vg < m {
-                // Total by construction: a mate is always a neighbor (the
-                // protocol only ever matches across an adjacency entry),
-                // so the lookup can only succeed — but stay total rather
-                // than assert, per the no-panic policy for library code.
-                let Some(&ml) = self.dg.global_to_local.get(&m) else {
-                    continue;
-                };
-                if let Some((_, w)) = self.dg.neighbors_weighted(v).find(|&(u, _)| u == ml) {
+                // A mate is always a neighbor (the protocol only ever
+                // matches across an adjacency entry): find it in the row
+                // by global id, no lookup needed.
+                let mut row = self.dg.neighbors_weighted(v);
+                if let Some((_, w)) = row.find(|&(u, _)| self.dg.global_ids[u as usize] == m) {
                     total += w;
                 }
             }
@@ -291,6 +290,23 @@ impl DistMatching {
                 m != NO_VERTEX && self.dg.global_ids[v as usize] < m
             })
             .count()
+    }
+
+    /// Owned vertex `v`'s slot in `r_set`; `None` for an interior vertex.
+    #[inline]
+    fn r_slot(&self, v: u32) -> Option<usize> {
+        if self.dg.is_boundary[v as usize] {
+            self.halo.boundary.binary_search(&v).ok()
+        } else {
+            None
+        }
+    }
+
+    /// Drops the pending proposals of owned vertex `v`.
+    fn clear_proposals(&mut self, v: u32) {
+        if let Some(s) = self.r_slot(v) {
+            self.r_set[s].clear();
+        }
     }
 
     /// Advances `v`'s pointer past unavailable neighbors; returns the new
@@ -338,7 +354,7 @@ impl DistMatching {
                 },
             );
             // A proposal may already be waiting from that very neighbor.
-            if self.r_set[v as usize].contains(&c) {
+            if self.r_slot(v).is_some_and(|s| self.r_set[s].contains(&c)) {
                 self.match_pair(v, c, ctx);
             }
         }
@@ -351,13 +367,13 @@ impl DistMatching {
         self.state[v as usize] = VState::Matched;
         self.state[c as usize] = VState::Matched;
         self.mate[v as usize] = self.dg.global_ids[c as usize];
-        self.r_set[v as usize].clear();
+        self.clear_proposals(v);
         self.announce_matched(v, c, ctx);
         self.queue.push_back(v);
         self.queue.push_back(c);
         if !self.dg.is_ghost(c) {
             self.mate[c as usize] = self.dg.global_ids[v as usize];
-            self.r_set[c as usize].clear();
+            self.clear_proposals(c);
             self.announce_matched(c, v, ctx);
         }
     }
@@ -385,7 +401,7 @@ impl DistMatching {
     /// Marks owned vertex `v` unmatchable and notifies ghost neighbors.
     fn fail(&mut self, v: u32, ctx: &mut RankCtx<MatchMsg>) {
         self.state[v as usize] = VState::Failed;
-        self.r_set[v as usize].clear();
+        self.clear_proposals(v);
         let vg = self.dg.global_ids[v as usize];
         for i in self.sxadj[v as usize]..self.sxadj[v as usize + 1] {
             let u = self.sadj[i];
@@ -442,8 +458,11 @@ impl DistMatching {
         ctx.charge(1);
         match msg {
             MatchMsg::Request { from, to } => {
-                let v = self.dg.global_to_local[&to];
-                let u = self.dg.global_to_local[&from];
+                // Both ids are known in a valid run; drop a message
+                // naming a vertex this rank does not hold.
+                let (Some(v), Some(u)) = (self.dg.local(to), self.dg.local(from)) else {
+                    return;
+                };
                 debug_assert!(!self.dg.is_ghost(v));
                 if self.state[v as usize] != VState::Free {
                     // Our SUCCEEDED/FAILED already crossed this REQUEST.
@@ -452,12 +471,14 @@ impl DistMatching {
                 if self.candidate[v as usize] == u {
                     self.match_pair(v, u, ctx);
                     self.drain_queue(ctx);
-                } else {
-                    self.r_set[v as usize].push(u);
+                } else if let Some(s) = self.r_slot(v) {
+                    self.r_set[s].push(u);
                 }
             }
             MatchMsg::Succeeded { from, to: _ } | MatchMsg::Failed { from, to: _ } => {
-                let u = self.dg.global_to_local[&from];
+                let Some(u) = self.dg.local(from) else {
+                    return;
+                };
                 debug_assert!(self.dg.is_ghost(u));
                 if self.state[u as usize] == VState::Free {
                     self.state[u as usize] = match msg {
@@ -496,12 +517,9 @@ impl RankProgram for DistMatching {
                 });
             }
         }
-        for v in 0..n_local {
-            for &requester in &self.r_set[v] {
-                recs.push(MatchSnap::Proposal {
-                    v: v as u32,
-                    requester,
-                });
+        for (&v, requesters) in self.halo.boundary.iter().zip(&self.r_set) {
+            for &requester in requesters {
+                recs.push(MatchSnap::Proposal { v, requester });
             }
         }
         for &idx in &self.queue {
@@ -537,7 +555,11 @@ impl RankProgram for DistMatching {
                     p.candidate[v] = candidate;
                 }
                 MatchSnap::Ghost { idx, state } => p.state[idx as usize] = VState::from_u8(state),
-                MatchSnap::Proposal { v, requester } => p.r_set[v as usize].push(requester),
+                MatchSnap::Proposal { v, requester } => {
+                    if let Some(s) = p.r_slot(v) {
+                        p.r_set[s].push(requester);
+                    }
+                }
                 MatchSnap::Queued { idx } => p.queue.push_back(idx),
                 MatchSnap::Counts {
                     requests,
@@ -801,6 +823,67 @@ mod tests {
         let ma = assemble_matching(&bundled.programs, g.num_vertices());
         let mb = assemble_matching(&unbundled.programs, g.num_vertices());
         assert_eq!(ma, mb);
+    }
+
+    /// Drives two ranks round by round by hand and folds every rank's
+    /// encoded [`MatchSnap`] stream at every round edge into one FNV-1a
+    /// digest; also returns the number of `Proposal` records seen (so a
+    /// fixture that never exercised `r_set` cannot pass silently).
+    fn snapshot_digest(parts: Vec<DistGraph>) -> (u64, usize) {
+        use cmg_runtime::ProgramSnapshot;
+        let mut programs: Vec<DistMatching> = parts.into_iter().map(DistMatching::new).collect();
+        let p = programs.len() as Rank;
+        let mut ctxs: Vec<RankCtx<MatchMsg>> = (0..p)
+            .map(|r| RankCtx::new(r, p, true, cmg_obs::RecorderHandle::noop()))
+            .collect();
+        let (mut digest, mut proposals) = (0xcbf2_9ce4_8422_2325u64, 0usize);
+        let mut inboxes: Vec<Vec<(Rank, Vec<MatchMsg>)>> = vec![Vec::new(); p as usize];
+        for round in 0.. {
+            let mut next: Vec<Vec<(Rank, Vec<MatchMsg>)>> = vec![Vec::new(); p as usize];
+            for (r, (prog, ctx)) in programs.iter_mut().zip(&mut ctxs).enumerate() {
+                if round == 0 {
+                    prog.on_start(ctx);
+                } else {
+                    prog.on_round(&mut inboxes[r], ctx);
+                }
+                for packet in ctx.end_round().1 {
+                    let msgs = cmg_runtime::message::decode_all(packet.payload).unwrap();
+                    next[packet.dst as usize].push((r as Rank, msgs));
+                }
+                let snap = prog.snapshot();
+                proposals += snap
+                    .iter()
+                    .filter(|s| matches!(s, MatchSnap::Proposal { .. }))
+                    .count();
+                for &b in snap.encode_bytes().iter() {
+                    digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+            if next.iter().all(Vec::is_empty) {
+                break;
+            }
+            inboxes = next;
+        }
+        (digest, proposals)
+    }
+
+    /// The program state `DistMatching::new` sets up and the protocol
+    /// evolves — cursors, candidates, pending proposals — pinned record
+    /// for record to what the parent of the boundary-only `r_set` and
+    /// the `sweights`-free `weight_sorted_csr` produced, on a 32² grid
+    /// split in two blocks and hashed over two ranks.
+    #[test]
+    fn two_rank_snapshots_match_the_fixture() {
+        use cmg_partition::simple::grid2d_partition;
+        let g = assign_weights(
+            &grid2d(32, 32),
+            WeightScheme::Uniform { lo: 0.0, hi: 1.0 },
+            5,
+        );
+        let block = snapshot_digest(DistGraph::build_all(&g, &grid2d_partition(32, 32, 1, 2)));
+        let hashed = snapshot_digest(DistGraph::build_all(&g, &hash_partition(1024, 2, 3)));
+        assert_eq!(block, (639_754_283_888_892_254, 0));
+        assert_eq!(hashed, (746_777_585_637_176_078, 16));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::Matching;
 use cmg_graph::{CsrGraph, VertexId, Weight, NO_VERTEX};
-use cmg_partition::{weight_sorted_csr, DistGraph, HaloView};
+use cmg_partition::{weight_sorted_csr_weighted, DistGraph, HaloView};
 use cmg_runtime::{wire_codec, RankCtx, RankProgram, Status};
 use std::collections::BinaryHeap;
 
@@ -286,7 +286,7 @@ impl DistBSuitor {
     /// rank sees the same capacity function.
     pub fn new(dg: DistGraph, b: impl Fn(VertexId) -> usize) -> Self {
         let halo = HaloView::build(&dg);
-        let (sxadj, sadj, sweights) = weight_sorted_csr(&dg);
+        let (sxadj, sadj, sweights) = weight_sorted_csr_weighted(&dg);
         let n = dg.n_local;
         let caps: Vec<usize> = (0..n).map(|v| b(dg.global_ids[v])).collect();
         let ptr = sxadj[..n].to_vec();
@@ -353,7 +353,7 @@ impl DistBSuitor {
     /// Routes a displacement: local proposers restack, remote proposers
     /// get a Reject to their owner.
     fn notify_displaced(&mut self, from: VertexId, to: VertexId, ctx: &mut RankCtx<ExtMsg>) {
-        let Some(&fl) = self.dg.global_to_local.get(&from) else {
+        let Some(fl) = self.dg.local(from) else {
             return; // unknown proposer: drop (cannot happen in a valid run)
         };
         if self.dg.is_ghost(fl) {
@@ -406,7 +406,7 @@ impl DistBSuitor {
         match msg {
             ExtMsg::Propose { from, to } => {
                 ctx.charge(1);
-                let Some(&tl) = self.dg.global_to_local.get(&to) else {
+                let Some(tl) = self.dg.local(to) else {
                     return; // not ours: drop (cannot happen in a valid run)
                 };
                 // The cross edge is replicated locally: recover its weight
@@ -421,7 +421,7 @@ impl DistBSuitor {
                     _ => {
                         // Refused (or no such edge): bounce to the
                         // proposer's owner so it re-proposes elsewhere.
-                        if let Some(&fl) = self.dg.global_to_local.get(&from) {
+                        if let Some(fl) = self.dg.local(from) {
                             ctx.send(self.dg.owner(fl), &ExtMsg::Reject { from, to });
                         }
                     }
@@ -429,7 +429,7 @@ impl DistBSuitor {
             }
             ExtMsg::Reject { from, to: _ } => {
                 ctx.charge(1);
-                let Some(&fl) = self.dg.global_to_local.get(&from) else {
+                let Some(fl) = self.dg.local(from) else {
                     return;
                 };
                 self.made[fl as usize] = self.made[fl as usize].saturating_sub(1);

@@ -12,7 +12,6 @@ use crate::error::NetError;
 use crate::link::{FaultPlan, LinkStats};
 use bytes::{Buf, BufMut};
 use cmg_coloring::{ColorChoice, ColoringConfig, CommVariant, LocalOrder};
-use cmg_graph::util::FxHashMap;
 use cmg_partition::dist::DistGraph;
 use cmg_runtime::RankStats;
 
@@ -346,8 +345,10 @@ pub fn encode_assignment(a: &Assignment) -> Vec<u8> {
     out
 }
 
-/// Reconstructs an [`Assignment`]. The `global_to_local` map is not on
-/// the wire — it is a pure function of `global_ids` and rebuilt here.
+/// Reconstructs an [`Assignment`]. The slice's ghost table is not on
+/// the wire — [`DistGraph::from_fields`] rebuilds it, after checking every
+/// invariant the worker's readers index by, so a slice that would panic
+/// the worker is a [`NetError::Protocol`] here instead.
 pub fn decode_assignment(mut buf: &[u8]) -> Result<Assignment, NetError> {
     let buf = &mut buf;
     let rank = take_u32(buf, "rank")?;
@@ -387,38 +388,21 @@ pub fn decode_assignment(mut buf: &[u8]) -> Result<Assignment, NetError> {
     };
     no_trailing(buf, "assignment")?;
 
-    if xadj.len() != n_local + 1 {
-        return Err(NetError::protocol(format!(
-            "assignment inconsistent: n_local {n_local} but xadj has {} entries",
-            xadj.len()
-        )));
-    }
-    if global_ids.len() != n_local + ghost_owner.len() {
-        return Err(NetError::protocol(format!(
-            "assignment inconsistent: {} global ids for {} owned + {} ghosts",
-            global_ids.len(),
-            n_local,
-            ghost_owner.len()
-        )));
-    }
-    let mut global_to_local = FxHashMap::default();
-    for (i, &g) in global_ids.iter().enumerate() {
-        global_to_local.insert(g, i as u32);
-    }
+    let dg = DistGraph::from_fields(
+        rank,
+        num_ranks,
+        n_local,
+        xadj,
+        adj,
+        weights,
+        global_ids,
+        ghost_owner,
+        is_boundary,
+        neighbor_ranks,
+    )
+    .map_err(|e| NetError::protocol(format!("assignment inconsistent: {e}")))?;
     Ok(Assignment {
-        dg: DistGraph {
-            rank,
-            num_ranks,
-            n_local,
-            xadj,
-            adj,
-            weights,
-            global_ids,
-            ghost_owner,
-            global_to_local,
-            is_boundary,
-            neighbor_ranks,
-        },
+        dg,
         task,
         opts,
         resume,
@@ -875,7 +859,9 @@ mod tests {
             let bytes = encode_assignment(&a);
             let back = decode_assignment(&bytes).unwrap();
             assert_eq!(back, a);
-            assert_eq!(back.dg.global_to_local, a.dg.global_to_local);
+            for (l, &g) in a.dg.global_ids.iter().enumerate() {
+                assert_eq!(back.dg.local(g), Some(l as u32));
+            }
             // The v5 layout carried one more flag byte (the transport
             // selector) ahead of `checkpoint_every` + the resume flag.
             let mut v5 = bytes.clone();
@@ -908,6 +894,65 @@ mod tests {
         for cut in [0, 1, 9, bytes.len() / 2, bytes.len() - 1] {
             let err = decode_assignment(&bytes[..cut]).err();
             assert!(err.is_some(), "cut at {cut} must fail");
+        }
+    }
+
+    /// A slice that decodes byte for byte but would index out of bounds
+    /// (or silently misresolve an id) in the worker is refused typed: one
+    /// corrupted field per row, each a `Protocol` error naming it.
+    #[test]
+    fn inconsistent_slices_are_protocol_errors_not_panics() {
+        type Corrupt = fn(&mut DistGraph);
+        // Rank 0 of the 6-cycle: owns 0, 1, 2 (1 interior), ghosts 5, 3.
+        let rows: [(&str, Corrupt); 16] = [
+            ("rank", |dg| dg.rank = 2),
+            ("xadj", |dg| {
+                dg.xadj.pop();
+            }),
+            ("xadj", |dg| dg.xadj[0] = 1),
+            ("xadj", |dg| dg.xadj[1] = dg.xadj[2] + 1),
+            ("xadj", |dg| *dg.xadj.last_mut().unwrap() -= 1),
+            ("adjacency entry", |dg| {
+                dg.adj[0] = dg.global_ids.len() as u32
+            }),
+            ("weights", |dg| {
+                dg.weights.pop();
+            }),
+            ("boundary flags", |dg| {
+                dg.is_boundary.pop();
+            }),
+            ("boundary flag", |dg| dg.is_boundary[1] = true),
+            ("ghost owner", |dg| dg.ghost_owner[0] = 0),
+            ("ghost owner", |dg| dg.ghost_owner[1] = 2),
+            ("global ids for", |dg| {
+                dg.global_ids.pop();
+            }),
+            ("ascending", |dg| dg.global_ids.swap(0, 1)),
+            ("listed twice", |dg| dg.global_ids[3] = dg.global_ids[0]),
+            ("listed twice", |dg| dg.global_ids[4] = dg.global_ids[3]),
+            ("neighbor_ranks", |dg| dg.neighbor_ranks = vec![1, 1]),
+        ];
+        let valid = Assignment {
+            dg: sample_dist_graph(),
+            task: NetTask::Matching,
+            opts: RunOptions::default(),
+            resume: None,
+        };
+        assert_eq!(valid.dg.n_local, 3);
+        assert_eq!(valid.dg.global_ids, vec![0, 1, 2, 5, 3]);
+        assert_eq!(
+            decode_assignment(&encode_assignment(&valid)).unwrap(),
+            valid
+        );
+        for (i, (what, corrupt)) in rows.iter().enumerate() {
+            let mut bad = valid.clone();
+            corrupt(&mut bad.dg);
+            match decode_assignment(&encode_assignment(&bad)) {
+                Err(NetError::Protocol { detail }) => {
+                    assert!(detail.contains(what), "row {i}: {detail}");
+                }
+                other => panic!("row {i} ({what}): {other:?}"),
+            }
         }
     }
 

@@ -10,10 +10,18 @@
 //! ghosts occupy `n_local..n_local + n_ghost`. Only owned vertices carry an
 //! adjacency row.
 //!
+//! **The owned prefix ascends.** `global_ids[..n_local]` is strictly
+//! ascending on every slice: [`DistGraph::build_all`] lists a rank's
+//! vertices in global-id order, `grid_dist` in row-major block order, and
+//! both `debug_assert!` it; [`DistGraph::from_fields`] (the net wire
+//! input) refuses a slice that breaks it. So [`DistGraph::local`] finds an
+//! owned vertex by binary search, and only ghosts — the halo, not the
+//! rank — sit in a hash table.
+//!
 //! Construction is one pass per rank over its owned rows. An owned
 //! neighbor's local index is its position in the owner's vertex list,
 //! which [`DistGraph::build_all`] computes once for all ranks as a dense
-//! array; only a cut edge probes a hash map, to number its ghost the
+//! array; only a cut edge probes the ghost table, to number its ghost the
 //! first time it is met (DESIGN.md §16).
 
 use crate::Partition;
@@ -40,16 +48,32 @@ pub struct DistGraph {
     /// Edge weights parallel to `adj` (empty if the global graph is
     /// unweighted).
     pub weights: Vec<Weight>,
-    /// Global id of each local index (owned then ghosts).
+    /// Global id of each local index: owned vertices in strictly
+    /// ascending order, then ghosts.
     pub global_ids: Vec<VertexId>,
     /// Owner rank of each ghost, indexed by `local - n_local`.
     pub ghost_owner: Vec<Rank>,
-    /// Global id → local index, for owned and ghost vertices of this rank.
-    pub global_to_local: FxHashMap<VertexId, u32>,
     /// `is_boundary[v]` for owned `v`: has at least one ghost neighbor.
     pub is_boundary: Vec<bool>,
     /// Sorted list of neighboring ranks (ranks owning at least one ghost).
     pub neighbor_ranks: Vec<Rank>,
+    /// Ghost global id → local index. Owned vertices are not in it:
+    /// [`DistGraph::local`] finds them in the ascending owned prefix.
+    pub(crate) ghosts: FxHashMap<VertexId, u32>,
+}
+
+/// The sorted, distinct owners of a ghost list: a slice's
+/// `neighbor_ranks`.
+pub(crate) fn ranks_of(ghost_owner: &[Rank]) -> Vec<Rank> {
+    let mut ranks = ghost_owner.to_vec();
+    ranks.sort_unstable();
+    ranks.dedup();
+    ranks
+}
+
+/// `true` if `ids` is strictly ascending (the owned-prefix invariant).
+pub(crate) fn strictly_ascending(ids: &[VertexId]) -> bool {
+    ids.windows(2).all(|w| w[0] < w[1])
 }
 
 impl DistGraph {
@@ -112,9 +136,9 @@ impl DistGraph {
         let nnz: usize = owned.iter().map(|&v| g.degree(v)).sum();
         let mut global_ids: Vec<VertexId> = owned.to_vec();
         let mut ghost_owner: Vec<Rank> = Vec::new();
-        // Holds the ghosts alone during the pass below, so that only a
-        // cut edge pays for a probe, into a table the size of the halo.
-        let mut global_to_local: FxHashMap<VertexId, u32> = FxHashMap::default();
+        // Only a cut edge pays for a probe, into a table the size of the
+        // halo.
+        let mut ghosts: FxHashMap<VertexId, u32> = FxHashMap::default();
 
         // One pass over the owned adjacency: owned neighbors translate
         // by index, ghosts are numbered in the order they are first met.
@@ -130,7 +154,7 @@ impl DistGraph {
                     local[u as usize]
                 } else {
                     is_boundary[i] = true;
-                    *global_to_local.entry(u).or_insert_with(|| {
+                    *ghosts.entry(u).or_insert_with(|| {
                         global_ids.push(u);
                         ghost_owner.push(o);
                         (global_ids.len() - 1) as u32
@@ -140,12 +164,7 @@ impl DistGraph {
             weights.extend_from_slice(g.neighbor_weights(v));
             xadj.push(adj.len());
         }
-        global_to_local.reserve(n_local);
-        global_to_local.extend(owned.iter().zip(0u32..).map(|(&v, i)| (v, i)));
-
-        let mut neighbor_ranks: Vec<Rank> = ghost_owner.clone();
-        neighbor_ranks.sort_unstable();
-        neighbor_ranks.dedup();
+        debug_assert!(strictly_ascending(owned));
 
         DistGraph {
             rank,
@@ -155,11 +174,123 @@ impl DistGraph {
             adj,
             weights,
             global_ids,
+            neighbor_ranks: ranks_of(&ghost_owner),
             ghost_owner,
-            global_to_local,
+            is_boundary,
+            ghosts,
+        }
+    }
+
+    /// Reassembles a slice from the fields the net wire format carries
+    /// (everything but the ghost table, which is rebuilt here). They
+    /// crossed a process boundary, so every invariant a reader indexes
+    /// by — the ascending owned prefix, and boundary flags set exactly for
+    /// the rows with a ghost, which `DistMatching`'s proposal lists rely
+    /// on, among them — is checked: a violation is an `Err` naming it
+    /// rather than a panic later.
+    #[allow(clippy::too_many_arguments)]
+    pub fn from_fields(
+        rank: Rank,
+        num_ranks: Rank,
+        n_local: usize,
+        xadj: Vec<usize>,
+        adj: Vec<u32>,
+        weights: Vec<Weight>,
+        global_ids: Vec<VertexId>,
+        ghost_owner: Vec<Rank>,
+        is_boundary: Vec<bool>,
+        neighbor_ranks: Vec<Rank>,
+    ) -> Result<DistGraph, String> {
+        macro_rules! ensure {
+            ($ok:expr, $($why:tt)+) => {
+                if !$ok {
+                    return Err(format!($($why)+));
+                }
+            };
+        }
+        ensure!(rank < num_ranks, "rank {rank} of {num_ranks} ranks");
+        let n = xadj.len();
+        ensure!(
+            n == n_local + 1,
+            "n_local {n_local} but xadj has {n} entries"
+        );
+        let m = adj.len();
+        ensure!(
+            xadj[0] == 0 && xadj[n_local] == m && xadj.windows(2).all(|w| w[0] <= w[1]),
+            "xadj does not rise from 0 to the {m} adjacency entries"
+        );
+        let (n_total, n_ghost) = (global_ids.len(), ghost_owner.len());
+        ensure!(
+            n_total == n_local + n_ghost,
+            "{n_total} global ids for {n_local} owned + {n_ghost} ghosts"
+        );
+        ensure!(
+            adj.iter().all(|&u| (u as usize) < n_total),
+            "an adjacency entry is not one of the {n_total} local indices"
+        );
+        ensure!(
+            weights.is_empty() || weights.len() == m,
+            "{} weights for {m} adjacency entries",
+            weights.len()
+        );
+        ensure!(
+            is_boundary.len() == n_local,
+            "{} boundary flags for {n_local} owned vertices",
+            is_boundary.len()
+        );
+        ensure!(
+            (0..n_local).all(|v| is_boundary[v]
+                == adj[xadj[v]..xadj[v + 1]]
+                    .iter()
+                    .any(|&u| u as usize >= n_local)),
+            "a boundary flag disagrees with its row"
+        );
+        ensure!(
+            ghost_owner.iter().all(|&o| o < num_ranks && o != rank),
+            "a ghost owner is not another of the {num_ranks} ranks"
+        );
+        let owned = &global_ids[..n_local];
+        ensure!(
+            strictly_ascending(owned),
+            "owned global ids are not strictly ascending"
+        );
+        let mut ghosts = FxHashMap::with_capacity_and_hasher(n_ghost, Default::default());
+        for (l, &g) in global_ids.iter().enumerate().skip(n_local) {
+            ensure!(
+                owned.binary_search(&g).is_err() && ghosts.insert(g, l as u32).is_none(),
+                "global id {g} is listed twice"
+            );
+        }
+        ensure!(
+            neighbor_ranks == ranks_of(&ghost_owner),
+            "neighbor_ranks are not the sorted distinct ghost owners"
+        );
+        Ok(DistGraph {
+            rank,
+            num_ranks,
+            n_local,
+            xadj,
+            adj,
+            weights,
+            global_ids,
+            ghost_owner,
             is_boundary,
             neighbor_ranks,
-        }
+            ghosts,
+        })
+    }
+
+    /// Local index of global vertex `g` on this rank, owned or ghost;
+    /// `None` if the rank neither owns nor ghosts it. A ghost is one probe
+    /// of a halo-sized table, an owned vertex a binary search of the
+    /// ascending owned prefix (ghosts first: most ids a message names
+    /// are the sender's vertices).
+    #[inline]
+    pub fn local(&self, g: VertexId) -> Option<u32> {
+        self.ghosts.get(&g).copied().or_else(|| {
+            let owned = &self.global_ids[..self.n_local];
+            owned.binary_search(&g).ok().map(|l| l as u32)
+        })
     }
 
     /// Number of ghost vertices.
@@ -339,9 +470,9 @@ mod tests {
             assert_eq!(dg.ghost_owner, owners);
             let ranks: std::collections::BTreeSet<Rank> = owners.into_iter().collect();
             assert_eq!(dg.neighbor_ranks, ranks.into_iter().collect::<Vec<_>>());
-            assert_eq!(dg.global_to_local.len(), ids.len());
-            for (l, v) in ids.iter().enumerate() {
-                assert_eq!(dg.global_to_local[v], l as u32);
+            assert_eq!(dg.ghosts.len(), ids.len() - dg.n_local);
+            for (l, &v) in ids.iter().enumerate() {
+                assert_eq!(dg.local(v), Some(l as u32));
             }
             // Rows keep the global graph's neighbor order and weights.
             for (l, &v) in ids[..dg.n_local].iter().enumerate() {

@@ -8,14 +8,22 @@
 //! never materializing the global graph — which is what makes the
 //! paper-scale weak-scaling inputs fit in one host's memory.
 //!
+//! A rank is one row-major pass over its block, with no lookups: an
+//! in-block neighbor's local index is its offset in the block, and an
+//! out-of-block one is a ghost, numbered when the scan meets it. A cell
+//! outside the block touches at most one cell inside it (the stencil has
+//! no diagonals), so the scan meets each ghost exactly once, in the order
+//! [`DistGraph::build_all`] discovers it. Every buffer is allocated once at
+//! its final size; the only hash table is the slice's ghost table.
+//!
 //! The construction is bit-identical to
 //! `DistGraph::build_all(assign_weights(grid2d(..)), grid2d_partition(..))`
 //! (verified by tests), including the ghost discovery order and the
 //! deterministic edge weights.
 
-use crate::dist::{DistGraph, Rank};
+use crate::dist::{ranks_of, strictly_ascending, DistGraph, Rank};
 use cmg_graph::util::FxHashMap;
-use cmg_graph::weights::edge_unit_random;
+use cmg_graph::weights::EdgeUnitRandom;
 use cmg_graph::VertexId;
 
 /// Block boundaries used by `grid2d_partition`: index range owned by block
@@ -29,17 +37,6 @@ fn block_range(n: usize, nb: u32, b: u32) -> (usize, usize) {
         ((b as usize + 1) * per).min(n)
     };
     (lo, hi)
-}
-
-/// Owner rank of grid vertex `(i, j)` under the `pr × pc` uniform 2-D
-/// distribution (identical to `grid2d_partition`).
-#[inline]
-fn owner_of(i: usize, j: usize, rows: usize, cols: usize, pr: u32, pc: u32) -> Rank {
-    let block_r = rows.div_ceil(pr as usize).max(1);
-    let block_c = cols.div_ceil(pc as usize).max(1);
-    let bi = ((i / block_r) as u32).min(pr - 1);
-    let bj = ((j / block_c) as u32).min(pc - 1);
-    bi * pc + bj
 }
 
 /// Builds all ranks' local graphs of a `rows × cols` 5-point grid
@@ -79,82 +76,70 @@ pub fn build_rank(
     let (bi, bj) = (rank / pc, rank % pc);
     let (r0, r1) = block_range(rows, pr, bi);
     let (c0, c1) = block_range(cols, pc, bj);
-    let n_local = (r1 - r0) * (c1 - c0);
+    let w = c1 - c0;
+    let n_local = (r1 - r0) * w;
     let id = |i: usize, j: usize| (i * cols + j) as VertexId;
-
-    let mut global_ids: Vec<VertexId> = Vec::with_capacity(n_local);
-    let mut global_to_local: FxHashMap<VertexId, u32> = FxHashMap::default();
-    for i in r0..r1 {
-        for j in c0..c1 {
-            global_to_local.insert(id(i, j), global_ids.len() as u32);
-            global_ids.push(id(i, j));
-        }
-    }
-
-    // Neighbors of (i, j) in ascending global-id order: N, W, E, S.
-    let neighbors_of = |i: usize, j: usize| {
-        let mut out: [Option<(usize, usize)>; 4] = [None; 4];
-        if i > 0 {
-            out[0] = Some((i - 1, j));
-        }
-        if j > 0 {
-            out[1] = Some((i, j - 1));
-        }
-        if j + 1 < cols {
-            out[2] = Some((i, j + 1));
-        }
-        if i + 1 < rows {
-            out[3] = Some((i + 1, j));
-        }
-        out
+    // The halo: the rows above and below the block and the columns left
+    // and right of it, where the grid has them; an empty block has none.
+    // Blocks run empty only past the grid's far end, so every halo cell
+    // lies in the adjacent block: its owner is one step away in `rank`.
+    let n_ghost = if n_local == 0 {
+        0
+    } else {
+        w * (usize::from(r0 > 0) + usize::from(r1 < rows))
+            + (r1 - r0) * (usize::from(c0 > 0) + usize::from(c1 < cols))
     };
-    let in_block = |i: usize, j: usize| i >= r0 && i < r1 && j >= c0 && j < c1;
 
-    // Ghost discovery in the same order `DistGraph::build_all` uses.
-    let mut ghost_owner: Vec<Rank> = Vec::new();
-    for i in r0..r1 {
-        for j in c0..c1 {
-            for (ni, nj) in neighbors_of(i, j).into_iter().flatten() {
-                if !in_block(ni, nj) && !global_to_local.contains_key(&id(ni, nj)) {
-                    let idx = (n_local + ghost_owner.len()) as u32;
-                    global_to_local.insert(id(ni, nj), idx);
-                    global_ids.push(id(ni, nj));
-                    ghost_owner.push(owner_of(ni, nj, rows, cols, pr, pc));
-                }
-            }
-        }
-    }
-
-    // Local CSR.
+    let mut global_ids: Vec<VertexId> = Vec::with_capacity(n_local + n_ghost);
+    global_ids.extend((r0..r1).flat_map(|i| (c0..c1).map(move |j| id(i, j))));
+    let mut ghost_owner: Vec<Rank> = Vec::with_capacity(n_ghost);
+    let mut ghosts = FxHashMap::with_capacity_and_hasher(n_ghost, Default::default());
     let mut xadj = Vec::with_capacity(n_local + 1);
     xadj.push(0usize);
     let mut adj = Vec::with_capacity(4 * n_local);
-    let weighted = weight_seed.is_some();
-    let mut weights = Vec::with_capacity(if weighted { 4 * n_local } else { 0 });
+    let draw = weight_seed.map(EdgeUnitRandom::new);
+    let mut weights = Vec::with_capacity(if draw.is_some() { 4 * n_local } else { 0 });
     let mut is_boundary = vec![false; n_local];
+    // One step N, W, E, S (ascending global id) as offsets of the global
+    // id, the local index and the owner rank.
+    let (dv, dl, dr) = (cols as i64, w as i64, i64::from(pc));
+    let [north, west, east, south] = [(-dv, -dl, -dr), (-1, -1, -1), (1, 1, 1), (dv, dl, dr)];
     for i in r0..r1 {
         for j in c0..c1 {
             let v = id(i, j);
-            let vl = global_to_local[&v] as usize;
-            for (ni, nj) in neighbors_of(i, j).into_iter().flatten() {
-                let u = id(ni, nj);
-                let ul = global_to_local[&u];
-                adj.push(ul);
-                if let Some(seed) = weight_seed {
-                    let (a, b) = if v < u { (v, u) } else { (u, v) };
-                    weights.push(edge_unit_random(a, b, seed));
+            let vl = (i - r0) * w + (j - c0);
+            // (in the grid, in the block, step) per neighbor.
+            let nbrs = [
+                (i > 0, i > r0, north),
+                (j > 0, j > c0, west),
+                (j + 1 < cols, j + 1 < c1, east),
+                (i + 1 < rows, i + 1 < r1, south),
+            ];
+            for (in_grid, in_block, (sv, sl, sr)) in nbrs {
+                if !in_grid {
+                    continue;
                 }
-                if ul as usize >= n_local {
+                let u = (i64::from(v) + sv) as VertexId;
+                if in_block {
+                    adj.push((vl as i64 + sl) as u32);
+                } else {
+                    let gl = global_ids.len() as u32;
+                    let first_meeting = ghosts.insert(u, gl).is_none();
+                    debug_assert!(first_meeting, "ghost {u} has two owned neighbors");
+                    global_ids.push(u);
+                    ghost_owner.push((i64::from(rank) + sr) as Rank);
+                    adj.push(gl);
                     is_boundary[vl] = true;
+                }
+                if let Some(draw) = draw {
+                    weights.push(draw.of(v.min(u), v.max(u)));
                 }
             }
             xadj.push(adj.len());
         }
     }
-
-    let mut neighbor_ranks: Vec<Rank> = ghost_owner.clone();
-    neighbor_ranks.sort_unstable();
-    neighbor_ranks.dedup();
+    debug_assert_eq!(ghost_owner.len(), n_ghost);
+    debug_assert!(strictly_ascending(&global_ids[..n_local]));
 
     DistGraph {
         rank,
@@ -164,10 +149,10 @@ pub fn build_rank(
         adj,
         weights,
         global_ids,
+        neighbor_ranks: ranks_of(&ghost_owner),
         ghost_owner,
-        global_to_local,
         is_boundary,
-        neighbor_ranks,
+        ghosts,
     }
 }
 
@@ -177,6 +162,7 @@ mod tests {
     use crate::simple::grid2d_partition;
     use cmg_graph::generators::grid2d;
     use cmg_graph::weights::{assign_weights, WeightScheme};
+    use proptest::prelude::*;
 
     fn explicit(rows: usize, cols: usize, pr: u32, pc: u32, seed: Option<u64>) -> Vec<DistGraph> {
         let g = grid2d(rows, cols);
@@ -187,28 +173,26 @@ mod tests {
         DistGraph::build_all(&g, &grid2d_partition(rows, cols, pr, pc))
     }
 
-    #[test]
-    fn matches_explicit_construction_unweighted() {
-        for (rows, cols, pr, pc) in [(8usize, 8usize, 2u32, 2u32), (9, 7, 3, 2), (5, 5, 1, 1)] {
-            let implicit = grid2d_dist(rows, cols, pr, pc, None);
-            let expected = explicit(rows, cols, pr, pc, None);
-            assert_eq!(implicit, expected, "{rows}x{cols} on {pr}x{pc}");
+    proptest! {
+        /// The geometry build equals the explicit one field for field:
+        /// uneven and 1-wide blocks, more block-rows or -columns than the
+        /// grid has (empty blocks), weighted and unweighted.
+        #[test]
+        fn matches_explicit_construction(
+            rows in 1usize..14,
+            cols in 1usize..14,
+            pr in 1u32..6,
+            pc in 1u32..6,
+            weighted in any::<bool>(),
+            seed in 0u64..1_000,
+        ) {
+            let seed = weighted.then_some(seed);
+            prop_assert_eq!(
+                grid2d_dist(rows, cols, pr, pc, seed),
+                explicit(rows, cols, pr, pc, seed),
+                "{}x{} on {}x{}, seed {:?}", rows, cols, pr, pc, seed
+            );
         }
-    }
-
-    #[test]
-    fn matches_explicit_construction_weighted() {
-        let implicit = grid2d_dist(10, 12, 2, 3, Some(42));
-        let expected = explicit(10, 12, 2, 3, Some(42));
-        assert_eq!(implicit, expected);
-    }
-
-    #[test]
-    fn uneven_blocks_match() {
-        // 7 rows over 3 block-rows: blocks of 3, 3, 1.
-        let implicit = grid2d_dist(7, 7, 3, 3, Some(1));
-        let expected = explicit(7, 7, 3, 3, Some(1));
-        assert_eq!(implicit, expected);
     }
 
     #[test]

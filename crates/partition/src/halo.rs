@@ -6,7 +6,17 @@
 //! cross-adjacency needed to propagate "this ghost changed" to the
 //! owned vertices that care). Each rank program used to rebuild these
 //! privately; [`HaloView`] computes them once, totally (no partial
-//! indexing), and the algorithms share the result.
+//! indexing), and the algorithms share the result. Its ascending
+//! `boundary` list doubles as a dense index of the boundary vertices:
+//! `DistMatching` keeps pending proposals for those alone, since only a
+//! boundary vertex can be proposed to across a cut edge.
+//!
+//! The weight-sorted adjacency the matching programs walk comes from
+//! [`weight_sorted_csr`] (order only) or [`weight_sorted_csr_weighted`]
+//! (with the weights in that order, for programs that compare them):
+//! the half-approximation needs only the order, so it builds no weight
+//! column. Neither these nor the halo look a global id up — everything
+//! here is indexed by local index.
 
 use crate::dist::{DistGraph, Rank};
 use cmg_graph::{VertexId, Weight};
@@ -122,14 +132,24 @@ impl HaloView {
 /// within each row, neighbors ordered by descending weight, ties broken
 /// by ascending *global* id so every rank orders shared edges
 /// identically (the paper's smallest-label tie-break). Returns
-/// `(sxadj, sadj, sweights)` with `sweights[i]` the weight of the edge
-/// to `sadj[i]` (1.0 throughout if the graph is unweighted).
-pub fn weight_sorted_csr(dg: &DistGraph) -> (Vec<usize>, Vec<u32>, Vec<Weight>) {
+/// `(sxadj, sadj)`.
+pub fn weight_sorted_csr(dg: &DistGraph) -> (Vec<usize>, Vec<u32>) {
+    let (sxadj, sadj, _) = sort_rows(dg, false);
+    (sxadj, sadj)
+}
+
+/// [`weight_sorted_csr`] plus `sweights`, with `sweights[i]` the weight
+/// of the edge to `sadj[i]` (1.0 throughout if the graph is unweighted).
+pub fn weight_sorted_csr_weighted(dg: &DistGraph) -> (Vec<usize>, Vec<u32>, Vec<Weight>) {
+    sort_rows(dg, true)
+}
+
+fn sort_rows(dg: &DistGraph, with_weights: bool) -> (Vec<usize>, Vec<u32>, Vec<Weight>) {
     let n_local = dg.n_local;
     let mut sxadj = Vec::with_capacity(n_local + 1);
     sxadj.push(0usize);
     let mut sadj = Vec::with_capacity(dg.adj.len());
-    let mut sweights = Vec::with_capacity(dg.adj.len());
+    let mut sweights = Vec::with_capacity(if with_weights { dg.adj.len() } else { 0 });
     let mut row: Vec<(Weight, VertexId, u32)> = Vec::new();
     for v in 0..n_local as u32 {
         row.clear();
@@ -139,7 +159,9 @@ pub fn weight_sorted_csr(dg: &DistGraph) -> (Vec<usize>, Vec<u32>, Vec<Weight>) 
         );
         row.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         sadj.extend(row.iter().map(|&(_, _, u)| u));
-        sweights.extend(row.iter().map(|&(w, _, _)| w));
+        if with_weights {
+            sweights.extend(row.iter().map(|&(w, _, _)| w));
+        }
         sxadj.push(sadj.len());
     }
     (sxadj, sadj, sweights)
@@ -159,10 +181,11 @@ pub fn ghost_neighbor_owners<'a>(dg: &'a DistGraph, v: u32) -> impl Iterator<Ite
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simple::{block_partition, grid2d_partition};
+    use crate::simple::{block_partition, grid2d_partition, hash_partition};
     use crate::Partition;
     use cmg_graph::generators::grid2d;
     use cmg_graph::weights::{assign_weights, WeightScheme};
+    use cmg_graph::CsrGraph;
 
     #[test]
     fn interior_and_boundary_partition_owned() {
@@ -230,38 +253,69 @@ mod tests {
         assert!(halo.boundary.is_empty());
     }
 
+    /// Checks both sorted CSRs of every slice of `g` under `p` against a
+    /// comparison sort of `(weight, global id, local)` tuples under
+    /// `f64::total_cmp` — the definition of the row order.
+    fn assert_rows_follow_the_definition(g: &CsrGraph, p: &Partition) {
+        for dg in DistGraph::build_all(g, p) {
+            let (sxadj, sadj, sweights) = weight_sorted_csr_weighted(&dg);
+            assert_eq!(weight_sorted_csr(&dg), (sxadj.clone(), sadj.clone()));
+            assert_eq!(sxadj.len(), dg.n_local + 1);
+            for v in 0..dg.n_local as u32 {
+                let mut row: Vec<(Weight, VertexId, u32)> = dg
+                    .neighbors_weighted(v)
+                    .map(|(u, w)| (w, dg.global_ids[u as usize], u))
+                    .collect();
+                row.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+                let (lo, hi) = (sxadj[v as usize], sxadj[v as usize + 1]);
+                let want: Vec<u32> = row.iter().map(|&(_, _, u)| u).collect();
+                assert_eq!(sadj[lo..hi], want[..], "row {v} of rank {}", dg.rank);
+                // Bit-equal weights, so -0.0 stays -0.0 and NaN stays NaN.
+                let got: Vec<u64> = sweights[lo..hi].iter().map(|w| w.to_bits()).collect();
+                let want: Vec<u64> = row.iter().map(|&(w, _, _)| w.to_bits()).collect();
+                assert_eq!(got, want, "row {v} of rank {}", dg.rank);
+            }
+        }
+    }
+
     #[test]
     fn weight_sorted_rows_descend_with_global_id_ties() {
         let g = assign_weights(&grid2d(5, 5), WeightScheme::Uniform { lo: 0.0, hi: 1.0 }, 3);
-        let p = block_partition(25, 3);
-        for dg in DistGraph::build_all(&g, &p) {
-            let (sxadj, sadj, sweights) = weight_sorted_csr(&dg);
-            assert_eq!(sxadj.len(), dg.n_local + 1);
-            assert_eq!(sadj.len(), dg.adj.len());
-            assert_eq!(sweights.len(), dg.adj.len());
-            for v in 0..dg.n_local {
-                let row = &sadj[sxadj[v]..sxadj[v + 1]];
-                let ws = &sweights[sxadj[v]..sxadj[v + 1]];
-                // Same multiset as the unsorted row.
-                let mut a: Vec<u32> = row.to_vec();
-                let mut b: Vec<u32> = dg.neighbors(v as u32).to_vec();
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b);
-                for i in 1..row.len() {
-                    let key = |j: usize| (-ws[j], dg.global_ids[row[j] as usize]);
-                    assert!(key(i - 1) <= key(i), "row {v} out of order at {i}");
-                }
-                // Weights parallel to the sorted row.
-                for (i, &u) in row.iter().enumerate() {
-                    let w = dg
-                        .neighbors_weighted(v as u32)
-                        .find(|&(x, _)| x == u)
-                        .map(|(_, w)| w);
-                    assert_eq!(w, Some(ws[i]));
-                }
-            }
+        assert_rows_follow_the_definition(&g, &block_partition(25, 3));
+        // All-equal weights: the global id alone orders every row.
+        let g = assign_weights(&grid2d(5, 5), WeightScheme::Equal(0.5), 0);
+        assert_rows_follow_the_definition(&g, &block_partition(25, 3));
+        // Unweighted: every weight 1.0.
+        assert_rows_follow_the_definition(&grid2d(5, 5), &block_partition(25, 2));
+        // A hub of degree 40 (past any small-sort cutoff) whose spokes
+        // carry the weights a packed or bit-trick key would most easily
+        // order differently from `total_cmp`: ±0.0,
+        // negative, subnormal, infinite and NaN, each value on several
+        // spokes so ties fall to the global id; the hub's neighbors are
+        // spread over three ranks.
+        let tricky = [
+            0.0,
+            -0.0,
+            -1.5,
+            1.5,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 4.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MAX,
+            -f64::MAX,
+        ];
+        let mut b = cmg_graph::GraphBuilder::new(41);
+        for s in 1..41u32 {
+            b.add_edge(0, s, tricky[(s as usize * 7) % tricky.len()]);
         }
+        let hub = b.build();
+        assert_rows_follow_the_definition(&hub, &block_partition(41, 1));
+        assert_rows_follow_the_definition(&hub, &hash_partition(41, 3, 9));
     }
 
     #[test]
@@ -269,7 +323,7 @@ mod tests {
         let g = grid2d(3, 3);
         let p = block_partition(9, 2);
         let dg = &DistGraph::build_all(&g, &p)[0];
-        let (_, _, sweights) = weight_sorted_csr(dg);
+        let (_, _, sweights) = weight_sorted_csr_weighted(dg);
         assert!(sweights.iter().all(|&w| w == 1.0));
     }
 
