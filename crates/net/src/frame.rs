@@ -323,15 +323,23 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u64, Frame)>, NetError> {
             "frame length {len} outside [9, {MAX_FRAME_LEN}]"
         )));
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)
-        .map_err(|e| NetError::io("reading frame body", e))?;
-    decode_body(&body).map(Some)
+    // The body lands in reserved, never zero-filled, capacity, and the
+    // payload is handed out as a window of that same buffer.
+    let mut body = Vec::with_capacity(len as usize);
+    match r.take(u64::from(len)).read_to_end(&mut body) {
+        Ok(n) if n == len as usize => decode_body(Bytes::from(body)).map(Some),
+        Ok(_) => Err(NetError::io(
+            "reading frame body",
+            std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "stream closed mid-frame"),
+        )),
+        Err(e) => Err(NetError::io("reading frame body", e)),
+    }
 }
 
 /// Decodes everything after the length prefix: `[u64 seq][ctrl][payload]`
-/// (`body` is at least 9 bytes — both callers checked the length).
-fn decode_body(body: &[u8]) -> Result<(u64, Frame), NetError> {
+/// (`body` is at least 9 bytes — both callers checked the length). The
+/// payload is a window of `body`, not a copy.
+fn decode_body(body: Bytes) -> Result<(u64, Frame), NetError> {
     let seq = u64::from_le_bytes([
         body[0], body[1], body[2], body[3], body[4], body[5], body[6], body[7],
     ]);
@@ -345,7 +353,7 @@ fn decode_body(body: &[u8]) -> Result<(u64, Frame), NetError> {
             )))
         }
     };
-    let payload = Bytes::from(cursor);
+    let payload = body.slice(body.len() - cursor.len()..);
     Ok((seq, Frame { ctrl, payload }))
 }
 
@@ -406,7 +414,7 @@ impl FrameAssembler {
         if avail.len() < total {
             return Ok(None);
         }
-        let decoded = decode_body(&avail[4..total])?;
+        let decoded = decode_body(Bytes::from(&avail[4..total]))?;
         self.start += total;
         // Compact once the dead prefix dominates, bounding memory while
         // keeping amortized cost O(bytes).

@@ -9,11 +9,13 @@
 //! other side may be a different build.
 
 use crate::error::NetError;
-use crate::link::{FaultPlan, LinkStats};
+use crate::frame::Ctrl;
+use crate::link::{FaultPlan, LinkStats, LinkWriter};
 use bytes::{Buf, BufMut};
 use cmg_coloring::{ColorChoice, ColoringConfig, CommVariant, LocalOrder};
 use cmg_partition::dist::DistGraph;
 use cmg_runtime::RankStats;
+use std::io::Write;
 
 /// Sentinel for [`RunOptions::die_at_round`]: never wedge.
 pub const NEVER: u64 = u64::MAX;
@@ -81,20 +83,36 @@ fn no_trailing(buf: &impl Buf, what: &str) -> Result<(), NetError> {
     Ok(())
 }
 
-fn put_u32s(out: &mut impl BufMut, xs: &[u32]) {
+/// Appends `xs` as a `u64` length and then one `W`-byte little-endian
+/// `word` per element: the output grows once, and each element is one
+/// fixed-width copy into it — never one cursor call per element.
+fn put_array<T: Copy, const W: usize>(out: &mut Vec<u8>, xs: &[T], word: impl Fn(T) -> [u8; W]) {
     out.put_u64_le(xs.len() as u64);
-    for &x in xs {
-        out.put_u32_le(x);
+    let at = out.len();
+    out.resize(at + W * xs.len(), 0);
+    for (dst, &x) in out[at..].chunks_exact_mut(W).zip(xs) {
+        dst.copy_from_slice(&word(x));
     }
 }
 
-fn take_u32s(buf: &mut impl Buf, what: &str) -> Result<Vec<u32>, NetError> {
-    let n = take_len(buf, 4, what)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(buf.get_u32_le());
-    }
-    Ok(out)
+/// Reads an array [`put_array`] wrote into one exact-size allocation,
+/// refusing a length the payload cannot hold before allocating.
+fn take_array<T, const W: usize>(
+    buf: &mut &[u8],
+    what: &str,
+    value: impl Fn([u8; W]) -> T,
+) -> Result<Vec<T>, NetError> {
+    let n = take_len(buf, W, what)?;
+    let (words, rest) = buf.split_at(W * n);
+    *buf = rest;
+    let mut le = [0; W];
+    Ok(words
+        .chunks_exact(W)
+        .map(|w| {
+            le.copy_from_slice(w);
+            value(le)
+        })
+        .collect())
 }
 
 /// Everything a worker needs to run its rank: the partition slice, the
@@ -308,41 +326,67 @@ fn decode_options(buf: &mut impl Buf) -> Result<RunOptions, NetError> {
 
 /// Serializes a rank's assignment (partition slice + task + options).
 pub fn encode_assignment(a: &Assignment) -> Vec<u8> {
-    let dg = &a.dg;
-    let mut out = Vec::with_capacity(
-        64 + dg.xadj.len() * 8 + dg.adj.len() * 4 + dg.weights.len() * 8 + dg.global_ids.len() * 4,
-    );
+    let resume = a.resume.as_ref().map(|r| (r.round, r.payload.as_slice()));
+    let mut out = Vec::with_capacity(assignment_len(&a.dg, resume));
+    encode_assignment_into(&mut out, &a.dg, &a.task, &a.opts, resume);
+    out
+}
+
+/// Ships `dg.rank` its assignment over `w`, encoded from the borrowed
+/// slice straight into the frame buffer: one payload-sized allocation and
+/// no staging copy, whether the supervisor is launching, relaunching from
+/// a checkpoint (`resume` = the round and that rank's blob) or retasking.
+pub fn send_assignment<W: Write>(
+    w: &mut LinkWriter<W>,
+    dg: &DistGraph,
+    task: &NetTask,
+    opts: &RunOptions,
+    resume: Option<(u64, &[u8])>,
+) -> Result<(), NetError> {
+    let len = assignment_len(dg, resume);
+    w.send_streamed(Ctrl::Assignment { rank: dg.rank }, len, |out| {
+        encode_assignment_into(out, dg, task, opts, resume);
+    })
+}
+
+/// At least the encoded size of an assignment: the arrays exactly, plus
+/// 184 B of fixed fields, task, options and resume header at most.
+fn assignment_len(dg: &DistGraph, resume: Option<(u64, &[u8])>) -> usize {
+    192 + 8 * (dg.xadj.len() + dg.weights.len())
+        + 4 * (dg.adj.len() + dg.global_ids.len() + dg.ghost_owner.len())
+        + 4 * dg.neighbor_ranks.len()
+        + dg.is_boundary.len()
+        + resume.map_or(0, |(_, blob)| blob.len())
+}
+
+fn encode_assignment_into(
+    out: &mut Vec<u8>,
+    dg: &DistGraph,
+    task: &NetTask,
+    opts: &RunOptions,
+    resume: Option<(u64, &[u8])>,
+) {
     out.put_u32_le(dg.rank);
     out.put_u32_le(dg.num_ranks);
     out.put_u64_le(dg.n_local as u64);
-    out.put_u64_le(dg.xadj.len() as u64);
-    for &x in &dg.xadj {
-        out.put_u64_le(x as u64);
-    }
-    put_u32s(&mut out, &dg.adj);
-    out.put_u64_le(dg.weights.len() as u64);
-    for &w in &dg.weights {
-        out.put_f64_le(w);
-    }
-    put_u32s(&mut out, &dg.global_ids);
-    put_u32s(&mut out, &dg.ghost_owner);
-    out.put_u64_le(dg.is_boundary.len() as u64);
-    for &b in &dg.is_boundary {
-        out.put_u8(u8::from(b));
-    }
-    put_u32s(&mut out, &dg.neighbor_ranks);
-    encode_task(&mut out, &a.task);
-    encode_options(&mut out, &a.opts);
-    match &a.resume {
+    put_array(out, &dg.xadj, |x| (x as u64).to_le_bytes());
+    put_array(out, &dg.adj, u32::to_le_bytes);
+    put_array(out, &dg.weights, f64::to_le_bytes);
+    put_array(out, &dg.global_ids, u32::to_le_bytes);
+    put_array(out, &dg.ghost_owner, u32::to_le_bytes);
+    put_array(out, &dg.is_boundary, |b| [u8::from(b)]);
+    put_array(out, &dg.neighbor_ranks, u32::to_le_bytes);
+    encode_task(out, task);
+    encode_options(out, opts);
+    match resume {
         None => out.put_u8(0),
-        Some(r) => {
+        Some((round, blob)) => {
             out.put_u8(1);
-            out.put_u64_le(r.round);
-            out.put_u64_le(r.payload.len() as u64);
-            out.extend_from_slice(&r.payload);
+            out.put_u64_le(round);
+            out.put_u64_le(blob.len() as u64);
+            out.extend_from_slice(blob);
         }
     }
-    out
 }
 
 /// Reconstructs an [`Assignment`]. The slice's ghost table is not on
@@ -354,34 +398,20 @@ pub fn decode_assignment(mut buf: &[u8]) -> Result<Assignment, NetError> {
     let rank = take_u32(buf, "rank")?;
     let num_ranks = take_u32(buf, "num_ranks")?;
     let n_local = take_u64(buf, "n_local")? as usize;
-    let n_xadj = take_len(buf, 8, "xadj")?;
-    let mut xadj = Vec::with_capacity(n_xadj);
-    for _ in 0..n_xadj {
-        xadj.push(buf.get_u64_le() as usize);
-    }
-    let adj = take_u32s(buf, "adj")?;
-    let n_weights = take_len(buf, 8, "weights")?;
-    let mut weights = Vec::with_capacity(n_weights);
-    for _ in 0..n_weights {
-        weights.push(buf.get_f64_le());
-    }
-    let global_ids = take_u32s(buf, "global_ids")?;
-    let ghost_owner = take_u32s(buf, "ghost_owner")?;
-    let n_boundary = take_len(buf, 1, "is_boundary")?;
-    let mut is_boundary = Vec::with_capacity(n_boundary);
-    for _ in 0..n_boundary {
-        is_boundary.push(buf.get_u8() != 0);
-    }
-    let neighbor_ranks = take_u32s(buf, "neighbor_ranks")?;
+    let xadj = take_array(buf, "xadj", |w| u64::from_le_bytes(w) as usize)?;
+    let adj = take_array(buf, "adj", u32::from_le_bytes)?;
+    let weights = take_array(buf, "weights", f64::from_le_bytes)?;
+    let global_ids = take_array(buf, "global_ids", u32::from_le_bytes)?;
+    let ghost_owner = take_array(buf, "ghost_owner", u32::from_le_bytes)?;
+    let is_boundary = take_array(buf, "is_boundary", |[b]| b != 0)?;
+    let neighbor_ranks = take_array(buf, "neighbor_ranks", u32::from_le_bytes)?;
     let task = decode_task(buf)?;
     let opts = decode_options(buf)?;
     let resume = match take_u8(buf, "resume flag")? {
         0 => None,
         1 => {
             let round = take_u64(buf, "resume round")?;
-            let n = take_len(buf, 1, "resume payload")?;
-            let mut payload = vec![0u8; n];
-            buf.copy_to_slice(&mut payload);
+            let payload = take_array(buf, "resume payload", |[b]| b)?;
             Some(ResumeFrom { round, payload })
         }
         t => return Err(NetError::protocol(format!("unknown resume flag {t}"))),
@@ -624,14 +654,8 @@ pub fn encode_checkpoint_into(
     if let Some(slot) = out.get_mut(len_at..len_at + 8) {
         slot.copy_from_slice(&program_len);
     }
-    out.put_u64_le(t.writer_next_seq.len() as u64);
-    for &s in &t.writer_next_seq {
-        out.put_u64_le(s);
-    }
-    out.put_u64_le(t.reseq_next.len() as u64);
-    for &s in &t.reseq_next {
-        out.put_u64_le(s);
-    }
+    put_array(out, &t.writer_next_seq, u64::to_le_bytes);
+    put_array(out, &t.reseq_next, u64::to_le_bytes);
     out.put_u64_le(t.wave_in_flight.len() as u64);
     for &(phase, count) in &t.wave_in_flight {
         out.put_u32_le(phase);
@@ -661,18 +685,12 @@ pub fn decode_checkpoint(mut buf: &[u8]) -> Result<CheckpointState, NetError> {
     let buf = &mut buf;
     let round = take_u64(buf, "checkpoint round")?;
     let stats = decode_rank_stats(buf)?;
-    let n = take_len(buf, 1, "program snapshot")?;
-    let mut program = vec![0u8; n];
-    buf.copy_to_slice(&mut program);
-    let mut t = TransportSnapshot::default();
-    let n = take_len(buf, 8, "writer seqs")?;
-    for _ in 0..n {
-        t.writer_next_seq.push(buf.get_u64_le());
-    }
-    let n = take_len(buf, 8, "reseq floors")?;
-    for _ in 0..n {
-        t.reseq_next.push(buf.get_u64_le());
-    }
+    let program = take_array(buf, "program snapshot", |[b]| b)?;
+    let mut t = TransportSnapshot {
+        writer_next_seq: take_array(buf, "writer seqs", u64::from_le_bytes)?,
+        reseq_next: take_array(buf, "reseq floors", u64::from_le_bytes)?,
+        ..TransportSnapshot::default()
+    };
     let n = take_len(buf, 12, "wave in-flight")?;
     for _ in 0..n {
         t.wave_in_flight.push((buf.get_u32_le(), buf.get_u64_le()));
@@ -689,9 +707,7 @@ pub fn decode_checkpoint(mut buf: &[u8]) -> Result<CheckpointState, NetError> {
         for _ in 0..np {
             let src = take_u32(buf, "pending src")?;
             let logical = take_u32(buf, "pending logical bytes")?;
-            let len = take_len(buf, 1, "pending payload")?;
-            let mut payload = vec![0u8; len];
-            buf.copy_to_slice(&mut payload);
+            let payload = take_array(buf, "pending payload", |[b]| b)?;
             packets.push((src, logical, payload));
         }
         t.pending.push((r, packets));
@@ -759,25 +775,18 @@ pub enum WorkerOutcome {
 
 /// Serializes an `Outcome` payload.
 pub fn encode_outcome(outcome: &WorkerOutcome) -> Vec<u8> {
-    let mut out = Vec::new();
-    match outcome {
-        WorkerOutcome::Matching(pairs) => {
-            out.put_u8(0);
-            out.put_u64_le(pairs.len() as u64);
-            for &(v, m) in pairs {
-                out.put_u32_le(v);
-                out.put_u32_le(m);
-            }
-        }
-        WorkerOutcome::Coloring { pairs, phases } => {
-            out.put_u8(1);
-            out.put_u64_le(pairs.len() as u64);
-            for &(v, c) in pairs {
-                out.put_u32_le(v);
-                out.put_u32_le(c);
-            }
-            out.put_u32_le(*phases);
-        }
+    let (tag, pairs, phases) = match outcome {
+        WorkerOutcome::Matching(pairs) => (0, pairs, None),
+        WorkerOutcome::Coloring { pairs, phases } => (1, pairs, Some(*phases)),
+    };
+    let mut out = Vec::with_capacity(13 + 8 * pairs.len());
+    out.put_u8(tag);
+    // A `(vertex, value)` pair is its two `u32` words back to back.
+    put_array(&mut out, pairs, |(v, x)| {
+        (u64::from(v) | u64::from(x) << 32).to_le_bytes()
+    });
+    if let Some(phases) = phases {
+        out.put_u32_le(phases);
     }
     out
 }
@@ -786,11 +795,10 @@ pub fn encode_outcome(outcome: &WorkerOutcome) -> Vec<u8> {
 pub fn decode_outcome(mut buf: &[u8]) -> Result<WorkerOutcome, NetError> {
     let buf = &mut buf;
     let tag = take_u8(buf, "outcome tag")?;
-    let n = take_len(buf, 8, "outcome pairs")?;
-    let mut pairs = Vec::with_capacity(n);
-    for _ in 0..n {
-        pairs.push((buf.get_u32_le(), buf.get_u32_le()));
-    }
+    let pairs = take_array(buf, "outcome pairs", |w| {
+        let w = u64::from_le_bytes(w);
+        (w as u32, (w >> 32) as u32)
+    })?;
     match tag {
         0 => Ok(WorkerOutcome::Matching(pairs)),
         1 => Ok(WorkerOutcome::Coloring {

@@ -36,11 +36,10 @@ use crate::error::NetError;
 use crate::frame::{hello_rank, read_frame, Ctrl, Frame};
 use crate::link::{FaultPlan, LinkStats, LinkWriter};
 use crate::proto::{
-    decode_outcome, decode_stats, decode_telemetry, encode_assignment, Assignment, ClockReport,
-    NetTask, ResumeFrom, RunOptions, WorkerOutcome, NEVER,
+    decode_outcome, decode_stats, decode_telemetry, send_assignment, ClockReport, NetTask,
+    RunOptions, WorkerOutcome, NEVER,
 };
 use crate::worker::NO_STAMP;
-use bytes::Bytes;
 use cmg_coloring::{Coloring, ColoringConfig};
 use cmg_graph::NO_VERTEX;
 use cmg_matching::Matching;
@@ -52,13 +51,16 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::os::unix::process::ExitStatusExt;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Event-loop tick: bounds how stale death/stall checks can get.
 const TICK: Duration = Duration::from_millis(20);
+/// How long the launch loop waits between polls for a new worker
+/// connection: bounds the latency of every hello it accepts.
+const HANDSHAKE_POLL: Duration = Duration::from_micros(250);
 /// How long a dead child's already-sent frames may take to drain before
 /// the supervisor gives up waiting for a self-diagnosis.
 const DEATH_DRAIN: Duration = Duration::from_millis(300);
@@ -633,7 +635,8 @@ fn fresh_sock_dir() -> Result<PathBuf, NetError> {
 }
 
 /// Locates the worker binary: explicit config, `CMG_NET_WORKER`, a
-/// sibling of the current executable, or a `cargo build` fallback.
+/// `cargo build` for test binaries, a sibling of the current executable,
+/// or a `cargo build` fallback.
 fn worker_binary_path(explicit: Option<&Path>) -> Result<PathBuf, NetError> {
     if let Some(p) = explicit {
         if p.exists() {
@@ -652,72 +655,68 @@ fn worker_binary_path(explicit: Option<&Path>) -> Result<PathBuf, NetError> {
             detail: format!("CMG_NET_WORKER={} does not exist", p.display()),
         });
     }
-    if let Ok(exe) = std::env::current_exe() {
-        for dir in candidate_dirs(&exe) {
-            let cand = dir.join("cmg-net-worker");
-            if cand.exists() {
-                return Ok(cand);
-            }
-        }
-    }
-    build_worker_binary()
-}
-
-/// Directories to probe for a prebuilt worker next to the running
-/// executable: its own directory, and (for test binaries living in
-/// `target/<profile>/deps/`) the profile directory above it.
-fn candidate_dirs(exe: &Path) -> Vec<PathBuf> {
-    let mut out = Vec::new();
-    if let Some(dir) = exe.parent() {
-        out.push(dir.to_path_buf());
-        if dir.file_name().is_some_and(|n| n == "deps") {
-            if let Some(up) = dir.parent() {
-                out.push(up.to_path_buf());
-            }
-        }
-    }
-    out
-}
-
-/// Builds the worker binary via cargo (tests of dependent packages do
-/// not build this crate's binaries, so first use pays this once; the
-/// cargo file lock serializes concurrent builders).
-fn build_worker_binary() -> Result<PathBuf, NetError> {
-    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let workspace = match manifest.ancestors().nth(2) {
-        Some(w) => w,
-        None => {
-            return Err(NetError::WorkerBinary {
-                detail: format!("no workspace root above {}", manifest.display()),
-            })
+    let exe = std::env::current_exe().ok();
+    let built = if let Some(target) = exe.as_deref().and_then(test_target_dir) {
+        // A test binary runs the worker it was compiled with, never a
+        // stale one an earlier build left in its target directory: cargo
+        // rebuilds it if anything it depends on changed, once per process.
+        static BUILT: OnceLock<Result<PathBuf, String>> = OnceLock::new();
+        BUILT
+            .get_or_init(|| build_worker_binary(Some(&target)))
+            .clone()
+    } else {
+        match exe.and_then(|exe| Some(exe.parent()?.join("cmg-net-worker"))) {
+            Some(sibling) if sibling.exists() => Ok(sibling),
+            _ => build_worker_binary(None),
         }
     };
+    built.map_err(|detail| NetError::WorkerBinary { detail })
+}
+
+/// The cargo target directory a test binary (`<target>/<profile>/deps/`)
+/// was built in; `None` for any other executable.
+fn test_target_dir(exe: &Path) -> Option<PathBuf> {
+    let deps = exe.parent()?;
+    let target = deps.parent()?.parent()?;
+    (deps.file_name()? == "deps").then(|| target.to_path_buf())
+}
+
+/// Builds the worker binary via cargo into `target` (the workspace's
+/// `target/` when `None`): tests of dependent packages do not build this
+/// crate's binaries, and the cargo file lock serializes concurrent
+/// builders.
+fn build_worker_binary(target: Option<&Path>) -> Result<PathBuf, String> {
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let Some(workspace) = manifest.ancestors().nth(2) else {
+        return Err(format!("no workspace root above {}", manifest.display()));
+    };
+    let target = target.map_or_else(|| workspace.join("target"), Path::to_path_buf);
     let release = cfg!(not(debug_assertions));
     let mut cmd = Command::new("cargo");
     cmd.args(["build", "-q", "-p", "cmg-net", "--bin", "cmg-net-worker"])
+        .arg("--target-dir")
+        .arg(&target)
         .current_dir(workspace)
         .stdout(Stdio::null());
     if release {
         cmd.arg("--release");
     }
-    let status = cmd.status().map_err(|e| NetError::WorkerBinary {
-        detail: format!("running cargo build: {e}"),
-    })?;
+    let status = cmd
+        .status()
+        .map_err(|e| format!("running cargo build: {e}"))?;
     if !status.success() {
-        return Err(NetError::WorkerBinary {
-            detail: format!("cargo build exited with {status}"),
-        });
+        return Err(format!("cargo build exited with {status}"));
     }
-    let built = workspace
-        .join("target")
+    let built = target
         .join(if release { "release" } else { "debug" })
         .join("cmg-net-worker");
     if built.exists() {
         Ok(built)
     } else {
-        Err(NetError::WorkerBinary {
-            detail: format!("cargo build succeeded but {} is absent", built.display()),
-        })
+        Err(format!(
+            "cargo build succeeded but {} is absent",
+            built.display()
+        ))
     }
 }
 
@@ -765,30 +764,27 @@ struct LaunchPlan<'a> {
 }
 
 impl LaunchPlan<'_> {
-    /// Builds `rank`'s assignment — the one payload both fleet
-    /// launches and session retasks ship, so run options can never
-    /// drift between the two paths.
-    fn assignment_for(&self, rank: u32) -> Assignment {
-        Assignment {
-            dg: self.parts[rank as usize].clone(),
-            task: self.task,
-            opts: RunOptions {
-                bundling: true,
-                observed: self.observed,
-                max_rounds: self.cfg.max_rounds,
-                heartbeat_millis: self.cfg.heartbeat.as_millis() as u64,
-                gap_deadline_millis: self.cfg.gap_deadline.as_millis() as u64,
-                fault: self.cfg.fault,
-                die_at_round: self.kill.die_at_round(rank),
-                run_id: self.run_id,
-                telemetry: self.cfg.telemetry,
-                checkpoint_every: self.cfg.checkpoint_every,
-            },
-            resume: self.resume.map(|(round, payloads)| ResumeFrom {
-                round: *round,
-                payload: payloads[rank as usize].clone(),
-            }),
-        }
+    /// Ships `rank` its assignment, encoded from the borrowed slice
+    /// straight into the wire buffer. The one function first launches,
+    /// checkpoint relaunches and session retasks all ship through, so run
+    /// options can never drift between the paths.
+    fn ship(&self, rank: u32, w: &mut LinkWriter<UnixStream>) -> Result<(), NetError> {
+        let opts = RunOptions {
+            bundling: true,
+            observed: self.observed,
+            max_rounds: self.cfg.max_rounds,
+            heartbeat_millis: self.cfg.heartbeat.as_millis() as u64,
+            gap_deadline_millis: self.cfg.gap_deadline.as_millis() as u64,
+            fault: self.cfg.fault,
+            die_at_round: self.kill.die_at_round(rank),
+            run_id: self.run_id,
+            telemetry: self.cfg.telemetry,
+            checkpoint_every: self.cfg.checkpoint_every,
+        };
+        let resume = self
+            .resume
+            .map(|(round, blobs)| (*round, blobs[rank as usize].as_slice()));
+        send_assignment(w, &self.parts[rank as usize], &self.task, &opts, resume)
     }
 }
 
@@ -837,16 +833,16 @@ struct Run {
     recovering_since: Option<Instant>,
 }
 
+/// Everything a freshly spawned fleet hands back to the supervisor loop:
+/// the process table, one writer per rank, and the merged event channel.
+type SpawnedFleet = (Fleet, Vec<LinkWriter<UnixStream>>, Receiver<SupEvent>);
+
 /// Spawns one worker per rank in a fresh socket directory, referees the
 /// hello handshake, ships assignments (with the plan's resume section,
 /// if any), and starts the reader threads. Shared by the first launch
 /// and checkpoint-recovery relaunches; each call gets its own socket
 /// directory and event channel, so a relaunch is fully isolated from
 /// any straggling process of the fleet it replaces.
-/// Everything a freshly spawned fleet hands back to the supervisor loop:
-/// the process table, one writer per rank, and the merged event channel.
-type SpawnedFleet = (Fleet, Vec<LinkWriter<UnixStream>>, Receiver<SupEvent>);
-
 fn spawn_fleet(plan: &LaunchPlan) -> Result<SpawnedFleet, NetError> {
     let num_ranks = plan.parts.len() as u32;
     let dir = fresh_sock_dir()?;
@@ -856,65 +852,89 @@ fn spawn_fleet(plan: &LaunchPlan) -> Result<SpawnedFleet, NetError> {
     };
     let listener = UnixListener::bind(dir.join("sup.sock"))
         .map_err(|e| NetError::io("binding the supervisor socket", e))?;
-    let binary = worker_binary_path(plan.cfg.worker_binary.as_deref())?;
-    for rank in 0..num_ranks {
-        let child = Command::new(&binary)
-            .arg(&dir)
-            .arg(rank.to_string())
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .spawn()
-            .map_err(|source| NetError::Spawn { rank, source })?;
-        fleet.procs.push(child);
-    }
-
-    // Accept one connection per worker; its Hello says which rank
-    // dialed. Assignments go out as each worker checks in.
     listener
         .set_nonblocking(true)
         .map_err(|e| NetError::io("making the supervisor socket non-blocking", e))?;
+    let binary = worker_binary_path(plan.cfg.worker_binary.as_deref())?;
+
+    // Spawn the workers and accept one connection per worker; its Hello
+    // says which rank dialed. Each accepted worker is admitted on its own
+    // scoped thread, so the ranks' encode → transfer → decode chains
+    // overlap each other and the spawning of later ranks, while this loop
+    // keeps accepting and watching for workers that die first.
     let mut writers: Vec<Option<LinkWriter<UnixStream>>> = (0..num_ranks).map(|_| None).collect();
+    let claimed: Vec<AtomicBool> = (0..num_ranks).map(|_| AtomicBool::new(false)).collect();
     let (tx, rx) = channel();
+    let (admitted_tx, admitted_rx) = channel();
     let handshake_started = Instant::now();
-    let mut connected = 0;
-    while connected < num_ranks {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                admit(stream, &mut writers, plan, &tx)?;
-                connected += 1;
+    std::thread::scope(|s| -> Result<(), NetError> {
+        let mut connected = 0;
+        while connected < num_ranks {
+            let spawned = fleet.procs.len() as u32;
+            if spawned < num_ranks {
+                let child = Command::new(&binary)
+                    .arg(&dir)
+                    .arg(spawned.to_string())
+                    .stdin(Stdio::null())
+                    .stdout(Stdio::null())
+                    .spawn()
+                    .map_err(|source| NetError::Spawn {
+                        rank: spawned,
+                        source,
+                    })?;
+                fleet.procs.push(child);
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::Interrupted =>
-            {
-                if handshake_started.elapsed() > plan.cfg.handshake_timeout {
-                    return Err(NetError::Handshake {
-                        waiting_for: format!(
-                            "hello from {} of {num_ranks} workers",
-                            num_ranks - connected
-                        ),
-                        waited: handshake_started.elapsed(),
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    let (admitted_tx, tx, claimed) = (admitted_tx.clone(), tx.clone(), &claimed);
+                    s.spawn(move || {
+                        let _ = admitted_tx.send(admit(stream, plan, claimed, &tx));
                     });
+                    continue;
                 }
-                // A worker that died before dialing would otherwise
-                // burn the whole handshake timeout.
-                for (rank, child) in fleet.procs.iter_mut().enumerate() {
-                    if writers[rank].is_none() {
-                        if let Ok(Some(status)) = child.try_wait() {
-                            return Err(NetError::RankDied {
-                                rank: rank as u32,
-                                signal: status.signal(),
-                                status: Some(status),
-                                context: "during the handshake".into(),
-                            });
-                        }
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(NetError::io("accepting a worker connection", e)),
+            }
+            let spawning = fleet.procs.len() < num_ranks as usize;
+            let wait = if spawning {
+                Duration::ZERO
+            } else {
+                HANDSHAKE_POLL
+            };
+            if let Ok(admitted) = admitted_rx.recv_timeout(wait) {
+                let (rank, writer) = admitted?;
+                writers[rank as usize] = Some(writer);
+                connected += 1;
+                continue;
+            }
+            if handshake_started.elapsed() > plan.cfg.handshake_timeout {
+                return Err(NetError::Handshake {
+                    waiting_for: format!(
+                        "hello from {} of {num_ranks} workers",
+                        num_ranks - connected
+                    ),
+                    waited: handshake_started.elapsed(),
+                });
+            }
+            // A worker that died before it was admitted would
+            // otherwise burn the whole handshake timeout.
+            for (rank, child) in fleet.procs.iter_mut().enumerate() {
+                if writers[rank].is_none() {
+                    if let Ok(Some(status)) = child.try_wait() {
+                        return Err(NetError::RankDied {
+                            rank: rank as u32,
+                            signal: status.signal(),
+                            status: Some(status),
+                            context: "during the handshake".into(),
+                        });
                     }
                 }
-                std::thread::sleep(Duration::from_millis(2));
             }
-            Err(e) => return Err(NetError::io("accepting a worker connection", e)),
         }
-    }
+        Ok(())
+    })?;
     let writers = writers
         .into_iter()
         .map(|w| w.ok_or_else(|| NetError::protocol("handshake finished with a missing worker")))
@@ -922,14 +942,14 @@ fn spawn_fleet(plan: &LaunchPlan) -> Result<SpawnedFleet, NetError> {
     Ok((fleet, writers, rx))
 }
 
-/// Admits one accepted connection: reads its Hello, ships the
-/// matching assignment, and starts its reader thread.
+/// Admits one accepted connection: reads its Hello, claims the rank,
+/// ships the matching assignment, and starts its reader thread.
 fn admit(
     stream: UnixStream,
-    writers: &mut [Option<LinkWriter<UnixStream>>],
     plan: &LaunchPlan,
+    claimed: &[AtomicBool],
     tx: &Sender<SupEvent>,
-) -> Result<u32, NetError> {
+) -> Result<(u32, LinkWriter<UnixStream>), NetError> {
     stream
         .set_nonblocking(false)
         .map_err(|e| NetError::io("making a worker stream blocking", e))?;
@@ -944,24 +964,19 @@ fn admit(
         None => return Err(NetError::protocol("worker closed during its hello")),
     };
     let rank = hello_rank(&hello, "worker")?;
-    let slot = match writers.get_mut(rank as usize) {
-        Some(slot) => slot,
+    match claimed.get(rank as usize) {
         None => {
             return Err(NetError::protocol(format!(
                 "hello from out-of-range rank {rank}"
             )))
         }
-    };
-    if slot.is_some() {
-        return Err(NetError::protocol(format!("rank {rank} dialed twice")));
+        Some(slot) if slot.swap(true, Ordering::Relaxed) => {
+            return Err(NetError::protocol(format!("rank {rank} dialed twice")));
+        }
+        Some(_) => {}
     }
-    let assignment = plan.assignment_for(rank);
     let mut writer = LinkWriter::new(stream);
-    writer.send(&Frame::with_payload(
-        Ctrl::Assignment { rank },
-        Bytes::from(encode_assignment(&assignment)),
-    ))?;
-    *slot = Some(writer);
+    plan.ship(rank, &mut writer)?;
     let tx = tx.clone();
     let _ = std::thread::spawn(move || loop {
         match read_frame(&mut read_half) {
@@ -980,7 +995,7 @@ fn admit(
             }
         }
     });
-    Ok(rank)
+    Ok((rank, writer))
 }
 
 impl Run {
@@ -1077,23 +1092,40 @@ impl Run {
     /// frame of the finished task can still be in flight here.
     fn retask(&mut self, task: NetTask) -> Result<(), NetError> {
         self.task = task;
-        let plan = LaunchPlan {
+        // The writers step aside while the plan borrows the rest of `self`.
+        let mut writers = std::mem::take(&mut self.writers);
+        let shipped = (0..)
+            .zip(&mut writers)
+            .try_for_each(|(r, w)| self.plan(None).ship(r, w));
+        self.writers = writers;
+        shipped?;
+        self.reset_progress();
+        // Checkpoints belong to the task that took them; resuming the
+        // new task from an old task's snapshot would be corruption, so
+        // the recovery budget and baseline reset together.
+        self.last_good = None;
+        self.recoveries = 0;
+        self.recovering_since = None;
+        Ok(())
+    }
+
+    /// The launch plan of the current task under the armed kill;
+    /// `resume` relaunches every rank from that checkpoint set.
+    fn plan<'a>(&'a self, resume: Option<&'a (u64, Vec<Vec<u8>>)>) -> LaunchPlan<'a> {
+        LaunchPlan {
             parts: &self.parts,
-            task,
+            task: self.task,
             cfg: &self.cfg,
             observed: self.observed,
             run_id: self.run_id,
             kill: self.kill_queue.front().copied().unwrap_or_default(),
-            resume: None,
-        };
-        for (rank, w) in self.writers.iter_mut().enumerate() {
-            let rank = rank as u32;
-            let assignment = plan.assignment_for(rank);
-            w.send(&Frame::with_payload(
-                Ctrl::Assignment { rank },
-                Bytes::from(encode_assignment(&assignment)),
-            ))?;
+            resume,
         }
+    }
+
+    /// Forgets everything the previous task or fleet incarnation
+    /// reported: nothing ready, started, done or half-checkpointed.
+    fn reset_progress(&mut self) {
         let n = self.num_ranks as usize;
         let now = Instant::now();
         self.launched = now;
@@ -1109,14 +1141,9 @@ impl Run {
         self.clocks = vec![None; n];
         self.max_loop_micros = 0;
         self.sum_cpu_micros = 0;
+        // Incomplete sets died with the old task or fleet; a relaunched
+        // fleet re-ships identical checkpoints at the same future edges.
         self.pending_sets.clear();
-        // Checkpoints belong to the task that took them; resuming the
-        // new task from an old task's snapshot would be corruption, so
-        // the recovery budget and baseline reset together.
-        self.last_good = None;
-        self.recoveries = 0;
-        self.recovering_since = None;
-        Ok(())
     }
 
     /// Runs the event loop until every rank reports `Done` or a failure
@@ -1177,45 +1204,20 @@ impl Run {
     /// engine statistics are bit-identical to an undisturbed run.
     fn recover(&mut self) -> Result<(), NetError> {
         let detected = Instant::now();
-        let n = self.num_ranks as usize;
         // Kill the survivors first: their post-edge state is tainted,
         // and a straggler must not keep dialing while we relaunch.
         for c in &mut self.fleet.procs {
             let _ = c.kill();
             let _ = c.wait();
         }
-        let plan = LaunchPlan {
-            parts: &self.parts,
-            task: self.task,
-            cfg: &self.cfg,
-            observed: self.observed,
-            run_id: self.run_id,
-            kill: self.kill_queue.front().copied().unwrap_or_default(),
-            resume: self.last_good.as_ref(),
-        };
-        let (fleet, writers, rx) = spawn_fleet(&plan)?;
+        let (fleet, writers, rx) = spawn_fleet(&self.plan(self.last_good.as_ref()))?;
         // Dropping the old fleet reaps the corpses and removes its
         // socket directory; dropping the old receiver makes the old
         // reader threads exit on their next send.
         self.fleet = fleet;
         self.writers = writers;
         self.rx = rx;
-
-        let now = Instant::now();
-        self.launched = now;
-        self.ready = vec![false; n];
-        self.started = None;
-        self.last_round = vec![0; n];
-        self.last_progress = vec![now; n];
-        self.stall_since = None;
-        self.done = vec![None; n];
-        self.stats = vec![None; n];
-        self.outcomes = vec![None; n];
-        self.events = vec![None; n];
-        self.clocks = vec![None; n];
-        // Incomplete sets died with the old fleet; the new incarnation
-        // re-ships identical checkpoints at the same future edges.
-        self.pending_sets.clear();
+        self.reset_progress();
         self.recoveries += 1;
         self.recovering_since = Some(detected);
         Ok(())
@@ -1521,27 +1523,39 @@ impl Run {
         })
     }
 
-    /// Sends `Shutdown` to every worker and waits (bounded) for clean
-    /// exits; stragglers are killed by the fleet's drop.
+    /// Sends `Shutdown` to every worker, waits (bounded) for each one's
+    /// link EOF — a worker's sockets close as its process exits, and the
+    /// reader threads report exactly that — and reaps those; stragglers
+    /// are killed by the fleet's drop.
     fn shutdown_fleet(&mut self) -> Result<(), NetError> {
         for w in &mut self.writers {
             w.send(&Frame::bare(Ctrl::Shutdown))?;
         }
         let deadline = Instant::now() + EXIT_GRACE;
-        loop {
-            let mut all_exited = true;
-            for c in &mut self.fleet.procs {
-                match c.try_wait() {
-                    Ok(Some(_)) => {}
-                    Ok(None) => all_exited = false,
-                    Err(e) => return Err(NetError::io("waiting for a worker to exit", e)),
+        let mut closed = vec![false; self.num_ranks as usize];
+        while !closed.iter().all(|&c| c) {
+            match self
+                .rx
+                .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+            {
+                Ok(SupEvent::Closed { rank } | SupEvent::ReadFailed { rank, .. }) => {
+                    closed[rank as usize] = true;
                 }
+                Ok(SupEvent::Frame { .. }) => {}
+                Err(_) => break,
             }
-            if all_exited || Instant::now() >= deadline {
-                return Ok(());
-            }
-            std::thread::sleep(Duration::from_millis(5));
         }
+        for (c, _) in self
+            .fleet
+            .procs
+            .iter_mut()
+            .zip(closed)
+            .filter(|(_, eof)| *eof)
+        {
+            c.wait()
+                .map_err(|e| NetError::io("waiting for a worker to exit", e))?;
+        }
+        Ok(())
     }
 
     /// Merges the collected per-rank reports into the run result (its
@@ -1757,16 +1771,19 @@ mod tests {
     }
 
     #[test]
-    fn candidate_dirs_probe_deps_parent() {
-        let dirs = candidate_dirs(Path::new("/t/target/debug/deps/test-abc123"));
+    fn only_test_binaries_build_their_worker() {
         assert_eq!(
-            dirs,
-            vec![
-                PathBuf::from("/t/target/debug/deps"),
-                PathBuf::from("/t/target/debug")
-            ]
+            test_target_dir(Path::new("/t/target/debug/deps/net_faults-abc123")),
+            Some(PathBuf::from("/t/target"))
         );
-        let dirs = candidate_dirs(Path::new("/t/target/debug/cmg"));
-        assert_eq!(dirs, vec![PathBuf::from("/t/target/debug")]);
+        assert_eq!(
+            test_target_dir(Path::new("/s/lt/release/deps/cmg_net-0f1e")),
+            Some(PathBuf::from("/s/lt"))
+        );
+        // An installed or `cargo build`-produced binary keeps the plain
+        // sibling lookup.
+        assert_eq!(test_target_dir(Path::new("/t/target/debug/cmg")), None);
+        assert_eq!(test_target_dir(Path::new("/usr/local/bin/cmg")), None);
+        assert_eq!(test_target_dir(Path::new("/deps")), None);
     }
 }

@@ -1,0 +1,130 @@
+//! The launch-path payloads are pinned byte for byte: FNV-1a digests of
+//! `encode_assignment` and `encode_outcome` over fixed slices — a weighted
+//! grid, a hash-partitioned unweighted RMAT graph, and an assignment with
+//! a resume section — recorded from the per-element encoders the bulk
+//! array codecs replaced. Any drift in the bytes a slice encodes to moves
+//! a digest, so the wire stays what older and newer builds both read.
+
+use cmg_coloring::{ColorChoice, ColoringConfig, CommVariant, LocalOrder};
+use cmg_graph::weights::{assign_weights, WeightScheme};
+use cmg_graph::{generators, CsrGraph};
+use cmg_net::proto::{decode_assignment, decode_outcome, encode_assignment, encode_outcome};
+use cmg_net::{
+    encode_checkpoint, Assignment, CheckpointState, FaultPlan, NetTask, ResumeFrom, RunOptions,
+    WorkerOutcome,
+};
+use cmg_partition::simple::{block_partition, hash_partition};
+use cmg_partition::DistGraph;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn weighted_grid() -> Vec<DistGraph> {
+    let g = assign_weights(
+        &generators::grid2d(32, 32),
+        WeightScheme::Uniform { lo: 0.0, hi: 1.0 },
+        7,
+    );
+    DistGraph::build_all(&g, &block_partition(g.num_vertices(), 4))
+}
+
+fn hashed_rmat() -> Vec<DistGraph> {
+    let g: CsrGraph = generators::rmat(10, 8, (0.57, 0.19, 0.19, 0.05), 3);
+    DistGraph::build_all(&g, &hash_partition(g.num_vertices(), 4, 3))
+}
+
+fn options() -> RunOptions {
+    RunOptions {
+        bundling: true,
+        observed: true,
+        max_rounds: 777,
+        heartbeat_millis: 40,
+        gap_deadline_millis: 900,
+        fault: FaultPlan {
+            seed: 5,
+            drop_per_mille: 1,
+            dup_per_mille: 2,
+            delay_per_mille: 3,
+            delay_depth: 4,
+        },
+        die_at_round: 9,
+        run_id: 0x0123_4567_89ab_cdef,
+        telemetry: true,
+        checkpoint_every: 2,
+    }
+}
+
+/// Digest and total length of every rank's encoded assignment, checking
+/// on the way that each one decodes back to what was encoded.
+fn assignment_digest(parts: Vec<DistGraph>, task: NetTask, resume: bool) -> (u64, usize) {
+    let mut all = Vec::new();
+    for dg in parts {
+        let resume = resume.then(|| {
+            let mut ck = CheckpointState {
+                round: 6,
+                program: (0..=dg.rank as u8 * 40).collect(),
+                ..CheckpointState::default()
+            };
+            ck.stats.work = u64::from(dg.rank) * 1000 + 17;
+            ck.transport.writer_next_seq = vec![0, 3, 5, 8];
+            ResumeFrom {
+                round: 6,
+                payload: encode_checkpoint(&ck),
+            }
+        });
+        let a = Assignment {
+            dg,
+            task,
+            opts: options(),
+            resume,
+        };
+        let bytes = encode_assignment(&a);
+        assert_eq!(decode_assignment(&bytes).expect("decodes"), a);
+        all.extend_from_slice(&bytes);
+    }
+    (fnv1a(&all), all.len())
+}
+
+#[test]
+fn assignment_bytes_are_pinned() {
+    let coloring = NetTask::Coloring(ColoringConfig {
+        superstep_size: 11,
+        comm: CommVariant::Fiac,
+        color_choice: ColorChoice::StaggeredFirstFit,
+        order: LocalOrder::BoundaryFirst,
+        seed: 42,
+    });
+    let got = [
+        assignment_digest(weighted_grid(), NetTask::Matching, false),
+        assignment_digest(hashed_rmat(), coloring, false),
+        assignment_digest(weighted_grid(), NetTask::JonesPlassmann { seed: 8 }, true),
+    ];
+    let want = [
+        (0xe040_5a85_256d_6e94, 63_116),
+        (0x93e6_cf92_f80f_3d75, 75_840),
+        (0xfa67_e04c_e4b4_1074, 64_096),
+    ];
+    assert_eq!(got, want);
+}
+
+#[test]
+fn outcome_bytes_are_pinned() {
+    let mut all = Vec::new();
+    for dg in hashed_rmat() {
+        let owned = &dg.global_ids[..dg.n_local];
+        let mates = WorkerOutcome::Matching(owned.iter().map(|&v| (v, v ^ 1)).collect());
+        let colors = WorkerOutcome::Coloring {
+            pairs: owned.iter().map(|&v| (v, v % 13)).collect(),
+            phases: dg.rank + 3,
+        };
+        for outcome in [mates, colors] {
+            let bytes = encode_outcome(&outcome);
+            assert_eq!(decode_outcome(&bytes).expect("decodes"), outcome);
+            all.extend_from_slice(&bytes);
+        }
+    }
+    assert_eq!((fnv1a(&all), all.len()), (0x6330_f0ee_c633_e6cc, 16_472));
+}

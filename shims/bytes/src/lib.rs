@@ -6,17 +6,26 @@
 //! builder), and the [`Buf`]/[`BufMut`] cursor traits with the
 //! little-endian accessors the wire codecs rely on. Semantics match the
 //! upstream crate for this subset; anything cmg does not call is omitted.
+//!
+//! Like upstream, turning a vector into a [`Bytes`] — `Bytes::from(Vec)`,
+//! [`BytesMut::freeze`] — takes ownership of its buffer instead of copying
+//! it: the vector moves behind a shared `Arc`, and every clone and
+//! [`Bytes::slice`] of the result points into that one allocation. A wire
+//! frame read into a `Vec` is therefore handed out as a payload window of
+//! the very buffer the socket filled. Unlike upstream (which defers it with
+//! `unsafe` pointer tagging until the first clone), the shim pays the
+//! `Arc`'s small header allocation up front.
 
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 
 /// A cheaply cloneable, immutable, contiguous slice of memory.
 ///
-/// Internally an `Arc<[u8]>` plus a `[start, end)` window, so `clone` and
-/// [`Bytes::slice`] are O(1) and never copy the payload.
+/// Internally an `Arc<Vec<u8>>` plus a `[start, end)` window, so `clone`
+/// and [`Bytes::slice`] are O(1) and never copy the payload.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -24,11 +33,7 @@ pub struct Bytes {
 impl Bytes {
     /// An empty buffer.
     pub fn new() -> Self {
-        Bytes {
-            data: Arc::from(&[][..]),
-            start: 0,
-            end: 0,
-        }
+        Bytes::from(Vec::new())
     }
 
     /// Number of bytes remaining in the view.
@@ -79,12 +84,12 @@ impl Default for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes the vector's buffer as is: no copy, no shrink.
     fn from(v: Vec<u8>) -> Self {
-        let end = v.len();
         Bytes {
-            data: Arc::from(v.into_boxed_slice()),
+            end: v.len(),
+            data: Arc::new(v),
             start: 0,
-            end,
         }
     }
 }
@@ -150,7 +155,8 @@ impl BytesMut {
         self.buf.is_empty()
     }
 
-    /// Converts the accumulated bytes into an immutable [`Bytes`].
+    /// Converts the accumulated bytes into an immutable [`Bytes`] over
+    /// the same allocation (no copy).
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
     }
@@ -307,6 +313,36 @@ mod tests {
         assert_eq!(sliced.len(), 12);
         let mut whole = b.clone();
         assert_eq!(whole.get_u8(), 7);
+    }
+
+    #[test]
+    fn from_vec_freeze_and_slice_share_one_allocation() {
+        let v = vec![1u8, 2, 3, 4, 5];
+        let p = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), p, "From<Vec<u8>> moves the buffer");
+        assert_eq!(b.clone().as_ptr(), p);
+        assert_eq!(b.slice(2..).as_ptr(), p.wrapping_add(2));
+        assert_eq!(b.slice(..=3).slice(1..).as_ptr(), p.wrapping_add(1));
+        let mut m = BytesMut::with_capacity(64);
+        m.put_u32_le(7);
+        let q = m.as_ptr();
+        let f = m.freeze();
+        assert_eq!(f.as_ptr(), q, "freeze moves the buffer");
+
+        // Equality compares the viewed bytes, whatever the allocation or
+        // window behind them.
+        assert_eq!(f, Bytes::from(&7u32.to_le_bytes()[..]));
+        assert_eq!(b.slice(1..3), Bytes::from(vec![2, 3]));
+        assert_ne!(b.slice(1..3), b.slice(2..4));
+        assert_eq!(Bytes::new(), Bytes::default());
+        assert!(Bytes::new().is_empty());
+        // A read advances only the reading view's window.
+        let mut cur = b.slice(1..);
+        assert_eq!(cur.get_u8(), 2);
+        assert_eq!(cur.remaining(), 3);
+        assert_eq!(cur.as_ptr(), p.wrapping_add(2));
+        assert_eq!(&*b, &[1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -10,10 +10,12 @@ use cmg_graph::weights::{assign_weights, WeightScheme};
 use cmg_graph::{generators, CsrGraph};
 use cmg_net::{
     connect_with_backoff, run_coloring, run_matching, run_task, FaultPlan, KillSpec, NetConfig,
-    NetError, NetSession, NetTask,
+    NetError, NetOutcome, NetSession, NetTask, PROTO_VERSION,
 };
 use cmg_partition::simple::block_partition;
 use cmg_partition::DistGraph;
+use std::os::unix::fs::PermissionsExt;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 fn weighted_grid() -> CsrGraph {
@@ -188,6 +190,117 @@ fn connect_backoff_is_capped_and_bounded() {
         elapsed < Duration::from_secs(2),
         "no unbounded reconnect loop: gave up after {elapsed:?}"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Launch-path failures. The supervisor ships every accepted worker its
+// assignment on a thread of its own, so a worker that never dials, one
+// that dies while its slice is still on the wire, and one whose hello
+// lies must each still fail the launch promptly with a typed error.
+// ---------------------------------------------------------------------------
+
+/// A stand-in worker: dials the supervisor as a real worker does, sends
+/// one `Hello` claiming the rank the Python expression `hello_rank`
+/// evaluates to (`rank` is the rank it was spawned as), then runs `then`.
+fn fake_worker(name: &str, hello_rank: &str, then: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!("cmg-fake-worker-{}-{name}", std::process::id()));
+    let script = format!(
+        "#!/usr/bin/env python3\n\
+         import os, signal, socket, struct, sys, time\n\
+         sock = socket.socket(socket.AF_UNIX)\n\
+         sock.connect(os.path.join(sys.argv[1], 'sup.sock'))\n\
+         rank = int(sys.argv[2])\n\
+         sock.sendall(struct.pack('<IQBII', 17, 0, 0, {hello_rank}, {PROTO_VERSION}))\n\
+         {then}\n"
+    );
+    std::fs::write(&path, script).expect("write the fake worker");
+    std::fs::set_permissions(&path, std::fs::Permissions::from_mode(0o755))
+        .expect("make the fake worker executable");
+    path
+}
+
+/// One matching run on `worker`. A spawn that races another test's fork
+/// while the script was open for writing (`ETXTBSY`) is retried.
+fn launch_with(worker: &Path, parts: Vec<DistGraph>) -> Result<NetOutcome, NetError> {
+    let cfg = NetConfig {
+        worker_binary: Some(worker.to_path_buf()),
+        ..Default::default()
+    };
+    for _ in 0..3 {
+        match run_task(parts.clone(), NetTask::Matching, &cfg) {
+            Err(NetError::Spawn { source, .. }) if source.raw_os_error() == Some(26) => {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            result => return result,
+        }
+    }
+    run_task(parts, NetTask::Matching, &cfg)
+}
+
+#[test]
+fn a_worker_that_never_dials_fails_the_handshake_promptly() {
+    let g = weighted_grid();
+    let started = Instant::now();
+    let err = launch_with(Path::new("/bin/false"), parts(&g, 4))
+        .map(|_| ())
+        .expect_err("a fleet of /bin/false cannot launch");
+    match err {
+        NetError::RankDied { context, .. } => assert_eq!(context, "during the handshake"),
+        other => panic!("expected RankDied, got: {other}"),
+    }
+    let timeout = NetConfig::default().handshake_timeout;
+    assert!(
+        started.elapsed() < timeout / 4,
+        "diagnosed in {:?}, not at the {timeout:?} handshake timeout",
+        started.elapsed()
+    );
+}
+
+#[test]
+fn a_worker_killed_with_its_assignment_in_flight_is_a_typed_error() {
+    // ≈ 1 MB slices: the frame is still being written when the worker,
+    // having read the first bytes of it, SIGKILLs itself.
+    let g = assign_weights(
+        &generators::grid2d(256, 256),
+        WeightScheme::Uniform { lo: 0.0, hi: 1.0 },
+        3,
+    );
+    let worker = fake_worker(
+        "inflight",
+        "rank",
+        "sock.recv(65536)\nos.kill(os.getpid(), signal.SIGKILL)",
+    );
+    let started = Instant::now();
+    let err = launch_with(&worker, parts(&g, 4))
+        .map(|_| ())
+        .expect_err("a worker killed mid-assignment cannot run");
+    let _ = std::fs::remove_file(&worker);
+    assert!(
+        matches!(err, NetError::RankDied { .. } | NetError::Io { .. }),
+        "expected a death or a broken link, got {err:?}"
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "diagnosed in {:?}",
+        started.elapsed()
+    );
+}
+
+#[test]
+fn lying_hellos_are_protocol_errors() {
+    let g = weighted_grid();
+    for (name, hello_rank, want) in [
+        ("twice", "0", "rank 0 dialed twice"),
+        ("range", "99", "hello from out-of-range rank 99"),
+    ] {
+        let worker = fake_worker(name, hello_rank, "time.sleep(30)");
+        let result = launch_with(&worker, parts(&g, 4));
+        let _ = std::fs::remove_file(&worker);
+        match result {
+            Err(NetError::Protocol { detail }) => assert_eq!(detail, want, "{name}"),
+            other => panic!("{name}: expected a protocol error, got {other:?}"),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
