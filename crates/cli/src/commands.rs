@@ -4,7 +4,7 @@ use crate::args::Args;
 use cmg_coloring::{ColoringConfig, CommVariant};
 use cmg_core::{run_coloring, run_matching, Engine};
 use cmg_graph::weights::{assign_weights, WeightScheme};
-use cmg_graph::{generators, io, CsrGraph, GraphStats};
+use cmg_graph::{generators, io, metis_io, CsrGraph, GraphStats};
 use cmg_obs::{CollectingRecorder, Json, MetricsRegistry, RecorderHandle, RunReport};
 use cmg_partition::simple as psimple;
 use cmg_partition::{multilevel_partition, Partition};
@@ -34,6 +34,11 @@ fn write_json_arg(args: &Args, what: &str, json: impl FnOnce() -> Json) -> Resul
     Ok(())
 }
 
+/// Whether `path` names a METIS graph file rather than an edge list.
+fn is_metis(path: &str) -> bool {
+    path.ends_with(".graph") || path.ends_with(".metis")
+}
+
 fn load_graph(path: &str) -> Result<CsrGraph, String> {
     // The readers pull blocks from the file themselves.
     let reader = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
@@ -46,6 +51,8 @@ fn load_graph(path: &str) -> Result<CsrGraph, String> {
             ));
         }
         Ok(m.to_adjacency())
+    } else if is_metis(path) {
+        metis_io::read_metis(reader).map_err(|e| e.to_string())
     } else {
         io::read_edge_list(reader).map_err(|e| e.to_string())
     }
@@ -53,12 +60,15 @@ fn load_graph(path: &str) -> Result<CsrGraph, String> {
 
 fn save_graph(g: &CsrGraph, path: &str) -> Result<(), String> {
     let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-    let writer = BufWriter::new(file);
+    let mut writer = BufWriter::new(file);
     if path.ends_with(".mtx") {
-        io::write_matrix_market(g, writer).map_err(|e| e.to_string())
+        io::write_matrix_market(g, &mut writer).map_err(|e| e.to_string())?;
+    } else if is_metis(path) {
+        metis_io::write_metis(g, &mut writer).map_err(|e| e.to_string())?;
     } else {
-        io::write_edge_list(g, writer).map_err(|e| e.to_string())
+        io::write_edge_list(g, &mut writer).map_err(|e| e.to_string())?;
     }
+    std::io::Write::flush(&mut writer).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 /// `--parts` / `--ranks`: every partitioner's contract is at least one

@@ -47,7 +47,8 @@ COMMANDS
   gen        generate a synthetic graph and write it to a file
              --kind grid2d|grid3d|circuit|rmat|erdos  --rows R --cols C
              --n N --seed S --weights none|uniform|integer|equal
-             -o FILE   (.mtx = Matrix Market, anything else = edge list)
+             -o FILE   (.mtx = Matrix Market, .graph / .metis = METIS,
+                        anything else = edge list)
   stats      print size/degree statistics of a graph file
              --input FILE
   partition  partition a graph and report the cut quality
@@ -100,7 +101,8 @@ OBSERVABILITY (match and color)
   --metrics-out FILE  aggregated counters/gauges/histograms as JSONL
   --report-out FILE   run report (.json = machine-readable, else text)
 
-Graphs are read in Matrix Market coordinate format (*.mtx) or whitespace
-edge lists (`u v [w]`, zero-based)."
+Graphs are read in Matrix Market coordinate format (*.mtx), METIS
+adjacency format (*.graph, *.metis) or whitespace edge lists (`u v [w]`,
+zero-based)."
     );
 }

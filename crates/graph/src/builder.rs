@@ -85,13 +85,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Raises the vertex count to at least `n`, for a reader that learns
-    /// it only as the edges arrive.
-    pub(crate) fn grow_to(&mut self, n: usize) {
-        assert!(n < NO_VERTEX as usize, "too many vertices");
-        self.n = self.n.max(n);
-    }
-
     /// Number of edges currently buffered (duplicates not yet collapsed).
     pub fn num_buffered_edges(&self) -> usize {
         self.edges.len()

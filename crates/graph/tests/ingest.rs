@@ -191,6 +191,41 @@ fn adjacency_of_a_general_matrix_keeps_the_heavier_triangle() {
     assert_eq!(g.edges().collect::<Edges>(), [(0, 1, 3.0), (0, 2, 2.0)]);
 }
 
+#[test]
+fn bipartite_graph_of_a_symmetric_file_is_pinned() {
+    // 300 lower-triangle lines on 40 vertices: diagonal entries, repeated
+    // positions at other weights, negative values, mirrors implied.
+    let mut state = 7u64;
+    let mut next = |m: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % m
+    };
+    let mut text = String::from("%%MatrixMarket matrix coordinate real symmetric\n40 40 300\n");
+    for _ in 0..300 {
+        let r = 1 + next(40);
+        let c = 1 + next(r);
+        let v = (next(2000) as f64 - 1000.0) / 7.0;
+        text += &format!("{r} {c} {v}\n");
+    }
+    let bg = io::read_matrix_market(text.as_bytes())
+        .unwrap()
+        .to_bipartite();
+    // FNV-1a over the shape and every (left, right, weight bits) edge.
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let words = [bg.num_left() as u64, bg.num_right() as u64];
+    let edges = bg
+        .edges()
+        .flat_map(|(l, r, w)| [u64::from(l), u64::from(r), w.to_bits()]);
+    for word in words.into_iter().chain(edges) {
+        for byte in word.to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    assert_eq!((bg.num_edges(), h), (457, 0x0864_8024_8ac1_4251));
+}
+
 fn parse_error(text: &[u8]) -> String {
     match io::read_matrix_market(text) {
         Err(IoError::Parse(msg)) => msg,

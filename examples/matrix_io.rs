@@ -35,7 +35,7 @@ fn main() {
 
     let matrix = io::read_matrix_market(&mtx_bytes[..]).expect("parse failed");
     println!(
-        "matrix: {} x {}, {} entries (symmetric: {})",
+        "matrix: {} x {}, {} entry lines (symmetric: {})",
         matrix.rows,
         matrix.cols,
         matrix.entries.len(),
