@@ -65,7 +65,7 @@ impl Cell {
     }
 
     /// A float printed with `decimals` places.
-    pub fn fixed(col: &'static str, x: f64, decimals: usize) -> Cell {
+    pub(crate) fn fixed(col: &'static str, x: f64, decimals: usize) -> Cell {
         Cell::new(col, format!("{x:.decimals$}"), x)
     }
 }
@@ -90,13 +90,13 @@ pub struct Section {
 
 impl Section {
     /// Index of column `name`; panics if a check names a missing column.
-    pub fn col(&self, name: &str) -> usize {
+    fn col(&self, name: &str) -> usize {
         let found = self.rows[0].iter().position(|c| c.col == name);
         found.unwrap_or_else(|| panic!("no column {name:?}"))
     }
 
     /// `Err` naming both rows unless `rel(a[col], b[col])`.
-    pub fn require(&self, a: &Row, rel: Rel, b: &Row, col: &str) -> Verdict {
+    fn require(&self, a: &Row, rel: Rel, b: &Row, col: &str) -> Verdict {
         let (x, y) = (&a[self.col(col)], &b[self.col(col)]);
         let (xt, yt) = (x.text.trim(), y.text.trim());
         let what = format!("{col} {xt} against {yt} of `{}`", label(b));

@@ -27,7 +27,7 @@ impl Scale {
 }
 
 /// Uniform random edge weights, as in the paper's matching experiments.
-pub fn uniform_weights(g: &CsrGraph, seed: u64) -> CsrGraph {
+pub(crate) fn uniform_weights(g: &CsrGraph, seed: u64) -> CsrGraph {
     assign_weights(g, WeightScheme::Uniform { lo: 0.0, hi: 1.0 }, seed)
 }
 
@@ -38,7 +38,7 @@ pub fn uniform_weights(g: &CsrGraph, seed: u64) -> CsrGraph {
 /// are out of reach on one host, so the stand-ins reproduce each matrix's
 /// *shape class* (random sparse / banded structural) at solver-friendly
 /// sizes. The measured quality ratio is the paper's metric.
-pub fn table1_instances(scale: Scale) -> Vec<(&'static str, BipartiteGraph)> {
+pub(crate) fn table1_instances(scale: Scale) -> Vec<(&'static str, BipartiteGraph)> {
     let f = scale.pick(1usize, 3, 8);
     // All six UF originals are (near-)diagonally dominant circuit or FEM
     // matrices; the diagonal dominance is what yields the ≥99 % ratios.
@@ -62,7 +62,7 @@ pub fn table1_instances(scale: Scale) -> Vec<(&'static str, BipartiteGraph)> {
 /// Weak-scaling series (Figure 5.1): fixed per-rank subgrid, growing grid
 /// and rank count together. Returns `(subgrid_side, Vec<(k, p)>)` — each
 /// entry is a `k × k` grid on `p` ranks arranged `√p × √p`.
-pub fn weak_scaling_series(scale: Scale) -> (usize, Vec<(usize, u32)>) {
+pub(crate) fn weak_scaling_series(scale: Scale) -> (usize, Vec<(usize, u32)>) {
     // The paper: 8,000² on 1,024 ranks → 16,000² on 4,096 → 32,000² on
     // 16,384 (250² per rank). Same rank counts, smaller subgrids here.
     let b = scale.pick(16usize, 32, 64);
@@ -76,7 +76,7 @@ pub fn weak_scaling_series(scale: Scale) -> (usize, Vec<(usize, u32)>) {
 /// The paper's 32,000² grid keeps ≥ 61k vertices per rank even at 16,384
 /// ranks; these presets keep a comparable per-rank regime at host-feasible
 /// graph sizes by shifting the rank window instead of inflating the graph.
-pub fn strong_scaling_grid_series(scale: Scale) -> (usize, Vec<u32>) {
+pub(crate) fn strong_scaling_grid_series(scale: Scale) -> (usize, Vec<u32>) {
     let (k, p0) = scale.pick((2048usize, 32u32), (4096, 128), (8192, 512));
     (k, (0..6).map(|i| p0 << i).collect())
 }
@@ -84,20 +84,20 @@ pub fn strong_scaling_grid_series(scale: Scale) -> (usize, Vec<u32>) {
 /// The circuit-simulation stand-in for Figure 5.3's bipartite graph
 /// (original: 3.2 M vertices, 7.7 M edges). Returned as a general graph
 /// (the matching code operates on general graphs).
-pub fn circuit_matching_graph(scale: Scale) -> CsrGraph {
+pub(crate) fn circuit_matching_graph(scale: Scale) -> CsrGraph {
     let n = scale.pick(100_000usize, 400_000, 1_600_000);
     uniform_weights(&generators::circuit_like(n, 42), 7)
 }
 
 /// The circuit-simulation stand-in for Figure 5.4's adjacency graph
 /// (original: 1.5 M vertices, 3 M edges, degrees 2–6).
-pub fn circuit_coloring_graph(scale: Scale) -> CsrGraph {
+pub(crate) fn circuit_coloring_graph(scale: Scale) -> CsrGraph {
     let n = scale.pick(75_000usize, 300_000, 1_200_000);
     generators::circuit_like(n, 43)
 }
 
 /// Rank counts for the circuit strong-scaling figures (paper: 2 → 4,096).
-pub fn circuit_rank_series(scale: Scale) -> Vec<u32> {
+pub(crate) fn circuit_rank_series(scale: Scale) -> Vec<u32> {
     let doublings = scale.pick(10, 11, 12);
     (1..=doublings).map(|i| 1u32 << i).collect()
 }

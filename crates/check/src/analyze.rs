@@ -1,7 +1,7 @@
 //! `cmg-analyze`: whole-workspace interprocedural rules over the
 //! [`crate::callgraph`] call graph.
 //!
-//! Four rules, each one the cross-function generalization of a
+//! Five rules, each one the cross-function generalization of a
 //! discipline the workspace already enforces locally:
 //!
 //! * **`blocking-reachability`** — no call path from a reactor entry
@@ -22,10 +22,23 @@
 //! * **`lock-order`** — per-fn Mutex acquisition facts are propagated
 //!   over the call graph into a lock-ordering graph; cycles are
 //!   reported as potential deadlocks with one witness per edge.
-//! * **`hot-path-transitive-alloc`** — calls made inside a
-//!   `// hot-path` fence are followed through the graph; any reachable
-//!   callee that allocates is reported with the path (the token lint
-//!   still catches *direct* allocation inside the fence).
+//! * **`hot-path-transitive-alloc`** — an allocation-shaped call
+//!   (`vec!`, `format!`, `with_capacity`, `.collect()`, `.to_vec()`,
+//!   `Box::new`, …) inside a `// hot-path` fence is reported, and so
+//!   is every allocating callee reachable from a call made inside it,
+//!   with the path.
+//! * **`unreferenced-pub`** — a non-test `pub fn` (free or inherent) or
+//!   `pub mod` in a library crate's `crates/<c>/src` that no caller
+//!   names. Callers are the other crates' `src`, the crate's own
+//!   `src/bin` and `main.rs`, every `tests/` directory, `examples/`,
+//!   the root `src/` and `ledger/`. Names are matched as identifiers in
+//!   masked source, so a collision keeps the item; narrowing a finding
+//!   to `pub(crate)` hands it to rustc's `dead_code` lint.
+//!
+//! A fence marker that does not pair up (a `begin` never closed, a
+//! `begin` inside an open fence, an `end` with nothing open) is a
+//! finding of the rule that owns the fence, so a deleted marker cannot
+//! switch the check off.
 //!
 //! ## Soundness caveats
 //!
@@ -35,15 +48,16 @@
 //! is assumed external. Lock identities conflate instances that share a
 //! field name or type (and re-entrant acquisition of the *same*
 //! identity is deliberately not reported, because instance aliasing
-//! would make it noisy). `.reserve(` is not on the allocation token
-//! list, for parity with the token lint. These are the same trade-offs
-//! the token lint makes: uniform repo idiom plus the reasoned allowlist
-//! absorb the residue.
+//! would make it noisy). `.reserve(` is not on the allocation list.
+//! `unreferenced-pub` cannot see a name that only a macro expansion
+//! produces. These are the same trade-offs the token lint makes:
+//! uniform repo idiom plus the reasoned allowlist absorb the residue.
 //!
 //! [`wire_codec!`]: cmg_runtime::wire_codec
 
 use crate::callgraph::{CallGraph, FnId, Workspace};
-use crate::parse::FnItem;
+use crate::mask::mask_source;
+use crate::parse::{in_line_spans, FnItem, TokenSite};
 use cmg_obs::json::Json;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -59,8 +73,10 @@ pub enum AnalyzeRule {
     WireDrift,
     /// Cycle in the interprocedural lock-ordering graph.
     LockOrder,
-    /// Call path from a hot-path fence to an allocating fn.
+    /// Allocation inside a hot-path fence, directly or through a call.
     HotPathTransitiveAlloc,
+    /// Library `pub` item that no caller outside its crate names.
+    UnreferencedPub,
 }
 
 impl AnalyzeRule {
@@ -71,16 +87,18 @@ impl AnalyzeRule {
             AnalyzeRule::WireDrift => "wire-drift",
             AnalyzeRule::LockOrder => "lock-order",
             AnalyzeRule::HotPathTransitiveAlloc => "hot-path-transitive-alloc",
+            AnalyzeRule::UnreferencedPub => "unreferenced-pub",
         }
     }
 
     /// All rules, for report summaries.
-    pub fn all() -> [AnalyzeRule; 4] {
+    pub fn all() -> [AnalyzeRule; 5] {
         [
             AnalyzeRule::BlockingReachability,
             AnalyzeRule::WireDrift,
             AnalyzeRule::LockOrder,
             AnalyzeRule::HotPathTransitiveAlloc,
+            AnalyzeRule::UnreferencedPub,
         ]
     }
 }
@@ -157,18 +175,23 @@ impl AnalyzeAllowlist {
 
     /// The workspace's vetted analyze exemptions.
     ///
-    /// Currently empty: the workspace analyzes clean. Every entry added
-    /// here must carry a reason explaining why the finding is sound to
-    /// suppress, and `analyze_allowlist_is_load_bearing` in the
+    /// Every entry carries a reason explaining why the finding is sound
+    /// to suppress, and `analyze_allowlist_is_load_bearing` in the
     /// integration tests fails if an entry stops matching anything.
     pub fn workspace() -> Self {
         AnalyzeAllowlist {
-            entries: Vec::new(),
+            entries: vec![AnalyzeAllow {
+                prefix: "crates/runtime/src/lib.rs#codec",
+                rule: "unreferenced-pub",
+                reason: "`wire_codec!` expands to `$crate::codec::{Buf, BufMut, WireField}` \
+                         in every crate that declares a wire enum; a macro expansion is a \
+                         caller the identifier scan cannot see",
+            }],
         }
     }
 
     /// The matching entry's reason, if `v` is exempt.
-    pub fn allows(&self, v: &AnalyzeViolation) -> Option<&'static str> {
+    pub(crate) fn allows(&self, v: &AnalyzeViolation) -> Option<&'static str> {
         let scoped = format!("{}#{}", v.path, v.item);
         self.entries
             .iter()
@@ -298,15 +321,24 @@ const ARM_ERROR_TOKENS: &[&str] = &[
 ];
 
 /// Runs the full analysis over `(path, source)` pairs with an
-/// allowlist. Deterministic; never panics on arbitrary input.
+/// allowlist. Files under `crates/<c>/src/` form the call graph; every
+/// other file only counts as a caller for `unreferenced-pub`.
+/// Deterministic; never panics on arbitrary input.
 pub fn analyze_sources(sources: &[(String, String)], allow: &AnalyzeAllowlist) -> AnalysisReport {
-    let ws = Workspace::parse(sources);
+    let crate_files: Vec<(String, String)> = sources
+        .iter()
+        .filter(|(p, _)| crate_src(p).is_some())
+        .cloned()
+        .collect();
+    let ws = Workspace::parse(&crate_files);
     let graph = CallGraph::build(&ws);
     let mut found = Vec::new();
     blocking_reachability(&graph, &mut found);
     wire_drift(&ws, &mut found);
     lock_order(&graph, &mut found);
     hot_path_transitive(&graph, &mut found);
+    fence_faults(&ws, &mut found);
+    unreferenced_pub(&ws, sources, &mut found);
     found.sort_by(|a, b| {
         (a.rule, &a.path, a.line, &a.item, &a.message)
             .cmp(&(b.rule, &b.path, b.line, &b.item, &b.message))
@@ -333,16 +365,22 @@ pub fn analyze_sources(sources: &[(String, String)], allow: &AnalyzeAllowlist) -
     report
 }
 
+/// Directories outside `crates/` whose files call into the library
+/// crates. `ledger/` is read so that nothing the benchmark links is
+/// reported as unreferenced.
+const CALLER_DIRS: &[&str] = &["tests", "examples", "src", "ledger/src", "ledger/tests"];
+
 /// Runs the analysis over every `crates/*/src/**/*.rs` under
-/// `repo_root`.
+/// `repo_root`, with `crates/*/tests` and [`CALLER_DIRS`] as callers.
 pub fn analyze_tree(repo_root: &Path, allow: &AnalyzeAllowlist) -> Result<AnalysisReport, String> {
-    let sources = crate::lint::workspace_sources(repo_root)?;
+    let sources = crate::lint::workspace_sources(repo_root, &["src", "tests"], CALLER_DIRS)?;
     Ok(analyze_sources(&sources, allow))
 }
 
-/// Fn label shorthand.
-fn label(graph: &CallGraph, id: FnId) -> String {
-    graph.label(id)
+/// Splits `crates/<c>/src/<rest>` into `(c, rest)`.
+fn crate_src(path: &str) -> Option<(&str, &str)> {
+    let (krate, rest) = path.strip_prefix("crates/")?.split_once('/')?;
+    Some((krate, rest.strip_prefix("src/")?))
 }
 
 fn item_name(item: &FnItem) -> String {
@@ -352,107 +390,115 @@ fn item_name(item: &FnItem) -> String {
     }
 }
 
-fn in_line_spans(line: usize, spans: &[(usize, usize)]) -> bool {
-    spans.iter().any(|&(lo, hi)| lo <= line && line <= hi)
+/// A rule that forbids one kind of token inside a fenced region and in
+/// every fn a call made there can reach.
+struct RegionRule {
+    rule: AnalyzeRule,
+    /// The fn's forbidden tokens.
+    sinks: fn(&FnItem) -> &[TokenSite],
+    /// What a forbidden token is, for messages (`blocking call`).
+    sink: &'static str,
+    /// What the region is, for messages (`nonblocking region`).
+    region: &'static str,
 }
 
-/// A blocking-reachability entry point: the fn plus the line spans its
-/// nonblocking region covers (`None` = the whole body).
-type EntryRegion = (FnId, Option<Vec<(usize, usize)>>);
+/// Reports every forbidden token inside `entry`'s region (`None` = the
+/// whole body), then walks the resolved edges leaving the region and
+/// reports each reached fn's first forbidden token with its call path.
+fn region_reach(
+    graph: &CallGraph,
+    r: &RegionRule,
+    entry: FnId,
+    spans: Option<&[(usize, usize)]>,
+    out: &mut Vec<AnalyzeViolation>,
+) {
+    let in_region = |line| spans.is_none_or(|s| in_line_spans(line, s));
+    let finding = |line, message, call_path| AnalyzeViolation {
+        rule: r.rule,
+        path: graph.path(entry).to_string(),
+        line,
+        item: item_name(graph.item(entry)),
+        message,
+        call_path,
+    };
+    for t in (r.sinks)(graph.item(entry)) {
+        if in_region(t.line) {
+            let frame = PathFrame {
+                label: graph.label(entry),
+                line: t.line,
+            };
+            let message = format!("{} `{}` inside a {}", r.sink, t.token, r.region);
+            out.push(finding(t.line, message, vec![frame]));
+        }
+    }
+    let mut parent: HashMap<FnId, (FnId, usize)> = HashMap::new();
+    let mut queue: Vec<FnId> = Vec::new();
+    for e in graph.edges(entry) {
+        if in_region(e.line) && !graph.item(e.to).in_test && !parent.contains_key(&e.to) {
+            parent.insert(e.to, (entry, e.line));
+            queue.push(e.to);
+        }
+    }
+    let mut qi = 0;
+    while qi < queue.len() {
+        let id = queue[qi];
+        qi += 1;
+        let item = graph.item(id);
+        if let Some(t) = (r.sinks)(item).first() {
+            // Reconstruct entry → … → id. Deeper sinks behind this fn
+            // are still reported through their own first-visit paths.
+            let mut frames = vec![PathFrame {
+                label: graph.label(id),
+                line: t.line,
+            }];
+            let mut cur = id;
+            while let Some(&(p, line)) = parent.get(&cur) {
+                frames.push(PathFrame {
+                    label: graph.label(p),
+                    line,
+                });
+                if p == entry {
+                    break;
+                }
+                cur = p;
+            }
+            frames.reverse();
+            let message = format!(
+                "{} `{}` in {} is reachable from this {}",
+                r.sink,
+                t.token,
+                item_name(item),
+                r.region
+            );
+            out.push(finding(frames[0].line, message, frames));
+        }
+        for e in graph.edges(id) {
+            if !graph.item(e.to).in_test && e.to != entry && !parent.contains_key(&e.to) {
+                parent.insert(e.to, (id, e.line));
+                queue.push(e.to);
+            }
+        }
+    }
+}
 
-/// Rule 1: call paths from reactor entry points / nonblocking fences to
-/// blocking APIs.
+/// Rule 1: blocking calls in, or reachable from, reactor entry points
+/// (whole body) and nonblocking fences.
 fn blocking_reachability(graph: &CallGraph, out: &mut Vec<AnalyzeViolation>) {
-    let mut entries: Vec<EntryRegion> = Vec::new();
+    let rule = RegionRule {
+        rule: AnalyzeRule::BlockingReachability,
+        sinks: |f| &f.blocking,
+        sink: "blocking call",
+        region: "nonblocking region",
+    };
     for id in graph.ids() {
         let item = graph.item(id);
         if item.in_test {
             continue;
         }
         if graph.path(id).starts_with(REACTOR_HOME) {
-            entries.push((id, None));
+            region_reach(graph, &rule, id, None, out);
         } else if !item.nonblocking_lines.is_empty() {
-            entries.push((id, Some(item.nonblocking_lines.clone())));
-        }
-    }
-    for (entry, restrict) in entries {
-        let entry_item = graph.item(entry);
-        // Direct blocking tokens inside the entry region.
-        for t in &entry_item.blocking {
-            let in_region = restrict
-                .as_ref()
-                .is_none_or(|spans| in_line_spans(t.line, spans));
-            if in_region {
-                out.push(AnalyzeViolation {
-                    rule: AnalyzeRule::BlockingReachability,
-                    path: graph.path(entry).to_string(),
-                    line: t.line,
-                    item: item_name(entry_item),
-                    message: format!("blocking call `{}` inside a nonblocking region", t.token),
-                    call_path: vec![PathFrame {
-                        label: label(graph, entry),
-                        line: t.line,
-                    }],
-                });
-            }
-        }
-        // BFS over resolved edges leaving the entry region.
-        let mut parent: HashMap<FnId, (FnId, usize)> = HashMap::new();
-        let mut queue: Vec<FnId> = Vec::new();
-        for e in graph.edges(entry) {
-            let allowed = restrict
-                .as_ref()
-                .is_none_or(|spans| in_line_spans(e.line, spans));
-            if allowed && !graph.item(e.to).in_test && !parent.contains_key(&e.to) {
-                parent.insert(e.to, (entry, e.line));
-                queue.push(e.to);
-            }
-        }
-        let mut qi = 0;
-        while qi < queue.len() {
-            let id = queue[qi];
-            qi += 1;
-            let item = graph.item(id);
-            if let Some(t) = item.blocking.first() {
-                // Reconstruct entry → … → id.
-                let mut frames = vec![PathFrame {
-                    label: label(graph, id),
-                    line: t.line,
-                }];
-                let mut cur = id;
-                while let Some(&(p, line)) = parent.get(&cur) {
-                    frames.push(PathFrame {
-                        label: label(graph, p),
-                        line,
-                    });
-                    if p == entry {
-                        break;
-                    }
-                    cur = p;
-                }
-                frames.reverse();
-                out.push(AnalyzeViolation {
-                    rule: AnalyzeRule::BlockingReachability,
-                    path: graph.path(entry).to_string(),
-                    line: frames.first().map(|f| f.line).unwrap_or(t.line),
-                    item: item_name(graph.item(entry)),
-                    message: format!(
-                        "blocking call `{}` in {} is reachable from this nonblocking \
-                         entry point",
-                        t.token,
-                        item_name(item)
-                    ),
-                    call_path: frames,
-                });
-                // Keep walking: deeper sinks behind this fn are still
-                // reported through their own first-visit paths.
-            }
-            for e in graph.edges(id) {
-                if !graph.item(e.to).in_test && e.to != entry && !parent.contains_key(&e.to) {
-                    parent.insert(e.to, (id, e.line));
-                    queue.push(e.to);
-                }
-            }
+            region_reach(graph, &rule, id, Some(&item.nonblocking_lines), out);
         }
     }
 }
@@ -740,7 +786,7 @@ fn lock_order(graph: &CallGraph, out: &mut Vec<AnalyzeViolation>) {
                 if held_at(b.stmt) && a.id != b.id {
                     order
                         .entry((a.id.clone(), b.id.clone()))
-                        .or_insert_with(|| (label(graph, id), b.line));
+                        .or_insert_with(|| (graph.label(id), b.line));
                 }
             }
             for e in graph.edges(id) {
@@ -751,7 +797,7 @@ fn lock_order(graph: &CallGraph, out: &mut Vec<AnalyzeViolation>) {
                     if l != &a.id {
                         order
                             .entry((a.id.clone(), l.clone()))
-                            .or_insert_with(|| (label(graph, id), e.line));
+                            .or_insert_with(|| (graph.label(id), e.line));
                     }
                 }
             }
@@ -876,65 +922,107 @@ fn sccs(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
     out
 }
 
-/// Rule 4: transitive allocation behind hot-path fences.
+/// Rule 4: allocation in, or reachable from, hot-path fences.
 fn hot_path_transitive(graph: &CallGraph, out: &mut Vec<AnalyzeViolation>) {
-    for entry in graph.ids() {
-        let entry_item = graph.item(entry);
-        if entry_item.in_test || entry_item.hot_lines.is_empty() {
+    let rule = RegionRule {
+        rule: AnalyzeRule::HotPathTransitiveAlloc,
+        sinks: |f| &f.allocs,
+        sink: "allocating call",
+        region: "hot-path fence",
+    };
+    for id in graph.ids() {
+        let item = graph.item(id);
+        if !item.in_test && !item.hot_lines.is_empty() {
+            region_reach(graph, &rule, id, Some(&item.hot_lines), out);
+        }
+    }
+}
+
+/// Fence markers that do not pair up, each a finding of the rule that
+/// owns the fence: an unbalanced fence must not switch its check off.
+fn fence_faults(ws: &Workspace, out: &mut Vec<AnalyzeViolation>) {
+    for f in &ws.files {
+        for fault in &f.fence_faults {
+            let rule = match fault.tag {
+                "hot-path" => AnalyzeRule::HotPathTransitiveAlloc,
+                _ => AnalyzeRule::BlockingReachability,
+            };
+            let item = f
+                .fns
+                .iter()
+                .find(|i| i.line_span.0 <= fault.line && fault.line <= i.line_span.1)
+                .map_or_else(|| "-".to_string(), item_name);
+            out.push(AnalyzeViolation {
+                rule,
+                path: f.path.clone(),
+                line: fault.line,
+                item,
+                message: format!("unbalanced `// {}` fence: {}", fault.tag, fault.problem),
+                call_path: Vec::new(),
+            });
+        }
+    }
+}
+
+/// Rule 5: `pub` fns and modules of library crates that no caller
+/// names. A file of library crate `c` other than its `bin/` and
+/// `main.rs` is part of `c`'s API and names things for every crate but
+/// `c`; every other file names things for every crate.
+fn unreferenced_pub(ws: &Workspace, sources: &[(String, String)], out: &mut Vec<AnalyzeViolation>) {
+    let libs: BTreeSet<&str> = sources
+        .iter()
+        .filter_map(|(p, _)| crate_src(p).filter(|&(_, rest)| rest == "lib.rs"))
+        .map(|(c, _)| c)
+        .collect();
+    fn api_crate<'p>(path: &'p str, libs: &BTreeSet<&str>) -> Option<&'p str> {
+        crate_src(path)
+            .filter(|&(c, rest)| libs.contains(c) && rest != "main.rs" && !rest.starts_with("bin/"))
+            .map(|(c, _)| c)
+    }
+    let masked: Vec<(Option<&str>, String)> = sources
+        .iter()
+        .map(|(p, s)| (api_crate(p, &libs), mask_source(s)))
+        .collect();
+    // Identifier → the crates it is named for (`None`: every crate).
+    let mut named_by: HashMap<&str, BTreeSet<Option<&str>>> = HashMap::new();
+    for (owner, text) in &masked {
+        for word in text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
+            if !word.is_empty() {
+                named_by.entry(word).or_default().insert(*owner);
+            }
+        }
+    }
+    let referenced = |name: &str, own: &str| {
+        named_by
+            .get(name)
+            .is_some_and(|owners| owners.iter().any(|o| *o != Some(own)))
+    };
+    for f in &ws.files {
+        let Some(own) = api_crate(&f.path, &libs) else {
             continue;
-        }
-        let mut parent: HashMap<FnId, (FnId, usize)> = HashMap::new();
-        let mut queue: Vec<FnId> = Vec::new();
-        for e in graph.edges(entry) {
-            if in_line_spans(e.line, &entry_item.hot_lines)
-                && !graph.item(e.to).in_test
-                && !parent.contains_key(&e.to)
-            {
-                parent.insert(e.to, (entry, e.line));
-                queue.push(e.to);
-            }
-        }
-        let mut qi = 0;
-        while qi < queue.len() {
-            let id = queue[qi];
-            qi += 1;
-            let item = graph.item(id);
-            if let Some(t) = item.allocs.first() {
-                let mut frames = vec![PathFrame {
-                    label: label(graph, id),
-                    line: t.line,
-                }];
-                let mut cur = id;
-                while let Some(&(p, line)) = parent.get(&cur) {
-                    frames.push(PathFrame {
-                        label: label(graph, p),
-                        line,
-                    });
-                    if p == entry {
-                        break;
-                    }
-                    cur = p;
-                }
-                frames.reverse();
-                out.push(AnalyzeViolation {
-                    rule: AnalyzeRule::HotPathTransitiveAlloc,
-                    path: graph.path(entry).to_string(),
-                    line: frames.first().map(|f| f.line).unwrap_or(t.line),
-                    item: item_name(entry_item),
-                    message: format!(
-                        "hot-path fence reaches allocating call `{}` in {}",
-                        t.token,
-                        item_name(item)
-                    ),
-                    call_path: frames,
-                });
-            }
-            for e in graph.edges(id) {
-                if !graph.item(e.to).in_test && e.to != entry && !parent.contains_key(&e.to) {
-                    parent.insert(e.to, (id, e.line));
-                    queue.push(e.to);
-                }
-            }
+        };
+        let fns = f
+            .fns
+            .iter()
+            .filter(|i| i.is_pub && !i.in_test && !referenced(&i.name, own))
+            .map(|i| (item_name(i), i.line, "pub fn"));
+        let mods = f
+            .pub_mods
+            .iter()
+            .filter(|(name, _)| !referenced(name, own))
+            .map(|(name, line)| (name.clone(), *line, "pub mod"));
+        for (item, line, kind) in fns.chain(mods) {
+            out.push(AnalyzeViolation {
+                rule: AnalyzeRule::UnreferencedPub,
+                path: f.path.clone(),
+                line,
+                message: format!(
+                    "`{kind}` named by no caller outside crates/{own}/src (other crates, its \
+                     binaries, tests, examples, ledger): delete it or narrow its visibility"
+                ),
+                item,
+                call_path: Vec::new(),
+            });
         }
     }
 }

@@ -5,8 +5,10 @@
 //! [`cmg_check::lint`] minus the vetted allowlist; with `--analyze` it
 //! runs the interprocedural [`cmg_check::analyze`] pass instead
 //! (call-graph blocking-reachability, wire-protocol drift, lock-order
-//! cycles, transitive hot-path allocation). Prints every violation and
-//! exits non-zero when any remain. Run from CI as:
+//! cycles, hot-path allocation, unreferenced library `pub` items), which
+//! also reads `crates/*/tests`, `tests/`, `examples/`, `src/` and
+//! `ledger/` as callers. Prints every violation and exits non-zero when
+//! any remain. Run from CI as:
 //!
 //! ```text
 //! cargo run -p cmg-check --bin cmg-lint

@@ -477,7 +477,7 @@ impl ScriptSearch {
     }
 
     /// `true` when every schedule in the (pruned) tree was run.
-    pub fn drained(&self) -> bool {
+    fn drained(&self) -> bool {
         self.next_stream.is_none()
     }
 }

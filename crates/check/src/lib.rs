@@ -21,17 +21,17 @@
 //! 3. **Repo lint** ([`lint`], shipped as the `cmg-lint` binary) — a
 //!    token-level static pass over `crates/*/src` enforcing the
 //!    workspace's own rules: no `unwrap`/`expect`/`panic!` in library
-//!    code outside tests, no allocation inside `// hot-path` fenced
-//!    regions, and no recorder emit without the cached enabled-bool
-//!    guard.
+//!    code outside tests, no recorder emit without the cached
+//!    enabled-bool guard, and no hand-built reduction tree outside the
+//!    collectives module.
 //! 4. **Whole-workspace static analysis** ([`analyze`], shipped as
-//!    `cmg-lint --analyze` and the `cmg analyze` verb) — lifts the
-//!    masked token stream into an item-level IR ([`parse`]), builds a
-//!    conservative name-resolution call graph ([`callgraph`]), and runs
-//!    four interprocedural rules: blocking-reachability from reactor
-//!    entry points, wire-protocol drift over `wire_codec!` enums and
-//!    `PROTO_VERSION`, lock-order deadlock cycles, and transitive
-//!    hot-path allocation.
+//!    `cmg-lint --analyze`) — lifts the masked token stream into an
+//!    item-level IR ([`parse`]), builds a conservative name-resolution
+//!    call graph ([`callgraph`]), and runs five rules:
+//!    blocking-reachability from reactor entry points, wire-protocol
+//!    drift over `wire_codec!` enums and `PROTO_VERSION`, lock-order
+//!    deadlock cycles, hot-path allocation (direct or transitive), and
+//!    library `pub` items no caller names.
 //!
 //! The exploration layer drives [`cmg_runtime::DeliveryPolicy`]; oracle
 //! tallies aggregate into [`cmg_obs::OracleCounters`].
@@ -52,5 +52,5 @@ pub use callgraph::{CallGraph, Workspace};
 pub use explore::{
     explore_coloring, explore_matching, standard_policies, Exploration, ScriptBook, ScriptSearch,
 };
-pub use lint::{lint_file, lint_tree, Allowlist, Rule, Violation};
+pub use lint::{lint_tree, Allowlist, Rule, Violation};
 pub use observed::ObservedMatching;

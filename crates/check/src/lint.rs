@@ -1,6 +1,6 @@
 //! The repo-specific lint pass behind the `cmg-lint` binary.
 //!
-//! Four rules, each encoding a convention this workspace already
+//! Three rules, each encoding a convention this workspace already
 //! follows on purpose:
 //!
 //! * [`Rule::NoPanicInLib`] — library code must not `unwrap()`,
@@ -8,10 +8,6 @@
 //!   contextual errors. Test code (`#[cfg(test)]` spans) is exempt;
 //!   deliberate invariant panics are allowlisted file-by-file with a
 //!   written reason.
-//! * [`Rule::HotPathAlloc`] — regions fenced by `// hot-path: begin`
-//!   … `// hot-path: end` comments are the engines' allocation-free
-//!   inner loops; allocation-shaped calls (`vec![`, `with_capacity`,
-//!   `format!`, `.collect(`, …) inside them are flagged.
 //! * [`Rule::UnguardedEmit`] — every `.emit(` of an observability event
 //!   must sit under an `if` testing the cached enabled-bool
 //!   (`observed`/`enabled(`), so uninstrumented runs never construct
@@ -30,12 +26,14 @@
 //! repo's idioms are uniform enough that masking plus brace tracking is
 //! exact in practice, and the allowlist absorbs any residue.
 //!
-//! The old directory-scoped `no-blocking-io-in-reactor` token rule
-//! lives on as the interprocedural `blocking-reachability` rule in
-//! [`crate::analyze`], which follows calls out of the reactor instead
-//! of stopping at the directory boundary.
+//! Two older token rules live on as interprocedural rules in
+//! [`crate::analyze`], which follow calls out of the fenced region
+//! instead of stopping at it: the directory-scoped
+//! `no-blocking-io-in-reactor` as `blocking-reachability`, and the
+//! `// hot-path` allocation fence as `hot-path-transitive-alloc`.
 
 use crate::mask::mask_source;
+use crate::parse::{in_line_spans, test_byte_spans};
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -45,8 +43,6 @@ use std::path::{Path, PathBuf};
 pub enum Rule {
     /// `unwrap()`/`expect(`/`panic!` outside test code.
     NoPanicInLib,
-    /// Allocation-shaped call inside a `// hot-path` fence.
-    HotPathAlloc,
     /// `.emit(` not under an `observed`/`enabled(` guard.
     UnguardedEmit,
     /// Hand-built allreduce tree topology (parent/children rank
@@ -59,7 +55,6 @@ impl Rule {
     pub fn name(self) -> &'static str {
         match self {
             Rule::NoPanicInLib => "no-panic-in-lib",
-            Rule::HotPathAlloc => "hot-path-alloc",
             Rule::UnguardedEmit => "unguarded-emit",
             Rule::HandRolledCollective => "no-hand-rolled-collective",
         }
@@ -164,89 +159,12 @@ impl Allowlist {
     }
 
     /// Whether `path` is exempt from `rule`.
-    pub fn allows(&self, path: &str, rule: Rule) -> bool {
+    pub(crate) fn allows(&self, path: &str, rule: Rule) -> bool {
         self.entries
             .iter()
             .any(|e| e.rule == rule && path.starts_with(e.prefix))
     }
 }
-
-/// Lines (1-based) covered by `#[cfg(test)]`-attributed items, found by
-/// brace-matching the block that follows each attribute.
-fn test_line_spans(masked: &str) -> Vec<(usize, usize)> {
-    let mut spans = Vec::new();
-    let needle = "#[cfg(test)]";
-    let mut search_from = 0;
-    while let Some(pos) = masked[search_from..].find(needle) {
-        let attr_at = search_from + pos;
-        let after = attr_at + needle.len();
-        let bytes = masked.as_bytes();
-        let mut depth = 0usize;
-        let mut started = false;
-        let mut end = masked.len();
-        for (off, &b) in bytes[after..].iter().enumerate() {
-            match b {
-                b'{' => {
-                    depth += 1;
-                    started = true;
-                }
-                b'}' => {
-                    depth = depth.saturating_sub(1);
-                    if started && depth == 0 {
-                        end = after + off + 1;
-                        break;
-                    }
-                }
-                b';' if !started => {
-                    // `#[cfg(test)] use …;` — a single-line item.
-                    end = after + off + 1;
-                    break;
-                }
-                _ => {}
-            }
-        }
-        let line_of = |at: usize| masked[..at].matches('\n').count() + 1;
-        spans.push((line_of(attr_at), line_of(end.min(masked.len()))));
-        search_from = end.min(masked.len()).max(after);
-    }
-    spans
-}
-
-/// Hot-path fence spans (1-based, inclusive) from the *raw* source —
-/// the fences are comments, which masking blanks out.
-fn hot_path_spans(raw: &str) -> Vec<(usize, usize)> {
-    let mut spans = Vec::new();
-    let mut open: Option<usize> = None;
-    for (idx, line) in raw.lines().enumerate() {
-        let t = line.trim_start();
-        if t.starts_with("// hot-path: begin") {
-            open = Some(idx + 1);
-        } else if t.starts_with("// hot-path: end") {
-            if let Some(start) = open.take() {
-                spans.push((start, idx + 1));
-            }
-        }
-    }
-    spans
-}
-
-fn in_spans(line: usize, spans: &[(usize, usize)]) -> bool {
-    spans.iter().any(|&(lo, hi)| lo <= line && line <= hi)
-}
-
-/// Allocation-shaped tokens disallowed inside hot-path fences.
-const ALLOC_TOKENS: &[&str] = &[
-    "vec![",
-    "with_capacity(",
-    ".to_vec(",
-    ".to_owned(",
-    ".to_string(",
-    "format!",
-    "Box::new(",
-    "String::from(",
-    ".collect(",
-    "String::new(",
-];
 
 /// Panic-shaped tokens disallowed in library code.
 const PANIC_TOKENS: &[&str] = &[".unwrap()", ".expect(", "panic!"];
@@ -347,10 +265,13 @@ fn emit_sites(masked: &str) -> Vec<(usize, bool)> {
 
 /// Lints one file's source, returning every violation (allowlist not
 /// applied — that is [`lint_tree`]'s job).
-pub fn lint_file(path: &str, src: &str) -> Vec<Violation> {
+fn lint_file(path: &str, src: &str) -> Vec<Violation> {
     let masked = mask_source(src);
-    let tests = test_line_spans(&masked);
-    let hot = hot_path_spans(src);
+    let line_of = |at: usize| masked[..at].matches('\n').count() + 1;
+    let tests: Vec<(usize, usize)> = test_byte_spans(&masked)
+        .into_iter()
+        .map(|(lo, hi)| (line_of(lo), line_of(hi)))
+        .collect();
     let raw_lines: Vec<&str> = src.lines().collect();
     let excerpt_at = |line: usize| {
         raw_lines
@@ -362,7 +283,7 @@ pub fn lint_file(path: &str, src: &str) -> Vec<Violation> {
 
     for (idx, line) in masked.lines().enumerate() {
         let lineno = idx + 1;
-        if in_spans(lineno, &tests) {
+        if in_line_spans(lineno, &tests) {
             continue;
         }
         if PANIC_TOKENS.iter().any(|t| line.contains(t)) {
@@ -373,18 +294,10 @@ pub fn lint_file(path: &str, src: &str) -> Vec<Violation> {
                 excerpt: excerpt_at(lineno),
             });
         }
-        if in_spans(lineno, &hot) && ALLOC_TOKENS.iter().any(|t| line.contains(t)) {
-            out.push(Violation {
-                path: path.to_string(),
-                line: lineno,
-                rule: Rule::HotPathAlloc,
-                excerpt: excerpt_at(lineno),
-            });
-        }
     }
 
     for (lineno, guarded) in emit_sites(&masked) {
-        if !guarded && !in_spans(lineno, &tests) {
+        if !guarded && !in_line_spans(lineno, &tests) {
             out.push(Violation {
                 path: path.to_string(),
                 line: lineno,
@@ -396,7 +309,7 @@ pub fn lint_file(path: &str, src: &str) -> Vec<Violation> {
 
     if !path.starts_with(COLLECTIVES_HOME) {
         for lineno in hand_rolled_collective_sites(&masked) {
-            if !in_spans(lineno, &tests) {
+            if !in_line_spans(lineno, &tests) {
                 out.push(Violation {
                     path: path.to_string(),
                     line: lineno,
@@ -428,20 +341,27 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     Ok(())
 }
 
-/// Reads every `crates/*/src/**/*.rs` under `repo_root` as
-/// `(repo-relative path, source)` pairs, sorted by path — the shared
-/// file walk behind [`lint_tree`] and [`crate::analyze::analyze_tree`].
-pub fn workspace_sources(repo_root: &Path) -> Result<Vec<(String, String)>, String> {
+/// Reads every `.rs` file under `crates/*/<sub>` for each of
+/// `crate_subdirs`, and under each repo-relative directory in `extra`
+/// that exists, as `(repo-relative path, source)` pairs sorted by path —
+/// the shared file walk behind [`lint_tree`] and
+/// [`crate::analyze::analyze_tree`].
+pub(crate) fn workspace_sources(
+    repo_root: &Path,
+    crate_subdirs: &[&str],
+    extra: &[&str],
+) -> Result<Vec<(String, String)>, String> {
     let crates_dir = repo_root.join("crates");
     let entries = fs::read_dir(&crates_dir)
         .map_err(|e| format!("cannot read {}: {e}", crates_dir.display()))?;
-    let mut files = Vec::new();
+    let mut dirs: Vec<PathBuf> = extra.iter().map(|d| repo_root.join(d)).collect();
     for entry in entries {
         let entry = entry.map_err(|e| format!("cannot list {}: {e}", crates_dir.display()))?;
-        let src = entry.path().join("src");
-        if src.is_dir() {
-            rs_files(&src, &mut files)?;
-        }
+        dirs.extend(crate_subdirs.iter().map(|sub| entry.path().join(sub)));
+    }
+    let mut files = Vec::new();
+    for dir in dirs.iter().filter(|d| d.is_dir()) {
+        rs_files(dir, &mut files)?;
     }
     files.sort();
     let mut sources = Vec::new();
@@ -463,7 +383,7 @@ pub fn workspace_sources(repo_root: &Path) -> Result<Vec<(String, String)>, Stri
 /// forward slashes.
 pub fn lint_tree(repo_root: &Path, allow: &Allowlist) -> Result<Vec<Violation>, String> {
     let mut violations = Vec::new();
-    for (rel, src) in workspace_sources(repo_root)? {
+    for (rel, src) in workspace_sources(repo_root, &["src"], &[])? {
         violations.extend(
             lint_file(&rel, &src)
                 .into_iter()
@@ -520,25 +440,6 @@ fn f() -> &'static str {
     }
 
     #[test]
-    fn hot_path_fence_rejects_allocation() {
-        let src = "
-fn step(out: &mut Vec<u32>) {
-    let staging = vec![0u32; 4];
-    // hot-path: begin (delivery)
-    let bad: Vec<u32> = staging.iter().copied().collect();
-    out.extend(bad);
-    // hot-path: end (delivery)
-    let fine = staging.to_vec();
-    let _ = fine;
-}
-";
-        let v = lint_file("demo.rs", src);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::HotPathAlloc);
-        assert_eq!(v[0].line, 5);
-    }
-
-    #[test]
     fn unguarded_emit_is_flagged_guarded_is_not() {
         let src = "
 fn good(ctx: &Ctx) {
@@ -573,7 +474,7 @@ fn bad(ctx: &Ctx) {
             }],
         };
         assert!(allow.allows("crates/x/src/lib.rs", Rule::NoPanicInLib));
-        assert!(!allow.allows("crates/x/src/lib.rs", Rule::HotPathAlloc));
+        assert!(!allow.allows("crates/x/src/lib.rs", Rule::UnguardedEmit));
         assert!(!allow.allows("crates/y/src/lib.rs", Rule::NoPanicInLib));
     }
 
@@ -587,7 +488,7 @@ fn bad(ctx: &Ctx) {
             "crates/graph/src/metis_io.rs",
             "crates/cli/src/main.rs",
         ] {
-            for rule in [Rule::NoPanicInLib, Rule::HotPathAlloc, Rule::UnguardedEmit] {
+            for rule in [Rule::NoPanicInLib, Rule::UnguardedEmit] {
                 assert!(!allow.allows(path, rule), "{path} must not be exempt");
             }
         }

@@ -75,7 +75,7 @@ pub fn proper_coloring(g: &CsrGraph, c: &Coloring) -> Result<(), String> {
 /// conflicted in phase `k`, and a vertex can only re-conflict if it was
 /// just recolored — so the global count can never grow, and the
 /// protocol stops at the first all-zero phase.
-pub fn conflicts_monotone(events: &[TimedEvent]) -> Result<(), String> {
+pub(crate) fn conflicts_monotone(events: &[TimedEvent]) -> Result<(), String> {
     let mut sums: BTreeMap<u32, u64> = BTreeMap::new();
     for e in events {
         if let Event::ColoringRound {
@@ -115,7 +115,7 @@ pub fn conflicts_monotone(events: &[TimedEvent]) -> Result<(), String> {
 
 /// Wire-level conservation: the engine's per-rank counters balance and
 /// the event stream saw exactly as many packet receives as sends.
-pub fn message_conservation(stats: &RunStats, events: &[TimedEvent]) -> Result<(), String> {
+pub(crate) fn message_conservation(stats: &RunStats, events: &[TimedEvent]) -> Result<(), String> {
     if let Some(violation) = stats.conservation_violation() {
         return Err(violation);
     }
@@ -156,7 +156,7 @@ pub fn message_conservation(stats: &RunStats, events: &[TimedEvent]) -> Result<(
 ///    in which case neither side sends S/F across the edge), answered
 ///    by `SUCCEEDED`/`FAILED(b→a)`, or retracted by `a`'s own
 ///    `SUCCEEDED`/`FAILED(a→b)` that crossed the request on the wire.
-pub fn request_ledger(programs: &[ObservedMatching], m: &Matching) -> Result<(), String> {
+pub(crate) fn request_ledger(programs: &[ObservedMatching], m: &Matching) -> Result<(), String> {
     let mut requests: HashMap<(VertexId, VertexId), u32> = HashMap::new();
     let mut answers: HashMap<(VertexId, VertexId), u32> = HashMap::new();
     for p in programs {
@@ -202,7 +202,7 @@ pub fn request_ledger(programs: &[ObservedMatching], m: &Matching) -> Result<(),
 
 /// Termination: the run quiesced (did not hit the round cap) and every
 /// rank resolved all of its owned vertices.
-pub fn matching_quiescence(
+pub(crate) fn matching_quiescence(
     programs: &[ObservedMatching],
     hit_round_cap: bool,
 ) -> Result<(), String> {
@@ -221,7 +221,10 @@ pub fn matching_quiescence(
 }
 
 /// Termination for coloring: quiesced with every rank in its final state.
-pub fn coloring_quiescence(programs: &[DistColoring], hit_round_cap: bool) -> Result<(), String> {
+pub(crate) fn coloring_quiescence(
+    programs: &[DistColoring],
+    hit_round_cap: bool,
+) -> Result<(), String> {
     if hit_round_cap {
         return Err("run hit the round cap instead of quiescing".to_string());
     }

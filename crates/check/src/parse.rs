@@ -7,8 +7,11 @@
 //! sites with receiver chains, lock acquisitions, blocking- and
 //! allocation-shaped tokens, `Enum::Variant` references split into
 //! pattern vs construction position, and every `match` with its arms.
-//! The call graph ([`crate::callgraph`]) and the interprocedural rules
-//! ([`crate::analyze`]) are built entirely from this IR.
+//! It also records which fns and modules are plain `pub`, and every
+//! `// hot-path` / `// nonblocking` fence marker that does not pair up
+//! ([`FenceFault`]). The call graph ([`crate::callgraph`]) and the
+//! interprocedural rules ([`crate::analyze`]) are built entirely from
+//! this IR.
 //!
 //! The parser is *not* a Rust front end. It is a token-shape parser
 //! over [`crate::mask::mask_source`] output, built on three properties
@@ -54,6 +57,8 @@ pub struct FnItem {
     pub line_span: (usize, usize),
     /// Inside a `#[cfg(test)]` span.
     pub in_test: bool,
+    /// Declared plain `pub` (not `pub(crate)` or another restricted form).
+    pub is_pub: bool,
     /// Typed parameters (`self` forms excluded).
     pub params: Vec<Param>,
     /// Simple local type facts: `let x: T` / `let x = T::new(...)`.
@@ -237,6 +242,18 @@ pub struct WireVariant {
     pub fields: Vec<(String, String)>,
 }
 
+/// A `// {tag}: begin` / `// {tag}: end` marker outside test code that
+/// does not pair up with another.
+#[derive(Clone, Debug)]
+pub struct FenceFault {
+    /// The fence tag (`hot-path`, `nonblocking`).
+    pub tag: &'static str,
+    /// 1-based line of the offending marker.
+    pub line: usize,
+    /// What is wrong with the marker.
+    pub problem: &'static str,
+}
+
 /// Everything extracted from one source file.
 #[derive(Clone, Debug, Default)]
 pub struct ParsedFile {
@@ -244,6 +261,10 @@ pub struct ParsedFile {
     pub path: String,
     /// Function items.
     pub fns: Vec<FnItem>,
+    /// Non-test `pub mod` declarations: (name, 1-based line).
+    pub pub_mods: Vec<(String, usize)>,
+    /// Unbalanced fence markers.
+    pub fence_faults: Vec<FenceFault>,
     /// Struct field tables.
     pub structs: Vec<StructDef>,
     /// `wire_codec!` expansions.
@@ -320,8 +341,9 @@ fn tokenize(masked: &str) -> Vec<Tok> {
     toks
 }
 
-/// Byte-span collector for `#[cfg(test)]`-attributed items.
-fn test_byte_spans(masked: &str) -> Vec<(usize, usize)> {
+/// Byte spans of `#[cfg(test)]`-attributed items, found by matching
+/// the braces of the block that follows each attribute.
+pub(crate) fn test_byte_spans(masked: &str) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let needle = "#[cfg(test)]";
     let bytes = masked.as_bytes();
@@ -359,21 +381,36 @@ fn test_byte_spans(masked: &str) -> Vec<(usize, usize)> {
 }
 
 /// Comment-fence spans from the raw source (`// {tag}: begin` …
-/// `// {tag}: end`), 1-based inclusive lines.
-fn fence_spans(raw: &str, tag: &str) -> Vec<(usize, usize)> {
+/// `// {tag}: end`), 1-based inclusive lines. A marker that does not
+/// pair up is pushed to `faults`, and the fence errs toward covering
+/// more: a `begin` inside an open fence keeps the outer one open, and
+/// an unterminated `begin` runs to the end of the file.
+fn fence_spans(raw: &str, tag: &'static str, faults: &mut Vec<FenceFault>) -> Vec<(usize, usize)> {
     let begin = format!("// {tag}: begin");
     let end = format!("// {tag}: end");
     let mut spans = Vec::new();
     let mut open: Option<usize> = None;
+    let mut fault = |line, problem| faults.push(FenceFault { tag, line, problem });
+    let mut last = 0;
     for (idx, line) in raw.lines().enumerate() {
         let t = line.trim_start();
+        last = idx + 1;
         if t.starts_with(&begin) {
-            open = Some(idx + 1);
+            if open.is_some() {
+                fault(last, "`begin` inside a fence that is still open");
+            } else {
+                open = Some(last);
+            }
         } else if t.starts_with(&end) {
-            if let Some(start) = open.take() {
-                spans.push((start, idx + 1));
+            match open.take() {
+                Some(start) => spans.push((start, last)),
+                None => fault(last, "`end` with no open fence"),
             }
         }
+    }
+    if let Some(start) = open {
+        fault(start, "`begin` never closed by an `end`");
+        spans.push((start, last));
     }
     spans
 }
@@ -488,6 +525,13 @@ impl<'a> Parser<'a> {
                     i = close + 1;
                 }
                 "mod" => {
+                    let name = self.toks.get(i + 1).filter(|n| n.kind == TokKind::Ident);
+                    if let Some(&name) = name {
+                        if self.is_plain_pub(i) && !self.in_test(t.start) {
+                            let decl = (self.text(name).to_string(), self.line_of(t.start));
+                            self.out.pub_mods.push(decl);
+                        }
+                    }
                     // Inline module: recurse without impl context.
                     match self.find_at_depth0(i + 1, to, &["{", ";"]) {
                         Some(k) if self.text(self.toks[k]) == "{" => {
@@ -551,6 +595,19 @@ impl<'a> Parser<'a> {
 
     fn peek_text(&self, idx: usize) -> Option<&str> {
         self.toks.get(idx).map(|t| &self.masked[t.start..t.end])
+    }
+
+    /// Whether the item keyword at token `kw` is declared plain `pub`,
+    /// looking back past `const`/`unsafe`/`async`/`extern`.
+    fn is_plain_pub(&self, kw: usize) -> bool {
+        let mut k = kw;
+        while let Some(p) = k.checked_sub(1) {
+            match self.text(self.toks[p]) {
+                "const" | "unsafe" | "async" | "extern" => k = p,
+                vis => return vis == "pub",
+            }
+        }
+        false
     }
 
     /// First token with exactly `what` after `from` (any depth), bounded.
@@ -774,6 +831,7 @@ impl<'a> Parser<'a> {
             line: start_line,
             line_span: (start_line, end_line),
             in_test: self.in_test(self.toks[kw].start),
+            is_pub: self.is_plain_pub(kw),
             params,
             lets: Vec::new(),
             returns_guard,
@@ -970,8 +1028,8 @@ impl<'a> Parser<'a> {
                                 line,
                             });
                         }
-                        // Allocation-shaped calls (parity with the
-                        // token lint's ALLOC_TOKENS).
+                        // Allocation-shaped calls; with `vec!` and
+                        // `format!` above, the hot-path allocation list.
                         let alloc = match &site.callee {
                             Callee::Method { name, .. } => {
                                 matches!(
@@ -1312,6 +1370,11 @@ fn normalize(s: &str) -> String {
     s.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
+/// Whether 1-based `line` falls inside one of the inclusive `spans`.
+pub(crate) fn in_line_spans(line: usize, spans: &[(usize, usize)]) -> bool {
+    spans.iter().any(|&(lo, hi)| lo <= line && line <= hi)
+}
+
 /// Clips file-level line spans to an item's line range.
 fn clip_spans(spans: &[(usize, usize)], lo: usize, hi: usize) -> Vec<(usize, usize)> {
     spans
@@ -1332,18 +1395,24 @@ pub fn parse_file(path: &str, raw: &str) -> ParsedFile {
         .collect();
     let toks = tokenize(&masked);
     let n = toks.len();
+    let mut faults = Vec::new();
     let mut p = Parser {
         masked: &masked,
         toks,
         newlines,
         test_spans: test_byte_spans(&masked),
-        hot_spans: fence_spans(raw, "hot-path"),
-        nonblocking_spans: fence_spans(raw, "nonblocking"),
+        hot_spans: fence_spans(raw, "hot-path", &mut faults),
+        nonblocking_spans: fence_spans(raw, "nonblocking", &mut faults),
         out: ParsedFile {
             path: path.to_string(),
             ..ParsedFile::default()
         },
     };
+    faults.retain(|f| {
+        let line_start = f.line.checked_sub(2).map_or(0, |i| p.newlines[i] + 1);
+        !p.in_test(line_start)
+    });
+    p.out.fence_faults = faults;
     p.parse_items(0, n, None);
     p.out
 }
@@ -1533,6 +1602,28 @@ fn f(s: &mut Stream, rx: &Receiver<u8>) -> Vec<u8> {
         assert_eq!(b, vec!["read", "recv"], "read_fd is sanctioned");
         let a: Vec<&str> = f.fns[0].allocs.iter().map(|t| t.token.as_str()).collect();
         assert_eq!(a, vec!["collect"]);
+    }
+
+    #[test]
+    fn plain_pub_fns_and_mods_are_recorded() {
+        let src = "
+pub mod open;
+mod closed;
+pub(crate) mod narrow {}
+pub fn a() {}
+pub(crate) fn b() {}
+pub const unsafe fn c() {}
+fn d() {}
+#[cfg(test)]
+pub mod test_only {}
+";
+        let f = parse_file("demo.rs", src);
+        let fns: Vec<(&str, bool)> = f.fns.iter().map(|x| (x.name.as_str(), x.is_pub)).collect();
+        assert_eq!(
+            fns,
+            vec![("a", true), ("b", false), ("c", true), ("d", false)]
+        );
+        assert_eq!(f.pub_mods, vec![("open".to_string(), 2)]);
     }
 
     #[test]

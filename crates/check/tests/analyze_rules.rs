@@ -368,6 +368,178 @@ fn hot_path_fence_reaching_an_allocating_callee_is_reported() {
     );
 }
 
+#[test]
+fn allocation_directly_inside_a_hot_path_fence_is_reported() {
+    // Only the `.collect()` inside the fence counts: `vec!` before it and
+    // `.to_vec()` after it are outside.
+    let sources = src(&[(
+        "crates/runtime/src/hot.rs",
+        "pub fn step(out: &mut Vec<u32>) {\n    let staging = vec![0u32; 4];\n    \
+         // hot-path: begin (delivery)\n    \
+         let bad: Vec<u32> = staging.iter().copied().collect();\n    out.extend(bad);\n    \
+         // hot-path: end (delivery)\n    let fine = staging.to_vec();\n    drop(fine);\n}\n",
+    )]);
+    let report = analyze_sources(&sources, &AnalyzeAllowlist::empty());
+    let hits = by_rule(&report.violations, AnalyzeRule::HotPathTransitiveAlloc);
+    assert_eq!(hits.len(), 1, "violations: {:?}", report.violations);
+    assert_eq!(hits[0].line, 4);
+    assert!(
+        hits[0].message.contains("`collect` inside"),
+        "{}",
+        hits[0].message
+    );
+}
+
+// ------------------------------------------------------------ fence balance
+
+/// The three ways a fence marker can fail to pair up, with the 1-based
+/// line of the marker the finding must name.
+fn unbalanced_fences(tag: &str) -> [(&'static str, String, usize); 3] {
+    [
+        (
+            "unterminated begin",
+            format!("pub fn f() {{\n    // {tag}: begin\n    let x = 1;\n    drop(x);\n}}\n"),
+            2,
+        ),
+        (
+            "begin inside an open fence",
+            format!(
+                "pub fn f() {{\n    // {tag}: begin\n    let x = 1;\n    // {tag}: begin\n    \
+                 drop(x);\n    // {tag}: end\n}}\n"
+            ),
+            4,
+        ),
+        (
+            "stray end",
+            format!("pub fn f() {{\n    let x = 1;\n    // {tag}: end\n    drop(x);\n}}\n"),
+            3,
+        ),
+    ]
+}
+
+#[test]
+fn unbalanced_fence_markers_are_findings_of_the_owning_rule() {
+    for (tag, owner, other) in [
+        (
+            "hot-path",
+            AnalyzeRule::HotPathTransitiveAlloc,
+            AnalyzeRule::BlockingReachability,
+        ),
+        (
+            "nonblocking",
+            AnalyzeRule::BlockingReachability,
+            AnalyzeRule::HotPathTransitiveAlloc,
+        ),
+    ] {
+        for (shape, body, line) in unbalanced_fences(tag) {
+            let sources = src(&[("crates/runtime/src/fenced.rs", body.as_str())]);
+            let report = analyze_sources(&sources, &AnalyzeAllowlist::empty());
+            let hits = by_rule(&report.violations, owner);
+            assert_eq!(hits.len(), 1, "{tag} / {shape}: {:?}", report.violations);
+            assert_eq!(hits[0].line, line, "{tag} / {shape}: {}", hits[0]);
+            assert_eq!(hits[0].item, "f", "{tag} / {shape}");
+            assert!(
+                hits[0]
+                    .message
+                    .contains(&format!("unbalanced `// {tag}` fence")),
+                "{tag} / {shape}: {}",
+                hits[0].message
+            );
+            assert!(
+                by_rule(&report.violations, other).is_empty(),
+                "{tag} / {shape}"
+            );
+        }
+    }
+}
+
+#[test]
+fn deleting_a_fence_end_marker_keeps_the_check_on() {
+    let fenced = "pub fn deliver() {\n    // hot-path: begin (delivery)\n    \
+                  let probe: Vec<u8> = vec![0; 4];\n    drop(probe);\n    \
+                  // hot-path: end (delivery)\n}\n";
+    let unterminated = fenced.replace("    // hot-path: end (delivery)\n", "");
+    for body in [fenced, unterminated.as_str()] {
+        let sources = src(&[("crates/runtime/src/step.rs", body)]);
+        let report = analyze_sources(&sources, &AnalyzeAllowlist::empty());
+        let hits = by_rule(&report.violations, AnalyzeRule::HotPathTransitiveAlloc);
+        assert!(
+            hits.iter()
+                .any(|v| v.line == 3 && v.message.contains("`vec!`")),
+            "the allocation must still be reported: {:?}",
+            report.violations
+        );
+    }
+}
+
+// ---------------------------------------------------------------- rule 5
+
+#[test]
+fn unreferenced_pub_flags_exactly_the_items_no_caller_names() {
+    let lib_a = "pub mod used;\npub mod unused;\n\n\
+        pub fn lonely() {}\npub fn by_crate() {}\npub fn by_bin() {}\n\
+        pub fn by_tests() {}\npub fn by_example() {}\npub fn by_ledger() {}\n\
+        pub(crate) fn narrowed() {}\npub const fn constant() -> u32 { 1 }\n\n\
+        pub struct S;\n\nimpl S {\n    pub fn method_lonely(&self) {}\n    \
+        pub fn method_used(&self) {}\n}\n\n\
+        impl Clone for S {\n    fn clone(&self) -> Self {\n        S\n    }\n}\n\n\
+        #[cfg(test)]\nmod tests {\n    pub fn test_helper() {}\n}\n";
+    let sources = src(&[
+        ("crates/lib_a/src/lib.rs", lib_a),
+        // Naming an item from its own crate's library files is no caller.
+        (
+            "crates/lib_a/src/used.rs",
+            "pub fn g() {\n    crate::lonely();\n    crate::narrowed();\n}\n",
+        ),
+        (
+            "crates/lib_a/src/bin/tool.rs",
+            "fn main() {\n    lib_a::by_bin();\n}\n",
+        ),
+        (
+            "crates/lib_b/src/lib.rs",
+            "pub fn b() {\n    lib_a::by_crate();\n    lib_a::S.method_used();\n}\n",
+        ),
+        // A binary-only crate has no API of its own to check.
+        (
+            "crates/tool/src/main.rs",
+            "pub fn helper() {}\nfn main() {\n    helper();\n}\n",
+        ),
+        (
+            "tests/t.rs",
+            "// lonely, unused: comments and strings name nothing\n\
+             fn t() {\n    lib_a::by_tests();\n    lib_b::b();\n    lib_a::used::g();\n    \
+             let _ = \"lonely unused constant\";\n}\n",
+        ),
+        (
+            "examples/e.rs",
+            "fn main() {\n    lib_a::by_example();\n}\n",
+        ),
+        (
+            "ledger/src/batch.rs",
+            "fn run() {\n    lib_a::by_ledger();\n}\n",
+        ),
+    ]);
+    let report = analyze_sources(&sources, &AnalyzeAllowlist::empty());
+    let mut hits: Vec<(String, usize, String)> =
+        by_rule(&report.violations, AnalyzeRule::UnreferencedPub)
+            .iter()
+            .map(|v| (v.path.clone(), v.line, v.item.clone()))
+            .collect();
+    hits.sort();
+    let lib = "crates/lib_a/src/lib.rs".to_string();
+    assert_eq!(
+        hits,
+        vec![
+            (lib.clone(), 2, "unused".to_string()),
+            (lib.clone(), 4, "lonely".to_string()),
+            (lib.clone(), 11, "constant".to_string()),
+            (lib, 16, "S::method_lonely".to_string()),
+        ],
+        "violations: {:?}",
+        report.violations
+    );
+}
+
 // ------------------------------------------------------- allowlist + report
 
 #[test]

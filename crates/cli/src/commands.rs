@@ -520,45 +520,6 @@ pub fn run_demo(argv: &[String]) -> i32 {
     })
 }
 
-/// `cmg analyze` — the whole-workspace interprocedural static analysis
-/// (same engine as `cmg-lint --analyze`): blocking-reachability from
-/// reactor entry points, wire-protocol drift, lock-order cycles, and
-/// transitive hot-path allocation, over a conservative call graph of
-/// `crates/*/src`.
-pub fn analyze(argv: &[String]) -> i32 {
-    match analyze_inner(argv) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: {e}");
-            2
-        }
-    }
-}
-
-fn analyze_inner(argv: &[String]) -> Result<i32, String> {
-    let args = Args::parse(argv)?;
-    let root = args.get_or("repo", ".");
-    let allow = cmg_check::AnalyzeAllowlist::workspace();
-    let report = cmg_check::analyze_tree(std::path::Path::new(root), &allow)?;
-    write_json_arg(&args, "report", || report.to_json())?;
-    if report.violations.is_empty() {
-        println!(
-            "cmg-analyze: clean ({} files, {} fns, {} edges, {} allowlisted)",
-            report.files,
-            report.fns,
-            report.edges,
-            report.allowlisted.len()
-        );
-        Ok(0)
-    } else {
-        for v in &report.violations {
-            eprintln!("{v}");
-        }
-        eprintln!("cmg-analyze: {} violation(s)", report.violations.len());
-        Ok(1)
-    }
-}
-
 /// `cmg serve` — load a graph once, compute the initial matching and
 /// coloring, and serve mutations and queries over a Unix socket until
 /// a client sends Shutdown. `--engine net` runs cold passes (initial

@@ -23,7 +23,6 @@ fn main() {
         Some("serve") => commands::serve(&argv[1..]),
         Some("client") => commands::client(&argv[1..]),
         Some("trace") => commands::trace(&argv[1..]),
-        Some("analyze") => commands::analyze(&argv[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
             print_usage();
             0
@@ -88,11 +87,6 @@ COMMANDS
              trace report --input FILE [--json FILE]
              (FILE is a --trace-out Chrome trace or an --events-out
              JSONL stream; --json writes the machine-readable report)
-  analyze    whole-workspace interprocedural static analysis over
-             crates/*/src: blocking-reachability from reactor entry
-             points, wire-protocol drift, lock-order deadlock cycles,
-             transitive hot-path allocation
-             [--repo ROOT] [--json FILE]   (exit 1 on violations)
 
 OBSERVABILITY (match and color)
   --trace-out FILE    Chrome trace_event JSON (load in Perfetto or

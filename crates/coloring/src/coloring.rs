@@ -13,7 +13,7 @@ pub struct Coloring {
 
 impl Coloring {
     /// An all-uncolored assignment for `n` vertices.
-    pub fn uncolored(n: usize) -> Self {
+    pub(crate) fn uncolored(n: usize) -> Self {
         Coloring {
             colors: vec![UNCOLORED; n],
         }
@@ -62,16 +62,6 @@ impl Coloring {
         &self.colors
     }
 
-    /// Counts conflict edges: edges whose endpoints share a color.
-    pub fn count_conflicts(&self, g: &CsrGraph) -> usize {
-        g.edges()
-            .filter(|&(u, v, _)| {
-                self.colors[u as usize] != UNCOLORED
-                    && self.colors[u as usize] == self.colors[v as usize]
-            })
-            .count()
-    }
-
     /// Validates a proper, complete distance-1 coloring of `g`.
     pub fn validate(&self, g: &CsrGraph) -> Result<(), String> {
         if self.colors.len() != g.num_vertices() {
@@ -105,7 +95,6 @@ mod tests {
         let c = Coloring::from_colors(vec![0, 1, 0, 1]);
         c.validate(&g).unwrap();
         assert_eq!(c.num_colors(), 2);
-        assert_eq!(c.count_conflicts(&g), 0);
         assert!(c.is_complete());
     }
 
@@ -113,7 +102,6 @@ mod tests {
     fn conflicts_detected() {
         let g = path(3);
         let c = Coloring::from_colors(vec![0, 0, 1]);
-        assert_eq!(c.count_conflicts(&g), 1);
         assert!(c.validate(&g).is_err());
     }
 

@@ -16,7 +16,6 @@
 //! * [`jp`]: the Jones–Plassmann maximal-independent-set baseline the
 //!   framework is shown to beat.
 
-pub mod balance;
 pub mod coloring;
 pub mod dist;
 pub mod dist2;

@@ -50,11 +50,6 @@ pub struct ColorRetained {
 }
 
 impl ColorRetained {
-    /// Number of vertices the warm run re-colors.
-    pub fn dirty_count(&self) -> usize {
-        self.color.iter().filter(|&&c| c == UNCOLORED).count()
-    }
-
     /// `true` iff `v` must be re-colored.
     #[inline]
     pub fn is_dirty(&self, v: VertexId) -> bool {
@@ -392,7 +387,11 @@ mod tests {
         mg.apply(&batch).unwrap();
         let g = mg.rebuild();
         let retained = invalidate_colors(&g, &colors, &batch, cfg.seed);
-        assert_eq!(retained.dirty_count(), 1, "exactly the monochrome loser");
+        assert_eq!(
+            retained.color.iter().filter(|&&c| c == UNCOLORED).count(),
+            1,
+            "exactly the monochrome loser"
+        );
         assert!(retained.is_dirty(mono.0) || retained.is_dirty(mono.1));
         let (c, _) = warm_run(&g, 4, cfg, &retained);
         c.validate(&g).unwrap();
@@ -406,7 +405,10 @@ mod tests {
         let cfg = ColoringConfig::default();
         let colors = cold_colors(&g, 3, cfg);
         let retained = invalidate_colors(&g, &colors, &MutationBatch::new(), cfg.seed);
-        assert_eq!(retained.dirty_count(), 0);
+        assert_eq!(
+            retained.color.iter().filter(|&&c| c == UNCOLORED).count(),
+            0
+        );
         let (c, _) = warm_run(&g, 3, cfg, &retained);
         assert_eq!(c.colors(), &colors[..]);
     }

@@ -46,7 +46,7 @@ pub fn greedy(g: &CsrGraph, order: Ordering) -> Coloring {
 }
 
 /// The vertex sequence for the static orderings.
-pub fn vertex_order(g: &CsrGraph, order: Ordering) -> Vec<VertexId> {
+pub(crate) fn vertex_order(g: &CsrGraph, order: Ordering) -> Vec<VertexId> {
     let n = g.num_vertices();
     let mut seq: Vec<VertexId> = (0..n as VertexId).collect();
     match order {
@@ -69,7 +69,7 @@ pub fn vertex_order(g: &CsrGraph, order: Ordering) -> Vec<VertexId> {
 }
 
 /// Greedy first-fit coloring following an explicit vertex sequence.
-pub fn greedy_in_order(g: &CsrGraph, seq: &[VertexId]) -> Coloring {
+fn greedy_in_order(g: &CsrGraph, seq: &[VertexId]) -> Coloring {
     let n = g.num_vertices();
     let mut coloring = Coloring::uncolored(n);
     let mut forbidden: Vec<u64> = vec![u64::MAX; n]; // round-stamps per color
@@ -93,7 +93,7 @@ pub fn greedy_in_order(g: &CsrGraph, seq: &[VertexId]) -> Coloring {
 
 /// Smallest-last (degeneracy) order: repeatedly remove a minimum-degree
 /// vertex; returns the *coloring* order (reverse removal order).
-pub fn smallest_last_order(g: &CsrGraph) -> Vec<VertexId> {
+fn smallest_last_order(g: &CsrGraph) -> Vec<VertexId> {
     let n = g.num_vertices();
     let mut deg: Vec<usize> = (0..n as VertexId).map(|v| g.degree(v)).collect();
     let mut removed = vec![false; n];

@@ -23,7 +23,7 @@
 //! ```
 
 pub mod report;
-pub mod runner;
+mod runner;
 
 pub use runner::{
     run_coloring, run_coloring_parts, run_jones_plassmann, run_matching, run_matching_parts,

@@ -26,16 +26,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Convenience: appends a row of displayable values.
-    pub fn row_display<D: std::fmt::Display>(&mut self, cells: &[D]) {
-        self.row(&cells.iter().map(|c| c.to_string()).collect::<Vec<_>>());
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
     /// `true` if the table has no data rows.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
@@ -106,7 +96,7 @@ mod tests {
         let s = t.to_string();
         assert!(s.contains("   p"), "{s}");
         assert!(s.contains("1024  0.2 ms"), "{s}");
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

@@ -43,13 +43,6 @@ impl Engine {
         Engine::Net(EngineConfig::default())
     }
 
-    /// Multi-process socket engine with the given configuration (only
-    /// `max_rounds`, `recorder`, `net_telemetry` and `checkpoint_every`
-    /// apply; see [`Engine::Net`]).
-    pub fn net(cfg: EngineConfig) -> Self {
-        Engine::Net(cfg)
-    }
-
     /// The underlying engine configuration.
     pub fn config(&self) -> &EngineConfig {
         match self {

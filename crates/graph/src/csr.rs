@@ -26,7 +26,7 @@ impl CsrGraph {
     /// # Panics
     /// Panics if the arrays are inconsistent (`xadj` not monotone, neighbor
     /// ids out of range, weights of the wrong length).
-    pub fn from_raw(xadj: Vec<usize>, adj: Vec<VertexId>, weights: Vec<Weight>) -> Self {
+    pub(crate) fn from_raw(xadj: Vec<usize>, adj: Vec<VertexId>, weights: Vec<Weight>) -> Self {
         assert!(!xadj.is_empty(), "xadj must have length n+1 >= 1");
         let n = xadj.len() - 1;
         assert!(n < NO_VERTEX as usize, "too many vertices");
@@ -147,15 +147,6 @@ impl CsrGraph {
             .unwrap_or(0)
     }
 
-    /// Sum of all edge weights (each undirected edge counted once).
-    pub fn total_weight(&self) -> Weight {
-        if self.weights.is_empty() {
-            self.num_edges() as Weight
-        } else {
-            self.weights.iter().sum::<Weight>() / 2.0
-        }
-    }
-
     /// Returns a copy of this graph with the given weights installed.
     ///
     /// `f` is invoked once per undirected edge `(u, v)` with `u < v`; both
@@ -260,7 +251,6 @@ mod tests {
         assert!(!g.has_edge(0, 0));
         assert_eq!(g.max_degree(), 2);
         assert_eq!(g.min_degree(), 2);
-        assert_eq!(g.total_weight(), 6.0);
         g.validate().unwrap();
     }
 
@@ -277,7 +267,6 @@ mod tests {
         assert_eq!(g.num_vertices(), 5);
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.max_degree(), 0);
-        assert_eq!(g.total_weight(), 0.0);
         g.validate().unwrap();
     }
 
@@ -294,7 +283,6 @@ mod tests {
         let g = triangle().unweighted();
         assert!(!g.is_weighted());
         assert_eq!(g.edge_weight(0, 1), Some(1.0));
-        assert_eq!(g.total_weight(), 3.0);
         assert_eq!(g.neighbor_weights(0), &[] as &[Weight]);
     }
 

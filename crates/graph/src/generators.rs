@@ -248,21 +248,6 @@ pub fn random_bipartite(num_left: usize, num_right: usize, m: usize, seed: u64) 
     BipartiteGraph::from_edges(num_left, num_right, edges)
 }
 
-/// Banded bipartite graph: left vertex `l` connects to right vertices in a
-/// band around `l` (plus wraparound), like the banded sparsity of
-/// structural-mechanics matrices (`ldoor`, `audikw_1` in Table 1.1).
-pub fn banded_bipartite(n: usize, band: usize, seed: u64) -> BipartiteGraph {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut edges = Vec::with_capacity(n * band);
-    for l in 0..n {
-        for k in 0..band {
-            let r = (l + k) % n.max(1);
-            edges.push((l as VertexId, r as VertexId, rng.random::<Weight>()));
-        }
-    }
-    BipartiteGraph::from_edges(n, n, edges)
-}
-
 /// Random geometric graph: `n` points uniform in the unit square, an edge
 /// between every pair closer than `radius`. The model behind the paper's
 /// wireless frequency-assignment application of coloring (§1, ref \[15\]).
@@ -454,12 +439,5 @@ mod tests {
             assert!(!g.neighbors(l).is_empty(), "left vertex {l} uncovered");
         }
         assert!(g.num_edges() <= 250);
-    }
-
-    #[test]
-    fn banded_bipartite_shape() {
-        let g = banded_bipartite(10, 3, 1);
-        assert_eq!(g.num_edges(), 30);
-        assert_eq!(g.neighbors(9), &[0, 1, 9]); // wraparound band, sorted
     }
 }

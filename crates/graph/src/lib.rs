@@ -20,17 +20,17 @@
 //! assert_eq!(g.num_edges(), 2 * 4 * 3); // 2·k·(k−1) grid edges
 //! ```
 
-pub mod bipartite;
-pub mod builder;
+mod bipartite;
+mod builder;
 pub mod csr;
 pub mod generators;
 pub mod io;
 pub mod metis_io;
-pub mod mutable;
+mod mutable;
 pub mod stats;
 pub mod traversal;
 pub mod util;
-pub mod view;
+mod view;
 pub mod weights;
 
 pub use bipartite::BipartiteGraph;

@@ -97,11 +97,6 @@ impl MutationBatch {
         self
     }
 
-    /// Number of mutations in the batch.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
     /// Whether the batch is empty.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()

@@ -68,19 +68,10 @@ impl std::fmt::Display for GraphStats {
     }
 }
 
-/// Degree histogram: `hist[d]` = number of vertices with degree `d`.
-pub fn degree_histogram(g: &CsrGraph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() + 1];
-    for v in 0..g.num_vertices() as crate::VertexId {
-        hist[g.degree(v)] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{grid2d, star};
+    use crate::generators::grid2d;
     use crate::CsrGraph;
 
     #[test]
@@ -106,13 +97,6 @@ mod tests {
     fn isolated_counted() {
         let s = GraphStats::of(&CsrGraph::empty(4));
         assert_eq!(s.isolated, 4);
-    }
-
-    #[test]
-    fn histogram_of_star() {
-        let h = degree_histogram(&star(5));
-        assert_eq!(h[1], 4);
-        assert_eq!(h[4], 1);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::{CsrGraph, VertexId, NO_VERTEX};
 use std::collections::VecDeque;
 
 /// BFS distances from `source`; unreachable vertices get `usize::MAX`.
-pub fn bfs_distances(g: &CsrGraph, source: VertexId) -> Vec<usize> {
+fn bfs_distances(g: &CsrGraph, source: VertexId) -> Vec<usize> {
     let mut dist = vec![usize::MAX; g.num_vertices()];
     let mut queue = VecDeque::new();
     dist[source as usize] = 0;

@@ -8,8 +8,6 @@
 //! tie-breaking path).
 
 use crate::{CsrGraph, VertexId, Weight};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// How to assign weights to the edges of a graph.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -67,18 +65,6 @@ impl EdgeUnitRandom {
         // 53 high bits -> f64 in [0, 1).
         (h >> 11) as f64 / (1u64 << 53) as f64
     }
-}
-
-/// Convenience: a seeded RNG for callers that need ad-hoc randomness tied
-/// to the same experiment seed.
-pub fn seeded_rng(seed: u64) -> SmallRng {
-    SmallRng::seed_from_u64(seed)
-}
-
-/// Draws `n` uniform weights (handy for tests).
-pub fn uniform_weights(n: usize, seed: u64) -> Vec<Weight> {
-    let mut rng = seeded_rng(seed);
-    (0..n).map(|_| rng.random::<Weight>()).collect()
 }
 
 #[cfg(test)]

@@ -208,7 +208,7 @@ impl DistMatching {
     /// vertices come up `Failed`, the frontier stays `Free`. The
     /// ordinary protocol then resolves just the frontier; see
     /// [`crate::repair`].
-    pub fn reseed_from(dg: DistGraph, global_mate: &[VertexId], active: &[bool]) -> Self {
+    pub(crate) fn reseed_from(dg: DistGraph, global_mate: &[VertexId], active: &[bool]) -> Self {
         let mut p = DistMatching::new(dg);
         for i in 0..p.state.len() {
             let g = p.dg.global_ids[i] as usize;

@@ -1,17 +1,12 @@
 //! Matching extensions beyond the paper's core problem, following the
-//! fourth author's thesis (ref \[9\], "Algorithms for vertex-weighted
-//! matching in graphs") and the suitor line of work:
+//! suitor line of work:
 //!
 //! * [`b_suitor`]: ½-approximate **b-matching** — every vertex `v` may be
 //!   matched to up to `b(v)` partners, maximizing total edge weight;
 //! * [`DistBSuitor`]: the distributed, message-driven form of the same
 //!   algorithm, built on the shared substrate ([`HaloView`],
 //!   [`weight_sorted_csr`], `wire_codec!`) — optimistic cross-rank
-//!   proposals with displacement rejections;
-//! * [`vertex_weighted_greedy`]: greedy **vertex-weighted matching** —
-//!   maximize the sum of *vertex* weights covered by the matching (the
-//!   objective behind block-triangular decompositions and sparse-basis
-//!   computations in the paper's introduction).
+//!   proposals with displacement rejections.
 
 use crate::Matching;
 use cmg_graph::{CsrGraph, VertexId, Weight, NO_VERTEX};
@@ -263,7 +258,6 @@ wire_codec! {
 /// [`Status::Idle`]; the run ends when no Propose/Reject is in flight.
 pub struct DistBSuitor {
     dg: DistGraph,
-    halo: HaloView,
     /// Weight-sorted adjacency (descending weight, ascending global id)
     /// — the suitor scan order, identical on every rank.
     sxadj: Vec<usize>,
@@ -303,7 +297,6 @@ impl DistBSuitor {
             .collect();
         DistBSuitor {
             dg,
-            halo,
             sxadj,
             sadj,
             sweights,
@@ -313,20 +306,6 @@ impl DistBSuitor {
             ptr,
             stack,
         }
-    }
-
-    /// The halo view backing this program (boundary/interior split).
-    pub fn halo(&self) -> &HaloView {
-        &self.halo
-    }
-
-    /// Accepted proposals at this rank as `(target, proposer)` global-id
-    /// pairs — the rank's share of the matching at quiescence.
-    pub fn held_proposals(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        self.suitors.iter().enumerate().flat_map(move |(ul, heap)| {
-            let ug = self.dg.global_ids[ul];
-            heap.iter().map(move |p| (ug, p.1))
-        })
     }
 
     /// Would a proposal `(w, proposer)` enter owned vertex `u`'s heap?
@@ -544,54 +523,6 @@ pub fn assemble_b_matching(programs: &[DistBSuitor], num_vertices: usize) -> BMa
     BMatching { partners }
 }
 
-/// Greedy vertex-weighted matching: maximize the total *vertex* weight
-/// covered. Processes vertices by decreasing weight; each unmatched vertex
-/// grabs its heaviest unmatched neighbor. ½-approximation for the
-/// vertex-weighted objective.
-///
-/// `vertex_weight[v]` must have length `n`.
-pub fn vertex_weighted_greedy(g: &CsrGraph, vertex_weight: &[Weight]) -> Matching {
-    assert_eq!(vertex_weight.len(), g.num_vertices());
-    let mut order: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
-    order.sort_by(|&a, &b| {
-        vertex_weight[b as usize]
-            .total_cmp(&vertex_weight[a as usize])
-            .then(a.cmp(&b))
-    });
-    let mut m = Matching::empty(g.num_vertices());
-    for &v in &order {
-        if m.is_matched(v) {
-            continue;
-        }
-        // Heaviest unmatched neighbor by vertex weight (ties: smaller id).
-        let mut best: Option<(Weight, VertexId)> = None;
-        for &u in g.neighbors(v) {
-            if !m.is_matched(u) {
-                let w = vertex_weight[u as usize];
-                let better = match best {
-                    None => true,
-                    Some((bw, bu)) => w > bw || (w == bw && u < bu),
-                };
-                if better {
-                    best = Some((w, u));
-                }
-            }
-        }
-        if let Some((_, u)) = best {
-            m.add(v, u);
-        }
-    }
-    m
-}
-
-/// Total vertex weight covered by a matching.
-pub fn covered_vertex_weight(m: &Matching, vertex_weight: &[Weight]) -> Weight {
-    (0..m.num_vertices() as VertexId)
-        .filter(|&v| m.is_matched(v))
-        .map(|v| vertex_weight[v as usize])
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -769,7 +700,7 @@ mod tests {
             .into_iter()
             .map(|dg| DistBSuitor::new(dg, |_| 1))
             .collect();
-        assert!(programs[0].halo().boundary.is_empty());
+        assert!(!programs[0].dg.is_boundary.contains(&true));
         let cfg = EngineConfig {
             cost: CostModel::compute_only(),
             max_rounds: 100,
@@ -795,37 +726,5 @@ mod tests {
         }
         let decoded: Vec<ExtMsg> = cmg_runtime::message::decode_all(buf.freeze()).unwrap();
         assert_eq!(decoded, msgs);
-    }
-
-    #[test]
-    fn vertex_weighted_greedy_covers_heavy_vertices() {
-        // Path a-b-c with vertex weights 10, 1, 10: matching must cover
-        // both heavy endpoints? Impossible (they're not adjacent) — greedy
-        // picks (a,b), leaving c; total covered = 11.
-        let g = grid2d(1, 3);
-        let vw = [10.0, 1.0, 10.0];
-        let m = vertex_weighted_greedy(&g, &vw);
-        m.validate(&g).unwrap();
-        assert_eq!(covered_vertex_weight(&m, &vw), 11.0);
-    }
-
-    #[test]
-    fn vertex_weighted_greedy_is_maximal_and_valid() {
-        for seed in 0..5 {
-            let g = erdos_renyi(50, 150, seed);
-            let vw: Vec<Weight> = (0..50).map(|v| ((v * 7919) % 100) as f64).collect();
-            let m = vertex_weighted_greedy(&g, &vw);
-            m.validate(&g).unwrap();
-            assert!(m.is_maximal(&g), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn equal_vertex_weights_reduce_to_cardinality_greedy() {
-        let g = erdos_renyi(30, 90, 2);
-        let vw = vec![1.0; 30];
-        let m = vertex_weighted_greedy(&g, &vw);
-        assert!(m.is_maximal(&g));
-        assert_eq!(covered_vertex_weight(&m, &vw), 2.0 * m.cardinality() as f64);
     }
 }

@@ -14,8 +14,7 @@
 //! * [`dist`]: the distributed candidate-mate algorithm with
 //!   `REQUEST`/`SUCCEEDED`/`FAILED` messages and aggressive message
 //!   bundling, as a [`cmg_runtime::RankProgram`];
-//! * [`ext`]: b-matching (sequential and distributed b-suitor) and
-//!   vertex-weighted extensions.
+//! * [`ext`]: b-matching (sequential and distributed b-suitor).
 
 pub mod dist;
 pub mod exact;

@@ -41,7 +41,7 @@ impl Matching {
 
     /// `true` if `v` is matched.
     #[inline]
-    pub fn is_matched(&self, v: VertexId) -> bool {
+    pub(crate) fn is_matched(&self, v: VertexId) -> bool {
         self.mate[v as usize] != NO_VERTEX
     }
 

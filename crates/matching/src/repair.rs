@@ -51,13 +51,6 @@ pub struct MatchRetained {
     pub active: Vec<bool>,
 }
 
-impl MatchRetained {
-    /// Number of vertices the warm run re-decides.
-    pub fn active_count(&self) -> usize {
-        self.active.iter().filter(|&&a| a).count()
-    }
-}
-
 /// Weight of the matched edge at `y`, or `None` if `y` is unmatched
 /// (or its matched edge vanished from the graph, which the caller
 /// handles by unmatching first).
@@ -425,9 +418,9 @@ mod tests {
         let g = mg.rebuild();
         let retained = invalidate(&g, &mate, &batch);
         assert!(
-            retained.active_count() <= 32,
+            retained.active.iter().filter(|&&a| a).count() <= 32,
             "deleting one grid edge activated {} of 400 vertices",
-            retained.active_count()
+            retained.active.iter().filter(|&&a| a).count()
         );
         let survivors = retained.mate.iter().filter(|&&m| m != NO_VERTEX).count();
         assert!(
@@ -493,7 +486,7 @@ mod tests {
         let g = assign_weights(&grid2d(8, 8), WeightScheme::Uniform { lo: 0.1, hi: 1.0 }, 2);
         let mate: Vec<VertexId> = seq::local_dominant(&g).mates().to_vec();
         let retained = invalidate(&g, &mate, &MutationBatch::new());
-        assert_eq!(retained.active_count(), 0);
+        assert_eq!(retained.active.iter().filter(|&&a| a).count(), 0);
         let (m, rounds) = warm_run(&g, 4, &retained, 5);
         assert_eq!(m.mates(), &mate[..]);
         assert!(rounds <= 1, "no-op repair ran {rounds} rounds");

@@ -390,11 +390,6 @@ impl FrameAssembler {
         // nonblocking: end
     }
 
-    /// Bytes buffered but not yet returned as frames.
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.start
-    }
-
     /// Pops the next complete `(seq, frame)`, or `Ok(None)` if the
     /// buffer holds only a partial frame. Malformed lengths or control
     /// words are [`NetError`]s, exactly as in [`read_frame`].
@@ -642,7 +637,7 @@ mod tests {
                 assert_eq!(gs, es);
                 assert_eq!(gf, ef);
             }
-            assert_eq!(asm.buffered(), 0);
+            assert_eq!(asm.buf.len(), asm.start, "bytes left over");
         }
     }
 

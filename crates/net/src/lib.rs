@@ -48,17 +48,17 @@
 
 pub mod error;
 pub mod frame;
-pub mod link;
+mod link;
 pub mod proto;
-pub mod reactor;
+mod reactor;
 pub mod supervisor;
 pub mod worker;
 
 pub use error::NetError;
 pub use frame::{Ctrl, Frame, FrameAssembler, MAX_FRAME_LEN, PROTO_VERSION};
 pub use link::{
-    backoff_delay, connect_with_backoff, FaultAction, FaultPlan, LinkFault, LinkStats, LinkWriter,
-    PlannedFault, Resequencer,
+    connect_with_backoff, FaultAction, FaultPlan, LinkFault, LinkStats, LinkWriter, PlannedFault,
+    Resequencer,
 };
 pub use proto::{
     decode_checkpoint, encode_checkpoint, Assignment, CheckpointState, NetTask, ResumeFrom,

@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 /// Capped exponential backoff delay for a 0-based connect `attempt`:
 /// `base * 2^attempt`, saturating at `cap`. Pure, so the cap behavior
 /// is unit-testable without sockets.
-pub fn backoff_delay(attempt: u32, base: Duration, cap: Duration) -> Duration {
+fn backoff_delay(attempt: u32, base: Duration, cap: Duration) -> Duration {
     let doublings = attempt.min(20); // 2^20 * any sane base >> any sane cap
     base.checked_mul(1u32 << doublings)
         .map_or(cap, |d| d.min(cap))
@@ -123,13 +123,13 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// `true` if every probability is zero.
-    pub fn is_noop(&self) -> bool {
+    pub(crate) fn is_noop(&self) -> bool {
         self.drop_per_mille == 0 && self.dup_per_mille == 0 && self.delay_per_mille == 0
     }
 
     /// The deterministic per-link fault stream for the `src -> dst`
     /// direction of a link.
-    pub fn for_link(&self, src: u32, dst: u32) -> PlannedFault {
+    pub(crate) fn for_link(&self, src: u32, dst: u32) -> PlannedFault {
         PlannedFault {
             plan: *self,
             rng: Xorshift::new(self.seed ^ ((u64::from(src) + 1) << 32) ^ (u64::from(dst) + 1)),
@@ -269,7 +269,7 @@ impl<W: Write> LinkWriter<W> {
     }
 
     /// A writer whose data-plane frames pass through `fault`.
-    pub fn with_fault(writer: W, fault: Box<dyn LinkFault>) -> Self {
+    pub(crate) fn with_fault(writer: W, fault: Box<dyn LinkFault>) -> Self {
         LinkWriter {
             fault: Some(fault),
             ..LinkWriter::new(writer)
@@ -292,7 +292,7 @@ impl<W: Write> LinkWriter<W> {
     /// The sequence number the next [`LinkWriter::send`] will consume.
     /// Checkpointed so a restored rank re-sends its gap frames under
     /// their original sequence numbers.
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
@@ -302,7 +302,7 @@ impl<W: Write> LinkWriter<W> {
     /// resequencer) has gone out. Re-executed rounds then re-send their
     /// frames under the original numbering, so peers whose resequencer
     /// floors were restored past them dup-discard the overlap.
-    pub fn resume_seq(&mut self, next: u64) {
+    pub(crate) fn resume_seq(&mut self, next: u64) {
         self.next_seq = next;
     }
 
@@ -360,7 +360,7 @@ impl<W: Write> LinkWriter<W> {
     /// buffer, instead of being copied through `Bytes` and
     /// `encode_frame`. `payload_len_hint` sizes the buffer; a hint at
     /// or above the real size means no reallocation.
-    pub fn send_streamed(
+    pub(crate) fn send_streamed(
         &mut self,
         ctrl: Ctrl,
         payload_len_hint: usize,
@@ -520,7 +520,7 @@ impl Resequencer {
     /// A resequencer expecting `first` as the next sequence number
     /// (handshake frames consumed synchronously before the reader
     /// thread starts are skipped this way).
-    pub fn starting_at(first: u64) -> Self {
+    pub(crate) fn starting_at(first: u64) -> Self {
         Resequencer {
             next: first,
             ..Resequencer::default()
@@ -568,7 +568,7 @@ impl Resequencer {
     }
 
     /// Frames currently held out of order (queue depth).
-    pub fn pending_len(&self) -> usize {
+    pub(crate) fn pending_len(&self) -> usize {
         self.pending.len()
     }
 
@@ -579,7 +579,7 @@ impl Resequencer {
     /// they carry sequence numbers at or past the sender's own
     /// checkpointed counter, so the sender's re-execution re-sends
     /// them.)
-    pub fn next_expected(&self) -> u64 {
+    pub(crate) fn next_expected(&self) -> u64 {
         self.next
     }
 }

@@ -501,7 +501,7 @@ fn decode_rank_stats(buf: &mut impl Buf) -> Result<RankStats, NetError> {
 }
 
 /// Serializes the per-rank counters shipped inside a `Stats` frame.
-pub fn encode_stats(
+pub(crate) fn encode_stats(
     rank_stats: &RankStats,
     link: &LinkStats,
     clock: &ClockReport,
@@ -527,7 +527,7 @@ pub fn encode_stats(
 }
 
 /// Decodes a `Stats` payload.
-pub fn decode_stats(
+pub(crate) fn decode_stats(
     mut buf: &[u8],
 ) -> Result<(RankStats, LinkStats, ClockReport, LoopClock), NetError> {
     let buf = &mut buf;
@@ -623,7 +623,7 @@ pub fn encode_checkpoint(c: &CheckpointState) -> Vec<u8> {
 /// payload, with no intermediate blob. `program_len_hint` sizes the
 /// reservation; when it is at least the real encoded size, the buffer
 /// never reallocates.
-pub fn encode_checkpoint_into(
+pub(crate) fn encode_checkpoint_into(
     out: &mut Vec<u8>,
     round: u64,
     stats: &RankStats,
@@ -723,7 +723,7 @@ pub fn decode_checkpoint(mut buf: &[u8]) -> Result<CheckpointState, NetError> {
 
 /// Serializes the cumulative telemetry block a worker piggybacks on a
 /// `Heartbeat` frame's payload (see [`cmg_obs::RankTelemetry`]).
-pub fn encode_telemetry(t: &cmg_obs::RankTelemetry) -> Vec<u8> {
+pub(crate) fn encode_telemetry(t: &cmg_obs::RankTelemetry) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + 10 * 8);
     out.put_u32_le(t.rank);
     out.put_u64_le(t.round);
@@ -740,7 +740,7 @@ pub fn encode_telemetry(t: &cmg_obs::RankTelemetry) -> Vec<u8> {
 }
 
 /// Decodes a heartbeat telemetry block.
-pub fn decode_telemetry(mut buf: &[u8]) -> Result<cmg_obs::RankTelemetry, NetError> {
+pub(crate) fn decode_telemetry(mut buf: &[u8]) -> Result<cmg_obs::RankTelemetry, NetError> {
     let buf = &mut buf;
     Ok(cmg_obs::RankTelemetry {
         rank: take_u32(buf, "telemetry rank")?,

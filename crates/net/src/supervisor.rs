@@ -385,7 +385,7 @@ impl NetSession {
     }
 
     /// Global vertex count across every partition.
-    pub fn n_vertices(&self) -> usize {
+    fn n_vertices(&self) -> usize {
         self.parts.iter().map(|p| p.n_local).sum()
     }
 

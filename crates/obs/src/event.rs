@@ -200,7 +200,7 @@ impl Event {
 
     /// Inverse of [`Event::to_json`]; the error says which field or
     /// name was not understood.
-    pub fn from_json(v: &Json) -> Result<Event, String> {
+    pub(crate) fn from_json(v: &Json) -> Result<Event, String> {
         let u64_of = |key: &str| field(v, key, Json::as_u64);
         let u32_of = |key: &str| u64_of(key).map(|n| n as u32);
         match field(v, "kind", Json::as_str)? {
@@ -271,7 +271,7 @@ impl TimedEvent {
     }
 
     /// Inverse of [`TimedEvent::to_json`].
-    pub fn from_json(v: &Json) -> Result<TimedEvent, String> {
+    pub(crate) fn from_json(v: &Json) -> Result<TimedEvent, String> {
         Ok(TimedEvent {
             rank: field(v, "rank", Json::as_u64)? as u32,
             time: field(v, "time", Json::as_f64)?,

@@ -67,11 +67,6 @@ impl LogHistogram {
         self.sum
     }
 
-    /// Smallest recorded value (0 if empty).
-    pub fn min(&self) -> u64 {
-        self.min
-    }
-
     /// Largest recorded value (0 if empty).
     pub fn max(&self) -> u64 {
         self.max
@@ -89,7 +84,7 @@ impl LogHistogram {
     /// Upper bound of the bucket containing the q-quantile (q in 0..=1),
     /// i.e. the value `v` such that at least `q` of samples are `<= v`,
     /// rounded up to a power of two. 0 if empty.
-    pub fn quantile_bound(&self, q: f64) -> u64 {
+    fn quantile_bound(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -112,7 +107,7 @@ impl LogHistogram {
     /// q = 0 and q = 1; within one power-of-two bucket otherwise —
     /// good enough for the straggler/SLO reporting it feeds, without
     /// storing raw samples.
-    pub fn quantile(&self, q: f64) -> f64 {
+    fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -212,7 +207,7 @@ impl MetricsRegistry {
     }
 
     /// Raises a gauge to `value` if larger (or creates it).
-    pub fn max_gauge(&mut self, name: &str, value: f64) {
+    fn max_gauge(&mut self, name: &str, value: f64) {
         let g = self
             .gauges
             .entry(name.to_string())
@@ -301,19 +296,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Folds a run's scheduler-occupancy counters (worklist sizes,
-    /// skipped ranks, pool usage) into `sched_*` counters and gauges.
-    pub fn observe_sched(&mut self, sched: &crate::sched::SchedStats) {
-        self.inc("sched_rounds", sched.rounds);
-        self.inc("sched_worklist_total", sched.worklist_total);
-        self.inc("sched_ranks_skipped_total", sched.ranks_skipped_total);
-        self.inc("sched_pool_chunks_claimed", sched.pool_chunks_claimed);
-        self.max_gauge("sched_worklist_max", sched.worklist_max as f64);
-        self.max_gauge("sched_pool_workers", sched.pool_workers as f64);
-        self.set_gauge("sched_mean_worklist", sched.mean_worklist());
-        self.set_gauge("sched_sparsity", sched.sparsity());
-    }
-
     /// One JSONL line per metric, deterministic order (counters, then
     /// gauges, then histograms; each alphabetical).
     pub fn to_jsonl(&self) -> String {
@@ -384,7 +366,7 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.count(), 7);
-        assert_eq!(h.min(), 0);
+        assert_eq!(h.min, 0);
         assert_eq!(h.max(), u64::MAX);
         // 0 and 1 share bucket 0; 2 is bucket 1; 3,4 bucket 2.
         assert_eq!(h.quantile_bound(0.0), 1);
@@ -447,7 +429,7 @@ mod tests {
         for w in qs.windows(2) {
             assert!(w[0] <= w[1], "quantile not monotone: {:?}", qs);
         }
-        assert!(h.quantile(-1.0) >= h.min() as f64);
+        assert!(h.quantile(-1.0) >= h.min as f64);
         assert!(h.quantile(2.0) <= h.max() as f64);
     }
 

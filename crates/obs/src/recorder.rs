@@ -135,17 +135,6 @@ impl CollectingRecorder {
         out
     }
 
-    /// Copies all buffered events without draining, sorted by
-    /// `(rank, seq)`.
-    pub fn snapshot(&self) -> Vec<TimedEvent> {
-        let buffers = self.lock_buffers();
-        let mut out = Vec::with_capacity(buffers.values().map(Vec::len).sum());
-        for events in buffers.values() {
-            out.extend(events.iter().cloned());
-        }
-        out
-    }
-
     /// Number of buffered events across all ranks.
     pub fn len(&self) -> usize {
         self.lock_buffers().values().map(Vec::len).sum()

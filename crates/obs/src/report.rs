@@ -7,7 +7,7 @@ use crate::TimedEvent;
 use std::fmt::Write as _;
 
 /// A run summary assembled from collected events (and optionally
-/// engine-level facts the caller already knows, via [`RunReport::with`]).
+/// engine-level facts the caller already knows, in [`RunReport::extra`]).
 #[derive(Clone, Debug, Default)]
 pub struct RunReport {
     /// Label for the run (command, figure name, ...).
@@ -28,12 +28,6 @@ impl RunReport {
             extra: Vec::new(),
             metrics,
         }
-    }
-
-    /// Attaches one caller-supplied fact (makespan, num_ranks, ...).
-    pub fn with(mut self, key: &str, value: Json) -> Self {
-        self.extra.push((key.to_string(), value));
-        self
     }
 
     /// The report as a JSON object.
@@ -91,9 +85,8 @@ mod tests {
                 logical: 32,
             },
         }];
-        let report = RunReport::from_events("unit", &events)
-            .with("num_ranks", Json::UInt(2))
-            .with("makespan", Json::Float(1.5));
+        let mut report = RunReport::from_events("unit", &events);
+        report.extra.push(("num_ranks".to_string(), Json::UInt(2)));
         let json = report.to_json();
         assert_eq!(json.get("name").unwrap().as_str(), Some("unit"));
         assert_eq!(json.get("num_ranks").unwrap().as_u64(), Some(2));

@@ -33,7 +33,7 @@ pub struct SchedStats {
 
 impl SchedStats {
     /// Mean ranks stepped per round (0.0 before any round ran).
-    pub fn mean_worklist(&self) -> f64 {
+    fn mean_worklist(&self) -> f64 {
         if self.rounds == 0 {
             0.0
         } else {
@@ -43,7 +43,7 @@ impl SchedStats {
 
     /// Fraction of rank-scans the scheduler avoided relative to a dense
     /// O(p)-per-round sweep (0.0 when nothing was skippable).
-    pub fn sparsity(&self) -> f64 {
+    fn sparsity(&self) -> f64 {
         let scanned = self.worklist_total + self.ranks_skipped_total;
         if scanned == 0 {
             0.0

@@ -65,7 +65,7 @@ impl RankTelemetry {
     }
 
     /// Time doing work (delivery + compute + serialize), nanoseconds.
-    pub fn busy_ns(&self) -> u64 {
+    fn busy_ns(&self) -> u64 {
         self.delivery_ns
             .saturating_add(self.compute_ns)
             .saturating_add(self.serialize_ns)
@@ -155,12 +155,12 @@ impl RunHealth {
     }
 
     /// Lowest round any reporting rank has entered.
-    pub fn min_round(&self) -> Option<u64> {
+    fn min_round(&self) -> Option<u64> {
         self.ranks.iter().flatten().map(|t| t.round).min()
     }
 
     /// Highest round any reporting rank has entered.
-    pub fn max_round(&self) -> Option<u64> {
+    fn max_round(&self) -> Option<u64> {
         self.ranks.iter().flatten().map(|t| t.round).max()
     }
 
@@ -176,13 +176,13 @@ impl RunHealth {
     }
 
     /// Sum of frames currently held out-of-order across all ranks.
-    pub fn total_reseq_pending(&self) -> u64 {
+    fn total_reseq_pending(&self) -> u64 {
         self.ranks.iter().flatten().map(|t| t.reseq_pending).sum()
     }
 
     /// Fraction of accounted time spent waiting at round edges across
     /// all reporting ranks; `None` before any beacon.
-    pub fn wait_fraction(&self) -> Option<f64> {
+    fn wait_fraction(&self) -> Option<f64> {
         let total: u64 = self.ranks.iter().flatten().map(|t| t.total_ns()).sum();
         if total == 0 {
             return None;
@@ -248,7 +248,7 @@ impl PhaseSplit {
     }
 
     /// Seconds doing work (delivery + compute + serialize).
-    pub fn busy_s(&self) -> f64 {
+    fn busy_s(&self) -> f64 {
         self.delivery_s + self.compute_s + self.serialize_s
     }
 
@@ -433,7 +433,7 @@ impl TraceReport {
     }
 
     /// Total wall seconds across all rounds.
-    pub fn total_wall_s(&self) -> f64 {
+    fn total_wall_s(&self) -> f64 {
         self.rounds.iter().map(|r| r.wall_s).sum()
     }
 
@@ -448,7 +448,7 @@ impl TraceReport {
     }
 
     /// Minimum per-round coverage (1.0 when there are no rounds).
-    pub fn min_coverage(&self) -> f64 {
+    fn min_coverage(&self) -> f64 {
         self.rounds
             .iter()
             .map(|r| r.coverage)

@@ -333,17 +333,6 @@ impl DistGraph {
         &self.adj[self.xadj[v as usize]..self.xadj[v as usize + 1]]
     }
 
-    /// Neighbor weights parallel to [`Self::neighbors`] (empty if
-    /// unweighted).
-    #[inline]
-    pub fn neighbor_weights(&self, v: u32) -> &[Weight] {
-        if self.weights.is_empty() {
-            &[]
-        } else {
-            &self.weights[self.xadj[v as usize]..self.xadj[v as usize + 1]]
-        }
-    }
-
     /// Iterates `(neighbor_local, weight)` of owned vertex `v` (weight 1.0
     /// if unweighted).
     pub fn neighbors_weighted(&self, v: u32) -> impl Iterator<Item = (u32, Weight)> + '_ {
@@ -354,59 +343,9 @@ impl DistGraph {
     }
 
     /// Number of owned boundary vertices.
-    pub fn num_boundary(&self) -> usize {
+    pub(crate) fn num_boundary(&self) -> usize {
         self.is_boundary.iter().filter(|&&b| b).count()
     }
-}
-
-/// Sanity-checks a set of rank-local graphs against the global graph they
-/// were built from (test helper; exercised heavily in the integration
-/// suite).
-pub fn validate_distribution(g: &CsrGraph, parts: &[DistGraph]) -> Result<(), String> {
-    let mut seen = vec![false; g.num_vertices()];
-    let mut edge_count = 0usize;
-    for dg in parts {
-        for vl in 0..dg.n_local as u32 {
-            let vg = dg.global_ids[vl as usize];
-            if seen[vg as usize] {
-                return Err(format!("vertex {vg} owned twice"));
-            }
-            seen[vg as usize] = true;
-            if dg.degree(vl) != g.degree(vg) {
-                return Err(format!("vertex {vg}: degree mismatch"));
-            }
-            let mut nbrs: Vec<VertexId> = dg
-                .neighbors(vl)
-                .iter()
-                .map(|&ul| dg.global_ids[ul as usize])
-                .collect();
-            nbrs.sort_unstable();
-            if nbrs != g.neighbors(vg) {
-                return Err(format!("vertex {vg}: neighbor set mismatch"));
-            }
-            edge_count += dg.degree(vl);
-        }
-        for (gi, &owner) in dg.ghost_owner.iter().enumerate() {
-            if owner == dg.rank {
-                return Err(format!(
-                    "rank {}: ghost {} owned by itself",
-                    dg.rank,
-                    dg.global_ids[dg.n_local + gi]
-                ));
-            }
-        }
-    }
-    if seen.iter().any(|&s| !s) {
-        return Err("some vertex owned by no rank".into());
-    }
-    if edge_count != 2 * g.num_edges() {
-        return Err(format!(
-            "directed edge count mismatch: {} vs {}",
-            edge_count,
-            2 * g.num_edges()
-        ));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -415,6 +354,55 @@ mod tests {
     use crate::simple::{block_partition, grid2d_partition, hash_partition};
     use cmg_graph::generators::{grid2d, rmat};
     use cmg_graph::weights::{assign_weights, WeightScheme};
+
+    /// Sanity-checks a set of rank-local graphs against the global graph
+    /// they were built from.
+    fn validate_distribution(g: &CsrGraph, parts: &[DistGraph]) -> Result<(), String> {
+        let mut seen = vec![false; g.num_vertices()];
+        let mut edge_count = 0usize;
+        for dg in parts {
+            for vl in 0..dg.n_local as u32 {
+                let vg = dg.global_ids[vl as usize];
+                if seen[vg as usize] {
+                    return Err(format!("vertex {vg} owned twice"));
+                }
+                seen[vg as usize] = true;
+                if dg.degree(vl) != g.degree(vg) {
+                    return Err(format!("vertex {vg}: degree mismatch"));
+                }
+                let mut nbrs: Vec<VertexId> = dg
+                    .neighbors(vl)
+                    .iter()
+                    .map(|&ul| dg.global_ids[ul as usize])
+                    .collect();
+                nbrs.sort_unstable();
+                if nbrs != g.neighbors(vg) {
+                    return Err(format!("vertex {vg}: neighbor set mismatch"));
+                }
+                edge_count += dg.degree(vl);
+            }
+            for (gi, &owner) in dg.ghost_owner.iter().enumerate() {
+                if owner == dg.rank {
+                    return Err(format!(
+                        "rank {}: ghost {} owned by itself",
+                        dg.rank,
+                        dg.global_ids[dg.n_local + gi]
+                    ));
+                }
+            }
+        }
+        if seen.iter().any(|&s| !s) {
+            return Err("some vertex owned by no rank".into());
+        }
+        if edge_count != 2 * g.num_edges() {
+            return Err(format!(
+                "directed edge count mismatch: {} vs {}",
+                edge_count,
+                2 * g.num_edges()
+            ));
+        }
+        Ok(())
+    }
 
     #[test]
     fn grid_distribution_is_consistent() {
@@ -482,7 +470,12 @@ mod tests {
                     .map(|&u| ids[u as usize])
                     .collect();
                 assert_eq!(row, g.neighbors(v));
-                assert_eq!(dg.neighbor_weights(l as u32), g.neighbor_weights(v));
+                let weights = if dg.weights.is_empty() {
+                    &[][..]
+                } else {
+                    &dg.weights[dg.xadj[l]..dg.xadj[l + 1]]
+                };
+                assert_eq!(weights, g.neighbor_weights(v));
                 assert_eq!(dg.is_boundary[l], !g.neighbors(v).iter().all(mine));
             }
         }

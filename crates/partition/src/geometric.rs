@@ -12,7 +12,7 @@ use cmg_graph::VertexId;
 
 /// Interleaves the low 16 bits of `x` and `y` into a 32-bit Morton code.
 #[inline]
-pub fn morton2d(x: u16, y: u16) -> u32 {
+fn morton2d(x: u16, y: u16) -> u32 {
     fn spread(v: u16) -> u32 {
         let mut v = v as u32;
         v = (v | (v << 8)) & 0x00FF_00FF;

@@ -21,7 +21,7 @@ pub mod dist;
 pub mod geometric;
 pub mod grid_dist;
 pub mod halo;
-pub mod multilevel;
+mod multilevel;
 pub mod partition;
 pub mod simple;
 

@@ -32,18 +32,6 @@ pub struct BundleStats {
     pub wire_bytes: u64,
 }
 
-impl BundleStats {
-    /// Logical messages carried per wire packet (1.0 when unbundled;
-    /// 0.0 before any packet was produced).
-    pub fn aggregation_ratio(&self) -> f64 {
-        if self.wire_packets == 0 {
-            0.0
-        } else {
-            self.logical_messages as f64 / self.wire_packets as f64
-        }
-    }
-}
-
 /// Open-bundle count at which [`OutBox::push`] switches from linear
 /// search to the dense `dst → bundle index` table. Below this, the scan
 /// touches at most one cache line of `(Rank, _, _)` headers and beats
@@ -84,7 +72,7 @@ impl<M: WireMessage> OutBox<M> {
 
     /// An empty outbox that knows the run's rank count, enabling the
     /// dense destination table for wide fan-out rounds.
-    pub fn for_ranks(bundling: bool, num_ranks: Rank) -> Self {
+    pub(crate) fn for_ranks(bundling: bool, num_ranks: Rank) -> Self {
         OutBox {
             bundling,
             bundles: Vec::new(),
@@ -171,7 +159,7 @@ impl<M: WireMessage> OutBox<M> {
     /// `out` (which must be empty). The allocation-aware variant of
     /// [`OutBox::finish`]: the caller recycles `out` across rounds, and
     /// the outbox keeps its own bundle-list and packet-list allocations.
-    pub fn finish_into(&mut self, out: &mut Vec<Packet>) {
+    pub(crate) fn finish_into(&mut self, out: &mut Vec<Packet>) {
         debug_assert!(out.is_empty(), "finish_into wants a drained buffer");
         // hot-path: begin (packet close-out — freeze moves, no copies)
         out.append(&mut self.packets);
@@ -287,7 +275,6 @@ mod tests {
         assert_eq!(s.logical_messages, 7);
         assert_eq!(s.wire_packets, 2);
         assert_eq!(s.wire_bytes, 7 * 4);
-        assert_eq!(s.aggregation_ratio(), 3.5);
 
         let mut flat: OutBox<u32> = OutBox::new(false);
         for _ in 0..7 {
@@ -295,6 +282,5 @@ mod tests {
         }
         flat.finish();
         assert_eq!(flat.stats().wire_packets, 7);
-        assert_eq!(flat.stats().aggregation_ratio(), 1.0);
     }
 }

@@ -119,12 +119,6 @@ impl<T: Monoid> TreeAllreduce<T> {
         }
     }
 
-    /// This rank's parent in the tree (`None` at the root).
-    #[inline]
-    pub fn parent(&self) -> Option<Rank> {
-        self.parent
-    }
-
     /// This rank's children in the tree, ascending.
     #[inline]
     pub fn children(&self) -> &[Rank] {
@@ -294,12 +288,6 @@ impl NeighborExchange {
         }
     }
 
-    /// The scheme this exchange runs under.
-    #[inline]
-    pub fn scheme(&self) -> FanoutScheme {
-        self.scheme
-    }
-
     /// The set of ranks this rank communicates with under the scheme:
     /// the partition's neighbor ranks for [`FanoutScheme::Neighbor`],
     /// everyone else for the FIA* schemes.
@@ -389,17 +377,17 @@ mod tests {
     #[test]
     fn tree_shape_matches_implicit_heap() {
         let t: TreeAllreduce<u64> = TreeAllreduce::new(0, 20, 8);
-        assert_eq!(t.parent(), None);
+        assert_eq!(t.parent, None);
         assert_eq!(t.children(), &[1, 2, 3, 4, 5, 6, 7, 8]);
         let t: TreeAllreduce<u64> = TreeAllreduce::new(2, 20, 8);
-        assert_eq!(t.parent(), Some(0));
+        assert_eq!(t.parent, Some(0));
         assert_eq!(t.children(), &[17, 18, 19]);
         let t: TreeAllreduce<u64> = TreeAllreduce::new(9, 20, 8);
-        assert_eq!(t.parent(), Some(1));
+        assert_eq!(t.parent, Some(1));
         assert!(t.children().is_empty());
         // Binary tree, for arity generality.
         let t: TreeAllreduce<u64> = TreeAllreduce::new(1, 7, 2);
-        assert_eq!(t.parent(), Some(0));
+        assert_eq!(t.parent, Some(0));
         assert_eq!(t.children(), &[3, 4]);
     }
 

@@ -52,7 +52,7 @@ impl CostModel {
     }
 
     /// Commodity-cluster constants.
-    pub fn commodity_cluster() -> Self {
+    fn commodity_cluster() -> Self {
         CostModel {
             alpha: 15.0e-6,
             beta: 1.0e-9,
@@ -72,7 +72,7 @@ impl CostModel {
     }
 
     /// Looks up a preset.
-    pub fn preset(p: MachinePreset) -> Self {
+    pub(crate) fn preset(p: MachinePreset) -> Self {
         match p {
             MachinePreset::BlueGeneP => Self::blue_gene_p(),
             MachinePreset::CommodityCluster => Self::commodity_cluster(),
@@ -82,13 +82,13 @@ impl CostModel {
 
     /// Time for a bundle of `bytes` to traverse the network.
     #[inline]
-    pub fn transfer_time(&self, bytes: usize) -> f64 {
+    pub(crate) fn transfer_time(&self, bytes: usize) -> f64 {
         self.alpha + self.beta * bytes as f64
     }
 
     /// Cost of a full barrier among `p` ranks (log-tree of latencies).
     #[inline]
-    pub fn barrier_time(&self, p: usize) -> f64 {
+    pub(crate) fn barrier_time(&self, p: usize) -> f64 {
         if p <= 1 {
             0.0
         } else {
@@ -98,7 +98,7 @@ impl CostModel {
 
     /// Compute time for `work` charged units.
     #[inline]
-    pub fn compute_time(&self, work: u64) -> f64 {
+    pub(crate) fn compute_time(&self, work: u64) -> f64 {
         self.gamma * work as f64
     }
 }

@@ -116,23 +116,23 @@ impl fmt::Debug for DeliveryPolicy {
 
 impl DeliveryPolicy {
     /// `true` for the zero-cost canonical policy.
-    pub fn is_default(&self) -> bool {
+    pub(crate) fn is_default(&self) -> bool {
         matches!(self, DeliveryPolicy::Arrival)
     }
 
     /// `true` when the policy needs an engine that consults it serially.
-    pub fn requires_serial(&self) -> bool {
+    pub(crate) fn requires_serial(&self) -> bool {
         matches!(self, DeliveryPolicy::Scripted(_))
     }
 
     /// `true` when the policy computes payload hashes for its keys.
-    pub fn wants_payload_hash(&self) -> bool {
+    pub(crate) fn wants_payload_hash(&self) -> bool {
         matches!(self, DeliveryPolicy::Scripted(_))
     }
 
     /// Rounds a packet from `src` arriving at `rank` now is withheld
     /// before it may be delivered (0 = deliver this round).
-    pub fn hold_rounds(&self, _rank: Rank, _round: u64, src: Rank) -> u64 {
+    pub(crate) fn hold_rounds(&self, _rank: Rank, _round: u64, src: Rank) -> u64 {
         match self {
             DeliveryPolicy::DelayRank { src: slow, rounds } if *slow == src => *rounds,
             _ => 0,
@@ -141,7 +141,12 @@ impl DeliveryPolicy {
 
     /// The delivery permutation for a canonically ordered mailbox, or
     /// `None` to keep canonical order. Always preserves per-source FIFO.
-    pub fn permutation(&self, rank: Rank, round: u64, keys: &[DeliveryKey]) -> Option<Vec<usize>> {
+    pub(crate) fn permutation(
+        &self,
+        rank: Rank,
+        round: u64,
+        keys: &[DeliveryKey],
+    ) -> Option<Vec<usize>> {
         if keys.len() <= 1 {
             return None;
         }
@@ -253,7 +258,7 @@ fn mix64(mut x: u64) -> u64 {
 }
 
 /// FNV-1a over a payload — the packet fingerprint in [`DeliveryKey`].
-pub fn payload_fingerprint(bytes: &[u8]) -> u64 {
+pub(crate) fn payload_fingerprint(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;

@@ -26,7 +26,7 @@
 //! destination within one round share a single wire packet; the bundling
 //! can be disabled per run for the ablation study.
 
-pub mod bundle;
+mod bundle;
 pub mod codec;
 pub mod collectives;
 pub mod cost;
@@ -132,12 +132,6 @@ impl EngineConfig {
     /// The same config with events routed to `recorder`.
     pub fn with_recorder(mut self, recorder: cmg_obs::RecorderHandle) -> Self {
         self.recorder = recorder;
-        self
-    }
-
-    /// The same config with the given mailbox delivery policy.
-    pub fn with_delivery(mut self, delivery: DeliveryPolicy) -> Self {
-        self.delivery = delivery;
         self
     }
 }

@@ -38,7 +38,10 @@ pub fn decode_all<M: WireMessage>(buf: impl Buf) -> Option<Vec<M>> {
 /// estimated up front from the payload size and the first message's
 /// [`WireMessage::encoded_len`], so a bundle of `n` uniform messages
 /// costs at most one `reserve` instead of `log n` doublings.
-pub fn decode_all_into<M: WireMessage>(mut buf: impl Buf, out: &mut Vec<M>) -> Option<usize> {
+pub(crate) fn decode_all_into<M: WireMessage>(
+    mut buf: impl Buf,
+    out: &mut Vec<M>,
+) -> Option<usize> {
     if !buf.has_remaining() {
         return Some(0);
     }

@@ -142,7 +142,7 @@ impl<M: WireMessage> RankCtx<M> {
     }
 
     /// Engine SPI: updates the timestamp used for emitted events.
-    pub fn set_now(&mut self, now: f64) {
+    pub(crate) fn set_now(&mut self, now: f64) {
         self.now = now;
     }
 
@@ -151,7 +151,7 @@ impl<M: WireMessage> RankCtx<M> {
     /// snapshot taken at round edge `round` resumes the context there,
     /// so `ctx.round()` (and everything derived from it) continues
     /// bit-identically.
-    pub fn resume_at(&mut self, round: u64) {
+    pub(crate) fn resume_at(&mut self, round: u64) {
         self.round = round;
     }
 
@@ -166,7 +166,7 @@ impl<M: WireMessage> RankCtx<M> {
     /// Engine SPI, allocation-aware twin of [`RankCtx::end_round`]:
     /// appends the round's packets to the caller's recycled buffer
     /// (which must be empty) and returns the charged work.
-    pub fn end_round_into(&mut self, packets: &mut Vec<crate::bundle::Packet>) -> u64 {
+    pub(crate) fn end_round_into(&mut self, packets: &mut Vec<crate::bundle::Packet>) -> u64 {
         self.round += 1;
         self.outbox.finish_into(packets);
         std::mem::take(&mut self.work)

@@ -147,30 +147,6 @@ impl RunStats {
             .map(|r| r.virtual_time)
             .fold(0.0, f64::max)
     }
-
-    /// Average per-rank virtual time (load-balance indicator).
-    pub fn mean_virtual_time(&self) -> f64 {
-        if self.per_rank.is_empty() {
-            0.0
-        } else {
-            self.per_rank.iter().map(|r| r.virtual_time).sum::<f64>() / self.per_rank.len() as f64
-        }
-    }
-
-    /// Maximum work assigned to any rank divided by the mean — 1.0 is
-    /// perfectly balanced.
-    pub fn work_imbalance(&self) -> f64 {
-        if self.per_rank.is_empty() {
-            return 1.0;
-        }
-        let max = self.per_rank.iter().map(|r| r.work).max().unwrap_or(0) as f64;
-        let mean = self.total_work() as f64 / self.per_rank.len() as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
-    }
 }
 
 #[cfg(test)]
@@ -215,16 +191,12 @@ mod tests {
         assert_eq!(s.total_bytes(), 120);
         assert_eq!(s.total_work(), 400);
         assert_eq!(s.makespan(), 2.5);
-        assert_eq!(s.mean_virtual_time(), 2.0);
-        assert_eq!(s.work_imbalance(), 1.5);
     }
 
     #[test]
     fn empty_stats_are_sane() {
         let s = RunStats::default();
         assert_eq!(s.makespan(), 0.0);
-        assert_eq!(s.work_imbalance(), 1.0);
-        assert_eq!(s.mean_virtual_time(), 0.0);
         s.assert_conservation();
     }
 

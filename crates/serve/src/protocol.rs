@@ -158,7 +158,7 @@ wire_codec! {
 }
 
 /// Encodes a [`MutationBatch`] as its wire ops.
-pub fn ops_of(batch: &MutationBatch) -> Vec<ServeOp> {
+pub(crate) fn ops_of(batch: &MutationBatch) -> Vec<ServeOp> {
     batch
         .ops
         .iter()
@@ -171,7 +171,7 @@ pub fn ops_of(batch: &MutationBatch) -> Vec<ServeOp> {
 }
 
 /// Decodes wire ops back into a [`MutationBatch`].
-pub fn batch_of(ops: &[ServeOp]) -> MutationBatch {
+pub(crate) fn batch_of(ops: &[ServeOp]) -> MutationBatch {
     let mut batch = MutationBatch::new();
     for op in ops {
         match *op {

@@ -159,8 +159,6 @@ pub struct ServeState {
     /// in-process engine (net mode only; the fleet relaunches on its
     /// next pass).
     pub fleet_failures: u64,
-    /// The most recent fleet failure's typed diagnosis, until taken.
-    last_net_error: Option<NetError>,
 }
 
 impl ServeState {
@@ -186,7 +184,6 @@ impl ServeState {
             repairs: 0,
             recomputes: 0,
             fleet_failures: 0,
-            last_net_error: None,
         };
         // The initial load must fail loudly: a fleet that cannot even
         // launch is a configuration error, not a transient.
@@ -225,7 +222,7 @@ impl ServeState {
     }
 
     /// Matched pairs in the served matching.
-    pub fn matched_pairs(&self) -> usize {
+    pub(crate) fn matched_pairs(&self) -> usize {
         self.mate.iter().filter(|&&m| m != NO_VERTEX).count() / 2
     }
 
@@ -254,11 +251,6 @@ impl ServeState {
         self.colors[v as usize]
     }
 
-    /// Whether cold passes run on a resident worker fleet.
-    pub fn uses_fleet(&self) -> bool {
-        self.session.is_some()
-    }
-
     /// Absorbs one mutation batch: apply, invalidate, repair (or
     /// recompute past the dirtiness threshold). On a rejected batch
     /// (`Err` = invalid mutation) the graph and served results are
@@ -285,12 +277,11 @@ impl ServeState {
         let mode = if dirtiness > self.cfg.recompute_threshold {
             self.recomputes += 1;
             // A fleet failure mid-serve degrades, it does not wedge:
-            // the in-process fallback restores consistency, the typed
-            // diagnosis is retained (`take_fleet_error`), and the
-            // session relaunches a fresh fleet on its next pass.
-            if let Err(e) = self.recompute() {
+            // the in-process fallback restores consistency, the failure
+            // is counted, and the session relaunches a fresh fleet on
+            // its next pass.
+            if self.recompute().is_err() {
                 self.fleet_failures += 1;
-                self.last_net_error = Some(e);
                 self.recompute_local();
             }
             RepairMode::Recompute
@@ -353,13 +344,6 @@ impl ServeState {
         self.colors = assemble_coloring(&result.programs, g.num_vertices())
             .colors()
             .to_vec();
-    }
-
-    /// Takes the most recent fleet failure's typed diagnosis, if any
-    /// (net mode). The serving layer reports it; the service itself
-    /// already fell back and stayed consistent.
-    pub fn take_fleet_error(&mut self) -> Option<NetError> {
-        self.last_net_error.take()
     }
 
     /// Shuts a resident fleet down gracefully (no-op in-process).
