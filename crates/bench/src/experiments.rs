@@ -8,10 +8,9 @@
 //! bit-reproducible on any host, which is what lets the checks be exact.
 
 use crate::setup::{self, Scale};
-use cmg_coloring::dist2::{assemble_d2, DistColoring2};
 use cmg_coloring::distance2::{greedy_d2, validate_d2};
 use cmg_coloring::seq::Ordering;
-use cmg_coloring::{assemble_coloring, DistColoring};
+use cmg_coloring::{assemble_coloring, DistColoring, Distance2};
 use cmg_core::prelude::*;
 use cmg_core::report::{fmt_count, fmt_time, Table};
 use cmg_graph::generators::grid2d;
@@ -883,13 +882,13 @@ fn distance2(scale: Scale) -> Vec<Section> {
     let mut rows = Vec::new();
     coloring_cases(scale, k, &[1, 16, 64, 256], |name, g, p, part| {
         let seq_colors = greedy_d2(g, Ordering::Natural).num_colors();
-        let programs: Vec<DistColoring2> = DistGraph::build_all(g, part)
+        let programs: Vec<DistColoring<Distance2>> = DistGraph::build_all(g, part)
             .into_iter()
-            .map(|dg| DistColoring2::new(dg, 1000, 7))
+            .map(|dg| DistColoring::distance2(dg, 1000, 7))
             .collect();
         let result = SimEngine::new(programs, EngineConfig::default()).run();
         assert!(!result.hit_round_cap, "d2 did not quiesce");
-        let coloring = assemble_d2(&result.programs, g.num_vertices());
+        let coloring = assemble_coloring(&result.programs, g.num_vertices());
         validate_d2(&coloring, g).expect("invalid d2 coloring");
         let phases = result.programs.iter().map(|q| q.phases_executed).max();
         let recolored: u64 = result.programs.iter().map(|q| q.total_recolored).sum();

@@ -212,11 +212,14 @@ impl AnalyzeAllowlist {
 /// v4 widened the fingerprint itself: it covers `Ctrl` plus every
 /// `Snap`-suffixed snapshot record enum, because those encodings ride
 /// opaquely inside `Ctrl::Checkpoint` payloads and resume assignments.
+/// v6 was re-pinned in place when the distance-2 snapshot records joined
+/// `ColorSnap` under new tags: every byte a v6 peer can send is unchanged,
+/// since distance-2 coloring never runs on the net engine.
 pub const WIRE_BASELINES: &[(u64, u64)] = &[
     (3, 0xec5d_285e_8cd8_0aa1),
     (4, 0x4956_cc56_edbc_cd90),
     (5, 0x1f0f_d877_76a1_24b0),
-    (6, 0x051c_a52c_8206_83e1),
+    (6, 0xc11f_96bc_d71d_09c4),
 ];
 
 /// The analysis result for one workspace.

@@ -361,17 +361,31 @@ pub fn coloring(argv: &[String]) -> i32 {
                 }
             }
             2 => {
-                use cmg_coloring::dist2::{assemble_d2, DistColoring2};
+                use cmg_coloring::{assemble_coloring, DistColoring, Distance2};
+                // Distance-2 runs on the simulator with the paper's
+                // neighbor-customized exchange; refuse what it would ignore.
+                let Engine::Simulated(sim) = &engine else {
+                    return Err(format!(
+                        "--distance 2 runs on the simulated engine only, not --engine {}",
+                        args.get_or("engine", "sim")
+                    ));
+                };
+                let comm = args.get_or("comm", "new");
+                if comm != "new" {
+                    return Err(format!(
+                        "--distance 2 uses the neighbor-customized exchange only, not --comm {comm}"
+                    ));
+                }
                 let parts = cmg_partition::DistGraph::build_all(&g, &part);
-                let programs: Vec<DistColoring2> = parts
+                let programs: Vec<DistColoring<Distance2>> = parts
                     .into_iter()
-                    .map(|dg| DistColoring2::new(dg, superstep, 7))
+                    .map(|dg| DistColoring::distance2(dg, superstep, 7))
                     .collect();
-                let result = cmg_runtime::SimEngine::new(programs, engine.config().clone()).run();
+                let result = cmg_runtime::SimEngine::new(programs, sim.clone()).run();
                 if result.hit_round_cap {
                     return Err("distance-2 coloring did not converge".into());
                 }
-                let coloring = assemble_d2(&result.programs, g.num_vertices());
+                let coloring = assemble_coloring(&result.programs, g.num_vertices());
                 cmg_coloring::distance2::validate_d2(&coloring, &g)
                     .map_err(|e| format!("invalid d2 coloring: {e}"))?;
                 println!(

@@ -59,6 +59,7 @@ COMMANDS
   color      run the distributed speculative coloring
              --input FILE [--parts K] [--method …] [--engine sim|threaded|net]
              [--distance 1|2] [--superstep S] [--comm new|fiac|fiab]
+             (--distance 2 runs on --engine sim with --comm new only)
   run        matching + coloring on a fig5-style grid in one command
              [--engine sim|threaded|net] [--ranks N] [--rows R --cols C]
              [--seed S] [--input FILE] [--verify] [--checkpoint-interval K]

@@ -1,4 +1,5 @@
-//! The coloring result type and its verification.
+//! The coloring result type, its verification, and its assembly from
+//! rank programs.
 
 use cmg_graph::{CsrGraph, VertexId};
 
@@ -82,6 +83,23 @@ impl Coloring {
         }
         Ok(())
     }
+}
+
+/// A rank program that holds the colors of the vertices it owns.
+pub trait LocalColors {
+    /// Final colors of owned vertices as `(global id, color)`.
+    fn local_colors(&self) -> impl Iterator<Item = (VertexId, u32)> + '_;
+}
+
+/// Assembles the global coloring from finished rank programs.
+pub fn assemble_coloring<P: LocalColors>(programs: &[P], num_vertices: usize) -> Coloring {
+    let mut coloring = Coloring::uncolored(num_vertices);
+    for p in programs {
+        for (v, c) in p.local_colors() {
+            coloring.set(v, c);
+        }
+    }
+    coloring
 }
 
 #[cfg(test)]

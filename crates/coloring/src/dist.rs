@@ -9,18 +9,36 @@
 //! 2. a **`DONE` wave** so every rank knows its neighbors' colors for the
 //!    phase are complete ("Wait until all incoming messages are
 //!    successfully received");
-//! 3. **conflict detection** — local, no communication: for a conflict
-//!    edge, the endpoint with the smaller pre-assigned random priority
-//!    `r(v)` is re-colored next phase;
+//! 3. **conflict detection**, which picks the losers re-colored next phase
+//!    by the pre-assigned random priority `r(v)`;
 //! 4. a **tree allreduce** of the global conflict count, realizing the
 //!    framework's `while ∃j, Uj ≠ ∅` termination test.
 //!
-//! Interior vertices are colored entirely locally, strictly before or
-//! strictly after the boundary (per [`LocalOrder`]), following the
-//! recommendation of Bozdağ et al. that the paper adopts.
+//! [`DistColoring`] is that loop, written once. Its [`ConflictScope`]
+//! parameter decides the three things distance-1 and distance-2 coloring
+//! do differently — Taş–Kaya (arXiv:1701.02628) treat both as one
+//! optimistic color → detect → recolor loop: which colors a vertex may
+//! take, the first phase's work list, and who detects a clash.
+//!
+//! * [`Distance1`] is the paper's algorithm. Detection is local: for a
+//!   conflict edge, the endpoint with the smaller `r(v)` loses. Interior
+//!   vertices are colored entirely locally, strictly before or strictly
+//!   after the boundary (per [`LocalOrder`]), following the recommendation
+//!   of Bozdağ et al. that the paper adopts.
+//! * [`Distance2`] serves the distance-2 problem behind the paper's
+//!   flagship application (Jacobian/Hessian compression, §1). A conflict
+//!   `a – m – b` is detected by the owner of the *middle* vertex `m`, the
+//!   only rank guaranteed to know both endpoint colors; the loser's owner
+//!   is notified with a `Recolor` message, and a second wave (`Done2`)
+//!   closes detection. A rank cannot see colors two hops away through a
+//!   *ghost* middle, so a losing vertex permanently bans the conflicting
+//!   color and picks its next color from a hash-randomized window that
+//!   widens with every loss: the bans prune the choice space, the
+//!   randomization breaks the lockstep in which two symmetric losers
+//!   shadow each other's first-fit choices forever.
 
-use crate::coloring::{Coloring, UNCOLORED};
-use cmg_graph::util::vertex_priority;
+use crate::coloring::{LocalColors, UNCOLORED};
+use cmg_graph::util::{vertex_priority, FxHashMap, FxHashSet};
 use cmg_graph::VertexId;
 use cmg_partition::{ghost_neighbor_owners, DistGraph, HaloView};
 use cmg_runtime::{
@@ -102,7 +120,8 @@ impl Default for ColoringConfig {
 }
 
 wire_codec! {
-    /// Wire messages of the coloring algorithm.
+    /// Wire messages of the coloring algorithm. Tags 0–4 are the whole
+    /// distance-1 protocol; 5 and 6 carry distance-2 relay detection.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub enum ColorMsg {
         /// Vertex `v` (global id) now has `color`.
@@ -133,6 +152,19 @@ wire_codec! {
             /// Global conflict count.
             count: u64,
         },
+        /// Sender finished detection (all its `Recolor`s for `phase` are out).
+        5 => Done2 {
+            /// Phase number.
+            phase: u32,
+        },
+        /// `v` (owned by the receiver) lost a conflict and must re-color,
+        /// permanently avoiding `banned`.
+        6 => Recolor {
+            /// Losing vertex.
+            v: VertexId,
+            /// The color it clashed with.
+            banned: u32,
+        },
     }
 }
 
@@ -144,6 +176,7 @@ enum PState {
     WaitingReduce,
     WaitingBcast,
     Finished,
+    WaitingDone2,
 }
 
 impl PState {
@@ -154,6 +187,7 @@ impl PState {
             PState::WaitingReduce => 2,
             PState::WaitingBcast => 3,
             PState::Finished => 4,
+            PState::WaitingDone2 => 5,
         }
     }
 
@@ -163,6 +197,7 @@ impl PState {
             2 => PState::WaitingReduce,
             3 => PState::WaitingBcast,
             4 => PState::Finished,
+            5 => PState::WaitingDone2,
             _ => PState::Coloring,
         }
     }
@@ -171,10 +206,11 @@ impl PState {
 wire_codec! {
     /// Snapshot records of [`DistColoring`]: phase-protocol position,
     /// assigned colors (owned and ghost), the phase's remaining work
-    /// list, color-usage tallies, and the in-flight state of the DONE
-    /// wave and conflict-count allreduce. The halo view, priorities,
-    /// stagger offset, fan-out scheme, and stamp scratch are rebuilt
-    /// from the graph + config on restore.
+    /// list, the conflict scope's own state, and the in-flight state of
+    /// the DONE wave and conflict-count allreduce. The halo view,
+    /// priorities, stagger offset, fan-out scheme, and stamp scratch are
+    /// rebuilt from the graph + config on restore. Tags 0–5 are all a
+    /// distance-1 snapshot holds; 6–9 are distance-2 state.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub enum ColorSnap {
         /// Protocol position (exactly one per snapshot, first).
@@ -228,11 +264,74 @@ wire_codec! {
             /// Partial subtree conflict sum.
             value: u64,
         },
+        /// A learned permanent ban, sorted by `(v, color)` (the map is
+        /// only iterated for idempotent stamp-marking, so sorted emission
+        /// just keeps snapshot bytes deterministic).
+        6 => Banned {
+            /// Owned vertex (local index).
+            v: u32,
+            /// Color it may never take.
+            color: u32,
+        },
+        /// A ghost whose color changed this phase, in arrival order.
+        7 => DirtyGhost {
+            /// Ghost local index.
+            idx: u32,
+        },
+        /// An entry of next phase's re-color set, in insertion order.
+        8 => Recolor {
+            /// Owned vertex (local index).
+            v: u32,
+        },
+        /// In-flight second-wave DONE2 tally for one phase.
+        9 => Done2Count {
+            /// Phase the DONE2s belong to.
+            phase: u32,
+            /// DONE2s received so far.
+            count: u64,
+        },
     }
 }
 
-/// One rank's state of the distributed coloring algorithm.
-pub struct DistColoring {
+/// What distance-1 and distance-2 speculative coloring do differently,
+/// plus the state only that scope needs. Everything else — supersteps,
+/// the DONE wave, the allreduce, the phase state machine, snapshots — is
+/// [`DistColoring`]'s. The hooks are resolved statically: a scope is a
+/// type parameter, never a per-vertex branch.
+pub trait ConflictScope: Sized + Send {
+    /// The scope's state for a fresh rank.
+    fn new(dg: &DistGraph) -> Self;
+
+    /// Picks a permissible color for owned vertex `v`, charging one work
+    /// unit per adjacency entry scanned.
+    fn pick_color(p: &mut DistColoring<Self>, v: u32, ctx: &mut RankCtx<ColorMsg>) -> u32;
+
+    /// Sets the first phase's work list (coloring up front whatever the
+    /// scope colors outside the phases).
+    fn first_phase(p: &mut DistColoring<Self>, ctx: &mut RankCtx<ColorMsg>);
+
+    /// Detects this phase's conflicts once the DONE wave is in, ending in
+    /// `DistColoring::conclude_detection` with the losers.
+    fn detect(p: &mut DistColoring<Self>, ctx: &mut RankCtx<ColorMsg>);
+
+    /// Handles a detection message of the scope's own (`Done2`,
+    /// `Recolor`).
+    fn on_detect_msg(_p: &mut DistColoring<Self>, _msg: ColorMsg, _ctx: &mut RankCtx<ColorMsg>) {}
+
+    /// Notes that ghost `local` received a new color.
+    fn ghost_colored(&mut self, _local: u32) {}
+
+    /// Appends the scope's state to a snapshot.
+    fn snapshot(&self, recs: &mut Vec<ColorSnap>);
+
+    /// Restores the scope's state from the records the shared skeleton
+    /// does not own.
+    fn restore(&mut self, recs: Vec<ColorSnap>);
+}
+
+/// One rank's state of the distributed coloring algorithm; `S` is the
+/// conflict scope (distance-1 unless named).
+pub struct DistColoring<S: ConflictScope = Distance1> {
     dg: DistGraph,
     cfg: ColoringConfig,
     /// Halo structure: interior/boundary split of the owned vertices.
@@ -258,64 +357,18 @@ pub struct DistColoring {
     /// fan-out mirrors optimized MPI collectives — Blue Gene/P even has
     /// a dedicated hardware tree network for them).
     allreduce: TreeAllreduce<u64>,
-    detection_done: bool,
     my_conflicts: u64,
     interior_colored: bool,
     /// Scratch: stamp-based forbidden-color set.
     forbidden: Vec<u64>,
     stamp: u64,
-    /// LeastUsed: local usage count per color.
-    usage: Vec<u64>,
-    /// StaggeredFirstFit offset.
-    stagger: u32,
-    /// Warm start ([`DistColoring::warm`]): `on_start` keeps the
-    /// pre-seeded retained colors and dirty work list instead of coloring
-    /// from scratch. Not snapshotted — it is consumed before the first
-    /// round, and restores resume past `on_start`.
-    warm: bool,
+    scope: S,
 }
 
 impl DistColoring {
-    /// Prepares the program for one rank.
+    /// Prepares the distance-1 program for one rank.
     pub fn new(dg: DistGraph, cfg: ColoringConfig) -> Self {
-        let n_total = dg.n_total();
-        let priority = (0..n_total)
-            .map(|i| vertex_priority(dg.global_ids[i] as u64, cfg.seed))
-            .collect();
-        let halo = HaloView::build(&dg);
-        let max_deg = (0..dg.n_local as u32)
-            .map(|v| dg.degree(v))
-            .max()
-            .unwrap_or(0);
-        let stagger = if dg.num_ranks <= 1 {
-            0
-        } else {
-            ((dg.rank as u64 * (max_deg as u64 + 1)) / dg.num_ranks as u64) as u32
-        };
-        DistColoring {
-            color: vec![UNCOLORED; n_total],
-            priority,
-            halo,
-            u_cur: Vec::new(),
-            u_pos: 0,
-            phase: 0,
-            state: PState::Coloring,
-            phases_executed: 0,
-            total_recolored: 0,
-            exchange: NeighborExchange::new(cfg.comm.fanout(), dg.rank, dg.num_ranks),
-            done: DoneWave::new(),
-            allreduce: TreeAllreduce::new(dg.rank, dg.num_ranks, 8),
-            detection_done: false,
-            my_conflicts: 0,
-            interior_colored: false,
-            forbidden: vec![u64::MAX; n_total + 2],
-            stamp: 0,
-            usage: Vec::new(),
-            stagger,
-            warm: false,
-            cfg,
-            dg,
-        }
+        DistColoring::build(dg, cfg)
     }
 
     /// Prepares a warm-start program: retained colors (owned *and* ghost,
@@ -352,33 +405,15 @@ impl DistColoring {
             for v in 0..p.dg.n_local {
                 let c = p.color[v];
                 if c != UNCOLORED {
-                    if c as usize >= p.usage.len() {
-                        p.usage.resize(c as usize + 1, 0);
+                    if c as usize >= p.scope.usage.len() {
+                        p.scope.usage.resize(c as usize + 1, 0);
                     }
-                    p.usage[c as usize] += 1;
+                    p.scope.usage[c as usize] += 1;
                 }
             }
         }
-        p.warm = true;
+        p.scope.warm = true;
         p
-    }
-
-    /// Final colors of owned vertices as `(global id, color)`.
-    pub fn local_colors(&self) -> impl Iterator<Item = (VertexId, u32)> + '_ {
-        (0..self.dg.n_local).map(|v| (self.dg.global_ids[v], self.color[v]))
-    }
-
-    /// Access to the distributed graph.
-    pub fn dist_graph(&self) -> &DistGraph {
-        &self.dg
-    }
-
-    /// `true` once the rank has passed the final conflict-free allreduce
-    /// and left the phase protocol. A rank that stops stepping while this
-    /// is `false` was abandoned mid-phase (e.g. a lost message); the
-    /// `cmg-check` termination oracle asserts it after every run.
-    pub fn is_finished(&self) -> bool {
-        self.state == PState::Finished
     }
 
     /// Counts conflict edges visible from this rank, each counted exactly
@@ -399,6 +434,63 @@ impl DistColoring {
         }
         conflicts
     }
+}
+
+impl DistColoring<Distance2> {
+    /// Prepares the distance-2 program for one rank: superstep size and
+    /// priority seed as in distance-1, the paper's neighbor-customized
+    /// exchange.
+    pub fn distance2(dg: DistGraph, superstep_size: usize, seed: u64) -> Self {
+        let cfg = ColoringConfig {
+            superstep_size,
+            seed,
+            ..ColoringConfig::default()
+        };
+        DistColoring::build(dg, cfg)
+    }
+}
+
+impl<S: ConflictScope> DistColoring<S> {
+    fn build(dg: DistGraph, cfg: ColoringConfig) -> Self {
+        let n_total = dg.n_total();
+        let priority = (0..n_total)
+            .map(|i| vertex_priority(dg.global_ids[i] as u64, cfg.seed))
+            .collect();
+        DistColoring {
+            color: vec![UNCOLORED; n_total],
+            priority,
+            halo: HaloView::build(&dg),
+            u_cur: Vec::new(),
+            u_pos: 0,
+            phase: 0,
+            state: PState::Coloring,
+            phases_executed: 0,
+            total_recolored: 0,
+            exchange: NeighborExchange::new(cfg.comm.fanout(), dg.rank, dg.num_ranks),
+            done: DoneWave::new(),
+            allreduce: TreeAllreduce::new(dg.rank, dg.num_ranks, 8),
+            my_conflicts: 0,
+            interior_colored: false,
+            forbidden: vec![u64::MAX; n_total + 2],
+            stamp: 0,
+            scope: S::new(&dg),
+            cfg,
+            dg,
+        }
+    }
+
+    /// Access to the distributed graph.
+    pub fn dist_graph(&self) -> &DistGraph {
+        &self.dg
+    }
+
+    /// `true` once the rank has passed the final conflict-free allreduce
+    /// and left the phase protocol. A rank that stops stepping while this
+    /// is `false` was abandoned mid-phase (e.g. a lost message); the
+    /// `cmg-check` termination oracle asserts it after every run.
+    pub fn is_finished(&self) -> bool {
+        self.state == PState::Finished
+    }
 
     /// Largest color used on this rank's owned vertices (`None` if the
     /// rank owns nothing).
@@ -407,65 +499,21 @@ impl DistColoring {
     }
 
     /// Ranks in the color/Done communication scope of this rank.
-    fn scope(&self) -> Vec<Rank> {
+    fn peers(&self) -> Vec<Rank> {
         self.exchange.scope(&self.dg.neighbor_ranks)
     }
 
-    /// Picks a permissible color for owned vertex `v` per the configured
-    /// strategy, charging one work unit per adjacency entry scanned.
-    fn pick_color(&mut self, v: u32, ctx: &mut RankCtx<ColorMsg>) -> u32 {
-        self.stamp += 1;
-        let deg = self.dg.degree(v);
-        ctx.charge(deg as u64 + 1);
-        for &u in self.dg.neighbors(v) {
-            let c = self.color[u as usize];
-            if c != UNCOLORED && (c as usize) < self.forbidden.len() {
-                self.forbidden[c as usize] = self.stamp;
-            }
-        }
-        let first_free_from = |from: u32, forbidden: &[u64], stamp: u64| -> u32 {
-            let mut c = from;
-            while (c as usize) < forbidden.len() && forbidden[c as usize] == stamp {
-                c += 1;
-            }
-            c
-        };
-        match self.cfg.color_choice {
-            ColorChoice::FirstFit => first_free_from(0, &self.forbidden, self.stamp),
-            ColorChoice::StaggeredFirstFit => {
-                // Scan from the rank's offset; the offset keeps concurrent
-                // ranks on disjoint color ranges, trading color count for
-                // fewer conflicts.
-                first_free_from(self.stagger, &self.forbidden, self.stamp)
-            }
-            ColorChoice::LeastUsed => {
-                let mut best: Option<(u64, u32)> = None;
-                for c in 0..self.usage.len() as u32 {
-                    if self.forbidden[c as usize] != self.stamp {
-                        let u = self.usage[c as usize];
-                        if best.is_none_or(|(bu, _)| u < bu) {
-                            best = Some((u, c));
-                        }
-                    }
-                }
-                let c = match best {
-                    Some((_, c)) => c,
-                    None => first_free_from(0, &self.forbidden, self.stamp),
-                };
-                if c as usize >= self.usage.len() {
-                    self.usage.resize(c as usize + 1, 0);
-                }
-                self.usage[c as usize] += 1;
-                c
-            }
-        }
+    /// The `(r(v), global id)` key conflicts are decided by: the smaller
+    /// key loses.
+    fn key(&self, v: u32) -> (u64, VertexId) {
+        (self.priority[v as usize], self.dg.global_ids[v as usize])
     }
 
     /// Colors all interior vertices (purely local).
     fn color_interior(&mut self, ctx: &mut RankCtx<ColorMsg>) {
         for i in 0..self.halo.interior.len() {
             let v = self.halo.interior[i];
-            let c = self.pick_color(v, ctx);
+            let c = S::pick_color(self, v, ctx);
             self.color[v as usize] = c;
         }
         self.interior_colored = true;
@@ -484,52 +532,44 @@ impl DistColoring {
     }
 
     /// Runs one superstep: colors up to `s` vertices of `u_cur` and
-    /// publishes their colors. Returns `true` if the phase's coloring is
-    /// complete.
-    fn superstep(&mut self, ctx: &mut RankCtx<ColorMsg>) -> bool {
+    /// publishes their colors. Once the phase's coloring is complete,
+    /// announces DONE and detects if every peer's DONE is in already.
+    fn superstep(&mut self, ctx: &mut RankCtx<ColorMsg>) {
         let end = (self.u_pos + self.cfg.superstep_size.max(1)).min(self.u_cur.len());
         self.exchange.begin_superstep();
         while self.u_pos < end {
             let v = self.u_cur[self.u_pos];
             self.u_pos += 1;
-            let c = self.pick_color(v, ctx);
+            let c = S::pick_color(self, v, ctx);
             self.color[v as usize] = c;
             self.publish_color(v, c, ctx);
         }
         // FIAC: every other rank gets a (possibly empty) customized
         // message each superstep.
         self.exchange.finish_superstep(ctx, &ColorMsg::Empty);
-        self.u_pos >= self.u_cur.len()
-    }
-
-    /// Called when this rank finishes coloring its `u_cur`: announce DONE.
-    fn announce_done(&mut self, ctx: &mut RankCtx<ColorMsg>) {
-        let msg = ColorMsg::Done { phase: self.phase };
-        fan_out(ctx, &self.scope(), &msg);
-        self.state = PState::WaitingDone;
-    }
-
-    /// Conflict detection (Algorithm 4.1's second block): among the
-    /// vertices colored this phase, re-color those that lose the random
-    /// tie-break on a conflict edge.
-    fn detect_conflicts(&mut self, ctx: &mut RankCtx<ColorMsg>) {
-        let mut r_set = Vec::new();
-        let u_cur = std::mem::take(&mut self.u_cur);
-        for &v in &u_cur {
-            ctx.charge(self.dg.degree(v) as u64);
-            let cv = self.color[v as usize];
-            let pv = (self.priority[v as usize], self.dg.global_ids[v as usize]);
-            for &w in self.dg.neighbors(v) {
-                if self.dg.is_ghost(w)
-                    && self.color[w as usize] == cv
-                    && (self.priority[w as usize], self.dg.global_ids[w as usize]) > pv
-                {
-                    r_set.push(v);
-                    break;
-                }
-            }
+        if self.u_pos >= self.u_cur.len() {
+            fan_out(ctx, &self.peers(), &ColorMsg::Done { phase: self.phase });
+            self.state = PState::WaitingDone;
+            self.try_detect(ctx);
         }
-        self.my_conflicts = r_set.len() as u64;
+    }
+
+    /// Whether owned `v` loses the tie-break to a ghost neighbor of its
+    /// color (charging its degree): the distance-1 conflict test.
+    fn loses_to_ghost(&self, v: u32, ctx: &mut RankCtx<ColorMsg>) -> bool {
+        ctx.charge(self.dg.degree(v) as u64);
+        let cv = self.color[v as usize];
+        let kv = self.key(v);
+        self.dg
+            .neighbors(v)
+            .iter()
+            .any(|&w| self.dg.is_ghost(w) && self.color[w as usize] == cv && self.key(w) > kv)
+    }
+
+    /// Ends the phase's detection: `losers` are this rank's vertices to
+    /// re-color next phase, and their count is its allreduce input.
+    fn conclude_detection(&mut self, losers: Vec<u32>, ctx: &mut RankCtx<ColorMsg>) {
+        self.my_conflicts = losers.len() as u64;
         self.total_recolored += self.my_conflicts;
         if ctx.observed() {
             ctx.emit(cmg_obs::Event::ColoringRound {
@@ -538,9 +578,8 @@ impl DistColoring {
                 colors_used: self.colors_used_so_far(),
             });
         }
-        self.u_cur = r_set;
+        self.u_cur = losers;
         self.u_pos = 0;
-        self.detection_done = true;
         self.state = PState::WaitingReduce;
         self.try_send_reduce(ctx);
     }
@@ -559,7 +598,7 @@ impl DistColoring {
     /// Sends the subtree count up (or broadcasts at the root) once this
     /// rank's detection and all children's counts are in.
     fn try_send_reduce(&mut self, ctx: &mut RankCtx<ColorMsg>) {
-        if !self.detection_done || self.state != PState::WaitingReduce {
+        if self.state != PState::WaitingReduce {
             return;
         }
         match self.allreduce.try_complete(self.phase, self.my_conflicts) {
@@ -598,24 +637,17 @@ impl DistColoring {
         } else {
             self.phase += 1;
             self.phases_executed += 1;
-            self.detection_done = false;
             self.my_conflicts = 0;
             self.state = PState::Coloring;
-            if self.superstep(ctx) {
-                self.announce_done(ctx);
-                self.try_detect(ctx);
-            }
+            self.superstep(ctx);
         }
     }
 
-    /// Runs conflict detection once every scope rank's DONE for the
-    /// current phase has arrived (and our own coloring is finished).
+    /// Runs conflict detection once every peer's DONE for the current
+    /// phase has arrived (and our own coloring is finished).
     fn try_detect(&mut self, ctx: &mut RankCtx<ColorMsg>) {
-        if self.state != PState::WaitingDone {
-            return;
-        }
-        if self.done.ready(self.phase, self.scope().len()) {
-            self.detect_conflicts(ctx);
+        if self.state == PState::WaitingDone && self.done.ready(self.phase, self.peers().len()) {
+            S::detect(self, ctx);
         }
     }
 
@@ -626,6 +658,7 @@ impl DistColoring {
                 // Under FIAB the vertex may be unknown here; ignore then.
                 if let Some(local) = self.dg.local(v) {
                     self.color[local as usize] = color;
+                    self.scope.ghost_colored(local);
                 }
             }
             ColorMsg::Empty => {}
@@ -642,23 +675,42 @@ impl DistColoring {
                 debug_assert_eq!(self.state, PState::WaitingBcast);
                 self.broadcast_and_act(count, ctx);
             }
+            ColorMsg::Done2 { .. } | ColorMsg::Recolor { .. } => S::on_detect_msg(self, msg, ctx),
+        }
+    }
+
+    fn status(&self) -> Status {
+        if self.state == PState::Coloring && self.u_pos < self.u_cur.len() {
+            Status::Active
+        } else {
+            Status::Idle
         }
     }
 }
 
-impl RankProgram for DistColoring {
+impl<S: ConflictScope> LocalColors for DistColoring<S> {
+    fn local_colors(&self) -> impl Iterator<Item = (VertexId, u32)> + '_ {
+        (0..self.dg.n_local).map(|v| (self.dg.global_ids[v], self.color[v]))
+    }
+}
+
+impl<S: ConflictScope> RankProgram for DistColoring<S> {
     type Msg = ColorMsg;
     type Snapshot = Vec<ColorSnap>;
     type Meta = (DistGraph, ColoringConfig);
 
     fn snapshot(&self) -> Vec<ColorSnap> {
         let mut recs = Vec::with_capacity(1 + self.dg.n_total() + self.u_cur.len());
+        let detection_done = matches!(
+            self.state,
+            PState::WaitingDone2 | PState::WaitingReduce | PState::WaitingBcast | PState::Finished
+        );
         recs.push(ColorSnap::Head {
             phase: self.phase,
             state: self.state.to_u8(),
             phases_executed: self.phases_executed,
             total_recolored: self.total_recolored,
-            flags: (self.detection_done as u8) | ((self.interior_colored as u8) << 1),
+            flags: (detection_done as u8) | ((self.interior_colored as u8) << 1),
             my_conflicts: self.my_conflicts,
             u_pos: self.u_pos as u64,
         });
@@ -673,9 +725,7 @@ impl RankProgram for DistColoring {
         for &v in &self.u_cur {
             recs.push(ColorSnap::Pending { v });
         }
-        for &count in &self.usage {
-            recs.push(ColorSnap::Usage { count });
-        }
+        self.scope.snapshot(&mut recs);
         for &(phase, count) in self.done.in_flight() {
             recs.push(ColorSnap::DoneCount {
                 phase,
@@ -694,9 +744,10 @@ impl RankProgram for DistColoring {
 
     fn restore(meta: (DistGraph, ColoringConfig), snap: Vec<ColorSnap>) -> Self {
         let (dg, cfg) = meta;
-        let mut p = DistColoring::new(dg, cfg);
+        let mut p = Self::build(dg, cfg);
         let mut done = Vec::new();
         let mut reduce = Vec::new();
+        let mut scoped = Vec::new();
         for rec in snap {
             match rec {
                 ColorSnap::Head {
@@ -712,24 +763,24 @@ impl RankProgram for DistColoring {
                     p.state = PState::from_u8(state);
                     p.phases_executed = phases_executed;
                     p.total_recolored = total_recolored;
-                    p.detection_done = flags & 1 != 0;
                     p.interior_colored = flags & 2 != 0;
                     p.my_conflicts = my_conflicts;
                     p.u_pos = u_pos as usize;
                 }
                 ColorSnap::Colored { idx, color } => p.color[idx as usize] = color,
                 ColorSnap::Pending { v } => p.u_cur.push(v),
-                ColorSnap::Usage { count } => p.usage.push(count),
                 ColorSnap::DoneCount { phase, count } => done.push((phase, count as usize)),
                 ColorSnap::Reduce {
                     phase,
                     count,
                     value,
                 } => reduce.push((phase, count as usize, value)),
+                other => scoped.push(other),
             }
         }
         p.done.restore_in_flight(done);
         p.allreduce.restore_in_flight(reduce);
+        p.scope.restore(scoped);
         p
     }
 
@@ -738,23 +789,9 @@ impl RankProgram for DistColoring {
     }
 
     fn on_start(&mut self, ctx: &mut RankCtx<ColorMsg>) -> Status {
-        if self.warm {
-            // Warm start: retained colors and the dirty work list were
-            // seeded by [`DistColoring::warm`]; go straight to the phase
-            // protocol over the frontier.
-            self.warm = false;
-        } else {
-            if self.cfg.order == LocalOrder::InteriorFirst {
-                self.color_interior(ctx);
-            }
-            self.u_cur = self.halo.boundary.clone();
-            self.u_pos = 0;
-        }
+        S::first_phase(self, ctx);
         self.phases_executed = 1;
-        if self.superstep(ctx) {
-            self.announce_done(ctx);
-            self.try_detect(ctx);
-        }
+        self.superstep(ctx);
         self.status()
     }
 
@@ -768,62 +805,408 @@ impl RankProgram for DistColoring {
                 self.handle(m, ctx);
             }
         }
-        if self.state == PState::Coloring && self.superstep(ctx) {
-            self.announce_done(ctx);
-            self.try_detect(ctx);
+        if self.state == PState::Coloring {
+            self.superstep(ctx);
         }
         self.status()
     }
 }
 
-impl DistColoring {
-    fn status(&self) -> Status {
-        if self.state == PState::Coloring && self.u_pos < self.u_cur.len() {
-            Status::Active
+/// Distance-1 coloring, the paper's algorithm: the neighbors forbid a
+/// color, [`ColorChoice`] picks one, and each vertex colored this phase is
+/// checked against its ghost neighbors.
+pub struct Distance1 {
+    /// LeastUsed: local usage count per color.
+    usage: Vec<u64>,
+    /// StaggeredFirstFit offset.
+    stagger: u32,
+    /// Warm start ([`DistColoring::warm`]): the first phase keeps the
+    /// pre-seeded retained colors and dirty work list instead of coloring
+    /// from scratch. Not snapshotted — it is consumed before the first
+    /// round, and restores resume past `on_start`.
+    warm: bool,
+}
+
+impl ConflictScope for Distance1 {
+    fn new(dg: &DistGraph) -> Self {
+        let max_deg = (0..dg.n_local as u32)
+            .map(|v| dg.degree(v))
+            .max()
+            .unwrap_or(0);
+        let stagger = if dg.num_ranks <= 1 {
+            0
         } else {
-            Status::Idle
+            ((dg.rank as u64 * (max_deg as u64 + 1)) / dg.num_ranks as u64) as u32
+        };
+        Distance1 {
+            usage: Vec::new(),
+            stagger,
+            warm: false,
+        }
+    }
+
+    fn pick_color(p: &mut DistColoring<Self>, v: u32, ctx: &mut RankCtx<ColorMsg>) -> u32 {
+        p.stamp += 1;
+        let deg = p.dg.degree(v);
+        ctx.charge(deg as u64 + 1);
+        for &u in p.dg.neighbors(v) {
+            let c = p.color[u as usize];
+            if c != UNCOLORED && (c as usize) < p.forbidden.len() {
+                p.forbidden[c as usize] = p.stamp;
+            }
+        }
+        let first_free_from = |from: u32, forbidden: &[u64], stamp: u64| -> u32 {
+            let mut c = from;
+            while (c as usize) < forbidden.len() && forbidden[c as usize] == stamp {
+                c += 1;
+            }
+            c
+        };
+        match p.cfg.color_choice {
+            ColorChoice::FirstFit => first_free_from(0, &p.forbidden, p.stamp),
+            ColorChoice::StaggeredFirstFit => {
+                // Scan from the rank's offset; the offset keeps concurrent
+                // ranks on disjoint color ranges, trading color count for
+                // fewer conflicts.
+                first_free_from(p.scope.stagger, &p.forbidden, p.stamp)
+            }
+            ColorChoice::LeastUsed => {
+                let usage = &mut p.scope.usage;
+                let mut best: Option<(u64, u32)> = None;
+                for c in 0..usage.len() as u32 {
+                    if p.forbidden[c as usize] != p.stamp {
+                        let u = usage[c as usize];
+                        if best.is_none_or(|(bu, _)| u < bu) {
+                            best = Some((u, c));
+                        }
+                    }
+                }
+                let c = match best {
+                    Some((_, c)) => c,
+                    None => first_free_from(0, &p.forbidden, p.stamp),
+                };
+                if c as usize >= usage.len() {
+                    usage.resize(c as usize + 1, 0);
+                }
+                usage[c as usize] += 1;
+                c
+            }
+        }
+    }
+
+    fn first_phase(p: &mut DistColoring<Self>, ctx: &mut RankCtx<ColorMsg>) {
+        if std::mem::take(&mut p.scope.warm) {
+            // Warm start: retained colors and the dirty work list were
+            // seeded by [`DistColoring::warm`]; go straight to the phase
+            // protocol over the frontier.
+            return;
+        }
+        if p.cfg.order == LocalOrder::InteriorFirst {
+            p.color_interior(ctx);
+        }
+        p.u_cur = p.halo.boundary.clone();
+        p.u_pos = 0;
+    }
+
+    fn detect(p: &mut DistColoring<Self>, ctx: &mut RankCtx<ColorMsg>) {
+        let losers = p
+            .u_cur
+            .iter()
+            .copied()
+            .filter(|&v| p.loses_to_ghost(v, ctx))
+            .collect();
+        p.conclude_detection(losers, ctx);
+    }
+
+    fn snapshot(&self, recs: &mut Vec<ColorSnap>) {
+        recs.extend(self.usage.iter().map(|&count| ColorSnap::Usage { count }));
+    }
+
+    fn restore(&mut self, recs: Vec<ColorSnap>) {
+        for rec in recs {
+            if let ColorSnap::Usage { count } = rec {
+                self.usage.push(count);
+            }
         }
     }
 }
 
-/// Assembles the global coloring from finished rank programs.
-pub fn assemble_coloring(programs: &[DistColoring], num_vertices: usize) -> Coloring {
-    let mut coloring = Coloring::uncolored(num_vertices);
-    for p in programs {
-        for (v, c) in p.local_colors() {
-            coloring.set(v, c);
+/// Distance-2 coloring: the neighbors, the two-hop colors seen through
+/// owned middles and the learned bans forbid a color, a backoff window
+/// picks one, and conflicts are relay-detected by the middle's owner.
+pub struct Distance2 {
+    /// Permanently banned colors per owned vertex (learned constraints).
+    learned: FxHashMap<u32, FxHashSet<u32>>,
+    /// Ghosts whose color changed this phase.
+    dirty_ghosts: Vec<u32>,
+    /// Next phase's re-color set (dedup via `in_r`); remote `Recolor`s
+    /// may grow it until the `Done2` wave closes.
+    r_set: Vec<u32>,
+    in_r: Vec<bool>,
+    /// The second wave: every peer's `Recolor`s for the phase are out.
+    done2: DoneWave,
+}
+
+impl Distance2 {
+    /// Adds owned vertex `v` to next phase's re-color set, banning `c`.
+    fn mark_loser(&mut self, v: u32, c: u32) {
+        self.learned.entry(v).or_default().insert(c);
+        if !self.in_r[v as usize] {
+            self.in_r[v as usize] = true;
+            self.r_set.push(v);
         }
     }
-    coloring
+
+    /// After `Done2` from every peer the re-color set is final: the
+    /// earliest point at which the phase's conflict count is known.
+    fn try_conclude(p: &mut DistColoring<Self>, ctx: &mut RankCtx<ColorMsg>) {
+        if p.state != PState::WaitingDone2 || !p.scope.done2.ready(p.phase, p.peers().len()) {
+            return;
+        }
+        p.scope.done2.clear(p.phase);
+        let losers = std::mem::take(&mut p.scope.r_set);
+        for &v in &losers {
+            p.scope.in_r[v as usize] = false;
+        }
+        p.conclude_detection(losers, ctx);
+    }
+}
+
+impl ConflictScope for Distance2 {
+    fn new(dg: &DistGraph) -> Self {
+        Distance2 {
+            learned: FxHashMap::default(),
+            dirty_ghosts: Vec::new(),
+            r_set: Vec::new(),
+            in_r: vec![false; dg.n_local],
+            done2: DoneWave::new(),
+        }
+    }
+
+    /// Forbids distance-1 colors, distance-2 colors visible through
+    /// *owned* middles, and the learned bans.
+    fn pick_color(p: &mut DistColoring<Self>, v: u32, ctx: &mut RankCtx<ColorMsg>) -> u32 {
+        p.stamp += 1;
+        let mut work = 1u64;
+        for &u in p.dg.neighbors(v) {
+            work += 1;
+            let cu = p.color[u as usize];
+            if cu != UNCOLORED && (cu as usize) < p.forbidden.len() {
+                p.forbidden[cu as usize] = p.stamp;
+            }
+            if !p.dg.is_ghost(u) {
+                for &w in p.dg.neighbors(u) {
+                    work += 1;
+                    if w != v {
+                        let cw = p.color[w as usize];
+                        if cw != UNCOLORED && (cw as usize) < p.forbidden.len() {
+                            p.forbidden[cw as usize] = p.stamp;
+                        }
+                    }
+                }
+            }
+        }
+        let banned = p.scope.learned.get(&v);
+        for &c in banned.into_iter().flatten() {
+            if (c as usize) < p.forbidden.len() {
+                p.forbidden[c as usize] = p.stamp;
+            }
+        }
+        ctx.charge(work);
+        // Randomized backoff (the standard escape from speculative-d2
+        // lockstep): a vertex that has lost `l` conflicts picks uniformly
+        // (hash-seeded, deterministic) among its first `l + 1` permissible
+        // colors instead of strictly first-fit. The window must keep
+        // widening with losses: high-multiplicity conflict sets (e.g. a
+        // star's leaves, all pairwise at distance 2) need a window as
+        // large as the set to separate in few phases.
+        let window = banned.map_or(0, |s| s.len()) as u64 + 1;
+        let pick = if window == 1 {
+            0
+        } else {
+            let key = (p.dg.global_ids[v as usize] as u64) ^ ((p.phase as u64) << 32);
+            vertex_priority(key, p.cfg.seed) % window
+        };
+        let mut c = 0u32;
+        let mut skipped = 0u64;
+        loop {
+            let allowed = (c as usize) >= p.forbidden.len() || p.forbidden[c as usize] != p.stamp;
+            if allowed {
+                if skipped == pick {
+                    break;
+                }
+                skipped += 1;
+            }
+            c += 1;
+        }
+        c
+    }
+
+    /// Interior, then boundary, all in supersteps: the boundary's
+    /// speculative colors settle against the already-colored interior.
+    fn first_phase(p: &mut DistColoring<Self>, _ctx: &mut RankCtx<ColorMsg>) {
+        p.u_cur = p
+            .halo
+            .interior
+            .iter()
+            .chain(&p.halo.boundary)
+            .copied()
+            .collect();
+        p.u_pos = 0;
+        p.interior_colored = true;
+    }
+
+    /// Distance-1 checks against ghosts for the vertices colored this
+    /// phase, and distance-2 relay detection through owned middles
+    /// touched by this phase's color changes; then the `Done2` wave.
+    fn detect(p: &mut DistColoring<Self>, ctx: &mut RankCtx<ColorMsg>) {
+        // Dirty set: owned vertices colored this phase + updated ghosts.
+        let mut dirty_mark = vec![false; p.dg.n_total()];
+        for &d in p.u_cur.iter().chain(&p.scope.dirty_ghosts) {
+            dirty_mark[d as usize] = true;
+        }
+        p.scope.dirty_ghosts.clear();
+
+        for i in 0..p.u_cur.len() {
+            let v = p.u_cur[i];
+            if p.loses_to_ghost(v, ctx) {
+                let cv = p.color[v as usize];
+                p.scope.mark_loser(v, cv);
+            }
+        }
+
+        for m in 0..p.dg.n_local {
+            let (lo, hi) = (p.dg.xadj[m], p.dg.xadj[m + 1]);
+            // Skip middles with no dirty neighbor (cheap scan).
+            let any_dirty = p.dg.adj[lo..hi].iter().any(|&u| dirty_mark[u as usize]);
+            ctx.charge((hi - lo) as u64);
+            if !any_dirty {
+                continue;
+            }
+            for ia in lo..hi {
+                let a = p.dg.adj[ia];
+                let ca = p.color[a as usize];
+                if !dirty_mark[a as usize] || ca == UNCOLORED {
+                    continue;
+                }
+                for ib in lo..hi {
+                    ctx.charge(1);
+                    let b = p.dg.adj[ib];
+                    if b == a || p.color[b as usize] != ca {
+                        continue;
+                    }
+                    // Conflict pair (a, b) through middle m: the smaller
+                    // key loses.
+                    let loser = if p.key(a) < p.key(b) { a } else { b };
+                    if p.dg.is_ghost(loser) {
+                        let msg = ColorMsg::Recolor {
+                            v: p.dg.global_ids[loser as usize],
+                            banned: ca,
+                        };
+                        ctx.send(p.dg.owner(loser), &msg);
+                    } else {
+                        p.scope.mark_loser(loser, ca);
+                    }
+                }
+            }
+        }
+
+        fan_out(ctx, &p.peers(), &ColorMsg::Done2 { phase: p.phase });
+        p.state = PState::WaitingDone2;
+        Distance2::try_conclude(p, ctx);
+    }
+
+    fn on_detect_msg(p: &mut DistColoring<Self>, msg: ColorMsg, ctx: &mut RankCtx<ColorMsg>) {
+        match msg {
+            ColorMsg::Done2 { phase } => {
+                p.scope.done2.record(phase);
+                Distance2::try_conclude(p, ctx);
+            }
+            ColorMsg::Recolor { v, banned } => {
+                // Known in a valid run; drop a message naming a vertex
+                // this rank does not hold.
+                if let Some(local) = p.dg.local(v) {
+                    debug_assert!(!p.dg.is_ghost(local));
+                    p.scope.mark_loser(local, banned);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn ghost_colored(&mut self, local: u32) {
+        self.dirty_ghosts.push(local);
+    }
+
+    fn snapshot(&self, recs: &mut Vec<ColorSnap>) {
+        let mut bans: Vec<(u32, u32)> = self
+            .learned
+            .iter()
+            .flat_map(|(&v, set)| set.iter().map(move |&c| (v, c)))
+            .collect();
+        bans.sort_unstable();
+        recs.extend(
+            bans.into_iter()
+                .map(|(v, color)| ColorSnap::Banned { v, color }),
+        );
+        recs.extend(
+            self.dirty_ghosts
+                .iter()
+                .map(|&idx| ColorSnap::DirtyGhost { idx }),
+        );
+        recs.extend(self.r_set.iter().map(|&v| ColorSnap::Recolor { v }));
+        for &(phase, count) in self.done2.in_flight() {
+            recs.push(ColorSnap::Done2Count {
+                phase,
+                count: count as u64,
+            });
+        }
+    }
+
+    fn restore(&mut self, recs: Vec<ColorSnap>) {
+        let mut done2 = Vec::new();
+        for rec in recs {
+            match rec {
+                ColorSnap::Banned { v, color } => {
+                    self.learned.entry(v).or_default().insert(color);
+                }
+                ColorSnap::DirtyGhost { idx } => self.dirty_ghosts.push(idx),
+                ColorSnap::Recolor { v } => {
+                    self.in_r[v as usize] = true;
+                    self.r_set.push(v);
+                }
+                ColorSnap::Done2Count { phase, count } => done2.push((phase, count as usize)),
+                _ => {}
+            }
+        }
+        self.done2.restore_in_flight(done2);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cmg_graph::generators::{circuit_like, complete, erdos_renyi, grid2d};
+    use crate::coloring::{assemble_coloring, Coloring};
+    use crate::distance2::{greedy_d2, validate_d2};
+    use crate::seq::Ordering;
+    use cmg_graph::generators::{circuit_like, complete, erdos_renyi, grid2d, star};
     use cmg_graph::CsrGraph;
     use cmg_partition::simple::{block_partition, grid2d_partition, hash_partition};
     use cmg_partition::Partition;
     use cmg_runtime::{CostModel, EngineConfig, SimEngine};
 
-    fn free_config() -> EngineConfig {
-        EngineConfig {
-            cost: CostModel::compute_only(),
-            ..Default::default()
-        }
-    }
-
-    fn run_coloring(
-        g: &CsrGraph,
-        partition: &Partition,
-        cfg: ColoringConfig,
+    /// Runs `programs` to quiescence with compute-only costs and returns
+    /// the coloring, the stats and the slowest rank's phase count.
+    fn run<S: ConflictScope + 'static>(
+        programs: Vec<DistColoring<S>>,
+        n: usize,
     ) -> (Coloring, cmg_runtime::RunStats, u32) {
-        let parts = DistGraph::build_all(g, partition);
-        let programs: Vec<DistColoring> = parts
-            .into_iter()
-            .map(|dg| DistColoring::new(dg, cfg))
-            .collect();
-        let result = SimEngine::new(programs, free_config()).run();
+        let cfg = EngineConfig {
+            cost: CostModel::compute_only(),
+            max_rounds: 100_000,
+            ..Default::default()
+        };
+        let result = SimEngine::new(programs, cfg).run();
         assert!(!result.hit_round_cap, "coloring did not quiesce");
         let phases = result
             .programs
@@ -831,11 +1214,28 @@ mod tests {
             .map(|p| p.phases_executed)
             .max()
             .unwrap_or(0);
-        (
-            assemble_coloring(&result.programs, g.num_vertices()),
-            result.stats,
-            phases,
-        )
+        (assemble_coloring(&result.programs, n), result.stats, phases)
+    }
+
+    fn run_coloring(
+        g: &CsrGraph,
+        partition: &Partition,
+        cfg: ColoringConfig,
+    ) -> (Coloring, cmg_runtime::RunStats, u32) {
+        let programs = DistGraph::build_all(g, partition)
+            .into_iter()
+            .map(|dg| DistColoring::new(dg, cfg))
+            .collect();
+        run(programs, g.num_vertices())
+    }
+
+    fn run_d2(g: &CsrGraph, partition: &Partition, s: usize) -> (Coloring, u32) {
+        let programs = DistGraph::build_all(g, partition)
+            .into_iter()
+            .map(|dg| DistColoring::distance2(dg, s, 99))
+            .collect();
+        let (c, _, phases) = run(programs, g.num_vertices());
+        (c, phases)
     }
 
     #[test]
@@ -847,6 +1247,8 @@ mod tests {
             ColorMsg::Done { phase: 4 },
             ColorMsg::Reduce { phase: 1, count: 7 },
             ColorMsg::Bcast { phase: 2, count: 0 },
+            ColorMsg::Done2 { phase: 4 },
+            ColorMsg::Recolor { v: 5, banned: 6 },
         ];
         let mut buf = bytes::BytesMut::new();
         for m in &msgs {
@@ -992,7 +1394,7 @@ mod tests {
         // §5.2: "the number of colors … in general remained nearly the
         // same as the number used by the underlying serial algorithm."
         let g = circuit_like(3000, 4);
-        let seq_colors = crate::seq::greedy(&g, crate::seq::Ordering::Natural).num_colors();
+        let seq_colors = crate::seq::greedy(&g, Ordering::Natural).num_colors();
         let p = block_partition(g.num_vertices(), 8);
         let (c, _, _) = run_coloring(&g, &p, ColoringConfig::default());
         c.validate(&g).unwrap();
@@ -1001,5 +1403,71 @@ mod tests {
             "dist {} vs seq {seq_colors}",
             c.num_colors()
         );
+    }
+
+    #[test]
+    fn d2_single_rank_matches_d2_validity() {
+        let g = grid2d(8, 8);
+        let (c, phases) = run_d2(&g, &Partition::single(64), 1000);
+        validate_d2(&c, &g).unwrap();
+        assert_eq!(phases, 1);
+    }
+
+    #[test]
+    fn d2_grid_across_ranks() {
+        let g = grid2d(12, 12);
+        for parts in [2u32, 4, 9] {
+            let p = block_partition(144, parts);
+            let (c, phases) = run_d2(&g, &p, 8);
+            validate_d2(&c, &g).unwrap();
+            assert!(phases <= 12, "{phases} phases");
+            // Stay in the ballpark of sequential d2 (never worse than 3x).
+            let seq = greedy_d2(&g, Ordering::Natural).num_colors();
+            assert!(c.num_colors() <= 3 * seq, "{} vs seq {seq}", c.num_colors());
+        }
+    }
+
+    #[test]
+    fn d2_random_graph_many_ranks() {
+        let g = erdos_renyi(150, 450, 7);
+        let p = hash_partition(150, 8, 1);
+        let (c, _) = run_d2(&g, &p, 4);
+        validate_d2(&c, &g).unwrap();
+        assert!(c.num_colors() <= g.max_degree() * g.max_degree() + 1);
+    }
+
+    #[test]
+    fn d2_star_center_split_from_leaves() {
+        // All leaves mutually at distance 2 through the hub: the hub's
+        // owner must relay-detect every leaf pair conflict.
+        let g = star(20);
+        let p = hash_partition(20, 4, 2);
+        let (c, _) = run_d2(&g, &p, 2);
+        validate_d2(&c, &g).unwrap();
+        assert_eq!(c.num_colors(), 20);
+    }
+
+    #[test]
+    fn d2_circuit_graph() {
+        let g = circuit_like(1_000, 11);
+        let p = block_partition(g.num_vertices(), 6);
+        let (c, phases) = run_d2(&g, &p, 100);
+        validate_d2(&c, &g).unwrap();
+        assert!(phases <= 8, "{phases} phases");
+    }
+
+    #[test]
+    fn d2_superstep_one_worst_case_speculation() {
+        let g = grid2d(6, 6);
+        let p = hash_partition(36, 6, 3);
+        let (c, _) = run_d2(&g, &p, 1);
+        validate_d2(&c, &g).unwrap();
+    }
+
+    #[test]
+    fn d2_empty_and_tiny() {
+        let g = CsrGraph::empty(3);
+        let (c, _) = run_d2(&g, &block_partition(3, 2), 10);
+        assert!(c.is_complete());
     }
 }

@@ -4,7 +4,8 @@
 //! (§1: "efficient computation of sparse Jacobian and Hessian matrices in
 //! numerical optimization" — a distance-2 coloring of the adjacency graph
 //! yields a valid column compression). Sequential greedy here; the
-//! distributed speculative version lives in [`crate::dist2`].
+//! distributed speculative version is
+//! [`DistColoring::distance2`](crate::dist::DistColoring::distance2).
 
 use crate::coloring::{Coloring, UNCOLORED};
 use crate::seq::Ordering;

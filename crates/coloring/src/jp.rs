@@ -7,13 +7,23 @@
 //! and announces the color. No conflicts ever occur, but the number of
 //! rounds grows with the length of decreasing-priority paths, and every
 //! round is a communication step.
+//!
+//! It stays a program of its own rather than a [`ConflictScope`] of
+//! [`DistColoring`]: it has no phases, no DONE wave and no allreduce, so
+//! folding it in would make the shared phase loop branch on which
+//! algorithm it serves.
+//!
+//! [`ConflictScope`]: crate::dist::ConflictScope
+//! [`DistColoring`]: crate::dist::DistColoring
 
-use crate::coloring::{Coloring, UNCOLORED};
+use crate::coloring::{LocalColors, UNCOLORED};
 use crate::dist::ColorMsg;
 use cmg_graph::util::vertex_priority;
 use cmg_graph::VertexId;
-use cmg_partition::DistGraph;
-use cmg_runtime::{wire_codec, ProgramSnapshot, Rank, RankCtx, RankProgram, Status};
+use cmg_partition::{ghost_neighbor_owners, DistGraph};
+use cmg_runtime::{
+    wire_codec, FanoutScheme, NeighborExchange, ProgramSnapshot, Rank, RankCtx, RankProgram, Status,
+};
 
 wire_codec! {
     /// Snapshot records of [`JonesPlassmann`]: assigned colors (owned
@@ -211,8 +221,9 @@ pub struct JonesPlassmann {
     pending: Vec<u32>,
     forbidden: Vec<u64>,
     stamp: u64,
-    dest_seen: Vec<u32>,
-    dest_stamp: u32,
+    /// Announces each color to the owners of the vertex's ghost
+    /// neighbors, once each.
+    exchange: NeighborExchange,
     /// Priority seed, kept so restore can rebuild `priority`.
     seed: u64,
 }
@@ -224,23 +235,16 @@ impl JonesPlassmann {
         let priority = (0..n_total)
             .map(|i| vertex_priority(dg.global_ids[i] as u64, seed))
             .collect();
-        let p = dg.num_ranks as usize;
         JonesPlassmann {
             color: vec![UNCOLORED; n_total],
             priority,
             pending: (0..dg.n_local as u32).collect(),
             forbidden: vec![u64::MAX; n_total + 2],
             stamp: 0,
-            dest_seen: vec![u32::MAX; p],
-            dest_stamp: 0,
+            exchange: NeighborExchange::new(FanoutScheme::Neighbor, dg.rank, dg.num_ranks),
             seed,
             dg,
         }
-    }
-
-    /// Final colors of owned vertices as `(global id, color)`.
-    pub fn local_colors(&self) -> impl Iterator<Item = (VertexId, u32)> + '_ {
-        (0..self.dg.n_local).map(|v| (self.dg.global_ids[v], self.color[v]))
     }
 
     /// Colors every pending vertex that is a local maximum among its
@@ -278,22 +282,12 @@ impl JonesPlassmann {
                 c += 1;
             }
             self.color[v as usize] = c;
-            // Announce to ranks owning a neighbor, once each.
-            self.dest_stamp += 1;
             let msg = ColorMsg::Color {
                 v: self.dg.global_ids[v as usize],
                 color: c,
             };
-            for i in self.dg.xadj[v as usize]..self.dg.xadj[v as usize + 1] {
-                let u = self.dg.adj[i];
-                if self.dg.is_ghost(u) {
-                    let owner = self.dg.owner(u);
-                    if self.dest_seen[owner as usize] != self.dest_stamp {
-                        self.dest_seen[owner as usize] = self.dest_stamp;
-                        ctx.send(owner, &msg);
-                    }
-                }
-            }
+            self.exchange
+                .publish(ctx, ghost_neighbor_owners(&self.dg, v), &msg);
         }
     }
 
@@ -303,6 +297,12 @@ impl JonesPlassmann {
         } else {
             Status::Active
         }
+    }
+}
+
+impl LocalColors for JonesPlassmann {
+    fn local_colors(&self) -> impl Iterator<Item = (VertexId, u32)> + '_ {
+        (0..self.dg.n_local).map(|v| (self.dg.global_ids[v], self.color[v]))
     }
 }
 
@@ -370,20 +370,10 @@ impl RankProgram for JonesPlassmann {
     }
 }
 
-/// Assembles the global coloring from finished rank programs.
-pub fn assemble_jp(programs: &[JonesPlassmann], num_vertices: usize) -> Coloring {
-    let mut coloring = Coloring::uncolored(num_vertices);
-    for p in programs {
-        for (v, c) in p.local_colors() {
-            coloring.set(v, c);
-        }
-    }
-    coloring
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coloring::{assemble_coloring, Coloring};
     use cmg_graph::generators::{circuit_like, erdos_renyi, grid2d};
     use cmg_graph::CsrGraph;
     use cmg_partition::simple::{block_partition, hash_partition};
@@ -403,7 +393,7 @@ mod tests {
         let result = SimEngine::new(programs, cfg).run();
         assert!(!result.hit_round_cap);
         (
-            assemble_jp(&result.programs, g.num_vertices()),
+            assemble_coloring(&result.programs, g.num_vertices()),
             result.stats.rounds,
         )
     }

@@ -204,7 +204,8 @@ impl cmg_runtime::WarmStart for DistColoring {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{assemble_coloring, ColorChoice, ColoringConfig};
+    use crate::coloring::assemble_coloring;
+    use crate::dist::{ColorChoice, ColoringConfig};
     use crate::Coloring;
     use cmg_graph::generators::{erdos_renyi, grid2d};
     use cmg_graph::{CsrGraph, MutableGraph};

@@ -1,7 +1,7 @@
 //! One-call runners: distribute a graph, execute a distributed algorithm
 //! on the chosen engine, assemble and verify the result.
 
-use cmg_coloring::{assemble_coloring, jp, Coloring, ColoringConfig, DistColoring, JonesPlassmann};
+use cmg_coloring::{assemble_coloring, Coloring, ColoringConfig, DistColoring, JonesPlassmann};
 use cmg_graph::CsrGraph;
 use cmg_matching::dist::assemble_matching;
 use cmg_matching::{DistMatching, Matching};
@@ -229,7 +229,7 @@ pub fn run_jones_plassmann(
         .collect();
     let (programs, stats, simulated_time, wall_time) = run_local(programs, engine, "JP");
     ColoringRun {
-        coloring: jp::assemble_jp(&programs, g.num_vertices()),
+        coloring: assemble_coloring(&programs, g.num_vertices()),
         phases: stats.rounds as u32,
         stats,
         simulated_time,

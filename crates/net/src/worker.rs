@@ -39,7 +39,7 @@ use crate::proto::{
     TransportSnapshot, WorkerOutcome,
 };
 use bytes::{BufMut, Bytes};
-use cmg_coloring::{DistColoring, JonesPlassmann};
+use cmg_coloring::{DistColoring, JonesPlassmann, LocalColors};
 use cmg_matching::DistMatching;
 use cmg_obs::{CollectingRecorder, Event, PhaseName, RankTelemetry, RecorderHandle, ENGINE_RANK};
 use cmg_runtime::collectives::DoneWave;

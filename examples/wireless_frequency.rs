@@ -11,8 +11,8 @@
 //! Run with: `cargo run --release --example wireless_frequency`
 
 use cmg::prelude::*;
-use cmg_coloring::dist2::{assemble_d2, DistColoring2};
 use cmg_coloring::distance2::validate_d2;
+use cmg_coloring::{assemble_coloring, DistColoring, Distance2};
 use cmg_graph::generators::random_geometric;
 use cmg_partition::geometric::morton_partition;
 use cmg_runtime::{EngineConfig, SimEngine};
@@ -42,13 +42,13 @@ fn main() {
 
     // Distance-2 frequencies: hidden-terminal-safe assignment.
     let parts = DistGraph::build_all(&network, &partition);
-    let programs: Vec<DistColoring2> = parts
+    let programs: Vec<DistColoring<Distance2>> = parts
         .into_iter()
-        .map(|dg| DistColoring2::new(dg, 200, 11))
+        .map(|dg| DistColoring::distance2(dg, 200, 11))
         .collect();
     let result = SimEngine::new(programs, EngineConfig::default()).run();
     assert!(!result.hit_round_cap, "d2 did not converge");
-    let d2 = assemble_d2(&result.programs, network.num_vertices());
+    let d2 = assemble_coloring(&result.programs, network.num_vertices());
     validate_d2(&d2, &network).expect("invalid d2 assignment");
     println!(
         "distance-2: {} frequencies ({} messages, {:.1} µs simulated)",

@@ -12,8 +12,7 @@
 //! `ColorMsg` and `ColorSnap` variant, encoded.
 
 use bytes::BytesMut;
-use cmg_coloring::dist2::{assemble_d2, DistColoring2};
-use cmg_coloring::{ColorMsg, ColorSnap};
+use cmg_coloring::{assemble_coloring, ColorMsg, ColorSnap, DistColoring, Distance2};
 use cmg_graph::generators::{circuit_like, grid2d, star};
 use cmg_graph::weights::{assign_weights, WeightScheme};
 use cmg_graph::CsrGraph;
@@ -37,15 +36,15 @@ impl Fnv {
 
 /// Digest of one distance-2 run of `g` over `p` hash-partitioned ranks.
 fn d2_digest(g: &CsrGraph, p: u32, s: usize) -> u64 {
-    let programs: Vec<DistColoring2> =
+    let programs: Vec<DistColoring<Distance2>> =
         DistGraph::build_all(g, &hash_partition(g.num_vertices(), p, 5))
             .into_iter()
-            .map(|dg| DistColoring2::new(dg, s, 7))
+            .map(|dg| DistColoring::distance2(dg, s, 7))
             .collect();
     let result = SimEngine::new(programs, EngineConfig::default()).run();
     assert!(!result.hit_round_cap, "p={p} s={s}: did not quiesce");
     let mut h = Fnv::new();
-    for &c in assemble_d2(&result.programs, g.num_vertices()).colors() {
+    for &c in assemble_coloring(&result.programs, g.num_vertices()).colors() {
         h.u64(u64::from(c));
     }
     h.u64(result.stats.rounds);

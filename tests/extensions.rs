@@ -3,8 +3,8 @@
 //! round trace.
 
 use cmg::prelude::*;
-use cmg_coloring::dist2::{assemble_d2, DistColoring2};
 use cmg_coloring::distance2::{greedy_d2, validate_d2};
+use cmg_coloring::{assemble_coloring, DistColoring, Distance2};
 use cmg_graph::generators;
 use cmg_partition::geometric::{morton_grid_partition, morton_partition};
 use cmg_partition::{grid2d_dist, DistGraph};
@@ -46,13 +46,13 @@ fn distance2_end_to_end() {
     for parts in [1u32, 5, 12] {
         let part = cmg_partition::simple::block_partition(g.num_vertices(), parts);
         let dgs = DistGraph::build_all(&g, &part);
-        let programs: Vec<DistColoring2> = dgs
+        let programs: Vec<DistColoring<Distance2>> = dgs
             .into_iter()
-            .map(|dg| DistColoring2::new(dg, 64, 3))
+            .map(|dg| DistColoring::distance2(dg, 64, 3))
             .collect();
         let result = SimEngine::new(programs, EngineConfig::default()).run();
         assert!(!result.hit_round_cap);
-        let coloring = assemble_d2(&result.programs, g.num_vertices());
+        let coloring = assemble_coloring(&result.programs, g.num_vertices());
         validate_d2(&coloring, &g).unwrap();
         coloring.validate(&g).unwrap(); // d1 validity implied
     }
@@ -68,12 +68,12 @@ fn distance2_color_counts_bounded() {
     assert!(seq.num_colors() <= bound);
     let part = cmg_partition::simple::hash_partition(200, 6, 2);
     let dgs = DistGraph::build_all(&g, &part);
-    let programs: Vec<DistColoring2> = dgs
+    let programs: Vec<DistColoring<Distance2>> = dgs
         .into_iter()
-        .map(|dg| DistColoring2::new(dg, 16, 3))
+        .map(|dg| DistColoring::distance2(dg, 16, 3))
         .collect();
     let result = SimEngine::new(programs, EngineConfig::default()).run();
-    let coloring = assemble_d2(&result.programs, g.num_vertices());
+    let coloring = assemble_coloring(&result.programs, g.num_vertices());
     assert!(coloring.num_colors() <= bound);
 }
 

@@ -3,7 +3,6 @@
 //! bundles must be rejected rather than misparsed.
 
 use bytes::BytesMut;
-use cmg_coloring::dist2::D2Msg;
 use cmg_coloring::ColorMsg;
 use cmg_matching::{ExtMsg, MatchMsg};
 use cmg_runtime::message::decode_all;
@@ -29,14 +28,16 @@ fn arb_color_msg() -> impl Strategy<Value = ColorMsg> {
     })
 }
 
-fn arb_d2_msg() -> impl Strategy<Value = D2Msg> {
-    (0u8..6, any::<u32>(), any::<u32>(), any::<u64>()).prop_map(|(tag, a, b, c)| match tag {
-        0 => D2Msg::Color { v: a, color: b },
-        1 => D2Msg::Done { phase: a },
-        2 => D2Msg::Done2 { phase: a },
-        3 => D2Msg::Recolor { v: a, banned: b },
-        4 => D2Msg::Reduce { phase: a, count: c },
-        _ => D2Msg::Bcast { phase: a, count: c },
+/// Every `ColorMsg` variant, the distance-2 detection messages included.
+fn arb_d2_msg() -> impl Strategy<Value = ColorMsg> {
+    (0u8..7, any::<u32>(), any::<u32>(), any::<u64>()).prop_map(|(tag, a, b, c)| match tag {
+        0 => ColorMsg::Color { v: a, color: b },
+        1 => ColorMsg::Empty,
+        2 => ColorMsg::Done { phase: a },
+        3 => ColorMsg::Reduce { phase: a, count: c },
+        4 => ColorMsg::Bcast { phase: a, count: c },
+        5 => ColorMsg::Done2 { phase: a },
+        _ => ColorMsg::Recolor { v: a, banned: b },
     })
 }
 
@@ -191,7 +192,6 @@ proptest! {
         let buf = bytes::Bytes::from(bytes.clone());
         let _ = decode_all::<MatchMsg>(buf.clone());
         let _ = decode_all::<ColorMsg>(buf.clone());
-        let _ = decode_all::<D2Msg>(buf.clone());
         let _ = decode_all::<ExtMsg>(buf);
         // The net supervisor-plane payloads are checked decoders too:
         // < 64 bytes cannot hold a checkpoint or an assignment, and no

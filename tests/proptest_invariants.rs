@@ -139,7 +139,7 @@ proptest! {
         g in arb_graph(18, 50),
         part_seed in 0u64..500,
     ) {
-        use cmg_coloring::dist2::{assemble_d2, DistColoring2};
+        use cmg_coloring::{assemble_coloring, DistColoring, Distance2};
         use cmg_coloring::distance2::validate_d2;
         let k = 1 + (part_seed % 4) as u32;
         let assignment = (0..g.num_vertices())
@@ -147,9 +147,9 @@ proptest! {
             .collect();
         let part = Partition::new(assignment, k);
         let parts = cmg_partition::DistGraph::build_all(&g, &part);
-        let programs: Vec<DistColoring2> = parts
+        let programs: Vec<DistColoring<Distance2>> = parts
             .into_iter()
-            .map(|dg| DistColoring2::new(dg, 4, 1))
+            .map(|dg| DistColoring::distance2(dg, 4, 1))
             .collect();
         let result = cmg_runtime::SimEngine::new(
             programs,
@@ -157,7 +157,7 @@ proptest! {
         )
         .run();
         prop_assert!(!result.hit_round_cap);
-        let c = assemble_d2(&result.programs, g.num_vertices());
+        let c = assemble_coloring(&result.programs, g.num_vertices());
         prop_assert!(validate_d2(&c, &g).is_ok());
     }
 

@@ -8,10 +8,7 @@
 //! incidental state whose rebuild is not reset-safe) shows up here as a
 //! divergence.
 
-use cmg_coloring::{
-    assemble_coloring, assemble_d2, assemble_jp, ColoringConfig, DistColoring, DistColoring2,
-    JonesPlassmann,
-};
+use cmg_coloring::{assemble_coloring, ColoringConfig, DistColoring, JonesPlassmann};
 use cmg_graph::generators::{erdos_renyi, grid2d};
 use cmg_graph::weights::{assign_weights, WeightScheme};
 use cmg_graph::CsrGraph;
@@ -158,8 +155,8 @@ proptest! {
         }
     }
 
-    /// DistColoring2 (two DONE waves, learned bans, backoff windows):
-    /// checkpointed sim run ≡ uninterrupted.
+    /// Distance-2 DistColoring (two DONE waves, learned bans, backoff
+    /// windows): checkpointed sim run ≡ uninterrupted.
     #[test]
     fn d2_snapshot_equivalence(
         seed in 0u64..500,
@@ -172,12 +169,12 @@ proptest! {
         let make = || {
             DistGraph::build_all(&g, &part)
                 .into_iter()
-                .map(|dg| DistColoring2::new(dg, s, seed))
+                .map(|dg| DistColoring::distance2(dg, s, seed))
                 .collect::<Vec<_>>()
         };
         let (base, ckpt) = sim_pair(make, k);
-        let cb = assemble_d2(&base.programs, 64);
-        let cc = assemble_d2(&ckpt.programs, 64);
+        let cb = assemble_coloring(&base.programs, 64);
+        let cc = assemble_coloring(&ckpt.programs, 64);
         prop_assert_eq!(cb, cc);
     }
 
@@ -197,8 +194,8 @@ proptest! {
                 .collect::<Vec<_>>()
         };
         let (base, ckpt) = sim_pair(make, k);
-        let cb = assemble_jp(&base.programs, 70);
-        let cc = assemble_jp(&ckpt.programs, 70);
+        let cb = assemble_coloring(&base.programs, 70);
+        let cc = assemble_coloring(&ckpt.programs, 70);
         prop_assert_eq!(cb, cc);
     }
 
