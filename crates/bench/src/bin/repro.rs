@@ -7,6 +7,8 @@
 //!
 //! Usage: `cargo run --release -p cmg-bench --bin repro -- [--scale S] [--only a,b]`
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use cmg_bench::{Experiment, Scale, EXPERIMENTS};
 use std::process::ExitCode;
 

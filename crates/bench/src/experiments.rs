@@ -7,6 +7,13 @@
 //! All timings are *simulated* (Blue Gene/P cost model) and therefore
 //! bit-reproducible on any host, which is what lets the checks be exact.
 
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "experiments fail fast by design: an invalid matching or coloring, or a check \
+              naming a column the table lacks, aborts the run with a contextual message"
+)]
+
 use crate::setup::{self, Scale};
 use cmg_coloring::distance2::{greedy_d2, validate_d2};
 use cmg_coloring::seq::Ordering;

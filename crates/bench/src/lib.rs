@@ -9,6 +9,8 @@
 //! keep the paper's rank counts and per-rank regimes while scaling the
 //! graphs to a single host; the *shape* of every curve is preserved.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod experiments;
 pub mod setup;
 

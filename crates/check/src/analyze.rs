@@ -1,8 +1,8 @@
 //! `cmg-analyze`: whole-workspace interprocedural rules over the
 //! [`crate::callgraph`] call graph.
 //!
-//! Five rules, each one the cross-function generalization of a
-//! discipline the workspace already enforces locally:
+//! Seven rules. The first five generalize a local discipline across
+//! function boundaries; the last two are per-fn facts of the same IR:
 //!
 //! * **`blocking-reachability`** — no call path from a reactor entry
 //!   point (any fn in `crates/net/src/reactor*`) or a
@@ -34,6 +34,14 @@
 //!   the root `src/` and `ledger/`. Names are matched as identifiers in
 //!   masked source, so a collision keeps the item; narrowing a finding
 //!   to `pub(crate)` hands it to rustc's `dead_code` lint.
+//! * **`unguarded-emit`** — every recorder `.emit(` sits in a block
+//!   opened by an `if` on the cached `observed` / `enabled()` bool, not
+//!   negated, so an unobserved run never builds an event.
+//! * **`no-hand-rolled-collective`** — outside
+//!   `crates/runtime/src/collectives*`, no fn builds reduction-tree
+//!   topology by hand (names `parent` and `children` and does arithmetic
+//!   on a rank): Algorithm 4.1's allreduce and DONE wave are written once,
+//!   in `cmg_runtime::collectives`.
 //!
 //! A fence marker that does not pair up (a `begin` never closed, a
 //! `begin` inside an open fence, an `end` with nothing open) is a
@@ -50,8 +58,8 @@
 //! identity is deliberately not reported, because instance aliasing
 //! would make it noisy). `.reserve(` is not on the allocation list.
 //! `unreferenced-pub` cannot see a name that only a macro expansion
-//! produces. These are the same trade-offs the token lint makes:
-//! uniform repo idiom plus the reasoned allowlist absorb the residue.
+//! produces. Uniform repo idiom plus the reasoned allowlist absorb the
+//! residue.
 //!
 //! [`wire_codec!`]: cmg_runtime::wire_codec
 
@@ -61,7 +69,8 @@ use crate::parse::{in_line_spans, FnItem, TokenSite};
 use cmg_obs::json::Json;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::path::Path;
+use std::fs;
+use std::path::{Path, PathBuf};
 
 /// Which analyze rule fired.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -77,6 +86,10 @@ pub enum AnalyzeRule {
     HotPathTransitiveAlloc,
     /// Library `pub` item that no caller outside its crate names.
     UnreferencedPub,
+    /// Recorder `.emit(` outside a block guarded by the enabled-bool.
+    UnguardedEmit,
+    /// Reduction-tree topology built by hand outside the collectives.
+    HandRolledCollective,
 }
 
 impl AnalyzeRule {
@@ -88,17 +101,21 @@ impl AnalyzeRule {
             AnalyzeRule::LockOrder => "lock-order",
             AnalyzeRule::HotPathTransitiveAlloc => "hot-path-transitive-alloc",
             AnalyzeRule::UnreferencedPub => "unreferenced-pub",
+            AnalyzeRule::UnguardedEmit => "unguarded-emit",
+            AnalyzeRule::HandRolledCollective => "no-hand-rolled-collective",
         }
     }
 
     /// All rules, for report summaries.
-    pub fn all() -> [AnalyzeRule; 5] {
+    pub fn all() -> [AnalyzeRule; 7] {
         [
             AnalyzeRule::BlockingReachability,
             AnalyzeRule::WireDrift,
             AnalyzeRule::LockOrder,
             AnalyzeRule::HotPathTransitiveAlloc,
             AnalyzeRule::UnreferencedPub,
+            AnalyzeRule::UnguardedEmit,
+            AnalyzeRule::HandRolledCollective,
         ]
     }
 }
@@ -180,13 +197,21 @@ impl AnalyzeAllowlist {
     /// integration tests fails if an entry stops matching anything.
     pub fn workspace() -> Self {
         AnalyzeAllowlist {
-            entries: vec![AnalyzeAllow {
-                prefix: "crates/runtime/src/lib.rs#codec",
-                rule: "unreferenced-pub",
-                reason: "`wire_codec!` expands to `$crate::codec::{Buf, BufMut, WireField}` \
-                         in every crate that declares a wire enum; a macro expansion is a \
-                         caller the identifier scan cannot see",
-            }],
+            entries: vec![
+                AnalyzeAllow {
+                    prefix: "crates/runtime/src/lib.rs#codec",
+                    rule: "unreferenced-pub",
+                    reason: "`wire_codec!` expands to `$crate::codec::{Buf, BufMut, WireField}` \
+                             in every crate that declares a wire enum; a macro expansion is a \
+                             caller the identifier scan cannot see",
+                },
+                AnalyzeAllow {
+                    prefix: "crates/runtime/src/program.rs#RankCtx::emit",
+                    rule: "unguarded-emit",
+                    reason: "RankCtx::emit and emit_at are the forwarders every guarded call \
+                             site funnels through; RecorderHandle::emit re-checks the cached bool",
+                },
+            ],
         }
     }
 
@@ -305,6 +330,9 @@ impl AnalysisReport {
     }
 }
 
+/// The only place allowed to build collective topology by hand.
+const COLLECTIVES_HOME: &str = "crates/runtime/src/collectives";
+
 /// Reactor home: every non-test fn declared under this prefix is a
 /// blocking-reachability entry point.
 const REACTOR_HOME: &str = "crates/net/src/reactor";
@@ -342,6 +370,7 @@ pub fn analyze_sources(sources: &[(String, String)], allow: &AnalyzeAllowlist) -
     hot_path_transitive(&graph, &mut found);
     fence_faults(&ws, &mut found);
     unreferenced_pub(&ws, sources, &mut found);
+    emits_and_trees(&ws, &mut found);
     found.sort_by(|a, b| {
         (a.rule, &a.path, a.line, &a.item, &a.message)
             .cmp(&(b.rule, &b.path, b.line, &b.item, &b.message))
@@ -376,8 +405,44 @@ const CALLER_DIRS: &[&str] = &["tests", "examples", "src", "ledger/src", "ledger
 /// Runs the analysis over every `crates/*/src/**/*.rs` under
 /// `repo_root`, with `crates/*/tests` and [`CALLER_DIRS`] as callers.
 pub fn analyze_tree(repo_root: &Path, allow: &AnalyzeAllowlist) -> Result<AnalysisReport, String> {
-    let sources = crate::lint::workspace_sources(repo_root, &["src", "tests"], CALLER_DIRS)?;
+    let crates_dir = repo_root.join("crates");
+    let entries = fs::read_dir(&crates_dir)
+        .map_err(|e| format!("cannot read {}: {e}", crates_dir.display()))?;
+    let mut dirs: Vec<PathBuf> = CALLER_DIRS.iter().map(|d| repo_root.join(d)).collect();
+    for entry in entries {
+        let entry = entry.map_err(|e| format!("cannot list {}: {e}", crates_dir.display()))?;
+        dirs.extend(["src", "tests"].map(|sub| entry.path().join(sub)));
+    }
+    let mut files = Vec::new();
+    for dir in dirs.iter().filter(|d| d.is_dir()) {
+        rs_files(dir, &mut files)?;
+    }
+    files.sort();
+    let mut sources = Vec::new();
+    for file in files {
+        let rel = file.strip_prefix(repo_root).unwrap_or(&file);
+        let src = fs::read_to_string(&file)
+            .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
+        sources.push((rel.to_string_lossy().replace('\\', "/"), src));
+    }
     Ok(analyze_sources(&sources, allow))
+}
+
+/// Recursively collects `.rs` files under `dir`.
+fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
+    let entries =
+        fs::read_dir(dir).map_err(|e| format!("cannot read directory {}: {e}", dir.display()))?;
+    for entry in entries {
+        let path = entry
+            .map_err(|e| format!("cannot list {}: {e}", dir.display()))?
+            .path();
+        if path.is_dir() {
+            rs_files(&path, out)?;
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+    Ok(())
 }
 
 /// Splits `crates/<c>/src/<rest>` into `(c, rest)`.
@@ -1026,6 +1091,39 @@ fn unreferenced_pub(ws: &Workspace, sources: &[(String, String)], out: &mut Vec<
                 item,
                 call_path: Vec::new(),
             });
+        }
+    }
+}
+
+/// Rules 6 and 7, per fn: recorder emits outside a guarded block, and
+/// reduction trees built by hand outside [`COLLECTIVES_HOME`].
+fn emits_and_trees(ws: &Workspace, out: &mut Vec<AnalyzeViolation>) {
+    for f in &ws.files {
+        for item in f.fns.iter().filter(|i| !i.in_test) {
+            let finding = |rule, line, message: &str| AnalyzeViolation {
+                rule,
+                path: f.path.clone(),
+                line,
+                item: item_name(item),
+                message: message.to_string(),
+                call_path: Vec::new(),
+            };
+            for &(line, _) in item.emits.iter().filter(|(_, guarded)| !guarded) {
+                out.push(finding(
+                    AnalyzeRule::UnguardedEmit,
+                    line,
+                    "`.emit(` outside an `if` on the cached `observed` / `enabled()` bool: an \
+                     unobserved run would build the event",
+                ));
+            }
+            if item.builds_tree && !f.path.starts_with(COLLECTIVES_HOME) {
+                out.push(finding(
+                    AnalyzeRule::HandRolledCollective,
+                    item.line,
+                    "builds reduction-tree topology by hand (parent/children rank arithmetic); \
+                     use cmg_runtime::collectives",
+                ));
+            }
         }
     }
 }

@@ -18,28 +18,26 @@
 //!    REQUEST/SUCCEEDED/FAILED ledger consistency, wire-level message
 //!    conservation, and termination (no rank quiesces with protocol
 //!    work outstanding).
-//! 3. **Repo lint** ([`lint`], shipped as the `cmg-lint` binary) — a
-//!    token-level static pass over `crates/*/src` enforcing the
-//!    workspace's own rules: no `unwrap`/`expect`/`panic!` in library
-//!    code outside tests, no recorder emit without the cached
-//!    enabled-bool guard, and no hand-built reduction tree outside the
-//!    collectives module.
-//! 4. **Whole-workspace static analysis** ([`analyze`], shipped as
-//!    `cmg-lint --analyze`) — lifts the masked token stream into an
-//!    item-level IR ([`parse`]), builds a conservative name-resolution
-//!    call graph ([`callgraph`]), and runs five rules:
-//!    blocking-reachability from reactor entry points, wire-protocol
-//!    drift over `wire_codec!` enums and `PROTO_VERSION`, lock-order
-//!    deadlock cycles, hot-path allocation (direct or transitive), and
-//!    library `pub` items no caller names.
+//! 3. **Static analysis** ([`analyze`], shipped as the `cmg-lint`
+//!    binary) — lifts the masked token stream into an item-level IR
+//!    ([`parse`]), builds a conservative name-resolution call graph
+//!    ([`callgraph`]), and runs seven rules: blocking-reachability from
+//!    reactor entry points, wire-protocol drift over `wire_codec!` enums
+//!    and `PROTO_VERSION`, lock-order deadlock cycles, hot-path
+//!    allocation (direct or transitive), library `pub` items no caller
+//!    names, recorder emits outside the enabled-bool guard, and reduction
+//!    trees built outside the collectives module. Panics in library code
+//!    are clippy's: every crate root denies `unwrap_used`, `expect_used`
+//!    and `panic`.
 //!
 //! The exploration layer drives [`cmg_runtime::DeliveryPolicy`]; oracle
 //! tallies aggregate into [`cmg_obs::OracleCounters`].
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod analyze;
 pub mod callgraph;
 pub mod explore;
-pub mod lint;
 pub mod mask;
 pub mod observed;
 pub mod oracles;
@@ -52,5 +50,4 @@ pub use callgraph::{CallGraph, Workspace};
 pub use explore::{
     explore_coloring, explore_matching, standard_policies, Exploration, ScriptBook, ScriptSearch,
 };
-pub use lint::{lint_tree, Allowlist, Rule, Violation};
 pub use observed::ObservedMatching;

@@ -81,6 +81,12 @@ pub struct FnItem {
     pub hot_lines: Vec<(usize, usize)>,
     /// `// nonblocking: begin/end` fence spans inside this fn.
     pub nonblocking_lines: Vec<(usize, usize)>,
+    /// `.emit(` call sites: 1-based line, and whether an enclosing block
+    /// opens under an `if` that tests `observed` or `enabled()` unnegated.
+    pub emits: Vec<(usize, bool)>,
+    /// The body names `parent` and `children` and does arithmetic on a
+    /// `rank`: reduction-tree topology built by hand.
+    pub builds_tree: bool,
 }
 
 /// One typed function parameter.
@@ -843,8 +849,11 @@ impl<'a> Parser<'a> {
             matches: Vec::new(),
             hot_lines: clip_spans(&self.hot_spans, start_line, end_line),
             nonblocking_lines: clip_spans(&self.nonblocking_spans, start_line, end_line),
+            emits: Vec::new(),
+            builds_tree: false,
         };
         self.scan_body(open + 1, close, &mut item);
+        self.emit_and_tree_facts(open + 1, close, &mut item);
         self.out.fns.push(item);
         close + 1
     }
@@ -1274,6 +1283,72 @@ impl<'a> Parser<'a> {
             }
             _ => {}
         }
+    }
+
+    /// Records [`FnItem::emits`] and [`FnItem::builds_tree`] for the body
+    /// token range. A block inherits its enclosing block's guard.
+    fn emit_and_tree_facts(&self, from: usize, to: usize, item: &mut FnItem) {
+        let mut guarded: Vec<bool> = Vec::new();
+        let mut stmt = from;
+        let (mut parent, mut children, mut rank_arith) = (false, false, false);
+        for k in from..to.min(self.toks.len()) {
+            let text = self.text(self.toks[k]);
+            match text {
+                "{" => {
+                    let inherited = guarded.last().copied().unwrap_or(false);
+                    guarded.push(inherited || self.opens_guard(stmt, k));
+                    stmt = k + 1;
+                }
+                "}" => {
+                    guarded.pop();
+                    stmt = k + 1;
+                }
+                ";" => stmt = k + 1,
+                "emit" if k > from && self.text(self.toks[k - 1]) == "." => {
+                    if self.call_paren(k).is_some() {
+                        let line = self.line_of(self.toks[k].start);
+                        item.emits.push((line, guarded.last() == Some(&true)));
+                    }
+                }
+                "*" | "+" | "-" | "/" | "%" => {
+                    let names_rank = |i: usize| {
+                        self.toks.get(i).is_some_and(|t| {
+                            t.kind == TokKind::Ident && self.text(*t).contains("rank")
+                        })
+                    };
+                    // Binary only: the token before ends an operand.
+                    let binary = k > from
+                        && (self.toks[k - 1].kind != TokKind::Punct
+                            || matches!(self.text(self.toks[k - 1]), ")" | "]"));
+                    rank_arith |= binary && (names_rank(k - 1) || names_rank(k + 1));
+                }
+                _ => {
+                    parent |= text.contains("parent");
+                    children |= text.contains("children");
+                }
+            }
+        }
+        item.builds_tree = parent && children && rank_arith;
+    }
+
+    /// Whether the statement `[from, open)` before a `{` is an `if` whose
+    /// condition tests `observed` or `enabled()` without a `!` in front.
+    fn opens_guard(&self, from: usize, open: usize) -> bool {
+        let Some(kw) = (from..open).find(|&k| self.text(self.toks[k]) == "if") else {
+            return false;
+        };
+        (kw + 1..open).any(|k| {
+            let t = self.text(self.toks[k]);
+            if t != "observed" && !(t == "enabled" && self.peek_text(k + 1) == Some("(")) {
+                return false;
+            }
+            // Back over the receiver chain (`self.ctx.`) to the operand.
+            let mut s = k;
+            while s >= kw + 3 && matches!(self.text(self.toks[s - 1]), "." | "::") {
+                s -= 2;
+            }
+            self.text(self.toks[s - 1]) != "!"
+        })
     }
 
     /// Parses the `match` at token `kw`: scrutinee, then arms.

@@ -1,12 +1,12 @@
-//! Seeded-violation tests for the `cmg-analyze` interprocedural rules.
+//! Seeded-violation tests for the `cmg-analyze` rules.
 //!
 //! Each rule gets a fixture that the rule — and only that rule — must
 //! flag, with the call path reconstructed end to end. Deleting any one
 //! rule's implementation makes its test here fail. The suite also pins
 //! the acceptance bar: the real workspace analyzes clean under the
 //! curated allowlist, every allowlist entry stays load-bearing, and the
-//! `cmg-lint --analyze` binary exits non-zero on a seeded tree while
-//! writing the JSON artifact.
+//! `cmg-lint` binary exits non-zero on a seeded tree while writing the
+//! JSON artifact, and rejects an option it does not know.
 
 use cmg_check::analyze::{AnalyzeAllow, AnalyzeAllowlist, AnalyzeRule, AnalyzeViolation};
 use cmg_check::{analyze_sources, analyze_tree};
@@ -540,6 +540,74 @@ fn unreferenced_pub_flags_exactly_the_items_no_caller_names() {
     );
 }
 
+// ---------------------------------------------------------------- rule 6
+
+#[test]
+fn unguarded_and_negated_emits_are_flagged_positive_guards_are_not() {
+    let sources = src(&[(
+        "crates/runtime/src/emits.rs",
+        "fn good(ctx: &Ctx) {\n    if ctx.observed() {\n        ctx.emit(Ev::A);\n    }\n}\n\
+         fn nested(rec: &Rec, observed: bool) {\n    if observed {\n        \
+         for r in 0..4 {\n            rec.emit(r);\n        }\n    }\n}\n\
+         fn enabled(rec: &Rec) {\n    if rec.enabled() {\n        rec.emit(Ev::A);\n    }\n}\n\
+         fn conj(ctx: &Ctx, x: bool) {\n    if ctx.observed() && x {\n        \
+         ctx.emit(Ev::A);\n    }\n}\n\
+         fn negated(rec: &Rec) {\n    if !rec.enabled() {\n        rec.emit(Ev::A);\n    }\n}\n\
+         fn bare(ctx: &Ctx) {\n    ctx.emit(Ev::A);\n}\n",
+    )]);
+    let report = analyze_sources(&sources, &AnalyzeAllowlist::empty());
+    let hits: Vec<(usize, &str)> = by_rule(&report.violations, AnalyzeRule::UnguardedEmit)
+        .iter()
+        .map(|v| (v.line, v.item.as_str()))
+        .collect();
+    assert_eq!(
+        hits,
+        vec![(25, "negated"), (29, "bare")],
+        "{:?}",
+        report.violations
+    );
+}
+
+// ---------------------------------------------------------------- rule 7
+
+const TOPOLOGY: &str = "pub fn topology(rank: u32, num_ranks: u32) -> (u32, Vec<u32>) {\n    \
+    let parent = (rank - 1) / 8;\n    \
+    let children: Vec<u32> = (0..8u32)\n        .map(|i| rank * 8 + i + 1)\n        \
+    .filter(|&c| c < num_ranks)\n        .collect();\n    (parent, children)\n}\n";
+
+fn tree_hits(path: &str, body: &str) -> Vec<(usize, String)> {
+    let report = analyze_sources(&src(&[(path, body)]), &AnalyzeAllowlist::empty());
+    by_rule(&report.violations, AnalyzeRule::HandRolledCollective)
+        .iter()
+        .map(|v| (v.line, v.item.clone()))
+        .collect()
+}
+
+#[test]
+fn hand_rolled_collective_is_flagged_outside_the_collectives_module_only() {
+    let outside = "crates/coloring/src/dist.rs";
+    assert_eq!(
+        tree_hits(outside, TOPOLOGY),
+        vec![(1, "topology".to_string())]
+    );
+    assert!(tree_hits("crates/runtime/src/collectives.rs", TOPOLOGY).is_empty());
+    // Consuming TreeAllreduce names parent/children but does no rank
+    // arithmetic.
+    let consumer = "fn try_send_reduce(&mut self) {\n    \
+        match self.allreduce.try_complete(self.phase, self.own) {\n        None => {}\n        \
+        Some(ReduceOutcome::ToParent { parent, value }) => self.send(parent, value),\n        \
+        Some(ReduceOutcome::Root { value }) => self.broadcast(value),\n    }\n}\n\
+        fn broadcast(&mut self) {\n    fan_out(self.ctx, self.allreduce.children(), &self.msg);\n}\n";
+    assert!(tree_hits(outside, consumer).is_empty());
+}
+
+#[test]
+fn a_bodiless_trait_method_does_not_take_the_next_fns_body() {
+    let body = format!("pub trait Topo {{ fn shape(&self, rank: u32) -> u32; }}\n{TOPOLOGY}");
+    let hits = tree_hits("crates/coloring/src/dist.rs", &body);
+    assert_eq!(hits, vec![(2, "topology".to_string())]);
+}
+
 // ------------------------------------------------------- allowlist + report
 
 #[test]
@@ -631,7 +699,7 @@ fn analyze_allowlist_is_load_bearing() {
 // ------------------------------------------------------------ the binary
 
 fn seeded_tree(tag: &str, files: &[(&str, &str)]) -> PathBuf {
-    let root = std::env::temp_dir().join(format!("cmg-analyze-{tag}-{}", std::process::id()));
+    let root = std::env::temp_dir().join(format!("cmg-lint-{tag}-{}", std::process::id()));
     for (rel, body) in files {
         let path = root.join(rel);
         std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
@@ -640,8 +708,15 @@ fn seeded_tree(tag: &str, files: &[(&str, &str)]) -> PathBuf {
     root
 }
 
+fn cmg_lint(args: &[&std::ffi::OsStr]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_cmg-lint"))
+        .args(args)
+        .output()
+        .expect("run cmg-lint")
+}
+
 #[test]
-fn binary_analyze_flags_seeded_tree_and_writes_json_artifact() {
+fn binary_flags_seeded_tree_and_writes_json_artifact() {
     let root = seeded_tree(
         "seeded",
         &[
@@ -656,13 +731,7 @@ fn binary_analyze_flags_seeded_tree_and_writes_json_artifact() {
         ],
     );
     let json_path = root.join("report.json");
-    let out = Command::new(env!("CARGO_BIN_EXE_cmg-lint"))
-        .arg(&root)
-        .arg("--analyze")
-        .arg("--json")
-        .arg(&json_path)
-        .output()
-        .expect("run cmg-lint --analyze");
+    let out = cmg_lint(&[root.as_os_str(), "--json".as_ref(), json_path.as_os_str()]);
     let json = std::fs::read_to_string(&json_path).expect("json artifact");
     std::fs::remove_dir_all(&root).ok();
     assert_eq!(out.status.code(), Some(1), "expected analyze failure exit");
@@ -676,12 +745,24 @@ fn binary_analyze_flags_seeded_tree_and_writes_json_artifact() {
 }
 
 #[test]
-fn binary_analyze_passes_real_workspace() {
-    let out = Command::new(env!("CARGO_BIN_EXE_cmg-lint"))
-        .arg(repo_root())
-        .arg("--analyze")
-        .output()
-        .expect("run cmg-lint --analyze");
+fn binary_flags_seeded_hand_rolled_collective() {
+    let root = seeded_tree("collective", &[("crates/bad/src/lib.rs", TOPOLOGY)]);
+    let out = cmg_lint(&[root.as_os_str()]);
+    std::fs::remove_dir_all(&root).ok();
+    assert_eq!(out.status.code(), Some(1), "expected lint failure exit");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("no-hand-rolled-collective"), "{stderr}");
+}
+
+#[test]
+fn binary_passes_clean_tree_and_real_workspace() {
+    let clean = "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap_or(0)\n}\n";
+    let root = seeded_tree("clean", &[("crates/ok/src/main.rs", clean)]);
+    let out = cmg_lint(&[root.as_os_str()]);
+    std::fs::remove_dir_all(&root).ok();
+    assert_eq!(out.status.code(), Some(0), "clean tree must pass");
+
+    let out = cmg_lint(&[repo_root().as_os_str()]);
     assert_eq!(
         out.status.code(),
         Some(0),
@@ -689,5 +770,18 @@ fn binary_analyze_passes_real_workspace() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("cmg-analyze: clean"), "{stdout}");
+    assert!(stdout.contains("cmg-lint: clean"), "{stdout}");
+}
+
+#[test]
+fn binary_rejects_an_unknown_option_instead_of_reading_it_as_the_root() {
+    for flag in ["--jsn", "--allow"] {
+        let out = cmg_lint(&[flag.as_ref(), "out.json".as_ref()]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown option {flag}")) && stderr.contains("usage:"),
+            "{flag}: {stderr}"
+        );
+    }
 }

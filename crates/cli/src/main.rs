@@ -8,6 +8,8 @@
 //! cmg color --input g.mtx --parts 16 --distance 2
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod args;
 mod commands;
 

@@ -20,6 +20,8 @@
 //! * [`jp`]: the Jones–Plassmann maximal-independent-set baseline the
 //!   framework is shown to beat.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod coloring;
 pub mod dist;
 pub mod distance2;

@@ -22,6 +22,8 @@
 //! col.coloring.validate(&cg).unwrap();
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod report;
 mod runner;
 

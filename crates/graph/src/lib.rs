@@ -20,6 +20,8 @@
 //! assert_eq!(g.num_edges(), 2 * 4 * 3); // 2·k·(k−1) grid edges
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod bipartite;
 mod builder;
 pub mod csr;

@@ -16,6 +16,8 @@
 //!   bundling, as a [`cmg_runtime::RankProgram`];
 //! * [`ext`]: b-matching (sequential and distributed b-suitor).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod dist;
 pub mod exact;
 pub mod ext;

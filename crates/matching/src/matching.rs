@@ -65,6 +65,7 @@ impl Matching {
     ///
     /// # Panics
     /// Panics if a matched pair is not an edge of `g`.
+    #[expect(clippy::panic, reason = "documented: a matched pair must be an edge")]
     pub fn weight(&self, g: &CsrGraph) -> Weight {
         let mut total = 0.0;
         for v in 0..self.mate.len() as VertexId {

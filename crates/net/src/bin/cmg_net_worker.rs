@@ -3,6 +3,8 @@
 //! `cmg-net-worker <sock_dir> <rank>`; everything else — the partition
 //! slice, the task, the run options — arrives over the socket.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -46,6 +46,8 @@
 //! produces per-rank results and merged statistics bit-identical to the
 //! other engines'.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod error;
 pub mod frame;
 mod link;

@@ -24,6 +24,8 @@
 //! The crate is dependency-free; [`json`] is a small self-contained
 //! JSON value type shared by every sink.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod event;
 pub mod json;
 pub mod metrics;

@@ -17,6 +17,8 @@
 //!   exactly the representation §3.3 describes ("cross edges are
 //!   represented using ghost vertices").
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod dist;
 pub mod geometric;
 pub mod grid_dist;

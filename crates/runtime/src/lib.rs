@@ -26,6 +26,8 @@
 //! destination within one round share a single wire packet; the bundling
 //! can be disabled per run for the ablation study.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod bundle;
 pub mod codec;
 pub mod collectives;

@@ -242,6 +242,7 @@ fn apply_delivery_policy(
 /// `floor` is the synchronized-clock lower bound (the previous round's
 /// barrier time under `sync_rounds`, 0 otherwise): a slot that skipped
 /// rounds while the barrier advanced catches its clock up lazily here.
+#[expect(clippy::expect_used, reason = "an undecodable own bundle is a bug")]
 fn step_slot<P: RankProgram>(
     slot: &mut Sched<P>,
     rank: Rank,
@@ -285,6 +286,7 @@ fn step_slot<P: RankProgram>(
 /// to an uninterrupted one, any algorithm state missing from the
 /// snapshot (or mangled by its codec) surfaces as a test divergence
 /// instead of a production deadlock.
+#[expect(clippy::expect_used, reason = "oracle: a lossy snapshot stops the run")]
 pub(crate) fn checkpoint_roundtrip<P: RankProgram>(program: &mut P) {
     *program = restore_encoded(program.meta(), program.snapshot().encode_bytes())
         .expect("snapshot did not round-trip through its wire encoding");
@@ -329,6 +331,7 @@ struct WorkerPool<P: RankProgram> {
     workers: usize,
 }
 
+#[expect(clippy::expect_used, reason = "poison means a worker already panicked")]
 impl<P: RankProgram> WorkerPool<P> {
     fn new(workers: usize) -> Self {
         WorkerPool {
@@ -842,6 +845,7 @@ impl<P: RankProgram> SimEngine<P> {
     /// Dense-reference step: scans every rank, skipping the quiescent
     /// ones one by one (the O(p)-per-round pattern the scheduler
     /// replaces).
+    #[expect(clippy::expect_used, reason = "as in step_slot, plus worker panics")]
     fn dense_step_all(&mut self, round: u64, first: bool) {
         let cost = self.config.cost;
         let recorder = self.config.recorder.clone();

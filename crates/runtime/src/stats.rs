@@ -128,6 +128,7 @@ impl RunStats {
     ///
     /// # Panics
     /// Panics with a diagnostic if the ledgers do not balance.
+    #[expect(clippy::panic, reason = "the panicking twin of conservation_violation")]
     pub fn assert_conservation(&self) {
         if let Some(violation) = self.conservation_violation() {
             panic!("{violation}");

@@ -51,6 +51,7 @@ impl<P: RankProgram> ThreadedEngine<P> {
     }
 
     /// Runs to quiescence (or the round cap) and returns the result.
+    #[expect(clippy::expect_used, reason = "re-raises a panicked rank thread")]
     pub fn run(self) -> ThreadedResult<P> {
         let p = self.programs.len();
         if p == 0 {
@@ -140,6 +141,7 @@ impl<P: RankProgram> ThreadedEngine<P> {
 /// 4. drain the channel into the next inbox; read the global activity flag;
 ///    exit if no rank was active and nothing was sent.
 #[allow(clippy::too_many_arguments)]
+#[expect(clippy::expect_used, reason = "undecodable own bundle or dead peer")]
 fn run_rank<P: RankProgram>(
     rank: Rank,
     num_ranks: Rank,

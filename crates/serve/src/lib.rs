@@ -30,6 +30,8 @@
 //! coloring and a cold run is explicitly relaxed — the palettes may
 //! differ; with distinct edge weights the matching is bit-identical.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod client;
 pub mod protocol;
 pub mod server;
