@@ -1,4 +1,4 @@
-//! Distributed colouring pinned bit for bit.
+//! Distributed colouring and matching pinned bit for bit.
 //!
 //! Distance-2 runs under `SimEngine` with the default Blue Gene/P cost
 //! model on three graphs (a weighted grid, `circuit_like`, a star) ×
@@ -8,14 +8,16 @@
 //! `total_recolored`. Any change to what distance-2 colours, sends,
 //! charges or when moves a digest.
 //!
-//! The distance-1 wire bytes are pinned too: one instance of every
-//! `ColorMsg` and `ColorSnap` variant, encoded.
+//! The wire bytes of both distributed programs are pinned too: one
+//! instance of every `ColorMsg` / `ColorSnap` variant and of every
+//! `MatchMsg` / `MatchSnap` variant, encoded.
 
 use bytes::BytesMut;
 use cmg_coloring::{assemble_coloring, ColorMsg, ColorSnap, DistColoring, Distance2};
 use cmg_graph::generators::{circuit_like, grid2d, star};
 use cmg_graph::weights::{assign_weights, WeightScheme};
 use cmg_graph::CsrGraph;
+use cmg_matching::{MatchMsg, MatchSnap};
 use cmg_partition::simple::hash_partition;
 use cmg_partition::DistGraph;
 use cmg_runtime::{EngineConfig, SimEngine, WireMessage};
@@ -205,6 +207,63 @@ fn distance1_wire_bytes_are_pinned() {
             },
             &[
                 5, 14, 0, 0, 0, 15, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0, 0, 0, 0,
+            ],
+        ),
+    ];
+    for (s, want) in snaps {
+        assert_eq!(encoded(&s), want, "{s:?}");
+    }
+}
+
+#[test]
+fn matching_wire_bytes_are_pinned() {
+    let msgs: [(MatchMsg, &[u8]); 3] = [
+        (
+            MatchMsg::Request {
+                from: 0x0102_0304,
+                to: 5,
+            },
+            &[0, 4, 3, 2, 1, 5, 0, 0, 0],
+        ),
+        (
+            MatchMsg::Succeeded { from: 6, to: 7 },
+            &[1, 6, 0, 0, 0, 7, 0, 0, 0],
+        ),
+        (
+            MatchMsg::Failed { from: 8, to: 9 },
+            &[2, 8, 0, 0, 0, 9, 0, 0, 0],
+        ),
+    ];
+    for (m, want) in msgs {
+        assert_eq!(encoded(&m), want, "{m:?}");
+    }
+    let snaps: [(MatchSnap, &[u8]); 5] = [
+        (
+            MatchSnap::Vertex {
+                ptr: 0x0a0b,
+                state: 2,
+                mate: 12,
+                candidate: 13,
+            },
+            &[0, 11, 10, 0, 0, 0, 0, 0, 0, 2, 12, 0, 0, 0, 13, 0, 0, 0],
+        ),
+        (MatchSnap::Ghost { idx: 14, state: 1 }, &[1, 14, 0, 0, 0, 1]),
+        (
+            MatchSnap::Proposal {
+                v: 15,
+                requester: 16,
+            },
+            &[2, 15, 0, 0, 0, 16, 0, 0, 0],
+        ),
+        (MatchSnap::Queued { idx: 17 }, &[3, 17, 0, 0, 0]),
+        (
+            MatchSnap::Counts {
+                requests: 18,
+                succeeded: 19,
+                failed: 20,
+            },
+            &[
+                4, 18, 0, 0, 0, 0, 0, 0, 0, 19, 0, 0, 0, 0, 0, 0, 0, 20, 0, 0, 0, 0, 0, 0, 0,
             ],
         ),
     ];
