@@ -239,12 +239,17 @@ impl AnalyzeAllowlist {
 /// opaquely inside `Ctrl::Checkpoint` payloads and resume assignments.
 /// v6 was re-pinned in place when the distance-2 snapshot records joined
 /// `ColorSnap` under new tags: every byte a v6 peer can send is unchanged,
-/// since distance-2 coloring never runs on the net engine.
+/// since distance-2 coloring never runs on the net engine. It was
+/// re-pinned in place again when the snapshot enum of the retired
+/// distributed b-matching program left the surface: no v6 peer ever sent
+/// those bytes, because no net worker could run that program, and the
+/// `MatchMsg` / `MatchSnap` bytes are pinned unchanged in
+/// `tests/distance2_pin.rs`.
 pub const WIRE_BASELINES: &[(u64, u64)] = &[
     (3, 0xec5d_285e_8cd8_0aa1),
     (4, 0x4956_cc56_edbc_cd90),
     (5, 0x1f0f_d877_76a1_24b0),
-    (6, 0xc11f_96bc_d71d_09c4),
+    (6, 0xf380_fb53_d528_f562),
 ];
 
 /// The analysis result for one workspace.

@@ -268,12 +268,34 @@ pub fn partition(argv: &[String]) -> i32 {
     })
 }
 
+/// The `cmg match` flags that configure a distributed run: partition,
+/// engine and observability outputs. A `--seq` run refuses them rather
+/// than ignore them.
+const DISTRIBUTED_ONLY: &[&str] = &[
+    "--parts",
+    "--method",
+    "--seed",
+    "--engine",
+    "--no-bundling",
+    "--checkpoint-interval",
+    "--trace-out",
+    "--events-out",
+    "--metrics-out",
+    "--report-out",
+];
+
 /// `cmg match`
 pub fn matching(argv: &[String]) -> i32 {
     run(|| {
         let args = Args::parse(argv)?;
         let g = load_graph(args.required("input")?)?;
         if let Some(alg) = args.get("seq") {
+            let given = |flag: &str| {
+                args.has_switch(flag) || args.get(flag.trim_start_matches('-')).is_some()
+            };
+            if let Some(flag) = DISTRIBUTED_ONLY.iter().find(|f| given(f)) {
+                return Err(format!("--seq {alg} runs sequentially and takes no {flag}"));
+            }
             let m = match alg {
                 "greedy" => cmg_matching::seq::greedy(&g),
                 "local-dominant" => cmg_matching::seq::local_dominant(&g),

@@ -152,7 +152,7 @@ impl CsrGraph {
     /// `f` is invoked once per undirected edge `(u, v)` with `u < v`; both
     /// directed copies receive the same value, keeping the graph symmetric.
     #[allow(clippy::needless_range_loop)] // paired indexing into two arrays
-    pub fn with_weights(&self, mut f: impl FnMut(VertexId, VertexId) -> Weight) -> CsrGraph {
+    pub(crate) fn with_weights(&self, mut f: impl FnMut(VertexId, VertexId) -> Weight) -> CsrGraph {
         let mut weights = vec![0.0; self.adj.len()];
         for u in 0..self.num_vertices() as VertexId {
             for i in self.xadj[u as usize]..self.xadj[u as usize + 1] {

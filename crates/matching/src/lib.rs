@@ -13,19 +13,19 @@
 //!   brute force for tiny general graphs (property-test oracle);
 //! * [`dist`]: the distributed candidate-mate algorithm with
 //!   `REQUEST`/`SUCCEEDED`/`FAILED` messages and aggressive message
-//!   bundling, as a [`cmg_runtime::RankProgram`];
-//! * [`ext`]: b-matching (sequential and distributed b-suitor).
+//!   bundling, as a [`cmg_runtime::RankProgram`] — the crate's one
+//!   distributed matching program;
+//! * [`repair`]: warm-start repair of the matching after edge mutations
+//!   (the serving layer's kernel).
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod dist;
 pub mod exact;
-pub mod ext;
 pub mod matching;
 pub mod repair;
 pub mod seq;
 
 pub use dist::{assemble_matching, DistMatching, MatchMsg, MatchSnap};
-pub use ext::{assemble_b_matching, BMatching, BSuitorSnap, DistBSuitor, ExtMsg};
 pub use matching::Matching;
 pub use repair::{invalidate, repair_frontier, MatchFrontier, MatchRetained};

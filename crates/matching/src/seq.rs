@@ -283,19 +283,18 @@ mod tests {
 
     #[test]
     fn local_dominant_equals_greedy_weight_on_distinct_weights() {
-        // With all-distinct weights, greedy and locally-dominant produce
-        // the same matching (both pick globally dominant edges in order).
+        // With all-distinct weights, greedy, locally-dominant and suitor
+        // produce the same matching edge for edge (all pick globally
+        // dominant edges in order).
         for seed in 0..5 {
             let g = assign_weights(
                 &erdos_renyi(40, 120, seed),
                 WeightScheme::Uniform { lo: 0.0, hi: 1.0 },
                 100 + seed,
             );
-            let wg = greedy(&g).weight(&g);
-            let wl = local_dominant(&g).weight(&g);
-            let ws = suitor(&g).weight(&g);
-            assert!((wg - wl).abs() < 1e-9, "seed {seed}: {wg} vs {wl}");
-            assert!((wg - ws).abs() < 1e-9, "seed {seed}: {wg} vs {ws}");
+            let mg = greedy(&g);
+            assert_eq!(local_dominant(&g), mg, "seed {seed}");
+            assert_eq!(suitor(&g), mg, "seed {seed}");
         }
     }
 

@@ -11,12 +11,10 @@
 //! `DistMatching` keeps pending proposals for those alone, since only a
 //! boundary vertex can be proposed to across a cut edge.
 //!
-//! The weight-sorted adjacency the matching programs walk comes from
-//! [`weight_sorted_csr`] (order only) or [`weight_sorted_csr_weighted`]
-//! (with the weights in that order, for programs that compare them):
-//! the half-approximation needs only the order, so it builds no weight
-//! column. Neither these nor the halo look a global id up — everything
-//! here is indexed by local index.
+//! The weight-sorted adjacency the matching program walks comes from
+//! [`weight_sorted_csr`]: the half-approximation needs only the order,
+//! so it builds no weight column. Neither it nor the halo looks a global
+//! id up — everything here is indexed by local index.
 
 use crate::dist::{DistGraph, Rank};
 use cmg_graph::{VertexId, Weight};
@@ -119,22 +117,10 @@ impl HaloView {
 /// identically (the paper's smallest-label tie-break). Returns
 /// `(sxadj, sadj)`.
 pub fn weight_sorted_csr(dg: &DistGraph) -> (Vec<usize>, Vec<u32>) {
-    let (sxadj, sadj, _) = sort_rows(dg, false);
-    (sxadj, sadj)
-}
-
-/// [`weight_sorted_csr`] plus `sweights`, with `sweights[i]` the weight
-/// of the edge to `sadj[i]` (1.0 throughout if the graph is unweighted).
-pub fn weight_sorted_csr_weighted(dg: &DistGraph) -> (Vec<usize>, Vec<u32>, Vec<Weight>) {
-    sort_rows(dg, true)
-}
-
-fn sort_rows(dg: &DistGraph, with_weights: bool) -> (Vec<usize>, Vec<u32>, Vec<Weight>) {
     let n_local = dg.n_local;
     let mut sxadj = Vec::with_capacity(n_local + 1);
     sxadj.push(0usize);
     let mut sadj = Vec::with_capacity(dg.adj.len());
-    let mut sweights = Vec::with_capacity(if with_weights { dg.adj.len() } else { 0 });
     let mut row: Vec<(Weight, VertexId, u32)> = Vec::new();
     for v in 0..n_local as u32 {
         row.clear();
@@ -144,12 +130,9 @@ fn sort_rows(dg: &DistGraph, with_weights: bool) -> (Vec<usize>, Vec<u32>, Vec<W
         );
         row.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         sadj.extend(row.iter().map(|&(_, _, u)| u));
-        if with_weights {
-            sweights.extend(row.iter().map(|&(w, _, _)| w));
-        }
         sxadj.push(sadj.len());
     }
-    (sxadj, sadj, sweights)
+    (sxadj, sadj)
 }
 
 /// Iterates the owner ranks of the ghost neighbors of owned vertex `v`
@@ -236,13 +219,12 @@ mod tests {
         assert!(halo.boundary.is_empty());
     }
 
-    /// Checks both sorted CSRs of every slice of `g` under `p` against a
+    /// Checks the sorted CSR of every slice of `g` under `p` against a
     /// comparison sort of `(weight, global id, local)` tuples under
     /// `f64::total_cmp` — the definition of the row order.
     fn assert_rows_follow_the_definition(g: &CsrGraph, p: &Partition) {
         for dg in DistGraph::build_all(g, p) {
-            let (sxadj, sadj, sweights) = weight_sorted_csr_weighted(&dg);
-            assert_eq!(weight_sorted_csr(&dg), (sxadj.clone(), sadj.clone()));
+            let (sxadj, sadj) = weight_sorted_csr(&dg);
             assert_eq!(sxadj.len(), dg.n_local + 1);
             for v in 0..dg.n_local as u32 {
                 let mut row: Vec<(Weight, VertexId, u32)> = dg
@@ -253,10 +235,6 @@ mod tests {
                 let (lo, hi) = (sxadj[v as usize], sxadj[v as usize + 1]);
                 let want: Vec<u32> = row.iter().map(|&(_, _, u)| u).collect();
                 assert_eq!(sadj[lo..hi], want[..], "row {v} of rank {}", dg.rank);
-                // Bit-equal weights, so -0.0 stays -0.0 and NaN stays NaN.
-                let got: Vec<u64> = sweights[lo..hi].iter().map(|w| w.to_bits()).collect();
-                let want: Vec<u64> = row.iter().map(|&(w, _, _)| w.to_bits()).collect();
-                assert_eq!(got, want, "row {v} of rank {}", dg.rank);
             }
         }
     }
@@ -299,15 +277,6 @@ mod tests {
         let hub = b.build();
         assert_rows_follow_the_definition(&hub, &block_partition(41, 1));
         assert_rows_follow_the_definition(&hub, &hash_partition(41, 3, 9));
-    }
-
-    #[test]
-    fn unweighted_graph_gets_unit_weights() {
-        let g = grid2d(3, 3);
-        let p = block_partition(9, 2);
-        let dg = &DistGraph::build_all(&g, &p)[0];
-        let (_, _, sweights) = weight_sorted_csr_weighted(dg);
-        assert!(sweights.iter().all(|&w| w == 1.0));
     }
 
     #[test]

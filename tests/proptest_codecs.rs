@@ -4,7 +4,7 @@
 
 use bytes::BytesMut;
 use cmg_coloring::ColorMsg;
-use cmg_matching::{ExtMsg, MatchMsg};
+use cmg_matching::MatchMsg;
 use cmg_runtime::message::decode_all;
 use cmg_runtime::WireMessage;
 use cmg_serve::{RepairAck, ServeOp, ServeQuery, ServeReply};
@@ -18,18 +18,8 @@ fn arb_match_msg() -> impl Strategy<Value = MatchMsg> {
     })
 }
 
-fn arb_color_msg() -> impl Strategy<Value = ColorMsg> {
-    (0u8..5, any::<u32>(), any::<u32>(), any::<u64>()).prop_map(|(tag, a, b, c)| match tag {
-        0 => ColorMsg::Color { v: a, color: b },
-        1 => ColorMsg::Empty,
-        2 => ColorMsg::Done { phase: a },
-        3 => ColorMsg::Reduce { phase: a, count: c },
-        _ => ColorMsg::Bcast { phase: a, count: c },
-    })
-}
-
 /// Every `ColorMsg` variant, the distance-2 detection messages included.
-fn arb_d2_msg() -> impl Strategy<Value = ColorMsg> {
+fn arb_color_msg() -> impl Strategy<Value = ColorMsg> {
     (0u8..7, any::<u32>(), any::<u32>(), any::<u64>()).prop_map(|(tag, a, b, c)| match tag {
         0 => ColorMsg::Color { v: a, color: b },
         1 => ColorMsg::Empty,
@@ -38,16 +28,6 @@ fn arb_d2_msg() -> impl Strategy<Value = ColorMsg> {
         4 => ColorMsg::Bcast { phase: a, count: c },
         5 => ColorMsg::Done2 { phase: a },
         _ => ColorMsg::Recolor { v: a, banned: b },
-    })
-}
-
-fn arb_ext_msg() -> impl Strategy<Value = ExtMsg> {
-    (any::<bool>(), any::<u32>(), any::<u32>()).prop_map(|(reject, from, to)| {
-        if reject {
-            ExtMsg::Reject { from, to }
-        } else {
-            ExtMsg::Propose { from, to }
-        }
     })
 }
 
@@ -136,16 +116,6 @@ proptest! {
     }
 
     #[test]
-    fn d2_msgs_round_trip(msgs in proptest::collection::vec(arb_d2_msg(), 0..40)) {
-        round_trip(&msgs);
-    }
-
-    #[test]
-    fn ext_msgs_round_trip(msgs in proptest::collection::vec(arb_ext_msg(), 0..40)) {
-        round_trip(&msgs);
-    }
-
-    #[test]
     fn serve_ops_round_trip(msgs in proptest::collection::vec(arb_serve_op(), 0..40)) {
         round_trip(&msgs);
     }
@@ -191,8 +161,7 @@ proptest! {
         // Must not panic; Option result is fine either way.
         let buf = bytes::Bytes::from(bytes.clone());
         let _ = decode_all::<MatchMsg>(buf.clone());
-        let _ = decode_all::<ColorMsg>(buf.clone());
-        let _ = decode_all::<ExtMsg>(buf);
+        let _ = decode_all::<ColorMsg>(buf);
         // The net supervisor-plane payloads are checked decoders too:
         // < 64 bytes cannot hold a checkpoint or an assignment, and no
         // length prefix in them may drive an allocation.

@@ -54,7 +54,9 @@ proptest! {
     }
 
     /// Distributed matching equals sequential locally-dominant under any
-    /// partition (weights are continuous, hence a.s. distinct).
+    /// partition, and greedy and suitor return that same matching edge
+    /// for edge (weights are continuous, hence a.s. distinct, so all four
+    /// pick the greedy matching of one total order).
     #[test]
     fn distributed_matching_equals_sequential(
         g in arb_graph(24, 80),
@@ -68,7 +70,10 @@ proptest! {
             .collect();
         let part = Partition::new(assignment, k);
         let run = cmg::run_matching(&g, &part, &Engine::default_simulated());
-        prop_assert_eq!(run.matching, seq::local_dominant(&g));
+        let local_dominant = seq::local_dominant(&g);
+        prop_assert_eq!(&seq::greedy(&g), &local_dominant);
+        prop_assert_eq!(&seq::suitor(&g), &local_dominant);
+        prop_assert_eq!(run.matching, local_dominant);
     }
 
     /// Distributed coloring is proper under any partition.
@@ -159,17 +164,6 @@ proptest! {
         prop_assert!(!result.hit_round_cap);
         let c = assemble_coloring(&result.programs, g.num_vertices());
         prop_assert!(validate_d2(&c, &g).is_ok());
-    }
-
-    /// b-suitor respects capacities and its b=1 case matches suitor.
-    #[test]
-    fn b_suitor_invariants(g in arb_graph(20, 60), b_cap in 1usize..4) {
-        use cmg_matching::ext::b_suitor;
-        let bm = b_suitor(&g, |_| b_cap);
-        prop_assert!(bm.validate(&g, &|_| b_cap).is_ok());
-        if b_cap == 1 {
-            prop_assert_eq!(bm.to_matching(), seq::suitor(&g));
-        }
     }
 
     /// Greedy coloring is proper and within Δ+1 for arbitrary graphs and

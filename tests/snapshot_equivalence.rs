@@ -12,7 +12,7 @@ use cmg_coloring::{assemble_coloring, ColoringConfig, DistColoring, JonesPlassma
 use cmg_graph::generators::{erdos_renyi, grid2d};
 use cmg_graph::weights::{assign_weights, WeightScheme};
 use cmg_graph::CsrGraph;
-use cmg_matching::{assemble_b_matching, assemble_matching, DistBSuitor, DistMatching};
+use cmg_matching::{assemble_matching, DistMatching};
 use cmg_partition::simple::{block_partition, hash_partition};
 use cmg_partition::{DistGraph, Partition};
 use cmg_runtime::{
@@ -101,30 +101,6 @@ proptest! {
         let mb = assemble_matching(&base.programs, 60);
         let mc = assemble_matching(&ckpt.programs, 60);
         prop_assert_eq!(mb, mc);
-    }
-
-    /// DistBSuitor (b up to 3): checkpointed sim run ≡ uninterrupted.
-    #[test]
-    fn b_suitor_snapshot_equivalence(
-        seed in 0u64..500,
-        ranks in 1u32..5,
-        b in 1usize..4,
-        k in 1u64..8,
-    ) {
-        let g = weighted(48, 150, seed);
-        let part = partition_for(48, ranks, seed);
-        let make = || {
-            DistGraph::build_all(&g, &part)
-                .into_iter()
-                .map(|dg| DistBSuitor::new(dg, |_| b))
-                .collect::<Vec<_>>()
-        };
-        let (base, ckpt) = sim_pair(make, k);
-        let bb = assemble_b_matching(&base.programs, 48);
-        let bc = assemble_b_matching(&ckpt.programs, 48);
-        for v in 0..48 {
-            prop_assert_eq!(bb.partners(v), bc.partners(v), "vertex {} differs", v);
-        }
     }
 
     /// DistColoring (including the in-flight DoneWave/TreeAllreduce):
