@@ -31,6 +31,17 @@ fn arb_color_msg() -> impl Strategy<Value = ColorMsg> {
     })
 }
 
+/// Only the distance-2 detection messages, so they frame back to back.
+fn arb_d2_msg() -> impl Strategy<Value = ColorMsg> {
+    (any::<bool>(), any::<u32>(), any::<u32>()).prop_map(|(recolor, a, b)| {
+        if recolor {
+            ColorMsg::Recolor { v: a, banned: b }
+        } else {
+            ColorMsg::Done2 { phase: a }
+        }
+    })
+}
+
 fn arb_serve_op() -> impl Strategy<Value = ServeOp> {
     (0u8..3, any::<u32>(), any::<u32>(), any::<f64>()).prop_map(|(tag, u, v, w)| match tag {
         0 => ServeOp::Insert { u, v, w },
@@ -112,6 +123,11 @@ proptest! {
 
     #[test]
     fn color_msgs_round_trip(msgs in proptest::collection::vec(arb_color_msg(), 0..40)) {
+        round_trip(&msgs);
+    }
+
+    #[test]
+    fn d2_msgs_round_trip(msgs in proptest::collection::vec(arb_d2_msg(), 0..40)) {
         round_trip(&msgs);
     }
 

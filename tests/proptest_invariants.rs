@@ -166,6 +166,17 @@ proptest! {
         prop_assert!(validate_d2(&c, &g).is_ok());
     }
 
+    /// Suitor is b-suitor at b = 1, the one capacity the crate keeps: it
+    /// gives each vertex at most one mate over a real edge, leaves no edge
+    /// with both ends free, and returns the greedy matching.
+    #[test]
+    fn b_suitor_invariants(g in arb_graph(20, 60)) {
+        let m = seq::suitor(&g);
+        prop_assert!(m.validate(&g).is_ok());
+        prop_assert!(m.is_maximal(&g));
+        prop_assert_eq!(m, seq::greedy(&g));
+    }
+
     /// Greedy coloring is proper and within Δ+1 for arbitrary graphs and
     /// all orderings.
     #[test]
