@@ -105,6 +105,10 @@ fn build_engine(args: &Args, recorder: RecorderHandle) -> Result<Engine, String>
     match args.get_or("engine", "sim") {
         "sim" => Ok(Engine::Simulated(cfg)),
         "threaded" => Ok(Engine::Threaded(cfg)),
+        // The net fleet always bundles; refuse what it would ignore.
+        "net" if !cfg.bundling => {
+            Err("--no-bundling runs on --engine sim|threaded only, not --engine net".into())
+        }
         "net" => Ok(Engine::Net(cfg)),
         other => Err(format!("unknown engine: {other}")),
     }

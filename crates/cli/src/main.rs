@@ -58,6 +58,8 @@ COMMANDS
   match      run the distributed ½-approximation matching
              --input FILE [--parts K] [--method …] [--engine sim|threaded|net]
              [--no-bundling] [--seq greedy|local-dominant|path-growing|suitor]
+             (--no-bundling runs on --engine sim|threaded only: the net
+             engine always bundles)
   color      run the distributed speculative coloring
              --input FILE [--parts K] [--method …] [--engine sim|threaded|net]
              [--distance 1|2] [--superstep S] [--comm new|fiac|fiab]

@@ -371,51 +371,6 @@ impl DistColoring {
         DistColoring::build(dg, cfg)
     }
 
-    /// Prepares a warm-start program: retained colors (owned *and* ghost,
-    /// from the same global view on every rank, so the halo is consistent
-    /// without catch-up messages) are kept, and only the owned vertices
-    /// `dirty` deems stale are re-colored — they form the first phase's
-    /// work list. The ordinary phase protocol (speculate → DONE wave →
-    /// conflict detection → allreduce) then repairs the frontier; clean
-    /// vertices are never revisited, so their colors survive verbatim.
-    pub fn warm(
-        dg: DistGraph,
-        cfg: ColoringConfig,
-        colors: &[u32],
-        dirty: impl Fn(VertexId) -> bool,
-    ) -> Self {
-        let mut p = DistColoring::new(dg, cfg);
-        // Dirty vertices start uncolored everywhere — owned *and* ghost
-        // copies — so no rank forbids (or trusts) a stale color; fresh
-        // colors of the frontier arrive through the ordinary exchange.
-        for i in 0..p.dg.n_total() {
-            let g = p.dg.global_ids[i];
-            p.color[i] = if dirty(g) {
-                UNCOLORED
-            } else {
-                colors[g as usize]
-            };
-        }
-        p.u_cur = p.halo.dirty_split(&p.dg, &dirty);
-        p.u_pos = 0;
-        // The retained interior is already colored; broadcast_and_act must
-        // not re-color it at the end.
-        p.interior_colored = true;
-        if cfg.color_choice == ColorChoice::LeastUsed {
-            for v in 0..p.dg.n_local {
-                let c = p.color[v];
-                if c != UNCOLORED {
-                    if c as usize >= p.scope.usage.len() {
-                        p.scope.usage.resize(c as usize + 1, 0);
-                    }
-                    p.scope.usage[c as usize] += 1;
-                }
-            }
-        }
-        p.scope.warm = true;
-        p
-    }
-
     /// Counts conflict edges visible from this rank, each counted exactly
     /// once globally: owned–owned edges by the smaller local endpoint,
     /// owned–ghost edges by the smaller *global* id. Summing over ranks
@@ -820,11 +775,6 @@ pub struct Distance1 {
     usage: Vec<u64>,
     /// StaggeredFirstFit offset.
     stagger: u32,
-    /// Warm start ([`DistColoring::warm`]): the first phase keeps the
-    /// pre-seeded retained colors and dirty work list instead of coloring
-    /// from scratch. Not snapshotted — it is consumed before the first
-    /// round, and restores resume past `on_start`.
-    warm: bool,
 }
 
 impl ConflictScope for Distance1 {
@@ -841,7 +791,6 @@ impl ConflictScope for Distance1 {
         Distance1 {
             usage: Vec::new(),
             stagger,
-            warm: false,
         }
     }
 
@@ -895,12 +844,6 @@ impl ConflictScope for Distance1 {
     }
 
     fn first_phase(p: &mut DistColoring<Self>, ctx: &mut RankCtx<ColorMsg>) {
-        if std::mem::take(&mut p.scope.warm) {
-            // Warm start: retained colors and the dirty work list were
-            // seeded by [`DistColoring::warm`]; go straight to the phase
-            // protocol over the frontier.
-            return;
-        }
         if p.cfg.order == LocalOrder::InteriorFirst {
             p.color_interior(ctx);
         }

@@ -1,4 +1,4 @@
-//! Warm-start repair for the distributed coloring (cmg-serve's kernel).
+//! Warm-start repair of the coloring (cmg-serve's kernel).
 //!
 //! A distance-1 coloring is invalidated only where a mutation creates a
 //! *monochrome edge*: an edge-creating op ([`Mutation::Insert`], or
@@ -20,14 +20,11 @@
 //! O(batch + dirty · degree) and, once its scratch has grown, allocates
 //! nothing. cmg-serve keeps one resident; the functional
 //! [`invalidate_colors`] / [`repair_frontier_colors`] pair (copy in, run
-//! the kernel, copy out: O(n) per call) serves the distributed warm path
-//! and external replays.
+//! the kernel, copy out: O(n) per call) serves the tests and external
+//! replays.
 //!
-//! The distributed finish reruns the ordinary engine over warm programs
-//! ([`DistColoring::warm`] via the [`WarmStart`](cmg_runtime::WarmStart)
-//! impl): clean vertices keep their colors verbatim; dirty vertices are
-//! speculatively recolored and conflict-checked through the usual
-//! phase protocol. Either way the result is a proper coloring of the new
+//! Clean vertices keep their colors verbatim and dirty vertices are
+//! recolored first-fit, so the result is a proper coloring of the new
 //! graph, but the *palette size* may differ from a cold run — first-fit
 //! over a mostly-fixed coloring has less freedom than first-fit from
 //! scratch. That is the documented serve-layer relaxation (DESIGN.md
@@ -35,17 +32,15 @@
 //! bit-identity with a cold run.
 
 use crate::coloring::UNCOLORED;
-use crate::dist::DistColoring;
 use cmg_graph::util::vertex_priority;
 use cmg_graph::{Mutation, MutationBatch, NeighborView, VertexId};
 
-/// The globally consistent retained state a warm coloring run seeds
-/// from: produced by [`invalidate_colors`], consumed by every rank's
-/// [`WarmStart::reseed`](cmg_runtime::WarmStart::reseed).
+/// The retained state between the two repair steps: produced by
+/// [`invalidate_colors`], consumed by [`repair_frontier_colors`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ColorRetained {
     /// Post-invalidation global color vector; [`UNCOLORED`] marks the
-    /// dirty vertices the warm run re-decides.
+    /// dirty vertices the repair re-decides.
     pub color: Vec<u32>,
 }
 
@@ -126,10 +121,10 @@ impl ColorFrontier {
     /// The serving layer's hot path. Recoloring order matches the
     /// priority the distributed phases use, and clean vertices are never
     /// touched, so the result is proper by construction and clean colors
-    /// are stable — the same contract as the engine warm run. Palette
-    /// identity with the distributed run is *not* promised (the
-    /// documented DESIGN.md §13 relaxation; first-fit order differs
-    /// between one sequential scan and the engine's speculative rounds).
+    /// are stable. Palette identity with a cold distributed run is *not*
+    /// promised (the documented DESIGN.md §13 relaxation; first-fit
+    /// order differs between one sequential scan over a mostly-fixed
+    /// coloring and the engine's speculative rounds from scratch).
     pub fn repair(&mut self, g: &(impl NeighborView + ?Sized), color: &mut [u32], seed: u64) {
         let ColorFrontier { dirty, taken } = self;
         dirty.sort_unstable_by_key(|&v| std::cmp::Reverse((vertex_priority(v as u64, seed), v)));
@@ -156,8 +151,8 @@ impl ColorFrontier {
 }
 
 /// Functional form of [`ColorFrontier::invalidate`]: copies `old_color`,
-/// runs the kernel on the copy, and returns the retained state a warm
-/// run seeds from.
+/// runs the kernel on the copy, and returns the retained state
+/// [`repair_frontier_colors`] finishes.
 pub fn invalidate_colors(
     g_new: &(impl NeighborView + ?Sized),
     old_color: &[u32],
@@ -188,57 +183,17 @@ pub fn repair_frontier_colors(
     color
 }
 
-impl cmg_runtime::WarmStart for DistColoring {
-    type Retained = ColorRetained;
-
-    /// Reseeds one rank from the retained global view: clean colors are
-    /// kept (owned *and* ghost), dirty vertices form the first phase's
-    /// work list, and the ordinary speculate/detect/allreduce protocol
-    /// repairs the frontier.
-    fn reseed(meta: <Self as cmg_runtime::RankProgram>::Meta, retained: &ColorRetained) -> Self {
-        let (dg, cfg) = meta;
-        DistColoring::warm(dg, cfg, &retained.color, |v| retained.is_dirty(v))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coloring::assemble_coloring;
-    use crate::dist::{ColorChoice, ColoringConfig};
+    use crate::dist::{ColorChoice, ColoringConfig, DistColoring};
     use crate::Coloring;
     use cmg_graph::generators::{erdos_renyi, grid2d};
     use cmg_graph::{CsrGraph, MutableGraph};
     use cmg_partition::simple::hash_partition;
     use cmg_partition::DistGraph;
-    use cmg_runtime::{CostModel, EngineConfig, SimEngine, WarmStart};
-
-    fn warm_run(
-        g: &CsrGraph,
-        parts: u32,
-        cfg: ColoringConfig,
-        retained: &ColorRetained,
-    ) -> (Coloring, u64) {
-        let p = hash_partition(g.num_vertices(), parts, 7);
-        let dgs = DistGraph::build_all(g, &p);
-        let programs: Vec<DistColoring> = dgs
-            .into_iter()
-            .map(|dg| DistColoring::reseed((dg, cfg), retained))
-            .collect();
-        let ecfg = EngineConfig {
-            cost: CostModel::compute_only(),
-            ..Default::default()
-        };
-        let result = SimEngine::new(programs, ecfg).run();
-        assert!(!result.hit_round_cap, "warm coloring did not quiesce");
-        for prog in &result.programs {
-            assert!(prog.is_finished(), "warm run abandoned a rank mid-phase");
-        }
-        (
-            assemble_coloring(&result.programs, g.num_vertices()),
-            result.stats.rounds,
-        )
-    }
+    use cmg_runtime::{CostModel, EngineConfig, SimEngine};
 
     fn cold_colors(g: &CsrGraph, parts: u32, cfg: ColoringConfig) -> Vec<u32> {
         let p = hash_partition(g.num_vertices(), parts, 7);
@@ -293,7 +248,7 @@ mod tests {
                 mg.apply(&batch).unwrap();
                 let g = mg.rebuild();
                 let retained = invalidate_colors(&g, &colors, &batch, cfg.seed);
-                let (c, _) = warm_run(&g, 3, cfg, &retained);
+                let c = Coloring::from_colors(repair_frontier_colors(&g, &retained, cfg.seed));
                 c.validate(&g)
                     .unwrap_or_else(|e| panic!("seed {seed} step {step}: {e}"));
                 for v in 0..g.num_vertices() as VertexId {
@@ -394,12 +349,13 @@ mod tests {
             "exactly the monochrome loser"
         );
         assert!(retained.is_dirty(mono.0) || retained.is_dirty(mono.1));
-        let (c, _) = warm_run(&g, 4, cfg, &retained);
-        c.validate(&g).unwrap();
+        Coloring::from_colors(repair_frontier_colors(&g, &retained, cfg.seed))
+            .validate(&g)
+            .unwrap();
     }
 
-    /// An empty batch dirties nothing and the warm run terminates in one
-    /// conflict-free phase with the retained coloring intact.
+    /// An empty batch dirties nothing, and repairing the empty dirty set
+    /// hands back the retained coloring intact.
     #[test]
     fn noop_batch_retains_every_color() {
         let g = grid2d(8, 8);
@@ -410,13 +366,12 @@ mod tests {
             retained.color.iter().filter(|&&c| c == UNCOLORED).count(),
             0
         );
-        let (c, _) = warm_run(&g, 3, cfg, &retained);
-        assert_eq!(c.colors(), &colors[..]);
+        assert_eq!(repair_frontier_colors(&g, &retained, cfg.seed), colors);
     }
 
-    /// Warm start composes with the LeastUsed strategy: the usage table
-    /// is rebuilt from retained colors, so repairs stay balanced and
-    /// proper.
+    /// Repair composes with the LeastUsed strategy: a cold LeastUsed
+    /// coloring, repaired after a hub's inserts, stays proper and keeps
+    /// every clean color.
     #[test]
     fn least_used_warm_start_rebuilds_usage() {
         let g0 = erdos_renyi(60, 200, 11);
@@ -434,7 +389,18 @@ mod tests {
         mg.apply(&batch).unwrap();
         let g = mg.rebuild();
         let retained = invalidate_colors(&g, &colors, &batch, cfg.seed);
-        let (c, _) = warm_run(&g, 3, cfg, &retained);
-        c.validate(&g).unwrap();
+        assert!(
+            retained.color.contains(&UNCOLORED),
+            "the hub inserts dirtied nothing"
+        );
+        let repaired = repair_frontier_colors(&g, &retained, cfg.seed);
+        Coloring::from_colors(repaired.clone())
+            .validate(&g)
+            .unwrap();
+        for v in 0..g.num_vertices() as VertexId {
+            if !retained.is_dirty(v) {
+                assert_eq!(repaired[v as usize], colors[v as usize], "clean vertex {v}");
+            }
+        }
     }
 }

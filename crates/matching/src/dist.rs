@@ -199,31 +199,6 @@ impl DistMatching {
         }
     }
 
-    /// Builds a **warm** program from a globally consistent retained
-    /// view: `global_mate[g]` is vertex `g`'s retained partner
-    /// (`NO_VERTEX` = unmatched) and `active[g]` marks the frontier the
-    /// warm run re-decides. Retained pairs come up `Matched` (owned and
-    /// ghost alike — every rank reseeds from the same view, so ghost
-    /// states agree without catch-up messages), inactive unmatched
-    /// vertices come up `Failed`, the frontier stays `Free`. The
-    /// ordinary protocol then resolves just the frontier; see
-    /// [`crate::repair`].
-    pub(crate) fn reseed_from(dg: DistGraph, global_mate: &[VertexId], active: &[bool]) -> Self {
-        let mut p = DistMatching::new(dg);
-        for i in 0..p.state.len() {
-            let g = p.dg.global_ids[i] as usize;
-            if global_mate[g] != NO_VERTEX {
-                p.state[i] = VState::Matched;
-                if i < p.dg.n_local {
-                    p.mate[i] = global_mate[g];
-                }
-            } else if !active[g] {
-                p.state[i] = VState::Failed;
-            }
-        }
-        p
-    }
-
     /// Emits the round's REQUEST/SUCCEEDED/FAILED tallies as a
     /// [`cmg_obs::Event::MatchRound`] and resets them. Free when no
     /// recorder is attached.
@@ -583,9 +558,7 @@ impl RankProgram for DistMatching {
     }
 
     fn on_start(&mut self, ctx: &mut RankCtx<MatchMsg>) -> Status {
-        // Initial candidates for every still-free owned vertex (on a
-        // cold start that is all of them; a warm reseed skips the
-        // retained pairs and known-unmatchable vertices)…
+        // Initial candidates for every still-free owned vertex…
         for v in 0..self.dg.n_local as u32 {
             if self.state[v as usize] == VState::Free {
                 self.candidate[v as usize] = self.advance(v, ctx);

@@ -1,4 +1,4 @@
-//! Warm-start repair for the distributed matching (cmg-serve's kernel).
+//! Warm-start repair of the matching (cmg-serve's kernel).
 //!
 //! The ½-approximation matching is exactly the set of locally dominant
 //! edges, and local dominance is a *local* certificate: every non-matched
@@ -13,40 +13,35 @@
 //!    its neighbors' matched edges, freeing those too — until a
 //!    fixpoint. Previously unmatchable vertices adjacent to the freed
 //!    region are reactivated (they may be matchable now).
-//! 2. **Finish** the frontier, one of two ways that reach the same
-//!    fixpoint: in-process with [`MatchFrontier::repair`] (what
-//!    cmg-serve does), or distributed — reseed every rank through
-//!    [`DistMatching`]'s [`WarmStart`](cmg_runtime::WarmStart) impl
-//!    (retained pairs pre-`Matched`, non-active unmatched vertices
-//!    pre-`Failed`, only the frontier `Free`) and rerun the ordinary
-//!    engine, where only the frontier does protocol work.
+//! 2. **Finish** the frontier with [`MatchFrontier::repair`]: greedy
+//!    matching on the subgraph the frontier induces, in-process (what
+//!    cmg-serve does). A dirtier batch skips repair and reruns the
+//!    ordinary distributed program cold instead.
 //!
 //! [`MatchFrontier`] is the one copy of the cascade and of the greedy
 //! finisher. It works **in place** on the caller's mate slice and keeps
 //! the frontier as a list, so a batch costs O(frontier · degree) and,
 //! once its scratch has grown, allocates nothing — no term scales with
 //! the graph. The functional [`invalidate`] / [`repair_frontier`] pair
-//! (copy in, run the kernel, copy out: O(n) per call) serves the
-//! `WarmStart` path and external replays.
+//! (copy in, run the kernel, copy out: O(n) per call) serves the tests
+//! and external replays.
 //!
 //! With distinct weights the locally dominant matching is the unique
 //! greedy matching, so repair reproduces the from-scratch result
 //! exactly; with ties it produces *a* valid locally-dominant matching
 //! (the documented serve-layer relaxation, DESIGN.md §13).
 
-use crate::dist::DistMatching;
 use cmg_graph::{Mutation, MutationBatch, NeighborView, VertexId, Weight, NO_VERTEX};
 use std::collections::VecDeque;
 
-/// The globally consistent retained state a warm matching run seeds
-/// from: produced by [`invalidate`], consumed by every rank's
-/// [`WarmStart::reseed`](cmg_runtime::WarmStart::reseed).
+/// The retained state between the two repair steps: produced by
+/// [`invalidate`], consumed by [`repair_frontier`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MatchRetained {
     /// Post-invalidation global mate vector (`NO_VERTEX` = unmatched).
-    /// Surviving pairs are retained verbatim by the warm run.
+    /// Surviving pairs are retained verbatim by the repair.
     pub mate: Vec<VertexId>,
-    /// Vertices the warm run must re-decide. Unmatched vertices outside
+    /// Vertices the repair must re-decide. Unmatched vertices outside
     /// this set are known-unmatchable and stay that way.
     pub active: Vec<bool>,
 }
@@ -223,12 +218,11 @@ impl MatchFrontier {
     /// O(V + E)); it runs this in-process instead.
     ///
     /// Equivalence argument: after [`invalidate`](Self::invalidate),
-    /// frontier vertices are exactly the warm run's `Free` set and every
-    /// other vertex is frozen (`Matched` with its retained mate, or
-    /// `Failed`). The warm engine's greedy protocol only forms pairs
-    /// between `Free` vertices, and greedy matching restricted to the
-    /// frontier-induced subgraph is its unique fixpoint when weights are
-    /// distinct. Ties fall to the deterministic `(weight, u, v)` order
+    /// every vertex off the frontier is frozen (matched with its
+    /// retained mate, or known-unmatchable), so greedy can only pair
+    /// frontier vertices, and greedy matching restricted to the
+    /// frontier-induced subgraph is the unique fixpoint when weights
+    /// are distinct. Ties fall to the deterministic `(weight, u, v)` order
     /// here — the same documented relaxation the serve layer already
     /// carries for coloring palettes.
     pub fn repair(&mut self, g: &(impl NeighborView + ?Sized), mate: &mut [VertexId]) {
@@ -264,7 +258,7 @@ impl MatchFrontier {
 
 /// Functional form of [`MatchFrontier::invalidate`]: copies `old_mate`,
 /// runs the kernel on the copy, and returns the retained state (surviving
-/// pairs plus the active frontier) a warm run seeds from.
+/// pairs plus the active frontier) [`repair_frontier`] finishes.
 pub fn invalidate(
     g_new: &(impl NeighborView + ?Sized),
     old_mate: &[VertexId],
@@ -298,59 +292,14 @@ pub fn repair_frontier(
     mate
 }
 
-impl cmg_runtime::WarmStart for DistMatching {
-    type Retained = MatchRetained;
-
-    /// Reseeds one rank from the retained global view: retained pairs
-    /// come up `Matched` (owned *and* ghost, so cross-rank state is
-    /// consistent without catch-up messages), inactive unmatched
-    /// vertices come up `Failed`, and only the active frontier is
-    /// `Free`. The ordinary `on_start`/`on_round` protocol then runs
-    /// greedy matching restricted to the frontier.
-    fn reseed(meta: <Self as cmg_runtime::RankProgram>::Meta, retained: &MatchRetained) -> Self {
-        DistMatching::reseed_from(meta, &retained.mate, &retained.active)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::assemble_matching;
     use crate::seq;
     use crate::Matching;
     use cmg_graph::generators::{erdos_renyi, grid2d};
     use cmg_graph::weights::{assign_weights, WeightScheme};
-    use cmg_graph::{CsrGraph, MutableGraph};
-    use cmg_partition::simple::hash_partition;
-    use cmg_partition::DistGraph;
-    use cmg_runtime::{CostModel, EngineConfig, SimEngine, WarmStart};
-
-    fn warm_run(
-        g: &CsrGraph,
-        parts: u32,
-        seed_state: &MatchRetained,
-        pseed: u64,
-    ) -> (Matching, u64) {
-        let p = hash_partition(g.num_vertices(), parts, pseed);
-        let dgs = DistGraph::build_all(g, &p);
-        let programs: Vec<DistMatching> = dgs
-            .into_iter()
-            .map(|dg| DistMatching::reseed(dg, seed_state))
-            .collect();
-        let cfg = EngineConfig {
-            cost: CostModel::compute_only(),
-            ..Default::default()
-        };
-        let result = SimEngine::new(programs, cfg).run();
-        assert!(!result.hit_round_cap, "warm matching did not quiesce");
-        for prog in &result.programs {
-            assert!(prog.is_resolved(), "warm run left a vertex undecided");
-        }
-        (
-            assemble_matching(&result.programs, g.num_vertices()),
-            result.stats.rounds,
-        )
-    }
+    use cmg_graph::MutableGraph;
 
     /// Deterministic mutation stream: repair after every batch must
     /// reproduce the sequential greedy matching on the current graph
@@ -389,7 +338,7 @@ mod tests {
                 mg.apply(&batch).unwrap();
                 let g = mg.rebuild();
                 let retained = invalidate(&g, &mate, &batch);
-                let (m, _) = warm_run(&g, 3, &retained, seed);
+                let m = Matching::from_mates(repair_frontier(&g, &retained));
                 m.validate(&g).unwrap();
                 let expected = seq::local_dominant(&g);
                 assert_eq!(
@@ -432,7 +381,7 @@ mod tests {
     /// The sequential frontier finisher, run against the *mutable*
     /// graph directly (no CSR rebuild anywhere on the path), matches
     /// the from-scratch greedy matching across a mutation stream —
-    /// i.e. it computes the same fixpoint as the distributed warm run.
+    /// i.e. it computes the same fixpoint as the rebuilt-CSR stream above.
     #[test]
     fn sequential_frontier_repair_equals_from_scratch() {
         for seed in 0..4u64 {
@@ -479,16 +428,15 @@ mod tests {
         }
     }
 
-    /// An empty batch invalidates nothing and the warm run terminates
-    /// immediately with the retained matching.
+    /// An empty batch invalidates nothing, and repairing the empty
+    /// frontier hands back the retained matching unchanged.
     #[test]
     fn noop_batch_retains_everything() {
         let g = assign_weights(&grid2d(8, 8), WeightScheme::Uniform { lo: 0.1, hi: 1.0 }, 2);
         let mate: Vec<VertexId> = seq::local_dominant(&g).mates().to_vec();
         let retained = invalidate(&g, &mate, &MutationBatch::new());
         assert_eq!(retained.active.iter().filter(|&&a| a).count(), 0);
-        let (m, rounds) = warm_run(&g, 4, &retained, 5);
-        assert_eq!(m.mates(), &mate[..]);
-        assert!(rounds <= 1, "no-op repair ran {rounds} rounds");
+        assert_eq!(retained.mate, mate);
+        assert_eq!(repair_frontier(&g, &retained), mate);
     }
 }

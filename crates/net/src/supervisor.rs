@@ -462,20 +462,21 @@ impl NetSession {
     }
 
     /// [`submit`](Self::submit) a matching task and assemble the
-    /// global matching.
-    pub fn submit_matching(&mut self, task: NetTask) -> Result<Matching, NetError> {
+    /// global matching; also returns the rounds the run executed.
+    pub fn submit_matching(&mut self, task: NetTask) -> Result<(Matching, u64), NetError> {
         let n = self.n_vertices();
         let out = self.submit(task)?;
-        Ok(Matching::from_mates(assemble_mates(n, &out.outcomes)?))
+        let matching = Matching::from_mates(assemble_mates(n, &out.outcomes)?);
+        Ok((matching, out.rounds))
     }
 
     /// [`submit`](Self::submit) a coloring task and assemble the
-    /// global coloring.
-    pub fn submit_coloring(&mut self, task: NetTask) -> Result<Coloring, NetError> {
+    /// global coloring; also returns the rounds the run executed.
+    pub fn submit_coloring(&mut self, task: NetTask) -> Result<(Coloring, u64), NetError> {
         let n = self.n_vertices();
         let out = self.submit(task)?;
         let (colors, _) = assemble_colors(n, &out.outcomes)?;
-        Ok(Coloring::from_colors(colors))
+        Ok((Coloring::from_colors(colors), out.rounds))
     }
 
     /// Gracefully shuts the resident fleet down. Subsequent submits

@@ -102,27 +102,6 @@ impl DistGraph {
             .collect()
     }
 
-    /// Builds a single rank's local graph. A rank's [`DistGraph`]
-    /// depends only on the edges incident to its owned vertices, so an
-    /// incremental caller (cmg-serve) can refresh just the ranks whose
-    /// owned vertices touched a mutation instead of rebuilding all `p`
-    /// slices.
-    ///
-    /// # Panics
-    /// Panics if graph and partition disagree on the vertex count.
-    pub fn build_for_rank(g: &CsrGraph, partition: &Partition, rank: Rank) -> DistGraph {
-        assert_eq!(g.num_vertices(), partition.num_vertices());
-        let mut owned: Vec<VertexId> = Vec::new();
-        let mut local = vec![0u32; g.num_vertices()];
-        for v in 0..g.num_vertices() as VertexId {
-            if partition.owner(v) == rank {
-                local[v as usize] = owned.len() as u32;
-                owned.push(v);
-            }
-        }
-        Self::build_one(g, partition, rank, &owned, &local)
-    }
-
     /// `local[u]` must be the position of `u` in `owned` for every `u`
     /// this rank owns; other entries are not read.
     fn build_one(
@@ -434,13 +413,12 @@ mod tests {
     }
 
     /// Rebuilds every field of every rank's slice from its definition
-    /// and checks `build_all` and `build_for_rank` against it.
+    /// and checks `build_all` against it.
     fn assert_slices_follow_the_definition(g: &CsrGraph, p: &Partition) {
         let parts = DistGraph::build_all(g, p);
         assert_eq!(parts.len(), p.num_parts() as usize);
         validate_distribution(g, &parts).unwrap();
         for dg in &parts {
-            assert_eq!(*dg, DistGraph::build_for_rank(g, p, dg.rank));
             let mine = |v: &VertexId| p.owner(*v) == dg.rank;
             // Owned vertices ascending, then ghosts as a scan of the
             // owned rows first meets them.

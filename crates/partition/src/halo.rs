@@ -93,22 +93,6 @@ impl HaloView {
             ghost_adj,
         }
     }
-
-    /// Splits a *global* dirty predicate into this rank's owned dirty
-    /// local indices, interior first then boundary (each ascending).
-    /// The warm-start plumbing: a serving layer computes one global
-    /// dirty set, and every rank derives its own repair worklist from
-    /// it — interior-first matches the cold-start local order, and
-    /// boundary-last keeps the speculative window (where cross-rank
-    /// conflicts can arise) as late as possible.
-    pub fn dirty_split(&self, dg: &DistGraph, dirty: impl Fn(VertexId) -> bool) -> Vec<u32> {
-        self.interior
-            .iter()
-            .chain(self.boundary.iter())
-            .copied()
-            .filter(|&v| dirty(dg.global_ids[v as usize]))
-            .collect()
-    }
 }
 
 /// Builds a weight-sorted adjacency CSR over `dg`'s owned vertices:

@@ -1,7 +1,7 @@
 //! `DistGraph::local` over random graphs and partitions: every local index
-//! round-trips through its global id, every other id is `None`, the
-//! one-rank build equals the all-ranks build, and a slice rebuilt from
-//! its wire fields (`from_fields`) equals the original.
+//! round-trips through its global id, every other id is `None`, and a
+//! slice rebuilt from its wire fields (`from_fields`) equals the
+//! original.
 
 use cmg_graph::generators::{erdos_renyi, grid2d};
 use cmg_graph::weights::{assign_weights, WeightScheme};
@@ -15,7 +15,6 @@ fn check(g: &CsrGraph, p: &Partition) {
     let parts = DistGraph::build_all(g, p);
     assert_eq!(parts.len(), p.num_parts() as usize);
     for dg in &parts {
-        assert_eq!(*dg, DistGraph::build_for_rank(g, p, dg.rank));
         for (l, &v) in dg.global_ids.iter().enumerate() {
             assert_eq!(dg.local(v), Some(l as u32), "rank {} id {v}", dg.rank);
         }

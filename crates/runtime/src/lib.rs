@@ -50,7 +50,7 @@ pub use collectives::{
 pub use cost::{CostModel, MachinePreset};
 pub use delivery::{DeliveryKey, DeliveryPolicy, DeliveryScript};
 pub use message::WireMessage;
-pub use program::{Rank, RankCtx, RankProgram, Status, WarmStart};
+pub use program::{Rank, RankCtx, RankProgram, Status};
 pub use sim::{RoundTrace, SimEngine, SimResult};
 pub use snapshot::ProgramSnapshot;
 pub use stats::{RankStats, RunStats};

@@ -246,34 +246,6 @@ pub trait RankProgram: Send {
     fn meta(&self) -> Self::Meta;
 }
 
-/// Warm-start contract: the serving-layer sibling of the snapshot
-/// contract.
-///
-/// Where [`RankProgram::restore`] rebuilds a program *exactly* (same
-/// graph, bit-identical resumption), `reseed` rebuilds it **under a
-/// changed graph**: the caller retains a globally consistent view of
-/// the previous run's result (`Retained` — e.g. the global mate vector
-/// plus the set of invalidated vertices), and `reseed` constructs a
-/// program whose non-invalidated state is pre-resolved, so the next
-/// engine run only does protocol work on the dirty frontier. Every
-/// rank must be reseeded from the *same* retained view: ghost states
-/// derived from it are then consistent across ranks without any
-/// catch-up communication.
-///
-/// Unlike restore, reseeded runs are not bit-identical to cold runs —
-/// they promise *result* equivalence (the cmg-check oracles, and exact
-/// result equality where the algorithm's fixed point is unique, e.g.
-/// matching under distinct weights). See DESIGN.md §13.
-pub trait WarmStart: RankProgram + Sized {
-    /// The globally consistent retained state a reseed draws from.
-    type Retained: ?Sized;
-
-    /// Builds a program over `meta` (the rank's construction context on
-    /// the *new* graph) with retained state pre-applied and only the
-    /// invalidated frontier left active.
-    fn reseed(meta: Self::Meta, retained: &Self::Retained) -> Self;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

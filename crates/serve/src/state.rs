@@ -20,12 +20,7 @@
 //!    n-vector is copied, scanned or allocated — steps 2–3 allocate
 //!    nothing once the scratch has grown to the largest frontier seen —
 //!    and that is what buys the order-of-magnitude repair-vs-recompute
-//!    gap the serve bench demands, at any graph size. (The equivalent
-//!    *distributed* warm path — each rank reseeded via its
-//!    [`WarmStart`](cmg_runtime::WarmStart) impl, engine rerun over
-//!    the frontier — remains the multi-rank story and computes the
-//!    same matching fixpoint through the same kernels' functional
-//!    wrappers.)
+//!    gap the serve bench demands, at any graph size.
 //!
 //! No undo log is needed for the in-place steps: the only fallible
 //! step, [`MutableGraph::apply`], validates the whole batch and runs
@@ -274,24 +269,24 @@ impl ServeState {
         let n = self.mg.num_vertices().max(1);
         let dirtiness = dirty_matching.max(dirty_coloring) as f64 / n as f64;
 
-        let mode = if dirtiness > self.cfg.recompute_threshold {
+        let (mode, (match_rounds, color_rounds)) = if dirtiness > self.cfg.recompute_threshold {
             self.recomputes += 1;
             // A fleet failure mid-serve degrades, it does not wedge:
             // the in-process fallback restores consistency, the failure
             // is counted, and the session relaunches a fresh fleet on
             // its next pass.
-            if self.recompute().is_err() {
+            let rounds = self.recompute().unwrap_or_else(|_| {
                 self.fleet_failures += 1;
-                self.recompute_local();
-            }
-            RepairMode::Recompute
+                self.recompute_local()
+            });
+            (RepairMode::Recompute, rounds)
         } else {
             self.repairs += 1;
             // hot-path: begin (warm repair — in place, recycled scratch)
             self.match_frontier.repair(&self.mg, &mut self.mate);
             self.color_frontier.repair(&self.mg, &mut self.colors, seed);
             // hot-path: end (warm repair)
-            RepairMode::Repair
+            (RepairMode::Repair, (0, 0))
         };
 
         Ok(RepairReport {
@@ -299,36 +294,34 @@ impl ServeState {
             applied,
             dirty_matching,
             dirty_coloring,
-            match_rounds: 0,
-            color_rounds: 0,
+            match_rounds,
+            color_rounds,
         })
     }
 
     /// From-scratch matching + coloring on the current graph: on the
-    /// resident fleet in net mode, in-process otherwise.
-    fn recompute(&mut self) -> Result<(), NetError> {
-        if self.session.is_none() {
-            self.recompute_local();
-            return Ok(());
-        }
+    /// resident fleet in net mode, in-process otherwise. Returns the
+    /// two passes' engine rounds (matching, coloring).
+    fn recompute(&mut self) -> Result<(u64, u64), NetError> {
+        let Some(session) = self.session.as_mut() else {
+            return Ok(self.recompute_local());
+        };
         // Field-level borrows (not `self.graph()`), so the packed cache
         // is read where it lives instead of being cloned.
         let g = self.csr.get_or_insert_with(|| self.mg.rebuild());
-        let parts = DistGraph::build_all(g, &self.part);
-        if let Some(session) = self.session.as_mut() {
-            session.set_parts(parts)?;
-            self.mate = session.submit_matching(NetTask::Matching)?.mates().to_vec();
-            self.colors = session
-                .submit_coloring(NetTask::Coloring(self.cfg.coloring))?
-                .colors()
-                .to_vec();
-        }
-        Ok(())
+        session.set_parts(DistGraph::build_all(g, &self.part))?;
+        let (matching, match_rounds) = session.submit_matching(NetTask::Matching)?;
+        let (coloring, color_rounds) =
+            session.submit_coloring(NetTask::Coloring(self.cfg.coloring))?;
+        self.mate = matching.mates().to_vec();
+        self.colors = coloring.colors().to_vec();
+        Ok((match_rounds, color_rounds))
     }
 
     /// In-process from-scratch pass (also the net mode's fallback when
-    /// a fleet pass fails unrecoverably).
-    fn recompute_local(&mut self) {
+    /// a fleet pass fails unrecoverably). Returns the two passes'
+    /// engine rounds (matching, coloring).
+    fn recompute_local(&mut self) -> (u64, u64) {
         let g = self.csr.get_or_insert_with(|| self.mg.rebuild());
         let parts = DistGraph::build_all(g, &self.part);
         let programs: Vec<DistMatching> = parts.iter().cloned().map(DistMatching::new).collect();
@@ -336,6 +329,7 @@ impl ServeState {
         self.mate = assemble_matching(&result.programs, g.num_vertices())
             .mates()
             .to_vec();
+        let match_rounds = result.stats.rounds;
         let programs: Vec<DistColoring> = parts
             .into_iter()
             .map(|dg| DistColoring::new(dg, self.cfg.coloring))
@@ -344,6 +338,7 @@ impl ServeState {
         self.colors = assemble_coloring(&result.programs, g.num_vertices())
             .colors()
             .to_vec();
+        (match_rounds, result.stats.rounds)
     }
 
     /// Shuts a resident fleet down gracefully (no-op in-process).

@@ -582,13 +582,13 @@ fn session_reuses_one_fleet_across_tasks_bit_identically() {
         run_coloring(parts(&g, 4), ccfg, &NetConfig::default()).expect("one-shot coloring");
 
     let mut session = NetSession::open(parts(&g, 4), NetConfig::default());
-    let m1 = session
+    let (m1, _) = session
         .submit_matching(NetTask::Matching)
         .expect("first session task");
-    let c = session
+    let (c, _) = session
         .submit_coloring(NetTask::Coloring(ccfg))
         .expect("second session task on the same fleet");
-    let m2 = session
+    let (m2, _) = session
         .submit_matching(NetTask::Matching)
         .expect("third session task on the same fleet");
 
@@ -633,7 +633,7 @@ fn killed_worker_mid_session_recovers_and_the_fleet_keeps_serving() {
 
     // The fired kill retired with the fleet relaunch; the next task
     // runs on the recovered fleet and must still be exact.
-    let m = session
+    let (m, _) = session
         .submit_matching(NetTask::Matching)
         .expect("the recovered fleet keeps serving");
     assert_eq!(m, clean_m.matching);
@@ -670,7 +670,7 @@ fn unrecoverable_session_failure_is_typed_and_the_next_submit_relaunches() {
     assert!(!session.is_live(), "the failed fleet is dropped");
 
     session.config_mut().kill = KillSpec::None;
-    let m = session
+    let (m, _) = session
         .submit_matching(NetTask::Matching)
         .expect("the next submit relaunches a fresh fleet");
     assert_eq!(m, clean_m.matching);

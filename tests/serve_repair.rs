@@ -1,7 +1,7 @@
 //! Schedule-adversarial serve repair: random mutation streams absorbed
 //! by the resident state must stay correct after *every* batch, agree
-//! with from-scratch on the final graph, and — on the distributed warm
-//! path — be invariant to adversarial message delivery schedules.
+//! with from-scratch on the final graph, and agree with cold distributed
+//! runs under adversarial message delivery schedules.
 //!
 //! Four layers of assurance, and one timing gate (warm repair ≥ 10×
 //! cheaper than a cold pass — the last test):
@@ -15,14 +15,16 @@
 //!    matching must equal a cold [`ServeState`] built on the final
 //!    graph, bit for bit (weights are distinct, so the locally dominant
 //!    matching is unique). Runs at two thresholds so both the warm
-//!    repair path and the recompute path carry real traffic.
-//! 3. **Delivery adversaries.** The *distributed* warm path — every
-//!    rank reseeded from the retained state, engine rerun over the
-//!    frontier — must produce the identical matching under reordered,
-//!    reversed, LIFO, delayed, and randomly permuted mailbox merges,
-//!    and that matching must equal the sequential frontier kernel the
-//!    serving layer runs in-process. Per-source FIFO is preserved by
-//!    every policy (the MPI non-overtaking guarantee).
+//!    repair path and the recompute path carry real traffic; repairs
+//!    must report 0 engine rounds and recomputes the cold passes' real
+//!    round counts.
+//! 3. **Delivery adversaries.** A cold distributed matching of the
+//!    mutated graph must equal the answer the sequential frontier
+//!    kernel serves, bit for bit, under reordered, reversed, LIFO,
+//!    delayed, and randomly permuted mailbox merges — serve's
+//!    consistency bar (served ≡ cold) checked under adversarial
+//!    schedules. Per-source FIFO is preserved by every policy (the MPI
+//!    non-overtaking guarantee).
 //! 4. **One kernel, three callers.** The in-place frontier kernels the
 //!    service runs on its resident vectors, their functional wrappers,
 //!    and a cold sequential run must agree after every batch of a random
@@ -42,7 +44,7 @@ use cmg_matching::repair::{invalidate, repair_frontier};
 use cmg_matching::{DistMatching, MatchFrontier, Matching};
 use cmg_partition::simple::hash_partition;
 use cmg_partition::DistGraph;
-use cmg_runtime::{CostModel, DeliveryPolicy, EngineConfig, SimEngine, WarmStart};
+use cmg_runtime::{CostModel, DeliveryPolicy, EngineConfig, SimEngine};
 use cmg_serve::{RepairMode, ServeConfig, ServeState};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -101,6 +103,16 @@ fn stream_and_verify(seed: u64, threshold: f64) -> (u64, u64) {
     for step in 0..30 {
         let batch = random_batch(&mut rng);
         let report = state.apply(&batch).expect("valid batch absorbs");
+        let rounds = (report.match_rounds, report.color_rounds);
+        match report.mode {
+            RepairMode::Repair => {
+                assert_eq!(rounds, (0, 0), "step {step}: a repair runs no rounds")
+            }
+            RepairMode::Recompute => assert!(
+                rounds.0 > 0 && rounds.1 > 0,
+                "step {step}: a recompute reported {rounds:?} rounds"
+            ),
+        }
         mirror.apply(&batch).expect("mirror applies");
         let g = mirror.rebuild();
         let (mate, colors) = (state.matching(), state.coloring());
@@ -184,9 +196,9 @@ fn mixed_mode_streams_cross_the_threshold_both_ways() {
     assert_eq!(state.matching().mates(), cold.matching().mates());
 }
 
-/// The distributed warm path under adversarial delivery schedules:
-/// identical retained state, identical repaired matching, equal to the
-/// sequential kernel — for every policy.
+/// Served ≡ cold under adversarial delivery schedules: after every
+/// batch, the cold distributed matching of the mutated graph equals the
+/// sequential kernel's repaired answer — for every policy.
 #[test]
 fn distributed_warm_repair_is_delivery_schedule_invariant() {
     let g0 = base_graph(4);
@@ -202,8 +214,8 @@ fn distributed_warm_repair_is_delivery_schedule_invariant() {
         let sequential = repair_frontier(&mg, &retained);
         let g = mg.rebuild();
 
-        // ...must be what every adversarially-scheduled distributed
-        // warm run converges to.
+        // ...must be what every adversarially-scheduled cold
+        // distributed run converges to.
         let mut policies = vec![
             DeliveryPolicy::Arrival,
             DeliveryPolicy::ReverseRank,
@@ -219,7 +231,7 @@ fn distributed_warm_repair_is_delivery_schedule_invariant() {
             let p = hash_partition(g.num_vertices(), 3, 7);
             let programs: Vec<DistMatching> = DistGraph::build_all(&g, &p)
                 .into_iter()
-                .map(|dg| DistMatching::reseed(dg, &retained))
+                .map(DistMatching::new)
                 .collect();
             let cfg = EngineConfig {
                 cost: CostModel::compute_only(),
@@ -229,13 +241,13 @@ fn distributed_warm_repair_is_delivery_schedule_invariant() {
             let result = SimEngine::new(programs, cfg).run();
             assert!(
                 !result.hit_round_cap,
-                "warm run did not quiesce under {policy:?}"
+                "cold run did not quiesce under {policy:?}"
             );
             let dist = assemble_matching(&result.programs, g.num_vertices());
             assert_eq!(
                 dist.mates(),
                 &sequential[..],
-                "step {step}: distributed warm repair under {policy:?} != sequential kernel"
+                "step {step}: cold distributed matching under {policy:?} != sequential kernel"
             );
         }
         mate = sequential;
