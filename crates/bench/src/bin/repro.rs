@@ -8,6 +8,7 @@
 //! Usage: `cargo run --release -p cmg-bench --bin repro -- [--scale S] [--only a,b]`
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(unsafe_code)]
 
 use cmg_bench::{Experiment, Scale, EXPERIMENTS};
 use std::process::ExitCode;

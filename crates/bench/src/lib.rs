@@ -10,6 +10,7 @@
 //! graphs to a single host; the *shape* of every curve is preserved.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod setup;

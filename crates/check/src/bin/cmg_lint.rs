@@ -14,6 +14,7 @@
 //! ```
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(unsafe_code)]
 
 use cmg_check::analyze::{analyze_tree, AnalyzeAllowlist};
 use std::path::PathBuf;

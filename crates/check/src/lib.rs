@@ -34,6 +34,7 @@
 //! tallies aggregate into [`cmg_obs::OracleCounters`].
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(unsafe_code)]
 
 pub mod analyze;
 pub mod callgraph;

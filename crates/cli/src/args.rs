@@ -1,4 +1,5 @@
-//! Tiny flag parser: `--key value` pairs and bare `--switch`es.
+//! Tiny flag parser: `--key value` pairs and bare `--switch`es, each
+//! checked against the options the command accepts.
 
 use std::collections::HashMap;
 
@@ -9,19 +10,15 @@ pub struct Args {
 }
 
 /// Known boolean switches (take no value).
-const SWITCHES: &[&str] = &[
-    "--no-bundling",
-    "--verbose",
-    "--verify",
-    "--summary",
-    "--shutdown",
-];
+const SWITCHES: &[&str] = &["--no-bundling", "--verify", "--summary", "--shutdown"];
 
 impl Args {
-    /// Parses an argv slice.
+    /// Parses the argv slice of `cmg <cmd>`. `accepted` lists the option
+    /// and switch names (without dashes) the command reads.
     ///
-    /// Returns `Err` with a message on malformed input (missing value).
-    pub fn parse(argv: &[String]) -> Result<Args, String> {
+    /// Returns `Err` with a message on malformed input (missing value)
+    /// and on any option the command does not accept.
+    pub fn parse(cmd: &str, argv: &[String], accepted: &[&[&str]]) -> Result<Args, String> {
         let mut opts = HashMap::new();
         let mut switches = Vec::new();
         let mut it = argv.iter();
@@ -29,16 +26,19 @@ impl Args {
             if !a.starts_with('-') {
                 return Err(format!("unexpected positional argument: {a}"));
             }
+            let key = a.trim_start_matches('-');
+            if !accepted.iter().any(|names| names.contains(&key)) {
+                return Err(format!("unknown option {a} for cmg {cmd}"));
+            }
             if SWITCHES.contains(&a.as_str()) {
                 switches.push(a.clone());
                 continue;
             }
-            let key = a.trim_start_matches('-').to_string();
             let value = it
                 .next()
                 .ok_or_else(|| format!("missing value for {a}"))?
                 .clone();
-            opts.insert(key, value);
+            opts.insert(key.to_string(), value);
         }
         Ok(Args { opts, switches })
     }
@@ -81,9 +81,11 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    const ANY: &[&[&str]] = &[&["parts", "method", "no-bundling", "x"]];
+
     #[test]
     fn parses_options_and_switches() {
-        let a = Args::parse(&argv("--parts 16 --no-bundling --method block")).unwrap();
+        let a = Args::parse("t", &argv("--parts 16 --no-bundling --method block"), ANY).unwrap();
         assert_eq!(a.get("parts"), Some("16"));
         assert_eq!(a.get_or("method", "x"), "block");
         assert!(a.has_switch("--no-bundling"));
@@ -93,13 +95,26 @@ mod tests {
 
     #[test]
     fn rejects_missing_value_and_positional() {
-        assert!(Args::parse(&argv("--parts")).is_err());
-        assert!(Args::parse(&argv("stray")).is_err());
+        assert!(Args::parse("t", &argv("--parts"), ANY).is_err());
+        assert!(Args::parse("t", &argv("stray"), ANY).is_err());
+    }
+
+    #[test]
+    fn rejects_options_the_command_does_not_accept() {
+        let refused = |s: &str| Args::parse("match", &argv(s), ANY).err();
+        let msg = Some("unknown option --engin for cmg match".to_string());
+        assert_eq!(refused("--parts 2 --engin threaded"), msg);
+        // Refused before a value is looked for, and switches alike.
+        assert_eq!(refused("--engin"), msg);
+        assert_eq!(
+            refused("--verify"),
+            Some("unknown option --verify for cmg match".to_string())
+        );
     }
 
     #[test]
     fn required_reports_missing() {
-        let a = Args::parse(&argv("--x 1")).unwrap();
+        let a = Args::parse("t", &argv("--x 1"), ANY).unwrap();
         assert!(a.required("input").is_err());
         assert_eq!(a.required("x").unwrap(), "1");
     }

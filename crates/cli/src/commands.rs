@@ -13,6 +13,13 @@ use std::fs::File;
 use std::io::BufWriter;
 use std::sync::Arc;
 
+/// The options `build_partition` reads.
+const PARTITION_OPTS: &[&str] = &["parts", "method", "seed"];
+/// The options and switch `build_engine` reads.
+const ENGINE_OPTS: &[&str] = &["engine", "no-bundling", "checkpoint-interval"];
+/// The observability outputs `ObsSinks::from_args` reads.
+const OBS_OPTS: &[&str] = &["trace-out", "events-out", "metrics-out", "report-out"];
+
 /// Runs `f`, mapping an error message to exit code 1.
 fn run(f: impl FnOnce() -> Result<(), String>) -> i32 {
     match f() {
@@ -198,7 +205,11 @@ fn obs_setup(args: &Args) -> (Option<ObsSinks>, RecorderHandle) {
 /// `cmg gen`
 pub fn gen(argv: &[String]) -> i32 {
     run(|| {
-        let args = Args::parse(argv)?;
+        let args = Args::parse(
+            "gen",
+            argv,
+            &[&["kind", "seed", "n", "rows", "cols", "depth", "weights", "o"]],
+        )?;
         let kind = args.get_or("kind", "grid2d");
         let seed: u64 = args.num("seed", 1)?;
         let n: usize = args.num("n", 1024)?;
@@ -235,7 +246,7 @@ pub fn gen(argv: &[String]) -> i32 {
 /// `cmg stats`
 pub fn stats(argv: &[String]) -> i32 {
     run(|| {
-        let args = Args::parse(argv)?;
+        let args = Args::parse("stats", argv, &[&["input"]])?;
         let g = load_graph(args.required("input")?)?;
         println!("{}", GraphStats::of(&g));
         println!("weighted: {}", g.is_weighted());
@@ -251,7 +262,7 @@ pub fn stats(argv: &[String]) -> i32 {
 /// `cmg partition`
 pub fn partition(argv: &[String]) -> i32 {
     run(|| {
-        let args = Args::parse(argv)?;
+        let args = Args::parse("partition", argv, &[&["input", "o"], PARTITION_OPTS])?;
         let g = load_graph(args.required("input")?)?;
         let part = build_partition(&g, &args)?;
         println!(
@@ -272,33 +283,26 @@ pub fn partition(argv: &[String]) -> i32 {
     })
 }
 
-/// The `cmg match` flags that configure a distributed run: partition,
-/// engine and observability outputs. A `--seq` run refuses them rather
-/// than ignore them.
-const DISTRIBUTED_ONLY: &[&str] = &[
-    "--parts",
-    "--method",
-    "--seed",
-    "--engine",
-    "--no-bundling",
-    "--checkpoint-interval",
-    "--trace-out",
-    "--events-out",
-    "--metrics-out",
-    "--report-out",
-];
-
 /// `cmg match`
 pub fn matching(argv: &[String]) -> i32 {
     run(|| {
-        let args = Args::parse(argv)?;
+        let args = Args::parse(
+            "match",
+            argv,
+            &[&["input", "seq"], PARTITION_OPTS, ENGINE_OPTS, OBS_OPTS],
+        )?;
         let g = load_graph(args.required("input")?)?;
         if let Some(alg) = args.get("seq") {
-            let given = |flag: &str| {
-                args.has_switch(flag) || args.get(flag.trim_start_matches('-')).is_some()
-            };
-            if let Some(flag) = DISTRIBUTED_ONLY.iter().find(|f| given(f)) {
-                return Err(format!("--seq {alg} runs sequentially and takes no {flag}"));
+            // The flags that configure a distributed run mean nothing to
+            // a sequential one: refuse them rather than ignore them.
+            let distributed = [PARTITION_OPTS, ENGINE_OPTS, OBS_OPTS].concat();
+            let given = distributed
+                .iter()
+                .find(|key| args.has_switch(&format!("--{key}")) || args.get(key).is_some());
+            if let Some(key) = given {
+                return Err(format!(
+                    "--seq {alg} runs sequentially and takes no --{key}"
+                ));
             }
             let m = match alg {
                 "greedy" => cmg_matching::seq::greedy(&g),
@@ -350,7 +354,16 @@ pub fn matching(argv: &[String]) -> i32 {
 /// `cmg color`
 pub fn coloring(argv: &[String]) -> i32 {
     run(|| {
-        let args = Args::parse(argv)?;
+        let args = Args::parse(
+            "color",
+            argv,
+            &[
+                &["input", "distance", "superstep", "comm"],
+                PARTITION_OPTS,
+                ENGINE_OPTS,
+                OBS_OPTS,
+            ],
+        )?;
         let g = load_graph(args.required("input")?)?;
         let g = g.unweighted();
         let part = build_partition(&g, &args)?;
@@ -448,7 +461,7 @@ pub fn trace(argv: &[String]) -> i32 {
             }
             _ => argv,
         };
-        let args = Args::parse(rest)?;
+        let args = Args::parse("trace", rest, &[&["input", "json"]])?;
         let input = args.required("input")?;
         let text =
             std::fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
@@ -481,7 +494,15 @@ pub fn trace(argv: &[String]) -> i32 {
 /// rank is its own OS process over Unix-domain sockets).
 pub fn run_demo(argv: &[String]) -> i32 {
     run(|| {
-        let args = Args::parse(argv)?;
+        let args = Args::parse(
+            "run",
+            argv,
+            &[
+                &["ranks", "rows", "cols", "seed", "input", "verify"],
+                ENGINE_OPTS,
+                OBS_OPTS,
+            ],
+        )?;
         let ranks = count_arg(&args, "ranks", 4)?;
         let rows: usize = args.num("rows", 32)?;
         let cols: usize = args.num("cols", 32)?;
@@ -567,7 +588,21 @@ pub fn run_demo(argv: &[String]) -> i32 {
 /// fleet; warm repairs always run in-process.
 pub fn serve(argv: &[String]) -> i32 {
     run(|| {
-        let args = Args::parse(argv)?;
+        let args = Args::parse(
+            "serve",
+            argv,
+            &[&[
+                "socket",
+                "ranks",
+                "rows",
+                "cols",
+                "seed",
+                "threshold",
+                "input",
+                "engine",
+                "json",
+            ]],
+        )?;
         let socket = args.required("socket")?.to_string();
         let ranks = count_arg(&args, "ranks", 4)?;
         let rows: usize = args.num("rows", 32)?;
@@ -621,7 +656,19 @@ pub fn serve(argv: &[String]) -> i32 {
 /// suffices) — with blank lines separating batches.
 pub fn client(argv: &[String]) -> i32 {
     run(|| {
-        let args = Args::parse(argv)?;
+        let args = Args::parse(
+            "client",
+            argv,
+            &[&[
+                "socket",
+                "connect-timeout-ms",
+                "mutations",
+                "mate",
+                "color",
+                "summary",
+                "shutdown",
+            ]],
+        )?;
         let socket = std::path::PathBuf::from(args.required("socket")?);
         let timeout = std::time::Duration::from_millis(args.num("connect-timeout-ms", 10_000)?);
         let mut client =

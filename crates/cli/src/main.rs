@@ -9,6 +9,7 @@
 //! ```
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(unsafe_code)]
 
 mod args;
 mod commands;

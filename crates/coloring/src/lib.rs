@@ -21,6 +21,7 @@
 //!   framework is shown to beat.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(unsafe_code)]
 
 pub mod coloring;
 pub mod dist;

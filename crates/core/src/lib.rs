@@ -23,6 +23,7 @@
 //! ```
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(unsafe_code)]
 
 pub mod report;
 mod runner;

@@ -21,6 +21,7 @@
 //! ```
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(unsafe_code)]
 
 mod bipartite;
 mod builder;

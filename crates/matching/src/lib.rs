@@ -19,6 +19,7 @@
 //!   (the serving layer's kernel).
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(unsafe_code)]
 
 pub mod dist;
 pub mod exact;

@@ -4,6 +4,7 @@
 //! slice, the task, the run options — arrives over the socket.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -47,6 +47,7 @@
 //! other engines'.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(unsafe_code)]
 
 pub mod error;
 pub mod frame;

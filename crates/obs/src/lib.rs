@@ -25,6 +25,7 @@
 //! JSON value type shared by every sink.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(unsafe_code)]
 
 pub mod event;
 pub mod json;

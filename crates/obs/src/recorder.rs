@@ -11,8 +11,8 @@ use std::sync::{Arc, Mutex};
 
 /// Receives events from engines and rank programs.
 ///
-/// Implementations must be thread-safe: under `parallel_sim` and under
-/// the threaded engine, different ranks record concurrently. Per-rank
+/// Implementations must be thread-safe: under the threaded engine,
+/// different ranks record concurrently. Per-rank
 /// event order is the order of `record` calls for that rank.
 pub trait Recorder: Send + Sync {
     /// Whether this recorder wants events at all. Engines consult the

@@ -18,6 +18,7 @@
 //!   represented using ghost vertices").
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(unsafe_code)]
 
 pub mod dist;
 pub mod geometric;

@@ -50,10 +50,9 @@ pub struct DeliveryKey {
 ///
 /// Returned permutations must preserve per-source FIFO order (see the
 /// module docs); the engine debug-asserts this. Scripts may keep interior
-/// state (e.g. behind a `Mutex`) to enumerate schedules across runs, but
-/// stateful scripts require a serial engine: under `parallel_sim` the
-/// consultation order across ranks is nondeterministic, so the engine
-/// falls back to the serial path whenever a scripted policy is installed.
+/// state (e.g. behind a `Mutex`) to enumerate schedules across runs: the
+/// engine consults them in rank order within each round, so a stateful
+/// script replays exactly.
 pub trait DeliveryScript: Send + Sync {
     /// Chooses the delivery permutation for one mailbox.
     fn choose(&self, rank: Rank, round: u64, keys: &[DeliveryKey]) -> Option<Vec<usize>>;
@@ -70,8 +69,8 @@ pub enum DeliveryPolicy {
     #[default]
     Arrival,
     /// Seeded random interleaving of the per-source FIFO queues,
-    /// re-derived from `(seed, rank, round)` — stateless, so it is safe
-    /// under `parallel_sim` and replays exactly.
+    /// re-derived from `(seed, rank, round)` — stateless, so it replays
+    /// exactly.
     RandomPermutation {
         /// Seed selecting the schedule.
         seed: u64,
@@ -118,11 +117,6 @@ impl DeliveryPolicy {
     /// `true` for the zero-cost canonical policy.
     pub(crate) fn is_default(&self) -> bool {
         matches!(self, DeliveryPolicy::Arrival)
-    }
-
-    /// `true` when the policy needs an engine that consults it serially.
-    pub(crate) fn requires_serial(&self) -> bool {
-        matches!(self, DeliveryPolicy::Scripted(_))
     }
 
     /// `true` when the policy computes payload hashes for its keys.

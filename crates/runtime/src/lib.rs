@@ -13,9 +13,7 @@
 //!   compute and communication is charged against an α–β–γ [`CostModel`],
 //!   producing *simulated* times for rank counts far beyond the host's core
 //!   count (the paper runs up to 16,384 processors). The round loop is an
-//!   active-set scheduler — quiet rounds cost O(active ranks), not O(p) —
-//!   and can optionally step runnable ranks on a persistent worker pool
-//!   while keeping results bit-identical.
+//!   active-set scheduler: quiet rounds cost O(active ranks), not O(p).
 //! * [`ThreadedEngine`]: one OS thread per rank with real channels,
 //!   measuring wall-clock time — used to validate that the algorithms are
 //!   correct under true concurrency.
@@ -27,6 +25,7 @@
 //! can be disabled per run for the ablation study.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(unsafe_code)]
 
 mod bundle;
 pub mod codec;
@@ -71,11 +70,6 @@ pub struct EngineConfig {
     /// supersteps). When `false`, ranks progress asynchronously and only
     /// wait for the messages they actually receive.
     pub sync_rounds: bool,
-    /// Step runnable ranks in parallel inside the simulation engine on a
-    /// persistent worker pool (spawned once per run, workers parked
-    /// between rounds). Results and virtual times are identical to the
-    /// sequential simulation; only host wall time changes.
-    pub parallel_sim: bool,
     /// Safety cap on the number of rounds before the engine aborts
     /// (guards against non-terminating programs in tests).
     pub max_rounds: u64,
@@ -111,7 +105,6 @@ impl Default for EngineConfig {
             cost: CostModel::blue_gene_p(),
             bundling: true,
             sync_rounds: false,
-            parallel_sim: false,
             max_rounds: 1_000_000,
             record_trace: false,
             delivery: DeliveryPolicy::default(),

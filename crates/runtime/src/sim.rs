@@ -29,11 +29,8 @@
 //! therefore every mailbox, virtual time, and trace byte — matches the
 //! dense 0..p sweep). Round aggregates (stepped ranks, packets, bytes,
 //! max virtual time) are maintained incrementally instead of re-folding all
-//! p slots. Under `parallel_sim` a **persistent worker pool** is spawned
-//! once per run; workers park between rounds and claim worklist chunks via
-//! an atomic cursor, replacing the per-round thread-spawn of the original
-//! implementation. Results are bit-identical across all three paths
-//! (serial, pooled, and the [`SimEngine::run_dense_reference`] baseline);
+//! p slots. Ranks step one after another on the calling thread. Results
+//! are bit-identical to the [`SimEngine::run_dense_reference`] baseline;
 //! `tests/scheduler_equivalence.rs` holds the property test pinning this.
 
 use crate::bundle::Packet;
@@ -46,8 +43,6 @@ use crate::step::{RankStep, StepClock, VirtualClock};
 use crate::{CostModel, EngineConfig};
 use bytes::Bytes;
 use cmg_obs::{Event, PhaseName, SchedStats, ENGINE_RANK};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 
 /// A packet in flight, with its computed arrival time.
 struct InFlight {
@@ -146,8 +141,8 @@ pub struct SimResult<P> {
     pub hit_round_cap: bool,
     /// Per-round trace (empty unless `EngineConfig::record_trace`).
     pub trace: Vec<RoundTrace>,
-    /// Scheduler-occupancy counters: worklist sizes, skipped ranks, and
-    /// worker-pool usage (all zero from the dense reference path).
+    /// Scheduler-occupancy counters: worklist sizes and skipped ranks
+    /// (all zero from the dense reference path).
     pub sched: SchedStats,
 }
 
@@ -235,9 +230,7 @@ fn apply_delivery_policy(
 }
 
 /// Steps one rank: order its mailbox, run the shared [`RankStep`] on a
-/// virtual clock, keep the produced packets for routing. Pure per-slot
-/// work — both the serial scheduler and the worker pool funnel through
-/// this.
+/// virtual clock, keep the produced packets for routing.
 ///
 /// `floor` is the synchronized-clock lower bound (the previous round's
 /// barrier time under `sync_rounds`, 0 otherwise): a slot that skipped
@@ -292,152 +285,6 @@ pub(crate) fn checkpoint_roundtrip<P: RankProgram>(program: &mut P) {
         .expect("snapshot did not round-trip through its wire encoding");
 }
 
-/// One round's worth of work published to the worker pool. Raw pointers
-/// instead of borrows because the pool outlives any single round's
-/// worklist; validity is re-established at every dispatch.
-struct PoolJob<P: RankProgram> {
-    generation: u64,
-    shutdown: bool,
-    slots: *mut Sched<P>,
-    worklist: *const Rank,
-    len: usize,
-    chunk: usize,
-    round: u64,
-    floor: f64,
-}
-
-impl<P: RankProgram> Clone for PoolJob<P> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<P: RankProgram> Copy for PoolJob<P> {}
-
-// SAFETY: the pointers are only dereferenced by workers between a
-// dispatch and its completion signal, both of which are mutex-ordered
-// with the driver publishing them.
-unsafe impl<P: RankProgram> Send for PoolJob<P> {}
-
-/// The persistent worker pool: spawned once per [`SimEngine::run`],
-/// workers park on a condvar between rounds and claim disjoint worklist
-/// chunks through an atomic cursor.
-struct WorkerPool<P: RankProgram> {
-    job: Mutex<PoolJob<P>>,
-    start: Condvar,
-    running: Mutex<usize>,
-    done: Condvar,
-    cursor: AtomicUsize,
-    chunks_claimed: AtomicU64,
-    workers: usize,
-}
-
-#[expect(clippy::expect_used, reason = "poison means a worker already panicked")]
-impl<P: RankProgram> WorkerPool<P> {
-    fn new(workers: usize) -> Self {
-        WorkerPool {
-            job: Mutex::new(PoolJob {
-                generation: 0,
-                shutdown: false,
-                slots: std::ptr::null_mut(),
-                worklist: std::ptr::null(),
-                len: 0,
-                chunk: 1,
-                round: 0,
-                floor: 0.0,
-            }),
-            start: Condvar::new(),
-            running: Mutex::new(0),
-            done: Condvar::new(),
-            cursor: AtomicUsize::new(0),
-            chunks_claimed: AtomicU64::new(0),
-            workers,
-        }
-    }
-
-    /// Worker body: park until a new generation (or shutdown) is
-    /// published, then claim and step worklist chunks until the cursor
-    /// runs off the end.
-    fn worker_loop(&self, cost: CostModel, policy: DeliveryPolicy) {
-        let mut seen = 0u64;
-        loop {
-            let job = {
-                let mut guard = self.job.lock().expect("pool poisoned");
-                while !guard.shutdown && guard.generation == seen {
-                    guard = self.start.wait(guard).expect("pool poisoned");
-                }
-                if guard.shutdown {
-                    return;
-                }
-                seen = guard.generation;
-                *guard
-            };
-            let mut claimed = 0u64;
-            loop {
-                let begin = self.cursor.fetch_add(job.chunk, Ordering::Relaxed);
-                if begin >= job.len {
-                    break;
-                }
-                claimed += 1;
-                let end = (begin + job.chunk).min(job.len);
-                for i in begin..end {
-                    // SAFETY: the worklist holds deduplicated ranks and
-                    // the atomic cursor hands each index range to exactly
-                    // one worker, so slot accesses are disjoint; the
-                    // driver publishes the pointers before bumping the
-                    // generation and does not touch the slots until every
-                    // worker has signalled completion.
-                    unsafe {
-                        let rank = *job.worklist.add(i);
-                        step_slot(
-                            &mut *job.slots.add(rank as usize),
-                            rank,
-                            cost,
-                            &policy,
-                            job.round,
-                            job.floor,
-                        );
-                    }
-                }
-            }
-            if claimed > 0 {
-                self.chunks_claimed.fetch_add(claimed, Ordering::Relaxed);
-            }
-            let mut running = self.running.lock().expect("pool poisoned");
-            *running -= 1;
-            if *running == 0 {
-                self.done.notify_one();
-            }
-        }
-    }
-
-    /// Runs one round's worklist on the pool and blocks until every
-    /// worker is parked again.
-    fn dispatch(&self, slots: *mut Sched<P>, worklist: &[Rank], round: u64, floor: f64) {
-        self.cursor.store(0, Ordering::Relaxed);
-        *self.running.lock().expect("pool poisoned") = self.workers;
-        {
-            let mut guard = self.job.lock().expect("pool poisoned");
-            guard.generation += 1;
-            guard.slots = slots;
-            guard.worklist = worklist.as_ptr();
-            guard.len = worklist.len();
-            guard.chunk = (worklist.len() / (self.workers * 4)).clamp(1, 256);
-            guard.round = round;
-            guard.floor = floor;
-        }
-        self.start.notify_all();
-        let mut running = self.running.lock().expect("pool poisoned");
-        while *running > 0 {
-            running = self.done.wait(running).expect("pool poisoned");
-        }
-    }
-
-    fn shutdown(&self) {
-        self.job.lock().expect("pool poisoned").shutdown = true;
-        self.start.notify_all();
-    }
-}
-
 impl<P: RankProgram> SimEngine<P> {
     /// Creates an engine over one program per rank (rank = index).
     pub fn new(programs: Vec<P>, config: EngineConfig) -> Self {
@@ -459,53 +306,15 @@ impl<P: RankProgram> SimEngine<P> {
         SimEngine { slots, config }
     }
 
-    /// Runs to quiescence (or the round cap) and returns the result.
+    /// Runs to quiescence (or the round cap) and returns the result: the
+    /// active-set round loop (see the module docs).
     pub fn run(self) -> SimResult<P> {
-        let p = self.slots.len();
-        // Scripted delivery policies may carry interior state whose
-        // consultation order must be deterministic — serial only.
-        if self.config.parallel_sim && p >= 4 && !self.config.delivery.requires_serial() {
-            let workers = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(p);
-            if workers > 1 {
-                return self.run_with_pool(workers);
-            }
-        }
-        self.run_scheduled(None)
-    }
-
-    /// Spawns the persistent pool, runs the scheduled loop against it,
-    /// then parks and joins the workers.
-    fn run_with_pool(self, workers: usize) -> SimResult<P> {
-        let pool: WorkerPool<P> = WorkerPool::new(workers);
-        let cost = self.config.cost;
-        let policy = self.config.delivery.clone();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let pool = &pool;
-                let policy = policy.clone();
-                scope.spawn(move || pool.worker_loop(cost, policy));
-            }
-            let result = self.run_scheduled(Some(&pool));
-            pool.shutdown();
-            result
-        })
-    }
-
-    /// The active-set round loop (see the module docs). `pool` is the
-    /// persistent worker pool, or `None` to step on this thread.
-    fn run_scheduled(self, pool: Option<&WorkerPool<P>>) -> SimResult<P> {
         let mut slots: Vec<Sched<P>> = self.slots.into_iter().map(Sched::from).collect();
         let p = slots.len();
         let mut rounds: u64 = 0;
         let mut hit_round_cap = false;
         let mut trace: Vec<RoundTrace> = Vec::new();
-        let mut sched = SchedStats {
-            pool_workers: pool.map_or(0, |pl| pl.workers as u64),
-            ..SchedStats::default()
-        };
+        let mut sched = SchedStats::default();
 
         let recorder = self.config.recorder.clone();
         let cost = self.config.cost;
@@ -552,19 +361,8 @@ impl<P: RankProgram> SimEngine<P> {
                 sched.worklist_total += worklist.len() as u64;
                 sched.worklist_max = sched.worklist_max.max(worklist.len() as u64);
                 sched.ranks_skipped_total += (p - worklist.len()) as u64;
-                match pool {
-                    Some(pl) if worklist.len() >= 4 => {
-                        sched.pool_parallel_rounds += 1;
-                        pl.dispatch(slots.as_mut_ptr(), &worklist, rounds, floor);
-                    }
-                    _ => {
-                        if pool.is_some() {
-                            sched.pool_serial_rounds += 1;
-                        }
-                        for &r in &worklist {
-                            step_slot(&mut slots[r as usize], r, cost, &policy, rounds, floor);
-                        }
-                    }
+                for &r in &worklist {
+                    step_slot(&mut slots[r as usize], r, cost, &policy, rounds, floor);
                 }
                 let stepped = worklist.len() as u64;
                 for &r in &worklist {
@@ -661,9 +459,6 @@ impl<P: RankProgram> SimEngine<P> {
                 }
             }
         }
-        if let Some(pl) = pool {
-            sched.pool_chunks_claimed = pl.chunks_claimed.load(Ordering::Relaxed);
-        }
 
         let mut per_rank = Vec::with_capacity(p);
         let mut programs = Vec::with_capacity(p);
@@ -693,8 +488,8 @@ impl<P: RankProgram> SimEngine<P> {
     }
 
     /// The pre-scheduler dense round loop, kept verbatim as the reference
-    /// implementation: every round folds over all `p` slots and respawns
-    /// scoped threads. `tests/scheduler_equivalence.rs` asserts
+    /// implementation: every round folds over all `p` slots and steps each
+    /// in rank order. `tests/scheduler_equivalence.rs` asserts
     /// [`SimEngine::run`] reproduces its results bit-for-bit. It writes
     /// its own deliver → compute → send body instead of driving a
     /// [`RankStep`] — a reference that called the code under test would
@@ -845,7 +640,7 @@ impl<P: RankProgram> SimEngine<P> {
     /// Dense-reference step: scans every rank, skipping the quiescent
     /// ones one by one (the O(p)-per-round pattern the scheduler
     /// replaces).
-    #[expect(clippy::expect_used, reason = "as in step_slot, plus worker panics")]
+    #[expect(clippy::expect_used, reason = "as in step_slot")]
     fn dense_step_all(&mut self, round: u64, first: bool) {
         let cost = self.config.cost;
         let recorder = self.config.recorder.clone();
@@ -970,27 +765,8 @@ impl<P: RankProgram> SimEngine<P> {
             }
         };
 
-        if self.config.parallel_sim && self.slots.len() >= 4 {
-            let threads = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(self.slots.len());
-            let chunk = self.slots.len().div_ceil(threads);
-            let step_one = &step_one;
-            crossbeam::thread::scope(|scope| {
-                for chunk_slots in self.slots.chunks_mut(chunk) {
-                    scope.spawn(move |_| {
-                        for slot in chunk_slots {
-                            step_one(slot);
-                        }
-                    });
-                }
-            })
-            .expect("sim worker panicked");
-        } else {
-            for slot in &mut self.slots {
-                step_one(slot);
-            }
+        for slot in &mut self.slots {
+            step_one(slot);
         }
     }
 }
@@ -1169,28 +945,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sim_matches_sequential() {
-        let mk = || {
-            (0..8)
-                .map(|_| RingToken {
-                    hops_left: 40,
-                    forwarded: 0,
-                })
-                .collect()
-        };
-        let seq = SimEngine::<RingToken>::new(mk(), free_config()).run();
-        let par_cfg = EngineConfig {
-            parallel_sim: true,
-            ..free_config()
-        };
-        let par = SimEngine::<RingToken>::new(mk(), par_cfg).run();
-        assert_eq!(seq.stats.rounds, par.stats.rounds);
-        for (a, b) in seq.stats.per_rank.iter().zip(&par.stats.per_rank) {
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
     fn dense_reference_matches_scheduled_run() {
         for sync_rounds in [false, true] {
             let mk = || {
@@ -1241,33 +995,6 @@ mod tests {
             sched.ranks_skipped_total,
             (sched.rounds - 1) * (p as u64 - 1)
         );
-        assert_eq!(sched.pool_workers, 0, "serial run uses no pool");
-    }
-
-    #[test]
-    fn pool_reports_utilization() {
-        let programs = (0..32)
-            .map(|_| RingToken {
-                hops_left: 8,
-                forwarded: 0,
-            })
-            .collect::<Vec<_>>();
-        let cfg = EngineConfig {
-            parallel_sim: true,
-            ..free_config()
-        };
-        let result = SimEngine::new(programs, cfg).run();
-        let sched = &result.sched;
-        if sched.pool_workers > 0 {
-            // Round 0 (32 runnable ranks) goes to the pool; the 1-rank
-            // token rounds stay on the driver thread.
-            assert!(sched.pool_parallel_rounds >= 1);
-            assert_eq!(
-                sched.pool_parallel_rounds + sched.pool_serial_rounds,
-                sched.rounds
-            );
-            assert!(sched.pool_chunks_claimed >= sched.pool_parallel_rounds);
-        }
     }
 
     #[test]

@@ -31,6 +31,7 @@
 //! differ; with distinct edge weights the matching is bit-identical.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod protocol;

@@ -2,10 +2,13 @@
 //! the simulated scalability figures trustworthy.
 
 use cmg::prelude::*;
+use cmg_coloring::{assemble_coloring, ColoringConfig, DistColoring};
 use cmg_graph::generators;
 use cmg_graph::weights::{assign_weights, WeightScheme};
+use cmg_matching::{assemble_matching, DistMatching};
 use cmg_partition::simple::{block_partition, grid2d_partition};
-use cmg_runtime::EngineConfig;
+use cmg_partition::DistGraph;
+use cmg_runtime::{EngineConfig, RankProgram, SimEngine};
 
 fn weighted_grid(k: usize, seed: u64) -> cmg_graph::CsrGraph {
     assign_weights(
@@ -28,23 +31,52 @@ fn sim_runs_are_reproducible() {
     assert_eq!(a.stats.rounds, b.stats.rounds);
 }
 
-/// The crossbeam-parallel simulation produces identical results and
-/// virtual times to the sequential simulation.
+/// Runs `programs()` on the active-set loop and on the dense reference,
+/// asserts that per-rank statistics, rounds and makespans agree, and
+/// returns both sets of final programs.
+fn scheduled_and_dense<P: RankProgram>(programs: impl Fn() -> Vec<P>) -> (Vec<P>, Vec<P>) {
+    let sched = SimEngine::new(programs(), EngineConfig::default()).run();
+    let dense = SimEngine::new(programs(), EngineConfig::default()).run_dense_reference();
+    assert!(!sched.hit_round_cap && !dense.hit_round_cap);
+    assert_eq!(sched.stats.per_rank, dense.stats.per_rank);
+    assert_eq!(sched.stats.rounds, dense.stats.rounds);
+    assert_eq!(
+        sched.stats.makespan().to_bits(),
+        dense.stats.makespan().to_bits()
+    );
+    (sched.programs, dense.programs)
+}
+
+/// `SimEngine::run` reproduces the dense reference loop bit for bit on
+/// the paper's two programs: the same matching on the weighted grid and
+/// the same colouring on the unweighted one, with equal per-rank stats,
+/// rounds and simulated makespans.
 #[test]
 fn parallel_sim_is_bit_identical() {
-    let g = weighted_grid(24, 2);
-    let part = grid2d_partition(24, 24, 4, 4);
-    let seq = cmg::run_matching(&g, &part, &Engine::default_simulated());
-    let par_cfg = EngineConfig {
-        parallel_sim: true,
-        ..Default::default()
-    };
-    let par = cmg::run_matching(&g, &part, &Engine::Simulated(par_cfg));
-    assert_eq!(seq.matching, par.matching);
-    assert_eq!(seq.simulated_time, par.simulated_time);
-    for (a, b) in seq.stats.per_rank.iter().zip(&par.stats.per_rank) {
-        assert_eq!(a, b);
-    }
+    let k = 24;
+    let part = grid2d_partition(k, k, 4, 4);
+    let g = weighted_grid(k, 2);
+    let (sched, dense) = scheduled_and_dense(|| {
+        DistGraph::build_all(&g, &part)
+            .into_iter()
+            .map(DistMatching::new)
+            .collect()
+    });
+    assert_eq!(
+        assemble_matching(&sched, k * k),
+        assemble_matching(&dense, k * k)
+    );
+    let g = generators::grid2d(k, k);
+    let (sched, dense) = scheduled_and_dense(|| {
+        DistGraph::build_all(&g, &part)
+            .into_iter()
+            .map(|dg| DistColoring::new(dg, ColoringConfig::default()))
+            .collect()
+    });
+    assert_eq!(
+        assemble_coloring(&sched, k * k),
+        assemble_coloring(&dense, k * k)
+    );
 }
 
 /// Strong scaling: simulated time decreases substantially with rank count

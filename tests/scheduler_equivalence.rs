@@ -159,7 +159,6 @@ proptest! {
         quiet_work in 0u64..3,
         sync_rounds in any::<bool>(),
         bundling in any::<bool>(),
-        parallel_sim in any::<bool>(),
         policy_sel in 0u8..5,
         policy_seed in 0u64..1_000_000,
     ) {
@@ -196,7 +195,6 @@ proptest! {
             },
             bundling,
             sync_rounds,
-            parallel_sim,
             max_rounds: 200,
             record_trace: true,
             ..Default::default()
