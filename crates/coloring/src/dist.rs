@@ -208,9 +208,9 @@ wire_codec! {
     /// assigned colors (owned and ghost), the phase's remaining work
     /// list, the conflict scope's own state, and the in-flight state of
     /// the DONE wave and conflict-count allreduce. The halo view,
-    /// priorities, stagger offset, fan-out scheme, and stamp scratch are
-    /// rebuilt from the graph + config on restore. Tags 0–5 are all a
-    /// distance-1 snapshot holds; 6–9 are distance-2 state.
+    /// priorities, peer set, stagger offset, fan-out scheme, and stamp
+    /// scratch are rebuilt from the graph + config on restore. Tags 0–5
+    /// are all a distance-1 snapshot holds; 6–9 are distance-2 state.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub enum ColorSnap {
         /// Protocol position (exactly one per snapshot, first).
@@ -297,9 +297,11 @@ wire_codec! {
 /// plus the state only that scope needs. Everything else — supersteps,
 /// the DONE wave, the allreduce, the phase state machine, snapshots — is
 /// [`DistColoring`]'s. The hooks are resolved statically: a scope is a
-/// type parameter, never a per-vertex branch.
-pub trait ConflictScope: Sized + Send {
-    /// The scope's state for a fresh rank.
+/// type parameter, never a per-vertex branch. `Default` is the scope of
+/// a rank that has not built its index yet.
+pub trait ConflictScope: Sized + Send + Default {
+    /// The scope's state for a fresh rank, built with the rank's index
+    /// (on the rank itself).
     fn new(dg: &DistGraph) -> Self;
 
     /// Picks a permissible color for owned vertex `v`, charging one work
@@ -330,12 +332,16 @@ pub trait ConflictScope: Sized + Send {
 }
 
 /// One rank's state of the distributed coloring algorithm; `S` is the
-/// conflict scope (distance-1 unless named).
+/// conflict scope (distance-1 unless named). The halo view, the
+/// per-vertex arrays, the peer set and the scope's state are empty until
+/// the rank builds its index (`on_start` or `restore`).
 pub struct DistColoring<S: ConflictScope = Distance1> {
     dg: DistGraph,
     cfg: ColoringConfig,
     /// Halo structure: interior/boundary split of the owned vertices.
     halo: HaloView,
+    /// Ranks in the color/DONE communication scope of this rank.
+    peers: Vec<Rank>,
     /// Current color per local index (owned + ghost).
     color: Vec<u32>,
     /// Pre-assigned random priority `r(v)` per local index.
@@ -366,9 +372,11 @@ pub struct DistColoring<S: ConflictScope = Distance1> {
 }
 
 impl DistColoring {
-    /// Prepares the distance-1 program for one rank.
+    /// Takes ownership of one rank's slice for the distance-1 program.
+    /// Does no work sized by the slice: the rank builds its index itself,
+    /// in [`RankProgram::on_start`] (or [`RankProgram::restore`]).
     pub fn new(dg: DistGraph, cfg: ColoringConfig) -> Self {
-        DistColoring::build(dg, cfg)
+        DistColoring::from_slice(dg, cfg)
     }
 
     /// Counts conflict edges visible from this rank, each counted exactly
@@ -378,11 +386,11 @@ impl DistColoring {
     pub fn local_conflict_count(&self) -> usize {
         let mut conflicts = 0;
         for v in 0..self.dg.n_local as u32 {
-            let cv = self.color[v as usize];
+            let cv = self.color_of(v as usize);
             let vg = self.dg.global_ids[v as usize];
             for &u in self.dg.neighbors(v) {
                 let ug = self.dg.global_ids[u as usize];
-                if vg < ug && self.color[u as usize] == cv {
+                if vg < ug && self.color_of(u as usize) == cv {
                     conflicts += 1;
                 }
             }
@@ -392,46 +400,71 @@ impl DistColoring {
 }
 
 impl DistColoring<Distance2> {
-    /// Prepares the distance-2 program for one rank: superstep size and
-    /// priority seed as in distance-1, the paper's neighbor-customized
-    /// exchange.
+    /// Takes ownership of one rank's slice for the distance-2 program:
+    /// superstep size and priority seed as in distance-1, the paper's
+    /// neighbor-customized exchange. Like [`DistColoring::new`], does no
+    /// work sized by the slice.
     pub fn distance2(dg: DistGraph, superstep_size: usize, seed: u64) -> Self {
         let cfg = ColoringConfig {
             superstep_size,
             seed,
             ..ColoringConfig::default()
         };
-        DistColoring::build(dg, cfg)
+        DistColoring::from_slice(dg, cfg)
     }
 }
 
 impl<S: ConflictScope> DistColoring<S> {
-    fn build(dg: DistGraph, cfg: ColoringConfig) -> Self {
-        let n_total = dg.n_total();
-        let priority = (0..n_total)
-            .map(|i| vertex_priority(dg.global_ids[i] as u64, cfg.seed))
-            .collect();
+    fn from_slice(dg: DistGraph, cfg: ColoringConfig) -> Self {
         DistColoring {
-            color: vec![UNCOLORED; n_total],
-            priority,
-            halo: HaloView::build(&dg),
+            color: Vec::new(),
+            priority: Vec::new(),
+            halo: HaloView::default(),
+            peers: Vec::new(),
             u_cur: Vec::new(),
             u_pos: 0,
             phase: 0,
             state: PState::Coloring,
             phases_executed: 0,
             total_recolored: 0,
-            exchange: NeighborExchange::new(cfg.comm.fanout(), dg.rank, dg.num_ranks),
+            // Over no ranks until the index is built: the dedup tables
+            // are sized by the rank count.
+            exchange: NeighborExchange::new(cfg.comm.fanout(), dg.rank, 0),
             done: DoneWave::new(),
             allreduce: TreeAllreduce::new(dg.rank, dg.num_ranks, 8),
             my_conflicts: 0,
             interior_colored: false,
-            forbidden: vec![u64::MAX; n_total + 2],
+            forbidden: Vec::new(),
             stamp: 0,
-            scope: S::new(&dg),
+            scope: S::default(),
             cfg,
             dg,
         }
+    }
+
+    /// Builds the rank-local index over the slice — priorities, halo
+    /// view, fan-out tables and peer set, the colour and forbidden arrays
+    /// and the scope's per-vertex state — as a fresh rank's. Charges no
+    /// work: it is set-up, not protocol.
+    fn build_index(&mut self) {
+        let n_total = self.dg.n_total();
+        let seed = self.cfg.seed;
+        self.priority = self.dg.global_ids[..n_total]
+            .iter()
+            .map(|&g| vertex_priority(g as u64, seed))
+            .collect();
+        self.halo = HaloView::build(&self.dg);
+        self.exchange =
+            NeighborExchange::new(self.cfg.comm.fanout(), self.dg.rank, self.dg.num_ranks);
+        self.peers = self.exchange.scope(&self.dg.neighbor_ranks);
+        self.color = vec![UNCOLORED; n_total];
+        self.forbidden = vec![u64::MAX; n_total + 2];
+        self.scope = S::new(&self.dg);
+    }
+
+    /// Colour of local index `i`; `UNCOLORED` on a never-started rank.
+    fn color_of(&self, i: usize) -> u32 {
+        self.color.get(i).copied().unwrap_or(UNCOLORED)
     }
 
     /// Access to the distributed graph.
@@ -450,12 +483,7 @@ impl<S: ConflictScope> DistColoring<S> {
     /// Largest color used on this rank's owned vertices (`None` if the
     /// rank owns nothing).
     pub fn max_local_color(&self) -> Option<u32> {
-        (0..self.dg.n_local).map(|v| self.color[v]).max()
-    }
-
-    /// Ranks in the color/Done communication scope of this rank.
-    fn peers(&self) -> Vec<Rank> {
-        self.exchange.scope(&self.dg.neighbor_ranks)
+        (0..self.dg.n_local).map(|v| self.color_of(v)).max()
     }
 
     /// The `(r(v), global id)` key conflicts are decided by: the smaller
@@ -503,7 +531,7 @@ impl<S: ConflictScope> DistColoring<S> {
         // message each superstep.
         self.exchange.finish_superstep(ctx, &ColorMsg::Empty);
         if self.u_pos >= self.u_cur.len() {
-            fan_out(ctx, &self.peers(), &ColorMsg::Done { phase: self.phase });
+            fan_out(ctx, &self.peers, &ColorMsg::Done { phase: self.phase });
             self.state = PState::WaitingDone;
             self.try_detect(ctx);
         }
@@ -601,7 +629,7 @@ impl<S: ConflictScope> DistColoring<S> {
     /// Runs conflict detection once every peer's DONE for the current
     /// phase has arrived (and our own coloring is finished).
     fn try_detect(&mut self, ctx: &mut RankCtx<ColorMsg>) {
-        if self.state == PState::WaitingDone && self.done.ready(self.phase, self.peers().len()) {
+        if self.state == PState::WaitingDone && self.done.ready(self.phase, self.peers.len()) {
             S::detect(self, ctx);
         }
     }
@@ -645,7 +673,7 @@ impl<S: ConflictScope> DistColoring<S> {
 
 impl<S: ConflictScope> LocalColors for DistColoring<S> {
     fn local_colors(&self) -> impl Iterator<Item = (VertexId, u32)> + '_ {
-        (0..self.dg.n_local).map(|v| (self.dg.global_ids[v], self.color[v]))
+        (0..self.dg.n_local).map(|v| (self.dg.global_ids[v], self.color_of(v)))
     }
 }
 
@@ -697,9 +725,12 @@ impl<S: ConflictScope> RankProgram for DistColoring<S> {
         recs
     }
 
+    /// Builds the index itself (a resumed rank gets no `on_start`), then
+    /// applies the records.
     fn restore(meta: (DistGraph, ColoringConfig), snap: Vec<ColorSnap>) -> Self {
         let (dg, cfg) = meta;
-        let mut p = Self::build(dg, cfg);
+        let mut p = Self::from_slice(dg, cfg);
+        p.build_index();
         let mut done = Vec::new();
         let mut reduce = Vec::new();
         let mut scoped = Vec::new();
@@ -744,6 +775,7 @@ impl<S: ConflictScope> RankProgram for DistColoring<S> {
     }
 
     fn on_start(&mut self, ctx: &mut RankCtx<ColorMsg>) -> Status {
+        self.build_index();
         S::first_phase(self, ctx);
         self.phases_executed = 1;
         self.superstep(ctx);
@@ -770,6 +802,7 @@ impl<S: ConflictScope> RankProgram for DistColoring<S> {
 /// Distance-1 coloring, the paper's algorithm: the neighbors forbid a
 /// color, [`ColorChoice`] picks one, and each vertex colored this phase is
 /// checked against its ghost neighbors.
+#[derive(Default)]
 pub struct Distance1 {
     /// LeastUsed: local usage count per color.
     usage: Vec<u64>,
@@ -877,6 +910,7 @@ impl ConflictScope for Distance1 {
 /// Distance-2 coloring: the neighbors, the two-hop colors seen through
 /// owned middles and the learned bans forbid a color, a backoff window
 /// picks one, and conflicts are relay-detected by the middle's owner.
+#[derive(Default)]
 pub struct Distance2 {
     /// Permanently banned colors per owned vertex (learned constraints).
     learned: FxHashMap<u32, FxHashSet<u32>>,
@@ -903,7 +937,7 @@ impl Distance2 {
     /// After `Done2` from every peer the re-color set is final: the
     /// earliest point at which the phase's conflict count is known.
     fn try_conclude(p: &mut DistColoring<Self>, ctx: &mut RankCtx<ColorMsg>) {
-        if p.state != PState::WaitingDone2 || !p.scope.done2.ready(p.phase, p.peers().len()) {
+        if p.state != PState::WaitingDone2 || !p.scope.done2.ready(p.phase, p.peers.len()) {
             return;
         }
         p.scope.done2.clear(p.phase);
@@ -1054,7 +1088,7 @@ impl ConflictScope for Distance2 {
             }
         }
 
-        fan_out(ctx, &p.peers(), &ColorMsg::Done2 { phase: p.phase });
+        fan_out(ctx, &p.peers, &ColorMsg::Done2 { phase: p.phase });
         p.state = PState::WaitingDone2;
         Distance2::try_conclude(p, ctx);
     }

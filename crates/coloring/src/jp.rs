@@ -212,7 +212,8 @@ fn encode_jp_state(colors: &[u32], pending: &[u32], out: &mut Vec<u8>) {
 }
 
 /// One rank's state of the Jones–Plassmann algorithm. Reuses
-/// [`ColorMsg::Color`] as its only message.
+/// [`ColorMsg::Color`] as its only message. The per-vertex arrays are
+/// empty until the rank builds its index (`on_start` or `restore`).
 pub struct JonesPlassmann {
     dg: DistGraph,
     color: Vec<u32>,
@@ -229,22 +230,39 @@ pub struct JonesPlassmann {
 }
 
 impl JonesPlassmann {
-    /// Prepares the program for one rank.
+    /// Takes ownership of one rank's slice. Does no work sized by the
+    /// slice: the rank builds its index itself, in
+    /// [`RankProgram::on_start`] (or [`RankProgram::restore`]).
     pub fn new(dg: DistGraph, seed: u64) -> Self {
-        let n_total = dg.n_total();
-        let priority = (0..n_total)
-            .map(|i| vertex_priority(dg.global_ids[i] as u64, seed))
-            .collect();
         JonesPlassmann {
-            color: vec![UNCOLORED; n_total],
-            priority,
-            pending: (0..dg.n_local as u32).collect(),
-            forbidden: vec![u64::MAX; n_total + 2],
+            color: Vec::new(),
+            priority: Vec::new(),
+            pending: Vec::new(),
+            forbidden: Vec::new(),
             stamp: 0,
-            exchange: NeighborExchange::new(FanoutScheme::Neighbor, dg.rank, dg.num_ranks),
+            // Over no ranks until the index is built: the dedup table is
+            // sized by the rank count.
+            exchange: NeighborExchange::new(FanoutScheme::Neighbor, dg.rank, 0),
             seed,
             dg,
         }
+    }
+
+    /// Builds the rank-local index — priorities, the colour and forbidden
+    /// arrays, every owned vertex pending, the fan-out table — as a fresh
+    /// rank's. Charges no work: it is set-up, not protocol.
+    fn build_index(&mut self) {
+        let n_total = self.dg.n_total();
+        let seed = self.seed;
+        self.priority = self.dg.global_ids[..n_total]
+            .iter()
+            .map(|&g| vertex_priority(g as u64, seed))
+            .collect();
+        self.color = vec![UNCOLORED; n_total];
+        self.pending = (0..self.dg.n_local as u32).collect();
+        self.forbidden = vec![u64::MAX; n_total + 2];
+        self.exchange =
+            NeighborExchange::new(FanoutScheme::Neighbor, self.dg.rank, self.dg.num_ranks);
     }
 
     /// Colors every pending vertex that is a local maximum among its
@@ -301,8 +319,12 @@ impl JonesPlassmann {
 }
 
 impl LocalColors for JonesPlassmann {
+    /// `UNCOLORED` throughout on a never-started rank.
     fn local_colors(&self) -> impl Iterator<Item = (VertexId, u32)> + '_ {
-        (0..self.dg.n_local).map(|v| (self.dg.global_ids[v], self.color[v]))
+        (0..self.dg.n_local).map(|v| {
+            let c = self.color.get(v).copied().unwrap_or(UNCOLORED);
+            (self.dg.global_ids[v], c)
+        })
     }
 }
 
@@ -324,9 +346,12 @@ impl RankProgram for JonesPlassmann {
         encode_jp_state(&self.color, &self.pending, out);
     }
 
+    /// Builds the index itself (a resumed rank gets no `on_start`), then
+    /// applies the snapshot.
     fn restore(meta: (DistGraph, u64), snap: JpSnapshot) -> Self {
         let (dg, seed) = meta;
         let mut p = JonesPlassmann::new(dg, seed);
+        p.build_index();
         // Applied positionally: a decoded snapshot's color array may be
         // truncated after the last colored index, or chunk-padded past
         // the vertex count (padding is UNCOLORED, excess is ignored).
@@ -346,6 +371,7 @@ impl RankProgram for JonesPlassmann {
     }
 
     fn on_start(&mut self, ctx: &mut RankCtx<ColorMsg>) -> Status {
+        self.build_index();
         self.sweep(ctx);
         self.status()
     }

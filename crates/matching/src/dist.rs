@@ -94,7 +94,7 @@ wire_codec! {
 
 wire_codec! {
     /// Snapshot records of [`DistMatching`]: the algorithm state minus
-    /// everything [`DistMatching::new`] rebuilds from the graph (the
+    /// the index the rank rebuilds from its graph on restore (the
     /// weight-sorted adjacency and the halo view). One `Vertex` record
     /// per owned vertex in local-index order, then sparse records for
     /// non-default ghost states, pending proposals, queued indices, and
@@ -104,7 +104,8 @@ wire_codec! {
         /// Per-owned-vertex state, emitted for every `v` in `0..n_local`
         /// order (the record's position in the stream is the vertex).
         0 => Vertex {
-            /// Candidate-mate cursor into the weight-sorted adjacency.
+            /// Candidate-mate cursor into the weight-sorted adjacency
+            /// (absolute, not row-relative).
             ptr: u64,
             /// Availability ([`VState`] as `u8`).
             state: u8,
@@ -144,15 +145,19 @@ wire_codec! {
     }
 }
 
-/// One rank's state of the distributed matching algorithm.
+/// One rank's state of the distributed matching algorithm. Every vector
+/// below is empty until the rank builds its index (`on_start` or
+/// `restore`).
 pub struct DistMatching {
     dg: DistGraph,
     /// Weight-sorted adjacency (descending weight, ascending global id —
     /// the smallest-label tie-break) over owned vertices.
     sxadj: Vec<usize>,
     sadj: Vec<u32>,
-    /// Cursor into `sadj` per owned vertex: the candidate-mate pointer.
-    ptr: Vec<usize>,
+    /// Candidate-mate cursor per owned vertex, as an offset into its own
+    /// row of `sadj` (a row holds distinct `u32` local indices, so its
+    /// length fits a `u32`).
+    ptr: Vec<u32>,
     /// Availability per local index (owned + ghost).
     state: Vec<VState>,
     /// Mate (global id) per owned vertex; `NO_VERTEX` while unmatched.
@@ -172,31 +177,41 @@ pub struct DistMatching {
 }
 
 impl DistMatching {
-    /// Prepares the program for one rank of a distributed (weighted) graph.
+    /// Takes ownership of one rank's slice of a distributed (weighted)
+    /// graph. Does no work sized by the slice: the rank builds its index
+    /// itself, in [`RankProgram::on_start`] (or [`RankProgram::restore`]).
     pub fn new(dg: DistGraph) -> Self {
-        let n_local = dg.n_local;
-        let n_total = dg.n_total();
-
-        // Weight-sorted adjacency (ties broken by ascending *global* id so
-        // every rank orders shared edges identically) and the ghost
-        // reverse cross-adjacency both come precomputed from the
-        // partition layer.
-        let (sxadj, sadj) = weight_sorted_csr(&dg);
-        let halo = HaloView::build(&dg);
-
         DistMatching {
-            ptr: sxadj[..n_local].to_vec(),
-            sxadj,
-            sadj,
-            state: vec![VState::Free; n_total],
-            mate: vec![NO_VERTEX; n_local],
-            candidate: vec![NONE; n_local],
-            r_set: vec![Vec::new(); halo.boundary.len()],
-            halo,
+            dg,
+            sxadj: Vec::new(),
+            sadj: Vec::new(),
+            ptr: Vec::new(),
+            state: Vec::new(),
+            mate: Vec::new(),
+            candidate: Vec::new(),
+            r_set: Vec::new(),
+            halo: HaloView::default(),
             queue: VecDeque::new(),
             counts: RoundCounts::default(),
-            dg,
         }
+    }
+
+    /// Builds the rank-local index over the slice and resets the
+    /// per-vertex state to a fresh rank's. The weight-sorted adjacency
+    /// (ties broken by ascending *global* id so every rank orders shared
+    /// edges identically) and the ghost reverse cross-adjacency come from
+    /// the partition layer. Charges no work: it is set-up, not protocol.
+    fn build_index(&mut self) {
+        let n_local = self.dg.n_local;
+        let (sxadj, sadj) = weight_sorted_csr(&self.dg);
+        self.halo = HaloView::build(&self.dg);
+        self.ptr = vec![0; n_local];
+        self.sxadj = sxadj;
+        self.sadj = sadj;
+        self.state = vec![VState::Free; self.dg.n_total()];
+        self.mate = vec![NO_VERTEX; n_local];
+        self.candidate = vec![NONE; n_local];
+        self.r_set = vec![Vec::new(); self.halo.boundary.len()];
     }
 
     /// Emits the round's REQUEST/SUCCEEDED/FAILED tallies as a
@@ -215,9 +230,12 @@ impl DistMatching {
     }
 
     /// Final mates of the owned vertices, as `(global vertex, global mate)`
-    /// pairs (`NO_VERTEX` mate = unmatched).
+    /// pairs (`NO_VERTEX` mate = unmatched, as on a never-started rank).
     pub fn local_mates(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        (0..self.dg.n_local).map(|v| (self.dg.global_ids[v], self.mate[v]))
+        (0..self.dg.n_local).map(|v| {
+            let m = self.mate.get(v).copied().unwrap_or(NO_VERTEX);
+            (self.dg.global_ids[v], m)
+        })
     }
 
     /// Access to the underlying distributed graph.
@@ -229,9 +247,9 @@ impl DistMatching {
     /// or failed) — the per-rank quiescence condition. A rank that goes
     /// `Idle` while this is `false` has dropped protocol work on the
     /// floor; the `cmg-check` termination oracle asserts it after every
-    /// run.
+    /// run. A never-started rank's vertices are all still `Free`.
     pub fn is_resolved(&self) -> bool {
-        (0..self.dg.n_local).all(|v| self.state[v] != VState::Free)
+        (0..self.dg.n_local).all(|v| self.state.get(v).is_some_and(|&s| s != VState::Free))
     }
 
     /// This rank's contribution to the global matching weight: each
@@ -240,14 +258,13 @@ impl DistMatching {
     /// weight without materializing the global graph.
     pub fn local_matched_weight(&self) -> Weight {
         let mut total = 0.0;
-        for v in 0..self.dg.n_local as u32 {
-            let m = self.mate[v as usize];
-            let vg = self.dg.global_ids[v as usize];
+        for (v, &m) in self.mate.iter().enumerate() {
+            let vg = self.dg.global_ids[v];
             if m != NO_VERTEX && vg < m {
                 // A mate is always a neighbor (the protocol only ever
                 // matches across an adjacency entry): find it in the row
                 // by global id, no lookup needed.
-                let mut row = self.dg.neighbors_weighted(v);
+                let mut row = self.dg.neighbors_weighted(v as u32);
                 if let Some((_, w)) = row.find(|&(u, _)| self.dg.global_ids[u as usize] == m) {
                     total += w;
                 }
@@ -259,11 +276,10 @@ impl DistMatching {
     /// This rank's contribution to the global matching cardinality
     /// (counted like [`Self::local_matched_weight`]).
     pub fn local_matched_edges(&self) -> usize {
-        (0..self.dg.n_local as u32)
-            .filter(|&v| {
-                let m = self.mate[v as usize];
-                m != NO_VERTEX && self.dg.global_ids[v as usize] < m
-            })
+        self.mate
+            .iter()
+            .enumerate()
+            .filter(|&(v, &m)| m != NO_VERTEX && self.dg.global_ids[v] < m)
             .count()
     }
 
@@ -287,17 +303,17 @@ impl DistMatching {
     /// Advances `v`'s pointer past unavailable neighbors; returns the new
     /// candidate (local index) or `NONE`.
     fn advance(&mut self, v: u32, ctx: &mut RankCtx<MatchMsg>) -> u32 {
-        let hi = self.sxadj[v as usize + 1];
+        let (lo, hi) = (self.sxadj[v as usize], self.sxadj[v as usize + 1]);
+        let mut at = lo + self.ptr[v as usize] as usize;
         let mut steps = 1u64;
-        while self.ptr[v as usize] < hi
-            && self.state[self.sadj[self.ptr[v as usize]] as usize] != VState::Free
-        {
-            self.ptr[v as usize] += 1;
+        while at < hi && self.state[self.sadj[at] as usize] != VState::Free {
+            at += 1;
             steps += 1;
         }
+        self.ptr[v as usize] = (at - lo) as u32;
         ctx.charge(steps);
-        if self.ptr[v as usize] < hi {
-            self.sadj[self.ptr[v as usize]]
+        if at < hi {
+            self.sadj[at]
         } else {
             NONE
         }
@@ -473,22 +489,24 @@ impl RankProgram for DistMatching {
     type Snapshot = Vec<MatchSnap>;
     type Meta = DistGraph;
 
+    /// A never-started rank has no index and no state: its snapshot is
+    /// empty.
     fn snapshot(&self) -> Vec<MatchSnap> {
-        let n_local = self.dg.n_local;
-        let mut recs = Vec::with_capacity(n_local + self.queue.len() + 1);
-        for v in 0..n_local {
+        let mut recs = Vec::with_capacity(self.ptr.len() + self.queue.len() + 1);
+        // `ptr` has one cursor per owned vertex once the index is built.
+        for v in 0..self.ptr.len() {
             recs.push(MatchSnap::Vertex {
-                ptr: self.ptr[v] as u64,
+                ptr: (self.sxadj[v] + self.ptr[v] as usize) as u64,
                 state: self.state[v].to_u8(),
                 mate: self.mate[v],
                 candidate: self.candidate[v],
             });
         }
-        for g in n_local..self.state.len() {
-            if self.state[g] != VState::Free {
+        for (g, &state) in self.state.iter().enumerate().skip(self.dg.n_local) {
+            if state != VState::Free {
                 recs.push(MatchSnap::Ghost {
                     idx: g as u32,
-                    state: self.state[g].to_u8(),
+                    state: state.to_u8(),
                 });
             }
         }
@@ -511,8 +529,11 @@ impl RankProgram for DistMatching {
         recs
     }
 
+    /// Builds the index itself (a resumed rank gets no `on_start`), then
+    /// applies the records; an empty snapshot gives a fresh rank.
     fn restore(meta: DistGraph, snap: Vec<MatchSnap>) -> Self {
         let mut p = DistMatching::new(meta);
+        p.build_index();
         let mut next_vertex = 0usize;
         for rec in snap {
             match rec {
@@ -524,7 +545,7 @@ impl RankProgram for DistMatching {
                 } => {
                     let v = next_vertex;
                     next_vertex += 1;
-                    p.ptr[v] = ptr as usize;
+                    p.ptr[v] = (ptr as usize).saturating_sub(p.sxadj[v]) as u32;
                     p.state[v] = VState::from_u8(state);
                     p.mate[v] = mate;
                     p.candidate[v] = candidate;
@@ -549,7 +570,10 @@ impl RankProgram for DistMatching {
                 }
             }
         }
-        debug_assert_eq!(next_vertex, p.dg.n_local, "snapshot/graph mismatch");
+        debug_assert!(
+            next_vertex == 0 || next_vertex == p.dg.n_local,
+            "snapshot/graph mismatch"
+        );
         p
     }
 
@@ -558,6 +582,7 @@ impl RankProgram for DistMatching {
     }
 
     fn on_start(&mut self, ctx: &mut RankCtx<MatchMsg>) -> Status {
+        self.build_index();
         // Initial candidates for every still-free owned vertex…
         for v in 0..self.dg.n_local as u32 {
             if self.state[v as usize] == VState::Free {
@@ -840,7 +865,7 @@ mod tests {
         (digest, proposals)
     }
 
-    /// The program state `DistMatching::new` sets up and the protocol
+    /// The program state the index build sets up and the protocol
     /// evolves — cursors, candidates, pending proposals — pinned record
     /// for record to what the parent of the boundary-only `r_set` and
     /// the `sweights`-free `weight_sorted_csr` produced, on a 32² grid

@@ -21,7 +21,7 @@ use cmg_graph::{VertexId, Weight};
 
 /// Precomputed halo structure of one rank's [`DistGraph`]: boundary /
 /// interior vertex lists and the ghost reverse cross-adjacency CSR.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HaloView {
     /// Number of owned vertices (mirrors `DistGraph::n_local`).
     pub n_local: usize,

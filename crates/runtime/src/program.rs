@@ -180,6 +180,27 @@ impl<M: WireMessage> RankCtx<M> {
 /// this rank, until every rank is [`Status::Idle`] and no packets are in
 /// flight.
 ///
+/// # Lifecycle
+///
+/// - A program's constructor takes ownership of its context (the rank's
+///   graph slice, its config) and does O(1) work: nothing sized by the
+///   slice or by the rank count. The caller builds all p programs on one
+///   thread, before any rank runs.
+/// - Rank-local set-up — indexes, per-vertex arrays, fan-out tables —
+///   belongs in [`RankProgram::on_start`], which every engine runs on the
+///   rank itself: on the rank's own thread under
+///   [`ThreadedEngine`](crate::ThreadedEngine), in the worker process
+///   under `cmg-net`, in the step loop under [`SimEngine`]. Set-up
+///   charges no work units.
+/// - [`RankProgram::restore`] builds its own index, because a resumed
+///   rank gets no `on_start`.
+///
+/// A program that has not started yet must still be total: its
+/// accessors give the not-run answer, and its snapshot restores to a
+/// fresh rank.
+///
+/// [`SimEngine`]: crate::SimEngine
+///
 /// # State contract
 ///
 /// Every program's algorithm state is an explicit serializable value:
@@ -208,7 +229,8 @@ pub trait RankProgram: Send {
     /// Not serialized — the transport already owns it.
     type Meta: Send;
 
-    /// Round 0: initialize and send the first messages.
+    /// Round 0, on the rank itself: build the rank-local index,
+    /// initialize and send the first messages.
     fn on_start(&mut self, ctx: &mut RankCtx<Self::Msg>) -> Status;
 
     /// One round: process `inbox` (messages sent to this rank last round,
@@ -235,9 +257,10 @@ pub trait RankProgram: Send {
         self.snapshot().encode_into(out);
     }
 
-    /// Rebuilds a program from construction context plus a snapshot.
-    /// Must be the exact inverse of [`RankProgram::snapshot`]: the
-    /// restored program behaves bit-identically to the captured one.
+    /// Rebuilds a program from construction context plus a snapshot,
+    /// index included (the resumed rank gets no `on_start`). Must be the
+    /// exact inverse of [`RankProgram::snapshot`]: the restored program
+    /// behaves bit-identically to the captured one.
     fn restore(meta: Self::Meta, snap: Self::Snapshot) -> Self;
 
     /// Extracts fresh construction context from a live program, so
