@@ -33,14 +33,14 @@ impl RankProgram for ObservedMatching {
     type Msg = MatchMsg;
     // Delegate the snapshot to the wrapped program; the journal rides in
     // the meta so an oracle roundtrip does not lose received messages.
-    type Snapshot = <DistMatching as RankProgram>::Snapshot;
+    type Record = <DistMatching as RankProgram>::Record;
     type Meta = (<DistMatching as RankProgram>::Meta, Vec<(Rank, MatchMsg)>);
 
-    fn snapshot(&self) -> Self::Snapshot {
+    fn snapshot(&self) -> Vec<Self::Record> {
         self.inner.snapshot()
     }
 
-    fn restore(meta: Self::Meta, snap: Self::Snapshot) -> Self {
+    fn restore(meta: Self::Meta, snap: Vec<Self::Record>) -> Self {
         let (inner_meta, received) = meta;
         ObservedMatching {
             inner: DistMatching::restore(inner_meta, snap),

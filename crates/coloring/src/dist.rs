@@ -679,7 +679,7 @@ impl<S: ConflictScope> LocalColors for DistColoring<S> {
 
 impl<S: ConflictScope> RankProgram for DistColoring<S> {
     type Msg = ColorMsg;
-    type Snapshot = Vec<ColorSnap>;
+    type Record = ColorSnap;
     type Meta = (DistGraph, ColoringConfig);
 
     fn snapshot(&self) -> Vec<ColorSnap> {

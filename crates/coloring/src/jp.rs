@@ -21,9 +21,7 @@ use crate::dist::ColorMsg;
 use cmg_graph::util::vertex_priority;
 use cmg_graph::VertexId;
 use cmg_partition::{ghost_neighbor_owners, DistGraph};
-use cmg_runtime::{
-    wire_codec, FanoutScheme, NeighborExchange, ProgramSnapshot, Rank, RankCtx, RankProgram, Status,
-};
+use cmg_runtime::{wire_codec, FanoutScheme, NeighborExchange, Rank, RankCtx, RankProgram, Status};
 
 wire_codec! {
     /// Snapshot records of [`JonesPlassmann`]: assigned colors (owned
@@ -71,145 +69,8 @@ wire_codec! {
     }
 }
 
-/// One rank's snapshot in its natural shape: the full color array
-/// (owned + ghost) and the pending list, captured as two wholesale
-/// `Vec` clones (O(n) memcpy) instead of a filtered record build.
-///
-/// The wire format is exactly the [`JpSnap`] record stream — `Colors`
-/// chunks in ascending base order (all-[`UNCOLORED`] chunks omitted),
-/// then `Pending` records in list order — but `encode_bytes` is
-/// overridden with a bulk writer that appends one pre-assembled slice
-/// per record. On the net engine a checkpoint cadence serializes this
-/// at every k-th round edge, and the per-field `BufMut` puts of the
-/// generic path were the dominant cost of the whole checkpoint; the
-/// bulk path is several times cheaper while producing byte-identical
-/// output (pinned by a test below).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JpSnapshot {
-    /// Colors by local index (owned + ghost); `UNCOLORED` entries stay
-    /// off the wire (in units of whole chunks).
-    pub colors: Vec<u32>,
-    /// Still-pending owned vertices, in list order.
-    pub pending: Vec<u32>,
-}
-
 /// Vertices per [`JpSnap::Colors`] chunk.
 const CHUNK: usize = 8;
-
-/// The eight color slots of the chunk starting at `base`, padding past
-/// the end of the array with [`UNCOLORED`].
-fn chunk_at(colors: &[u32], base: usize) -> [u32; CHUNK] {
-    let mut c = [UNCOLORED; CHUNK];
-    for (k, slot) in c.iter_mut().enumerate() {
-        if let Some(&v) = colors.get(base + k) {
-            *slot = v;
-        }
-    }
-    c
-}
-
-impl ProgramSnapshot for JpSnapshot {
-    type Record = JpSnap;
-
-    fn into_records(self) -> Vec<JpSnap> {
-        let mut recs = Vec::with_capacity(self.colors.len() / CHUNK + self.pending.len() + 1);
-        for base in (0..self.colors.len()).step_by(CHUNK) {
-            let [c0, c1, c2, c3, c4, c5, c6, c7] = chunk_at(&self.colors, base);
-            if [c0, c1, c2, c3, c4, c5, c6, c7] == [UNCOLORED; CHUNK] {
-                continue;
-            }
-            recs.push(JpSnap::Colors {
-                base: base as u32,
-                c0,
-                c1,
-                c2,
-                c3,
-                c4,
-                c5,
-                c6,
-                c7,
-            });
-        }
-        for &v in &self.pending {
-            recs.push(JpSnap::Pending { v });
-        }
-        recs
-    }
-
-    fn from_records(records: Vec<JpSnap>) -> Option<Self> {
-        // The color array is rebuilt only up to the last emitted chunk;
-        // `restore` applies entries positionally onto a fresh program,
-        // so trailing `UNCOLORED` entries need no records and padded
-        // chunk tails are harmless.
-        let n = records
-            .iter()
-            .filter_map(|r| match r {
-                JpSnap::Colors { base, .. } => Some(*base as usize + CHUNK),
-                JpSnap::Pending { .. } => None,
-            })
-            .max()
-            .unwrap_or(0);
-        let mut colors = vec![UNCOLORED; n];
-        let mut pending = Vec::new();
-        for r in records {
-            match r {
-                JpSnap::Colors {
-                    base,
-                    c0,
-                    c1,
-                    c2,
-                    c3,
-                    c4,
-                    c5,
-                    c6,
-                    c7,
-                } => {
-                    let base = base as usize;
-                    for (k, v) in [c0, c1, c2, c3, c4, c5, c6, c7].into_iter().enumerate() {
-                        if let Some(slot) = colors.get_mut(base + k) {
-                            *slot = v;
-                        }
-                    }
-                }
-                JpSnap::Pending { v } => pending.push(v),
-            }
-        }
-        Some(JpSnapshot { colors, pending })
-    }
-
-    fn encode_into(self, out: &mut Vec<u8>) {
-        encode_jp_state(&self.colors, &self.pending, out);
-    }
-}
-
-/// Bulk snapshot writer shared by [`JpSnapshot::encode_into`] and the
-/// live-program hot path ([`RankProgram::encode_snapshot_into`]): a
-/// single pass over the color array, one slice append per record,
-/// byte-identical to the generic per-field codec path (tag byte +
-/// little-endian fields). Reserves the worst case (every chunk
-/// emitted) — spare capacity is free here, the buffer goes to the wire
-/// as-is and is never shrunk into `Bytes`.
-fn encode_jp_state(colors: &[u32], pending: &[u32], out: &mut Vec<u8>) {
-    out.reserve((colors.len() / CHUNK + 1) * 37 + pending.len() * 5);
-    for (i, ch) in colors.chunks(CHUNK).enumerate() {
-        if ch.iter().all(|&c| c == UNCOLORED) {
-            continue;
-        }
-        // 0xFF-filled so a trailing partial chunk's missing slots read
-        // back as UNCOLORED (= u32::MAX) without explicit padding.
-        let mut rec = [0xFFu8; 37];
-        rec[0] = 0;
-        rec[1..5].copy_from_slice(&((i * CHUNK) as u32).to_le_bytes());
-        for (k, &c) in ch.iter().enumerate() {
-            rec[5 + 4 * k..9 + 4 * k].copy_from_slice(&c.to_le_bytes());
-        }
-        out.extend_from_slice(&rec);
-    }
-    for &v in pending {
-        let b = v.to_le_bytes();
-        out.extend_from_slice(&[1, b[0], b[1], b[2], b[3]]);
-    }
-}
 
 /// One rank's state of the Jones–Plassmann algorithm. Reuses
 /// [`ColorMsg::Color`] as its only message. The per-vertex arrays are
@@ -330,39 +191,67 @@ impl LocalColors for JonesPlassmann {
 
 impl RankProgram for JonesPlassmann {
     type Msg = ColorMsg;
-    type Snapshot = JpSnapshot;
+    type Record = JpSnap;
     type Meta = (DistGraph, u64);
 
-    fn snapshot(&self) -> JpSnapshot {
-        JpSnapshot {
-            colors: self.color.clone(),
-            pending: self.pending.clone(),
+    /// `Colors` chunks in ascending base order, all-[`UNCOLORED`] chunks
+    /// left out, then `Pending` records in list order.
+    fn snapshot(&self) -> Vec<JpSnap> {
+        let mut recs = Vec::with_capacity(self.color.len() / CHUNK + 1 + self.pending.len());
+        for (i, chunk) in self.color.chunks(CHUNK).enumerate() {
+            if chunk.iter().all(|&c| c == UNCOLORED) {
+                continue;
+            }
+            let mut c = [UNCOLORED; CHUNK];
+            c[..chunk.len()].copy_from_slice(chunk);
+            let [c0, c1, c2, c3, c4, c5, c6, c7] = c;
+            recs.push(JpSnap::Colors {
+                base: (i * CHUNK) as u32,
+                c0,
+                c1,
+                c2,
+                c3,
+                c4,
+                c5,
+                c6,
+                c7,
+            });
         }
-    }
-
-    fn encode_snapshot_into(&self, out: &mut Vec<u8>) {
-        // Hot path: encode straight out of the live color and pending
-        // buffers, skipping the snapshot clone the default would make.
-        encode_jp_state(&self.color, &self.pending, out);
+        recs.extend(self.pending.iter().map(|&v| JpSnap::Pending { v }));
+        recs
     }
 
     /// Builds the index itself (a resumed rank gets no `on_start`), then
-    /// applies the snapshot.
-    fn restore(meta: (DistGraph, u64), snap: JpSnapshot) -> Self {
+    /// applies the records. The index build marks every owned vertex
+    /// pending, so the pending list is cleared first: it is exactly the
+    /// snapshot's `Pending` records.
+    fn restore(meta: (DistGraph, u64), snap: Vec<JpSnap>) -> Self {
         let (dg, seed) = meta;
         let mut p = JonesPlassmann::new(dg, seed);
         p.build_index();
-        // Applied positionally: a decoded snapshot's color array may be
-        // truncated after the last colored index, or chunk-padded past
-        // the vertex count (padding is UNCOLORED, excess is ignored).
-        for (idx, &color) in snap.colors.iter().enumerate() {
-            if color != UNCOLORED {
-                if let Some(slot) = p.color.get_mut(idx) {
-                    *slot = color;
+        p.pending.clear();
+        for rec in snap {
+            match rec {
+                JpSnap::Colors {
+                    base,
+                    c0,
+                    c1,
+                    c2,
+                    c3,
+                    c4,
+                    c5,
+                    c6,
+                    c7,
+                } => {
+                    // A trailing chunk's padding lies past the color array.
+                    let slots = p.color.iter_mut().skip(base as usize);
+                    for (slot, c) in slots.zip([c0, c1, c2, c3, c4, c5, c6, c7]) {
+                        *slot = c;
+                    }
                 }
+                JpSnap::Pending { v } => p.pending.push(v),
             }
         }
-        p.pending = snap.pending;
         p
     }
 
@@ -460,40 +349,5 @@ mod tests {
         let g = grid2d(30, 30);
         let (_, rounds) = run_jp(&g, &block_partition(900, 4));
         assert!(rounds > 3, "JP should need several rounds, got {rounds}");
-    }
-
-    #[test]
-    fn bulk_snapshot_encoding_matches_the_generic_record_path() {
-        use crate::coloring::UNCOLORED;
-        use crate::jp::JpSnapshot;
-        use cmg_runtime::ProgramSnapshot;
-
-        // A mid-run-shaped snapshot: colored, uncolored, and pending
-        // entries, a fully-uncolored chunk (which must vanish from the
-        // wire), and a ragged tail shorter than a chunk.
-        let mut colors = vec![UNCOLORED; 19];
-        for (i, c) in [(0, 2u32), (2, 0), (5, 7), (6, 1), (17, 3)] {
-            colors[i] = c;
-        }
-        // Chunk [8..16) stays entirely uncolored.
-        let snap = JpSnapshot {
-            colors,
-            pending: vec![1, 3, 4, 7],
-        };
-        let bulk = snap.clone().encode_bytes();
-        // The reference stream: the same records through the generic
-        // per-field encoder every other wire_codec type uses.
-        let generic: Vec<_> = snap.clone().into_records();
-        assert_eq!(generic.len(), 2 + 4, "two chunks plus four pending");
-        let reference = generic.encode_bytes();
-        assert_eq!(bulk, reference, "bulk encoder drifted from the wire format");
-
-        // And the round trip restores the same logical snapshot (the
-        // decoded color array pads to whole chunks with UNCOLORED).
-        let back = JpSnapshot::decode_bytes(bulk).expect("decodes");
-        assert_eq!(back.pending, snap.pending);
-        assert_eq!(back.colors.len(), 24);
-        assert_eq!(back.colors[..19], snap.colors[..]);
-        assert!(back.colors[19..].iter().all(|&c| c == UNCOLORED));
     }
 }

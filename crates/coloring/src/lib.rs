@@ -35,5 +35,5 @@ pub use dist::{
     ColorChoice, ColorMsg, ColorSnap, ColoringConfig, CommVariant, DistColoring, Distance2,
     LocalOrder,
 };
-pub use jp::{JonesPlassmann, JpSnap, JpSnapshot};
+pub use jp::{JonesPlassmann, JpSnap};
 pub use repair::{invalidate_colors, repair_frontier_colors, ColorFrontier, ColorRetained};

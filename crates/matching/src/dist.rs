@@ -486,7 +486,7 @@ impl DistMatching {
 
 impl RankProgram for DistMatching {
     type Msg = MatchMsg;
-    type Snapshot = Vec<MatchSnap>;
+    type Record = MatchSnap;
     type Meta = DistGraph;
 
     /// A never-started rank has no index and no state: its snapshot is
@@ -828,7 +828,6 @@ mod tests {
     /// digest; also returns the number of `Proposal` records seen (so a
     /// fixture that never exercised `r_set` cannot pass silently).
     fn snapshot_digest(parts: Vec<DistGraph>) -> (u64, usize) {
-        use cmg_runtime::ProgramSnapshot;
         let mut programs: Vec<DistMatching> = parts.into_iter().map(DistMatching::new).collect();
         let p = programs.len() as Rank;
         let mut ctxs: Vec<RankCtx<MatchMsg>> = (0..p)
@@ -853,7 +852,9 @@ mod tests {
                     .iter()
                     .filter(|s| matches!(s, MatchSnap::Proposal { .. }))
                     .count();
-                for &b in snap.encode_bytes().iter() {
+                let mut bytes = Vec::new();
+                cmg_runtime::encode_snapshot(&snap, &mut bytes);
+                for &b in &bytes {
                     digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
                 }
             }

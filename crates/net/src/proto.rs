@@ -596,7 +596,7 @@ pub struct CheckpointState {
     /// uninterrupted one.
     pub stats: RankStats,
     /// The rank program's encoded snapshot
-    /// (`ProgramSnapshot::encode_bytes`).
+    /// (`cmg_runtime::encode_snapshot`).
     pub program: Vec<u8>,
     /// The transport tables.
     pub transport: TransportSnapshot,

@@ -137,12 +137,10 @@ pub struct NetConfig {
     pub handshake_timeout: Duration,
     /// Fault-injection plan applied to every peer link.
     pub fault: FaultPlan,
-    /// Scripted mid-run failure (tests).
-    pub kill: KillSpec,
-    /// A sequence of scripted failures, armed one at a time: the next
+    /// Scripted mid-run failures (tests), armed one at a time: the next
     /// entry arms only after the previous one has fired (and, with
-    /// checkpointing on, the fleet has relaunched). Overrides `kill`
-    /// when non-empty. Lets tests kill a recovered run again.
+    /// checkpointing on, the fleet has relaunched), so a test can kill a
+    /// recovered run again. Empty: no scripted failure.
     pub kill_plan: Vec<KillSpec>,
     /// Every how many completed rounds workers snapshot their program
     /// and transport state and ship it to the supervisor
@@ -174,7 +172,6 @@ impl Default for NetConfig {
             stall_timeout: Duration::from_secs(10),
             handshake_timeout: Duration::from_secs(20),
             fault: FaultPlan::default(),
-            kill: KillSpec::default(),
             kill_plan: Vec::new(),
             checkpoint_every: 0,
             recorder: RecorderHandle::noop(),
@@ -348,9 +345,9 @@ pub fn run_jones_plassmann(
 /// mesh dial — for every task. A session pays it once: workers stay
 /// alive after their `Done`, waiting on the supervisor link for either
 /// a `Shutdown` or the next `Assignment`, and each retask rebuilds
-/// only the peer mesh (over the same bound rank sockets). This is the
-/// engine under `cmg-serve`'s warm-start repair loop, where the
-/// inter-task latency *is* the serving latency.
+/// only the peer mesh (over the same bound rank sockets). `cmg-serve`
+/// runs its cold recomputes on one (its repairs run in place, without
+/// the engine), so a recompute pays no fleet spawn.
 ///
 /// Checkpoint recovery composes unchanged: a worker death mid-task
 /// respawns the whole fleet from the task's `last_good` snapshot set
@@ -1018,11 +1015,7 @@ impl Run {
         // fleets keep the identity of the run they resume.
         let run_id =
             (u64::from(std::process::id()) << 32) | RUN_COUNTER.fetch_add(1, Ordering::Relaxed);
-        let kill_queue: VecDeque<KillSpec> = if cfg.kill_plan.is_empty() {
-            VecDeque::from(vec![cfg.kill])
-        } else {
-            cfg.kill_plan.iter().copied().collect()
-        };
+        let kill_queue: VecDeque<KillSpec> = cfg.kill_plan.iter().copied().collect();
         let plan = LaunchPlan {
             parts: &parts,
             task,

@@ -43,7 +43,7 @@ use cmg_coloring::{DistColoring, JonesPlassmann, LocalColors};
 use cmg_matching::DistMatching;
 use cmg_obs::{CollectingRecorder, Event, PhaseName, RankTelemetry, RecorderHandle, ENGINE_RANK};
 use cmg_runtime::collectives::DoneWave;
-use cmg_runtime::snapshot::restore_encoded;
+use cmg_runtime::snapshot::{encode_snapshot, restore_encoded};
 use cmg_runtime::{RankCtx, RankProgram, RankStats, RankStep, Status, StepClock, WallClock};
 use std::collections::BTreeMap;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -685,7 +685,7 @@ impl Transport {
             .unwrap_or(0);
         // Single-pass encode: the snapshot and the transport tables are
         // written straight into the wire buffer (`send_streamed` →
-        // `encode_checkpoint_into` → `encode_snapshot_into`), so the
+        // `encode_checkpoint_into` → `encode_snapshot`), so the
         // payload is never staged through an intermediate blob, `Bytes`
         // conversion, or `encode_frame` copy. The last payload's size
         // (plus headroom for newly colored chunks) pre-sizes the buffer.
@@ -704,7 +704,7 @@ impl Transport {
                 // reserves for the whole payload, and re-reserving the
                 // program's share here would force a pointless realloc.
                 encode_checkpoint_into(out, round, stats, &transport, 0, |o| {
-                    program.encode_snapshot_into(o)
+                    encode_snapshot(&program.snapshot(), o)
                 });
                 shipped = out.len() - at;
             },

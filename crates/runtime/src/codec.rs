@@ -30,19 +30,27 @@ pub trait WireField: Sized {
     /// Exact number of bytes [`WireField::put`] writes.
     const WIRE_LEN: usize;
 
-    /// Appends this field's encoding to `buf`.
-    fn put(&self, buf: &mut impl BufMut);
+    /// Writes this field's encoding over the first `WIRE_LEN` bytes of
+    /// `rec` and returns the rest of it.
+    fn put<'a>(&self, rec: &'a mut [u8]) -> &'a mut [u8];
 
     /// Reads one field from the front of `buf`, or `None` if truncated.
     fn get(buf: &mut impl Buf) -> Option<Self>;
+}
+
+#[inline]
+fn put_le<const N: usize>(bytes: [u8; N], rec: &mut [u8]) -> &mut [u8] {
+    let (head, rest) = rec.split_at_mut(N);
+    head.copy_from_slice(&bytes);
+    rest
 }
 
 impl WireField for u8 {
     const WIRE_LEN: usize = 1;
 
     #[inline]
-    fn put(&self, buf: &mut impl BufMut) {
-        buf.put_u8(*self);
+    fn put<'a>(&self, rec: &'a mut [u8]) -> &'a mut [u8] {
+        put_le(self.to_le_bytes(), rec)
     }
 
     #[inline]
@@ -55,8 +63,8 @@ impl WireField for u32 {
     const WIRE_LEN: usize = 4;
 
     #[inline]
-    fn put(&self, buf: &mut impl BufMut) {
-        buf.put_u32_le(*self);
+    fn put<'a>(&self, rec: &'a mut [u8]) -> &'a mut [u8] {
+        put_le(self.to_le_bytes(), rec)
     }
 
     #[inline]
@@ -69,8 +77,8 @@ impl WireField for u64 {
     const WIRE_LEN: usize = 8;
 
     #[inline]
-    fn put(&self, buf: &mut impl BufMut) {
-        buf.put_u64_le(*self);
+    fn put<'a>(&self, rec: &'a mut [u8]) -> &'a mut [u8] {
+        put_le(self.to_le_bytes(), rec)
     }
 
     #[inline]
@@ -83,8 +91,8 @@ impl WireField for f64 {
     const WIRE_LEN: usize = 8;
 
     #[inline]
-    fn put(&self, buf: &mut impl BufMut) {
-        buf.put_f64_le(*self);
+    fn put<'a>(&self, rec: &'a mut [u8]) -> &'a mut [u8] {
+        put_le(self.to_le_bytes(), rec)
     }
 
     #[inline]
@@ -118,10 +126,13 @@ impl WireField for f64 {
 /// ```
 ///
 /// The generated wire format is: the `u8` tag, then each field in
-/// declaration order, little-endian ([`WireField`]). `encoded_len` is
-/// computed from the declared field list, so the declared size and the
-/// bytes actually written cannot disagree. Unknown tags and truncated
-/// buffers decode to `None`.
+/// declaration order, little-endian ([`WireField`]). `encode` stages the
+/// whole record in a stack array of the declared length and appends it
+/// with one `put_slice`, so every message and snapshot record costs one
+/// buffer append, not one per field. `encoded_len` is computed from the
+/// same declared field list, so the declared size and the bytes actually
+/// written cannot disagree. Unknown tags and truncated buffers decode to
+/// `None`.
 ///
 /// [`WireMessage`]: crate::message::WireMessage
 #[macro_export]
@@ -150,8 +161,13 @@ macro_rules! wire_codec {
                 match self {
                     $(
                         $name::$variant $({ $($field),* })? => {
-                            $crate::codec::WireField::put(&($tag as u8), buf);
-                            $($( $crate::codec::WireField::put($field, buf); )*)?
+                            let mut rec = [0u8; 1usize $($(
+                                + <$fty as $crate::codec::WireField>::WIRE_LEN
+                            )*)?];
+                            let rest = $crate::codec::WireField::put(&($tag as u8), &mut rec);
+                            $($( let rest = $crate::codec::WireField::put($field, rest); )*)?
+                            debug_assert!(rest.is_empty());
+                            $crate::codec::BufMut::put_slice(buf, &rec);
                         }
                     )*
                 }
@@ -189,8 +205,9 @@ mod tests {
     use bytes::BytesMut;
 
     wire_codec! {
-        /// Test protocol exercising unit and struct variants.
-        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        /// Test protocol exercising unit and struct variants and every
+        /// field type.
+        #[derive(Clone, Copy, Debug, PartialEq)]
         pub enum TestMsg {
             /// Mixed-width fields.
             0 => Pair { a: u32, b: u64 },
@@ -198,24 +215,45 @@ mod tests {
             1 => Ping,
             /// Single byte field.
             2 => Tiny { x: u8 },
+            /// A float between two integers.
+            3 => Weighted { v: u32, w: f64, flag: u8 },
         }
     }
 
     #[test]
-    fn declared_lengths_match_encoding() {
-        let msgs = [
-            TestMsg::Pair { a: 1, b: 2 },
-            TestMsg::Ping,
-            TestMsg::Tiny { x: 3 },
+    fn staged_encoding_writes_exact_bytes() {
+        let cases: [(TestMsg, &[u8]); 4] = [
+            (
+                TestMsg::Pair {
+                    a: 0x0102_0304,
+                    b: 0x0506_0708_090a_0b0c,
+                },
+                &[0, 4, 3, 2, 1, 12, 11, 10, 9, 8, 7, 6, 5],
+            ),
+            (TestMsg::Ping, &[1]),
+            (TestMsg::Tiny { x: 0xfe }, &[2, 0xfe]),
+            (
+                TestMsg::Weighted {
+                    v: 7,
+                    w: -1.5,
+                    flag: 9,
+                },
+                // -1.5 is 0xbff8_0000_0000_0000.
+                &[3, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf8, 0xbf, 9],
+            ),
         ];
-        for m in &msgs {
+        let mut all = Vec::new();
+        for (m, want) in cases {
             let mut buf = BytesMut::new();
             m.encode(&mut buf);
-            assert_eq!(buf.len(), m.encoded_len(), "{m:?}");
+            assert_eq!(&buf[..], want, "{m:?}");
+            assert_eq!(m.encoded_len(), want.len(), "{m:?}");
+            // Appending to a non-empty buffer leaves what was there.
+            let before = all.len();
+            m.encode(&mut all);
+            assert_eq!(&all[before..], want, "{m:?}");
         }
-        assert_eq!(TestMsg::Pair { a: 0, b: 0 }.encoded_len(), 13);
-        assert_eq!(TestMsg::Ping.encoded_len(), 1);
-        assert_eq!(TestMsg::Tiny { x: 0 }.encoded_len(), 2);
+        assert_eq!(all.len(), 13 + 1 + 2 + 14);
     }
 
     #[test]
@@ -227,6 +265,11 @@ mod tests {
                 b: u64::MAX,
             },
             TestMsg::Tiny { x: 255 },
+            TestMsg::Weighted {
+                v: 3,
+                w: f64::MIN_POSITIVE,
+                flag: 1,
+            },
             TestMsg::Pair { a: 0, b: 1 },
         ];
         let mut buf = BytesMut::new();

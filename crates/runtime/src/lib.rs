@@ -51,7 +51,7 @@ pub use delivery::{DeliveryKey, DeliveryPolicy, DeliveryScript};
 pub use message::WireMessage;
 pub use program::{Rank, RankCtx, RankProgram, Status};
 pub use sim::{RoundTrace, SimEngine, SimResult};
-pub use snapshot::ProgramSnapshot;
+pub use snapshot::encode_snapshot;
 pub use stats::{RankStats, RunStats};
 pub use step::{MalformedBundle, RankStep, StepClock, VirtualClock, WallClock};
 pub use threaded::{ThreadedEngine, ThreadedResult};

@@ -204,11 +204,13 @@ impl<M: WireMessage> RankCtx<M> {
 /// # State contract
 ///
 /// Every program's algorithm state is an explicit serializable value:
-/// [`RankProgram::snapshot`] captures it as a
-/// [`ProgramSnapshot`](crate::snapshot::ProgramSnapshot) record stream
-/// and [`RankProgram::restore`] rebuilds the program from a snapshot
-/// plus its construction context ([`RankProgram::Meta`] — graphs,
-/// configs, anything *not* carried on the wire). Taken at a round edge,
+/// [`RankProgram::snapshot`] captures it as a stream of
+/// [`RankProgram::Record`]s (one `wire_codec!` enum, the same fixed
+/// format as messages, written by
+/// [`encode_snapshot`](crate::snapshot::encode_snapshot)) and
+/// [`RankProgram::restore`] rebuilds the program from the records plus
+/// its construction context ([`RankProgram::Meta`] — graphs, configs,
+/// anything *not* carried on the wire). Taken at a round edge,
 /// `restore(meta, snapshot)` must resume **bit-identically**: results,
 /// statistics, and traces of the resumed run must equal the
 /// uninterrupted run's. The engines verify this live when
@@ -218,11 +220,11 @@ pub trait RankProgram: Send {
     /// The algorithm's message type.
     type Msg: WireMessage;
 
-    /// Serializable algorithm state: pointers, proposals, palettes,
-    /// phase counters, in-flight collective state. Incidental state
-    /// (halo views, scratch buffers) stays out and is rebuilt by
-    /// [`RankProgram::restore`].
-    type Snapshot: crate::snapshot::ProgramSnapshot;
+    /// One record of the serializable algorithm state: pointers,
+    /// proposals, palettes, phase counters, in-flight collective state.
+    /// Incidental state (halo views, scratch buffers) stays out and is
+    /// rebuilt by [`RankProgram::restore`].
+    type Record: WireMessage;
 
     /// Construction context needed to rebuild the incidental state on
     /// restore (typically the rank's `DistGraph` plus configuration).
@@ -242,26 +244,15 @@ pub trait RankProgram: Send {
         ctx: &mut RankCtx<Self::Msg>,
     ) -> Status;
 
-    /// Captures the program's algorithm state at a round edge.
-    fn snapshot(&self) -> Self::Snapshot;
-
-    /// Appends the encoded snapshot to `out` — the same bytes as
-    /// `self.snapshot().encode_into(out)`, which is also the default.
-    /// This is the checkpoint hot path: the net worker serializes the
-    /// program at every checkpoint edge while peers wait at the
-    /// barrier, so programs with bulky state override this to encode
-    /// straight out of their live buffers (no intermediate snapshot
-    /// clone). Overrides must stay byte-identical to the default.
-    fn encode_snapshot_into(&self, out: &mut Vec<u8>) {
-        use crate::snapshot::ProgramSnapshot;
-        self.snapshot().encode_into(out);
-    }
+    /// Captures the program's algorithm state at a round edge, as
+    /// records in the order [`RankProgram::restore`] reads them.
+    fn snapshot(&self) -> Vec<Self::Record>;
 
     /// Rebuilds a program from construction context plus a snapshot,
     /// index included (the resumed rank gets no `on_start`). Must be the
     /// exact inverse of [`RankProgram::snapshot`]: the restored program
     /// behaves bit-identically to the captured one.
-    fn restore(meta: Self::Meta, snap: Self::Snapshot) -> Self;
+    fn restore(meta: Self::Meta, snap: Vec<Self::Record>) -> Self;
 
     /// Extracts fresh construction context from a live program, so
     /// engines can roundtrip `snapshot → restore` generically (the

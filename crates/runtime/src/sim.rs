@@ -37,7 +37,7 @@ use crate::bundle::Packet;
 use crate::delivery::{payload_fingerprint, DeliveryKey, DeliveryPolicy};
 use crate::message::decode_all;
 use crate::program::{Rank, RankCtx, RankProgram, Status};
-use crate::snapshot::{restore_encoded, ProgramSnapshot};
+use crate::snapshot::{encode_snapshot, restore_encoded};
 use crate::stats::{RankStats, RunStats};
 use crate::step::{RankStep, StepClock, VirtualClock};
 use crate::{CostModel, EngineConfig};
@@ -281,7 +281,9 @@ fn step_slot<P: RankProgram>(
 /// instead of a production deadlock.
 #[expect(clippy::expect_used, reason = "oracle: a lossy snapshot stops the run")]
 pub(crate) fn checkpoint_roundtrip<P: RankProgram>(program: &mut P) {
-    *program = restore_encoded(program.meta(), program.snapshot().encode_bytes())
+    let mut bytes = Vec::new();
+    encode_snapshot(&program.snapshot(), &mut bytes);
+    *program = restore_encoded(program.meta(), Bytes::from(bytes))
         .expect("snapshot did not round-trip through its wire encoding");
 }
 

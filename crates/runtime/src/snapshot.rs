@@ -1,12 +1,14 @@
 //! Snapshottable rank-program state.
 //!
-//! Every [`RankProgram`](crate::RankProgram) carries an explicit,
-//! serializable value of its algorithm state: the associated `Snapshot`
-//! type. A snapshot is a **record stream** — a sequence of fixed-width
-//! records declared through [`wire_codec!`](crate::wire_codec) and
-//! concatenated back-to-back exactly like a message bundle — so the same
-//! codec machinery (and the same `cmg-analyze` wire-drift fingerprinting)
-//! covers checkpoint payloads and wire messages alike.
+//! Every [`RankProgram`] carries an explicit, serializable value of its
+//! algorithm state: a `Vec` of its `Record` type. A snapshot is a
+//! **record stream** — a sequence of fixed-width records declared through
+//! [`wire_codec!`](crate::wire_codec) and concatenated back-to-back
+//! exactly like a message bundle — so the same codec machinery (and the
+//! same `cmg-analyze` wire-drift fingerprinting) covers checkpoint
+//! payloads and wire messages alike. [`encode_snapshot`] is the one
+//! writer and [`restore_encoded`] the one reader: engines and the net
+//! transport see bytes, never the record type.
 //!
 //! The contract splits a program's fields into two classes:
 //!
@@ -19,105 +21,43 @@
 //! * **incidental state** — halo views, weight-sorted adjacency copies,
 //!   stamp-based scratch buffers, fan-out dedup stamps. These are
 //!   *rebuilt* on restore from the construction context (`Meta`), exactly
-//!   as `new()` builds them, which both shrinks checkpoints and keeps the
-//!   wire format honest about what the algorithm actually is.
+//!   as `on_start` builds them, which both shrinks checkpoints and keeps
+//!   the wire format honest about what the algorithm actually is.
 //!
 //! Restoring must be **behaviorally exact**: a program round-tripped
 //! through `snapshot → encode → decode → restore` at any round edge must
 //! produce bit-identical results, statistics, and traces from that point
 //! on. `tests/snapshot_equivalence.rs` holds the property tests pinning
-//! this for all five shipped rank programs; the engines enforce it live
-//! through `EngineConfig::checkpoint_every` (sim/threaded equivalence
-//! oracle) and the cmg-net checkpoint/respawn path.
+//! this for all four shipped rank programs (`DistMatching`,
+//! `DistColoring<Distance1>`, `DistColoring<Distance2>`,
+//! `JonesPlassmann`); the engines enforce it live through
+//! `EngineConfig::checkpoint_every` (sim/threaded equivalence oracle) and
+//! the cmg-net checkpoint/respawn path.
 
 use crate::message::{decode_all_into, WireMessage};
 use crate::program::RankProgram;
 use bytes::Bytes;
 
-/// A serializable program snapshot: a stream of fixed-width wire records.
-///
-/// The canonical implementation is `Vec<R>` for a `wire_codec!`-declared
-/// record enum `R`; `()` serves stateless test programs. The provided
-/// `encode_bytes`/`decode_bytes` pair is the only wire format — engines
-/// and the net transport never see the record type, only bytes.
-pub trait ProgramSnapshot: Sized + Send {
-    /// The fixed-width record the stream is made of.
-    type Record: WireMessage;
-
-    /// Consumes the snapshot into its record sequence (order is part of
-    /// the format: restore sees records in exactly this order).
-    fn into_records(self) -> Vec<Self::Record>;
-
-    /// Rebuilds a snapshot from a decoded record sequence. `None` if the
-    /// records are not a well-formed snapshot.
-    fn from_records(records: Vec<Self::Record>) -> Option<Self>;
-
-    /// Appends the encoded record stream to `out` — the same bytes as
-    /// [`encode_bytes`](Self::encode_bytes), written into a
-    /// caller-owned buffer. This is the checkpoint hot path: the net
-    /// worker serializes a snapshot at every checkpoint edge, and
-    /// encoding straight into the checkpoint frame avoids an
-    /// intermediate allocation and copy per checkpoint. Snapshot types
-    /// with a bulk encoding override this (and must stay
-    /// byte-identical to the generic record path).
-    fn encode_into(self, out: &mut Vec<u8>) {
-        let records = self.into_records();
-        out.reserve(records.iter().map(WireMessage::encoded_len).sum());
-        for r in &records {
-            r.encode(out);
-        }
-    }
-
-    /// Serializes the snapshot to bytes (records concatenated in order,
-    /// no separators — the bundle format).
-    fn encode_bytes(self) -> Bytes {
-        let mut buf = Vec::new();
-        self.encode_into(&mut buf);
-        Bytes::from(buf)
-    }
-
-    /// Deserializes a snapshot from bytes. `None` on malformed input.
-    fn decode_bytes(buf: Bytes) -> Option<Self> {
-        let mut records = Vec::new();
-        decode_all_into(buf, &mut records)?;
-        Self::from_records(records)
+/// Appends a snapshot's encoded record stream to `out`: the records
+/// concatenated in order, no separators (the bundle format). The net
+/// worker writes straight into its checkpoint frame with this; the
+/// in-process oracle into a fresh buffer.
+pub fn encode_snapshot<R: WireMessage>(records: &[R], out: &mut Vec<u8>) {
+    out.reserve(records.iter().map(WireMessage::encoded_len).sum());
+    for r in records {
+        r.encode(out);
     }
 }
 
 /// Rebuilds a program from its construction context and its encoded
 /// snapshot — the receiving half of every checkpoint, whether a net worker
 /// was shipped it or an in-process engine just took it (the
-/// `checkpoint_every` oracle). `None` if `bytes` is not a snapshot of `P`.
+/// `checkpoint_every` oracle). `None` if `bytes` is not a record stream
+/// of `P::Record`.
 pub fn restore_encoded<P: RankProgram>(meta: P::Meta, bytes: Bytes) -> Option<P> {
-    P::Snapshot::decode_bytes(bytes).map(|snap| P::restore(meta, snap))
-}
-
-/// The canonical snapshot shape: a record stream is a snapshot of
-/// itself.
-impl<R: WireMessage> ProgramSnapshot for Vec<R> {
-    type Record = R;
-
-    fn into_records(self) -> Vec<R> {
-        self
-    }
-
-    fn from_records(records: Vec<R>) -> Option<Self> {
-        Some(records)
-    }
-}
-
-/// The empty snapshot, for programs without serializable algorithm state
-/// (test fixtures; see [`trivial_snapshot!`](crate::trivial_snapshot)).
-impl ProgramSnapshot for () {
-    type Record = u32;
-
-    fn into_records(self) -> Vec<u32> {
-        Vec::new()
-    }
-
-    fn from_records(records: Vec<u32>) -> Option<Self> {
-        records.is_empty().then_some(())
-    }
+    let mut records = Vec::new();
+    decode_all_into(bytes, &mut records)?;
+    Some(P::restore(meta, records))
 }
 
 /// Expands, **inside an `impl RankProgram` block**, to the snapshot half
@@ -131,12 +71,14 @@ impl ProgramSnapshot for () {
 #[macro_export]
 macro_rules! trivial_snapshot {
     () => {
-        type Snapshot = ();
+        type Record = u32;
         type Meta = Self;
 
-        fn snapshot(&self) {}
+        fn snapshot(&self) -> Vec<u32> {
+            Vec::new()
+        }
 
-        fn restore(meta: Self, _snap: ()) -> Self {
+        fn restore(meta: Self, _snap: Vec<u32>) -> Self {
             meta
         }
 
@@ -149,32 +91,56 @@ macro_rules! trivial_snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::{Rank, RankCtx, Status};
+
+    /// A program whose whole state is its snapshot.
+    struct Echo(Vec<u32>);
+
+    impl RankProgram for Echo {
+        type Msg = u32;
+        type Record = u32;
+        type Meta = ();
+
+        fn on_start(&mut self, _: &mut RankCtx<u32>) -> Status {
+            Status::Idle
+        }
+
+        fn on_round(&mut self, _: &mut Vec<(Rank, Vec<u32>)>, _: &mut RankCtx<u32>) -> Status {
+            Status::Idle
+        }
+
+        fn snapshot(&self) -> Vec<u32> {
+            self.0.clone()
+        }
+
+        fn restore((): (), snap: Vec<u32>) -> Self {
+            Echo(snap)
+        }
+
+        fn meta(&self) {}
+    }
 
     #[test]
-    fn vec_round_trips_through_bytes() {
-        let snap: Vec<u32> = vec![7, 11, 13];
-        let bytes = snap.clone().encode_bytes();
-        assert_eq!(bytes.len(), 12);
-        let back = <Vec<u32>>::decode_bytes(bytes).unwrap();
-        assert_eq!(back, snap);
+    fn records_round_trip_through_bytes() {
+        let mut buf = Vec::new();
+        encode_snapshot(&Echo(vec![7, 11, 13]).snapshot(), &mut buf);
+        assert_eq!(buf, [7, 0, 0, 0, 11, 0, 0, 0, 13, 0, 0, 0]);
+        let back: Echo = restore_encoded((), Bytes::from(buf)).unwrap();
+        assert_eq!(back.0, [7, 11, 13]);
     }
 
     #[test]
     fn empty_snapshot_is_zero_bytes() {
-        let bytes = ().encode_bytes();
-        assert!(bytes.is_empty());
-        assert_eq!(<()>::decode_bytes(bytes), Some(()));
-    }
-
-    #[test]
-    fn unit_rejects_nonempty_stream() {
-        let bytes = vec![1u32].encode_bytes();
-        assert_eq!(<()>::decode_bytes(bytes), None);
+        let mut buf = vec![9];
+        encode_snapshot::<u32>(&[], &mut buf);
+        assert_eq!(buf, [9]);
+        let back: Echo = restore_encoded((), Bytes::new()).unwrap();
+        assert!(back.0.is_empty());
     }
 
     #[test]
     fn malformed_bytes_rejected() {
         let bytes = Bytes::from(vec![1u8, 2, 3]); // not a multiple of 4
-        assert!(<Vec<u32>>::decode_bytes(bytes).is_none());
+        assert!(restore_encoded::<Echo>((), bytes).is_none());
     }
 }

@@ -10,17 +10,21 @@
 //!
 //! The wire bytes of both distributed programs are pinned too: one
 //! instance of every `ColorMsg` / `ColorSnap` variant and of every
-//! `MatchMsg` / `MatchSnap` variant, encoded.
+//! `MatchMsg` / `MatchSnap` variant, encoded. Jones–Plassmann's snapshot
+//! is pinned as one `JpSnap` record of each variant plus a digest of
+//! every rank's encoded snapshot at every round edge of two runs.
 
 use bytes::BytesMut;
-use cmg_coloring::{assemble_coloring, ColorMsg, ColorSnap, DistColoring, Distance2};
+use cmg_coloring::{
+    assemble_coloring, ColorMsg, ColorSnap, DistColoring, Distance2, JonesPlassmann, JpSnap,
+};
 use cmg_graph::generators::{circuit_like, grid2d, star};
 use cmg_graph::weights::{assign_weights, WeightScheme};
 use cmg_graph::CsrGraph;
 use cmg_matching::{MatchMsg, MatchSnap};
-use cmg_partition::simple::hash_partition;
-use cmg_partition::DistGraph;
-use cmg_runtime::{EngineConfig, SimEngine, WireMessage};
+use cmg_partition::simple::{block_partition, hash_partition};
+use cmg_partition::{DistGraph, Partition};
+use cmg_runtime::{encode_snapshot, EngineConfig, RankProgram, SimEngine, WireMessage};
 
 struct Fnv(u64);
 
@@ -30,7 +34,11 @@ impl Fnv {
     }
 
     fn u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
+        self.bytes(&x.to_le_bytes());
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
             self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
@@ -270,4 +278,67 @@ fn matching_wire_bytes_are_pinned() {
     for (s, want) in snaps {
         assert_eq!(encoded(&s), want, "{s:?}");
     }
+}
+
+#[test]
+fn jp_snapshot_bytes_are_pinned() {
+    let colors = JpSnap::Colors {
+        base: 0x0102_0304,
+        c0: 5,
+        c1: 6,
+        c2: 7,
+        c3: 8,
+        c4: 9,
+        c5: 10,
+        c6: 11,
+        c7: u32::MAX,
+    };
+    assert_eq!(
+        encoded(&colors),
+        [
+            0, 4, 3, 2, 1, 5, 0, 0, 0, 6, 0, 0, 0, 7, 0, 0, 0, 8, 0, 0, 0, 9, 0, 0, 0, 10, 0, 0, 0,
+            11, 0, 0, 0, 255, 255, 255, 255,
+        ]
+    );
+    assert_eq!(encoded(&JpSnap::Pending { v: 12 }), [1, 12, 0, 0, 0]);
+}
+
+/// FNV-1a digest and total length of every rank's encoded snapshot after
+/// Jones–Plassmann runs capped at 1, 2, … rounds, up to the first run
+/// that quiesces.
+fn jp_snapshot_digest(g: &CsrGraph, partition: &Partition) -> (u64, usize) {
+    let (mut h, mut len) = (Fnv::new(), 0);
+    for max_rounds in 1.. {
+        let programs: Vec<JonesPlassmann> = DistGraph::build_all(g, partition)
+            .into_iter()
+            .map(|dg| JonesPlassmann::new(dg, 9))
+            .collect();
+        let cfg = EngineConfig {
+            max_rounds,
+            ..Default::default()
+        };
+        let result = SimEngine::new(programs, cfg).run();
+        for q in &result.programs {
+            let mut bytes = Vec::new();
+            encode_snapshot(&q.snapshot(), &mut bytes);
+            h.bytes(&bytes);
+            len += bytes.len();
+        }
+        if !result.hit_round_cap {
+            break;
+        }
+    }
+    (h.0, len)
+}
+
+#[test]
+fn jp_snapshots_are_pinned() {
+    let grid = grid2d(40, 40);
+    let circuit = circuit_like(3000, 3);
+    let got = [
+        jp_snapshot_digest(&grid, &block_partition(1600, 4)),
+        jp_snapshot_digest(&circuit, &hash_partition(circuit.num_vertices(), 6, 2)),
+    ];
+    assert_eq!(got[0], (0x8d6f_b229_6f8b_d87f, 109_698), "grid");
+    assert_eq!(got[1], (0x5d1f_53c5_147a_4e24, 692_174), "circuit_like");
 }

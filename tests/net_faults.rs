@@ -128,7 +128,7 @@ fn frame_drops_fail_with_a_diagnosed_error_not_a_hang() {
 fn sigkilled_worker_is_diagnosed_as_rank_died_within_the_deadline() {
     let g = weighted_grid();
     let cfg = NetConfig {
-        kill: KillSpec::KillAtRound { rank: 1, round: 2 },
+        kill_plan: vec![KillSpec::KillAtRound { rank: 1, round: 2 }],
         heartbeat: Duration::from_millis(50),
         stall_timeout: Duration::from_secs(10),
         ..Default::default()
@@ -155,7 +155,7 @@ fn sigkilled_worker_is_diagnosed_as_rank_died_within_the_deadline() {
 fn wedged_worker_is_diagnosed_as_stalled() {
     let g = weighted_grid();
     let cfg = NetConfig {
-        kill: KillSpec::WedgeAtRound { rank: 2, round: 2 },
+        kill_plan: vec![KillSpec::WedgeAtRound { rank: 2, round: 2 }],
         heartbeat: Duration::from_millis(50),
         stall_timeout: Duration::from_millis(800),
         ..Default::default()
@@ -324,7 +324,7 @@ fn killed_worker_recovers_from_checkpoint_bit_identically() {
     let clean = run_task(parts(&g, 4), RECOVERY_TASK, &NetConfig::default()).expect("clean run");
     assert!(clean.rounds > 5, "kill round must fall inside the run");
     let cfg = NetConfig {
-        kill: KillSpec::KillAtRound { rank: 1, round: 5 },
+        kill_plan: vec![KillSpec::KillAtRound { rank: 1, round: 5 }],
         checkpoint_every: 2,
         heartbeat: Duration::from_millis(50),
         ..Default::default()
@@ -365,7 +365,7 @@ fn killed_worker_recovers_under_dup_delay_faults_bit_identically() {
             delay_per_mille: 150,
             delay_depth: 3,
         },
-        kill: KillSpec::KillAtRound { rank: 2, round: 5 },
+        kill_plan: vec![KillSpec::KillAtRound { rank: 2, round: 5 }],
         checkpoint_every: 2,
         heartbeat: Duration::from_millis(50),
         ..Default::default()
@@ -421,7 +421,7 @@ fn death_before_first_checkpoint_restarts_fresh() {
     let clean =
         run_task(parts(&g, 4), NetTask::Matching, &NetConfig::default()).expect("clean run");
     let cfg = NetConfig {
-        kill: KillSpec::KillAtRound { rank: 0, round: 0 },
+        kill_plan: vec![KillSpec::KillAtRound { rank: 0, round: 0 }],
         checkpoint_every: 4,
         heartbeat: Duration::from_millis(50),
         ..Default::default()
@@ -441,7 +441,7 @@ fn death_before_first_checkpoint_restarts_fresh() {
 fn recovery_is_not_misdiagnosed_as_a_stall() {
     let g = weighted_grid();
     let cfg = NetConfig {
-        kill: KillSpec::KillAtRound { rank: 1, round: 5 },
+        kill_plan: vec![KillSpec::KillAtRound { rank: 1, round: 5 }],
         checkpoint_every: 1,
         heartbeat: Duration::from_millis(25),
         stall_timeout: Duration::from_secs(1),
@@ -459,7 +459,7 @@ fn recovery_is_not_misdiagnosed_as_a_stall() {
 fn checkpointing_off_leaves_death_diagnosis_unchanged() {
     let g = weighted_grid();
     let cfg = NetConfig {
-        kill: KillSpec::KillAtRound { rank: 1, round: 2 },
+        kill_plan: vec![KillSpec::KillAtRound { rank: 1, round: 2 }],
         heartbeat: Duration::from_millis(50),
         ..Default::default()
     };
@@ -615,7 +615,7 @@ fn killed_worker_mid_session_recovers_and_the_fleet_keeps_serving() {
     let mut session = NetSession::open(
         parts(&g, 4),
         NetConfig {
-            kill: KillSpec::KillAtRound { rank: 1, round: 5 },
+            kill_plan: vec![KillSpec::KillAtRound { rank: 1, round: 5 }],
             checkpoint_every: 2,
             heartbeat: Duration::from_millis(50),
             ..Default::default()
@@ -651,7 +651,7 @@ fn unrecoverable_session_failure_is_typed_and_the_next_submit_relaunches() {
     let mut session = NetSession::open(
         parts(&g, 4),
         NetConfig {
-            kill: KillSpec::KillAtRound { rank: 2, round: 2 },
+            kill_plan: vec![KillSpec::KillAtRound { rank: 2, round: 2 }],
             heartbeat: Duration::from_millis(50),
             ..Default::default()
         },
@@ -669,7 +669,7 @@ fn unrecoverable_session_failure_is_typed_and_the_next_submit_relaunches() {
     );
     assert!(!session.is_live(), "the failed fleet is dropped");
 
-    session.config_mut().kill = KillSpec::None;
+    session.config_mut().kill_plan.clear();
     let (m, _) = session
         .submit_matching(NetTask::Matching)
         .expect("the next submit relaunches a fresh fleet");

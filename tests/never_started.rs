@@ -4,6 +4,7 @@
 //! `restore(meta, snapshot)` followed by a full `SimEngine` run gives the
 //! uninterrupted run's answer, statistics and trace.
 
+use bytes::Bytes;
 use cmg_coloring::{
     assemble_coloring, ColoringConfig, CommVariant, DistColoring, JonesPlassmann, LocalColors,
 };
@@ -14,7 +15,7 @@ use cmg_matching::{assemble_matching, DistMatching};
 use cmg_partition::simple::{block_partition, hash_partition};
 use cmg_partition::DistGraph;
 use cmg_runtime::snapshot::restore_encoded;
-use cmg_runtime::{CostModel, EngineConfig, ProgramSnapshot, RankProgram, SimEngine, SimResult};
+use cmg_runtime::{encode_snapshot, CostModel, EngineConfig, RankProgram, SimEngine, SimResult};
 
 const UNCOLORED: u32 = u32::MAX;
 
@@ -62,7 +63,11 @@ fn restored_runs_like_fresh<P: RankProgram>(
 ) -> (SimResult<P>, SimResult<P>) {
     let restored: Vec<P> = make()
         .into_iter()
-        .map(|p| restore_encoded(p.meta(), p.snapshot().encode_bytes()).expect("decodes"))
+        .map(|p| {
+            let mut bytes = Vec::new();
+            encode_snapshot(&p.snapshot(), &mut bytes);
+            restore_encoded(p.meta(), Bytes::from(bytes)).expect("decodes")
+        })
         .collect();
     let fresh = SimEngine::new(make(), cfg()).run();
     let resumed = SimEngine::new(restored, cfg()).run();
