@@ -21,10 +21,11 @@
 //! take, the first phase's work list, and who detects a clash.
 //!
 //! * [`Distance1`] is the paper's algorithm. Detection is local: for a
-//!   conflict edge, the endpoint with the smaller `r(v)` loses. Interior
-//!   vertices are colored entirely locally, strictly before or strictly
-//!   after the boundary (per [`LocalOrder`]), following the recommendation
-//!   of Bozdağ et al. that the paper adopts.
+//!   conflict edge, the endpoint with the smaller `r(v)` loses. Each
+//!   vertex takes the smallest color its neighbors leave free (first-fit),
+//!   and interior vertices are colored entirely locally before the
+//!   boundary, following the recommendation of Bozdağ et al. that the
+//!   paper adopts.
 //! * [`Distance2`] serves the distance-2 problem behind the paper's
 //!   flagship application (Jacobian/Hessian compression, §1). A conflict
 //!   `a – m – b` is detected by the owner of the *middle* vertex `m`, the
@@ -70,27 +71,6 @@ impl CommVariant {
     }
 }
 
-/// How a processor chooses a color for a vertex (§4.1's design question).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ColorChoice {
-    /// Smallest color not used by any neighbor.
-    FirstFit,
-    /// First-fit scanning from a rank-dependent offset (reduces same-color
-    /// collisions between ranks at the price of more colors).
-    StaggeredFirstFit,
-    /// Least-locally-used permissible color among those seen so far.
-    LeastUsed,
-}
-
-/// Relative order of interior and boundary coloring.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LocalOrder {
-    /// Color interior vertices first, then the boundary phases.
-    InteriorFirst,
-    /// Run the boundary phases first, color interior at the end.
-    BoundaryFirst,
-}
-
 /// Configuration of the distributed coloring algorithm.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ColoringConfig {
@@ -98,10 +78,6 @@ pub struct ColoringConfig {
     pub superstep_size: usize,
     /// Communication variant.
     pub comm: CommVariant,
-    /// Color-selection strategy.
-    pub color_choice: ColorChoice,
-    /// Interior/boundary order.
-    pub order: LocalOrder,
     /// Seed of the pre-assigned random priority function `r(v)`.
     pub seed: u64,
 }
@@ -112,8 +88,6 @@ impl Default for ColoringConfig {
             superstep_size: 1000, // the paper's recommendation for
             // well-partitioned graphs
             comm: CommVariant::Neighbor,
-            color_choice: ColorChoice::FirstFit,
-            order: LocalOrder::InteriorFirst,
             seed: 0x5eed,
         }
     }
@@ -208,9 +182,10 @@ wire_codec! {
     /// assigned colors (owned and ghost), the phase's remaining work
     /// list, the conflict scope's own state, and the in-flight state of
     /// the DONE wave and conflict-count allreduce. The halo view,
-    /// priorities, peer set, stagger offset, fan-out scheme, and stamp
-    /// scratch are rebuilt from the graph + config on restore. Tags 0–5
-    /// are all a distance-1 snapshot holds; 6–9 are distance-2 state.
+    /// priorities, peer set, fan-out scheme, and stamp scratch are
+    /// rebuilt from the graph + config on restore. Tags 0–2, 4 and 5 are
+    /// all a distance-1 snapshot holds; 6–9 are distance-2 state. Tag 3
+    /// (a retired usage-table slot) is not reused.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub enum ColorSnap {
         /// Protocol position (exactly one per snapshot, first).
@@ -223,7 +198,8 @@ wire_codec! {
             phases_executed: u32,
             /// Total vertices re-colored due to conflicts.
             total_recolored: u64,
-            /// Bit 0: detection done; bit 1: interior colored.
+            /// Bit 0: detection done; bit 1: the first phase has begun
+            /// (written for byte compatibility, ignored on restore).
             flags: u8,
             /// This rank's conflict count for the current phase.
             my_conflicts: u64,
@@ -241,12 +217,6 @@ wire_codec! {
         2 => Pending {
             /// Vertex to (re)color (local index).
             v: u32,
-        },
-        /// One slot of the LeastUsed usage table, in color order
-        /// (zero-count slots included — the table length is state).
-        3 => Usage {
-            /// Local uses of this color slot.
-            count: u64,
         },
         /// In-flight DONE-wave tally for one phase.
         4 => DoneCount {
@@ -302,14 +272,16 @@ wire_codec! {
 pub trait ConflictScope: Sized + Send + Default {
     /// The scope's state for a fresh rank, built with the rank's index
     /// (on the rank itself).
-    fn new(dg: &DistGraph) -> Self;
+    fn new(_dg: &DistGraph) -> Self {
+        Self::default()
+    }
 
     /// Picks a permissible color for owned vertex `v`, charging one work
     /// unit per adjacency entry scanned.
     fn pick_color(p: &mut DistColoring<Self>, v: u32, ctx: &mut RankCtx<ColorMsg>) -> u32;
 
-    /// Sets the first phase's work list (coloring up front whatever the
-    /// scope colors outside the phases).
+    /// Sets the first phase's work list. Every scope colors the interior
+    /// before the boundary: up front, or at the head of the list.
     fn first_phase(p: &mut DistColoring<Self>, ctx: &mut RankCtx<ColorMsg>);
 
     /// Detects this phase's conflicts once the DONE wave is in, ending in
@@ -324,11 +296,11 @@ pub trait ConflictScope: Sized + Send + Default {
     fn ghost_colored(&mut self, _local: u32) {}
 
     /// Appends the scope's state to a snapshot.
-    fn snapshot(&self, recs: &mut Vec<ColorSnap>);
+    fn snapshot(&self, _recs: &mut Vec<ColorSnap>) {}
 
     /// Restores the scope's state from the records the shared skeleton
     /// does not own.
-    fn restore(&mut self, recs: Vec<ColorSnap>);
+    fn restore(&mut self, _recs: Vec<ColorSnap>) {}
 }
 
 /// One rank's state of the distributed coloring algorithm; `S` is the
@@ -364,7 +336,6 @@ pub struct DistColoring<S: ConflictScope = Distance1> {
     /// a dedicated hardware tree network for them).
     allreduce: TreeAllreduce<u64>,
     my_conflicts: u64,
-    interior_colored: bool,
     /// Scratch: stamp-based forbidden-color set.
     forbidden: Vec<u64>,
     stamp: u64,
@@ -433,7 +404,6 @@ impl<S: ConflictScope> DistColoring<S> {
             done: DoneWave::new(),
             allreduce: TreeAllreduce::new(dg.rank, dg.num_ranks, 8),
             my_conflicts: 0,
-            interior_colored: false,
             forbidden: Vec::new(),
             stamp: 0,
             scope: S::default(),
@@ -490,16 +460,6 @@ impl<S: ConflictScope> DistColoring<S> {
     /// key loses.
     fn key(&self, v: u32) -> (u64, VertexId) {
         (self.priority[v as usize], self.dg.global_ids[v as usize])
-    }
-
-    /// Colors all interior vertices (purely local).
-    fn color_interior(&mut self, ctx: &mut RankCtx<ColorMsg>) {
-        for i in 0..self.halo.interior.len() {
-            let v = self.halo.interior[i];
-            let c = S::pick_color(self, v, ctx);
-            self.color[v as usize] = c;
-        }
-        self.interior_colored = true;
     }
 
     /// Sends `(v, color)` per the communication variant: FIAB broadcasts,
@@ -613,9 +573,6 @@ impl<S: ConflictScope> DistColoring<S> {
         fan_out(ctx, self.allreduce.children(), &msg);
         self.done.clear(self.phase);
         if total == 0 {
-            if !self.interior_colored {
-                self.color_interior(ctx);
-            }
             self.state = PState::Finished;
         } else {
             self.phase += 1;
@@ -693,7 +650,7 @@ impl<S: ConflictScope> RankProgram for DistColoring<S> {
             state: self.state.to_u8(),
             phases_executed: self.phases_executed,
             total_recolored: self.total_recolored,
-            flags: (detection_done as u8) | ((self.interior_colored as u8) << 1),
+            flags: (detection_done as u8) | (((self.phases_executed > 0) as u8) << 1),
             my_conflicts: self.my_conflicts,
             u_pos: self.u_pos as u64,
         });
@@ -741,7 +698,7 @@ impl<S: ConflictScope> RankProgram for DistColoring<S> {
                     state,
                     phases_executed,
                     total_recolored,
-                    flags,
+                    flags: _,
                     my_conflicts,
                     u_pos,
                 } => {
@@ -749,7 +706,6 @@ impl<S: ConflictScope> RankProgram for DistColoring<S> {
                     p.state = PState::from_u8(state);
                     p.phases_executed = phases_executed;
                     p.total_recolored = total_recolored;
-                    p.interior_colored = flags & 2 != 0;
                     p.my_conflicts = my_conflicts;
                     p.u_pos = u_pos as usize;
                 }
@@ -800,33 +756,13 @@ impl<S: ConflictScope> RankProgram for DistColoring<S> {
 }
 
 /// Distance-1 coloring, the paper's algorithm: the neighbors forbid a
-/// color, [`ColorChoice`] picks one, and each vertex colored this phase is
-/// checked against its ghost neighbors.
+/// color, first-fit picks the smallest free one, and each vertex colored
+/// this phase is checked against its ghost neighbors. It keeps no state of
+/// its own.
 #[derive(Default)]
-pub struct Distance1 {
-    /// LeastUsed: local usage count per color.
-    usage: Vec<u64>,
-    /// StaggeredFirstFit offset.
-    stagger: u32,
-}
+pub struct Distance1;
 
 impl ConflictScope for Distance1 {
-    fn new(dg: &DistGraph) -> Self {
-        let max_deg = (0..dg.n_local as u32)
-            .map(|v| dg.degree(v))
-            .max()
-            .unwrap_or(0);
-        let stagger = if dg.num_ranks <= 1 {
-            0
-        } else {
-            ((dg.rank as u64 * (max_deg as u64 + 1)) / dg.num_ranks as u64) as u32
-        };
-        Distance1 {
-            usage: Vec::new(),
-            stagger,
-        }
-    }
-
     fn pick_color(p: &mut DistColoring<Self>, v: u32, ctx: &mut RankCtx<ColorMsg>) -> u32 {
         p.stamp += 1;
         let deg = p.dg.degree(v);
@@ -837,48 +773,19 @@ impl ConflictScope for Distance1 {
                 p.forbidden[c as usize] = p.stamp;
             }
         }
-        let first_free_from = |from: u32, forbidden: &[u64], stamp: u64| -> u32 {
-            let mut c = from;
-            while (c as usize) < forbidden.len() && forbidden[c as usize] == stamp {
-                c += 1;
-            }
-            c
-        };
-        match p.cfg.color_choice {
-            ColorChoice::FirstFit => first_free_from(0, &p.forbidden, p.stamp),
-            ColorChoice::StaggeredFirstFit => {
-                // Scan from the rank's offset; the offset keeps concurrent
-                // ranks on disjoint color ranges, trading color count for
-                // fewer conflicts.
-                first_free_from(p.scope.stagger, &p.forbidden, p.stamp)
-            }
-            ColorChoice::LeastUsed => {
-                let usage = &mut p.scope.usage;
-                let mut best: Option<(u64, u32)> = None;
-                for c in 0..usage.len() as u32 {
-                    if p.forbidden[c as usize] != p.stamp {
-                        let u = usage[c as usize];
-                        if best.is_none_or(|(bu, _)| u < bu) {
-                            best = Some((u, c));
-                        }
-                    }
-                }
-                let c = match best {
-                    Some((_, c)) => c,
-                    None => first_free_from(0, &p.forbidden, p.stamp),
-                };
-                if c as usize >= usage.len() {
-                    usage.resize(c as usize + 1, 0);
-                }
-                usage[c as usize] += 1;
-                c
-            }
+        let mut c = 0u32;
+        while (c as usize) < p.forbidden.len() && p.forbidden[c as usize] == p.stamp {
+            c += 1;
         }
+        c
     }
 
+    /// Colors the interior up front, purely locally; the phases then
+    /// color the boundary.
     fn first_phase(p: &mut DistColoring<Self>, ctx: &mut RankCtx<ColorMsg>) {
-        if p.cfg.order == LocalOrder::InteriorFirst {
-            p.color_interior(ctx);
+        for i in 0..p.halo.interior.len() {
+            let v = p.halo.interior[i];
+            p.color[v as usize] = Self::pick_color(p, v, ctx);
         }
         p.u_cur = p.halo.boundary.clone();
         p.u_pos = 0;
@@ -892,18 +799,6 @@ impl ConflictScope for Distance1 {
             .filter(|&v| p.loses_to_ghost(v, ctx))
             .collect();
         p.conclude_detection(losers, ctx);
-    }
-
-    fn snapshot(&self, recs: &mut Vec<ColorSnap>) {
-        recs.extend(self.usage.iter().map(|&count| ColorSnap::Usage { count }));
-    }
-
-    fn restore(&mut self, recs: Vec<ColorSnap>) {
-        for rec in recs {
-            if let ColorSnap::Usage { count } = rec {
-                self.usage.push(count);
-            }
-        }
     }
 }
 
@@ -1030,7 +925,6 @@ impl ConflictScope for Distance2 {
             .copied()
             .collect();
         p.u_pos = 0;
-        p.interior_colored = true;
     }
 
     /// Distance-1 checks against ghosts for the vertices colored this
@@ -1265,38 +1159,6 @@ mod tests {
                 assert!(phases <= 10, "{comm:?}: {phases} phases");
             }
         }
-    }
-
-    #[test]
-    fn color_choices_all_valid() {
-        let g = circuit_like(1500, 1);
-        let p = block_partition(g.num_vertices(), 6);
-        for choice in [
-            ColorChoice::FirstFit,
-            ColorChoice::StaggeredFirstFit,
-            ColorChoice::LeastUsed,
-        ] {
-            let cfg = ColoringConfig {
-                color_choice: choice,
-                superstep_size: 50,
-                ..Default::default()
-            };
-            let (c, _, _) = run_coloring(&g, &p, cfg);
-            c.validate(&g).unwrap_or_else(|e| panic!("{choice:?}: {e}"));
-        }
-    }
-
-    #[test]
-    fn boundary_first_order_works() {
-        let g = grid2d(12, 12);
-        let p = grid2d_partition(12, 12, 2, 2);
-        let cfg = ColoringConfig {
-            order: LocalOrder::BoundaryFirst,
-            superstep_size: 8,
-            ..Default::default()
-        };
-        let (c, _, _) = run_coloring(&g, &p, cfg);
-        c.validate(&g).unwrap();
     }
 
     #[test]

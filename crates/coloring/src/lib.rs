@@ -10,9 +10,9 @@
 //!   orderings (natural, random, largest-first, smallest-last,
 //!   incidence-degree, saturation) and lower bounds for judging quality;
 //! * [`dist`]: the speculative/iterative distributed framework
-//!   (Algorithm 4.1), one program for distance-1 and distance-2 coloring,
-//!   with configurable superstep size, color-selection strategy,
-//!   interior/boundary order, and the three communication variants —
+//!   (Algorithm 4.1), one program for distance-1 coloring (first-fit,
+//!   interior before boundary) and distance-2 coloring, with configurable
+//!   superstep size and the three communication variants —
 //!   FIAB (broadcast), FIAC (customized to all ranks), and the paper's
 //!   new neighbor-customized scheme;
 //! * [`distance2`]: sequential greedy distance-2 coloring and its
@@ -31,9 +31,6 @@ pub mod repair;
 pub mod seq;
 
 pub use coloring::{assemble_coloring, Coloring, LocalColors};
-pub use dist::{
-    ColorChoice, ColorMsg, ColorSnap, ColoringConfig, CommVariant, DistColoring, Distance2,
-    LocalOrder,
-};
+pub use dist::{ColorMsg, ColorSnap, ColoringConfig, CommVariant, DistColoring, Distance2};
 pub use jp::{JonesPlassmann, JpSnap};
 pub use repair::{invalidate_colors, repair_frontier_colors, ColorFrontier, ColorRetained};

@@ -187,7 +187,7 @@ pub fn repair_frontier_colors(
 mod tests {
     use super::*;
     use crate::coloring::assemble_coloring;
-    use crate::dist::{ColorChoice, ColoringConfig, DistColoring};
+    use crate::dist::{ColoringConfig, DistColoring};
     use crate::Coloring;
     use cmg_graph::generators::{erdos_renyi, grid2d};
     use cmg_graph::{CsrGraph, MutableGraph};
@@ -369,17 +369,12 @@ mod tests {
         assert_eq!(repair_frontier_colors(&g, &retained, cfg.seed), colors);
     }
 
-    /// Repair composes with the LeastUsed strategy: a cold LeastUsed
-    /// coloring, repaired after a hub's inserts, stays proper and keeps
-    /// every clean color.
+    /// A cold coloring, repaired after a hub's inserts dirty some of its
+    /// new neighbors, stays proper and keeps every clean color.
     #[test]
-    fn least_used_warm_start_rebuilds_usage() {
+    fn hub_inserts_repair_keeps_clean_colors() {
         let g0 = erdos_renyi(60, 200, 11);
-        let cfg = ColoringConfig {
-            color_choice: ColorChoice::LeastUsed,
-            superstep_size: 8,
-            ..Default::default()
-        };
+        let cfg = ColoringConfig::default();
         let colors = cold_colors(&g0, 3, cfg);
         let mut mg = MutableGraph::from_csr(&g0);
         let mut batch = MutationBatch::new();

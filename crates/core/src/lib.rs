@@ -39,7 +39,7 @@ pub mod prelude {
         run_coloring, run_coloring_parts, run_jones_plassmann, run_matching, run_matching_parts,
         ColoringRun, Engine, MatchingRun, PartsColoringRun, PartsMatchingRun,
     };
-    pub use cmg_coloring::{ColorChoice, Coloring, ColoringConfig, CommVariant, LocalOrder};
+    pub use cmg_coloring::{Coloring, ColoringConfig, CommVariant};
     pub use cmg_graph::{BipartiteGraph, CsrGraph, GraphBuilder, GraphStats};
     pub use cmg_matching::Matching;
     pub use cmg_partition::{multilevel_partition, DistGraph, Partition, PartitionQuality};

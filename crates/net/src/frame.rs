@@ -37,8 +37,11 @@ use std::io::{Read, Write};
 /// event-driven data plane the only one: the tree-allreduce control
 /// words (tags 5 and 6, retired — never reuse them) and the run option
 /// that selected them are gone, as are their checkpoint tables and the
-/// always-zero wire-wait telemetry counter.
-pub const PROTO_VERSION: u32 = 6;
+/// always-zero wire-wait telemetry counter. v7 made first-fit, interior
+/// first, the only colour rule: the coloring assignment lost its colour
+/// choice and local order bytes, and the `ColorSnap` usage-table record
+/// (tag 3, retired — never reuse it) is gone.
+pub const PROTO_VERSION: u32 = 7;
 
 /// Upper bound on a frame's encoded size (64 MiB). A length prefix
 /// beyond this is treated as corruption rather than honored with a
@@ -513,13 +516,13 @@ mod tests {
                 panic!("expected protocol error, got {other:?}");
             }
         }
-        // A v5 dialer is refused by the supervisor ("worker") and by
+        // A v6 dialer is refused by the supervisor ("worker") and by
         // the peer acceptor ("peer") alike: both admit through here.
-        let v5_hello = Frame::bare(Ctrl::Hello { rank: 2, proto: 5 });
+        let v6_hello = Frame::bare(Ctrl::Hello { rank: 2, proto: 6 });
         for who in ["worker", "peer"] {
-            match hello_rank(&v5_hello, who) {
+            match hello_rank(&v6_hello, who) {
                 Err(NetError::Protocol { detail }) => {
-                    assert_eq!(detail, format!("{who} 2 speaks protocol 5, expected 6"));
+                    assert_eq!(detail, format!("{who} 2 speaks protocol 6, expected 7"));
                 }
                 other => panic!("expected a refusal, got {other:?}"),
             }

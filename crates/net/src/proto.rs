@@ -12,7 +12,7 @@ use crate::error::NetError;
 use crate::frame::Ctrl;
 use crate::link::{FaultPlan, LinkStats, LinkWriter};
 use bytes::{Buf, BufMut};
-use cmg_coloring::{ColorChoice, ColoringConfig, CommVariant, LocalOrder};
+use cmg_coloring::{ColoringConfig, CommVariant};
 use cmg_partition::dist::DistGraph;
 use cmg_runtime::RankStats;
 use std::io::Write;
@@ -220,15 +220,6 @@ fn encode_coloring_config(out: &mut impl BufMut, cfg: &ColoringConfig) {
         CommVariant::Fiac => 1,
         CommVariant::Neighbor => 2,
     });
-    out.put_u8(match cfg.color_choice {
-        ColorChoice::FirstFit => 0,
-        ColorChoice::StaggeredFirstFit => 1,
-        ColorChoice::LeastUsed => 2,
-    });
-    out.put_u8(match cfg.order {
-        LocalOrder::InteriorFirst => 0,
-        LocalOrder::BoundaryFirst => 1,
-    });
     out.put_u64_le(cfg.seed);
 }
 
@@ -240,23 +231,10 @@ fn decode_coloring_config(buf: &mut impl Buf) -> Result<ColoringConfig, NetError
         2 => CommVariant::Neighbor,
         t => return Err(NetError::protocol(format!("unknown comm variant tag {t}"))),
     };
-    let color_choice = match take_u8(buf, "color choice")? {
-        0 => ColorChoice::FirstFit,
-        1 => ColorChoice::StaggeredFirstFit,
-        2 => ColorChoice::LeastUsed,
-        t => return Err(NetError::protocol(format!("unknown color choice tag {t}"))),
-    };
-    let order = match take_u8(buf, "local order")? {
-        0 => LocalOrder::InteriorFirst,
-        1 => LocalOrder::BoundaryFirst,
-        t => return Err(NetError::protocol(format!("unknown local order tag {t}"))),
-    };
     let seed = take_u64(buf, "coloring seed")?;
     Ok(ColoringConfig {
         superstep_size,
         comm,
-        color_choice,
-        order,
         seed,
     })
 }
@@ -835,8 +813,6 @@ mod tests {
             NetTask::Coloring(ColoringConfig {
                 superstep_size: 7,
                 comm: CommVariant::Fiac,
-                color_choice: ColorChoice::LeastUsed,
-                order: LocalOrder::BoundaryFirst,
                 seed: 99,
             }),
             NetTask::JonesPlassmann { seed: 1234 },

@@ -11,24 +11,16 @@ fn every_variant_produces_a_valid_coloring() {
     let g = generators::erdos_renyi(500, 2000, 1);
     let part = hash_partition(g.num_vertices(), 9, 2);
     for comm in [CommVariant::Neighbor, CommVariant::Fiac, CommVariant::Fiab] {
-        for choice in [
-            ColorChoice::FirstFit,
-            ColorChoice::StaggeredFirstFit,
-            ColorChoice::LeastUsed,
-        ] {
-            for order in [LocalOrder::InteriorFirst, LocalOrder::BoundaryFirst] {
-                let cfg = ColoringConfig {
-                    comm,
-                    color_choice: choice,
-                    order,
-                    superstep_size: 32,
-                    ..Default::default()
-                };
-                let run = cmg::run_coloring(&g, &part, cfg, &Engine::default_simulated());
-                run.coloring
-                    .validate(&g)
-                    .unwrap_or_else(|e| panic!("{comm:?}/{choice:?}/{order:?}: {e}"));
-            }
+        for superstep_size in [1, 32, g.num_vertices()] {
+            let cfg = ColoringConfig {
+                comm,
+                superstep_size,
+                ..Default::default()
+            };
+            let run = cmg::run_coloring(&g, &part, cfg, &Engine::default_simulated());
+            run.coloring
+                .validate(&g)
+                .unwrap_or_else(|e| panic!("{comm:?}/s={superstep_size}: {e}"));
         }
     }
 }
