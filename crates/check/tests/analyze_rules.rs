@@ -597,7 +597,7 @@ fn hand_rolled_collective_is_flagged_outside_the_collectives_module_only() {
         match self.allreduce.try_complete(self.phase, self.own) {\n        None => {}\n        \
         Some(ReduceOutcome::ToParent { parent, value }) => self.send(parent, value),\n        \
         Some(ReduceOutcome::Root { value }) => self.broadcast(value),\n    }\n}\n\
-        fn broadcast(&mut self) {\n    fan_out(self.ctx, self.allreduce.children(), &self.msg);\n}\n";
+        fn broadcast(&mut self) {\n    fan_out(self.ctx, self.allreduce.children().iter().copied(), &self.msg);\n}\n";
     assert!(tree_hits(outside, consumer).is_empty());
 }
 

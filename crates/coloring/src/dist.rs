@@ -43,33 +43,14 @@ use cmg_graph::util::{vertex_priority, FxHashMap, FxHashSet};
 use cmg_graph::VertexId;
 use cmg_partition::{ghost_neighbor_owners, DistGraph, HaloView};
 use cmg_runtime::{
-    fan_out, wire_codec, DoneWave, FanoutScheme, NeighborExchange, Rank, RankCtx, RankProgram,
-    ReduceOutcome, Status, TreeAllreduce,
+    fan_out, wire_codec, DoneWave, NeighborExchange, Rank, RankCtx, RankProgram, ReduceOutcome,
+    Status, TreeAllreduce,
 };
 
-/// Communication variant for boundary-color exchange (§4.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CommVariant {
-    /// FIAB: the same message (all colors of the superstep) to every rank.
-    Fiab,
-    /// FIAC: customized per destination, but sent to every rank (empty
-    /// marker when a rank owns no affected neighbor).
-    Fiac,
-    /// The paper's new scheme: customized messages to neighbor ranks only
-    /// — fewer messages *and* less volume.
-    Neighbor,
-}
-
-impl CommVariant {
-    /// The substrate fan-out scheme this variant maps to.
-    fn fanout(self) -> FanoutScheme {
-        match self {
-            CommVariant::Fiab => FanoutScheme::Fiab,
-            CommVariant::Fiac => FanoutScheme::Fiac,
-            CommVariant::Neighbor => FanoutScheme::Neighbor,
-        }
-    }
-}
+/// Communication variant for boundary-color exchange (§4.2): the
+/// runtime's fan-out scheme — FIAB, FIAC or the paper's new scheme,
+/// customized messages to neighbor ranks only.
+pub use cmg_runtime::FanoutScheme as CommVariant;
 
 /// Configuration of the distributed coloring algorithm.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -182,10 +163,10 @@ wire_codec! {
     /// assigned colors (owned and ghost), the phase's remaining work
     /// list, the conflict scope's own state, and the in-flight state of
     /// the DONE wave and conflict-count allreduce. The halo view,
-    /// priorities, peer set, fan-out scheme, and stamp scratch are
-    /// rebuilt from the graph + config on restore. Tags 0–2, 4 and 5 are
-    /// all a distance-1 snapshot holds; 6–9 are distance-2 state. Tag 3
-    /// (a retired usage-table slot) is not reused.
+    /// priorities, the exchange's neighbour list and dedup stamps, and
+    /// stamp scratch are rebuilt from the graph + config on restore. Tags
+    /// 0–2, 4 and 5 are all a distance-1 snapshot holds; 6–9 are
+    /// distance-2 state. Tag 3 (a retired usage-table slot) is not reused.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub enum ColorSnap {
         /// Protocol position (exactly one per snapshot, first).
@@ -305,15 +286,14 @@ pub trait ConflictScope: Sized + Send + Default {
 
 /// One rank's state of the distributed coloring algorithm; `S` is the
 /// conflict scope (distance-1 unless named). The halo view, the
-/// per-vertex arrays, the peer set and the scope's state are empty until
-/// the rank builds its index (`on_start` or `restore`).
+/// per-vertex arrays, the exchange's neighbour list and the scope's
+/// state are empty until the rank builds its index (`on_start` or
+/// `restore`).
 pub struct DistColoring<S: ConflictScope = Distance1> {
     dg: DistGraph,
     cfg: ColoringConfig,
     /// Halo structure: interior/boundary split of the owned vertices.
     halo: HaloView,
-    /// Ranks in the color/DONE communication scope of this rank.
-    peers: Vec<Rank>,
     /// Current color per local index (owned + ghost).
     color: Vec<u32>,
     /// Pre-assigned random priority `r(v)` per local index.
@@ -327,7 +307,8 @@ pub struct DistColoring<S: ConflictScope = Distance1> {
     pub phases_executed: u32,
     /// Total vertices this rank had to re-color due to conflicts.
     pub total_recolored: u64,
-    /// Boundary fan-out under the configured communication variant.
+    /// Boundary fan-out under the configured communication variant; its
+    /// peers are the rank's DONE scope.
     exchange: NeighborExchange,
     /// Per-phase DONE wave (ranks may run one phase ahead).
     done: DoneWave,
@@ -391,16 +372,14 @@ impl<S: ConflictScope> DistColoring<S> {
             color: Vec::new(),
             priority: Vec::new(),
             halo: HaloView::default(),
-            peers: Vec::new(),
             u_cur: Vec::new(),
             u_pos: 0,
             phase: 0,
             state: PState::Coloring,
             phases_executed: 0,
             total_recolored: 0,
-            // Over no ranks until the index is built: the dedup tables
-            // are sized by the rank count.
-            exchange: NeighborExchange::new(cfg.comm.fanout(), dg.rank, 0),
+            // Over no ranks until the index is built.
+            exchange: NeighborExchange::new(cfg.comm, dg.rank, 0, &[]),
             done: DoneWave::new(),
             allreduce: TreeAllreduce::new(dg.rank, dg.num_ranks, 8),
             my_conflicts: 0,
@@ -413,9 +392,9 @@ impl<S: ConflictScope> DistColoring<S> {
     }
 
     /// Builds the rank-local index over the slice — priorities, halo
-    /// view, fan-out tables and peer set, the colour and forbidden arrays
-    /// and the scope's per-vertex state — as a fresh rank's. Charges no
-    /// work: it is set-up, not protocol.
+    /// view, the exchange over the neighbour ranks, the colour and
+    /// forbidden arrays and the scope's per-vertex state — as a fresh
+    /// rank's. Charges no work: it is set-up, not protocol.
     fn build_index(&mut self) {
         let n_total = self.dg.n_total();
         let seed = self.cfg.seed;
@@ -424,9 +403,12 @@ impl<S: ConflictScope> DistColoring<S> {
             .map(|&g| vertex_priority(g as u64, seed))
             .collect();
         self.halo = HaloView::build(&self.dg);
-        self.exchange =
-            NeighborExchange::new(self.cfg.comm.fanout(), self.dg.rank, self.dg.num_ranks);
-        self.peers = self.exchange.scope(&self.dg.neighbor_ranks);
+        self.exchange = NeighborExchange::new(
+            self.cfg.comm,
+            self.dg.rank,
+            self.dg.num_ranks,
+            &self.dg.neighbor_ranks,
+        );
         self.color = vec![UNCOLORED; n_total];
         self.forbidden = vec![u64::MAX; n_total + 2];
         self.scope = S::new(&self.dg);
@@ -491,7 +473,8 @@ impl<S: ConflictScope> DistColoring<S> {
         // message each superstep.
         self.exchange.finish_superstep(ctx, &ColorMsg::Empty);
         if self.u_pos >= self.u_cur.len() {
-            fan_out(ctx, &self.peers, &ColorMsg::Done { phase: self.phase });
+            let done = ColorMsg::Done { phase: self.phase };
+            fan_out(ctx, self.exchange.peers(), &done);
             self.state = PState::WaitingDone;
             self.try_detect(ctx);
         }
@@ -570,7 +553,7 @@ impl<S: ConflictScope> DistColoring<S> {
             phase: self.phase,
             count: total,
         };
-        fan_out(ctx, self.allreduce.children(), &msg);
+        fan_out(ctx, self.allreduce.children().iter().copied(), &msg);
         self.done.clear(self.phase);
         if total == 0 {
             self.state = PState::Finished;
@@ -586,7 +569,8 @@ impl<S: ConflictScope> DistColoring<S> {
     /// Runs conflict detection once every peer's DONE for the current
     /// phase has arrived (and our own coloring is finished).
     fn try_detect(&mut self, ctx: &mut RankCtx<ColorMsg>) {
-        if self.state == PState::WaitingDone && self.done.ready(self.phase, self.peers.len()) {
+        let peers = self.exchange.peer_count();
+        if self.state == PState::WaitingDone && self.done.ready(self.phase, peers) {
             S::detect(self, ctx);
         }
     }
@@ -832,7 +816,8 @@ impl Distance2 {
     /// After `Done2` from every peer the re-color set is final: the
     /// earliest point at which the phase's conflict count is known.
     fn try_conclude(p: &mut DistColoring<Self>, ctx: &mut RankCtx<ColorMsg>) {
-        if p.state != PState::WaitingDone2 || !p.scope.done2.ready(p.phase, p.peers.len()) {
+        let peers = p.exchange.peer_count();
+        if p.state != PState::WaitingDone2 || !p.scope.done2.ready(p.phase, peers) {
             return;
         }
         p.scope.done2.clear(p.phase);
@@ -982,7 +967,7 @@ impl ConflictScope for Distance2 {
             }
         }
 
-        fan_out(ctx, &p.peers, &ColorMsg::Done2 { phase: p.phase });
+        fan_out(ctx, p.exchange.peers(), &ColorMsg::Done2 { phase: p.phase });
         p.state = PState::WaitingDone2;
         Distance2::try_conclude(p, ctx);
     }

@@ -27,8 +27,8 @@ wire_codec! {
     /// Snapshot records of [`JonesPlassmann`]: assigned colors (owned
     /// and ghost) in dense 8-wide chunks, and the still-pending owned
     /// vertices in list order. Priorities, the forbidden-stamp scratch,
-    /// and the per-destination dedup table are rebuilt from the graph +
-    /// seed on restore.
+    /// and the exchange's per-neighbour dedup stamps are rebuilt from the
+    /// graph + seed on restore.
     ///
     /// Colors travel chunked rather than one-record-per-vertex because
     /// the net engine serializes a snapshot at every checkpoint edge:
@@ -101,17 +101,16 @@ impl JonesPlassmann {
             pending: Vec::new(),
             forbidden: Vec::new(),
             stamp: 0,
-            // Over no ranks until the index is built: the dedup table is
-            // sized by the rank count.
-            exchange: NeighborExchange::new(FanoutScheme::Neighbor, dg.rank, 0),
+            // Over no ranks until the index is built.
+            exchange: NeighborExchange::new(FanoutScheme::Neighbor, dg.rank, 0, &[]),
             seed,
             dg,
         }
     }
 
     /// Builds the rank-local index — priorities, the colour and forbidden
-    /// arrays, every owned vertex pending, the fan-out table — as a fresh
-    /// rank's. Charges no work: it is set-up, not protocol.
+    /// arrays, every owned vertex pending, the neighbour exchange — as a
+    /// fresh rank's. Charges no work: it is set-up, not protocol.
     fn build_index(&mut self) {
         let n_total = self.dg.n_total();
         let seed = self.seed;
@@ -122,8 +121,12 @@ impl JonesPlassmann {
         self.color = vec![UNCOLORED; n_total];
         self.pending = (0..self.dg.n_local as u32).collect();
         self.forbidden = vec![u64::MAX; n_total + 2];
-        self.exchange =
-            NeighborExchange::new(FanoutScheme::Neighbor, self.dg.rank, self.dg.num_ranks);
+        self.exchange = NeighborExchange::new(
+            FanoutScheme::Neighbor,
+            self.dg.rank,
+            self.dg.num_ranks,
+            &self.dg.neighbor_ranks,
+        );
     }
 
     /// Colors every pending vertex that is a local maximum among its

@@ -1,11 +1,13 @@
 //! The colouring programs' constructors only take ownership of the
-//! rank's slice; the rank builds its index (priorities, halo view, peer
-//! set, fan-out tables, colour and forbidden arrays, the conflict scope's
-//! state) in its own `on_start`. Under a counting global allocator: the
-//! constructors make a fixed number of allocator calls per rank whatever
-//! the slice's size, and `DistColoring` construction plus the first step
-//! over the 1024² grid on 64 × 64 ranks makes a bounded number of calls
-//! per rank and leaves a bounded number of bytes live per owned vertex.
+//! rank's slice; the rank builds its index (priorities, halo view, the
+//! exchange's neighbour list and dedup stamps, colour and forbidden
+//! arrays, the conflict scope's state) in its own `on_start`. Under a
+//! counting global allocator: the constructors make a fixed number of
+//! allocator calls per rank whatever the slice's size; `DistColoring`
+//! construction plus the first step over the 1024² grid on 64 × 64 ranks
+//! makes a bounded number of calls per rank and leaves a bounded number
+//! of bytes live per owned vertex; and the bytes a rank keeps after its
+//! first step do not grow with the rank count.
 
 use cmg_coloring::{ColorMsg, ColoringConfig, DistColoring, Distance2, JonesPlassmann};
 use cmg_partition::{grid2d_dist, DistGraph};
@@ -140,20 +142,22 @@ fn constructors_do_no_per_vertex_work() {
     }
 }
 
-#[test]
-fn first_step_builds_the_index_once() {
-    let parts = grid2d_dist(SIDE, SIDE, 64, 64, None);
+/// Builds one program per rank with `make` on `side × side` ranks of
+/// 16 × 16 grid vertices each and runs every rank's first step; reports
+/// the rank count, the allocator calls and the bytes left live.
+fn first_step<P: RankProgram<Msg = ColorMsg>>(
+    side: u32,
+    make: impl Fn(DistGraph) -> P,
+) -> (usize, usize, usize) {
+    let n = 16 * side as usize;
+    let parts = grid2d_dist(n, n, side, side, None);
     let ranks = parts.len();
     let recorder = cmg_obs::RecorderHandle::noop();
     let mut ctxs: Vec<RankCtx<ColorMsg>> = (0..ranks as u32)
         .map(|r| RankCtx::new(r, ranks as u32, true, recorder.clone()))
         .collect();
-    let cfg = ColoringConfig::default();
     let (programs, calls, live) = measure(|| {
-        let mut programs: Vec<DistColoring> = parts
-            .into_iter()
-            .map(|dg| DistColoring::new(dg, cfg))
-            .collect();
+        let mut programs: Vec<P> = parts.into_iter().map(&make).collect();
         for (p, ctx) in programs.iter_mut().zip(&mut ctxs) {
             p.on_start(ctx);
             // The engine takes the round's packets off the rank at once.
@@ -161,21 +165,46 @@ fn first_step_builds_the_index_once() {
         }
         programs
     });
+    assert_eq!(programs.len(), ranks);
+    (ranks, calls, live)
+}
+
+#[test]
+fn first_step_builds_the_index_once() {
+    let cfg = ColoringConfig::default();
+    let (ranks, calls, live) = first_step(64, |dg| DistColoring::new(dg, cfg));
     let per_vertex = live as f64 / (SIDE * SIDE) as f64;
     println!(
         "DistColoring::new + on_start over {ranks} ranks: {calls} calls, {per_vertex:.1} B live per owned vertex"
     );
-    assert_eq!(programs.len(), ranks);
     // Per rank, the index: priorities, the halo view (4) and its scratch
-    // (2), the fan-out tables (2), the peer set, colours, forbidden stamps
-    // — 12. The first step's work list and outgoing bundles bring it to
-    // 31.0 on average (measured), plus the `programs` vector. Building
-    // the index twice makes it ≥ 43.
+    // (2), the exchange's neighbour list and dedup stamps (2), colours,
+    // forbidden stamps — 11. The first step's work list and outgoing
+    // bundles bring it to 30.0 on average (measured), plus the
+    // `programs` vector. Building the index twice makes it ≥ 41.
     assert!(calls <= 34 * ranks + 1, "{calls} calls for {ranks} ranks");
-    // Measured 115.4: the fan-out tables, a `u32` stamp and a FIAC flag
-    // per rank of the run, are 80.0 here (4,096 ranks of 256 vertices);
-    // the rest is priorities 10 B, forbidden stamps 10, colours 5, halo
-    // ≈ 7, the boundary work list ≈ 0.9, program headers and the
-    // contexts' bundle tables ≈ 2.5.
-    assert!(per_vertex < 118.0, "{per_vertex:.1} B per owned vertex");
+    // Measured 35.3 on 4,096 ranks of 256 vertices: priorities 10 B,
+    // forbidden stamps 10, colours 5, halo ≈ 7, the boundary work list
+    // ≈ 0.9, program headers, the exchange's neighbour list and stamps
+    // and the contexts' bundle tables ≈ 2.4. Fan-out tables sized by
+    // the run (a `u32` stamp and a FIAC flag per rank) would add 80.
+    assert!(per_vertex < 40.0, "{per_vertex:.1} B per owned vertex");
+}
+
+#[test]
+fn index_bytes_per_rank_do_not_grow_with_the_rank_count() {
+    // The same 16 × 16 slice per rank on 4,096 and on 16,384 ranks: a
+    // table sized by the rank count quadruples between the two.
+    let cfg = ColoringConfig::default();
+    let d1 = |side| first_step(side, |dg| DistColoring::new(dg, cfg));
+    let jp = |side| first_step(side, |dg| JonesPlassmann::new(dg, 7));
+    for (name, small, large) in [("DistColoring", d1(64), d1(128)), ("JP", jp(64), jp(128))] {
+        let per_rank = |(ranks, _, live): (usize, usize, usize)| live as f64 / ranks as f64;
+        let (small, large) = (per_rank(small), per_rank(large));
+        println!("{name}: {small:.0} B live per rank on 64 × 64 ranks, {large:.0} on 128 × 128");
+        assert!(
+            large <= 1.1 * small,
+            "{name}: {large:.0} B per rank on 128 × 128 ranks vs {small:.0} on 64 × 64"
+        );
+    }
 }

@@ -121,8 +121,9 @@ pub fn weight_sorted_csr(dg: &DistGraph) -> (Vec<usize>, Vec<u32>) {
 
 /// Iterates the owner ranks of the ghost neighbors of owned vertex `v`
 /// (with repeats — callers that need each owner once dedup via
-/// `NeighborExchange`'s stamps). The canonical input to a per-vertex
-/// boundary publish.
+/// `NeighborExchange`'s stamps, one per rank of the slice's
+/// `neighbor_ranks`, which holds every owner yielded here). The canonical
+/// input to a per-vertex boundary publish.
 pub fn ghost_neighbor_owners<'a>(dg: &'a DistGraph, v: u32) -> impl Iterator<Item = Rank> + 'a {
     dg.neighbors(v)
         .iter()

@@ -52,7 +52,9 @@ pub struct OutBox<M: WireMessage> {
     bundles: Vec<(Rank, BytesMut, u32)>,
     /// Lazily built `dst → index into bundles` table (`NO_BUNDLE` =
     /// none). Empty until the threshold is first crossed; kept allocated
-    /// across rounds afterwards, with entries reset in `finish`.
+    /// across rounds afterwards, with entries reset in `finish`. Its O(p)
+    /// size under FIAC / FIAB is inherent: those schemes really do send
+    /// to p − 1 ranks every superstep.
     dst_index: Vec<u32>,
     /// Total ranks in the run; 0 disables the dense table (standalone
     /// outboxes constructed via [`OutBox::new`]).

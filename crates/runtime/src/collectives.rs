@@ -11,8 +11,8 @@
 //!
 //! * [`NeighborExchange`] — per-superstep fan-out under the paper's
 //!   three communication schemes (FIAB / FIAC / neighbor-customized),
-//!   including the per-destination dedup stamps and FIAC's empty-marker
-//!   bookkeeping.
+//!   including the per-neighbour dedup stamps, FIAC's empty-marker
+//!   bookkeeping and the rank's DONE scope.
 //! * [`DoneWave`] — counts per-phase DONE announcements from a rank
 //!   scope.
 //! * [`TreeAllreduce`] — a k-ary reduction tree over a [`Monoid`],
@@ -51,11 +51,11 @@ impl Monoid for u64 {
     }
 }
 
-/// Sends `msg` to every rank in `scope`, in order. The caller controls
-/// the scope list (and thereby the send order), so ports of existing
+/// Sends `msg` to each rank `to` yields, in order. The caller controls
+/// the scope (and thereby the send order), so ports of existing
 /// programs stay byte-identical.
-pub fn fan_out<M: WireMessage>(ctx: &mut RankCtx<M>, scope: &[Rank], msg: &M) {
-    for &r in scope {
+pub fn fan_out<M: WireMessage>(ctx: &mut RankCtx<M>, to: impl IntoIterator<Item = Rank>, msg: &M) {
+    for r in to {
         ctx.send(r, msg);
     }
 }
@@ -249,54 +249,68 @@ pub enum FanoutScheme {
     /// explicit empty marker at superstep end so they can count
     /// arrivals.
     Fiac,
-    /// Neighbor-customized: publish only to ranks owning a ghost copy,
-    /// at most once per superstep.
+    /// Neighbor-customized, the paper's NEW scheme: publish only to
+    /// ranks owning a ghost copy, at most once per superstep.
     Neighbor,
 }
 
 /// Per-superstep boundary fan-out under a [`FanoutScheme`].
 ///
-/// Owns the two pieces of dedup state the schemes need — a stamped
-/// `dest_seen` array (O(1) superstep reset, no clearing loop) and
-/// FIAC's `content_sent` markers — and leaves everything else (what to
-/// send, when, what it costs) to the algorithm.
+/// Sizes its dedup state by the rank's neighbour ranks, not by the rank
+/// count — a stamped `dest_seen` slot per neighbour (no clearing loop)
+/// and, under FIAC only, a content marker per neighbour — and names the
+/// rank's DONE scope. Leaves everything else (what to send, when, what
+/// it costs) to the algorithm.
 #[derive(Clone, Debug)]
 pub struct NeighborExchange {
     scheme: FanoutScheme,
     rank: Rank,
     num_ranks: Rank,
-    /// Stamp-based dedup: `dest_seen[r] == dest_stamp` ⇔ already sent
-    /// to `r` this superstep.
+    /// The partition's neighbour ranks, ascending (empty under FIAB):
+    /// every owner a customized publish names is one of them.
+    neighbors: Vec<Rank>,
+    /// Stamp-based dedup (empty under FIAB): `dest_seen[i] ==
+    /// dest_stamp` ⇔ this publish already sent to `neighbors[i]`.
     dest_seen: Vec<u32>,
     dest_stamp: u32,
-    /// FIAC only: which ranks received content this superstep (so
-    /// [`NeighborExchange::finish_superstep`] knows who still needs an
-    /// empty marker).
+    /// FIAC only (else empty): the neighbours that got content this
+    /// superstep, which [`NeighborExchange::finish_superstep`] skips.
     content_sent: Vec<bool>,
 }
 
 impl NeighborExchange {
-    /// A fan-out helper for one rank under the given scheme.
-    pub fn new(scheme: FanoutScheme, rank: Rank, num_ranks: Rank) -> Self {
+    /// A fan-out helper for one rank of `num_ranks` under `scheme`, over
+    /// the rank's sorted, distinct `neighbor_ranks`.
+    pub fn new(scheme: FanoutScheme, rank: Rank, num_ranks: Rank, neighbor_ranks: &[Rank]) -> Self {
+        let slots = |on: bool| if on { neighbor_ranks.len() } else { 0 };
         NeighborExchange {
             scheme,
             rank,
             num_ranks,
-            dest_seen: vec![0; num_ranks as usize],
+            neighbors: neighbor_ranks[..slots(scheme != FanoutScheme::Fiab)].to_vec(),
+            dest_seen: vec![0; slots(scheme != FanoutScheme::Fiab)],
             dest_stamp: 0,
-            content_sent: vec![false; num_ranks as usize],
+            content_sent: vec![false; slots(scheme == FanoutScheme::Fiac)],
         }
     }
 
-    /// The set of ranks this rank communicates with under the scheme:
-    /// the partition's neighbor ranks for [`FanoutScheme::Neighbor`],
-    /// everyone else for the FIA* schemes.
-    pub fn scope(&self, neighbor_ranks: &[Rank]) -> Vec<Rank> {
+    /// The ranks this rank sends DONE to and hears DONE from, ascending:
+    /// its neighbour ranks under [`FanoutScheme::Neighbor`], every other
+    /// rank under the FIA* schemes (iterated, not stored).
+    pub fn peers(&self) -> impl Iterator<Item = Rank> + '_ {
+        let (all, neighbors) = match self.scheme {
+            FanoutScheme::Neighbor => (0..0, &self.neighbors[..]),
+            FanoutScheme::Fiab | FanoutScheme::Fiac => (0..self.num_ranks, &[][..]),
+        };
+        all.filter(move |&r| r != self.rank)
+            .chain(neighbors.iter().copied())
+    }
+
+    /// How many ranks [`NeighborExchange::peers`] yields.
+    pub fn peer_count(&self) -> usize {
         match self.scheme {
-            FanoutScheme::Neighbor => neighbor_ranks.to_vec(),
-            FanoutScheme::Fiab | FanoutScheme::Fiac => {
-                (0..self.num_ranks).filter(|&r| r != self.rank).collect()
-            }
+            FanoutScheme::Neighbor => self.neighbors.len(),
+            FanoutScheme::Fiab | FanoutScheme::Fiac => self.num_ranks.saturating_sub(1) as usize,
         }
     }
 
@@ -304,18 +318,16 @@ impl NeighborExchange {
     /// the top of every superstep, before any
     /// [`NeighborExchange::publish`].
     pub fn begin_superstep(&mut self) {
-        if self.scheme == FanoutScheme::Fiac {
-            self.content_sent.iter_mut().for_each(|s| *s = false);
-        }
+        self.content_sent.fill(false);
     }
 
     /// Publishes one boundary datum: under FIAB it goes to every other
     /// rank; under FIAC/Neighbor it goes to each rank in `ghost_owners`
-    /// (the owners of this vertex's ghost copies, with repeats) exactly
-    /// once — the dedup stamp is per publish call, so successive
-    /// publishes to the same owner each get their own message.
-    /// `ghost_owners` is an iterator, not a `DistGraph`, so the runtime
-    /// stays free of partition-crate types.
+    /// (the owners of this vertex's ghost copies, with repeats, each a
+    /// neighbour rank) exactly once — the dedup stamp is per publish
+    /// call, so successive publishes to the same owner each get their
+    /// own message. `ghost_owners` is an iterator, not a `DistGraph`, so
+    /// the runtime stays free of partition-crate types.
     pub fn publish<M: WireMessage>(
         &mut self,
         ctx: &mut RankCtx<M>,
@@ -323,21 +335,17 @@ impl NeighborExchange {
         msg: &M,
     ) {
         match self.scheme {
-            FanoutScheme::Fiab => {
-                for r in 0..self.num_ranks {
-                    if r != self.rank {
-                        ctx.send(r, msg);
-                    }
-                }
-            }
+            FanoutScheme::Fiab => fan_out(ctx, self.peers(), msg),
             FanoutScheme::Fiac | FanoutScheme::Neighbor => {
                 self.dest_stamp += 1;
                 for owner in ghost_owners {
-                    if self.dest_seen[owner as usize] != self.dest_stamp {
-                        self.dest_seen[owner as usize] = self.dest_stamp;
+                    let slot = self.neighbors.partition_point(|&r| r < owner);
+                    debug_assert_eq!(self.neighbors.get(slot), Some(&owner), "not a neighbour");
+                    if self.dest_seen[slot] != self.dest_stamp {
+                        self.dest_seen[slot] = self.dest_stamp;
                         ctx.send(owner, msg);
-                        if self.scheme == FanoutScheme::Fiac {
-                            self.content_sent[owner as usize] = true;
+                        if let Some(sent) = self.content_sent.get_mut(slot) {
+                            *sent = true;
                         }
                     }
                 }
@@ -345,16 +353,20 @@ impl NeighborExchange {
         }
     }
 
-    /// FIAC superstep end: sends `empty_msg` to every rank (other than
-    /// self) that received no content this superstep, so receivers can
-    /// count one arrival per sender per superstep. No-op under the
-    /// other schemes.
+    /// FIAC superstep end: sends `empty_msg`, in ascending order, to every
+    /// other rank that received no content this superstep, so receivers
+    /// count one arrival per sender per superstep. No-op otherwise.
     pub fn finish_superstep<M: WireMessage>(&mut self, ctx: &mut RankCtx<M>, empty_msg: &M) {
         if self.scheme != FanoutScheme::Fiac {
             return;
         }
+        // Walk all ranks beside the neighbours, who alone got content.
+        let mut slot = 0;
         for r in 0..self.num_ranks {
-            if r != self.rank && !self.content_sent[r as usize] {
+            let is_neighbor = self.neighbors.get(slot) == Some(&r);
+            let got_content = is_neighbor && self.content_sent[slot];
+            slot += usize::from(is_neighbor);
+            if r != self.rank && !got_content {
                 ctx.send(r, empty_msg);
             }
         }
@@ -467,9 +479,18 @@ mod tests {
         assert_eq!(w.count(1), 1);
     }
 
+    /// Each packet of the round as `(destination, its messages)`.
+    fn sent(ctx: &mut RankCtx<u32>) -> Vec<(Rank, Vec<u32>)> {
+        let (_, packets) = ctx.end_round();
+        packets
+            .into_iter()
+            .map(|p| (p.dst, crate::message::decode_all(p.payload).unwrap()))
+            .collect()
+    }
+
     #[test]
     fn fiab_publishes_to_everyone() {
-        let mut x = NeighborExchange::new(FanoutScheme::Fiab, 1, 4);
+        let mut x = NeighborExchange::new(FanoutScheme::Fiab, 1, 4, &[3]);
         let mut c = ctx(1, 4);
         x.begin_superstep();
         x.publish(&mut c, [3u32].into_iter(), &7);
@@ -478,11 +499,13 @@ mod tests {
         let mut c = ctx(1, 4);
         x.finish_superstep(&mut c, &0);
         assert!(sent_dests(&mut c).is_empty());
+        // No neighbour list, no dedup table.
+        assert!(x.neighbors.is_empty() && x.dest_seen.is_empty() && x.content_sent.is_empty());
     }
 
     #[test]
     fn fiac_dedups_per_publish_and_sends_empties() {
-        let mut x = NeighborExchange::new(FanoutScheme::Fiac, 1, 4);
+        let mut x = NeighborExchange::new(FanoutScheme::Fiac, 1, 4, &[0, 3]);
         let mut c = ctx(1, 4);
         x.begin_superstep();
         // Repeated owners within one publish collapse to one send…
@@ -501,34 +524,68 @@ mod tests {
         x.begin_superstep();
         x.publish(&mut c, [0u32].into_iter(), &9);
         x.finish_superstep(&mut c, &0);
-        assert_eq!(sent_dests(&mut c), vec![0, 2, 3]);
+        assert_eq!(sent(&mut c), vec![(0, vec![9]), (2, vec![0]), (3, vec![0])]);
+    }
+
+    #[test]
+    fn fiac_sends_content_to_neighbours_and_empties_to_the_rest() {
+        // Rank 2 of 7 borders ranks 1, 4 and 6 only.
+        let mut x = NeighborExchange::new(FanoutScheme::Fiac, 2, 7, &[1, 4, 6]);
+        assert_eq!((x.dest_seen.len(), x.content_sent.len()), (3, 3));
+        let mut c = ctx(2, 7);
+        x.begin_superstep();
+        x.publish(&mut c, [4u32, 4, 6].into_iter(), &7);
+        x.finish_superstep(&mut c, &0);
+        // Content to neighbours 4 and 6 and no empty beside it; one empty
+        // to every other rank, non-neighbours 0, 3, 5 included, ascending.
+        assert_eq!(
+            sent(&mut c),
+            vec![
+                (0, vec![0]),
+                (1, vec![0]),
+                (3, vec![0]),
+                (4, vec![7]),
+                (5, vec![0]),
+                (6, vec![7]),
+            ]
+        );
     }
 
     #[test]
     fn neighbor_scheme_dedups_without_empties() {
-        let mut x = NeighborExchange::new(FanoutScheme::Neighbor, 0, 4);
+        let mut x = NeighborExchange::new(FanoutScheme::Neighbor, 0, 4, &[1, 2]);
+        assert!(x.content_sent.is_empty());
         let mut c = ctx(0, 4);
         x.begin_superstep();
         x.publish(&mut c, [2u32, 1, 2].into_iter(), &7);
+        // The stamp is per publish: the same owners, repeated again, each
+        // get the second datum once.
+        x.publish(&mut c, [1u32, 2, 1, 1].into_iter(), &8);
         x.finish_superstep(&mut c, &0);
-        assert_eq!(sent_dests(&mut c), vec![1, 2]);
+        assert_eq!(sent(&mut c), vec![(1, vec![7, 8]), (2, vec![7, 8])]);
     }
 
     #[test]
-    fn scope_by_scheme() {
-        let neighbors = vec![0, 2];
-        let x = NeighborExchange::new(FanoutScheme::Neighbor, 1, 4);
-        assert_eq!(x.scope(&neighbors), vec![0, 2]);
-        let x = NeighborExchange::new(FanoutScheme::Fiab, 1, 4);
-        assert_eq!(x.scope(&neighbors), vec![0, 2, 3]);
-        let x = NeighborExchange::new(FanoutScheme::Fiac, 1, 4);
-        assert_eq!(x.scope(&neighbors), vec![0, 2, 3]);
+    fn peers_by_scheme() {
+        let neighbors = [0, 2];
+        let x = NeighborExchange::new(FanoutScheme::Neighbor, 1, 4, &neighbors);
+        assert_eq!(x.peers().collect::<Vec<_>>(), vec![0, 2]);
+        assert_eq!(x.peer_count(), 2);
+        let x = NeighborExchange::new(FanoutScheme::Fiab, 1, 4, &neighbors);
+        assert_eq!(x.peers().collect::<Vec<_>>(), vec![0, 2, 3]);
+        assert_eq!(x.peer_count(), 3);
+        let x = NeighborExchange::new(FanoutScheme::Fiac, 1, 4, &neighbors);
+        assert_eq!(x.peers().collect::<Vec<_>>(), vec![0, 2, 3]);
+        assert_eq!(x.peer_count(), 3);
+        // Over no ranks (a program whose index is not built yet).
+        let x = NeighborExchange::new(FanoutScheme::Fiac, 0, 0, &[]);
+        assert_eq!((x.peers().count(), x.peer_count()), (0, 0));
     }
 
     #[test]
     fn fan_out_sends_in_scope_order() {
         let mut c = ctx(0, 4);
-        fan_out(&mut c, &[3, 1, 2], &5);
+        fan_out(&mut c, [3, 1, 2], &5);
         assert_eq!(sent_dests(&mut c), vec![1, 2, 3]);
     }
 }
