@@ -41,7 +41,7 @@
 use crate::coloring::{LocalColors, UNCOLORED};
 use cmg_graph::util::{vertex_priority, FxHashMap, FxHashSet};
 use cmg_graph::VertexId;
-use cmg_partition::{ghost_neighbor_owners, DistGraph, HaloView};
+use cmg_partition::{ghost_neighbor_owners, DistGraph};
 use cmg_runtime::{
     fan_out, wire_codec, DoneWave, NeighborExchange, Rank, RankCtx, RankProgram, ReduceOutcome,
     Status, TreeAllreduce,
@@ -162,9 +162,9 @@ wire_codec! {
     /// Snapshot records of [`DistColoring`]: phase-protocol position,
     /// assigned colors (owned and ghost), the phase's remaining work
     /// list, the conflict scope's own state, and the in-flight state of
-    /// the DONE wave and conflict-count allreduce. The halo view,
-    /// priorities, the exchange's neighbour list and dedup stamps, and
-    /// stamp scratch are rebuilt from the graph + config on restore. Tags
+    /// the DONE wave and conflict-count allreduce. The priorities, the
+    /// exchange's neighbour list and dedup stamps, and stamp scratch are
+    /// rebuilt from the graph + config on restore. Tags
     /// 0–2, 4 and 5 are all a distance-1 snapshot holds; 6–9 are
     /// distance-2 state. Tag 3 (a retired usage-table slot) is not reused.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -285,15 +285,12 @@ pub trait ConflictScope: Sized + Send + Default {
 }
 
 /// One rank's state of the distributed coloring algorithm; `S` is the
-/// conflict scope (distance-1 unless named). The halo view, the
-/// per-vertex arrays, the exchange's neighbour list and the scope's
-/// state are empty until the rank builds its index (`on_start` or
-/// `restore`).
+/// conflict scope (distance-1 unless named). The per-vertex arrays,
+/// the exchange's neighbour list and the scope's state are empty until
+/// the rank builds its index (`on_start` or `restore`).
 pub struct DistColoring<S: ConflictScope = Distance1> {
     dg: DistGraph,
     cfg: ColoringConfig,
-    /// Halo structure: interior/boundary split of the owned vertices.
-    halo: HaloView,
     /// Current color per local index (owned + ghost).
     color: Vec<u32>,
     /// Pre-assigned random priority `r(v)` per local index.
@@ -371,7 +368,6 @@ impl<S: ConflictScope> DistColoring<S> {
         DistColoring {
             color: Vec::new(),
             priority: Vec::new(),
-            halo: HaloView::default(),
             u_cur: Vec::new(),
             u_pos: 0,
             phase: 0,
@@ -391,8 +387,8 @@ impl<S: ConflictScope> DistColoring<S> {
         }
     }
 
-    /// Builds the rank-local index over the slice — priorities, halo
-    /// view, the exchange over the neighbour ranks, the colour and
+    /// Builds the rank-local index over the slice — priorities, the
+    /// exchange over the neighbour ranks, the colour and
     /// forbidden arrays and the scope's per-vertex state — as a fresh
     /// rank's. Charges no work: it is set-up, not protocol.
     fn build_index(&mut self) {
@@ -402,7 +398,6 @@ impl<S: ConflictScope> DistColoring<S> {
             .iter()
             .map(|&g| vertex_priority(g as u64, seed))
             .collect();
-        self.halo = HaloView::build(&self.dg);
         self.exchange = NeighborExchange::new(
             self.cfg.comm,
             self.dg.rank,
@@ -739,6 +734,11 @@ impl<S: ConflictScope> RankProgram for DistColoring<S> {
     }
 }
 
+/// The owned vertices whose `is_boundary` flag is `boundary`, ascending.
+fn owned_where(dg: &DistGraph, boundary: bool) -> impl Iterator<Item = u32> + '_ {
+    (0..dg.n_local as u32).filter(move |&v| dg.is_boundary[v as usize] == boundary)
+}
+
 /// Distance-1 coloring, the paper's algorithm: the neighbors forbid a
 /// color, first-fit picks the smallest free one, and each vertex colored
 /// this phase is checked against its ghost neighbors. It keeps no state of
@@ -767,11 +767,14 @@ impl ConflictScope for Distance1 {
     /// Colors the interior up front, purely locally; the phases then
     /// color the boundary.
     fn first_phase(p: &mut DistColoring<Self>, ctx: &mut RankCtx<ColorMsg>) {
-        for i in 0..p.halo.interior.len() {
-            let v = p.halo.interior[i];
-            p.color[v as usize] = Self::pick_color(p, v, ctx);
+        for v in 0..p.dg.n_local as u32 {
+            if !p.dg.is_boundary[v as usize] {
+                p.color[v as usize] = Self::pick_color(p, v, ctx);
+            }
         }
-        p.u_cur = p.halo.boundary.clone();
+        let mut u_cur = Vec::with_capacity(owned_where(&p.dg, true).count());
+        u_cur.extend(owned_where(&p.dg, true));
+        p.u_cur = u_cur;
         p.u_pos = 0;
     }
 
@@ -797,7 +800,7 @@ pub struct Distance2 {
     dirty_ghosts: Vec<u32>,
     /// Next phase's re-color set (dedup via `in_r`); remote `Recolor`s
     /// may grow it until the `Done2` wave closes.
-    r_set: Vec<u32>,
+    recolor: Vec<u32>,
     in_r: Vec<bool>,
     /// The second wave: every peer's `Recolor`s for the phase are out.
     done2: DoneWave,
@@ -809,7 +812,7 @@ impl Distance2 {
         self.learned.entry(v).or_default().insert(c);
         if !self.in_r[v as usize] {
             self.in_r[v as usize] = true;
-            self.r_set.push(v);
+            self.recolor.push(v);
         }
     }
 
@@ -821,7 +824,7 @@ impl Distance2 {
             return;
         }
         p.scope.done2.clear(p.phase);
-        let losers = std::mem::take(&mut p.scope.r_set);
+        let losers = std::mem::take(&mut p.scope.recolor);
         for &v in &losers {
             p.scope.in_r[v as usize] = false;
         }
@@ -834,7 +837,7 @@ impl ConflictScope for Distance2 {
         Distance2 {
             learned: FxHashMap::default(),
             dirty_ghosts: Vec::new(),
-            r_set: Vec::new(),
+            recolor: Vec::new(),
             in_r: vec![false; dg.n_local],
             done2: DoneWave::new(),
         }
@@ -902,13 +905,9 @@ impl ConflictScope for Distance2 {
     /// Interior, then boundary, all in supersteps: the boundary's
     /// speculative colors settle against the already-colored interior.
     fn first_phase(p: &mut DistColoring<Self>, _ctx: &mut RankCtx<ColorMsg>) {
-        p.u_cur = p
-            .halo
-            .interior
-            .iter()
-            .chain(&p.halo.boundary)
-            .copied()
-            .collect();
+        let mut u_cur = Vec::with_capacity(p.dg.n_local);
+        u_cur.extend(owned_where(&p.dg, false).chain(owned_where(&p.dg, true)));
+        p.u_cur = u_cur;
         p.u_pos = 0;
     }
 
@@ -1010,7 +1009,7 @@ impl ConflictScope for Distance2 {
                 .iter()
                 .map(|&idx| ColorSnap::DirtyGhost { idx }),
         );
-        recs.extend(self.r_set.iter().map(|&v| ColorSnap::Recolor { v }));
+        recs.extend(self.recolor.iter().map(|&v| ColorSnap::Recolor { v }));
         for &(phase, count) in self.done2.in_flight() {
             recs.push(ColorSnap::Done2Count {
                 phase,
@@ -1029,7 +1028,7 @@ impl ConflictScope for Distance2 {
                 ColorSnap::DirtyGhost { idx } => self.dirty_ghosts.push(idx),
                 ColorSnap::Recolor { v } => {
                     self.in_r[v as usize] = true;
-                    self.r_set.push(v);
+                    self.recolor.push(v);
                 }
                 ColorSnap::Done2Count { phase, count } => done2.push((phase, count as usize)),
                 _ => {}

@@ -19,7 +19,7 @@
 
 use crate::Matching;
 use cmg_graph::{VertexId, Weight, NO_VERTEX};
-use cmg_partition::{weight_sorted_csr, DistGraph, HaloView};
+use cmg_partition::{ghost_neighbor_owners, sort_rows_by_weight, DistGraph, HaloView};
 use cmg_runtime::{wire_codec, Rank, RankCtx, RankProgram, Status};
 use std::collections::VecDeque;
 
@@ -94,8 +94,8 @@ wire_codec! {
 
 wire_codec! {
     /// Snapshot records of [`DistMatching`]: the algorithm state minus
-    /// the index the rank rebuilds from its graph on restore (the
-    /// weight-sorted adjacency and the halo view). One `Vertex` record
+    /// the index the rank rebuilds from its graph on restore (the row
+    /// sort and the halo view). One `Vertex` record
     /// per owned vertex in local-index order, then sparse records for
     /// non-default ghost states, pending proposals, queued indices, and
     /// the round's message tallies.
@@ -104,8 +104,8 @@ wire_codec! {
         /// Per-owned-vertex state, emitted for every `v` in `0..n_local`
         /// order (the record's position in the stream is the vertex).
         0 => Vertex {
-            /// Candidate-mate cursor into the weight-sorted adjacency
-            /// (absolute, not row-relative).
+            /// Candidate-mate cursor into the slice's weight-sorted
+            /// `adj` (absolute, not row-relative).
             ptr: u64,
             /// Availability ([`VState`] as `u8`).
             state: u8,
@@ -121,7 +121,7 @@ wire_codec! {
             /// Availability ([`VState`] as `u8`).
             state: u8,
         },
-        /// A pending remote proposal in `r_set[v]`, in stored order.
+        /// A pending remote proposal to boundary vertex `v`, in arrival order.
         2 => Proposal {
             /// Proposed-to owned vertex (local index).
             v: u32,
@@ -149,13 +149,10 @@ wire_codec! {
 /// below is empty until the rank builds its index (`on_start` or
 /// `restore`).
 pub struct DistMatching {
+    /// The rank's slice; `build_index` sorts its rows by weight in place.
     dg: DistGraph,
-    /// Weight-sorted adjacency (descending weight, ascending global id —
-    /// the smallest-label tie-break) over owned vertices.
-    sxadj: Vec<usize>,
-    sadj: Vec<u32>,
     /// Candidate-mate cursor per owned vertex, as an offset into its own
-    /// row of `sadj` (a row holds distinct `u32` local indices, so its
+    /// row of `dg.adj` (a row holds distinct `u32` local indices, so its
     /// length fits a `u32`).
     ptr: Vec<u32>,
     /// Availability per local index (owned + ghost).
@@ -164,10 +161,12 @@ pub struct DistMatching {
     mate: Vec<VertexId>,
     /// Candidate mate (local index) per owned vertex; `NONE` if exhausted.
     candidate: Vec<u32>,
-    /// Pending remote proposals (requester local idxs) per *boundary*
-    /// vertex, parallel to `halo.boundary`: a REQUEST crosses a cut edge,
-    /// so only a boundary vertex can receive one.
-    r_set: Vec<Vec<u32>>,
+    /// Pending remote proposals (requester local indices): boundary
+    /// vertex `halo.boundary[s]` has the `NONE`-padded slots
+    /// `proposal_x[s]..proposal_x[s + 1]`, one per ghost in its row (only
+    /// a ghost neighbour proposes, at most once), filled in arrival order.
+    proposal_x: Vec<u32>,
+    proposals: Vec<u32>,
     /// Halo structure: the ghost reverse cross-adjacency lives here.
     halo: HaloView,
     /// Inner-loop queue of newly unavailable local indices.
@@ -183,35 +182,37 @@ impl DistMatching {
     pub fn new(dg: DistGraph) -> Self {
         DistMatching {
             dg,
-            sxadj: Vec::new(),
-            sadj: Vec::new(),
             ptr: Vec::new(),
             state: Vec::new(),
             mate: Vec::new(),
             candidate: Vec::new(),
-            r_set: Vec::new(),
+            proposal_x: Vec::new(),
+            proposals: Vec::new(),
             halo: HaloView::default(),
             queue: VecDeque::new(),
             counts: RoundCounts::default(),
         }
     }
 
-    /// Builds the rank-local index over the slice and resets the
-    /// per-vertex state to a fresh rank's. The weight-sorted adjacency
-    /// (ties broken by ascending *global* id so every rank orders shared
-    /// edges identically) and the ghost reverse cross-adjacency come from
-    /// the partition layer. Charges no work: it is set-up, not protocol.
+    /// Sorts the slice's rows by weight in place (a sorted slice stays as
+    /// it is, so `restore` may sort again), builds the halo view and the
+    /// proposal slots, and resets the per-vertex state to a fresh rank's.
+    /// Charges no work: it is set-up, not protocol.
     fn build_index(&mut self) {
         let n_local = self.dg.n_local;
-        let (sxadj, sadj) = weight_sorted_csr(&self.dg);
+        sort_rows_by_weight(&mut self.dg);
         self.halo = HaloView::build(&self.dg);
         self.ptr = vec![0; n_local];
-        self.sxadj = sxadj;
-        self.sadj = sadj;
         self.state = vec![VState::Free; self.dg.n_total()];
         self.mate = vec![NO_VERTEX; n_local];
         self.candidate = vec![NONE; n_local];
-        self.r_set = vec![Vec::new(); self.halo.boundary.len()];
+        let mut end = 0;
+        let ends = self.halo.boundary.iter().map(|&v| {
+            end += ghost_neighbor_owners(&self.dg, v).count() as u32;
+            end
+        });
+        self.proposal_x = std::iter::once(0).chain(ends).collect();
+        self.proposals = vec![NONE; self.halo.ghost_adj.len()];
     }
 
     /// Emits the round's REQUEST/SUCCEEDED/FAILED tallies as a
@@ -283,37 +284,51 @@ impl DistMatching {
             .count()
     }
 
-    /// Owned vertex `v`'s slot in `r_set`; `None` for an interior vertex.
-    #[inline]
-    fn r_slot(&self, v: u32) -> Option<usize> {
-        if self.dg.is_boundary[v as usize] {
-            self.halo.boundary.binary_search(&v).ok()
-        } else {
-            None
+    /// The range of `proposals` holding owned vertex `v`'s slots, found
+    /// by its position in `halo.boundary`; empty for an interior vertex.
+    fn slots(&self, v: u32) -> std::ops::Range<usize> {
+        let boundary = &self.halo.boundary;
+        match self.dg.is_boundary[v as usize].then(|| boundary.binary_search(&v)) {
+            Some(Ok(s)) => self.proposal_x[s] as usize..self.proposal_x[s + 1] as usize,
+            _ => 0..0,
+        }
+    }
+
+    /// Stores ghost `u`'s proposal to owned vertex `v` in its first free
+    /// slot. Only a neighbour proposes (`v` is then in `u`'s ascending
+    /// reverse cross-adjacency), at most once: anything else is dropped.
+    fn store_proposal(&mut self, v: u32, u: u32) {
+        let gi = u as usize - self.dg.n_local;
+        let (lo, hi) = (self.halo.ghost_adj_x[gi], self.halo.ghost_adj_x[gi + 1]);
+        if self.halo.ghost_adj[lo..hi].binary_search(&v).is_ok() {
+            let range = self.slots(v);
+            let slots = &mut self.proposals[range];
+            if let Some(at) = slots.iter().position(|&r| r == NONE || r == u) {
+                slots[at] = u;
+            }
         }
     }
 
     /// Drops the pending proposals of owned vertex `v`.
     fn clear_proposals(&mut self, v: u32) {
-        if let Some(s) = self.r_slot(v) {
-            self.r_set[s].clear();
-        }
+        let range = self.slots(v);
+        self.proposals[range].fill(NONE);
     }
 
     /// Advances `v`'s pointer past unavailable neighbors; returns the new
     /// candidate (local index) or `NONE`.
     fn advance(&mut self, v: u32, ctx: &mut RankCtx<MatchMsg>) -> u32 {
-        let (lo, hi) = (self.sxadj[v as usize], self.sxadj[v as usize + 1]);
+        let (lo, hi) = (self.dg.xadj[v as usize], self.dg.xadj[v as usize + 1]);
         let mut at = lo + self.ptr[v as usize] as usize;
         let mut steps = 1u64;
-        while at < hi && self.state[self.sadj[at] as usize] != VState::Free {
+        while at < hi && self.state[self.dg.adj[at] as usize] != VState::Free {
             at += 1;
             steps += 1;
         }
         self.ptr[v as usize] = (at - lo) as u32;
         ctx.charge(steps);
         if at < hi {
-            self.sadj[at]
+            self.dg.adj[at]
         } else {
             NONE
         }
@@ -345,7 +360,7 @@ impl DistMatching {
                 },
             );
             // A proposal may already be waiting from that very neighbor.
-            if self.r_slot(v).is_some_and(|s| self.r_set[s].contains(&c)) {
+            if self.proposals[self.slots(v)].contains(&c) {
                 self.match_pair(v, c, ctx);
             }
         }
@@ -373,8 +388,8 @@ impl DistMatching {
     /// its mate `m`.
     fn announce_matched(&mut self, v: u32, m: u32, ctx: &mut RankCtx<MatchMsg>) {
         let vg = self.dg.global_ids[v as usize];
-        for i in self.sxadj[v as usize]..self.sxadj[v as usize + 1] {
-            let u = self.sadj[i];
+        for i in self.dg.xadj[v as usize]..self.dg.xadj[v as usize + 1] {
+            let u = self.dg.adj[i];
             if u != m && self.dg.is_ghost(u) && self.state[u as usize] == VState::Free {
                 ctx.charge(1);
                 self.counts.succeeded += 1;
@@ -394,8 +409,8 @@ impl DistMatching {
         self.state[v as usize] = VState::Failed;
         self.clear_proposals(v);
         let vg = self.dg.global_ids[v as usize];
-        for i in self.sxadj[v as usize]..self.sxadj[v as usize + 1] {
-            let u = self.sadj[i];
+        for i in self.dg.xadj[v as usize]..self.dg.xadj[v as usize + 1] {
+            let u = self.dg.adj[i];
             if self.dg.is_ghost(u) && self.state[u as usize] == VState::Free {
                 ctx.charge(1);
                 self.counts.failed += 1;
@@ -419,9 +434,9 @@ impl DistMatching {
         while let Some(x) = self.queue.pop_front() {
             let n_local = self.dg.n_local;
             if (x as usize) < n_local {
-                let (lo, hi) = (self.sxadj[x as usize], self.sxadj[x as usize + 1]);
+                let (lo, hi) = (self.dg.xadj[x as usize], self.dg.xadj[x as usize + 1]);
                 for i in lo..hi {
-                    let w = self.sadj[i];
+                    let w = self.dg.adj[i];
                     ctx.charge(1);
                     if (w as usize) < n_local
                         && self.state[w as usize] == VState::Free
@@ -449,21 +464,20 @@ impl DistMatching {
         ctx.charge(1);
         match msg {
             MatchMsg::Request { from, to } => {
-                // Both ids are known in a valid run; drop a message
-                // naming a vertex this rank does not hold.
+                // In a valid run `to` is owned here and `from` is a ghost;
+                // drop anything else, and a REQUEST our SUCCEEDED/FAILED crossed.
                 let (Some(v), Some(u)) = (self.dg.local(to), self.dg.local(from)) else {
                     return;
                 };
-                debug_assert!(!self.dg.is_ghost(v));
-                if self.state[v as usize] != VState::Free {
-                    // Our SUCCEEDED/FAILED already crossed this REQUEST.
+                let free = self.state[v as usize] == VState::Free;
+                if !free || self.dg.is_ghost(v) || !self.dg.is_ghost(u) {
                     return;
                 }
                 if self.candidate[v as usize] == u {
                     self.match_pair(v, u, ctx);
                     self.drain_queue(ctx);
-                } else if let Some(s) = self.r_slot(v) {
-                    self.r_set[s].push(u);
+                } else {
+                    self.store_proposal(v, u);
                 }
             }
             MatchMsg::Succeeded { from, to: _ } | MatchMsg::Failed { from, to: _ } => {
@@ -496,7 +510,7 @@ impl RankProgram for DistMatching {
         // `ptr` has one cursor per owned vertex once the index is built.
         for v in 0..self.ptr.len() {
             recs.push(MatchSnap::Vertex {
-                ptr: (self.sxadj[v] + self.ptr[v] as usize) as u64,
+                ptr: (self.dg.xadj[v] + self.ptr[v] as usize) as u64,
                 state: self.state[v].to_u8(),
                 mate: self.mate[v],
                 candidate: self.candidate[v],
@@ -510,10 +524,11 @@ impl RankProgram for DistMatching {
                 });
             }
         }
-        for (&v, requesters) in self.halo.boundary.iter().zip(&self.r_set) {
-            for &requester in requesters {
-                recs.push(MatchSnap::Proposal { v, requester });
-            }
+        for &v in &self.halo.boundary {
+            let pending = self.proposals[self.slots(v)]
+                .iter()
+                .take_while(|&&r| r != NONE);
+            recs.extend(pending.map(|&requester| MatchSnap::Proposal { v, requester }));
         }
         for &idx in &self.queue {
             recs.push(MatchSnap::Queued { idx });
@@ -545,17 +560,13 @@ impl RankProgram for DistMatching {
                 } => {
                     let v = next_vertex;
                     next_vertex += 1;
-                    p.ptr[v] = (ptr as usize).saturating_sub(p.sxadj[v]) as u32;
+                    p.ptr[v] = (ptr as usize).saturating_sub(p.dg.xadj[v]) as u32;
                     p.state[v] = VState::from_u8(state);
                     p.mate[v] = mate;
                     p.candidate[v] = candidate;
                 }
                 MatchSnap::Ghost { idx, state } => p.state[idx as usize] = VState::from_u8(state),
-                MatchSnap::Proposal { v, requester } => {
-                    if let Some(s) = p.r_slot(v) {
-                        p.r_set[s].push(requester);
-                    }
-                }
+                MatchSnap::Proposal { v, requester } => p.store_proposal(v, requester),
                 MatchSnap::Queued { idx } => p.queue.push_back(idx),
                 MatchSnap::Counts {
                     requests,
@@ -826,7 +837,8 @@ mod tests {
     /// Drives two ranks round by round by hand and folds every rank's
     /// encoded [`MatchSnap`] stream at every round edge into one FNV-1a
     /// digest; also returns the number of `Proposal` records seen (so a
-    /// fixture that never exercised `r_set` cannot pass silently).
+    /// fixture that never exercised the proposal slots cannot pass
+    /// silently).
     fn snapshot_digest(parts: Vec<DistGraph>) -> (u64, usize) {
         let mut programs: Vec<DistMatching> = parts.into_iter().map(DistMatching::new).collect();
         let p = programs.len() as Rank;
@@ -868,8 +880,8 @@ mod tests {
 
     /// The program state the index build sets up and the protocol
     /// evolves — cursors, candidates, pending proposals — pinned record
-    /// for record to what the parent of the boundary-only `r_set` and
-    /// the `sweights`-free `weight_sorted_csr` produced, on a 32² grid
+    /// for record to what the separately allocated weight-sorted copy of
+    /// the adjacency and the per-vertex proposal lists produced, on a 32² grid
     /// split in two blocks and hashed over two ranks.
     #[test]
     fn two_rank_snapshots_match_the_fixture() {
@@ -883,6 +895,69 @@ mod tests {
         let hashed = snapshot_digest(DistGraph::build_all(&g, &hash_partition(1024, 2, 3)));
         assert_eq!(block, (639_754_283_888_892_254, 0));
         assert_eq!(hashed, (746_777_585_637_176_078, 16));
+    }
+
+    /// Requests no valid run sends — from a ghost that is not the
+    /// addressee's neighbour, from an owned vertex, to a ghost, and a
+    /// repeat — are dropped without touching any vertex's proposal
+    /// slots, the neighbouring vertex's pending proposal included.
+    #[test]
+    fn hostile_requests_are_dropped() {
+        // Rank 0 owns 0, 1, 2; rank 1 owns 3, 4, 5. Vertices 0 and 1
+        // propose to ghosts 3 and 4, vertex 2 to vertex 0: all stay free.
+        let mut b = cmg_graph::GraphBuilder::new(6);
+        for (u, v, w) in [
+            (0, 3, 9.0),
+            (0, 4, 2.0),
+            (0, 2, 0.5),
+            (1, 4, 8.0),
+            (1, 5, 7.0),
+            (1, 3, 1.0),
+        ] {
+            b.add_edge(u, v, w);
+        }
+        let g = b.build();
+        let dg = DistGraph::build_all(&g, &block_partition(6, 2)).swap_remove(0);
+        let mut prog = DistMatching::new(dg);
+        let mut ctx = RankCtx::new(0, 2, true, cmg_obs::RecorderHandle::noop());
+        prog.on_start(&mut ctx);
+        // A valid proposal: ghost 5 to vertex 1, whose candidate is 4.
+        prog.handle(MatchMsg::Request { from: 5, to: 1 }, &mut ctx);
+        let five = prog.dg.local(5).unwrap();
+        let proposals = |p: &DistMatching| -> Vec<MatchSnap> {
+            p.snapshot()
+                .into_iter()
+                .filter(|r| matches!(r, MatchSnap::Proposal { .. }))
+                .collect()
+        };
+        assert_eq!(
+            proposals(&prog),
+            [MatchSnap::Proposal {
+                v: 1,
+                requester: five
+            }]
+        );
+        let before = prog.snapshot();
+        assert!(before[..3]
+            .iter()
+            .all(|r| matches!(r, MatchSnap::Vertex { state: 0, .. })));
+        for hostile in [
+            // Ghost 5 is not a neighbour of vertex 0.
+            MatchMsg::Request { from: 5, to: 0 },
+            // Vertex 2 is owned here (and a neighbour of vertex 0).
+            MatchMsg::Request { from: 2, to: 0 },
+            // Vertex 4 is a ghost here.
+            MatchMsg::Request { from: 3, to: 4 },
+            // Ghost 5's proposal to vertex 1 is already pending.
+            MatchMsg::Request { from: 5, to: 1 },
+        ] {
+            prog.handle(hostile, &mut ctx);
+            assert_eq!(prog.snapshot(), before, "{hostile:?} changed the state");
+        }
+        // Vertex 0's two slots stay empty; vertex 1's hold ghost 5 once.
+        assert_eq!(prog.proposal_x, [0, 2, 5]);
+        assert_eq!(prog.proposals[..2], [NONE, NONE]);
+        assert_eq!(proposals(&prog).len(), 1);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! `DistMatching::new` only takes ownership of the rank's slice; the rank
-//! builds its index (weight-sorted CSR, halo view, per-vertex state) in
+//! builds its index (rows sorted in place, halo view, proposal slots,
+//! per-vertex state) in
 //! its own `on_start`. Under a counting global allocator: the constructor
 //! makes no allocator call per rank whatever the slice's size, and
 //! construction plus the first step over the 1024² grid on 64 × 64 ranks
@@ -135,16 +136,26 @@ fn first_step_builds_the_index_once() {
         "DistMatching::new + on_start over {ranks} ranks: {calls} calls, {per_vertex:.1} B live per owned vertex"
     );
     assert_eq!(programs.len(), ranks);
-    // Per rank, the index: sorted CSR (2), cursors, states, mates,
-    // candidates, the boundary proposal lists, the halo view (4) and its
-    // scratch (2), one row buffer — 14. The first step's inner-loop
-    // queue and outgoing bundles bring it to 35.6 on average (measured),
-    // plus the `programs` vector. Building the index twice makes it ≥ 49.
-    assert!(calls <= 40 * ranks + 1, "{calls} calls for {ranks} ranks");
-    // Measured 55.3: sorted CSR 24 B, row-relative u32 cursors 4, mates +
-    // candidates 8, states 1.25, halo ≈ 7, program headers ≈ 1.3, ≈ 5.6
-    // of proposal-list headers for the 60 of 256 vertices on a block
-    // boundary, the first step's queue ≈ 3.7 and the contexts' bundle
-    // tables ≈ 0.5. Absolute `usize` cursors made it 59.3.
-    assert!(per_vertex < 58.0, "{per_vertex:.1} B per owned vertex");
+    // Per rank, the index: cursors, states, mates, candidates (4), the
+    // proposal offsets and slots (2), the halo view (3) and its scratch
+    // (2), the sort's row buffer (1) — 12; the rows are sorted in the
+    // slice, so no sorted copy is allocated. The first step's inner-loop
+    // queue and outgoing bundles bring it to 33.6 on average (measured),
+    // plus the `programs` vector. A sorted copy of the adjacency adds 2
+    // per rank; building the index twice makes it ≥ 45.
+    assert!(calls <= 34 * ranks + 1, "{calls} calls for {ranks} ranks");
+    // Measured 24.4 B per owned vertex, on 4,096 ranks of 256 vertices
+    // with ≈ 59 on a block boundary and ≈ 63 ghosts each:
+    // - row-relative `u32` cursors: 4;
+    // - mates and candidates: 8;
+    // - states, 1 B per local index: 1.25;
+    // - halo view (boundary list 0.9, ghost offsets 2.0, reverse
+    //   cross-adjacency 1.0): ≈ 3.9;
+    // - proposal offsets per boundary vertex 0.9, one slot per ghost
+    //   entry 1.0: ≈ 1.9;
+    // - program headers ≈ 1.2, the first step's queue ≈ 3.7 and the
+    //   contexts' bundle tables ≈ 0.5.
+    // A weight-sorted copy of the adjacency adds 24 (it measured 55.3
+    // with one, and per-vertex proposal lists).
+    assert!(per_vertex < 25.0, "{per_vertex:.1} B per owned vertex");
 }

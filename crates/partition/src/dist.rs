@@ -164,7 +164,7 @@ impl DistGraph {
     /// (everything but the ghost table, which is rebuilt here). They
     /// crossed a process boundary, so every invariant a reader indexes
     /// by — the ascending owned prefix, and boundary flags set exactly for
-    /// the rows with a ghost, which `DistMatching`'s proposal lists rely
+    /// the rows with a ghost, which `DistMatching`'s proposal slots rely
     /// on, among them — is checked: a violation is an `Err` naming it
     /// rather than a panic later.
     #[allow(clippy::too_many_arguments)]

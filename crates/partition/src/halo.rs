@@ -1,35 +1,33 @@
 //! Halo views: precomputed owned/ghost indexing over a [`DistGraph`].
 //!
-//! Every distributed algorithm in the workspace starts from the same
-//! derived structures — which owned vertices are interior vs boundary,
-//! and which owned vertices touch each ghost (the reverse
-//! cross-adjacency needed to propagate "this ghost changed" to the
-//! owned vertices that care). Each rank program used to rebuild these
-//! privately; [`HaloView`] computes them once, totally (no partial
-//! indexing), and the algorithms share the result. Its ascending
-//! `boundary` list doubles as a dense index of the boundary vertices:
-//! `DistMatching` keeps pending proposals for those alone, since only a
-//! boundary vertex can be proposed to across a cut edge.
+//! [`HaloView`] lists the boundary vertices and, for each ghost, the
+//! owned vertices it touches: the reverse cross-adjacency needed to
+//! propagate "this ghost changed" to the owned vertices that care. It is
+//! built totally (no partial indexing). Its ascending `boundary` list
+//! doubles as a dense index of the boundary vertices: `DistMatching`
+//! keeps pending proposals for those alone, since only a boundary vertex
+//! can be proposed to across a cut edge. Colouring needs no view: the
+//! slice's `is_boundary` flags split interior from boundary.
 //!
-//! The weight-sorted adjacency the matching program walks comes from
-//! [`weight_sorted_csr`]: the half-approximation needs only the order,
-//! so it builds no weight column. Neither it nor the halo looks a global
-//! id up — everything here is indexed by local index.
+//! The weight order the matching program walks lives in the slice
+//! itself: [`sort_rows_by_weight`] sorts each owned row of `adj` (and
+//! `weights` with it) in place, so the order costs no extra bytes.
+//! Neither it nor the halo looks a global id up — everything here is
+//! indexed by local index.
 
 use crate::dist::{DistGraph, Rank};
 use cmg_graph::{VertexId, Weight};
 
-/// Precomputed halo structure of one rank's [`DistGraph`]: boundary /
-/// interior vertex lists and the ghost reverse cross-adjacency CSR.
+/// Precomputed halo structure of one rank's [`DistGraph`]: the boundary
+/// vertex list and the ghost reverse cross-adjacency CSR.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HaloView {
     /// Number of owned vertices (mirrors `DistGraph::n_local`).
     pub n_local: usize,
     /// Number of ghost vertices.
     pub n_ghost: usize,
-    /// Owned interior vertices (no ghost neighbor), ascending local index.
-    pub interior: Vec<u32>,
-    /// Owned boundary vertices (≥ 1 ghost neighbor), ascending local index.
+    /// Owned boundary vertices (≥ 1 ghost neighbor), ascending local
+    /// index. The other owned vertices, the interior, are not listed.
     pub boundary: Vec<u32>,
     /// CSR offsets over ghosts (length `n_ghost + 1`) into
     /// [`HaloView::ghost_adj`].
@@ -47,15 +45,8 @@ impl HaloView {
         let n_local = dg.n_local;
         let n_ghost = dg.n_ghost();
 
-        let mut interior = Vec::with_capacity(n_local - dg.num_boundary());
         let mut boundary = Vec::with_capacity(dg.num_boundary());
-        for (v, &b) in dg.is_boundary.iter().enumerate() {
-            if b {
-                boundary.push(v as u32);
-            } else {
-                interior.push(v as u32);
-            }
-        }
+        boundary.extend((0..n_local as u32).filter(|&v| dg.is_boundary[v as usize]));
 
         // Reverse adjacency for ghosts: count cross-edge endpoints per
         // ghost, prefix-sum into offsets, then fill with a cursor pass.
@@ -87,7 +78,6 @@ impl HaloView {
         HaloView {
             n_local,
             n_ghost,
-            interior,
             boundary,
             ghost_adj_x,
             ghost_adj,
@@ -95,28 +85,28 @@ impl HaloView {
     }
 }
 
-/// Builds a weight-sorted adjacency CSR over `dg`'s owned vertices:
-/// within each row, neighbors ordered by descending weight, ties broken
-/// by ascending *global* id so every rank orders shared edges
-/// identically (the paper's smallest-label tie-break). Returns
-/// `(sxadj, sadj)`.
-pub fn weight_sorted_csr(dg: &DistGraph) -> (Vec<usize>, Vec<u32>) {
-    let n_local = dg.n_local;
-    let mut sxadj = Vec::with_capacity(n_local + 1);
-    sxadj.push(0usize);
-    let mut sadj = Vec::with_capacity(dg.adj.len());
+/// Sorts each owned row of `dg` in place, `adj` and `weights` together:
+/// neighbors by descending weight (1.0 on an unweighted slice), ties
+/// broken by ascending *global* id so every rank orders shared edges
+/// identically (the paper's smallest-label tie-break). The key is a
+/// total order on a row, so sorting a sorted slice changes nothing.
+pub fn sort_rows_by_weight(dg: &mut DistGraph) {
+    let weighted = !dg.weights.is_empty();
     let mut row: Vec<(Weight, VertexId, u32)> = Vec::new();
-    for v in 0..n_local as u32 {
+    for v in 0..dg.n_local {
         row.clear();
         row.extend(
-            dg.neighbors_weighted(v)
+            dg.neighbors_weighted(v as u32)
                 .map(|(u, w)| (w, dg.global_ids[u as usize], u)),
         );
         row.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        sadj.extend(row.iter().map(|&(_, _, u)| u));
-        sxadj.push(sadj.len());
+        for (i, &(w, _, u)) in (dg.xadj[v]..).zip(&row) {
+            dg.adj[i] = u;
+            if weighted {
+                dg.weights[i] = w;
+            }
+        }
     }
-    (sxadj, sadj)
 }
 
 /// Iterates the owner ranks of the ghost neighbors of owned vertex `v`
@@ -146,17 +136,21 @@ mod tests {
         let p = grid2d_partition(6, 6, 2, 2);
         for dg in DistGraph::build_all(&g, &p) {
             let halo = HaloView::build(&dg);
-            assert_eq!(halo.interior.len() + halo.boundary.len(), dg.n_local);
+            // `boundary` is exactly the flagged owned vertices, in
+            // ascending order; every other owned vertex is interior. A
+            // flag is set exactly on a row with a ghost neighbor.
+            let flagged: Vec<u32> = (0..dg.n_local as u32)
+                .filter(|&v| dg.is_boundary[v as usize])
+                .collect();
+            assert_eq!(halo.boundary, flagged);
+            for v in 0..dg.n_local as u32 {
+                let has_ghost = dg.neighbors(v).iter().any(|&u| dg.is_ghost(u));
+                assert_eq!(dg.is_boundary[v as usize], has_ghost, "vertex {v}");
+            }
             assert_eq!(halo.boundary.len(), dg.num_boundary());
-            for &v in &halo.boundary {
-                assert!(dg.is_boundary[v as usize]);
-            }
-            for &v in &halo.interior {
-                assert!(!dg.is_boundary[v as usize]);
-            }
-            // Both lists ascend (stable split of 0..n_local).
-            assert!(halo.interior.windows(2).all(|w| w[0] < w[1]));
             assert!(halo.boundary.windows(2).all(|w| w[0] < w[1]));
+            // A 3 × 3 block of a 2 × 2 grid split has both kinds.
+            assert!(!halo.boundary.is_empty() && halo.boundary.len() < dg.n_local);
         }
     }
 
@@ -199,28 +193,62 @@ mod tests {
         assert_eq!(halo.ghost_adj_x, vec![0]);
         // Single rank: ghosts absent but owned vertices present.
         let p1 = Partition::single(3);
-        let halo = HaloView::build(&DistGraph::build_all(&g, &p1)[0]);
-        assert_eq!(halo.interior.len(), 3);
+        let dg = &DistGraph::build_all(&g, &p1)[0];
+        let halo = HaloView::build(dg);
+        assert_eq!(halo.n_local, 3);
         assert!(halo.boundary.is_empty());
+        // All three are interior: no boundary flag is set.
+        assert_eq!(dg.is_boundary, vec![false; 3]);
     }
 
-    /// Checks the sorted CSR of every slice of `g` under `p` against a
-    /// comparison sort of `(weight, global id, local)` tuples under
-    /// `f64::total_cmp` — the definition of the row order.
+    /// Row `v` of `dg` as `(neighbor, weight bits)` pairs in stored
+    /// order (bits, so that NaN and ±0.0 compare exactly).
+    fn row(dg: &DistGraph, v: u32) -> Vec<(u32, u64)> {
+        dg.neighbors_weighted(v)
+            .map(|(u, w)| (u, w.to_bits()))
+            .collect()
+    }
+
+    /// Sorts every slice of `g` under `p` in place and checks each row
+    /// against a comparison sort of its `(weight, global id, local)`
+    /// tuples under `f64::total_cmp` — the definition of the row order —
+    /// then checks that a second sort changes nothing.
     fn assert_rows_follow_the_definition(g: &CsrGraph, p: &Partition) {
-        for dg in DistGraph::build_all(g, p) {
-            let (sxadj, sadj) = weight_sorted_csr(&dg);
-            assert_eq!(sxadj.len(), dg.n_local + 1);
-            for v in 0..dg.n_local as u32 {
-                let mut row: Vec<(Weight, VertexId, u32)> = dg
-                    .neighbors_weighted(v)
-                    .map(|(u, w)| (w, dg.global_ids[u as usize], u))
+        for mut dg in DistGraph::build_all(g, p) {
+            let before: Vec<Vec<(u32, u64)>> =
+                (0..dg.n_local as u32).map(|v| row(&dg, v)).collect();
+            sort_rows_by_weight(&mut dg);
+            for (v, unsorted) in (0..dg.n_local as u32).zip(&before) {
+                let mut want: Vec<(Weight, VertexId, u32)> = unsorted
+                    .iter()
+                    .map(|&(u, w)| (f64::from_bits(w), dg.global_ids[u as usize], u))
                     .collect();
-                row.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-                let (lo, hi) = (sxadj[v as usize], sxadj[v as usize + 1]);
-                let want: Vec<u32> = row.iter().map(|&(_, _, u)| u).collect();
-                assert_eq!(sadj[lo..hi], want[..], "row {v} of rank {}", dg.rank);
+                want.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+                let want: Vec<(u32, u64)> =
+                    want.iter().map(|&(w, _, u)| (u, w.to_bits())).collect();
+                let got = row(&dg, v);
+                assert_eq!(got, want, "row {v} of rank {}", dg.rank);
+                // Descending weight, ties by ascending global id.
+                assert!(got.windows(2).all(|w| {
+                    let (a, b) = (f64::from_bits(w[0].1), f64::from_bits(w[1].1));
+                    let (ga, gb) = (
+                        dg.global_ids[w[0].0 as usize],
+                        dg.global_ids[w[1].0 as usize],
+                    );
+                    a.total_cmp(&b).then(gb.cmp(&ga)).is_gt()
+                }));
+                // The same (neighbor, weight) pairs as before the sort.
+                let (mut a, mut b) = (got.clone(), unsorted.clone());
+                a.sort_unstable();
+                b.sort_unstable();
+                assert_eq!(a, b, "row {v} of rank {}", dg.rank);
             }
+            let (adj, weights) = (dg.adj.clone(), dg.weights.clone());
+            let xadj = dg.xadj.clone();
+            sort_rows_by_weight(&mut dg);
+            assert_eq!((dg.xadj.clone(), dg.adj.clone()), (xadj, adj));
+            let bits = |ws: &[Weight]| ws.iter().map(|w| w.to_bits()).collect::<Vec<u64>>();
+            assert_eq!(bits(&dg.weights), bits(&weights));
         }
     }
 
@@ -262,6 +290,25 @@ mod tests {
         let hub = b.build();
         assert_rows_follow_the_definition(&hub, &block_partition(41, 1));
         assert_rows_follow_the_definition(&hub, &hash_partition(41, 3, 9));
+    }
+
+    #[test]
+    fn unweighted_rows_order_by_global_id() {
+        // Hashed ranks number ghosts in the order they are first met, so
+        // a row ordered by local index would break the global order.
+        let g = grid2d(6, 6);
+        for mut dg in DistGraph::build_all(&g, &hash_partition(36, 3, 4)) {
+            sort_rows_by_weight(&mut dg);
+            assert!(dg.weights.is_empty());
+            for v in 0..dg.n_local as u32 {
+                let gids: Vec<VertexId> = dg
+                    .neighbors(v)
+                    .iter()
+                    .map(|&u| dg.global_ids[u as usize])
+                    .collect();
+                assert!(gids.windows(2).all(|w| w[0] < w[1]), "row {v}: {gids:?}");
+            }
+        }
     }
 
     #[test]

@@ -31,6 +31,6 @@ pub mod simple;
 pub use dist::DistGraph;
 pub use geometric::{morton_grid_partition, morton_partition};
 pub use grid_dist::grid2d_dist;
-pub use halo::{ghost_neighbor_owners, weight_sorted_csr, HaloView};
+pub use halo::{ghost_neighbor_owners, sort_rows_by_weight, HaloView};
 pub use multilevel::multilevel_partition;
 pub use partition::{Partition, PartitionQuality};
