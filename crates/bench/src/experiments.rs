@@ -343,7 +343,7 @@ fn fig5_1(scale: Scale) -> Vec<Section> {
             Cell::int("Ranks", p),
             Cell::time("Actual", c.simulated_time),
             Cell::time("Ideal", *flat_c.get_or_insert(c.simulated_time)),
-            Cell::int("Colors", c.num_colors),
+            Cell::int("Colors", c.coloring.num_colors()),
             Cell::int("Phases", c.phases),
         ]);
     }
@@ -410,7 +410,7 @@ fn fig5_2(scale: Scale) -> Vec<Section> {
         assert_eq!(c.conflicts, 0, "invalid coloring");
         let cols = ["Coloring actual", "Coloring ideal"];
         let mut row = scaling_cells(p, c.simulated_time, &mut work_c, cols);
-        row.push(Cell::int("Colors", c.num_colors));
+        row.push(Cell::int("Colors", c.coloring.num_colors()));
         bottom.push(row);
     }
     vec![
@@ -852,7 +852,8 @@ fn sync_async(scale: Scale) -> Vec<Section> {
             let parts = grid2d_dist(k, k, pr, pc, None);
             let run = run_coloring_parts(parts, ColoringConfig::default(), &engine);
             assert_eq!(run.conflicts, 0, "invalid coloring");
-            push("grid", run.simulated_time, run.num_colors, run.phases);
+            let colors = run.coloring.num_colors();
+            push("grid", run.simulated_time, colors, run.phases);
 
             let part = block_partition(circuit.num_vertices(), p);
             let run = run_coloring(&circuit, &part, ColoringConfig::default(), &engine);

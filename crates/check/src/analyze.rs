@@ -248,12 +248,16 @@ impl AnalyzeAllowlist {
 /// v7 is a bump, not an in-place re-pin, because a v6 peer could send
 /// the bytes it retired: the coloring assignment's colour choice and
 /// local order, and `ColorSnap` usage-table records in checkpoints.
+/// v8 keeps v7's fingerprint: `Ctrl` and the snapshot records are
+/// unchanged, but the `Outcome` and `Assignment` payloads they carry are
+/// not (see `PROTO_VERSION`'s history).
 pub const WIRE_BASELINES: &[(u64, u64)] = &[
     (3, 0xec5d_285e_8cd8_0aa1),
     (4, 0x4956_cc56_edbc_cd90),
     (5, 0x1f0f_d877_76a1_24b0),
     (6, 0xf380_fb53_d528_f562),
     (7, 0x9bff_2516_97b3_d6d5),
+    (8, 0x9bff_2516_97b3_d6d5),
 ];
 
 /// The analysis result for one workspace.

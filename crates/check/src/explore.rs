@@ -25,8 +25,8 @@
 use crate::observed::ObservedMatching;
 use crate::oracles;
 use cmg_coloring::{assemble_coloring, Coloring, ColoringConfig, DistColoring};
-use cmg_graph::{CsrGraph, VertexId, NO_VERTEX};
-use cmg_matching::{DistMatching, Matching};
+use cmg_graph::CsrGraph;
+use cmg_matching::{assemble_mates, DistMatching, Matching};
 use cmg_obs::{CollectingRecorder, Event, OracleCounters, TimedEvent};
 use cmg_partition::{DistGraph, Partition};
 use cmg_runtime::{
@@ -132,30 +132,6 @@ fn harness_config(policy: DeliveryPolicy, recorder: cmg_obs::RecorderHandle) -> 
     }
 }
 
-/// Assembles the global matching from journaled rank programs, checking
-/// cross-rank mate agreement as an oracle instead of a panic.
-fn assemble_observed(
-    programs: &[ObservedMatching],
-    num_vertices: usize,
-) -> Result<Matching, String> {
-    let mut mate = vec![NO_VERTEX; num_vertices];
-    for p in programs {
-        for (v, m) in p.inner.local_mates() {
-            mate[v as usize] = m;
-        }
-    }
-    for v in 0..num_vertices as VertexId {
-        let m = mate[v as usize];
-        if m != NO_VERTEX && mate[m as usize] != v {
-            return Err(format!(
-                "ranks disagree: mate[{v}] = {m} but mate[{m}] = {}",
-                mate[m as usize]
-            ));
-        }
-    }
-    Ok(Matching::from_mates(mate))
-}
-
 /// One matching run under `policy`; evaluates the full oracle suite and
 /// returns the assembled matching (when assembly succeeded) plus the
 /// schedule fingerprint.
@@ -185,7 +161,8 @@ fn run_matching_once(
         &schedule,
         "conservation",
     );
-    let assembled = assemble_observed(&result.programs, g.num_vertices());
+    let shares = result.programs.iter().map(|p| p.inner.local_mates());
+    let assembled = assemble_mates(g.num_vertices(), shares).map(Matching::from_mates);
     let matching = match assembled {
         Ok(m) => {
             out.counters.record(true);

@@ -38,7 +38,7 @@
 //!   randomization breaks the lockstep in which two symmetric losers
 //!   shadow each other's first-fit choices forever.
 
-use crate::coloring::{LocalColors, UNCOLORED};
+use crate::coloring::{count_conflicts, LocalColors, UNCOLORED};
 use cmg_graph::util::{vertex_priority, FxHashMap, FxHashSet};
 use cmg_graph::VertexId;
 use cmg_partition::{ghost_neighbor_owners, DistGraph};
@@ -328,23 +328,12 @@ impl DistColoring {
         DistColoring::from_slice(dg, cfg)
     }
 
-    /// Counts conflict edges visible from this rank, each counted exactly
-    /// once globally: owned–owned edges by the smaller local endpoint,
-    /// owned–ghost edges by the smaller *global* id. Summing over ranks
-    /// therefore validates the whole coloring without the global graph.
+    /// This rank's share of the coloring's conflict edges: each conflict
+    /// edge of the graph is counted by exactly one rank, the owner of its
+    /// smaller global id, so summing over ranks validates the whole
+    /// coloring without the global graph.
     pub fn local_conflict_count(&self) -> usize {
-        let mut conflicts = 0;
-        for v in 0..self.dg.n_local as u32 {
-            let cv = self.color_of(v as usize);
-            let vg = self.dg.global_ids[v as usize];
-            for &u in self.dg.neighbors(v) {
-                let ug = self.dg.global_ids[u as usize];
-                if vg < ug && self.color_of(u as usize) == cv {
-                    conflicts += 1;
-                }
-            }
-        }
-        conflicts
+        count_conflicts(&self.dg, |i| self.color_of(i))
     }
 }
 

@@ -16,7 +16,7 @@
 //! [`ConflictScope`]: crate::dist::ConflictScope
 //! [`DistColoring`]: crate::dist::DistColoring
 
-use crate::coloring::{LocalColors, UNCOLORED};
+use crate::coloring::{count_conflicts, LocalColors, UNCOLORED};
 use crate::dist::ColorMsg;
 use cmg_graph::util::vertex_priority;
 use cmg_graph::VertexId;
@@ -106,6 +106,14 @@ impl JonesPlassmann {
             seed,
             dg,
         }
+    }
+
+    /// This rank's share of the coloring's conflict edges, counted like
+    /// [`DistColoring::local_conflict_count`](crate::DistColoring::local_conflict_count).
+    pub fn local_conflict_count(&self) -> usize {
+        count_conflicts(&self.dg, |i| {
+            self.color.get(i).copied().unwrap_or(UNCOLORED)
+        })
     }
 
     /// Builds the rank-local index — priorities, the colour and forbidden

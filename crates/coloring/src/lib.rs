@@ -30,7 +30,7 @@ pub mod jp;
 pub mod repair;
 pub mod seq;
 
-pub use coloring::{assemble_coloring, Coloring, LocalColors};
+pub use coloring::{assemble_coloring, assemble_colors, Coloring, LocalColors};
 pub use dist::{ColorMsg, ColorSnap, ColoringConfig, CommVariant, DistColoring, Distance2};
 pub use jp::{JonesPlassmann, JpSnap};
 pub use repair::{invalidate_colors, repair_frontier_colors, ColorFrontier, ColorRetained};

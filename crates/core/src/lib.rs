@@ -30,14 +30,14 @@ mod runner;
 
 pub use runner::{
     run_coloring, run_coloring_parts, run_jones_plassmann, run_matching, run_matching_parts,
-    ColoringRun, Engine, MatchingRun, PartsColoringRun, PartsMatchingRun,
+    ColoringRun, Engine, MatchingRun,
 };
 
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::runner::{
         run_coloring, run_coloring_parts, run_jones_plassmann, run_matching, run_matching_parts,
-        ColoringRun, Engine, MatchingRun, PartsColoringRun, PartsMatchingRun,
+        ColoringRun, Engine, MatchingRun,
     };
     pub use cmg_coloring::{Coloring, ColoringConfig, CommVariant};
     pub use cmg_graph::{BipartiteGraph, CsrGraph, GraphBuilder, GraphStats};

@@ -5,6 +5,7 @@ use cmg_coloring::{assemble_coloring, Coloring, ColoringConfig, DistColoring, Jo
 use cmg_graph::CsrGraph;
 use cmg_matching::dist::assemble_matching;
 use cmg_matching::{DistMatching, Matching};
+use cmg_net::NetTask;
 use cmg_partition::{DistGraph, Partition};
 use cmg_runtime::{EngineConfig, RankProgram, RunStats, SimEngine, ThreadedEngine};
 use std::time::Duration;
@@ -56,7 +57,6 @@ fn net_config(cfg: &EngineConfig) -> cmg_net::NetConfig {
     cmg_net::NetConfig {
         max_rounds: cfg.max_rounds,
         recorder: cfg.recorder.clone(),
-        telemetry: cfg.net_telemetry,
         checkpoint_every: cfg.checkpoint_every.unwrap_or(0),
         ..Default::default()
     }
@@ -109,11 +109,14 @@ fn run_local<P: RankProgram>(
 pub struct MatchingRun {
     /// The computed (global) matching.
     pub matching: Matching,
+    /// Total matched weight: each rank's
+    /// [`DistMatching::local_matched_weight`], summed in rank order.
+    pub weight: f64,
     /// Per-rank execution statistics.
     pub stats: RunStats,
-    /// Simulated completion time (simulation engine; 0 for threaded).
+    /// Simulated completion time (simulation engine; 0 otherwise).
     pub simulated_time: f64,
-    /// Measured wall time (threaded engine only).
+    /// Measured wall time (threaded and net engines).
     pub wall_time: Option<Duration>,
 }
 
@@ -122,43 +125,31 @@ pub struct MatchingRun {
 pub struct ColoringRun {
     /// The computed (global) coloring.
     pub coloring: Coloring,
+    /// Remaining conflict edges: each rank's `local_conflict_count`,
+    /// summed in rank order (0 for a correct run).
+    pub conflicts: usize,
     /// Per-rank execution statistics.
     pub stats: RunStats,
-    /// Simulated completion time (simulation engine; 0 for threaded).
+    /// Simulated completion time (simulation engine; 0 otherwise).
     pub simulated_time: f64,
-    /// Measured wall time (threaded engine only).
+    /// Measured wall time (threaded and net engines).
     pub wall_time: Option<Duration>,
     /// Number of speculative phases ("rounds") executed.
     pub phases: u32,
 }
 
-/// Runs the distributed ½-approximation matching of `g` under `partition`.
+/// Runs the distributed ½-approximation matching of `g` under `partition`:
+/// [`run_matching_parts`] on [`DistGraph::build_all`]'s slices.
 ///
 /// # Panics
 /// Panics if the run fails to quiesce within the engine's round cap or if
 /// ranks disagree on the result (either would be a bug).
 pub fn run_matching(g: &CsrGraph, partition: &Partition, engine: &Engine) -> MatchingRun {
-    let parts = DistGraph::build_all(g, partition);
-    if let Engine::Net(cfg) = engine {
-        let run = net_ok(cmg_net::run_matching(parts, &net_config(cfg)), "matching");
-        return MatchingRun {
-            matching: run.matching,
-            stats: run.stats,
-            simulated_time: 0.0,
-            wall_time: Some(Duration::from_secs_f64(run.wall_time)),
-        };
-    }
-    let programs: Vec<DistMatching> = parts.into_iter().map(DistMatching::new).collect();
-    let (programs, stats, simulated_time, wall_time) = run_local(programs, engine, "matching");
-    MatchingRun {
-        matching: assemble_matching(&programs, g.num_vertices()),
-        stats,
-        simulated_time,
-        wall_time,
-    }
+    run_matching_parts(DistGraph::build_all(g, partition), engine)
 }
 
-/// Runs the distributed speculative coloring of `g` under `partition`.
+/// Runs the distributed speculative coloring of `g` under `partition`:
+/// [`run_coloring_parts`] on [`DistGraph::build_all`]'s slices.
 ///
 /// # Panics
 /// Panics if the run fails to quiesce within the engine's round cap.
@@ -168,50 +159,11 @@ pub fn run_coloring(
     config: ColoringConfig,
     engine: &Engine,
 ) -> ColoringRun {
-    let parts = DistGraph::build_all(g, partition);
-    if let Engine::Net(cfg) = engine {
-        let run = cmg_net::run_coloring(parts, config, &net_config(cfg));
-        return net_coloring_run(run, "coloring");
-    }
-    let programs: Vec<DistColoring> = parts
-        .into_iter()
-        .map(|dg| DistColoring::new(dg, config))
-        .collect();
-    let (programs, stats, simulated_time, wall_time) = run_local(programs, engine, "coloring");
-    ColoringRun {
-        coloring: assemble_coloring(&programs, g.num_vertices()),
-        phases: max_phases(&programs),
-        stats,
-        simulated_time,
-        wall_time,
-    }
-}
-
-/// A net-engine coloring result in the runners' shape.
-fn net_coloring_run(
-    result: Result<cmg_net::NetColoringRun, cmg_net::NetError>,
-    what: &str,
-) -> ColoringRun {
-    let run = net_ok(result, what);
-    ColoringRun {
-        coloring: run.coloring,
-        stats: run.stats,
-        simulated_time: 0.0,
-        wall_time: Some(Duration::from_secs_f64(run.wall_time)),
-        phases: run.phases,
-    }
-}
-
-/// Speculative phases executed: the slowest rank's count.
-fn max_phases(programs: &[DistColoring]) -> u32 {
-    programs
-        .iter()
-        .map(|p| p.phases_executed)
-        .max()
-        .unwrap_or(0)
+    run_coloring_parts(DistGraph::build_all(g, partition), config, engine)
 }
 
 /// Runs the Jones–Plassmann baseline coloring of `g` under `partition`.
+/// Its phase count is the round count (each JP phase is one round).
 pub fn run_jones_plassmann(
     g: &CsrGraph,
     partition: &Partition,
@@ -219,9 +171,19 @@ pub fn run_jones_plassmann(
     engine: &Engine,
 ) -> ColoringRun {
     let parts = DistGraph::build_all(g, partition);
+    let n = g.num_vertices();
     if let Engine::Net(cfg) = engine {
-        let run = cmg_net::run_jones_plassmann(parts, seed, &net_config(cfg));
-        return net_coloring_run(run, "Jones-Plassmann");
+        let task = NetTask::JonesPlassmann { seed };
+        let out = net_ok(cmg_net::run_task(parts, task, &net_config(cfg)), "JP");
+        let (coloring, _, conflicts) = net_ok(out.coloring(n), "JP");
+        return ColoringRun {
+            coloring,
+            conflicts,
+            phases: out.rounds as u32,
+            stats: out.stats,
+            simulated_time: 0.0,
+            wall_time: Some(Duration::from_secs_f64(out.wall_time)),
+        };
     }
     let programs: Vec<JonesPlassmann> = parts
         .into_iter()
@@ -229,7 +191,11 @@ pub fn run_jones_plassmann(
         .collect();
     let (programs, stats, simulated_time, wall_time) = run_local(programs, engine, "JP");
     ColoringRun {
-        coloring: assemble_coloring(&programs, g.num_vertices()),
+        coloring: assemble_coloring(&programs, n),
+        conflicts: programs
+            .iter()
+            .map(JonesPlassmann::local_conflict_count)
+            .sum(),
         phases: stats.rounds as u32,
         stats,
         simulated_time,
@@ -237,180 +203,89 @@ pub fn run_jones_plassmann(
     }
 }
 
-/// Summary of a distributed matching run executed directly on pre-built
-/// rank-local graphs — the memory-light path for paper-scale inputs
-/// (weight and cardinality are reduced across ranks; no global graph or
-/// global mate array is materialized).
-#[derive(Debug)]
-pub struct PartsMatchingRun {
-    /// Total matched weight.
-    pub weight: f64,
-    /// Number of matched edges.
-    pub cardinality: usize,
-    /// Execution statistics.
-    pub stats: RunStats,
-    /// Simulated completion time (simulation engine; 0 for threaded).
-    pub simulated_time: f64,
-    /// Measured wall time (threaded engine only).
-    pub wall_time: Option<Duration>,
-}
-
-/// Summary of a distributed coloring run executed directly on pre-built
-/// rank-local graphs.
-#[derive(Debug)]
-pub struct PartsColoringRun {
-    /// Number of colors used.
-    pub num_colors: usize,
-    /// Remaining conflict edges (must be 0 — exposed for verification).
-    pub conflicts: usize,
-    /// Speculative phases executed.
-    pub phases: u32,
-    /// Execution statistics.
-    pub stats: RunStats,
-    /// Simulated completion time (simulation engine; 0 for threaded).
-    pub simulated_time: f64,
-    /// Measured wall time (threaded engine only).
-    pub wall_time: Option<Duration>,
-}
-
 /// Runs the distributed matching on pre-built rank-local graphs (e.g. from
-/// [`cmg_partition::grid2d_dist`]). See [`PartsMatchingRun`].
-pub fn run_matching_parts(parts: Vec<DistGraph>, engine: &Engine) -> PartsMatchingRun {
+/// [`cmg_partition::grid2d_dist`]), so a paper-scale run never builds the
+/// global graph; it does assemble the global mate vector (4 B a vertex).
+/// Every engine reports the same way: each rank's `(vertex, mate)` pairs,
+/// assembled by [`assemble_matching`], and its own matched weight, summed
+/// in rank order.
+///
+/// # Panics
+/// Panics if the run fails to quiesce within the engine's round cap or if
+/// ranks disagree on the result (either would be a bug).
+pub fn run_matching_parts(parts: Vec<DistGraph>, engine: &Engine) -> MatchingRun {
+    let n = parts.iter().map(|p| p.n_local).sum();
     if let Engine::Net(cfg) = engine {
-        return net_matching_parts(parts, cfg);
+        let task = NetTask::Matching;
+        let out = net_ok(cmg_net::run_task(parts, task, &net_config(cfg)), "matching");
+        let (matching, weight) = net_ok(out.matching(n), "matching");
+        return MatchingRun {
+            matching,
+            weight,
+            stats: out.stats,
+            simulated_time: 0.0,
+            wall_time: Some(Duration::from_secs_f64(out.wall_time)),
+        };
     }
     let programs: Vec<DistMatching> = parts.into_iter().map(DistMatching::new).collect();
     let (programs, stats, simulated_time, wall_time) = run_local(programs, engine, "matching");
-    PartsMatchingRun {
-        weight: programs.iter().map(|p| p.local_matched_weight()).sum(),
-        cardinality: programs.iter().map(|p| p.local_matched_edges()).sum(),
+    MatchingRun {
+        matching: assemble_matching(&programs, n),
+        weight: programs
+            .iter()
+            .map(DistMatching::local_matched_weight)
+            .sum(),
         stats,
         simulated_time,
         wall_time,
     }
 }
 
-/// Runs the distributed coloring on pre-built rank-local graphs. See
-/// [`PartsColoringRun`].
+/// Runs the distributed coloring on pre-built rank-local graphs, reporting
+/// like [`run_matching_parts`]: each rank's `(vertex, color)` pairs,
+/// assembled by [`assemble_coloring`], and its own conflict count, summed
+/// in rank order.
+///
+/// # Panics
+/// Panics if the run fails to quiesce within the engine's round cap.
 pub fn run_coloring_parts(
     parts: Vec<DistGraph>,
     config: ColoringConfig,
     engine: &Engine,
-) -> PartsColoringRun {
+) -> ColoringRun {
+    let n = parts.iter().map(|p| p.n_local).sum();
     if let Engine::Net(cfg) = engine {
-        return net_coloring_parts(parts, config, cfg);
+        let task = NetTask::Coloring(config);
+        let out = net_ok(cmg_net::run_task(parts, task, &net_config(cfg)), "coloring");
+        let (coloring, phases, conflicts) = net_ok(out.coloring(n), "coloring");
+        return ColoringRun {
+            coloring,
+            conflicts,
+            phases,
+            stats: out.stats,
+            simulated_time: 0.0,
+            wall_time: Some(Duration::from_secs_f64(out.wall_time)),
+        };
     }
     let programs: Vec<DistColoring> = parts
         .into_iter()
         .map(|dg| DistColoring::new(dg, config))
         .collect();
     let (programs, stats, simulated_time, wall_time) = run_local(programs, engine, "coloring");
-    PartsColoringRun {
-        num_colors: programs
+    ColoringRun {
+        coloring: assemble_coloring(&programs, n),
+        conflicts: programs
             .iter()
-            .filter_map(|p| p.max_local_color())
+            .map(DistColoring::local_conflict_count)
+            .sum(),
+        phases: programs
+            .iter()
+            .map(|p| p.phases_executed)
             .max()
-            .map_or(0, |c| c as usize + 1),
-        conflicts: programs.iter().map(|p| p.local_conflict_count()).sum(),
-        phases: max_phases(&programs),
+            .unwrap_or(0),
         stats,
         simulated_time,
         wall_time,
-    }
-}
-
-/// Net-engine body of [`run_matching_parts`]: workers ship mate pairs
-/// home, and the matched weight is recovered from the rank-local
-/// adjacency of the lower endpoint's own part.
-fn net_matching_parts(parts: Vec<DistGraph>, cfg: &EngineConfig) -> PartsMatchingRun {
-    let keep = parts.clone();
-    let out = net_ok(
-        cmg_net::run_task(parts, cmg_net::NetTask::Matching, &net_config(cfg)),
-        "matching",
-    );
-    let mut weight = 0.0;
-    let mut cardinality = 0usize;
-    for (dg, outcome) in keep.iter().zip(&out.outcomes) {
-        let pairs = match outcome {
-            cmg_net::WorkerOutcome::Matching(pairs) => pairs,
-            cmg_net::WorkerOutcome::Coloring { .. } => {
-                let matched = false;
-                assert!(matched, "net matching run returned a coloring outcome");
-                unreachable!()
-            }
-        };
-        for &(v, m) in pairs {
-            if m == cmg_graph::NO_VERTEX || m < v {
-                continue;
-            }
-            cardinality += 1;
-            if let Some(lv) = dg.local(v) {
-                let lv = lv as usize;
-                for e in dg.xadj[lv]..dg.xadj[lv + 1] {
-                    if dg.global_ids[dg.adj[e] as usize] == m {
-                        weight += dg.weights[e];
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    PartsMatchingRun {
-        weight,
-        cardinality,
-        stats: out.stats,
-        simulated_time: 0.0,
-        wall_time: Some(Duration::from_secs_f64(out.wall_time)),
-    }
-}
-
-/// Net-engine body of [`run_coloring_parts`]: conflicts are re-counted
-/// from the shipped colors against each part's adjacency, charging every
-/// edge to the owner of its lower endpoint so cross-rank edges count once.
-fn net_coloring_parts(
-    parts: Vec<DistGraph>,
-    config: ColoringConfig,
-    cfg: &EngineConfig,
-) -> PartsColoringRun {
-    let keep = parts.clone();
-    let out = net_ok(
-        cmg_net::run_task(parts, cmg_net::NetTask::Coloring(config), &net_config(cfg)),
-        "coloring",
-    );
-    let mut colors: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-    let mut phases = 0u32;
-    for outcome in &out.outcomes {
-        let (pairs, rank_phases) = match outcome {
-            cmg_net::WorkerOutcome::Coloring { pairs, phases } => (pairs, *phases),
-            cmg_net::WorkerOutcome::Matching(_) => {
-                let colored = false;
-                assert!(colored, "net coloring run returned a matching outcome");
-                unreachable!()
-            }
-        };
-        phases = phases.max(rank_phases);
-        colors.extend(pairs.iter().copied());
-    }
-    let num_colors = colors.values().max().map_or(0, |&c| c as usize + 1);
-    let mut conflicts = 0usize;
-    for dg in &keep {
-        for lv in 0..dg.n_local {
-            let v = dg.global_ids[lv];
-            for e in dg.xadj[lv]..dg.xadj[lv + 1] {
-                let u = dg.global_ids[dg.adj[e] as usize];
-                if v < u && colors.get(&v) == colors.get(&u) {
-                    conflicts += 1;
-                }
-            }
-        }
-    }
-    PartsColoringRun {
-        num_colors,
-        conflicts,
-        phases,
-        stats: out.stats,
-        simulated_time: 0.0,
-        wall_time: Some(Duration::from_secs_f64(out.wall_time)),
     }
 }
 
@@ -454,25 +329,55 @@ mod tests {
         assert_eq!(sim.phases, thr.phases);
     }
 
+    /// What a matching and a coloring run report, compared exactly: the
+    /// weight's bits, the cardinality, the color count, the conflicts and
+    /// the phases.
+    fn report(m: &MatchingRun, c: &ColoringRun) -> (u64, usize, usize, usize, u32) {
+        let (colors, cardinality) = (c.coloring.num_colors(), m.matching.cardinality());
+        (
+            m.weight.to_bits(),
+            cardinality,
+            colors,
+            c.conflicts,
+            c.phases,
+        )
+    }
+
+    /// The two-rank graph of `cmg_coloring`'s hand-built conflict case: a
+    /// 6-cycle with the chord 1–4, ranks {0, 1, 2} and {3, 4, 5}, so it
+    /// has owned–owned and cut edges on both ranks.
+    fn two_rank_case() -> Vec<DistGraph> {
+        let mut b = cmg_graph::GraphBuilder::new(6);
+        for (u, v, w) in [(0, 1, 0.5), (1, 2, 0.25), (2, 3, 0.75), (3, 4, 0.5)] {
+            b.add_edge(u, v, w);
+        }
+        for (u, v, w) in [(4, 5, 0.125), (5, 0, 1.0), (1, 4, 0.625)] {
+            b.add_edge(u, v, w);
+        }
+        DistGraph::build_all(&b.build(), &Partition::new(vec![0, 0, 0, 1, 1, 1], 2))
+    }
+
     #[test]
     fn parts_runners_agree_with_global_runners() {
         let g = weighted_grid();
         let part = grid2d_partition(8, 8, 2, 2);
-        let global = run_matching(&g, &part, &Engine::default_simulated());
-        let parts = cmg_partition::grid2d_dist(8, 8, 2, 2, Some(1));
-        let summary = run_matching_parts(parts, &Engine::default_simulated());
-        assert!((summary.weight - global.matching.weight(&g)).abs() < 1e-9);
-        assert_eq!(summary.cardinality, global.matching.cardinality());
-        assert_eq!(summary.simulated_time, global.simulated_time);
-
-        let unweighted = grid2d(8, 8);
         let cfg = ColoringConfig::default();
-        let cglobal = run_coloring(&unweighted, &part, cfg, &Engine::default_simulated());
-        let cparts = cmg_partition::grid2d_dist(8, 8, 2, 2, None);
-        let csummary = run_coloring_parts(cparts, cfg, &Engine::default_simulated());
-        assert_eq!(csummary.num_colors, cglobal.coloring.num_colors());
-        assert_eq!(csummary.conflicts, 0);
-        assert_eq!(csummary.phases, cglobal.phases);
+        let sim = Engine::default_simulated();
+        let global = run_matching(&g, &part, &sim);
+        assert!((global.weight - global.matching.weight(&g)).abs() < 1e-9);
+        let cglobal = run_coloring(&grid2d(8, 8), &part, cfg, &sim);
+        let want = report(&global, &cglobal);
+        assert_eq!(want.3, 0);
+        for engine in [sim, Engine::default_threaded()] {
+            let m = run_matching_parts(cmg_partition::grid2d_dist(8, 8, 2, 2, Some(1)), &engine);
+            let c = run_coloring_parts(cmg_partition::grid2d_dist(8, 8, 2, 2, None), cfg, &engine);
+            assert_eq!(report(&m, &c), want);
+            assert_eq!(m.matching, global.matching);
+            assert_eq!(c.coloring, cglobal.coloring);
+            if let Engine::Simulated(_) = engine {
+                assert_eq!(m.simulated_time, global.simulated_time);
+            }
+        }
     }
 
     #[test]
@@ -489,22 +394,32 @@ mod tests {
 
     #[test]
     fn net_parts_runners_agree_with_global() {
-        let g = weighted_grid();
-        let part = grid2d_partition(8, 8, 2, 2);
-        let global = run_matching(&g, &part, &Engine::default_simulated());
-        let parts = cmg_partition::grid2d_dist(8, 8, 2, 2, Some(1));
-        let summary = run_matching_parts(parts, &Engine::default_net());
-        assert!((summary.weight - global.matching.weight(&g)).abs() < 1e-9);
-        assert_eq!(summary.cardinality, global.matching.cardinality());
-
-        let unweighted = grid2d(8, 8);
         let cfg = ColoringConfig::default();
-        let cglobal = run_coloring(&unweighted, &part, cfg, &Engine::default_simulated());
-        let cparts = cmg_partition::grid2d_dist(8, 8, 2, 2, None);
-        let csummary = run_coloring_parts(cparts, cfg, &Engine::default_net());
-        assert_eq!(csummary.num_colors, cglobal.coloring.num_colors());
-        assert_eq!(csummary.conflicts, 0);
-        assert_eq!(csummary.phases, cglobal.phases);
+        let inputs = [
+            (
+                cmg_partition::grid2d_dist(8, 8, 2, 2, Some(1)),
+                cmg_partition::grid2d_dist(8, 8, 2, 2, None),
+            ),
+            (two_rank_case(), two_rank_case()),
+        ];
+        for (weighted, unweighted) in inputs {
+            let engines = [
+                Engine::default_simulated(),
+                Engine::default_threaded(),
+                Engine::default_net(),
+            ];
+            let runs: Vec<_> = engines
+                .iter()
+                .map(|e| {
+                    let m = run_matching_parts(weighted.clone(), e);
+                    let c = run_coloring_parts(unweighted.clone(), cfg, e);
+                    (report(&m, &c), m.matching, c.coloring)
+                })
+                .collect();
+            assert_eq!(runs[0].0 .3, 0);
+            assert_eq!(runs[1], runs[0], "threaded");
+            assert_eq!(runs[2], runs[0], "net");
+        }
     }
 
     #[test]

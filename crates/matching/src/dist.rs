@@ -19,7 +19,9 @@
 
 use crate::Matching;
 use cmg_graph::{VertexId, Weight, NO_VERTEX};
-use cmg_partition::{ghost_neighbor_owners, sort_rows_by_weight, DistGraph, HaloView};
+use cmg_partition::{
+    gather_shares, ghost_neighbor_owners, sort_rows_by_weight, DistGraph, HaloView,
+};
 use cmg_runtime::{wire_codec, Rank, RankCtx, RankProgram, Status};
 use std::collections::VecDeque;
 
@@ -644,28 +646,43 @@ impl RankProgram for DistMatching {
     }
 }
 
-/// Assembles the global matching from finished rank programs, verifying
-/// cross-rank agreement on every matched edge.
-///
-/// # Panics
-/// Panics if two ranks disagree about a matched pair (would indicate a
-/// protocol bug).
-pub fn assemble_matching(programs: &[DistMatching], num_vertices: usize) -> Matching {
-    let mut mate = vec![NO_VERTEX; num_vertices];
-    for p in programs {
-        for (v, m) in p.local_mates() {
-            mate[v as usize] = m;
+/// Assembles the global mate vector from every rank's `(vertex, mate)`
+/// share, `shares` in rank order: each vertex of `0..n` reported by
+/// exactly one rank ([`gather_shares`]), and every reported pair
+/// symmetric. The error names the offending vertex.
+pub fn assemble_mates<S>(
+    n: usize,
+    shares: impl IntoIterator<Item = S>,
+) -> Result<Vec<VertexId>, String>
+where
+    S: IntoIterator<Item = (VertexId, VertexId)>,
+{
+    let mate = gather_shares(n, shares, "reported")?;
+    for (v, &m) in mate.iter().enumerate() {
+        if m != NO_VERTEX && mate.get(m as usize) != Some(&(v as VertexId)) {
+            return Err(format!(
+                "asymmetric pair: mate[{v}] = {m} but not vice versa"
+            ));
         }
     }
-    for v in 0..num_vertices as VertexId {
-        let m = mate[v as usize];
-        assert!(
-            m == NO_VERTEX || mate[m as usize] == v,
-            "ranks disagree: mate[{v}]={m} but mate[{m}]={}",
-            mate[m as usize]
-        );
+    Ok(mate)
+}
+
+/// Assembles the global matching from every rank's finished program,
+/// through [`assemble_mates`].
+///
+/// # Panics
+/// Panics, naming the vertex, if the ranks' reports do not form one
+/// matching of `0..num_vertices` (would indicate a protocol bug).
+#[expect(
+    clippy::panic,
+    reason = "documented: ranks that disagree are a protocol bug; the net engine reports it typed"
+)]
+pub fn assemble_matching(programs: &[DistMatching], num_vertices: usize) -> Matching {
+    match assemble_mates(num_vertices, programs.iter().map(DistMatching::local_mates)) {
+        Ok(mate) => Matching::from_mates(mate),
+        Err(e) => panic!("ranks disagree: {e}"),
     }
-    Matching::from_mates(mate)
 }
 
 #[cfg(test)]
@@ -695,6 +712,42 @@ mod tests {
             assemble_matching(&result.programs, g.num_vertices()),
             result.stats,
         )
+    }
+
+    /// Two ranks' `(vertex, value)` shares and the text the error they
+    /// raise must contain ("" = none).
+    type Row = (&'static [(u32, u32)], &'static [(u32, u32)], &'static str);
+
+    /// Three vertices over two ranks (0–1 matched, 2 free): the correct
+    /// report, then one row per check it must fail, with the vertex its
+    /// error names. Removing any of the four checks fails its row.
+    #[test]
+    fn mate_assembly_cross_validates_ranks() {
+        let rows: [Row; 5] = [
+            (&[(0, 1), (1, 0)], &[(2, NO_VERTEX)], ""),
+            (
+                &[(0, 1), (1, 0)],
+                &[(2, 0)],
+                "mate[2] = 0 but not vice versa",
+            ),
+            (
+                &[(0, 1), (1, 0)],
+                &[(1, 0), (2, NO_VERTEX)],
+                "vertex 1 reported by two ranks",
+            ),
+            (
+                &[(0, 1), (1, 0)],
+                &[(2, NO_VERTEX), (9, 0)],
+                "rank 1 reported vertex 9 outside",
+            ),
+            (&[(0, 1), (1, 0)], &[], "no rank reported vertex 2"),
+        ];
+        for (rank0, rank1, want) in rows {
+            match assemble_mates(3, [rank0, rank1].map(|s| s.iter().copied())) {
+                Ok(mate) => assert_eq!((mate, want), (vec![1, 0, NO_VERTEX], "")),
+                Err(e) => assert!(!want.is_empty() && e.contains(want), "{e:?} vs {want:?}"),
+            }
+        }
     }
 
     #[test]

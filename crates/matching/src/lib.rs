@@ -27,6 +27,6 @@ pub mod matching;
 pub mod repair;
 pub mod seq;
 
-pub use dist::{assemble_matching, DistMatching, MatchMsg, MatchSnap};
+pub use dist::{assemble_matching, assemble_mates, DistMatching, MatchMsg, MatchSnap};
 pub use matching::Matching;
 pub use repair::{invalidate, repair_frontier, MatchFrontier, MatchRetained};

@@ -40,8 +40,11 @@ use std::io::{Read, Write};
 /// always-zero wire-wait telemetry counter. v7 made first-fit, interior
 /// first, the only colour rule: the coloring assignment lost its colour
 /// choice and local order bytes, and the `ColorSnap` usage-table record
-/// (tag 3, retired — never reuse it) is gone.
-pub const PROTO_VERSION: u32 = 7;
+/// (tag 3, retired — never reuse it) is gone. v8 made each rank report
+/// its summary with its share: an outcome carries the rank's matched
+/// weight or conflict count after its pairs, and the assignment lost the
+/// bundling and telemetry flags, which every run set the same way.
+pub const PROTO_VERSION: u32 = 8;
 
 /// Upper bound on a frame's encoded size (64 MiB). A length prefix
 /// beyond this is treated as corruption rather than honored with a
@@ -516,13 +519,13 @@ mod tests {
                 panic!("expected protocol error, got {other:?}");
             }
         }
-        // A v6 dialer is refused by the supervisor ("worker") and by
+        // A v7 dialer is refused by the supervisor ("worker") and by
         // the peer acceptor ("peer") alike: both admit through here.
-        let v6_hello = Frame::bare(Ctrl::Hello { rank: 2, proto: 6 });
+        let v7_hello = Frame::bare(Ctrl::Hello { rank: 2, proto: 7 });
         for who in ["worker", "peer"] {
-            match hello_rank(&v6_hello, who) {
+            match hello_rank(&v7_hello, who) {
                 Err(NetError::Protocol { detail }) => {
-                    assert_eq!(detail, format!("{who} 2 speaks protocol 6, expected 7"));
+                    assert_eq!(detail, format!("{who} 2 speaks protocol 7, expected 8"));
                 }
                 other => panic!("expected a refusal, got {other:?}"),
             }

@@ -68,7 +68,7 @@ pub use proto::{
     RunOptions, TransportSnapshot, WorkerOutcome, NEVER,
 };
 pub use supervisor::{
-    run_coloring, run_jones_plassmann, run_matching, run_task, KillSpec, LinkTotals,
-    NetColoringRun, NetConfig, NetMatchingRun, NetOutcome, NetSession,
+    run_coloring, run_matching, run_task, KillSpec, LinkTotals, NetColoringRun, NetConfig,
+    NetMatchingRun, NetOutcome, NetSession,
 };
 pub use worker::worker_main;

@@ -163,10 +163,6 @@ pub enum NetTask {
 /// Run options shipped to every worker.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RunOptions {
-    /// Bundle messages per destination per round (both existing engines
-    /// default to this; the net engine requires it for bit-identical
-    /// results, and the supervisor enforces it).
-    pub bundling: bool,
     /// Whether workers should collect and ship obs events home.
     pub observed: bool,
     /// Round cap (safety net against protocol bugs).
@@ -184,10 +180,6 @@ pub struct RunOptions {
     /// Trace context: identifies this run in merged traces and
     /// telemetry (supervisor-generated, same for every rank).
     pub run_id: u64,
-    /// Whether workers accumulate phase/link counters and piggyback
-    /// them on heartbeats (cheap, on by default; off for overhead
-    /// A/B runs).
-    pub telemetry: bool,
     /// Ship a [`Ctrl::Checkpoint`](crate::frame::Ctrl::Checkpoint)
     /// every this many rounds (at round edges where `completed % k ==
     /// 0`, matching the in-process engines' oracle cadence). 0 = off;
@@ -199,7 +191,6 @@ pub struct RunOptions {
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
-            bundling: true,
             observed: false,
             max_rounds: 1_000_000,
             heartbeat_millis: 100,
@@ -207,7 +198,6 @@ impl Default for RunOptions {
             fault: FaultPlan::default(),
             die_at_round: NEVER,
             run_id: 0,
-            telemetry: true,
             checkpoint_every: 0,
         }
     }
@@ -265,7 +255,6 @@ fn decode_task(buf: &mut impl Buf) -> Result<NetTask, NetError> {
 }
 
 fn encode_options(out: &mut impl BufMut, opts: &RunOptions) {
-    out.put_u8(u8::from(opts.bundling));
     out.put_u8(u8::from(opts.observed));
     out.put_u64_le(opts.max_rounds);
     out.put_u64_le(opts.heartbeat_millis);
@@ -277,13 +266,11 @@ fn encode_options(out: &mut impl BufMut, opts: &RunOptions) {
     out.put_u32_le(opts.fault.delay_depth);
     out.put_u64_le(opts.die_at_round);
     out.put_u64_le(opts.run_id);
-    out.put_u8(u8::from(opts.telemetry));
     out.put_u64_le(opts.checkpoint_every);
 }
 
 fn decode_options(buf: &mut impl Buf) -> Result<RunOptions, NetError> {
     Ok(RunOptions {
-        bundling: take_u8(buf, "bundling flag")? != 0,
         observed: take_u8(buf, "observed flag")? != 0,
         max_rounds: take_u64(buf, "max_rounds")?,
         heartbeat_millis: take_u64(buf, "heartbeat_millis")?,
@@ -297,7 +284,6 @@ fn decode_options(buf: &mut impl Buf) -> Result<RunOptions, NetError> {
         },
         die_at_round: take_u64(buf, "die_at_round")?,
         run_id: take_u64(buf, "run_id")?,
-        telemetry: take_u8(buf, "telemetry flag")? != 0,
         checkpoint_every: take_u64(buf, "checkpoint_every")?,
     })
 }
@@ -735,36 +721,52 @@ pub(crate) fn decode_telemetry(mut buf: &[u8]) -> Result<cmg_obs::RankTelemetry,
     })
 }
 
-/// What one worker hands back as its share of the global result.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// What one worker hands back: its share of the global result, the
+/// `(vertex, value)` pairs of the vertices it owns, and its summary of
+/// that share, computed where the program lives.
+#[derive(Clone, Debug, PartialEq)]
 pub enum WorkerOutcome {
-    /// `(vertex, mate)` global-id pairs for owned vertices
-    /// (`NO_VERTEX` mate = unmatched).
-    Matching(Vec<(u32, u32)>),
-    /// `(vertex, color)` pairs for owned vertices, plus the number of
-    /// boundary phases this rank executed (0 for Jones–Plassmann).
-    Coloring {
-        /// Owned `(vertex, color)` assignments.
+    /// A matching rank's report.
+    Matching {
+        /// Owned `(vertex, mate)` global-id pairs (`NO_VERTEX` mate =
+        /// unmatched).
         pairs: Vec<(u32, u32)>,
-        /// Boundary phases executed.
+        /// `DistMatching::local_matched_weight`: the weight of the
+        /// matched edges whose smaller endpoint this rank owns.
+        weight: f64,
+    },
+    /// A coloring rank's report (distance-1 or Jones–Plassmann).
+    Coloring {
+        /// Owned `(vertex, color)` pairs.
+        pairs: Vec<(u32, u32)>,
+        /// Boundary phases executed (0 for Jones–Plassmann).
         phases: u32,
+        /// `local_conflict_count`: the conflict edges whose smaller
+        /// endpoint this rank owns.
+        conflicts: u64,
     },
 }
 
 /// Serializes an `Outcome` payload.
 pub fn encode_outcome(outcome: &WorkerOutcome) -> Vec<u8> {
-    let (tag, pairs, phases) = match outcome {
-        WorkerOutcome::Matching(pairs) => (0, pairs, None),
-        WorkerOutcome::Coloring { pairs, phases } => (1, pairs, Some(*phases)),
+    let (tag, pairs) = match outcome {
+        WorkerOutcome::Matching { pairs, .. } => (0, pairs),
+        WorkerOutcome::Coloring { pairs, .. } => (1, pairs),
     };
-    let mut out = Vec::with_capacity(13 + 8 * pairs.len());
+    let mut out = Vec::with_capacity(21 + 8 * pairs.len());
     out.put_u8(tag);
     // A `(vertex, value)` pair is its two `u32` words back to back.
     put_array(&mut out, pairs, |(v, x)| {
         (u64::from(v) | u64::from(x) << 32).to_le_bytes()
     });
-    if let Some(phases) = phases {
-        out.put_u32_le(phases);
+    match outcome {
+        WorkerOutcome::Matching { weight, .. } => out.put_f64_le(*weight),
+        WorkerOutcome::Coloring {
+            phases, conflicts, ..
+        } => {
+            out.put_u32_le(*phases);
+            out.put_u64_le(*conflicts);
+        }
     }
     out
 }
@@ -777,14 +779,20 @@ pub fn decode_outcome(mut buf: &[u8]) -> Result<WorkerOutcome, NetError> {
         let w = u64::from_le_bytes(w);
         (w as u32, (w >> 32) as u32)
     })?;
-    match tag {
-        0 => Ok(WorkerOutcome::Matching(pairs)),
-        1 => Ok(WorkerOutcome::Coloring {
+    let outcome = match tag {
+        0 => WorkerOutcome::Matching {
+            pairs,
+            weight: take_f64(buf, "matched weight")?,
+        },
+        1 => WorkerOutcome::Coloring {
             pairs,
             phases: take_u32(buf, "phases")?,
-        }),
-        t => Err(NetError::protocol(format!("unknown outcome tag {t}"))),
-    }
+            conflicts: take_u64(buf, "conflicts")?,
+        },
+        t => return Err(NetError::protocol(format!("unknown outcome tag {t}"))),
+    };
+    no_trailing(buf, "outcome")?;
+    Ok(outcome)
 }
 
 #[cfg(test)]
@@ -821,7 +829,6 @@ mod tests {
                 dg: dg.clone(),
                 task,
                 opts: RunOptions {
-                    bundling: true,
                     observed: true,
                     max_rounds: 500,
                     heartbeat_millis: 50,
@@ -835,7 +842,6 @@ mod tests {
                     },
                     die_at_round: 12,
                     run_id: 0xDEAD_BEEF_0042,
-                    telemetry: false,
                     checkpoint_every: 3,
                 },
                 resume: None,
@@ -847,7 +853,8 @@ mod tests {
                 assert_eq!(back.dg.local(g), Some(l as u32));
             }
             // The v5 layout carried one more flag byte (the transport
-            // selector) ahead of `checkpoint_every` + the resume flag.
+            // selector) ahead of `checkpoint_every` + the resume flag, and
+            // v7 one more there too (the telemetry switch).
             let mut v5 = bytes.clone();
             v5.insert(bytes.len() - 9, 1);
             let err = decode_assignment(&v5).unwrap_err().to_string();
@@ -1080,13 +1087,24 @@ mod tests {
 
     #[test]
     fn outcome_round_trip() {
-        let m = WorkerOutcome::Matching(vec![(0, 3), (1, u32::MAX)]);
-        assert_eq!(decode_outcome(&encode_outcome(&m)).unwrap(), m);
+        let m = WorkerOutcome::Matching {
+            pairs: vec![(0, 3), (1, u32::MAX)],
+            weight: 0.1 + 0.2,
+        };
         let c = WorkerOutcome::Coloring {
             pairs: vec![(4, 0), (5, 2)],
             phases: 3,
+            conflicts: 7,
         };
-        assert_eq!(decode_outcome(&encode_outcome(&c)).unwrap(), c);
+        for o in [m, c] {
+            let bytes = encode_outcome(&o);
+            assert_eq!(decode_outcome(&bytes).unwrap(), o);
+            // A v7 outcome (no summary) is truncated; extra bytes trail.
+            assert!(decode_outcome(&bytes[..bytes.len() - 8]).is_err());
+            let mut long = bytes.clone();
+            long.push(0);
+            assert!(decode_outcome(&long).is_err());
+        }
         assert!(decode_outcome(&[9]).is_err(), "unknown tag rejected");
     }
 }

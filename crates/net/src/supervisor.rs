@@ -40,9 +40,8 @@ use crate::proto::{
     RunOptions, WorkerOutcome, NEVER,
 };
 use crate::worker::NO_STAMP;
-use cmg_coloring::{Coloring, ColoringConfig};
-use cmg_graph::NO_VERTEX;
-use cmg_matching::Matching;
+use cmg_coloring::{assemble_colors, Coloring, ColoringConfig};
+use cmg_matching::{assemble_mates, Matching};
 use cmg_obs::{replay, Event, RecorderHandle, RunHealth, TimedEvent};
 use cmg_partition::dist::DistGraph;
 use cmg_runtime::{RankStats, RunStats};
@@ -156,9 +155,6 @@ pub struct NetConfig {
     /// Where merged obs events are replayed. Workers only collect and
     /// ship events when this handle is enabled.
     pub recorder: RecorderHandle,
-    /// Whether workers piggyback live telemetry counters on their
-    /// heartbeat beacons (aggregated into [`NetOutcome::health`]).
-    pub telemetry: bool,
     /// Explicit worker binary path; `None` = locate or build it.
     pub worker_binary: Option<PathBuf>,
 }
@@ -175,7 +171,6 @@ impl Default for NetConfig {
             kill_plan: Vec::new(),
             checkpoint_every: 0,
             recorder: RecorderHandle::noop(),
-            telemetry: true,
             worker_binary: None,
         }
     }
@@ -216,12 +211,63 @@ pub struct NetOutcome {
     /// exposes no per-task clock). Immune to scheduler contention, so
     /// it is the number to compare on an oversubscribed host.
     pub round_cpu_time: f64,
-    /// Final live-telemetry snapshot (empty when telemetry is off).
+    /// Final live-telemetry snapshot (the workers' heartbeat counters).
     pub health: RunHealth,
     /// Per-rank clock-offset estimates from the heartbeat/ack
     /// exchanges, indexed by rank (`valid: false` when a rank never
     /// completed an exchange).
     pub clocks: Vec<ClockReport>,
+}
+
+impl NetOutcome {
+    /// The matching the ranks reported over `n` vertices, checked by
+    /// [`assemble_mates`], and its weight: the ranks' own sums, added in
+    /// rank order as the in-process runners add them.
+    pub fn matching(&self, n: usize) -> Result<(Matching, f64), NetError> {
+        let mut shares = Vec::with_capacity(self.outcomes.len());
+        let mut weights = Vec::with_capacity(self.outcomes.len());
+        for (rank, outcome) in self.outcomes.iter().enumerate() {
+            let WorkerOutcome::Matching { pairs, weight } = outcome else {
+                return Err(inconsistent(format!(
+                    "rank {rank} reported a coloring outcome for a matching run"
+                )));
+            };
+            shares.push(pairs.iter().copied());
+            weights.push(*weight);
+        }
+        let mate = assemble_mates(n, shares).map_err(inconsistent)?;
+        Ok((Matching::from_mates(mate), weights.into_iter().sum()))
+    }
+
+    /// The coloring the ranks reported over `n` vertices, checked by
+    /// [`assemble_colors`], the most boundary phases a rank executed, and
+    /// the conflict count: the ranks' own counts, added in rank order.
+    pub fn coloring(&self, n: usize) -> Result<(Coloring, u32, usize), NetError> {
+        let mut shares = Vec::with_capacity(self.outcomes.len());
+        let (mut phases, mut conflicts) = (0, 0);
+        for (rank, outcome) in self.outcomes.iter().enumerate() {
+            let WorkerOutcome::Coloring {
+                pairs,
+                phases: p,
+                conflicts: c,
+            } = outcome
+            else {
+                return Err(inconsistent(format!(
+                    "rank {rank} reported a matching outcome for a coloring run"
+                )));
+            };
+            shares.push(pairs.iter().copied());
+            phases = phases.max(*p);
+            conflicts += *c as usize;
+        }
+        let colors = assemble_colors(n, shares).map_err(inconsistent)?;
+        Ok((Coloring::from_colors(colors), phases, conflicts))
+    }
+}
+
+/// Ranks whose reports do not add up to one answer.
+fn inconsistent(detail: String) -> NetError {
+    NetError::Inconsistent { detail }
 }
 
 /// A completed distributed matching run.
@@ -250,8 +296,7 @@ pub struct NetMatchingRun {
 pub struct NetColoringRun {
     /// The assembled global coloring.
     pub coloring: Coloring,
-    /// Boundary phases executed (max over ranks; round count for
-    /// Jones–Plassmann).
+    /// Boundary phases executed (max over ranks).
     pub phases: u32,
     /// Merged per-rank engine statistics.
     pub stats: RunStats,
@@ -286,9 +331,9 @@ pub fn run_task(
 pub fn run_matching(parts: Vec<DistGraph>, cfg: &NetConfig) -> Result<NetMatchingRun, NetError> {
     let n: usize = parts.iter().map(|p| p.n_local).sum();
     let out = run_task(parts, NetTask::Matching, cfg)?;
-    let mate = assemble_mates(n, &out.outcomes)?;
+    let (matching, _) = out.matching(n)?;
     Ok(NetMatchingRun {
-        matching: Matching::from_mates(mate),
+        matching,
         stats: out.stats,
         links: out.links,
         rounds: out.rounds,
@@ -307,30 +352,10 @@ pub fn run_coloring(
 ) -> Result<NetColoringRun, NetError> {
     let n: usize = parts.iter().map(|p| p.n_local).sum();
     let out = run_task(parts, NetTask::Coloring(config), cfg)?;
-    let (colors, phases) = assemble_colors(n, &out.outcomes)?;
+    let (coloring, phases, _) = out.coloring(n)?;
     Ok(NetColoringRun {
-        coloring: Coloring::from_colors(colors),
+        coloring,
         phases,
-        stats: out.stats,
-        links: out.links,
-        rounds: out.rounds,
-        wall_time: out.wall_time,
-    })
-}
-
-/// Runs the Jones–Plassmann baseline over `parts`. Its phase count is
-/// the round count (each JP phase is one engine round).
-pub fn run_jones_plassmann(
-    parts: Vec<DistGraph>,
-    seed: u64,
-    cfg: &NetConfig,
-) -> Result<NetColoringRun, NetError> {
-    let n: usize = parts.iter().map(|p| p.n_local).sum();
-    let out = run_task(parts, NetTask::JonesPlassmann { seed }, cfg)?;
-    let (colors, _) = assemble_colors(n, &out.outcomes)?;
-    Ok(NetColoringRun {
-        coloring: Coloring::from_colors(colors),
-        phases: out.rounds as u32,
         stats: out.stats,
         links: out.links,
         rounds: out.rounds,
@@ -463,8 +488,7 @@ impl NetSession {
     pub fn submit_matching(&mut self, task: NetTask) -> Result<(Matching, u64), NetError> {
         let n = self.n_vertices();
         let out = self.submit(task)?;
-        let matching = Matching::from_mates(assemble_mates(n, &out.outcomes)?);
-        Ok((matching, out.rounds))
+        Ok((out.matching(n)?.0, out.rounds))
     }
 
     /// [`submit`](Self::submit) a coloring task and assemble the
@@ -472,8 +496,7 @@ impl NetSession {
     pub fn submit_coloring(&mut self, task: NetTask) -> Result<(Coloring, u64), NetError> {
         let n = self.n_vertices();
         let out = self.submit(task)?;
-        let (colors, _) = assemble_colors(n, &out.outcomes)?;
-        Ok((Coloring::from_colors(colors), out.rounds))
+        Ok((out.coloring(n)?.0, out.rounds))
     }
 
     /// Gracefully shuts the resident fleet down. Subsequent submits
@@ -501,86 +524,6 @@ fn check_labels(parts: &[DistGraph]) -> Result<(), NetError> {
         }
     }
     Ok(())
-}
-
-/// Merges per-rank `(vertex, mate)` reports into one global mate
-/// vector, rejecting overlaps, gaps, and asymmetric pairs.
-fn assemble_mates(n: usize, outcomes: &[WorkerOutcome]) -> Result<Vec<u32>, NetError> {
-    let mut mate = vec![NO_VERTEX; n];
-    let mut seen = vec![false; n];
-    for (rank, outcome) in outcomes.iter().enumerate() {
-        let WorkerOutcome::Matching(pairs) = outcome else {
-            return Err(NetError::Inconsistent {
-                detail: format!("rank {rank} reported a coloring outcome for a matching run"),
-            });
-        };
-        for &(v, m) in pairs {
-            let vi = v as usize;
-            if vi >= n {
-                return Err(NetError::Inconsistent {
-                    detail: format!("rank {rank} reported vertex {v} outside the graph (n = {n})"),
-                });
-            }
-            if seen[vi] {
-                return Err(NetError::Inconsistent {
-                    detail: format!("vertex {v} reported by two ranks"),
-                });
-            }
-            seen[vi] = true;
-            mate[vi] = m;
-        }
-    }
-    if let Some(v) = seen.iter().position(|&s| !s) {
-        return Err(NetError::Inconsistent {
-            detail: format!("no rank reported vertex {v}"),
-        });
-    }
-    for v in 0..n {
-        let m = mate[v];
-        if m != NO_VERTEX && (m as usize >= n || mate[m as usize] != v as u32) {
-            return Err(NetError::Inconsistent {
-                detail: format!("asymmetric pair: mate[{v}] = {m} but not vice versa"),
-            });
-        }
-    }
-    Ok(mate)
-}
-
-/// Merges per-rank `(vertex, color)` reports into one global color
-/// vector plus the maximum phase count.
-fn assemble_colors(n: usize, outcomes: &[WorkerOutcome]) -> Result<(Vec<u32>, u32), NetError> {
-    let mut colors = vec![0u32; n];
-    let mut seen = vec![false; n];
-    let mut phases = 0u32;
-    for (rank, outcome) in outcomes.iter().enumerate() {
-        let WorkerOutcome::Coloring { pairs, phases: p } = outcome else {
-            return Err(NetError::Inconsistent {
-                detail: format!("rank {rank} reported a matching outcome for a coloring run"),
-            });
-        };
-        phases = phases.max(*p);
-        for &(v, c) in pairs {
-            let vi = v as usize;
-            if vi >= n {
-                return Err(NetError::Inconsistent {
-                    detail: format!("rank {rank} reported vertex {v} outside the graph (n = {n})"),
-                });
-            }
-            if seen[vi] {
-                return Err(NetError::Inconsistent {
-                    detail: format!("vertex {v} colored by two ranks"),
-                });
-            }
-            seen[vi] = true;
-            colors[vi] = c;
-        }
-    }
-    if let Some(v) = seen.iter().position(|&s| !s) {
-        return Err(NetError::Inconsistent {
-            detail: format!("no rank colored vertex {v}"),
-        });
-    }
-    Ok((colors, phases))
 }
 
 /// Re-types a worker's `Fatal` payload: structured `FRAME_LOSS`
@@ -768,7 +711,6 @@ impl LaunchPlan<'_> {
     /// options can never drift between the paths.
     fn ship(&self, rank: u32, w: &mut LinkWriter<UnixStream>) -> Result<(), NetError> {
         let opts = RunOptions {
-            bundling: true,
             observed: self.observed,
             max_rounds: self.cfg.max_rounds,
             heartbeat_millis: self.cfg.heartbeat.as_millis() as u64,
@@ -776,7 +718,6 @@ impl LaunchPlan<'_> {
             fault: self.cfg.fault,
             die_at_round: self.kill.die_at_round(rank),
             run_id: self.run_id,
-            telemetry: self.cfg.telemetry,
             checkpoint_every: self.cfg.checkpoint_every,
         };
         let resume = self
@@ -1246,9 +1187,7 @@ impl Run {
                     self.last_round[r] = round;
                     self.last_progress[r] = Instant::now();
                 }
-                if !frame.payload.is_empty() {
-                    self.health.observe(decode_telemetry(&frame.payload)?);
-                }
+                self.health.observe(decode_telemetry(&frame.payload)?);
                 // Echo the worker's stamp with our own clock so it can
                 // estimate its offset (NTP-style); nothing to estimate
                 // against until both clocks have an epoch.
@@ -1694,74 +1633,6 @@ mod tests {
             parse_fatal(0, "FRAME_LOSS from=x seq=y"),
             NetError::WorkerFatal { .. }
         ));
-    }
-
-    #[test]
-    fn mate_assembly_cross_validates_ranks() {
-        // 0-1 matched, 2 free, split over two ranks.
-        let good = vec![
-            WorkerOutcome::Matching(vec![(0, 1), (1, 0)]),
-            WorkerOutcome::Matching(vec![(2, NO_VERTEX)]),
-        ];
-        let mate = assemble_mates(3, &good).unwrap();
-        assert_eq!(mate, vec![1, 0, NO_VERTEX]);
-
-        // Asymmetric: rank 1 claims 2 is matched to 0, but mate[0] = 1.
-        let asym = vec![
-            WorkerOutcome::Matching(vec![(0, 1), (1, 0)]),
-            WorkerOutcome::Matching(vec![(2, 0)]),
-        ];
-        assert!(matches!(
-            assemble_mates(3, &asym),
-            Err(NetError::Inconsistent { .. })
-        ));
-
-        // Overlap: both ranks claim vertex 1.
-        let overlap = vec![
-            WorkerOutcome::Matching(vec![(0, 1), (1, 0)]),
-            WorkerOutcome::Matching(vec![(1, 0), (2, NO_VERTEX)]),
-        ];
-        assert!(assemble_mates(3, &overlap).is_err());
-
-        // Gap: nobody reported vertex 2.
-        let gap = vec![WorkerOutcome::Matching(vec![(0, 1), (1, 0)])];
-        assert!(assemble_mates(3, &gap).is_err());
-
-        // Wrong outcome kind.
-        let wrong = vec![WorkerOutcome::Coloring {
-            pairs: vec![(0, 0)],
-            phases: 0,
-        }];
-        assert!(assemble_mates(1, &wrong).is_err());
-    }
-
-    #[test]
-    fn color_assembly_merges_and_takes_max_phases() {
-        let outcomes = vec![
-            WorkerOutcome::Coloring {
-                pairs: vec![(0, 2), (1, 0)],
-                phases: 3,
-            },
-            WorkerOutcome::Coloring {
-                pairs: vec![(2, 1)],
-                phases: 5,
-            },
-        ];
-        let (colors, phases) = assemble_colors(3, &outcomes).unwrap();
-        assert_eq!(colors, vec![2, 0, 1]);
-        assert_eq!(phases, 5);
-
-        let dup = vec![
-            WorkerOutcome::Coloring {
-                pairs: vec![(0, 2), (1, 0)],
-                phases: 1,
-            },
-            WorkerOutcome::Coloring {
-                pairs: vec![(1, 1), (2, 1)],
-                phases: 1,
-            },
-        ];
-        assert!(assemble_colors(3, &dup).is_err());
     }
 
     #[test]

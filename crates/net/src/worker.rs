@@ -258,8 +258,8 @@ struct Transport {
     epoch: Option<Instant>,
     /// Shared with the heartbeat and supervisor-reader threads.
     clock: Arc<ClockSync>,
-    /// `Some` when the run ships live telemetry on heartbeats.
-    telemetry: Option<Arc<TelemetryCells>>,
+    /// The live counters the heartbeat thread ships.
+    telemetry: Arc<TelemetryCells>,
     /// Size of the last [`Ctrl::Checkpoint`] payload shipped, used (with
     /// headroom) to pre-size the next one's wire buffer so the encode
     /// hot path normally never reallocates.
@@ -369,16 +369,13 @@ impl Transport {
                         "bundle claims src {src} but arrived on rank {from}'s link"
                     )));
                 }
-                if let Some(cells) = &self.telemetry {
-                    // Approximate cross-rank lag: both epochs are fixed
-                    // by `Start` receipt, so the stamps are comparable
-                    // to within the start-fanout skew. Good enough to
-                    // spot a congested link; the clock-offset report is
-                    // the precise instrument.
-                    let local = self.wire_micros();
-                    if sent_micros != NO_STAMP && local != NO_STAMP && local > sent_micros {
-                        cells.note_bundle_lag(local - sent_micros);
-                    }
+                // Approximate cross-rank lag: both epochs are fixed by
+                // `Start` receipt, so the stamps are comparable to within
+                // the start-fanout skew. Good enough to spot a congested
+                // link; the clock-offset report is the precise instrument.
+                let local = self.wire_micros();
+                if sent_micros != NO_STAMP && local != NO_STAMP && local > sent_micros {
+                    self.telemetry.note_bundle_lag(local - sent_micros);
                 }
                 let packets = parse_bundle(&frame.payload, npackets)?;
                 let slot = self.pending.entry(round).or_default();
@@ -765,7 +762,9 @@ fn parse_bundle(payload: &Bytes, npackets: u32) -> Result<Vec<(Bytes, u32)>, Net
     Ok(out)
 }
 
-/// How each supported rank program reports its share of the result.
+/// How each supported rank program reports its share of the result and
+/// its summary of that share, through the accessors the in-process
+/// runners read.
 trait NetOutcomeSource {
     /// This rank's slice of the global result.
     fn net_outcome(&self) -> WorkerOutcome;
@@ -773,7 +772,10 @@ trait NetOutcomeSource {
 
 impl NetOutcomeSource for DistMatching {
     fn net_outcome(&self) -> WorkerOutcome {
-        WorkerOutcome::Matching(self.local_mates().collect())
+        WorkerOutcome::Matching {
+            pairs: self.local_mates().collect(),
+            weight: self.local_matched_weight(),
+        }
     }
 }
 
@@ -782,6 +784,7 @@ impl NetOutcomeSource for DistColoring {
         WorkerOutcome::Coloring {
             pairs: self.local_colors().collect(),
             phases: self.phases_executed,
+            conflicts: self.local_conflict_count() as u64,
         }
     }
 }
@@ -793,6 +796,7 @@ impl NetOutcomeSource for JonesPlassmann {
             // round count instead.
             pairs: self.local_colors().collect(),
             phases: 0,
+            conflicts: self.local_conflict_count() as u64,
         }
     }
 }
@@ -969,7 +973,7 @@ fn run_assigned(
         w.set_coalescing(COALESCE_BYTES);
     }
 
-    let telemetry = opts.telemetry.then(|| Arc::new(TelemetryCells::default()));
+    let telemetry = Arc::new(TelemetryCells::default());
 
     crate::reactor::spawn_reactor(read_halves, tx, generation)
         .map_err(|e| NetError::io("starting the peer-link reactor", e))?;
@@ -995,7 +999,7 @@ fn run_assigned(
         Arc::clone(&round_beacon),
         Arc::clone(&stop_beat),
         Arc::clone(&clock),
-        telemetry.clone(),
+        Arc::clone(&telemetry),
     );
 
     let mut t = Transport {
@@ -1137,12 +1141,9 @@ fn run_rounds<P: RankProgram + NetOutcomeSource>(
         return Err(NetError::protocol("round loop entered before Start"));
     };
     let mut clock = WallClock::since(epoch);
-    let mut step: RankStep<P> = RankStep::new(RankCtx::new(
-        rank,
-        num_ranks,
-        t.opts.bundling,
-        recorder.clone(),
-    ));
+    // The net engine always bundles: one packet per destination per round.
+    let mut step: RankStep<P> =
+        RankStep::new(RankCtx::new(rank, num_ranks, true, recorder.clone()));
     let mut round: u64 = 0;
     let mut cap = false;
     if let Some(ck) = resume {
@@ -1261,21 +1262,20 @@ fn run_rounds<P: RankProgram + NetOutcomeSource>(
             );
         }
 
-        if let Some(cells) = &t.telemetry {
-            cells.round.store(round, Ordering::Relaxed);
-            cells.delivery_ns.store(tel_delivery_ns, Ordering::Relaxed);
-            cells.compute_ns.store(tel_compute_ns, Ordering::Relaxed);
-            cells
-                .serialize_ns
-                .store(tel_serialize_ns, Ordering::Relaxed);
-            cells.edge_wait_ns.store(tel_edge_ns, Ordering::Relaxed);
-            cells.reseq_hold_ns.store(last_hold_ns, Ordering::Relaxed);
-            let link = t.link_totals();
-            cells.frames_sent.store(link.frames_sent, Ordering::Relaxed);
-            cells.bytes_sent.store(link.bytes_sent, Ordering::Relaxed);
-            let pending: u64 = t.reseq.iter().map(|r| r.pending_len() as u64).sum();
-            cells.reseq_pending.store(pending, Ordering::Relaxed);
-        }
+        let cells = &t.telemetry;
+        cells.round.store(round, Ordering::Relaxed);
+        cells.delivery_ns.store(tel_delivery_ns, Ordering::Relaxed);
+        cells.compute_ns.store(tel_compute_ns, Ordering::Relaxed);
+        cells
+            .serialize_ns
+            .store(tel_serialize_ns, Ordering::Relaxed);
+        cells.edge_wait_ns.store(tel_edge_ns, Ordering::Relaxed);
+        cells.reseq_hold_ns.store(last_hold_ns, Ordering::Relaxed);
+        let link = t.link_totals();
+        cells.frames_sent.store(link.frames_sent, Ordering::Relaxed);
+        cells.bytes_sent.store(link.bytes_sent, Ordering::Relaxed);
+        let pending: u64 = t.reseq.iter().map(|r| r.pending_len() as u64).sum();
+        cells.reseq_pending.store(pending, Ordering::Relaxed);
 
         // Checkpoint plane: at every k-th round edge (counting rounds
         // completed, the same cadence as the in-process engines'
@@ -1476,8 +1476,8 @@ fn spawn_sup_reader(mut stream: UnixStream, tx: Sender<Incoming>, clock: Arc<Clo
 
 /// Heartbeat thread: periodic liveness + round-progress beacons. Each
 /// beacon is stamped with the sender's clock (for the supervisor's
-/// offset estimation via `HeartbeatAck`) and, when telemetry is on,
-/// carries the latest counter snapshot as its payload.
+/// offset estimation via `HeartbeatAck`) and carries the latest
+/// telemetry counter snapshot as its payload.
 fn spawn_heartbeat(
     rank: u32,
     period: Duration,
@@ -1485,7 +1485,7 @@ fn spawn_heartbeat(
     round: Arc<AtomicU64>,
     stop: Arc<AtomicBool>,
     clock: Arc<ClockSync>,
-    telemetry: Option<Arc<TelemetryCells>>,
+    telemetry: Arc<TelemetryCells>,
 ) {
     let _ = std::thread::spawn(move || loop {
         std::thread::sleep(period);
@@ -1497,12 +1497,10 @@ fn spawn_heartbeat(
             round: round.load(Ordering::Relaxed),
             sent_micros: clock.micros_now(),
         };
-        let beat = match &telemetry {
-            Some(cells) => {
-                Frame::with_payload(ctrl, Bytes::from(encode_telemetry(&cells.snapshot(rank))))
-            }
-            None => Frame::bare(ctrl),
-        };
+        let beat = Frame::with_payload(
+            ctrl,
+            Bytes::from(encode_telemetry(&telemetry.snapshot(rank))),
+        );
         if lock(&sup).send(&beat).is_err() {
             return;
         }
@@ -1512,6 +1510,147 @@ fn spawn_heartbeat(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::decode_outcome;
+    use crate::supervisor::NetOutcome;
+    use cmg_coloring::coloring::UNCOLORED;
+    use cmg_coloring::{ColorSnap, ColoringConfig, JpSnap};
+    use cmg_graph::GraphBuilder;
+    use cmg_partition::{DistGraph, Partition};
+    use cmg_runtime::RunStats;
+
+    /// A run's outcome with nothing but the ranks' reports in it.
+    fn reported(outcomes: Vec<WorkerOutcome>) -> NetOutcome {
+        NetOutcome {
+            outcomes,
+            stats: RunStats::default(),
+            links: crate::LinkTotals::default(),
+            rounds: 0,
+            wall_time: 0.0,
+            round_wall_time: 0.0,
+            round_cpu_time: 0.0,
+            health: cmg_obs::RunHealth::default(),
+            clocks: Vec::new(),
+        }
+    }
+
+    /// `cmg_coloring`'s hand-built conflict case — a 6-cycle with the
+    /// chord 1–4 over ranks {0, 1, 2} and {3, 4, 5}, colored
+    /// `[0, 0, 1, 1, 0, 0]`: monochrome 0–1 and 4–5 (owned–owned) and
+    /// 2–3, 5–0 and 1–4 (cut) — through the net path: each finished
+    /// program's report (distance-1 and Jones–Plassmann alike), its wire
+    /// bytes, and the supervisor's sum. Each edge counts exactly once.
+    #[test]
+    fn hand_built_conflicts_are_reported_and_summed_once() {
+        let mut b = GraphBuilder::new(6);
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)] {
+            b.add_edge(u, v, 1.0);
+        }
+        let parts = DistGraph::build_all(&b.build(), &Partition::new(vec![0, 0, 0, 1, 1, 1], 2));
+        let colors = [0, 0, 1, 1, 0, 0];
+        let color_of =
+            |ids: &[u32], j: usize| ids.get(j).map_or(UNCOLORED, |&g| colors[g as usize]);
+        let ship = |o: WorkerOutcome| decode_outcome(&encode_outcome(&o)).unwrap();
+        let speculative = parts.iter().map(|dg| {
+            let head = ColorSnap::Head {
+                phase: 1,
+                state: 4,
+                phases_executed: 1,
+                total_recolored: 0,
+                flags: 0,
+                my_conflicts: 0,
+                u_pos: 0,
+            };
+            let colored = (0..dg.global_ids.len()).map(|idx| ColorSnap::Colored {
+                idx: idx as u32,
+                color: color_of(&dg.global_ids, idx),
+            });
+            let records = std::iter::once(head).chain(colored).collect();
+            let meta = (dg.clone(), ColoringConfig::default());
+            ship(DistColoring::restore(meta, records).net_outcome())
+        });
+        let jones_plassmann = parts.iter().map(|dg| {
+            let chunks = dg.global_ids.chunks(8).enumerate();
+            let records = chunks
+                .map(|(k, ids)| JpSnap::Colors {
+                    base: 8 * k as u32,
+                    c0: color_of(ids, 0),
+                    c1: color_of(ids, 1),
+                    c2: color_of(ids, 2),
+                    c3: color_of(ids, 3),
+                    c4: color_of(ids, 4),
+                    c5: color_of(ids, 5),
+                    c6: color_of(ids, 6),
+                    c7: color_of(ids, 7),
+                })
+                .collect();
+            ship(JonesPlassmann::restore((dg.clone(), 0), records).net_outcome())
+        });
+        for outcomes in [speculative.collect::<Vec<_>>(), jones_plassmann.collect()] {
+            let per_rank: Vec<u64> = outcomes
+                .iter()
+                .map(|o| match o {
+                    WorkerOutcome::Coloring { conflicts, .. } => *conflicts,
+                    WorkerOutcome::Matching { .. } => panic!("a coloring reported a matching"),
+                })
+                .collect();
+            assert_eq!(per_rank, [4, 1]);
+            let (coloring, _, conflicts) = reported(outcomes).coloring(6).unwrap();
+            assert_eq!(coloring.colors(), colors);
+            assert_eq!(conflicts, 5);
+        }
+    }
+
+    /// The supervisor merges what the ranks report: the phases' maximum,
+    /// the summaries' sum in rank order, the assemblers' checks as
+    /// `Inconsistent`, and an outcome of the wrong kind refused.
+    #[test]
+    fn outcomes_merge_with_their_summaries() {
+        let colored = |pairs: Vec<(u32, u32)>, phases, conflicts| WorkerOutcome::Coloring {
+            pairs,
+            phases,
+            conflicts,
+        };
+        let out = reported(vec![
+            colored(vec![(0, 2), (1, 0)], 3, 1),
+            colored(vec![(2, 1)], 5, 2),
+        ]);
+        let (coloring, phases, conflicts) = out.coloring(3).unwrap();
+        assert_eq!(
+            (coloring.colors(), phases, conflicts),
+            (&[2, 0, 1][..], 5, 3)
+        );
+        let dup = reported(vec![
+            colored(vec![(0, 2), (1, 0)], 1, 0),
+            colored(vec![(1, 1), (2, 1)], 1, 0),
+        ]);
+        match dup.coloring(3) {
+            Err(NetError::Inconsistent { detail }) => {
+                assert_eq!(detail, "vertex 1 colored by two ranks");
+            }
+            other => panic!("expected Inconsistent, got {other:?}"),
+        }
+        assert!(out.matching(3).is_err(), "a coloring is not a matching");
+
+        let matched = |pairs: Vec<(u32, u32)>, weight| WorkerOutcome::Matching { pairs, weight };
+        let out = reported(vec![
+            matched(vec![(0, 1), (1, 0)], 0.1),
+            matched(vec![(2, u32::MAX)], 0.2),
+        ]);
+        let (matching, weight) = out.matching(3).unwrap();
+        assert_eq!(
+            (matching.cardinality(), weight.to_bits()),
+            (1, [0.1, 0.2].iter().sum::<f64>().to_bits())
+        );
+        let asym = reported(vec![
+            matched(vec![(0, 1), (1, 0)], 0.0),
+            matched(vec![(2, 0)], 0.0),
+        ]);
+        assert!(matches!(
+            asym.matching(3),
+            Err(NetError::Inconsistent { .. })
+        ));
+        assert!(out.coloring(3).is_err(), "a matching is not a coloring");
+    }
 
     #[test]
     fn bundle_payload_round_trips() {

@@ -4,6 +4,11 @@
 //! a resume section — recorded from the per-element encoders the bulk
 //! array codecs replaced. Any drift in the bytes a slice encodes to moves
 //! a digest, so the wire stays what older and newer builds both read.
+//!
+//! Protocol v8 changed two things on purpose, and the v7 digests still
+//! hold for everything else: an assignment lost its bundling and
+//! telemetry flag bytes (put back, the old bytes come out), and an
+//! outcome gained the rank's summary after its pairs (cut off, likewise).
 
 use cmg_coloring::{ColoringConfig, CommVariant};
 use cmg_graph::weights::{assign_weights, WeightScheme};
@@ -38,7 +43,6 @@ fn hashed_rmat() -> Vec<DistGraph> {
 
 fn options() -> RunOptions {
     RunOptions {
-        bundling: true,
         observed: true,
         max_rounds: 777,
         heartbeat_millis: 40,
@@ -52,15 +56,19 @@ fn options() -> RunOptions {
         },
         die_at_round: 9,
         run_id: 0x0123_4567_89ab_cdef,
-        telemetry: true,
         checkpoint_every: 2,
     }
 }
 
-/// Digest and total length of every rank's encoded assignment, checking
-/// on the way that each one decodes back to what was encoded.
-fn assignment_digest(parts: Vec<DistGraph>, task: NetTask, resume: bool) -> (u64, usize) {
-    let mut all = Vec::new();
+/// Bytes of the encoded run options: `observed`, three `u64` limits, the
+/// fault plan (24), `die_at_round`, `run_id` and `checkpoint_every`.
+const OPTIONS_LEN: usize = 73;
+
+/// Digest and total length of every rank's encoded assignment, then of
+/// the same bytes in the v7 layout, checking on the way that each one
+/// decodes back to what was encoded.
+fn assignment_digest(parts: Vec<DistGraph>, task: NetTask, resume: bool) -> [(u64, usize); 2] {
+    let (mut all, mut v7) = (Vec::new(), Vec::new());
     for dg in parts {
         let resume = resume.then(|| {
             let mut ck = CheckpointState {
@@ -84,8 +92,18 @@ fn assignment_digest(parts: Vec<DistGraph>, task: NetTask, resume: bool) -> (u64
         let bytes = encode_assignment(&a);
         assert_eq!(decode_assignment(&bytes).expect("decodes"), a);
         all.extend_from_slice(&bytes);
+        // v7 had a bundling flag ahead of the options and a telemetry flag
+        // ahead of `checkpoint_every`, both set.
+        let resume_len = a.resume.as_ref().map_or(1, |r| 17 + r.payload.len());
+        let at = bytes.len() - resume_len - OPTIONS_LEN;
+        let telemetry_at = at + OPTIONS_LEN - 8;
+        v7.extend_from_slice(&bytes[..at]);
+        v7.push(1);
+        v7.extend_from_slice(&bytes[at..telemetry_at]);
+        v7.push(1);
+        v7.extend_from_slice(&bytes[telemetry_at..]);
     }
-    (fnv1a(&all), all.len())
+    [(fnv1a(&all), all.len()), (fnv1a(&v7), v7.len())]
 }
 
 #[test]
@@ -101,28 +119,50 @@ fn assignment_bytes_are_pinned() {
         assignment_digest(weighted_grid(), NetTask::JonesPlassmann { seed: 8 }, true),
     ];
     let want = [
-        (0xe040_5a85_256d_6e94, 63_116),
-        (0xd456_769d_d695_5185, 75_832),
-        (0xfa67_e04c_e4b4_1074, 64_096),
+        [
+            (0x56d8_4655_1672_8214, 63_108),
+            (0xe040_5a85_256d_6e94, 63_116),
+        ],
+        [
+            (0xe79e_76fd_bdfb_2055, 75_824),
+            (0xd456_769d_d695_5185, 75_832),
+        ],
+        [
+            (0xdbe6_7cab_7d7c_c4ac, 64_088),
+            (0xfa67_e04c_e4b4_1074, 64_096),
+        ],
     ];
     assert_eq!(got, want);
 }
 
 #[test]
 fn outcome_bytes_are_pinned() {
-    let mut all = Vec::new();
+    let (mut all, mut v7) = (Vec::new(), Vec::new());
     for dg in hashed_rmat() {
         let owned = &dg.global_ids[..dg.n_local];
-        let mates = WorkerOutcome::Matching(owned.iter().map(|&v| (v, v ^ 1)).collect());
+        let mates = WorkerOutcome::Matching {
+            pairs: owned.iter().map(|&v| (v, v ^ 1)).collect(),
+            weight: f64::from(dg.rank) + 0.25,
+        };
         let colors = WorkerOutcome::Coloring {
             pairs: owned.iter().map(|&v| (v, v % 13)).collect(),
             phases: dg.rank + 3,
+            conflicts: u64::from(dg.rank) * 5,
         };
         for outcome in [mates, colors] {
             let bytes = encode_outcome(&outcome);
             assert_eq!(decode_outcome(&bytes).expect("decodes"), outcome);
             all.extend_from_slice(&bytes);
+            // The summary's last 8 bytes (the weight, or the conflict
+            // count after the phases) are what v8 appended.
+            v7.extend_from_slice(&bytes[..bytes.len() - 8]);
         }
     }
-    assert_eq!((fnv1a(&all), all.len()), (0x6330_f0ee_c633_e6cc, 16_472));
+    assert_eq!(
+        [(fnv1a(&all), all.len()), (fnv1a(&v7), v7.len())],
+        [
+            (0x2521_0216_02b2_7e94, 16_536),
+            (0x6330_f0ee_c633_e6cc, 16_472)
+        ]
+    );
 }

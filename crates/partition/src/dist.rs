@@ -327,6 +327,48 @@ impl DistGraph {
     }
 }
 
+/// Gathers every rank's `(global vertex, value)` share, `shares` in rank
+/// order, into one vector indexed by global id: each rank reports the
+/// vertices it owns (§3.3), so a correct run reports every vertex of
+/// `0..n` exactly once. A vertex outside `0..n`, a vertex two ranks
+/// report and a vertex no rank reports are refused with a message naming
+/// it; `verb` says what a report is there ("reported", "colored").
+pub fn gather_shares<S>(
+    n: usize,
+    shares: impl IntoIterator<Item = S>,
+    verb: &str,
+) -> Result<Vec<u32>, String>
+where
+    S: IntoIterator<Item = (VertexId, u32)>,
+{
+    let mut values = vec![0; n];
+    // One bit per vertex. Each counted report is a distinct vertex of
+    // `0..n`, so a full count rules out a gap without a second pass.
+    let mut seen = vec![0u64; n.div_ceil(64)];
+    let mut reported = 0;
+    for (rank, share) in shares.into_iter().enumerate() {
+        for (v, x) in share {
+            let i = v as usize;
+            if i >= n {
+                return Err(format!(
+                    "rank {rank} reported vertex {v} outside the graph (n = {n})"
+                ));
+            }
+            if seen[i / 64] >> (i % 64) & 1 == 1 {
+                return Err(format!("vertex {v} {verb} by two ranks"));
+            }
+            seen[i / 64] |= 1 << (i % 64);
+            values[i] = x;
+            reported += 1;
+        }
+    }
+    if reported == n {
+        return Ok(values);
+    }
+    let gap = (0..n).find(|&v| seen[v / 64] >> (v % 64) & 1 == 0);
+    Err(format!("no rank {verb} vertex {}", gap.unwrap_or_default()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -85,10 +85,6 @@ pub struct EngineConfig {
     /// no-op recorder: engines check one cached bool and skip all event
     /// construction, so uninstrumented runs pay nothing.
     pub recorder: cmg_obs::RecorderHandle,
-    /// Live telemetry for the net engine: workers piggyback per-rank
-    /// phase/link counters on heartbeat beacons. Ignored by the sim and
-    /// threaded engines, which have no beacons.
-    pub net_telemetry: bool,
     /// Checkpoint cadence in rounds. In the sim and threaded engines
     /// this drives the **equivalence oracle**: at every `k`-round edge
     /// each rank program is round-tripped through
@@ -109,7 +105,6 @@ impl Default for EngineConfig {
             record_trace: false,
             delivery: DeliveryPolicy::default(),
             recorder: cmg_obs::RecorderHandle::noop(),
-            net_telemetry: true,
             checkpoint_every: None,
         }
     }

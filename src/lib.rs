@@ -4,5 +4,5 @@
 pub use cmg_core::prelude;
 pub use cmg_core::{
     run_coloring, run_coloring_parts, run_jones_plassmann, run_matching, run_matching_parts,
-    ColoringRun, Engine, MatchingRun, PartsColoringRun, PartsMatchingRun,
+    ColoringRun, Engine, MatchingRun,
 };

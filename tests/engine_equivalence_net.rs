@@ -78,6 +78,10 @@ fn matching_identical_across_all_three_engines() {
                 sim.matching.validate(g).unwrap();
                 assert_eq!(sim.matching, thr.matching, "sim vs threaded: {ctx}");
                 assert_eq!(sim.matching, net.matching, "sim vs net: {ctx}");
+                // Every engine sums the ranks' own weights in rank order.
+                for run in [&thr, &net] {
+                    assert_eq!(run.weight.to_bits(), sim.weight.to_bits(), "weight: {ctx}");
+                }
                 net.stats.assert_conservation();
                 assert_eq!(net.stats.per_rank.len(), ranks as usize, "{ctx}");
                 assert_eq!(
@@ -117,7 +121,10 @@ fn coloring_identical_across_all_three_engines() {
                 sim.coloring.validate(&g).unwrap();
                 assert_eq!(sim.coloring, thr.coloring, "sim vs threaded: {ctx}");
                 assert_eq!(sim.coloring, net.coloring, "sim vs net: {ctx}");
-                assert_eq!(sim.phases, net.phases, "phase counts: {ctx}");
+                let phases = [thr.phases, net.phases];
+                assert_eq!(phases, [sim.phases; 2], "phase counts: {ctx}");
+                let conflicts = [sim.conflicts, thr.conflicts, net.conflicts];
+                assert_eq!(conflicts, [0; 3], "conflicts: {ctx}");
                 net.stats.assert_conservation();
                 assert_eq!(
                     sim.stats.total_messages(),
@@ -145,5 +152,7 @@ fn jones_plassmann_identical_on_net_engine() {
     let net = cmg::run_jones_plassmann(&g, &part, 7, &Engine::default_net());
     sim.coloring.validate(&g).unwrap();
     assert_eq!(sim.coloring, net.coloring);
+    assert_eq!((sim.phases, sim.conflicts), (net.phases, net.conflicts));
+    assert_eq!(sim.conflicts, 0);
     net.stats.assert_conservation();
 }

@@ -30,7 +30,7 @@ fn implicit_grid_pipeline_matches_explicit() {
         &Engine::default_simulated(),
     );
     assert!((implicit.weight - explicit.matching.weight(&g)).abs() < 1e-9);
-    assert_eq!(implicit.cardinality, explicit.matching.cardinality());
+    assert_eq!(implicit.matching, explicit.matching);
     assert_eq!(implicit.simulated_time, explicit.simulated_time);
     assert_eq!(
         implicit.stats.total_messages(),

@@ -2,8 +2,8 @@
 //! 2-rank net run must reproduce the committed golden event stream
 //! (deterministic modulo wall-clock timestamps, which are normalized
 //! away), the critical-path analyzer must segment it into exactly the
-//! protocol's rounds, and the live-telemetry plumbing must leave the
-//! run's results and trace structure untouched.
+//! protocol's rounds, and the supervisor must hand back its clock and
+//! health reports.
 
 use cmg::prelude::*;
 use cmg_net::{run_task, NetConfig, NetTask};
@@ -23,15 +23,11 @@ fn golden_graph() -> cmg_graph::CsrGraph {
     )
 }
 
-fn recorded_net_run(telemetry: bool) -> (Vec<TimedEvent>, MatchingRun) {
+fn recorded_net_run() -> (Vec<TimedEvent>, MatchingRun) {
     let g = golden_graph();
     let part = block_partition(g.num_vertices(), 2);
     let (recorder, handle) = CollectingRecorder::shared();
-    let cfg = EngineConfig {
-        net_telemetry: telemetry,
-        ..Default::default()
-    }
-    .with_recorder(handle);
+    let cfg = EngineConfig::default().with_recorder(handle);
     let run = cmg::run_matching(&g, &part, &Engine::Net(cfg));
     run.matching.validate(&g).expect("invalid matching");
     (recorder.take(), run)
@@ -60,7 +56,7 @@ fn normalize(events: Vec<TimedEvent>) -> Vec<TimedEvent> {
 
 #[test]
 fn two_rank_net_trace_matches_golden_file() {
-    let (events, _) = recorded_net_run(true);
+    let (events, _) = recorded_net_run();
     let jsonl = events_to_jsonl(&normalize(events));
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -80,8 +76,8 @@ fn two_rank_net_trace_matches_golden_file() {
 
 #[test]
 fn normalized_net_traces_are_identical_across_runs() {
-    let (a, run_a) = recorded_net_run(true);
-    let (b, run_b) = recorded_net_run(true);
+    let (a, run_a) = recorded_net_run();
+    let (b, run_b) = recorded_net_run();
     assert_eq!(run_a.matching, run_b.matching);
     assert_eq!(
         events_to_jsonl(&normalize(a)),
@@ -95,7 +91,7 @@ fn normalized_net_traces_are_identical_across_runs() {
 /// every round's wall time.
 #[test]
 fn critical_path_report_segments_the_net_trace_into_rounds() {
-    let (events, run) = recorded_net_run(true);
+    let (events, run) = recorded_net_run();
     let report = TraceReport::from_events(&events);
     assert_eq!(report.ranks, vec![0, 1]);
     assert_eq!(report.rounds.len() as u64, run.stats.rounds);
@@ -119,20 +115,6 @@ fn critical_path_report_segments_the_net_trace_into_rounds() {
     // Fault-free run: nothing ever waited behind a sequence gap.
     let held: f64 = report.rounds.iter().map(|r| r.split.reseq_hold_s).sum();
     assert_eq!(held, 0.0);
-}
-
-/// Telemetry rides on heartbeats only: turning it off must change
-/// neither the result nor the recorded trace structure.
-#[test]
-fn telemetry_toggle_leaves_results_and_trace_structure_unchanged() {
-    let (on, run_on) = recorded_net_run(true);
-    let (off, run_off) = recorded_net_run(false);
-    assert_eq!(run_on.matching, run_off.matching);
-    assert_eq!(run_on.stats.per_rank, run_off.stats.per_rank);
-    assert_eq!(
-        events_to_jsonl(&normalize(on)),
-        events_to_jsonl(&normalize(off))
-    );
 }
 
 /// The net-only phase vocabulary stays out of the in-process engines:
