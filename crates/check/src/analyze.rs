@@ -591,27 +591,21 @@ type WireSurfaceRow = (u64, String, Vec<(String, String)>);
 fn wire_fingerprint(variants: &[WireSurfaceRow]) -> u64 {
     let mut sorted: Vec<_> = variants.to_vec();
     sorted.sort_by_key(|(tag, _, _)| *tag);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = cmg_obs::Fnv1a::new();
     for (tag, name, fields) in &sorted {
-        eat(tag.to_string().as_bytes());
-        eat(b":");
-        eat(name.as_bytes());
-        eat(b"(");
+        h.bytes(tag.to_string().as_bytes());
+        h.bytes(b":");
+        h.bytes(name.as_bytes());
+        h.bytes(b"(");
         for (fname, fty) in fields {
-            eat(fname.as_bytes());
-            eat(b":");
-            eat(fty.as_bytes());
-            eat(b",");
+            h.bytes(fname.as_bytes());
+            h.bytes(b":");
+            h.bytes(fty.as_bytes());
+            h.bytes(b",");
         }
-        eat(b");");
+        h.bytes(b");");
     }
-    h
+    h.finish()
 }
 
 /// Rule 2: wire-protocol drift.

@@ -27,7 +27,7 @@ use crate::oracles;
 use cmg_coloring::{assemble_coloring, Coloring, ColoringConfig, DistColoring};
 use cmg_graph::CsrGraph;
 use cmg_matching::{assemble_mates, DistMatching, Matching};
-use cmg_obs::{CollectingRecorder, Event, OracleCounters, TimedEvent};
+use cmg_obs::{CollectingRecorder, Event, Fnv1a, OracleCounters, TimedEvent};
 use cmg_partition::{DistGraph, Partition};
 use cmg_runtime::{
     CostModel, DeliveryKey, DeliveryPolicy, DeliveryScript, EngineConfig, Rank, SimEngine,
@@ -92,13 +92,7 @@ pub fn standard_policies(num_ranks: Rank, random_seeds: u64) -> Vec<DeliveryPoli
 /// logical)` in deterministic `(rank, seq)` order. Two runs with equal
 /// fingerprints delivered the same packets in the same per-rank order.
 pub fn schedule_fingerprint(events: &[TimedEvent]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |word: u64| {
-        for shift in (0..64).step_by(8) {
-            h ^= (word >> shift) & 0xff;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
+    let mut h = Fnv1a::new();
     for e in events {
         if let Event::PacketRecv {
             src,
@@ -106,13 +100,13 @@ pub fn schedule_fingerprint(events: &[TimedEvent]) -> u64 {
             logical,
         } = e.event
         {
-            fold(e.rank as u64);
-            fold(src as u64);
-            fold(bytes);
-            fold(logical as u64);
+            h.u64(e.rank as u64);
+            h.u64(src as u64);
+            h.u64(bytes);
+            h.u64(logical as u64);
         }
     }
-    h
+    h.finish()
 }
 
 /// Free-compute engine config routing events to `recorder`, delivering

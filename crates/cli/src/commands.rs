@@ -102,10 +102,9 @@ fn build_partition(g: &CsrGraph, args: &Args) -> Result<Partition, String> {
 }
 
 fn build_engine(args: &Args, recorder: RecorderHandle) -> Result<Engine, String> {
-    let checkpoint: u64 = args.num("checkpoint-interval", 0)?;
     let cfg = EngineConfig {
         bundling: !args.has_switch("--no-bundling"),
-        checkpoint_every: (checkpoint > 0).then_some(checkpoint),
+        checkpoint_every: args.num("checkpoint-interval", 0)?,
         ..Default::default()
     }
     .with_recorder(recorder);

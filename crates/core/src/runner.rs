@@ -39,11 +39,6 @@ impl Engine {
         Engine::Threaded(EngineConfig::default())
     }
 
-    /// Multi-process socket engine with default configuration.
-    pub fn default_net() -> Self {
-        Engine::Net(EngineConfig::default())
-    }
-
     /// The underlying engine configuration.
     pub fn config(&self) -> &EngineConfig {
         match self {
@@ -57,7 +52,7 @@ fn net_config(cfg: &EngineConfig) -> cmg_net::NetConfig {
     cmg_net::NetConfig {
         max_rounds: cfg.max_rounds,
         recorder: cfg.recorder.clone(),
-        checkpoint_every: cfg.checkpoint_every.unwrap_or(0),
+        checkpoint_every: cfg.checkpoint_every,
         ..Default::default()
     }
 }
@@ -385,7 +380,7 @@ mod tests {
         let g = weighted_grid();
         let p = grid2d_partition(8, 8, 2, 2);
         let sim = run_matching(&g, &p, &Engine::default_simulated());
-        let net = run_matching(&g, &p, &Engine::default_net());
+        let net = run_matching(&g, &p, &Engine::Net(EngineConfig::default()));
         assert_eq!(sim.matching, net.matching);
         assert!(net.wall_time.is_some());
         assert_eq!(net.simulated_time, 0.0);
@@ -406,7 +401,7 @@ mod tests {
             let engines = [
                 Engine::default_simulated(),
                 Engine::default_threaded(),
-                Engine::default_net(),
+                Engine::Net(EngineConfig::default()),
             ];
             let runs: Vec<_> = engines
                 .iter()

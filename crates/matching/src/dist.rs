@@ -898,7 +898,7 @@ mod tests {
         let mut ctxs: Vec<RankCtx<MatchMsg>> = (0..p)
             .map(|r| RankCtx::new(r, p, true, cmg_obs::RecorderHandle::noop()))
             .collect();
-        let (mut digest, mut proposals) = (0xcbf2_9ce4_8422_2325u64, 0usize);
+        let (mut digest, mut proposals) = (cmg_obs::Fnv1a::new(), 0usize);
         let mut inboxes: Vec<Vec<(Rank, Vec<MatchMsg>)>> = vec![Vec::new(); p as usize];
         for round in 0.. {
             let mut next: Vec<Vec<(Rank, Vec<MatchMsg>)>> = vec![Vec::new(); p as usize];
@@ -919,16 +919,14 @@ mod tests {
                     .count();
                 let mut bytes = Vec::new();
                 cmg_runtime::encode_snapshot(&snap, &mut bytes);
-                for &b in &bytes {
-                    digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-                }
+                digest.bytes(&bytes);
             }
             if next.iter().all(Vec::is_empty) {
                 break;
             }
             inboxes = next;
         }
-        (digest, proposals)
+        (digest.finish(), proposals)
     }
 
     /// The program state the index build sets up and the protocol

@@ -18,14 +18,9 @@ use cmg_net::{
     encode_checkpoint, Assignment, CheckpointState, FaultPlan, NetTask, ResumeFrom, RunOptions,
     WorkerOutcome,
 };
+use cmg_obs::Fnv1a;
 use cmg_partition::simple::{block_partition, hash_partition};
 use cmg_partition::DistGraph;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 fn weighted_grid() -> Vec<DistGraph> {
     let g = assign_weights(
@@ -103,7 +98,7 @@ fn assignment_digest(parts: Vec<DistGraph>, task: NetTask, resume: bool) -> [(u6
         v7.push(1);
         v7.extend_from_slice(&bytes[telemetry_at..]);
     }
-    [(fnv1a(&all), all.len()), (fnv1a(&v7), v7.len())]
+    [(Fnv1a::hash(&all), all.len()), (Fnv1a::hash(&v7), v7.len())]
 }
 
 #[test]
@@ -159,7 +154,7 @@ fn outcome_bytes_are_pinned() {
         }
     }
     assert_eq!(
-        [(fnv1a(&all), all.len()), (fnv1a(&v7), v7.len())],
+        [(Fnv1a::hash(&all), all.len()), (Fnv1a::hash(&v7), v7.len())],
         [
             (0x2521_0216_02b2_7e94, 16_536),
             (0x6330_f0ee_c633_e6cc, 16_472)

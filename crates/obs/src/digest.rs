@@ -1,0 +1,64 @@
+//! FNV-1a (64-bit), the one digest behind every "same bytes" check in
+//! the workspace: delivery-order packet fingerprints, explored-schedule
+//! fingerprints, wire-surface fingerprints and the test suite's pinned
+//! run digests all fold their bytes through [`Fnv1a`].
+//!
+//! Not a general-purpose hash: it is weak against adversarial input, but
+//! fast and stable across builds and platforms (integers fold as their
+//! little-endian bytes), which is what a pinned digest needs.
+
+/// A streaming FNV-1a 64 hasher.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The FNV-1a 64 offset basis.
+    pub const fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// The digest of `bytes` alone.
+    pub fn hash(bytes: &[u8]) -> u64 {
+        let mut h = Fnv1a::new();
+        h.bytes(bytes);
+        h.finish()
+    }
+
+    /// Folds `bytes` in order.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Folds `x` as its eight little-endian bytes.
+    pub fn u64(&mut self, x: u64) {
+        self.bytes(&x.to_le_bytes());
+    }
+
+    /// The digest of everything folded so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Fnv1a;
+
+    #[test]
+    fn matches_the_reference_vectors() {
+        assert_eq!(Fnv1a::hash(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(Fnv1a::hash(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(Fnv1a::hash(b"foobar"), 0x8594_4171_f739_67e8);
+        let mut h = Fnv1a::new();
+        h.u64(0x0102);
+        assert_eq!(h.finish(), Fnv1a::hash(&[2, 1, 0, 0, 0, 0, 0, 0]));
+    }
+}

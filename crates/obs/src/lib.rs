@@ -22,11 +22,13 @@
 //! files.
 //!
 //! The crate is dependency-free; [`json`] is a small self-contained
-//! JSON value type shared by every sink.
+//! JSON value type shared by every sink, and [`Fnv1a`] the one digest
+//! every fingerprint in the workspace folds its bytes through.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![forbid(unsafe_code)]
 
+mod digest;
 pub mod event;
 pub mod json;
 pub mod metrics;
@@ -37,6 +39,7 @@ pub mod sched;
 pub mod sink;
 pub mod trace;
 
+pub use digest::Fnv1a;
 pub use event::{Event, PhaseName, TimedEvent, ENGINE_RANK};
 pub use json::Json;
 pub use metrics::MetricsRegistry;

@@ -253,12 +253,7 @@ fn mix64(mut x: u64) -> u64 {
 
 /// FNV-1a over a payload — the packet fingerprint in [`DeliveryKey`].
 pub(crate) fn payload_fingerprint(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    cmg_obs::Fnv1a::hash(bytes)
 }
 
 #[cfg(test)]

@@ -85,14 +85,14 @@ pub struct EngineConfig {
     /// no-op recorder: engines check one cached bool and skip all event
     /// construction, so uninstrumented runs pay nothing.
     pub recorder: cmg_obs::RecorderHandle,
-    /// Checkpoint cadence in rounds. In the sim and threaded engines
-    /// this drives the **equivalence oracle**: at every `k`-round edge
-    /// each rank program is round-tripped through
+    /// Checkpoint cadence in rounds; 0 (the default) turns it off. In the
+    /// sim and threaded engines this drives the **equivalence oracle**:
+    /// at every `k`-round edge each rank program is round-tripped through
     /// `snapshot → encode → decode → restore` in place, so any snapshot
     /// omission shows up as a divergence from the uninterrupted run
     /// (which must be bit-identical). The net engine uses the same
     /// cadence for real checkpoints (see `cmg-net`).
-    pub checkpoint_every: Option<u64>,
+    pub checkpoint_every: u64,
 }
 
 impl Default for EngineConfig {
@@ -105,7 +105,7 @@ impl Default for EngineConfig {
             record_trace: false,
             delivery: DeliveryPolicy::default(),
             recorder: cmg_obs::RecorderHandle::noop(),
-            checkpoint_every: None,
+            checkpoint_every: 0,
         }
     }
 }

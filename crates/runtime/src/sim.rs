@@ -342,11 +342,10 @@ impl<P: RankProgram> SimEngine<P> {
         if p > 0 {
             loop {
                 let first = rounds == 0;
-                if let Some(k) = self.config.checkpoint_every.filter(|&k| k > 0) {
-                    if !first && rounds.is_multiple_of(k) {
-                        for slot in &mut slots {
-                            checkpoint_roundtrip(&mut slot.program);
-                        }
+                let k = self.config.checkpoint_every;
+                if k > 0 && !first && rounds.is_multiple_of(k) {
+                    for slot in &mut slots {
+                        checkpoint_roundtrip(&mut slot.program);
                     }
                 }
                 if recorder.enabled() {
@@ -507,11 +506,10 @@ impl<P: RankProgram> SimEngine<P> {
         if p > 0 {
             loop {
                 let first = rounds == 0;
-                if let Some(k) = self.config.checkpoint_every.filter(|&k| k > 0) {
-                    if !first && rounds.is_multiple_of(k) {
-                        for slot in &mut self.slots {
-                            checkpoint_roundtrip(&mut slot.program);
-                        }
+                let k = self.config.checkpoint_every;
+                if k > 0 && !first && rounds.is_multiple_of(k) {
+                    for slot in &mut self.slots {
+                        checkpoint_roundtrip(&mut slot.program);
                     }
                 }
                 let active_before: u64 = if recorder.enabled() {

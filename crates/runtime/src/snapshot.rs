@@ -27,8 +27,8 @@
 //! Restoring must be **behaviorally exact**: a program round-tripped
 //! through `snapshot → encode → decode → restore` at any round edge must
 //! produce bit-identical results, statistics, and traces from that point
-//! on. `tests/snapshot_equivalence.rs` holds the property tests pinning
-//! this for all four shipped rank programs (`DistMatching`,
+//! on. The sweep's checkpointed cells (`tests/sweep.rs`) pin this for
+//! all four shipped rank programs (`DistMatching`,
 //! `DistColoring<Distance1>`, `DistColoring<Distance2>`,
 //! `JonesPlassmann`); the engines enforce it live through
 //! `EngineConfig::checkpoint_every` (sim/threaded equivalence oracle) and

@@ -16,7 +16,7 @@ use bytes::Bytes;
 use cmg_obs::{Event, PhaseName, ENGINE_RANK};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Barrier;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// What travels between threads: `(src, seq-within-src, payload, logical)`.
@@ -50,7 +50,8 @@ impl<P: RankProgram> ThreadedEngine<P> {
         ThreadedEngine { programs, config }
     }
 
-    /// Runs to quiescence (or the round cap) and returns the result.
+    /// Runs to quiescence (or the round cap) and returns the result. A rank
+    /// that panics fails the run with its panic; the other ranks stop.
     #[expect(clippy::expect_used, reason = "re-raises a panicked rank thread")]
     pub fn run(self) -> ThreadedResult<P> {
         let p = self.programs.len();
@@ -65,7 +66,7 @@ impl<P: RankProgram> ThreadedEngine<P> {
 
         let (senders, receivers): (Vec<Sender<WirePacket>>, Vec<Receiver<WirePacket>>) =
             (0..p).map(|_| unbounded()).unzip();
-        let barrier = Barrier::new(p);
+        let barrier = RoundBarrier::new(p);
         // Double-buffered activity flags indexed by round parity (see the
         // protocol note in `run_rank`).
         let activity = [AtomicBool::new(false), AtomicBool::new(false)];
@@ -98,7 +99,10 @@ impl<P: RankProgram> ThreadedEngine<P> {
                 }));
             }
             for (rank, handle) in handles.into_iter().enumerate() {
-                results[rank] = Some(handle.join().expect("rank thread panicked"));
+                match handle.join() {
+                    Ok(result) => results[rank] = Some(result),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
             }
         })
         .expect("threaded scope panicked");
@@ -130,6 +134,75 @@ impl<P: RankProgram> ThreadedEngine<P> {
     }
 }
 
+/// The barrier between rounds. Unlike [`std::sync::Barrier`] it can be
+/// broken: a rank thread that panics breaks it on the way out (see
+/// [`BreakOnPanic`]), which releases every rank waiting on it, and every
+/// rank arriving later, with `false`. They leave their round loops, so
+/// the panic reaches [`ThreadedEngine::run`] instead of the other ranks
+/// waiting for the dead one forever.
+struct RoundBarrier {
+    ranks: usize,
+    turn: Mutex<Turn>,
+    turned: Condvar,
+}
+
+#[derive(Default)]
+struct Turn {
+    arrived: usize,
+    generation: u64,
+    broken: bool,
+}
+
+impl RoundBarrier {
+    fn new(ranks: usize) -> Self {
+        RoundBarrier {
+            ranks,
+            turn: Mutex::default(),
+            turned: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Turn> {
+        self.turn.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits until every rank has arrived (`true`) or the barrier is
+    /// broken (`false`).
+    fn wait(&self) -> bool {
+        let mut turn = self.lock();
+        if turn.broken {
+            return false;
+        }
+        let generation = turn.generation;
+        turn.arrived += 1;
+        if turn.arrived == self.ranks {
+            turn.arrived = 0;
+            turn.generation += 1;
+            self.turned.notify_all();
+            return true;
+        }
+        while turn.generation == generation && !turn.broken {
+            turn = self
+                .turned
+                .wait(turn)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        turn.generation != generation
+    }
+}
+
+/// Breaks the rank thread's [`RoundBarrier`] if the thread unwinds.
+struct BreakOnPanic<'a>(&'a RoundBarrier);
+
+impl Drop for BreakOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().broken = true;
+            self.0.turned.notify_all();
+        }
+    }
+}
+
 /// The per-thread round loop.
 ///
 /// Protocol per round `r`:
@@ -148,7 +221,7 @@ fn run_rank<P: RankProgram>(
     mut program: P,
     receiver: Receiver<WirePacket>,
     senders: Vec<Sender<WirePacket>>,
-    barrier: &Barrier,
+    barrier: &RoundBarrier,
     activity: &[AtomicBool; 2],
     cap_hit: &AtomicBool,
     config: &EngineConfig,
@@ -165,6 +238,7 @@ fn run_rank<P: RankProgram>(
         config.bundling,
         recorder.clone(),
     ));
+    let _break_on_panic = BreakOnPanic(barrier);
     let mut inbox_raw: Vec<WirePacket> = Vec::new();
     let mut seq: u64 = 0;
     let mut round: u64 = 0;
@@ -208,7 +282,9 @@ fn run_rank<P: RankProgram>(
         }
 
         // 3. First barrier: all sends and activity stores are now visible.
-        barrier.wait();
+        if !barrier.wait() {
+            break;
+        }
 
         // 4. Drain and decide. Every thread reads the same flag value
         // because nothing writes it between the two barriers.
@@ -218,7 +294,9 @@ fn run_rank<P: RankProgram>(
         // 5. Second barrier: all reads done; this round's flag may now be
         // reset (it is next written in round r + 2, two barriers away, so
         // the reset cannot race with a future set).
-        barrier.wait();
+        if !barrier.wait() {
+            break;
+        }
         activity[parity].store(false, Ordering::SeqCst);
 
         if observed && rank == 0 {
@@ -240,10 +318,9 @@ fn run_rank<P: RankProgram>(
         // round-tripped through its snapshot wire encoding in place.
         // Purely thread-local and deterministic, so the run must stay
         // bit-identical to an uninterrupted one.
-        if let Some(k) = config.checkpoint_every.filter(|&k| k > 0) {
-            if round.is_multiple_of(k) {
-                checkpoint_roundtrip(&mut program);
-            }
+        let k = config.checkpoint_every;
+        if k > 0 && round.is_multiple_of(k) {
+            checkpoint_roundtrip(&mut program);
         }
         if !keep_going {
             break;
@@ -309,6 +386,39 @@ mod tests {
         assert_eq!(result.stats.total_packets(), (p * (p - 1)) as u64);
         // Everything sent over the channels was received and decoded.
         result.stats.assert_conservation();
+    }
+
+    /// Rank 1 panics in its third round; every rank would run forever.
+    #[derive(Clone)]
+    struct PanicsInRoundTwo;
+
+    impl RankProgram for PanicsInRoundTwo {
+        type Msg = u32;
+        crate::trivial_snapshot!();
+
+        fn on_start(&mut self, _ctx: &mut RankCtx<u32>) -> Status {
+            Status::Active
+        }
+
+        fn on_round(
+            &mut self,
+            _inbox: &mut Vec<(Rank, Vec<u32>)>,
+            ctx: &mut RankCtx<u32>,
+        ) -> Status {
+            assert!(ctx.rank() != 1 || ctx.round() != 2, "rank 1 fails");
+            Status::Active
+        }
+    }
+
+    /// The panic fails the run with its own message instead of leaving
+    /// the other ranks at the round barrier.
+    #[test]
+    fn a_panicking_rank_fails_the_run_instead_of_hanging() {
+        let programs = (0..4).map(|_| PanicsInRoundTwo).collect();
+        let engine = ThreadedEngine::new(programs, EngineConfig::default());
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.run()));
+        let panic = run.err().expect("the run fails");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"rank 1 fails"));
     }
 
     #[test]

@@ -1,14 +1,31 @@
-//! Determinism guarantees and cost-model sanity: the properties that make
-//! the simulated scalability figures trustworthy.
+//! Cost-model sanity: the properties that make the simulated scalability
+//! figures trustworthy. That simulated runs are reproducible, and that the
+//! scheduled loop equals the dense reference, are slices of the sweep's
+//! small tier (`tests/sweep.rs`).
+
+mod sweep_harness;
 
 use cmg::prelude::*;
-use cmg_coloring::{assemble_coloring, ColoringConfig, DistColoring};
+use cmg_coloring::ColoringConfig;
 use cmg_graph::generators;
 use cmg_graph::weights::{assign_weights, WeightScheme};
-use cmg_matching::{assemble_matching, DistMatching};
 use cmg_partition::simple::{block_partition, grid2d_partition};
-use cmg_partition::DistGraph;
-use cmg_runtime::{EngineConfig, RankProgram, SimEngine};
+use cmg_runtime::EngineConfig;
+
+/// The small tier's simulator cells under the other delivery orders, run
+/// twice in one process, reproduce the digests pinned in the file.
+#[test]
+fn sim_runs_are_reproducible() {
+    sweep_harness::check_small_tier("sim_runs_are_reproducible", |_| true);
+}
+
+/// The active-set loop equals the dense reference: the sweep's dense ≡
+/// sim relation on every dense cell of the small tier.
+#[test]
+fn parallel_sim_is_bit_identical() {
+    use sweep_harness::{check_small_tier, os_scheduled};
+    check_small_tier("parallel_sim_is_bit_identical", os_scheduled);
+}
 
 fn weighted_grid(k: usize, seed: u64) -> cmg_graph::CsrGraph {
     assign_weights(
@@ -16,67 +33,6 @@ fn weighted_grid(k: usize, seed: u64) -> cmg_graph::CsrGraph {
         WeightScheme::Uniform { lo: 0.0, hi: 1.0 },
         seed,
     )
-}
-
-/// Two identical simulated runs are bit-identical, including statistics.
-#[test]
-fn sim_runs_are_reproducible() {
-    let g = weighted_grid(24, 1);
-    let part = grid2d_partition(24, 24, 3, 3);
-    let a = cmg::run_matching(&g, &part, &Engine::default_simulated());
-    let b = cmg::run_matching(&g, &part, &Engine::default_simulated());
-    assert_eq!(a.matching, b.matching);
-    assert_eq!(a.simulated_time, b.simulated_time);
-    assert_eq!(a.stats.total_messages(), b.stats.total_messages());
-    assert_eq!(a.stats.rounds, b.stats.rounds);
-}
-
-/// Runs `programs()` on the active-set loop and on the dense reference,
-/// asserts that per-rank statistics, rounds and makespans agree, and
-/// returns both sets of final programs.
-fn scheduled_and_dense<P: RankProgram>(programs: impl Fn() -> Vec<P>) -> (Vec<P>, Vec<P>) {
-    let sched = SimEngine::new(programs(), EngineConfig::default()).run();
-    let dense = SimEngine::new(programs(), EngineConfig::default()).run_dense_reference();
-    assert!(!sched.hit_round_cap && !dense.hit_round_cap);
-    assert_eq!(sched.stats.per_rank, dense.stats.per_rank);
-    assert_eq!(sched.stats.rounds, dense.stats.rounds);
-    assert_eq!(
-        sched.stats.makespan().to_bits(),
-        dense.stats.makespan().to_bits()
-    );
-    (sched.programs, dense.programs)
-}
-
-/// `SimEngine::run` reproduces the dense reference loop bit for bit on
-/// the paper's two programs: the same matching on the weighted grid and
-/// the same colouring on the unweighted one, with equal per-rank stats,
-/// rounds and simulated makespans.
-#[test]
-fn parallel_sim_is_bit_identical() {
-    let k = 24;
-    let part = grid2d_partition(k, k, 4, 4);
-    let g = weighted_grid(k, 2);
-    let (sched, dense) = scheduled_and_dense(|| {
-        DistGraph::build_all(&g, &part)
-            .into_iter()
-            .map(DistMatching::new)
-            .collect()
-    });
-    assert_eq!(
-        assemble_matching(&sched, k * k),
-        assemble_matching(&dense, k * k)
-    );
-    let g = generators::grid2d(k, k);
-    let (sched, dense) = scheduled_and_dense(|| {
-        DistGraph::build_all(&g, &part)
-            .into_iter()
-            .map(|dg| DistColoring::new(dg, ColoringConfig::default()))
-            .collect()
-    });
-    assert_eq!(
-        assemble_coloring(&sched, k * k),
-        assemble_coloring(&dense, k * k)
-    );
 }
 
 /// Strong scaling: simulated time decreases substantially with rank count
