@@ -1,90 +1,53 @@
-//! The schedule-exploration harness: re-run a distributed program under
-//! many delivery schedules and hold every run to the same oracles.
+//! Bounded-exhaustive schedule exploration: re-run the matching program
+//! under *every* delivery interleaving of a tiny configuration and hold
+//! each run to the same oracles.
 //!
-//! Two exploration modes share the oracle plumbing:
-//!
-//! * [`explore_matching`] / [`explore_coloring`] sweep a list of
-//!   [`DeliveryPolicy`] values — typically [`standard_policies`]: the
-//!   canonical order, its reverse, LIFO, per-rank withholding, and a
-//!   battery of seeded random FIFO merges. Every policy is a pure
-//!   function of `(rank, round, mailbox)`, so any failure replays from
-//!   the policy value alone.
-//! * [`explore_matching_exhaustive`] drives a [`ScriptBook`] through a
-//!   depth-first enumeration of *all* delivery interleavings of a tiny
-//!   configuration, pruning commuting choices (two mailbox heads with
-//!   byte-identical payloads lead to the same successor state — a
-//!   sleep-set-style reduction). The search is budget-capped; the
-//!   returned [`Exploration`] says whether the choice tree was fully
-//!   drained.
-//!
-//! Runs are fingerprinted by their per-rank packet-receive sequences
-//! ([`schedule_fingerprint`]); [`OracleCounters::distinct_schedules`]
-//! counts observationally distinct interleavings, which is what the
-//! acceptance suite thresholds.
+//! [`explore_matching_exhaustive`] drives a [`ScriptBook`] through a
+//! depth-first enumeration of the delivery choice tree, pruning commuting
+//! choices (two mailbox heads with byte-identical payloads lead to the
+//! same successor state — a sleep-set-style reduction). The search is
+//! budget-capped; the returned [`Exploration`] says whether the tree was
+//! fully drained. Named delivery policies (arrival, reverse, LIFO,
+//! per-rank holds, seeded random merges) are the digest sweep's delivery
+//! axis (`tests/sweep_harness`), which runs this module's oracles and
+//! [`schedule_fingerprint`] on every simulated cell.
 
 use crate::observed::ObservedMatching;
 use crate::oracles;
-use cmg_coloring::{assemble_coloring, Coloring, ColoringConfig, DistColoring};
 use cmg_graph::CsrGraph;
 use cmg_matching::{assemble_mates, DistMatching, Matching};
-use cmg_obs::{CollectingRecorder, Event, Fnv1a, OracleCounters, TimedEvent};
+use cmg_obs::{CollectingRecorder, Event, Fnv1a, TimedEvent};
 use cmg_partition::{DistGraph, Partition};
 use cmg_runtime::{
     CostModel, DeliveryKey, DeliveryPolicy, DeliveryScript, EngineConfig, Rank, SimEngine,
 };
-use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 /// Outcome of one exploration campaign.
 #[derive(Debug, Default)]
 pub struct Exploration {
-    /// Run/check/violation tallies (see [`OracleCounters`]).
-    pub counters: OracleCounters,
+    /// Schedules run.
+    pub runs: u64,
     /// One diagnostic per violated check, labeled with the schedule that
     /// produced it.
     pub failures: Vec<String>,
-    /// For exhaustive mode: `true` when the whole (pruned) choice tree
-    /// was enumerated within budget.
+    /// `true` when the whole (pruned) choice tree was enumerated within
+    /// budget.
     pub exhausted: bool,
 }
 
 impl Exploration {
     /// `true` when every oracle held on every explored schedule.
     pub fn ok(&self) -> bool {
-        self.counters.all_held() && self.failures.is_empty()
+        self.failures.is_empty()
     }
 
-    /// Folds one oracle result into the tally.
+    /// Records one oracle result.
     fn check(&mut self, result: Result<(), String>, schedule: &str, oracle: &str) {
-        match result {
-            Ok(()) => self.counters.record(true),
-            Err(why) => {
-                self.counters.record(false);
-                self.failures.push(format!("[{schedule}] {oracle}: {why}"));
-            }
+        if let Err(why) = result {
+            self.failures.push(format!("[{schedule}] {oracle}: {why}"));
         }
     }
-}
-
-/// The standard adversarial battery for a `num_ranks`-rank run:
-/// canonical order, reverse-rank, LIFO, a 2-round withholding of each
-/// rank in turn, and `random_seeds` seeded random FIFO merges.
-pub fn standard_policies(num_ranks: Rank, random_seeds: u64) -> Vec<DeliveryPolicy> {
-    let mut policies = vec![
-        DeliveryPolicy::Arrival,
-        DeliveryPolicy::ReverseRank,
-        DeliveryPolicy::Lifo,
-    ];
-    for src in 0..num_ranks {
-        policies.push(DeliveryPolicy::DelayRank { src, rounds: 2 });
-    }
-    for i in 0..random_seeds {
-        // Weyl-sequence seeds: well spread without needing an RNG here.
-        policies.push(DeliveryPolicy::RandomPermutation {
-            seed: (i + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-        });
-    }
-    policies
 }
 
 /// Fingerprint of the interleaving a run actually exhibited: an FNV-1a
@@ -109,41 +72,32 @@ pub fn schedule_fingerprint(events: &[TimedEvent]) -> u64 {
     h.finish()
 }
 
-/// Free-compute engine config routing events to `recorder`, delivering
-/// per `policy`.
-fn harness_config(policy: DeliveryPolicy, recorder: cmg_obs::RecorderHandle) -> EngineConfig {
-    EngineConfig {
-        cost: CostModel::compute_only(),
-        delivery: policy,
-        recorder,
-        // One wire packet per logical message: bundling would collapse a
-        // round's traffic to one packet per source, leaving the delivery
-        // policies almost nothing to permute. Unbundled, the per-source
-        // FIFO merge has factorially many realizable interleavings, which
-        // is the whole point of the exploration harness.
-        bundling: false,
-        ..Default::default()
-    }
-}
-
-/// One matching run under `policy`; evaluates the full oracle suite and
-/// returns the assembled matching (when assembly succeeded) plus the
-/// schedule fingerprint.
+/// One matching run under `policy`, with one wire packet per logical
+/// message (bundling would collapse a round's traffic to one packet per
+/// source, leaving the script almost nothing to permute), held to the
+/// matching oracles. Returns the assembled matching, if the ranks agree.
 fn run_matching_once(
     g: &CsrGraph,
     partition: &Partition,
     policy: DeliveryPolicy,
     out: &mut Exploration,
-) -> (Option<Matching>, u64) {
+) -> Option<Matching> {
     let schedule = format!("{policy:?}");
     let programs: Vec<ObservedMatching> = DistGraph::build_all(g, partition)
         .into_iter()
         .map(|dg| ObservedMatching::new(DistMatching::new(dg)))
         .collect();
     let (recorder, handle) = CollectingRecorder::shared();
-    let result = SimEngine::new(programs, harness_config(policy, handle)).run();
+    let cfg = EngineConfig {
+        cost: CostModel::compute_only(),
+        delivery: policy,
+        recorder: handle,
+        bundling: false,
+        ..Default::default()
+    };
+    let result = SimEngine::new(programs, cfg).run();
     let events = recorder.take();
-    out.counters.runs += 1;
+    out.runs += 1;
 
     out.check(
         oracles::matching_quiescence(&result.programs, result.hit_round_cap),
@@ -156,144 +110,25 @@ fn run_matching_once(
         "conservation",
     );
     let shares = result.programs.iter().map(|p| p.inner.local_mates());
-    let assembled = assemble_mates(g.num_vertices(), shares).map(Matching::from_mates);
-    let matching = match assembled {
-        Ok(m) => {
-            out.counters.record(true);
-            out.check(oracles::valid_matching(g, &m), &schedule, "valid-matching");
-            out.check(
-                oracles::half_approx_certificate(g, &m),
-                &schedule,
-                "half-approx-certificate",
-            );
-            out.check(
-                oracles::request_ledger(&result.programs, &m),
-                &schedule,
-                "request-ledger",
-            );
-            Some(m)
-        }
+    let m = match assemble_mates(g.num_vertices(), shares) {
+        Ok(mates) => Matching::from_mates(mates),
         Err(why) => {
-            out.counters.record(false);
-            out.failures
-                .push(format!("[{schedule}] cross-rank-agreement: {why}"));
-            None
+            out.check(Err(why), &schedule, "cross-rank-agreement");
+            return None;
         }
     };
-    (matching, schedule_fingerprint(&events))
-}
-
-/// Sweeps the matching program over `policies`, holding every run to the
-/// oracles *and* to schedule-invariance: the locally-dominant matching
-/// is unique given the weight/id tie-break order, so every schedule must
-/// assemble the exact same matching.
-pub fn explore_matching(
-    g: &CsrGraph,
-    partition: &Partition,
-    policies: &[DeliveryPolicy],
-) -> Exploration {
-    let mut out = Exploration {
-        exhausted: true,
-        ..Default::default()
-    };
-    let mut fingerprints = HashSet::new();
-    let mut baseline: Option<(String, Matching)> = None;
-    for policy in policies {
-        let schedule = format!("{policy:?}");
-        let (matching, fp) = run_matching_once(g, partition, policy.clone(), &mut out);
-        fingerprints.insert(fp);
-        if let Some(m) = matching {
-            match &baseline {
-                None => baseline = Some((schedule, m)),
-                Some((base_schedule, base)) => out.check(
-                    if &m == base {
-                        Ok(())
-                    } else {
-                        Err(format!(
-                            "matching differs from the one under {base_schedule} \
-                             (weights {} vs {})",
-                            m.weight(g),
-                            base.weight(g)
-                        ))
-                    },
-                    &schedule,
-                    "schedule-invariance",
-                ),
-            }
-        }
-    }
-    out.counters.distinct_schedules = fingerprints.len() as u64;
-    out
-}
-
-/// One coloring run under `policy`, held to the coloring oracle suite.
-/// Returns the assembled coloring and the schedule fingerprint.
-///
-/// Unlike matching, the *result* is schedule-dependent (which ghost
-/// colors a rank has seen when it picks a color legitimately varies with
-/// delivery order), so there is no invariance oracle — every schedule
-/// must merely produce a proper complete coloring by a converging
-/// protocol.
-fn run_coloring_once(
-    g: &CsrGraph,
-    partition: &Partition,
-    cfg: &ColoringConfig,
-    policy: DeliveryPolicy,
-    out: &mut Exploration,
-) -> (Option<Coloring>, u64) {
-    let schedule = format!("{policy:?}");
-    let programs: Vec<DistColoring> = DistGraph::build_all(g, partition)
-        .into_iter()
-        .map(|dg| DistColoring::new(dg, *cfg))
-        .collect();
-    let (recorder, handle) = CollectingRecorder::shared();
-    let result = SimEngine::new(programs, harness_config(policy, handle)).run();
-    let events = recorder.take();
-    out.counters.runs += 1;
-
+    out.check(oracles::valid_matching(g, &m), &schedule, "valid-matching");
     out.check(
-        oracles::coloring_quiescence(&result.programs, result.hit_round_cap),
+        oracles::half_approx_certificate(g, &m),
         &schedule,
-        "quiescence",
+        "half-approx-certificate",
     );
     out.check(
-        oracles::message_conservation(&result.stats, &events),
+        oracles::request_ledger(&result.programs, &m),
         &schedule,
-        "conservation",
+        "request-ledger",
     );
-    out.check(
-        oracles::conflicts_monotone(&events),
-        &schedule,
-        "conflicts-monotone",
-    );
-    let coloring = assemble_coloring(&result.programs, g.num_vertices());
-    out.check(
-        oracles::proper_coloring(g, &coloring),
-        &schedule,
-        "proper-coloring",
-    );
-    (Some(coloring), schedule_fingerprint(&events))
-}
-
-/// Sweeps the coloring program over `policies` with the given protocol
-/// config, holding every run to the coloring oracles.
-pub fn explore_coloring(
-    g: &CsrGraph,
-    partition: &Partition,
-    cfg: &ColoringConfig,
-    policies: &[DeliveryPolicy],
-) -> Exploration {
-    let mut out = Exploration {
-        exhausted: true,
-        ..Default::default()
-    };
-    let mut fingerprints = HashSet::new();
-    for policy in policies {
-        let (_, fp) = run_coloring_once(g, partition, cfg, policy.clone(), &mut out);
-        fingerprints.insert(fp);
-    }
-    out.counters.distinct_schedules = fingerprints.len() as u64;
-    out
+    Some(m)
 }
 
 /// Interior state of a [`ScriptBook`]: the replay prefix and the
@@ -455,27 +290,20 @@ impl ScriptSearch {
 
 /// Bounded-exhaustive matching exploration: enumerates the delivery
 /// choice tree of a tiny configuration depth-first (with commuting-head
-/// pruning) up to `budget` runs, holding every run to the full oracle
-/// suite and to schedule-invariance of the assembled matching.
+/// pruning) up to `budget` runs, holding every run to the matching
+/// oracles and to schedule-invariance of the assembled matching.
 pub fn explore_matching_exhaustive(
     g: &CsrGraph,
     partition: &Partition,
     budget: u64,
 ) -> Exploration {
     let mut out = Exploration::default();
-    let mut fingerprints = HashSet::new();
     let mut baseline: Option<Matching> = None;
     let mut search = ScriptSearch::new(budget);
     while let Some(book) = search.next_book() {
-        let run_idx = search.runs;
-        let (matching, fp) = run_matching_once(
-            g,
-            partition,
-            DeliveryPolicy::Scripted(book.clone()),
-            &mut out,
-        );
-        fingerprints.insert(fp);
-        if let Some(m) = matching {
+        let policy = DeliveryPolicy::Scripted(book.clone());
+        if let Some(m) = run_matching_once(g, partition, policy, &mut out) {
+            let schedule = format!("Scripted run {}", search.runs);
             match &baseline {
                 None => baseline = Some(m),
                 Some(base) => out.check(
@@ -484,7 +312,7 @@ pub fn explore_matching_exhaustive(
                     } else {
                         Err("matching differs from the canonical-schedule baseline".to_string())
                     },
-                    &format!("Scripted run {run_idx}"),
+                    &schedule,
                     "schedule-invariance",
                 ),
             }
@@ -494,40 +322,12 @@ pub fn explore_matching_exhaustive(
         }
     }
     out.exhausted = search.drained();
-    out.counters.distinct_schedules = fingerprints.len() as u64;
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cmg_graph::generators::grid2d;
-    use cmg_graph::weights::{assign_weights, WeightScheme};
-    use cmg_partition::simple::block_partition;
-
-    fn small_instance() -> (CsrGraph, Partition) {
-        let g = assign_weights(&grid2d(4, 4), WeightScheme::Uniform { lo: 0.1, hi: 1.0 }, 3);
-        let p = block_partition(g.num_vertices(), 4);
-        (g, p)
-    }
-
-    #[test]
-    fn standard_battery_holds_on_small_grid() {
-        let (g, p) = small_instance();
-        let ex = explore_matching(&g, &p, &standard_policies(4, 8));
-        assert!(ex.ok(), "failures: {:#?}", ex.failures);
-        assert_eq!(ex.counters.runs, 3 + 4 + 8);
-        assert!(ex.counters.distinct_schedules > 1);
-    }
-
-    #[test]
-    fn coloring_battery_holds_on_small_grid() {
-        let (g, p) = small_instance();
-        let ex = explore_coloring(&g, &p, &ColoringConfig::default(), &standard_policies(4, 4));
-        assert!(ex.ok(), "failures: {:#?}", ex.failures);
-        assert!(ex.counters.checks >= ex.counters.runs * 4);
-    }
-
     #[test]
     fn script_book_merges_are_fifo_and_backtrackable() {
         let mk = |src: Rank, seq: u32, hash: u64| DeliveryKey {
@@ -591,6 +391,6 @@ mod tests {
         let ex = explore_matching_exhaustive(&g, &p, 500);
         assert!(ex.ok(), "failures: {:#?}", ex.failures);
         assert!(ex.exhausted, "tiny config must drain within budget");
-        assert!(ex.counters.runs >= 1);
+        assert!(ex.runs >= 1);
     }
 }

@@ -3,12 +3,14 @@
 //! Correctness machinery for the matching/coloring workspace, in three
 //! layers:
 //!
-//! 1. **Schedule exploration** ([`explore`]) — re-runs the distributed
-//!    programs under adversarial mailbox delivery orders (seeded random
-//!    permutations, reverse-rank, LIFO, per-rank withholding, and a
-//!    bounded-exhaustive scripted search with commuting-delivery
+//! 1. **Schedule exploration** ([`explore`]) — re-runs the matching
+//!    program under every delivery interleaving of a tiny configuration
+//!    (a bounded-exhaustive scripted search with commuting-delivery
 //!    pruning), exercising the message-race surface that a single
-//!    canonical schedule never touches. All policies preserve per-source
+//!    canonical schedule never touches. Named delivery policies (seeded
+//!    random merges, reverse-rank, LIFO, per-rank withholding) are the
+//!    digest sweep's delivery axis (`tests/sweep_harness`), which holds
+//!    every simulated cell to layer 2. All policies preserve per-source
 //!    FIFO — the one ordering guarantee MPI point-to-point actually
 //!    gives — so every explored schedule is one a real cluster could
 //!    produce.
@@ -30,8 +32,7 @@
 //!    are clippy's: every crate root denies `unwrap_used`, `expect_used`
 //!    and `panic`.
 //!
-//! The exploration layer drives [`cmg_runtime::DeliveryPolicy`]; oracle
-//! tallies aggregate into [`cmg_obs::OracleCounters`].
+//! Both the explorer and the sweep drive [`cmg_runtime::DeliveryPolicy`].
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![forbid(unsafe_code)]
@@ -48,7 +49,5 @@ pub use analyze::{
     analyze_sources, analyze_tree, AnalysisReport, AnalyzeAllowlist, AnalyzeRule, AnalyzeViolation,
 };
 pub use callgraph::{CallGraph, Workspace};
-pub use explore::{
-    explore_coloring, explore_matching, standard_policies, Exploration, ScriptBook, ScriptSearch,
-};
+pub use explore::{Exploration, ScriptBook, ScriptSearch};
 pub use observed::ObservedMatching;

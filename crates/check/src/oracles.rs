@@ -1,4 +1,5 @@
-//! Protocol-invariant oracles evaluated after every explored run.
+//! Protocol-invariant oracles evaluated after every simulated run of the
+//! digest sweep (`tests/sweep_harness`) and of the exhaustive explorer.
 //!
 //! Each oracle returns `Ok(())` or a diagnostic string naming the first
 //! violated invariant. They are deliberately *end-state* checks — they
@@ -20,6 +21,7 @@
 //! * The simulated network neither drops nor duplicates packets.
 
 use crate::observed::ObservedMatching;
+use cmg_coloring::dist::ConflictScope;
 use cmg_coloring::{Coloring, DistColoring};
 use cmg_graph::{CsrGraph, VertexId};
 use cmg_matching::{MatchMsg, Matching};
@@ -75,7 +77,7 @@ pub fn proper_coloring(g: &CsrGraph, c: &Coloring) -> Result<(), String> {
 /// conflicted in phase `k`, and a vertex can only re-conflict if it was
 /// just recolored — so the global count can never grow, and the
 /// protocol stops at the first all-zero phase.
-pub(crate) fn conflicts_monotone(events: &[TimedEvent]) -> Result<(), String> {
+pub fn conflicts_monotone(events: &[TimedEvent]) -> Result<(), String> {
     let mut sums: BTreeMap<u32, u64> = BTreeMap::new();
     for e in events {
         if let Event::ColoringRound {
@@ -115,7 +117,7 @@ pub(crate) fn conflicts_monotone(events: &[TimedEvent]) -> Result<(), String> {
 
 /// Wire-level conservation: the engine's per-rank counters balance and
 /// the event stream saw exactly as many packet receives as sends.
-pub(crate) fn message_conservation(stats: &RunStats, events: &[TimedEvent]) -> Result<(), String> {
+pub fn message_conservation(stats: &RunStats, events: &[TimedEvent]) -> Result<(), String> {
     if let Some(violation) = stats.conservation_violation() {
         return Err(violation);
     }
@@ -156,7 +158,7 @@ pub(crate) fn message_conservation(stats: &RunStats, events: &[TimedEvent]) -> R
 ///    in which case neither side sends S/F across the edge), answered
 ///    by `SUCCEEDED`/`FAILED(b→a)`, or retracted by `a`'s own
 ///    `SUCCEEDED`/`FAILED(a→b)` that crossed the request on the wire.
-pub(crate) fn request_ledger(programs: &[ObservedMatching], m: &Matching) -> Result<(), String> {
+pub fn request_ledger(programs: &[ObservedMatching], m: &Matching) -> Result<(), String> {
     let mut requests: HashMap<(VertexId, VertexId), u32> = HashMap::new();
     let mut answers: HashMap<(VertexId, VertexId), u32> = HashMap::new();
     for p in programs {
@@ -202,7 +204,7 @@ pub(crate) fn request_ledger(programs: &[ObservedMatching], m: &Matching) -> Res
 
 /// Termination: the run quiesced (did not hit the round cap) and every
 /// rank resolved all of its owned vertices.
-pub(crate) fn matching_quiescence(
+pub fn matching_quiescence(
     programs: &[ObservedMatching],
     hit_round_cap: bool,
 ) -> Result<(), String> {
@@ -221,8 +223,8 @@ pub(crate) fn matching_quiescence(
 }
 
 /// Termination for coloring: quiesced with every rank in its final state.
-pub(crate) fn coloring_quiescence(
-    programs: &[DistColoring],
+pub fn coloring_quiescence<S: ConflictScope>(
+    programs: &[DistColoring<S>],
     hit_round_cap: bool,
 ) -> Result<(), String> {
     if hit_round_cap {

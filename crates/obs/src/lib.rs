@@ -32,7 +32,6 @@ mod digest;
 pub mod event;
 pub mod json;
 pub mod metrics;
-pub mod oracle;
 pub mod recorder;
 pub mod report;
 pub mod sched;
@@ -43,7 +42,6 @@ pub use digest::Fnv1a;
 pub use event::{Event, PhaseName, TimedEvent, ENGINE_RANK};
 pub use json::Json;
 pub use metrics::MetricsRegistry;
-pub use oracle::OracleCounters;
 pub use recorder::{replay, CollectingRecorder, NoopRecorder, Recorder, RecorderHandle};
 pub use report::RunReport;
 pub use sched::SchedStats;

@@ -30,8 +30,9 @@
 //! dense 0..p sweep). Round aggregates (stepped ranks, packets, bytes,
 //! max virtual time) are maintained incrementally instead of re-folding all
 //! p slots. Ranks step one after another on the calling thread. Results
-//! are bit-identical to the [`SimEngine::run_dense_reference`] baseline;
-//! `tests/scheduler_equivalence.rs` holds the property test pinning this.
+//! are bit-identical to the [`SimEngine::run_dense_reference`] baseline:
+//! the digest sweep (`tests/sweep.rs`) runs every `dense` cell against its
+//! scheduled twin, token workloads included.
 
 use crate::bundle::Packet;
 use crate::delivery::{payload_fingerprint, DeliveryKey, DeliveryPolicy};
@@ -490,8 +491,8 @@ impl<P: RankProgram> SimEngine<P> {
 
     /// The pre-scheduler dense round loop, kept verbatim as the reference
     /// implementation: every round folds over all `p` slots and steps each
-    /// in rank order. `tests/scheduler_equivalence.rs` asserts
-    /// [`SimEngine::run`] reproduces its results bit-for-bit. It writes
+    /// in rank order. The digest sweep's `dense` cells (`tests/sweep.rs`)
+    /// assert [`SimEngine::run`] reproduces its results bit-for-bit. It writes
     /// its own deliver → compute → send body instead of driving a
     /// [`RankStep`] — a reference that called the code under test would
     /// check nothing. Not part of the supported API.
@@ -975,26 +976,38 @@ mod tests {
         }
     }
 
+    /// The scaling property the scheduler exists for: after the all-rank
+    /// round 0, a round steps only the rank holding the token, so a run's
+    /// rounds, steps and the token ranks' clocks do not depend on p.
     #[test]
     fn sched_counters_track_quiet_rounds() {
-        let p = 64;
-        let programs = (0..p)
-            .map(|_| RingToken {
-                hops_left: 10,
-                forwarded: 0,
-            })
-            .collect();
-        let result = SimEngine::<RingToken>::new(programs, free_config()).run();
-        let sched = &result.sched;
-        assert_eq!(sched.rounds, result.stats.rounds);
-        // Round 0 steps everyone; every later round steps exactly the
-        // one rank holding the token.
-        assert_eq!(sched.worklist_max, p as u64);
-        assert_eq!(sched.worklist_total, p as u64 + (sched.rounds - 1));
-        assert_eq!(
-            sched.ranks_skipped_total,
-            (sched.rounds - 1) * (p as u64 - 1)
-        );
+        let run = |p: u64| {
+            let programs = (0..p)
+                .map(|_| RingToken {
+                    hops_left: 10,
+                    forwarded: 0,
+                })
+                .collect();
+            SimEngine::<RingToken>::new(programs, EngineConfig::default()).run()
+        };
+        let small = run(64);
+        for p in [64, 512, 4096] {
+            let result = run(p);
+            let sched = &result.sched;
+            assert_eq!(sched.rounds, result.stats.rounds);
+            // Round 0 steps everyone; every later round steps exactly the
+            // one rank holding the token.
+            assert_eq!(sched.worklist_max, p);
+            assert_eq!(sched.worklist_total, p + (sched.rounds - 1), "p = {p}");
+            assert_eq!(sched.ranks_skipped_total, (sched.rounds - 1) * (p - 1));
+            assert_eq!(result.stats.rounds, small.stats.rounds, "p = {p}");
+            let forwarded: u64 = result.programs.iter().map(|r| r.forwarded).sum();
+            assert_eq!(forwarded, 10);
+            for rank in 0..=10 {
+                let (a, b) = (&result.stats.per_rank[rank], &small.stats.per_rank[rank]);
+                assert_eq!(a.virtual_time, b.virtual_time, "rank {rank}, p = {p}");
+            }
+        }
     }
 
     #[test]
