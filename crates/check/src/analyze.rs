@@ -1,73 +1,46 @@
 //! `cmg-analyze`: whole-workspace interprocedural rules over the
 //! [`crate::callgraph`] call graph.
 //!
-//! Seven rules. The first five generalize a local discipline across
-//! function boundaries; the last two are per-fn facts of the same IR:
+//! Three rules, each a property no compiler lint or test checks:
 //!
 //! * **`blocking-reachability`** — no call path from a reactor entry
 //!   point (any fn in `crates/net/src/reactor*`) or a
 //!   `// nonblocking: begin` fenced region may reach a blocking API
 //!   (`read`/`write`/`lock`/`recv`/`sleep`/`connect`/`join`/…). The
-//!   full call path is reported. This subsumes the old
-//!   directory-scoped `no-blocking-io-in-reactor` token fence: a
-//!   blocking helper in another file called from the reactor is now
-//!   visible.
-//! * **`wire-drift`** — every non-test [`wire_codec!`] variant must be
-//!   constructed somewhere and matched somewhere; `match`es over wire
-//!   enums in `crates/net`/`crates/runtime` must not swallow variants
-//!   with a non-error `_ =>` arm; and the `Ctrl` wire surface is
-//!   fingerprinted against a pinned baseline per `PROTO_VERSION` —
-//!   changing `Ctrl` without bumping the version (or bumping without
-//!   pinning a new baseline) is a violation.
+//!   full call path is reported. A fence marker that does not pair up
+//!   (a `begin` never closed, a `begin` inside an open fence, an `end`
+//!   with nothing open) is a finding too, so a deleted marker cannot
+//!   switch the check off.
 //! * **`lock-order`** — per-fn Mutex acquisition facts are propagated
 //!   over the call graph into a lock-ordering graph; cycles are
 //!   reported as potential deadlocks with one witness per edge.
-//! * **`hot-path-transitive-alloc`** — an allocation-shaped call
-//!   (`vec!`, `format!`, `with_capacity`, `.collect()`, `.to_vec()`,
-//!   `Box::new`, …) inside a `// hot-path` fence is reported, and so
-//!   is every allocating callee reachable from a call made inside it,
-//!   with the path.
-//! * **`unreferenced-pub`** — a non-test `pub fn` (free or inherent) or
-//!   `pub mod` in a library crate's `crates/<c>/src` that no caller
-//!   names. Callers are the other crates' `src`, the crate's own
-//!   `src/bin` and `main.rs`, every `tests/` directory, `examples/`,
-//!   the root `src/` and `ledger/`. Names are matched as identifiers in
-//!   masked source, so a collision keeps the item; narrowing a finding
-//!   to `pub(crate)` hands it to rustc's `dead_code` lint.
-//! * **`unguarded-emit`** — every recorder `.emit(` sits in a block
-//!   opened by an `if` on the cached `observed` / `enabled()` bool, not
-//!   negated, so an unobserved run never builds an event.
-//! * **`no-hand-rolled-collective`** — outside
-//!   `crates/runtime/src/collectives*`, no fn builds reduction-tree
-//!   topology by hand (names `parent` and `children` and does arithmetic
-//!   on a rank): Algorithm 4.1's allreduce and DONE wave are written once,
-//!   in `cmg_runtime::collectives`.
+//! * **`test-only`** — a non-test fn or enum variant in `crates/*/src`
+//!   that nothing reachable from a root calls or builds: only tests use
+//!   it. The roots are every `fn main` (`crates/*/src/bin`, a crate's
+//!   `main.rs`, `examples/`) and every fn under `ledger/src`. What the
+//!   graph cannot see being called counts as reached: a method of a
+//!   `trait` or a trait `impl` (`dyn` and generic dispatch), a `const` /
+//!   `static` initializer, and a method named like a std one.
 //!
-//! A fence marker that does not pair up (a `begin` never closed, a
-//! `begin` inside an open fence, an `end` with nothing open) is a
-//! finding of the rule that owns the fence, so a deleted marker cannot
-//! switch the check off.
+//! DESIGN.md §11 names the gate that replaced each retired rule.
 //!
 //! ## Soundness caveats
 //!
 //! The analysis is name-resolution based, not type-checked: trait
-//! dispatch through `dyn`/generics is invisible, function pointers are
-//! not tracked, and a typed receiver whose type has no workspace impl
-//! is assumed external. Lock identities conflate instances that share a
-//! field name or type (and re-entrant acquisition of the *same*
-//! identity is deliberately not reported, because instance aliasing
-//! would make it noisy). `.reserve(` is not on the allocation list.
-//! `unreferenced-pub` cannot see a name that only a macro expansion
-//! produces. Uniform repo idiom plus the reasoned allowlist absorb the
-//! residue.
-//!
-//! [`wire_codec!`]: cmg_runtime::wire_codec
+//! dispatch through `dyn`/generics is invisible, a function pointer is a
+//! call only where it is named, and a typed receiver whose type has no
+//! workspace impl is assumed external. Lock identities conflate instances
+//! that share a field name or type (and re-entrant acquisition of the
+//! *same* identity is deliberately not reported, because instance
+//! aliasing would make it noisy). An untyped method call resolves to
+//! every workspace method of its name, so `test-only` under-reports. It
+//! cannot see a call or a variant that only a macro expansion writes.
+//! Uniform repo idiom plus the reasoned allowlist absorb the residue.
 
-use crate::callgraph::{CallGraph, FnId, Workspace};
-use crate::mask::mask_source;
-use crate::parse::{in_line_spans, FnItem, TokenSite};
+use crate::callgraph::{CallGraph, FnId, Workspace, BUILTIN_METHODS};
+use crate::parse::{in_line_spans, FnItem};
 use cmg_obs::json::Json;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -77,19 +50,10 @@ use std::path::{Path, PathBuf};
 pub enum AnalyzeRule {
     /// Call path from a nonblocking region to a blocking API.
     BlockingReachability,
-    /// Wire enum variant unconstructed/unmatched, swallowed by a
-    /// wildcard arm, or `Ctrl` changed without a `PROTO_VERSION` bump.
-    WireDrift,
     /// Cycle in the interprocedural lock-ordering graph.
     LockOrder,
-    /// Allocation inside a hot-path fence, directly or through a call.
-    HotPathTransitiveAlloc,
-    /// Library `pub` item that no caller outside its crate names.
-    UnreferencedPub,
-    /// Recorder `.emit(` outside a block guarded by the enabled-bool.
-    UnguardedEmit,
-    /// Reduction-tree topology built by hand outside the collectives.
-    HandRolledCollective,
+    /// Fn or enum variant that no binary, example or ledger fn reaches.
+    TestOnly,
 }
 
 impl AnalyzeRule {
@@ -97,25 +61,17 @@ impl AnalyzeRule {
     pub fn name(self) -> &'static str {
         match self {
             AnalyzeRule::BlockingReachability => "blocking-reachability",
-            AnalyzeRule::WireDrift => "wire-drift",
             AnalyzeRule::LockOrder => "lock-order",
-            AnalyzeRule::HotPathTransitiveAlloc => "hot-path-transitive-alloc",
-            AnalyzeRule::UnreferencedPub => "unreferenced-pub",
-            AnalyzeRule::UnguardedEmit => "unguarded-emit",
-            AnalyzeRule::HandRolledCollective => "no-hand-rolled-collective",
+            AnalyzeRule::TestOnly => "test-only",
         }
     }
 
     /// All rules, for report summaries.
-    pub fn all() -> [AnalyzeRule; 7] {
+    pub fn all() -> [AnalyzeRule; 3] {
         [
             AnalyzeRule::BlockingReachability,
-            AnalyzeRule::WireDrift,
             AnalyzeRule::LockOrder,
-            AnalyzeRule::HotPathTransitiveAlloc,
-            AnalyzeRule::UnreferencedPub,
-            AnalyzeRule::UnguardedEmit,
-            AnalyzeRule::HandRolledCollective,
+            AnalyzeRule::TestOnly,
         ]
     }
 }
@@ -184,34 +140,51 @@ pub struct AnalyzeAllowlist {
     pub entries: Vec<AnalyzeAllow>,
 }
 
-impl AnalyzeAllowlist {
-    /// An empty allowlist (every finding reported).
-    pub fn empty() -> Self {
-        AnalyzeAllowlist::default()
-    }
+/// `test-only` exemptions, `(path or path#item prefix, why tests are its
+/// only users by design)`: oracles, references and fixtures tests compare
+/// against, and the knobs only tests turn (delivery orders, faults).
+#[rustfmt::skip] // a table: one entry per line
+const TEST_SUPPORT: &[(&str, &str)] = &[
+    ("crates/check/src/explore.rs", "the schedule explorer"),
+    ("crates/check/src/oracles.rs", "the protocol oracles"),
+    ("crates/check/src/observed.rs", "the oracles' view of a matching run"),
+    ("crates/matching/src/exact.rs", "the exact optimum the approximations are held to"),
+    ("crates/graph/src/generators.rs", "fixture families; random bipartite inputs of the exact oracle"),
+    ("crates/graph/src/csr.rs#CsrGraph::empty", "the edgeless fixture"),
+    ("crates/partition/src/partition.rs#Partition::single", "the one-part fixture"),
+    ("crates/matching/src/matching.rs#Matching::", "oracle queries: partner, edges, maximality"),
+    ("crates/coloring/src/coloring.rs#Coloring::is_complete", "an oracle query"),
+    ("crates/matching/src/dist.rs#DistMatching::", "a rank's slice and termination, for the oracles"),
+    ("crates/coloring/src/dist.rs#DistColoring::", "a rank's slice and termination, for the oracles"),
+    ("crates/runtime/src/sim.rs#SimEngine::run_dense_reference", "the scheduler's dense reference"),
+    ("crates/runtime/src/sim.rs#SimEngine::dense_step_all", "the dense reference's step"),
+    ("crates/runtime/src/delivery.rs#DeliveryPolicy::", "the sweep's adversarial delivery orders"),
+    ("crates/runtime/src/program.rs#RankCtx::self_sends", "shows the explorer a self-send was scheduled"),
+    ("crates/runtime/src/cost.rs#MachinePreset::", "named presets; the default model is built directly"),
+    ("crates/net/src/supervisor.rs#KillSpec::", "scripted worker deaths for the fault tests"),
+    ("crates/net/src/supervisor.rs#NetSession::", "the fault tests observe and re-arm a resident fleet"),
+    ("crates/net/src/proto.rs#encode_", "byte pins run the shipped encoders through these"),
+    ("crates/obs/src/digest.rs#Fnv1a::", "the digest sweep's folds"),
+    ("crates/obs/src/metrics.rs#MetricsRegistry::", "read-back for the JSONL round trip"),
+    ("crates/obs/src/trace.rs#RunHealth::", "telemetry the fault and trace-golden tests assert"),
+    ("crates/serve/src/state.rs#ServeState::graph", "serve's end-to-end test checks answers on it"),
+];
 
+impl AnalyzeAllowlist {
     /// The workspace's vetted analyze exemptions.
     ///
     /// Every entry carries a reason explaining why the finding is sound
     /// to suppress, and `analyze_allowlist_is_load_bearing` in the
     /// integration tests fails if an entry stops matching anything.
     pub fn workspace() -> Self {
+        let rule = "test-only";
+        let entries = TEST_SUPPORT.iter().map(|&(prefix, reason)| AnalyzeAllow {
+            prefix,
+            rule,
+            reason,
+        });
         AnalyzeAllowlist {
-            entries: vec![
-                AnalyzeAllow {
-                    prefix: "crates/runtime/src/lib.rs#codec",
-                    rule: "unreferenced-pub",
-                    reason: "`wire_codec!` expands to `$crate::codec::{Buf, BufMut, WireField}` \
-                             in every crate that declares a wire enum; a macro expansion is a \
-                             caller the identifier scan cannot see",
-                },
-                AnalyzeAllow {
-                    prefix: "crates/runtime/src/program.rs#RankCtx::emit",
-                    rule: "unguarded-emit",
-                    reason: "RankCtx::emit and emit_at are the forwarders every guarded call \
-                             site funnels through; RecorderHandle::emit re-checks the cached bool",
-                },
-            ],
+            entries: entries.collect(),
         }
     }
 
@@ -227,38 +200,6 @@ impl AnalyzeAllowlist {
             .map(|e| e.reason)
     }
 }
-
-/// Pinned FNV-1a 64 fingerprints of the `Ctrl` wire surface, one per
-/// `PROTO_VERSION`. Changing `Ctrl` without bumping the version makes
-/// the current entry mismatch; bumping without pinning the new
-/// fingerprint here leaves the new version without a baseline. Both are
-/// `wire-drift` violations, so every wire change is a deliberate
-/// two-line diff (version bump + new pin) reviewed together.
-/// v4 widened the fingerprint itself: it covers `Ctrl` plus every
-/// `Snap`-suffixed snapshot record enum, because those encodings ride
-/// opaquely inside `Ctrl::Checkpoint` payloads and resume assignments.
-/// v6 was re-pinned in place when the distance-2 snapshot records joined
-/// `ColorSnap` under new tags: every byte a v6 peer can send is unchanged,
-/// since distance-2 coloring never runs on the net engine. It was
-/// re-pinned in place again when the snapshot enum of the retired
-/// distributed b-matching program left the surface: no v6 peer ever sent
-/// those bytes, because no net worker could run that program, and the
-/// `MatchMsg` / `MatchSnap` bytes are pinned unchanged in
-/// `tests/distance2_pin.rs`.
-/// v7 is a bump, not an in-place re-pin, because a v6 peer could send
-/// the bytes it retired: the coloring assignment's colour choice and
-/// local order, and `ColorSnap` usage-table records in checkpoints.
-/// v8 keeps v7's fingerprint: `Ctrl` and the snapshot records are
-/// unchanged, but the `Outcome` and `Assignment` payloads they carry are
-/// not (see `PROTO_VERSION`'s history).
-pub const WIRE_BASELINES: &[(u64, u64)] = &[
-    (3, 0xec5d_285e_8cd8_0aa1),
-    (4, 0x4956_cc56_edbc_cd90),
-    (5, 0x1f0f_d877_76a1_24b0),
-    (6, 0xf380_fb53_d528_f562),
-    (7, 0x9bff_2516_97b3_d6d5),
-    (8, 0x9bff_2516_97b3_d6d5),
-];
 
 /// The analysis result for one workspace.
 #[derive(Clone, Debug, Default)]
@@ -343,47 +284,22 @@ impl AnalysisReport {
     }
 }
 
-/// The only place allowed to build collective topology by hand.
-const COLLECTIVES_HOME: &str = "crates/runtime/src/collectives";
-
 /// Reactor home: every non-test fn declared under this prefix is a
 /// blocking-reachability entry point.
 const REACTOR_HOME: &str = "crates/net/src/reactor";
 
-/// Crates whose wire-enum `match`es must not swallow variants.
-const WIRE_CONSUMER_CRATES: &[&str] = &["crates/net/", "crates/runtime/"];
-
-/// Tokens that make a wildcard arm acceptable: the arm surfaces the
-/// unknown variant as an error instead of swallowing it.
-const ARM_ERROR_TOKENS: &[&str] = &[
-    "Err(",
-    "Err (",
-    "unreachable!",
-    "panic!",
-    "protocol(",
-    "bug!",
-];
-
 /// Runs the full analysis over `(path, source)` pairs with an
-/// allowlist. Files under `crates/<c>/src/` form the call graph; every
-/// other file only counts as a caller for `unreferenced-pub`.
-/// Deterministic; never panics on arbitrary input.
+/// allowlist. Every file is a node set of the call graph; `test-only`
+/// reports only what lies under `crates/<c>/src/`. Deterministic; never
+/// panics on arbitrary input.
 pub fn analyze_sources(sources: &[(String, String)], allow: &AnalyzeAllowlist) -> AnalysisReport {
-    let crate_files: Vec<(String, String)> = sources
-        .iter()
-        .filter(|(p, _)| crate_src(p).is_some())
-        .cloned()
-        .collect();
-    let ws = Workspace::parse(&crate_files);
+    let ws = Workspace::parse(sources);
     let graph = CallGraph::build(&ws);
     let mut found = Vec::new();
     blocking_reachability(&graph, &mut found);
-    wire_drift(&ws, &mut found);
     lock_order(&graph, &mut found);
-    hot_path_transitive(&graph, &mut found);
     fence_faults(&ws, &mut found);
-    unreferenced_pub(&ws, sources, &mut found);
-    emits_and_trees(&ws, &mut found);
+    test_only(&ws, &graph, &mut found);
     found.sort_by(|a, b| {
         (a.rule, &a.path, a.line, &a.item, &a.message)
             .cmp(&(b.rule, &b.path, b.line, &b.item, &b.message))
@@ -410,21 +326,20 @@ pub fn analyze_sources(sources: &[(String, String)], allow: &AnalyzeAllowlist) -
     report
 }
 
-/// Directories outside `crates/` whose files call into the library
-/// crates. `ledger/` is read so that nothing the benchmark links is
-/// reported as unreferenced.
-const CALLER_DIRS: &[&str] = &["tests", "examples", "src", "ledger/src", "ledger/tests"];
+/// The directories outside `crates/` that the graph reads: the examples'
+/// `main`s and the ledger's sources are `test-only`'s roots.
+const ROOT_DIRS: &[&str] = &["examples", "ledger/src"];
 
-/// Runs the analysis over every `crates/*/src/**/*.rs` under
-/// `repo_root`, with `crates/*/tests` and [`CALLER_DIRS`] as callers.
+/// Runs the analysis over every `.rs` file of `crates/*/src` and
+/// [`ROOT_DIRS`] under `repo_root`.
 pub fn analyze_tree(repo_root: &Path, allow: &AnalyzeAllowlist) -> Result<AnalysisReport, String> {
     let crates_dir = repo_root.join("crates");
     let entries = fs::read_dir(&crates_dir)
         .map_err(|e| format!("cannot read {}: {e}", crates_dir.display()))?;
-    let mut dirs: Vec<PathBuf> = CALLER_DIRS.iter().map(|d| repo_root.join(d)).collect();
+    let mut dirs: Vec<PathBuf> = ROOT_DIRS.iter().map(|d| repo_root.join(d)).collect();
     for entry in entries {
         let entry = entry.map_err(|e| format!("cannot list {}: {e}", crates_dir.display()))?;
-        dirs.extend(["src", "tests"].map(|sub| entry.path().join(sub)));
+        dirs.push(entry.path().join("src"));
     }
     let mut files = Vec::new();
     for dir in dirs.iter().filter(|d| d.is_dir()) {
@@ -471,44 +386,31 @@ fn item_name(item: &FnItem) -> String {
     }
 }
 
-/// A rule that forbids one kind of token inside a fenced region and in
-/// every fn a call made there can reach.
-struct RegionRule {
-    rule: AnalyzeRule,
-    /// The fn's forbidden tokens.
-    sinks: fn(&FnItem) -> &[TokenSite],
-    /// What a forbidden token is, for messages (`blocking call`).
-    sink: &'static str,
-    /// What the region is, for messages (`nonblocking region`).
-    region: &'static str,
-}
-
-/// Reports every forbidden token inside `entry`'s region (`None` = the
+/// Reports every blocking call inside `entry`'s region (`None` = the
 /// whole body), then walks the resolved edges leaving the region and
-/// reports each reached fn's first forbidden token with its call path.
+/// reports each reached fn's first blocking call with its call path.
 fn region_reach(
     graph: &CallGraph,
-    r: &RegionRule,
     entry: FnId,
     spans: Option<&[(usize, usize)]>,
     out: &mut Vec<AnalyzeViolation>,
 ) {
     let in_region = |line| spans.is_none_or(|s| in_line_spans(line, s));
     let finding = |line, message, call_path| AnalyzeViolation {
-        rule: r.rule,
+        rule: AnalyzeRule::BlockingReachability,
         path: graph.path(entry).to_string(),
         line,
         item: item_name(graph.item(entry)),
         message,
         call_path,
     };
-    for t in (r.sinks)(graph.item(entry)) {
+    for t in &graph.item(entry).blocking {
         if in_region(t.line) {
             let frame = PathFrame {
                 label: graph.label(entry),
                 line: t.line,
             };
-            let message = format!("{} `{}` inside a {}", r.sink, t.token, r.region);
+            let message = format!("blocking call `{}` inside a nonblocking region", t.token);
             out.push(finding(t.line, message, vec![frame]));
         }
     }
@@ -525,7 +427,7 @@ fn region_reach(
         let id = queue[qi];
         qi += 1;
         let item = graph.item(id);
-        if let Some(t) = (r.sinks)(item).first() {
+        if let Some(t) = item.blocking.first() {
             // Reconstruct entry → … → id. Deeper sinks behind this fn
             // are still reported through their own first-visit paths.
             let mut frames = vec![PathFrame {
@@ -545,11 +447,9 @@ fn region_reach(
             }
             frames.reverse();
             let message = format!(
-                "{} `{}` in {} is reachable from this {}",
-                r.sink,
+                "blocking call `{}` in {} is reachable from this nonblocking region",
                 t.token,
                 item_name(item),
-                r.region
             );
             out.push(finding(frames[0].line, message, frames));
         }
@@ -565,244 +465,20 @@ fn region_reach(
 /// Rule 1: blocking calls in, or reachable from, reactor entry points
 /// (whole body) and nonblocking fences.
 fn blocking_reachability(graph: &CallGraph, out: &mut Vec<AnalyzeViolation>) {
-    let rule = RegionRule {
-        rule: AnalyzeRule::BlockingReachability,
-        sinks: |f| &f.blocking,
-        sink: "blocking call",
-        region: "nonblocking region",
-    };
     for id in graph.ids() {
         let item = graph.item(id);
         if item.in_test {
             continue;
         }
         if graph.path(id).starts_with(REACTOR_HOME) {
-            region_reach(graph, &rule, id, None, out);
+            region_reach(graph, id, None, out);
         } else if !item.nonblocking_lines.is_empty() {
-            region_reach(graph, &rule, id, Some(&item.nonblocking_lines), out);
+            region_reach(graph, id, Some(&item.nonblocking_lines), out);
         }
     }
 }
 
-/// One wire variant row for fingerprinting: `(tag, name, fields)`.
-type WireSurfaceRow = (u64, String, Vec<(String, String)>);
-
-/// FNV-1a 64 over the canonical wire-surface string of an enum.
-fn wire_fingerprint(variants: &[WireSurfaceRow]) -> u64 {
-    let mut sorted: Vec<_> = variants.to_vec();
-    sorted.sort_by_key(|(tag, _, _)| *tag);
-    let mut h = cmg_obs::Fnv1a::new();
-    for (tag, name, fields) in &sorted {
-        h.bytes(tag.to_string().as_bytes());
-        h.bytes(b":");
-        h.bytes(name.as_bytes());
-        h.bytes(b"(");
-        for (fname, fty) in fields {
-            h.bytes(fname.as_bytes());
-            h.bytes(b":");
-            h.bytes(fty.as_bytes());
-            h.bytes(b",");
-        }
-        h.bytes(b");");
-    }
-    h.finish()
-}
-
-/// Rule 2: wire-protocol drift.
-fn wire_drift(ws: &Workspace, out: &mut Vec<AnalyzeViolation>) {
-    // Collect non-test wire enums.
-    let mut enums: Vec<(&str, &crate::parse::WireEnum)> = Vec::new();
-    let mut proto_version: Option<(u64, String, usize)> = None;
-    for f in &ws.files {
-        for e in &f.wire_enums {
-            if !e.in_test {
-                enums.push((f.path.as_str(), e));
-            }
-        }
-        if let Some((v, line)) = f.proto_version {
-            proto_version = Some((v, f.path.clone(), line));
-        }
-    }
-    let enum_names: BTreeSet<&str> = enums.iter().map(|(_, e)| e.name.as_str()).collect();
-    // Variant usage across all non-test fns.
-    let mut constructed: BTreeSet<(String, String)> = BTreeSet::new();
-    let mut matched: BTreeSet<(String, String)> = BTreeSet::new();
-    for f in &ws.files {
-        for item in &f.fns {
-            if item.in_test {
-                continue;
-            }
-            for r in &item.refs {
-                if !enum_names.contains(r.enum_name.as_str()) {
-                    continue;
-                }
-                let key = (r.enum_name.clone(), r.variant.clone());
-                if r.is_pattern {
-                    matched.insert(key);
-                } else {
-                    constructed.insert(key);
-                }
-            }
-        }
-    }
-    for (path, e) in &enums {
-        for v in &e.variants {
-            let key = (e.name.clone(), v.name.clone());
-            if !constructed.contains(&key) {
-                out.push(AnalyzeViolation {
-                    rule: AnalyzeRule::WireDrift,
-                    path: path.to_string(),
-                    line: e.line,
-                    item: e.name.clone(),
-                    message: format!(
-                        "wire variant {}::{} is never constructed outside tests",
-                        e.name, v.name
-                    ),
-                    call_path: Vec::new(),
-                });
-            }
-            if !matched.contains(&key) {
-                out.push(AnalyzeViolation {
-                    rule: AnalyzeRule::WireDrift,
-                    path: path.to_string(),
-                    line: e.line,
-                    item: e.name.clone(),
-                    message: format!(
-                        "wire variant {}::{} is never matched by any consumer",
-                        e.name, v.name
-                    ),
-                    call_path: Vec::new(),
-                });
-            }
-        }
-    }
-    // Swallowing wildcard arms in net/runtime consumers.
-    for f in &ws.files {
-        if !WIRE_CONSUMER_CRATES.iter().any(|c| f.path.starts_with(c)) {
-            continue;
-        }
-        for item in &f.fns {
-            if item.in_test {
-                continue;
-            }
-            for m in &item.matches {
-                let wire_enum = m.arms.iter().find_map(|a| {
-                    enum_names
-                        .iter()
-                        .find(|n| a.pattern.contains(&format!("{n}::")))
-                        .copied()
-                });
-                let Some(enum_name) = wire_enum else {
-                    continue;
-                };
-                for a in &m.arms {
-                    let is_wildcard = a.pattern == "_"
-                        || (!a.pattern.contains("::")
-                            && !a.pattern.contains('(')
-                            && !a.pattern.contains('{')
-                            && a.pattern.split_whitespace().count() == 1);
-                    if !is_wildcard {
-                        continue;
-                    }
-                    let erroring = ARM_ERROR_TOKENS.iter().any(|t| a.body.contains(t));
-                    if !erroring {
-                        out.push(AnalyzeViolation {
-                            rule: AnalyzeRule::WireDrift,
-                            path: f.path.clone(),
-                            line: a.line,
-                            item: item_name(item),
-                            message: format!(
-                                "match on wire enum {enum_name} swallows unknown variants: \
-                                 wildcard arm `{} => {}` neither errors nor panics",
-                                a.pattern,
-                                truncate(&a.body, 40)
-                            ),
-                            call_path: Vec::new(),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    // PROTO_VERSION baseline for Ctrl — plus every `Snap`-suffixed
-    // wire enum. The snapshot record enums encode the checkpoint blobs
-    // that ride inside `Ctrl::Checkpoint` payloads (and come back in
-    // resume assignments), so changing one is a wire-surface change
-    // even though the supervisor treats the blob as opaque: a restored
-    // rank must decode what its previous incarnation encoded. Folding
-    // them into the versioned fingerprint makes any such change demand
-    // the same deliberate version-bump-plus-pin diff as a Ctrl edit.
-    if let Some((ctrl_path, ctrl)) = enums.iter().find(|(_, e)| e.name == "Ctrl") {
-        let mut surface: Vec<WireSurfaceRow> = ctrl
-            .variants
-            .iter()
-            .map(|v| (v.tag, v.name.clone(), v.fields.clone()))
-            .collect();
-        let mut snaps: Vec<&(&str, &crate::parse::WireEnum)> = enums
-            .iter()
-            .filter(|(_, e)| e.name.ends_with("Snap"))
-            .collect();
-        snaps.sort_by_key(|(_, e)| e.name.as_str());
-        for (_, e) in snaps {
-            for v in &e.variants {
-                surface.push((v.tag, format!("{}::{}", e.name, v.name), v.fields.clone()));
-            }
-        }
-        let fp = wire_fingerprint(&surface);
-        match proto_version {
-            None => out.push(AnalyzeViolation {
-                rule: AnalyzeRule::WireDrift,
-                path: ctrl_path.to_string(),
-                line: ctrl.line,
-                item: "Ctrl".to_string(),
-                message: "no PROTO_VERSION const found alongside the Ctrl wire enum".to_string(),
-                call_path: Vec::new(),
-            }),
-            Some((version, vpath, vline)) => {
-                match WIRE_BASELINES.iter().find(|(v, _)| *v == version) {
-                    None => out.push(AnalyzeViolation {
-                        rule: AnalyzeRule::WireDrift,
-                        path: vpath,
-                        line: vline,
-                        item: "PROTO_VERSION".to_string(),
-                        message: format!(
-                            "PROTO_VERSION {version} has no pinned wire baseline; pin \
-                             fingerprint {fp:#018x} in WIRE_BASELINES to make the new \
-                             surface deliberate"
-                        ),
-                        call_path: Vec::new(),
-                    }),
-                    Some((_, pinned)) if *pinned != fp => out.push(AnalyzeViolation {
-                        rule: AnalyzeRule::WireDrift,
-                        path: ctrl_path.to_string(),
-                        line: ctrl.line,
-                        item: "Ctrl".to_string(),
-                        message: format!(
-                            "wire surface (Ctrl + snapshot records) changed without a \
-                             PROTO_VERSION bump: fingerprint {fp:#018x} != pinned \
-                             {pinned:#018x} for version {version}"
-                        ),
-                        call_path: Vec::new(),
-                    }),
-                    Some(_) => {}
-                }
-            }
-        }
-    }
-}
-
-fn truncate(s: &str, n: usize) -> String {
-    if s.len() <= n {
-        return s.to_string();
-    }
-    let mut end = n;
-    while end > 0 && !s.is_char_boundary(end) {
-        end -= 1;
-    }
-    format!("{}…", &s[..end])
-}
-
-/// Rule 3: interprocedural lock-order cycles.
+/// Rule 2: interprocedural lock-order cycles.
 fn lock_order(graph: &CallGraph, out: &mut Vec<AnalyzeViolation>) {
     let n = graph.len();
     // Transitive lock sets per fn (non-test), to fixpoint.
@@ -997,139 +673,98 @@ fn sccs(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
     out
 }
 
-/// Rule 4: allocation in, or reachable from, hot-path fences.
-fn hot_path_transitive(graph: &CallGraph, out: &mut Vec<AnalyzeViolation>) {
-    let rule = RegionRule {
-        rule: AnalyzeRule::HotPathTransitiveAlloc,
-        sinks: |f| &f.allocs,
-        sink: "allocating call",
-        region: "hot-path fence",
-    };
-    for id in graph.ids() {
-        let item = graph.item(id);
-        if !item.in_test && !item.hot_lines.is_empty() {
-            region_reach(graph, &rule, id, Some(&item.hot_lines), out);
-        }
-    }
-}
-
-/// Fence markers that do not pair up, each a finding of the rule that
-/// owns the fence: an unbalanced fence must not switch its check off.
+/// Fence markers that do not pair up, each a `blocking-reachability`
+/// finding: an unbalanced fence must not switch its check off.
 fn fence_faults(ws: &Workspace, out: &mut Vec<AnalyzeViolation>) {
     for f in &ws.files {
         for fault in &f.fence_faults {
-            let rule = match fault.tag {
-                "hot-path" => AnalyzeRule::HotPathTransitiveAlloc,
-                _ => AnalyzeRule::BlockingReachability,
-            };
             let item = f
                 .fns
                 .iter()
                 .find(|i| i.line_span.0 <= fault.line && fault.line <= i.line_span.1)
                 .map_or_else(|| "-".to_string(), item_name);
             out.push(AnalyzeViolation {
-                rule,
+                rule: AnalyzeRule::BlockingReachability,
                 path: f.path.clone(),
                 line: fault.line,
                 item,
-                message: format!("unbalanced `// {}` fence: {}", fault.tag, fault.problem),
+                message: format!("unbalanced `// nonblocking` fence: {}", fault.problem),
                 call_path: Vec::new(),
             });
         }
     }
 }
 
-/// Rule 5: `pub` fns and modules of library crates that no caller
-/// names. A file of library crate `c` other than its `bin/` and
-/// `main.rs` is part of `c`'s API and names things for every crate but
-/// `c`; every other file names things for every crate.
-fn unreferenced_pub(ws: &Workspace, sources: &[(String, String)], out: &mut Vec<AnalyzeViolation>) {
-    let libs: BTreeSet<&str> = sources
-        .iter()
-        .filter_map(|(p, _)| crate_src(p).filter(|&(_, rest)| rest == "lib.rs"))
-        .map(|(c, _)| c)
-        .collect();
-    fn api_crate<'p>(path: &'p str, libs: &BTreeSet<&str>) -> Option<&'p str> {
-        crate_src(path)
-            .filter(|&(c, rest)| libs.contains(c) && rest != "main.rs" && !rest.starts_with("bin/"))
-            .map(|(c, _)| c)
-    }
-    let masked: Vec<(Option<&str>, String)> = sources
-        .iter()
-        .map(|(p, s)| (api_crate(p, &libs), mask_source(s)))
-        .collect();
-    // Identifier → the crates it is named for (`None`: every crate).
-    let mut named_by: HashMap<&str, BTreeSet<Option<&str>>> = HashMap::new();
-    for (owner, text) in &masked {
-        for word in text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
-            if !word.is_empty() {
-                named_by.entry(word).or_default().insert(*owner);
-            }
-        }
-    }
-    let referenced = |name: &str, own: &str| {
-        named_by
-            .get(name)
-            .is_some_and(|owners| owners.iter().any(|o| *o != Some(own)))
-    };
-    for f in &ws.files {
-        let Some(own) = api_crate(&f.path, &libs) else {
-            continue;
-        };
-        let fns = f
-            .fns
-            .iter()
-            .filter(|i| i.is_pub && !i.in_test && !referenced(&i.name, own))
-            .map(|i| (item_name(i), i.line, "pub fn"));
-        let mods = f
-            .pub_mods
-            .iter()
-            .filter(|(name, _)| !referenced(name, own))
-            .map(|(name, line)| (name.clone(), *line, "pub mod"));
-        for (item, line, kind) in fns.chain(mods) {
-            out.push(AnalyzeViolation {
-                rule: AnalyzeRule::UnreferencedPub,
-                path: f.path.clone(),
-                line,
-                message: format!(
-                    "`{kind}` named by no caller outside crates/{own}/src (other crates, its \
-                     binaries, tests, examples, ledger): delete it or narrow its visibility"
-                ),
-                item,
-                call_path: Vec::new(),
-            });
-        }
-    }
+/// Whether `item` (declared in `path`) is a `test-only` root: a `fn
+/// main` of a binary or an example, a ledger fn, an item reached without
+/// a call the graph sees ([`FnItem::implicit`]), or a method named like a
+/// std one, since the graph drops such calls on untyped receivers.
+fn is_root(path: &str, item: &FnItem) -> bool {
+    let main = item.name == "main"
+        && item.qual.is_none()
+        && (path.starts_with("examples/")
+            || crate_src(path)
+                .is_some_and(|(_, rest)| rest == "main.rs" || rest.starts_with("bin/")));
+    let builtin = item.qual.is_some() && BUILTIN_METHODS.contains(&item.name.as_str());
+    main || builtin || item.implicit || path.starts_with("ledger/src/")
 }
 
-/// Rules 6 and 7, per fn: recorder emits outside a guarded block, and
-/// reduction trees built by hand outside [`COLLECTIVES_HOME`].
-fn emits_and_trees(ws: &Workspace, out: &mut Vec<AnalyzeViolation>) {
-    for f in &ws.files {
-        for item in f.fns.iter().filter(|i| !i.in_test) {
-            let finding = |rule, line, message: &str| AnalyzeViolation {
-                rule,
-                path: f.path.clone(),
-                line,
-                item: item_name(item),
-                message: message.to_string(),
-                call_path: Vec::new(),
+/// Rule 3: fns and enum variants under `crates/*/src` that no fn
+/// reachable from a root calls or builds.
+fn test_only(ws: &Workspace, graph: &CallGraph, out: &mut Vec<AnalyzeViolation>) {
+    let mut reached = vec![false; graph.len()];
+    let mut stack: Vec<FnId> = graph
+        .ids()
+        .filter(|&id| !graph.item(id).in_test && is_root(graph.path(id), graph.item(id)))
+        .collect();
+    while let Some(id) = stack.pop() {
+        if !std::mem::replace(&mut reached[id.0], true) {
+            stack.extend(graph.edges(id).iter().map(|e| e.to));
+        }
+    }
+    // Variants a reached fn builds; `Self::V` names the impl's type.
+    let mut built: HashSet<(&str, &str)> = HashSet::new();
+    for id in graph.ids().filter(|id| reached[id.0]) {
+        let item = graph.item(id);
+        for r in item.refs.iter().filter(|r| !r.is_pattern) {
+            let owner = match (r.enum_name.as_str(), &item.qual) {
+                ("Self", Some(q)) => q.as_str(),
+                (name, _) => name,
             };
-            for &(line, _) in item.emits.iter().filter(|(_, guarded)| !guarded) {
-                out.push(finding(
-                    AnalyzeRule::UnguardedEmit,
-                    line,
-                    "`.emit(` outside an `if` on the cached `observed` / `enabled()` bool: an \
-                     unobserved run would build the event",
-                ));
-            }
-            if item.builds_tree && !f.path.starts_with(COLLECTIVES_HOME) {
-                out.push(finding(
-                    AnalyzeRule::HandRolledCollective,
-                    item.line,
-                    "builds reduction-tree topology by hand (parent/children rank arithmetic); \
-                     use cmg_runtime::collectives",
-                ));
+            built.insert((owner, r.variant.as_str()));
+        }
+    }
+    let finding = |path: &str, line, item, what| AnalyzeViolation {
+        rule: AnalyzeRule::TestOnly,
+        path: path.to_string(),
+        line,
+        item,
+        message: format!("{what} from a binary, example or ledger fn: only tests use it"),
+        call_path: Vec::new(),
+    };
+    for id in graph.ids() {
+        let (path, item) = (graph.path(id), graph.item(id));
+        if !reached[id.0] && !item.in_test && crate_src(path).is_some() {
+            out.push(finding(
+                path,
+                item.line_span.0,
+                item_name(item),
+                "no call reaches it",
+            ));
+        }
+    }
+    for f in ws.files.iter().filter(|f| crate_src(&f.path).is_some()) {
+        for e in f.enums.iter().filter(|e| !e.in_test) {
+            for (v, line) in &e.variants {
+                if !built.contains(&(e.name.as_str(), v.as_str())) {
+                    let item = format!("{}::{v}", e.name);
+                    out.push(finding(
+                        &f.path,
+                        *line,
+                        item,
+                        "no fn builds it that is reached",
+                    ));
+                }
             }
         }
     }

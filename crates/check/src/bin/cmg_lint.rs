@@ -1,13 +1,11 @@
 //! `cmg-lint` — the workspace's repo-specific static checks.
 //!
 //! Runs the [`cmg_check::analyze`] pass over the repo root (default: the
-//! current directory): `crates/*/src` is the call graph, and
-//! `crates/*/tests`, `tests/`, `examples/`, `src/` and `ledger/` are
-//! callers. Seven rules (blocking-reachability, wire-protocol drift,
-//! lock-order cycles, hot-path allocation, unreferenced library `pub`
-//! items, unguarded recorder emits, hand-rolled collectives), minus the
-//! reasoned allowlist. Prints every violation and exits 1 when any
-//! remain, 2 on a bad argument or an I/O error. Run from CI as:
+//! current directory): `crates/*/src`, `examples/` and `ledger/src` form
+//! the call graph. Three rules (blocking-reachability, lock-order
+//! cycles, `test-only` code), minus the reasoned allowlist. Prints every
+//! violation and exits 1 when any remain, 2 on a bad argument or an I/O
+//! error. Run from CI as:
 //!
 //! ```text
 //! cargo run -p cmg-check --bin cmg-lint -- --json report.json

@@ -9,7 +9,7 @@
 //!   resolves to a type — `self` (the enclosing impl), a typed
 //!   parameter, a struct field walked through the field tables, or a
 //!   simple `let x = Type::…` local — resolves only within that type's
-//!   impls. A typed receiver that matches no workspace method is
+//!   impls. A generic parameter (`S`, `T`) is no type: it fans out. A typed receiver that matches no workspace method is
 //!   external (std/shim) and produces no edge: `tx.send(…)` on an
 //!   `mpsc::Sender` never resolves to `LinkWriter::send`.
 //! * **Untyped receivers fan out, minus builtins.** With no type hint
@@ -19,7 +19,8 @@
 //! * **Free calls prefer proximity.** `helper()` resolves to free fns
 //!   named `helper` in the same file if any, else the same crate, else
 //!   the whole workspace. `module::helper()` prefers files whose stem
-//!   is `module`. `Type::helper()` resolves within `Type`'s impls only.
+//!   is `module`. `Type::helper()` resolves within `Type`'s impls only,
+//!   `Self::helper()` within the enclosing impl's type.
 //!
 //! Edge order (and therefore every downstream report) is deterministic:
 //! nodes are ordered by (path, declaration order) and candidate sets
@@ -324,10 +325,17 @@ impl<'w> CallGraph<'w> {
                             in_module
                         }
                     }
-                    Callee::TypeQualified { ty, name } => methods
-                        .get(&(ty.as_str(), name.as_str()))
-                        .cloned()
-                        .unwrap_or_default(),
+                    Callee::TypeQualified { ty, name } => {
+                        // `Self::f()` names the enclosing impl's type.
+                        let ty = match (ty.as_str(), &item.qual) {
+                            ("Self", Some(q)) => q.as_str(),
+                            (ty, _) => ty,
+                        };
+                        methods
+                            .get(&(ty, name.as_str()))
+                            .cloned()
+                            .unwrap_or_default()
+                    }
                     Callee::Method { chain, name } => match Self::receiver_type(ws, item, chain) {
                         Some(ty) => methods
                             .get(&(ty.as_str(), name.as_str()))
@@ -410,17 +418,13 @@ impl<'w> CallGraph<'w> {
                 None => return ws.unique_field_type(f).map(str::to_string),
             };
         }
-        Some(ty)
+        // A one-letter type is a generic parameter: no concrete type.
+        (ty.len() > 1).then_some(ty)
     }
 
     /// Number of nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Whether the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// The fn item behind a node.

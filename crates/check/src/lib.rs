@@ -23,14 +23,11 @@
 //! 3. **Static analysis** ([`analyze`], shipped as the `cmg-lint`
 //!    binary) — lifts the masked token stream into an item-level IR
 //!    ([`parse`]), builds a conservative name-resolution call graph
-//!    ([`callgraph`]), and runs seven rules: blocking-reachability from
-//!    reactor entry points, wire-protocol drift over `wire_codec!` enums
-//!    and `PROTO_VERSION`, lock-order deadlock cycles, hot-path
-//!    allocation (direct or transitive), library `pub` items no caller
-//!    names, recorder emits outside the enabled-bool guard, and reduction
-//!    trees built outside the collectives module. Panics in library code
-//!    are clippy's: every crate root denies `unwrap_used`, `expect_used`
-//!    and `panic`.
+//!    ([`callgraph`]), and runs three rules: blocking-reachability from
+//!    reactor entry points, lock-order deadlock cycles, and `test-only`
+//!    code no binary, example or ledger fn reaches. Panics in library
+//!    code are clippy's: every crate root denies `unwrap_used`,
+//!    `expect_used` and `panic`.
 //!
 //! Both the explorer and the sweep drive [`cmg_runtime::DeliveryPolicy`].
 

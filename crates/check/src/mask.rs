@@ -1,11 +1,10 @@
-//! Source masking: the front end of the item-level parse and of the
-//! identifier scan in this crate.
+//! Source masking: the front end of the item-level parse.
 //!
 //! [`mask_source`] blanks comments and string/char/byte literals with
-//! spaces while preserving byte positions and newlines, so downstream
-//! scans ([`crate::parse`]'s item parser, `unreferenced-pub`'s names)
-//! can never fire on prose or literal contents, and every reported line
-//! number maps straight back to the raw file.
+//! spaces while preserving byte positions and newlines, so
+//! [`crate::parse`]'s item parser can never fire on prose or literal
+//! contents, and every reported line number maps straight back to the
+//! raw file.
 //!
 //! The masker understands the full literal surface the workspace uses:
 //!

@@ -2,16 +2,14 @@
 //! recursive-descent parser over the masked token stream.
 //!
 //! [`parse_file`] lifts one source file into items — functions (with
-//! their enclosing `impl`/`trait` type), struct field tables,
-//! [`wire_codec!`] expansions — plus per-function **body facts**: call
-//! sites with receiver chains, lock acquisitions, blocking- and
-//! allocation-shaped tokens, `Enum::Variant` references split into
-//! pattern vs construction position, and every `match` with its arms.
-//! It also records which fns and modules are plain `pub`, and every
-//! `// hot-path` / `// nonblocking` fence marker that does not pair up
-//! ([`FenceFault`]). The call graph ([`crate::callgraph`]) and the
-//! interprocedural rules ([`crate::analyze`]) are built entirely from
-//! this IR.
+//! their enclosing `impl`/`trait` type), struct field tables, enums with
+//! their variants (a [`wire_codec!`] table included) — plus per-function
+//! **body facts**: call sites with receiver chains, lock acquisitions,
+//! blocking-shaped tokens, and `Enum::Variant` references split into
+//! pattern vs construction position. It also records every
+//! `// nonblocking` fence marker that does not pair up ([`FenceFault`]).
+//! The call graph ([`crate::callgraph`]) and the interprocedural rules
+//! ([`crate::analyze`]) are built entirely from this IR.
 //!
 //! The parser is *not* a Rust front end. It is a token-shape parser
 //! over [`crate::mask::mask_source`] output, built on three properties
@@ -51,42 +49,29 @@ pub struct FnItem {
     pub name: String,
     /// Enclosing `impl` self type or `trait` name, if any.
     pub qual: Option<String>,
-    /// 1-based line of the `fn` keyword.
-    pub line: usize,
-    /// 1-based line span of the whole item (signature through body).
+    /// 1-based line span of the whole item, from the `fn` keyword
+    /// through the body.
     pub line_span: (usize, usize),
     /// Inside a `#[cfg(test)]` span.
     pub in_test: bool,
-    /// Declared plain `pub` (not `pub(crate)` or another restricted form).
-    pub is_pub: bool,
+    /// Reached without a call the graph can see: a method of a `trait`
+    /// or a trait `impl` (`dyn` or generic dispatch), or the initializer
+    /// of a `const` / `static` (read by name; named after it).
+    pub implicit: bool,
     /// Typed parameters (`self` forms excluded).
     pub params: Vec<Param>,
     /// Simple local type facts: `let x: T` / `let x = T::new(...)`.
     pub lets: Vec<(String, String)>,
-    /// Whether the return type mentions a lock guard.
-    pub returns_guard: bool,
     /// Call sites in body order.
     pub calls: Vec<CallSite>,
     /// Mutex/RwLock acquisition sites in body order.
     pub locks: Vec<LockSite>,
     /// Direct blocking-API tokens.
     pub blocking: Vec<TokenSite>,
-    /// Direct allocation-shaped tokens.
-    pub allocs: Vec<TokenSite>,
     /// `Enum::Variant` path references.
     pub refs: Vec<VariantRef>,
-    /// `match` statements whose arms we parsed.
-    pub matches: Vec<MatchFacts>,
-    /// `// hot-path: begin/end` fence spans inside this fn (1-based lines).
-    pub hot_lines: Vec<(usize, usize)>,
-    /// `// nonblocking: begin/end` fence spans inside this fn.
+    /// `// nonblocking: begin/end` fence spans inside this fn (1-based lines).
     pub nonblocking_lines: Vec<(usize, usize)>,
-    /// `.emit(` call sites: 1-based line, and whether an enclosing block
-    /// opens under an `if` that tests `observed` or `enabled()` unnegated.
-    pub emits: Vec<(usize, bool)>,
-    /// The body names `parent` and `children` and does arithmetic on a
-    /// `rank`: reduction-tree topology built by hand.
-    pub builds_tree: bool,
 }
 
 /// One typed function parameter.
@@ -175,7 +160,7 @@ pub struct LockSite {
 /// A rule-relevant token occurrence.
 #[derive(Clone, Debug)]
 pub struct TokenSite {
-    /// The token (method or macro name, e.g. `read`, `vec!`).
+    /// The token (a method or function name, e.g. `read`).
     pub token: String,
     /// 1-based line.
     pub line: usize,
@@ -195,26 +180,6 @@ pub struct VariantRef {
     pub is_pattern: bool,
 }
 
-/// One parsed `match` with its arms.
-#[derive(Clone, Debug)]
-pub struct MatchFacts {
-    /// 1-based line of the `match` keyword.
-    pub line: usize,
-    /// The arms in order.
-    pub arms: Vec<MatchArm>,
-}
-
-/// One match arm.
-#[derive(Clone, Debug)]
-pub struct MatchArm {
-    /// 1-based line of the pattern.
-    pub line: usize,
-    /// Pattern text (masked, whitespace-normalized), guard included.
-    pub pattern: String,
-    /// Arm body text (masked, whitespace-normalized).
-    pub body: String,
-}
-
 /// A struct definition's field table.
 #[derive(Clone, Debug)]
 pub struct StructDef {
@@ -224,36 +189,21 @@ pub struct StructDef {
     pub fields: Vec<(String, String)>,
 }
 
-/// One `wire_codec!` expansion: the declarative wire enum.
+/// An enum definition (a `wire_codec!` table included).
 #[derive(Clone, Debug)]
-pub struct WireEnum {
+pub struct EnumDef {
     /// Enum name.
     pub name: String,
-    /// 1-based line of the `enum` keyword.
-    pub line: usize,
     /// Inside a `#[cfg(test)]` span.
     pub in_test: bool,
-    /// Variants in declaration order.
-    pub variants: Vec<WireVariant>,
+    /// Variant names with their 1-based lines, in declaration order.
+    pub variants: Vec<(String, usize)>,
 }
 
-/// One wire enum variant.
-#[derive(Clone, Debug)]
-pub struct WireVariant {
-    /// Wire tag literal.
-    pub tag: u64,
-    /// Variant name.
-    pub name: String,
-    /// Declared fields (name, type).
-    pub fields: Vec<(String, String)>,
-}
-
-/// A `// {tag}: begin` / `// {tag}: end` marker outside test code that
-/// does not pair up with another.
+/// A `// nonblocking: begin` / `// nonblocking: end` marker outside test
+/// code that does not pair up with another.
 #[derive(Clone, Debug)]
 pub struct FenceFault {
-    /// The fence tag (`hot-path`, `nonblocking`).
-    pub tag: &'static str,
     /// 1-based line of the offending marker.
     pub line: usize,
     /// What is wrong with the marker.
@@ -267,16 +217,12 @@ pub struct ParsedFile {
     pub path: String,
     /// Function items.
     pub fns: Vec<FnItem>,
-    /// Non-test `pub mod` declarations: (name, 1-based line).
-    pub pub_mods: Vec<(String, usize)>,
     /// Unbalanced fence markers.
     pub fence_faults: Vec<FenceFault>,
     /// Struct field tables.
     pub structs: Vec<StructDef>,
-    /// `wire_codec!` expansions.
-    pub wire_enums: Vec<WireEnum>,
-    /// `const PROTO_VERSION: u32 = N;` if the file declares it.
-    pub proto_version: Option<(u64, usize)>,
+    /// Enum definitions.
+    pub enums: Vec<EnumDef>,
 }
 
 /// Keywords that look like calls at token level but are not.
@@ -349,7 +295,7 @@ fn tokenize(masked: &str) -> Vec<Tok> {
 
 /// Byte spans of `#[cfg(test)]`-attributed items, found by matching
 /// the braces of the block that follows each attribute.
-pub(crate) fn test_byte_spans(masked: &str) -> Vec<(usize, usize)> {
+fn test_byte_spans(masked: &str) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let needle = "#[cfg(test)]";
     let bytes = masked.as_bytes();
@@ -386,28 +332,27 @@ pub(crate) fn test_byte_spans(masked: &str) -> Vec<(usize, usize)> {
     spans
 }
 
-/// Comment-fence spans from the raw source (`// {tag}: begin` …
-/// `// {tag}: end`), 1-based inclusive lines. A marker that does not
-/// pair up is pushed to `faults`, and the fence errs toward covering
-/// more: a `begin` inside an open fence keeps the outer one open, and
-/// an unterminated `begin` runs to the end of the file.
-fn fence_spans(raw: &str, tag: &'static str, faults: &mut Vec<FenceFault>) -> Vec<(usize, usize)> {
-    let begin = format!("// {tag}: begin");
-    let end = format!("// {tag}: end");
+/// Comment-fence spans from the raw source (`// nonblocking: begin` …
+/// `// nonblocking: end`), 1-based inclusive lines. A marker that does
+/// not pair up is pushed to `faults`, and the fence errs toward covering
+/// more: a `begin` inside an open fence keeps the outer one open, and an
+/// unterminated `begin` runs to the end of the file.
+fn fence_spans(raw: &str, faults: &mut Vec<FenceFault>) -> Vec<(usize, usize)> {
+    let (begin, end) = ("// nonblocking: begin", "// nonblocking: end");
     let mut spans = Vec::new();
     let mut open: Option<usize> = None;
-    let mut fault = |line, problem| faults.push(FenceFault { tag, line, problem });
+    let mut fault = |line, problem| faults.push(FenceFault { line, problem });
     let mut last = 0;
     for (idx, line) in raw.lines().enumerate() {
         let t = line.trim_start();
         last = idx + 1;
-        if t.starts_with(&begin) {
+        if t.starts_with(begin) {
             if open.is_some() {
                 fault(last, "`begin` inside a fence that is still open");
             } else {
                 open = Some(last);
             }
-        } else if t.starts_with(&end) {
+        } else if t.starts_with(end) {
             match open.take() {
                 Some(start) => spans.push((start, last)),
                 None => fault(last, "`end` with no open fence"),
@@ -427,7 +372,6 @@ struct Parser<'a> {
     /// Byte offset → 1-based line (via sorted newline positions).
     newlines: Vec<usize>,
     test_spans: Vec<(usize, usize)>,
-    hot_spans: Vec<(usize, usize)>,
     nonblocking_spans: Vec<(usize, usize)>,
     out: ParsedFile,
 }
@@ -494,8 +438,9 @@ impl<'a> Parser<'a> {
         None
     }
 
-    /// Walks items in `[from, to)` token range under `qual`.
-    fn parse_items(&mut self, from: usize, to: usize, qual: Option<&str>) {
+    /// Walks items in `[from, to)` token range under `qual`; `dispatched`
+    /// marks a `trait` or trait-`impl` body.
+    fn parse_items(&mut self, from: usize, to: usize, qual: Option<&str>, dispatched: bool) {
         let mut i = from;
         while i < to.min(self.toks.len()) {
             let t = self.toks[i];
@@ -519,30 +464,24 @@ impl<'a> Parser<'a> {
                         continue;
                     };
                     let close = self.match_bracket(open);
-                    let q = if self.text(t) == "impl" {
+                    let (q, of_trait) = if self.text(t) == "impl" {
                         self.impl_self_type(i + 1, open)
                     } else {
                         // trait Name { … } — first ident is the name.
-                        (i + 1..open)
+                        let name = (i + 1..open)
                             .find(|&k| self.toks[k].kind == TokKind::Ident)
-                            .map(|k| self.text(self.toks[k]).to_string())
+                            .map(|k| self.text(self.toks[k]).to_string());
+                        (name, true)
                     };
-                    self.parse_items(open + 1, close, q.as_deref().or(qual));
+                    self.parse_items(open + 1, close, q.as_deref().or(qual), of_trait);
                     i = close + 1;
                 }
                 "mod" => {
-                    let name = self.toks.get(i + 1).filter(|n| n.kind == TokKind::Ident);
-                    if let Some(&name) = name {
-                        if self.is_plain_pub(i) && !self.in_test(t.start) {
-                            let decl = (self.text(name).to_string(), self.line_of(t.start));
-                            self.out.pub_mods.push(decl);
-                        }
-                    }
                     // Inline module: recurse without impl context.
                     match self.find_at_depth0(i + 1, to, &["{", ";"]) {
                         Some(k) if self.text(self.toks[k]) == "{" => {
                             let close = self.match_bracket(k);
-                            self.parse_items(k + 1, close, None);
+                            self.parse_items(k + 1, close, None, false);
                             i = close + 1;
                         }
                         Some(k) => i = k + 1,
@@ -553,46 +492,25 @@ impl<'a> Parser<'a> {
                     i = self.parse_struct(i, to);
                 }
                 "enum" => {
-                    // Plain enum: skip the body (wire enums are parsed
-                    // through their macro invocation instead).
-                    match self.find_at_depth0(i + 1, to, &["{", ";"]) {
-                        Some(k) if self.text(self.toks[k]) == "{" => {
-                            i = self.match_bracket(k) + 1;
+                    i = self.parse_enum(i, to);
+                }
+                "wire_codec" if self.peek_text(i + 1) == Some("!") => {
+                    // `wire_codec! { … enum Name { tag => Variant … } }`:
+                    // the table is an enum with tags before its variants.
+                    match self.find_token(i, to, "{") {
+                        Some(open) => {
+                            let close = self.match_bracket(open);
+                            self.parse_items(open + 1, close, qual, dispatched);
+                            i = close + 1;
                         }
-                        Some(k) => i = k + 1,
                         None => i += 1,
                     }
                 }
-                "wire_codec" => {
-                    // `wire_codec! { … enum Name { tag => Variant … } }`
-                    if self.peek_text(i + 1) == Some("!") {
-                        if let Some(open) = self.find_token(i, to, "{") {
-                            let close = self.match_bracket(open);
-                            self.parse_wire_enum(open + 1, close);
-                            i = close + 1;
-                            continue;
-                        }
-                    }
-                    i += 1;
-                }
-                "const" => {
-                    // `const PROTO_VERSION: u32 = N;`
-                    if self.peek_text(i + 1) == Some("PROTO_VERSION") {
-                        if let Some(eq) = self.find_at_depth0(i, to, &["="]) {
-                            if let Some(v) = self
-                                .toks
-                                .get(eq + 1)
-                                .filter(|t| t.kind == TokKind::Num)
-                                .and_then(|t| self.text(*t).parse::<u64>().ok())
-                            {
-                                self.out.proto_version = Some((v, self.line_of(t.start)));
-                            }
-                        }
-                    }
-                    i += 1;
-                }
                 "fn" => {
-                    i = self.parse_fn(i, to, qual);
+                    i = self.parse_fn(i, to, qual, dispatched);
+                }
+                "const" | "static" if self.peek_text(i + 2) == Some(":") => {
+                    i = self.parse_initializer(i, to, qual);
                 }
                 _ => i += 1,
             }
@@ -603,27 +521,15 @@ impl<'a> Parser<'a> {
         self.toks.get(idx).map(|t| &self.masked[t.start..t.end])
     }
 
-    /// Whether the item keyword at token `kw` is declared plain `pub`,
-    /// looking back past `const`/`unsafe`/`async`/`extern`.
-    fn is_plain_pub(&self, kw: usize) -> bool {
-        let mut k = kw;
-        while let Some(p) = k.checked_sub(1) {
-            match self.text(self.toks[p]) {
-                "const" | "unsafe" | "async" | "extern" => k = p,
-                vis => return vis == "pub",
-            }
-        }
-        false
-    }
-
     /// First token with exactly `what` after `from` (any depth), bounded.
     fn find_token(&self, from: usize, to: usize, what: &str) -> Option<usize> {
         (from..to.min(self.toks.len())).find(|&k| self.text(self.toks[k]) == what)
     }
 
-    /// The self type of an `impl` header in `[from, open)`:
-    /// `impl<T> Foo for Bar<T>` → `Bar`; `impl Baz<T>` → `Baz`.
-    fn impl_self_type(&self, from: usize, open: usize) -> Option<String> {
+    /// The self type of an `impl` header in `[from, open)`, and whether it
+    /// implements a trait: `impl<T> Foo for Bar<T>` → (`Bar`, true);
+    /// `impl Baz<T>` → (`Baz`, false).
+    fn impl_self_type(&self, from: usize, open: usize) -> (Option<String>, bool) {
         let mut start = from;
         // After the last ` for ` at generic depth 0.
         let mut depth = 0i64;
@@ -651,7 +557,7 @@ impl<'a> Parser<'a> {
                 _ => {}
             }
         }
-        result
+        (result, start > from)
     }
 
     /// Parses `struct Name { fields }`, recording the field table.
@@ -723,70 +629,75 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Parses the body of a `wire_codec!` invocation: attributes, then
-    /// `enum Name { tag => Variant { field: ty }, … }`.
-    fn parse_wire_enum(&mut self, from: usize, to: usize) {
-        let Some(kw) = self.find_token(from, to, "enum") else {
-            return;
+    /// Parses `enum Name { … }`, recording its variants: the uppercase
+    /// idents at depth 0 that open a variant (after `{`, `,`, an
+    /// attribute's `]` or a `wire_codec!` tag's `=>`), except a
+    /// `#[default]` one. Returns the token index to resume at.
+    fn parse_enum(&mut self, kw: usize, to: usize) -> usize {
+        let Some(body) = self.find_at_depth0(kw + 1, to, &["{", ";"]) else {
+            return kw + 1;
         };
-        let Some(name_idx) = (kw + 1..to).find(|&k| self.toks[k].kind == TokKind::Ident) else {
-            return;
-        };
-        let name = self.text(self.toks[name_idx]).to_string();
-        let Some(open) = self.find_token(name_idx, to, "{") else {
-            return;
-        };
-        let close = self.match_bracket(open);
+        let name = self.peek_text(kw + 1).unwrap_or_default().to_string();
+        if self.text(self.toks[body]) != "{" {
+            return body + 1;
+        }
+        let close = self.match_bracket(body);
         let mut variants = Vec::new();
-        let mut k = open + 1;
+        let mut k = body + 1;
         while k < close {
             let t = self.toks[k];
-            if t.kind == TokKind::Num && self.peek_text(k + 1) == Some("=>") {
-                let tag = self.text(t).parse::<u64>().unwrap_or(u64::MAX);
-                if let Some(vn) = self.toks.get(k + 2).filter(|v| v.kind == TokKind::Ident) {
-                    let vname = self.text(*vn).to_string();
-                    let mut fields = Vec::new();
-                    let mut next = k + 3;
-                    if self.peek_text(k + 3) == Some("{") {
-                        let vclose = self.match_bracket(k + 3);
-                        let mut f = k + 4;
-                        while f < vclose {
-                            if self.toks[f].kind == TokKind::Ident
-                                && self.peek_text(f + 1) == Some(":")
-                            {
-                                let fname = self.text(self.toks[f]).to_string();
-                                let fend =
-                                    self.find_at_depth0(f + 2, vclose, &[","]).unwrap_or(vclose);
-                                let fty = self.outer_type(f + 2, fend);
-                                fields.push((fname, fty));
-                                f = fend + 1;
-                            } else {
-                                f += 1;
-                            }
-                        }
-                        next = vclose + 1;
-                    }
-                    variants.push(WireVariant {
-                        tag,
-                        name: vname,
-                        fields,
-                    });
-                    k = next;
-                    continue;
-                }
+            let opens = matches!(self.text(self.toks[k - 1]), "{" | "," | "]" | "=>");
+            // `#[default]` marks the variant `derive(Default)` builds.
+            let derived = k >= 3 && self.text(self.toks[k - 2]) == "default";
+            if t.kind == TokKind::Ident && starts_upper(self.text(t)) && opens && !derived {
+                variants.push((self.text(t).to_string(), self.line_of(t.start)));
             }
-            k += 1;
+            k = match self.text(t) {
+                "(" | "[" | "{" => self.match_bracket(k) + 1,
+                _ => k + 1,
+            };
         }
-        self.out.wire_enums.push(WireEnum {
+        self.out.enums.push(EnumDef {
             name,
-            line: self.line_of(self.toks[kw].start),
             in_test: self.in_test(self.toks[kw].start),
             variants,
         });
+        close + 1
+    }
+
+    /// Parses `const NAME: T = init;` / `static …` into an implicit
+    /// [`FnItem`] whose body is the initializer. Returns the resume index.
+    fn parse_initializer(&mut self, kw: usize, to: usize, qual: Option<&str>) -> usize {
+        let Some(end) = self.find_at_depth0(kw + 1, to, &[";"]) else {
+            return kw + 1;
+        };
+        let Some(eq) = self.find_at_depth0(kw + 1, end, &["="]) else {
+            return end + 1;
+        };
+        let mut item = FnItem {
+            name: self.peek_text(kw + 1).unwrap_or_default().to_string(),
+            qual: qual.map(str::to_string),
+            line_span: (
+                self.line_of(self.toks[kw].start),
+                self.line_of(self.toks[end].start),
+            ),
+            in_test: self.in_test(self.toks[kw].start),
+            implicit: true,
+            params: Vec::new(),
+            lets: Vec::new(),
+            calls: Vec::new(),
+            locks: Vec::new(),
+            blocking: Vec::new(),
+            refs: Vec::new(),
+            nonblocking_lines: Vec::new(),
+        };
+        self.scan_body(eq + 1, end, &mut item);
+        self.out.fns.push(item);
+        end + 1
     }
 
     /// Parses one `fn`; returns the resume index.
-    fn parse_fn(&mut self, kw: usize, to: usize, qual: Option<&str>) -> usize {
+    fn parse_fn(&mut self, kw: usize, to: usize, qual: Option<&str>, dispatched: bool) -> usize {
         let Some(name_tok) = self
             .toks
             .get(kw + 1)
@@ -824,9 +735,6 @@ impl<'a> Parser<'a> {
         if self.text(self.toks[body_or_sig]) != "{" {
             return body_or_sig + 1;
         }
-        let ret_range = (pclose + 1, body_or_sig);
-        let returns_guard =
-            (ret_range.0..ret_range.1).any(|k| self.text(self.toks[k]).contains("Guard"));
         let open = body_or_sig;
         let close = self.match_bracket(open);
         let start_line = self.line_of(self.toks[kw].start);
@@ -834,26 +742,18 @@ impl<'a> Parser<'a> {
         let mut item = FnItem {
             name,
             qual: qual.map(str::to_string),
-            line: start_line,
             line_span: (start_line, end_line),
             in_test: self.in_test(self.toks[kw].start),
-            is_pub: self.is_plain_pub(kw),
+            implicit: dispatched,
             params,
             lets: Vec::new(),
-            returns_guard,
             calls: Vec::new(),
             locks: Vec::new(),
             blocking: Vec::new(),
-            allocs: Vec::new(),
             refs: Vec::new(),
-            matches: Vec::new(),
-            hot_lines: clip_spans(&self.hot_spans, start_line, end_line),
             nonblocking_lines: clip_spans(&self.nonblocking_spans, start_line, end_line),
-            emits: Vec::new(),
-            builds_tree: false,
         };
         self.scan_body(open + 1, close, &mut item);
-        self.emit_and_tree_facts(open + 1, close, &mut item);
         self.out.fns.push(item);
         close + 1
     }
@@ -933,7 +833,7 @@ impl<'a> Parser<'a> {
                     continue;
                 }
                 "match" if t.kind == TokKind::Ident => {
-                    self.parse_match(k, end, item, &mut pattern_spans);
+                    self.arm_patterns(k, end, &mut pattern_spans);
                     k += 1;
                     continue;
                 }
@@ -992,12 +892,10 @@ impl<'a> Parser<'a> {
                         is_pattern: false,
                     });
                 }
-                // Macro allocation shapes.
-                if (text == "vec" || text == "format") && self.peek_text(k + 1) == Some("!") {
-                    item.allocs.push(TokenSite {
-                        token: format!("{text}!"),
-                        line: self.line_of(t.start),
-                    });
+                // A fn named as a value (`.map(helper)`, `Type::f,`) is a
+                // call site too: whoever holds the pointer may call it.
+                if self.names_fn_value(k) {
+                    item.calls.extend(self.classify_call(k, stmt));
                 }
                 // Call site?
                 if let Some(call_at) = self.call_paren(k) {
@@ -1032,32 +930,7 @@ impl<'a> Parser<'a> {
                                 && qualifier.as_deref() != Some("mio")
                         };
                         if blocking {
-                            item.blocking.push(TokenSite {
-                                token: cname.clone(),
-                                line,
-                            });
-                        }
-                        // Allocation-shaped calls; with `vec!` and
-                        // `format!` above, the hot-path allocation list.
-                        let alloc = match &site.callee {
-                            Callee::Method { name, .. } => {
-                                matches!(
-                                    name.as_str(),
-                                    "to_vec" | "to_owned" | "to_string" | "collect"
-                                )
-                            }
-                            Callee::TypeQualified { ty, name } => {
-                                (ty == "Box" && name == "new")
-                                    || (ty == "String" && (name == "from" || name == "new"))
-                                    || name == "with_capacity"
-                            }
-                            _ => cname == "with_capacity",
-                        };
-                        if alloc {
-                            item.allocs.push(TokenSite {
-                                token: cname.clone(),
-                                line,
-                            });
+                            item.blocking.push(TokenSite { token: cname, line });
                         }
                         item.calls.push(site);
                     }
@@ -1099,6 +972,19 @@ impl<'a> Parser<'a> {
                 ref_idx += 1;
             }
         }
+    }
+
+    /// Whether ident token `k` may name a fn as a value: a lowercase
+    /// path end or bare ident (not a field, keyword or call) before a
+    /// separator.
+    fn names_fn_value(&self, k: usize) -> bool {
+        let text = self.text(self.toks[k]);
+        let prev = k.checked_sub(1).and_then(|p| self.peek_text(p));
+        !starts_upper(text)
+            && !NON_CALL_KEYWORDS.contains(&text)
+            && !matches!(text, "self" | "true" | "false")
+            && prev != Some(".")
+            && matches!(self.peek_text(k + 1), Some("," | ")" | "}" | "]" | ";"))
     }
 
     /// If token `k` (an ident) heads a call, returns the index of its
@@ -1285,127 +1171,30 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Records [`FnItem::emits`] and [`FnItem::builds_tree`] for the body
-    /// token range. A block inherits its enclosing block's guard.
-    fn emit_and_tree_facts(&self, from: usize, to: usize, item: &mut FnItem) {
-        let mut guarded: Vec<bool> = Vec::new();
-        let mut stmt = from;
-        let (mut parent, mut children, mut rank_arith) = (false, false, false);
-        for k in from..to.min(self.toks.len()) {
-            let text = self.text(self.toks[k]);
-            match text {
-                "{" => {
-                    let inherited = guarded.last().copied().unwrap_or(false);
-                    guarded.push(inherited || self.opens_guard(stmt, k));
-                    stmt = k + 1;
-                }
-                "}" => {
-                    guarded.pop();
-                    stmt = k + 1;
-                }
-                ";" => stmt = k + 1,
-                "emit" if k > from && self.text(self.toks[k - 1]) == "." => {
-                    if self.call_paren(k).is_some() {
-                        let line = self.line_of(self.toks[k].start);
-                        item.emits.push((line, guarded.last() == Some(&true)));
-                    }
-                }
-                "*" | "+" | "-" | "/" | "%" => {
-                    let names_rank = |i: usize| {
-                        self.toks.get(i).is_some_and(|t| {
-                            t.kind == TokKind::Ident && self.text(*t).contains("rank")
-                        })
-                    };
-                    // Binary only: the token before ends an operand.
-                    let binary = k > from
-                        && (self.toks[k - 1].kind != TokKind::Punct
-                            || matches!(self.text(self.toks[k - 1]), ")" | "]"));
-                    rank_arith |= binary && (names_rank(k - 1) || names_rank(k + 1));
-                }
-                _ => {
-                    parent |= text.contains("parent");
-                    children |= text.contains("children");
-                }
-            }
-        }
-        item.builds_tree = parent && children && rank_arith;
-    }
-
-    /// Whether the statement `[from, open)` before a `{` is an `if` whose
-    /// condition tests `observed` or `enabled()` without a `!` in front.
-    fn opens_guard(&self, from: usize, open: usize) -> bool {
-        let Some(kw) = (from..open).find(|&k| self.text(self.toks[k]) == "if") else {
-            return false;
-        };
-        (kw + 1..open).any(|k| {
-            let t = self.text(self.toks[k]);
-            if t != "observed" && !(t == "enabled" && self.peek_text(k + 1) == Some("(")) {
-                return false;
-            }
-            // Back over the receiver chain (`self.ctx.`) to the operand.
-            let mut s = k;
-            while s >= kw + 3 && matches!(self.text(self.toks[s - 1]), "." | "::") {
-                s -= 2;
-            }
-            self.text(self.toks[s - 1]) != "!"
-        })
-    }
-
-    /// Parses the `match` at token `kw`: scrutinee, then arms.
-    fn parse_match(
-        &mut self,
-        kw: usize,
-        end: usize,
-        item: &mut FnItem,
-        pattern_spans: &mut Vec<(usize, usize)>,
-    ) {
+    /// Pushes the byte span of every arm pattern of the `match` at token
+    /// `kw` (guards included) to `spans`.
+    fn arm_patterns(&self, kw: usize, end: usize, spans: &mut Vec<(usize, usize)>) {
         let Some(open) = self.find_at_depth0(kw + 1, end, &["{"]) else {
             return;
         };
         let close = self.match_bracket(open);
-        let mut arms = Vec::new();
         let mut k = open + 1;
         while k < close {
             let Some(arrow) = self.find_at_depth0(k, close, &["=>"]) else {
                 break;
             };
-            let pat_start = self.toks[k].start;
-            let pat_end = self.toks[arrow].start;
-            pattern_spans.push((pat_start, pat_end));
-            let pattern = normalize(&self.masked[pat_start..pat_end]);
-            let pat_line = self.line_of(pat_start);
-            // Body: block or expression to the next depth-0 comma.
-            let (body_start, body_end, resume) = if self.peek_text(arrow + 1) == Some("{") {
+            spans.push((self.toks[k].start, self.toks[arrow].start));
+            // Body: a block (and its optional comma) or an expression to
+            // the next depth-0 comma.
+            k = if self.peek_text(arrow + 1) == Some("{") {
                 let bclose = self.match_bracket(arrow + 1);
-                (
-                    self.toks[arrow + 1].start,
-                    self.toks[bclose].end,
-                    // An optional trailing comma after the block.
-                    if self.peek_text(bclose + 1) == Some(",") {
-                        bclose + 2
-                    } else {
-                        bclose + 1
-                    },
-                )
+                bclose + 1 + usize::from(self.peek_text(bclose + 1) == Some(","))
             } else {
-                let comma = self
-                    .find_at_depth0(arrow + 1, close, &[","])
-                    .unwrap_or(close);
-                let bs = self.toks.get(arrow + 1).map(|t| t.start).unwrap_or(pat_end);
-                let be = self.toks.get(comma).map(|t| t.start).unwrap_or(bs);
-                (bs, be, comma + 1)
+                self.find_at_depth0(arrow + 1, close, &[","])
+                    .unwrap_or(close)
+                    + 1
             };
-            arms.push(MatchArm {
-                line: pat_line,
-                pattern,
-                body: normalize(&self.masked[body_start..body_end.min(self.masked.len())]),
-            });
-            k = resume;
         }
-        item.matches.push(MatchFacts {
-            line: self.line_of(self.toks[kw].start),
-            arms,
-        });
     }
 }
 
@@ -1441,10 +1230,6 @@ fn starts_upper(s: &str) -> bool {
     s.chars().next().is_some_and(|c| c.is_ascii_uppercase())
 }
 
-fn normalize(s: &str) -> String {
-    s.split_whitespace().collect::<Vec<_>>().join(" ")
-}
-
 /// Whether 1-based `line` falls inside one of the inclusive `spans`.
 pub(crate) fn in_line_spans(line: usize, spans: &[(usize, usize)]) -> bool {
     spans.iter().any(|&(lo, hi)| lo <= line && line <= hi)
@@ -1476,8 +1261,7 @@ pub fn parse_file(path: &str, raw: &str) -> ParsedFile {
         toks,
         newlines,
         test_spans: test_byte_spans(&masked),
-        hot_spans: fence_spans(raw, "hot-path", &mut faults),
-        nonblocking_spans: fence_spans(raw, "nonblocking", &mut faults),
+        nonblocking_spans: fence_spans(raw, &mut faults),
         out: ParsedFile {
             path: path.to_string(),
             ..ParsedFile::default()
@@ -1488,7 +1272,7 @@ pub fn parse_file(path: &str, raw: &str) -> ParsedFile {
         !p.in_test(line_start)
     });
     p.out.fence_faults = faults;
-    p.parse_items(0, n, None);
+    p.parse_items(0, n, None, false);
     p.out
 }
 
@@ -1547,37 +1331,46 @@ fn f(w: &mut Writer, s: &LinkState) {
     }
 
     #[test]
-    fn wire_codec_expansion_parses_variants_and_fields() {
+    fn enum_variants_parse_from_plain_enums_and_wire_tables() {
         let src = r#"
-wire_codec! {
+enum Plain {
     /// Doc.
+    A,
+    B(u32),
+    #[default]
+    E,
+    C { x: Vec<Option<u8>> },
+    D = 4,
+}
+wire_codec! {
     #[derive(Clone, Copy, Debug, PartialEq)]
     pub enum Demo {
-        /// Unit.
         0 => Ping,
         1 => Put {
-            /// Key.
             key: u32,
-            value: u64,
         },
     }
 }
 "#;
         let f = parse_file("demo.rs", src);
-        assert_eq!(f.wire_enums.len(), 1);
-        let e = &f.wire_enums[0];
-        assert_eq!(e.name, "Demo");
-        assert_eq!(e.variants.len(), 2);
-        assert_eq!(e.variants[0].name, "Ping");
-        assert!(e.variants[0].fields.is_empty());
-        assert_eq!(e.variants[1].name, "Put");
+        let names: Vec<(&str, Vec<&str>)> = f
+            .enums
+            .iter()
+            .map(|e| {
+                (
+                    e.name.as_str(),
+                    e.variants.iter().map(|v| v.0.as_str()).collect(),
+                )
+            })
+            .collect();
         assert_eq!(
-            e.variants[1].fields,
+            names,
             vec![
-                ("key".to_string(), "u32".to_string()),
-                ("value".to_string(), "u64".to_string())
+                ("Plain", vec!["A", "B", "C", "D"]),
+                ("Demo", vec!["Ping", "Put"])
             ]
         );
+        assert_eq!(f.enums[1].variants[1].1, 15);
     }
 
     #[test]
@@ -1618,24 +1411,6 @@ fn f(c: Ctrl) -> Ctrl {
     }
 
     #[test]
-    fn match_arms_capture_pattern_and_body() {
-        let src = "
-fn f(c: Ctrl) -> Result<(), E> {
-    match c {
-        Ctrl::Start => Ok(()),
-        other => Err(protocol(other)),
-    }
-}
-";
-        let f = parse_file("demo.rs", src);
-        let m = &f.fns[0].matches[0];
-        assert_eq!(m.arms.len(), 2);
-        assert_eq!(m.arms[0].pattern, "Ctrl::Start");
-        assert!(m.arms[1].pattern.contains("other"));
-        assert!(m.arms[1].body.contains("Err"));
-    }
-
-    #[test]
     fn lock_sites_carry_identity_and_boundness() {
         let src = "
 struct Pool { job: Mutex<u32>, running: Mutex<u32> }
@@ -1662,7 +1437,7 @@ fn free_lock(m: &Mutex<Writer>) {
     }
 
     #[test]
-    fn blocking_and_alloc_tokens_detected() {
+    fn blocking_tokens_detected() {
         let src = "
 fn f(s: &mut Stream, rx: &Receiver<u8>) -> Vec<u8> {
     let mut buf = [0u8; 4];
@@ -1675,37 +1450,31 @@ fn f(s: &mut Stream, rx: &Receiver<u8>) -> Vec<u8> {
         let f = parse_file("demo.rs", src);
         let b: Vec<&str> = f.fns[0].blocking.iter().map(|t| t.token.as_str()).collect();
         assert_eq!(b, vec!["read", "recv"], "read_fd is sanctioned");
-        let a: Vec<&str> = f.fns[0].allocs.iter().map(|t| t.token.as_str()).collect();
-        assert_eq!(a, vec!["collect"]);
     }
 
     #[test]
-    fn plain_pub_fns_and_mods_are_recorded() {
+    fn trait_and_trait_impl_methods_are_dispatched() {
         let src = "
-pub mod open;
-mod closed;
-pub(crate) mod narrow {}
-pub fn a() {}
-pub(crate) fn b() {}
-pub const unsafe fn c() {}
-fn d() {}
-#[cfg(test)]
-pub mod test_only {}
+impl S { fn inherent(&self) {} }
+impl<T> Clone for W<T> { fn clone(&self) -> Self { W } }
+trait Tr { fn provided(&self) {} fn required(&self); }
+fn free() {}
 ";
         let f = parse_file("demo.rs", src);
-        let fns: Vec<(&str, bool)> = f.fns.iter().map(|x| (x.name.as_str(), x.is_pub)).collect();
+        let fns: Vec<(&str, Option<&str>, bool)> = f
+            .fns
+            .iter()
+            .map(|x| (x.name.as_str(), x.qual.as_deref(), x.implicit))
+            .collect();
         assert_eq!(
             fns,
-            vec![("a", true), ("b", false), ("c", true), ("d", false)]
+            vec![
+                ("inherent", Some("S"), false),
+                ("clone", Some("W"), true),
+                ("provided", Some("Tr"), true),
+                ("free", None, false),
+            ]
         );
-        assert_eq!(f.pub_mods, vec![("open".to_string(), 2)]);
-    }
-
-    #[test]
-    fn proto_version_const_extracted() {
-        let src = "pub const PROTO_VERSION: u32 = 7;\n";
-        let f = parse_file("demo.rs", src);
-        assert_eq!(f.proto_version.map(|(v, _)| v), Some(7));
     }
 
     #[test]

@@ -46,7 +46,7 @@ fn blocking_call_reachable_from_reactor_is_reported_with_full_path() {
              pub fn flush_out() {\n    let mut s = writer();\n    s.write_all(b\"x\");\n}\n",
         ),
     ]);
-    let report = analyze_sources(&sources, &AnalyzeAllowlist::empty());
+    let report = analyze_sources(&sources, &AnalyzeAllowlist::default());
     let hits = by_rule(&report.violations, AnalyzeRule::BlockingReachability);
     assert_eq!(hits.len(), 1, "violations: {:?}", report.violations);
     let v = hits[0];
@@ -68,7 +68,7 @@ fn nonblocking_fence_is_an_entry_point_and_is_line_scoped() {
          std::thread::sleep(core::time::Duration::from_millis(1));\n    \
          // nonblocking: end\n}\n",
     )]);
-    let report = analyze_sources(&fenced, &AnalyzeAllowlist::empty());
+    let report = analyze_sources(&fenced, &AnalyzeAllowlist::default());
     let hits = by_rule(&report.violations, AnalyzeRule::BlockingReachability);
     assert_eq!(hits.len(), 1, "violations: {:?}", report.violations);
     assert!(hits[0].message.contains("sleep"), "{}", hits[0].message);
@@ -80,7 +80,7 @@ fn nonblocking_fence_is_an_entry_point_and_is_line_scoped() {
          // nonblocking: end\n    \
          std::thread::sleep(core::time::Duration::from_millis(1));\n    drop(x);\n}\n",
     )]);
-    let report = analyze_sources(&outside, &AnalyzeAllowlist::empty());
+    let report = analyze_sources(&outside, &AnalyzeAllowlist::default());
     assert!(
         by_rule(&report.violations, AnalyzeRule::BlockingReachability).is_empty(),
         "fence must be line-scoped: {:?}",
@@ -89,163 +89,6 @@ fn nonblocking_fence_is_an_entry_point_and_is_line_scoped() {
 }
 
 // ---------------------------------------------------------------- rule 2
-
-#[test]
-fn unconstructed_wire_variant_is_drift() {
-    let sources = src(&[(
-        "crates/net/src/proto.rs",
-        "wire_codec! {\n    pub enum Msg {\n        0 => Ping { rank: u32 },\n        \
-         1 => Pong,\n    }\n}\n\n\
-         pub fn send() -> Msg {\n    Msg::Ping { rank: 0 }\n}\n\n\
-         pub fn on(m: &Msg) -> u32 {\n    match m {\n        \
-         Msg::Ping { rank } => *rank,\n        Msg::Pong => 0,\n    }\n}\n",
-    )]);
-    let report = analyze_sources(&sources, &AnalyzeAllowlist::empty());
-    let hits = by_rule(&report.violations, AnalyzeRule::WireDrift);
-    assert_eq!(hits.len(), 1, "violations: {:?}", report.violations);
-    assert!(
-        hits[0].message.contains("Msg::Pong") && hits[0].message.contains("never constructed"),
-        "{}",
-        hits[0].message
-    );
-}
-
-#[test]
-fn unmatched_wire_variant_is_drift() {
-    let sources = src(&[(
-        "crates/net/src/proto.rs",
-        "wire_codec! {\n    pub enum Msg {\n        0 => Ping { rank: u32 },\n        \
-         1 => Pong,\n    }\n}\n\n\
-         pub fn send() -> Msg {\n    Msg::Ping { rank: 0 }\n}\n\
-         pub fn idle() -> Msg {\n    Msg::Pong\n}\n\n\
-         pub fn on(m: &Msg) -> u32 {\n    match m {\n        \
-         Msg::Ping { rank } => *rank,\n        _ => unreachable!(),\n    }\n}\n",
-    )]);
-    let report = analyze_sources(&sources, &AnalyzeAllowlist::empty());
-    let hits = by_rule(&report.violations, AnalyzeRule::WireDrift);
-    assert_eq!(hits.len(), 1, "violations: {:?}", report.violations);
-    assert!(
-        hits[0].message.contains("Msg::Pong") && hits[0].message.contains("never matched"),
-        "{}",
-        hits[0].message
-    );
-}
-
-#[test]
-fn swallowing_wildcard_arm_in_consumer_is_drift_but_erroring_arm_is_not() {
-    let swallowing = src(&[(
-        "crates/runtime/src/consume.rs",
-        "wire_codec! {\n    pub enum Data {\n        0 => Put { k: u32 },\n    }\n}\n\n\
-         pub fn mk() -> Data {\n    Data::Put { k: 1 }\n}\n\n\
-         pub fn on(d: &Data) {\n    match d {\n        \
-         Data::Put { k } => drop(k),\n        _ => {}\n    }\n}\n",
-    )]);
-    let report = analyze_sources(&swallowing, &AnalyzeAllowlist::empty());
-    let hits = by_rule(&report.violations, AnalyzeRule::WireDrift);
-    assert_eq!(hits.len(), 1, "violations: {:?}", report.violations);
-    assert!(
-        hits[0].message.contains("swallows unknown variants"),
-        "{}",
-        hits[0].message
-    );
-
-    let erroring = src(&[(
-        "crates/runtime/src/consume.rs",
-        "wire_codec! {\n    pub enum Data {\n        0 => Put { k: u32 },\n    }\n}\n\n\
-         pub fn mk() -> Data {\n    Data::Put { k: 1 }\n}\n\n\
-         pub fn on(d: &Data) {\n    match d {\n        \
-         Data::Put { k } => drop(k),\n        _ => unreachable!(\"unknown wire variant\"),\n    }\n}\n",
-    )]);
-    let report = analyze_sources(&erroring, &AnalyzeAllowlist::empty());
-    assert!(
-        by_rule(&report.violations, AnalyzeRule::WireDrift).is_empty(),
-        "erroring wildcard must pass: {:?}",
-        report.violations
-    );
-}
-
-/// A `Ctrl` surface that cannot match the workspace's pinned baseline.
-const TINY_CTRL: &str = "pub const PROTO_VERSION: u32 = 3;\n\n\
-    wire_codec! {\n    pub enum Ctrl {\n        0 => Start,\n    }\n}\n\n\
-    pub fn mk() -> Ctrl {\n    Ctrl::Start\n}\n\n\
-    pub fn on(c: &Ctrl) {\n    match c {\n        Ctrl::Start => {}\n    }\n}\n";
-
-#[test]
-fn ctrl_change_without_proto_version_bump_is_drift() {
-    let sources = src(&[("crates/net/src/frame.rs", TINY_CTRL)]);
-    let report = analyze_sources(&sources, &AnalyzeAllowlist::empty());
-    let hits = by_rule(&report.violations, AnalyzeRule::WireDrift);
-    assert_eq!(hits.len(), 1, "violations: {:?}", report.violations);
-    assert!(
-        hits[0]
-            .message
-            .contains("changed without a PROTO_VERSION bump"),
-        "{}",
-        hits[0].message
-    );
-}
-
-#[test]
-fn proto_version_bump_without_pinned_baseline_is_drift() {
-    let bumped = TINY_CTRL.replace("PROTO_VERSION: u32 = 3", "PROTO_VERSION: u32 = 99");
-    let sources = src(&[("crates/net/src/frame.rs", bumped.as_str())]);
-    let report = analyze_sources(&sources, &AnalyzeAllowlist::empty());
-    let hits = by_rule(&report.violations, AnalyzeRule::WireDrift);
-    assert_eq!(hits.len(), 1, "violations: {:?}", report.violations);
-    assert!(
-        hits[0].message.contains("no pinned wire baseline") && hits[0].message.contains("0x"),
-        "message must name the fingerprint to pin: {}",
-        hits[0].message
-    );
-}
-
-/// A checkpoint snapshot record enum (name ending in `Snap`), fully
-/// constructed and matched so it raises no usage findings of its own.
-const TINY_SNAP: &str = "wire_codec! {\n    pub enum DemoSnap {\n        \
-    0 => State { round: u64 },\n    }\n}\n\n\
-    pub fn save() -> DemoSnap {\n    DemoSnap::State { round: 4 }\n}\n\n\
-    pub fn load(s: &DemoSnap) -> u64 {\n    match s {\n        \
-    DemoSnap::State { round } => *round,\n    }\n}\n";
-
-/// The versioned fingerprint must cover `Snap`-suffixed wire enums:
-/// their encodings travel opaquely inside `Ctrl::Checkpoint` payloads,
-/// so a snapshot-record change is wire drift exactly like a `Ctrl`
-/// change. The reported fingerprint must shift when a Snap enum
-/// appears, and shift again when one of its fields changes.
-#[test]
-fn snap_record_enums_are_folded_into_the_wire_fingerprint() {
-    // An unpinned PROTO_VERSION makes the rule print the fingerprint
-    // it wants pinned — the observable value under test.
-    let ctrl = TINY_CTRL.replace("PROTO_VERSION: u32 = 3", "PROTO_VERSION: u32 = 99");
-    let fingerprint_of = |pairs: &[(&str, &str)]| -> String {
-        let report = analyze_sources(&src(pairs), &AnalyzeAllowlist::empty());
-        let hits = by_rule(&report.violations, AnalyzeRule::WireDrift);
-        assert_eq!(hits.len(), 1, "violations: {:?}", report.violations);
-        let msg = &hits[0].message;
-        let start = msg.find("0x").expect("fingerprint in message");
-        msg[start..start + 18].to_string()
-    };
-    let without = fingerprint_of(&[("crates/net/src/frame.rs", ctrl.as_str())]);
-    let with_snap = fingerprint_of(&[
-        ("crates/net/src/frame.rs", ctrl.as_str()),
-        ("crates/matching/src/dist.rs", TINY_SNAP),
-    ]);
-    assert_ne!(
-        without, with_snap,
-        "adding a Snap enum must change the versioned fingerprint"
-    );
-    let edited = TINY_SNAP.replace("round: u64", "round: u32");
-    let with_edited_snap = fingerprint_of(&[
-        ("crates/net/src/frame.rs", ctrl.as_str()),
-        ("crates/matching/src/dist.rs", edited.as_str()),
-    ]);
-    assert_ne!(
-        with_snap, with_edited_snap,
-        "editing a Snap field must change the versioned fingerprint"
-    );
-}
-
-// ---------------------------------------------------------------- rule 3
 
 #[test]
 fn two_lock_cycle_is_reported_with_witnesses() {
@@ -261,7 +104,7 @@ fn two_lock_cycle_is_reported_with_witnesses() {
          let mut s = self.state.lock();\n        \
          let mut j = self.jobs.lock();\n        *s += 1;\n        *j += 1;\n    }\n}\n",
     )]);
-    let report = analyze_sources(&sources, &AnalyzeAllowlist::empty());
+    let report = analyze_sources(&sources, &AnalyzeAllowlist::default());
     let hits = by_rule(&report.violations, AnalyzeRule::LockOrder);
     assert_eq!(hits.len(), 1, "violations: {:?}", report.violations);
     let v = hits[0];
@@ -300,7 +143,7 @@ fn lock_cycle_through_a_callee_is_reported() {
          let mut s = self.state.lock();\n        \
          let mut j = self.jobs.lock();\n        *s += 1;\n        *j += 1;\n    }\n}\n",
     )]);
-    let report = analyze_sources(&sources, &AnalyzeAllowlist::empty());
+    let report = analyze_sources(&sources, &AnalyzeAllowlist::default());
     let hits = by_rule(&report.violations, AnalyzeRule::LockOrder);
     assert_eq!(hits.len(), 1, "violations: {:?}", report.violations);
     assert!(
@@ -324,7 +167,7 @@ fn consistent_lock_order_is_clean() {
          let mut j = self.jobs.lock();\n        \
          let mut s = self.state.lock();\n        *j += 2;\n        *s += 2;\n    }\n}\n",
     )]);
-    let report = analyze_sources(&sources, &AnalyzeAllowlist::empty());
+    let report = analyze_sources(&sources, &AnalyzeAllowlist::default());
     assert!(
         by_rule(&report.violations, AnalyzeRule::LockOrder).is_empty(),
         "consistent order must pass: {:?}",
@@ -332,290 +175,132 @@ fn consistent_lock_order_is_clean() {
     );
 }
 
-// ---------------------------------------------------------------- rule 4
-
-#[test]
-fn hot_path_fence_reaching_an_allocating_callee_is_reported() {
-    let sources = src(&[(
-        "crates/runtime/src/hot.rs",
-        "pub fn step() {\n    // hot-path: begin\n    record();\n    // hot-path: end\n}\n\n\
-         pub fn record() {\n    let mut v = Vec::with_capacity(8);\n    v.push(1);\n}\n",
-    )]);
-    let report = analyze_sources(&sources, &AnalyzeAllowlist::empty());
-    let hits = by_rule(&report.violations, AnalyzeRule::HotPathTransitiveAlloc);
-    assert_eq!(hits.len(), 1, "violations: {:?}", report.violations);
-    let v = hits[0];
-    assert!(v.message.contains("with_capacity"), "{}", v.message);
-    let labels: Vec<&str> = v.call_path.iter().map(|f| f.label.as_str()).collect();
-    assert_eq!(labels.len(), 2, "{labels:?}");
-    assert!(
-        labels[0].ends_with("step") && labels[1].ends_with("record"),
-        "{labels:?}"
-    );
-
-    // The same callee reached from *outside* the fence is fine.
-    let outside = src(&[(
-        "crates/runtime/src/hot.rs",
-        "pub fn step() {\n    // hot-path: begin\n    let x = 1;\n    // hot-path: end\n    \
-         record();\n    drop(x);\n}\n\n\
-         pub fn record() {\n    let mut v = Vec::with_capacity(8);\n    v.push(1);\n}\n",
-    )]);
-    let report = analyze_sources(&outside, &AnalyzeAllowlist::empty());
-    assert!(
-        by_rule(&report.violations, AnalyzeRule::HotPathTransitiveAlloc).is_empty(),
-        "fence must be line-scoped: {:?}",
-        report.violations
-    );
-}
-
-#[test]
-fn allocation_directly_inside_a_hot_path_fence_is_reported() {
-    // Only the `.collect()` inside the fence counts: `vec!` before it and
-    // `.to_vec()` after it are outside.
-    let sources = src(&[(
-        "crates/runtime/src/hot.rs",
-        "pub fn step(out: &mut Vec<u32>) {\n    let staging = vec![0u32; 4];\n    \
-         // hot-path: begin (delivery)\n    \
-         let bad: Vec<u32> = staging.iter().copied().collect();\n    out.extend(bad);\n    \
-         // hot-path: end (delivery)\n    let fine = staging.to_vec();\n    drop(fine);\n}\n",
-    )]);
-    let report = analyze_sources(&sources, &AnalyzeAllowlist::empty());
-    let hits = by_rule(&report.violations, AnalyzeRule::HotPathTransitiveAlloc);
-    assert_eq!(hits.len(), 1, "violations: {:?}", report.violations);
-    assert_eq!(hits[0].line, 4);
-    assert!(
-        hits[0].message.contains("`collect` inside"),
-        "{}",
-        hits[0].message
-    );
-}
-
 // ------------------------------------------------------------ fence balance
 
-/// The three ways a fence marker can fail to pair up, with the 1-based
-/// line of the marker the finding must name.
-fn unbalanced_fences(tag: &str) -> [(&'static str, String, usize); 3] {
-    [
+#[test]
+fn unbalanced_fence_markers_are_blocking_reachability_findings() {
+    let tag = "// nonblocking";
+    for (shape, body, line) in [
         (
             "unterminated begin",
-            format!("pub fn f() {{\n    // {tag}: begin\n    let x = 1;\n    drop(x);\n}}\n"),
+            format!("pub fn f() {{\n    {tag}: begin\n    let x = 1;\n    drop(x);\n}}\n"),
             2,
         ),
         (
             "begin inside an open fence",
             format!(
-                "pub fn f() {{\n    // {tag}: begin\n    let x = 1;\n    // {tag}: begin\n    \
-                 drop(x);\n    // {tag}: end\n}}\n"
+                "pub fn f() {{\n    {tag}: begin\n    let x = 1;\n    {tag}: begin\n    \
+                 drop(x);\n    {tag}: end\n}}\n"
             ),
             4,
         ),
         (
             "stray end",
-            format!("pub fn f() {{\n    let x = 1;\n    // {tag}: end\n    drop(x);\n}}\n"),
+            format!("pub fn f() {{\n    let x = 1;\n    {tag}: end\n    drop(x);\n}}\n"),
             3,
         ),
-    ]
-}
-
-#[test]
-fn unbalanced_fence_markers_are_findings_of_the_owning_rule() {
-    for (tag, owner, other) in [
-        (
-            "hot-path",
-            AnalyzeRule::HotPathTransitiveAlloc,
-            AnalyzeRule::BlockingReachability,
-        ),
-        (
-            "nonblocking",
-            AnalyzeRule::BlockingReachability,
-            AnalyzeRule::HotPathTransitiveAlloc,
-        ),
     ] {
-        for (shape, body, line) in unbalanced_fences(tag) {
-            let sources = src(&[("crates/runtime/src/fenced.rs", body.as_str())]);
-            let report = analyze_sources(&sources, &AnalyzeAllowlist::empty());
-            let hits = by_rule(&report.violations, owner);
-            assert_eq!(hits.len(), 1, "{tag} / {shape}: {:?}", report.violations);
-            assert_eq!(hits[0].line, line, "{tag} / {shape}: {}", hits[0]);
-            assert_eq!(hits[0].item, "f", "{tag} / {shape}");
-            assert!(
-                hits[0]
-                    .message
-                    .contains(&format!("unbalanced `// {tag}` fence")),
-                "{tag} / {shape}: {}",
-                hits[0].message
-            );
-            assert!(
-                by_rule(&report.violations, other).is_empty(),
-                "{tag} / {shape}"
-            );
-        }
-    }
-}
-
-#[test]
-fn deleting_a_fence_end_marker_keeps_the_check_on() {
-    let fenced = "pub fn deliver() {\n    // hot-path: begin (delivery)\n    \
-                  let probe: Vec<u8> = vec![0; 4];\n    drop(probe);\n    \
-                  // hot-path: end (delivery)\n}\n";
-    let unterminated = fenced.replace("    // hot-path: end (delivery)\n", "");
-    for body in [fenced, unterminated.as_str()] {
-        let sources = src(&[("crates/runtime/src/step.rs", body)]);
-        let report = analyze_sources(&sources, &AnalyzeAllowlist::empty());
-        let hits = by_rule(&report.violations, AnalyzeRule::HotPathTransitiveAlloc);
+        let sources = src(&[("crates/runtime/src/fenced.rs", body.as_str())]);
+        let report = analyze_sources(&sources, &AnalyzeAllowlist::default());
+        let hits = by_rule(&report.violations, AnalyzeRule::BlockingReachability);
+        assert_eq!(hits.len(), 1, "{shape}: {:?}", report.violations);
+        assert_eq!(
+            (hits[0].line, hits[0].item.as_str()),
+            (line, "f"),
+            "{shape}"
+        );
         assert!(
-            hits.iter()
-                .any(|v| v.line == 3 && v.message.contains("`vec!`")),
-            "the allocation must still be reported: {:?}",
-            report.violations
+            hits[0]
+                .message
+                .contains("unbalanced `// nonblocking` fence"),
+            "{shape}: {}",
+            hits[0].message
         );
     }
 }
 
-// ---------------------------------------------------------------- rule 5
+// ---------------------------------------------------------------- rule 3
 
-#[test]
-fn unreferenced_pub_flags_exactly_the_items_no_caller_names() {
-    let lib_a = "pub mod used;\npub mod unused;\n\n\
-        pub fn lonely() {}\npub fn by_crate() {}\npub fn by_bin() {}\n\
-        pub fn by_tests() {}\npub fn by_example() {}\npub fn by_ledger() {}\n\
-        pub(crate) fn narrowed() {}\npub const fn constant() -> u32 { 1 }\n\n\
-        pub struct S;\n\nimpl S {\n    pub fn method_lonely(&self) {}\n    \
-        pub fn method_used(&self) {}\n}\n\n\
-        impl Clone for S {\n    fn clone(&self) -> Self {\n        S\n    }\n}\n\n\
-        #[cfg(test)]\nmod tests {\n    pub fn test_helper() {}\n}\n";
-    let sources = src(&[
-        ("crates/lib_a/src/lib.rs", lib_a),
-        // Naming an item from its own crate's library files is no caller.
-        (
-            "crates/lib_a/src/used.rs",
-            "pub fn g() {\n    crate::lonely();\n    crate::narrowed();\n}\n",
-        ),
-        (
-            "crates/lib_a/src/bin/tool.rs",
-            "fn main() {\n    lib_a::by_bin();\n}\n",
-        ),
-        (
-            "crates/lib_b/src/lib.rs",
-            "pub fn b() {\n    lib_a::by_crate();\n    lib_a::S.method_used();\n}\n",
-        ),
-        // A binary-only crate has no API of its own to check.
-        (
-            "crates/tool/src/main.rs",
-            "pub fn helper() {}\nfn main() {\n    helper();\n}\n",
-        ),
-        (
-            "tests/t.rs",
-            "// lonely, unused: comments and strings name nothing\n\
-             fn t() {\n    lib_a::by_tests();\n    lib_b::b();\n    lib_a::used::g();\n    \
-             let _ = \"lonely unused constant\";\n}\n",
-        ),
-        (
-            "examples/e.rs",
-            "fn main() {\n    lib_a::by_example();\n}\n",
-        ),
-        (
-            "ledger/src/batch.rs",
-            "fn run() {\n    lib_a::by_ledger();\n}\n",
-        ),
-    ]);
-    let report = analyze_sources(&sources, &AnalyzeAllowlist::empty());
-    let mut hits: Vec<(String, usize, String)> =
-        by_rule(&report.violations, AnalyzeRule::UnreferencedPub)
-            .iter()
-            .map(|v| (v.path.clone(), v.line, v.item.clone()))
-            .collect();
-    hits.sort();
-    let lib = "crates/lib_a/src/lib.rs".to_string();
-    assert_eq!(
-        hits,
-        vec![
-            (lib.clone(), 2, "unused".to_string()),
-            (lib.clone(), 4, "lonely".to_string()),
-            (lib.clone(), 11, "constant".to_string()),
-            (lib, 16, "S::method_lonely".to_string()),
-        ],
-        "violations: {:?}",
-        report.violations
-    );
-}
+/// A library whose `helper` and `Mode::Fast` only a test uses: the rule
+/// reports both, and nothing a root reaches.
+const LIB: &str = "pub enum Mode {\n    Slow,\n    Fast,\n}\n\n\
+    pub fn run() -> Mode {\n    Mode::Slow\n}\n\n\
+    pub fn helper() -> u32 {\n    1\n}\n\n\
+    pub fn pick(m: Mode) -> u32 {\n    match m {\n        Mode::Fast => helper(),\n        \
+    Mode::Slow => 0,\n    }\n}\n\n\
+    pub struct S;\n\nimpl Clone for S {\n    fn clone(&self) -> Self {\n        S\n    }\n}\n";
 
-// ---------------------------------------------------------------- rule 6
-
-#[test]
-fn unguarded_and_negated_emits_are_flagged_positive_guards_are_not() {
-    let sources = src(&[(
-        "crates/runtime/src/emits.rs",
-        "fn good(ctx: &Ctx) {\n    if ctx.observed() {\n        ctx.emit(Ev::A);\n    }\n}\n\
-         fn nested(rec: &Rec, observed: bool) {\n    if observed {\n        \
-         for r in 0..4 {\n            rec.emit(r);\n        }\n    }\n}\n\
-         fn enabled(rec: &Rec) {\n    if rec.enabled() {\n        rec.emit(Ev::A);\n    }\n}\n\
-         fn conj(ctx: &Ctx, x: bool) {\n    if ctx.observed() && x {\n        \
-         ctx.emit(Ev::A);\n    }\n}\n\
-         fn negated(rec: &Rec) {\n    if !rec.enabled() {\n        rec.emit(Ev::A);\n    }\n}\n\
-         fn bare(ctx: &Ctx) {\n    ctx.emit(Ev::A);\n}\n",
-    )]);
-    let report = analyze_sources(&sources, &AnalyzeAllowlist::empty());
-    let hits: Vec<(usize, &str)> = by_rule(&report.violations, AnalyzeRule::UnguardedEmit)
-        .iter()
-        .map(|v| (v.line, v.item.as_str()))
-        .collect();
-    assert_eq!(
-        hits,
-        vec![(25, "negated"), (29, "bare")],
-        "{:?}",
-        report.violations
-    );
-}
-
-// ---------------------------------------------------------------- rule 7
-
-const TOPOLOGY: &str = "pub fn topology(rank: u32, num_ranks: u32) -> (u32, Vec<u32>) {\n    \
-    let parent = (rank - 1) / 8;\n    \
-    let children: Vec<u32> = (0..8u32)\n        .map(|i| rank * 8 + i + 1)\n        \
-    .filter(|&c| c < num_ranks)\n        .collect();\n    (parent, children)\n}\n";
-
-fn tree_hits(path: &str, body: &str) -> Vec<(usize, String)> {
-    let report = analyze_sources(&src(&[(path, body)]), &AnalyzeAllowlist::empty());
-    by_rule(&report.violations, AnalyzeRule::HandRolledCollective)
+fn test_only_hits(extra: &[(&str, &str)]) -> Vec<(usize, String)> {
+    let bin = "fn main() {\n    lib::pick(lib::run());\n}\n";
+    let test = "fn t() {\n    lib::helper();\n    lib::pick(lib::Mode::Fast);\n}\n";
+    let mut files = vec![
+        ("crates/lib/src/lib.rs", LIB),
+        ("crates/lib/src/bin/tool.rs", bin),
+        ("tests/t.rs", test),
+    ];
+    files.extend_from_slice(extra);
+    let report = analyze_sources(&src(&files), &AnalyzeAllowlist::default());
+    by_rule(&report.violations, AnalyzeRule::TestOnly)
         .iter()
         .map(|v| (v.line, v.item.clone()))
         .collect()
 }
 
 #[test]
-fn hand_rolled_collective_is_flagged_outside_the_collectives_module_only() {
-    let outside = "crates/coloring/src/dist.rs";
-    assert_eq!(
-        tree_hits(outside, TOPOLOGY),
-        vec![(1, "topology".to_string())]
+fn fns_and_variants_only_tests_use_are_test_only() {
+    // `pick` is reached from the bin, but its `Fast` arm is a pattern:
+    // only the test builds `Mode::Fast`. `helper` is called from `pick`,
+    // so a call edge (not a build) keeps it. The trait impl counts as
+    // reached; the test's own fn is no item of a crate.
+    assert_eq!(test_only_hits(&[]), vec![(3, "Mode::Fast".to_string())]);
+    let only_tests = LIB.replace("Mode::Fast => helper()", "Mode::Fast => 2");
+    let report = analyze_sources(
+        &src(&[
+            ("crates/lib/src/lib.rs", only_tests.as_str()),
+            (
+                "crates/lib/src/bin/tool.rs",
+                "fn main() {\n    lib::pick(lib::run());\n}\n",
+            ),
+            ("tests/t.rs", "fn t() {\n    lib::helper();\n}\n"),
+        ]),
+        &AnalyzeAllowlist::default(),
     );
-    assert!(tree_hits("crates/runtime/src/collectives.rs", TOPOLOGY).is_empty());
-    // Consuming TreeAllreduce names parent/children but does no rank
-    // arithmetic.
-    let consumer = "fn try_send_reduce(&mut self) {\n    \
-        match self.allreduce.try_complete(self.phase, self.own) {\n        None => {}\n        \
-        Some(ReduceOutcome::ToParent { parent, value }) => self.send(parent, value),\n        \
-        Some(ReduceOutcome::Root { value }) => self.broadcast(value),\n    }\n}\n\
-        fn broadcast(&mut self) {\n    fan_out(self.ctx, self.allreduce.children().iter().copied(), &self.msg);\n}\n";
-    assert!(tree_hits(outside, consumer).is_empty());
+    let hits: Vec<&str> = by_rule(&report.violations, AnalyzeRule::TestOnly)
+        .iter()
+        .map(|v| v.item.as_str())
+        .collect();
+    assert_eq!(
+        hits,
+        vec!["Mode::Fast", "helper"],
+        "{:?}",
+        report.violations
+    );
 }
 
 #[test]
-fn a_bodiless_trait_method_does_not_take_the_next_fns_body() {
-    let body = format!("pub trait Topo {{ fn shape(&self, rank: u32) -> u32; }}\n{TOPOLOGY}");
-    let hits = tree_hits("crates/coloring/src/dist.rs", &body);
-    assert_eq!(hits, vec![(2, "topology".to_string())]);
+fn a_root_that_calls_or_builds_clears_the_report() {
+    let bin = "fn main() {\n    lib::pick(lib::Mode::Fast);\n}\n";
+    assert!(test_only_hits(&[("crates/lib/src/bin/other.rs", bin)]).is_empty());
+    let example = "fn main() {\n    let _ = lib::Mode::Fast;\n}\n";
+    assert!(test_only_hits(&[("examples/e.rs", example)]).is_empty());
+    let ledger = "fn anything() {\n    let _ = lib::Mode::Fast;\n}\n";
+    assert!(test_only_hits(&[("ledger/src/batch.rs", ledger)]).is_empty());
 }
 
 // ------------------------------------------------------- allowlist + report
 
 #[test]
 fn allowlist_reroutes_findings_with_their_reason() {
-    let sources = src(&[(
-        "crates/net/src/reactor.rs",
-        "pub fn run_loop(s: &mut Sock) {\n    s.write_all(b\"x\");\n}\n",
-    )]);
+    let sources = src(&[
+        (
+            "crates/net/src/reactor.rs",
+            "pub fn run_loop(s: &mut Sock) {\n    s.write_all(b\"x\");\n}\n",
+        ),
+        (
+            "crates/net/src/main.rs",
+            "fn main() {\n    run_loop(&mut sock());\n}\n",
+        ),
+    ]);
     let allow = AnalyzeAllowlist {
         entries: vec![AnalyzeAllow {
             prefix: "crates/net/src/reactor.rs#run_loop",
@@ -641,7 +326,7 @@ fn json_report_carries_schema_summary_and_call_paths() {
             "pub fn pump() {\n    let mut s = writer();\n    s.write_all(b\"x\");\n}\n",
         ),
     ]);
-    let report = analyze_sources(&sources, &AnalyzeAllowlist::empty());
+    let report = analyze_sources(&sources, &AnalyzeAllowlist::default());
     let json = report.to_json().to_string_pretty();
     assert!(json.contains("\"schema\": \"cmg-analyze/v1\""), "{json}");
     assert!(json.contains("\"by_rule\""), "{json}");
@@ -681,7 +366,7 @@ fn workspace_analyzes_clean_under_curated_allowlist() {
 fn analyze_allowlist_is_load_bearing() {
     // Every curated entry must still match a live finding; stale
     // entries are deleted documentation.
-    let report = analyze_tree(repo_root(), &AnalyzeAllowlist::empty()).expect("analyze walk");
+    let report = analyze_tree(repo_root(), &AnalyzeAllowlist::default()).expect("analyze walk");
     for entry in &AnalyzeAllowlist::workspace().entries {
         assert!(
             report.violations.iter().any(|v| {
@@ -745,18 +430,9 @@ fn binary_flags_seeded_tree_and_writes_json_artifact() {
 }
 
 #[test]
-fn binary_flags_seeded_hand_rolled_collective() {
-    let root = seeded_tree("collective", &[("crates/bad/src/lib.rs", TOPOLOGY)]);
-    let out = cmg_lint(&[root.as_os_str()]);
-    std::fs::remove_dir_all(&root).ok();
-    assert_eq!(out.status.code(), Some(1), "expected lint failure exit");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("no-hand-rolled-collective"), "{stderr}");
-}
-
-#[test]
 fn binary_passes_clean_tree_and_real_workspace() {
-    let clean = "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap_or(0)\n}\n";
+    let clean =
+        "fn f(x: Option<u32>) -> u32 {\n    x.unwrap_or(0)\n}\n\nfn main() {\n    f(None);\n}\n";
     let root = seeded_tree("clean", &[("crates/ok/src/main.rs", clean)]);
     let out = cmg_lint(&[root.as_os_str()]);
     std::fs::remove_dir_all(&root).ok();

@@ -481,13 +481,11 @@ impl<S: ConflictScope> DistColoring<S> {
     fn conclude_detection(&mut self, losers: Vec<u32>, ctx: &mut RankCtx<ColorMsg>) {
         self.my_conflicts = losers.len() as u64;
         self.total_recolored += self.my_conflicts;
-        if ctx.observed() {
-            ctx.emit(cmg_obs::Event::ColoringRound {
-                phase: self.phase,
-                conflicts: self.my_conflicts,
-                colors_used: self.colors_used_so_far(),
-            });
-        }
+        ctx.emit(|| cmg_obs::Event::ColoringRound {
+            phase: self.phase,
+            conflicts: self.my_conflicts,
+            colors_used: self.colors_used_so_far(),
+        });
         self.u_cur = losers;
         self.u_pos = 0;
         self.state = PState::WaitingReduce;

@@ -44,14 +44,6 @@ pub struct ColorRetained {
     pub color: Vec<u32>,
 }
 
-impl ColorRetained {
-    /// `true` iff `v` must be re-colored.
-    #[inline]
-    pub fn is_dirty(&self, v: VertexId) -> bool {
-        self.color[v as usize] == UNCOLORED
-    }
-}
-
 /// The in-place repair kernel and its reusable scratch: the dirty
 /// vertices of the last [`ColorFrontier::invalidate`] as a list (their
 /// [`UNCOLORED`] entry in the color slice is the membership mark) and
@@ -252,7 +244,7 @@ mod tests {
                 c.validate(&g)
                     .unwrap_or_else(|e| panic!("seed {seed} step {step}: {e}"));
                 for v in 0..g.num_vertices() as VertexId {
-                    if !retained.is_dirty(v) {
+                    if retained.color[v as usize] != UNCOLORED {
                         assert_eq!(
                             c.color(v),
                             retained.color[v as usize],
@@ -300,7 +292,7 @@ mod tests {
                 let retained = invalidate_colors(&mg, &colors, &batch, cfg.seed);
                 let next = repair_frontier_colors(&mg, &retained, cfg.seed);
                 for v in 0..next.len() as VertexId {
-                    if !retained.is_dirty(v) {
+                    if retained.color[v as usize] != UNCOLORED {
                         assert_eq!(
                             next[v as usize], retained.color[v as usize],
                             "seed {seed} step {step}: clean vertex {v} was recolored"
@@ -348,7 +340,10 @@ mod tests {
             1,
             "exactly the monochrome loser"
         );
-        assert!(retained.is_dirty(mono.0) || retained.is_dirty(mono.1));
+        assert!(
+            retained.color[mono.0 as usize] == UNCOLORED
+                || retained.color[mono.1 as usize] == UNCOLORED
+        );
         Coloring::from_colors(repair_frontier_colors(&g, &retained, cfg.seed))
             .validate(&g)
             .unwrap();
@@ -393,7 +388,7 @@ mod tests {
             .validate(&g)
             .unwrap();
         for v in 0..g.num_vertices() as VertexId {
-            if !retained.is_dirty(v) {
+            if retained.color[v as usize] != UNCOLORED {
                 assert_eq!(repaired[v as usize], colors[v as usize], "clean vertex {v}");
             }
         }

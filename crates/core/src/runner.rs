@@ -38,13 +38,6 @@ impl Engine {
     pub fn default_threaded() -> Self {
         Engine::Threaded(EngineConfig::default())
     }
-
-    /// The underlying engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        match self {
-            Engine::Simulated(c) | Engine::Threaded(c) | Engine::Net(c) => c,
-        }
-    }
 }
 
 /// The subset of an [`EngineConfig`] the net transport honors.

@@ -81,11 +81,6 @@ impl BipartiteGraph {
         &self.adj[self.xadj[l as usize]..self.xadj[l as usize + 1]]
     }
 
-    /// Weights parallel to [`Self::neighbors`].
-    pub fn neighbor_weights(&self, l: VertexId) -> &[Weight] {
-        &self.weights[self.xadj[l as usize]..self.xadj[l as usize + 1]]
-    }
-
     /// Iterates `(left, right, weight)` once per edge.
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId, Weight)> + '_ {
         (0..self.num_left as VertexId).flat_map(move |l| {
@@ -127,14 +122,14 @@ mod tests {
         assert_eq!(g.num_right(), 3);
         assert_eq!(g.num_edges(), 4);
         assert_eq!(g.neighbors(0), &[0, 2]);
-        assert_eq!(g.neighbor_weights(1), &[2.0, 3.0]);
+        assert_eq!(g.weights[g.xadj[1]..g.xadj[2]], [2.0, 3.0]);
     }
 
     #[test]
     fn duplicates_keep_max() {
         let g = BipartiteGraph::from_edges(1, 1, vec![(0, 0, 1.0), (0, 0, 7.0)]);
         assert_eq!(g.num_edges(), 1);
-        assert_eq!(g.neighbor_weights(0), &[7.0]);
+        assert_eq!(g.weights[g.xadj[0]..g.xadj[1]], [7.0]);
     }
 
     #[test]

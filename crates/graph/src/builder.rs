@@ -85,11 +85,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Number of edges currently buffered (duplicates not yet collapsed).
-    pub fn num_buffered_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Builds the canonical CSR graph: sorted adjacency, duplicates
     /// collapsed to max weight, no self-loops.
     pub fn build(self) -> CsrGraph {

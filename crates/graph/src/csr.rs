@@ -139,14 +139,6 @@ impl CsrGraph {
             .unwrap_or(0)
     }
 
-    /// Minimum vertex degree (0 for an empty graph).
-    pub fn min_degree(&self) -> usize {
-        (0..self.num_vertices() as VertexId)
-            .map(|v| self.degree(v))
-            .min()
-            .unwrap_or(0)
-    }
-
     /// Returns a copy of this graph with the given weights installed.
     ///
     /// `f` is invoked once per undirected edge `(u, v)` with `u < v`; both
@@ -214,14 +206,6 @@ impl CsrGraph {
         }
         Ok(())
     }
-
-    /// Approximate heap footprint in bytes (for capacity planning in the
-    /// scaling harnesses).
-    pub fn memory_bytes(&self) -> usize {
-        self.xadj.len() * std::mem::size_of::<usize>()
-            + self.adj.len() * std::mem::size_of::<VertexId>()
-            + self.weights.len() * std::mem::size_of::<Weight>()
-    }
 }
 
 #[cfg(test)]
@@ -250,7 +234,7 @@ mod tests {
         assert!(g.has_edge(2, 1));
         assert!(!g.has_edge(0, 0));
         assert_eq!(g.max_degree(), 2);
-        assert_eq!(g.min_degree(), 2);
+        assert_eq!(crate::GraphStats::of(&g).min_degree, 2);
         g.validate().unwrap();
     }
 

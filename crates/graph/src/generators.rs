@@ -335,7 +335,7 @@ mod tests {
         assert_eq!(g.num_vertices(), 15);
         assert_eq!(g.num_edges(), 3 * 4 + 5 * 2);
         assert_eq!(g.max_degree(), 4);
-        assert_eq!(g.min_degree(), 2);
+        assert_eq!(crate::GraphStats::of(&g).min_degree, 2);
         g.validate().unwrap();
     }
 
@@ -364,7 +364,7 @@ mod tests {
         assert_eq!(star(6).num_edges(), 5);
         assert_eq!(star(6).max_degree(), 5);
         assert_eq!(complete(5).num_edges(), 10);
-        assert_eq!(complete(5).min_degree(), 4);
+        assert_eq!(crate::GraphStats::of(&complete(5)).min_degree, 4);
     }
 
     #[test]
@@ -400,7 +400,8 @@ mod tests {
         assert!(g.num_vertices() >= 10_000);
         let avg = 2.0 * g.num_edges() as f64 / g.num_vertices() as f64;
         assert!(g.max_degree() <= 6, "max degree {}", g.max_degree());
-        assert!(g.min_degree() >= 2, "min degree {}", g.min_degree());
+        let min_degree = crate::GraphStats::of(&g).min_degree;
+        assert!(min_degree >= 2, "min degree {min_degree}");
         assert!((3.0..5.0).contains(&avg), "avg degree {avg}");
         g.validate().unwrap();
     }

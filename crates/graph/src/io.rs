@@ -503,7 +503,8 @@ mod tests {
         assert!(!m.symmetric);
         let bg = m.to_bipartite();
         assert_eq!(bg.num_edges(), 3);
-        assert_eq!(bg.neighbor_weights(1), &[1.0]); // |-1.0|
+        let row1: Vec<f64> = bg.edges().filter(|e| e.0 == 1).map(|e| e.2).collect();
+        assert_eq!(row1, [1.0]); // |-1.0|
     }
 
     #[test]

@@ -161,11 +161,6 @@ impl MutableGraph {
         self.m
     }
 
-    /// Current degree of `v`.
-    pub fn degree(&self, v: VertexId) -> usize {
-        self.adj[v as usize].len()
-    }
-
     /// Current weight of edge `{u, v}`, if present.
     pub fn edge_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
         self.adj[u as usize].get(&v).copied()

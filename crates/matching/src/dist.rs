@@ -222,14 +222,12 @@ impl DistMatching {
     /// recorder is attached.
     fn emit_round_counts(&mut self, ctx: &RankCtx<MatchMsg>) {
         let c = std::mem::take(&mut self.counts);
-        if ctx.observed() {
-            ctx.emit(cmg_obs::Event::MatchRound {
-                round: ctx.round() as u32,
-                requests: c.requests,
-                succeeded: c.succeeded,
-                failed: c.failed,
-            });
-        }
+        ctx.emit(|| cmg_obs::Event::MatchRound {
+            round: ctx.round() as u32,
+            requests: c.requests,
+            succeeded: c.succeeded,
+            failed: c.failed,
+        });
     }
 
     /// Final mates of the owned vertices, as `(global vertex, global mate)`

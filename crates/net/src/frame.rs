@@ -285,7 +285,26 @@ pub(crate) fn hello_rank(hello: &Frame, who: &str) -> Result<u32, NetError> {
         Ctrl::Hello { rank, proto } => Err(NetError::protocol(format!(
             "{who} {rank} speaks protocol {proto}, expected {PROTO_VERSION}"
         ))),
-        other => Err(NetError::protocol(format!(
+        other @ (Ctrl::Assignment { .. }
+        | Ctrl::Ready { .. }
+        | Ctrl::Start
+        | Ctrl::RoundBundle { .. }
+        | Ctrl::Heartbeat { .. }
+        | Ctrl::FaultPoint { .. }
+        | Ctrl::Stats { .. }
+        | Ctrl::Outcome { .. }
+        | Ctrl::Events { .. }
+        | Ctrl::Done { .. }
+        | Ctrl::Shutdown
+        | Ctrl::Fatal { .. }
+        | Ctrl::HeartbeatAck { .. }
+        | Ctrl::RoundDone { .. }
+        | Ctrl::Checkpoint { .. }
+        | Ctrl::MutateBatch { .. }
+        | Ctrl::MutateAck { .. }
+        | Ctrl::Query { .. }
+        | Ctrl::QueryReply { .. }
+        | Ctrl::SessionEnd) => Err(NetError::protocol(format!(
             "expected a {who} Hello, got {other:?}"
         ))),
     }

@@ -114,7 +114,7 @@ impl KillSpec {
             {
                 round
             }
-            _ => NEVER,
+            KillSpec::None | KillSpec::KillAtRound { .. } | KillSpec::WedgeAtRound { .. } => NEVER,
         }
     }
 }
@@ -1270,7 +1270,27 @@ impl Run {
                 }
                 Err(parse_fatal(rank, &message))
             }
-            other => Err(NetError::protocol(format!(
+            other @ (Ctrl::Hello { .. }
+            | Ctrl::Assignment { .. }
+            | Ctrl::Ready { .. }
+            | Ctrl::Start
+            | Ctrl::RoundBundle { .. }
+            | Ctrl::Heartbeat { .. }
+            | Ctrl::FaultPoint { .. }
+            | Ctrl::Stats { .. }
+            | Ctrl::Outcome { .. }
+            | Ctrl::Events { .. }
+            | Ctrl::Done { .. }
+            | Ctrl::Shutdown
+            | Ctrl::Fatal { .. }
+            | Ctrl::HeartbeatAck { .. }
+            | Ctrl::RoundDone { .. }
+            | Ctrl::Checkpoint { .. }
+            | Ctrl::MutateBatch { .. }
+            | Ctrl::MutateAck { .. }
+            | Ctrl::Query { .. }
+            | Ctrl::QueryReply { .. }
+            | Ctrl::SessionEnd) => Err(NetError::protocol(format!(
                 "unexpected {other:?} frame from rank {rank} on the supervisor plane"
             ))),
         }

@@ -397,7 +397,25 @@ impl Transport {
                 *self.peer_active.entry(round).or_insert(false) |= active != 0;
                 Ok(())
             }
-            other => Err(NetError::protocol(format!(
+            other @ (Ctrl::Hello { .. }
+            | Ctrl::Assignment { .. }
+            | Ctrl::Ready { .. }
+            | Ctrl::Start
+            | Ctrl::Heartbeat { .. }
+            | Ctrl::FaultPoint { .. }
+            | Ctrl::Stats { .. }
+            | Ctrl::Outcome { .. }
+            | Ctrl::Events { .. }
+            | Ctrl::Done { .. }
+            | Ctrl::Shutdown
+            | Ctrl::Fatal { .. }
+            | Ctrl::HeartbeatAck { .. }
+            | Ctrl::Checkpoint { .. }
+            | Ctrl::MutateBatch { .. }
+            | Ctrl::MutateAck { .. }
+            | Ctrl::Query { .. }
+            | Ctrl::QueryReply { .. }
+            | Ctrl::SessionEnd) => Err(NetError::protocol(format!(
                 "unexpected {other:?} frame on the peer link from rank {from}"
             ))),
         }
@@ -430,7 +448,24 @@ impl Transport {
                 self.next_assignment = Some(frame.payload);
                 Ok(())
             }
-            other => Err(NetError::protocol(format!(
+            other @ (Ctrl::Hello { .. }
+            | Ctrl::Ready { .. }
+            | Ctrl::RoundBundle { .. }
+            | Ctrl::Heartbeat { .. }
+            | Ctrl::FaultPoint { .. }
+            | Ctrl::Stats { .. }
+            | Ctrl::Outcome { .. }
+            | Ctrl::Events { .. }
+            | Ctrl::Done { .. }
+            | Ctrl::Fatal { .. }
+            | Ctrl::HeartbeatAck { .. }
+            | Ctrl::RoundDone { .. }
+            | Ctrl::Checkpoint { .. }
+            | Ctrl::MutateBatch { .. }
+            | Ctrl::MutateAck { .. }
+            | Ctrl::Query { .. }
+            | Ctrl::QueryReply { .. }
+            | Ctrl::SessionEnd) => Err(NetError::protocol(format!(
                 "unexpected {other:?} frame on the supervisor link"
             ))),
         }
@@ -834,7 +869,27 @@ pub fn worker_main(sock_dir: &Path, rank: u32) -> Result<(), NetError> {
             Ctrl::Assignment { rank: addressee } if addressee == rank => {
                 decode_assignment(&frame.payload)?
             }
-            other => {
+            other @ (Ctrl::Hello { .. }
+            | Ctrl::Assignment { .. }
+            | Ctrl::Ready { .. }
+            | Ctrl::Start
+            | Ctrl::RoundBundle { .. }
+            | Ctrl::Heartbeat { .. }
+            | Ctrl::FaultPoint { .. }
+            | Ctrl::Stats { .. }
+            | Ctrl::Outcome { .. }
+            | Ctrl::Events { .. }
+            | Ctrl::Done { .. }
+            | Ctrl::Shutdown
+            | Ctrl::Fatal { .. }
+            | Ctrl::HeartbeatAck { .. }
+            | Ctrl::RoundDone { .. }
+            | Ctrl::Checkpoint { .. }
+            | Ctrl::MutateBatch { .. }
+            | Ctrl::MutateAck { .. }
+            | Ctrl::Query { .. }
+            | Ctrl::QueryReply { .. }
+            | Ctrl::SessionEnd) => {
                 return Err(NetError::protocol(format!(
                     "rank {rank} expected its assignment, got {other:?}"
                 )))
@@ -914,7 +969,17 @@ fn fatal_payload(e: &NetError) -> Vec<u8> {
             "FRAME_LOSS from={from} seq={expected_seq} waited_ms={}; {e}",
             waited.as_millis()
         ),
-        other => other.to_string(),
+        other @ (NetError::Spawn { .. }
+        | NetError::Handshake { .. }
+        | NetError::RankDied { .. }
+        | NetError::Stalled { .. }
+        | NetError::WorkerFatal { .. }
+        | NetError::Protocol { .. }
+        | NetError::RoundCap { .. }
+        | NetError::Inconsistent { .. }
+        | NetError::WorkerBinary { .. }
+        | NetError::Connect { .. }
+        | NetError::Io { .. }) => other.to_string(),
     };
     text.into_bytes()
 }
@@ -1132,7 +1197,6 @@ fn run_rounds<P: RankProgram + NetOutcomeSource>(
             .ok_or_else(|| NetError::protocol("undecodable program snapshot in checkpoint"))?,
         None => fresh(meta),
     };
-    let observed = recorder.enabled();
     let rank = t.rank;
     let num_ranks = t.num_ranks;
     // Event timestamps: seconds since `Start`, the threaded engine's
@@ -1173,14 +1237,10 @@ fn run_rounds<P: RankProgram + NetOutcomeSource>(
             let _ = lock(&t.sup).send(&Frame::bare(Ctrl::FaultPoint { rank, round }));
             wedge();
         }
-        if observed && rank == 0 {
-            recorder.emit(
-                ENGINE_RANK,
-                clock.now(),
-                Event::RoundStart {
-                    round: round as u32,
-                },
-            );
+        if rank == 0 {
+            recorder.emit(ENGINE_RANK, clock.now(), || Event::RoundStart {
+                round: round as u32,
+            });
         }
 
         // 1. Step. Last round's done wave already certified (by link
@@ -1238,28 +1298,20 @@ fn run_rounds<P: RankProgram + NetOutcomeSource>(
         // Exactly one `DoneWave` span per round per rank: the trace
         // analyzer counts these to segment a rank's stream into rounds.
         step.span(&clock, PhaseName::DoneWave, edge_start);
-        if observed && held > 0 {
+        if held > 0 {
             let dur = held as f64 / 1e9;
-            recorder.emit(
-                rank,
-                clock.now(),
-                Event::Phase {
-                    name: PhaseName::ReseqHold,
-                    start: (edge_end - dur).max(edge_start),
-                    dur,
-                },
-            );
+            recorder.emit(rank, clock.now(), || Event::Phase {
+                name: PhaseName::ReseqHold,
+                start: (edge_end - dur).max(edge_start),
+                dur,
+            });
         }
 
-        if observed && rank == 0 {
-            recorder.emit(
-                ENGINE_RANK,
-                clock.now(),
-                Event::RoundEnd {
-                    round: round as u32,
-                    active_ranks: num_ranks,
-                },
-            );
+        if rank == 0 {
+            recorder.emit(ENGINE_RANK, clock.now(), || Event::RoundEnd {
+                round: round as u32,
+                active_ranks: num_ranks,
+            });
         }
 
         let cells = &t.telemetry;

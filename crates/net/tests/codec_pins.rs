@@ -9,14 +9,19 @@
 //! hold for everything else: an assignment lost its bundling and
 //! telemetry flag bytes (put back, the old bytes come out), and an
 //! outcome gained the rank's summary after its pairs (cut off, likewise).
+//!
+//! The wire surface is pinned per protocol version: a digest of the
+//! declared tables (`WIRE_SHAPE`) of the control frames and of the
+//! checkpoint records that ride inside them.
 
-use cmg_coloring::{ColoringConfig, CommVariant};
+use cmg_coloring::{ColorSnap, ColoringConfig, CommVariant, JpSnap};
 use cmg_graph::weights::{assign_weights, WeightScheme};
 use cmg_graph::{generators, CsrGraph};
+use cmg_matching::MatchSnap;
 use cmg_net::proto::{decode_assignment, decode_outcome, encode_assignment, encode_outcome};
 use cmg_net::{
-    encode_checkpoint, Assignment, CheckpointState, FaultPlan, NetTask, ResumeFrom, RunOptions,
-    WorkerOutcome,
+    encode_checkpoint, Assignment, CheckpointState, Ctrl, FaultPlan, NetTask, ResumeFrom,
+    RunOptions, WorkerOutcome, PROTO_VERSION,
 };
 use cmg_obs::Fnv1a;
 use cmg_partition::simple::{block_partition, hash_partition};
@@ -159,5 +164,34 @@ fn outcome_bytes_are_pinned() {
             (0x2521_0216_02b2_7e94, 16_536),
             (0x6330_f0ee_c633_e6cc, 16_472)
         ]
+    );
+}
+
+/// `(PROTO_VERSION, digest of the wire tables)`. A `Ctrl` or snapshot
+/// record change must bump the version and pin its digest here, so every
+/// wire change is a reviewed two-line diff. The list is explicit: a new
+/// snapshot enum must be added to it by hand. Versions before 8 were
+/// pinned by another digest scheme and have no row.
+const SHAPE_PINS: &[(u32, u64)] = &[(8, 0x44c5_40c3_d7c7_f700)];
+
+#[test]
+fn wire_shape_is_pinned_per_protocol_version() {
+    let mut h = Fnv1a::new();
+    for (name, shape) in [
+        ("Ctrl", Ctrl::WIRE_SHAPE),
+        ("MatchSnap", MatchSnap::WIRE_SHAPE),
+        ("ColorSnap", ColorSnap::WIRE_SHAPE),
+        ("JpSnap", JpSnap::WIRE_SHAPE),
+    ] {
+        h.bytes(name.as_bytes());
+        h.bytes(shape.as_bytes());
+    }
+    let digest = h.finish();
+    let Some(&(_, pinned)) = SHAPE_PINS.iter().find(|(v, _)| *v == PROTO_VERSION) else {
+        panic!("PROTO_VERSION {PROTO_VERSION} has no pinned row: pin {digest:#018x}");
+    };
+    assert_eq!(
+        digest, pinned,
+        "the wire tables changed without a PROTO_VERSION bump ({digest:#018x})"
     );
 }

@@ -201,11 +201,6 @@ impl MetricsRegistry {
         *self.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
-    /// Sets a gauge to `value`.
-    pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
-    }
-
     /// Raises a gauge to `value` if larger (or creates it).
     fn max_gauge(&mut self, name: &str, value: f64) {
         let g = self
@@ -495,7 +490,7 @@ mod tests {
     fn jsonl_lines_parse_back() {
         let mut m = MetricsRegistry::new();
         m.inc("packets_sent", 3);
-        m.set_gauge("rounds", 7.0);
+        m.max_gauge("rounds", 7.0);
         m.observe("packet_bytes", 64);
         for line in m.to_jsonl().lines() {
             let v = Json::parse(line).unwrap();

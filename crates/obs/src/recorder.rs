@@ -1,9 +1,11 @@
 //! The recorder abstraction: how engines hand events to observers.
 //!
 //! [`RecorderHandle`] is what travels inside `EngineConfig`. It caches
-//! the recorder's `enabled()` answer at construction, so the disabled
-//! path in an engine inner loop is `if handle.enabled() { ... }` on a
-//! plain bool — no virtual call, no allocation, no lock.
+//! the recorder's `enabled()` answer at construction, and
+//! [`RecorderHandle::emit`] takes the event as a closure that it calls
+//! only behind that bool: the disabled path in an engine inner loop is
+//! `handle.emit(rank, t, || Event::…)`, one branch on a plain bool — no
+//! virtual call, no event built, no allocation, no lock.
 
 use crate::event::{Event, TimedEvent};
 use std::collections::BTreeMap;
@@ -66,11 +68,12 @@ impl RecorderHandle {
         self.enabled
     }
 
-    /// Records one event if the recorder is enabled.
+    /// Records the event `event` builds, if the recorder is enabled; a
+    /// disabled handle never calls `event`.
     #[inline]
-    pub fn emit(&self, rank: u32, time: f64, event: Event) {
+    pub fn emit(&self, rank: u32, time: f64, event: impl FnOnce() -> Event) {
         if self.enabled {
-            self.inner.record(rank, time, event);
+            self.inner.record(rank, time, event());
         }
     }
 }
@@ -156,10 +159,8 @@ impl CollectingRecorder {
 /// re-assigned by the receiving recorder, so `events` should already be
 /// in per-rank order (which [`CollectingRecorder::take`] guarantees).
 pub fn replay(events: &[TimedEvent], into: &RecorderHandle) {
-    if into.enabled() {
-        for e in events {
-            into.emit(e.rank, e.time, e.event.clone());
-        }
+    for e in events {
+        into.emit(e.rank, e.time, || e.event.clone());
     }
 }
 
@@ -189,7 +190,7 @@ mod tests {
     fn noop_handle_is_disabled_and_free() {
         let handle = RecorderHandle::default();
         assert!(!handle.enabled());
-        handle.emit(0, 0.0, Event::RoundStart { round: 0 });
+        handle.emit(0, 0.0, || Event::RoundStart { round: 0 });
         // Nothing observable happened — emit on a noop handle is inert.
     }
 
@@ -197,16 +198,12 @@ mod tests {
     fn collecting_orders_by_rank_then_seq() {
         let (recorder, handle) = CollectingRecorder::shared();
         assert!(handle.enabled());
-        handle.emit(1, 0.5, Event::RoundStart { round: 0 });
-        handle.emit(0, 0.7, Event::RoundStart { round: 0 });
-        handle.emit(
-            1,
-            0.9,
-            Event::RoundEnd {
-                round: 0,
-                active_ranks: 2,
-            },
-        );
+        handle.emit(1, 0.5, || Event::RoundStart { round: 0 });
+        handle.emit(0, 0.7, || Event::RoundStart { round: 0 });
+        handle.emit(1, 0.9, || Event::RoundEnd {
+            round: 0,
+            active_ranks: 2,
+        });
         let events = recorder.take();
         let key: Vec<(u32, u64)> = events.iter().map(|e| (e.rank, e.seq)).collect();
         assert_eq!(key, vec![(0, 0), (1, 0), (1, 1)]);
@@ -221,7 +218,7 @@ mod tests {
                 let handle = handle.clone();
                 s.spawn(move || {
                     for round in 0..100 {
-                        handle.emit(rank, round as f64, Event::RoundStart { round });
+                        handle.emit(rank, round as f64, || Event::RoundStart { round });
                     }
                 });
             }

@@ -52,19 +52,19 @@ pub fn morton_partition(coords: &[(u32, u32)], k: u32) -> Partition {
     Partition::new(assignment, k)
 }
 
-/// Morton partition of a `rows × cols` grid graph (row-major vertex ids).
-pub fn morton_grid_partition(rows: usize, cols: usize, k: u32) -> Partition {
-    let coords: Vec<(u32, u32)> = (0..rows * cols)
-        .map(|v| ((v % cols) as u32, (v / cols) as u32))
-        .collect();
-    morton_partition(&coords, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::simple::{block_partition, random_partition};
     use cmg_graph::generators::grid2d;
+
+    /// Morton partition of a `rows × cols` grid graph (row-major ids).
+    fn morton_grid_partition(rows: usize, cols: usize, k: u32) -> Partition {
+        let coords: Vec<(u32, u32)> = (0..rows * cols)
+            .map(|v| ((v % cols) as u32, (v / cols) as u32))
+            .collect();
+        morton_partition(&coords, k)
+    }
 
     #[test]
     fn morton_codes_order_locally() {

@@ -29,7 +29,7 @@ pub mod partition;
 pub mod simple;
 
 pub use dist::{gather_shares, DistGraph};
-pub use geometric::{morton_grid_partition, morton_partition};
+pub use geometric::morton_partition;
 pub use grid_dist::grid2d_dist;
 pub use halo::{ghost_neighbor_owners, sort_rows_by_weight, HaloView};
 pub use multilevel::multilevel_partition;

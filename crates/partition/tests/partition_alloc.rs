@@ -85,7 +85,10 @@ fn partition_cost(n: usize) -> (usize, usize, usize) {
     (
         after.calls - before.calls,
         after.peak - before.live,
-        g.memory_bytes(),
+        // The CSR's offsets, then its adjacency and weights (one entry per
+        // edge end).
+        (g.num_vertices() + 1) * size_of::<usize>()
+            + 2 * g.num_edges() * (4 + 8 * g.is_weighted() as usize),
     )
 }
 

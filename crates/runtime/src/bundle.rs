@@ -56,8 +56,7 @@ pub struct OutBox<M: WireMessage> {
     /// size under FIAC / FIAB is inherent: those schemes really do send
     /// to p − 1 ranks every superstep.
     dst_index: Vec<u32>,
-    /// Total ranks in the run; 0 disables the dense table (standalone
-    /// outboxes constructed via [`OutBox::new`]).
+    /// Total ranks in the run; 0 disables the dense table.
     num_ranks: Rank,
     /// Finished packets (used directly in non-bundling mode).
     packets: Vec<Packet>,
@@ -66,14 +65,9 @@ pub struct OutBox<M: WireMessage> {
 }
 
 impl<M: WireMessage> OutBox<M> {
-    /// An empty outbox. `bundling` selects aggregation vs one-packet-per-
-    /// message behavior.
-    pub fn new(bundling: bool) -> Self {
-        OutBox::for_ranks(bundling, 0)
-    }
-
     /// An empty outbox that knows the run's rank count, enabling the
-    /// dense destination table for wide fan-out rounds.
+    /// dense destination table for wide fan-out rounds. `bundling` selects
+    /// aggregation vs one-packet-per-message behavior.
     pub(crate) fn for_ranks(bundling: bool, num_ranks: Rank) -> Self {
         OutBox {
             bundling,
@@ -118,11 +112,9 @@ impl<M: WireMessage> OutBox<M> {
         if self.bundling {
             match self.bundle_index(dst) {
                 Some(i) => {
-                    // hot-path: begin (append to an open bundle)
                     let (_, buf, n) = &mut self.bundles[i];
                     msg.encode(buf);
                     *n += 1;
-                    // hot-path: end (append to an open bundle)
                 }
                 None => {
                     let mut buf = BytesMut::with_capacity(64);
@@ -149,21 +141,14 @@ impl<M: WireMessage> OutBox<M> {
         self.bundles.is_empty() && self.packets.is_empty()
     }
 
-    /// Closes the round: returns all packets, sorted by destination for
-    /// deterministic routing, leaving the outbox empty for reuse.
-    pub fn finish(&mut self) -> Vec<Packet> {
-        let mut packets = Vec::new();
-        self.finish_into(&mut packets);
-        packets
-    }
-
-    /// Closes the round, appending the destination-sorted packets to
-    /// `out` (which must be empty). The allocation-aware variant of
-    /// [`OutBox::finish`]: the caller recycles `out` across rounds, and
-    /// the outbox keeps its own bundle-list and packet-list allocations.
+    /// Closes the round, appending the packets, sorted by destination for
+    /// deterministic routing, to `out` (which must be empty) and leaving
+    /// the outbox empty for reuse: the caller recycles `out` across
+    /// rounds, and the outbox keeps its own bundle-list and packet-list
+    /// allocations.
     pub(crate) fn finish_into(&mut self, out: &mut Vec<Packet>) {
         debug_assert!(out.is_empty(), "finish_into wants a drained buffer");
-        // hot-path: begin (packet close-out — freeze moves, no copies)
+        // Close-out: freezing moves the buffers, nothing is copied.
         out.append(&mut self.packets);
         for (dst, buf, n) in self.bundles.drain(..) {
             if !self.dst_index.is_empty() {
@@ -175,7 +160,6 @@ impl<M: WireMessage> OutBox<M> {
                 logical: n,
             });
         }
-        // hot-path: end (packet close-out)
         // Stable: non-bundled same-destination packets keep send order.
         out.sort_by_key(|p| p.dst);
         self.stats.wire_packets += out.len() as u64;
@@ -187,13 +171,19 @@ impl<M: WireMessage> OutBox<M> {
 mod tests {
     use super::*;
 
+    fn finish<M: WireMessage>(ob: &mut OutBox<M>) -> Vec<Packet> {
+        let mut packets = Vec::new();
+        ob.finish_into(&mut packets);
+        packets
+    }
+
     #[test]
     fn bundling_merges_same_destination() {
-        let mut ob: OutBox<u32> = OutBox::new(true);
+        let mut ob: OutBox<u32> = OutBox::for_ranks(true, 0);
         ob.push(3, &1);
         ob.push(3, &2);
         ob.push(1, &9);
-        let packets = ob.finish();
+        let packets = finish(&mut ob);
         assert_eq!(packets.len(), 2);
         assert_eq!(packets[0].dst, 1);
         assert_eq!(packets[1].dst, 3);
@@ -204,22 +194,22 @@ mod tests {
 
     #[test]
     fn no_bundling_gives_one_packet_per_message() {
-        let mut ob: OutBox<u32> = OutBox::new(false);
+        let mut ob: OutBox<u32> = OutBox::for_ranks(false, 0);
         ob.push(3, &1);
         ob.push(3, &2);
-        let packets = ob.finish();
+        let packets = finish(&mut ob);
         assert_eq!(packets.len(), 2);
         assert!(packets.iter().all(|p| p.logical == 1));
     }
 
     #[test]
     fn finish_resets_for_reuse() {
-        let mut ob: OutBox<u32> = OutBox::new(true);
+        let mut ob: OutBox<u32> = OutBox::for_ranks(true, 0);
         ob.push(0, &1);
-        assert_eq!(ob.finish().len(), 1);
-        assert!(ob.finish().is_empty());
+        assert_eq!(finish(&mut ob).len(), 1);
+        assert!(finish(&mut ob).is_empty());
         ob.push(1, &2);
-        assert_eq!(ob.finish().len(), 1);
+        assert_eq!(finish(&mut ob).len(), 1);
     }
 
     #[test]
@@ -228,7 +218,7 @@ mod tests {
         // must produce identical packets, rounds on end.
         let p: Rank = 200;
         let mut dense: OutBox<u32> = OutBox::for_ranks(true, p);
-        let mut linear: OutBox<u32> = OutBox::new(true);
+        let mut linear: OutBox<u32> = OutBox::for_ranks(true, 0);
         for round in 0..3 {
             // Fan out well past DENSE_LOOKUP_THRESHOLD, with repeats.
             for i in 0..120u32 {
@@ -236,8 +226,8 @@ mod tests {
                 dense.push(dst, &i);
                 linear.push(dst, &i);
             }
-            let a = dense.finish();
-            let b = linear.finish();
+            let a = finish(&mut dense);
+            let b = finish(&mut linear);
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.dst, y.dst);
@@ -267,22 +257,22 @@ mod tests {
 
     #[test]
     fn stats_track_logical_vs_wire() {
-        let mut bundled: OutBox<u32> = OutBox::new(true);
+        let mut bundled: OutBox<u32> = OutBox::for_ranks(true, 0);
         for _ in 0..6 {
             bundled.push(3, &7);
         }
         bundled.push(1, &7);
-        bundled.finish();
+        finish(&mut bundled);
         let s = bundled.stats();
         assert_eq!(s.logical_messages, 7);
         assert_eq!(s.wire_packets, 2);
         assert_eq!(s.wire_bytes, 7 * 4);
 
-        let mut flat: OutBox<u32> = OutBox::new(false);
+        let mut flat: OutBox<u32> = OutBox::for_ranks(false, 0);
         for _ in 0..7 {
             flat.push(3, &7);
         }
-        flat.finish();
+        finish(&mut flat);
         assert_eq!(flat.stats().wire_packets, 7);
     }
 }

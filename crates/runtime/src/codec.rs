@@ -123,6 +123,7 @@ impl WireField for f64 {
 /// # use cmg_runtime::WireMessage;
 /// let m = DemoMsg::Put { key: 7, value: 9 };
 /// assert_eq!(m.encoded_len(), 1 + 4 + 8);
+/// assert_eq!(DemoMsg::WIRE_SHAPE, "0 => Put { key: u32, value: u64, }; 1 => Flush; ");
 /// ```
 ///
 /// The generated wire format is: the `u8` tag, then each field in
@@ -132,7 +133,9 @@ impl WireField for f64 {
 /// buffer append, not one per field. `encoded_len` is computed from the
 /// same declared field list, so the declared size and the bytes actually
 /// written cannot disagree. Unknown tags and truncated buffers decode to
-/// `None`.
+/// `None`. The enum also gets a `WIRE_SHAPE` const, the table as written
+/// (see the last line above), which
+/// `cmg-net`'s `codec_pins` test fingerprints per `PROTO_VERSION`.
 ///
 /// [`WireMessage`]: crate::message::WireMessage
 #[macro_export]
@@ -154,6 +157,17 @@ macro_rules! wire_codec {
                 $(#[$vmeta])*
                 $variant $({ $( $(#[$fmeta])* $field: $fty ),* })?,
             )*
+        }
+
+        impl $name {
+            /// The wire table as declared: each variant's tag and name,
+            /// then its fields' names and types.
+            #[allow(dead_code)]
+            pub const WIRE_SHAPE: &'static str = concat!($(
+                stringify!($tag), " => ", stringify!($variant),
+                $(" { ", $(stringify!($field), ": ", stringify!($fty), ", ",)* "}",)?
+                "; ",
+            )*);
         }
 
         impl $crate::WireMessage for $name {

@@ -129,7 +129,12 @@ impl DeliveryPolicy {
     pub(crate) fn hold_rounds(&self, _rank: Rank, _round: u64, src: Rank) -> u64 {
         match self {
             DeliveryPolicy::DelayRank { src: slow, rounds } if *slow == src => *rounds,
-            _ => 0,
+            DeliveryPolicy::DelayRank { .. }
+            | DeliveryPolicy::Arrival
+            | DeliveryPolicy::RandomPermutation { .. }
+            | DeliveryPolicy::ReverseRank
+            | DeliveryPolicy::Lifo
+            | DeliveryPolicy::Scripted(_) => 0,
         }
     }
 

@@ -25,6 +25,7 @@
 //! can be disabled per run for the ablation study.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 #![forbid(unsafe_code)]
 
 mod bundle;

@@ -45,8 +45,7 @@ pub(crate) fn decode_all_into<M: WireMessage>(
     if !buf.has_remaining() {
         return Some(0);
     }
-    // hot-path: begin (bundle decode — single up-front reserve, no
-    // per-message allocation)
+    // One up-front reserve, no per-message allocation.
     let total = buf.remaining();
     let first = M::decode(&mut buf)?;
     // Capacity hint: uniform-size messages are the overwhelmingly common
@@ -59,7 +58,6 @@ pub(crate) fn decode_all_into<M: WireMessage>(
         out.push(M::decode(&mut buf)?);
         n += 1;
     }
-    // hot-path: end (bundle decode)
     Some(n)
 }
 

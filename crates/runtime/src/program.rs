@@ -121,23 +121,24 @@ impl<M: WireMessage> RankCtx<M> {
 
     /// Whether an event recorder is attached (one cached-bool check).
     /// Programs can use this to skip counter bookkeeping that only
-    /// feeds events.
+    /// feeds events; [`RankCtx::emit`] makes the same check itself.
     #[inline]
     pub fn observed(&self) -> bool {
         self.recorder.enabled()
     }
 
-    /// Emits a structured event from this rank at the current engine
-    /// time. Free (a single branch) when no recorder is attached.
+    /// Emits the event `event` builds from this rank at the current
+    /// engine time. Free (a single branch, `event` never called) when no
+    /// recorder is attached.
     #[inline]
-    pub fn emit(&self, event: cmg_obs::Event) {
+    pub fn emit(&self, event: impl FnOnce() -> cmg_obs::Event) {
         self.recorder.emit(self.rank, self.now, event);
     }
 
     /// Engine-side twin of [`RankCtx::emit`]: stamps the event with `at`
     /// (a packet's arrival, a phase's end) instead of the compute time.
     #[inline]
-    pub(crate) fn emit_at(&self, at: f64, event: cmg_obs::Event) {
+    pub(crate) fn emit_at(&self, at: f64, event: impl FnOnce() -> cmg_obs::Event) {
         self.recorder.emit(self.rank, at, event);
     }
 

@@ -349,15 +349,9 @@ impl<P: RankProgram> SimEngine<P> {
                         checkpoint_roundtrip(&mut slot.program);
                     }
                 }
-                if recorder.enabled() {
-                    recorder.emit(
-                        ENGINE_RANK,
-                        max_vtime,
-                        Event::RoundStart {
-                            round: rounds as u32,
-                        },
-                    );
-                }
+                recorder.emit(ENGINE_RANK, max_vtime, || Event::RoundStart {
+                    round: rounds as u32,
+                });
 
                 sched.rounds += 1;
                 sched.worklist_total += worklist.len() as u64;
@@ -377,7 +371,7 @@ impl<P: RankProgram> SimEngine<P> {
                 // Route produced packets into destination mailboxes and
                 // onto the next worklist. Worklist order is ascending, so
                 // mailbox push order matches the dense 0..p sweep.
-                // hot-path: begin (routing — recycled scratch, no allocation)
+                // Recycled scratch, no allocation.
                 let stamp = rounds + 1;
                 let (mut pkts, mut msgs, mut bytes) = (0u64, 0u64, 0u64);
                 debug_assert!(next_worklist.is_empty());
@@ -416,7 +410,6 @@ impl<P: RankProgram> SimEngine<P> {
                     }
                     std::mem::swap(&mut produced_scratch, &mut slots[r as usize].produced);
                 }
-                // hot-path: end (routing)
 
                 if self.config.record_trace {
                     trace.push(RoundTrace {
@@ -435,16 +428,10 @@ impl<P: RankProgram> SimEngine<P> {
                     max_vtime = floor;
                 }
 
-                if recorder.enabled() {
-                    recorder.emit(
-                        ENGINE_RANK,
-                        max_vtime,
-                        Event::RoundEnd {
-                            round: rounds as u32 - 1,
-                            active_ranks: stepped as u32,
-                        },
-                    );
-                }
+                recorder.emit(ENGINE_RANK, max_vtime, || Event::RoundEnd {
+                    round: rounds as u32 - 1,
+                    active_ranks: stepped as u32,
+                });
 
                 // Double-buffer swap; sort restores ascending order.
                 std::mem::swap(&mut worklist, &mut next_worklist);
@@ -515,13 +502,9 @@ impl<P: RankProgram> SimEngine<P> {
                 }
                 let active_before: u64 = if recorder.enabled() {
                     let t = self.slots.iter().map(|s| s.vtime).fold(0.0, f64::max);
-                    recorder.emit(
-                        ENGINE_RANK,
-                        t,
-                        Event::RoundStart {
-                            round: rounds as u32,
-                        },
-                    );
+                    recorder.emit(ENGINE_RANK, t, || Event::RoundStart {
+                        round: rounds as u32,
+                    });
                     self.slots.iter().map(|s| s.stats.rounds_active).sum()
                 } else {
                     0
@@ -596,14 +579,10 @@ impl<P: RankProgram> SimEngine<P> {
                         .sum::<u64>()
                         - active_before;
                     let t = self.slots.iter().map(|s| s.vtime).fold(0.0, f64::max);
-                    recorder.emit(
-                        ENGINE_RANK,
-                        t,
-                        Event::RoundEnd {
-                            round: rounds as u32 - 1,
-                            active_ranks: stepped as u32,
-                        },
-                    );
+                    recorder.emit(ENGINE_RANK, t, || Event::RoundEnd {
+                        round: rounds as u32 - 1,
+                        active_ranks: stepped as u32,
+                    });
                 }
 
                 let all_idle = self.slots.iter().all(|s| s.status == Status::Idle);
@@ -655,7 +634,6 @@ impl<P: RankProgram> SimEngine<P> {
                 return;
             }
             let rank = slot.ctx.rank();
-            let observed = recorder.enabled();
             let default_policy = policy.is_default();
             if !default_policy && (!slot.mailbox.is_empty() || !slot.withheld.is_empty()) {
                 apply_delivery_policy(&policy, rank, round, &mut slot.mailbox, &mut slot.withheld);
@@ -676,17 +654,11 @@ impl<P: RankProgram> SimEngine<P> {
                     slot.stats.packets_received += 1;
                     slot.stats.bytes_received += m.payload.len() as u64;
                     slot.stats.messages_received += m.logical as u64;
-                    if observed {
-                        recorder.emit(
-                            rank,
-                            m.arrival,
-                            Event::PacketRecv {
-                                src: m.src,
-                                bytes: m.payload.len() as u64,
-                                logical: m.logical,
-                            },
-                        );
-                    }
+                    recorder.emit(rank, m.arrival, || Event::PacketRecv {
+                        src: m.src,
+                        bytes: m.payload.len() as u64,
+                        logical: m.logical,
+                    });
                     let msgs: Vec<P::Msg> = decode_all(m.payload)
                         .expect("malformed bundle: WireMessage encode/decode mismatch");
                     match inbox.last_mut() {
@@ -694,17 +666,11 @@ impl<P: RankProgram> SimEngine<P> {
                         _ => inbox.push((m.src, msgs)),
                     }
                 }
-                if observed {
-                    recorder.emit(
-                        rank,
-                        slot.vtime,
-                        Event::Phase {
-                            name: PhaseName::Delivery,
-                            start: delivery_start,
-                            dur: slot.vtime - delivery_start,
-                        },
-                    );
-                }
+                recorder.emit(rank, slot.vtime, || Event::Phase {
+                    name: PhaseName::Delivery,
+                    start: delivery_start,
+                    dur: slot.vtime - delivery_start,
+                });
             }
             // Compute.
             let compute_start = slot.vtime;
@@ -718,17 +684,11 @@ impl<P: RankProgram> SimEngine<P> {
             slot.stats.rounds_active += 1;
             slot.stats.work += work;
             slot.vtime += cost.compute_time(work);
-            if observed {
-                recorder.emit(
-                    rank,
-                    slot.vtime,
-                    Event::Phase {
-                        name: PhaseName::Compute,
-                        start: compute_start,
-                        dur: slot.vtime - compute_start,
-                    },
-                );
-            }
+            recorder.emit(rank, slot.vtime, || Event::Phase {
+                name: PhaseName::Compute,
+                start: compute_start,
+                dur: slot.vtime - compute_start,
+            });
             // Send: overhead advances the sender; transfer delays arrival.
             let send_start = slot.vtime;
             slot.produced = packets
@@ -738,31 +698,21 @@ impl<P: RankProgram> SimEngine<P> {
                     slot.stats.messages_sent += packet.logical as u64;
                     slot.stats.bytes_sent += packet.payload.len() as u64;
                     slot.vtime += cost.send_overhead;
-                    if observed {
-                        recorder.emit(
-                            rank,
-                            slot.vtime,
-                            Event::PacketSent {
-                                dst: packet.dst,
-                                bytes: packet.payload.len() as u64,
-                                logical: packet.logical,
-                            },
-                        );
-                    }
+                    recorder.emit(rank, slot.vtime, || Event::PacketSent {
+                        dst: packet.dst,
+                        bytes: packet.payload.len() as u64,
+                        logical: packet.logical,
+                    });
                     let arrival = slot.vtime + cost.transfer_time(packet.payload.len());
                     (packet, arrival)
                 })
                 .collect();
-            if observed && !slot.produced.is_empty() {
-                recorder.emit(
-                    rank,
-                    slot.vtime,
-                    Event::Phase {
-                        name: PhaseName::Send,
-                        start: send_start,
-                        dur: slot.vtime - send_start,
-                    },
-                );
+            if !slot.produced.is_empty() {
+                recorder.emit(rank, slot.vtime, || Event::Phase {
+                    name: PhaseName::Send,
+                    start: send_start,
+                    dur: slot.vtime - send_start,
+                });
             }
         };
 

@@ -5,7 +5,7 @@
 //! **record stream** — a sequence of fixed-width records declared through
 //! [`wire_codec!`](crate::wire_codec) and concatenated back-to-back
 //! exactly like a message bundle — so the same codec machinery (and the
-//! same `cmg-analyze` wire-drift fingerprinting) covers checkpoint
+//! same `WIRE_SHAPE` pin in `cmg-net`'s `codec_pins` test) covers checkpoint
 //! payloads and wire messages alike. [`encode_snapshot`] is the one
 //! writer and [`restore_encoded`] the one reader: engines and the net
 //! transport see bytes, never the record type.

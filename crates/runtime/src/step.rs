@@ -186,7 +186,7 @@ impl<P: RankProgram> RankStep<P> {
         payload: Bytes,
         logical: u32,
     ) -> Result<(), MalformedBundle> {
-        // hot-path: begin (delivery — recycled buffers, no allocation)
+        // Recycled buffers, no allocation.
         if self.inbox.is_empty() {
             self.delivery_start = clock.now();
         }
@@ -211,15 +211,11 @@ impl<P: RankProgram> RankStep<P> {
         self.stats.packets_received += 1;
         self.stats.bytes_received += bytes;
         self.stats.messages_received += u64::from(logical);
-        if self.ctx.observed() {
-            let event = Event::PacketRecv {
-                src,
-                bytes,
-                logical,
-            };
-            self.ctx.emit_at(received, event);
-        }
-        // hot-path: end (delivery)
+        self.ctx.emit_at(received, || Event::PacketRecv {
+            src,
+            bytes,
+            logical,
+        });
         Ok(())
     }
 
@@ -259,13 +255,13 @@ impl<P: RankProgram> RankStep<P> {
             stats.messages_sent += u64::from(packet.logical);
             stats.bytes_sent += bytes as u64;
             let arrival = clock.send(bytes);
+            // The guard also spares an unobserved run the clock read.
             if ctx.observed() {
-                let event = Event::PacketSent {
+                ctx.emit_at(clock.now(), || Event::PacketSent {
                     dst: packet.dst,
                     bytes: bytes as u64,
                     logical: packet.logical,
-                };
-                ctx.emit_at(clock.now(), event);
+                });
             }
             (packet, arrival)
         })
@@ -278,7 +274,7 @@ impl<P: RankProgram> RankStep<P> {
         if self.ctx.observed() {
             let end = clock.now();
             let dur = end - start;
-            self.ctx.emit_at(end, Event::Phase { name, start, dur });
+            self.ctx.emit_at(end, || Event::Phase { name, start, dur });
         }
     }
 }

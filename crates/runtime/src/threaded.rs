@@ -228,7 +228,6 @@ fn run_rank<P: RankProgram>(
     start: Instant,
 ) -> (P, RankStats, u64) {
     let recorder = config.recorder.clone();
-    let observed = recorder.enabled();
     // Event timestamps: wall seconds since the run started (shared
     // epoch across ranks, so the trace tracks line up).
     let mut clock = WallClock::since(start);
@@ -244,14 +243,10 @@ fn run_rank<P: RankProgram>(
     let mut round: u64 = 0;
 
     loop {
-        if observed && rank == 0 {
-            recorder.emit(
-                ENGINE_RANK,
-                clock.now(),
-                Event::RoundStart {
-                    round: round as u32,
-                },
-            );
+        if rank == 0 {
+            recorder.emit(ENGINE_RANK, clock.now(), || Event::RoundStart {
+                round: round as u32,
+            });
         }
         // 1. Step. 0/1-packet inboxes skip the sort; the `(src, seq)` key
         // is unique, so an unstable sort is deterministic.
@@ -299,17 +294,13 @@ fn run_rank<P: RankProgram>(
         }
         activity[parity].store(false, Ordering::SeqCst);
 
-        if observed && rank == 0 {
+        if rank == 0 {
             // Every rank steps every round in this engine, so all ranks
             // count as active.
-            recorder.emit(
-                ENGINE_RANK,
-                clock.now(),
-                Event::RoundEnd {
-                    round: round as u32,
-                    active_ranks: num_ranks,
-                },
-            );
+            recorder.emit(ENGINE_RANK, clock.now(), || Event::RoundEnd {
+                round: round as u32,
+                active_ranks: num_ranks,
+            });
         }
 
         round += 1;

@@ -258,14 +258,13 @@ impl ServeState {
         // The kernels read the mutable adjacency directly and write the
         // resident vectors in place — no CSR repack, no n-vector copy.
         let seed = self.cfg.coloring.seed;
-        // hot-path: begin (warm invalidate — in place, recycled scratch)
+        // Warm invalidate: in place, recycled scratch.
         self.match_frontier
             .invalidate(&self.mg, &mut self.mate, batch);
         self.color_frontier
             .invalidate(&self.mg, &mut self.colors, batch, seed);
         let dirty_matching = self.match_frontier.vertices().len();
         let dirty_coloring = self.color_frontier.vertices().len();
-        // hot-path: end (warm invalidate)
         let n = self.mg.num_vertices().max(1);
         let dirtiness = dirty_matching.max(dirty_coloring) as f64 / n as f64;
 
@@ -282,10 +281,9 @@ impl ServeState {
             (RepairMode::Recompute, rounds)
         } else {
             self.repairs += 1;
-            // hot-path: begin (warm repair — in place, recycled scratch)
+            // Warm repair: in place, recycled scratch.
             self.match_frontier.repair(&self.mg, &mut self.mate);
             self.color_frontier.repair(&self.mg, &mut self.colors, seed);
-            // hot-path: end (warm repair)
             (RepairMode::Repair, (0, 0))
         };
 

@@ -6,7 +6,7 @@ use cmg::prelude::*;
 use cmg_coloring::distance2::{greedy_d2, validate_d2};
 use cmg_coloring::{assemble_coloring, DistColoring, Distance2};
 use cmg_graph::generators;
-use cmg_partition::geometric::{morton_grid_partition, morton_partition};
+use cmg_partition::geometric::morton_partition;
 use cmg_partition::{grid2d_dist, DistGraph};
 use cmg_runtime::{EngineConfig, SimEngine};
 
@@ -83,7 +83,10 @@ fn distance2_color_counts_bounded() {
 fn morton_partition_pipeline() {
     let k = 32usize;
     let g = generators::grid2d(k, k);
-    let morton = morton_grid_partition(k, k, 64);
+    let coords: Vec<(u32, u32)> = (0..k * k)
+        .map(|v| ((v % k) as u32, (v / k) as u32))
+        .collect();
+    let morton = morton_partition(&coords, 64);
     let blocks = cmg_partition::simple::block_partition(k * k, 64);
     assert!(morton.quality(&g).edge_cut < blocks.quality(&g).edge_cut);
     let run = cmg::run_coloring(

@@ -130,7 +130,7 @@ fn coloring_run_emits_coloring_events() {
 fn noop_recorder_collects_nothing_and_perturbs_nothing() {
     let handle = cmg_obs::RecorderHandle::noop();
     assert!(!handle.enabled(), "noop handle must report disabled");
-    handle.emit(0, 0.0, Event::RoundStart { round: 0 });
+    handle.emit(0, 0.0, || Event::RoundStart { round: 0 });
 
     let g = assign_weights(
         &generators::grid2d(8, 8),
@@ -241,7 +241,8 @@ proptest! {
             m.inc(&format!("c{i}"), v);
             m.observe("h", v);
         }
-        m.set_gauge("g", gauge as f64);
+        let round_end = Event::RoundEnd { round: gauge >> 1, active_ranks: 1 };
+        m.observe_events(&[TimedEvent { rank: 0, time: 0.0, seq: 0, event: round_end }]);
         for line in m.to_jsonl().lines() {
             let v = Json::parse(line).unwrap();
             let name = v.get("metric").unwrap().as_str().unwrap();

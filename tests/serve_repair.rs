@@ -35,6 +35,7 @@
 //!    leave the state as if it had not happened / oracle-clean.
 
 use cmg_check::oracles::{half_approx_certificate, proper_coloring, valid_matching};
+use cmg_coloring::coloring::UNCOLORED;
 use cmg_coloring::{invalidate_colors, repair_frontier_colors, ColorFrontier, Coloring};
 use cmg_graph::generators::erdos_renyi;
 use cmg_graph::weights::{assign_weights, WeightScheme};
@@ -301,7 +302,9 @@ fn in_place_kernels_agree_with_wrappers_and_cold_runs() {
             assert_eq!(active, expected, "{ctx}: frontier list != active set");
             let mut dirty = color_frontier.vertices().to_vec();
             dirty.sort_unstable();
-            let expected: Vec<VertexId> = (0..N).filter(|&v| retained_c.is_dirty(v)).collect();
+            let expected: Vec<VertexId> = (0..N)
+                .filter(|&v| retained_c.color[v as usize] == UNCOLORED)
+                .collect();
             assert_eq!(dirty, expected, "{ctx}: dirty list != dirty set");
             match_frontier.repair(&mg, &mut mate);
             color_frontier.repair(&mg, &mut colors, SEED);
