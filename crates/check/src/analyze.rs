@@ -160,7 +160,6 @@ const TEST_SUPPORT: &[(&str, &str)] = &[
     ("crates/runtime/src/sim.rs#SimEngine::dense_step_all", "the dense reference's step"),
     ("crates/runtime/src/delivery.rs#DeliveryPolicy::", "the sweep's adversarial delivery orders"),
     ("crates/runtime/src/program.rs#RankCtx::self_sends", "shows the explorer a self-send was scheduled"),
-    ("crates/runtime/src/cost.rs#MachinePreset::", "named presets; the default model is built directly"),
     ("crates/net/src/supervisor.rs#KillSpec::", "scripted worker deaths for the fault tests"),
     ("crates/net/src/supervisor.rs#NetSession::", "the fault tests observe and re-arm a resident fleet"),
     ("crates/net/src/proto.rs#encode_", "byte pins run the shipped encoders through these"),

@@ -186,9 +186,8 @@ fn first_step_builds_the_index_once() {
     // dedup stamps (2), colours, forbidden stamps — 5; the slice's
     // boundary flags split the owned vertices, so no halo view is
     // built. The first step's work list and outgoing bundles bring it
-    // to 24.0 (measured), plus the `programs` vector. A halo view adds 5
-    // per rank (3 lists, 2 scratch); building the index twice makes it
-    // ≥ 29.
+    // to 24.0 (measured), plus the `programs` vector. A halo view adds 3
+    // per rank (its lists); building the index twice makes it ≥ 29.
     assert!(calls <= 25 * ranks + 1, "{calls} calls for {ranks} ranks");
     // Measured 27.9 on 4,096 ranks of 256 vertices:
     // - priorities, a `u64` per local index: 10 B;

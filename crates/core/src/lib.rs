@@ -43,5 +43,5 @@ pub mod prelude {
     pub use cmg_graph::{BipartiteGraph, CsrGraph, GraphBuilder, GraphStats};
     pub use cmg_matching::Matching;
     pub use cmg_partition::{multilevel_partition, DistGraph, Partition, PartitionQuality};
-    pub use cmg_runtime::{CostModel, EngineConfig, MachinePreset, RunStats};
+    pub use cmg_runtime::{CostModel, EngineConfig, RunStats};
 }

@@ -63,11 +63,13 @@ pub struct DistGraph {
 }
 
 /// The sorted, distinct owners of a ghost list: a slice's
-/// `neighbor_ranks`.
+/// `neighbor_ranks`, held at its exact size (a copy of the ghost list
+/// would keep one slot per ghost).
 pub(crate) fn ranks_of(ghost_owner: &[Rank]) -> Vec<Rank> {
     let mut ranks = ghost_owner.to_vec();
     ranks.sort_unstable();
     ranks.dedup();
+    ranks.shrink_to_fit();
     ranks
 }
 
@@ -240,8 +242,11 @@ impl DistGraph {
                 "global id {g} is listed twice"
             );
         }
+        let mut owners = ghost_owner.clone();
+        owners.sort_unstable();
+        owners.dedup();
         ensure!(
-            neighbor_ranks == ranks_of(&ghost_owner),
+            neighbor_ranks == owners,
             "neighbor_ranks are not the sorted distinct ghost owners"
         );
         Ok(DistGraph {

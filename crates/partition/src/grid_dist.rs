@@ -21,7 +21,7 @@
 //! (verified by tests), including the ghost discovery order and the
 //! deterministic edge weights.
 
-use crate::dist::{ranks_of, strictly_ascending, DistGraph, Rank};
+use crate::dist::{strictly_ascending, DistGraph, Rank};
 use cmg_graph::util::FxHashMap;
 use cmg_graph::weights::EdgeUnitRandom;
 use cmg_graph::VertexId;
@@ -83,12 +83,10 @@ pub fn build_rank(
     // and right of it, where the grid has them; an empty block has none.
     // Blocks run empty only past the grid's far end, so every halo cell
     // lies in the adjacent block: its owner is one step away in `rank`.
-    let n_ghost = if n_local == 0 {
-        0
-    } else {
-        w * (usize::from(r0 > 0) + usize::from(r1 < rows))
-            + (r1 - r0) * (usize::from(c0 > 0) + usize::from(c1 < cols))
-    };
+    // The sides N, W, E, S the halo has:
+    let sides = [r0 > 0, c0 > 0, c1 < cols, r1 < rows].map(|side| side && n_local > 0);
+    let [has_n, has_w, has_e, has_s] = sides.map(usize::from);
+    let n_ghost = w * (has_n + has_s) + (r1 - r0) * (has_w + has_e);
 
     let mut global_ids: Vec<VertexId> = Vec::with_capacity(n_local + n_ghost);
     global_ids.extend((r0..r1).flat_map(|i| (c0..c1).map(move |j| id(i, j))));
@@ -104,6 +102,16 @@ pub fn build_rank(
     // id, the local index and the owner rank.
     let (dv, dl, dr) = (cols as i64, w as i64, i64::from(pc));
     let [north, west, east, south] = [(-dv, -dl, -dr), (-1, -1, -1), (1, 1, 1), (dv, dl, dr)];
+    // The halo's owners, ascending: the blocks one step away on its
+    // sides, counted first so the list has its exact size.
+    let mut neighbor_ranks = Vec::with_capacity(sides.iter().filter(|&&side| side).count());
+    neighbor_ranks.extend(
+        sides
+            .iter()
+            .zip([north, west, east, south])
+            .filter(|&(&side, _)| side)
+            .map(|(_, (_, _, sr))| (i64::from(rank) + sr) as Rank),
+    );
     for i in r0..r1 {
         for j in c0..c1 {
             let v = id(i, j);
@@ -149,7 +157,7 @@ pub fn build_rank(
         adj,
         weights,
         global_ids,
-        neighbor_ranks: ranks_of(&ghost_owner),
+        neighbor_ranks,
         ghost_owner,
         is_boundary,
         ghosts,
@@ -187,8 +195,14 @@ mod tests {
             seed in 0u64..1_000,
         ) {
             let seed = weighted.then_some(seed);
+            let parts = grid2d_dist(rows, cols, pr, pc, seed);
+            // `PartialEq` sees no capacity: the neighbour list must hold
+            // no slot beyond its ranks.
+            for dg in &parts {
+                prop_assert!(dg.neighbor_ranks.capacity() <= dg.neighbor_ranks.len());
+            }
             prop_assert_eq!(
-                grid2d_dist(rows, cols, pr, pc, seed),
+                parts,
                 explicit(rows, cols, pr, pc, seed),
                 "{}x{} on {}x{}, seed {:?}", rows, cols, pr, pc, seed
             );

@@ -3,7 +3,8 @@
 //! [`HaloView`] lists the boundary vertices and, for each ghost, the
 //! owned vertices it touches: the reverse cross-adjacency needed to
 //! propagate "this ghost changed" to the owned vertices that care. It is
-//! built totally (no partial indexing). Its ascending `boundary` list
+//! built totally (no partial indexing), from the boundary rows alone:
+//! no other row holds a ghost. Its ascending `boundary` list
 //! doubles as a dense index of the boundary vertices: `DistMatching`
 //! keeps pending proposals for those alone, since only a boundary vertex
 //! can be proposed to across a cut edge. Colouring needs no view: the
@@ -11,12 +12,15 @@
 //!
 //! The weight order the matching program walks lives in the slice
 //! itself: [`sort_rows_by_weight`] sorts each owned row of `adj` (and
-//! `weights` with it) in place, so the order costs no extra bytes.
+//! `weights` with it) in place, so the order costs no extra bytes, and
+//! sorts a short row (every row of a grid) with a branch-free network,
+//! so its cost does not depend on how the weights fall.
 //! Neither it nor the halo looks a global id up — everything here is
 //! indexed by local index.
 
 use crate::dist::{DistGraph, Rank};
 use cmg_graph::{VertexId, Weight};
+use std::ops::Range;
 
 /// Precomputed halo structure of one rank's [`DistGraph`]: the boundary
 /// vertex list and the ghost reverse cross-adjacency CSR.
@@ -38,9 +42,9 @@ pub struct HaloView {
 }
 
 impl HaloView {
-    /// Computes the halo view of `dg`. Total: every offset is built by a
-    /// running sum, so empty ranks and ghost-free ranks need no special
-    /// cases.
+    /// Computes the halo view of `dg`, reading only its boundary rows.
+    /// Total: every offset is built by a running sum, so empty ranks and
+    /// ghost-free ranks need no special cases.
     pub fn build(dg: &DistGraph) -> Self {
         let n_local = dg.n_local;
         let n_ghost = dg.n_ghost();
@@ -48,32 +52,35 @@ impl HaloView {
         let mut boundary = Vec::with_capacity(dg.num_boundary());
         boundary.extend((0..n_local as u32).filter(|&v| dg.is_boundary[v as usize]));
 
-        // Reverse adjacency for ghosts: count cross-edge endpoints per
-        // ghost, prefix-sum into offsets, then fill with a cursor pass.
-        let mut counts = vec![0usize; n_ghost];
-        for &u in &dg.adj {
-            if u as usize >= n_local {
-                counts[u as usize - n_local] += 1;
-            }
-        }
-        let mut ghost_adj_x = Vec::with_capacity(n_ghost + 1);
-        let mut running = 0usize;
-        ghost_adj_x.push(running);
-        for &c in &counts {
-            running += c;
-            ghost_adj_x.push(running);
-        }
-        let mut ghost_adj = vec![0u32; running];
-        let mut cursor = ghost_adj_x.clone();
-        for v in 0..n_local as u32 {
+        // Reverse adjacency for ghosts. A ghost occurs only in boundary
+        // rows (`is_boundary` is exactly "has a ghost neighbor"), so only
+        // those are scanned: count each ghost's cross edges one slot
+        // ahead, prefix-sum into offsets, then fill with each ghost's
+        // offset as its cursor, which leaves every offset at its
+        // successor's value until the final shift.
+        let mut ghost_adj_x = vec![0usize; n_ghost + 1];
+        for &v in &boundary {
             for &u in dg.neighbors(v) {
                 if u as usize >= n_local {
-                    let gi = u as usize - n_local;
-                    ghost_adj[cursor[gi]] = v;
-                    cursor[gi] += 1;
+                    ghost_adj_x[u as usize - n_local + 1] += 1;
                 }
             }
         }
+        for g in 1..=n_ghost {
+            ghost_adj_x[g] += ghost_adj_x[g - 1];
+        }
+        let mut ghost_adj = vec![0u32; ghost_adj_x[n_ghost]];
+        for &v in &boundary {
+            for &u in dg.neighbors(v) {
+                if u as usize >= n_local {
+                    let cursor = &mut ghost_adj_x[u as usize - n_local];
+                    ghost_adj[*cursor] = v;
+                    *cursor += 1;
+                }
+            }
+        }
+        ghost_adj_x.copy_within(..n_ghost, 1);
+        ghost_adj_x[0] = 0;
 
         HaloView {
             n_local,
@@ -90,21 +97,123 @@ impl HaloView {
 /// broken by ascending *global* id so every rank orders shared edges
 /// identically (the paper's smallest-label tie-break). The key is a
 /// total order on a row, so sorting a sorted slice changes nothing.
+///
+/// A row of at most [`NET_MAX`] entries is sorted by a branch-free
+/// sorting network (no comparison can be mispredicted); only a longer
+/// row takes a comparison sort, through a buffer allocated when the
+/// first such row occurs. Both give the same row: global ids are
+/// distinct on a slice, so two entries with equal keys are the same
+/// neighbor with the same weight.
 pub fn sort_rows_by_weight(dg: &mut DistGraph) {
-    let weighted = !dg.weights.is_empty();
-    let mut row: Vec<(Weight, VertexId, u32)> = Vec::new();
+    let mut long_row: Vec<(Weight, VertexId, u32)> = Vec::new();
     for v in 0..dg.n_local {
-        row.clear();
-        row.extend(
-            dg.neighbors_weighted(v as u32)
-                .map(|(u, w)| (w, dg.global_ids[u as usize], u)),
-        );
-        row.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        for (i, &(w, _, u)) in (dg.xadj[v]..).zip(&row) {
-            dg.adj[i] = u;
-            if weighted {
-                dg.weights[i] = w;
+        let row = dg.xadj[v]..dg.xadj[v + 1];
+        match row.len() {
+            0 | 1 => {}
+            2 => sort_short::<2>(dg, row, &BATCHER_2),
+            3..=4 => sort_short::<4>(dg, row, &BATCHER_4),
+            5..=8 => sort_short::<8>(dg, row, &BATCHER_8),
+            9..=NET_MAX => sort_short::<16>(dg, row, &BATCHER_16),
+            _ => sort_long(dg, v, &mut long_row),
+        }
+    }
+}
+
+/// The longest row [`sort_rows_by_weight`] sorts with a network.
+const NET_MAX: usize = 16;
+
+/// Comparators of Batcher's odd–even merge sort on `N` lanes; `M` is
+/// their count (1, 5, 19, 63 for 2, 4, 8, 16 lanes), checked at compile
+/// time.
+const fn batcher<const N: usize, const M: usize>() -> [(u8, u8); M] {
+    let mut net = [(0u8, 0u8); M];
+    let mut m = 0;
+    let mut p = 1;
+    while p < N {
+        let mut k = p;
+        while k >= 1 {
+            let mut j = k % p;
+            while j + k < N {
+                let mut i = 0;
+                while i < k && i + j + k < N {
+                    if (i + j) / (2 * p) == (i + j + k) / (2 * p) {
+                        net[m] = ((i + j) as u8, (i + j + k) as u8);
+                        m += 1;
+                    }
+                    i += 1;
+                }
+                j += 2 * k;
             }
+            k /= 2;
+        }
+        p *= 2;
+    }
+    assert!(m == M, "comparator count");
+    net
+}
+
+const BATCHER_2: [(u8, u8); 1] = batcher::<2, 1>();
+const BATCHER_4: [(u8, u8); 5] = batcher::<4, 5>();
+const BATCHER_8: [(u8, u8); 19] = batcher::<8, 19>();
+const BATCHER_16: [(u8, u8); 63] = batcher::<16, 63>();
+
+/// A row entry's network key, ascending in the row order: the weight
+/// mapped to the `u64` whose ascending order is `f64::total_cmp`
+/// descending, then the global id, then the lane. The lane makes every
+/// real entry sort before the padding (`u128::MAX`), even one of global
+/// id `u32::MAX` whose weight is the all-ones −NaN (mapped to
+/// `u64::MAX`), and it says where the entry came from.
+fn network_key(w: Weight, global: VertexId, lane: usize) -> u128 {
+    let bits = w.to_bits();
+    // Negative weights keep their bits (larger bits, smaller weight);
+    // the other bits of a non-negative weight flip.
+    let descending = bits ^ (!(((bits as i64) >> 63) as u64) >> 1);
+    (u128::from(descending) << 64) | (u128::from(global) << 32) | lane as u128
+}
+
+/// Sorts `row` (at most `N` entries) with the network `net` on `N` lanes.
+fn sort_short<const N: usize>(dg: &mut DistGraph, row: Range<usize>, net: &[(u8, u8)]) {
+    let len = row.len();
+    let weighted = !dg.weights.is_empty();
+    let mut adj = [0u32; N];
+    let mut weights = [1.0; N];
+    adj[..len].copy_from_slice(&dg.adj[row.clone()]);
+    if weighted {
+        weights[..len].copy_from_slice(&dg.weights[row.clone()]);
+    }
+    let mut keys = [u128::MAX; N];
+    for (lane, key) in keys[..len].iter_mut().enumerate() {
+        let global = dg.global_ids[adj[lane] as usize];
+        *key = network_key(weights[lane], global, lane);
+    }
+    for &(i, j) in net {
+        let (a, b) = (keys[i as usize], keys[j as usize]);
+        keys[i as usize] = a.min(b);
+        keys[j as usize] = a.max(b);
+    }
+    for (i, &key) in row.clone().zip(&keys[..len]) {
+        let lane = key as u32 as usize;
+        dg.adj[i] = adj[lane];
+        if weighted {
+            dg.weights[i] = weights[lane];
+        }
+    }
+}
+
+/// Sorts owned row `v` (longer than [`NET_MAX`]) by comparison, through
+/// the reused buffer `buf`.
+fn sort_long(dg: &mut DistGraph, v: usize, buf: &mut Vec<(Weight, VertexId, u32)>) {
+    buf.clear();
+    buf.extend(
+        dg.neighbors_weighted(v as u32)
+            .map(|(u, w)| (w, dg.global_ids[u as usize], u)),
+    );
+    buf.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    let weighted = !dg.weights.is_empty();
+    for (i, &(w, _, u)) in (dg.xadj[v]..).zip(buf.iter()) {
+        dg.adj[i] = u;
+        if weighted {
+            dg.weights[i] = w;
         }
     }
 }
@@ -126,9 +235,13 @@ mod tests {
     use super::*;
     use crate::simple::{block_partition, grid2d_partition, hash_partition};
     use crate::Partition;
-    use cmg_graph::generators::grid2d;
+    use cmg_graph::generators::{erdos_renyi, grid2d};
     use cmg_graph::weights::{assign_weights, WeightScheme};
     use cmg_graph::CsrGraph;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn interior_and_boundary_partition_owned() {
@@ -326,6 +439,217 @@ mod tests {
                     .collect();
                 assert_eq!(got, want);
                 assert_eq!(!got.is_empty(), dg.is_boundary[v as usize]);
+            }
+        }
+    }
+
+    /// The halo view by the full scan it once made: every row's ghost
+    /// entries counted and filled in local-index order.
+    fn full_scan_halo(dg: &DistGraph) -> HaloView {
+        let (n_local, n_ghost) = (dg.n_local, dg.n_ghost());
+        let boundary = (0..n_local as u32)
+            .filter(|&v| dg.is_boundary[v as usize])
+            .collect();
+        let mut counts = vec![0usize; n_ghost];
+        for &u in &dg.adj {
+            if u as usize >= n_local {
+                counts[u as usize - n_local] += 1;
+            }
+        }
+        let mut ghost_adj_x = vec![0];
+        for c in counts {
+            ghost_adj_x.push(ghost_adj_x.last().copied().unwrap_or(0) + c);
+        }
+        let mut ghost_adj = vec![0u32; ghost_adj_x[n_ghost]];
+        let mut cursor = ghost_adj_x.clone();
+        for v in 0..n_local as u32 {
+            for &u in dg.neighbors(v) {
+                if u as usize >= n_local {
+                    let g = u as usize - n_local;
+                    ghost_adj[cursor[g]] = v;
+                    cursor[g] += 1;
+                }
+            }
+        }
+        HaloView {
+            n_local,
+            n_ghost,
+            boundary,
+            ghost_adj_x,
+            ghost_adj,
+        }
+    }
+
+    /// Every row sorted by one comparison sort, the way every row once
+    /// was: the oracle of the networks.
+    fn comparison_sort_rows(dg: &mut DistGraph) {
+        let weighted = !dg.weights.is_empty();
+        let mut row: Vec<(Weight, VertexId, u32)> = Vec::new();
+        for v in 0..dg.n_local {
+            row.clear();
+            row.extend(
+                dg.neighbors_weighted(v as u32)
+                    .map(|(u, w)| (w, dg.global_ids[u as usize], u)),
+            );
+            row.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+            for (i, &(w, _, u)) in (dg.xadj[v]..).zip(&row) {
+                dg.adj[i] = u;
+                if weighted {
+                    dg.weights[i] = w;
+                }
+            }
+        }
+    }
+
+    /// Sorts `dg` both ways and checks the bytes agree, then that a
+    /// second sort changes nothing.
+    fn assert_sorts_like_the_comparison_sort(dg: &DistGraph) {
+        let bits = |dg: &DistGraph| -> (Vec<u32>, Vec<u64>) {
+            (
+                dg.adj.clone(),
+                dg.weights.iter().map(|w| w.to_bits()).collect(),
+            )
+        };
+        let (mut got, mut want) = (dg.clone(), dg.clone());
+        sort_rows_by_weight(&mut got);
+        comparison_sort_rows(&mut want);
+        assert_eq!(bits(&got), bits(&want), "rank {}", dg.rank);
+        sort_rows_by_weight(&mut got);
+        assert_eq!(bits(&got), bits(&want), "rank {} resorted", dg.rank);
+    }
+
+    /// The all-ones −NaN: the last weight under `total_cmp` descending,
+    /// whose network key is the padding's.
+    const LAST_NAN: u64 = u64::MAX;
+
+    /// Weights a packed or bit-trick key would most easily order
+    /// differently from `total_cmp`, each kept twice so rows tie.
+    const TRICKY: [u64; 17] = [
+        0,                     // +0.0
+        1 << 63,               // -0.0
+        0x3FF8_0000_0000_0000, // 1.5
+        0xBFF8_0000_0000_0000, // -1.5
+        0x000F_FFFF_FFFF_FFFF, // largest subnormal
+        0x800F_FFFF_FFFF_FFFF, // its negative
+        1,                     // smallest subnormal
+        0x8000_0000_0000_0001, // its negative
+        0x7FF0_0000_0000_0000, // +inf
+        0xFFF0_0000_0000_0000, // -inf
+        0x7FF8_0000_0000_0000, // NaN
+        0xFFF8_0000_0000_0000, // -NaN
+        0x7FF0_0000_0000_0001, // signalling NaN
+        0x7FFF_FFFF_FFFF_FFFF, // the all-ones +NaN
+        LAST_NAN,
+        0x7FEF_FFFF_FFFF_FFFF, // f64::MAX
+        0xFFEF_FFFF_FFFF_FFFF, // -f64::MAX
+    ];
+
+    /// A slice of rank 0 of 3 built from its fields: one owned row of
+    /// each length in `lens` (in that order), `n_ghost` ghosts whose
+    /// first has global id `u32::MAX`, entries drawn over every local
+    /// index (so rows repeat neighbors) and weights from [`TRICKY`]
+    /// (or none).
+    fn tricky_slice(lens: &[usize], n_ghost: usize, weighted: bool, seed: u64) -> DistGraph {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n_local = lens.len();
+        let n_total = n_local + n_ghost;
+        let mut global_ids: Vec<VertexId> = (0..n_local as u32).map(|v| 3 * v + 1).collect();
+        global_ids.push(VertexId::MAX);
+        global_ids.extend((1..n_ghost as u32).map(|g| 3 * g));
+        let ghost_owner: Vec<Rank> = (0..n_ghost).map(|_| rng.random_range(1..3)).collect();
+        let mut xadj = vec![0];
+        let mut adj = Vec::new();
+        for &len in lens {
+            adj.extend((0..len).map(|_| rng.random_range(0..n_total as u32)));
+            xadj.push(adj.len());
+        }
+        let weights = match weighted {
+            true => (0..adj.len())
+                .map(|_| f64::from_bits(TRICKY[rng.random_range(0..TRICKY.len())]))
+                .collect(),
+            false => Vec::new(),
+        };
+        let is_boundary = (0..n_local)
+            .map(|v| {
+                adj[xadj[v]..xadj[v + 1]]
+                    .iter()
+                    .any(|&u| u as usize >= n_local)
+            })
+            .collect();
+        let neighbor_ranks = crate::dist::ranks_of(&ghost_owner);
+        DistGraph::from_fields(
+            0,
+            3,
+            n_local,
+            xadj,
+            adj,
+            weights,
+            global_ids,
+            ghost_owner,
+            is_boundary,
+            neighbor_ranks,
+        )
+        .expect("a consistent slice")
+    }
+
+    #[test]
+    fn a_row_entry_tied_with_the_padding_sorts_before_it() {
+        // Every short row holds the ghost of global id `u32::MAX` with
+        // the all-ones −NaN weight: the padding's key but for the lane.
+        // It must come out last in its row, the row keep its length,
+        // and no padding lane leak in.
+        let lens: Vec<usize> = (1..=16).collect();
+        let mut dg = tricky_slice(&lens, 3, true, 7);
+        let ghost = dg.n_local as u32;
+        for v in 0..dg.n_local {
+            let row = dg.xadj[v]..dg.xadj[v + 1];
+            let mid = row.start + row.len() / 2;
+            dg.adj[mid] = ghost;
+            dg.weights[mid] = f64::from_bits(LAST_NAN);
+            dg.is_boundary[v] = true;
+        }
+        assert_sorts_like_the_comparison_sort(&dg);
+        sort_rows_by_weight(&mut dg);
+        for v in 0..dg.n_local {
+            let last = dg.xadj[v + 1] - 1;
+            assert_eq!(dg.adj[last], ghost, "row {v}");
+            assert_eq!(dg.weights[last].to_bits(), LAST_NAN, "row {v}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Rows of every length on both sides of each network size (0
+        /// to 17) and one of 40 (the comparison sort), in a random
+        /// order, with repeated neighbors and tricky weights or none:
+        /// the bytes equal the comparison sort's.
+        #[test]
+        fn network_rows_equal_the_comparison_sort(
+            seed in any::<u64>(),
+            n_ghost in 1usize..6,
+            weighted in any::<bool>(),
+        ) {
+            let mut lens: Vec<usize> = (0..=17).chain([40]).collect();
+            lens.shuffle(&mut SmallRng::seed_from_u64(seed ^ 1));
+            assert_sorts_like_the_comparison_sort(&tricky_slice(&lens, n_ghost, weighted, seed));
+        }
+
+        /// The boundary-only halo build equals the full scan over random
+        /// graphs under hash and block partitions (more parts than
+        /// vertices leaves ranks empty).
+        #[test]
+        fn halo_equals_the_full_scan(
+            n in 1usize..60,
+            density in 0usize..5,
+            k in 1u32..9,
+            seed in 0u64..10_000,
+        ) {
+            let g = erdos_renyi(n, n * density, seed);
+            for p in [hash_partition(n, k, seed), block_partition(n, k)] {
+                for dg in DistGraph::build_all(&g, &p) {
+                    prop_assert_eq!(HaloView::build(&dg), full_scan_halo(&dg));
+                }
             }
         }
     }

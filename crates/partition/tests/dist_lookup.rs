@@ -1,7 +1,7 @@
 //! `DistGraph::local` over random graphs and partitions: every local index
 //! round-trips through its global id, every other id is `None`, and a
 //! slice rebuilt from its wire fields (`from_fields`) equals the
-//! original.
+//! original; both hold their neighbour ranks at exact size.
 
 use cmg_graph::generators::{erdos_renyi, grid2d};
 use cmg_graph::weights::{assign_weights, WeightScheme};
@@ -42,6 +42,12 @@ fn check(g: &CsrGraph, p: &Partition) {
             dg.neighbor_ranks.clone(),
         );
         assert_eq!(rebuilt.as_ref(), Ok(dg));
+        // Equality sees no capacity: neither list holds a slot beyond
+        // its ranks (a copy of the ghost list kept one per ghost).
+        let rebuilt = rebuilt.expect("equal to the slice");
+        for ranks in [&dg.neighbor_ranks, &rebuilt.neighbor_ranks] {
+            assert!(ranks.capacity() <= ranks.len(), "rank {}", dg.rank);
+        }
     }
 }
 

@@ -9,20 +9,6 @@
 //! `O(|E|)`). A barrier among `p` ranks costs `α·⌈log₂ p⌉` on top of
 //! max-synchronizing the clocks.
 
-/// Named machine parameterizations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MachinePreset {
-    /// IBM Blue Gene/P (the paper's Intrepid): 850 MHz PPC450 cores, 3-D
-    /// torus with ~3.5 µs MPI latency and ~375 MB/s per-link bandwidth.
-    BlueGeneP,
-    /// A commodity InfiniBand-era cluster: faster cores and links, higher
-    /// relative latency gap.
-    CommodityCluster,
-    /// Free communication (α = β = o = 0, γ = 1): virtual time equals
-    /// charged work — handy for algorithm-only unit tests.
-    ComputeOnly,
-}
-
 /// Cost-model constants. All times in seconds.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
@@ -37,7 +23,9 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Blue Gene/P-like constants (see [`MachinePreset::BlueGeneP`]).
+    /// Blue Gene/P-like constants: the paper's Intrepid, 850 MHz PPC450
+    /// cores on a 3-D torus with ~3.5 µs MPI latency and ~375 MB/s
+    /// per-link bandwidth.
     ///
     /// γ is calibrated so a one-rank run of the sequential matching kernel
     /// on the paper's grid sizes lands in the sub-second range its Figure
@@ -51,8 +39,9 @@ impl CostModel {
         }
     }
 
-    /// Commodity-cluster constants.
-    fn commodity_cluster() -> Self {
+    /// Commodity InfiniBand-era cluster constants: faster cores and
+    /// links than Blue Gene/P, and a larger relative latency gap.
+    pub fn commodity_cluster() -> Self {
         CostModel {
             alpha: 15.0e-6,
             beta: 1.0e-9,
@@ -61,22 +50,14 @@ impl CostModel {
         }
     }
 
-    /// Zero-communication-cost model for algorithm tests.
+    /// Free communication (α = β = o = 0, γ = 1): virtual time equals
+    /// charged work, for algorithm-only tests.
     pub fn compute_only() -> Self {
         CostModel {
             alpha: 0.0,
             beta: 0.0,
             gamma: 1.0,
             send_overhead: 0.0,
-        }
-    }
-
-    /// Looks up a preset.
-    pub(crate) fn preset(p: MachinePreset) -> Self {
-        match p {
-            MachinePreset::BlueGeneP => Self::blue_gene_p(),
-            MachinePreset::CommodityCluster => Self::commodity_cluster(),
-            MachinePreset::ComputeOnly => Self::compute_only(),
         }
     }
 
@@ -131,17 +112,5 @@ mod tests {
         assert_eq!(c.compute_time(42), 42.0);
         assert_eq!(c.transfer_time(100), 0.0);
         assert_eq!(c.barrier_time(64), 0.0);
-    }
-
-    #[test]
-    fn presets_resolve() {
-        assert_eq!(
-            CostModel::preset(MachinePreset::BlueGeneP),
-            CostModel::blue_gene_p()
-        );
-        assert_eq!(
-            CostModel::preset(MachinePreset::CommodityCluster),
-            CostModel::commodity_cluster()
-        );
     }
 }

@@ -47,7 +47,7 @@ pub use codec::WireField;
 pub use collectives::{
     fan_out, DoneWave, FanoutScheme, Monoid, NeighborExchange, ReduceOutcome, TreeAllreduce,
 };
-pub use cost::{CostModel, MachinePreset};
+pub use cost::CostModel;
 pub use delivery::{DeliveryKey, DeliveryPolicy, DeliveryScript};
 pub use message::WireMessage;
 pub use program::{Rank, RankCtx, RankProgram, Status};
@@ -112,14 +112,6 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Config with the given machine preset.
-    pub fn with_preset(preset: MachinePreset) -> Self {
-        EngineConfig {
-            cost: CostModel::preset(preset),
-            ..Default::default()
-        }
-    }
-
     /// The same config with events routed to `recorder`.
     pub fn with_recorder(mut self, recorder: cmg_obs::RecorderHandle) -> Self {
         self.recorder = recorder;

@@ -38,7 +38,10 @@ fn main() {
     }
 
     println!("\nsame study under a commodity-cluster cost model:\n");
-    let engine = Engine::Simulated(EngineConfig::with_preset(MachinePreset::CommodityCluster));
+    let engine = Engine::Simulated(EngineConfig {
+        cost: CostModel::commodity_cluster(),
+        ..EngineConfig::default()
+    });
     for p in [1u32, 16, 256] {
         let (pr, pc) = square_processor_grid(p);
         let part = grid2d_partition(K, K, pr, pc);

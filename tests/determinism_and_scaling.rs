@@ -94,9 +94,9 @@ fn sync_rounds_cost_at_least_async() {
     assert!(sync_run.simulated_time >= async_run.simulated_time);
 }
 
-/// In the compute-dominated regime the preset with faster cores wins;
+/// In the compute-dominated regime the cost model with faster cores wins;
 /// (in the latency-bound regime the ordering can invert, since the
-/// commodity preset has ~4x the network latency of Blue Gene/P's torus).
+/// commodity cluster has ~4x the network latency of Blue Gene/P's torus).
 #[test]
 fn machine_presets_order_simulated_times() {
     let g = weighted_grid(256, 5);
@@ -105,10 +105,13 @@ fn machine_presets_order_simulated_times() {
     let commodity = cmg::run_matching(
         &g,
         &part,
-        &Engine::Simulated(EngineConfig::with_preset(MachinePreset::CommodityCluster)),
+        &Engine::Simulated(EngineConfig {
+            cost: CostModel::commodity_cluster(),
+            ..EngineConfig::default()
+        }),
     )
     .simulated_time;
-    // Commodity preset has 4x faster cores and ~2.7x faster links.
+    // The commodity cluster has 4x faster cores and ~2.7x faster links.
     assert!(commodity < bgp, "commodity {commodity} !< bgp {bgp}");
 }
 
