@@ -385,8 +385,12 @@ impl DistMatching {
     }
 
     /// Sends SUCCEEDED for owned vertex `v` to every ghost neighbor except
-    /// its mate `m`.
+    /// its mate `m`. An interior vertex has no ghost neighbor, so its row
+    /// is not scanned.
     fn announce_matched(&mut self, v: u32, m: u32, ctx: &mut RankCtx<MatchMsg>) {
+        if !self.dg.is_boundary[v as usize] {
+            return;
+        }
         let vg = self.dg.global_ids[v as usize];
         for i in self.dg.xadj[v as usize]..self.dg.xadj[v as usize + 1] {
             let u = self.dg.adj[i];
@@ -404,10 +408,15 @@ impl DistMatching {
         }
     }
 
-    /// Marks owned vertex `v` unmatchable and notifies ghost neighbors.
+    /// Marks owned vertex `v` unmatchable and notifies ghost neighbors
+    /// (an interior vertex has none, so its row is not scanned).
     fn fail(&mut self, v: u32, ctx: &mut RankCtx<MatchMsg>) {
         self.state[v as usize] = VState::Failed;
         self.clear_proposals(v);
+        self.queue.push_back(v);
+        if !self.dg.is_boundary[v as usize] {
+            return;
+        }
         let vg = self.dg.global_ids[v as usize];
         for i in self.dg.xadj[v as usize]..self.dg.xadj[v as usize + 1] {
             let u = self.dg.adj[i];
@@ -423,7 +432,6 @@ impl DistMatching {
                 );
             }
         }
-        self.queue.push_back(v);
     }
 
     /// Inner loop: drains the queue of newly unavailable vertices,
@@ -906,9 +914,8 @@ mod tests {
                 } else {
                     prog.on_round(&mut inboxes[r], ctx);
                 }
-                for packet in ctx.end_round().1 {
-                    let msgs = cmg_runtime::message::decode_all(packet.payload).unwrap();
-                    next[packet.dst as usize].push((r as Rank, msgs));
+                for parcel in ctx.end_round().1 {
+                    next[parcel.dst as usize].push((r as Rank, parcel.msgs));
                 }
                 let snap = prog.snapshot();
                 proposals += snap

@@ -24,7 +24,9 @@
 //! on the same wall clock as the threaded engine, which is what makes
 //! net-engine results and merged stats bit-identical to the other
 //! engines under the synchronous bundled configuration. This file owns
-//! how bundles travel and how a round ends.
+//! how bundles travel and how a round ends, and it is the one place round
+//! traffic becomes bytes: each parcel the step yields is encoded into its
+//! frame, and each arrived packet is decoded before the step sees it.
 //!
 //! Nothing here panics: every failure is a [`NetError`], and the worker
 //! reports it home as a `Fatal` frame before exiting so the supervisor
@@ -43,6 +45,7 @@ use cmg_coloring::{DistColoring, JonesPlassmann, LocalColors};
 use cmg_matching::DistMatching;
 use cmg_obs::{CollectingRecorder, Event, PhaseName, RankTelemetry, RecorderHandle, ENGINE_RANK};
 use cmg_runtime::collectives::DoneWave;
+use cmg_runtime::message::decode_all;
 use cmg_runtime::snapshot::{encode_snapshot, restore_encoded};
 use cmg_runtime::{RankCtx, RankProgram, RankStats, RankStep, Status, StepClock, WallClock};
 use std::collections::BTreeMap;
@@ -234,9 +237,11 @@ struct Transport {
     reseq: Vec<Resequencer>,
     rx: Receiver<Incoming>,
     sup: Arc<Mutex<LinkWriter<UnixStream>>>,
-    /// Packets awaiting delivery, keyed by the round they were *sent*
-    /// in (delivered one round later). Self-sends land here directly.
-    pending: BTreeMap<u64, Vec<(u32, Bytes, u32)>>,
+    /// Packets awaiting delivery as `(src, bytes, logical)`, keyed by the
+    /// round they were *sent* in (delivered one round later). Self-sends
+    /// land here directly, encoded like a peer's, so a checkpoint carries
+    /// every undelivered packet in one form.
+    pending: BTreeMap<u64, Vec<(u32, Vec<u8>, u32)>>,
     /// The round edge: counts peers' [`Ctrl::RoundDone`] announcements
     /// per round (phase = round).
     wave: DoneWave,
@@ -517,9 +522,11 @@ impl Transport {
         Ok(self.peer_active.remove(&round).unwrap_or(false))
     }
 
-    /// Sends this round's packets as the step hands them over: one
-    /// `RoundBundle` per peer with mail, self-sends looped into next
-    /// round's pending queue.
+    /// Sends this round's parcels as the step hands them over: one
+    /// `RoundBundle` per peer with mail, each parcel's messages encoded
+    /// back to back (the record-stream format `encode_snapshot` writes)
+    /// straight into the frame payload; self-sends, encoded the same way,
+    /// looped into next round's pending queue.
     fn send_round<P: RankProgram>(
         &mut self,
         round: u64,
@@ -532,24 +539,28 @@ impl Transport {
         // bundle: the round-done announcement is the "nothing more this
         // round" marker, so an empty one would only be a frame for the
         // receiver to discard.
-        let mut packets = step.drain(clock).map(|(p, ())| p).peekable();
-        while let Some(first) = packets.next() {
+        let mut parcels = step.drain(clock).map(|(p, ())| p).peekable();
+        while let Some(first) = parcels.next() {
             let dst = first.dst;
             let group = std::iter::once(first)
-                .chain(std::iter::from_fn(|| packets.next_if(|p| p.dst == dst)));
+                .chain(std::iter::from_fn(|| parcels.next_if(|p| p.dst == dst)));
             if dst == rank {
                 // Self-sends never touch the wire: deliver next round.
                 let slot = self.pending.entry(round).or_default();
-                slot.extend(group.map(|p| (rank, p.payload, p.logical)));
+                slot.extend(group.map(|p| {
+                    let mut bytes = Vec::new();
+                    encode_snapshot(&p.msgs, &mut bytes);
+                    (rank, bytes, p.logical())
+                }));
                 continue;
             }
             let mut payload = Vec::new();
             let mut npackets = 0;
             for p in group {
                 npackets += 1;
-                payload.put_u32_le(p.logical);
-                payload.put_u32_le(p.payload.len() as u32);
-                payload.put_slice(&p.payload);
+                payload.put_u32_le(p.logical());
+                payload.put_u32_le(p.bytes as u32);
+                encode_snapshot(&p.msgs, &mut payload);
             }
             let sent_micros = self.wire_micros();
             self.send_peer(
@@ -635,7 +646,7 @@ impl Transport {
                         round,
                         packets
                             .iter()
-                            .map(|(src, payload, logical)| (*src, *logical, payload.to_vec()))
+                            .map(|(src, payload, logical)| (*src, *logical, payload.clone()))
                             .collect(),
                     )
                 })
@@ -686,9 +697,7 @@ impl Transport {
                     *round,
                     packets
                         .iter()
-                        .map(|(src, logical, payload)| {
-                            (*src, Bytes::from(payload.clone()), *logical)
-                        })
+                        .map(|(src, logical, payload)| (*src, payload.clone(), *logical))
                         .collect(),
                 )
             })
@@ -746,8 +755,6 @@ impl Transport {
     }
 }
 
-/// Decodes a `RoundBundle` payload: `npackets` of
-/// `[u32 logical][u32 len][len bytes]`.
 /// CPU microseconds consumed by this process across all its threads,
 /// from the kernel's per-task `schedstat` (first field, cumulative
 /// `sum_exec_runtime` in nanoseconds). ns-resolution, unlike the
@@ -769,7 +776,29 @@ fn process_cpu_micros() -> u64 {
     total_ns / 1_000
 }
 
-fn parse_bundle(payload: &Bytes, npackets: u32) -> Result<Vec<(Bytes, u32)>, NetError> {
+/// Decodes the packet `src` sent and delivers it: the only decode of
+/// round traffic. Bytes that are not `logical` whole messages are a
+/// protocol error, refused before the step sees them, so its counters and
+/// inbox stay as they were.
+fn deliver_packet<P: RankProgram>(
+    step: &mut RankStep<P>,
+    clock: &mut WallClock,
+    (src, payload, logical): (u32, Vec<u8>, u32),
+) -> Result<(), NetError> {
+    match decode_all(&payload[..]) {
+        Some(msgs) if msgs.len() == logical as usize => {
+            step.deliver(clock, src, (), msgs, payload.len());
+            Ok(())
+        }
+        _ => Err(NetError::protocol(format!(
+            "malformed round bundle from rank {src}"
+        ))),
+    }
+}
+
+/// Splits a `RoundBundle` payload into its `npackets` packets, each
+/// `[u32 logical][u32 len][len bytes]`.
+fn parse_bundle(payload: &[u8], npackets: u32) -> Result<Vec<(Vec<u8>, u32)>, NetError> {
     let mut buf: &[u8] = payload;
     let mut out = Vec::with_capacity(npackets as usize);
     for _ in 0..npackets {
@@ -785,7 +814,7 @@ fn parse_bundle(payload: &Bytes, npackets: u32) -> Result<Vec<(Bytes, u32)>, Net
                 buf.len()
             )));
         }
-        out.push((Bytes::from(buf[..len].to_vec()), logical));
+        out.push((buf[..len].to_vec(), logical));
         buf = &buf[len..];
     }
     if !buf.is_empty() {
@@ -1193,7 +1222,7 @@ fn run_rounds<P: RankProgram + NetOutcomeSource>(
     round_beacon: &AtomicU64,
 ) -> Result<(WorkerOutcome, RankStats, u64, bool), NetError> {
     let mut program = match resume {
-        Some(ck) => restore_encoded(meta, Bytes::from(ck.program.clone()))
+        Some(ck) => restore_encoded(meta, &ck.program)
             .ok_or_else(|| NetError::protocol("undecodable program snapshot in checkpoint"))?,
         None => fresh(meta),
     };
@@ -1255,9 +1284,8 @@ fn run_rounds<P: RankProgram + NetOutcomeSource>(
         // sequence order, so this reproduces the threaded engine's
         // `(src, seq)` sort.
         arrivals.sort_by_key(|&(src, _, _)| src);
-        for (src, payload, logical) in arrivals {
-            step.deliver(&mut clock, src, (), payload, logical)
-                .map_err(|e| NetError::protocol(e.to_string()))?;
+        for packet in arrivals {
+            deliver_packet(&mut step, &mut clock, packet)?;
         }
         let compute_start = clock.now();
         let status = step.compute(&mut clock, &mut program);
@@ -1706,40 +1734,82 @@ mod tests {
 
     #[test]
     fn bundle_payload_round_trips() {
-        let packets = vec![
-            (Bytes::from(vec![1u8, 2, 3]), 2u32),
-            (Bytes::from(Vec::<u8>::new()), 0),
-            (Bytes::from(vec![9u8; 40]), 7),
-        ];
+        let packets = vec![(vec![1u8, 2, 3], 2u32), (Vec::new(), 0), (vec![9u8; 40], 7)];
         let mut payload = Vec::new();
         for (bytes, logical) in &packets {
             payload.put_u32_le(*logical);
             payload.put_u32_le(bytes.len() as u32);
             payload.put_slice(bytes);
         }
-        let got = parse_bundle(&Bytes::from(payload), packets.len() as u32).unwrap();
-        assert_eq!(got.len(), packets.len());
-        for ((gb, gl), (eb, el)) in got.iter().zip(&packets) {
-            assert_eq!(gb, eb);
-            assert_eq!(gl, el);
-        }
+        let got = parse_bundle(&payload, packets.len() as u32).unwrap();
+        assert_eq!(got, packets);
     }
 
     #[test]
     fn malformed_bundles_are_protocol_errors() {
         // Truncated header.
-        assert!(parse_bundle(&Bytes::from(vec![0u8; 4]), 1).is_err());
+        assert!(parse_bundle(&[0u8; 4], 1).is_err());
         // Length beyond the payload.
         let mut payload = Vec::new();
         payload.put_u32_le(1);
         payload.put_u32_le(100);
-        assert!(parse_bundle(&Bytes::from(payload), 1).is_err());
+        assert!(parse_bundle(&payload, 1).is_err());
         // Trailing garbage.
         let mut payload = Vec::new();
         payload.put_u32_le(1);
         payload.put_u32_le(0);
         payload.put_u8(7);
-        assert!(parse_bundle(&Bytes::from(payload), 1).is_err());
+        assert!(parse_bundle(&payload, 1).is_err());
+    }
+
+    /// Sends nothing; records every inbox it is handed.
+    #[derive(Clone, Default)]
+    struct Inboxes(Vec<(u32, Vec<u32>)>);
+
+    impl RankProgram for Inboxes {
+        type Msg = u32;
+        cmg_runtime::trivial_snapshot!();
+
+        fn on_start(&mut self, _ctx: &mut RankCtx<u32>) -> Status {
+            Status::Idle
+        }
+
+        fn on_round(
+            &mut self,
+            inbox: &mut Vec<(u32, Vec<u32>)>,
+            _ctx: &mut RankCtx<u32>,
+        ) -> Status {
+            self.0.append(inbox);
+            Status::Idle
+        }
+    }
+
+    #[test]
+    fn malformed_packet_is_refused_whole() {
+        let mut step: RankStep<Inboxes> =
+            RankStep::new(RankCtx::new(0, 4, true, RecorderHandle::noop()));
+        let (mut clock, mut program) = (WallClock::since(Instant::now()), Inboxes::default());
+        step.compute(&mut clock, &mut program);
+        deliver_packet(&mut step, &mut clock, (1, 10u32.to_le_bytes().to_vec(), 1)).unwrap();
+        let before = step.stats().clone();
+        // Six bytes: one whole message, then a truncated one; and eight
+        // whole bytes that claim three messages. From the source already
+        // in the inbox and from a new one.
+        let garbage = [(vec![1u8, 0, 0, 0, 2, 0], 2), (vec![0u8; 8], 3)];
+        for src in [1, 2] {
+            for (bytes, logical) in &garbage {
+                let err = deliver_packet(&mut step, &mut clock, (src, bytes.clone(), *logical));
+                match err {
+                    Err(NetError::Protocol { detail }) => {
+                        assert_eq!(detail, format!("malformed round bundle from rank {src}"));
+                    }
+                    other => panic!("{other:?}"),
+                }
+                assert_eq!(step.stats(), &before);
+            }
+        }
+        step.compute(&mut clock, &mut program);
+        assert_eq!(program.0, vec![(1, vec![10])]);
     }
 
     #[test]

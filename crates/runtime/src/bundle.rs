@@ -1,45 +1,48 @@
 //! Per-destination message aggregation ("aggressive message bundling",
 //! §3.3 of the paper — the feature that distinguishes the algorithm from
 //! previous ones and lets it scale to tens of thousands of processors).
+//!
+//! A bundle is a typed vector of the messages bound for one destination,
+//! plus the size its encoding would have. In-process engines move the
+//! vector to the receiver as is; only a transport that puts the bundle on
+//! a wire (`cmg-net`) encodes it, into exactly `bytes` bytes.
 
 use crate::message::WireMessage;
 use crate::program::Rank;
-use bytes::{Bytes, BytesMut};
 
 /// A wire packet: what actually crosses the (simulated) network. With
-/// bundling enabled a packet carries every message its sender produced for
-/// `dst` this round; with bundling disabled each logical message rides its
-/// own packet and pays its own latency.
-#[derive(Clone, Debug)]
-pub struct Packet {
+/// bundling enabled a parcel carries every message its sender produced
+/// for `dst` this round; with bundling disabled each logical message
+/// rides its own parcel and pays its own latency.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Parcel<M> {
     /// Destination rank.
     pub dst: Rank,
-    /// Encoded messages.
-    pub payload: Bytes,
-    /// Number of logical messages inside.
-    pub logical: u32,
+    /// The messages, in send order.
+    pub msgs: Vec<M>,
+    /// Encoded size: Σ [`WireMessage::encoded_len`] over `msgs`, the
+    /// payload the cost model charges and a wire carries.
+    pub bytes: usize,
 }
 
-/// Cumulative logical-vs-wire accounting for one outbox's lifetime:
-/// quantifies what bundling saved (the paper's aggregation win).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BundleStats {
-    /// Logical messages pushed.
-    pub logical_messages: u64,
-    /// Wire packets produced by `finish`.
-    pub wire_packets: u64,
-    /// Payload bytes across all produced packets.
-    pub wire_bytes: u64,
+impl<M> Parcel<M> {
+    /// Number of logical messages inside.
+    pub fn logical(&self) -> u32 {
+        self.msgs.len() as u32
+    }
 }
 
 /// Open-bundle count at which [`OutBox::push`] switches from linear
 /// search to the dense `dst → bundle index` table. Below this, the scan
-/// touches at most one cache line of `(Rank, _, _)` headers and beats
-/// the table's extra indirection.
+/// touches at most one cache line of bundle headers and beats the
+/// table's extra indirection.
 const DENSE_LOOKUP_THRESHOLD: usize = 16;
 
 /// Sentinel in the dense lookup table: "no open bundle for this rank".
 const NO_BUNDLE: u32 = u32::MAX;
+
+/// Messages an open bundle has room for before its first growth.
+const BUNDLE_CAPACITY: usize = 8;
 
 /// Outgoing-message buffer for one rank and one round.
 #[derive(Debug)]
@@ -49,19 +52,16 @@ pub struct OutBox<M: WireMessage> {
     /// neighbors, so linear search is the fast path; once the open-bundle
     /// count crosses [`DENSE_LOOKUP_THRESHOLD`] (the FIAC/FIAB comm
     /// variants fan out to O(p) destinations) `dst_index` takes over.
-    bundles: Vec<(Rank, BytesMut, u32)>,
+    /// Without bundling every message is a closed parcel of its own.
+    bundles: Vec<Parcel<M>>,
     /// Lazily built `dst → index into bundles` table (`NO_BUNDLE` =
     /// none). Empty until the threshold is first crossed; kept allocated
-    /// across rounds afterwards, with entries reset in `finish`. Its O(p)
-    /// size under FIAC / FIAB is inherent: those schemes really do send
-    /// to p − 1 ranks every superstep.
+    /// across rounds afterwards, with entries reset in `finish_into`. Its
+    /// O(p) size under FIAC / FIAB is inherent: those schemes really do
+    /// send to p − 1 ranks every superstep.
     dst_index: Vec<u32>,
     /// Total ranks in the run; 0 disables the dense table.
     num_ranks: Rank,
-    /// Finished packets (used directly in non-bundling mode).
-    packets: Vec<Packet>,
-    stats: BundleStats,
-    _marker: std::marker::PhantomData<M>,
 }
 
 impl<M: WireMessage> OutBox<M> {
@@ -74,9 +74,6 @@ impl<M: WireMessage> OutBox<M> {
             bundles: Vec::new(),
             dst_index: Vec::new(),
             num_ranks,
-            packets: Vec::new(),
-            stats: BundleStats::default(),
-            _marker: std::marker::PhantomData,
         }
     }
 
@@ -92,78 +89,54 @@ impl<M: WireMessage> OutBox<M> {
             // Crossing the threshold for the first time: build the table
             // and answer from it; stays live for the outbox's lifetime.
             self.dst_index = vec![NO_BUNDLE; self.num_ranks as usize];
-            for (i, (d, _, _)) in self.bundles.iter().enumerate() {
-                self.dst_index[*d as usize] = i as u32;
+            for (i, b) in self.bundles.iter().enumerate() {
+                self.dst_index[b.dst as usize] = i as u32;
             }
             let i = self.dst_index[dst as usize];
             return (i != NO_BUNDLE).then_some(i as usize);
         }
-        self.bundles.iter().position(|(d, _, _)| *d == dst)
-    }
-
-    /// Cumulative logical-vs-wire accounting since construction.
-    pub fn stats(&self) -> BundleStats {
-        self.stats
+        self.bundles.iter().position(|b| b.dst == dst)
     }
 
     /// Queues `msg` for delivery to `dst` next round.
     pub fn push(&mut self, dst: Rank, msg: &M) {
-        self.stats.logical_messages += 1;
+        let bytes = msg.encoded_len();
         if self.bundling {
-            match self.bundle_index(dst) {
-                Some(i) => {
-                    let (_, buf, n) = &mut self.bundles[i];
-                    msg.encode(buf);
-                    *n += 1;
-                }
-                None => {
-                    let mut buf = BytesMut::with_capacity(64);
-                    msg.encode(&mut buf);
-                    if !self.dst_index.is_empty() {
-                        self.dst_index[dst as usize] = self.bundles.len() as u32;
-                    }
-                    self.bundles.push((dst, buf, 1));
-                }
+            if let Some(i) = self.bundle_index(dst) {
+                let bundle = &mut self.bundles[i];
+                bundle.msgs.push(msg.clone());
+                bundle.bytes += bytes;
+                return;
             }
-        } else {
-            let mut buf = BytesMut::with_capacity(msg.encoded_len());
-            msg.encode(&mut buf);
-            self.packets.push(Packet {
-                dst,
-                payload: buf.freeze(),
-                logical: 1,
-            });
+            if !self.dst_index.is_empty() {
+                self.dst_index[dst as usize] = self.bundles.len() as u32;
+            }
         }
+        let mut msgs = Vec::with_capacity(if self.bundling { BUNDLE_CAPACITY } else { 1 });
+        msgs.push(msg.clone());
+        self.bundles.push(Parcel { dst, msgs, bytes });
     }
 
     /// `true` if nothing has been queued.
     pub fn is_empty(&self) -> bool {
-        self.bundles.is_empty() && self.packets.is_empty()
+        self.bundles.is_empty()
     }
 
-    /// Closes the round, appending the packets, sorted by destination for
+    /// Closes the round, appending the parcels, sorted by destination for
     /// deterministic routing, to `out` (which must be empty) and leaving
     /// the outbox empty for reuse: the caller recycles `out` across
-    /// rounds, and the outbox keeps its own bundle-list and packet-list
-    /// allocations.
-    pub(crate) fn finish_into(&mut self, out: &mut Vec<Packet>) {
+    /// rounds, and the outbox keeps its own bundle-list allocation.
+    pub(crate) fn finish_into(&mut self, out: &mut Vec<Parcel<M>>) {
         debug_assert!(out.is_empty(), "finish_into wants a drained buffer");
-        // Close-out: freezing moves the buffers, nothing is copied.
-        out.append(&mut self.packets);
-        for (dst, buf, n) in self.bundles.drain(..) {
-            if !self.dst_index.is_empty() {
-                self.dst_index[dst as usize] = NO_BUNDLE;
+        if !self.dst_index.is_empty() {
+            for b in &self.bundles {
+                self.dst_index[b.dst as usize] = NO_BUNDLE;
             }
-            out.push(Packet {
-                dst,
-                payload: buf.freeze(),
-                logical: n,
-            });
         }
-        // Stable: non-bundled same-destination packets keep send order.
+        // Close-out moves the vectors, nothing is copied.
+        out.append(&mut self.bundles);
+        // Stable: non-bundled same-destination parcels keep send order.
         out.sort_by_key(|p| p.dst);
-        self.stats.wire_packets += out.len() as u64;
-        self.stats.wire_bytes += out.iter().map(|p| p.payload.len() as u64).sum::<u64>();
     }
 }
 
@@ -171,10 +144,10 @@ impl<M: WireMessage> OutBox<M> {
 mod tests {
     use super::*;
 
-    fn finish<M: WireMessage>(ob: &mut OutBox<M>) -> Vec<Packet> {
-        let mut packets = Vec::new();
-        ob.finish_into(&mut packets);
-        packets
+    fn finish<M: WireMessage>(ob: &mut OutBox<M>) -> Vec<Parcel<M>> {
+        let mut parcels = Vec::new();
+        ob.finish_into(&mut parcels);
+        parcels
     }
 
     #[test]
@@ -183,23 +156,32 @@ mod tests {
         ob.push(3, &1);
         ob.push(3, &2);
         ob.push(1, &9);
-        let packets = finish(&mut ob);
-        assert_eq!(packets.len(), 2);
-        assert_eq!(packets[0].dst, 1);
-        assert_eq!(packets[1].dst, 3);
-        assert_eq!(packets[1].logical, 2);
-        assert_eq!(packets[1].payload.len(), 8);
+        let parcels = finish(&mut ob);
+        assert_eq!(parcels.len(), 2);
+        assert_eq!(parcels[0].dst, 1);
+        assert_eq!(parcels[1].dst, 3);
+        assert_eq!(parcels[1].msgs, vec![1, 2]);
+        assert_eq!(parcels[1].logical(), 2);
+        assert_eq!(parcels[1].bytes, 8);
         assert!(ob.is_empty());
     }
 
     #[test]
-    fn no_bundling_gives_one_packet_per_message() {
+    fn no_bundling_gives_one_parcel_per_message() {
         let mut ob: OutBox<u32> = OutBox::for_ranks(false, 0);
         ob.push(3, &1);
         ob.push(3, &2);
-        let packets = finish(&mut ob);
-        assert_eq!(packets.len(), 2);
-        assert!(packets.iter().all(|p| p.logical == 1));
+        ob.push(1, &5);
+        let parcels = finish(&mut ob);
+        let msgs: Vec<(Rank, Vec<u32>, usize)> = parcels
+            .into_iter()
+            .map(|p| (p.dst, p.msgs, p.bytes))
+            .collect();
+        // Sorted by destination, send order kept within one.
+        assert_eq!(
+            msgs,
+            vec![(1, vec![5], 4), (3, vec![1], 4), (3, vec![2], 4)]
+        );
     }
 
     #[test]
@@ -215,7 +197,7 @@ mod tests {
     #[test]
     fn dense_table_matches_linear_lookup() {
         // Same pushes through a table-enabled and a linear-only outbox
-        // must produce identical packets, rounds on end.
+        // must produce identical parcels, rounds on end.
         let p: Rank = 200;
         let mut dense: OutBox<u32> = OutBox::for_ranks(true, p);
         let mut linear: OutBox<u32> = OutBox::for_ranks(true, 0);
@@ -226,16 +208,8 @@ mod tests {
                 dense.push(dst, &i);
                 linear.push(dst, &i);
             }
-            let a = finish(&mut dense);
-            let b = finish(&mut linear);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.dst, y.dst);
-                assert_eq!(x.logical, y.logical);
-                assert_eq!(x.payload, y.payload);
-            }
+            assert_eq!(finish(&mut dense), finish(&mut linear));
         }
-        assert_eq!(dense.stats(), linear.stats());
     }
 
     #[test]
@@ -252,27 +226,18 @@ mod tests {
         ob.finish_into(&mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].dst, 5);
-        assert_eq!(ob.stats().wire_packets, 3);
     }
 
     #[test]
-    fn stats_track_logical_vs_wire() {
-        let mut bundled: OutBox<u32> = OutBox::for_ranks(true, 0);
-        for _ in 0..6 {
-            bundled.push(3, &7);
+    fn bytes_are_the_encoded_size() {
+        let mut ob: OutBox<u64> = OutBox::for_ranks(true, 0);
+        for v in 0..6 {
+            ob.push(3, &v);
         }
-        bundled.push(1, &7);
-        finish(&mut bundled);
-        let s = bundled.stats();
-        assert_eq!(s.logical_messages, 7);
-        assert_eq!(s.wire_packets, 2);
-        assert_eq!(s.wire_bytes, 7 * 4);
-
-        let mut flat: OutBox<u32> = OutBox::for_ranks(false, 0);
-        for _ in 0..7 {
-            flat.push(3, &7);
-        }
-        finish(&mut flat);
-        assert_eq!(flat.stats().wire_packets, 7);
+        ob.push(1, &7);
+        let parcels = finish(&mut ob);
+        assert_eq!(parcels[0].bytes, 8);
+        assert_eq!(parcels[1].bytes, 6 * 8);
+        assert_eq!(parcels[1].logical(), 6);
     }
 }

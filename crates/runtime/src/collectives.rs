@@ -382,8 +382,8 @@ mod tests {
     }
 
     fn sent_dests(ctx: &mut RankCtx<u32>) -> Vec<Rank> {
-        let (_, packets) = ctx.end_round();
-        packets.iter().map(|p| p.dst).collect()
+        let (_, parcels) = ctx.end_round();
+        parcels.iter().map(|p| p.dst).collect()
     }
 
     #[test]
@@ -479,13 +479,10 @@ mod tests {
         assert_eq!(w.count(1), 1);
     }
 
-    /// Each packet of the round as `(destination, its messages)`.
+    /// Each parcel of the round as `(destination, its messages)`.
     fn sent(ctx: &mut RankCtx<u32>) -> Vec<(Rank, Vec<u32>)> {
-        let (_, packets) = ctx.end_round();
-        packets
-            .into_iter()
-            .map(|p| (p.dst, crate::message::decode_all(p.payload).unwrap()))
-            .collect()
+        let (_, parcels) = ctx.end_round();
+        parcels.into_iter().map(|p| (p.dst, p.msgs)).collect()
     }
 
     #[test]
@@ -513,11 +510,11 @@ mod tests {
         // …but a second publish (a different datum) sends again.
         x.publish(&mut c, [3u32].into_iter(), &8);
         x.finish_superstep(&mut c, &0);
-        let (_, packets) = c.end_round();
-        // Content to 3 (twice, bundled into one packet); empties to 0, 2.
-        let dests: Vec<Rank> = packets.iter().map(|p| p.dst).collect();
+        let (_, parcels) = c.end_round();
+        // Content to 3 (twice, bundled into one parcel); empties to 0, 2.
+        let dests: Vec<Rank> = parcels.iter().map(|p| p.dst).collect();
         assert_eq!(dests, vec![0, 2, 3]);
-        let logical: Vec<u32> = packets.iter().map(|p| p.logical).collect();
+        let logical: Vec<u32> = parcels.iter().map(|p| p.logical()).collect();
         assert_eq!(logical, vec![1, 1, 2]);
         // Next superstep resets content markers: 3 gets an empty now.
         let mut c = ctx(1, 4);

@@ -41,7 +41,7 @@ pub mod stats;
 pub mod step;
 pub mod threaded;
 
-pub use bundle::OutBox;
+pub use bundle::{OutBox, Parcel};
 pub use cmg_obs::SchedStats;
 pub use codec::WireField;
 pub use collectives::{
@@ -54,7 +54,7 @@ pub use program::{Rank, RankCtx, RankProgram, Status};
 pub use sim::{RoundTrace, SimEngine, SimResult};
 pub use snapshot::encode_snapshot;
 pub use stats::{RankStats, RunStats};
-pub use step::{MalformedBundle, RankStep, StepClock, VirtualClock, WallClock};
+pub use step::{RankStep, StepClock, VirtualClock, WallClock};
 pub use threaded::{ThreadedEngine, ThreadedResult};
 
 /// Run-wide engine configuration shared by both engines.

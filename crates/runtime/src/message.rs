@@ -1,7 +1,11 @@
 //! Wire encoding of messages.
 //!
-//! Bundles are byte buffers, so the engines account communication volume in
-//! *bytes* — the unit the cost model (and the real machine) cares about.
+//! In-process engines pass a round's messages as typed vectors (see
+//! `bundle.rs`); what a bundle *would* weigh on a wire is still its
+//! encoded size, Σ [`WireMessage::encoded_len`], so every engine accounts
+//! communication volume in *bytes* — the unit the cost model (and the
+//! real machine) cares about. Bytes are produced only where they leave
+//! the process: `cmg-net`'s frames, snapshots, and `cmg-serve`'s socket.
 
 use bytes::{Buf, BufMut};
 
@@ -10,7 +14,7 @@ use bytes::{Buf, BufMut};
 /// Implementations must be self-delimiting: `decode` consumes exactly the
 /// bytes `encode` produced, so messages concatenate into bundles without
 /// separators.
-pub trait WireMessage: Send + Sized + 'static {
+pub trait WireMessage: Clone + Send + Sized + 'static {
     /// Appends this message's encoding to `buf`.
     fn encode(&self, buf: &mut impl BufMut);
 
@@ -22,43 +26,27 @@ pub trait WireMessage: Send + Sized + 'static {
     fn encoded_len(&self) -> usize;
 }
 
-/// Decodes a whole bundle into its constituent messages.
-pub fn decode_all<M: WireMessage>(buf: impl Buf) -> Option<Vec<M>> {
-    let mut out = Vec::new();
-    decode_all_into(buf, &mut out)?;
-    Some(out)
-}
-
-/// Decodes a whole bundle, appending the messages to `out`, and returns
-/// how many were appended (`None` on malformed bytes, like
-/// [`decode_all`]).
+/// Decodes a whole bundle into its constituent messages, or `None` if
+/// the bytes are not a whole number of messages.
 ///
-/// This is the allocation-aware variant the engine delivery loops use:
-/// `out` can be a recycled buffer, and the expected message count is
-/// estimated up front from the payload size and the first message's
-/// [`WireMessage::encoded_len`], so a bundle of `n` uniform messages
-/// costs at most one `reserve` instead of `log n` doublings.
-pub(crate) fn decode_all_into<M: WireMessage>(
-    mut buf: impl Buf,
-    out: &mut Vec<M>,
-) -> Option<usize> {
+/// The expected message count is estimated up front from the payload size
+/// and the first message's [`WireMessage::encoded_len`], so a bundle of
+/// `n` uniform messages costs one allocation instead of `log n` doublings.
+pub fn decode_all<M: WireMessage>(mut buf: impl Buf) -> Option<Vec<M>> {
     if !buf.has_remaining() {
-        return Some(0);
+        return Some(Vec::new());
     }
-    // One up-front reserve, no per-message allocation.
     let total = buf.remaining();
     let first = M::decode(&mut buf)?;
     // Capacity hint: uniform-size messages are the overwhelmingly common
     // case, so size for exactly that; mixed sizes merely over- or
     // under-reserve, never break correctness.
-    out.reserve(total / first.encoded_len().max(1));
+    let mut out = Vec::with_capacity(total / first.encoded_len().max(1));
     out.push(first);
-    let mut n = 1;
     while buf.has_remaining() {
         out.push(M::decode(&mut buf)?);
-        n += 1;
     }
-    Some(n)
+    Some(out)
 }
 
 impl WireMessage for u32 {
@@ -129,23 +117,17 @@ mod tests {
     }
 
     #[test]
-    fn decode_all_into_appends_and_reserves() {
+    fn decode_all_sizes_uniform_bundles_once() {
         let mut buf = BytesMut::new();
         for v in 0..100u32 {
             v.encode(&mut buf);
         }
-        let mut out: Vec<u32> = vec![999];
-        let n = decode_all_into(buf.freeze(), &mut out).unwrap();
-        assert_eq!(n, 100);
-        assert_eq!(out.len(), 101);
-        assert_eq!(out[0], 999);
-        assert_eq!(out[100], 99);
+        let out: Vec<u32> = decode_all(buf.freeze()).unwrap();
+        assert_eq!(out.len(), 100);
+        assert_eq!(out[99], 99);
         // The capacity hint sized the buffer in one reservation.
-        assert!(out.capacity() >= 101);
-
-        let mut empty_out: Vec<u32> = Vec::new();
-        assert_eq!(decode_all_into(Bytes::new(), &mut empty_out), Some(0));
-        assert!(empty_out.is_empty());
+        assert_eq!(out.capacity(), 100);
+        assert_eq!(decode_all::<u32>(Bytes::new()), Some(Vec::new()));
     }
 
     #[test]

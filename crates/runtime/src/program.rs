@@ -1,6 +1,6 @@
 //! The rank-program abstraction: how distributed algorithms are expressed.
 
-use crate::bundle::OutBox;
+use crate::bundle::{OutBox, Parcel};
 use crate::message::WireMessage;
 
 /// A processor rank (MPI rank equivalent).
@@ -157,19 +157,19 @@ impl<M: WireMessage> RankCtx<M> {
     }
 
     /// Engine SPI: advances the round counter and drains the round's
-    /// work and packets.
-    pub fn end_round(&mut self) -> (u64, Vec<crate::bundle::Packet>) {
-        let mut packets = Vec::new();
-        let work = self.end_round_into(&mut packets);
-        (work, packets)
+    /// work and parcels.
+    pub fn end_round(&mut self) -> (u64, Vec<Parcel<M>>) {
+        let mut parcels = Vec::new();
+        let work = self.end_round_into(&mut parcels);
+        (work, parcels)
     }
 
     /// Engine SPI, allocation-aware twin of [`RankCtx::end_round`]:
-    /// appends the round's packets to the caller's recycled buffer
+    /// appends the round's parcels to the caller's recycled buffer
     /// (which must be empty) and returns the charged work.
-    pub(crate) fn end_round_into(&mut self, packets: &mut Vec<crate::bundle::Packet>) -> u64 {
+    pub(crate) fn end_round_into(&mut self, parcels: &mut Vec<Parcel<M>>) -> u64 {
         self.round += 1;
-        self.outbox.finish_into(packets);
+        self.outbox.finish_into(parcels);
         std::mem::take(&mut self.work)
     }
 }
@@ -276,12 +276,13 @@ mod tests {
         ctx.send(0, &1);
         ctx.send(0, &2);
         ctx.send(3, &3);
-        let (work, packets) = ctx.end_round();
+        let (work, parcels) = ctx.end_round();
         assert_eq!(work, 15);
-        assert_eq!(packets.len(), 2);
+        assert_eq!(parcels.len(), 2);
+        assert_eq!(parcels[0].msgs, vec![1, 2]);
         assert_eq!(ctx.round(), 1);
-        let (work2, packets2) = ctx.end_round();
+        let (work2, parcels2) = ctx.end_round();
         assert_eq!(work2, 0);
-        assert!(packets2.is_empty());
+        assert!(parcels2.is_empty());
     }
 }

@@ -34,33 +34,44 @@
 //! the digest sweep (`tests/sweep.rs`) runs every `dense` cell against its
 //! scheduled twin, token workloads included.
 
-use crate::bundle::Packet;
+use crate::bundle::Parcel;
 use crate::delivery::{payload_fingerprint, DeliveryKey, DeliveryPolicy};
-use crate::message::decode_all;
+use crate::message::WireMessage;
 use crate::program::{Rank, RankCtx, RankProgram, Status};
 use crate::snapshot::{encode_snapshot, restore_encoded};
 use crate::stats::{RankStats, RunStats};
 use crate::step::{RankStep, StepClock, VirtualClock};
 use crate::{CostModel, EngineConfig};
-use bytes::Bytes;
 use cmg_obs::{Event, PhaseName, SchedStats, ENGINE_RANK};
 
-/// A packet in flight, with its computed arrival time.
-struct InFlight {
+/// A parcel in flight, with its computed arrival time.
+struct InFlight<M> {
     src: Rank,
     arrival: f64,
-    payload: Bytes,
-    logical: u32,
+    msgs: Vec<M>,
+    /// The parcel's encoded size.
+    bytes: usize,
     /// Mailbox insertion index: makes the delivery sort key
     /// `(src, arrival, seq)` a total order, so an unstable sort
     /// reproduces the stable `(src, arrival)` sort exactly.
     seq: u32,
 }
 
-impl InFlight {
+impl<M> InFlight<M> {
+    /// Puts a routed parcel from `src` into a mailbox as its `seq`-th entry.
+    fn new(src: Rank, arrival: f64, parcel: Parcel<M>, seq: u32) -> Self {
+        InFlight {
+            src,
+            arrival,
+            msgs: parcel.msgs,
+            bytes: parcel.bytes,
+            seq,
+        }
+    }
+
     /// The canonical delivery order: by source, then arrival, then
     /// mailbox insertion.
-    fn delivery_order(a: &InFlight, b: &InFlight) -> std::cmp::Ordering {
+    fn delivery_order(a: &Self, b: &Self) -> std::cmp::Ordering {
         (a.src.cmp(&b.src))
             .then(a.arrival.total_cmp(&b.arrival))
             .then(a.seq.cmp(&b.seq))
@@ -76,14 +87,14 @@ struct Slot<P: RankProgram> {
     status: Status,
     vtime: f64,
     stats: RankStats,
-    mailbox: Vec<InFlight>,
+    mailbox: Vec<InFlight<P::Msg>>,
     /// Packets a delaying [`DeliveryPolicy`] is holding back, paired with
     /// the round at which they become deliverable. Always empty under the
     /// default policy.
-    withheld: Vec<(u64, InFlight)>,
-    /// Packets produced this round with their arrival timestamps, drained
+    withheld: Vec<(u64, InFlight<P::Msg>)>,
+    /// Parcels produced this round with their arrival timestamps, drained
     /// by the (serial, deterministic) routing pass.
-    produced: Vec<(Packet, f64)>,
+    produced: Vec<(Parcel<P::Msg>, f64)>,
 }
 
 /// Per-rank state of the scheduled loop: a [`Slot`] whose context and
@@ -93,9 +104,9 @@ struct Sched<P: RankProgram> {
     step: RankStep<P>,
     status: Status,
     vtime: f64,
-    mailbox: Vec<InFlight>,
-    withheld: Vec<(u64, InFlight)>,
-    produced: Vec<(Packet, f64)>,
+    mailbox: Vec<InFlight<P::Msg>>,
+    withheld: Vec<(u64, InFlight<P::Msg>)>,
+    produced: Vec<(Parcel<P::Msg>, f64)>,
 }
 
 impl<P: RankProgram> From<Slot<P>> for Sched<P> {
@@ -159,12 +170,12 @@ pub struct SimEngine<P: RankProgram> {
 /// (the caller must not re-sort it). Shared verbatim by the scheduled
 /// loop and the dense reference, so the two stay bit-identical under
 /// every policy.
-fn apply_delivery_policy(
+fn apply_delivery_policy<M: WireMessage>(
     policy: &DeliveryPolicy,
     rank: Rank,
     round: u64,
-    mailbox: &mut Vec<InFlight>,
-    withheld: &mut Vec<(u64, InFlight)>,
+    mailbox: &mut Vec<InFlight<M>>,
+    withheld: &mut Vec<(u64, InFlight<M>)>,
 ) {
     // Withhold before re-injection so a released packet is never
     // re-delayed (which would starve it forever).
@@ -197,15 +208,20 @@ fn apply_delivery_policy(
     // stable sort resolves ties by the deterministic merge order above.
     mailbox.sort_by(InFlight::delivery_order);
     let hash_payloads = policy.wants_payload_hash();
+    // A payload hash is over the parcel's encoding (the back-to-back
+    // format `encode_snapshot` writes), staged in one scratch buffer.
+    let mut encoded = Vec::new();
     let keys: Vec<DeliveryKey> = mailbox
         .iter()
         .map(|m| DeliveryKey {
             src: m.src,
             arrival: m.arrival,
             seq: m.seq,
-            bytes: m.payload.len() as u64,
+            bytes: m.bytes as u64,
             payload_hash: if hash_payloads {
-                payload_fingerprint(&m.payload)
+                encoded.clear();
+                encode_snapshot(&m.msgs, &mut encoded);
+                payload_fingerprint(&encoded)
             } else {
                 0
             },
@@ -216,7 +232,7 @@ fn apply_delivery_policy(
             crate::delivery::preserves_source_fifo(&keys, &perm),
             "delivery policy broke per-source FIFO (MPI non-overtaking): {perm:?}"
         );
-        let mut staged: Vec<Option<InFlight>> = mailbox.drain(..).map(Some).collect();
+        let mut staged: Vec<Option<InFlight<M>>> = mailbox.drain(..).map(Some).collect();
         for idx in perm {
             if let Some(pkt) = staged.get_mut(idx).and_then(Option::take) {
                 mailbox.push(pkt);
@@ -231,12 +247,11 @@ fn apply_delivery_policy(
 }
 
 /// Steps one rank: order its mailbox, run the shared [`RankStep`] on a
-/// virtual clock, keep the produced packets for routing.
+/// virtual clock, keep the produced parcels for routing.
 ///
 /// `floor` is the synchronized-clock lower bound (the previous round's
 /// barrier time under `sync_rounds`, 0 otherwise): a slot that skipped
 /// rounds while the barrier advanced catches its clock up lazily here.
-#[expect(clippy::expect_used, reason = "an undecodable own bundle is a bug")]
 fn step_slot<P: RankProgram>(
     slot: &mut Sched<P>,
     rank: Rank,
@@ -258,8 +273,7 @@ fn step_slot<P: RankProgram>(
     }
     for m in slot.mailbox.drain(..) {
         slot.step
-            .deliver(&mut clock, m.src, m.arrival, m.payload, m.logical)
-            .expect("malformed bundle: WireMessage encode/decode mismatch");
+            .deliver(&mut clock, m.src, m.arrival, m.msgs, m.bytes);
     }
     slot.status = slot.step.compute(&mut clock, &mut slot.program);
     let send_start = clock.now();
@@ -284,7 +298,7 @@ fn step_slot<P: RankProgram>(
 pub(crate) fn checkpoint_roundtrip<P: RankProgram>(program: &mut P) {
     let mut bytes = Vec::new();
     encode_snapshot(&program.snapshot(), &mut bytes);
-    *program = restore_encoded(program.meta(), Bytes::from(bytes))
+    *program = restore_encoded(program.meta(), &bytes)
         .expect("snapshot did not round-trip through its wire encoding");
 }
 
@@ -338,7 +352,7 @@ impl<P: RankProgram> SimEngine<P> {
         let mut floor: f64 = 0.0;
         // Routing scratch, swapped with each slot's `produced` so both
         // allocations survive across rounds.
-        let mut produced_scratch: Vec<(Packet, f64)> = Vec::new();
+        let mut produced_scratch: Vec<(Parcel<P::Msg>, f64)> = Vec::new();
 
         if p > 0 {
             loop {
@@ -389,24 +403,18 @@ impl<P: RankProgram> SimEngine<P> {
                         continue;
                     }
                     std::mem::swap(&mut produced_scratch, &mut src_slot.produced);
-                    for (packet, arrival) in produced_scratch.drain(..) {
+                    for (parcel, arrival) in produced_scratch.drain(..) {
                         pkts += 1;
-                        msgs += packet.logical as u64;
-                        bytes += packet.payload.len() as u64;
-                        let dst = packet.dst as usize;
+                        msgs += parcel.msgs.len() as u64;
+                        bytes += parcel.bytes as u64;
+                        let dst = parcel.dst as usize;
                         if enqueued[dst] != stamp {
                             enqueued[dst] = stamp;
-                            next_worklist.push(packet.dst);
+                            next_worklist.push(parcel.dst);
                         }
                         let mailbox = &mut slots[dst].mailbox;
                         let seq = mailbox.len() as u32;
-                        mailbox.push(InFlight {
-                            src: r,
-                            arrival,
-                            payload: packet.payload,
-                            logical: packet.logical,
-                            seq,
-                        });
+                        mailbox.push(InFlight::new(r, arrival, parcel, seq));
                     }
                     std::mem::swap(&mut produced_scratch, &mut slots[r as usize].produced);
                 }
@@ -557,17 +565,11 @@ impl<P: RankProgram> SimEngine<P> {
                 for r in 0..p {
                     any_in_flight |= !self.slots[r].withheld.is_empty();
                     let produced = std::mem::take(&mut self.slots[r].produced);
-                    for (packet, arrival) in produced {
+                    for (parcel, arrival) in produced {
                         any_in_flight = true;
-                        let mailbox = &mut self.slots[packet.dst as usize].mailbox;
+                        let mailbox = &mut self.slots[parcel.dst as usize].mailbox;
                         let seq = mailbox.len() as u32;
-                        mailbox.push(InFlight {
-                            src: r as Rank,
-                            arrival,
-                            payload: packet.payload,
-                            logical: packet.logical,
-                            seq,
-                        });
+                        mailbox.push(InFlight::new(r as Rank, arrival, parcel, seq));
                     }
                 }
 
@@ -620,7 +622,6 @@ impl<P: RankProgram> SimEngine<P> {
     /// Dense-reference step: scans every rank, skipping the quiescent
     /// ones one by one (the O(p)-per-round pattern the scheduler
     /// replaces).
-    #[expect(clippy::expect_used, reason = "as in step_slot")]
     fn dense_step_all(&mut self, round: u64, first: bool) {
         let cost = self.config.cost;
         let recorder = self.config.recorder.clone();
@@ -651,19 +652,18 @@ impl<P: RankProgram> SimEngine<P> {
                     slot.vtime = slot.vtime.max(m.arrival);
                 }
                 for m in mail {
+                    let logical = m.msgs.len() as u32;
                     slot.stats.packets_received += 1;
-                    slot.stats.bytes_received += m.payload.len() as u64;
-                    slot.stats.messages_received += m.logical as u64;
+                    slot.stats.bytes_received += m.bytes as u64;
+                    slot.stats.messages_received += u64::from(logical);
                     recorder.emit(rank, m.arrival, || Event::PacketRecv {
                         src: m.src,
-                        bytes: m.payload.len() as u64,
-                        logical: m.logical,
+                        bytes: m.bytes as u64,
+                        logical,
                     });
-                    let msgs: Vec<P::Msg> = decode_all(m.payload)
-                        .expect("malformed bundle: WireMessage encode/decode mismatch");
                     match inbox.last_mut() {
-                        Some((src, list)) if *src == m.src => list.extend(msgs),
-                        _ => inbox.push((m.src, msgs)),
+                        Some((src, list)) if *src == m.src => list.extend(m.msgs),
+                        _ => inbox.push((m.src, m.msgs)),
                     }
                 }
                 recorder.emit(rank, slot.vtime, || Event::Phase {
@@ -680,7 +680,7 @@ impl<P: RankProgram> SimEngine<P> {
             } else {
                 slot.program.on_round(&mut inbox, &mut slot.ctx)
             };
-            let (work, packets) = slot.ctx.end_round();
+            let (work, parcels) = slot.ctx.end_round();
             slot.stats.rounds_active += 1;
             slot.stats.work += work;
             slot.vtime += cost.compute_time(work);
@@ -691,20 +691,20 @@ impl<P: RankProgram> SimEngine<P> {
             });
             // Send: overhead advances the sender; transfer delays arrival.
             let send_start = slot.vtime;
-            slot.produced = packets
+            slot.produced = parcels
                 .into_iter()
-                .map(|packet| {
+                .map(|parcel| {
                     slot.stats.packets_sent += 1;
-                    slot.stats.messages_sent += packet.logical as u64;
-                    slot.stats.bytes_sent += packet.payload.len() as u64;
+                    slot.stats.messages_sent += parcel.msgs.len() as u64;
+                    slot.stats.bytes_sent += parcel.bytes as u64;
                     slot.vtime += cost.send_overhead;
                     recorder.emit(rank, slot.vtime, || Event::PacketSent {
-                        dst: packet.dst,
-                        bytes: packet.payload.len() as u64,
-                        logical: packet.logical,
+                        dst: parcel.dst,
+                        bytes: parcel.bytes as u64,
+                        logical: parcel.msgs.len() as u32,
                     });
-                    let arrival = slot.vtime + cost.transfer_time(packet.payload.len());
-                    (packet, arrival)
+                    let arrival = slot.vtime + cost.transfer_time(parcel.bytes);
+                    (parcel, arrival)
                 })
                 .collect();
             if !slot.produced.is_empty() {

@@ -34,9 +34,8 @@
 //! `EngineConfig::checkpoint_every` (sim/threaded equivalence oracle) and
 //! the cmg-net checkpoint/respawn path.
 
-use crate::message::{decode_all_into, WireMessage};
+use crate::message::{decode_all, WireMessage};
 use crate::program::RankProgram;
-use bytes::Bytes;
 
 /// Appends a snapshot's encoded record stream to `out`: the records
 /// concatenated in order, no separators (the bundle format). The net
@@ -54,10 +53,8 @@ pub fn encode_snapshot<R: WireMessage>(records: &[R], out: &mut Vec<u8>) {
 /// was shipped it or an in-process engine just took it (the
 /// `checkpoint_every` oracle). `None` if `bytes` is not a record stream
 /// of `P::Record`.
-pub fn restore_encoded<P: RankProgram>(meta: P::Meta, bytes: Bytes) -> Option<P> {
-    let mut records = Vec::new();
-    decode_all_into(bytes, &mut records)?;
-    Some(P::restore(meta, records))
+pub fn restore_encoded<P: RankProgram>(meta: P::Meta, bytes: &[u8]) -> Option<P> {
+    Some(P::restore(meta, decode_all(bytes)?))
 }
 
 /// Expands, **inside an `impl RankProgram` block**, to the snapshot half
@@ -125,7 +122,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_snapshot(&Echo(vec![7, 11, 13]).snapshot(), &mut buf);
         assert_eq!(buf, [7, 0, 0, 0, 11, 0, 0, 0, 13, 0, 0, 0]);
-        let back: Echo = restore_encoded((), Bytes::from(buf)).unwrap();
+        let back: Echo = restore_encoded((), &buf).unwrap();
         assert_eq!(back.0, [7, 11, 13]);
     }
 
@@ -134,13 +131,13 @@ mod tests {
         let mut buf = vec![9];
         encode_snapshot::<u32>(&[], &mut buf);
         assert_eq!(buf, [9]);
-        let back: Echo = restore_encoded((), Bytes::new()).unwrap();
+        let back: Echo = restore_encoded((), &[]).unwrap();
         assert!(back.0.is_empty());
     }
 
     #[test]
     fn malformed_bytes_rejected() {
-        let bytes = Bytes::from(vec![1u8, 2, 3]); // not a multiple of 4
-        assert!(restore_encoded::<Echo>((), bytes).is_none());
+        // Not a multiple of 4.
+        assert!(restore_encoded::<Echo>((), &[1, 2, 3]).is_none());
     }
 }

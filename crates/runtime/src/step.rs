@@ -1,22 +1,23 @@
 //! The rank step: the one round body every engine runs.
 //!
 //! From one rank's point of view a round is *deliver → compute → send*:
-//! count, trace and decode each arrived bundle (grouped by source), call
-//! the program, count and trace each packet it produced. [`RankStep`] is
-//! that body, written once. An engine keeps only how bundles travel and
-//! how a round ends, and the engines differ inside the step in one respect
-//! only — *time* — which is the [`StepClock`] parameter. (The dense
-//! reference in `sim.rs` deliberately does not use this module: it is what
-//! the scheduled loop, and so this step, is tested against.)
+//! count and trace each arrived parcel and move its messages into the
+//! inbox (grouped by source), call the program, count and trace each
+//! parcel it produced. Parcels are typed, so the step never sees bytes,
+//! only each parcel's encoded size: a transport that puts parcels on a
+//! wire encodes them after [`RankStep::drain`] and decodes them before
+//! [`RankStep::deliver`]. [`RankStep`] is that body, written once. An
+//! engine keeps only how parcels travel and how a round ends, and the
+//! engines differ inside the step in one respect only — *time* — which is
+//! the [`StepClock`] parameter. (The dense reference in `sim.rs`
+//! deliberately does not use this module: it is what the scheduled loop,
+//! and so this step, is tested against.)
 
-use crate::bundle::Packet;
-use crate::message::decode_all_into;
+use crate::bundle::Parcel;
 use crate::program::{Rank, RankCtx, RankProgram, Status};
 use crate::stats::RankStats;
 use crate::CostModel;
-use bytes::Bytes;
 use cmg_obs::{Event, PhaseName};
-use std::fmt;
 use std::time::Instant;
 
 /// Event time as one engine sees it.
@@ -107,25 +108,8 @@ impl StepClock for WallClock {
     fn send(&mut self, _bytes: usize) {}
 }
 
-/// A delivered bundle whose bytes are not a whole number of the program's
-/// messages: an encode/decode mismatch in-process, a corrupt frame on a
-/// wire.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MalformedBundle {
-    /// The rank the bundle came from.
-    pub src: Rank,
-}
-
-impl fmt::Display for MalformedBundle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "malformed round bundle from rank {}", self.src)
-    }
-}
-
-impl std::error::Error for MalformedBundle {}
-
 /// One rank's step state. An engine drives it once per round —
-/// [`deliver`](Self::deliver) for each arrived bundle in delivery order,
+/// [`deliver`](Self::deliver) for each arrived parcel in delivery order,
 /// [`compute`](Self::compute), then [`drain`](Self::drain) — and routes
 /// what `drain` yields.
 pub struct RankStep<P: RankProgram> {
@@ -133,9 +117,9 @@ pub struct RankStep<P: RankProgram> {
     /// Handed to `on_round`; the outer vector is reused across rounds.
     inbox: Vec<(Rank, Vec<P::Msg>)>,
     /// The outbox drains into this each round (recycled).
-    packet_buf: Vec<Packet>,
+    parcel_buf: Vec<Parcel<P::Msg>>,
     stats: RankStats,
-    /// When the first bundle of the inbox being filled was delivered.
+    /// When the first parcel of the inbox being filled was delivered.
     delivery_start: f64,
 }
 
@@ -145,7 +129,7 @@ impl<P: RankProgram> RankStep<P> {
         RankStep {
             ctx,
             inbox: Vec::new(),
-            packet_buf: Vec::new(),
+            parcel_buf: Vec::new(),
             stats: RankStats::default(),
             delivery_start: 0.0,
         }
@@ -168,46 +152,35 @@ impl<P: RankProgram> RankStep<P> {
         self.stats
     }
 
-    /// Packets the last [`compute`](Self::compute) produced that
+    /// Parcels the last [`compute`](Self::compute) produced that
     /// [`drain`](Self::drain) has not yielded yet.
     pub fn produced(&self) -> usize {
-        self.packet_buf.len()
+        self.parcel_buf.len()
     }
 
-    /// Delivers one arrived bundle: counts it, traces it, and decodes it
-    /// onto the end of `src`'s inbox entry (one source's bundles must be
-    /// delivered consecutively). A bundle that does not decode is refused
-    /// whole — counters and inbox stay as they were before it.
+    /// Delivers one arrived parcel from `src`: counts it, traces it, and
+    /// moves its messages onto the end of `src`'s inbox entry (one
+    /// source's parcels must be delivered consecutively). `bytes` is the
+    /// parcel's encoded size.
     pub fn deliver<C: StepClock>(
         &mut self,
         clock: &mut C,
         src: Rank,
         at: C::Arrival,
-        payload: Bytes,
-        logical: u32,
-    ) -> Result<(), MalformedBundle> {
-        // Recycled buffers, no allocation.
+        mut msgs: Vec<P::Msg>,
+        bytes: usize,
+    ) {
         if self.inbox.is_empty() {
             self.delivery_start = clock.now();
         }
         let received = clock.receive(at);
-        let bytes = payload.len() as u64;
-        // Decode straight into the per-source message list (no
-        // per-packet temporary vector).
-        let fresh = self.inbox.last().is_none_or(|(s, _)| *s != src);
-        if fresh {
-            self.inbox.push((src, Vec::new()));
+        let logical = msgs.len() as u32;
+        // The parcel's vector becomes the source's inbox entry.
+        match self.inbox.last_mut() {
+            Some((s, list)) if *s == src => list.append(&mut msgs),
+            _ => self.inbox.push((src, msgs)),
         }
-        let last = self.inbox.len() - 1;
-        let list = &mut self.inbox[last].1;
-        let before = list.len();
-        if decode_all_into(payload, list).is_none() {
-            list.truncate(before);
-            if fresh {
-                self.inbox.pop();
-            }
-            return Err(MalformedBundle { src });
-        }
+        let bytes = bytes as u64;
         self.stats.packets_received += 1;
         self.stats.bytes_received += bytes;
         self.stats.messages_received += u64::from(logical);
@@ -216,11 +189,10 @@ impl<P: RankProgram> RankStep<P> {
             bytes,
             logical,
         });
-        Ok(())
     }
 
     /// Runs the program on what was delivered (`on_start` in round 0,
-    /// `on_round` after), collects its packets for [`drain`](Self::drain)
+    /// `on_round` after), collects its parcels for [`drain`](Self::drain)
     /// and returns its status.
     pub fn compute<C: StepClock>(&mut self, clock: &mut C, program: &mut P) -> Status {
         if !self.inbox.is_empty() {
@@ -234,7 +206,7 @@ impl<P: RankProgram> RankStep<P> {
             program.on_round(&mut self.inbox, &mut self.ctx)
         };
         self.inbox.clear();
-        let work = self.ctx.end_round_into(&mut self.packet_buf);
+        let work = self.ctx.end_round_into(&mut self.parcel_buf);
         self.stats.rounds_active += 1;
         self.stats.work += work;
         clock.compute(work);
@@ -242,28 +214,28 @@ impl<P: RankProgram> RankStep<P> {
         status
     }
 
-    /// Yields the packets the round produced, each with its arrival,
+    /// Yields the parcels the round produced, each with its arrival,
     /// counting and tracing every one as it is handed over.
     pub fn drain<'a, C: StepClock>(
         &'a mut self,
         clock: &'a mut C,
-    ) -> impl Iterator<Item = (Packet, C::Arrival)> + 'a {
+    ) -> impl Iterator<Item = (Parcel<P::Msg>, C::Arrival)> + 'a {
         let (ctx, stats) = (&self.ctx, &mut self.stats);
-        self.packet_buf.drain(..).map(move |packet| {
-            let bytes = packet.payload.len();
+        self.parcel_buf.drain(..).map(move |parcel| {
+            let (bytes, logical) = (parcel.bytes, parcel.logical());
             stats.packets_sent += 1;
-            stats.messages_sent += u64::from(packet.logical);
+            stats.messages_sent += u64::from(logical);
             stats.bytes_sent += bytes as u64;
             let arrival = clock.send(bytes);
             // The guard also spares an unobserved run the clock read.
             if ctx.observed() {
                 ctx.emit_at(clock.now(), || Event::PacketSent {
-                    dst: packet.dst,
+                    dst: parcel.dst,
                     bytes: bytes as u64,
-                    logical: packet.logical,
+                    logical,
                 });
             }
-            (packet, arrival)
+            (parcel, arrival)
         })
     }
 
@@ -322,44 +294,18 @@ mod tests {
         VirtualClock::new(0.0, CostModel::compute_only())
     }
 
-    fn bundle(msgs: &[u32]) -> Bytes {
-        Bytes::from(
-            msgs.iter()
-                .flat_map(|m| m.to_le_bytes())
-                .collect::<Vec<u8>>(),
-        )
-    }
-
     #[test]
     fn packets_of_one_source_share_an_inbox_entry_in_order() {
         let (mut step, mut clock, mut program) = (step_for(0), clock(), Scripted::default());
         step.compute(&mut clock, &mut program);
-        step.deliver(&mut clock, 1, 0.0, bundle(&[10, 11]), 2)
-            .unwrap();
-        step.deliver(&mut clock, 1, 0.0, bundle(&[12]), 1).unwrap();
-        step.deliver(&mut clock, 3, 0.0, bundle(&[30]), 1).unwrap();
+        step.deliver(&mut clock, 1, 0.0, vec![10, 11], 8);
+        step.deliver(&mut clock, 1, 0.0, vec![12], 4);
+        step.deliver(&mut clock, 3, 0.0, vec![30], 4);
         step.compute(&mut clock, &mut program);
         assert_eq!(program.seen, vec![(1, vec![10, 11, 12]), (3, vec![30])]);
         assert_eq!(step.stats().packets_received, 3);
         assert_eq!(step.stats().messages_received, 4);
         assert_eq!(step.stats().bytes_received, 16);
-    }
-
-    #[test]
-    fn malformed_bundle_is_refused_whole() {
-        let (mut step, mut clock, mut program) = (step_for(0), clock(), Scripted::default());
-        step.compute(&mut clock, &mut program);
-        step.deliver(&mut clock, 1, 0.0, bundle(&[10]), 1).unwrap();
-        let before = step.stats().clone();
-        // Six bytes: one whole message, then a truncated one — from the
-        // source already in the inbox, and from a new one.
-        let garbage = Bytes::from(vec![1u8, 0, 0, 0, 2, 0]);
-        for src in [1, 2] {
-            let err = step.deliver(&mut clock, src, 0.0, garbage.clone(), 2);
-            assert_eq!(err, Err(MalformedBundle { src }));
-            assert_eq!(step.stats(), &before);
-            assert_eq!(step.inbox, vec![(1, vec![10])]);
-        }
     }
 
     #[test]
@@ -371,12 +317,11 @@ mod tests {
         let (mut step, mut clock) = (step_for(2), clock());
         step.compute(&mut clock, &mut program);
         assert_eq!(step.produced(), 1);
-        let sent: Vec<(Packet, f64)> = step.drain(&mut clock).collect();
+        let sent: Vec<(Parcel<u32>, f64)> = step.drain(&mut clock).collect();
         assert_eq!(step.produced(), 0);
-        for (packet, at) in sent {
-            assert_eq!(packet.dst, 2);
-            step.deliver(&mut clock, 2, at, packet.payload, packet.logical)
-                .unwrap();
+        for (parcel, at) in sent {
+            assert_eq!((parcel.dst, parcel.bytes), (2, 8));
+            step.deliver(&mut clock, 2, at, parcel.msgs, parcel.bytes);
         }
         step.compute(&mut clock, &mut program);
         assert_eq!(program.seen, vec![(2, vec![7, 8])]);

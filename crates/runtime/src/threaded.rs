@@ -12,15 +12,15 @@ use crate::sim::checkpoint_roundtrip;
 use crate::stats::{RankStats, RunStats};
 use crate::step::{RankStep, StepClock, WallClock};
 use crate::EngineConfig;
-use bytes::Bytes;
 use cmg_obs::{Event, PhaseName, ENGINE_RANK};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// What travels between threads: `(src, seq-within-src, payload, logical)`.
-type WirePacket = (Rank, u64, Bytes, u32);
+/// What travels between threads: `(src, seq-within-src, messages, bytes)`,
+/// a parcel's messages and encoded size moved as they are.
+type WirePacket<M> = (Rank, u64, Vec<M>, usize);
 
 /// Result of a threaded run.
 pub struct ThreadedResult<P> {
@@ -64,8 +64,8 @@ impl<P: RankProgram> ThreadedEngine<P> {
             };
         }
 
-        let (senders, receivers): (Vec<Sender<WirePacket>>, Vec<Receiver<WirePacket>>) =
-            (0..p).map(|_| unbounded()).unzip();
+        type Channel<M> = (Vec<Sender<WirePacket<M>>>, Vec<Receiver<WirePacket<M>>>);
+        let (senders, receivers): Channel<P::Msg> = (0..p).map(|_| unbounded()).unzip();
         let barrier = RoundBarrier::new(p);
         // Double-buffered activity flags indexed by round parity (see the
         // protocol note in `run_rank`).
@@ -214,13 +214,13 @@ impl Drop for BreakOnPanic<'_> {
 /// 4. drain the channel into the next inbox; read the global activity flag;
 ///    exit if no rank was active and nothing was sent.
 #[allow(clippy::too_many_arguments)]
-#[expect(clippy::expect_used, reason = "undecodable own bundle or dead peer")]
+#[expect(clippy::expect_used, reason = "a dead peer")]
 fn run_rank<P: RankProgram>(
     rank: Rank,
     num_ranks: Rank,
     mut program: P,
-    receiver: Receiver<WirePacket>,
-    senders: Vec<Sender<WirePacket>>,
+    receiver: Receiver<WirePacket<P::Msg>>,
+    senders: Vec<Sender<WirePacket<P::Msg>>>,
     barrier: &RoundBarrier,
     activity: &[AtomicBool; 2],
     cap_hit: &AtomicBool,
@@ -238,7 +238,7 @@ fn run_rank<P: RankProgram>(
         recorder.clone(),
     ));
     let _break_on_panic = BreakOnPanic(barrier);
-    let mut inbox_raw: Vec<WirePacket> = Vec::new();
+    let mut inbox_raw: Vec<WirePacket<P::Msg>> = Vec::new();
     let mut seq: u64 = 0;
     let mut round: u64 = 0;
 
@@ -253,19 +253,19 @@ fn run_rank<P: RankProgram>(
         if inbox_raw.len() > 1 {
             inbox_raw.sort_unstable_by_key(|&(src, sq, _, _)| (src, sq));
         }
-        for (src, _, payload, logical) in inbox_raw.drain(..) {
-            step.deliver(&mut clock, src, (), payload, logical)
-                .expect("malformed bundle: WireMessage encode/decode mismatch");
+        for (src, _, msgs, bytes) in inbox_raw.drain(..) {
+            step.deliver(&mut clock, src, (), msgs, bytes);
         }
         let status = step.compute(&mut clock, &mut program);
 
         // 2. Send.
         let send_start = clock.now();
         let sent_any = step.produced() > 0;
-        for (packet, ()) in step.drain(&mut clock) {
+        for (parcel, ()) in step.drain(&mut clock) {
             seq += 1;
-            senders[packet.dst as usize]
-                .send((rank, seq, packet.payload, packet.logical))
+            senders[parcel.dst as usize]
+                .send((rank, seq, parcel.msgs, parcel.bytes))
+                .map_err(drop)
                 .expect("receiver dropped");
         }
         if sent_any {
@@ -375,7 +375,7 @@ mod tests {
         // p ranks × (p−1) messages, bundled into (p−1) packets each.
         assert_eq!(result.stats.total_messages(), (p * (p - 1)) as u64);
         assert_eq!(result.stats.total_packets(), (p * (p - 1)) as u64);
-        // Everything sent over the channels was received and decoded.
+        // Everything sent over the channels was received.
         result.stats.assert_conservation();
     }
 

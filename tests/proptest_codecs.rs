@@ -1,12 +1,14 @@
 //! Property tests of the wire codecs: arbitrary message sequences must
-//! survive the encode → bundle → decode path bit-exactly, and corrupted
-//! bundles must be rejected rather than misparsed.
+//! survive the encode → bundle → decode path bit-exactly, a parcel's byte
+//! count must be what its encoding weighs on a wire, and corrupted bundles
+//! must be rejected rather than misparsed.
 
 use bytes::BytesMut;
 use cmg_coloring::ColorMsg;
 use cmg_matching::MatchMsg;
+use cmg_obs::RecorderHandle;
 use cmg_runtime::message::decode_all;
-use cmg_runtime::WireMessage;
+use cmg_runtime::{encode_snapshot, RankCtx, WireMessage};
 use cmg_serve::{RepairAck, ServeOp, ServeQuery, ServeReply};
 use proptest::prelude::*;
 
@@ -113,8 +115,48 @@ fn round_trip<M: WireMessage + PartialEq + std::fmt::Debug + Clone>(msgs: &[M]) 
     assert_eq!(&decoded, msgs);
 }
 
+/// The parcel one rank's sends to one peer close into: its `bytes` is
+/// Σ `encoded_len`, the encoding the net worker writes into a
+/// `RoundBundle` (`encode_snapshot`, messages back to back) is exactly
+/// that long, and decoding it gives back the messages.
+fn parcel_weighs_its_encoding<M: WireMessage + PartialEq + std::fmt::Debug>(msgs: &[M]) {
+    let mut ctx: RankCtx<M> = RankCtx::new(0, 2, true, RecorderHandle::noop());
+    for m in msgs {
+        ctx.send(1, m);
+    }
+    let (_, parcels) = ctx.end_round();
+    let Some(parcel) = parcels.first() else {
+        assert!(msgs.is_empty());
+        return;
+    };
+    assert_eq!(parcels.len(), 1);
+    assert_eq!(parcel.msgs, msgs);
+    let encoded_len: usize = msgs.iter().map(WireMessage::encoded_len).sum();
+    assert_eq!(parcel.bytes, encoded_len);
+    let mut wire = Vec::new();
+    encode_snapshot(&parcel.msgs, &mut wire);
+    assert_eq!(wire.len(), parcel.bytes);
+    let back: Vec<M> = decode_all(&wire[..]).expect("decodes");
+    assert_eq!(back, msgs);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn match_parcels_weigh_their_encoding(msgs in proptest::collection::vec(arb_match_msg(), 0..40)) {
+        parcel_weighs_its_encoding(&msgs);
+    }
+
+    #[test]
+    fn color_parcels_weigh_their_encoding(msgs in proptest::collection::vec(arb_color_msg(), 0..40)) {
+        parcel_weighs_its_encoding(&msgs);
+    }
+
+    #[test]
+    fn token_parcels_weigh_their_encoding(msgs in proptest::collection::vec(any::<u32>(), 0..40)) {
+        parcel_weighs_its_encoding(&msgs);
+    }
 
     #[test]
     fn match_msgs_round_trip(msgs in proptest::collection::vec(arb_match_msg(), 0..40)) {

@@ -2,7 +2,6 @@
 //! `tests/sweep.rs` and the named tests that each run a share of its small
 //! tier (`owner`, `check_small_tier`); `tests/sweep.rs` describes the sweep.
 
-use bytes::Bytes;
 use cmg_check::explore::schedule_fingerprint;
 use cmg_check::{oracles, ObservedMatching};
 use cmg_coloring::dist::ConflictScope;
@@ -488,7 +487,7 @@ fn run_local<P: Answer>(
         let restore = |q: P| {
             let mut bytes = Vec::new();
             encode_snapshot(&q.snapshot(), &mut bytes);
-            restore_encoded(q.meta(), Bytes::from(bytes)).expect("snapshot decodes")
+            restore_encoded(q.meta(), &bytes).expect("snapshot decodes")
         };
         programs = programs.into_iter().map(restore).collect();
     }
