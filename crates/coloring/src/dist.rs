@@ -257,6 +257,11 @@ pub trait ConflictScope: Sized + Send + Default {
         Self::default()
     }
 
+    /// Slots of the forbidden-colour stamps: one past every colour
+    /// [`Self::pick_color`] can pick, so a colour above them forbids
+    /// nothing it could choose.
+    fn forbidden_len(dg: &DistGraph) -> usize;
+
     /// Picks a permissible color for owned vertex `v`, charging one work
     /// unit per adjacency entry scanned.
     fn pick_color(p: &mut DistColoring<Self>, v: u32, ctx: &mut RankCtx<ColorMsg>) -> u32;
@@ -394,7 +399,7 @@ impl<S: ConflictScope> DistColoring<S> {
             &self.dg.neighbor_ranks,
         );
         self.color = vec![UNCOLORED; n_total];
-        self.forbidden = vec![u64::MAX; n_total + 2];
+        self.forbidden = vec![u64::MAX; S::forbidden_len(&self.dg)];
         self.scope = S::new(&self.dg);
     }
 
@@ -734,6 +739,11 @@ fn owned_where(dg: &DistGraph, boundary: bool) -> impl Iterator<Item = u32> + '_
 pub struct Distance1;
 
 impl ConflictScope for Distance1 {
+    /// First-fit over `deg(v)` neighbours picks at most `deg(v)`.
+    fn forbidden_len(dg: &DistGraph) -> usize {
+        dg.max_degree() + 2
+    }
+
     fn pick_color(p: &mut DistColoring<Self>, v: u32, ctx: &mut RankCtx<ColorMsg>) -> u32 {
         p.stamp += 1;
         let deg = p.dg.degree(v);
@@ -830,6 +840,11 @@ impl ConflictScope for Distance2 {
         }
     }
 
+    /// Two-hop colours and learned bans range past any one row.
+    fn forbidden_len(dg: &DistGraph) -> usize {
+        dg.n_total() + 2
+    }
+
     /// Forbids distance-1 colors, distance-2 colors visible through
     /// *owned* middles, and the learned bans.
     fn pick_color(p: &mut DistColoring<Self>, v: u32, ctx: &mut RankCtx<ColorMsg>) -> u32 {
@@ -918,7 +933,7 @@ impl ConflictScope for Distance2 {
         }
 
         for m in 0..p.dg.n_local {
-            let (lo, hi) = (p.dg.xadj[m], p.dg.xadj[m + 1]);
+            let std::ops::Range { start: lo, end: hi } = p.dg.row(m as u32);
             // Skip middles with no dirty neighbor (cheap scan).
             let any_dirty = p.dg.adj[lo..hi].iter().any(|&u| dirty_mark[u as usize]);
             ctx.charge((hi - lo) as u64);

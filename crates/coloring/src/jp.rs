@@ -128,7 +128,8 @@ impl JonesPlassmann {
             .collect();
         self.color = vec![UNCOLORED; n_total];
         self.pending = (0..self.dg.n_local as u32).collect();
-        self.forbidden = vec![u64::MAX; n_total + 2];
+        // First-fit over `deg(v)` neighbours picks at most `deg(v)`.
+        self.forbidden = vec![u64::MAX; self.dg.max_degree() + 2];
         self.exchange = NeighborExchange::new(
             FanoutScheme::Neighbor,
             self.dg.rank,

@@ -190,17 +190,19 @@ fn first_step_builds_the_index_once() {
     // shared header), plus the `programs` vector. A halo view adds 3 per
     // rank (its lists); building the index twice makes it ≥ 25.
     assert!(calls <= 21 * ranks + 1, "{calls} calls for {ranks} ranks");
-    // Measured 28.0 on 4,096 ranks of 256 vertices:
+    // Measured 18.2 on 4,096 ranks of 256 vertices:
     // - priorities, a `u64` per local index: 10 B;
-    // - forbidden stamps, a `u64` per local index: 10;
+    // - forbidden stamps, a `u64` per colour first-fit can pick (max
+    //   owned degree + 2 = 6 a rank): ≈ 0.2;
     // - colours, a `u32` per local index: 5;
     // - the boundary work list: ≈ 0.9;
     // - program headers, the exchange's neighbour list and stamps and
     //   the contexts' bundle tables: ≈ 2.0.
-    // A halo view adds ≈ 4 (it measured 35.3 with one that also listed
-    // the interior). Fan-out tables sized by the run (a `u32` stamp and
-    // a FIAC flag per rank) would add 80.
-    assert!(per_vertex < 29.0, "{per_vertex:.1} B per owned vertex");
+    // Stamps per local index add ≈ 10 (it measured 28.0 with them). A
+    // halo view adds ≈ 4 (35.3 with one that also listed the interior).
+    // Fan-out tables sized by the run (a `u32` stamp and a FIAC flag per
+    // rank) would add 80.
+    assert!(per_vertex < 19.2, "{per_vertex:.1} B per owned vertex");
 }
 
 #[test]

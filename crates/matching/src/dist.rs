@@ -159,9 +159,11 @@ pub struct DistMatching {
     ptr: Vec<u32>,
     /// Availability per local index (owned + ghost).
     state: Vec<VState>,
-    /// Mate (global id) per owned vertex; `NO_VERTEX` while unmatched.
-    mate: Vec<VertexId>,
     /// Candidate mate (local index) per owned vertex; `NONE` if exhausted.
+    /// It stops moving once the vertex leaves `Free`, so a `Matched`
+    /// vertex's candidate is its mate: `match_pair(v, c)` runs only when
+    /// `candidate[v] == c` (and, `c` owned, `candidate[c] == v`), and the
+    /// cursor `ptr` stays on that entry of the row.
     candidate: Vec<u32>,
     /// Pending remote proposals (requester local indices): boundary
     /// vertex `halo.boundary[s]` has the `NONE`-padded slots
@@ -171,7 +173,10 @@ pub struct DistMatching {
     proposals: Vec<u32>,
     /// Halo structure: the ghost reverse cross-adjacency lives here.
     halo: HaloView,
-    /// Inner-loop queue of newly unavailable local indices.
+    /// Inner-loop queue of newly unavailable local indices. A matched
+    /// pair takes one entry, the owned vertex `v` of `match_pair(v, c)`;
+    /// the drain scans `v`'s row and then its mate's, the order in which
+    /// two back-to-back entries would be popped.
     queue: VecDeque<u32>,
     /// Messages sent this round, by type (observability only).
     counts: RoundCounts,
@@ -186,7 +191,6 @@ impl DistMatching {
             dg,
             ptr: Vec::new(),
             state: Vec::new(),
-            mate: Vec::new(),
             candidate: Vec::new(),
             proposal_x: Vec::new(),
             proposals: Vec::new(),
@@ -206,7 +210,6 @@ impl DistMatching {
         self.halo = HaloView::build(&self.dg);
         self.ptr = vec![0; n_local];
         self.state = vec![VState::Free; self.dg.n_total()];
-        self.mate = vec![NO_VERTEX; n_local];
         self.candidate = vec![NONE; n_local];
         let mut end = 0;
         let ends = self.halo.boundary.iter().map(|&v| {
@@ -230,13 +233,24 @@ impl DistMatching {
         });
     }
 
+    /// Mate (local index) of owned vertex `v`: its candidate once it is
+    /// `Matched`; `None` while it is free or failed, and on a
+    /// never-started rank.
+    fn mate_local(&self, v: usize) -> Option<u32> {
+        let matched = v < self.dg.n_local && self.state.get(v) == Some(&VState::Matched);
+        matched.then(|| self.candidate[v])
+    }
+
+    /// Mate (global id) of owned vertex `v`; `NO_VERTEX` while unmatched.
+    fn mate(&self, v: usize) -> VertexId {
+        self.mate_local(v)
+            .map_or(NO_VERTEX, |m| self.dg.global_ids[m as usize])
+    }
+
     /// Final mates of the owned vertices, as `(global vertex, global mate)`
     /// pairs (`NO_VERTEX` mate = unmatched, as on a never-started rank).
     pub fn local_mates(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        (0..self.dg.n_local).map(|v| {
-            let m = self.mate.get(v).copied().unwrap_or(NO_VERTEX);
-            (self.dg.global_ids[v], m)
-        })
+        (0..self.dg.n_local).map(|v| (self.dg.global_ids[v], self.mate(v)))
     }
 
     /// Access to the underlying distributed graph.
@@ -259,17 +273,11 @@ impl DistMatching {
     /// weight without materializing the global graph.
     pub fn local_matched_weight(&self) -> Weight {
         let mut total = 0.0;
-        for (v, &m) in self.mate.iter().enumerate() {
-            let vg = self.dg.global_ids[v];
-            if m != NO_VERTEX && vg < m {
-                // A mate is always a neighbor (the protocol only ever
-                // matches across an adjacency entry): find it in the row
-                // by global id, no lookup needed.
-                let mut row = self.dg.neighbors_weighted(v as u32);
-                if let Some((_, w)) = row.find(|&(u, _)| self.dg.global_ids[u as usize] == m) {
-                    total += w;
-                }
-            }
+        for v in self.counted_matches() {
+            // The cursor still marks the mate's entry of the row: the
+            // edge's weight, no search.
+            let at = self.dg.row(v as u32).start + self.ptr[v] as usize;
+            total += self.dg.weight_at(at);
         }
         total
     }
@@ -277,11 +285,16 @@ impl DistMatching {
     /// This rank's contribution to the global matching cardinality
     /// (counted like [`Self::local_matched_weight`]).
     pub fn local_matched_edges(&self) -> usize {
-        self.mate
-            .iter()
-            .enumerate()
-            .filter(|&(v, &m)| m != NO_VERTEX && self.dg.global_ids[v] < m)
-            .count()
+        self.counted_matches().count()
+    }
+
+    /// The owned vertices, ascending, that count their matched edge
+    /// here: those whose global id is below their mate's.
+    fn counted_matches(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.dg.n_local).filter(|&v| {
+            self.mate_local(v)
+                .is_some_and(|m| self.dg.global_ids[v] < self.dg.global_ids[m as usize])
+        })
     }
 
     /// The range of `proposals` holding owned vertex `v`'s slots, found
@@ -299,8 +312,10 @@ impl DistMatching {
     /// reverse cross-adjacency), at most once: anything else is dropped.
     fn store_proposal(&mut self, v: u32, u: u32) {
         let gi = u as usize - self.dg.n_local;
-        let (lo, hi) = (self.halo.ghost_adj_x[gi], self.halo.ghost_adj_x[gi + 1]);
-        if self.halo.ghost_adj[lo..hi].binary_search(&v).is_ok() {
+        if self.halo.ghost_adj[self.halo.ghost_row(gi)]
+            .binary_search(&v)
+            .is_ok()
+        {
             let range = self.slots(v);
             let slots = &mut self.proposals[range];
             if let Some(at) = slots.iter().position(|&r| r == NONE || r == u) {
@@ -318,7 +333,7 @@ impl DistMatching {
     /// Advances `v`'s pointer past unavailable neighbors; returns the new
     /// candidate (local index) or `NONE`.
     fn advance(&mut self, v: u32, ctx: &mut RankCtx<MatchMsg>) -> u32 {
-        let (lo, hi) = (self.dg.xadj[v as usize], self.dg.xadj[v as usize + 1]);
+        let std::ops::Range { start: lo, end: hi } = self.dg.row(v);
         let mut at = lo + self.ptr[v as usize] as usize;
         let mut steps = 1u64;
         while at < hi && self.state[self.dg.adj[at] as usize] != VState::Free {
@@ -366,19 +381,19 @@ impl DistMatching {
         }
     }
 
-    /// Matches owned vertex `v` with local index `c` (owned or ghost).
+    /// Matches owned vertex `v` with its candidate `c` (owned or ghost),
+    /// queueing the pair as the one entry `v`.
     fn match_pair(&mut self, v: u32, c: u32, ctx: &mut RankCtx<MatchMsg>) {
         debug_assert_eq!(self.state[v as usize], VState::Free);
         debug_assert_eq!(self.state[c as usize], VState::Free);
+        debug_assert_eq!(self.candidate[v as usize], c);
         self.state[v as usize] = VState::Matched;
         self.state[c as usize] = VState::Matched;
-        self.mate[v as usize] = self.dg.global_ids[c as usize];
         self.clear_proposals(v);
         self.announce_matched(v, c, ctx);
         self.queue.push_back(v);
-        self.queue.push_back(c);
         if !self.dg.is_ghost(c) {
-            self.mate[c as usize] = self.dg.global_ids[v as usize];
+            debug_assert_eq!(self.candidate[c as usize], v);
             self.clear_proposals(c);
             self.announce_matched(c, v, ctx);
         }
@@ -392,7 +407,7 @@ impl DistMatching {
             return;
         }
         let vg = self.dg.global_ids[v as usize];
-        for i in self.dg.xadj[v as usize]..self.dg.xadj[v as usize + 1] {
+        for i in self.dg.row(v) {
             let u = self.dg.adj[i];
             if u != m && self.dg.is_ghost(u) && self.state[u as usize] == VState::Free {
                 ctx.charge(1);
@@ -418,7 +433,7 @@ impl DistMatching {
             return;
         }
         let vg = self.dg.global_ids[v as usize];
-        for i in self.dg.xadj[v as usize]..self.dg.xadj[v as usize + 1] {
+        for i in self.dg.row(v) {
             let u = self.dg.adj[i];
             if self.dg.is_ghost(u) && self.state[u as usize] == VState::Free {
                 ctx.charge(1);
@@ -440,28 +455,36 @@ impl DistMatching {
     /// bundles).
     fn drain_queue(&mut self, ctx: &mut RankCtx<MatchMsg>) {
         while let Some(x) = self.queue.pop_front() {
-            let n_local = self.dg.n_local;
-            if (x as usize) < n_local {
-                let (lo, hi) = (self.dg.xadj[x as usize], self.dg.xadj[x as usize + 1]);
-                for i in lo..hi {
-                    let w = self.dg.adj[i];
-                    ctx.charge(1);
-                    if (w as usize) < n_local
-                        && self.state[w as usize] == VState::Free
-                        && self.candidate[w as usize] == x
-                    {
-                        self.recompute(w, ctx);
-                    }
+            self.release(x, ctx);
+            // An owned matched entry stands for its pair.
+            if let Some(m) = self.mate_local(x as usize) {
+                self.release(m, ctx);
+            }
+        }
+    }
+
+    /// Recomputes the candidates of the free owned neighbours of local
+    /// index `x`, which has just become unavailable, that pointed at it.
+    fn release(&mut self, x: u32, ctx: &mut RankCtx<MatchMsg>) {
+        let n_local = self.dg.n_local;
+        if (x as usize) < n_local {
+            for i in self.dg.row(x) {
+                let w = self.dg.adj[i];
+                ctx.charge(1);
+                if (w as usize) < n_local
+                    && self.state[w as usize] == VState::Free
+                    && self.candidate[w as usize] == x
+                {
+                    self.recompute(w, ctx);
                 }
-            } else {
-                let gi = x as usize - n_local;
-                let (lo, hi) = (self.halo.ghost_adj_x[gi], self.halo.ghost_adj_x[gi + 1]);
-                for i in lo..hi {
-                    let w = self.halo.ghost_adj[i];
-                    ctx.charge(1);
-                    if self.state[w as usize] == VState::Free && self.candidate[w as usize] == x {
-                        self.recompute(w, ctx);
-                    }
+            }
+        } else {
+            let gi = x as usize - n_local;
+            for i in self.halo.ghost_row(gi) {
+                let w = self.halo.ghost_adj[i];
+                ctx.charge(1);
+                if self.state[w as usize] == VState::Free && self.candidate[w as usize] == x {
+                    self.recompute(w, ctx);
                 }
             }
         }
@@ -489,10 +512,12 @@ impl DistMatching {
                 }
             }
             MatchMsg::Succeeded { from, to: _ } | MatchMsg::Failed { from, to: _ } => {
-                let Some(u) = self.dg.local(from) else {
+                // In a valid run `from` is a ghost here: drop anything
+                // else (an owned vertex marked `Matched` this way would
+                // have no mate for the drain to scan).
+                let Some(u) = self.dg.local(from).filter(|&u| self.dg.is_ghost(u)) else {
                     return;
                 };
-                debug_assert!(self.dg.is_ghost(u));
                 if self.state[u as usize] == VState::Free {
                     self.state[u as usize] = match msg {
                         MatchMsg::Succeeded { .. } => VState::Matched,
@@ -518,9 +543,9 @@ impl RankProgram for DistMatching {
         // `ptr` has one cursor per owned vertex once the index is built.
         for v in 0..self.ptr.len() {
             recs.push(MatchSnap::Vertex {
-                ptr: (self.dg.xadj[v] + self.ptr[v] as usize) as u64,
+                ptr: (self.dg.row(v as u32).start + self.ptr[v] as usize) as u64,
                 state: self.state[v].to_u8(),
-                mate: self.mate[v],
+                mate: self.mate(v),
                 candidate: self.candidate[v],
             });
         }
@@ -538,8 +563,12 @@ impl RankProgram for DistMatching {
                 .take_while(|&&r| r != NONE);
             recs.extend(pending.map(|&requester| MatchSnap::Proposal { v, requester }));
         }
+        // A matched pair is written as the two entries it stands for.
         for &idx in &self.queue {
             recs.push(MatchSnap::Queued { idx });
+            if let Some(m) = self.mate_local(idx as usize) {
+                recs.push(MatchSnap::Queued { idx: m });
+            }
         }
         let c = self.counts;
         if c.requests != 0 || c.succeeded != 0 || c.failed != 0 {
@@ -553,11 +582,14 @@ impl RankProgram for DistMatching {
     }
 
     /// Builds the index itself (a resumed rank gets no `on_start`), then
-    /// applies the records; an empty snapshot gives a fresh rank.
+    /// applies the records; an empty snapshot gives a fresh rank. A
+    /// record's `mate` is derived from its state and candidate, so it is
+    /// not read back; a queued pair's second entry folds into its first.
     fn restore(meta: DistGraph, snap: Vec<MatchSnap>) -> Self {
         let mut p = DistMatching::new(meta);
         p.build_index();
         let mut next_vertex = 0usize;
+        let mut partner = None;
         for rec in snap {
             match rec {
                 MatchSnap::Vertex {
@@ -568,14 +600,19 @@ impl RankProgram for DistMatching {
                 } => {
                     let v = next_vertex;
                     next_vertex += 1;
-                    p.ptr[v] = (ptr as usize).saturating_sub(p.dg.xadj[v]) as u32;
+                    p.ptr[v] = (ptr as usize).saturating_sub(p.dg.row(v as u32).start) as u32;
                     p.state[v] = VState::from_u8(state);
-                    p.mate[v] = mate;
                     p.candidate[v] = candidate;
+                    debug_assert_eq!(mate, p.mate(v), "vertex {v}: mate is not the candidate");
                 }
                 MatchSnap::Ghost { idx, state } => p.state[idx as usize] = VState::from_u8(state),
                 MatchSnap::Proposal { v, requester } => p.store_proposal(v, requester),
-                MatchSnap::Queued { idx } => p.queue.push_back(idx),
+                MatchSnap::Queued { idx } => {
+                    if partner.take() != Some(idx) {
+                        p.queue.push_back(idx);
+                        partner = p.mate_local(idx as usize);
+                    }
+                }
                 MatchSnap::Counts {
                     requests,
                     succeeded,
@@ -956,7 +993,9 @@ mod tests {
     /// Requests no valid run sends — from a ghost that is not the
     /// addressee's neighbour, from an owned vertex, to a ghost, and a
     /// repeat — are dropped without touching any vertex's proposal
-    /// slots, the neighbouring vertex's pending proposal included.
+    /// slots, the neighbouring vertex's pending proposal included; so are
+    /// notices that name an owned vertex as their sender, which would
+    /// otherwise mark it matched with no mate.
     #[test]
     fn hostile_requests_are_dropped() {
         // Rank 0 owns 0, 1, 2; rank 1 owns 3, 4, 5. Vertices 0 and 1
@@ -1006,9 +1045,13 @@ mod tests {
             MatchMsg::Request { from: 3, to: 4 },
             // Ghost 5's proposal to vertex 1 is already pending.
             MatchMsg::Request { from: 5, to: 1 },
+            // Vertices 2 and 0 are owned here.
+            MatchMsg::Succeeded { from: 2, to: 0 },
+            MatchMsg::Failed { from: 0, to: 1 },
         ] {
             prog.handle(hostile, &mut ctx);
             assert_eq!(prog.snapshot(), before, "{hostile:?} changed the state");
+            assert!(prog.queue.is_empty(), "{hostile:?} queued {:?}", prog.queue);
         }
         // Vertex 0's two slots stay empty; vertex 1's hold ghost 5 once.
         assert_eq!(prog.proposal_x, [0, 2, 5]);

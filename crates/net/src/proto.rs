@@ -102,17 +102,26 @@ fn take_array<T, const W: usize>(
     what: &str,
     value: impl Fn([u8; W]) -> T,
 ) -> Result<Vec<T>, NetError> {
+    try_take_array(buf, what, |w| Ok(value(w)))
+}
+
+/// [`take_array`] for words that may not map to a value: the first
+/// that does not is the error.
+fn try_take_array<T, const W: usize>(
+    buf: &mut &[u8],
+    what: &str,
+    value: impl Fn([u8; W]) -> Result<T, NetError>,
+) -> Result<Vec<T>, NetError> {
     let n = take_len(buf, W, what)?;
     let (words, rest) = buf.split_at(W * n);
     *buf = rest;
+    let mut out = Vec::with_capacity(n);
     let mut le = [0; W];
-    Ok(words
-        .chunks_exact(W)
-        .map(|w| {
-            le.copy_from_slice(w);
-            value(le)
-        })
-        .collect())
+    for w in words.chunks_exact(W) {
+        le.copy_from_slice(w);
+        out.push(value(le)?);
+    }
+    Ok(out)
 }
 
 /// Everything a worker needs to run its rank: the partition slice, the
@@ -333,7 +342,9 @@ fn encode_assignment_into(
     out.put_u32_le(dg.rank);
     out.put_u32_le(dg.num_ranks);
     out.put_u64_le(dg.n_local as u64);
-    put_array(out, &dg.xadj, |x| (x as u64).to_le_bytes());
+    // The wire keeps 8-byte offsets (a layout `PROTO_VERSION` pins);
+    // `decode_assignment` range-checks them back into `u32`s.
+    put_array(out, &dg.xadj, |x| u64::from(x).to_le_bytes());
     put_array(out, &dg.adj, u32::to_le_bytes);
     put_array(out, &dg.weights, f64::to_le_bytes);
     put_array(out, &dg.global_ids, u32::to_le_bytes);
@@ -362,7 +373,11 @@ pub fn decode_assignment(mut buf: &[u8]) -> Result<Assignment, NetError> {
     let rank = take_u32(buf, "rank")?;
     let num_ranks = take_u32(buf, "num_ranks")?;
     let n_local = take_u64(buf, "n_local")? as usize;
-    let xadj = take_array(buf, "xadj", |w| u64::from_le_bytes(w) as usize)?;
+    let xadj = try_take_array(buf, "xadj", |w| {
+        let x = u64::from_le_bytes(w);
+        u32::try_from(x)
+            .map_err(|_| NetError::protocol(format!("xadj offset {x} is past u32::MAX")))
+    })?;
     let adj = take_array(buf, "adj", u32::from_le_bytes)?;
     let weights = take_array(buf, "weights", f64::from_le_bytes)?;
     let global_ids = take_array(buf, "global_ids", u32::from_le_bytes)?;
@@ -945,6 +960,41 @@ mod tests {
                 other => panic!("row {i} ({what}): {other:?}"),
             }
         }
+    }
+
+    /// The wire keeps 8-byte offsets; the slice holds `u32` ones. An
+    /// offset a `u32` cannot hold is refused typed, naming the field;
+    /// `u32::MAX` itself converts and fails the slice's own check.
+    #[test]
+    fn offsets_past_u32_are_protocol_errors() {
+        let a = Assignment {
+            dg: sample_dist_graph(),
+            task: NetTask::Matching,
+            opts: RunOptions::default(),
+            resume: None,
+        };
+        let valid = encode_assignment(&a);
+        // rank, num_ranks, n_local, then the xadj length and entries.
+        let at = |i: usize| 24 + 8 * i;
+        let last = a.dg.n_local;
+        let big = u64::from(u32::MAX) + 1;
+        let rows: [(usize, u64, &str); 4] = [
+            (last, big, "xadj offset 4294967296 is past u32::MAX"),
+            (last, u64::MAX, "is past u32::MAX"),
+            (1, big, "is past u32::MAX"),
+            (last, u64::from(u32::MAX), "xadj does not rise"),
+        ];
+        for (i, value, want) in rows {
+            let mut bytes = valid.clone();
+            bytes[at(i)..at(i) + 8].copy_from_slice(&value.to_le_bytes());
+            match decode_assignment(&bytes) {
+                Err(NetError::Protocol { detail }) => {
+                    assert!(detail.contains(want), "xadj[{i}] = {value}: {detail}");
+                }
+                other => panic!("xadj[{i}] = {value}: {other:?}"),
+            }
+        }
+        assert_eq!(decode_assignment(&valid).unwrap(), a);
     }
 
     #[test]

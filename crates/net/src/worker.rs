@@ -238,10 +238,11 @@ struct Transport {
     rx: Receiver<Incoming>,
     sup: Arc<Mutex<LinkWriter<UnixStream>>>,
     /// Packets awaiting delivery as `(src, bytes, logical)`, keyed by the
-    /// round they were *sent* in (delivered one round later). Self-sends
-    /// land here directly, encoded like a peer's, so a checkpoint carries
+    /// round they were *sent* in (delivered one round later). A peer's
+    /// packet is a window of the frame it arrived in; self-sends land
+    /// here directly, encoded like a peer's, so a checkpoint carries
     /// every undelivered packet in one form.
-    pending: BTreeMap<u64, Vec<(u32, Vec<u8>, u32)>>,
+    pending: BTreeMap<u64, Vec<(u32, Bytes, u32)>>,
     /// The round edge: counts peers' [`Ctrl::RoundDone`] announcements
     /// per round (phase = round).
     wave: DoneWave,
@@ -550,7 +551,7 @@ impl Transport {
                 slot.extend(group.map(|p| {
                     let mut bytes = Vec::new();
                     encode_snapshot(&p.msgs, &mut bytes);
-                    (rank, bytes, p.logical())
+                    (rank, Bytes::from(bytes), p.logical())
                 }));
                 continue;
             }
@@ -646,7 +647,7 @@ impl Transport {
                         round,
                         packets
                             .iter()
-                            .map(|(src, payload, logical)| (*src, *logical, payload.clone()))
+                            .map(|(src, payload, logical)| (*src, *logical, payload.to_vec()))
                             .collect(),
                     )
                 })
@@ -697,7 +698,9 @@ impl Transport {
                     *round,
                     packets
                         .iter()
-                        .map(|(src, logical, payload)| (*src, payload.clone(), *logical))
+                        .map(|(src, logical, payload)| {
+                            (*src, Bytes::from(payload.clone()), *logical)
+                        })
                         .collect(),
                 )
             })
@@ -780,12 +783,13 @@ fn process_cpu_micros() -> u64 {
 /// round traffic. Bytes that are not `logical` whole messages are a
 /// protocol error, refused before the step sees them, so its counters and
 /// inbox stay as they were.
-fn deliver_packet<P: RankProgram>(
+fn deliver_packet<P: RankProgram, B: AsRef<[u8]>>(
     step: &mut RankStep<P>,
     clock: &mut WallClock,
-    (src, payload, logical): (u32, Vec<u8>, u32),
+    (src, payload, logical): (u32, B, u32),
 ) -> Result<(), NetError> {
-    match decode_all(&payload[..]) {
+    let payload = payload.as_ref();
+    match decode_all(payload) {
         Some(msgs) if msgs.len() == logical as usize => {
             step.deliver(clock, src, (), msgs, payload.len());
             Ok(())
@@ -797,8 +801,9 @@ fn deliver_packet<P: RankProgram>(
 }
 
 /// Splits a `RoundBundle` payload into its `npackets` packets, each
-/// `[u32 logical][u32 len][len bytes]`.
-fn parse_bundle(payload: &[u8], npackets: u32) -> Result<Vec<(Vec<u8>, u32)>, NetError> {
+/// `[u32 logical][u32 len][len bytes]`, as windows of the payload's
+/// buffer: no packet is copied before its delivery decodes it.
+fn parse_bundle(payload: &Bytes, npackets: u32) -> Result<Vec<(Bytes, u32)>, NetError> {
     let mut buf: &[u8] = payload;
     let mut out = Vec::with_capacity(npackets as usize);
     for _ in 0..npackets {
@@ -814,7 +819,8 @@ fn parse_bundle(payload: &[u8], npackets: u32) -> Result<Vec<(Vec<u8>, u32)>, Ne
                 buf.len()
             )));
         }
-        out.push((buf[..len].to_vec(), logical));
+        let at = payload.len() - buf.len();
+        out.push((payload.slice(at..at + len), logical));
         buf = &buf[len..];
     }
     if !buf.is_empty() {
@@ -1741,25 +1747,43 @@ mod tests {
             payload.put_u32_le(bytes.len() as u32);
             payload.put_slice(bytes);
         }
-        let got = parse_bundle(&payload, packets.len() as u32).unwrap();
+        let got = parse_bundle(&Bytes::from(payload), packets.len() as u32).unwrap();
+        let got: Vec<(Vec<u8>, u32)> = got.into_iter().map(|(b, l)| (b.to_vec(), l)).collect();
         assert_eq!(got, packets);
+    }
+
+    #[test]
+    fn parsed_packets_share_the_frame_buffer() {
+        let mut payload = Vec::new();
+        for (bytes, logical) in [(&[1u8, 2, 3][..], 2u32), (&[4u8; 9][..], 3)] {
+            payload.put_u32_le(logical);
+            payload.put_u32_le(bytes.len() as u32);
+            payload.put_slice(bytes);
+        }
+        let frame = Bytes::from(payload);
+        let got = parse_bundle(&frame, 2).unwrap();
+        // Each packet starts where its bytes sit in the frame.
+        for (packet, at) in got.iter().zip([8, 19]) {
+            assert_eq!(packet.0.as_ptr(), frame[at..].as_ptr());
+        }
+        assert_eq!((&got[1].0[..], got[1].1), (&[4u8; 9][..], 3));
     }
 
     #[test]
     fn malformed_bundles_are_protocol_errors() {
         // Truncated header.
-        assert!(parse_bundle(&[0u8; 4], 1).is_err());
+        assert!(parse_bundle(&Bytes::from(vec![0u8; 4]), 1).is_err());
         // Length beyond the payload.
         let mut payload = Vec::new();
         payload.put_u32_le(1);
         payload.put_u32_le(100);
-        assert!(parse_bundle(&payload, 1).is_err());
+        assert!(parse_bundle(&Bytes::from(payload), 1).is_err());
         // Trailing garbage.
         let mut payload = Vec::new();
         payload.put_u32_le(1);
         payload.put_u32_le(0);
         payload.put_u8(7);
-        assert!(parse_bundle(&payload, 1).is_err());
+        assert!(parse_bundle(&Bytes::from(payload), 1).is_err());
     }
 
     /// Sends nothing; records every inbox it is handed.

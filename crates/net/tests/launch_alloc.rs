@@ -153,7 +153,7 @@ fn receiving_an_assignment_allocates_a_body_and_one_buffer_per_array() {
     println!("decode: allocations {sizes:?}");
     let dg = &a.dg;
     let arrays = [
-        8 * dg.xadj.len(),
+        4 * dg.xadj.len(),
         4 * dg.adj.len(),
         8 * dg.weights.len(),
         4 * dg.global_ids.len(),

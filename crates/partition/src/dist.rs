@@ -27,6 +27,7 @@
 use crate::Partition;
 use cmg_graph::util::FxHashMap;
 use cmg_graph::{CsrGraph, VertexId, Weight};
+use std::ops::Range;
 
 /// A rank (re-declared locally to avoid a dependency on `cmg-runtime`;
 /// the numeric type matches `cmg_runtime::Rank`).
@@ -41,8 +42,10 @@ pub struct DistGraph {
     pub num_ranks: Rank,
     /// Number of owned (local) vertices.
     pub n_local: usize,
-    /// CSR offsets over owned vertices (length `n_local + 1`).
-    pub xadj: Vec<usize>,
+    /// CSR offsets over owned vertices (length `n_local + 1`), `u32`
+    /// like the local indices in `adj`: a slice holds at most
+    /// `u32::MAX` adjacency entries.
+    pub xadj: Vec<u32>,
     /// Adjacency in *local indices* (owned or ghost).
     pub adj: Vec<u32>,
     /// Edge weights parallel to `adj` (empty if the global graph is
@@ -83,7 +86,8 @@ impl DistGraph {
     /// (the paper assumes "the input graph is pre-distributed").
     ///
     /// # Panics
-    /// Panics if graph and partition disagree on the vertex count.
+    /// Panics if graph and partition disagree on the vertex count, or if
+    /// a rank's rows hold more than `u32::MAX` entries.
     pub fn build_all(g: &CsrGraph, partition: &Partition) -> Vec<DistGraph> {
         assert_eq!(g.num_vertices(), partition.num_vertices());
         let p = partition.num_parts();
@@ -115,6 +119,10 @@ impl DistGraph {
     ) -> DistGraph {
         let n_local = owned.len();
         let nnz: usize = owned.iter().map(|&v| g.degree(v)).sum();
+        assert!(
+            u32::try_from(nnz).is_ok(),
+            "rank {rank} holds {nnz} adjacency entries, past u32 offsets"
+        );
         let mut global_ids: Vec<VertexId> = owned.to_vec();
         let mut ghost_owner: Vec<Rank> = Vec::new();
         // Only a cut edge pays for a probe, into a table the size of the
@@ -124,7 +132,7 @@ impl DistGraph {
         // One pass over the owned adjacency: owned neighbors translate
         // by index, ghosts are numbered in the order they are first met.
         let mut xadj = Vec::with_capacity(n_local + 1);
-        xadj.push(0usize);
+        xadj.push(0u32);
         let mut adj = Vec::with_capacity(nnz);
         let mut weights = Vec::with_capacity(if g.is_weighted() { nnz } else { 0 });
         let mut is_boundary = vec![false; n_local];
@@ -143,7 +151,7 @@ impl DistGraph {
                 });
             }
             weights.extend_from_slice(g.neighbor_weights(v));
-            xadj.push(adj.len());
+            xadj.push(adj.len() as u32);
         }
         debug_assert!(strictly_ascending(owned));
 
@@ -174,7 +182,7 @@ impl DistGraph {
         rank: Rank,
         num_ranks: Rank,
         n_local: usize,
-        xadj: Vec<usize>,
+        xadj: Vec<u32>,
         adj: Vec<u32>,
         weights: Vec<Weight>,
         global_ids: Vec<VertexId>,
@@ -197,7 +205,7 @@ impl DistGraph {
         );
         let m = adj.len();
         ensure!(
-            xadj[0] == 0 && xadj[n_local] == m && xadj.windows(2).all(|w| w[0] <= w[1]),
+            xadj[0] == 0 && xadj[n_local] as usize == m && xadj.windows(2).all(|w| w[0] <= w[1]),
             "xadj does not rise from 0 to the {m} adjacency entries"
         );
         let (n_total, n_ghost) = (global_ids.len(), ghost_owner.len());
@@ -221,7 +229,7 @@ impl DistGraph {
         );
         ensure!(
             (0..n_local).all(|v| is_boundary[v]
-                == adj[xadj[v]..xadj[v + 1]]
+                == adj[xadj[v] as usize..xadj[v + 1] as usize]
                     .iter()
                     .any(|&u| u as usize >= n_local)),
             "a boundary flag disagrees with its row"
@@ -305,25 +313,47 @@ impl DistGraph {
         }
     }
 
+    /// Positions of owned vertex `v`'s row in `adj` (and `weights`).
+    #[inline]
+    pub fn row(&self, v: u32) -> Range<usize> {
+        self.xadj[v as usize] as usize..self.xadj[v as usize + 1] as usize
+    }
+
     /// Degree of owned vertex `v`.
     #[inline]
     pub fn degree(&self, v: u32) -> usize {
-        self.xadj[v as usize + 1] - self.xadj[v as usize]
+        (self.xadj[v as usize + 1] - self.xadj[v as usize]) as usize
+    }
+
+    /// Largest degree of an owned vertex (0 on a rank that owns none).
+    pub fn max_degree(&self) -> usize {
+        self.xadj
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Neighbors (local indices) of owned vertex `v`.
     #[inline]
     pub fn neighbors(&self, v: u32) -> &[u32] {
-        &self.adj[self.xadj[v as usize]..self.xadj[v as usize + 1]]
+        &self.adj[self.row(v)]
+    }
+
+    /// Weight of adjacency entry `i` (1.0 if unweighted).
+    #[inline]
+    pub fn weight_at(&self, i: usize) -> Weight {
+        if self.weights.is_empty() {
+            1.0
+        } else {
+            self.weights[i]
+        }
     }
 
     /// Iterates `(neighbor_local, weight)` of owned vertex `v` (weight 1.0
     /// if unweighted).
     pub fn neighbors_weighted(&self, v: u32) -> impl Iterator<Item = (u32, Weight)> + '_ {
-        let lo = self.xadj[v as usize];
-        let hi = self.xadj[v as usize + 1];
-        let weighted = !self.weights.is_empty();
-        (lo..hi).map(move |i| (self.adj[i], if weighted { self.weights[i] } else { 1.0 }))
+        self.row(v).map(move |i| (self.adj[i], self.weight_at(i)))
     }
 
     /// Number of owned boundary vertices.
@@ -498,7 +528,7 @@ mod tests {
                 let weights = if dg.weights.is_empty() {
                     &[][..]
                 } else {
-                    &dg.weights[dg.xadj[l]..dg.xadj[l + 1]]
+                    &dg.weights[dg.row(l as u32)]
                 };
                 assert_eq!(weights, g.neighbor_weights(v));
                 assert_eq!(dg.is_boundary[l], !g.neighbors(v).iter().all(mine));

@@ -65,6 +65,9 @@ pub fn grid2d_dist(
 
 /// Builds one rank's local graph (see [`grid2d_dist`]); usable on its own
 /// for truly rank-local construction.
+///
+/// # Panics
+/// Panics if the block's rows could hold more than `u32::MAX` entries.
 pub fn build_rank(
     rows: usize,
     cols: usize,
@@ -92,8 +95,12 @@ pub fn build_rank(
     global_ids.extend((r0..r1).flat_map(|i| (c0..c1).map(move |j| id(i, j))));
     let mut ghost_owner: Vec<Rank> = Vec::with_capacity(n_ghost);
     let mut ghosts = FxHashMap::with_capacity_and_hasher(n_ghost, Default::default());
+    assert!(
+        u32::try_from(4 * n_local).is_ok(),
+        "{n_local} owned vertices on rank {rank}, past u32 offsets"
+    );
     let mut xadj = Vec::with_capacity(n_local + 1);
-    xadj.push(0usize);
+    xadj.push(0u32);
     let mut adj = Vec::with_capacity(4 * n_local);
     let draw = weight_seed.map(EdgeUnitRandom::new);
     let mut weights = Vec::with_capacity(if draw.is_some() { 4 * n_local } else { 0 });
@@ -143,7 +150,7 @@ pub fn build_rank(
                     weights.push(draw.of(v.min(u), v.max(u)));
                 }
             }
-            xadj.push(adj.len());
+            xadj.push(adj.len() as u32);
         }
     }
     debug_assert_eq!(ghost_owner.len(), n_ghost);

@@ -34,8 +34,9 @@ pub struct HaloView {
     /// index. The other owned vertices, the interior, are not listed.
     pub boundary: Vec<u32>,
     /// CSR offsets over ghosts (length `n_ghost + 1`) into
-    /// [`HaloView::ghost_adj`].
-    pub ghost_adj_x: Vec<usize>,
+    /// [`HaloView::ghost_adj`]; `u32`, since `ghost_adj` holds no more
+    /// entries than the slice's `adj`.
+    pub ghost_adj_x: Vec<u32>,
     /// Owned neighbors of each ghost (reverse cross-adjacency), grouped
     /// by ghost in ghost-index order.
     pub ghost_adj: Vec<u32>,
@@ -58,7 +59,7 @@ impl HaloView {
         // ahead, prefix-sum into offsets, then fill with each ghost's
         // offset as its cursor, which leaves every offset at its
         // successor's value until the final shift.
-        let mut ghost_adj_x = vec![0usize; n_ghost + 1];
+        let mut ghost_adj_x = vec![0u32; n_ghost + 1];
         for &v in &boundary {
             for &u in dg.neighbors(v) {
                 if u as usize >= n_local {
@@ -69,12 +70,12 @@ impl HaloView {
         for g in 1..=n_ghost {
             ghost_adj_x[g] += ghost_adj_x[g - 1];
         }
-        let mut ghost_adj = vec![0u32; ghost_adj_x[n_ghost]];
+        let mut ghost_adj = vec![0u32; ghost_adj_x[n_ghost] as usize];
         for &v in &boundary {
             for &u in dg.neighbors(v) {
                 if u as usize >= n_local {
                     let cursor = &mut ghost_adj_x[u as usize - n_local];
-                    ghost_adj[*cursor] = v;
+                    ghost_adj[*cursor as usize] = v;
                     *cursor += 1;
                 }
             }
@@ -89,6 +90,13 @@ impl HaloView {
             ghost_adj_x,
             ghost_adj,
         }
+    }
+
+    /// Positions in `ghost_adj` of the owned neighbors of ghost `g` (its
+    /// local index less `n_local`).
+    #[inline]
+    pub fn ghost_row(&self, g: usize) -> Range<usize> {
+        self.ghost_adj_x[g] as usize..self.ghost_adj_x[g + 1] as usize
     }
 }
 
@@ -107,7 +115,7 @@ impl HaloView {
 pub fn sort_rows_by_weight(dg: &mut DistGraph) {
     let mut long_row: Vec<(Weight, VertexId, u32)> = Vec::new();
     for v in 0..dg.n_local {
-        let row = dg.xadj[v]..dg.xadj[v + 1];
+        let row = dg.row(v as u32);
         match row.len() {
             0 | 1 => {}
             2 => sort_short::<2>(dg, row, &BATCHER_2),
@@ -210,7 +218,7 @@ fn sort_long(dg: &mut DistGraph, v: usize, buf: &mut Vec<(Weight, VertexId, u32)
     );
     buf.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
     let weighted = !dg.weights.is_empty();
-    for (i, &(w, _, u)) in (dg.xadj[v]..).zip(buf.iter()) {
+    for (i, &(w, _, u)) in dg.row(v as u32).zip(buf.iter()) {
         dg.adj[i] = u;
         if weighted {
             dg.weights[i] = w;
@@ -280,9 +288,8 @@ mod tests {
                     if dg.is_ghost(u) {
                         cross_from_fwd += 1;
                         let gi = u as usize - dg.n_local;
-                        let row = halo.ghost_adj_x[gi]..halo.ghost_adj_x[gi + 1];
                         assert!(
-                            halo.ghost_adj[row].contains(&v),
+                            halo.ghost_adj[halo.ghost_row(gi)].contains(&v),
                             "cross edge ({v},{u}) missing from reverse CSR"
                         );
                     }
@@ -458,10 +465,10 @@ mod tests {
         }
         let mut ghost_adj_x = vec![0];
         for c in counts {
-            ghost_adj_x.push(ghost_adj_x.last().copied().unwrap_or(0) + c);
+            ghost_adj_x.push(ghost_adj_x.last().copied().unwrap_or(0) + c as u32);
         }
-        let mut ghost_adj = vec![0u32; ghost_adj_x[n_ghost]];
-        let mut cursor = ghost_adj_x.clone();
+        let mut ghost_adj = vec![0u32; ghost_adj_x[n_ghost] as usize];
+        let mut cursor: Vec<usize> = ghost_adj_x.iter().map(|&x| x as usize).collect();
         for v in 0..n_local as u32 {
             for &u in dg.neighbors(v) {
                 if u as usize >= n_local {
@@ -492,7 +499,7 @@ mod tests {
                     .map(|(u, w)| (w, dg.global_ids[u as usize], u)),
             );
             row.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-            for (i, &(w, _, u)) in (dg.xadj[v]..).zip(&row) {
+            for (i, &(w, _, u)) in dg.row(v as u32).zip(&row) {
                 dg.adj[i] = u;
                 if weighted {
                     dg.weights[i] = w;
@@ -561,7 +568,7 @@ mod tests {
         let mut adj = Vec::new();
         for &len in lens {
             adj.extend((0..len).map(|_| rng.random_range(0..n_total as u32)));
-            xadj.push(adj.len());
+            xadj.push(adj.len() as u32);
         }
         let weights = match weighted {
             true => (0..adj.len())
@@ -571,7 +578,7 @@ mod tests {
         };
         let is_boundary = (0..n_local)
             .map(|v| {
-                adj[xadj[v]..xadj[v + 1]]
+                adj[xadj[v] as usize..xadj[v + 1] as usize]
                     .iter()
                     .any(|&u| u as usize >= n_local)
             })
@@ -602,7 +609,7 @@ mod tests {
         let mut dg = tricky_slice(&lens, 3, true, 7);
         let ghost = dg.n_local as u32;
         for v in 0..dg.n_local {
-            let row = dg.xadj[v]..dg.xadj[v + 1];
+            let row = dg.row(v as u32);
             let mid = row.start + row.len() / 2;
             dg.adj[mid] = ghost;
             dg.weights[mid] = f64::from_bits(LAST_NAN);
@@ -611,7 +618,7 @@ mod tests {
         assert_sorts_like_the_comparison_sort(&dg);
         sort_rows_by_weight(&mut dg);
         for v in 0..dg.n_local {
-            let last = dg.xadj[v + 1] - 1;
+            let last = dg.row(v as u32).end - 1;
             assert_eq!(dg.adj[last], ghost, "row {v}");
             assert_eq!(dg.weights[last].to_bits(), LAST_NAN, "row {v}");
         }

@@ -100,12 +100,12 @@ fn every_rank_costs_the_same_calls_and_no_map_stays_live() {
         "grid2d_dist({SIDE}², {RANKS}²): {calls} calls, {live} B live = {per_vertex:.1} B per owned vertex"
     );
     assert_eq!(parts.iter().map(|dg| dg.n_local).sum::<usize>(), n);
-    // Measured 68.3: the slices proper take ≈ 63 B a vertex (8 B xadj,
-    // 16 B adj, 32 B weights, ≈ 6 B ids / owners / flags, ≈ 1 B of
-    // `DistGraph` headers) and the ghost tables ≈ 4.5. A neighbour list
-    // with a slot per ghost made it 69.3; with the owned + ghost map
-    // this replaced it was 85.9.
-    assert!(per_vertex < 72.0, "{per_vertex:.1} B per owned vertex");
+    // Measured 64.3: the slices proper take ≈ 59 B a vertex (4 B `u32`
+    // xadj, 16 B adj, 32 B weights, ≈ 6 B ids / owners / flags, ≈ 1 B of
+    // `DistGraph` headers) and the ghost tables ≈ 4.5. `usize` offsets
+    // made it 68.3, a neighbour list with a slot per ghost 69.3; with
+    // the owned + ghost map this replaced it was 85.9.
+    assert!(per_vertex < 68.0, "{per_vertex:.1} B per owned vertex");
     assert!(
         calls <= 8 * parts.len() + 16,
         "{calls} calls for {} ranks",
