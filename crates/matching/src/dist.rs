@@ -1059,6 +1059,45 @@ mod tests {
         assert_eq!(proposals(&prog).len(), 1);
     }
 
+    /// A matched pair is one queue entry in memory and its two entries in
+    /// a snapshot, whose `mate` fields are the derived ones; `restore`
+    /// folds the pair back, so the restored rank snapshots the same.
+    #[test]
+    fn queued_pairs_round_trip_through_snapshots() {
+        // One rank, the path 0 – 1 – 2 – 3.
+        let mut b = cmg_graph::GraphBuilder::new(4);
+        for (u, v, w) in [(0, 1, 3.0), (1, 2, 1.0), (2, 3, 2.0)] {
+            b.add_edge(u, v, w);
+        }
+        let dg = DistGraph::build_all(&b.build(), &Partition::single(4)).swap_remove(0);
+        let mut prog = DistMatching::new(dg.clone());
+        let mut ctx = RankCtx::new(0, 1, true, cmg_obs::RecorderHandle::noop());
+        prog.build_index();
+        (prog.candidate[0], prog.candidate[1]) = (1, 0);
+        prog.match_pair(0, 1, &mut ctx);
+        prog.fail(3, &mut ctx);
+        assert_eq!(prog.queue, [0, 3]);
+        let snap = prog.snapshot();
+        let queued: Vec<MatchSnap> = snap
+            .iter()
+            .copied()
+            .filter(|r| matches!(r, MatchSnap::Queued { .. }))
+            .collect();
+        let q = |idx| MatchSnap::Queued { idx };
+        assert_eq!(queued, [q(0), q(1), q(3)]);
+        assert!(matches!(
+            snap[1],
+            MatchSnap::Vertex {
+                state: 1,
+                mate: 0,
+                ..
+            }
+        ));
+        let restored = DistMatching::restore(dg, snap.clone());
+        assert_eq!(restored.queue, [0, 3]);
+        assert_eq!(restored.snapshot(), snap);
+    }
+
     #[test]
     fn message_bound_per_cross_edge() {
         // At most 3 logical messages per cross edge (§3.2).
