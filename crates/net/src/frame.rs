@@ -14,9 +14,9 @@
 //! [`wire_codec!`]: cmg_runtime::wire_codec
 
 use crate::error::NetError;
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use cmg_runtime::{wire_codec, WireMessage};
-use std::io::{Read, Write};
+use std::io::Read;
 
 /// Protocol version carried in [`Ctrl::Hello`]; bumped on any wire
 /// change so mismatched binaries fail the handshake instead of
@@ -310,25 +310,35 @@ pub(crate) fn hello_rank(hello: &Frame, who: &str) -> Result<u32, NetError> {
     }
 }
 
+/// Appends one frame to `out`, its payload written in place by
+/// `write_payload`: the length prefix is reserved up front and filled in
+/// once the payload is there, so a payload encodes once, straight into
+/// the buffer that goes to the wire, instead of into a [`Bytes`] that
+/// [`encode_frame`] then copies. Returns what `write_payload` returns.
+pub fn append_frame<R>(
+    out: &mut Vec<u8>,
+    seq: u64,
+    ctrl: Ctrl,
+    write_payload: impl FnOnce(&mut Vec<u8>) -> R,
+) -> R {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; 4]);
+    out.extend_from_slice(&seq.to_le_bytes());
+    ctrl.encode(out);
+    let written = write_payload(out);
+    let body_len = ((out.len() - start - 4) as u32).to_le_bytes();
+    out[start..start + 4].copy_from_slice(&body_len);
+    written
+}
+
 /// Serializes `(seq, frame)` into a length-prefixed byte vector ready
 /// for a single `write_all`.
 pub fn encode_frame(seq: u64, frame: &Frame) -> Vec<u8> {
-    let body_len = 8 + frame.ctrl.encoded_len() + frame.payload.len();
-    let mut out: Vec<u8> = Vec::with_capacity(4 + body_len);
-    out.extend_from_slice(&(body_len as u32).to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    let mut ctrl_buf = BytesMut::with_capacity(frame.ctrl.encoded_len());
-    frame.ctrl.encode(&mut ctrl_buf);
-    out.extend_from_slice(&ctrl_buf);
-    out.extend_from_slice(&frame.payload);
+    let mut out = Vec::with_capacity(4 + 8 + frame.ctrl.encoded_len() + frame.payload.len());
+    append_frame(&mut out, seq, frame.ctrl, |p| {
+        p.extend_from_slice(&frame.payload)
+    });
     out
-}
-
-/// Writes one frame to `w` (a single `write_all` of the encoding).
-pub fn write_frame(w: &mut impl Write, seq: u64, frame: &Frame) -> Result<(), NetError> {
-    let encoded = encode_frame(seq, frame);
-    w.write_all(&encoded)
-        .map_err(|e| NetError::io(format!("writing {:?} frame", frame.ctrl), e))
 }
 
 /// Reads one `(seq, frame)` from `r`, blocking until a whole frame is
@@ -473,6 +483,7 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<bool>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
 
     #[test]
     fn frame_round_trip_preserves_seq_ctrl_payload() {
@@ -504,7 +515,7 @@ mod tests {
         ];
         let mut wire: Vec<u8> = Vec::new();
         for (seq, f) in &frames {
-            write_frame(&mut wire, *seq, f).unwrap();
+            wire.extend_from_slice(&encode_frame(*seq, f));
         }
         let mut cursor: &[u8] = &wire;
         for (seq, f) in &frames {
@@ -664,6 +675,63 @@ mod tests {
             }
             assert_eq!(asm.buf.len(), asm.start, "bytes left over");
         }
+    }
+
+    #[test]
+    fn a_frame_appended_in_place_is_encode_frames_bytes() {
+        // A full-vector reply's size: 65,536 nine-byte records.
+        let payload: Vec<u8> = (0..65_536u32 * 9)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        let ctrl = Ctrl::QueryReply { query_id: 7 };
+        let want = encode_frame(3, &Frame::with_payload(ctrl, Bytes::from(payload.clone())));
+        // The layout spelled out: [u32 len][u64 seq][tag 21, u64 id][payload].
+        let mut spelled = ((8 + 9 + payload.len()) as u32).to_le_bytes().to_vec();
+        spelled.extend_from_slice(&3u64.to_le_bytes());
+        spelled.push(21);
+        spelled.extend_from_slice(&7u64.to_le_bytes());
+        spelled.extend_from_slice(&payload);
+        assert!(want == spelled, "encode_frame's layout");
+
+        // Written in place behind another frame in the same buffer.
+        let mut out = encode_frame(2, &Frame::bare(Ctrl::Start));
+        let first = out.len();
+        let returned = append_frame(&mut out, 3, ctrl, |p| {
+            p.extend_from_slice(&payload);
+            p.len()
+        });
+        assert_eq!(returned, out.len());
+        assert!(out[first..] == want[..], "append_frame's bytes");
+
+        let check = |got: &[(u64, Frame)]| {
+            assert_eq!(got.len(), 2);
+            assert_eq!((got[0].0, got[0].1.ctrl), (2, Ctrl::Start));
+            assert_eq!((got[1].0, got[1].1.ctrl), (3, ctrl));
+            assert!(got[1].1.payload[..] == payload[..]);
+        };
+        let mut cursor: &[u8] = &out;
+        let mut got = Vec::new();
+        while let Some(sf) = read_frame(&mut cursor).unwrap() {
+            got.push(sf);
+        }
+        check(&got);
+        // Fed to the assembler in pieces of 1, 2, ..., 7, 1, ... bytes.
+        let mut asm = FrameAssembler::new();
+        let mut got = Vec::new();
+        let mut rest: &[u8] = &out;
+        for piece in (1..=7).cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (head, tail) = rest.split_at(piece.min(rest.len()));
+            asm.extend(head);
+            rest = tail;
+            while let Some(sf) = asm.next_frame().unwrap() {
+                got.push(sf);
+            }
+        }
+        check(&got);
+        assert_eq!(asm.buf.len(), asm.start, "bytes left over");
     }
 
     #[test]

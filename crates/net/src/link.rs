@@ -28,7 +28,7 @@
 //! whatever the batching.
 
 use crate::error::NetError;
-use crate::frame::{encode_frame, Ctrl, Frame};
+use crate::frame::{append_frame, encode_frame, Ctrl, Frame};
 use cmg_runtime::WireMessage;
 use std::collections::BTreeMap;
 use std::io::{IoSlice, Write};
@@ -369,14 +369,7 @@ impl<W: Write> LinkWriter<W> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let mut out: Vec<u8> = Vec::with_capacity(4 + 8 + ctrl.encoded_len() + payload_len_hint);
-        out.extend_from_slice(&[0u8; 4]);
-        out.extend_from_slice(&seq.to_le_bytes());
-        ctrl.encode(&mut out);
-        write_payload(&mut out);
-        let body_len = ((out.len() - 4) as u32).to_le_bytes();
-        if let Some(slot) = out.get_mut(0..4) {
-            slot.copy_from_slice(&body_len);
-        }
+        append_frame(&mut out, seq, ctrl, write_payload);
         self.enqueue_encoded(out)?;
         self.tick_held()?;
         self.flush_batch()

@@ -130,7 +130,9 @@ impl WireField for f64 {
 /// declaration order, little-endian ([`WireField`]). `encode` stages the
 /// whole record in a stack array of the declared length and appends it
 /// with one `put_slice`, so every message and snapshot record costs one
-/// buffer append, not one per field. `encoded_len` is computed from the
+/// buffer append, not one per field. The three methods are `#[inline]`,
+/// so a loop encoding a bundle of small records can write each with a
+/// few stores rather than a call per record. `encoded_len` is computed from the
 /// same declared field list, so the declared size and the bytes actually
 /// written cannot disagree. Unknown tags and truncated buffers decode to
 /// `None`. The enum also gets a `WIRE_SHAPE` const, the table as written
@@ -171,6 +173,7 @@ macro_rules! wire_codec {
         }
 
         impl $crate::WireMessage for $name {
+            #[inline]
             fn encode(&self, buf: &mut impl $crate::codec::BufMut) {
                 match self {
                     $(
@@ -187,6 +190,7 @@ macro_rules! wire_codec {
                 }
             }
 
+            #[inline]
             fn decode(buf: &mut impl $crate::codec::Buf) -> Option<Self> {
                 if !$crate::codec::Buf::has_remaining(buf) {
                     return None;
@@ -201,6 +205,7 @@ macro_rules! wire_codec {
                 }
             }
 
+            #[inline]
             fn encoded_len(&self) -> usize {
                 match self {
                     $(

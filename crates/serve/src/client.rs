@@ -5,14 +5,13 @@
 //! client sees its own writes: a query issued after [`ServeClient::mutate`]
 //! returns observes the repaired result.
 
-use crate::protocol::{ops_of, RepairAck, ServeQuery, ServeReply};
-use bytes::{Bytes, BytesMut};
+use crate::protocol::{decode_one, ops_of, FullVector, RepairAck, ServeQuery, ServeReply};
+use bytes::Bytes;
 use cmg_graph::{MutationBatch, NO_VERTEX};
-use cmg_net::frame::{read_frame, write_frame};
-use cmg_net::{connect_with_backoff, Ctrl, Frame, NetError};
-use cmg_runtime::message::decode_all;
+use cmg_net::frame::{append_frame, read_frame};
+use cmg_net::{connect_with_backoff, Ctrl, NetError};
 use cmg_runtime::WireMessage;
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::Duration;
@@ -43,6 +42,9 @@ pub struct ServeClient {
     /// Reads are buffered (a reply's length and body arrive in one
     /// `read(2)`); requests are written straight to the socket.
     stream: BufReader<UnixStream>,
+    /// Each request is encoded into this buffer, frame header first,
+    /// and written from it with one `write_all`.
+    out: Vec<u8>,
     seq: u64,
     next_batch: u64,
     next_query: u64,
@@ -60,6 +62,7 @@ impl ServeClient {
         )?;
         Ok(ServeClient {
             stream: BufReader::new(stream),
+            out: Vec::new(),
             seq: 0,
             next_batch: 0,
             next_query: 0,
@@ -73,17 +76,14 @@ impl ServeClient {
     pub fn mutate(&mut self, batch: &MutationBatch) -> Result<RepairAck, NetError> {
         let batch_id = self.next_batch;
         self.next_batch += 1;
-        let payload = encode_bundle(&ops_of(batch));
-        self.send(Ctrl::MutateBatch { batch_id }, payload)?;
+        let ops = ops_of(batch);
+        self.send(Ctrl::MutateBatch { batch_id }, |out| {
+            ops.iter().for_each(|op| op.encode(out))
+        })?;
         let (ctrl, payload) = self.recv()?;
         match ctrl {
             Ctrl::MutateAck { batch_id: got } if got == batch_id => {
-                let acks = decode_all::<RepairAck>(payload)
-                    .ok_or_else(|| NetError::protocol("undecodable mutate ack"))?;
-                match acks[..] {
-                    [ack] => Ok(ack),
-                    _ => Err(NetError::protocol("mutate ack carries exactly one record")),
-                }
+                decode_one(&payload, "mutate ack")
             }
             other => Err(NetError::protocol(format!(
                 "expected MutateAck {{ batch_id: {batch_id} }}, got {other:?}"
@@ -115,44 +115,12 @@ impl ServeClient {
     /// The whole served matching as a mate vector (`NO_VERTEX` =
     /// unmatched), indexed by vertex.
     pub fn matching(&mut self) -> Result<Vec<u32>, NetError> {
-        let replies = self.query(ServeQuery::Matching)?;
-        let mut mate = vec![NO_VERTEX; replies.len()];
-        for r in replies {
-            match r {
-                ServeReply::Mate { v, mate: m } => {
-                    *mate.get_mut(v as usize).ok_or_else(|| {
-                        NetError::protocol(format!("matching reply names vertex {v} out of range"))
-                    })? = m;
-                }
-                other => {
-                    return Err(NetError::protocol(format!(
-                        "expected Mate records, got {other:?}"
-                    )))
-                }
-            }
-        }
-        Ok(mate)
+        FullVector::Matching.decode(&self.query(ServeQuery::Matching)?)
     }
 
     /// The whole served coloring as a color vector, indexed by vertex.
     pub fn coloring(&mut self) -> Result<Vec<u32>, NetError> {
-        let replies = self.query(ServeQuery::Coloring)?;
-        let mut colors = vec![0u32; replies.len()];
-        for r in replies {
-            match r {
-                ServeReply::Color { v, color } => {
-                    *colors.get_mut(v as usize).ok_or_else(|| {
-                        NetError::protocol(format!("coloring reply names vertex {v} out of range"))
-                    })? = color;
-                }
-                other => {
-                    return Err(NetError::protocol(format!(
-                        "expected Color records, got {other:?}"
-                    )))
-                }
-            }
-        }
-        Ok(colors)
+        FullVector::Coloring.decode(&self.query(ServeQuery::Coloring)?)
     }
 
     /// Service counters and current result sizes.
@@ -185,24 +153,22 @@ impl ServeClient {
 
     /// Ends this session; the server stays up for the next client.
     pub fn end_session(mut self) -> Result<(), NetError> {
-        self.send(Ctrl::SessionEnd, Bytes::new())
+        self.send(Ctrl::SessionEnd, |_| ())
     }
 
     /// Asks the server to shut down after this session.
     pub fn shutdown_server(mut self) -> Result<(), NetError> {
-        self.send(Ctrl::Shutdown, Bytes::new())
+        self.send(Ctrl::Shutdown, |_| ())
     }
 
-    fn query(&mut self, q: ServeQuery) -> Result<Vec<ServeReply>, NetError> {
+    /// Sends one query and returns its reply's payload.
+    fn query(&mut self, q: ServeQuery) -> Result<Bytes, NetError> {
         let query_id = self.next_query;
         self.next_query += 1;
-        self.send(Ctrl::Query { query_id }, encode_bundle(&[q]))?;
+        self.send(Ctrl::Query { query_id }, |out| q.encode(out))?;
         let (ctrl, payload) = self.recv()?;
         match ctrl {
-            Ctrl::QueryReply { query_id: got } if got == query_id => {
-                decode_all::<ServeReply>(payload)
-                    .ok_or_else(|| NetError::protocol("undecodable query reply"))
-            }
+            Ctrl::QueryReply { query_id: got } if got == query_id => Ok(payload),
             other => Err(NetError::protocol(format!(
                 "expected QueryReply {{ query_id: {query_id} }}, got {other:?}"
             ))),
@@ -210,22 +176,20 @@ impl ServeClient {
     }
 
     fn query_one(&mut self, q: ServeQuery) -> Result<ServeReply, NetError> {
-        let replies = self.query(q)?;
-        match replies[..] {
-            [r] => Ok(r),
-            _ => Err(NetError::protocol(format!(
-                "expected one reply record, got {}",
-                replies.len()
-            ))),
-        }
+        decode_one(&self.query(q)?, "query reply")
     }
 
-    fn send(&mut self, ctrl: Ctrl, payload: Bytes) -> Result<(), NetError> {
-        write_frame(
-            self.stream.get_mut(),
-            self.seq,
-            &Frame::with_payload(ctrl, payload),
-        )?;
+    fn send(
+        &mut self,
+        ctrl: Ctrl,
+        write_payload: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), NetError> {
+        self.out.clear();
+        append_frame(&mut self.out, self.seq, ctrl, write_payload);
+        self.stream
+            .get_mut()
+            .write_all(&self.out)
+            .map_err(|e| NetError::io(format!("writing {ctrl:?} frame"), e))?;
         self.seq += 1;
         Ok(())
     }
@@ -238,12 +202,4 @@ impl ServeClient {
             )),
         }
     }
-}
-
-fn encode_bundle<M: WireMessage>(msgs: &[M]) -> Bytes {
-    let mut buf = BytesMut::new();
-    for m in msgs {
-        m.encode(&mut buf);
-    }
-    buf.freeze()
 }

@@ -39,6 +39,6 @@ pub mod server;
 pub mod state;
 
 pub use client::{ServeClient, ServiceSummary};
-pub use protocol::{RepairAck, ServeOp, ServeQuery, ServeReply};
+pub use protocol::{FullVector, RepairAck, ServeOp, ServeQuery, ServeReply};
 pub use server::{ServeSummary, Server, ServerConfig};
 pub use state::{RepairMode, RepairReport, ServeConfig, ServeState};

@@ -14,7 +14,9 @@
 //!   one [`RepairAck`] describing how the batch was absorbed.
 //! * A `Query` payload is exactly one [`ServeQuery`]; its `QueryReply`
 //!   is a bundle of [`ServeReply`] records (one for point lookups,
-//!   n for full-vector queries).
+//!   n for full-vector queries). A full-vector reply lists vertex `i`
+//!   in record `i`, and [`FullVector`] encodes it from and decodes it
+//!   into the plain `u32` vector, never through a vector of records.
 //!
 //! [`Ctrl::MutateBatch`]: cmg_net::Ctrl::MutateBatch
 //! [`Ctrl::MutateAck`]: cmg_net::Ctrl::MutateAck
@@ -25,7 +27,8 @@
 //! [`decode_all`]: cmg_runtime::message::decode_all
 
 use cmg_graph::{Mutation, MutationBatch};
-use cmg_runtime::wire_codec;
+use cmg_net::NetError;
+use cmg_runtime::{wire_codec, WireMessage};
 
 wire_codec! {
     /// One edge mutation on the wire. A `MutateBatch` frame's payload
@@ -154,6 +157,92 @@ wire_codec! {
             /// 1 = invalid mutation, 2 = undecodable payload.
             code: u8,
         },
+    }
+}
+
+/// The two full-vector replies: one record per vertex, in vertex order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FullVector {
+    /// [`ServeReply::Mate`] records: the mate vector (`u32::MAX` =
+    /// unmatched).
+    Matching,
+    /// [`ServeReply::Color`] records: the colour vector.
+    Coloring,
+}
+
+impl FullVector {
+    /// Bytes per record: the tag, then `v` and the value as
+    /// little-endian `u32`s. That is the layout `wire_codec!` gives
+    /// `Mate` and `Color`; `decode` reads it directly, a record at the
+    /// cost of its bytes, and the tests hold it to the codec's.
+    const RECORD_LEN: usize = 9;
+
+    fn record(self, v: u32, value: u32) -> ServeReply {
+        match self {
+            FullVector::Matching => ServeReply::Mate { v, mate: value },
+            FullVector::Coloring => ServeReply::Color { v, color: value },
+        }
+    }
+
+    fn tag(self) -> u8 {
+        match self {
+            FullVector::Matching => 0,
+            FullVector::Coloring => 1,
+        }
+    }
+
+    /// Appends the reply listing `values` to `out`: record `i` carries
+    /// vertex `i` and `values[i]`.
+    pub fn encode(self, values: &[u32], out: &mut Vec<u8>) {
+        out.reserve(values.len() * Self::RECORD_LEN);
+        for (v, &value) in (0u32..).zip(values) {
+            self.record(v, value).encode(out);
+        }
+    }
+
+    /// Decodes a reply straight into the vector it lists: one exact-size
+    /// allocation of 4 bytes per vertex. Record `i` must be of this kind
+    /// and name vertex `i`, and there must be at least one; anything
+    /// else (a short or unknown record, a vertex out of order, trailing
+    /// bytes) is a [`NetError::Protocol`].
+    pub fn decode(self, payload: &[u8]) -> Result<Vec<u32>, NetError> {
+        let records = payload.chunks_exact(Self::RECORD_LEN);
+        if payload.is_empty() || !records.remainder().is_empty() {
+            return Err(NetError::protocol(format!(
+                "{self:?} reply: {} bytes are not one or more whole records",
+                payload.len()
+            )));
+        }
+        let mut values = Vec::with_capacity(records.len());
+        for (i, r) in records.enumerate() {
+            let field = |at: usize| u32::from_le_bytes([r[at], r[at + 1], r[at + 2], r[at + 3]]);
+            if r[0] != self.tag() {
+                return Err(NetError::protocol(format!(
+                    "{self:?} reply: record {i} has tag {}",
+                    r[0]
+                )));
+            }
+            if field(1) as usize != i {
+                return Err(NetError::protocol(format!(
+                    "{self:?} reply: record {i} names vertex {}",
+                    field(1)
+                )));
+            }
+            values.push(field(5));
+        }
+        Ok(values)
+    }
+}
+
+/// Decodes a payload that carries exactly one record.
+pub(crate) fn decode_one<M: WireMessage>(payload: &[u8], what: &str) -> Result<M, NetError> {
+    let mut cursor = payload;
+    match M::decode(&mut cursor) {
+        Some(record) if cursor.is_empty() => Ok(record),
+        Some(_) => Err(NetError::protocol(format!(
+            "{what} has bytes after its one record"
+        ))),
+        None => Err(NetError::protocol(format!("undecodable {what}"))),
     }
 }
 

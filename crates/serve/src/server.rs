@@ -6,24 +6,34 @@
 //! before it, which is the consistency contract DESIGN.md §13
 //! promises). [`Ctrl::SessionEnd`] closes the connection and the
 //! state lives on for the next client; [`Ctrl::Shutdown`] stops the
-//! server and returns the run's latency summary.
+//! server and returns the run's latency summary. A session that fails
+//! (a garbage frame, a query outside the graph, a client gone
+//! mid-frame) ends that session alone: the server counts it and
+//! accepts the next client.
+//!
+//! Every reply is encoded once, straight into the session's output
+//! buffer behind a reserved frame header ([`append_frame`]), and
+//! written from it with one `write_all`; the buffer keeps its capacity,
+//! so a full-vector reply after the first allocates nothing.
 //!
 //! Latency accounting: every `MutateBatch` is timed around the whole
 //! absorb (decode through repair) and recorded in a log-scaled
 //! histogram, likewise every `Query`; the summary reports p50/p99 in
 //! microseconds (`cmg serve --json` writes it out).
 
-use crate::protocol::{batch_of, RepairAck, ServeOp, ServeQuery, ServeReply};
+use crate::protocol::{
+    batch_of, decode_one, FullVector, RepairAck, ServeOp, ServeQuery, ServeReply,
+};
 use crate::state::{RepairReport, ServeConfig, ServeState};
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use cmg_graph::CsrGraph;
-use cmg_net::frame::{read_frame, write_frame};
-use cmg_net::{Ctrl, Frame, NetError};
+use cmg_net::frame::{append_frame, read_frame};
+use cmg_net::{Ctrl, NetError};
 use cmg_obs::metrics::LogHistogram;
 use cmg_obs::Json;
 use cmg_runtime::message::decode_all;
 use cmg_runtime::WireMessage;
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -41,6 +51,9 @@ pub struct ServerConfig {
 pub struct ServeSummary {
     /// Client sessions served.
     pub sessions: u64,
+    /// ... of which ended on an error (a malformed or out-of-range
+    /// request, a client gone mid-frame) instead of `SessionEnd`.
+    pub failed_sessions: u64,
     /// Mutation batches absorbed.
     pub batches: u64,
     /// ... by warm-start repair.
@@ -60,10 +73,15 @@ impl ServeSummary {
     /// `p99` token out of this).
     pub fn render(&self) -> String {
         format!(
-            "served {} sessions, {} batches ({} repaired, {} recomputed{})\n\
+            "served {} sessions{}, {} batches ({} repaired, {} recomputed{})\n\
              mutate latency: p50 {:.0} us, p99 {:.0} us, max {} us over {} batches\n\
              query latency:  p50 {:.0} us, p99 {:.0} us, max {} us over {} queries",
             self.sessions,
+            if self.failed_sessions > 0 {
+                format!(" ({} failed)", self.failed_sessions)
+            } else {
+                String::new()
+            },
             self.batches,
             self.repairs,
             self.recomputes,
@@ -87,6 +105,7 @@ impl ServeSummary {
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("sessions".into(), Json::UInt(self.sessions)),
+            ("failed_sessions".into(), Json::UInt(self.failed_sessions)),
             ("batches".into(), Json::UInt(self.batches)),
             ("repairs".into(), Json::UInt(self.repairs)),
             ("recomputes".into(), Json::UInt(self.recomputes)),
@@ -115,6 +134,7 @@ pub struct Server {
     state: ServeState,
     socket: PathBuf,
     sessions: u64,
+    failed_sessions: u64,
     mutate_micros: LogHistogram,
     query_micros: LogHistogram,
 }
@@ -132,6 +152,7 @@ impl Server {
             state,
             socket: cfg.socket,
             sessions: 0,
+            failed_sessions: 0,
             mutate_micros: LogHistogram::default(),
             query_micros: LogHistogram::default(),
         })
@@ -139,21 +160,16 @@ impl Server {
 
     /// Serves client sessions until one sends [`Ctrl::Shutdown`], then
     /// returns the latency summary. The socket file is removed on the
-    /// way out.
+    /// way out. Fails only if accepting a client fails; a failed
+    /// session is counted in [`ServeSummary::failed_sessions`].
     pub fn run(mut self) -> Result<ServeSummary, NetError> {
-        let mut shutdown = false;
-        while !shutdown {
-            let (stream, _) = self
-                .listener
-                .accept()
-                .map_err(|e| NetError::io("accepting a serve client", e))?;
-            self.sessions += 1;
-            shutdown = self.session(stream)?;
-        }
+        let served = self.serve();
         let _ = std::fs::remove_file(&self.socket);
         let _ = self.state.close();
+        served?;
         Ok(ServeSummary {
             sessions: self.sessions,
+            failed_sessions: self.failed_sessions,
             batches: self.state.batches,
             repairs: self.state.repairs,
             recomputes: self.state.recomputes,
@@ -163,6 +179,25 @@ impl Server {
         })
     }
 
+    /// Accepts sessions until one asks for shutdown.
+    fn serve(&mut self) -> Result<(), NetError> {
+        loop {
+            let (stream, _) = self
+                .listener
+                .accept()
+                .map_err(|e| NetError::io("accepting a serve client", e))?;
+            self.sessions += 1;
+            match self.session(stream) {
+                Ok(true) => return Ok(()),
+                Ok(false) => {}
+                // The failed request changed nothing: a query only
+                // reads, and a batch is absorbed whole or rejected
+                // before it is acknowledged.
+                Err(_) => self.failed_sessions += 1,
+            }
+        }
+    }
+
     /// One client session. Returns `true` when the client asked the
     /// whole server to shut down.
     fn session(&mut self, stream: UnixStream) -> Result<bool, NetError> {
@@ -170,6 +205,7 @@ impl Server {
         // `read(2)`. Replies go straight to the socket through
         // `get_mut`, one `write_all` each.
         let mut stream = BufReader::new(stream);
+        let mut out = Vec::new();
         let mut seq = 0u64;
         loop {
             let frame = match read_frame(&mut stream)? {
@@ -177,7 +213,8 @@ impl Server {
                 // A vanished client ends its session, not the server.
                 None => return Ok(false),
             };
-            match frame.ctrl {
+            out.clear();
+            let ctrl = match frame.ctrl {
                 Ctrl::MutateBatch { batch_id } => {
                     let started = Instant::now();
                     let ack = self.absorb(&frame.payload);
@@ -187,24 +224,17 @@ impl Server {
                         PendingAck::Done(report) => report.ack(micros),
                         PendingAck::Rejected { code } => RepairAck::Rejected { code },
                     };
-                    reply(
-                        stream.get_mut(),
-                        &mut seq,
-                        Ctrl::MutateAck { batch_id },
-                        encode_one(&ack),
-                    )?;
+                    let ctrl = Ctrl::MutateAck { batch_id };
+                    append_frame(&mut out, seq, ctrl, |p| ack.encode(p));
+                    ctrl
                 }
                 Ctrl::Query { query_id } => {
                     let started = Instant::now();
-                    let answer = self.answer(&frame.payload)?;
+                    let ctrl = Ctrl::QueryReply { query_id };
+                    append_frame(&mut out, seq, ctrl, |p| self.answer(&frame.payload, p))?;
                     self.query_micros
                         .record(started.elapsed().as_micros() as u64);
-                    reply(
-                        stream.get_mut(),
-                        &mut seq,
-                        Ctrl::QueryReply { query_id },
-                        answer,
-                    )?;
+                    ctrl
                 }
                 Ctrl::SessionEnd => return Ok(false),
                 Ctrl::Shutdown => return Ok(true),
@@ -213,7 +243,12 @@ impl Server {
                         "unexpected request frame {other:?}"
                     )))
                 }
-            }
+            };
+            stream
+                .get_mut()
+                .write_all(&out)
+                .map_err(|e| NetError::io(format!("writing {ctrl:?} frame"), e))?;
+            seq += 1;
         }
     }
 
@@ -228,32 +263,16 @@ impl Server {
         }
     }
 
-    /// Answers one query with a reply bundle.
-    fn answer(&mut self, payload: &Bytes) -> Result<Bytes, NetError> {
-        let queries = decode_all::<ServeQuery>(payload.clone())
-            .ok_or_else(|| NetError::protocol("undecodable query payload"))?;
-        let [query] = queries[..] else {
-            return Err(NetError::protocol(format!(
-                "a query frame carries exactly one query, got {}",
-                queries.len()
-            )));
-        };
-        // A full-vector reply is n fixed-width records: size it once
-        // rather than doubling the buffer up to ~9n bytes.
-        let n = self.state.num_vertices();
-        let mut buf = BytesMut::with_capacity(match query {
-            ServeQuery::Matching => n * ServeReply::Mate { v: 0, mate: 0 }.encoded_len(),
-            ServeQuery::Coloring => n * ServeReply::Color { v: 0, color: 0 }.encoded_len(),
-            _ => 0,
-        });
-        match query {
+    /// Answers one query, appending its reply records to `out`.
+    fn answer(&self, payload: &[u8], out: &mut Vec<u8>) -> Result<(), NetError> {
+        match decode_one(payload, "query")? {
             ServeQuery::MateOf { v } => {
                 self.check_vertex(v)?;
                 ServeReply::Mate {
                     v,
                     mate: self.state.mate_of(v),
                 }
-                .encode(&mut buf);
+                .encode(out);
             }
             ServeQuery::ColorOf { v } => {
                 self.check_vertex(v)?;
@@ -261,26 +280,10 @@ impl Server {
                     v,
                     color: self.state.color_of(v),
                 }
-                .encode(&mut buf);
+                .encode(out);
             }
-            ServeQuery::Matching => {
-                for v in 0..n as u32 {
-                    ServeReply::Mate {
-                        v,
-                        mate: self.state.mate_of(v),
-                    }
-                    .encode(&mut buf);
-                }
-            }
-            ServeQuery::Coloring => {
-                for v in 0..n as u32 {
-                    ServeReply::Color {
-                        v,
-                        color: self.state.color_of(v),
-                    }
-                    .encode(&mut buf);
-                }
-            }
+            ServeQuery::Matching => FullVector::Matching.encode(self.state.mates(), out),
+            ServeQuery::Coloring => FullVector::Coloring.encode(self.state.colors(), out),
             ServeQuery::Summary => {
                 // All read from the resident state in place: a summary
                 // of a repair-only stream must not trigger a CSR repack
@@ -295,10 +298,10 @@ impl Server {
                     repairs: self.state.repairs,
                     recomputes: self.state.recomputes,
                 }
-                .encode(&mut buf);
+                .encode(out);
             }
         }
-        Ok(buf.freeze())
+        Ok(())
     }
 
     fn check_vertex(&self, v: u32) -> Result<(), NetError> {
@@ -315,21 +318,4 @@ impl Server {
 enum PendingAck {
     Done(RepairReport),
     Rejected { code: u8 },
-}
-
-fn encode_one(msg: &impl WireMessage) -> Bytes {
-    let mut buf = BytesMut::with_capacity(msg.encoded_len());
-    msg.encode(&mut buf);
-    buf.freeze()
-}
-
-fn reply(
-    stream: &mut UnixStream,
-    seq: &mut u64,
-    ctrl: Ctrl,
-    payload: Bytes,
-) -> Result<(), NetError> {
-    write_frame(stream, *seq, &Frame::with_payload(ctrl, payload))?;
-    *seq += 1;
-    Ok(())
 }

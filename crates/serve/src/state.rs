@@ -158,8 +158,12 @@ pub struct ServeState {
 
 impl ServeState {
     /// Loads `g0`, partitions it once, and computes the initial
-    /// matching and coloring cold.
+    /// matching and coloring cold. A graph without vertices is refused:
+    /// a full-vector reply lists at least one record.
     pub fn new(g0: &CsrGraph, cfg: ServeConfig) -> Result<ServeState, NetError> {
+        if g0.num_vertices() == 0 {
+            return Err(NetError::protocol("cannot serve a graph with no vertices"));
+        }
         let part = block_partition(g0.num_vertices(), cfg.ranks);
         let session = cfg
             .net
@@ -234,6 +238,16 @@ impl ServeState {
     /// The coloring currently served.
     pub fn coloring(&self) -> Coloring {
         Coloring::from_colors(self.colors.clone())
+    }
+
+    /// The served mate vector, in place.
+    pub(crate) fn mates(&self) -> &[VertexId] {
+        &self.mate
+    }
+
+    /// The served colour vector, in place.
+    pub(crate) fn colors(&self) -> &[u32] {
+        &self.colors
     }
 
     /// Current mate of `v` (`NO_VERTEX` = unmatched).

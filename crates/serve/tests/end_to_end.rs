@@ -7,9 +7,13 @@ use cmg_coloring::Coloring;
 use cmg_graph::weights::{assign_weights, WeightScheme};
 use cmg_graph::{generators, CsrGraph, MutationBatch};
 use cmg_matching::Matching;
+use cmg_net::frame::encode_frame;
+use cmg_net::{Ctrl, Frame, NetError};
 use cmg_serve::{
     RepairAck, RepairMode, ServeClient, ServeConfig, ServeState, Server, ServerConfig,
 };
+use std::io::{Read, Write};
+use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
 fn weighted_grid() -> CsrGraph {
@@ -207,4 +211,87 @@ fn sessions_are_serial_and_state_survives_between_them() {
 
     let summary = handle.join().expect("thread").expect("clean exit");
     assert_eq!(summary.sessions, 2);
+}
+
+#[test]
+fn a_failed_session_ends_that_session_not_the_server() {
+    let g0 = assign_weights(
+        &generators::grid2d(8, 8),
+        WeightScheme::Uniform { lo: 0.0, hi: 1.0 },
+        42,
+    );
+    let reference = ServeState::new(&g0, ServeConfig::default())
+        .expect("reference load")
+        .matching();
+    let socket = std::env::temp_dir().join(format!("cmg-serve-failed-{}.sock", std::process::id()));
+    let server = Server::bind(
+        &g0,
+        ServerConfig {
+            socket: socket.clone(),
+            serve: ServeConfig::default(),
+        },
+    )
+    .expect("server binds");
+    let handle = std::thread::spawn(move || server.run());
+    let next_client_is_served = || {
+        let mut c = ServeClient::connect(&socket, Duration::from_secs(5)).expect("next client");
+        assert_eq!(c.summary().expect("summary").n, 64);
+        assert_eq!(c.matching().expect("matching"), reference.mates());
+        c.end_session().expect("end");
+    };
+    // The server hangs up on a failed session: the client reads EOF.
+    let hung_up = |mut raw: UnixStream| {
+        assert!(matches!(raw.read(&mut [0u8; 1]), Ok(0) | Err(_)));
+    };
+
+    // A point query for a vertex outside the graph.
+    let mut c = ServeClient::connect(&socket, Duration::from_secs(5)).expect("client");
+    assert!(matches!(c.mate_of(64), Err(NetError::Protocol { .. })));
+    drop(c);
+    next_client_is_served();
+
+    // A garbage frame: a length prefix past the 64 MiB cap.
+    let mut raw = UnixStream::connect(&socket).expect("raw client");
+    raw.write_all(&[0xff; 16]).expect("garbage");
+    hung_up(raw);
+    next_client_is_served();
+
+    // A query frame whose payload is no query.
+    let mut raw = UnixStream::connect(&socket).expect("raw client");
+    let frame = Frame::with_payload(Ctrl::Query { query_id: 0 }, vec![99u8].into());
+    raw.write_all(&encode_frame(0, &frame)).expect("bad query");
+    hung_up(raw);
+    next_client_is_served();
+
+    // A client gone mid-frame.
+    let mut raw = UnixStream::connect(&socket).expect("raw client");
+    let frame = Frame::with_payload(Ctrl::MutateBatch { batch_id: 0 }, vec![0u8; 90].into());
+    let wire = encode_frame(0, &frame);
+    raw.write_all(&wire[..wire.len() / 2])
+        .expect("half a frame");
+    drop(raw);
+    next_client_is_served();
+
+    assert!(socket.exists(), "the socket file stays while serving");
+    ServeClient::connect(&socket, Duration::from_secs(5))
+        .expect("last client")
+        .shutdown_server()
+        .expect("shutdown");
+    let summary = handle
+        .join()
+        .expect("server thread")
+        .expect("failed sessions do not fail the server");
+    assert_eq!((summary.sessions, summary.failed_sessions), (9, 4));
+    assert_eq!(summary.batches, 0);
+    assert!(summary.render().contains("9 sessions (4 failed)"));
+    assert!(!socket.exists(), "the socket file goes with the server");
+}
+
+#[test]
+fn a_graph_without_vertices_is_not_served() {
+    let empty = cmg_graph::GraphBuilder::with_capacity(0, 0).build();
+    assert!(matches!(
+        ServeState::new(&empty, ServeConfig::default()),
+        Err(NetError::Protocol { .. })
+    ));
 }

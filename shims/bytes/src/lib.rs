@@ -15,6 +15,12 @@
 //! the very buffer the socket filled. Unlike upstream (which defers it with
 //! `unsafe` pointer tagging until the first clone), the shim pays the
 //! `Arc`'s small header allocation up front.
+//!
+//! Also like upstream, the cursor accessors (`remaining`, `copy_to_slice`,
+//! `put_slice`, the `get_*` / `put_*` defaults) and the small `Bytes` /
+//! `BytesMut` methods are `#[inline]`. The wire codecs call them once per
+//! field of every record, from other crates; without LTO a non-generic
+//! function lacking the attribute stays an out-of-line call there.
 
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
@@ -32,16 +38,19 @@ pub struct Bytes {
 
 impl Bytes {
     /// An empty buffer.
+    #[inline]
     pub fn new() -> Self {
         Bytes::from(Vec::new())
     }
 
     /// Number of bytes remaining in the view.
+    #[inline]
     pub fn len(&self) -> usize {
         self.end - self.start
     }
 
     /// `true` if the view is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -72,12 +81,14 @@ impl Bytes {
         }
     }
 
+    #[inline]
     fn as_slice(&self) -> &[u8] {
         &self.data[self.start..self.end]
     }
 }
 
 impl Default for Bytes {
+    #[inline]
     fn default() -> Self {
         Bytes::new()
     }
@@ -85,6 +96,7 @@ impl Default for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     /// Takes the vector's buffer as is: no copy, no shrink.
+    #[inline]
     fn from(v: Vec<u8>) -> Self {
         Bytes {
             end: v.len(),
@@ -102,12 +114,14 @@ impl From<&[u8]> for Bytes {
 
 impl std::ops::Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl AsRef<[u8]> for Bytes {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         self.as_slice()
     }
@@ -134,11 +148,13 @@ pub struct BytesMut {
 
 impl BytesMut {
     /// An empty buffer.
+    #[inline]
     pub fn new() -> Self {
         BytesMut { buf: Vec::new() }
     }
 
     /// An empty buffer with reserved capacity.
+    #[inline]
     pub fn with_capacity(cap: usize) -> Self {
         BytesMut {
             buf: Vec::with_capacity(cap),
@@ -146,17 +162,20 @@ impl BytesMut {
     }
 
     /// Bytes written so far.
+    #[inline]
     pub fn len(&self) -> usize {
         self.buf.len()
     }
 
     /// `true` if nothing has been written.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 
     /// Converts the accumulated bytes into an immutable [`Bytes`] over
     /// the same allocation (no copy).
+    #[inline]
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
     }
@@ -164,6 +183,7 @@ impl BytesMut {
 
 impl std::ops::Deref for BytesMut {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.buf
     }
@@ -182,11 +202,13 @@ pub trait Buf {
     fn copy_to_slice(&mut self, dst: &mut [u8]);
 
     /// `true` while bytes remain.
+    #[inline]
     fn has_remaining(&self) -> bool {
         self.remaining() > 0
     }
 
     /// Reads one byte.
+    #[inline]
     fn get_u8(&mut self) -> u8 {
         let mut b = [0u8; 1];
         self.copy_to_slice(&mut b);
@@ -194,6 +216,7 @@ pub trait Buf {
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     fn get_u32_le(&mut self) -> u32 {
         let mut b = [0u8; 4];
         self.copy_to_slice(&mut b);
@@ -201,6 +224,7 @@ pub trait Buf {
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     fn get_u64_le(&mut self) -> u64 {
         let mut b = [0u8; 8];
         self.copy_to_slice(&mut b);
@@ -208,16 +232,19 @@ pub trait Buf {
     }
 
     /// Reads a little-endian `f64`.
+    #[inline]
     fn get_f64_le(&mut self) -> f64 {
         f64::from_bits(self.get_u64_le())
     }
 }
 
 impl Buf for Bytes {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn copy_to_slice(&mut self, dst: &mut [u8]) {
         assert!(dst.len() <= self.len(), "buffer underflow");
         dst.copy_from_slice(&self.data[self.start..self.start + dst.len()]);
@@ -226,10 +253,12 @@ impl Buf for Bytes {
 }
 
 impl Buf for &[u8] {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn copy_to_slice(&mut self, dst: &mut [u8]) {
         assert!(dst.len() <= self.len(), "buffer underflow");
         dst.copy_from_slice(&self[..dst.len()]);
@@ -238,10 +267,12 @@ impl Buf for &[u8] {
 }
 
 impl<T: Buf + ?Sized> Buf for &mut T {
+    #[inline]
     fn remaining(&self) -> usize {
         (**self).remaining()
     }
 
+    #[inline]
     fn copy_to_slice(&mut self, dst: &mut [u8]) {
         (**self).copy_to_slice(dst)
     }
@@ -254,39 +285,46 @@ pub trait BufMut {
     fn put_slice(&mut self, src: &[u8]);
 
     /// Appends one byte.
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
     }
 
     /// Appends a little-endian `u32`.
+    #[inline]
     fn put_u32_le(&mut self, v: u32) {
         self.put_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
+    #[inline]
     fn put_u64_le(&mut self, v: u64) {
         self.put_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `f64`.
+    #[inline]
     fn put_f64_le(&mut self, v: f64) {
         self.put_u64_le(v.to_bits());
     }
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.buf.extend_from_slice(src);
     }
 }
 
 impl BufMut for Vec<u8> {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
     }
 }
 
 impl<T: BufMut + ?Sized> BufMut for &mut T {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         (**self).put_slice(src)
     }
