@@ -7,8 +7,8 @@
 //! kernels run against either representation:
 //!
 //! * [`CsrGraph`] — the packed form every batch algorithm uses;
-//! * [`MutableGraph`] — the serving layer's resident edge map, which
-//!   absorbs mutation batches in O(batch) *without* repacking.
+//! * [`MutableGraph`] — the serving layer's resident sorted rows, which
+//!   absorb mutation batches in O(batch · degree) *without* repacking.
 //!
 //! That second impl is the point: a resident service repairing a tiny
 //! frontier must not pay an O(V + E) CSR rebuild per batch just to
@@ -17,9 +17,9 @@
 //! Neighbor iteration is exposed callback-style (`for_each_neighbor`)
 //! rather than as an iterator associated type: both impls stay simple,
 //! the trait stays object-safe, and the kernels' loops don't care.
-//! Iteration order is implementation-defined ([`CsrGraph`] yields
-//! sorted neighbors, [`MutableGraph`] hash order) — kernels must not
-//! depend on it for their results.
+//! Iteration order is implementation-defined — both impls yield
+//! neighbors by ascending id today, but kernels must not depend on it
+//! for their results.
 
 use crate::{CsrGraph, MutableGraph, VertexId, Weight};
 
@@ -83,8 +83,8 @@ mod tests {
     use crate::generators::grid2d;
     use crate::weights::{assign_weights, WeightScheme};
 
-    /// Both impls answer identically on the same graph (up to neighbor
-    /// order), including the unweighted 1.0 convention.
+    /// Both impls answer identically on the same graph, in the same
+    /// neighbor order, including the unweighted 1.0 convention.
     #[test]
     fn csr_and_mutable_views_agree() {
         for g in [
@@ -101,7 +101,6 @@ mod tests {
                 NeighborView::for_each_neighbor(&g, v, &mut |u, w| a.push((u, w)));
                 let mut b: Vec<(VertexId, Weight)> = Vec::new();
                 NeighborView::for_each_neighbor(&m, v, &mut |u, w| b.push((u, w)));
-                b.sort_by_key(|x| x.0);
                 assert_eq!(a, b, "neighborhood of {v}");
                 for &(u, w) in &a {
                     assert_eq!(NeighborView::edge_weight(&m, v, u), Some(w));

@@ -16,7 +16,9 @@
 //! 2. **Finish** the frontier with [`MatchFrontier::repair`]: greedy
 //!    matching on the subgraph the frontier induces, in-process (what
 //!    cmg-serve does). A dirtier batch skips repair and reruns the
-//!    ordinary distributed program cold instead.
+//!    ordinary distributed program cold instead, and a frontier built
+//!    [`with_limit`](MatchFrontier::with_limit) stops cascading once the
+//!    list is that dirty (it only grows, so that decides exactly).
 //!
 //! [`MatchFrontier`] is the one copy of the cascade and of the greedy
 //! finisher. It works **in place** on the caller's mate slice and keeps
@@ -80,6 +82,8 @@ pub struct MatchFrontier {
     hood: Vec<(VertexId, Weight)>,
     /// Frontier-induced edges, sorted by the finisher.
     edges: Vec<(Weight, VertexId, VertexId)>,
+    /// List size at which [`invalidate`](Self::invalidate) stops (`None`: never).
+    limit: Option<usize>,
 }
 
 impl MatchFrontier {
@@ -89,6 +93,20 @@ impl MatchFrontier {
             mark: vec![false; n],
             ..Default::default()
         }
+    }
+
+    /// An empty frontier over `n` vertices whose [`invalidate`](Self::invalidate)
+    /// stops, and reports `true`, once the list holds `limit` vertices.
+    pub fn with_limit(n: usize, limit: usize) -> Self {
+        MatchFrontier {
+            limit: Some(limit),
+            ..MatchFrontier::new(n)
+        }
+    }
+
+    /// Whether the list has reached the limit.
+    fn is_over(&self) -> bool {
+        self.limit.is_some_and(|limit| self.list.len() >= limit)
     }
 
     /// The vertices the last [`invalidate`](Self::invalidate) activated
@@ -134,12 +152,16 @@ impl MatchFrontier {
     /// of the new graph can dominate it through the freed region — so
     /// finishing the frontier yields a matching that passes the
     /// ½-approximation certificate on `g_new`.
+    ///
+    /// Returns whether the list reached the limit, checked before each
+    /// seed op and cascade step; it stops there, with `mate` part-way
+    /// invalidated, and the queue and row buffer empty.
     pub fn invalidate(
         &mut self,
         g_new: &(impl NeighborView + ?Sized),
         mate: &mut [VertexId],
         batch: &MutationBatch,
-    ) {
+    ) -> bool {
         debug_assert_eq!(g_new.num_vertices(), mate.len());
         debug_assert_eq!(self.mark.len(), mate.len());
         for v in self.list.drain(..) {
@@ -148,6 +170,9 @@ impl MatchFrontier {
 
         // Seed from the mutations themselves.
         for op in &batch.ops {
+            if self.is_over() {
+                break;
+            }
             match *op {
                 Mutation::Delete { u, v } => {
                     if mate[u as usize] == v {
@@ -182,7 +207,10 @@ impl MatchFrontier {
         // Cascade: a freed vertex's edges may dominate neighboring pairs
         // (they were dominated by the freed vertex's own matched edge
         // before), and its unmatchable neighbors become matchable again.
-        while let Some(x) = self.queue.pop_front() {
+        while !self.is_over() {
+            let Some(x) = self.queue.pop_front() else {
+                return false;
+            };
             // Read the row out first: independent loads, then the
             // dependent lookups (≈ 10 % faster than interleaving them
             // on frontiers of 10⁴ vertices).
@@ -206,6 +234,9 @@ impl MatchFrontier {
             }
             self.hood = hood;
         }
+        self.queue.clear();
+        self.hood.clear();
+        true
     }
 
     /// Finishes a repair **sequentially**: greedy matching on the
@@ -426,6 +457,87 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A limit changes only where `invalidate` stops. On random ER and
+    /// grid graphs and batches, at every limit 0..=n + 1: it reports
+    /// `true` iff the full frontier reaches the limit; one that stays
+    /// under leaves the list, marks and mates of the unlimited run; and
+    /// one that stops early leaves no queue or row behind, so the next
+    /// batch, on the matching a recompute installs, reads as it does on
+    /// a fresh frontier.
+    #[test]
+    fn the_limit_decides_exactly() {
+        let mut s = 0x0005_DEEC_E66D_u64;
+        let mut rng = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let mut largest = 0;
+        for seed in 0..6u64 {
+            let g0 = if seed % 2 == 0 {
+                erdos_renyi(60, 150, seed)
+            } else {
+                grid2d(8, 8)
+            };
+            let g0 = assign_weights(&g0, WeightScheme::Uniform { lo: 0.1, hi: 1.0 }, seed);
+            let n = g0.num_vertices();
+            let mut random_batch = |ops: u64| {
+                let mut batch = MutationBatch::new();
+                for _ in 0..ops {
+                    let u = (rng() % n as u64) as VertexId;
+                    let v = (rng() % n as u64) as VertexId;
+                    if u == v {
+                        continue;
+                    }
+                    match rng() % 3 {
+                        0 => batch.insert(u, v, (rng() % 10_000) as f64 / 10_000.0 + 0.1),
+                        1 => batch.delete(u, v),
+                        _ => batch.reweight(u, v, (rng() % 10_000) as f64 / 10_000.0 + 0.1),
+                    };
+                }
+                batch
+            };
+            let (first, next) = (random_batch(4 + seed * 4), random_batch(3));
+            let mate0 = seq::local_dominant(&g0).mates().to_vec();
+            let mut g1 = MutableGraph::from_csr(&g0);
+            g1.apply(&first).unwrap();
+            let recomputed = seq::local_dominant(&g1.rebuild()).mates().to_vec();
+            let mut g2 = g1.clone();
+            g2.apply(&next).unwrap();
+
+            let mut full = MatchFrontier::new(n);
+            let mut full_mate = mate0.clone();
+            assert!(!full.invalidate(&g1, &mut full_mate, &first));
+            largest = largest.max(full.list.len());
+            for limit in 0..=n + 1 {
+                let mut frontier = MatchFrontier::with_limit(n, limit);
+                let mut mate = mate0.clone();
+                let over = frontier.invalidate(&g1, &mut mate, &first);
+                assert_eq!(over, full.list.len() >= limit, "seed {seed} limit {limit}");
+                if over {
+                    assert!(frontier.list.len() >= limit);
+                    assert!(frontier.queue.is_empty() && frontier.hood.is_empty());
+                } else {
+                    assert_eq!(frontier.list, full.list, "seed {seed} limit {limit}");
+                    assert_eq!(frontier.mark, full.mark);
+                    assert_eq!(mate, full_mate);
+                }
+
+                let mut twin = MatchFrontier::with_limit(n, limit);
+                let (mut mate, mut twin_mate) = (recomputed.clone(), recomputed.clone());
+                assert_eq!(
+                    frontier.invalidate(&g2, &mut mate, &next),
+                    twin.invalidate(&g2, &mut twin_mate, &next)
+                );
+                assert_eq!(frontier.list, twin.list, "seed {seed} limit {limit}");
+                assert_eq!(frontier.mark, twin.mark);
+                assert_eq!(mate, twin_mate);
+            }
+        }
+        assert!(largest >= 20, "no batch freed enough to stop part-way");
     }
 
     /// An empty batch invalidates nothing, and repairing the empty

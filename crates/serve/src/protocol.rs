@@ -140,9 +140,9 @@ wire_codec! {
             /// 0 = warm-start repair, 1 = full recompute (dirtiness
             /// past the threshold).
             mode: u8,
-            /// Vertices the matching repair re-decided.
+            /// Vertices the matching pass re-decided (`n` on a recompute).
             dirty_matching: u64,
-            /// Vertices the coloring repair re-decided.
+            /// Vertices the coloring pass re-decided (`n` on a recompute).
             dirty_coloring: u64,
             /// Engine rounds the matching pass took.
             match_rounds: u64,

@@ -8,8 +8,9 @@
 //! state lives on for the next client; [`Ctrl::Shutdown`] stops the
 //! server and returns the run's latency summary. A session that fails
 //! (a garbage frame, a query outside the graph, a client gone
-//! mid-frame) ends that session alone: the server counts it and
-//! accepts the next client.
+//! mid-frame) ends that session alone: the server counts it, keeps
+//! the last failure's reason for the summary, and accepts the next
+//! client.
 //!
 //! Every reply is encoded once, straight into the session's output
 //! buffer behind a reserved frame header ([`append_frame`]), and
@@ -54,6 +55,8 @@ pub struct ServeSummary {
     /// ... of which ended on an error (a malformed or out-of-range
     /// request, a client gone mid-frame) instead of `SessionEnd`.
     pub failed_sessions: u64,
+    /// Why the last failed session failed.
+    pub last_failure: Option<String>,
     /// Mutation batches absorbed.
     pub batches: u64,
     /// ... by warm-start repair.
@@ -70,10 +73,10 @@ pub struct ServeSummary {
 
 impl ServeSummary {
     /// The human-readable latency lines (the CI smoke job greps the
-    /// `p99` token out of this).
+    /// `p99` token and the last failure's reason out of this).
     pub fn render(&self) -> String {
         format!(
-            "served {} sessions{}, {} batches ({} repaired, {} recomputed{})\n\
+            "served {} sessions{}, {} batches ({} repaired, {} recomputed{})\n{}\
              mutate latency: p50 {:.0} us, p99 {:.0} us, max {} us over {} batches\n\
              query latency:  p50 {:.0} us, p99 {:.0} us, max {} us over {} queries",
             self.sessions,
@@ -89,6 +92,10 @@ impl ServeSummary {
                 format!(", {} fleet fallbacks", self.fleet_failures)
             } else {
                 String::new()
+            },
+            match &self.last_failure {
+                Some(why) => format!("last failed session: {why}\n"),
+                None => String::new(),
             },
             self.mutate_micros.p50(),
             self.mutate_micros.p99(),
@@ -106,6 +113,10 @@ impl ServeSummary {
         Json::Obj(vec![
             ("sessions".into(), Json::UInt(self.sessions)),
             ("failed_sessions".into(), Json::UInt(self.failed_sessions)),
+            (
+                "last_failure".into(),
+                self.last_failure.clone().map_or(Json::Null, Json::Str),
+            ),
             ("batches".into(), Json::UInt(self.batches)),
             ("repairs".into(), Json::UInt(self.repairs)),
             ("recomputes".into(), Json::UInt(self.recomputes)),
@@ -135,6 +146,7 @@ pub struct Server {
     socket: PathBuf,
     sessions: u64,
     failed_sessions: u64,
+    last_failure: Option<String>,
     mutate_micros: LogHistogram,
     query_micros: LogHistogram,
 }
@@ -153,6 +165,7 @@ impl Server {
             socket: cfg.socket,
             sessions: 0,
             failed_sessions: 0,
+            last_failure: None,
             mutate_micros: LogHistogram::default(),
             query_micros: LogHistogram::default(),
         })
@@ -170,6 +183,7 @@ impl Server {
         Ok(ServeSummary {
             sessions: self.sessions,
             failed_sessions: self.failed_sessions,
+            last_failure: self.last_failure,
             batches: self.state.batches,
             repairs: self.state.repairs,
             recomputes: self.state.recomputes,
@@ -193,7 +207,10 @@ impl Server {
                 // The failed request changed nothing: a query only
                 // reads, and a batch is absorbed whole or rejected
                 // before it is acknowledged.
-                Err(_) => self.failed_sessions += 1,
+                Err(e) => {
+                    self.failed_sessions += 1;
+                    self.last_failure = Some(e.to_string());
+                }
             }
         }
     }

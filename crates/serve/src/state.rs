@@ -5,9 +5,9 @@
 //! edge set, the fixed partition, and the currently served matching
 //! and coloring. Absorbing a mutation batch is a three-step pipeline:
 //!
-//! 1. **Apply** — the batch lands in the [`MutableGraph`]'s adjacency
-//!    index, O(batch). No CSR is packed: the repair kernels read the
-//!    mutable graph directly through
+//! 1. **Apply** — the batch lands in the [`MutableGraph`]'s sorted
+//!    rows, O(batch · degree). No CSR is packed: the repair kernels read
+//!    the mutable graph directly through
 //!    [`NeighborView`](cmg_graph::NeighborView).
 //! 2. **Invalidate** — [`MatchFrontier::invalidate`] and
 //!    [`ColorFrontier::invalidate`] undo, directly in the resident
@@ -31,11 +31,12 @@
 //! Past a configurable dirtiness threshold the warm start stops
 //! paying (the frontier *is* the graph) and the batch falls through
 //! to a full recompute: CSR repacked, partition rebuilt, from-scratch
-//! engine pass. With a [`NetSession`] attached, those cold runs
-//! execute on the resident multi-process fleet — composing with the
-//! supervisor's checkpoint recovery — while warm repairs always run
-//! in-process, where the tiny frontier finishes before a fleet
-//! round-trip would even start.
+//! engine pass (the matching invalidation stops where its frontier
+//! crosses the threshold, and the coloring one is skipped). With a
+//! [`NetSession`] attached, those cold runs execute on the resident
+//! multi-process fleet — composing with the supervisor's checkpoint
+//! recovery — while warm repairs always run in-process, where the tiny
+//! frontier finishes before a fleet round-trip would even start.
 //!
 //! **Consistency bar** (DESIGN.md §13): after any mutation stream the
 //! served matching is a valid locally-dominant matching of the final
@@ -97,9 +98,9 @@ pub struct RepairReport {
     pub mode: RepairMode,
     /// What the batch changed in the edge set.
     pub applied: ApplyOutcome,
-    /// Vertices the matching pass re-decided.
+    /// Vertices the matching pass re-decided: `n` on a recompute.
     pub dirty_matching: usize,
-    /// Vertices the coloring pass re-decided.
+    /// Vertices the coloring pass re-decided (same convention).
     pub dirty_coloring: usize,
     /// Engine rounds of the matching pass. Warm repairs run the
     /// sequential frontier kernel, which has no rounds (0); recomputes
@@ -142,6 +143,9 @@ pub struct ServeState {
     /// the frontier it re-decided.
     match_frontier: MatchFrontier,
     color_frontier: ColorFrontier,
+    /// The smallest frontier `dirty / n > recompute_threshold` sends to
+    /// recompute (`n + 1`: none does).
+    recompute_at: usize,
     /// Resident worker fleet for cold passes (net mode only).
     session: Option<NetSession>,
     /// Lifetime counters, served by the Summary query.
@@ -169,14 +173,19 @@ impl ServeState {
             .net
             .as_ref()
             .map(|net_cfg| NetSession::open(DistGraph::build_all(g0, &part), net_cfg.clone()));
+        let n = g0.num_vertices();
+        let recompute_at = (0..=n)
+            .find(|&dirty| dirty as f64 / n as f64 > cfg.recompute_threshold)
+            .unwrap_or(n + 1);
         let mut state = ServeState {
             mg: MutableGraph::from_csr(g0),
             csr: Some(g0.clone()),
             part,
             mate: Vec::new(),
             colors: Vec::new(),
-            match_frontier: MatchFrontier::new(g0.num_vertices()),
+            match_frontier: MatchFrontier::with_limit(n, recompute_at),
             color_frontier: ColorFrontier::default(),
+            recompute_at,
             session,
             cfg,
             batches: 0,
@@ -272,17 +281,18 @@ impl ServeState {
         // The kernels read the mutable adjacency directly and write the
         // resident vectors in place — no CSR repack, no n-vector copy.
         let seed = self.cfg.coloring.seed;
-        // Warm invalidate: in place, recycled scratch.
-        self.match_frontier
-            .invalidate(&self.mg, &mut self.mate, batch);
-        self.color_frontier
-            .invalidate(&self.mg, &mut self.colors, batch, seed);
-        let dirty_matching = self.match_frontier.vertices().len();
-        let dirty_coloring = self.color_frontier.vertices().len();
-        let n = self.mg.num_vertices().max(1);
-        let dirtiness = dirty_matching.max(dirty_coloring) as f64 / n as f64;
+        // Warm invalidate: in place, recycled scratch. Matching's stops
+        // at `recompute_at`, and then colouring's is not needed.
+        let recompute = self
+            .match_frontier
+            .invalidate(&self.mg, &mut self.mate, batch)
+            || {
+                self.color_frontier
+                    .invalidate(&self.mg, &mut self.colors, batch, seed);
+                self.color_frontier.vertices().len() >= self.recompute_at
+            };
 
-        let (mode, (match_rounds, color_rounds)) = if dirtiness > self.cfg.recompute_threshold {
+        let (mode, dirty_matching, dirty_coloring, (match_rounds, color_rounds)) = if recompute {
             self.recomputes += 1;
             // A fleet failure mid-serve degrades, it does not wedge:
             // the in-process fallback restores consistency, the failure
@@ -292,13 +302,16 @@ impl ServeState {
                 self.fleet_failures += 1;
                 self.recompute_local()
             });
-            (RepairMode::Recompute, rounds)
+            let n = self.mg.num_vertices();
+            (RepairMode::Recompute, n, n, rounds)
         } else {
             self.repairs += 1;
             // Warm repair: in place, recycled scratch.
             self.match_frontier.repair(&self.mg, &mut self.mate);
             self.color_frontier.repair(&self.mg, &mut self.colors, seed);
-            (RepairMode::Repair, (0, 0))
+            let dirty_matching = self.match_frontier.vertices().len();
+            let dirty_coloring = self.color_frontier.vertices().len();
+            (RepairMode::Repair, dirty_matching, dirty_coloring, (0, 0))
         };
 
         Ok(RepairReport {

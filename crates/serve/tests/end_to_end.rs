@@ -284,6 +284,20 @@ fn a_failed_session_ends_that_session_not_the_server() {
     assert_eq!((summary.sessions, summary.failed_sessions), (9, 4));
     assert_eq!(summary.batches, 0);
     assert!(summary.render().contains("9 sessions (4 failed)"));
+    // The summary keeps the last failure's reason: the client that left
+    // half a frame behind.
+    let why = summary.last_failure.clone().expect("a reason is kept");
+    assert!(why.contains("stream closed mid-frame"), "{why}");
+    assert!(summary
+        .render()
+        .contains(&format!("last failed session: {why}")));
+    assert_eq!(
+        summary
+            .to_json()
+            .get("last_failure")
+            .and_then(|j| j.as_str()),
+        Some(why.as_str())
+    );
     assert!(!socket.exists(), "the socket file goes with the server");
 }
 

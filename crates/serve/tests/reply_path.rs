@@ -191,6 +191,8 @@ fn served_vectors_arrive_whole_and_in_the_record_encoders_bytes() {
     client.shutdown_server().expect("shutdown");
     let summary = handle.join().expect("server thread").expect("clean exit");
     assert_eq!((summary.sessions, summary.failed_sessions), (3, 0));
+    assert_eq!(summary.last_failure, None);
+    assert!(!summary.render().contains("last failed session"));
 }
 
 /// Payloads a full-vector reply must not be decoded from, each built

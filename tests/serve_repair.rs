@@ -17,7 +17,7 @@
 //!    matching is unique). Runs at two thresholds so both the warm
 //!    repair path and the recompute path carry real traffic; repairs
 //!    must report 0 engine rounds and recomputes the cold passes' real
-//!    round counts.
+//!    round counts and every vertex as dirty.
 //! 3. **Delivery adversaries.** A cold distributed matching of the
 //!    mutated graph must equal the answer the sequential frontier
 //!    kernel serves, bit for bit, under reordered, reversed, LIFO,
@@ -109,10 +109,15 @@ fn stream_and_verify(seed: u64, threshold: f64) -> (u64, u64) {
             RepairMode::Repair => {
                 assert_eq!(rounds, (0, 0), "step {step}: a repair runs no rounds")
             }
-            RepairMode::Recompute => assert!(
-                rounds.0 > 0 && rounds.1 > 0,
-                "step {step}: a recompute reported {rounds:?} rounds"
-            ),
+            RepairMode::Recompute => {
+                assert!(
+                    rounds.0 > 0 && rounds.1 > 0,
+                    "step {step}: a recompute reported {rounds:?} rounds"
+                );
+                // A cold pass re-decides every vertex.
+                let n = g0.num_vertices();
+                assert_eq!((report.dirty_matching, report.dirty_coloring), (n, n));
+            }
         }
         mirror.apply(&batch).expect("mirror applies");
         let g = mirror.rebuild();
