@@ -162,9 +162,10 @@ wire_codec! {
     /// Snapshot records of [`DistColoring`]: phase-protocol position,
     /// assigned colors (owned and ghost), the phase's remaining work
     /// list, the conflict scope's own state, and the in-flight state of
-    /// the DONE wave and conflict-count allreduce. The priorities, the
-    /// exchange's neighbour list and dedup stamps, and stamp scratch are
-    /// rebuilt from the graph + config on restore. Tags
+    /// the DONE wave and conflict-count allreduce. The exchange's
+    /// neighbour list and dedup stamps and the stamp scratch are rebuilt
+    /// from the graph + config on restore (a priority is hashed from the
+    /// global id when read). Tags
     /// 0–2, 4 and 5 are all a distance-1 snapshot holds; 6–9 are
     /// distance-2 state. Tag 3 (a retired usage-table slot) is not reused.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -298,8 +299,6 @@ pub struct DistColoring<S: ConflictScope = Distance1> {
     cfg: ColoringConfig,
     /// Current color per local index (owned + ghost).
     color: Vec<u32>,
-    /// Pre-assigned random priority `r(v)` per local index.
-    priority: Vec<u64>,
     /// Vertices to (re)color this phase, and progress within them.
     u_cur: Vec<u32>,
     u_pos: usize,
@@ -361,7 +360,6 @@ impl<S: ConflictScope> DistColoring<S> {
     fn from_slice(dg: DistGraph, cfg: ColoringConfig) -> Self {
         DistColoring {
             color: Vec::new(),
-            priority: Vec::new(),
             u_cur: Vec::new(),
             u_pos: 0,
             phase: 0,
@@ -381,17 +379,12 @@ impl<S: ConflictScope> DistColoring<S> {
         }
     }
 
-    /// Builds the rank-local index over the slice — priorities, the
-    /// exchange over the neighbour ranks, the colour and
-    /// forbidden arrays and the scope's per-vertex state — as a fresh
-    /// rank's. Charges no work: it is set-up, not protocol.
+    /// Builds the rank-local index over the slice — the exchange over
+    /// the neighbour ranks, the colour and forbidden arrays and the
+    /// scope's per-vertex state — as a fresh rank's. Charges no work: it
+    /// is set-up, not protocol.
     fn build_index(&mut self) {
         let n_total = self.dg.n_total();
-        let seed = self.cfg.seed;
-        self.priority = self.dg.global_ids[..n_total]
-            .iter()
-            .map(|&g| vertex_priority(g as u64, seed))
-            .collect();
         self.exchange = NeighborExchange::new(
             self.cfg.comm,
             self.dg.rank,
@@ -428,9 +421,12 @@ impl<S: ConflictScope> DistColoring<S> {
     }
 
     /// The `(r(v), global id)` key conflicts are decided by: the smaller
-    /// key loses.
+    /// key loses. `r(v)` hashes the global id each time: it is read only
+    /// at a conflict edge, so a table of it would hold 8 B per local
+    /// index for a few reads.
     fn key(&self, v: u32) -> (u64, VertexId) {
-        (self.priority[v as usize], self.dg.global_ids[v as usize])
+        let g = self.dg.global_ids[v as usize];
+        (vertex_priority(u64::from(g), self.cfg.seed), g)
     }
 
     /// Sends `(v, color)` per the communication variant: FIAB broadcasts,

@@ -182,27 +182,29 @@ fn first_step_builds_the_index_once() {
     println!(
         "DistColoring::new + on_start over {ranks} ranks: {calls} calls, {per_vertex:.1} B live per owned vertex"
     );
-    // Per rank, the index: priorities, the exchange's neighbour list and
-    // dedup stamps (2), colours, forbidden stamps — 5; the slice's
-    // boundary flags split the owned vertices, so no halo view is
-    // built. The first step's work list and outgoing parcels bring it
-    // to 20.1 (measured; 24.0 when a bundle was an encode buffer behind a
-    // shared header), plus the `programs` vector. A halo view adds 3 per
-    // rank (its lists); building the index twice makes it ≥ 25.
-    assert!(calls <= 21 * ranks + 1, "{calls} calls for {ranks} ranks");
-    // Measured 18.2 on 4,096 ranks of 256 vertices:
-    // - priorities, a `u64` per local index: 10 B;
+    // Per rank, the index: the exchange's neighbour list and dedup
+    // stamps (2), colours, forbidden stamps — 4; a priority is hashed
+    // when a conflict edge reads it, and the slice's boundary flags
+    // split the owned vertices, so neither a priority table nor a halo
+    // view is built. The first step's work list and outgoing parcels
+    // bring it to 19.1 (measured; 20.1 with a priority table, 24.0 when
+    // a bundle was an encode buffer behind a shared header), plus the
+    // `programs` vector. A priority table adds 1 per rank, a halo view 3
+    // (its lists); building the index twice makes it ≥ 23.
+    assert!(calls <= 20 * ranks + 1, "{calls} calls for {ranks} ranks");
+    // Measured 8.1 on 4,096 ranks of 256 vertices:
     // - forbidden stamps, a `u64` per colour first-fit can pick (max
     //   owned degree + 2 = 6 a rank): ≈ 0.2;
     // - colours, a `u32` per local index: 5;
     // - the boundary work list: ≈ 0.9;
     // - program headers, the exchange's neighbour list and stamps and
     //   the contexts' bundle tables: ≈ 2.0.
-    // Stamps per local index add ≈ 10 (it measured 28.0 with them). A
-    // halo view adds ≈ 4 (35.3 with one that also listed the interior).
+    // A `u64` priority per local index adds 10 (it measured 18.2 with
+    // one), stamps per local index ≈ 10 more (28.0 with both). A halo
+    // view adds ≈ 4 (35.3 with one that also listed the interior).
     // Fan-out tables sized by the run (a `u32` stamp and a FIAC flag per
     // rank) would add 80.
-    assert!(per_vertex < 19.2, "{per_vertex:.1} B per owned vertex");
+    assert!(per_vertex < 8.5, "{per_vertex:.1} B per owned vertex");
 }
 
 #[test]

@@ -48,7 +48,7 @@ pub fn assign_weights(g: &CsrGraph, scheme: WeightScheme, seed: u64) -> CsrGraph
 /// seed, the seed hashed once. Public so distributed constructions can
 /// reproduce exactly the weights of [`assign_weights`] without the global
 /// graph.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EdgeUnitRandom(u64);
 
 impl EdgeUnitRandom {
@@ -60,10 +60,16 @@ impl EdgeUnitRandom {
     /// The value of edge `{u, v}` in its `u < v` canonical orientation.
     #[inline]
     pub fn of(self, u: VertexId, v: VertexId) -> Weight {
+        // 53 bits -> f64 in [0, 1), exactly.
+        self.bits(u, v) as f64 / (1u64 << 53) as f64
+    }
+
+    /// The 53 random bits behind [`Self::of`]. `of` is `bits` scaled by
+    /// the exact `2^-53`, so the two order edges alike, ties included.
+    #[inline]
+    pub fn bits(self, u: VertexId, v: VertexId) -> u64 {
         let key = ((u as u64) << 32) | v as u64;
-        let h = crate::util::splitmix64(key ^ self.0);
-        // 53 high bits -> f64 in [0, 1).
-        (h >> 11) as f64 / (1u64 << 53) as f64
+        crate::util::splitmix64(key ^ self.0) >> 11
     }
 }
 

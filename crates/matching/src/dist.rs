@@ -277,7 +277,7 @@ impl DistMatching {
             // The cursor still marks the mate's entry of the row: the
             // edge's weight, no search.
             let at = self.dg.row(v as u32).start + self.ptr[v] as usize;
-            total += self.dg.weight_at(at);
+            total += self.dg.edge_weight(v as u32, at);
         }
         total
     }
@@ -669,6 +669,10 @@ impl RankProgram for DistMatching {
             }
         }
         self.drain_queue(ctx);
+        // The start's drain can queue a pair per owned vertex; a round's
+        // queue stays short. Keep a small floor, so the rounds do not
+        // regrow it from nothing.
+        self.queue.shrink_to(16);
         self.emit_round_counts(ctx);
         Status::Idle
     }

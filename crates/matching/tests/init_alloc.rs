@@ -146,14 +146,16 @@ fn first_step_builds_the_index_once() {
     // sorted in the slice by networks on the stack (a grid row is never
     // longer than 4), and the halo counts and fills through its own
     // offsets, so neither allocates scratch. The first step's inner-loop
-    // queue and outgoing parcels bring it to 23.7 on average (measured;
-    // 25.7 with a mate vector and two queue entries per matched pair,
-    // 30.6 when a bundle was an encode buffer behind a shared header, 3
-    // more with a row buffer and two halo scratch arrays), plus the
-    // `programs` vector. A sorted copy of the adjacency adds 2 per rank;
-    // building the index twice makes it ≥ 31.
+    // queue (grown, then shrunk once the start's drain is done) and
+    // outgoing parcels bring it to 24.7 on average (measured; 23.7
+    // before the queue was shrunk, 25.7 with a mate vector and two
+    // queue entries per matched pair, 30.6 when a bundle was an encode
+    // buffer behind a shared header, 3 more with a row buffer and two
+    // halo scratch arrays), plus the `programs` vector. A sorted copy of
+    // the adjacency adds 2 per rank; building the index twice makes it
+    // ≥ 31.
     assert!(calls <= 25 * ranks + 1, "{calls} calls for {ranks} ranks");
-    // Measured 17.6 B per owned vertex, on 4,096 ranks of 256 vertices
+    // Measured 16.0 B per owned vertex, on 4,096 ranks of 256 vertices
     // with ≈ 59 on a block boundary and ≈ 63 ghosts each:
     // - row-relative `u32` cursors: 4;
     // - candidates: 4 (a matched vertex's candidate is its mate);
@@ -162,13 +164,14 @@ fn first_step_builds_the_index_once() {
     //   cross-adjacency 1.0): ≈ 2.9;
     // - proposal offsets per boundary vertex 0.9, one slot per ghost
     //   entry 1.0: ≈ 1.9;
-    // - program headers ≈ 1.2, the first step's queue ≈ 1.9 (one entry
-    //   per matched pair) and the contexts' bundle tables ≈ 0.5.
-    // It read 24.5 with a mate vector (4), `usize` ghost offsets (1) and
-    // two queue entries per matched pair (1.8). A weight-sorted copy of
-    // the adjacency adds 24 (it measured 55.3 with one, and per-vertex
-    // proposal lists).
-    assert!(per_vertex < 18.6, "{per_vertex:.1} B per owned vertex");
+    // - program headers ≈ 1.2, the queue shrunk to 16 entries after the
+    //   first step's drain ≈ 0.3 and the contexts' bundle tables ≈ 0.5.
+    // It read 17.6 with the queue at its drain's capacity (≈ 1.9, one
+    // entry per matched pair), 24.5 with a mate vector (4), `usize`
+    // ghost offsets (1) and two queue entries per matched pair (1.8). A
+    // weight-sorted copy of the adjacency adds 24 (it measured 55.3 with
+    // one, and per-vertex proposal lists).
+    assert!(per_vertex < 16.8, "{per_vertex:.1} B per owned vertex");
 }
 
 /// This thread's allocator-call count at the end of each round, stored

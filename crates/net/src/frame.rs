@@ -16,6 +16,7 @@
 use crate::error::NetError;
 use bytes::Bytes;
 use cmg_runtime::{wire_codec, WireMessage};
+use std::collections::VecDeque;
 use std::io::Read;
 
 /// Protocol version carried in [`Ctrl::Hello`]; bumped on any wire
@@ -353,11 +354,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u64, Frame)>, NetError> {
         Err(e) => return Err(NetError::io("reading frame length", e)),
     }
     let len = u32::from_le_bytes(len_buf);
-    if !(9..=MAX_FRAME_LEN).contains(&len) {
-        return Err(NetError::protocol(format!(
-            "frame length {len} outside [9, {MAX_FRAME_LEN}]"
-        )));
-    }
+    check_len(len)?;
     // The body lands in reserved, never zero-filled, capacity, and the
     // payload is handed out as a window of that same buffer.
     let mut body = Vec::with_capacity(len as usize);
@@ -368,6 +365,17 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u64, Frame)>, NetError> {
             std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "stream closed mid-frame"),
         )),
         Err(e) => Err(NetError::io("reading frame body", e)),
+    }
+}
+
+/// Refuses a length prefix no frame can have.
+fn check_len(len: u32) -> Result<(), NetError> {
+    if (9..=MAX_FRAME_LEN).contains(&len) {
+        Ok(())
+    } else {
+        Err(NetError::protocol(format!(
+            "frame length {len} outside [9, {MAX_FRAME_LEN}]"
+        )))
     }
 }
 
@@ -400,12 +408,24 @@ fn decode_body(body: Bytes) -> Result<(u64, Frame), NetError> {
 /// complete frames with [`FrameAssembler::next_frame`]. The wire
 /// grammar and validation are identical to [`read_frame`]; only the
 /// blocking discipline differs.
+///
+/// Like [`read_frame`], each body is read into a buffer of its own,
+/// allocated at the length its prefix announces, and the frame's payload
+/// is a window of that buffer: a byte is copied once, from the read
+/// chunk to its frame.
 #[derive(Debug, Default)]
 pub struct FrameAssembler {
-    buf: Vec<u8>,
-    /// Consumed prefix of `buf`; compacted lazily so a burst of small
-    /// frames costs one memmove, not one per frame.
-    start: usize,
+    /// The length prefix being read, `prefix_len` bytes of it so far.
+    prefix: [u8; 4],
+    prefix_len: usize,
+    /// The body being read, towards the `body_len` bytes its prefix
+    /// announced (0 while a prefix is being read).
+    body: Vec<u8>,
+    body_len: usize,
+    /// Bodies read whole and not yet popped, oldest first.
+    ready: VecDeque<Vec<u8>>,
+    /// A length no frame can have: the stream cannot be split past it.
+    bad_len: Option<u32>,
 }
 
 impl FrameAssembler {
@@ -415,44 +435,53 @@ impl FrameAssembler {
     }
 
     /// Appends raw bytes read off the stream.
-    pub fn extend(&mut self, bytes: &[u8]) {
+    pub fn extend(&mut self, mut bytes: &[u8]) {
         // nonblocking: begin — reactor feeds raw reads straight in
-        if self.start > 0 && self.start == self.buf.len() {
-            self.buf.clear();
-            self.start = 0;
+        while !bytes.is_empty() && self.bad_len.is_none() {
+            if self.body_len == 0 {
+                let take = (4 - self.prefix_len).min(bytes.len());
+                self.prefix[self.prefix_len..self.prefix_len + take]
+                    .copy_from_slice(&bytes[..take]);
+                self.prefix_len += take;
+                bytes = &bytes[take..];
+                if self.prefix_len == 4 {
+                    self.prefix_len = 0;
+                    let len = u32::from_le_bytes(self.prefix);
+                    match check_len(len) {
+                        Ok(()) => {
+                            self.body_len = len as usize;
+                            self.body = Vec::with_capacity(self.body_len);
+                        }
+                        Err(_) => self.bad_len = Some(len),
+                    }
+                }
+            } else {
+                let take = (self.body_len - self.body.len()).min(bytes.len());
+                self.body.extend_from_slice(&bytes[..take]);
+                bytes = &bytes[take..];
+                if self.body.len() == self.body_len {
+                    self.body_len = 0;
+                    self.ready.push_back(std::mem::take(&mut self.body));
+                }
+            }
         }
-        self.buf.extend_from_slice(bytes);
         // nonblocking: end
     }
 
     /// Pops the next complete `(seq, frame)`, or `Ok(None)` if the
-    /// buffer holds only a partial frame. Malformed lengths or control
-    /// words are [`NetError`]s, exactly as in [`read_frame`].
+    /// stream so far ends in a partial frame. Malformed lengths or
+    /// control words are [`NetError`]s, exactly as in [`read_frame`]:
+    /// a bad control word fails its own frame, a bad length every call
+    /// from the frames before it on.
     pub fn next_frame(&mut self) -> Result<Option<(u64, Frame)>, NetError> {
         // nonblocking: begin — called from the reactor's event loop
-        let avail = &self.buf[self.start..];
-        if avail.len() < 4 {
-            return Ok(None);
+        if let Some(body) = self.ready.pop_front() {
+            return decode_body(Bytes::from(body)).map(Some);
         }
-        let len = u32::from_le_bytes([avail[0], avail[1], avail[2], avail[3]]);
-        if !(9..=MAX_FRAME_LEN).contains(&len) {
-            return Err(NetError::protocol(format!(
-                "frame length {len} outside [9, {MAX_FRAME_LEN}]"
-            )));
+        if let Some(len) = self.bad_len {
+            check_len(len)?;
         }
-        let total = 4 + len as usize;
-        if avail.len() < total {
-            return Ok(None);
-        }
-        let decoded = decode_body(Bytes::from(&avail[4..total]))?;
-        self.start += total;
-        // Compact once the dead prefix dominates, bounding memory while
-        // keeping amortized cost O(bytes).
-        if self.start > 4096 && self.start * 2 > self.buf.len() {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
-        Ok(Some(decoded))
+        Ok(None)
         // nonblocking: end
     }
 }
@@ -673,7 +702,7 @@ mod tests {
                 assert_eq!(gs, es);
                 assert_eq!(gf, ef);
             }
-            assert_eq!(asm.buf.len(), asm.start, "bytes left over");
+            assert!(drained(&asm), "bytes left over");
         }
     }
 
@@ -731,7 +760,54 @@ mod tests {
             }
         }
         check(&got);
-        assert_eq!(asm.buf.len(), asm.start, "bytes left over");
+        assert!(drained(&asm), "bytes left over");
+    }
+
+    /// `true` if `asm` holds no byte of a frame: no prefix or body
+    /// begun, none read whole and not popped.
+    fn drained(asm: &FrameAssembler) -> bool {
+        asm.prefix_len == 0 && asm.body_len == 0 && asm.ready.is_empty()
+    }
+
+    #[test]
+    fn a_frame_split_across_reads_decodes_equal_to_one_read_whole() {
+        let frame = Frame::with_payload(
+            Ctrl::RoundBundle {
+                round: 5,
+                src: 2,
+                npackets: 3,
+                sent_micros: 77,
+            },
+            Bytes::from((0..40u8).collect::<Vec<u8>>()),
+        );
+        let wire = encode_frame(11, &frame);
+        let mut asm = FrameAssembler::new();
+        asm.extend(&wire);
+        let whole = asm.next_frame().unwrap().expect("a whole frame");
+        assert_eq!(whole, (11, frame));
+        assert!(asm.next_frame().unwrap().is_none() && drained(&asm));
+        // Every split into three reads, empty ones included: the prefix,
+        // the control word and the payload each cut anywhere.
+        for a in 0..=wire.len() {
+            for b in a..=wire.len() {
+                let mut asm = FrameAssembler::new();
+                let (mut fed, mut got) = (0, Vec::new());
+                for piece in [&wire[..a], &wire[a..b], &wire[b..]] {
+                    asm.extend(piece);
+                    fed += piece.len();
+                    if let Some(frame) = asm.next_frame().unwrap() {
+                        assert_eq!(
+                            fed,
+                            wire.len(),
+                            "cut {a}, {b}: a frame before its last byte"
+                        );
+                        got.push(frame);
+                    }
+                }
+                assert_eq!(got, std::slice::from_ref(&whole), "cut {a}, {b}");
+                assert!(drained(&asm), "cut {a}, {b}");
+            }
+        }
     }
 
     #[test]

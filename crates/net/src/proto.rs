@@ -13,7 +13,7 @@ use crate::frame::Ctrl;
 use crate::link::{FaultPlan, LinkStats, LinkWriter};
 use bytes::{Buf, BufMut};
 use cmg_coloring::{ColoringConfig, CommVariant};
-use cmg_partition::dist::DistGraph;
+use cmg_partition::dist::{DistGraph, EdgeWeights};
 use cmg_runtime::RankStats;
 use std::io::Write;
 
@@ -325,11 +325,20 @@ pub fn send_assignment<W: Write>(
 /// At least the encoded size of an assignment: the arrays exactly, plus
 /// 184 B of fixed fields, task, options and resume header at most.
 fn assignment_len(dg: &DistGraph, resume: Option<(u64, &[u8])>) -> usize {
-    192 + 8 * (dg.xadj.len() + dg.weights.len())
+    192 + 8 * (dg.xadj.len() + wire_weights(dg))
         + 4 * (dg.adj.len() + dg.global_ids.len() + dg.ghost_owner.len())
         + 4 * dg.neighbor_ranks.len()
         + dg.is_boundary.len()
         + resume.map_or(0, |(_, blob)| blob.len())
+}
+
+/// How many weights an assignment carries: one per adjacency entry, or
+/// none for an unweighted slice.
+fn wire_weights(dg: &DistGraph) -> usize {
+    match dg.weights {
+        EdgeWeights::Unit => 0,
+        EdgeWeights::Stored(_) | EdgeWeights::Drawn(_) => dg.adj.len(),
+    }
 }
 
 fn encode_assignment_into(
@@ -346,7 +355,20 @@ fn encode_assignment_into(
     // `decode_assignment` range-checks them back into `u32`s.
     put_array(out, &dg.xadj, |x| u64::from(x).to_le_bytes());
     put_array(out, &dg.adj, u32::to_le_bytes);
-    put_array(out, &dg.weights, f64::to_le_bytes);
+    match &dg.weights {
+        EdgeWeights::Unit => put_array::<f64, 8>(out, &[], f64::to_le_bytes),
+        EdgeWeights::Stored(weights) => put_array(out, weights, f64::to_le_bytes),
+        // The weights a stored twin would hold, in `adj` order: the worker
+        // decodes that twin, and the bytes are the same assignment.
+        EdgeWeights::Drawn(_) => {
+            out.put_u64_le(wire_weights(dg) as u64);
+            for v in 0..dg.n_local as u32 {
+                for i in dg.row(v) {
+                    out.extend_from_slice(&dg.edge_weight(v, i).to_le_bytes());
+                }
+            }
+        }
+    }
     put_array(out, &dg.global_ids, u32::to_le_bytes);
     put_array(out, &dg.ghost_owner, u32::to_le_bytes);
     put_array(out, &dg.is_boundary, |b| [u8::from(b)]);
@@ -403,7 +425,7 @@ pub fn decode_assignment(mut buf: &[u8]) -> Result<Assignment, NetError> {
         n_local,
         xadj,
         adj,
-        weights,
+        EdgeWeights::stored(weights),
         global_ids,
         ghost_owner,
         is_boundary,
@@ -888,6 +910,38 @@ mod tests {
         }
     }
 
+    /// A grid slice that draws its weights ships the bytes of its
+    /// stored twin (the slice `build_all` makes from the weighted global
+    /// grid), and the worker decodes that twin.
+    #[test]
+    fn a_drawn_slice_encodes_as_its_stored_twin() {
+        use cmg_graph::generators::grid2d;
+        use cmg_graph::weights::{assign_weights, WeightScheme};
+        use cmg_partition::simple::grid2d_partition;
+        let g = assign_weights(&grid2d(9, 7), WeightScheme::Uniform { lo: 0.0, hi: 1.0 }, 5);
+        let stored = DistGraph::build_all(&g, &grid2d_partition(9, 7, 2, 3));
+        let drawn = cmg_partition::grid2d_dist(9, 7, 2, 3, Some(5));
+        for (drawn, stored) in drawn.into_iter().zip(stored) {
+            assert!(matches!(drawn.weights, EdgeWeights::Drawn(_)));
+            assert!(matches!(stored.weights, EdgeWeights::Stored(_)));
+            let assign = |dg| Assignment {
+                dg,
+                task: NetTask::Matching,
+                opts: RunOptions::default(),
+                resume: None,
+            };
+            let (drawn, stored) = (assign(drawn), assign(stored));
+            let bytes = encode_assignment(&drawn);
+            assert!(
+                bytes == encode_assignment(&stored),
+                "rank {}",
+                drawn.dg.rank
+            );
+            assert!(bytes.len() <= assignment_len(&drawn.dg, None));
+            assert_eq!(decode_assignment(&bytes).unwrap(), stored);
+        }
+    }
+
     #[test]
     fn truncated_assignment_is_a_protocol_error_not_a_panic() {
         let a = Assignment {
@@ -922,7 +976,10 @@ mod tests {
                 dg.adj[0] = dg.global_ids.len() as u32
             }),
             ("weights", |dg| {
-                dg.weights.pop();
+                let EdgeWeights::Stored(weights) = &mut dg.weights else {
+                    panic!("the sample stores its weights");
+                };
+                weights.pop();
             }),
             ("boundary flags", |dg| {
                 dg.is_boundary.pop();

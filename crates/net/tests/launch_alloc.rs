@@ -11,7 +11,7 @@ use cmg_net::frame::{encode_frame, read_frame};
 use cmg_net::proto::{decode_assignment, encode_assignment, send_assignment};
 use cmg_net::{Assignment, Ctrl, Frame, LinkWriter, NetTask, ResumeFrom, RunOptions};
 use cmg_partition::simple::block_partition;
-use cmg_partition::DistGraph;
+use cmg_partition::{DistGraph, EdgeWeights};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
 
@@ -152,10 +152,13 @@ fn receiving_an_assignment_allocates_a_body_and_one_buffer_per_array() {
     assert_eq!(decoded.expect("decodes"), a);
     println!("decode: allocations {sizes:?}");
     let dg = &a.dg;
+    let EdgeWeights::Stored(weights) = &dg.weights else {
+        panic!("the assignment's slice stores its weights");
+    };
     let arrays = [
         4 * dg.xadj.len(),
         4 * dg.adj.len(),
-        8 * dg.weights.len(),
+        8 * weights.len(),
         4 * dg.global_ids.len(),
         4 * dg.ghost_owner.len(),
         dg.is_boundary.len(),

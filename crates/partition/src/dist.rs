@@ -26,6 +26,7 @@
 
 use crate::Partition;
 use cmg_graph::util::FxHashMap;
+use cmg_graph::weights::EdgeUnitRandom;
 use cmg_graph::{CsrGraph, VertexId, Weight};
 use std::ops::Range;
 
@@ -48,9 +49,9 @@ pub struct DistGraph {
     pub xadj: Vec<u32>,
     /// Adjacency in *local indices* (owned or ghost).
     pub adj: Vec<u32>,
-    /// Edge weights parallel to `adj` (empty if the global graph is
-    /// unweighted).
-    pub weights: Vec<Weight>,
+    /// Where each adjacency entry's weight comes from; read it through
+    /// [`DistGraph::edge_weight`].
+    pub weights: EdgeWeights,
     /// Global id of each local index: owned vertices in strictly
     /// ascending order, then ghosts.
     pub global_ids: Vec<VertexId>,
@@ -63,6 +64,31 @@ pub struct DistGraph {
     /// Ghost global id → local index. Owned vertices are not in it:
     /// [`DistGraph::local`] finds them in the ascending owned prefix.
     pub(crate) ghosts: FxHashMap<VertexId, u32>,
+}
+
+/// How a slice gets the weights of its adjacency entries.
+#[derive(Clone, Debug, PartialEq)]
+pub enum EdgeWeights {
+    /// Every edge weighs 1.0: the global graph is unweighted.
+    Unit,
+    /// One weight per entry of `adj`, in the same order.
+    Stored(Vec<Weight>),
+    /// Drawn on demand: edge `{u, v}` weighs `draw.of(min, max)` of its
+    /// endpoints' global ids, the value `assign_weights` gives it under
+    /// `WeightScheme::Uniform { lo: 0.0, hi: 1.0 }`. Nothing is held per
+    /// entry (a grid slice built from its geometry).
+    Drawn(EdgeUnitRandom),
+}
+
+impl EdgeWeights {
+    /// The weights read off a graph or a wire, one per entry: a slice
+    /// whose list is empty has no entry to weigh, and is `Unit`.
+    pub fn stored(weights: Vec<Weight>) -> Self {
+        match weights.len() {
+            0 => EdgeWeights::Unit,
+            _ => EdgeWeights::Stored(weights),
+        }
+    }
 }
 
 /// The sorted, distinct owners of a ghost list: a slice's
@@ -161,7 +187,7 @@ impl DistGraph {
             n_local,
             xadj,
             adj,
-            weights,
+            weights: EdgeWeights::stored(weights),
             global_ids,
             neighbor_ranks: ranks_of(&ghost_owner),
             ghost_owner,
@@ -184,7 +210,7 @@ impl DistGraph {
         n_local: usize,
         xadj: Vec<u32>,
         adj: Vec<u32>,
-        weights: Vec<Weight>,
+        weights: EdgeWeights,
         global_ids: Vec<VertexId>,
         ghost_owner: Vec<Rank>,
         is_boundary: Vec<bool>,
@@ -217,11 +243,13 @@ impl DistGraph {
             adj.iter().all(|&u| (u as usize) < n_total),
             "an adjacency entry is not one of the {n_total} local indices"
         );
-        ensure!(
-            weights.is_empty() || weights.len() == m,
-            "{} weights for {m} adjacency entries",
-            weights.len()
-        );
+        if let EdgeWeights::Stored(w) = &weights {
+            ensure!(
+                w.len() == m,
+                "{} weights for {m} adjacency entries",
+                w.len()
+            );
+        }
         ensure!(
             is_boundary.len() == n_local,
             "{} boundary flags for {n_local} owned vertices",
@@ -313,7 +341,8 @@ impl DistGraph {
         }
     }
 
-    /// Positions of owned vertex `v`'s row in `adj` (and `weights`).
+    /// Positions of owned vertex `v`'s row in `adj` (and in stored
+    /// weights).
     #[inline]
     pub fn row(&self, v: u32) -> Range<usize> {
         self.xadj[v as usize] as usize..self.xadj[v as usize + 1] as usize
@@ -340,20 +369,29 @@ impl DistGraph {
         &self.adj[self.row(v)]
     }
 
-    /// Weight of adjacency entry `i` (1.0 if unweighted).
+    /// Weight of adjacency entry `i`, which lies in owned vertex `v`'s
+    /// row (1.0 if unweighted). A drawn weight hashes the edge's two
+    /// global ids, which is why the row is named.
     #[inline]
-    pub fn weight_at(&self, i: usize) -> Weight {
-        if self.weights.is_empty() {
-            1.0
-        } else {
-            self.weights[i]
+    pub fn edge_weight(&self, v: u32, i: usize) -> Weight {
+        match &self.weights {
+            EdgeWeights::Unit => 1.0,
+            EdgeWeights::Stored(w) => w[i],
+            EdgeWeights::Drawn(draw) => {
+                let (a, b) = (
+                    self.global_ids[v as usize],
+                    self.global_ids[self.adj[i] as usize],
+                );
+                draw.of(a.min(b), a.max(b))
+            }
         }
     }
 
     /// Iterates `(neighbor_local, weight)` of owned vertex `v` (weight 1.0
     /// if unweighted).
     pub fn neighbors_weighted(&self, v: u32) -> impl Iterator<Item = (u32, Weight)> + '_ {
-        self.row(v).map(move |i| (self.adj[i], self.weight_at(i)))
+        self.row(v)
+            .map(move |i| (self.adj[i], self.edge_weight(v, i)))
     }
 
     /// Number of owned boundary vertices.
@@ -525,10 +563,9 @@ mod tests {
                     .map(|&u| ids[u as usize])
                     .collect();
                 assert_eq!(row, g.neighbors(v));
-                let weights = if dg.weights.is_empty() {
-                    &[][..]
-                } else {
-                    &dg.weights[dg.row(l as u32)]
+                let weights = match &dg.weights {
+                    EdgeWeights::Stored(w) => &w[dg.row(l as u32)],
+                    _ => &[][..],
                 };
                 assert_eq!(weights, g.neighbor_weights(v));
                 assert_eq!(dg.is_boundary[l], !g.neighbors(v).iter().all(mine));

@@ -16,12 +16,17 @@
 //! [`DistGraph::build_all`] discovers it. Every buffer is allocated once at
 //! its final size; the only hash table is the slice's ghost table.
 //!
-//! The construction is bit-identical to
-//! `DistGraph::build_all(assign_weights(grid2d(..)), grid2d_partition(..))`
-//! (verified by tests), including the ghost discovery order and the
-//! deterministic edge weights.
+//! A weighted slice stores no weights: they are
+//! [`EdgeWeights::Drawn`], hashed from the edge's global ids when a
+//! reader asks, so a rank holds 32 B less per owned vertex.
+//!
+//! Against `DistGraph::build_all(assign_weights(grid2d(..)),
+//! grid2d_partition(..))` the construction is field for field the same
+//! but for the weights' representation (verified by tests): the same
+//! rows, ghost discovery order and owners, and every entry's drawn
+//! weight has the stored one's bits.
 
-use crate::dist::{strictly_ascending, DistGraph, Rank};
+use crate::dist::{strictly_ascending, DistGraph, EdgeWeights, Rank};
 use cmg_graph::util::FxHashMap;
 use cmg_graph::weights::EdgeUnitRandom;
 use cmg_graph::VertexId;
@@ -41,7 +46,7 @@ fn block_range(n: usize, nb: u32, b: u32) -> (usize, usize) {
 
 /// Builds all ranks' local graphs of a `rows × cols` 5-point grid
 /// distributed over a `pr × pc` processor grid, with uniform-random edge
-/// weights in `(0, 1)` drawn deterministically from `weight_seed` (pass
+/// weights in `[0, 1)` drawn deterministically from `weight_seed` (pass
 /// `None` for an unweighted grid, as the coloring experiments use).
 ///
 /// Equivalent to — but far cheaper than — building the global
@@ -102,8 +107,6 @@ pub fn build_rank(
     let mut xadj = Vec::with_capacity(n_local + 1);
     xadj.push(0u32);
     let mut adj = Vec::with_capacity(4 * n_local);
-    let draw = weight_seed.map(EdgeUnitRandom::new);
-    let mut weights = Vec::with_capacity(if draw.is_some() { 4 * n_local } else { 0 });
     let mut is_boundary = vec![false; n_local];
     // One step N, W, E, S (ascending global id) as offsets of the global
     // id, the local index and the owner rank.
@@ -146,9 +149,6 @@ pub fn build_rank(
                     adj.push(gl);
                     is_boundary[vl] = true;
                 }
-                if let Some(draw) = draw {
-                    weights.push(draw.of(v.min(u), v.max(u)));
-                }
             }
             xadj.push(adj.len() as u32);
         }
@@ -162,7 +162,9 @@ pub fn build_rank(
         n_local,
         xadj,
         adj,
-        weights,
+        weights: weight_seed.map_or(EdgeWeights::Unit, |seed| {
+            EdgeWeights::Drawn(EdgeUnitRandom::new(seed))
+        }),
         global_ids,
         neighbor_ranks,
         ghost_owner,
@@ -174,6 +176,7 @@ pub fn build_rank(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::halo::sort_rows_by_weight;
     use crate::simple::grid2d_partition;
     use cmg_graph::generators::grid2d;
     use cmg_graph::weights::{assign_weights, WeightScheme};
@@ -188,10 +191,33 @@ mod tests {
         DistGraph::build_all(&g, &grid2d_partition(rows, cols, pr, pc))
     }
 
+    /// Every owned row of `dg` as `(neighbour, weight bits)` pairs in
+    /// stored order (bits, so that equal means the same `f64`).
+    fn weighted_rows(dg: &DistGraph) -> Vec<Vec<(u32, u64)>> {
+        (0..dg.n_local as u32)
+            .map(|v| {
+                dg.neighbors_weighted(v)
+                    .map(|(u, w)| (u, w.to_bits()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `dg` with its weights dropped: what must equal field for field.
+    fn unweighted(dg: &DistGraph) -> DistGraph {
+        DistGraph {
+            weights: EdgeWeights::Unit,
+            ..dg.clone()
+        }
+    }
+
     proptest! {
-        /// The geometry build equals the explicit one field for field:
-        /// uneven and 1-wide blocks, more block-rows or -columns than the
-        /// grid has (empty blocks), weighted and unweighted.
+        /// The geometry build equals the explicit one: field for field
+        /// but for the weights, which it draws where the explicit build
+        /// stores them, and every row's `(neighbour, weight bits)` before
+        /// and after the weight sort. Uneven and 1-wide blocks, more
+        /// block-rows or -columns than the grid has (empty blocks),
+        /// weighted and unweighted.
         #[test]
         fn matches_explicit_construction(
             rows in 1usize..14,
@@ -208,11 +234,21 @@ mod tests {
             for dg in &parts {
                 prop_assert!(dg.neighbor_ranks.capacity() <= dg.neighbor_ranks.len());
             }
-            prop_assert_eq!(
-                parts,
-                explicit(rows, cols, pr, pc, seed),
-                "{}x{} on {}x{}, seed {:?}", rows, cols, pr, pc, seed
-            );
+            let want = explicit(rows, cols, pr, pc, seed);
+            prop_assert_eq!(parts.len(), want.len());
+            for (mut got, mut want) in parts.into_iter().zip(want) {
+                let at = format!("rank {} of {}x{} on {}x{}, seed {:?}", got.rank, rows, cols, pr, pc, seed);
+                prop_assert_eq!(unweighted(&got), unweighted(&want), "{}", at);
+                match seed {
+                    Some(s) => prop_assert_eq!(&got.weights, &EdgeWeights::Drawn(EdgeUnitRandom::new(s))),
+                    None => prop_assert_eq!(&got.weights, &EdgeWeights::Unit),
+                }
+                prop_assert_eq!(weighted_rows(&got), weighted_rows(&want), "{}", at);
+                sort_rows_by_weight(&mut got);
+                sort_rows_by_weight(&mut want);
+                prop_assert_eq!(&got.adj, &want.adj, "{} sorted", at);
+                prop_assert_eq!(weighted_rows(&got), weighted_rows(&want), "{} sorted", at);
+            }
         }
     }
 

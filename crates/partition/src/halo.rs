@@ -12,13 +12,15 @@
 //!
 //! The weight order the matching program walks lives in the slice
 //! itself: [`sort_rows_by_weight`] sorts each owned row of `adj` (and
-//! `weights` with it) in place, so the order costs no extra bytes, and
-//! sorts a short row (every row of a grid) with a branch-free network,
-//! so its cost does not depend on how the weights fall.
+//! stored weights with it; drawn ones follow their edge) in place, so
+//! the order costs no extra bytes, and sorts a short row (every row of
+//! a grid) with a branch-free network, so its cost does not depend on
+//! how the weights fall.
 //! Neither it nor the halo looks a global id up — everything here is
 //! indexed by local index.
 
-use crate::dist::{DistGraph, Rank};
+use crate::dist::{DistGraph, EdgeWeights, Rank};
+use cmg_graph::weights::EdgeUnitRandom;
 use cmg_graph::{VertexId, Weight};
 use std::ops::Range;
 
@@ -100,11 +102,13 @@ impl HaloView {
     }
 }
 
-/// Sorts each owned row of `dg` in place, `adj` and `weights` together:
-/// neighbors by descending weight (1.0 on an unweighted slice), ties
-/// broken by ascending *global* id so every rank orders shared edges
-/// identically (the paper's smallest-label tie-break). The key is a
-/// total order on a row, so sorting a sorted slice changes nothing.
+/// Sorts each owned row of `dg` in place, `adj` and stored weights
+/// together (a drawn weight is a function of the edge, so permuting
+/// `adj` moves it): neighbors by descending weight (1.0 on an
+/// unweighted slice), ties broken by ascending *global* id so every
+/// rank orders shared edges identically (the paper's smallest-label
+/// tie-break). The key is a total order on a row, so sorting a sorted
+/// slice changes nothing.
 ///
 /// A row of at most [`NET_MAX`] entries is sorted by a branch-free
 /// sorting network (no comparison can be mispredicted); only a longer
@@ -114,14 +118,14 @@ impl HaloView {
 /// neighbor with the same weight.
 pub fn sort_rows_by_weight(dg: &mut DistGraph) {
     let mut long_row: Vec<(Weight, VertexId, u32)> = Vec::new();
-    for v in 0..dg.n_local {
-        let row = dg.row(v as u32);
+    for v in 0..dg.n_local as u32 {
+        let row = dg.row(v);
         match row.len() {
             0 | 1 => {}
-            2 => sort_short::<2>(dg, row, &BATCHER_2),
-            3..=4 => sort_short::<4>(dg, row, &BATCHER_4),
-            5..=8 => sort_short::<8>(dg, row, &BATCHER_8),
-            9..=NET_MAX => sort_short::<16>(dg, row, &BATCHER_16),
+            2 => sort_short::<2>(dg, v, row, &BATCHER_2),
+            3..=4 => sort_short::<4>(dg, v, row, &BATCHER_4),
+            5..=8 => sort_short::<8>(dg, v, row, &BATCHER_8),
+            9..=NET_MAX => sort_short::<16>(dg, v, row, &BATCHER_16),
             _ => sort_long(dg, v, &mut long_row),
         }
     }
@@ -179,49 +183,105 @@ fn network_key(w: Weight, global: VertexId, lane: usize) -> u128 {
     (u128::from(descending) << 64) | (u128::from(global) << 32) | lane as u128
 }
 
-/// Sorts `row` (at most `N` entries) with the network `net` on `N` lanes.
-fn sort_short<const N: usize>(dg: &mut DistGraph, row: Range<usize>, net: &[(u8, u8)]) {
+/// Runs the sorting network `net` over `keys`.
+fn run_network<K: Ord + Copy, const N: usize>(keys: &mut [K; N], net: &[(u8, u8)]) {
+    for &(i, j) in net {
+        let (a, b) = (keys[i as usize], keys[j as usize]);
+        keys[i as usize] = a.min(b);
+        keys[j as usize] = a.max(b);
+    }
+}
+
+/// Sorts owned row `v` (at most `N` entries, at `row`) with the network
+/// `net` on `N` lanes.
+fn sort_short<const N: usize>(dg: &mut DistGraph, v: u32, row: Range<usize>, net: &[(u8, u8)]) {
     let len = row.len();
-    let weighted = !dg.weights.is_empty();
     let mut adj = [0u32; N];
-    let mut weights = [1.0; N];
     adj[..len].copy_from_slice(&dg.adj[row.clone()]);
-    if weighted {
-        weights[..len].copy_from_slice(&dg.weights[row.clone()]);
+    let mut weights = [1.0; N];
+    match &dg.weights {
+        EdgeWeights::Unit => {}
+        EdgeWeights::Stored(stored) => weights[..len].copy_from_slice(&stored[row.clone()]),
+        EdgeWeights::Drawn(draw) => {
+            if sort_drawn(dg, *draw, v, row.clone(), &adj, net) {
+                return;
+            }
+            for (w, i) in weights[..len].iter_mut().zip(row.clone()) {
+                *w = dg.edge_weight(v, i);
+            }
+        }
     }
     let mut keys = [u128::MAX; N];
     for (lane, key) in keys[..len].iter_mut().enumerate() {
         let global = dg.global_ids[adj[lane] as usize];
         *key = network_key(weights[lane], global, lane);
     }
-    for &(i, j) in net {
-        let (a, b) = (keys[i as usize], keys[j as usize]);
-        keys[i as usize] = a.min(b);
-        keys[j as usize] = a.max(b);
-    }
+    run_network(&mut keys, net);
     for (i, &key) in row.clone().zip(&keys[..len]) {
-        let lane = key as u32 as usize;
-        dg.adj[i] = adj[lane];
-        if weighted {
-            dg.weights[i] = weights[lane];
+        dg.adj[i] = adj[key as u32 as usize];
+    }
+    if let EdgeWeights::Stored(stored) = &mut dg.weights {
+        for (i, &key) in row.zip(&keys[..len]) {
+            stored[i] = weights[key as u32 as usize];
         }
     }
 }
 
+/// Sorts a drawn row (its entries `adj`) on `u64` keys built straight
+/// from [`EdgeUnitRandom::bits`]: the bits' complement, so ascending is
+/// descending weight (`of` scales the bits exactly), then the lane. That
+/// orders the row as [`network_key`] does unless two entries draw the
+/// same bits, where only the global id can break the tie: then it
+/// changes nothing and returns `false`.
+fn sort_drawn<const N: usize>(
+    dg: &mut DistGraph,
+    draw: EdgeUnitRandom,
+    v: u32,
+    row: Range<usize>,
+    adj: &[u32; N],
+    net: &[(u8, u8)],
+) -> bool {
+    const LANE_BITS: u32 = 4;
+    const _: () = assert!(NET_MAX <= 1 << LANE_BITS);
+    const ALL_53: u64 = (1 << 53) - 1;
+    let len = row.len();
+    let vg = dg.global_ids[v as usize];
+    // A real key is below 2^57, so the padding sorts last.
+    let mut keys = [u64::MAX; N];
+    for (lane, key) in keys[..len].iter_mut().enumerate() {
+        let ug = dg.global_ids[adj[lane] as usize];
+        let bits = draw.bits(vg.min(ug), vg.max(ug));
+        *key = ((ALL_53 ^ bits) << LANE_BITS) | lane as u64;
+    }
+    run_network(&mut keys, net);
+    if keys[..len]
+        .windows(2)
+        .any(|w| w[0] >> LANE_BITS == w[1] >> LANE_BITS)
+    {
+        return false;
+    }
+    for (i, &key) in row.zip(&keys[..len]) {
+        dg.adj[i] = adj[(key & ((1 << LANE_BITS) - 1)) as usize];
+    }
+    true
+}
+
 /// Sorts owned row `v` (longer than [`NET_MAX`]) by comparison, through
 /// the reused buffer `buf`.
-fn sort_long(dg: &mut DistGraph, v: usize, buf: &mut Vec<(Weight, VertexId, u32)>) {
+fn sort_long(dg: &mut DistGraph, v: u32, buf: &mut Vec<(Weight, VertexId, u32)>) {
     buf.clear();
     buf.extend(
-        dg.neighbors_weighted(v as u32)
+        dg.neighbors_weighted(v)
             .map(|(u, w)| (w, dg.global_ids[u as usize], u)),
     );
     buf.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-    let weighted = !dg.weights.is_empty();
-    for (i, &(w, _, u)) in dg.row(v as u32).zip(buf.iter()) {
+    let row = dg.row(v);
+    for (i, &(_, _, u)) in row.clone().zip(buf.iter()) {
         dg.adj[i] = u;
-        if weighted {
-            dg.weights[i] = w;
+    }
+    if let EdgeWeights::Stored(weights) = &mut dg.weights {
+        for (i, &(w, _, _)) in row.zip(buf.iter()) {
+            weights[i] = w;
         }
     }
 }
@@ -329,6 +389,14 @@ mod tests {
             .collect()
     }
 
+    /// Every entry's weight bits in `adj` order, however the slice holds
+    /// its weights.
+    fn weight_bits(dg: &DistGraph) -> Vec<u64> {
+        (0..dg.n_local as u32)
+            .flat_map(|v| dg.row(v).map(move |i| dg.edge_weight(v, i).to_bits()))
+            .collect()
+    }
+
     /// Sorts every slice of `g` under `p` in place and checks each row
     /// against a comparison sort of its `(weight, global id, local)`
     /// tuples under `f64::total_cmp` — the definition of the row order —
@@ -363,12 +431,11 @@ mod tests {
                 b.sort_unstable();
                 assert_eq!(a, b, "row {v} of rank {}", dg.rank);
             }
-            let (adj, weights) = (dg.adj.clone(), dg.weights.clone());
+            let (adj, weights) = (dg.adj.clone(), weight_bits(&dg));
             let xadj = dg.xadj.clone();
             sort_rows_by_weight(&mut dg);
             assert_eq!((dg.xadj.clone(), dg.adj.clone()), (xadj, adj));
-            let bits = |ws: &[Weight]| ws.iter().map(|w| w.to_bits()).collect::<Vec<u64>>();
-            assert_eq!(bits(&dg.weights), bits(&weights));
+            assert_eq!(weight_bits(&dg), weights);
         }
     }
 
@@ -419,7 +486,7 @@ mod tests {
         let g = grid2d(6, 6);
         for mut dg in DistGraph::build_all(&g, &hash_partition(36, 3, 4)) {
             sort_rows_by_weight(&mut dg);
-            assert!(dg.weights.is_empty());
+            assert_eq!(dg.weights, EdgeWeights::Unit);
             for v in 0..dg.n_local as u32 {
                 let gids: Vec<VertexId> = dg
                     .neighbors(v)
@@ -490,7 +557,6 @@ mod tests {
     /// Every row sorted by one comparison sort, the way every row once
     /// was: the oracle of the networks.
     fn comparison_sort_rows(dg: &mut DistGraph) {
-        let weighted = !dg.weights.is_empty();
         let mut row: Vec<(Weight, VertexId, u32)> = Vec::new();
         for v in 0..dg.n_local {
             row.clear();
@@ -501,8 +567,8 @@ mod tests {
             row.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
             for (i, &(w, _, u)) in dg.row(v as u32).zip(&row) {
                 dg.adj[i] = u;
-                if weighted {
-                    dg.weights[i] = w;
+                if let EdgeWeights::Stored(weights) = &mut dg.weights {
+                    weights[i] = w;
                 }
             }
         }
@@ -511,12 +577,7 @@ mod tests {
     /// Sorts `dg` both ways and checks the bytes agree, then that a
     /// second sort changes nothing.
     fn assert_sorts_like_the_comparison_sort(dg: &DistGraph) {
-        let bits = |dg: &DistGraph| -> (Vec<u32>, Vec<u64>) {
-            (
-                dg.adj.clone(),
-                dg.weights.iter().map(|w| w.to_bits()).collect(),
-            )
-        };
+        let bits = |dg: &DistGraph| (dg.adj.clone(), weight_bits(dg));
         let (mut got, mut want) = (dg.clone(), dg.clone());
         sort_rows_by_weight(&mut got);
         comparison_sort_rows(&mut want);
@@ -554,9 +615,15 @@ mod tests {
     /// A slice of rank 0 of 3 built from its fields: one owned row of
     /// each length in `lens` (in that order), `n_ghost` ghosts whose
     /// first has global id `u32::MAX`, entries drawn over every local
-    /// index (so rows repeat neighbors) and weights from [`TRICKY`]
-    /// (or none).
-    fn tricky_slice(lens: &[usize], n_ghost: usize, weighted: bool, seed: u64) -> DistGraph {
+    /// index (so rows repeat neighbors) and weights stored from
+    /// [`TRICKY`] (`Some(true)`), drawn under `seed` (`Some(false)`) or
+    /// none.
+    fn tricky_slice(
+        lens: &[usize],
+        n_ghost: usize,
+        weighted: Option<bool>,
+        seed: u64,
+    ) -> DistGraph {
         let mut rng = SmallRng::seed_from_u64(seed);
         let n_local = lens.len();
         let n_total = n_local + n_ghost;
@@ -571,10 +638,13 @@ mod tests {
             xadj.push(adj.len() as u32);
         }
         let weights = match weighted {
-            true => (0..adj.len())
-                .map(|_| f64::from_bits(TRICKY[rng.random_range(0..TRICKY.len())]))
-                .collect(),
-            false => Vec::new(),
+            Some(true) => EdgeWeights::Stored(
+                (0..adj.len())
+                    .map(|_| f64::from_bits(TRICKY[rng.random_range(0..TRICKY.len())]))
+                    .collect(),
+            ),
+            Some(false) => EdgeWeights::Drawn(cmg_graph::weights::EdgeUnitRandom::new(seed)),
+            None => EdgeWeights::Unit,
         };
         let is_boundary = (0..n_local)
             .map(|v| {
@@ -606,21 +676,24 @@ mod tests {
         // It must come out last in its row, the row keep its length,
         // and no padding lane leak in.
         let lens: Vec<usize> = (1..=16).collect();
-        let mut dg = tricky_slice(&lens, 3, true, 7);
+        let mut dg = tricky_slice(&lens, 3, Some(true), 7);
         let ghost = dg.n_local as u32;
         for v in 0..dg.n_local {
             let row = dg.row(v as u32);
             let mid = row.start + row.len() / 2;
             dg.adj[mid] = ghost;
-            dg.weights[mid] = f64::from_bits(LAST_NAN);
+            let EdgeWeights::Stored(weights) = &mut dg.weights else {
+                panic!("a tricky slice stores its weights");
+            };
+            weights[mid] = f64::from_bits(LAST_NAN);
             dg.is_boundary[v] = true;
         }
         assert_sorts_like_the_comparison_sort(&dg);
         sort_rows_by_weight(&mut dg);
-        for v in 0..dg.n_local {
-            let last = dg.row(v as u32).end - 1;
+        for v in 0..dg.n_local as u32 {
+            let last = dg.row(v).end - 1;
             assert_eq!(dg.adj[last], ghost, "row {v}");
-            assert_eq!(dg.weights[last].to_bits(), LAST_NAN, "row {v}");
+            assert_eq!(dg.edge_weight(v, last).to_bits(), LAST_NAN, "row {v}");
         }
     }
 
@@ -629,14 +702,15 @@ mod tests {
 
         /// Rows of every length on both sides of each network size (0
         /// to 17) and one of 40 (the comparison sort), in a random
-        /// order, with repeated neighbors and tricky weights or none:
-        /// the bytes equal the comparison sort's.
+        /// order, with repeated neighbors and tricky, drawn or no
+        /// weights: the bytes equal the comparison sort's.
         #[test]
         fn network_rows_equal_the_comparison_sort(
             seed in any::<u64>(),
             n_ghost in 1usize..6,
-            weighted in any::<bool>(),
+            kind in 0usize..3,
         ) {
+            let weighted = [Some(true), Some(false), None][kind];
             let mut lens: Vec<usize> = (0..=17).chain([40]).collect();
             lens.shuffle(&mut SmallRng::seed_from_u64(seed ^ 1));
             assert_sorts_like_the_comparison_sort(&tricky_slice(&lens, n_ghost, weighted, seed));

@@ -28,7 +28,7 @@ mod multilevel;
 pub mod partition;
 pub mod simple;
 
-pub use dist::{gather_shares, DistGraph};
+pub use dist::{gather_shares, DistGraph, EdgeWeights};
 pub use geometric::morton_partition;
 pub use grid_dist::grid2d_dist;
 pub use halo::{ghost_neighbor_owners, sort_rows_by_weight, HaloView};
