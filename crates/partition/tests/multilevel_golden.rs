@@ -80,6 +80,12 @@ const GOLDEN: [Row; 7] = [
     ]),
 ];
 
+/// Where `available_parallelism()` is 2 or more, the three
+/// `circuit_like(20000, …)` rows at k = 4, 8, 16 and 64 bisect their two
+/// top-level halves (9 711–10 311 vertices each) on two threads at once, so
+/// the concurrent path is pinned in debug builds too. Their k = 2 has no
+/// halves to split; at k = 3 side 0 is a single part, and at k = 5 it is
+/// two fifths of the graph, below the 2¹³-vertex spawn size.
 #[test]
 fn assignments_match_the_recorded_fingerprints() {
     let mut wrong = Vec::new();
