@@ -817,10 +817,13 @@ impl Distance2 {
             return;
         }
         p.scope.done2.clear(p.phase);
-        let losers = std::mem::take(&mut p.scope.recolor);
+        let mut losers = std::mem::take(&mut p.scope.recolor);
         for &v in &losers {
             p.scope.in_r[v as usize] = false;
         }
+        // The set grew in `Recolor` arrival order; the next phase colours
+        // in list order, so sorting makes the answer order-free.
+        losers.sort_unstable();
         p.conclude_detection(losers, ctx);
     }
 }

@@ -13,27 +13,28 @@
 //!    its neighbors' matched edges, freeing those too — until a
 //!    fixpoint. Previously unmatchable vertices adjacent to the freed
 //!    region are reactivated (they may be matchable now).
-//! 2. **Finish** the frontier with [`MatchFrontier::repair`]: greedy
-//!    matching on the subgraph the frontier induces, in-process (what
-//!    cmg-serve does). A dirtier batch skips repair and reruns the
-//!    ordinary distributed program cold instead, and a frontier built
+//! 2. **Finish** the frontier with [`MatchFrontier::repair`]: a suitor
+//!    pass on the subgraph the frontier induces. A frontier built
 //!    [`with_limit`](MatchFrontier::with_limit) stops cascading once the
-//!    list is that dirty (it only grows, so that decides exactly).
+//!    list is that dirty (it only grows, so that decides exactly), and
+//!    the caller runs [`MatchFrontier::cold`] instead: the same pass with
+//!    the whole graph as its frontier ([`crate::seq::suitor`] is it too).
 //!
-//! [`MatchFrontier`] is the one copy of the cascade and of the greedy
-//! finisher. It works **in place** on the caller's mate slice and keeps
+//! [`MatchFrontier`] is the one copy of the cascade and of the suitor
+//! loop. It works **in place** on the caller's mate slice and keeps
 //! the frontier as a list, so a batch costs O(frontier · degree) and,
 //! once its scratch has grown, allocates nothing — no term scales with
 //! the graph. The functional [`invalidate`] / [`repair_frontier`] pair
 //! (copy in, run the kernel, copy out: O(n) per call) serves the tests
 //! and external replays.
 //!
-//! With distinct weights the locally dominant matching is the unique
-//! greedy matching, so repair reproduces the from-scratch result
-//! exactly; with ties it produces *a* valid locally-dominant matching
-//! (the documented serve-layer relaxation, DESIGN.md §13).
+//! Edges rank by one total order — heavier first, then the smaller
+//! endpoint id, then the larger (the paper's smallest-label tie-break) —
+//! under which the locally dominant matching is unique, so repair
+//! reproduces the from-scratch result bit for bit, ties included.
 
 use cmg_graph::{Mutation, MutationBatch, NeighborView, VertexId, Weight, NO_VERTEX};
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 
 /// The retained state between the two repair steps: produced by
@@ -48,26 +49,41 @@ pub struct MatchRetained {
     pub active: Vec<bool>,
 }
 
-/// Weight of the matched edge at `y`, or `None` if `y` is unmatched
-/// (or its matched edge vanished from the graph, which the caller
-/// handles by unmatching first).
-fn matched_weight(
+/// An edge seen from one endpoint, ordered as the total edge order ranks
+/// it (heavier first, then the smaller endpoint id, then the larger; at
+/// a shared endpoint ties go to the smaller far end): its weight's
+/// [`f64::total_cmp`] key, an integer so the hot loop compares no
+/// floats, and the far end.
+type Ranked = (i64, Reverse<VertexId>);
+
+fn ranked(w: Weight, far: VertexId) -> Ranked {
+    let bits = w.to_bits() as i64;
+    (bits ^ (((bits >> 63) as u64) >> 1) as i64, Reverse(far))
+}
+
+/// Below every edge (the all-ones −NaN's key is the least): no proposal.
+const NO_PROPOSAL: Ranked = (i64::MIN, Reverse(NO_VERTEX));
+
+/// The matched edge at `y`, or `None` if `y` is unmatched (or its
+/// matched edge vanished from the graph, which the caller handles by
+/// unmatching first).
+fn matched_edge(
     g: &(impl NeighborView + ?Sized),
     mate: &[VertexId],
     y: VertexId,
-) -> Option<Weight> {
+) -> Option<Ranked> {
     let m = mate[y as usize];
     if m == NO_VERTEX {
         return None;
     }
-    g.edge_weight(y, m)
+    g.edge_weight(y, m).map(|w| ranked(w, m))
 }
 
 /// The in-place repair kernel and its reusable scratch: the active
 /// frontier of the last [`MatchFrontier::invalidate`] as a list plus a
 /// membership mark per vertex, the cascade's queue and neighborhood
-/// buffer, and the finisher's edge buffer. A resident caller keeps one
-/// of these next to its mate vector for the lifetime of the graph.
+/// buffer, and the finisher's proposals. A resident caller keeps one of
+/// these next to its mate vector for the lifetime of the graph.
 #[derive(Clone, Debug, Default)]
 pub struct MatchFrontier {
     /// Active vertices, each once, in discovery order.
@@ -80,8 +96,9 @@ pub struct MatchFrontier {
     queue: VecDeque<VertexId>,
     /// The neighborhood of the vertex the cascade is examining.
     hood: Vec<(VertexId, Weight)>,
-    /// Frontier-induced edges, sorted by the finisher.
-    edges: Vec<(Weight, VertexId, VertexId)>,
+    /// The finisher's best proposal to each vertex so far, far end =
+    /// proposer. Sized once; each pass blanks what its frontier wrote.
+    proposal: Vec<Ranked>,
     /// List size at which [`invalidate`](Self::invalidate) stops (`None`: never).
     limit: Option<usize>,
 }
@@ -91,6 +108,7 @@ impl MatchFrontier {
     pub fn new(n: usize) -> Self {
         MatchFrontier {
             mark: vec![false; n],
+            proposal: vec![NO_PROPOSAL; n],
             ..Default::default()
         }
     }
@@ -185,8 +203,9 @@ impl MatchFrontier {
                         // pair under the new weight (it usually re-matches).
                         self.unmatch(mate, u);
                     } else {
-                        let dominated = matched_weight(g_new, mate, u).is_some_and(|mw| mw >= w)
-                            || matched_weight(g_new, mate, v).is_some_and(|mw| mw >= w);
+                        let dominated = matched_edge(g_new, mate, u)
+                            .is_some_and(|e| e > ranked(w, v))
+                            || matched_edge(g_new, mate, v).is_some_and(|e| e > ranked(w, u));
                         if !dominated && g_new.has_edge(u, v) {
                             // The new edge dominates both endpoints: both
                             // incident pairs (if any) are invalid, and both
@@ -218,8 +237,8 @@ impl MatchFrontier {
             hood.clear();
             g_new.for_each_neighbor(x, &mut |y, w| hood.push((y, w)));
             for &(y, w) in &hood {
-                match matched_weight(g_new, mate, y) {
-                    Some(mw) if w > mw => self.unmatch(mate, y),
+                match matched_edge(g_new, mate, y) {
+                    Some(e) if ranked(w, x) > e => self.unmatch(mate, y),
                     Some(_) => {}
                     None => {
                         // Unmatched neighbor of the freed region: it may
@@ -239,51 +258,72 @@ impl MatchFrontier {
         true
     }
 
-    /// Finishes a repair **sequentially**: greedy matching on the
-    /// subgraph induced by the frontier, written into `mate`, in
-    /// O(frontier · degree + F log F).
-    ///
-    /// This is the serving layer's hot path. A resident service repairing
-    /// a handful of vertices per batch cannot afford to stand up the
-    /// distributed engine (partition build + program construction are
-    /// O(V + E)); it runs this in-process instead.
+    /// Finishes a repair **sequentially**: the suitor pass on the
+    /// subgraph the frontier induces, written into `mate`, in
+    /// O(frontier · degree).
     ///
     /// Equivalence argument: after [`invalidate`](Self::invalidate),
     /// every vertex off the frontier is frozen (matched with its
-    /// retained mate, or known-unmatchable), so greedy can only pair
-    /// frontier vertices, and greedy matching restricted to the
-    /// frontier-induced subgraph is the unique fixpoint when weights
-    /// are distinct. Ties fall to the deterministic `(weight, u, v)` order
-    /// here — the same documented relaxation the serve layer already
-    /// carries for coloring palettes.
+    /// retained mate, or known-unmatchable), so only frontier vertices
+    /// can pair, and the locally dominant matching of the
+    /// frontier-induced subgraph under the total edge order is unique —
+    /// the one a cold run finds there.
     pub fn repair(&mut self, g: &(impl NeighborView + ?Sized), mate: &mut [VertexId]) {
-        let MatchFrontier {
-            list, mark, edges, ..
-        } = self;
-        // Frontier edges: both endpoints active (active ⟹ unmatched, an
-        // `invalidate` invariant — frozen vertices never re-match).
-        edges.clear();
-        for &u in list.iter() {
-            debug_assert_eq!(
-                mate[u as usize], NO_VERTEX,
-                "active vertex {u} still matched"
-            );
-            g.for_each_neighbor(u, &mut |v, w| {
-                if u < v && mark[v as usize] {
-                    edges.push((w, u, v));
+        // Active ⟹ unmatched, an `invalidate` invariant.
+        debug_assert!(self.list.iter().all(|&v| mate[v as usize] == NO_VERTEX));
+        let (list, mark) = (&self.list, &self.mark);
+        suitor_pass(g, mate, &mut self.proposal, list.iter().copied(), |v| {
+            mark[v as usize]
+        });
+    }
+
+    /// Decides every vertex from scratch, overwriting all of `mate` in
+    /// O(n + m): the finisher with the whole graph as its frontier. The
+    /// list of the last [`invalidate`](Self::invalidate) stays as it was.
+    pub fn cold(&mut self, g: &(impl NeighborView + ?Sized), mate: &mut [VertexId]) {
+        let n = g.num_vertices() as VertexId;
+        suitor_pass(g, mate, &mut self.proposal, 0..n, |_| true);
+    }
+}
+
+/// The one suitor loop (Manne–Halappanavar) under the total edge order:
+/// each vertex of `frontier` proposes to its best neighbor on the
+/// frontier (`on`) whose standing proposal it outranks, and a displaced
+/// proposer proposes again. Mutual proposals are then the locally
+/// dominant matching of the frontier-induced subgraph, written into
+/// `mate` for every frontier vertex. Touches the scratch of frontier
+/// vertices only, so a small frontier costs a few rows whatever the graph.
+fn suitor_pass(
+    g: &(impl NeighborView + ?Sized),
+    mate: &mut [VertexId],
+    proposal: &mut [Ranked],
+    frontier: impl Iterator<Item = VertexId> + Clone,
+    on: impl Fn(VertexId) -> bool,
+) {
+    for mut x in frontier.clone() {
+        while x != NO_VERTEX {
+            let mut best = NO_PROPOSAL;
+            g.for_each_neighbor(x, &mut |u, w| {
+                let edge = ranked(w, u);
+                if edge > best && on(u) && (edge.0, Reverse(x)) > proposal[u as usize] {
+                    best = edge;
                 }
             });
-        }
-        edges.sort_unstable_by(|a, b| {
-            b.0.total_cmp(&a.0)
-                .then_with(|| (a.1, a.2).cmp(&(b.1, b.2)))
-        });
-        for &(_, u, v) in edges.iter() {
-            if mate[u as usize] == NO_VERTEX && mate[v as usize] == NO_VERTEX {
-                mate[u as usize] = v;
-                mate[v as usize] = u;
+            let (key, Reverse(u)) = best;
+            if u == NO_VERTEX {
+                break;
             }
+            // The displaced proposer, if any, proposes again.
+            (_, Reverse(x)) = std::mem::replace(&mut proposal[u as usize], (key, Reverse(x)));
         }
+    }
+    for v in frontier.clone() {
+        let (_, Reverse(s)) = proposal[v as usize];
+        let mutual = s != NO_VERTEX && proposal[s as usize].1 == Reverse(v);
+        mate[v as usize] = if mutual { s } else { NO_VERTEX };
+    }
+    for v in frontier {
+        proposal[v as usize] = NO_PROPOSAL;
     }
 }
 
@@ -317,7 +357,7 @@ pub fn repair_frontier(
             .filter_map(|(v, &active)| active.then_some(v))
             .collect(),
         mark: retained.active.clone(),
-        ..Default::default()
+        ..MatchFrontier::new(mate.len())
     };
     frontier.repair(g, &mut mate);
     mate

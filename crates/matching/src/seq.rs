@@ -5,7 +5,7 @@
 //! candidate-mate algorithm ([`local_dominant`]) is the sequential core of
 //! the paper's parallel algorithm (§3.1).
 
-use crate::Matching;
+use crate::{MatchFrontier, Matching};
 use cmg_graph::{CsrGraph, VertexId, Weight, NO_VERTEX};
 
 /// Greedy matching: sort all edges by decreasing weight (ties: smaller
@@ -177,53 +177,15 @@ pub fn path_growing(g: &CsrGraph) -> Matching {
 }
 
 /// Suitor algorithm (Manne–Halappanavar): every vertex proposes to its
-/// heaviest neighbor that does not already hold a heavier proposal,
+/// best neighbor that does not already hold a better proposal,
 /// dethroning weaker suitors. Produces exactly the locally-dominant
-/// matching, usually with fewer candidate recomputations.
+/// matching under the total edge order (heavier first, then the smaller
+/// endpoint id, then the larger). It is the repair kernel's cold pass
+/// ([`MatchFrontier::cold`]), the crate's one suitor loop.
 pub fn suitor(g: &CsrGraph) -> Matching {
-    let n = g.num_vertices();
-    let mut suitor_of = vec![NO_VERTEX; n];
-    let mut suitor_w = vec![f64::NEG_INFINITY; n];
-    for start in 0..n as VertexId {
-        let mut current = start;
-        let mut done = false;
-        while !done {
-            done = true;
-            // Best partner for `current`: heaviest neighbor where we would
-            // displace a strictly weaker suitor (ties: smaller proposer id
-            // wins, mirroring the smallest-label rule).
-            let mut best = NO_VERTEX;
-            let mut best_w = f64::NEG_INFINITY;
-            for (u, w) in g.neighbors_weighted(current) {
-                let beats_current_suitor = w > suitor_w[u as usize]
-                    || (w == suitor_w[u as usize]
-                        && suitor_of[u as usize] != NO_VERTEX
-                        && current < suitor_of[u as usize]);
-                let better_than_best = w > best_w || (w == best_w && u < best);
-                if beats_current_suitor && better_than_best {
-                    best = u;
-                    best_w = w;
-                }
-            }
-            if best != NO_VERTEX {
-                let displaced = suitor_of[best as usize];
-                suitor_of[best as usize] = current;
-                suitor_w[best as usize] = best_w;
-                if displaced != NO_VERTEX {
-                    current = displaced;
-                    done = false;
-                }
-            }
-        }
-    }
-    let mut m = Matching::empty(n);
-    for v in 0..n as VertexId {
-        let s = suitor_of[v as usize];
-        if s != NO_VERTEX && !m.is_matched(v) && suitor_of[s as usize] == v {
-            m.add(v, s);
-        }
-    }
-    m
+    let mut mate = vec![NO_VERTEX; g.num_vertices()];
+    MatchFrontier::new(g.num_vertices()).cold(g, &mut mate);
+    Matching::from_mates(mate)
 }
 
 #[cfg(test)]

@@ -28,7 +28,8 @@
 //! matching of the final graph with the ½-approx certificate, and the
 //! served coloring is proper. Bit-identity between the warm-repaired
 //! coloring and a cold run is explicitly relaxed — the palettes may
-//! differ; with distinct edge weights the matching is bit-identical.
+//! differ; the matching is bit-identical (weight ties break by
+//! endpoint ids).
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![forbid(unsafe_code)]

@@ -30,26 +30,27 @@
 //!
 //! Past a configurable dirtiness threshold the warm start stops
 //! paying (the frontier *is* the graph) and the batch falls through
-//! to a full recompute: CSR repacked, partition rebuilt, from-scratch
-//! engine pass (the matching invalidation stops where its frontier
-//! crosses the threshold, and the coloring one is skipped). With a
-//! [`NetSession`] attached, those cold runs execute on the resident
-//! multi-process fleet — composing with the supervisor's checkpoint
-//! recovery — while warm repairs always run in-process, where the tiny
-//! frontier finishes before a fleet round-trip would even start.
+//! to a full recompute (the matching invalidation stops where its
+//! frontier crosses the threshold, and the coloring one is skipped):
+//! [`MatchFrontier::cold`] on the resident rows, and a from-scratch
+//! coloring engine pass. With a [`NetSession`] attached, both cold runs
+//! execute on the resident multi-process fleet — composing with the
+//! supervisor's checkpoint recovery — while warm repairs always run
+//! in-process, where the tiny frontier finishes before a fleet
+//! round-trip would even start.
 //!
 //! **Consistency bar** (DESIGN.md §13): after any mutation stream the
 //! served matching is a valid locally-dominant matching of the final
 //! graph (½-approx certificate) and the served coloring is proper.
-//! With distinct weights the repaired matching equals the
-//! from-scratch one bit-for-bit; the repaired coloring is proper but
-//! may use a different palette than a cold run would — bit-identity
-//! across the repair/recompute boundary is explicitly relaxed.
+//! The repaired matching equals the from-scratch one bit-for-bit, ties
+//! included; the repaired coloring is proper but may use a different
+//! palette than a cold run would — bit-identity across the
+//! repair/recompute boundary is explicitly relaxed.
 
 use crate::protocol::RepairAck;
 use cmg_coloring::{assemble_coloring, ColorFrontier, Coloring, ColoringConfig, DistColoring};
 use cmg_graph::{ApplyOutcome, CsrGraph, MutableGraph, MutationBatch, VertexId, NO_VERTEX};
-use cmg_matching::{assemble_matching, DistMatching, MatchFrontier, Matching};
+use cmg_matching::{MatchFrontier, Matching};
 use cmg_net::{NetConfig, NetError, NetSession, NetTask};
 use cmg_partition::simple::block_partition;
 use cmg_partition::{DistGraph, Partition};
@@ -102,11 +103,11 @@ pub struct RepairReport {
     pub dirty_matching: usize,
     /// Vertices the coloring pass re-decided (same convention).
     pub dirty_coloring: usize,
-    /// Engine rounds of the matching pass. Warm repairs run the
-    /// sequential frontier kernel, which has no rounds (0); recomputes
-    /// report the cold engine's round count.
+    /// Engine rounds of the matching pass: the fleet's on a net-mode
+    /// recompute, else 0 (the sequential frontier kernel has none).
     pub match_rounds: u64,
-    /// Engine rounds of the coloring pass (same convention).
+    /// Engine rounds of the coloring pass: 0 on a warm repair, the cold
+    /// engine's (fleet or in-process) on a recompute.
     pub color_rounds: u64,
 }
 
@@ -344,26 +345,28 @@ impl ServeState {
     }
 
     /// In-process from-scratch pass (also the net mode's fallback when
-    /// a fleet pass fails unrecoverably). Returns the two passes'
-    /// engine rounds (matching, coloring).
+    /// a fleet pass fails unrecoverably): the frontier kernel's cold pass
+    /// on the resident rows for the matching, which the graph alone
+    /// fixes, and [`DistColoring`] on the partition's slices for the
+    /// coloring, which depends on the algorithm. Returns the engine
+    /// rounds (matching, coloring): the matching ran none.
     fn recompute_local(&mut self) -> (u64, u64) {
+        self.mate.resize(self.mg.num_vertices(), NO_VERTEX);
+        self.match_frontier.cold(&self.mg, &mut self.mate);
         let g = self.csr.get_or_insert_with(|| self.mg.rebuild());
-        let parts = DistGraph::build_all(g, &self.part);
-        let programs: Vec<DistMatching> = parts.iter().cloned().map(DistMatching::new).collect();
-        let result = SimEngine::new(programs, Self::engine_cfg()).run();
-        self.mate = assemble_matching(&result.programs, g.num_vertices())
-            .mates()
-            .to_vec();
-        let match_rounds = result.stats.rounds;
-        let programs: Vec<DistColoring> = parts
+        let programs: Vec<DistColoring> = DistGraph::build_all(g, &self.part)
             .into_iter()
             .map(|dg| DistColoring::new(dg, self.cfg.coloring))
             .collect();
-        let result = SimEngine::new(programs, Self::engine_cfg()).run();
+        let cfg = EngineConfig {
+            cost: CostModel::compute_only(),
+            ..Default::default()
+        };
+        let result = SimEngine::new(programs, cfg).run();
         self.colors = assemble_coloring(&result.programs, g.num_vertices())
             .colors()
             .to_vec();
-        (match_rounds, result.stats.rounds)
+        (0, result.stats.rounds)
     }
 
     /// Shuts a resident fleet down gracefully (no-op in-process).
@@ -371,13 +374,6 @@ impl ServeState {
         match self.session.as_mut() {
             Some(session) => session.close(),
             None => Ok(()),
-        }
-    }
-
-    fn engine_cfg() -> EngineConfig {
-        EngineConfig {
-            cost: CostModel::compute_only(),
-            ..Default::default()
         }
     }
 }

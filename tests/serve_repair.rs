@@ -16,8 +16,10 @@
 //!    graph, bit for bit (weights are distinct, so the locally dominant
 //!    matching is unique). Runs at two thresholds so both the warm
 //!    repair path and the recompute path carry real traffic; repairs
-//!    must report 0 engine rounds and recomputes the cold passes' real
-//!    round counts and every vertex as dirty.
+//!    must report 0 engine rounds, and recomputes every vertex as dirty,
+//!    0 matching rounds (the in-process cold matching is the frontier
+//!    kernel, which runs no engine) and the cold colouring run's real
+//!    round count.
 //! 3. **Delivery adversaries.** A cold distributed matching of the
 //!    mutated graph must equal the answer the sequential frontier
 //!    kernel serves, bit for bit, under reordered, reversed, LIFO,
@@ -111,7 +113,7 @@ fn stream_and_verify(seed: u64, threshold: f64) -> (u64, u64) {
             }
             RepairMode::Recompute => {
                 assert!(
-                    rounds.0 > 0 && rounds.1 > 0,
+                    rounds.0 == 0 && rounds.1 > 0,
                     "step {step}: a recompute reported {rounds:?} rounds"
                 );
                 // A cold pass re-decides every vertex.

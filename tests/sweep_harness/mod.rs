@@ -155,13 +155,13 @@ impl Cell {
     /// equals the simulator's; a simulated cell under any order gives its
     /// `arrival` twin's answer where the answer is order-free: always for
     /// matching, for distance-1 colouring when every phase is one
-    /// superstep (`superstep_size ≥ n`). Distance-2's learned bans follow
-    /// the order even then.
+    /// superstep (`superstep_size ≥ n`), for distance-2 colouring too
+    /// (its recolour set is sorted before the next phase colours it).
     fn partner(self, n: usize) -> Option<(Cell, Over, &'static str)> {
         let order_free = match self.program {
             Program::Match => true,
-            Program::D1(_, s) => s >= n,
-            Program::D2(_) | Program::Jp | Program::Tokens(..) => false,
+            Program::D1(_, s) | Program::D2(s) => s >= n,
+            Program::Jp | Program::Tokens(..) => false,
         };
         let ck0 = self.with(|c| c.checkpoint = 0);
         let fresh = self.with(|c| c.restored = false);
