@@ -21,7 +21,7 @@ use cmg_partition::{DistGraph, Partition};
 use cmg_runtime::{
     CostModel, DeliveryKey, DeliveryPolicy, DeliveryScript, EngineConfig, Rank, SimEngine,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Outcome of one exploration campaign.
 #[derive(Debug, Default)]
@@ -155,18 +155,20 @@ struct BookState {
 ///
 /// Scripted policies force the serial engine, so the interior `Mutex` is
 /// uncontended; it exists to satisfy `DeliveryScript: Send + Sync`.
+#[expect(clippy::disallowed_types, reason = "calls hold it one at a time")]
 pub struct ScriptBook {
-    state: Mutex<BookState>,
+    state: std::sync::Mutex<BookState>,
 }
 
 impl ScriptBook {
     /// A book replaying `stream`, then canonical-first past its end.
     pub fn new(stream: Vec<usize>) -> Arc<Self> {
         Arc::new(ScriptBook {
-            state: Mutex::new(BookState {
+            state: BookState {
                 stream,
                 taken: Vec::new(),
-            }),
+            }
+            .into(),
         })
     }
 

@@ -1,10 +1,9 @@
-//! Source masking: the front end of the item-level parse.
+//! Source masking: the front end of the name scan.
 //!
 //! [`mask_source`] blanks comments and string/char/byte literals with
 //! spaces while preserving byte positions and newlines, so
-//! [`crate::parse`]'s item parser can never fire on prose or literal
-//! contents, and every reported line number maps straight back to the
-//! raw file.
+//! [`crate::names`]' scan can never fire on prose or literal contents,
+//! and every reported line number maps straight back to the raw file.
 //!
 //! The masker understands the full literal surface the workspace uses:
 //!

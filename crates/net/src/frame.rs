@@ -14,9 +14,10 @@
 //! [`wire_codec!`]: cmg_runtime::wire_codec
 
 use crate::error::NetError;
+pub use crate::reactor::MAX_FRAME_LEN;
+use crate::reactor::MIN_FRAME_LEN;
 use bytes::Bytes;
 use cmg_runtime::{wire_codec, WireMessage};
-use std::collections::VecDeque;
 use std::io::Read;
 
 /// Protocol version carried in [`Ctrl::Hello`]; bumped on any wire
@@ -46,11 +47,6 @@ use std::io::Read;
 /// weight or conflict count after its pairs, and the assignment lost the
 /// bundling and telemetry flags, which every run set the same way.
 pub const PROTO_VERSION: u32 = 8;
-
-/// Upper bound on a frame's encoded size (64 MiB). A length prefix
-/// beyond this is treated as corruption rather than honored with a
-/// giant allocation.
-pub const MAX_FRAME_LEN: u32 = 64 << 20;
 
 wire_codec! {
     /// The control vocabulary of the transport. Grouped by plane:
@@ -370,19 +366,20 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u64, Frame)>, NetError> {
 
 /// Refuses a length prefix no frame can have.
 fn check_len(len: u32) -> Result<(), NetError> {
-    if (9..=MAX_FRAME_LEN).contains(&len) {
+    if (MIN_FRAME_LEN..=MAX_FRAME_LEN).contains(&len) {
         Ok(())
     } else {
         Err(NetError::protocol(format!(
-            "frame length {len} outside [9, {MAX_FRAME_LEN}]"
+            "frame length {len} outside [{MIN_FRAME_LEN}, {MAX_FRAME_LEN}]"
         )))
     }
 }
 
 /// Decodes everything after the length prefix: `[u64 seq][ctrl][payload]`
-/// (`body` is at least 9 bytes — both callers checked the length). The
-/// payload is a window of `body`, not a copy.
-fn decode_body(body: Bytes) -> Result<(u64, Frame), NetError> {
+/// (`body` is at least [`MIN_FRAME_LEN`] bytes — [`read_frame`] and the
+/// reactor both check the length). The payload is a window of `body`,
+/// not a copy.
+pub(crate) fn decode_body(body: Bytes) -> Result<(u64, Frame), NetError> {
     let seq = u64::from_le_bytes([
         body[0], body[1], body[2], body[3], body[4], body[5], body[6], body[7],
     ]);
@@ -398,92 +395,6 @@ fn decode_body(body: Bytes) -> Result<(u64, Frame), NetError> {
     };
     let payload = body.slice(body.len() - cursor.len()..);
     Ok((seq, Frame { ctrl, payload }))
-}
-
-/// Incremental frame decoder for non-blocking byte streams.
-///
-/// The reactor reads whatever the socket has — which may be half a
-/// frame, or several coalesced frames back to back from one vectored
-/// write — appends it via [`FrameAssembler::extend`], and drains
-/// complete frames with [`FrameAssembler::next_frame`]. The wire
-/// grammar and validation are identical to [`read_frame`]; only the
-/// blocking discipline differs.
-///
-/// Like [`read_frame`], each body is read into a buffer of its own,
-/// allocated at the length its prefix announces, and the frame's payload
-/// is a window of that buffer: a byte is copied once, from the read
-/// chunk to its frame.
-#[derive(Debug, Default)]
-pub struct FrameAssembler {
-    /// The length prefix being read, `prefix_len` bytes of it so far.
-    prefix: [u8; 4],
-    prefix_len: usize,
-    /// The body being read, towards the `body_len` bytes its prefix
-    /// announced (0 while a prefix is being read).
-    body: Vec<u8>,
-    body_len: usize,
-    /// Bodies read whole and not yet popped, oldest first.
-    ready: VecDeque<Vec<u8>>,
-    /// A length no frame can have: the stream cannot be split past it.
-    bad_len: Option<u32>,
-}
-
-impl FrameAssembler {
-    /// An empty assembler.
-    pub fn new() -> Self {
-        FrameAssembler::default()
-    }
-
-    /// Appends raw bytes read off the stream.
-    pub fn extend(&mut self, mut bytes: &[u8]) {
-        // nonblocking: begin — reactor feeds raw reads straight in
-        while !bytes.is_empty() && self.bad_len.is_none() {
-            if self.body_len == 0 {
-                let take = (4 - self.prefix_len).min(bytes.len());
-                self.prefix[self.prefix_len..self.prefix_len + take]
-                    .copy_from_slice(&bytes[..take]);
-                self.prefix_len += take;
-                bytes = &bytes[take..];
-                if self.prefix_len == 4 {
-                    self.prefix_len = 0;
-                    let len = u32::from_le_bytes(self.prefix);
-                    match check_len(len) {
-                        Ok(()) => {
-                            self.body_len = len as usize;
-                            self.body = Vec::with_capacity(self.body_len);
-                        }
-                        Err(_) => self.bad_len = Some(len),
-                    }
-                }
-            } else {
-                let take = (self.body_len - self.body.len()).min(bytes.len());
-                self.body.extend_from_slice(&bytes[..take]);
-                bytes = &bytes[take..];
-                if self.body.len() == self.body_len {
-                    self.body_len = 0;
-                    self.ready.push_back(std::mem::take(&mut self.body));
-                }
-            }
-        }
-        // nonblocking: end
-    }
-
-    /// Pops the next complete `(seq, frame)`, or `Ok(None)` if the
-    /// stream so far ends in a partial frame. Malformed lengths or
-    /// control words are [`NetError`]s, exactly as in [`read_frame`]:
-    /// a bad control word fails its own frame, a bad length every call
-    /// from the frames before it on.
-    pub fn next_frame(&mut self) -> Result<Option<(u64, Frame)>, NetError> {
-        // nonblocking: begin — called from the reactor's event loop
-        if let Some(body) = self.ready.pop_front() {
-            return decode_body(Bytes::from(body)).map(Some);
-        }
-        if let Some(len) = self.bad_len {
-            check_len(len)?;
-        }
-        Ok(None)
-        // nonblocking: end
-    }
 }
 
 /// `read_exact` that distinguishes "EOF before the first byte"
@@ -658,55 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn assembler_reproduces_read_frame_at_every_chunking() {
-        let frames = [
-            (
-                5u64,
-                Frame::with_payload(
-                    Ctrl::RoundBundle {
-                        round: 3,
-                        src: 1,
-                        npackets: 1,
-                        sent_micros: 99,
-                    },
-                    Bytes::from(vec![7u8; 33]),
-                ),
-            ),
-            (
-                6,
-                Frame::bare(Ctrl::RoundDone {
-                    round: 3,
-                    src: 1,
-                    active: 1,
-                }),
-            ),
-            (7, Frame::bare(Ctrl::Shutdown)),
-        ];
-        let mut wire: Vec<u8> = Vec::new();
-        for (seq, f) in &frames {
-            wire.extend_from_slice(&encode_frame(*seq, f));
-        }
-        // Feed the stream in every chunk size: 1-byte dribble through
-        // one giant slab (a coalesced writev arriving whole).
-        for chunk in 1..=wire.len() {
-            let mut asm = FrameAssembler::new();
-            let mut got = Vec::new();
-            for piece in wire.chunks(chunk) {
-                asm.extend(piece);
-                while let Some(sf) = asm.next_frame().unwrap() {
-                    got.push(sf);
-                }
-            }
-            assert_eq!(got.len(), frames.len(), "chunk size {chunk}");
-            for ((gs, gf), (es, ef)) in got.iter().zip(frames.iter()) {
-                assert_eq!(gs, es);
-                assert_eq!(gf, ef);
-            }
-            assert!(drained(&asm), "bytes left over");
-        }
-    }
-
-    #[test]
     fn a_frame_appended_in_place_is_encode_frames_bytes() {
         // A full-vector reply's size: 65,536 nine-byte records.
         let payload: Vec<u8> = (0..65_536u32 * 9)
@@ -744,80 +606,36 @@ mod tests {
             got.push(sf);
         }
         check(&got);
-        // Fed to the assembler in pieces of 1, 2, ..., 7, 1, ... bytes.
-        let mut asm = FrameAssembler::new();
+        // Read back from a stream that yields 1, 2, ..., 7, 1, ... bytes
+        // per read.
+        let mut dribble = Dribble {
+            rest: &out,
+            pieces: (1..=7).cycle(),
+        };
         let mut got = Vec::new();
-        let mut rest: &[u8] = &out;
-        for piece in (1..=7).cycle() {
-            if rest.is_empty() {
-                break;
-            }
-            let (head, tail) = rest.split_at(piece.min(rest.len()));
-            asm.extend(head);
-            rest = tail;
-            while let Some(sf) = asm.next_frame().unwrap() {
-                got.push(sf);
-            }
+        while let Some(sf) = read_frame(&mut dribble).unwrap() {
+            got.push(sf);
         }
         check(&got);
-        assert!(drained(&asm), "bytes left over");
     }
 
-    /// `true` if `asm` holds no byte of a frame: no prefix or body
-    /// begun, none read whole and not popped.
-    fn drained(asm: &FrameAssembler) -> bool {
-        asm.prefix_len == 0 && asm.body_len == 0 && asm.ready.is_empty()
+    /// A reader that hands out its bytes a few at a time, as a socket may.
+    struct Dribble<'a, I> {
+        rest: &'a [u8],
+        pieces: I,
     }
 
-    #[test]
-    fn a_frame_split_across_reads_decodes_equal_to_one_read_whole() {
-        let frame = Frame::with_payload(
-            Ctrl::RoundBundle {
-                round: 5,
-                src: 2,
-                npackets: 3,
-                sent_micros: 77,
-            },
-            Bytes::from((0..40u8).collect::<Vec<u8>>()),
-        );
-        let wire = encode_frame(11, &frame);
-        let mut asm = FrameAssembler::new();
-        asm.extend(&wire);
-        let whole = asm.next_frame().unwrap().expect("a whole frame");
-        assert_eq!(whole, (11, frame));
-        assert!(asm.next_frame().unwrap().is_none() && drained(&asm));
-        // Every split into three reads, empty ones included: the prefix,
-        // the control word and the payload each cut anywhere.
-        for a in 0..=wire.len() {
-            for b in a..=wire.len() {
-                let mut asm = FrameAssembler::new();
-                let (mut fed, mut got) = (0, Vec::new());
-                for piece in [&wire[..a], &wire[a..b], &wire[b..]] {
-                    asm.extend(piece);
-                    fed += piece.len();
-                    if let Some(frame) = asm.next_frame().unwrap() {
-                        assert_eq!(
-                            fed,
-                            wire.len(),
-                            "cut {a}, {b}: a frame before its last byte"
-                        );
-                        got.push(frame);
-                    }
-                }
-                assert_eq!(got, std::slice::from_ref(&whole), "cut {a}, {b}");
-                assert!(drained(&asm), "cut {a}, {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn assembler_rejects_oversized_length() {
-        let mut asm = FrameAssembler::new();
-        asm.extend(&(MAX_FRAME_LEN + 1).to_le_bytes());
-        asm.extend(&[0u8; 16]);
-        match asm.next_frame() {
-            Err(NetError::Protocol { detail }) => assert!(detail.contains("frame length")),
-            other => panic!("expected protocol error, got {other:?}"),
+    impl<I: Iterator<Item = usize>> Read for Dribble<'_, I> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self
+                .pieces
+                .next()
+                .unwrap()
+                .min(buf.len())
+                .min(self.rest.len());
+            buf[..n].copy_from_slice(&self.rest[..n]);
+            self.rest = &self.rest[n..];
+            Ok(n)
         }
     }
 }

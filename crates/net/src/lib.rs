@@ -59,7 +59,7 @@ pub mod supervisor;
 pub mod worker;
 
 pub use error::NetError;
-pub use frame::{Ctrl, Frame, FrameAssembler, MAX_FRAME_LEN, PROTO_VERSION};
+pub use frame::{Ctrl, Frame, MAX_FRAME_LEN, PROTO_VERSION};
 pub use link::{
     connect_with_backoff, FaultAction, FaultPlan, LinkFault, LinkStats, LinkWriter, PlannedFault,
     Resequencer,

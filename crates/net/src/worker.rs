@@ -33,7 +33,7 @@
 //! can diagnose the run instead of timing out.
 
 use crate::error::NetError;
-use crate::frame::{hello_rank, read_frame, Ctrl, Frame, PROTO_VERSION};
+use crate::frame::{decode_body, hello_rank, read_frame, Ctrl, Frame, PROTO_VERSION};
 use crate::link::{connect_with_backoff, FaultPlan, LinkStats, LinkWriter, Resequencer};
 use crate::proto::{
     decode_assignment, decode_checkpoint, encode_checkpoint_into, encode_outcome, encode_stats,
@@ -53,7 +53,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Sentinel timestamp for "the run has not started yet" (the event
@@ -61,12 +61,16 @@ use std::time::{Duration, Instant};
 pub(crate) const NO_STAMP: u64 = u64::MAX;
 
 /// Cross-process clock alignment state, shared between the main loop
-/// (which fixes the epoch at `Start`), the heartbeat thread (which
-/// stamps beacons), and the supervisor-link reader (which absorbs
+/// (which fixes the epoch at each task's `Start`), the heartbeat thread
+/// (which stamps beacons), and the supervisor-link reader (which absorbs
 /// `HeartbeatAck` replies into an NTP-style offset estimate, keeping
-/// the minimum-RTT sample as the least-polluted one).
+/// the minimum-RTT sample as the least-polluted one). Lock-free: the
+/// epoch is an offset from `anchor`, so a persistent session's next
+/// `Start` re-arms it with one store.
 struct ClockSync {
-    epoch: Mutex<Option<Instant>>,
+    anchor: Instant,
+    /// Nanoseconds from `anchor` to the epoch; [`NO_STAMP`] until `Start`.
+    epoch_nanos: AtomicU64,
     best_rtt: AtomicU64,
     offset_micros: AtomicI64,
     have_offset: AtomicBool,
@@ -75,7 +79,8 @@ struct ClockSync {
 impl ClockSync {
     fn new() -> Self {
         ClockSync {
-            epoch: Mutex::new(None),
+            anchor: Instant::now(),
+            epoch_nanos: AtomicU64::new(NO_STAMP),
             best_rtt: AtomicU64::new(u64::MAX),
             offset_micros: AtomicI64::new(0),
             have_offset: AtomicBool::new(false),
@@ -83,20 +88,16 @@ impl ClockSync {
     }
 
     fn set_epoch(&self, at: Instant) {
-        let mut guard = match self.epoch.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        *guard = Some(at);
+        let nanos = at.saturating_duration_since(self.anchor).as_nanos() as u64;
+        self.epoch_nanos.store(nanos, Ordering::Relaxed);
     }
 
     /// Microseconds since the epoch ([`NO_STAMP`] before `Start`).
     fn micros_now(&self) -> u64 {
-        let guard = match self.epoch.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        guard.map_or(NO_STAMP, |e| e.elapsed().as_micros() as u64)
+        match self.epoch_nanos.load(Ordering::Relaxed) {
+            NO_STAMP => NO_STAMP,
+            epoch => (self.anchor.elapsed().as_nanos() as u64).saturating_sub(epoch) / 1_000,
+        }
     }
 
     /// Folds one heartbeat/ack exchange into the offset estimate:
@@ -190,30 +191,41 @@ const PUMP_TICK: Duration = Duration::from_millis(20);
 /// remains, so this is a ceiling, not a latency floor).
 const COALESCE_BYTES: usize = 64 * 1024;
 
-/// Locks a mutex, recovering the guard from a poisoned lock (the owner
-/// of the poison already carried its error elsewhere).
-fn lock(m: &Mutex<LinkWriter<UnixStream>>) -> MutexGuard<'_, LinkWriter<UnixStream>> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
+/// The supervisor link's send half, shared by the main loop and the
+/// heartbeat thread.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the worker's one lock: the main loop and the heartbeat thread each hold it alone to write a frame"
+)]
+#[derive(Clone)]
+struct SupWriter(Arc<std::sync::Mutex<LinkWriter<UnixStream>>>);
+
+impl SupWriter {
+    fn new(writer: LinkWriter<UnixStream>) -> Self {
+        SupWriter(Arc::new(writer.into()))
+    }
+
+    /// Locks the writer, recovering the guard from a poisoned lock (the
+    /// owner of the poison already carried its error elsewhere).
+    fn lock(&self) -> MutexGuard<'_, LinkWriter<UnixStream>> {
+        match self.0.lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        }
     }
 }
 
 /// Everything the reactor and the supervisor-link reader can hand the
 /// worker's main loop.
 pub(crate) enum Incoming {
-    /// A frame from peer `from`, with its link sequence number. `gen`
-    /// is the session generation the reactor was spawned for: in a
+    /// A frame body from peer `from`: `[u64 seq][ctrl][payload]`, its
+    /// length prefix checked and cut off by the reactor. `gen` is the
+    /// session generation the reactor was spawned for: in a
     /// persistent-fleet session the channel outlives individual tasks,
     /// and a previous task's stragglers (final-round markers read after
     /// the next assignment landed) must not be fed to the new task's
     /// resequencers, whose sequence space restarted at zero.
-    Peer {
-        from: u32,
-        seq: u64,
-        frame: Frame,
-        gen: u64,
-    },
+    Peer { from: u32, gen: u64, body: Vec<u8> },
     /// A peer closed its stream (EOF or read error — either way
     /// nothing more is coming; the supervisor diagnoses the cause).
     PeerGone,
@@ -236,7 +248,7 @@ struct Transport {
     /// Per-peer receive order restoration.
     reseq: Vec<Resequencer>,
     rx: Receiver<Incoming>,
-    sup: Arc<Mutex<LinkWriter<UnixStream>>>,
+    sup: SupWriter,
     /// Packets awaiting delivery as `(src, bytes, logical)`, keyed by the
     /// round they were *sent* in (delivered one round later). A peer's
     /// packet is a window of the frame it arrived in; self-sends land
@@ -257,6 +269,9 @@ struct Transport {
     /// This task's session generation; peer frames tagged with an
     /// older one are previous-task stragglers and are dropped.
     gen: u64,
+    /// Peers that sent a body whose control word does not decode:
+    /// nothing more is heard from them, as if their link had closed.
+    deaf: Vec<u32>,
     /// Set when the supervisor ships the *next* assignment of a
     /// persistent-fleet session instead of `Shutdown`: the payload of
     /// the task this worker runs after the current one winds down.
@@ -320,17 +335,19 @@ impl Transport {
 
     fn dispatch(&mut self, ev: Incoming) -> Result<(), NetError> {
         match ev {
-            Incoming::Peer {
-                from,
-                seq,
-                frame,
-                gen,
-            } => {
-                if gen != self.gen {
+            Incoming::Peer { from, gen, body } => {
+                if gen != self.gen || self.deaf.contains(&from) {
                     // A straggler from the previous task of this
-                    // session (its reactor outlives the task).
+                    // session (its reactor outlives the task), or a
+                    // peer this task no longer hears.
                     return Ok(());
                 }
+                // A body that does not decode ends what this task hears
+                // from its peer, as a closed link does.
+                let Ok((seq, frame)) = decode_body(Bytes::from(body)) else {
+                    self.deaf.push(from);
+                    return Ok(());
+                };
                 let mut ready = Vec::new();
                 match self.reseq.get_mut(from as usize) {
                     Some(r) => r.accept(seq, frame, &mut ready),
@@ -735,7 +752,7 @@ impl Transport {
         // (plus headroom for newly colored chunks) pre-sizes the buffer.
         let hint = self.ckpt_len_hint + self.ckpt_len_hint / 4 + 1024;
         let mut shipped = 0usize;
-        let res = lock(&self.sup).send_streamed(
+        let res = self.sup.lock().send_streamed(
             Ctrl::Checkpoint {
                 rank,
                 round,
@@ -933,7 +950,7 @@ pub fn worker_main(sock_dir: &Path, rank: u32) -> Result<(), NetError> {
         None => return Err(NetError::protocol("supervisor closed before assignment")),
     };
 
-    let sup = Arc::new(Mutex::new(sup_writer));
+    let sup = SupWriter::new(sup_writer);
     // The supervisor link, clock, and event channel persist across a
     // whole session; tasks come and go under them. The sup reader is
     // spawned exactly once — a per-task reader would race the handoff
@@ -949,7 +966,7 @@ pub fn worker_main(sock_dir: &Path, rank: u32) -> Result<(), NetError> {
     let mut generation: u64 = 0;
     let result = loop {
         let link = SessionLink {
-            sup: Arc::clone(&sup),
+            sup: sup.clone(),
             clock: Arc::clone(&clock),
             tx: tx.clone(),
             rx,
@@ -970,7 +987,7 @@ pub fn worker_main(sock_dir: &Path, rank: u32) -> Result<(), NetError> {
     };
     if let Err(e) = &result {
         // Best effort: tell the supervisor why before exiting nonzero.
-        let _ = lock(&sup).send(&Frame::with_payload(
+        let _ = sup.lock().send(&Frame::with_payload(
             Ctrl::Fatal { rank },
             Bytes::from(fatal_payload(e)),
         ));
@@ -983,7 +1000,7 @@ pub fn worker_main(sock_dir: &Path, rank: u32) -> Result<(), NetError> {
 /// estimator, and the event channel (sender for this task's readers,
 /// receiver for its transport) plus the task generation.
 struct SessionLink {
-    sup: Arc<Mutex<LinkWriter<UnixStream>>>,
+    sup: SupWriter,
     clock: Arc<ClockSync>,
     tx: Sender<Incoming>,
     rx: Receiver<Incoming>,
@@ -1078,7 +1095,7 @@ fn run_assigned(
     crate::reactor::spawn_reactor(read_halves, tx, generation)
         .map_err(|e| NetError::io("starting the peer-link reactor", e))?;
 
-    lock(&sup).send(&Frame::bare(Ctrl::Ready { rank }))?;
+    sup.lock().send(&Frame::bare(Ctrl::Ready { rank }))?;
 
     let (collector, recorder) = if opts.observed {
         let (c, h) = CollectingRecorder::shared();
@@ -1095,7 +1112,7 @@ fn run_assigned(
     spawn_heartbeat(
         rank,
         Duration::from_millis(opts.heartbeat_millis.max(10)),
-        Arc::clone(&sup),
+        sup.clone(),
         Arc::clone(&round_beacon),
         Arc::clone(&stop_beat),
         Arc::clone(&clock),
@@ -1109,13 +1126,14 @@ fn run_assigned(
         writers,
         reseq,
         rx,
-        sup: Arc::clone(&sup),
+        sup: sup.clone(),
         pending: BTreeMap::new(),
         wave: DoneWave::new(),
         peer_active: BTreeMap::new(),
         started: false,
         shutdown: false,
         gen: generation,
+        deaf: Vec::new(),
         next_assignment: None,
         epoch: None,
         clock: Arc::clone(&clock),
@@ -1164,7 +1182,7 @@ fn run_assigned(
     let link = t.link_totals();
     let clock_report = clock.report();
     {
-        let mut w = lock(&sup);
+        let mut w = sup.lock();
         w.send(&Frame::with_payload(
             Ctrl::Stats { rank },
             Bytes::from(encode_stats(&stats, &link, &clock_report, &loop_clock)),
@@ -1269,7 +1287,10 @@ fn run_rounds<P: RankProgram + NetOutcomeSource>(
             // Test hook: report the scripted fault point, then wedge
             // (alive, heartbeating, never advancing) until the
             // supervisor kills us or declares the rank stalled.
-            let _ = lock(&t.sup).send(&Frame::bare(Ctrl::FaultPoint { rank, round }));
+            let _ = t
+                .sup
+                .lock()
+                .send(&Frame::bare(Ctrl::FaultPoint { rank, round }));
             wedge();
         }
         if rank == 0 {
@@ -1567,7 +1588,7 @@ fn spawn_sup_reader(mut stream: UnixStream, tx: Sender<Incoming>, clock: Arc<Clo
 fn spawn_heartbeat(
     rank: u32,
     period: Duration,
-    sup: Arc<Mutex<LinkWriter<UnixStream>>>,
+    sup: SupWriter,
     round: Arc<AtomicU64>,
     stop: Arc<AtomicBool>,
     clock: Arc<ClockSync>,
@@ -1587,7 +1608,7 @@ fn spawn_heartbeat(
             ctrl,
             Bytes::from(encode_telemetry(&telemetry.snapshot(rank))),
         );
-        if lock(&sup).send(&beat).is_err() {
+        if sup.lock().send(&beat).is_err() {
             return;
         }
     });
@@ -1851,5 +1872,94 @@ mod tests {
         );
         let plain = String::from_utf8(fatal_payload(&NetError::protocol("x"))).unwrap();
         assert!(!plain.starts_with("FRAME_LOSS"), "{plain}");
+    }
+
+    #[test]
+    fn a_second_start_rearms_the_clock() {
+        // One `ClockSync` serves every task of a persistent session, and
+        // each task's `Start` fixes a new epoch.
+        let clock = ClockSync::new();
+        assert_eq!(clock.micros_now(), NO_STAMP, "no stamp before Start");
+        clock.set_epoch(Instant::now());
+        std::thread::sleep(Duration::from_millis(30));
+        assert!(clock.micros_now() >= 30_000);
+        clock.set_epoch(Instant::now());
+        assert!(
+            clock.micros_now() < 30_000,
+            "the next task's Start re-arms the epoch: {} us",
+            clock.micros_now()
+        );
+    }
+
+    /// A transport for rank 0 of 3 whose peer bodies arrive on `rx`.
+    fn transport(rx: Receiver<Incoming>) -> Transport {
+        let (sup, _) = UnixStream::pair().unwrap();
+        Transport {
+            rank: 0,
+            num_ranks: 3,
+            opts: RunOptions::default(),
+            writers: vec![None, None, None],
+            reseq: (0..3).map(|_| Resequencer::default()).collect(),
+            rx,
+            sup: SupWriter::new(LinkWriter::new(sup)),
+            pending: BTreeMap::new(),
+            wave: DoneWave::new(),
+            peer_active: BTreeMap::new(),
+            started: false,
+            shutdown: false,
+            gen: 0,
+            deaf: Vec::new(),
+            next_assignment: None,
+            epoch: None,
+            clock: Arc::new(ClockSync::new()),
+            telemetry: Arc::new(TelemetryCells::default()),
+            ckpt_len_hint: 0,
+        }
+    }
+
+    #[test]
+    fn an_undecodable_control_word_silences_its_peer_only() {
+        use crate::frame::encode_frame;
+        use std::io::Write;
+        let (r1, w1) = UnixStream::pair().unwrap();
+        let (r2, w2) = UnixStream::pair().unwrap();
+        let (tx, rx) = channel();
+        crate::reactor::spawn_reactor(vec![(1, r1), (2, r2)], tx, 0).unwrap();
+        let done = |round: u64, src: u32| {
+            Frame::bare(Ctrl::RoundDone {
+                round,
+                src,
+                active: 1,
+            })
+        };
+        // Rank 1: round 0's marker, then a body whose control word is
+        // the retired tag 5, then round 1's marker.
+        let mut raw1 = w1;
+        raw1.write_all(&encode_frame(0, &done(0, 1))).unwrap();
+        let mut bad = 17u32.to_le_bytes().to_vec();
+        bad.extend_from_slice(&1u64.to_le_bytes());
+        bad.extend_from_slice(&[5u8; 9]);
+        raw1.write_all(&bad).unwrap();
+        raw1.write_all(&encode_frame(2, &done(1, 1))).unwrap();
+        // Rank 2: both markers.
+        let mut link2 = LinkWriter::new(w2);
+        link2.send(&done(0, 2)).unwrap();
+        link2.send(&done(1, 2)).unwrap();
+        drop((raw1, link2));
+
+        let mut t = transport(rx);
+        // Both links close after their frames: two `PeerGone`s end it.
+        let mut gone = 0;
+        while gone < 2 {
+            match t.rx.recv_timeout(Duration::from_secs(5)).unwrap() {
+                Incoming::PeerGone => gone += 1,
+                ev => t.dispatch(ev).unwrap(),
+            }
+        }
+        assert_eq!(t.deaf, vec![1]);
+        assert_eq!(t.wave.count(0), 2, "round 0: both peers heard");
+        assert_eq!(t.wave.count(1), 1, "round 1: rank 2 only");
+        assert_eq!(t.reseq[1].delivered, 1);
+        assert_eq!(t.reseq[2].delivered, 2);
     }
 }

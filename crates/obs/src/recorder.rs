@@ -9,7 +9,7 @@
 
 use crate::event::{Event, TimedEvent};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Receives events from engines and rank programs.
 ///
@@ -98,9 +98,13 @@ impl std::fmt::Debug for RecorderHandle {
 /// per-rank sequence number at insertion, so [`CollectingRecorder::take`]
 /// returns a deterministic ordering regardless of how threads
 /// interleaved their `record` calls.
+#[expect(
+    clippy::disallowed_types,
+    reason = "rank threads append their events here; each call holds this lock alone"
+)]
 #[derive(Debug, Default)]
 pub struct CollectingRecorder {
-    buffers: Mutex<BTreeMap<u32, Vec<TimedEvent>>>,
+    buffers: std::sync::Mutex<BTreeMap<u32, Vec<TimedEvent>>>,
 }
 
 impl CollectingRecorder {

@@ -15,7 +15,7 @@ use crate::EngineConfig;
 use cmg_obs::{Event, PhaseName, ENGINE_RANK};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// What travels between threads: `(src, seq-within-src, messages, bytes)`,
@@ -140,9 +140,13 @@ impl<P: RankProgram> ThreadedEngine<P> {
 /// rank arriving later, with `false`. They leave their round loops, so
 /// the panic reaches [`ThreadedEngine::run`] instead of the other ranks
 /// waiting for the dead one forever.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the round barrier's state; a rank holds it alone, and only to wait on `turned`"
+)]
 struct RoundBarrier {
     ranks: usize,
-    turn: Mutex<Turn>,
+    turn: std::sync::Mutex<Turn>,
     turned: Condvar,
 }
 
@@ -157,7 +161,7 @@ impl RoundBarrier {
     fn new(ranks: usize) -> Self {
         RoundBarrier {
             ranks,
-            turn: Mutex::default(),
+            turn: Default::default(),
             turned: Condvar::new(),
         }
     }

@@ -15,10 +15,14 @@
 /// MPMC channels (subset of `crossbeam::channel`).
 pub mod channel {
     use std::collections::VecDeque;
-    use std::sync::{Arc, Mutex};
+    use std::sync::Arc;
 
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the channel's queue; each send or receive holds it alone"
+    )]
     struct Inner<T> {
-        queue: Mutex<VecDeque<T>>,
+        queue: std::sync::Mutex<VecDeque<T>>,
     }
 
     /// The sending half; cloneable across threads.
@@ -91,7 +95,7 @@ pub mod channel {
     /// Creates an unbounded channel.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let inner = Arc::new(Inner {
-            queue: Mutex::new(VecDeque::new()),
+            queue: VecDeque::new().into(),
         });
         (
             Sender {

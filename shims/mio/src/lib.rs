@@ -277,4 +277,30 @@ mod tests {
         assert_eq!(read_fd(a.as_raw_fd(), &mut buf).unwrap(), 0, "EOF");
         poll.deregister(a.as_raw_fd()).unwrap();
     }
+
+    #[test]
+    fn deregister_stops_readiness() {
+        let (a, mut b) = UnixStream::pair().unwrap();
+        let (c, mut d) = UnixStream::pair().unwrap();
+        let poll = Poll::new().unwrap();
+        poll.register(a.as_raw_fd(), Token(1)).unwrap();
+        poll.register(c.as_raw_fd(), Token(2)).unwrap();
+        poll.deregister(a.as_raw_fd()).unwrap();
+        b.write_all(b"unheard").unwrap();
+        d.write_all(b"heard").unwrap();
+        let mut events = Events::with_capacity(4);
+        let n = poll
+            .poll(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(n, 1, "only the registered fd reports");
+        assert_eq!(events.iter().next().unwrap().token(), Token(2));
+        // Level-triggered: unread bytes keep `c` ready, and `a` stays out.
+        let n = poll
+            .poll(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert_eq!(n, 1);
+        assert_eq!(events.iter().next().unwrap().token(), Token(2));
+        // Deregistering again is harmless (ENOENT is swallowed).
+        poll.deregister(a.as_raw_fd()).unwrap();
+    }
 }

@@ -686,10 +686,11 @@ fn unrecoverable_session_failure_is_typed_and_the_next_submit_relaunches() {
 
 mod coalescing_order {
     use bytes::Bytes;
-    use cmg_net::{Ctrl, Frame, FrameAssembler, LinkWriter, Resequencer};
+    use cmg_net::frame::read_frame;
+    use cmg_net::{Ctrl, Frame, LinkWriter, Resequencer};
     use proptest::prelude::*;
     use std::cell::RefCell;
-    use std::io::Write;
+    use std::io::{Read, Write};
     use std::rc::Rc;
 
     /// A `Write` sink the test can read back while the writer owns it.
@@ -703,6 +704,22 @@ mod coalescing_order {
         }
         fn flush(&mut self) -> std::io::Result<()> {
             Ok(())
+        }
+    }
+
+    /// A `Read` source that yields at most `chunk` bytes per call, as
+    /// the kernel may hand a socket's bytes back.
+    struct Chunked<'a> {
+        rest: &'a [u8],
+        chunk: usize,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.chunk.min(buf.len()).min(self.rest.len());
+            buf[..n].copy_from_slice(&self.rest[..n]);
+            self.rest = &self.rest[n..];
+            Ok(n)
         }
     }
 
@@ -762,18 +779,15 @@ mod coalescing_order {
             // Fewer (or equal) syscalls, never more.
             prop_assert!(batched.stats().syscalls <= plain.stats().syscalls);
 
-            // Receive side: reassemble under arbitrary kernel chunking
+            // Receive side: read back under arbitrary kernel chunking
             // and resequence; delivery order must be send order.
-            let mut asm = FrameAssembler::new();
+            let mut stream = Chunked { rest: &got, chunk };
             let mut reseq = Resequencer::default();
             let mut delivered = Vec::new();
-            for piece in got.chunks(chunk) {
-                asm.extend(piece);
-                while let Some((seq, frame)) = asm.next_frame().unwrap() {
-                    let mut ready = Vec::new();
-                    reseq.accept(seq, frame, &mut ready);
-                    delivered.extend(ready);
-                }
+            while let Some((seq, frame)) = read_frame(&mut stream).unwrap() {
+                let mut ready = Vec::new();
+                reseq.accept(seq, frame, &mut ready);
+                delivered.extend(ready);
             }
             prop_assert_eq!(delivered.len(), sizes.len());
             for (i, (frame, &(len, _))) in delivered.iter().zip(sizes.iter()).enumerate() {

@@ -20,7 +20,6 @@ use cmg_runtime::{encode_snapshot, CostModel, DeliveryPolicy, EngineConfig, Rank
 use cmg_runtime::{Rank, RankCtx, RunStats, SimEngine, Status, ThreadedEngine};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/sweep.digests");
 /// Key prefix of the full tier's roll-up lines.
@@ -704,7 +703,11 @@ pub fn pinned(full: bool) -> BTreeMap<String, u64> {
 }
 
 /// Serializes read-modify-write of the digest file across the two tiers.
-static GOLDEN_FILE: Mutex<()> = Mutex::new(());
+#[expect(
+    clippy::disallowed_types,
+    reason = "test threads take this lock alone, around the digest file"
+)]
+static GOLDEN_FILE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Under `UPDATE_GOLDEN`, rewrites the file's lines of `got`'s tier with
 /// `got` and returns nothing. Otherwise returns one line per changed or
