@@ -582,9 +582,7 @@ pub fn run_demo(argv: &[String]) -> i32 {
 
 /// `cmg serve` — load a graph once, compute the initial matching and
 /// coloring, and serve mutations and queries over a Unix socket until
-/// a client sends Shutdown. `--engine net` runs cold passes (initial
-/// load, threshold recomputes) on a resident multi-process worker
-/// fleet; warm repairs always run in-process.
+/// a client sends Shutdown.
 pub fn serve(argv: &[String]) -> i32 {
     run(|| {
         let args = Args::parse(
@@ -592,18 +590,15 @@ pub fn serve(argv: &[String]) -> i32 {
             argv,
             &[&[
                 "socket",
-                "ranks",
                 "rows",
                 "cols",
                 "seed",
                 "threshold",
                 "input",
-                "engine",
                 "json",
             ]],
         )?;
         let socket = args.required("socket")?.to_string();
-        let ranks = count_arg(&args, "ranks", 4)?;
         let rows: usize = args.num("rows", 32)?;
         let cols: usize = args.num("cols", 32)?;
         let seed: u64 = args.num("seed", 7)?;
@@ -616,21 +611,13 @@ pub fn serve(argv: &[String]) -> i32 {
                 seed,
             ),
         };
-        let net = match args.get_or("engine", "sim") {
-            "sim" => None,
-            "net" => Some(cmg_net::NetConfig::default()),
-            other => return Err(format!("unknown serve engine: {other} (sim|net)")),
-        };
         let serve_cfg = cmg_serve::ServeConfig {
-            ranks,
             recompute_threshold: threshold,
-            net,
             ..Default::default()
         };
         println!(
-            "serving {} over {ranks} ranks on {socket} ({}, threshold {threshold})",
+            "serving {} on {socket} (threshold {threshold})",
             GraphStats::of(&g),
-            args.get_or("engine", "sim"),
         );
         let server = cmg_serve::Server::bind(
             &g,
@@ -682,12 +669,10 @@ pub fn client(argv: &[String]) -> i32 {
                         mode,
                         dirty_matching,
                         dirty_coloring,
-                        match_rounds,
-                        color_rounds,
                         micros,
+                        ..
                     } => println!(
-                        "batch {i}: {} ({dirty_matching}+{dirty_coloring} dirty, \
-                         {match_rounds}+{color_rounds} rounds, {micros} us)",
+                        "batch {i}: {} ({dirty_matching}+{dirty_coloring} dirty, {micros} us)",
                         if mode == 0 { "repaired" } else { "recomputed" },
                     ),
                     cmg_serve::RepairAck::Rejected { code } => {

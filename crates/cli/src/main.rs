@@ -74,14 +74,13 @@ COMMANDS
              --checkpoint-interval K snapshots every rank every K rounds —
              on the net engine the supervisor then respawns and replays
              the fleet from the last checkpoint if a worker dies)
-  serve      long-lived incremental matching/coloring service: load and
-             partition once, then absorb mutation batches by warm-start
-             repair and answer queries over a Unix socket
+  serve      long-lived incremental matching/coloring service: load
+             once, then absorb mutation batches by warm-start repair
+             (past --threshold, by a cold pass of the same kernels) and
+             answer queries over a Unix socket
              --socket PATH [--input FILE | --rows R --cols C --seed S]
-             [--ranks N] [--threshold F] [--engine sim|net] [--json FILE]
-             (--engine net keeps a resident multi-process worker fleet
-             for cold passes; warm repairs always run in-process;
-             --json writes the shutdown summary — counts and p50/p99
+             [--threshold F] [--json FILE]
+             (--json writes the shutdown summary — counts and p50/p99
              latencies — as JSON)
   client     drive a running cmg serve
              --socket PATH [--mutations FILE] [--mate V] [--color V]

@@ -18,7 +18,7 @@ fn serve_writes_its_shutdown_summary_as_json() {
         cmd
     };
     let mut server = cmg()
-        .args(["serve", "--rows", "8", "--cols", "8", "--ranks", "2"])
+        .args(["serve", "--rows", "8", "--cols", "8"])
         .arg("--socket")
         .arg(&socket)
         .arg("--json")

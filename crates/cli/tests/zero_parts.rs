@@ -37,11 +37,6 @@ fn zero_parts_or_ranks_is_refused_before_any_partitioner_runs() {
         }
     }
     assert_refused(&cmg(&["run", "--ranks", "0"]), "--ranks", "run");
-    assert_refused(
-        &cmg(&["serve", "--socket", "unused.sock", "--ranks", "0"]),
-        "--ranks",
-        "serve",
-    );
 
     // One part is the smallest legal request, on every method.
     for method in ["multilevel", "block", "bfs", "random", "hash"] {

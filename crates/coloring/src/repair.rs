@@ -15,17 +15,19 @@
 //! arXiv:1407.6745), seeded externally.
 //!
 //! [`ColorFrontier`] is the one copy of that invalidation and of the
-//! first-fit recolor loop. It works **in place** on the caller's color
-//! slice and keeps the dirty set as a list, so a batch costs
-//! O(batch + dirty · degree) and, once its scratch has grown, allocates
-//! nothing. cmg-serve keeps one resident; the functional
+//! first-fit recolor loop, and [`ColorFrontier::cold`] runs that loop
+//! over every vertex in natural order: greedy first-fit from scratch
+//! (§1 of the paper), cmg-serve's recompute. It works **in place** on
+//! the caller's color slice and keeps the dirty set as a list, so a
+//! batch costs O(batch + dirty · degree) and, once its scratch has
+//! grown, allocates nothing. cmg-serve keeps one resident; the functional
 //! [`invalidate_colors`] / [`repair_frontier_colors`] pair (copy in, run
 //! the kernel, copy out: O(n) per call) serves the tests and external
 //! replays.
 //!
 //! Clean vertices keep their colors verbatim and dirty vertices are
 //! recolored first-fit, so the result is a proper coloring of the new
-//! graph, but the *palette size* may differ from a cold run — first-fit
+//! graph, but the *palette size* may differ from a cold pass — first-fit
 //! over a mostly-fixed coloring has less freedom than first-fit from
 //! scratch. That is the documented serve-layer relaxation (DESIGN.md
 //! §13): the oracle is propriety plus stability of clean colors, not
@@ -70,7 +72,7 @@ impl ColorFrontier {
     /// conflict detection would pick.
     pub fn invalidate(
         &mut self,
-        g_new: &(impl NeighborView + ?Sized),
+        g_new: &impl NeighborView,
         color: &mut [u32],
         batch: &MutationBatch,
         seed: u64,
@@ -113,40 +115,68 @@ impl ColorFrontier {
     /// The serving layer's hot path. Recoloring order matches the
     /// priority the distributed phases use, and clean vertices are never
     /// touched, so the result is proper by construction and clean colors
-    /// are stable. Palette identity with a cold distributed run is *not*
-    /// promised (the documented DESIGN.md §13 relaxation; first-fit
-    /// order differs between one sequential scan over a mostly-fixed
-    /// coloring and the engine's speculative rounds from scratch).
-    pub fn repair(&mut self, g: &(impl NeighborView + ?Sized), color: &mut [u32], seed: u64) {
+    /// are stable. Palette identity with a [`cold`](Self::cold) pass is
+    /// *not* promised (the documented DESIGN.md §13 relaxation:
+    /// first-fit over a mostly-fixed coloring in priority order is not
+    /// first-fit over all vertices in natural order).
+    pub fn repair(&mut self, g: &impl NeighborView, color: &mut [u32], seed: u64) {
         let ColorFrontier { dirty, taken } = self;
         dirty.sort_unstable_by_key(|&v| std::cmp::Reverse((vertex_priority(v as u64, seed), v)));
         for &v in dirty.iter() {
             taken.clear();
-            g.for_each_neighbor(v, &mut |u, _| {
+            g.for_each_neighbor(v, |u, _| {
                 let c = color[u as usize];
                 if c != UNCOLORED {
                     taken.push(c);
                 }
             });
-            taken.sort_unstable();
-            let mut pick = 0u32;
-            for &c in taken.iter() {
-                if c == pick {
-                    pick += 1;
-                } else if c > pick {
-                    break;
-                }
-            }
-            color[v as usize] = pick;
+            color[v as usize] = smallest_absent(taken);
         }
     }
+
+    /// Colours every vertex from scratch, overwriting all of `color` in
+    /// O(n + m): first-fit in natural vertex order, each vertex taking
+    /// the smallest colour absent from its lower-numbered neighbours —
+    /// bit for bit [`crate::seq::greedy`] with
+    /// [`Ordering::Natural`](crate::seq::Ordering::Natural), on the same
+    /// scratch as [`repair`](Self::repair). The list of the last
+    /// [`invalidate`](Self::invalidate) stays as it was.
+    pub fn cold(&mut self, g: &impl NeighborView, color: &mut [u32]) {
+        debug_assert_eq!(g.num_vertices(), color.len());
+        let taken = &mut self.taken;
+        for v in 0..color.len() as VertexId {
+            // Higher-numbered neighbours are still uncoloured in a
+            // natural-order pass, so their stale entries are skipped.
+            taken.clear();
+            g.for_each_neighbor(v, |u, _| {
+                if u < v {
+                    taken.push(color[u as usize]);
+                }
+            });
+            color[v as usize] = smallest_absent(taken);
+        }
+    }
+}
+
+/// The smallest colour not in `taken` (which it sorts).
+fn smallest_absent(taken: &mut [u32]) -> u32 {
+    taken.sort_unstable();
+    let mut pick = 0u32;
+    for &c in taken.iter() {
+        if c == pick {
+            pick += 1;
+        } else if c > pick {
+            break;
+        }
+    }
+    pick
 }
 
 /// Functional form of [`ColorFrontier::invalidate`]: copies `old_color`,
 /// runs the kernel on the copy, and returns the retained state
 /// [`repair_frontier_colors`] finishes.
 pub fn invalidate_colors(
-    g_new: &(impl NeighborView + ?Sized),
+    g_new: &impl NeighborView,
     old_color: &[u32],
     batch: &MutationBatch,
     seed: u64,
@@ -159,7 +189,7 @@ pub fn invalidate_colors(
 /// Functional form of [`ColorFrontier::repair`] over a retained state:
 /// returns the completed global color vector.
 pub fn repair_frontier_colors(
-    g: &(impl NeighborView + ?Sized),
+    g: &impl NeighborView,
     retained: &ColorRetained,
     seed: u64,
 ) -> Vec<u32> {

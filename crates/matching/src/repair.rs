@@ -67,11 +67,7 @@ const NO_PROPOSAL: Ranked = (i64::MIN, Reverse(NO_VERTEX));
 /// The matched edge at `y`, or `None` if `y` is unmatched (or its
 /// matched edge vanished from the graph, which the caller handles by
 /// unmatching first).
-fn matched_edge(
-    g: &(impl NeighborView + ?Sized),
-    mate: &[VertexId],
-    y: VertexId,
-) -> Option<Ranked> {
+fn matched_edge(g: &impl NeighborView, mate: &[VertexId], y: VertexId) -> Option<Ranked> {
     let m = mate[y as usize];
     if m == NO_VERTEX {
         return None;
@@ -176,7 +172,7 @@ impl MatchFrontier {
     /// invalidated, and the queue and row buffer empty.
     pub fn invalidate(
         &mut self,
-        g_new: &(impl NeighborView + ?Sized),
+        g_new: &impl NeighborView,
         mate: &mut [VertexId],
         batch: &MutationBatch,
     ) -> bool {
@@ -235,7 +231,7 @@ impl MatchFrontier {
             // on frontiers of 10⁴ vertices).
             let mut hood = std::mem::take(&mut self.hood);
             hood.clear();
-            g_new.for_each_neighbor(x, &mut |y, w| hood.push((y, w)));
+            g_new.for_each_neighbor(x, |y, w| hood.push((y, w)));
             for &(y, w) in &hood {
                 match matched_edge(g_new, mate, y) {
                     Some(e) if ranked(w, x) > e => self.unmatch(mate, y),
@@ -268,7 +264,7 @@ impl MatchFrontier {
     /// can pair, and the locally dominant matching of the
     /// frontier-induced subgraph under the total edge order is unique —
     /// the one a cold run finds there.
-    pub fn repair(&mut self, g: &(impl NeighborView + ?Sized), mate: &mut [VertexId]) {
+    pub fn repair(&mut self, g: &impl NeighborView, mate: &mut [VertexId]) {
         // Active ⟹ unmatched, an `invalidate` invariant.
         debug_assert!(self.list.iter().all(|&v| mate[v as usize] == NO_VERTEX));
         let (list, mark) = (&self.list, &self.mark);
@@ -280,7 +276,7 @@ impl MatchFrontier {
     /// Decides every vertex from scratch, overwriting all of `mate` in
     /// O(n + m): the finisher with the whole graph as its frontier. The
     /// list of the last [`invalidate`](Self::invalidate) stays as it was.
-    pub fn cold(&mut self, g: &(impl NeighborView + ?Sized), mate: &mut [VertexId]) {
+    pub fn cold(&mut self, g: &impl NeighborView, mate: &mut [VertexId]) {
         let n = g.num_vertices() as VertexId;
         suitor_pass(g, mate, &mut self.proposal, 0..n, |_| true);
     }
@@ -294,7 +290,7 @@ impl MatchFrontier {
 /// `mate` for every frontier vertex. Touches the scratch of frontier
 /// vertices only, so a small frontier costs a few rows whatever the graph.
 fn suitor_pass(
-    g: &(impl NeighborView + ?Sized),
+    g: &impl NeighborView,
     mate: &mut [VertexId],
     proposal: &mut [Ranked],
     frontier: impl Iterator<Item = VertexId> + Clone,
@@ -303,7 +299,7 @@ fn suitor_pass(
     for mut x in frontier.clone() {
         while x != NO_VERTEX {
             let mut best = NO_PROPOSAL;
-            g.for_each_neighbor(x, &mut |u, w| {
+            g.for_each_neighbor(x, |u, w| {
                 let edge = ranked(w, u);
                 if edge > best && on(u) && (edge.0, Reverse(x)) > proposal[u as usize] {
                     best = edge;
@@ -331,7 +327,7 @@ fn suitor_pass(
 /// runs the kernel on the copy, and returns the retained state (surviving
 /// pairs plus the active frontier) [`repair_frontier`] finishes.
 pub fn invalidate(
-    g_new: &(impl NeighborView + ?Sized),
+    g_new: &impl NeighborView,
     old_mate: &[VertexId],
     batch: &MutationBatch,
 ) -> MatchRetained {
@@ -346,10 +342,7 @@ pub fn invalidate(
 
 /// Functional form of [`MatchFrontier::repair`] over a retained state:
 /// returns the completed global mate vector.
-pub fn repair_frontier(
-    g: &(impl NeighborView + ?Sized),
-    retained: &MatchRetained,
-) -> Vec<VertexId> {
+pub fn repair_frontier(g: &impl NeighborView, retained: &MatchRetained) -> Vec<VertexId> {
     let mut mate = retained.mate.clone();
     let mut frontier = MatchFrontier {
         list: (0..)

@@ -370,9 +370,7 @@ pub fn run_coloring(
 /// mesh dial — for every task. A session pays it once: workers stay
 /// alive after their `Done`, waiting on the supervisor link for either
 /// a `Shutdown` or the next `Assignment`, and each retask rebuilds
-/// only the peer mesh (over the same bound rank sockets). `cmg-serve`
-/// runs its cold recomputes on one (its repairs run in place, without
-/// the engine), so a recompute pays no fleet spawn.
+/// only the peer mesh (over the same bound rank sockets).
 ///
 /// Checkpoint recovery composes unchanged: a worker death mid-task
 /// respawns the whole fleet from the task's `last_good` snapshot set
@@ -406,11 +404,6 @@ impl NetSession {
         self.parts.len() as u32
     }
 
-    /// Global vertex count across every partition.
-    fn n_vertices(&self) -> usize {
-        self.parts.iter().map(|p| p.n_local).sum()
-    }
-
     /// Whether the fleet is currently resident (a prior submit
     /// succeeded and nothing has poisoned it since).
     pub fn is_live(&self) -> bool {
@@ -423,29 +416,6 @@ impl NetSession {
     /// the configuration it was launched with.
     pub fn config_mut(&mut self) -> &mut NetConfig {
         &mut self.cfg
-    }
-
-    /// Replaces the partitions subsequent tasks run over (the serving
-    /// layer re-partitions after graph mutations). Every task ships
-    /// each rank its partition with the assignment, so a resident
-    /// fleet picks the new graph up at its next submit. The rank count
-    /// is fixed — the fleet is sized to it.
-    pub fn set_parts(&mut self, parts: Vec<DistGraph>) -> Result<(), NetError> {
-        if parts.len() != self.parts.len() {
-            return Err(NetError::Inconsistent {
-                detail: format!(
-                    "session has {} ranks but set_parts got {}",
-                    self.parts.len(),
-                    parts.len()
-                ),
-            });
-        }
-        check_labels(&parts)?;
-        self.parts = Arc::new(parts);
-        if let Some(run) = self.run.as_mut() {
-            run.parts = Arc::clone(&self.parts);
-        }
-        Ok(())
     }
 
     /// Runs one task on the resident fleet (launching it first if
@@ -481,22 +451,6 @@ impl NetSession {
         }
         out.wall_time = started.elapsed().as_secs_f64();
         Ok(out)
-    }
-
-    /// [`submit`](Self::submit) a matching task and assemble the
-    /// global matching; also returns the rounds the run executed.
-    pub fn submit_matching(&mut self, task: NetTask) -> Result<(Matching, u64), NetError> {
-        let n = self.n_vertices();
-        let out = self.submit(task)?;
-        Ok((out.matching(n)?.0, out.rounds))
-    }
-
-    /// [`submit`](Self::submit) a coloring task and assemble the
-    /// global coloring; also returns the rounds the run executed.
-    pub fn submit_coloring(&mut self, task: NetTask) -> Result<(Coloring, u64), NetError> {
-        let n = self.n_vertices();
-        let out = self.submit(task)?;
-        Ok((out.coloring(n)?.0, out.rounds))
     }
 
     /// Gracefully shuts the resident fleet down. Subsequent submits

@@ -2,8 +2,8 @@
 //!
 //! Everything upstream of this crate answers one-shot questions: load
 //! a graph, run the paper's protocol, print the result. This crate
-//! keeps the answer *warm*. A serving process loads and partitions the
-//! graph once, computes the initial matching and coloring, and then
+//! keeps the answer *warm*. A serving process loads the graph once,
+//! computes the initial matching and coloring, and then
 //! stays resident — absorbing edge mutations and answering queries
 //! over cmg-net's framed wire protocol without ever paying the load
 //! and cold-start cost again.
@@ -15,9 +15,9 @@
 //!   queries, replies, and the per-batch repair ack.
 //! * [`state`] — [`ServeState`], the resident state machine:
 //!   mutable graph, warm-start repair via the matching/coloring
-//!   `invalidate` kernels, the repair-vs-recompute dirtiness
-//!   threshold, and the optional resident worker fleet
-//!   ([`cmg_net::NetSession`]) for cold passes.
+//!   frontier kernels, and the repair-vs-recompute dirtiness
+//!   threshold past which the same kernels run cold over the whole
+//!   graph.
 //! * [`server`] — [`Server`]: the Unix-socket accept loop,
 //!   per-request latency histograms, and the p50/p99 summary.
 //! * [`client`] — [`ServeClient`]: a blocking request-by-request
@@ -26,10 +26,11 @@
 //! Consistency contract (DESIGN.md §13): after any acknowledged
 //! mutation stream, the served matching is a valid locally-dominant
 //! matching of the final graph with the ½-approx certificate, and the
-//! served coloring is proper. Bit-identity between the warm-repaired
-//! coloring and a cold run is explicitly relaxed — the palettes may
-//! differ; the matching is bit-identical (weight ties break by
-//! endpoint ids).
+//! served coloring is proper. A recompute serves the greedy first-fit
+//! coloring in natural vertex order; bit-identity between a
+//! warm-repaired coloring and a recompute is explicitly relaxed — the
+//! palettes may differ. The matching is bit-identical (weight ties
+//! break by endpoint ids).
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![forbid(unsafe_code)]

@@ -144,11 +144,11 @@ wire_codec! {
             dirty_matching: u64,
             /// Vertices the coloring pass re-decided (`n` on a recompute).
             dirty_coloring: u64,
-            /// Engine rounds the matching pass took: the fleet's on a
-            /// net-mode recompute, else 0 (warm repairs and the
-            /// in-process cold pass run no engine).
+            /// Engine rounds of the matching pass. Always 0: repair
+            /// and recompute both run the sequential frontier kernels.
+            /// Kept so the wire format does not change.
             match_rounds: u64,
-            /// Engine rounds the coloring pass took (0 on a repair).
+            /// Engine rounds of the coloring pass (always 0, as above).
             color_rounds: u64,
             /// Server-side latency of the whole batch, microseconds.
             micros: u64,

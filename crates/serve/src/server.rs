@@ -63,8 +63,6 @@ pub struct ServeSummary {
     pub repairs: u64,
     /// ... by full recompute.
     pub recomputes: u64,
-    /// Fleet passes that fell back in-process (net mode).
-    pub fleet_failures: u64,
     /// Batch-absorb latency, microseconds.
     pub mutate_micros: LogHistogram,
     /// Query latency, microseconds.
@@ -76,7 +74,7 @@ impl ServeSummary {
     /// `p99` token and the last failure's reason out of this).
     pub fn render(&self) -> String {
         format!(
-            "served {} sessions{}, {} batches ({} repaired, {} recomputed{})\n{}\
+            "served {} sessions{}, {} batches ({} repaired, {} recomputed)\n{}\
              mutate latency: p50 {:.0} us, p99 {:.0} us, max {} us over {} batches\n\
              query latency:  p50 {:.0} us, p99 {:.0} us, max {} us over {} queries",
             self.sessions,
@@ -88,11 +86,6 @@ impl ServeSummary {
             self.batches,
             self.repairs,
             self.recomputes,
-            if self.fleet_failures > 0 {
-                format!(", {} fleet fallbacks", self.fleet_failures)
-            } else {
-                String::new()
-            },
             match &self.last_failure {
                 Some(why) => format!("last failed session: {why}\n"),
                 None => String::new(),
@@ -120,7 +113,6 @@ impl ServeSummary {
             ("batches".into(), Json::UInt(self.batches)),
             ("repairs".into(), Json::UInt(self.repairs)),
             ("recomputes".into(), Json::UInt(self.recomputes)),
-            ("fleet_failures".into(), Json::UInt(self.fleet_failures)),
             (
                 "mutate_p50_us".into(),
                 Json::Float(self.mutate_micros.p50()),
@@ -137,7 +129,7 @@ impl ServeSummary {
 }
 
 /// A running server bound to its socket. Constructing it performs the
-/// expensive part — load, partition, initial cold compute — so a
+/// expensive part — load and initial cold compute — so a
 /// caller can bind first and signal readiness before blocking in
 /// [`Server::run`].
 pub struct Server {
@@ -178,7 +170,6 @@ impl Server {
     pub fn run(mut self) -> Result<ServeSummary, NetError> {
         let served = self.serve();
         let _ = std::fs::remove_file(&self.socket);
-        let _ = self.state.close();
         served?;
         Ok(ServeSummary {
             sessions: self.sessions,
@@ -187,7 +178,6 @@ impl Server {
             batches: self.state.batches,
             repairs: self.state.repairs,
             recomputes: self.state.recomputes,
-            fleet_failures: self.state.fleet_failures,
             mutate_micros: self.mutate_micros,
             query_micros: self.query_micros,
         })

@@ -2,8 +2,8 @@
 //! (DESIGN.md §13).
 //!
 //! [`ServeState`] is what stays alive between requests: the mutable
-//! edge set, the fixed partition, and the currently served matching
-//! and coloring. Absorbing a mutation batch is a three-step pipeline:
+//! edge set, the currently served matching and coloring, and the
+//! kernels' scratch. Absorbing a mutation batch is a three-step pipeline:
 //!
 //! 1. **Apply** — the batch lands in the [`MutableGraph`]'s sorted
 //!    rows, O(batch · degree). No CSR is packed: the repair kernels read
@@ -32,53 +32,41 @@
 //! paying (the frontier *is* the graph) and the batch falls through
 //! to a full recompute (the matching invalidation stops where its
 //! frontier crosses the threshold, and the coloring one is skipped):
-//! [`MatchFrontier::cold`] on the resident rows, and a from-scratch
-//! coloring engine pass. With a [`NetSession`] attached, both cold runs
-//! execute on the resident multi-process fleet — composing with the
-//! supervisor's checkpoint recovery — while warm repairs always run
-//! in-process, where the tiny frontier finishes before a fleet
-//! round-trip would even start.
+//! [`MatchFrontier::cold`] and [`ColorFrontier::cold`] on the resident
+//! rows — the same kernels with the whole graph as their frontier, in
+//! O(n + m), with no repack, no partition and no engine.
 //!
 //! **Consistency bar** (DESIGN.md §13): after any mutation stream the
 //! served matching is a valid locally-dominant matching of the final
 //! graph (½-approx certificate) and the served coloring is proper.
 //! The repaired matching equals the from-scratch one bit-for-bit, ties
-//! included; the repaired coloring is proper but may use a different
-//! palette than a cold run would — bit-identity across the
+//! included. A recompute serves the greedy first-fit coloring in
+//! natural vertex order; a repaired coloring is proper but may use a
+//! different palette than a recompute would — bit-identity across the
 //! repair/recompute boundary is explicitly relaxed.
 
 use crate::protocol::RepairAck;
-use cmg_coloring::{assemble_coloring, ColorFrontier, Coloring, ColoringConfig, DistColoring};
+use cmg_coloring::coloring::UNCOLORED;
+use cmg_coloring::{ColorFrontier, Coloring, ColoringConfig};
 use cmg_graph::{ApplyOutcome, CsrGraph, MutableGraph, MutationBatch, VertexId, NO_VERTEX};
 use cmg_matching::{MatchFrontier, Matching};
-use cmg_net::{NetConfig, NetError, NetSession, NetTask};
-use cmg_partition::simple::block_partition;
-use cmg_partition::{DistGraph, Partition};
-use cmg_runtime::{CostModel, EngineConfig, SimEngine};
+use cmg_net::NetError;
 
-/// How the service absorbs mutations and runs recomputes.
+/// How the service absorbs mutations.
 pub struct ServeConfig {
-    /// Ranks the graph is partitioned over.
-    pub ranks: u32,
-    /// Coloring framework configuration (its `seed` also drives the
-    /// conflict-loser rule the repair's invalidation reuses).
+    /// Coloring configuration: its `seed` drives the conflict-loser
+    /// rule the repair's invalidation uses.
     pub coloring: ColoringConfig,
     /// Fraction of vertices dirty (matching or coloring) above which
     /// a batch is absorbed by full recompute instead of repair.
     pub recompute_threshold: f64,
-    /// `Some` = run cold passes (initial load, threshold recomputes)
-    /// on a resident cmg-net worker fleet with this configuration;
-    /// `None` = everything in-process.
-    pub net: Option<NetConfig>,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            ranks: 4,
             coloring: ColoringConfig::default(),
             recompute_threshold: 0.25,
-            net: None,
         }
     }
 }
@@ -103,12 +91,6 @@ pub struct RepairReport {
     pub dirty_matching: usize,
     /// Vertices the coloring pass re-decided (same convention).
     pub dirty_coloring: usize,
-    /// Engine rounds of the matching pass: the fleet's on a net-mode
-    /// recompute, else 0 (the sequential frontier kernel has none).
-    pub match_rounds: u64,
-    /// Engine rounds of the coloring pass: 0 on a warm repair, the cold
-    /// engine's (fleet or in-process) on a recompute.
-    pub color_rounds: u64,
 }
 
 impl RepairReport {
@@ -122,8 +104,8 @@ impl RepairReport {
             },
             dirty_matching: self.dirty_matching as u64,
             dirty_coloring: self.dirty_coloring as u64,
-            match_rounds: self.match_rounds,
-            color_rounds: self.color_rounds,
+            match_rounds: 0,
+            color_rounds: 0,
             micros,
         }
     }
@@ -133,80 +115,54 @@ impl RepairReport {
 pub struct ServeState {
     cfg: ServeConfig,
     mg: MutableGraph,
-    /// Lazily rebuilt CSR cache: `None` after mutations until a
-    /// recompute (or explicit [`ServeState::graph`] call) repacks it.
-    /// The warm repair path never touches it.
-    csr: Option<CsrGraph>,
-    part: Partition,
     mate: Vec<VertexId>,
     colors: Vec<u32>,
-    /// The repair kernels' reusable scratch; after a batch they hold
-    /// the frontier it re-decided.
+    /// The kernels' reusable scratch; after a repair they hold the
+    /// frontier it re-decided.
     match_frontier: MatchFrontier,
     color_frontier: ColorFrontier,
     /// The smallest frontier `dirty / n > recompute_threshold` sends to
     /// recompute (`n + 1`: none does).
     recompute_at: usize,
-    /// Resident worker fleet for cold passes (net mode only).
-    session: Option<NetSession>,
     /// Lifetime counters, served by the Summary query.
     pub batches: u64,
     /// Batches absorbed by warm-start repair.
     pub repairs: u64,
     /// Batches absorbed by full recompute.
     pub recomputes: u64,
-    /// Fleet passes that failed unrecoverably and fell back to the
-    /// in-process engine (net mode only; the fleet relaunches on its
-    /// next pass).
-    pub fleet_failures: u64,
 }
 
 impl ServeState {
-    /// Loads `g0`, partitions it once, and computes the initial
-    /// matching and coloring cold. A graph without vertices is refused:
-    /// a full-vector reply lists at least one record.
+    /// Loads `g0` and computes the initial matching and coloring cold.
+    /// A graph without vertices is refused: a full-vector reply lists
+    /// at least one record.
     pub fn new(g0: &CsrGraph, cfg: ServeConfig) -> Result<ServeState, NetError> {
         if g0.num_vertices() == 0 {
             return Err(NetError::protocol("cannot serve a graph with no vertices"));
         }
-        let part = block_partition(g0.num_vertices(), cfg.ranks);
-        let session = cfg
-            .net
-            .as_ref()
-            .map(|net_cfg| NetSession::open(DistGraph::build_all(g0, &part), net_cfg.clone()));
         let n = g0.num_vertices();
         let recompute_at = (0..=n)
             .find(|&dirty| dirty as f64 / n as f64 > cfg.recompute_threshold)
             .unwrap_or(n + 1);
         let mut state = ServeState {
             mg: MutableGraph::from_csr(g0),
-            csr: Some(g0.clone()),
-            part,
-            mate: Vec::new(),
-            colors: Vec::new(),
+            mate: vec![NO_VERTEX; n],
+            colors: vec![UNCOLORED; n],
             match_frontier: MatchFrontier::with_limit(n, recompute_at),
             color_frontier: ColorFrontier::default(),
             recompute_at,
-            session,
             cfg,
             batches: 0,
             repairs: 0,
             recomputes: 0,
-            fleet_failures: 0,
         };
-        // The initial load must fail loudly: a fleet that cannot even
-        // launch is a configuration error, not a transient.
-        state.recompute()?;
+        state.recompute();
         Ok(state)
     }
 
-    /// The graph currently served, in CSR form. Repacks the mutable
-    /// edge set on first call after a mutation (O(n + m)) and caches —
-    /// the warm repair path never needs it, so a repair-heavy stream
-    /// pays this only when someone actually asks for the packed graph.
-    pub fn graph(&mut self) -> &CsrGraph {
-        let mg = &self.mg;
-        self.csr.get_or_insert_with(|| mg.rebuild())
+    /// The graph currently served, packed into CSR form (O(n + m)).
+    pub fn graph(&self) -> CsrGraph {
+        self.mg.rebuild()
     }
 
     /// Number of vertices (fixed for the service lifetime).
@@ -276,7 +232,6 @@ impl ServeState {
     /// untouched.
     pub fn apply(&mut self, batch: &MutationBatch) -> Result<RepairReport, String> {
         let applied = self.mg.apply(batch)?;
-        self.csr = None; // packed cache is stale from here
         self.batches += 1;
 
         // The kernels read the mutable adjacency directly and write the
@@ -293,18 +248,11 @@ impl ServeState {
                 self.color_frontier.vertices().len() >= self.recompute_at
             };
 
-        let (mode, dirty_matching, dirty_coloring, (match_rounds, color_rounds)) = if recompute {
+        let (mode, dirty_matching, dirty_coloring) = if recompute {
             self.recomputes += 1;
-            // A fleet failure mid-serve degrades, it does not wedge:
-            // the in-process fallback restores consistency, the failure
-            // is counted, and the session relaunches a fresh fleet on
-            // its next pass.
-            let rounds = self.recompute().unwrap_or_else(|_| {
-                self.fleet_failures += 1;
-                self.recompute_local()
-            });
+            self.recompute();
             let n = self.mg.num_vertices();
-            (RepairMode::Recompute, n, n, rounds)
+            (RepairMode::Recompute, n, n)
         } else {
             self.repairs += 1;
             // Warm repair: in place, recycled scratch.
@@ -312,7 +260,7 @@ impl ServeState {
             self.color_frontier.repair(&self.mg, &mut self.colors, seed);
             let dirty_matching = self.match_frontier.vertices().len();
             let dirty_coloring = self.color_frontier.vertices().len();
-            (RepairMode::Repair, dirty_matching, dirty_coloring, (0, 0))
+            (RepairMode::Repair, dirty_matching, dirty_coloring)
         };
 
         Ok(RepairReport {
@@ -320,60 +268,16 @@ impl ServeState {
             applied,
             dirty_matching,
             dirty_coloring,
-            match_rounds,
-            color_rounds,
         })
     }
 
-    /// From-scratch matching + coloring on the current graph: on the
-    /// resident fleet in net mode, in-process otherwise. Returns the
-    /// two passes' engine rounds (matching, coloring).
-    fn recompute(&mut self) -> Result<(u64, u64), NetError> {
-        let Some(session) = self.session.as_mut() else {
-            return Ok(self.recompute_local());
-        };
-        // Field-level borrows (not `self.graph()`), so the packed cache
-        // is read where it lives instead of being cloned.
-        let g = self.csr.get_or_insert_with(|| self.mg.rebuild());
-        session.set_parts(DistGraph::build_all(g, &self.part))?;
-        let (matching, match_rounds) = session.submit_matching(NetTask::Matching)?;
-        let (coloring, color_rounds) =
-            session.submit_coloring(NetTask::Coloring(self.cfg.coloring))?;
-        self.mate = matching.mates().to_vec();
-        self.colors = coloring.colors().to_vec();
-        Ok((match_rounds, color_rounds))
-    }
-
-    /// In-process from-scratch pass (also the net mode's fallback when
-    /// a fleet pass fails unrecoverably): the frontier kernel's cold pass
-    /// on the resident rows for the matching, which the graph alone
-    /// fixes, and [`DistColoring`] on the partition's slices for the
-    /// coloring, which depends on the algorithm. Returns the engine
-    /// rounds (matching, coloring): the matching ran none.
-    fn recompute_local(&mut self) -> (u64, u64) {
-        self.mate.resize(self.mg.num_vertices(), NO_VERTEX);
+    /// From-scratch matching + coloring on the resident rows: each
+    /// kernel's cold pass overwrites its whole vector in place. The
+    /// matching's scratch is sized at load and the colouring's grows
+    /// only with the longest row seen, so a recompute allocates nothing
+    /// unless a row has outgrown every earlier one.
+    fn recompute(&mut self) {
         self.match_frontier.cold(&self.mg, &mut self.mate);
-        let g = self.csr.get_or_insert_with(|| self.mg.rebuild());
-        let programs: Vec<DistColoring> = DistGraph::build_all(g, &self.part)
-            .into_iter()
-            .map(|dg| DistColoring::new(dg, self.cfg.coloring))
-            .collect();
-        let cfg = EngineConfig {
-            cost: CostModel::compute_only(),
-            ..Default::default()
-        };
-        let result = SimEngine::new(programs, cfg).run();
-        self.colors = assemble_coloring(&result.programs, g.num_vertices())
-            .colors()
-            .to_vec();
-        (0, result.stats.rounds)
-    }
-
-    /// Shuts a resident fleet down gracefully (no-op in-process).
-    pub fn close(&mut self) -> Result<(), NetError> {
-        match self.session.as_mut() {
-            Some(session) => session.close(),
-            None => Ok(()),
-        }
+        self.color_frontier.cold(&self.mg, &mut self.colors);
     }
 }

@@ -53,12 +53,12 @@ fn warm_repairs_track_a_cold_recompute() {
         let report = state.apply(batch).expect("batch accepted");
         assert_eq!(report.mode, RepairMode::Repair, "small batch repairs warm");
         let (mate, colors) = (state.matching(), state.coloring());
-        check_served(state.graph(), mate.mates(), colors.colors());
+        check_served(&state.graph(), mate.mates(), colors.colors());
     }
 
     // Distinct weights: the warm-repaired matching must equal the
     // unique greedy matching a from-scratch run computes.
-    let final_g = state.graph().clone();
+    let final_g = state.graph();
     let cold = ServeState::new(&final_g, ServeConfig::default()).expect("cold run");
     assert_eq!(
         state.matching().mates(),
@@ -84,7 +84,7 @@ fn oversized_batches_fall_through_to_recompute() {
     assert_eq!(report.mode, RepairMode::Recompute);
     assert_eq!(state.recomputes, 1);
     let (mate, colors) = (state.matching(), state.coloring());
-    check_served(state.graph(), mate.mates(), colors.colors());
+    check_served(&state.graph(), mate.mates(), colors.colors());
 }
 
 #[test]

@@ -566,11 +566,11 @@ fn batch_drops_are_diagnosed_not_hung_under_coalescing() {
 
 // ---------------------------------------------------------------------------
 // Persistent-fleet sessions. A NetSession keeps one worker fleet
-// resident across a sequence of tasks (the engine under cmg-serve's
-// request loop); each task's results must match one-shot runs, a kill
-// mid-session must recover from the task's checkpoints and leave the
-// fleet serving, and an unrecoverable failure must poison the session
-// with a typed error while the next submit relaunches cleanly.
+// resident across a sequence of tasks; each task's results must match
+// one-shot runs, a kill mid-session must recover from the task's
+// checkpoints and leave the fleet serving, and an unrecoverable failure
+// must poison the session with a typed error while the next submit
+// relaunches cleanly.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -581,15 +581,19 @@ fn session_reuses_one_fleet_across_tasks_bit_identically() {
     let clean_c =
         run_coloring(parts(&g, 4), ccfg, &NetConfig::default()).expect("one-shot coloring");
 
+    let n = g.num_vertices();
     let mut session = NetSession::open(parts(&g, 4), NetConfig::default());
     let (m1, _) = session
-        .submit_matching(NetTask::Matching)
+        .submit(NetTask::Matching)
+        .and_then(|out| out.matching(n))
         .expect("first session task");
-    let (c, _) = session
-        .submit_coloring(NetTask::Coloring(ccfg))
+    let (c, ..) = session
+        .submit(NetTask::Coloring(ccfg))
+        .and_then(|out| out.coloring(n))
         .expect("second session task on the same fleet");
     let (m2, _) = session
-        .submit_matching(NetTask::Matching)
+        .submit(NetTask::Matching)
+        .and_then(|out| out.matching(n))
         .expect("third session task on the same fleet");
 
     assert_eq!(m1, clean_m.matching, "session matching == one-shot run");
@@ -600,7 +604,7 @@ fn session_reuses_one_fleet_across_tasks_bit_identically() {
     assert!(!session.is_live());
 }
 
-/// The kill-during-request case cmg-serve leans on: a worker SIGKILLed
+/// The kill-during-request case: a worker SIGKILLed
 /// mid-task on a resident fleet recovers from the task's own
 /// checkpoints, the in-flight submit is answered bit-identically, and
 /// the *recovered* fleet keeps serving subsequent tasks.
@@ -634,7 +638,8 @@ fn killed_worker_mid_session_recovers_and_the_fleet_keeps_serving() {
     // The fired kill retired with the fleet relaunch; the next task
     // runs on the recovered fleet and must still be exact.
     let (m, _) = session
-        .submit_matching(NetTask::Matching)
+        .submit(NetTask::Matching)
+        .and_then(|out| out.matching(g.num_vertices()))
         .expect("the recovered fleet keeps serving");
     assert_eq!(m, clean_m.matching);
     session.close().expect("graceful shutdown");
@@ -671,7 +676,8 @@ fn unrecoverable_session_failure_is_typed_and_the_next_submit_relaunches() {
 
     session.config_mut().kill_plan.clear();
     let (m, _) = session
-        .submit_matching(NetTask::Matching)
+        .submit(NetTask::Matching)
+        .and_then(|out| out.matching(g.num_vertices()))
         .expect("the next submit relaunches a fresh fleet");
     assert_eq!(m, clean_m.matching);
     session.close().expect("graceful shutdown");

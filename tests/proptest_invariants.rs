@@ -187,4 +187,31 @@ proptest! {
         prop_assert!(c.validate(&g).is_ok());
         prop_assert!(c.num_colors() <= g.max_degree() + 1);
     }
+
+    /// Serve's cold colouring pass is greedy first-fit in natural order,
+    /// bit for bit, on the packed graph and on the mutable rows alike,
+    /// whatever the colour slice held before.
+    #[test]
+    fn cold_first_fit_equals_greedy_natural(
+        kind in 0usize..3,
+        size in 2usize..40,
+        seed in 0u64..1000,
+    ) {
+        use cmg_coloring::seq::{greedy, Ordering};
+        use cmg_coloring::ColorFrontier;
+        let g = match kind {
+            0 => generators::grid2d(size, 1 + size / 2),
+            1 => generators::erdos_renyi(size * 3, size * 8, seed),
+            _ => generators::rmat(4 + (size % 6) as u32, 8, (0.57, 0.19, 0.19, 0.05), seed),
+        };
+        let expected = greedy(&g, Ordering::Natural);
+        let stale: Vec<u32> = (0..g.num_vertices() as u32).map(|v| v % 3).collect();
+        let mut frontier = ColorFrontier::default();
+        let mut colors = stale.clone();
+        frontier.cold(&g, &mut colors);
+        prop_assert_eq!(&colors[..], expected.colors());
+        let mut colors = stale;
+        frontier.cold(&cmg_graph::MutableGraph::from_csr(&g), &mut colors);
+        prop_assert_eq!(&colors[..], expected.colors());
+    }
 }

@@ -1,7 +1,7 @@
 //! The O(frontier) wall: a small batch must cost the same at any graph
 //! size — in bytes allocated and in vertices and edges touched.
 //!
-//! Both tests run one batch at the centre of a 64×64 and of a 512×512
+//! The tests run batches near the centre of a 64×64 and of a 512×512
 //! grid whose edge weights depend only on the position *relative to the
 //! centre*, so the two graphs are the same graph around the batch and
 //! the repair frontier (a few vertices) is the same set, translated.
@@ -11,6 +11,8 @@
 //!    allocates at most 4 KiB in no allocator call at all, and the same
 //!    at both sizes. (Before the kernels worked in place every batch copied
 //!    ≈ 17 B per vertex: ≈ 70 KB at 64², ≈ 4.4 MB at 512².)
+//!    A batch past the recompute threshold allocates nothing at all
+//!    either: the cold passes reuse the scratch the load grew.
 //! 2. Through the kernels directly, behind a [`NeighborView`] that
 //!    records every adjacency scan: the scanned vertices and the
 //!    frontier are identical as relative positions, and the number of
@@ -187,6 +189,51 @@ fn steady_state_apply_allocates_a_size_independent_constant() {
     );
 }
 
+/// Bytes and calls a threshold-crossing batch allocates inside
+/// `ServeState::apply`, after one such batch has run: the recompute is
+/// both kernels' cold passes on the resident rows.
+fn recompute_batch_allocs(side: usize) -> (usize, usize) {
+    let grid = Grid { side };
+    // At a zero threshold any dirty vertex sends the batch to recompute.
+    let cfg = ServeConfig {
+        recompute_threshold: 0.0,
+        ..Default::default()
+    };
+    let mut state = ServeState::new(&grid.graph(), cfg).expect("initial load");
+    let mut allocs = (0, 0);
+    for dr in [-6, 0] {
+        // Reweighting a matched edge frees its pair: reweight-only, so
+        // no row of the mutable graph grows.
+        let v = (0..8)
+            .map(|dc| grid.at(dr, dc))
+            .find(|&v| state.mate_of(v) != NO_VERTEX)
+            .expect("a matched vertex nearby");
+        let mut batch = MutationBatch::new();
+        batch.reweight(v, state.mate_of(v), 0.999);
+        let (requested, report) = requested(|| state.apply(&batch));
+        let report = report.expect("batch absorbs");
+        assert_eq!(report.mode, RepairMode::Recompute);
+        allocs = requested;
+    }
+    allocs
+}
+
+#[test]
+fn recompute_allocates_nothing_at_any_size() {
+    let (small, large) = (recompute_batch_allocs(64), recompute_batch_allocs(512));
+    // Measured 0 B in 0 calls at both sizes: the cold passes run on
+    // the scratch the load grew.
+    assert_eq!(
+        small.1, 0,
+        "a recompute allocated {} B in {} calls on the 64x64 grid",
+        small.0, small.1
+    );
+    assert_eq!(
+        small.1, large.1,
+        "a recompute made {small:?} (B, calls) at 64x64 but {large:?} at 512x512"
+    );
+}
+
 /// Records what a kernel reads through [`NeighborView`].
 struct Probe<'a> {
     g: &'a MutableGraph,
@@ -203,9 +250,9 @@ impl NeighborView for Probe<'_> {
     fn edge_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
         self.g.edge_weight(u, v)
     }
-    fn for_each_neighbor(&self, v: VertexId, f: &mut dyn FnMut(VertexId, Weight)) {
+    fn for_each_neighbor(&self, v: VertexId, mut f: impl FnMut(VertexId, Weight)) {
         self.scanned.borrow_mut().push(v);
-        self.g.for_each_neighbor(v, &mut |u, w| {
+        self.g.for_each_neighbor(v, |u, w| {
             self.entries.set(self.entries.get() + 1);
             f(u, w)
         });

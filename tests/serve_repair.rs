@@ -15,11 +15,9 @@
 //!    matching must equal a cold [`ServeState`] built on the final
 //!    graph, bit for bit (weights are distinct, so the locally dominant
 //!    matching is unique). Runs at two thresholds so both the warm
-//!    repair path and the recompute path carry real traffic; repairs
-//!    must report 0 engine rounds, and recomputes every vertex as dirty,
-//!    0 matching rounds (the in-process cold matching is the frontier
-//!    kernel, which runs no engine) and the cold colouring run's real
-//!    round count.
+//!    repair path and the recompute path carry real traffic; a
+//!    recompute reports every vertex as dirty and serves exactly the
+//!    greedy first-fit colouring in natural order of the current graph.
 //! 3. **Delivery adversaries.** A cold distributed matching of the
 //!    mutated graph must equal the answer the sequential frontier
 //!    kernel serves, bit for bit, under reordered, reversed, LIFO,
@@ -38,6 +36,7 @@
 
 use cmg_check::oracles::{half_approx_certificate, proper_coloring, valid_matching};
 use cmg_coloring::coloring::UNCOLORED;
+use cmg_coloring::seq::Ordering;
 use cmg_coloring::{invalidate_colors, repair_frontier_colors, ColorFrontier, Coloring};
 use cmg_graph::generators::erdos_renyi;
 use cmg_graph::weights::{assign_weights, WeightScheme};
@@ -81,6 +80,15 @@ fn random_batch(rng: &mut SmallRng) -> MutationBatch {
     batch
 }
 
+/// A recompute serves the greedy first-fit colouring in natural order.
+fn assert_recompute_colors(g: &CsrGraph, colors: &[u32], ctx: &str) {
+    assert_eq!(
+        colors,
+        cmg_coloring::seq::greedy(g, Ordering::Natural).colors(),
+        "{ctx}: recomputed colours != greedy natural"
+    );
+}
+
 fn check_oracles(g: &CsrGraph, mate: &[u32], colors: &[u32], ctx: &str) {
     let m = Matching::from_mates(mate.to_vec());
     valid_matching(g, &m).unwrap_or_else(|e| panic!("{ctx}: invalid matching: {e}"));
@@ -106,24 +114,15 @@ fn stream_and_verify(seed: u64, threshold: f64) -> (u64, u64) {
     for step in 0..30 {
         let batch = random_batch(&mut rng);
         let report = state.apply(&batch).expect("valid batch absorbs");
-        let rounds = (report.match_rounds, report.color_rounds);
-        match report.mode {
-            RepairMode::Repair => {
-                assert_eq!(rounds, (0, 0), "step {step}: a repair runs no rounds")
-            }
-            RepairMode::Recompute => {
-                assert!(
-                    rounds.0 == 0 && rounds.1 > 0,
-                    "step {step}: a recompute reported {rounds:?} rounds"
-                );
-                // A cold pass re-decides every vertex.
-                let n = g0.num_vertices();
-                assert_eq!((report.dirty_matching, report.dirty_coloring), (n, n));
-            }
-        }
         mirror.apply(&batch).expect("mirror applies");
         let g = mirror.rebuild();
         let (mate, colors) = (state.matching(), state.coloring());
+        if report.mode == RepairMode::Recompute {
+            // A cold pass re-decides every vertex.
+            let n = g0.num_vertices();
+            assert_eq!((report.dirty_matching, report.dirty_coloring), (n, n));
+            assert_recompute_colors(&g, colors.colors(), &format!("seed {seed} step {step}"));
+        }
         check_oracles(
             &g,
             mate.mates(),
@@ -183,18 +182,17 @@ fn mixed_mode_streams_cross_the_threshold_both_ways() {
     for step in 0..40 {
         let batch = random_batch(&mut rng);
         let report = state.apply(&batch).expect("valid batch absorbs");
+        mirror.apply(&batch).expect("mirror applies");
+        let g = mirror.rebuild();
+        let (mate, colors) = (state.matching(), state.coloring());
         match report.mode {
             RepairMode::Repair => saw_repair = true,
-            RepairMode::Recompute => saw_recompute = true,
+            RepairMode::Recompute => {
+                saw_recompute = true;
+                assert_recompute_colors(&g, colors.colors(), &format!("step {step}"));
+            }
         }
-        mirror.apply(&batch).expect("mirror applies");
-        let (mate, colors) = (state.matching(), state.coloring());
-        check_oracles(
-            &mirror.rebuild(),
-            mate.mates(),
-            colors.colors(),
-            &format!("step {step}"),
-        );
+        check_oracles(&g, mate.mates(), colors.colors(), &format!("step {step}"));
     }
     assert!(
         saw_repair && saw_recompute,
@@ -272,7 +270,7 @@ fn in_place_kernels_agree_with_wrappers_and_cold_runs() {
         let g0 = base_graph(seed + 20);
         let mut mg = MutableGraph::from_csr(&g0);
         let mut mate = cmg_matching::seq::greedy(&g0).mates().to_vec();
-        let mut colors = cmg_coloring::seq::greedy(&g0, cmg_coloring::seq::Ordering::Natural)
+        let mut colors = cmg_coloring::seq::greedy(&g0, Ordering::Natural)
             .colors()
             .to_vec();
         let mut match_frontier = MatchFrontier::new(g0.num_vertices());
@@ -391,6 +389,7 @@ fn rejected_and_threshold_crossing_batches_leave_clean_state() {
         let g = mirror.rebuild();
         let (mate, colors) = (state.matching(), state.coloring());
         check_oracles(&g, mate.mates(), colors.colors(), &format!("step {step}"));
+        assert_recompute_colors(&g, colors.colors(), &format!("step {step}"));
         assert_eq!(mate.mates(), cmg_matching::seq::greedy(&g).mates());
         assert_eq!(twin.matching(), mate);
         assert_eq!(twin.coloring(), colors);
