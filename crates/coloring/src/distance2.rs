@@ -8,7 +8,7 @@
 //! [`DistColoring::distance2`](crate::dist::DistColoring::distance2).
 
 use crate::coloring::{Coloring, UNCOLORED};
-use crate::seq::Ordering;
+use crate::seq::{FirstFit, Ordering};
 use cmg_graph::{CsrGraph, VertexId};
 
 /// Greedy first-fit distance-2 coloring of `g` under `order`.
@@ -20,29 +20,18 @@ pub fn greedy_d2(g: &CsrGraph, order: Ordering) -> Coloring {
 
 /// Greedy distance-2 coloring following an explicit vertex sequence.
 fn greedy_d2_in_order(g: &CsrGraph, seq: &[VertexId]) -> Coloring {
-    let n = g.num_vertices();
-    let mut coloring = Coloring::uncolored(n);
-    let mut forbidden: Vec<u64> = vec![u64::MAX; n + 1];
-    let mut stamp = 0u64;
+    let mut coloring = Coloring::uncolored(g.num_vertices());
+    let mut first_fit = FirstFit::default();
     for &v in seq {
-        stamp += 1;
         for &u in g.neighbors(v) {
-            let cu = coloring.color(u);
-            if cu != UNCOLORED {
-                forbidden[cu as usize] = stamp;
-            }
+            first_fit.take(coloring.color(u));
             for &w in g.neighbors(u) {
-                let cw = coloring.color(w);
-                if w != v && cw != UNCOLORED {
-                    forbidden[cw as usize] = stamp;
+                if w != v {
+                    first_fit.take(coloring.color(w));
                 }
             }
         }
-        let mut c = 0u32;
-        while (c as usize) <= n && forbidden[c as usize] == stamp {
-            c += 1;
-        }
-        coloring.set(v, c);
+        coloring.set(v, first_fit.pick());
     }
     coloring
 }

@@ -34,6 +34,7 @@
 //! bit-identity with a cold run.
 
 use crate::coloring::UNCOLORED;
+use crate::seq::FirstFit;
 use cmg_graph::util::vertex_priority;
 use cmg_graph::{Mutation, MutationBatch, NeighborView, VertexId};
 
@@ -49,11 +50,11 @@ pub struct ColorRetained {
 /// The in-place repair kernel and its reusable scratch: the dirty
 /// vertices of the last [`ColorFrontier::invalidate`] as a list (their
 /// [`UNCOLORED`] entry in the color slice is the membership mark) and
-/// the recolor loop's neighborhood buffer.
+/// the recolor loop's per-colour stamps.
 #[derive(Clone, Debug, Default)]
 pub struct ColorFrontier {
     dirty: Vec<VertexId>,
-    taken: Vec<u32>,
+    first_fit: FirstFit,
 }
 
 impl ColorFrontier {
@@ -120,17 +121,11 @@ impl ColorFrontier {
     /// first-fit over a mostly-fixed coloring in priority order is not
     /// first-fit over all vertices in natural order).
     pub fn repair(&mut self, g: &impl NeighborView, color: &mut [u32], seed: u64) {
-        let ColorFrontier { dirty, taken } = self;
+        let ColorFrontier { dirty, first_fit } = self;
         dirty.sort_unstable_by_key(|&v| std::cmp::Reverse((vertex_priority(v as u64, seed), v)));
         for &v in dirty.iter() {
-            taken.clear();
-            g.for_each_neighbor(v, |u, _| {
-                let c = color[u as usize];
-                if c != UNCOLORED {
-                    taken.push(c);
-                }
-            });
-            color[v as usize] = smallest_absent(taken);
+            g.for_each_neighbor(v, |u, _| first_fit.take(color[u as usize]));
+            color[v as usize] = first_fit.pick();
         }
     }
 
@@ -143,33 +138,18 @@ impl ColorFrontier {
     /// [`invalidate`](Self::invalidate) stays as it was.
     pub fn cold(&mut self, g: &impl NeighborView, color: &mut [u32]) {
         debug_assert_eq!(g.num_vertices(), color.len());
-        let taken = &mut self.taken;
+        let first_fit = &mut self.first_fit;
         for v in 0..color.len() as VertexId {
             // Higher-numbered neighbours are still uncoloured in a
             // natural-order pass, so their stale entries are skipped.
-            taken.clear();
             g.for_each_neighbor(v, |u, _| {
                 if u < v {
-                    taken.push(color[u as usize]);
+                    first_fit.take(color[u as usize]);
                 }
             });
-            color[v as usize] = smallest_absent(taken);
+            color[v as usize] = first_fit.pick();
         }
     }
-}
-
-/// The smallest colour not in `taken` (which it sorts).
-fn smallest_absent(taken: &mut [u32]) -> u32 {
-    taken.sort_unstable();
-    let mut pick = 0u32;
-    for &c in taken.iter() {
-        if c == pick {
-            pick += 1;
-        } else if c > pick {
-            break;
-        }
-    }
-    pick
 }
 
 /// Functional form of [`ColorFrontier::invalidate`]: copies `old_color`,
@@ -199,7 +179,7 @@ pub fn repair_frontier_colors(
             .zip(&color)
             .filter_map(|(v, &c)| (c == UNCOLORED).then_some(v))
             .collect(),
-        taken: Vec::new(),
+        first_fit: FirstFit::default(),
     };
     frontier.repair(g, &mut color, seed);
     color

@@ -36,25 +36,45 @@ pub(crate) fn vertex_order(g: &CsrGraph, order: Ordering) -> Vec<VertexId> {
 
 /// Greedy first-fit coloring following an explicit vertex sequence.
 fn greedy_in_order(g: &CsrGraph, seq: &[VertexId]) -> Coloring {
-    let n = g.num_vertices();
-    let mut coloring = Coloring::uncolored(n);
-    let mut forbidden: Vec<u64> = vec![u64::MAX; n]; // round-stamps per color
-    let mut stamp = 0u64;
+    let mut coloring = Coloring::uncolored(g.num_vertices());
+    let mut first_fit = FirstFit::default();
     for &v in seq {
-        stamp += 1;
         for &u in g.neighbors(v) {
-            let c = coloring.color(u);
-            if c != UNCOLORED && (c as usize) < n {
-                forbidden[c as usize] = stamp;
-            }
+            first_fit.take(coloring.color(u));
         }
-        let mut c = 0u32;
-        while (c as usize) < n && forbidden[c as usize] == stamp {
-            c += 1;
-        }
-        coloring.set(v, c);
+        coloring.set(v, first_fit.pick());
     }
     coloring
+}
+
+/// First-fit's colour choice, the one copy every greedy pass (distance
+/// 1 and 2, cold and repair) uses: each colour keeps the stamp of the
+/// last vertex whose neighbourhood held it, so a pick clears nothing.
+/// The stamps grow to the largest colour taken and allocate nothing after.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct FirstFit {
+    seen: Vec<u64>,
+    stamp: u64,
+}
+
+impl FirstFit {
+    /// Marks colour `c` as held by a neighbour of the vertex being
+    /// coloured ([`UNCOLORED`] holds nothing).
+    pub(crate) fn take(&mut self, c: u32) {
+        if c != UNCOLORED {
+            if c as usize >= self.seen.len() {
+                self.seen.resize(c as usize + 1, u64::MAX);
+            }
+            self.seen[c as usize] = self.stamp;
+        }
+    }
+
+    /// The smallest colour not taken since the last pick.
+    pub(crate) fn pick(&mut self) -> u32 {
+        let c = self.seen.iter().take_while(|&&s| s == self.stamp).count();
+        self.stamp += 1;
+        c as u32
+    }
 }
 
 /// Smallest-last (degeneracy) order: repeatedly remove a minimum-degree

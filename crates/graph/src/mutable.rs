@@ -3,12 +3,12 @@
 //! CSR is the right layout for the algorithms but the wrong one for
 //! mutation: inserting one edge into a packed adjacency array shifts
 //! everything behind it. [`MutableGraph`] keeps each vertex's row (both
-//! directions of every edge) in a vector of its own, sorted by neighbour
-//! id, applies [`MutationBatch`]es in O(batch · degree), and rebuilds a
-//! fresh [`CsrGraph`] on demand by concatenating the rows — an explicit,
-//! O(n + m) step the caller controls, so a serving layer that repairs
-//! warm never pays it on the hot path and the recompute path pays it
-//! once per batch at most.
+//! directions of every edge), sorted by neighbour id, as a run of slots in
+//! one slab: two flat arrays, ids and weights, and a `[start, len, cap]`
+//! header per vertex. A batch applies in O(batch · degree); a full row moves
+//! to the slab's end, and the holes moves leave are compacted away.
+//! [`MutableGraph::rebuild`] packs a fresh [`CsrGraph`] on demand — an
+//! explicit, O(n + m) step a serving layer never pays on the hot path.
 //!
 //! The vertex set is fixed at construction: mutations address existing
 //! vertex ids only (out-of-range ids are rejected, not grown), which
@@ -127,26 +127,51 @@ pub struct ApplyOutcome {
 /// O(V + E) CSR repack per mutation batch.
 #[derive(Clone, Debug)]
 pub struct MutableGraph {
-    /// Rows sorted by neighbour id, no duplicates: `(v, w)` in row `u`
+    /// The slab, ids and weights in parallel: row `u` is
+    /// `start..start + len` of `rows[u] = [start, len, cap]`, strictly
+    /// ascending, and owns `cap` slots from `start`; `(v, w)` in row `u`
     /// and `(u, w)` in row `v` for every undirected edge `{u, v}`.
-    adj: Vec<Vec<(VertexId, Weight)>>,
+    ids: Vec<VertexId>,
+    weights: Vec<Weight>,
+    rows: Vec<[u32; 3]>,
+    /// Slots no row owns: the old places of rows that moved.
+    holes: usize,
     /// Undirected edge count (each edge counted once).
     m: usize,
     weighted: bool,
 }
 
+/// The header of a row owning `cap` slots from `start`, `len` live.
+fn header(start: usize, len: usize, cap: usize) -> [u32; 3] {
+    assert!(
+        u32::try_from(start + cap).is_ok(),
+        "the slab outgrew u32 slot offsets"
+    );
+    [start as u32, len as u32, cap as u32]
+}
+
 impl MutableGraph {
-    /// Unpacks `g` into mutable form.
+    /// Unpacks `g` into mutable form: one slab of `degree + 2` slots
+    /// per row, so a few inserts land before a row has to move.
     pub fn from_csr(g: &CsrGraph) -> Self {
+        let n = g.num_vertices();
+        let slots = 2 * g.num_edges() + 2 * n;
+        let mut ids = Vec::with_capacity(slots);
+        let mut weights = Vec::with_capacity(slots);
+        let mut rows = Vec::with_capacity(n);
+        for v in 0..n as VertexId {
+            let (start, len) = (ids.len(), g.degree(v));
+            rows.push(header(start, len, len + 2));
+            ids.extend_from_slice(g.neighbors(v));
+            weights.extend_from_slice(g.neighbor_weights(v));
+            ids.resize(start + len + 2, 0);
+            weights.resize(start + len + 2, 1.0);
+        }
         MutableGraph {
-            adj: (0..g.num_vertices() as VertexId)
-                .map(|v| {
-                    // Room for a few inserts before the row reallocates.
-                    let mut row = Vec::with_capacity(g.degree(v) + 2);
-                    row.extend(g.neighbors_weighted(v));
-                    row
-                })
-                .collect(),
+            ids,
+            weights,
+            rows,
+            holes: 0,
             m: g.num_edges(),
             weighted: g.is_weighted(),
         }
@@ -154,7 +179,7 @@ impl MutableGraph {
 
     /// Number of vertices (fixed for the adapter's lifetime).
     pub fn num_vertices(&self) -> usize {
-        self.adj.len()
+        self.rows.len()
     }
 
     /// Number of undirected edges currently present.
@@ -162,36 +187,90 @@ impl MutableGraph {
         self.m
     }
 
+    /// Row `v` as slices of the slab: its neighbour ids, strictly
+    /// ascending, and their weights (`1.0` from an unweighted source).
+    pub fn row(&self, v: VertexId) -> (&[VertexId], &[Weight]) {
+        let [start, len, _] = self.rows[v as usize].map(|x| x as usize);
+        let at = start..start + len;
+        (&self.ids[at.clone()], &self.weights[at])
+    }
+
     /// Current weight of edge `{u, v}`, if present.
     pub fn edge_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
-        let row = &self.adj[u as usize];
-        row.binary_search_by_key(&v, |e| e.0).ok().map(|i| row[i].1)
+        let (ids, weights) = self.row(u);
+        ids.binary_search(&v).ok().map(|i| weights[i])
     }
 
     /// Iterates `(neighbor, weight)` pairs of `v` by ascending neighbor
     /// id (CSR order).
     pub fn neighbors_weighted(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
-        self.adj[v as usize].iter().copied()
+        let (ids, weights) = self.row(v);
+        ids.iter().copied().zip(weights.iter().copied())
     }
 
     /// Sets `(v, w)` in row `u`; the weight it replaced, if `v` was there.
     fn upsert(&mut self, u: VertexId, v: VertexId, w: Weight) -> Option<Weight> {
-        let row = &mut self.adj[u as usize];
-        match row.binary_search_by_key(&v, |e| e.0) {
-            Ok(i) => Some(std::mem::replace(&mut row[i].1, w)),
-            Err(i) => {
-                row.insert(i, (v, w));
-                None
-            }
+        let [start, len, cap] = self.rows[u as usize];
+        let i = match self.row(u).0.binary_search(&v) {
+            Ok(i) => return Some(std::mem::replace(&mut self.weights[start as usize + i], w)),
+            Err(i) => i,
+        };
+        if len == cap {
+            self.relocate(u);
         }
+        let start = self.rows[u as usize][0] as usize;
+        let (at, end) = (start + i, start + len as usize);
+        self.ids.copy_within(at..end, at + 1);
+        self.weights.copy_within(at..end, at + 1);
+        (self.ids[at], self.weights[at]) = (v, w);
+        self.rows[u as usize][1] += 1;
+        None
     }
 
     /// Takes `v` out of row `u`; whether it was there.
     fn remove(&mut self, u: VertexId, v: VertexId) -> bool {
-        let row = &mut self.adj[u as usize];
-        row.binary_search_by_key(&v, |e| e.0)
-            .map(|i| row.remove(i))
-            .is_ok()
+        let Ok(i) = self.row(u).0.binary_search(&v) else {
+            return false;
+        };
+        let [start, len, _] = self.rows[u as usize].map(|x| x as usize);
+        let (at, end) = (start + i, start + len);
+        self.ids.copy_within(at + 1..end, at);
+        self.weights.copy_within(at + 1..end, at);
+        self.rows[u as usize][1] -= 1;
+        true
+    }
+
+    /// Moves full row `u` to the slab's end with twice its slots, which
+    /// allocates only if the slab is out of capacity; the old slots are holes.
+    fn relocate(&mut self, u: VertexId) {
+        let [start, len, cap] = self.rows[u as usize].map(|x| x as usize);
+        let (from, to) = (start..start + len, self.ids.len());
+        self.ids.extend_from_within(from.clone());
+        self.weights.extend_from_within(from);
+        self.ids.resize(to + 2 * cap, 0);
+        self.weights.resize(to + 2 * cap, 0.0);
+        self.rows[u as usize] = header(to, len, 2 * cap);
+        self.holes += cap;
+        if self.holes > 2 * self.m + self.rows.len() {
+            self.compact();
+        }
+    }
+
+    /// Copies the rows, in vertex order, into a fresh slab. A row keeps
+    /// its slots unless it has more than `4 · len + 4`; then it gets
+    /// `2 · len + 2`, so its next move takes `len + 3` inserts. Each hole
+    /// is paid for by ≤ 2 inserts (or the load): amortised O(1) each.
+    fn compact(&mut self) {
+        let owned = self.ids.len() - self.holes;
+        let (mut ids, mut weights) = (Vec::with_capacity(2 * owned), Vec::with_capacity(2 * owned));
+        for row in &mut self.rows {
+            let [start, len, cap] = row.map(|x| x as usize);
+            let keep = if cap > 4 * len + 4 { 2 * len + 2 } else { cap };
+            *row = header(ids.len(), len, keep);
+            ids.extend_from_slice(&self.ids[start..start + keep]);
+            weights.extend_from_slice(&self.weights[start..start + keep]);
+        }
+        (self.ids, self.weights, self.holes) = (ids, weights, 0);
     }
 
     /// Validates one mutation against the fixed vertex set.
@@ -200,7 +279,7 @@ impl MutableGraph {
         if u == v {
             return Err(format!("self-loop mutation on vertex {u}"));
         }
-        let n = self.adj.len();
+        let n = self.rows.len();
         if u as usize >= n || v as usize >= n {
             return Err(format!(
                 "mutation touches vertex outside the graph: ({u}, {v}) with n = {n}"
@@ -249,16 +328,17 @@ impl MutableGraph {
     /// source graph was weighted).
     pub fn rebuild(&self) -> CsrGraph {
         // The rows are CSR rows already: concatenate them.
-        let mut xadj = Vec::with_capacity(self.adj.len() + 1);
+        let mut xadj = Vec::with_capacity(self.rows.len() + 1);
         xadj.push(0);
         let mut adj: Vec<VertexId> = Vec::with_capacity(self.m * 2);
         let mut weights: Vec<Weight> =
             Vec::with_capacity(if self.weighted { self.m * 2 } else { 0 });
-        for row in &self.adj {
-            xadj.push(xadj[xadj.len() - 1] + row.len());
-            adj.extend(row.iter().map(|&(v, _)| v));
+        for v in 0..self.rows.len() as VertexId {
+            let (ids, ws) = self.row(v);
+            xadj.push(xadj[xadj.len() - 1] + ids.len());
+            adj.extend_from_slice(ids);
             if self.weighted {
-                weights.extend(row.iter().map(|&(_, w)| w));
+                weights.extend_from_slice(ws);
             }
         }
         CsrGraph::from_raw(xadj, adj, weights)
@@ -344,29 +424,44 @@ mod tests {
 
     /// Every row sorted by neighbour id with no duplicates, both
     /// directions of every edge present with equal weights, and the row
-    /// lengths adding up to twice `num_edges`.
+    /// lengths adding up to twice `num_edges`; in the slab, every row
+    /// inside its own slots, those runs disjoint, and the holes exactly
+    /// the slots no row owns.
     fn assert_rows_sound(m: &MutableGraph) {
         let mut entries = 0;
-        for (u, row) in (0..).zip(&m.adj) {
+        for u in 0..m.num_vertices() as VertexId {
+            let (ids, weights) = m.row(u);
+            assert_eq!(ids.len(), weights.len());
             assert!(
-                row.windows(2).all(|p| p[0].0 < p[1].0),
-                "row {u} is not strictly sorted: {row:?}"
+                ids.windows(2).all(|p| p[0] < p[1]),
+                "row {u} is not strictly sorted: {ids:?}"
             );
-            for &(v, w) in row {
+            for (&v, &w) in ids.iter().zip(weights) {
                 assert_eq!(m.edge_weight(v, u), Some(w), "edge {u}-{v} is one-sided");
             }
-            entries += row.len();
+            entries += ids.len();
         }
         assert_eq!(entries, 2 * m.num_edges());
+        let mut runs: Vec<[u32; 3]> = m.rows.clone();
+        runs.sort_unstable();
+        for (i, &[start, len, cap]) in runs.iter().enumerate() {
+            assert!(len <= cap, "a row overflows its slots: {runs:?}");
+            let next = runs.get(i + 1).map_or(m.ids.len(), |r| r[0] as usize);
+            assert!((start + cap) as usize <= next, "rows overlap: {runs:?}");
+        }
+        let owned: usize = m.rows.iter().map(|r| r[2] as usize).sum();
+        assert_eq!(owned + m.holes, m.ids.len());
+        assert_eq!(m.ids.len(), m.weights.len());
     }
 
     #[test]
     fn rebuild_matches_builder_output() {
         // Randomized mutation streams, cross-checked against building
         // the final edge set, kept in an ordered map, from scratch: one
-        // spread over the graph, and
-        // one where every op has an endpoint among four hubs, so rows
-        // grow past their headroom and shrink again.
+        // spread over the graph, and one where every op of a batch has an
+        // endpoint among four hubs, a different four each batch, so rows
+        // grow past their headroom and shrink again. Both move rows, and
+        // the holes the moves leave force at least one compaction.
         let g = assign_weights(&grid2d(6, 6), WeightScheme::Uniform { lo: 0.0, hi: 1.0 }, 3);
         for hubs in [None, Some(4)] {
             let mut m = MutableGraph::from_csr(&g);
@@ -374,13 +469,17 @@ mod tests {
                 g.edges().map(|(u, v, w)| ((u, v), w)).collect();
             // Deterministic pseudo-random ops.
             let mut s = 0xABCDu64;
-            for _ in 0..8 {
+            let (mut moves, mut compactions) = (0, 0);
+            for round in 0..8u64 {
                 let mut batch = MutationBatch::new();
                 for _ in 0..200 {
                     s = s
                         .wrapping_mul(6364136223846793005)
                         .wrapping_add(1442695040888963407);
-                    let u = ((s >> 33) % hubs.unwrap_or(36)) as VertexId;
+                    let u = match hubs {
+                        None => (s >> 33) % 36,
+                        Some(h) => ((s >> 33) % h + h * round) % 36,
+                    } as VertexId;
                     let v = ((s >> 17) % 36) as VertexId;
                     if u == v {
                         continue;
@@ -391,8 +490,15 @@ mod tests {
                         _ => batch.reweight(u, v, (s % 777) as f64 / 7.0),
                     };
                 }
+                let (len, holes) = (m.ids.len(), m.holes);
                 m.apply(&batch).unwrap();
                 assert_rows_sound(&m);
+                // Every move grows the slab by twice the holes it leaves;
+                // only a compaction breaks that.
+                let grown = m.ids.len() as isize - len as isize;
+                let compacted = grown != 2 * (m.holes as isize - holes as isize);
+                moves += (grown != 0) as usize;
+                compactions += compacted as usize;
                 for op in &batch.ops {
                     let (u, v) = op.endpoints();
                     match *op {
@@ -404,8 +510,12 @@ mod tests {
                 }
             }
             if hubs.is_some() {
-                assert!(m.adj[..4].iter().any(|row| row.len() > 10), "no hub grew");
+                assert!((0..4).any(|h| m.row(h).0.len() > 10), "no hub grew");
             }
+            assert!(
+                moves > 0 && compactions > 0,
+                "{hubs:?}: {moves} batches moved rows, {compactions} compacted"
+            );
             let rebuilt = m.rebuild();
             rebuilt.validate().unwrap();
             assert_eq!(rebuilt.num_edges(), m.num_edges());

@@ -7,8 +7,10 @@
 //! kernels run against either representation:
 //!
 //! * [`CsrGraph`] — the packed form every batch algorithm uses;
-//! * [`MutableGraph`] — the serving layer's resident sorted rows, which
-//!   absorb mutation batches in O(batch · degree) *without* repacking.
+//! * [`MutableGraph`] — the serving layer's resident rows: sorted runs
+//!   of one slab (neighbour ids and weights in two flat arrays, a
+//!   `[start, len, cap]` header per vertex), which absorb mutation
+//!   batches in O(batch · degree) *without* repacking.
 //!
 //! That second impl is the point: a resident service repairing a tiny
 //! frontier must not pay an O(V + E) CSR rebuild per batch just to
@@ -18,7 +20,8 @@
 //! rather than as an iterator associated type: both impls stay simple,
 //! and the callback is a type parameter, so each kernel's loop body is
 //! inlined into the row scan instead of called through a pointer per
-//! neighbor.
+//! neighbor. `MutableGraph`'s impl zips the two slices
+//! [`MutableGraph::row`] hands out.
 //! Iteration order is implementation-defined — both impls yield
 //! neighbors by ascending id today, but kernels must not depend on it
 //! for their results.
@@ -73,7 +76,8 @@ impl NeighborView for MutableGraph {
     }
 
     fn for_each_neighbor(&self, v: VertexId, mut f: impl FnMut(VertexId, Weight)) {
-        for (u, w) in self.neighbors_weighted(v) {
+        let (ids, weights) = self.row(v);
+        for (&u, &w) in ids.iter().zip(weights) {
             f(u, w);
         }
     }

@@ -92,6 +92,14 @@ impl ClockSync {
         self.epoch_nanos.store(nanos, Ordering::Relaxed);
     }
 
+    /// The epoch as an instant (`None` before `Start`).
+    fn epoch(&self) -> Option<Instant> {
+        match self.epoch_nanos.load(Ordering::Relaxed) {
+            NO_STAMP => None,
+            nanos => Some(self.anchor + Duration::from_nanos(nanos)),
+        }
+    }
+
     /// Microseconds since the epoch ([`NO_STAMP`] before `Start`).
     fn micros_now(&self) -> u64 {
         match self.epoch_nanos.load(Ordering::Relaxed) {
@@ -276,8 +284,8 @@ struct Transport {
     /// persistent-fleet session instead of `Shutdown`: the payload of
     /// the task this worker runs after the current one winds down.
     next_assignment: Option<Bytes>,
-    epoch: Option<Instant>,
-    /// Shared with the heartbeat and supervisor-reader threads.
+    /// Shared with the heartbeat and supervisor-reader threads; holds
+    /// the task's epoch.
     clock: Arc<ClockSync>,
     /// The live counters the heartbeat thread ships.
     telemetry: Arc<TelemetryCells>,
@@ -288,12 +296,6 @@ struct Transport {
 }
 
 impl Transport {
-    /// Microseconds since `Start` for wire stamps ([`NO_STAMP`] before).
-    fn wire_micros(&self) -> u64 {
-        self.epoch
-            .map_or(NO_STAMP, |e| e.elapsed().as_micros() as u64)
-    }
-
     /// Sends one frame to a peer.
     fn send_peer(&mut self, dst: u32, frame: &Frame) -> Result<(), NetError> {
         match self.writers.get_mut(dst as usize).and_then(Option::as_mut) {
@@ -396,7 +398,7 @@ impl Transport {
                 // `Start` receipt, so the stamps are comparable to within
                 // the start-fanout skew. Good enough to spot a congested
                 // link; the clock-offset report is the precise instrument.
-                let local = self.wire_micros();
+                let local = self.clock.micros_now();
                 if sent_micros != NO_STAMP && local != NO_STAMP && local > sent_micros {
                     self.telemetry.note_bundle_lag(local - sent_micros);
                 }
@@ -448,9 +450,7 @@ impl Transport {
         match frame.ctrl {
             Ctrl::Start => {
                 self.started = true;
-                let epoch = Instant::now();
-                self.epoch = Some(epoch);
-                self.clock.set_epoch(epoch);
+                self.clock.set_epoch(Instant::now());
                 Ok(())
             }
             Ctrl::Shutdown => {
@@ -580,7 +580,7 @@ impl Transport {
                 payload.put_u32_le(p.bytes as u32);
                 encode_snapshot(&p.msgs, &mut payload);
             }
-            let sent_micros = self.wire_micros();
+            let sent_micros = self.clock.micros_now();
             self.send_peer(
                 dst,
                 &Frame::with_payload(
@@ -1135,7 +1135,6 @@ fn run_assigned(
         gen: generation,
         deaf: Vec::new(),
         next_assignment: None,
-        epoch: None,
         clock: Arc::clone(&clock),
         telemetry,
         ckpt_len_hint: 0,
@@ -1254,7 +1253,7 @@ fn run_rounds<P: RankProgram + NetOutcomeSource>(
     let num_ranks = t.num_ranks;
     // Event timestamps: seconds since `Start`, the threaded engine's
     // wall-seconds-since-run-start epoch.
-    let Some(epoch) = t.epoch else {
+    let Some(epoch) = t.clock.epoch() else {
         return Err(NetError::protocol("round loop entered before Start"));
     };
     let mut clock = WallClock::since(epoch);
@@ -1880,7 +1879,14 @@ mod tests {
         // each task's `Start` fixes a new epoch.
         let clock = ClockSync::new();
         assert_eq!(clock.micros_now(), NO_STAMP, "no stamp before Start");
-        clock.set_epoch(Instant::now());
+        assert_eq!(clock.epoch(), None, "no round-loop epoch before Start");
+        let start = Instant::now();
+        clock.set_epoch(start);
+        assert_eq!(
+            clock.epoch(),
+            Some(start),
+            "the round loop reads the same epoch"
+        );
         std::thread::sleep(Duration::from_millis(30));
         assert!(clock.micros_now() >= 30_000);
         clock.set_epoch(Instant::now());
@@ -1910,7 +1916,6 @@ mod tests {
             gen: 0,
             deaf: Vec::new(),
             next_assignment: None,
-            epoch: None,
             clock: Arc::new(ClockSync::new()),
             telemetry: Arc::new(TelemetryCells::default()),
             ckpt_len_hint: 0,

@@ -5,7 +5,7 @@
 //! client sees its own writes: a query issued after [`ServeClient::mutate`]
 //! returns observes the repaired result.
 
-use crate::protocol::{decode_one, ops_of, FullVector, RepairAck, ServeQuery, ServeReply};
+use crate::protocol::{decode_one, encode_batch, FullVector, RepairAck, ServeQuery, ServeReply};
 use bytes::Bytes;
 use cmg_graph::{MutationBatch, NO_VERTEX};
 use cmg_net::frame::{append_frame, read_frame};
@@ -76,9 +76,8 @@ impl ServeClient {
     pub fn mutate(&mut self, batch: &MutationBatch) -> Result<RepairAck, NetError> {
         let batch_id = self.next_batch;
         self.next_batch += 1;
-        let ops = ops_of(batch);
         self.send(Ctrl::MutateBatch { batch_id }, |out| {
-            ops.iter().for_each(|op| op.encode(out))
+            encode_batch(batch, out)
         })?;
         let (ctrl, payload) = self.recv()?;
         match ctrl {

@@ -248,30 +248,32 @@ pub(crate) fn decode_one<M: WireMessage>(payload: &[u8], what: &str) -> Result<M
     }
 }
 
-/// Encodes a [`MutationBatch`] as its wire ops.
-pub(crate) fn ops_of(batch: &MutationBatch) -> Vec<ServeOp> {
-    batch
-        .ops
-        .iter()
-        .map(|op| match *op {
+/// Appends `batch` to `out` as its wire ops, one [`ServeOp`] per
+/// mutation, in order.
+pub(crate) fn encode_batch(batch: &MutationBatch, out: &mut Vec<u8>) {
+    for op in &batch.ops {
+        match *op {
             Mutation::Insert { u, v, w } => ServeOp::Insert { u, v, w },
             Mutation::Delete { u, v } => ServeOp::Delete { u, v },
             Mutation::Reweight { u, v, w } => ServeOp::Reweight { u, v, w },
-        })
-        .collect()
+        }
+        .encode(out);
+    }
 }
 
-/// Decodes wire ops back into a [`MutationBatch`].
-pub(crate) fn batch_of(ops: &[ServeOp]) -> MutationBatch {
-    let mut batch = MutationBatch::new();
-    for op in ops {
-        match *op {
-            ServeOp::Insert { u, v, w } => batch.insert(u, v, w),
-            ServeOp::Delete { u, v } => batch.delete(u, v),
-            ServeOp::Reweight { u, v, w } => batch.reweight(u, v, w),
-        };
+/// Decodes a `MutateBatch` payload straight into the [`MutationBatch`]
+/// it carries, or `None` if it is not a whole number of ops.
+pub(crate) fn decode_batch(mut payload: &[u8]) -> Option<MutationBatch> {
+    // At least this many: an insert or a reweight is 17 bytes, a delete 9.
+    let mut ops = Vec::with_capacity(payload.len() / 17);
+    while !payload.is_empty() {
+        ops.push(match ServeOp::decode(&mut payload)? {
+            ServeOp::Insert { u, v, w } => Mutation::Insert { u, v, w },
+            ServeOp::Delete { u, v } => Mutation::Delete { u, v },
+            ServeOp::Reweight { u, v, w } => Mutation::Reweight { u, v, w },
+        });
     }
-    batch
+    Some(MutationBatch { ops })
 }
 
 #[cfg(test)]
@@ -284,14 +286,25 @@ mod tests {
     fn batch_round_trips_through_wire_ops() {
         let mut batch = MutationBatch::new();
         batch.insert(3, 9, 0.25).delete(1, 2).reweight(9, 3, 7.5);
-        let ops = ops_of(&batch);
-        let mut buf = bytes::BytesMut::new();
-        for op in &ops {
-            op.encode(&mut buf);
-        }
-        let decoded: Vec<ServeOp> = decode_all(buf.freeze()).expect("decodes");
+        let mut wire = Vec::new();
+        encode_batch(&batch, &mut wire);
+        // The bytes are the ops' own codec, one record per mutation.
+        let ops = [
+            ServeOp::Insert {
+                u: 3,
+                v: 9,
+                w: 0.25,
+            },
+            ServeOp::Delete { u: 1, v: 2 },
+            ServeOp::Reweight { u: 9, v: 3, w: 7.5 },
+        ];
+        let decoded: Vec<ServeOp> = decode_all(&wire[..]).expect("decodes");
         assert_eq!(decoded, ops);
-        assert_eq!(batch_of(&decoded), batch);
+        assert_eq!(decode_batch(&wire), Some(batch));
+        // A truncated or unknown op fails the whole batch.
+        assert_eq!(decode_batch(&wire[..wire.len() - 1]), None);
+        assert_eq!(decode_batch(&[7]), None);
+        assert_eq!(decode_batch(&[]), Some(MutationBatch::new()));
     }
 
     #[test]

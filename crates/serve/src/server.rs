@@ -22,9 +22,7 @@
 //! histogram, likewise every `Query`; the summary reports p50/p99 in
 //! microseconds (`cmg serve --json` writes it out).
 
-use crate::protocol::{
-    batch_of, decode_one, FullVector, RepairAck, ServeOp, ServeQuery, ServeReply,
-};
+use crate::protocol::{decode_batch, decode_one, FullVector, RepairAck, ServeQuery, ServeReply};
 use crate::state::{RepairReport, ServeConfig, ServeState};
 use bytes::Bytes;
 use cmg_graph::CsrGraph;
@@ -32,7 +30,6 @@ use cmg_net::frame::{append_frame, read_frame};
 use cmg_net::{Ctrl, NetError};
 use cmg_obs::metrics::LogHistogram;
 use cmg_obs::Json;
-use cmg_runtime::message::decode_all;
 use cmg_runtime::WireMessage;
 use std::io::{BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -261,10 +258,10 @@ impl Server {
 
     /// Decodes and absorbs one mutation batch.
     fn absorb(&mut self, payload: &Bytes) -> PendingAck {
-        let Some(ops) = decode_all::<ServeOp>(payload.clone()) else {
+        let Some(batch) = decode_batch(payload) else {
             return PendingAck::Rejected { code: 2 };
         };
-        match self.state.apply(&batch_of(&ops)) {
+        match self.state.apply(&batch) {
             Ok(report) => PendingAck::Done(report),
             Err(_) => PendingAck::Rejected { code: 1 },
         }

@@ -273,9 +273,9 @@ impl ServeState {
 
     /// From-scratch matching + coloring on the resident rows: each
     /// kernel's cold pass overwrites its whole vector in place. The
-    /// matching's scratch is sized at load and the colouring's grows
-    /// only with the longest row seen, so a recompute allocates nothing
-    /// unless a row has outgrown every earlier one.
+    /// matching's scratch is sized at load and the colouring's stamps
+    /// grow only with the largest colour seen, so a recompute allocates
+    /// nothing unless it uses a colour no earlier pass did.
     fn recompute(&mut self) {
         self.match_frontier.cold(&self.mg, &mut self.mate);
         self.color_frontier.cold(&self.mg, &mut self.colors);

@@ -7,8 +7,9 @@ use cmg_coloring::Coloring;
 use cmg_graph::weights::{assign_weights, WeightScheme};
 use cmg_graph::{generators, CsrGraph, MutationBatch};
 use cmg_matching::Matching;
-use cmg_net::frame::encode_frame;
+use cmg_net::frame::{encode_frame, read_frame};
 use cmg_net::{Ctrl, Frame, NetError};
+use cmg_runtime::WireMessage;
 use cmg_serve::{
     RepairAck, RepairMode, ServeClient, ServeConfig, ServeState, Server, ServerConfig,
 };
@@ -299,6 +300,43 @@ fn a_failed_session_ends_that_session_not_the_server() {
         Some(why.as_str())
     );
     assert!(!socket.exists(), "the socket file goes with the server");
+}
+
+#[test]
+fn a_malformed_batch_is_rejected_with_code_2() {
+    // A `MutateBatch` payload that is not a whole number of ops (here a
+    // delete cut short) gets a code-2 `Rejected` ack, and the session
+    // and the graph go on as before.
+    let g0 = weighted_grid();
+    let socket =
+        std::env::temp_dir().join(format!("cmg-serve-malformed-{}.sock", std::process::id()));
+    let server = Server::bind(
+        &g0,
+        ServerConfig {
+            socket: socket.clone(),
+            serve: ServeConfig::default(),
+        },
+    )
+    .expect("server binds");
+    let handle = std::thread::spawn(move || server.run());
+    let mut raw = UnixStream::connect(&socket).expect("raw client");
+    let frame = Frame::with_payload(Ctrl::MutateBatch { batch_id: 7 }, vec![1u8, 0, 0].into());
+    raw.write_all(&encode_frame(0, &frame))
+        .expect("malformed batch");
+    let (_, ack) = read_frame(&mut raw).expect("ack").expect("an ack frame");
+    assert_eq!(ack.ctrl, Ctrl::MutateAck { batch_id: 7 });
+    let mut payload = &ack.payload[..];
+    assert_eq!(
+        RepairAck::decode(&mut payload),
+        Some(RepairAck::Rejected { code: 2 })
+    );
+    let end = Frame::with_payload(Ctrl::SessionEnd, Vec::new().into());
+    raw.write_all(&encode_frame(1, &end)).expect("session end");
+    let mut c = ServeClient::connect(&socket, Duration::from_secs(5)).expect("next client");
+    assert_eq!(c.summary().expect("summary").m, g0.num_edges() as u64);
+    c.shutdown_server().expect("shutdown");
+    let summary = handle.join().expect("server thread").expect("clean exit");
+    assert_eq!((summary.batches, summary.failed_sessions), (0, 0));
 }
 
 #[test]
