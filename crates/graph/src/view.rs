@@ -21,7 +21,9 @@
 //! and the callback is a type parameter, so each kernel's loop body is
 //! inlined into the row scan instead of called through a pointer per
 //! neighbor. `MutableGraph`'s impl zips the two slices
-//! [`MutableGraph::row`] hands out.
+//! [`MutableGraph::row`] hands out; `CsrGraph`'s zips
+//! [`CsrGraph::neighbors`] with [`CsrGraph::neighbor_weights`], or
+//! passes unit weights, deciding once per row rather than per entry.
 //! Iteration order is implementation-defined — both impls yield
 //! neighbors by ascending id today, but kernels must not depend on it
 //! for their results.
@@ -59,9 +61,17 @@ impl NeighborView for CsrGraph {
         CsrGraph::has_edge(self, u, v)
     }
 
+    #[inline]
     fn for_each_neighbor(&self, v: VertexId, mut f: impl FnMut(VertexId, Weight)) {
-        for (u, w) in self.neighbors_weighted(v) {
-            f(u, w);
+        let ids = self.neighbors(v);
+        if self.is_weighted() {
+            for (&u, &w) in ids.iter().zip(self.neighbor_weights(v)) {
+                f(u, w);
+            }
+        } else {
+            for &u in ids {
+                f(u, 1.0);
+            }
         }
     }
 }

@@ -15,10 +15,12 @@
 //!    region are reactivated (they may be matchable now).
 //! 2. **Finish** the frontier with [`MatchFrontier::repair`]: a suitor
 //!    pass on the subgraph the frontier induces. A frontier built
-//!    [`with_limit`](MatchFrontier::with_limit) stops cascading once the
-//!    list is that dirty (it only grows, so that decides exactly), and
-//!    the caller runs [`MatchFrontier::cold`] instead: the same pass with
-//!    the whole graph as its frontier ([`crate::seq::suitor`] is it too).
+//!    [`with_limit`](MatchFrontier::with_limit) stops before any kernel
+//!    work when the batch's own endpoints number that many, and otherwise
+//!    stops cascading once the list is that dirty (it only grows, so that
+//!    decides exactly); the caller runs [`MatchFrontier::cold`] instead:
+//!    the same pass with the whole graph as its frontier
+//!    ([`crate::seq::suitor`] is it too).
 //!
 //! [`MatchFrontier`] is the one copy of the cascade and of the suitor
 //! loop. It works **in place** on the caller's mate slice and keeps
@@ -95,7 +97,8 @@ pub struct MatchFrontier {
     /// The finisher's best proposal to each vertex so far, far end =
     /// proposer. Sized once; each pass blanks what its frontier wrote.
     proposal: Vec<Ranked>,
-    /// List size at which [`invalidate`](Self::invalidate) stops (`None`: never).
+    /// Count of batch endpoints, or list size, at which
+    /// [`invalidate`](Self::invalidate) stops (`None`: never).
     limit: Option<usize>,
 }
 
@@ -110,7 +113,8 @@ impl MatchFrontier {
     }
 
     /// An empty frontier over `n` vertices whose [`invalidate`](Self::invalidate)
-    /// stops, and reports `true`, once the list holds `limit` vertices.
+    /// stops, and reports `true`, once the batch's distinct endpoints or
+    /// the list it builds number `limit`.
     pub fn with_limit(n: usize, limit: usize) -> Self {
         MatchFrontier {
             limit: Some(limit),
@@ -127,6 +131,13 @@ impl MatchFrontier {
     /// (the matching half of the serve dirtiness metric is its length).
     pub fn vertices(&self) -> &[VertexId] {
         &self.list
+    }
+
+    /// Empties the frontier.
+    fn unlist(&mut self) {
+        for v in self.list.drain(..) {
+            self.mark[v as usize] = false;
+        }
     }
 
     /// Adds `v` to the frontier; `false` if it was already there.
@@ -167,9 +178,14 @@ impl MatchFrontier {
     /// finishing the frontier yields a matching that passes the
     /// ½-approximation certificate on `g_new`.
     ///
-    /// Returns whether the list reached the limit, checked before each
-    /// seed op and cascade step; it stops there, with `mate` part-way
-    /// invalidated, and the queue and row buffer empty.
+    /// Returns whether the list reached the limit, and stops there with
+    /// the queue and row buffer empty. With a limit, the batch's
+    /// distinct endpoints are listed first, in O(batch): if they alone
+    /// reach it, nothing the cascade would compute is used, so it
+    /// returns at once with `mate` untouched and the endpoints listed.
+    /// Otherwise they are unlisted and the list is checked before each
+    /// seed op and cascade step; a stop there leaves `mate` part-way
+    /// invalidated.
     pub fn invalidate(
         &mut self,
         g_new: &impl NeighborView,
@@ -178,8 +194,22 @@ impl MatchFrontier {
     ) -> bool {
         debug_assert_eq!(g_new.num_vertices(), mate.len());
         debug_assert_eq!(self.mark.len(), mate.len());
-        for v in self.list.drain(..) {
-            self.mark[v as usize] = false;
+        self.unlist();
+
+        if self.limit.is_some() {
+            for op in &batch.ops {
+                if self.is_over() {
+                    break;
+                }
+                let (u, v) = op.endpoints();
+                self.activate(u);
+                self.activate(v);
+            }
+            if self.is_over() {
+                self.hood.clear();
+                return true;
+            }
+            self.unlist();
         }
 
         // Seed from the mutations themselves.
@@ -494,11 +524,12 @@ mod tests {
 
     /// A limit changes only where `invalidate` stops. On random ER and
     /// grid graphs and batches, at every limit 0..=n + 1: it reports
-    /// `true` iff the full frontier reaches the limit; one that stays
-    /// under leaves the list, marks and mates of the unlimited run; and
-    /// one that stops early leaves no queue or row behind, so the next
-    /// batch, on the matching a recompute installs, reads as it does on
-    /// a fresh frontier.
+    /// `true` iff the batch's distinct endpoints or the full frontier
+    /// reach the limit; the endpoints' early return leaves `mate` as it
+    /// was; one that stays under leaves the list, marks and mates of the
+    /// unlimited run; and one that stops early leaves no queue or row
+    /// behind, so the next batch, on the matching a recompute installs,
+    /// reads as it does on a fresh frontier.
     #[test]
     fn the_limit_decides_exactly() {
         let mut s = 0x0005_DEEC_E66D_u64;
@@ -508,7 +539,7 @@ mod tests {
             s ^= s << 17;
             s
         };
-        let mut largest = 0;
+        let (mut largest, mut endpoint_stops, mut cascade_stops) = (0, 0, 0);
         for seed in 0..6u64 {
             let g0 = if seed % 2 == 0 {
                 erdos_renyi(60, 150, seed)
@@ -534,6 +565,14 @@ mod tests {
                 batch
             };
             let (first, next) = (random_batch(4 + seed * 4), random_batch(3));
+            let mut touched: Vec<VertexId> = first
+                .ops
+                .iter()
+                .flat_map(|op| <[VertexId; 2]>::from(op.endpoints()))
+                .collect();
+            touched.sort_unstable();
+            touched.dedup();
+            let touched = touched.len();
             let mate0 = seq::local_dominant(&g0).mates().to_vec();
             let mut g1 = MutableGraph::from_csr(&g0);
             g1.apply(&first).unwrap();
@@ -549,10 +588,20 @@ mod tests {
                 let mut frontier = MatchFrontier::with_limit(n, limit);
                 let mut mate = mate0.clone();
                 let over = frontier.invalidate(&g1, &mut mate, &first);
-                assert_eq!(over, full.list.len() >= limit, "seed {seed} limit {limit}");
+                assert_eq!(
+                    over,
+                    touched >= limit || full.list.len() >= limit,
+                    "seed {seed} limit {limit}"
+                );
                 if over {
                     assert!(frontier.list.len() >= limit);
                     assert!(frontier.queue.is_empty() && frontier.hood.is_empty());
+                    if touched >= limit {
+                        assert_eq!(mate, mate0, "seed {seed} limit {limit}");
+                        endpoint_stops += usize::from(full_mate != mate0);
+                    } else {
+                        cascade_stops += 1;
+                    }
                 } else {
                     assert_eq!(frontier.list, full.list, "seed {seed} limit {limit}");
                     assert_eq!(frontier.mark, full.mark);
@@ -571,6 +620,11 @@ mod tests {
             }
         }
         assert!(largest >= 20, "no batch freed enough to stop part-way");
+        assert!(
+            endpoint_stops > 0 && cascade_stops > 0,
+            "the endpoints returned early on a batch that frees a pair \
+             {endpoint_stops} times, a cascade crossed a limit {cascade_stops} times"
+        );
     }
 
     /// An empty batch invalidates nothing, and repairing the empty

@@ -137,8 +137,9 @@ wire_codec! {
         /// The batch was applied and the served result is consistent
         /// again.
         0 => Done {
-            /// 0 = warm-start repair, 1 = full recompute (dirtiness
-            /// past the threshold).
+            /// 0 = warm-start repair, 1 = full recompute (the batch's
+            /// distinct endpoints, or the vertices its invalidation
+            /// marks dirty, past the threshold).
             mode: u8,
             /// Vertices the matching pass re-decided (`n` on a recompute).
             dirty_matching: u64,

@@ -25,16 +25,22 @@
 //! No undo log is needed for the in-place steps: the only fallible
 //! step, [`MutableGraph::apply`], validates the whole batch and runs
 //! first, so a rejected batch returns before anything resident is
-//! touched; and when invalidation lands past the dirtiness threshold,
-//! the recompute that follows overwrites both vectors wholesale.
+//! touched; and when a batch recomputes — before invalidation or with
+//! it part-way done — the recompute overwrites both vectors wholesale.
 //!
-//! Past a configurable dirtiness threshold the warm start stops
-//! paying (the frontier *is* the graph) and the batch falls through
-//! to a full recompute (the matching invalidation stops where its
-//! frontier crosses the threshold, and the coloring one is skipped):
-//! [`MatchFrontier::cold`] and [`ColorFrontier::cold`] on the resident
-//! rows — the same kernels with the whole graph as their frontier, in
-//! O(n + m), with no repack, no partition and no engine.
+//! Past a configurable threshold the warm start stops paying (the
+//! frontier *is* the graph) and the batch falls through to a full
+//! recompute: [`MatchFrontier::cold`] and [`ColorFrontier::cold`] on
+//! the resident rows — the same kernels with the whole graph as their
+//! frontier, in O(n + m), with no repack, no partition and no engine.
+//! A batch recomputes when it touches, or its invalidation re-decides,
+//! at least [`ServeState`]'s `recompute_at` vertices. The first is
+//! settled from the batch alone, in O(batch), before any kernel work:
+//! a batch whose own endpoints fill the threshold runs no invalidation
+//! at all, since the recompute would overwrite whatever it computed.
+//! Otherwise the matching invalidation stops where its frontier
+//! crosses the threshold (and the coloring one is skipped), or the
+//! coloring's frontier crosses it.
 //!
 //! **Consistency bar** (DESIGN.md §13): after any mutation stream the
 //! served matching is a valid locally-dominant matching of the final
@@ -57,8 +63,10 @@ pub struct ServeConfig {
     /// Coloring configuration: its `seed` drives the conflict-loser
     /// rule the repair's invalidation uses.
     pub coloring: ColoringConfig,
-    /// Fraction of vertices dirty (matching or coloring) above which
-    /// a batch is absorbed by full recompute instead of repair.
+    /// Fraction of vertices above which a batch is absorbed by full
+    /// recompute instead of repair: counted over the vertices the batch
+    /// touches, and over the vertices the matching or the coloring
+    /// invalidation marks dirty.
     pub recompute_threshold: f64,
 }
 
@@ -76,7 +84,8 @@ impl Default for ServeConfig {
 pub enum RepairMode {
     /// Warm-start repair: only the dirty frontier re-decided.
     Repair,
-    /// Full recompute: dirtiness crossed the threshold.
+    /// Full recompute: the batch's endpoints or dirtiness crossed the
+    /// threshold.
     Recompute,
 }
 
@@ -121,8 +130,10 @@ pub struct ServeState {
     /// frontier it re-decided.
     match_frontier: MatchFrontier,
     color_frontier: ColorFrontier,
-    /// The smallest frontier `dirty / n > recompute_threshold` sends to
-    /// recompute (`n + 1`: none does).
+    /// The smallest count `c` with `c / n > recompute_threshold`: a
+    /// batch touching this many distinct vertices, or whose invalidation
+    /// marks this many dirty, recomputes (`n + 1`: none does). The
+    /// matching frontier's limit, so it decides the first two itself.
     recompute_at: usize,
     /// Lifetime counters, served by the Summary query.
     pub batches: u64,
@@ -227,7 +238,8 @@ impl ServeState {
     }
 
     /// Absorbs one mutation batch: apply, invalidate, repair (or
-    /// recompute past the dirtiness threshold). On a rejected batch
+    /// recompute once the batch's endpoints or its dirtiness pass the
+    /// threshold). On a rejected batch
     /// (`Err` = invalid mutation) the graph and served results are
     /// untouched.
     pub fn apply(&mut self, batch: &MutationBatch) -> Result<RepairReport, String> {
@@ -238,7 +250,8 @@ impl ServeState {
         // resident vectors in place — no CSR repack, no n-vector copy.
         let seed = self.cfg.coloring.seed;
         // Warm invalidate: in place, recycled scratch. Matching's stops
-        // at `recompute_at`, and then colouring's is not needed.
+        // at `recompute_at` — before touching `mate` when the batch's own
+        // endpoints number that many — and then colouring's is not needed.
         let recompute = self
             .match_frontier
             .invalidate(&self.mg, &mut self.mate, batch)

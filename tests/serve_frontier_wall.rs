@@ -12,7 +12,9 @@
 //!    at both sizes. (Before the kernels worked in place every batch copied
 //!    ≈ 17 B per vertex: ≈ 70 KB at 64², ≈ 4.4 MB at 512².)
 //!    A batch past the recompute threshold allocates nothing at all
-//!    either: the cold passes reuse the scratch the load grew.
+//!    either, whether its own endpoints fill the threshold (so it runs
+//!    no invalidation) or its invalidation cascade crosses it: the cold
+//!    passes reuse the scratch the load grew.
 //! 2. Through the kernels directly, behind a [`NeighborView`] that
 //!    records every adjacency scan: the scanned vertices and the
 //!    frontier are identical as relative positions, and the number of
@@ -194,7 +196,8 @@ fn steady_state_apply_allocates_a_size_independent_constant() {
 /// both kernels' cold passes on the resident rows.
 fn recompute_batch_allocs(side: usize) -> (usize, usize) {
     let grid = Grid { side };
-    // At a zero threshold any dirty vertex sends the batch to recompute.
+    // At a zero threshold any vertex the batch touches sends it to
+    // recompute, before any invalidation.
     let cfg = ServeConfig {
         recompute_threshold: 0.0,
         ..Default::default()
@@ -232,6 +235,57 @@ fn recompute_allocates_nothing_at_any_size() {
         small.1, large.1,
         "a recompute made {small:?} (B, calls) at 64x64 but {large:?} at 512x512"
     );
+    let (small, large) = (cascade_batch_allocs(64), cascade_batch_allocs(512));
+    assert_eq!(
+        small.1, 0,
+        "a cascade-crossing recompute allocated {} B in {} calls on the 64x64 grid",
+        small.0, small.1
+    );
+    assert_eq!(
+        small.1, large.1,
+        "a cascade-crossing recompute made {small:?} (B, calls) at 64x64 but {large:?} at 512x512"
+    );
+}
+
+/// Bytes and calls a batch allocates inside `ServeState::apply` when it
+/// touches fewer vertices than the recompute threshold but its
+/// invalidation cascade crosses it, after three such batches have grown
+/// the cascade's scratch.
+fn cascade_batch_allocs(side: usize) -> (usize, usize) {
+    let grid = Grid { side };
+    let n = side * side;
+    // Three vertices recompute; a one-op batch touches two.
+    let cfg = ServeConfig {
+        recompute_threshold: 2.5 / n as f64,
+        ..Default::default()
+    };
+    let mut state = ServeState::new(&grid.graph(), cfg).expect("initial load");
+    let mut allocs = (0, 0);
+    for dr in [-9, -6, -3, 0] {
+        // Reweighting a matched edge frees its pair; the cascade then
+        // lists an unmatched grid neighbour of either end, the third
+        // vertex. Reweight-only, so no row grows.
+        let free_near = |v: VertexId| {
+            let (r, c) = grid.rel(v);
+            [(1, 0), (-1, 0), (0, 1), (0, -1)]
+                .iter()
+                .any(|&(a, b)| state.mate_of(grid.at(r + a, c + b)) == NO_VERTEX)
+        };
+        let v = (0..8)
+            .map(|dc| grid.at(dr, dc))
+            .find(|&v| {
+                let m = state.mate_of(v);
+                m != NO_VERTEX && (free_near(v) || free_near(m))
+            })
+            .expect("a matched pair with an unmatched neighbour nearby");
+        let mut batch = MutationBatch::new();
+        batch.reweight(v, state.mate_of(v), 0.999);
+        let (requested, report) = requested(|| state.apply(&batch));
+        let report = report.expect("batch absorbs");
+        assert_eq!(report.mode, RepairMode::Recompute);
+        allocs = requested;
+    }
+    allocs
 }
 
 /// Records what a kernel reads through [`NeighborView`].

@@ -30,9 +30,16 @@
 //!    and a cold sequential run must agree after every batch of a random
 //!    stream (matching: bit for bit; coloring: proper, clean colors
 //!    stable) — including batches that name an edge twice — and a
-//!    rejected batch or a batch that crosses the recompute threshold
-//!    *after* invalidation already rewrote the resident vectors must
-//!    leave the state as if it had not happened / oracle-clean.
+//!    rejected batch must leave the state as if it had not happened,
+//!    while a batch that recomputes must leave it oracle-clean: one whose
+//!    own endpoints fill the recompute threshold (it runs no
+//!    invalidation), and one that touches fewer vertices but crosses the
+//!    threshold *after* invalidation already rewrote the resident
+//!    vectors.
+//!
+//! A batch recomputes once it touches `recompute_at` distinct vertices,
+//! even if every op is a dominated reweight that frees nothing; one
+//! vertex fewer still repairs (the last test but one).
 
 use cmg_check::oracles::{half_approx_certificate, proper_coloring, valid_matching};
 use cmg_coloring::coloring::UNCOLORED;
@@ -337,12 +344,18 @@ fn in_place_kernels_agree_with_wrappers_and_cold_runs() {
 
 /// A rejected batch is invisible — served vectors untouched and the
 /// next batch absorbed exactly as by a twin that never saw it — and a
-/// batch whose in-place invalidation rewrote the resident vectors before
-/// the dirtiness check sent it to recompute still ends oracle-clean.
+/// batch that recomputes still ends oracle-clean: at 2 % one whose own
+/// endpoints fill the threshold, at 3 % one whose in-place invalidation
+/// rewrote the resident vectors before its cascade crossed it.
 #[test]
 fn rejected_and_threshold_crossing_batches_leave_clean_state() {
+    rejected_and_endpoint_crossing_batches();
+    rejected_and_cascade_crossing_batches();
+}
+
+fn rejected_and_endpoint_crossing_batches() {
     let g0 = base_graph(11);
-    // 2 dirty vertices of 70 is past 2 %: freeing one pair recomputes.
+    // 2 vertices of 70 is past 2 %: any valid op recomputes.
     let cfg = || ServeConfig {
         recompute_threshold: 0.02,
         ..Default::default()
@@ -372,8 +385,7 @@ fn rejected_and_threshold_crossing_batches_leave_clean_state() {
             "step {step}: rejection moved a color"
         );
 
-        // Free a matched pair: the kernel unmatches it in place, then
-        // the threshold check falls through to recompute.
+        // Free a matched pair: its two endpoints alone recompute.
         let mut batch = random_batch(&mut rng);
         if let Some(u) = (0..N).find(|&u| state.mate_of(u) != NO_VERTEX) {
             batch.delete(u, state.mate_of(u));
@@ -393,6 +405,160 @@ fn rejected_and_threshold_crossing_batches_leave_clean_state() {
         assert_eq!(mate.mates(), cmg_matching::seq::greedy(&g).mates());
         assert_eq!(twin.matching(), mate);
         assert_eq!(twin.coloring(), colors);
+    }
+}
+
+/// At 3 % of 70 vertices three recompute, so a one-delete batch touches
+/// too few for the endpoints to decide: the matching invalidation
+/// unmatches the pair in place, and its cascade crosses the threshold.
+fn rejected_and_cascade_crossing_batches() {
+    let g0 = base_graph(12);
+    let cfg = || ServeConfig {
+        recompute_threshold: 0.03,
+        ..Default::default()
+    };
+    const RECOMPUTE_AT: usize = 3;
+    let mut state = ServeState::new(&g0, cfg()).expect("initial load");
+    let mut twin = ServeState::new(&g0, cfg()).expect("initial load");
+    let mut mirror = MutableGraph::from_csr(&g0);
+    let mut rng = SmallRng::seed_from_u64(0xCA5_CADE);
+    for step in 0..20 {
+        let (mate, colors) = (state.matching(), state.coloring());
+        let mut bad = random_batch(&mut rng);
+        bad.insert(3, N + 5, 1.0);
+        assert!(
+            state.apply(&bad).is_err(),
+            "step {step}: bad batch absorbed"
+        );
+        assert_eq!(
+            state.matching(),
+            mate,
+            "step {step}: rejection moved a mate"
+        );
+        assert_eq!(
+            state.coloring(),
+            colors,
+            "step {step}: rejection moved a color"
+        );
+
+        // Delete a matched pair whose cascade lists a third vertex: a
+        // probe frontier on the mirror shows it unmatching in place
+        // before it stops.
+        let start = rng.random_range(0..N);
+        let batch = (0..N)
+            .map(|i| (start + i) % N)
+            .filter(|&u| state.mate_of(u) != NO_VERTEX)
+            .find_map(|u| {
+                let mut batch = MutationBatch::new();
+                batch.delete(u, state.mate_of(u));
+                let mut g = mirror.clone();
+                g.apply(&batch).expect("valid delete");
+                let mut probe_mate = mate.mates().to_vec();
+                let crossed = MatchFrontier::with_limit(N as usize, RECOMPUTE_AT).invalidate(
+                    &g,
+                    &mut probe_mate,
+                    &batch,
+                );
+                (crossed && probe_mate != mate.mates()).then_some(batch)
+            })
+            .expect("some matched pair's cascade crosses the threshold");
+        let report = state.apply(&batch).expect("valid batch absorbs");
+        assert_eq!(
+            twin.apply(&batch).expect("twin absorbs"),
+            report,
+            "step {step}: the rejected batch left a trace in the scratch"
+        );
+        assert_eq!(report.mode, RepairMode::Recompute, "step {step}");
+        mirror.apply(&batch).expect("mirror applies");
+        let g = mirror.rebuild();
+        let (mate, colors) = (state.matching(), state.coloring());
+        check_oracles(&g, mate.mates(), colors.colors(), &format!("step {step}"));
+        assert_recompute_colors(&g, colors.colors(), &format!("step {step}"));
+        assert_eq!(mate.mates(), cmg_matching::seq::greedy(&g).mates());
+        assert_eq!(twin.matching(), mate);
+        assert_eq!(twin.coloring(), colors);
+    }
+}
+
+/// `count` reweights to 0.01–0.02 of edges neither of whose ends is
+/// matched along them, at ends that are both matched: every op is
+/// dominated at both ends (weights start at 0.1), so invalidation frees
+/// nothing. Together they touch exactly `touch` distinct vertices.
+fn dominated_reweights(state: &ServeState, g: &CsrGraph, touch: usize) -> MutationBatch {
+    let mut batch = MutationBatch::new();
+    let mut touched = vec![false; N as usize];
+    let mut left = touch;
+    for (u, v, _) in g.edges() {
+        let fresh = usize::from(!touched[u as usize]) + usize::from(!touched[v as usize]);
+        let (mu, mv) = (state.mate_of(u), state.mate_of(v));
+        if fresh == 0 || fresh > left || mu == v || mu == NO_VERTEX || mv == NO_VERTEX {
+            continue;
+        }
+        batch.reweight(u, v, 0.01 + batch.ops.len() as f64 * 1e-4);
+        touched[u as usize] = true;
+        touched[v as usize] = true;
+        left -= fresh;
+        if left == 0 {
+            return batch;
+        }
+    }
+    panic!("no batch of dominated reweights touches {touch} vertices");
+}
+
+/// The threshold counts the vertices a batch touches. At 25 % of 70 a
+/// batch touching 18 recomputes before any invalidation although every
+/// op is a dominated reweight, whose invalidation frees nothing (so it
+/// used to repair), and it ends oracle-clean and equal to a cold state
+/// on the same graph. A batch touching 17 still goes through
+/// invalidation and repairs, with nothing dirty.
+#[test]
+fn batches_touching_the_threshold_recompute_without_invalidation() {
+    const RECOMPUTE_AT: usize = 18;
+    for seed in 0..3u64 {
+        let g0 = base_graph(seed + 30);
+        let mut state = ServeState::new(&g0, ServeConfig::default()).expect("initial load");
+        let mut mirror = MutableGraph::from_csr(&g0);
+        for (touch, mode) in [
+            (RECOMPUTE_AT - 1, RepairMode::Repair),
+            (RECOMPUTE_AT, RepairMode::Recompute),
+        ] {
+            let ctx = format!("seed {seed}, {touch} vertices touched");
+            let batch = dominated_reweights(&state, &mirror.rebuild(), touch);
+            let mate = state.matching();
+            mirror.apply(&batch).expect("mirror applies");
+            let g = mirror.rebuild();
+            let retained = invalidate(&g, mate.mates(), &batch);
+            assert_eq!(
+                retained.mate,
+                mate.mates(),
+                "{ctx}: a dominated op freed a pair"
+            );
+            assert!(
+                !retained.active.contains(&true),
+                "{ctx}: a vertex went dirty"
+            );
+
+            let report = state.apply(&batch).expect("valid batch absorbs");
+            assert_eq!(report.mode, mode, "{ctx}");
+            check_oracles(
+                &g,
+                state.matching().mates(),
+                state.coloring().colors(),
+                &ctx,
+            );
+            let cold = ServeState::new(&g, ServeConfig::default()).expect("cold run");
+            assert_eq!(state.matching(), cold.matching(), "{ctx}");
+            match mode {
+                RepairMode::Repair => {
+                    assert_eq!((report.dirty_matching, report.dirty_coloring), (0, 0));
+                }
+                RepairMode::Recompute => {
+                    let n = N as usize;
+                    assert_eq!((report.dirty_matching, report.dirty_coloring), (n, n));
+                    assert_eq!(state.coloring(), cold.coloring(), "{ctx}");
+                }
+            }
+        }
     }
 }
 
