@@ -303,9 +303,10 @@ pub fn matching(argv: &[String]) -> i32 {
                     "--seq {alg} runs sequentially and takes no --{key}"
                 ));
             }
+            // One spelling per answer: greedy and locally-dominant
+            // matching return suitor's matching (one edge order, ties
+            // included), so only path-growing is a second choice.
             let m = match alg {
-                "greedy" => cmg_matching::seq::greedy(&g),
-                "local-dominant" => cmg_matching::seq::local_dominant(&g),
                 "path-growing" => cmg_matching::seq::path_growing(&g),
                 "suitor" => cmg_matching::seq::suitor(&g),
                 other => return Err(format!("unknown sequential algorithm: {other}")),

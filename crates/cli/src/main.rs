@@ -58,9 +58,10 @@ COMMANDS
              [--seed S]
   match      run the distributed ½-approximation matching
              --input FILE [--parts K] [--method …] [--engine sim|threaded|net]
-             [--no-bundling] [--seq greedy|local-dominant|path-growing|suitor]
+             [--no-bundling] [--seq suitor|path-growing]
              (--no-bundling runs on --engine sim|threaded only: the net
-             engine always bundles)
+             engine always bundles; --seq runs in-process, and greedy
+             and locally-dominant matching give suitor's matching)
   color      run the distributed speculative coloring
              --input FILE [--parts K] [--method …] [--engine sim|threaded|net]
              [--distance 1|2] [--superstep S] [--comm new|fiac|fiab]

@@ -2,7 +2,8 @@
 //! flags that configure a distributed run (partition, engine,
 //! observability outputs) mean nothing to it, so each is an argument
 //! error — one line naming the flag, exit 1 — never a success line over
-//! a run that silently dropped the request.
+//! a run that silently dropped the request. It offers one name per
+//! distinct answer: suitor and path-growing.
 
 use std::process::{Command, Output};
 
@@ -76,5 +77,22 @@ fn seq_refuses_the_distributed_only_flags() {
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.starts_with("sequential suitor: "), "{stdout}");
+
+    // One spelling per answer: greedy and locally-dominant matching
+    // return suitor's matching, so they are not choices of their own.
+    for alg in ["greedy", "local-dominant"] {
+        let out = cmg(&["match", "--input", graph, "--seq", alg]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{alg}: {stderr}");
+        assert_eq!(
+            stderr.trim_end(),
+            format!("error: unknown sequential algorithm: {alg}")
+        );
+        assert!(out.stdout.is_empty(), "{alg} ran anyway: {out:?}");
+    }
+    let out = cmg(&["match", "--input", graph, "--seq", "path-growing"]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("sequential path-growing: "), "{stdout}");
     let _ = std::fs::remove_file(graph);
 }

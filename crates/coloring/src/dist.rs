@@ -39,7 +39,8 @@
 //!   shadow each other's first-fit choices forever.
 
 use crate::coloring::{count_conflicts, LocalColors, UNCOLORED};
-use cmg_graph::util::{vertex_priority, FxHashMap, FxHashSet};
+use crate::seq::FirstFit;
+use cmg_graph::util::vertex_priority;
 use cmg_graph::VertexId;
 use cmg_partition::{ghost_neighbor_owners, DistGraph};
 use cmg_runtime::{
@@ -163,9 +164,9 @@ wire_codec! {
     /// assigned colors (owned and ghost), the phase's remaining work
     /// list, the conflict scope's own state, and the in-flight state of
     /// the DONE wave and conflict-count allreduce. The exchange's
-    /// neighbour list and dedup stamps and the stamp scratch are rebuilt
-    /// from the graph + config on restore (a priority is hashed from the
-    /// global id when read). Tags
+    /// neighbour list and dedup stamps are rebuilt from the graph +
+    /// config on restore; the colour picker starts empty, and a priority
+    /// is hashed from the global id when read. Tags
     /// 0–2, 4 and 5 are all a distance-1 snapshot holds; 6–9 are
     /// distance-2 state. Tag 3 (a retired usage-table slot) is not reused.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -216,9 +217,8 @@ wire_codec! {
             /// Partial subtree conflict sum.
             value: u64,
         },
-        /// A learned permanent ban, sorted by `(v, color)` (the map is
-        /// only iterated for idempotent stamp-marking, so sorted emission
-        /// just keeps snapshot bytes deterministic).
+        /// A learned permanent ban; the records are sorted by
+        /// `(v, color)` and distinct.
         6 => Banned {
             /// Owned vertex (local index).
             v: u32,
@@ -257,11 +257,6 @@ pub trait ConflictScope: Sized + Send + Default {
     fn new(_dg: &DistGraph) -> Self {
         Self::default()
     }
-
-    /// Slots of the forbidden-colour stamps: one past every colour
-    /// [`Self::pick_color`] can pick, so a colour above them forbids
-    /// nothing it could choose.
-    fn forbidden_len(dg: &DistGraph) -> usize;
 
     /// Picks a permissible color for owned vertex `v`, charging one work
     /// unit per adjacency entry scanned.
@@ -318,9 +313,7 @@ pub struct DistColoring<S: ConflictScope = Distance1> {
     /// a dedicated hardware tree network for them).
     allreduce: TreeAllreduce<u64>,
     my_conflicts: u64,
-    /// Scratch: stamp-based forbidden-color set.
-    forbidden: Vec<u64>,
-    stamp: u64,
+    first_fit: FirstFit,
     scope: S,
 }
 
@@ -371,8 +364,7 @@ impl<S: ConflictScope> DistColoring<S> {
             done: DoneWave::new(),
             allreduce: TreeAllreduce::new(dg.rank, dg.num_ranks, 8),
             my_conflicts: 0,
-            forbidden: Vec::new(),
-            stamp: 0,
+            first_fit: FirstFit::default(),
             scope: S::default(),
             cfg,
             dg,
@@ -380,8 +372,8 @@ impl<S: ConflictScope> DistColoring<S> {
     }
 
     /// Builds the rank-local index over the slice — the exchange over
-    /// the neighbour ranks, the colour and forbidden arrays and the
-    /// scope's per-vertex state — as a fresh rank's. Charges no work: it
+    /// the neighbour ranks, the colour array and the scope's per-vertex
+    /// state — as a fresh rank's. Charges no work: it
     /// is set-up, not protocol.
     fn build_index(&mut self) {
         let n_total = self.dg.n_total();
@@ -392,7 +384,6 @@ impl<S: ConflictScope> DistColoring<S> {
             &self.dg.neighbor_ranks,
         );
         self.color = vec![UNCOLORED; n_total];
-        self.forbidden = vec![u64::MAX; S::forbidden_len(&self.dg)];
         self.scope = S::new(&self.dg);
     }
 
@@ -418,15 +409,6 @@ impl<S: ConflictScope> DistColoring<S> {
     /// rank owns nothing).
     pub fn max_local_color(&self) -> Option<u32> {
         (0..self.dg.n_local).map(|v| self.color_of(v)).max()
-    }
-
-    /// The `(r(v), global id)` key conflicts are decided by: the smaller
-    /// key loses. `r(v)` hashes the global id each time: it is read only
-    /// at a conflict edge, so a table of it would hold 8 B per local
-    /// index for a few reads.
-    fn key(&self, v: u32) -> (u64, VertexId) {
-        let g = self.dg.global_ids[v as usize];
-        (vertex_priority(u64::from(g), self.cfg.seed), g)
     }
 
     /// Sends `(v, color)` per the communication variant: FIAB broadcasts,
@@ -470,11 +452,12 @@ impl<S: ConflictScope> DistColoring<S> {
     fn loses_to_ghost(&self, v: u32, ctx: &mut RankCtx<ColorMsg>) -> bool {
         ctx.charge(self.dg.degree(v) as u64);
         let cv = self.color[v as usize];
-        let kv = self.key(v);
+        let key = |w| priority_key(&self.dg, self.cfg.seed, w);
+        let kv = key(v);
         self.dg
             .neighbors(v)
             .iter()
-            .any(|&w| self.dg.is_ghost(w) && self.color[w as usize] == cv && self.key(w) > kv)
+            .any(|&w| self.dg.is_ghost(w) && self.color[w as usize] == cv && key(w) > kv)
     }
 
     /// Ends the phase's detection: `losers` are this rank's vertices to
@@ -722,6 +705,15 @@ impl<S: ConflictScope> RankProgram for DistColoring<S> {
     }
 }
 
+/// The `(r(v), global id)` key of local index `v`: the smaller key loses
+/// a conflict, and in Jones–Plassmann the larger colours first. `r(v)`
+/// hashes the global id each time it is read: a table of it would hold
+/// 8 B per local index.
+pub(crate) fn priority_key(dg: &DistGraph, seed: u64, v: u32) -> (u64, VertexId) {
+    let g = dg.global_ids[v as usize];
+    (vertex_priority(u64::from(g), seed), g)
+}
+
 /// The owned vertices whose `is_boundary` flag is `boundary`, ascending.
 fn owned_where(dg: &DistGraph, boundary: bool) -> impl Iterator<Item = u32> + '_ {
     (0..dg.n_local as u32).filter(move |&v| dg.is_boundary[v as usize] == boundary)
@@ -735,26 +727,12 @@ fn owned_where(dg: &DistGraph, boundary: bool) -> impl Iterator<Item = u32> + '_
 pub struct Distance1;
 
 impl ConflictScope for Distance1 {
-    /// First-fit over `deg(v)` neighbours picks at most `deg(v)`.
-    fn forbidden_len(dg: &DistGraph) -> usize {
-        dg.max_degree() + 2
-    }
-
     fn pick_color(p: &mut DistColoring<Self>, v: u32, ctx: &mut RankCtx<ColorMsg>) -> u32 {
-        p.stamp += 1;
-        let deg = p.dg.degree(v);
-        ctx.charge(deg as u64 + 1);
+        ctx.charge(p.dg.degree(v) as u64 + 1);
         for &u in p.dg.neighbors(v) {
-            let c = p.color[u as usize];
-            if c != UNCOLORED && (c as usize) < p.forbidden.len() {
-                p.forbidden[c as usize] = p.stamp;
-            }
+            p.first_fit.take(p.color[u as usize]);
         }
-        let mut c = 0u32;
-        while (c as usize) < p.forbidden.len() && p.forbidden[c as usize] == p.stamp {
-            c += 1;
-        }
-        c
+        p.first_fit.pick()
     }
 
     /// Colors the interior up front, purely locally; the phases then
@@ -787,8 +765,10 @@ impl ConflictScope for Distance1 {
 /// picks one, and conflicts are relay-detected by the middle's owner.
 #[derive(Default)]
 pub struct Distance2 {
-    /// Permanently banned colors per owned vertex (learned constraints).
-    learned: FxHashMap<u32, FxHashSet<u32>>,
+    /// Permanently banned `(owned vertex, color)` pairs (learned
+    /// constraints): appended as losses arrive, sorted and deduplicated
+    /// when detection concludes, so every pick reads a sorted list.
+    learned: Vec<(u32, u32)>,
     /// Ghosts whose color changed this phase.
     dirty_ghosts: Vec<u32>,
     /// Next phase's re-color set (dedup via `in_r`); remote `Recolor`s
@@ -802,7 +782,7 @@ pub struct Distance2 {
 impl Distance2 {
     /// Adds owned vertex `v` to next phase's re-color set, banning `c`.
     fn mark_loser(&mut self, v: u32, c: u32) {
-        self.learned.entry(v).or_default().insert(c);
+        self.learned.push((v, c));
         if !self.in_r[v as usize] {
             self.in_r[v as usize] = true;
             self.recolor.push(v);
@@ -817,6 +797,10 @@ impl Distance2 {
             return;
         }
         p.scope.done2.clear(p.phase);
+        // Every peer's `Recolor`s for the phase came before its `Done2`,
+        // and the next pick comes after this: the bans are complete.
+        p.scope.learned.sort_unstable();
+        p.scope.learned.dedup();
         let mut losers = std::mem::take(&mut p.scope.recolor);
         for &v in &losers {
             p.scope.in_r[v as usize] = false;
@@ -831,7 +815,7 @@ impl Distance2 {
 impl ConflictScope for Distance2 {
     fn new(dg: &DistGraph) -> Self {
         Distance2 {
-            learned: FxHashMap::default(),
+            learned: Vec::new(),
             dirty_ghosts: Vec::new(),
             recolor: Vec::new(),
             in_r: vec![false; dg.n_local],
@@ -839,39 +823,36 @@ impl ConflictScope for Distance2 {
         }
     }
 
-    /// Two-hop colours and learned bans range past any one row.
-    fn forbidden_len(dg: &DistGraph) -> usize {
-        dg.n_total() + 2
-    }
-
     /// Forbids distance-1 colors, distance-2 colors visible through
-    /// *owned* middles, and the learned bans.
+    /// *owned* middles, and the learned bans. A color at or above
+    /// `n_total + 2` forbids nothing: the pinned distance-2 answers were
+    /// made under that bound, and honouring such colors moves them.
     fn pick_color(p: &mut DistColoring<Self>, v: u32, ctx: &mut RankCtx<ColorMsg>) -> u32 {
-        p.stamp += 1;
+        let clip = p.dg.n_total() + 2;
+        let first_fit = &mut p.first_fit;
+        let mut take = |c: u32| {
+            if (c as usize) < clip {
+                first_fit.take(c);
+            }
+        };
         let mut work = 1u64;
         for &u in p.dg.neighbors(v) {
             work += 1;
-            let cu = p.color[u as usize];
-            if cu != UNCOLORED && (cu as usize) < p.forbidden.len() {
-                p.forbidden[cu as usize] = p.stamp;
-            }
+            take(p.color[u as usize]);
             if !p.dg.is_ghost(u) {
                 for &w in p.dg.neighbors(u) {
                     work += 1;
                     if w != v {
-                        let cw = p.color[w as usize];
-                        if cw != UNCOLORED && (cw as usize) < p.forbidden.len() {
-                            p.forbidden[cw as usize] = p.stamp;
-                        }
+                        take(p.color[w as usize]);
                     }
                 }
             }
         }
-        let banned = p.scope.learned.get(&v);
-        for &c in banned.into_iter().flatten() {
-            if (c as usize) < p.forbidden.len() {
-                p.forbidden[c as usize] = p.stamp;
-            }
+        let learned = &p.scope.learned;
+        let start = learned.partition_point(|&(u, _)| u < v);
+        let end = learned.partition_point(|&(u, _)| u <= v);
+        for &(_, c) in &learned[start..end] {
+            take(c);
         }
         ctx.charge(work);
         // Randomized backoff (the standard escape from speculative-d2
@@ -881,26 +862,10 @@ impl ConflictScope for Distance2 {
         // widening with losses: high-multiplicity conflict sets (e.g. a
         // star's leaves, all pairwise at distance 2) need a window as
         // large as the set to separate in few phases.
-        let window = banned.map_or(0, |s| s.len()) as u64 + 1;
-        let pick = if window == 1 {
-            0
-        } else {
-            let key = (p.dg.global_ids[v as usize] as u64) ^ ((p.phase as u64) << 32);
-            vertex_priority(key, p.cfg.seed) % window
-        };
-        let mut c = 0u32;
-        let mut skipped = 0u64;
-        loop {
-            let allowed = (c as usize) >= p.forbidden.len() || p.forbidden[c as usize] != p.stamp;
-            if allowed {
-                if skipped == pick {
-                    break;
-                }
-                skipped += 1;
-            }
-            c += 1;
-        }
-        c
+        let window = (end - start) as u64 + 1;
+        let key = (p.dg.global_ids[v as usize] as u64) ^ ((p.phase as u64) << 32);
+        let nth = vertex_priority(key, p.cfg.seed) % window;
+        p.first_fit.pick_nth(nth)
     }
 
     /// Interior, then boundary, all in supersteps: the boundary's
@@ -953,7 +918,8 @@ impl ConflictScope for Distance2 {
                     }
                     // Conflict pair (a, b) through middle m: the smaller
                     // key loses.
-                    let loser = if p.key(a) < p.key(b) { a } else { b };
+                    let key = |w| priority_key(&p.dg, p.cfg.seed, w);
+                    let loser = if key(a) < key(b) { a } else { b };
                     if p.dg.is_ghost(loser) {
                         let msg = ColorMsg::Recolor {
                             v: p.dg.global_ids[loser as usize],
@@ -995,12 +961,10 @@ impl ConflictScope for Distance2 {
     }
 
     fn snapshot(&self, recs: &mut Vec<ColorSnap>) {
-        let mut bans: Vec<(u32, u32)> = self
-            .learned
-            .iter()
-            .flat_map(|(&v, set)| set.iter().map(move |&c| (v, c)))
-            .collect();
+        // Mid-detection the list may hold this phase's bans unsorted.
+        let mut bans = self.learned.clone();
         bans.sort_unstable();
+        bans.dedup();
         recs.extend(
             bans.into_iter()
                 .map(|(v, color)| ColorSnap::Banned { v, color }),
@@ -1023,9 +987,7 @@ impl ConflictScope for Distance2 {
         let mut done2 = Vec::new();
         for rec in recs {
             match rec {
-                ColorSnap::Banned { v, color } => {
-                    self.learned.entry(v).or_default().insert(color);
-                }
+                ColorSnap::Banned { v, color } => self.learned.push((v, color)),
                 ColorSnap::DirtyGhost { idx } => self.dirty_ghosts.push(idx),
                 ColorSnap::Recolor { v } => {
                     self.in_r[v as usize] = true;

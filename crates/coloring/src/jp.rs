@@ -17,8 +17,8 @@
 //! [`DistColoring`]: crate::dist::DistColoring
 
 use crate::coloring::{count_conflicts, LocalColors, UNCOLORED};
-use crate::dist::ColorMsg;
-use cmg_graph::util::vertex_priority;
+use crate::dist::{priority_key, ColorMsg};
+use crate::seq::FirstFit;
 use cmg_graph::VertexId;
 use cmg_partition::{ghost_neighbor_owners, DistGraph};
 use cmg_runtime::{wire_codec, FanoutScheme, NeighborExchange, Rank, RankCtx, RankProgram, Status};
@@ -26,9 +26,10 @@ use cmg_runtime::{wire_codec, FanoutScheme, NeighborExchange, Rank, RankCtx, Ran
 wire_codec! {
     /// Snapshot records of [`JonesPlassmann`]: assigned colors (owned
     /// and ghost) in dense 8-wide chunks, and the still-pending owned
-    /// vertices in list order. Priorities, the forbidden-stamp scratch,
-    /// and the exchange's per-neighbour dedup stamps are rebuilt from the
-    /// graph + seed on restore.
+    /// vertices in list order. The exchange's per-neighbour dedup stamps
+    /// are rebuilt from the graph + seed on restore; the colour picker
+    /// starts empty, and a priority is hashed from the global id when
+    /// read.
     ///
     /// Colors travel chunked rather than one-record-per-vertex because
     /// the net engine serializes a snapshot at every checkpoint edge:
@@ -78,15 +79,13 @@ const CHUNK: usize = 8;
 pub struct JonesPlassmann {
     dg: DistGraph,
     color: Vec<u32>,
-    priority: Vec<u64>,
     /// Owned vertices not yet colored.
     pending: Vec<u32>,
-    forbidden: Vec<u64>,
-    stamp: u64,
+    first_fit: FirstFit,
     /// Announces each color to the owners of the vertex's ghost
     /// neighbors, once each.
     exchange: NeighborExchange,
-    /// Priority seed, kept so restore can rebuild `priority`.
+    /// Seed of the priorities `r(v)`.
     seed: u64,
 }
 
@@ -97,10 +96,8 @@ impl JonesPlassmann {
     pub fn new(dg: DistGraph, seed: u64) -> Self {
         JonesPlassmann {
             color: Vec::new(),
-            priority: Vec::new(),
             pending: Vec::new(),
-            forbidden: Vec::new(),
-            stamp: 0,
+            first_fit: FirstFit::default(),
             // Over no ranks until the index is built.
             exchange: NeighborExchange::new(FanoutScheme::Neighbor, dg.rank, 0, &[]),
             seed,
@@ -116,20 +113,12 @@ impl JonesPlassmann {
         })
     }
 
-    /// Builds the rank-local index — priorities, the colour and forbidden
-    /// arrays, every owned vertex pending, the neighbour exchange — as a
-    /// fresh rank's. Charges no work: it is set-up, not protocol.
+    /// Builds the rank-local index — the colour array, every owned vertex
+    /// pending, the neighbour exchange — as a fresh rank's. Charges no
+    /// work: it is set-up, not protocol.
     fn build_index(&mut self) {
-        let n_total = self.dg.n_total();
-        let seed = self.seed;
-        self.priority = self.dg.global_ids[..n_total]
-            .iter()
-            .map(|&g| vertex_priority(g as u64, seed))
-            .collect();
-        self.color = vec![UNCOLORED; n_total];
+        self.color = vec![UNCOLORED; self.dg.n_total()];
         self.pending = (0..self.dg.n_local as u32).collect();
-        // First-fit over `deg(v)` neighbours picks at most `deg(v)`.
-        self.forbidden = vec![u64::MAX; self.dg.max_degree() + 2];
         self.exchange = NeighborExchange::new(
             FanoutScheme::Neighbor,
             self.dg.rank,
@@ -145,13 +134,15 @@ impl JonesPlassmann {
         // round behaves like the synchronous MIS step), then color it.
         let mut colorable = Vec::new();
         let mut still_pending = Vec::new();
+        let key = |v| priority_key(&self.dg, self.seed, v);
         for &v in &self.pending {
             ctx.charge(self.dg.degree(v) as u64);
-            let pv = (self.priority[v as usize], self.dg.global_ids[v as usize]);
-            let dominated = self.dg.neighbors(v).iter().any(|&u| {
-                self.color[u as usize] == UNCOLORED
-                    && (self.priority[u as usize], self.dg.global_ids[u as usize]) > pv
-            });
+            let kv = key(v);
+            let dominated = self
+                .dg
+                .neighbors(v)
+                .iter()
+                .any(|&u| self.color[u as usize] == UNCOLORED && key(u) > kv);
             if dominated {
                 still_pending.push(v);
             } else {
@@ -160,18 +151,11 @@ impl JonesPlassmann {
         }
         self.pending = still_pending;
         for v in colorable {
-            self.stamp += 1;
             ctx.charge(self.dg.degree(v) as u64 + 1);
             for &u in self.dg.neighbors(v) {
-                let c = self.color[u as usize];
-                if c != UNCOLORED && (c as usize) < self.forbidden.len() {
-                    self.forbidden[c as usize] = self.stamp;
-                }
+                self.first_fit.take(self.color[u as usize]);
             }
-            let mut c = 0u32;
-            while (c as usize) < self.forbidden.len() && self.forbidden[c as usize] == self.stamp {
-                c += 1;
-            }
+            let c = self.first_fit.pick();
             self.color[v as usize] = c;
             let msg = ColorMsg::Color {
                 v: self.dg.global_ids[v as usize],

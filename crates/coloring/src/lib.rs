@@ -6,9 +6,9 @@
 //!
 //! * [`coloring`]: the coloring result type, its verification, and its
 //!   assembly from rank programs;
-//! * [`seq`]: sequential greedy coloring under the classic vertex
-//!   orderings (natural, random, largest-first, smallest-last,
-//!   incidence-degree, saturation) and lower bounds for judging quality;
+//! * [`seq`]: sequential greedy coloring in natural or largest-first
+//!   order, the first-fit colour picker every colouring program here
+//!   uses, and lower bounds for judging quality;
 //! * [`dist`]: the speculative/iterative distributed framework
 //!   (Algorithm 4.1), one program for distance-1 coloring (first-fit,
 //!   interior before boundary) and distance-2 coloring, with configurable

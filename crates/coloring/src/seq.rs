@@ -47,10 +47,12 @@ fn greedy_in_order(g: &CsrGraph, seq: &[VertexId]) -> Coloring {
     coloring
 }
 
-/// First-fit's colour choice, the one copy every greedy pass (distance
-/// 1 and 2, cold and repair) uses: each colour keeps the stamp of the
-/// last vertex whose neighbourhood held it, so a pick clears nothing.
-/// The stamps grow to the largest colour taken and allocate nothing after.
+/// First-fit's colour choice, the one picker every colouring program
+/// uses (sequential distance 1 and 2, serve's cold and repair passes,
+/// the speculative programs and Jones–Plassmann): each colour keeps the
+/// stamp of the last vertex whose neighbourhood held it, so a pick
+/// clears nothing. The stamps grow to the largest colour taken and
+/// allocate nothing after.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct FirstFit {
     seen: Vec<u64>,
@@ -74,6 +76,23 @@ impl FirstFit {
         let c = self.seen.iter().take_while(|&&s| s == self.stamp).count();
         self.stamp += 1;
         c as u32
+    }
+
+    /// The `k`-th smallest colour (counting from 0) not taken since the
+    /// last pick: distance-2's backoff window, which `pick` is at `k` = 0.
+    pub(crate) fn pick_nth(&mut self, k: u64) -> u32 {
+        let (mut c, mut free) = (0u32, 0u64);
+        loop {
+            if self.seen.get(c as usize) != Some(&self.stamp) {
+                if free == k {
+                    break;
+                }
+                free += 1;
+            }
+            c += 1;
+        }
+        self.stamp += 1;
+        c
     }
 }
 
@@ -228,6 +247,19 @@ mod tests {
         for order in ALL {
             assert_eq!(greedy(&g, order).num_colors(), 2, "{order:?}");
         }
+    }
+
+    #[test]
+    fn pick_nth_skips_free_colours() {
+        let mut first_fit = FirstFit::default();
+        for k in 0..3 {
+            for c in [0, 2, 3, UNCOLORED] {
+                first_fit.take(c);
+            }
+            assert_eq!(first_fit.pick_nth(k), [1, 4, 5][k as usize], "k = {k}");
+        }
+        // The window forgets its picks like `pick` does.
+        assert_eq!(first_fit.pick_nth(2), 2);
     }
 
     #[test]

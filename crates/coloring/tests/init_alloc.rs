@@ -1,15 +1,17 @@
 //! The colouring programs' constructors only take ownership of the
-//! rank's slice; the rank builds its index (priorities, the
-//! exchange's neighbour list and dedup stamps, colour and forbidden
-//! arrays, the conflict scope's state) in its own `on_start`. Under a
-//! counting global allocator: the constructors make a fixed number of
-//! allocator calls per rank whatever the slice's size; `DistColoring`
-//! construction plus the first step over the 1024² grid on 64 × 64 ranks
-//! makes a bounded number of calls per rank and leaves a bounded number
-//! of bytes live per owned vertex; the bytes a rank keeps after its
-//! first step do not grow with the rank count; and the rounds after the
-//! first make a pinned number of calls in all, so an allocation per
-//! packet or per message in the engine's steady rounds shows.
+//! rank's slice; the rank builds its index (the exchange's neighbour
+//! list and dedup stamps, the colour array, the conflict scope's state)
+//! in its own `on_start`, and the one first-fit picker grows its stamps
+//! to the colours it meets. Under a counting global allocator: the
+//! constructors make a fixed number of allocator calls per rank whatever
+//! the slice's size; `DistColoring` construction plus the first step
+//! over the 1024² grid on 64 × 64 ranks makes a bounded number of calls
+//! per rank and leaves a bounded number of bytes live per owned vertex,
+//! and so do distance-2's and Jones–Plassmann's, which keep no table per
+//! local index either; the bytes a rank keeps after its first step do
+//! not grow with the rank count; and the rounds after the first make a
+//! pinned number of calls in all, so an allocation per packet or per
+//! message in the engine's steady rounds shows.
 
 use cmg_coloring::{ColorMsg, ColoringConfig, DistColoring, Distance2, JonesPlassmann};
 use cmg_obs::{Event, Recorder, RecorderHandle};
@@ -183,7 +185,7 @@ fn first_step_builds_the_index_once() {
         "DistColoring::new + on_start over {ranks} ranks: {calls} calls, {per_vertex:.1} B live per owned vertex"
     );
     // Per rank, the index: the exchange's neighbour list and dedup
-    // stamps (2), colours, forbidden stamps — 4; a priority is hashed
+    // stamps (2), colours, the picker's stamps — 4; a priority is hashed
     // when a conflict edge reads it, and the slice's boundary flags
     // split the owned vertices, so neither a priority table nor a halo
     // view is built. The first step's work list and outgoing parcels
@@ -193,8 +195,8 @@ fn first_step_builds_the_index_once() {
     // (its lists); building the index twice makes it ≥ 23.
     assert!(calls <= 20 * ranks + 1, "{calls} calls for {ranks} ranks");
     // Measured 8.1 on 4,096 ranks of 256 vertices:
-    // - forbidden stamps, a `u64` per colour first-fit can pick (max
-    //   owned degree + 2 = 6 a rank): ≈ 0.2;
+    // - the picker's stamps, a `u64` per colour up to the largest a
+    //   neighbour holds (capacity 4 on the grid): ≈ 0.1;
     // - colours, a `u32` per local index: 5;
     // - the boundary work list: ≈ 0.9;
     // - program headers, the exchange's neighbour list and stamps and
@@ -205,6 +207,29 @@ fn first_step_builds_the_index_once() {
     // Fan-out tables sized by the run (a `u32` stamp and a FIAC flag per
     // rank) would add 80.
     assert!(per_vertex < 8.5, "{per_vertex:.1} B per owned vertex");
+}
+
+#[test]
+fn distance2_and_jp_first_steps_keep_no_table_per_local_index() {
+    // Measured 12.7 B per owned vertex for distance-2 (its first work
+    // list is the whole slice, and it keeps a re-colour flag per owned
+    // vertex) and 10.4 for JP (its pending list). A stamp array of
+    // `n_total + 2` colours made distance-2 22.6, and a `u64` priority
+    // per local index made JP 20.7.
+    let d2 = first_step(64, |dg| -> DistColoring<Distance2> {
+        DistColoring::distance2(dg, 1000, 7)
+    });
+    let jp = first_step(64, |dg| JonesPlassmann::new(dg, 7));
+    for (name, (ranks, calls, live), bound) in [("distance2", d2, 15.0), ("JP", jp, 12.0)] {
+        let per_vertex = live as f64 / (SIDE * SIDE) as f64;
+        println!(
+            "{name} + on_start over {ranks} ranks: {calls} calls, {per_vertex:.1} B live per owned vertex"
+        );
+        assert!(
+            per_vertex < bound,
+            "{name}: {per_vertex:.1} B per owned vertex"
+        );
+    }
 }
 
 #[test]
